@@ -44,21 +44,19 @@ func (n *Node) bootstrap(level int) {
 // new node is also a group leader from a lower level group").
 func (n *Node) onBootstrapRequest(m *wire.BootstrapRequest) {
 	n.stats.BootstrapsServed++
-	reply := &wire.DirectoryMsg{From: n.id, Ask: true, Infos: n.dir.Snapshot()}
-	n.ep.Unicast(topoHost(m.From), wire.Encode(reply))
+	n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, true, n.dir))
 }
 
 // onSyncRequest serves a full directory to a peer that detected an
 // unrecoverable update loss.
 func (n *Node) onSyncRequest(m *wire.SyncRequest) {
-	reply := &wire.DirectoryMsg{From: n.id, Infos: n.dir.Snapshot()}
-	n.ep.Unicast(topoHost(m.From), wire.Encode(reply))
+	n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, false, n.dir))
 }
 
 // onDirectoryMsg merges a full snapshot (bootstrap reply, sync reply, or a
-// new leader's in-group publication). level is the channel it arrived on,
-// or -1 for unicast.
-func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryMsg) {
+// leader's in-group publication) in place from the packet's bytes. level is
+// the channel it arrived on, or -1 for unicast.
+func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 	if m.From == n.id {
 		return
 	}
@@ -75,37 +73,29 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryMsg) {
 	if lvl < 0 {
 		lvl = 0
 	}
-	now := n.eng.Now()
-	var newlyLearned []membership.MemberInfo
-	var corrections []wire.Update
-	for _, info := range m.Infos {
-		if info.Node == n.id {
-			continue
-		}
-		if info.Node < 0 {
-			// An impossible identity cannot be a member; dropping the entry
-			// (rather than the whole snapshot) keeps the merge useful.
-			n.stats.PacketsRejected++
-			n.ep.NoteReject()
-			continue
-		}
-		if n.dir.TombstoneActive(info, now) {
-			// The publisher still believes in a node we removed; send a
-			// targeted correction so its stale entry does not linger.
+	// The cursor lives in the node so that handing it to the directory as
+	// an interface does not allocate one per snapshot.
+	n.dirCursor = m.Cursor()
+	newlyLearned, tombstoned, invalid := n.dir.MergeRelayed(&n.dirCursor, lvl, m.From, n.eng.Now())
+	n.dirCursor = wire.InfoCursor{} // do not pin the payload
+	for ; invalid > 0; invalid-- {
+		// An impossible identity cannot be a member; dropping the entry
+		// (rather than the whole snapshot) keeps the merge useful.
+		n.stats.PacketsRejected++
+		n.ep.NoteReject()
+	}
+	if len(tombstoned) > 0 {
+		// The publisher still believes in nodes we removed; send targeted
+		// corrections so its stale entries do not linger.
+		corrections := make([]wire.Update, len(tombstoned))
+		for i, id := range tombstoned {
 			n.updCounter++
-			corrections = append(corrections, wire.Update{
+			corrections[i] = wire.Update{
 				ID:      wire.UpdateID{Origin: n.id, Counter: n.updCounter},
 				Kind:    wire.ULeave,
-				Subject: info.Node,
-			})
-			continue
+				Subject: id,
+			}
 		}
-		isJoin := n.dir.Upsert(info, membership.OriginRelayed, lvl, m.From, now)
-		if isJoin {
-			newlyLearned = append(newlyLearned, info)
-		}
-	}
-	if len(corrections) > 0 {
 		// Seq 0 keeps these out-of-band corrections out of the sender's
 		// loss-detected update stream; receivers apply them by UID.
 		n.ep.Unicast(topoHost(m.From), wire.Encode(&wire.UpdateMsg{
@@ -122,7 +112,6 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryMsg) {
 		}
 	}
 	if m.Ask {
-		reply := &wire.DirectoryMsg{From: n.id, Infos: n.dir.Snapshot()}
-		n.ep.Unicast(topoHost(m.From), wire.Encode(reply))
+		n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, false, n.dir))
 	}
 }

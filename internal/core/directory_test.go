@@ -1,0 +1,196 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/crc32"
+	"testing"
+	"time"
+
+	"repro/internal/membership"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/wire"
+)
+
+// republishFixture is a started node whose directory already holds the
+// 1000 plain records of a leader's snapshot, the snapshot's packet, and its
+// decoded view — what the decode memo hands each of a packet's receivers.
+type republishFixture struct {
+	n       *Node
+	payload []byte
+	view    *wire.DirectoryView
+}
+
+func newRepublishFixture(tb testing.TB) *republishFixture {
+	eng := sim.NewEngine(1)
+	n := NewNode(DefaultConfig(), netsim.New(eng, topology.Clustered(1, 20)).Endpoint(0))
+	n.Start(eng)
+	infos := make([]membership.MemberInfo, 1000)
+	for i := range infos {
+		infos[i] = membership.MemberInfo{Node: membership.NodeID(i), Incarnation: 1, Beat: 7}
+	}
+	f := &republishFixture{n: n, payload: wire.Encode(&wire.DirectoryMsg{From: 1, Infos: infos})}
+	m, err := wire.Decode(f.payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.view = m.(*wire.DirectoryView)
+	n.onDirectoryMsg(0, f.view)
+	if n.dir.Len() != 1000 {
+		tb.Fatalf("warm-up left %d entries, want 1000", n.dir.Len())
+	}
+	return f
+}
+
+// receive delivers the snapshot again with every record's beat moved to
+// beat, the steady state of anti-entropy. The fixture owns the packet and
+// is its only receiver, so it may do what the view's contract forbids
+// everyone else: rewrite the beats in the bytes under the view rather than
+// encode and decode a fresh packet per round.
+func (f *republishFixture) receive(beat uint64) {
+	const first = wire.HeaderLen + 4 + 1 + 4 // from, ask, count
+	stride := (len(f.payload) - first) / 1000
+	for off := first + wire.InfoPrefixLen - 8; off < len(f.payload); off += stride {
+		binary.LittleEndian.PutUint64(f.payload[off:], beat)
+	}
+	f.n.onDirectoryMsg(0, f.view)
+}
+
+func TestReceiveDirectorySteadyStateDoesNotAllocate(t *testing.T) {
+	f := newRepublishFixture(t)
+	beat := uint64(8)
+	allocs := testing.AllocsPerRun(50, func() {
+		f.receive(beat)
+		beat++
+	})
+	if allocs != 0 {
+		t.Fatalf("receiving a 1000-record republish allocates %.1f per packet, want 0", allocs)
+	}
+	if e := f.n.dir.Get(999); e.Counter != beat-1 || e.Relayer != 1 || e.Origin != membership.OriginRelayed {
+		t.Fatalf("the republishes were not merged: %+v", *e)
+	}
+}
+
+// BenchmarkReceiveDirectory1000 is what one receiver pays for one leader's
+// republication at N=1000 once the packet is decoded (the decode is shared
+// per LP; wire.BenchmarkDecodeDirectory1000 times it).
+func BenchmarkReceiveDirectory1000(b *testing.B) {
+	f := newRepublishFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.receive(uint64(8 + i))
+	}
+}
+
+// reseal gives a tampered packet a valid checksum again, so that the body
+// walk is what has to reject it.
+func reseal(b []byte) []byte {
+	if len(b) >= wire.HeaderLen {
+		binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[wire.HeaderLen:], crc32.MakeTable(crc32.Castagnoli)))
+	}
+	return b
+}
+
+// TestDamagedDirectoryAppliesNothing: a snapshot cut short anywhere, or with
+// any byte turned into a hostile count or length, is rejected whole — no
+// record before the damage reaches the directory — and the rejection is
+// counted.
+func TestDamagedDirectoryAppliesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	n := NewNode(DefaultConfig(), netsim.New(eng, topology.Clustered(1, 20)).Endpoint(0))
+	n.Start(eng)
+	var events int
+	n.dir.AddObserver(func(membership.Event) { events++ })
+	good := wire.Encode(&wire.DirectoryMsg{From: 1, Ask: true, Infos: []membership.MemberInfo{
+		{Node: 5, Incarnation: 1, Beat: 3},
+		{Node: 6, Incarnation: 1, Services: []membership.ServiceDecl{{Name: "idx", Partitions: []int32{1, 2}}}, Attrs: []membership.KV{{Key: "mem", Value: "2G"}}},
+		{Node: 7, Incarnation: 2},
+	}})
+	var damaged [][]byte
+	for cut := wire.HeaderLen; cut < len(good); cut++ {
+		damaged = append(damaged, reseal(append([]byte(nil), good[:cut]...)))
+	}
+	for off := wire.HeaderLen; off < len(good); off++ {
+		b := append([]byte(nil), good...)
+		b[off] = 0xFF
+		damaged = append(damaged, reseal(b))
+	}
+	rejected := 0
+	for _, b := range damaged {
+		if _, err := wire.Decode(b); err == nil {
+			continue // the overwrite landed on a value, not on structure
+		}
+		rejected++
+		n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: b})
+		if n.dir.Len() != 1 || events != 0 {
+			t.Fatalf("rejected snapshot %x changed the directory: Len %d, %d events", b, n.dir.Len(), events)
+		}
+	}
+	if rejected < len(good)-wire.HeaderLen || n.Stats().PacketsRejected != uint64(rejected) {
+		t.Fatalf("%d damaged snapshots rejected by Decode, node counted %d", rejected, n.Stats().PacketsRejected)
+	}
+	n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: good})
+	if n.dir.Len() != 4 || events != 3 {
+		t.Fatalf("the intact snapshot left Len %d after %d events, want 4 and 3", n.dir.Len(), events)
+	}
+}
+
+// recordingTransport notes the payload of every multicast a node sends.
+type recordingTransport struct {
+	netsim.Transport
+	eng  *sim.Engine
+	sent []sentPayload
+}
+
+func (r *recordingTransport) Multicast(ch netsim.ChannelID, ttl int, payload []byte) {
+	r.sent = append(r.sent, sentPayload{at: r.eng.Now(), ch: ch, payload: payload})
+	r.Transport.Multicast(ch, ttl, payload)
+}
+
+type sentPayload struct {
+	at      time.Duration
+	ch      netsim.ChannelID
+	payload []byte
+}
+
+// TestRepublishEncodesOncePerTick: a leader joined to two channels
+// republishes the same bytes — one encoding, one backing array — on both.
+func TestRepublishEncodesOncePerTick(t *testing.T) {
+	top := topology.Clustered(2, 3)
+	eng := sim.NewEngine(7)
+	net := netsim.New(eng, top)
+	cfg := cfgFor(top)
+	rec := &recordingTransport{Transport: net.Endpoint(0), eng: eng}
+	nodes := []*Node{NewNode(cfg, rec)}
+	for h := 1; h < top.NumHosts(); h++ {
+		nodes = append(nodes, NewNode(cfg, net.Endpoint(topology.HostID(h))))
+	}
+	for _, n := range nodes {
+		n.Start(eng)
+	}
+	eng.Run(20 * time.Second)
+	if !nodes[0].IsLeader(0) || len(nodes[0].Levels()) != 2 {
+		t.Fatalf("node 0 leads level 0: %v, joined levels %v; the test needs a two-channel leader", nodes[0].IsLeader(0), nodes[0].Levels())
+	}
+	rec.sent = nil
+	eng.Run(eng.Now() + 3*cfg.RepublishInterval)
+	var snaps []sentPayload
+	for _, s := range rec.sent {
+		if m, err := wire.Decode(s.payload); err == nil {
+			if _, ok := m.(*wire.DirectoryView); ok {
+				snaps = append(snaps, s)
+			}
+		}
+	}
+	if len(snaps) < 4 || len(snaps)%2 != 0 {
+		t.Fatalf("%d snapshots multicast in three republish intervals, want a pair per tick", len(snaps))
+	}
+	for i := 0; i < len(snaps); i += 2 {
+		a, b := snaps[i], snaps[i+1]
+		if a.at != b.at || a.ch == b.ch || &a.payload[0] != &b.payload[0] || len(a.payload) != len(b.payload) {
+			t.Fatalf("tick at %v: snapshots on channels %d and %d at %v do not share one encoding", a.at, a.ch, b.ch, b.at)
+		}
+	}
+}

@@ -60,9 +60,11 @@ type Node struct {
 
 	// enc frames outgoing packets without a per-send writer allocation;
 	// hbHint remembers the last heartbeat's encoded size so the payload
-	// buffer is allocated exactly once per send.
-	enc    wire.Encoder
-	hbHint int
+	// buffer is allocated exactly once per send. dirCursor is the scratch
+	// cursor onDirectoryMsg walks a received snapshot with.
+	enc       wire.Encoder
+	hbHint    int
+	dirCursor wire.InfoCursor
 
 	stats Stats
 
@@ -244,11 +246,7 @@ func (n *Node) Start(eng *sim.Engine) {
 			if !n.anyLeader() {
 				return
 			}
-			for _, lv := range n.levels {
-				if lv.joined {
-					n.publishDirectory(lv.level)
-				}
-			}
+			n.publishDirectory(allLevels)
 		})
 	}
 }
@@ -498,18 +496,31 @@ func (n *Node) sendHeartbeat(level int) {
 	n.ep.Multicast(n.channelOf(level), n.cfg.ttl(level), payload)
 }
 
-// publishDirectory multicasts a full snapshot into one group; receivers
-// re-anchor relayed entries to us.
+// allLevels asks publishDirectory for every joined group.
+const allLevels = -1
+
+// publishDirectory multicasts a full snapshot into the group at level, or
+// into every joined group for allLevels; receivers re-anchor relayed
+// entries to us. The snapshot is encoded once and the same immutable bytes
+// go to each channel.
 func (n *Node) publishDirectory(level int) {
-	if !n.running || !n.levels[level].joined {
+	if !n.running {
 		return
 	}
-	if n.relayStarved() {
-		n.stats.RelaysStarved++
-		return
+	var payload []byte
+	for _, lv := range n.levels {
+		if !lv.joined || (level != allLevels && lv.level != level) {
+			continue
+		}
+		if n.relayStarved() {
+			n.stats.RelaysStarved++
+			continue
+		}
+		if payload == nil {
+			payload = wire.EncodeDirectory(n.id, false, n.dir)
+		}
+		n.ep.Multicast(n.channelOf(lv.level), n.cfg.ttl(lv.level), payload)
 	}
-	msg := &wire.DirectoryMsg{From: n.id, Infos: n.dir.Snapshot()}
-	n.ep.Multicast(n.channelOf(level), n.cfg.ttl(level), n.enc.AppendEncode(nil, msg))
 }
 
 // Receive feeds one delivered packet into the protocol. The node installs
@@ -546,7 +557,7 @@ func (n *Node) receive(pkt netsim.Packet) {
 		n.onUpdateMsg(level, m)
 	case *wire.BootstrapRequest:
 		n.onBootstrapRequest(m)
-	case *wire.DirectoryMsg:
+	case *wire.DirectoryView:
 		n.onDirectoryMsg(level, m)
 	case *wire.SyncRequest:
 		n.onSyncRequest(m)

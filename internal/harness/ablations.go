@@ -57,7 +57,7 @@ func msgType(m wire.Message) wire.Type {
 		return wire.TUpdate
 	case *wire.BootstrapRequest:
 		return wire.TBootstrapRequest
-	case *wire.DirectoryMsg:
+	case *wire.DirectoryView:
 		return wire.TDirectory
 	case *wire.SyncRequest:
 		return wire.TSyncRequest

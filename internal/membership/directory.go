@@ -42,6 +42,9 @@ type Entry struct {
 	// Origin and the fields below are per-holder bookkeeping, not part of
 	// the propagated information.
 	Origin Origin
+	// live marks an occupied slot of the directory's by-value storage; it
+	// sits in Origin's padding, so it costs no space.
+	live bool
 	// Level is the tree level (for direct entries, the lowest channel the
 	// member was heard on; for relayed entries, the level whose leader
 	// relayed it).
@@ -101,13 +104,17 @@ type tombstone struct {
 // loop); the public tamp API wraps it with locking for client access.
 type Directory struct {
 	owner NodeID
-	// dense holds entries for IDs in [0, maxDense) — every ID real
-	// deployments mint — indexed directly; entries is the exact-semantics
-	// fallback for IDs outside that window (hostile or misconfigured), so
-	// a wild ID in a CRC-valid packet costs at most the bounded dense
-	// slice, never an attacker-sized allocation. Lookups on the heartbeat
-	// path are array loads instead of map probes.
-	dense    []*Entry
+	// chunks holds the entries for IDs in [0, maxDense) — every ID real
+	// deployments mint — by value, chunkLen consecutive IDs per chunk,
+	// indexed directly: a lookup is two array loads, and a merge in
+	// ascending ID order streams through memory instead of chasing one heap
+	// object per entry. Chunks are allocated when their first entry joins,
+	// never move (so *Entry stays valid while its node is present) and are
+	// released when their last entry leaves. entries is the exact-semantics
+	// fallback for IDs outside that window (hostile or misconfigured), so a
+	// wild ID in a CRC-valid packet costs at most one chunk plus the bounded
+	// chunk table, never an attacker-sized allocation.
+	chunks   []*[chunkLen]Entry
 	entries  map[NodeID]*Entry
 	sorted   []NodeID // entry keys in ascending order, maintained incrementally
 	tombs    map[NodeID]tombstone
@@ -182,11 +189,17 @@ func (d *Directory) SetTombstoneTTL(ttl time.Duration) { d.tombTTL = ttl }
 // carries no newer evidence of life (no higher incarnation and no further
 // advanced heartbeat counter than we saw at removal time).
 func (d *Directory) TombstoneActive(info MemberInfo, now time.Duration) bool {
-	if d.tombTTL <= 0 {
+	return d.tombstoneActive(info.Prefix(), now)
+}
+
+func (d *Directory) tombstoneActive(p InfoPrefix, now time.Duration) bool {
+	// Most directories hold no tombstone most of the time; do not hash the
+	// ID just to find the map empty.
+	if d.tombTTL <= 0 || len(d.tombs) == 0 {
 		return false
 	}
-	ts, ok := d.tombs[info.Node]
-	return ok && info.Incarnation <= ts.inc && info.Beat <= ts.beat && now-ts.at < d.tombTTL
+	ts, ok := d.tombs[p.Node]
+	return ok && p.Incarnation <= ts.inc && p.Beat <= ts.beat && now-ts.at < d.tombTTL
 }
 
 // Owner returns the owning node's ID.
@@ -220,49 +233,87 @@ func (d *Directory) emit(t EventType, n NodeID, now time.Duration) {
 	}
 }
 
-// maxDense bounds the directly-indexed entry window; see Directory.dense.
-const maxDense = 1 << 16
+// maxDense bounds the directly-indexed entry window and chunkLen is the
+// number of consecutive IDs stored together; see Directory.chunks. Four
+// entries are 448 bytes: an exact allocator size class, and the largest
+// chunk below the 512 bytes from which the runtime prefixes a
+// pointer-bearing object with a header that pushes a power-of-two chunk
+// into the next class (an eighth of the directory's memory wasted). A
+// directory filled in ID order draws consecutive chunks from one span, so
+// the small chunk costs an ascending merge nothing.
+const (
+	maxDense   = 1 << 16
+	chunkShift = 2
+	chunkLen   = 1 << chunkShift
+)
 
 func (d *Directory) get(n NodeID) *Entry {
-	if uint32(n) < uint32(len(d.dense)) {
-		return d.dense[n]
+	if ci := uint32(n) >> chunkShift; ci < uint32(len(d.chunks)) {
+		if c := d.chunks[ci]; c != nil {
+			if e := &c[n&(chunkLen-1)]; e.live {
+				return e
+			}
+		}
+		return nil
 	}
 	return d.entries[n]
 }
 
-func (d *Directory) put(n NodeID, e *Entry) {
-	if n >= 0 && n < maxDense {
-		if int(n) >= len(d.dense) {
-			grown := make([]*Entry, growTo(int(n)+1))
-			copy(grown, d.dense)
-			d.dense = grown
+// insert stores a new entry for a node known to be absent and announces the
+// join.
+func (d *Directory) insert(info MemberInfo, origin Origin, level int, relayer NodeID, now time.Duration) {
+	var e *Entry
+	if n := info.Node; n >= 0 && n < maxDense {
+		ci := int(n) >> chunkShift
+		if ci >= len(d.chunks) {
+			grown := make([]*[chunkLen]Entry, growTo(ci+1))
+			copy(grown, d.chunks)
+			d.chunks = grown
 		}
-		d.dense[n] = e
-		return
+		if d.chunks[ci] == nil {
+			d.chunks[ci] = new([chunkLen]Entry)
+		}
+		e = &d.chunks[ci][n&(chunkLen-1)]
+	} else {
+		e = new(Entry)
+		if d.entries == nil {
+			d.entries = make(map[NodeID]*Entry)
+		}
+		d.entries[n] = e
 	}
-	if d.entries == nil {
-		d.entries = make(map[NodeID]*Entry)
+	*e = Entry{
+		Info: info, Origin: origin, live: true, Level: level, Relayer: relayer,
+		LastRefresh: now, Counter: info.Beat,
 	}
-	d.entries[n] = e
+	d.sortedInsert(info.Node)
+	d.emit(EventJoin, info.Node, now)
 }
 
 func (d *Directory) del(n NodeID) {
-	if uint32(n) < uint32(len(d.dense)) {
-		d.dense[n] = nil
+	ci := uint32(n) >> chunkShift
+	if ci >= uint32(len(d.chunks)) {
+		delete(d.entries, n)
 		return
 	}
-	delete(d.entries, n)
+	c := d.chunks[ci]
+	c[n&(chunkLen-1)] = Entry{}
+	for i := range c {
+		if c[i].live {
+			return
+		}
+	}
+	d.chunks[ci] = nil
 }
 
-// growTo rounds a needed dense length up so repeated joins with ascending
-// IDs reallocate O(log n) times, capped at the bounded window.
+// growTo rounds a needed chunk-table length up so repeated joins with
+// ascending IDs reallocate O(log n) times, capped at the bounded window.
 func growTo(need int) int {
-	size := 64
+	size := 4
 	for size < need {
 		size *= 2
 	}
-	if size > maxDense {
-		size = maxDense
+	if size > maxDense/chunkLen {
+		size = maxDense / chunkLen
 	}
 	return size
 }
@@ -292,20 +343,27 @@ func (d *Directory) Upsert(info MemberInfo, origin Origin, level int, relayer No
 	}
 	e := d.get(info.Node)
 	if e == nil {
-		d.put(info.Node, &Entry{
-			Info: info, Origin: origin, Level: level, Relayer: relayer,
-			LastRefresh: now, Counter: info.Beat,
-		})
-		d.sortedInsert(info.Node)
-		d.emit(EventJoin, info.Node, now)
+		d.insert(info, origin, level, relayer, now)
 		return true
 	}
+	if d.refresh(e, info.Prefix(), origin, level, relayer, now) {
+		d.replace(e, info, now)
+	}
+	return false
+}
+
+// refresh applies the fixed fields of an offered record to a present entry —
+// liveness, origin custody, beat — and reports whether the record's content
+// supersedes the stored one, in which case the caller follows with replace.
+// Every merge decision is made on the prefix alone, which is what lets
+// MergeRelayed leave the rest of a record undecoded.
+func (d *Directory) refresh(e *Entry, p InfoPrefix, origin Origin, level int, relayer NodeID, now time.Duration) (newer bool) {
+	newer = p.Newer(e.Info.Prefix())
 	// Liveness: a direct observation always refreshes; a relayed copy only
 	// refreshes if it carries evidence of life we have not seen — an
 	// advanced heartbeat counter or newer content. A stale snapshot
 	// circulating among leaders therefore cannot keep a dead node alive.
-	fresh := origin != OriginRelayed || info.Beat > e.Counter || info.Newer(e.Info)
-	if fresh {
+	if origin != OriginRelayed || p.Beat > e.Counter || newer {
 		e.LastRefresh = now
 		// Last writer with fresh evidence takes origin custody; the self
 		// entry is never demoted.
@@ -313,22 +371,71 @@ func (d *Directory) Upsert(info MemberInfo, origin Origin, level int, relayer No
 			e.Origin, e.Level, e.Relayer = origin, level, relayer
 		}
 	}
-	if info.Beat > e.Counter {
-		e.Counter = info.Beat
+	if p.Beat > e.Counter {
+		e.Counter = p.Beat
 		// Keep the stored info's beat current even when its content is
 		// not newer, so snapshots we publish carry the freshest liveness
 		// evidence we hold rather than the beat at entry creation.
-		e.Info.Beat = info.Beat
+		e.Info.Beat = p.Beat
 	}
-	if info.Newer(e.Info) {
-		beat := e.Info.Beat
-		e.Info = info
-		if beat > e.Info.Beat {
-			e.Info.Beat = beat
+	return newer
+}
+
+// replace installs superseding content for a present entry, keeping the
+// freshest beat seen.
+func (d *Directory) replace(e *Entry, info MemberInfo, now time.Duration) {
+	beat := e.Info.Beat
+	e.Info = info
+	if beat > e.Info.Beat {
+		e.Info.Beat = beat
+	}
+	d.emit(EventUpdate, info.Node, now)
+}
+
+// RelayedSource streams the records of one relayed snapshot in the order
+// its publisher wrote them. Next advances to the following record and
+// reports whether there is one; Prefix and Info then describe it. Prefix is
+// free; Info materialises the whole record and may allocate.
+type RelayedSource interface {
+	Next() bool
+	Prefix() InfoPrefix
+	Info() MemberInfo
+}
+
+// MergeRelayed applies a whole relayed snapshot — a leader's bootstrap or
+// sync reply, or its periodic republication — with the semantics and event
+// order of one relayed Upsert per record, asking src for a full record only
+// when the node is new or the offered content is newer. In steady state
+// nearly every record is a beat refresh of a known node, so the merge reads
+// 24 bytes per record from src, writes a few words of the entry, and
+// allocates nothing.
+//
+// Records about the owner are skipped. joined lists the records that added
+// a node, tombstoned the nodes whose record was rejected because the node
+// was removed recently and the record carries no newer evidence of life
+// (the publisher holds a stale entry), and invalid counts records with a
+// negative ID, which cannot name a member and are dropped.
+func (d *Directory) MergeRelayed(src RelayedSource, level int, relayer NodeID, now time.Duration) (joined []MemberInfo, tombstoned []NodeID, invalid int) {
+	for src.Next() {
+		p := src.Prefix()
+		switch {
+		case p.Node == d.owner:
+		case p.Node < 0:
+			invalid++
+		case d.tombstoneActive(p, now):
+			tombstoned = append(tombstoned, p.Node)
+		default:
+			e := d.get(p.Node)
+			if e == nil {
+				info := src.Info()
+				d.insert(info, OriginRelayed, level, relayer, now)
+				joined = append(joined, info)
+			} else if d.refresh(e, p, OriginRelayed, level, relayer, now) {
+				d.replace(e, src.Info(), now)
+			}
 		}
-		d.emit(EventUpdate, info.Node, now)
 	}
-	return false
+	return joined, tombstoned, invalid
 }
 
 // Refresh bumps LastRefresh for n if present (a heartbeat with unchanged
@@ -394,8 +501,10 @@ func (d *Directory) Range(fn func(NodeID, *Entry)) {
 	}
 }
 
-// Snapshot returns deep copies of all member infos, in node order. This is
-// what bootstrap and sync replies carry.
+// Snapshot returns deep copies of all member infos, in node order, for
+// consumers that keep them (the directory IPC server, rapid's view
+// messages). The tree protocol's own snapshots are encoded straight from
+// the entries by wire.EncodeDirectory and never pass through here.
 func (d *Directory) Snapshot() []MemberInfo {
 	out := make([]MemberInfo, 0, len(d.sorted))
 	for _, n := range d.sorted {

@@ -20,7 +20,18 @@
 //     nodes against stale re-addition; Expired implements heartbeat
 //     timeouts; Lookup answers the paper's regex + partition-spec queries;
 //     SetObserver delivers Event notifications (join/leave/change) that
-//     the experiments' detection/convergence recorders hook.
+//     the experiments' detection/convergence recorders hook. Entries are
+//     stored by value, four consecutive IDs to a chunk, so the *Entry that
+//     Get and Range hand out stays valid while its node is present and a
+//     merge in ID order walks memory front to back.
+//   - InfoPrefix, RelayedSource and Directory.MergeRelayed: the batch
+//     entry point for a whole relayed snapshot (bootstrap and sync
+//     replies, a leader's periodic republication). It has the semantics
+//     and event order of one relayed Upsert per record, but decides each
+//     record on its fixed 24-byte prefix — identity, incarnation,
+//     version, beat — and asks the source for the full MemberInfo only
+//     when the node is new or the content is newer, so the steady state
+//     of anti-entropy allocates nothing.
 //   - Origin: how an entry was learned (direct heartbeat vs relayed by a
 //     leader), which determines its lifetime rules under the paper's
 //     Timeout Protocol.

@@ -72,11 +72,31 @@ func (m MemberInfo) Clone() MemberInfo {
 
 // Newer reports whether m supersedes o for the same node, comparing
 // (incarnation, version).
-func (m MemberInfo) Newer(o MemberInfo) bool {
-	if m.Incarnation != o.Incarnation {
-		return m.Incarnation > o.Incarnation
+func (m MemberInfo) Newer(o MemberInfo) bool { return m.Prefix().Newer(o.Prefix()) }
+
+// InfoPrefix is the fixed-size head of a MemberInfo — the identity and the
+// three counters every merge decision is made on. On the wire it is the
+// first 24 bytes of an encoded record (docs/WIRE.md §3), so a receiver can
+// judge a record without decoding its services and attributes.
+type InfoPrefix struct {
+	Node        NodeID
+	Incarnation uint32
+	Version     uint64
+	Beat        uint64
+}
+
+// Prefix returns m's fixed-size head.
+func (m *MemberInfo) Prefix() InfoPrefix {
+	return InfoPrefix{Node: m.Node, Incarnation: m.Incarnation, Version: m.Version, Beat: m.Beat}
+}
+
+// Newer reports whether p supersedes o for the same node, comparing
+// (incarnation, version).
+func (p InfoPrefix) Newer(o InfoPrefix) bool {
+	if p.Incarnation != o.Incarnation {
+		return p.Incarnation > o.Incarnation
 	}
-	return m.Version > o.Version
+	return p.Version > o.Version
 }
 
 // SetAttr sets (or replaces) an attribute, keeping Attrs sorted by key.

@@ -1,0 +1,291 @@
+package membership
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+)
+
+// sliceSource is a RelayedSource over materialised records. beat, when
+// non-zero, overrides every record's beat, so one slice can stand for a
+// publisher whose snapshot advances from round to round.
+type sliceSource struct {
+	infos []MemberInfo
+	next  int
+	beat  uint64
+	fulls int // Info calls
+}
+
+func (s *sliceSource) Next() bool { s.next++; return s.next <= len(s.infos) }
+
+func (s *sliceSource) Prefix() InfoPrefix {
+	p := s.infos[s.next-1].Prefix()
+	if s.beat != 0 {
+		p.Beat = s.beat
+	}
+	return p
+}
+
+func (s *sliceSource) Info() MemberInfo {
+	s.fulls++
+	return s.infos[s.next-1]
+}
+
+// referenceMerge is the receive loop MergeRelayed replaced, verbatim: every
+// record materialised, TombstoneActive then Upsert, one at a time.
+func referenceMerge(d *Directory, infos []MemberInfo, level int, relayer NodeID, now time.Duration) (joined []MemberInfo, tombstoned []NodeID, invalid int) {
+	for _, info := range infos {
+		if info.Node == d.Owner() {
+			continue
+		}
+		if info.Node < 0 {
+			invalid++
+			continue
+		}
+		if d.TombstoneActive(info, now) {
+			tombstoned = append(tombstoned, info.Node)
+			continue
+		}
+		if d.Upsert(info, OriginRelayed, level, relayer, now) {
+			joined = append(joined, info)
+		}
+	}
+	return joined, tombstoned, invalid
+}
+
+// randomRecord draws a record for one of a few dozen IDs — mostly small
+// ones that collide, some in far chunks, some outside the direct-indexed
+// window, some negative — with counters low enough that older, equal and
+// newer offers all occur.
+func randomRecord(rng *rand.Rand) MemberInfo {
+	ids := []NodeID{0, 1, 2, 3, 5, 8, 15, 16, 17, 31, 32, 100, 999, 1000, 4095, maxDense - 1, maxDense, maxDense + 7, 1 << 30, -1, -2, -70000}
+	m := MemberInfo{
+		Node:        ids[rng.Intn(len(ids))],
+		Incarnation: uint32(1 + rng.Intn(3)),
+		Version:     uint64(rng.Intn(3)),
+		Beat:        uint64(rng.Intn(40)),
+	}
+	if rng.Intn(2) == 0 {
+		m.Services = []ServiceDecl{{
+			Name:       fmt.Sprint("svc", rng.Intn(3)),
+			Partitions: []int32{rng.Int31n(8)},
+			Params:     []KV{{Key: "Port", Value: fmt.Sprint(rng.Intn(9000))}},
+		}}
+		m.SetAttr("mem", fmt.Sprint(rng.Intn(64), "G"))
+	}
+	return m
+}
+
+// TestMergeRelayedMatchesUpsertLoop is the differential property: over
+// random histories (self entry, direct and relayed upserts, removals that
+// leave tombstones, tombstones that expire) and random snapshots, the batch
+// merge leaves a directory deeply equal to the one the record-at-a-time
+// loop leaves — storage, order index, tombstones and the recorded event
+// sequence — returns the same lists, and asks for a full record exactly
+// once per join and per content update.
+func TestMergeRelayedMatchesUpsertLoop(t *testing.T) {
+	var sawJoins, sawTombstoned, sawInvalid, sawUpdates int
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const owner = 3
+		a, b := NewDirectory(owner), NewDirectory(owner)
+		now := time.Duration(0)
+		both := func(fn func(d *Directory)) { fn(a); fn(b) }
+		both(func(d *Directory) {
+			d.EnableHistory(1 << 12)
+			if seed%4 != 0 {
+				d.SetTombstoneTTL(10 * time.Second)
+			}
+			d.Upsert(MemberInfo{Node: owner, Incarnation: 1}, OriginSelf, 0, NoNode, now)
+		})
+		for round := 0; round < 6; round++ {
+			for i := rng.Intn(30); i > 0; i-- {
+				now += time.Duration(rng.Intn(800)) * time.Millisecond
+				rec, op := randomRecord(rng), rng.Intn(4)
+				both(func(d *Directory) {
+					switch op {
+					case 0:
+						d.Upsert(rec, OriginDirect, 0, NoNode, now)
+					case 1:
+						d.Upsert(rec, OriginRelayed, 1, 8, now)
+					default:
+						d.Remove(rec.Node, now)
+					}
+				})
+			}
+			snapshot := make([]MemberInfo, rng.Intn(40))
+			for i := range snapshot {
+				snapshot[i] = randomRecord(rng)
+			}
+			if rng.Intn(2) == 0 {
+				snapshot = append(snapshot, MemberInfo{Node: owner, Incarnation: 9, Beat: 99})
+			}
+			now += time.Duration(rng.Intn(3000)) * time.Millisecond
+			level, relayer := rng.Intn(3), NodeID(rng.Intn(20))
+
+			events := len(a.history)
+			src := &sliceSource{infos: snapshot}
+			joined, tombstoned, invalid := a.MergeRelayed(src, level, relayer, now)
+			wantJoined, wantTombstoned, wantInvalid := referenceMerge(b, snapshot, level, relayer, now)
+
+			if !reflect.DeepEqual(joined, wantJoined) || !reflect.DeepEqual(tombstoned, wantTombstoned) || invalid != wantInvalid {
+				t.Fatalf("seed %d round %d: merge returned (%v, %v, %d), loop returned (%v, %v, %d)",
+					seed, round, joined, tombstoned, invalid, wantJoined, wantTombstoned, wantInvalid)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d round %d: directories differ after merging %v\nmerge: %+v\n loop: %+v", seed, round, snapshot, a, b)
+			}
+			updates := 0
+			for _, e := range a.history[events:] {
+				if e.Type == EventUpdate {
+					updates++
+				}
+			}
+			if src.fulls != len(joined)+updates {
+				t.Fatalf("seed %d round %d: %d full records requested for %d joins and %d updates", seed, round, src.fulls, len(joined), updates)
+			}
+			sawJoins, sawTombstoned, sawInvalid, sawUpdates = sawJoins+len(joined), sawTombstoned+len(tombstoned), sawInvalid+invalid, sawUpdates+updates
+		}
+	}
+	if sawJoins == 0 || sawTombstoned == 0 || sawInvalid == 0 || sawUpdates == 0 {
+		t.Fatalf("the generator never produced one of the outcomes: %d joins, %d tombstoned, %d invalid, %d updates",
+			sawJoins, sawTombstoned, sawInvalid, sawUpdates)
+	}
+}
+
+// TestEntryPointersStableWhilePresent: the *Entry that Get and Range hand
+// out stays the node's entry — same address, same content — while other
+// nodes join (growing the chunk table) and leave (emptying neighbouring
+// slots and whole chunks).
+func TestEntryPointersStableWhilePresent(t *testing.T) {
+	d := NewDirectory(0)
+	kept := []NodeID{0, 7, 15, 16, 999, maxDense - 1, maxDense + 5, -4}
+	held := make(map[NodeID]*Entry)
+	for _, id := range kept {
+		d.Upsert(MemberInfo{Node: id, Incarnation: 2, Version: uint64(id) & 0xff}, OriginRelayed, 1, 9, time.Second)
+		held[id] = d.Get(id)
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, id := range kept {
+			e := d.Get(id)
+			if e != held[id] {
+				t.Fatalf("%s: entry of %v moved from %p to %p", when, id, held[id], e)
+			}
+			if e.Info.Node != id || e.Info.Incarnation != 2 || e.Info.Version != uint64(id)&0xff || e.Relayer != 9 {
+				t.Fatalf("%s: entry of %v now reads %+v", when, id, *e)
+			}
+		}
+		seen := 0
+		d.Range(func(id NodeID, e *Entry) {
+			if want, ok := held[id]; ok {
+				seen++
+				if e != want {
+					t.Fatalf("%s: Range hands out %p for %v, Get handed out %p", when, e, id, want)
+				}
+			}
+		})
+		if seen != len(kept) {
+			t.Fatalf("%s: Range visited %d of the %d kept nodes", when, seen, len(kept))
+		}
+	}
+	var others []NodeID
+	for id := NodeID(1); id < 3000; id += 3 {
+		if held[id] == nil {
+			others = append(others, id)
+		}
+	}
+	others = append(others, maxDense-2, maxDense+6, -5)
+	for _, id := range others {
+		d.Upsert(MemberInfo{Node: id, Incarnation: 1}, OriginDirect, 0, NoNode, 2*time.Second)
+	}
+	check("after joins")
+	for _, id := range others {
+		d.Remove(id, 3*time.Second)
+	}
+	check("after removals")
+	if d.Len() != len(kept) {
+		t.Fatalf("Len = %d, want %d", d.Len(), len(kept))
+	}
+}
+
+// TestWildIDsCostBoundedStorage: an ID anywhere in the direct-indexed window
+// costs one chunk and a table that never outgrows the window, IDs outside
+// it cost a map entry, and the storage goes when the node does.
+func TestWildIDsCostBoundedStorage(t *testing.T) {
+	d := NewDirectory(0)
+	chunks := func() (n int) {
+		for _, c := range d.chunks {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	wild := []NodeID{maxDense - 1, 40000, 40001, maxDense, 1<<31 - 1, -1, -1 << 31}
+	for _, id := range wild {
+		d.Upsert(MemberInfo{Node: id}, OriginRelayed, 0, 1, 0)
+	}
+	if got := chunks(); got != 2 || len(d.chunks) > maxDense/chunkLen || len(d.entries) != 4 {
+		t.Fatalf("%d chunks in a table of %d and %d map entries for %v", got, len(d.chunks), len(d.entries), wild)
+	}
+	for _, id := range wild {
+		if !d.Has(id) || !d.Remove(id, time.Second) || d.Has(id) {
+			t.Fatalf("wild ID %v did not survive a join/remove cycle", id)
+		}
+	}
+	if chunks() != 0 || len(d.entries) != 0 || d.Len() != 0 {
+		t.Fatalf("%d chunks, %d map entries, Len %d left behind", chunks(), len(d.entries), d.Len())
+	}
+}
+
+// warmDirectory1000 returns a directory that already holds what the
+// returned source republishes, and the source.
+func warmDirectory1000() (*Directory, *sliceSource) {
+	d := NewDirectory(0)
+	src := &sliceSource{infos: make([]MemberInfo, 1000)}
+	for i := range src.infos {
+		src.infos[i] = MemberInfo{Node: NodeID(i), Incarnation: 1, Beat: 7}
+		d.Upsert(src.infos[i], OriginRelayed, 1, 1, 0)
+	}
+	return d, src
+}
+
+// republish replays the source's snapshot with every beat at the given
+// value: the steady state of anti-entropy, where each record is a known
+// node whose liveness counter moved.
+func (s *sliceSource) republish(d *Directory, beat uint64) {
+	s.next, s.beat = 0, beat
+	joined, tombstoned, invalid := d.MergeRelayed(s, 1, 1, time.Duration(beat)*time.Second)
+	if len(joined)+len(tombstoned)+invalid != 0 {
+		panic("steady-state republish changed membership")
+	}
+}
+
+func TestMergeRelayedSteadyStateDoesNotAllocate(t *testing.T) {
+	d, src := warmDirectory1000()
+	beat := uint64(8)
+	allocs := testing.AllocsPerRun(50, func() {
+		src.republish(d, beat)
+		beat++
+	})
+	if allocs != 0 {
+		t.Fatalf("merging a 1000-record republish allocates %.1f per snapshot, want 0", allocs)
+	}
+	if e := d.Get(999); e.Counter != beat-1 || e.Info.Beat != beat-1 || e.LastRefresh != time.Duration(beat-1)*time.Second {
+		t.Fatalf("the merges did not refresh: %+v", *e)
+	}
+}
+
+// BenchmarkDirectoryMergeRelayed1000 is one receiver's cost of one
+// republish from a leader at N=1000, decoding excluded.
+func BenchmarkDirectoryMergeRelayed1000(b *testing.B) {
+	d, src := warmDirectory1000()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.republish(d, uint64(8+i))
+	}
+}

@@ -20,9 +20,17 @@
 //
 //   - Message: implemented by every packet body (Heartbeat, UpdateMsg,
 //     DirectoryMsg, Gossip, ProxySummary, ServiceRequest, ...).
-//   - Encode(m): serialize with the 4-byte packet header (magic, version,
-//     type).
+//   - Encode(m): serialize with the 8-byte packet header (magic, version,
+//     type, body CRC).
 //   - Decode(b): strict parse, returning one of the concrete message
 //     types or an error (ErrTruncated, ErrTrailing, bad magic/version).
+//   - DirectoryView, InfoCursor, EncodeDirectory: the snapshot path. A
+//     TDirectory packet is the one body Decode does not build: it is
+//     validated in a single walk and returned as an immutable view over
+//     the payload, whose cursor reads each record's 24-byte prefix in
+//     place and decodes the rest only on request; EncodeDirectory is the
+//     matching sender, writing a membership.Directory into one buffer of
+//     exactly the packet's size. docs/WIRE.md §4 states the view's
+//     immutability and lifetime contract.
 //   - Type: the packet-type tag carried in the header.
 package wire

@@ -50,8 +50,25 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x4D, 0x54, Version, 99, 0, 0, 0, 0})
+	// A snapshot is validated in one walk and then read in place, so the
+	// walk is the only guard: seed it with a body cut at every offset and
+	// with every byte of it turned into a hostile count or length, all
+	// under a valid checksum.
+	snapshot := Encode(&DirectoryMsg{From: 4, Infos: []membership.MemberInfo{{Node: 1, Incarnation: 1, Beat: 3}, sampleInfo(), {Node: 9}}})
+	for off := HeaderLen; off < len(snapshot); off++ {
+		f.Add(reseal(append([]byte(nil), snapshot[:off]...)))
+		hostile := append([]byte(nil), snapshot...)
+		hostile[off] = 0xFF
+		f.Add(reseal(hostile))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if goodHeader(data, TDirectory) {
+			// Past the header only the body walk stands between these bytes
+			// and a directory: it must reject exactly what building every
+			// record would reject, and hand back nothing when it does.
+			checkViewAgainstReference(t, data)
+		}
 		m, err := Decode(data)
 		if err != nil {
 			return

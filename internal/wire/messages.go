@@ -109,12 +109,23 @@ func Encode(m Message) []byte {
 
 // encodeInto appends one framed packet (header + body + patched CRC) to w.
 func encodeInto(w *writer, m Message) {
-	start := len(w.buf)
+	start := w.header(m.wireType())
+	m.enc(w)
+	w.seal(start)
+}
+
+// header appends the packet header with a zero checksum and returns its
+// offset; seal fills the checksum in once the body has been appended.
+func (w *writer) header(t Type) (start int) {
+	start = len(w.buf)
 	w.u16(Magic)
 	w.u8(Version)
-	w.u8(uint8(m.wireType()))
-	w.u32(0) // checksum placeholder, filled below
-	m.enc(w)
+	w.u8(uint8(t))
+	w.u32(0)
+	return start
+}
+
+func (w *writer) seal(start int) {
 	binary.LittleEndian.PutUint32(w.buf[start+4:start+8], crc32.Checksum(w.buf[start+HeaderLen:], crcTable))
 }
 
@@ -167,7 +178,7 @@ func Decode(b []byte) (Message, error) {
 	case TBootstrapRequest:
 		m = decBootstrapRequest(r)
 	case TDirectory:
-		m = decDirectoryMsg(r)
+		m = decDirectoryView(r)
 	case TSyncRequest:
 		m = decSyncRequest(r)
 	case TGossip:
@@ -478,34 +489,6 @@ func (b *BootstrapRequest) enc(w *writer) {
 
 func decBootstrapRequest(r *reader) *BootstrapRequest {
 	return &BootstrapRequest{From: membership.NodeID(r.i32()), Level: r.u8()}
-}
-
-// DirectoryMsg is a full membership snapshot: the reply to a bootstrap or
-// sync request, and also the leader's unsolicited exchange with a newly
-// joined node ("the group leader also asks the new node for the membership
-// information that it is aware of").
-type DirectoryMsg struct {
-	From membership.NodeID
-	// Ask requests the receiver to send its own snapshot back (used for
-	// the bidirectional bootstrap exchange).
-	Ask   bool
-	Infos []membership.MemberInfo
-}
-
-func (*DirectoryMsg) wireType() Type { return TDirectory }
-
-func (d *DirectoryMsg) enc(w *writer) {
-	w.i32(int32(d.From))
-	w.bool(d.Ask)
-	encInfos(w, d.Infos)
-}
-
-func decDirectoryMsg(r *reader) *DirectoryMsg {
-	d := &DirectoryMsg{}
-	d.From = membership.NodeID(r.i32())
-	d.Ask = r.bool()
-	d.Infos = decInfos(r)
-	return d
 }
 
 // SyncRequest asks the sender of lost updates for a full directory.
