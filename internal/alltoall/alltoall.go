@@ -51,29 +51,26 @@ type Node struct {
 	hb      *sim.Ticker
 	tracker *sim.Ticker
 	running bool
-	// hbSeen is the highest (incarnation, beat) accepted per sender;
-	// heartbeats that fail to advance it are replays or stale deliveries and
-	// must not refresh liveness. Survives member expiry so a dead node's
-	// replayed traffic cannot resurrect it.
-	hbSeen map[membership.NodeID]hbMark
-}
-
-// hbMark is the freshness high-water mark of one sender's heartbeats.
-type hbMark struct {
-	inc  uint32
-	beat uint64
+	// fresh is the replay guard: heartbeats that fail to advance their
+	// sender's (incarnation, beat) must not refresh liveness.
+	fresh membership.Freshness
+	// sweepDue is the earliest instant an expiry sweep can find anything.
+	sweepDue time.Duration
+	// enc frames heartbeats without a per-send writer; hbHint is the last
+	// heartbeat's encoded size, so the payload is allocated once, exactly.
+	enc    wire.Encoder
+	hbHint int
 }
 
 // NewNode creates a node bound to an endpoint.
 func NewNode(cfg Config, ep netsim.Transport) *Node {
 	id := membership.NodeID(ep.ID())
 	return &Node{
-		cfg:    cfg,
-		ep:     ep,
-		id:     id,
-		dir:    membership.NewDirectory(id),
-		info:   membership.MemberInfo{Node: id},
-		hbSeen: make(map[membership.NodeID]hbMark),
+		cfg:  cfg,
+		ep:   ep,
+		id:   id,
+		dir:  membership.NewDirectory(id),
+		info: membership.MemberInfo{Node: id},
 	}
 }
 
@@ -160,12 +157,14 @@ func (n *Node) sendHeartbeat() {
 	}
 	n.info.Beat++
 	hb := &wire.Heartbeat{
-		Info:   n.info.Clone(),
+		Info:   n.info, // encoded synchronously below, so no defensive clone
 		Backup: membership.NoNode,
 		Seq:    n.info.Beat,
 		Pad:    uint16(n.cfg.HeartbeatPad),
 	}
-	n.ep.Multicast(n.cfg.Channel, n.cfg.TTL, wire.Encode(hb))
+	payload := n.enc.AppendEncode(make([]byte, 0, n.hbHint), hb)
+	n.hbHint = len(payload)
+	n.ep.Multicast(n.cfg.Channel, n.cfg.TTL, payload)
 }
 
 func (n *Node) receive(pkt netsim.Packet) {
@@ -185,17 +184,10 @@ func (n *Node) receive(pkt netsim.Packet) {
 		n.ep.NoteReject()
 		return
 	}
-	// Freshness guard: only a heartbeat that advances the sender's
-	// (incarnation, beat) counts as evidence of life. Replayed or
-	// stale-delivered copies are counted and dropped — they may delay a
-	// refresh (liveness) but can never fake one (safety).
-	mark, marked := n.hbSeen[hb.Info.Node]
-	if marked && hb.Info.Incarnation <= mark.inc &&
-		(hb.Info.Incarnation < mark.inc || hb.Info.Beat <= mark.beat) {
+	if !n.fresh.Advance(hb.Info.Node, hb.Info.Incarnation, hb.Info.Beat) {
 		n.ep.NoteReject()
 		return
 	}
-	n.hbSeen[hb.Info.Node] = hbMark{inc: hb.Info.Incarnation, beat: hb.Info.Beat}
 	n.dir.Upsert(hb.Info, membership.OriginDirect, 0, membership.NoNode, n.eng.Now())
 }
 
@@ -204,8 +196,17 @@ func (n *Node) track() {
 		return
 	}
 	now := n.eng.Now()
-	dead, _ := n.dir.Expired(now, func(*membership.Entry) time.Duration { return n.cfg.DeadAfter() })
+	if now < n.sweepDue {
+		return
+	}
+	dead, next := n.dir.Expired(now, func(*membership.Entry) time.Duration { return n.cfg.DeadAfter() })
 	for _, id := range dead {
 		n.dir.Remove(id, now)
+	}
+	// Nothing can expire before min(next, now+DeadAfter); the ticks until
+	// then are skipped, the grid they fall on is not (see the package doc).
+	n.sweepDue = now + n.cfg.DeadAfter()
+	if next < n.sweepDue {
+		n.sweepDue = next
 	}
 }

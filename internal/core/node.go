@@ -35,6 +35,11 @@ type levelState struct {
 	// leader at this level; bootstrapFrom is the leader we are waiting on.
 	bootstrapped  bool
 	bootstrapFrom membership.NodeID
+	// fresh is the replay guard over this channel's heartbeats (see
+	// onHeartbeat). Its marks deliberately survive member expiry and our
+	// leaving the level, so replays of a dead node's traffic cannot bring
+	// it back.
+	fresh membership.Freshness
 }
 
 // Node is one cluster node running the hierarchical membership protocol.
@@ -78,13 +83,6 @@ type Node struct {
 	// triggering information arrived on, and a global sequence would make
 	// those skips look like losses.
 	peerSeq map[peerKey]uint64
-	// hbSeen tracks the highest (incarnation, heartbeat sequence) accepted
-	// per (sender, level). A replayed or stale-delivered heartbeat carries a
-	// sequence we already accepted, and without this guard it would refresh
-	// lastHeard — or resurrect an expired member — with old evidence. The
-	// map deliberately survives member expiry so replays of a dead node's
-	// traffic cannot bring it back.
-	hbSeen map[peerKey]hbMark
 
 	// Self-organizing hierarchy state (adaptive.go, docs/ADAPTIVE.md).
 	// chan0, parentChan, reformEpoch and the heartbeat sequences survive
@@ -103,13 +101,6 @@ type Node struct {
 	loadSeq      uint64        // our outgoing LoadReport sequence
 	lastLoadPush time.Duration // last LoadReport push instant
 	loadCache    *loadinfo.Cache
-}
-
-// hbMark is the freshness high-water mark of one sender's heartbeat stream
-// on one channel.
-type hbMark struct {
-	inc uint32
-	seq uint64
 }
 
 // peerKey identifies one sender's update stream on one channel.
@@ -134,7 +125,6 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		dir:     membership.NewDirectory(id),
 		info:    membership.MemberInfo{Node: id},
 		peerSeq: make(map[peerKey]uint64),
-		hbSeen:  make(map[peerKey]hbMark),
 		outSeq:  make([]uint64, cfg.MaxTTL),
 
 		overSince: -1,
@@ -591,16 +581,12 @@ func (n *Node) onHeartbeat(level int, hb *wire.Heartbeat) {
 	// copies fail the test and are dropped before they can touch lastHeard
 	// or the directory — old packets may cost liveness (a dropped refresh)
 	// but can never fake it.
-	hk := peerKey{id: from, level: int8(level)}
-	mark, marked := n.hbSeen[hk]
-	if marked && hb.Info.Incarnation <= mark.inc &&
-		(hb.Info.Incarnation < mark.inc || hb.Seq <= mark.seq) {
+	lv := n.levels[level]
+	if !lv.fresh.Advance(from, hb.Info.Incarnation, hb.Seq) {
 		n.stats.PacketsRejected++
 		n.ep.NoteReject()
 		return
 	}
-	n.hbSeen[hk] = hbMark{inc: hb.Info.Incarnation, seq: hb.Seq}
-	lv := n.levels[level]
 	n.stats.HeartbeatsReceived++
 	now := n.eng.Now()
 	ms, known := lv.members[from]

@@ -95,6 +95,11 @@ type Node struct {
 	info    membership.MemberInfo
 	ticker  *sim.Ticker
 	running bool
+	// enc frames the per-round view without a per-send writer; viewHint is
+	// the last view's encoded size, so the payload is allocated once
+	// instead of doubling its way up from the writer's default.
+	enc      wire.Encoder
+	viewHint int
 }
 
 // NewNode creates a gossip node bound to an endpoint.
@@ -212,7 +217,7 @@ func (n *Node) round() {
 	entries := make([]wire.GossipEntry, 0, len(nodes))
 	for _, id := range nodes {
 		e := n.dir.Get(id)
-		info := e.Info.Clone()
+		info := e.Info // encoded synchronously below, so no defensive clone
 		info.Beat = e.Counter
 		entries = append(entries, wire.GossipEntry{Counter: e.Counter, Info: info})
 	}
@@ -220,7 +225,8 @@ func (n *Node) round() {
 	if n.cfg.EntryPad > 0 {
 		pad = uint32(n.cfg.EntryPad * len(entries))
 	}
-	payload := wire.Encode(&wire.Gossip{From: n.id, Entries: entries, Pad: pad})
+	payload := n.enc.AppendEncode(make([]byte, 0, n.viewHint), &wire.Gossip{From: n.id, Entries: entries, Pad: pad})
+	n.viewHint = len(payload)
 
 	for _, target := range n.pickTargets() {
 		n.ep.Unicast(topology.HostID(target), payload)

@@ -150,6 +150,7 @@ func adaptiveParsimRun(t *testing.T, lps int) metrics.RunReport {
 	coord.Run(deadline + o.Enforce)
 	rep := c.Observe()
 	rep.Invariants = MergeAuditors(auds)
+	rep.Converged, rep.ConvergedIn = invariant.MergeConvergence(auds)
 	return rep
 }
 
@@ -167,6 +168,9 @@ func TestAdaptiveParsimDeterminism(t *testing.T) {
 	}
 	if v := r1.TotalViolations(); v != 0 {
 		t.Errorf("adaptive parsim hot-leader run violated invariants: %d\n%+v", v, r1.Invariants)
+	}
+	if !r1.Converged {
+		t.Error("the sharded auditors do not report the hierarchy converged after the shed")
 	}
 	if r1.Events == 0 || r1.PktsDelivered == 0 {
 		t.Fatalf("degenerate run: %+v", r1)

@@ -140,6 +140,7 @@ type Auditor struct {
 
 	groups      [][]topology.HostID
 	obs         []int           // observer indices (all nodes unless Options.Observers)
+	isObs       []bool          // obs as a set; nil when every node observes
 	downSince   []time.Duration // -1 while running
 	upSince     []time.Duration // last (re)start; a fresh observer gets purge grace
 	wasRunning  []bool
@@ -199,13 +200,13 @@ func New(eng *sim.Engine, top *topology.Topology, nodes []Node, o Options) *Audi
 		// Leader uniqueness is an observer-side check: keep only the groups
 		// this auditor's observers belong to, so sharded auditors split the
 		// group set exactly once between them.
-		isObs := make([]bool, n)
+		a.isObs = make([]bool, n)
 		for _, i := range a.obs {
-			isObs[i] = true
+			a.isObs[i] = true
 		}
 		kept := a.groups[:0:0]
 		for _, g := range a.groups {
-			if int(g[0]) < n && isObs[g[0]] {
+			if a.observes(g) {
 				kept = append(kept, g)
 			}
 		}
@@ -243,6 +244,14 @@ func New(eng *sim.Engine, top *topology.Topology, nodes []Node, o Options) *Audi
 		a.reachBits = make([]uint64, n*a.reachWords)
 	}
 	return a
+}
+
+// observes reports whether a level-0 group is this auditor's to judge. A
+// group never straddles logical processes, so its first host decides; in a
+// sharded audit the other shards' groups are being mutated by other workers
+// and must not even be read.
+func (a *Auditor) observes(group []topology.HostID) bool {
+	return a.isObs == nil || (int(group[0]) < len(a.isObs) && a.isObs[group[0]])
 }
 
 // reachable reports whether unicast between two audited hosts currently
@@ -615,13 +624,16 @@ func (a *Auditor) checkReform(now time.Duration) {
 	}
 }
 
-// reformState evaluates the condition once. It returns ok=true with an
-// empty detail when no node exposes the probe, ok=true with detail "ok"
-// when the condition holds, and ok=false with the first offending group
-// otherwise.
+// reformState evaluates the condition once over the groups this auditor
+// observes. It returns ok=true with an empty detail when no node exposes
+// the probe, ok=true with detail "ok" when the condition holds, and
+// ok=false with the first offending group otherwise.
 func (a *Auditor) reformState() (bool, string) {
 	probed := false
 	for _, scope := range a.top.Level0Groups() {
+		if !a.observes(scope) {
+			continue
+		}
 		// Partition the physical TTL-1 scope by reported level-0 channel:
 		// co-located hosts on different channels are different protocol
 		// groups after a split.
@@ -693,6 +705,24 @@ func (a *Auditor) ReformConvergence() (bool, time.Duration) {
 		return false, 0
 	}
 	return true, a.convergedAt - a.o.FaultEnd
+}
+
+// MergeConvergence folds sharded auditors' ReformConvergence: the hierarchy
+// is inside the contract when every shard's groups are, and has been since
+// the last of them got there. The shards sample at the same instants, so
+// this is the instant one auditor over the whole cluster reports.
+func MergeConvergence(auds []*Auditor) (bool, time.Duration) {
+	var latest time.Duration
+	for _, a := range auds {
+		ok, in := a.ReformConvergence()
+		if !ok {
+			return false, 0
+		}
+		if in > latest {
+			latest = in
+		}
+	}
+	return len(auds) > 0, latest
 }
 
 // Results returns per-invariant verdicts in fixed order, suitable for

@@ -266,7 +266,7 @@ func (d *Directory) insert(info MemberInfo, origin Origin, level int, relayer No
 	if n := info.Node; n >= 0 && n < maxDense {
 		ci := int(n) >> chunkShift
 		if ci >= len(d.chunks) {
-			grown := make([]*[chunkLen]Entry, growTo(ci+1))
+			grown := make([]*[chunkLen]Entry, growTo(ci+1, maxDense/chunkLen))
 			copy(grown, d.chunks)
 			d.chunks = grown
 		}
@@ -306,14 +306,15 @@ func (d *Directory) del(n NodeID) {
 }
 
 // growTo rounds a needed chunk-table length up so repeated joins with
-// ascending IDs reallocate O(log n) times, capped at the bounded window.
-func growTo(need int) int {
+// ascending IDs reallocate O(log n) times, capped at the bounded window's
+// table length limit.
+func growTo(need, limit int) int {
 	size := 4
 	for size < need {
 		size *= 2
 	}
-	if size > maxDense/chunkLen {
-		size = maxDense / chunkLen
+	if size > limit {
+		size = limit
 	}
 	return size
 }

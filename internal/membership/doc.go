@@ -32,6 +32,18 @@
 //     version, beat — and asks the source for the full MemberInfo only
 //     when the node is new or the content is newer, so the steady state
 //     of anti-entropy allocates nothing.
+//   - Freshness: the replay guard every heartbeat-driven scheme puts in
+//     front of its receive path — the highest (incarnation, beat) pair
+//     accepted per sender; Advance is true only for a pair strictly above
+//     it. The receiver owns the table (core keeps one per tree level,
+//     alltoall and rapid one per node), not the Directory: a mark outlives
+//     its member's expiry, so a replay of a dead node's traffic is rejected
+//     rather than readmitted. Storage follows the directory's: marks by
+//     value, four consecutive IDs (one cache line) to a chunk allocated
+//     when the first of them is heard, under a pointer table bounded by
+//     the 64 Ki-ID window, so hearing 20 senders out of 1000 costs half a
+//     dozen chunks; an ID outside the window costs a map entry and sizes
+//     nothing.
 //   - Origin: how an entry was learned (direct heartbeat vs relayed by a
 //     leader), which determines its lifetime rules under the paper's
 //     Timeout Protocol.

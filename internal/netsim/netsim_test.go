@@ -476,4 +476,6 @@ func TestLinkProfilesBeyond64Marks(t *testing.T) {
 	}
 }
 
-func fmtNode(i int) string { return "node" + string([]byte{'0' + byte(i/100), '0' + byte(i/10%10), '0' + byte(i%10)}) }
+func fmtNode(i int) string {
+	return "node" + string([]byte{'0' + byte(i/100), '0' + byte(i/10%10), '0' + byte(i%10)})
+}

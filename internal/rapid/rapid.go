@@ -113,14 +113,6 @@ func (c Config) DeadAfter() time.Duration {
 	return time.Duration(c.MaxLoss) * c.HeartbeatInterval
 }
 
-// beatMark is the freshness high-water mark of one sender's beats and
-// info broadcasts; it survives member eviction so replayed traffic from a
-// dead node cannot fake life.
-type beatMark struct {
-	inc  uint32
-	beat uint64
-}
-
 // infoMark is the high-water mark of one member's accepted records.
 type infoMark struct {
 	inc  uint32
@@ -186,7 +178,7 @@ type Node struct {
 	lastAlert map[membership.NodeID]time.Duration
 
 	// Freshness guards (survive view changes and member expiry).
-	beatSeen  map[membership.NodeID]beatMark
+	beatFresh membership.Freshness
 	infoSeen  map[membership.NodeID]infoMark
 	alertSeen map[edgeKey]uint32
 	alertSeq  uint32
@@ -232,7 +224,6 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		id:         id,
 		dir:        membership.NewDirectory(id),
 		info:       membership.MemberInfo{Node: id},
-		beatSeen:   make(map[membership.NodeID]beatMark),
 		infoSeen:   make(map[membership.NodeID]infoMark),
 		alertSeen:  make(map[edgeKey]uint32),
 		joinPend:   make(map[membership.NodeID]*pendingJoin),
@@ -560,15 +551,10 @@ func (n *Node) onBeat(b *wire.RapidBeat, now time.Duration) {
 		n.ep.NoteReject()
 		return
 	}
-	// Freshness: only a beat that advances the sender's (incarnation,
-	// beat) is evidence of life; replays and stale re-deliveries are
-	// counted and dropped.
-	mark, marked := n.beatSeen[b.From]
-	if marked && b.Inc <= mark.inc && (b.Inc < mark.inc || b.Beat <= mark.beat) {
+	if !n.beatFresh.Advance(b.From, b.Inc, b.Beat) {
 		n.ep.NoteReject()
 		return
 	}
-	n.beatSeen[b.From] = beatMark{inc: b.Inc, beat: b.Beat}
 	n.noteSeq(b.From, b.ConfigSeq, now)
 	if b.ConfigSeq != n.configSeq || !n.subjSet[b.From] {
 		return

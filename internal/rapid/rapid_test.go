@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/wire"
 )
 
 func newCluster(top *topology.Topology, seed int64) (*sim.Engine, *netsim.Network, []*Node) {
@@ -266,5 +267,100 @@ func TestDCAwareRingsCutWANBytes(t *testing.T) {
 		global, local, 100*float64(local)/float64(global))
 	if local*2 >= global {
 		t.Fatalf("dc-aware overlay only cut WAN bytes from %d to %d, want >2x", global, local)
+	}
+}
+
+// TestRapidReplayFromEvictedMemberRejected: after a member has been evicted,
+// a replay of any beat it ever sent to one of its observers is rejected and
+// counted before it can touch the edge state or provoke an answer, and
+// nothing about it re-enters the configuration or the directory — the marks
+// outlive the member. A beat it never sent passes the guard (and is answered
+// with the current view, the victim being a configuration behind), yet a
+// beat alone still admits nobody.
+func TestRapidReplayFromEvictedMemberRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		dInc, dBeat int // offset from the last pair the victim sent
+		accepted    bool
+	}{
+		{"last beat again", 0, 0, false},
+		{"an older beat", 0, -3, false},
+		{"an older incarnation with a later beat", -1, +100, false},
+		{"the next beat", 0, +1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, net, nodes := newCluster(topology.Clustered(3, 5), 7)
+			for _, n := range nodes {
+				n.Start(eng)
+			}
+			victim := nodes[7]
+			victim.Stop() // bring the victim to its second incarnation
+			victim.Start(eng)
+			eng.Run(5 * time.Second)
+			var observer *Node
+			for _, n := range nodes {
+				if n.subjSet[victim.ID()] {
+					observer = n
+					break
+				}
+			}
+			victim.Stop()
+			eng.Run(eng.Now() + 25*time.Second)
+			if observer.Directory().Has(victim.ID()) || observer.memberSet[victim.ID()] {
+				t.Fatal("the stopped node was not evicted")
+			}
+			ep := net.Endpoint(topology.HostID(observer.ID()))
+			before := ep.Stats()
+			observer.Receive(netsim.Packet{Src: topology.HostID(victim.ID()), Dst: topology.HostID(observer.ID()), Payload: wire.Encode(&wire.RapidBeat{
+				From:      victim.ID(),
+				ConfigSeq: victim.ConfigSeq(),
+				Inc:       uint32(int(victim.info.Incarnation) + tc.dInc),
+				Beat:      uint64(int(victim.info.Beat) + tc.dBeat),
+			})})
+			rejects, answers := ep.Stats().Rejected-before.Rejected, ep.Stats().PktsSent-before.PktsSent
+			if (rejects == 0) != tc.accepted || (answers != 0) != tc.accepted {
+				t.Fatalf("%d rejects and %d answers, want accepted = %v", rejects, answers, tc.accepted)
+			}
+			if _, heard := observer.lastHeard[victim.ID()]; heard || observer.Directory().Has(victim.ID()) || observer.memberSet[victim.ID()] {
+				t.Fatal("the beat brought the evicted node back")
+			}
+		})
+	}
+}
+
+// BenchmarkRapidReceiveBeat is an observer's own cost of one monitoring
+// beat — the replay guard, the configuration check and the edge refresh —
+// with its subjects taking turns; the decode is wire's to time.
+func BenchmarkRapidReceiveBeat(b *testing.B) {
+	eng, _, nodes := newCluster(topology.Clustered(1, 20), 1)
+	n := nodes[0]
+	n.Start(eng)
+	beat := wire.RapidBeat{ConfigSeq: n.ConfigSeq(), Inc: 1}
+	turn := 0
+	step := func() {
+		if turn%len(n.subjects) == 0 {
+			beat.Beat++
+		}
+		beat.From = n.subjects[turn%len(n.subjects)]
+		turn++
+		n.onBeat(&beat, time.Duration(turn))
+	}
+	for range n.subjects { // every subject's chunk and edge entry exist
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		b.Fatalf("receiving a subject's beat allocates %.1f per beat, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	if rejected := n.ep.(*netsim.Endpoint).Stats().Rejected; rejected != 0 {
+		b.Fatalf("%d beats died in the replay guard; the loop timed the guard, not the receive path", rejected)
+	}
+	if n.lastHeard[beat.From] != time.Duration(turn) {
+		b.Fatal("the beats did not refresh their edges")
 	}
 }
