@@ -133,6 +133,17 @@ func main() {
 			return harness.AblationGossipFanout(sw, 40, []int{1, 2, 3, 5}, *seed)
 		},
 	}
+	// The figures that are not one metrics.Figure: each prints its own table
+	// and always records itself in a BENCH_<fig>.json.
+	benches := map[string]func(log *metrics.ReportLog) error{
+		"chaos":         func(log *metrics.ReportLog) error { return runChaos(sw, *seed, log) },
+		"traffic":       func(log *metrics.ReportLog) error { return runTraffic(sw, *seed, log, *dclocal) },
+		"traffic-hedge": func(log *metrics.ReportLog) error { return runTrafficHedge(sw, *seed, log) },
+		"parsim":        func(*metrics.ReportLog) error { return runParsim(sw, *seed, *lps) },
+		"scale":         func(log *metrics.ReportLog) error { return runScale(sw, *seed, *lps, log, "scale") },
+		"scale4k":       func(log *metrics.ReportLog) error { return runScale(sw, *seed, *lps, log, "scale4k") },
+		"scale10k":      func(log *metrics.ReportLog) error { return runScale(sw, *seed, *lps, log, "scale10k") },
+	}
 	order := []string{"2", "11", "12", "13", "14", "4x", "4b", "abl-piggyback", "abl-group",
 		"abl-maxloss", "abl-fanout", "accuracy", "breakdown", "detect-dist", "chaos", "traffic"}
 
@@ -142,13 +153,9 @@ func main() {
 		// its own BENCH file; regenerate it explicitly with -fig scale.
 		todo = order
 	} else {
-		switch *fig {
-		case "chaos", "traffic", "traffic-hedge", "scale", "scale4k", "scale10k", "parsim":
-		default:
-			if _, ok := runners[*fig]; !ok {
-				fmt.Fprintf(os.Stderr, "tampbench: unknown figure %q (want one of %s, traffic-hedge, scale, scale4k, scale10k, parsim, all)\n", *fig, strings.Join(order, ", "))
-				os.Exit(2)
-			}
+		if runners[*fig] == nil && benches[*fig] == nil {
+			fmt.Fprintf(os.Stderr, "tampbench: unknown figure %q (want one of %s, traffic-hedge, scale, scale4k, scale10k, parsim, all)\n", *fig, strings.Join(order, ", "))
+			os.Exit(2)
 		}
 		todo = []string{*fig}
 	}
@@ -177,44 +184,8 @@ func main() {
 		log := metrics.NewReportLog()
 		sw.Collector = log
 		o.Sweep = sw
-		if name == "chaos" {
-			if err := runChaos(sw, *seed, log); err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				code = 1
-			}
-			fmt.Fprintf(os.Stderr, "(chaos regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
-			fmt.Println()
-			continue
-		}
-		if name == "traffic" {
-			if err := runTraffic(sw, *seed, log, *dclocal); err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				code = 1
-			}
-			fmt.Fprintf(os.Stderr, "(traffic regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
-			fmt.Println()
-			continue
-		}
-		if name == "traffic-hedge" {
-			if err := runTrafficHedge(sw, *seed, log); err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				code = 1
-			}
-			fmt.Fprintf(os.Stderr, "(traffic-hedge regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
-			fmt.Println()
-			continue
-		}
-		if name == "parsim" {
-			if err := runParsim(sw, *seed, *lps); err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				code = 1
-			}
-			fmt.Fprintf(os.Stderr, "(parsim regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
-			fmt.Println()
-			continue
-		}
-		if name == "scale" || name == "scale4k" || name == "scale10k" {
-			if err := runScale(sw, *seed, *lps, log, name); err != nil {
+		if run := benches[name]; run != nil {
+			if err := run(log); err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				code = 1
 			}
@@ -225,9 +196,7 @@ func main() {
 		table := runners[name]()
 		fmt.Println(table.Render())
 		if *jsonOut {
-			runs := log.Reports()
-			b := metrics.BenchJSON{Fig: name, Seed: *seed, Runs: runs, Summary: metrics.Summarize(runs)}
-			if err := metrics.WriteBenchJSON("BENCH_"+name+".json", b); err != nil {
+			if err := writeBench(name, *seed, log.Reports(), nil); err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				code = 1
 			}
@@ -268,6 +237,29 @@ func main() {
 	os.Exit(code)
 }
 
+// writeBench records a figure's runs, plus its structured results if it
+// has any, in BENCH_<fig>.json.
+func writeBench(fig string, seed int64, runs []metrics.RunReport, results any) error {
+	return metrics.WriteBenchJSON("BENCH_"+fig+".json", metrics.BenchJSON{
+		Fig:     fig,
+		Seed:    seed,
+		Runs:    runs,
+		Summary: metrics.Summarize(runs),
+		Results: results,
+	})
+}
+
+// writeTable prints a rendered table and records its runs; the BENCH file
+// is always written, so the trajectory is machine-trackable across commits.
+func writeTable(fig, table string, seed int64, log *metrics.ReportLog, results any) error {
+	fmt.Println(table)
+	if err := writeBench(fig, seed, log.Reports(), results); err != nil {
+		return err
+	}
+	fmt.Println("(json: BENCH_" + fig + ".json)")
+	return nil
+}
+
 // runChaos regenerates the chaos matrix (scenario x scheme invariant
 // verdicts) and always records the verdicts in BENCH_chaos.json so the
 // robustness trajectory is machine-trackable across commits. The matrix
@@ -279,20 +271,7 @@ func runChaos(sw harness.Sweep, seed int64, log *metrics.ReportLog) error {
 	co.Seed = seed
 	co.Sweep = sw
 	results := harness.ChaosMatrix(co)
-	fmt.Println(harness.RenderChaosMatrix(results))
-	runs := log.Reports()
-	b := metrics.BenchJSON{
-		Fig:     "chaos",
-		Seed:    seed,
-		Runs:    runs,
-		Summary: metrics.Summarize(runs),
-		Results: results,
-	}
-	if err := metrics.WriteBenchJSON("BENCH_chaos.json", b); err != nil {
-		return err
-	}
-	fmt.Println("(json: BENCH_chaos.json)")
-	return nil
+	return writeTable("chaos", harness.RenderChaosMatrix(results), seed, log, results)
 }
 
 // runTraffic regenerates the traffic matrix (scenario x scheme user-level
@@ -313,21 +292,7 @@ func runTraffic(sw harness.Sweep, seed int64, log *metrics.ReportLog, dclocal bo
 		fig = "traffic-dclocal"
 	}
 	results := harness.TrafficMatrix(to)
-	fmt.Println(harness.RenderTrafficMatrix(results))
-	runs := log.Reports()
-	b := metrics.BenchJSON{
-		Fig:     fig,
-		Seed:    seed,
-		Runs:    runs,
-		Summary: metrics.Summarize(runs),
-		Results: results,
-	}
-	file := "BENCH_" + fig + ".json"
-	if err := metrics.WriteBenchJSON(file, b); err != nil {
-		return err
-	}
-	fmt.Println("(json: " + file + ")")
-	return nil
+	return writeTable(fig, harness.RenderTrafficMatrix(results), seed, log, results)
 }
 
 // runTrafficHedge regenerates the request-hedging ablation: the
@@ -341,20 +306,7 @@ func runTrafficHedge(sw harness.Sweep, seed int64, log *metrics.ReportLog) error
 	to.Seed = seed
 	to.Sweep = sw
 	results := harness.TrafficHedgeMatrix(to)
-	fmt.Println(harness.RenderTrafficHedgeMatrix(results))
-	runs := log.Reports()
-	b := metrics.BenchJSON{
-		Fig:     "traffic-hedge",
-		Seed:    seed,
-		Runs:    runs,
-		Summary: metrics.Summarize(runs),
-		Results: results,
-	}
-	if err := metrics.WriteBenchJSON("BENCH_traffic-hedge.json", b); err != nil {
-		return err
-	}
-	fmt.Println("(json: BENCH_traffic-hedge.json)")
-	return nil
+	return writeTable("traffic-hedge", harness.RenderTrafficHedgeMatrix(results), seed, log, results)
 }
 
 // runScale executes the churn run — N=1000 for "scale", N=4000 (the
@@ -375,15 +327,7 @@ func runScale(sw harness.Sweep, seed int64, lps int, log *metrics.ReportLog, fig
 	o.Sweep = sw
 	o.LPs = lps
 	rep := harness.ScaleChurn(o)
-	fmt.Println(harness.RenderScale(o, rep))
-	runs := log.Reports()
-	b := metrics.BenchJSON{Fig: fig, Seed: seed, Runs: runs, Summary: metrics.Summarize(runs)}
-	file := "BENCH_" + fig + ".json"
-	if err := metrics.WriteBenchJSON(file, b); err != nil {
-		return err
-	}
-	fmt.Println("(json: " + file + ")")
-	return nil
+	return writeTable(fig, harness.RenderScale(o, rep), seed, log, nil)
 }
 
 // runParsim is the parsim worker-scaling figure: the N=1000 scale run at 1,
@@ -432,8 +376,7 @@ func runParsim(sw harness.Sweep, seed int64, maxLPs int) error {
 		fmt.Printf("%-8d %12d %14d %10s\n", counts[i], r.Events, r.PktsDelivered, "yes")
 	}
 	fmt.Fprint(os.Stderr, renderParsimSpeedup(runs))
-	b := metrics.BenchJSON{Fig: "parsim", Seed: seed, Runs: runs, Summary: metrics.Summarize(runs)}
-	if err := metrics.WriteBenchJSON("BENCH_parsim.json", b); err != nil {
+	if err := writeBench("parsim", seed, runs, nil); err != nil {
 		return err
 	}
 	fmt.Println("(json: BENCH_parsim.json)")

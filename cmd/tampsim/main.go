@@ -11,69 +11,65 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/invariant"
 	"repro/internal/membership"
-	"repro/internal/topology"
 )
 
-func main() {
-	schemeName := flag.String("scheme", "hierarchical", "membership scheme: alltoall, gossip, hierarchical, hierarchical+proxy, rapid, hierarchical+adaptive, rapid+dc")
-	groups := flag.Int("groups", 3, "number of networks (switch groups)")
-	perGroup := flag.Int("pergroup", 10, "nodes per network")
-	duration := flag.Duration("duration", 60*time.Second, "virtual run time")
-	kill := flag.Int("kill", -1, "node to kill (-1: none)")
-	killAt := flag.Duration("killat", 20*time.Second, "virtual time of the kill")
-	recoverAt := flag.Duration("recoverat", 0, "virtual time to restart the killed node (0: never)")
-	loss := flag.Float64("loss", 0, "packet loss probability")
-	seed := flag.Int64("seed", 42, "RNG seed")
-	verbose := flag.Bool("v", false, "print every view-change event")
-	scenarioFlag := flag.String("scenario", "", "chaos scenario: a library name, or @file for a scenario spec (see internal/chaos)")
-	listScenarios := flag.Bool("list-scenarios", false, "list the chaos scenario library and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole command: it parses args, prints the timeline and the
+// final statistics to out (diagnostics go to stderr), and returns the exit
+// code — 0 for complete views and a clean audit, 1 otherwise, 2 for bad
+// usage.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("tampsim", flag.ContinueOnError)
+	schemeName := fs.String("scheme", "hierarchical", "membership scheme: "+strings.Join(harness.SchemeNames(), ", "))
+	groups := fs.Int("groups", 3, "number of networks (switch groups)")
+	perGroup := fs.Int("pergroup", 10, "nodes per network")
+	duration := fs.Duration("duration", 60*time.Second, "virtual run time")
+	kill := fs.Int("kill", -1, "node to kill (-1: none)")
+	killAt := fs.Duration("killat", 20*time.Second, "virtual time of the kill")
+	recoverAt := fs.Duration("recoverat", 0, "virtual time to restart the killed node (0: never)")
+	loss := fs.Float64("loss", 0, "packet loss probability")
+	seed := fs.Int64("seed", 42, "RNG seed")
+	verbose := fs.Bool("v", false, "print every view-change event")
+	scenarioFlag := fs.String("scenario", "", "chaos scenario: a library name, or @file for a scenario spec (see internal/chaos)")
+	listScenarios := fs.Bool("list-scenarios", false, "list the chaos scenario library and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *listScenarios {
 		for _, sc := range chaos.Library(*groups, *perGroup) {
-			fmt.Printf("%-16s %s\n", sc.Name, sc.Description)
+			fmt.Fprintf(out, "%-16s %s\n", sc.Name, sc.Description)
 			if sc.Expect != "" {
-				fmt.Printf("%-16s expect: %s\n", "", sc.Expect)
+				fmt.Fprintf(out, "%-16s expect: %s\n", "", sc.Expect)
 			}
 		}
-		return
+		return 0
 	}
 
-	var scheme harness.Scheme
-	switch *schemeName {
-	case "alltoall", "a2a":
-		scheme = harness.AllToAll
-	case "gossip":
-		scheme = harness.Gossip
-	case "hierarchical", "hier":
-		scheme = harness.Hierarchical
-	case "hierarchical+proxy", "proxy", "fed":
-		scheme = harness.HierarchicalProxy
-	case "rapid":
-		scheme = harness.Rapid
-	case "hierarchical+adaptive", "adaptive":
-		scheme = harness.HierarchicalAdaptive
-	case "rapid+dc":
-		scheme = harness.RapidDC
-	default:
-		fmt.Fprintf(os.Stderr, "tampsim: unknown scheme %q\n", *schemeName)
-		os.Exit(2)
+	scheme, err := harness.ParseScheme(*schemeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tampsim:", err)
+		return 2
 	}
 
 	var scenario *chaos.Scenario
 	if *scenarioFlag != "" {
-		var err error
 		if name, ok := strings.CutPrefix(*scenarioFlag, "@"); ok {
 			var text []byte
 			if text, err = os.ReadFile(name); err == nil {
@@ -84,36 +80,11 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tampsim:", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
-	var top *topology.Topology
-	var c *harness.Cluster
-	var fed *harness.FederatedCluster
-	if scheme == harness.HierarchicalProxy {
-		// The federated scheme spans the scenario's DC count (two unless the
-		// scenario asks for more): the intra-DC protocol is plain
-		// hierarchical, and the proxy layer bridges the WAN.
-		fo := harness.DefaultFederatedOptions(*groups, *perGroup)
-		if scenario != nil {
-			fo.DCs = scenario.NumDCs()
-			fo.ProxiesPerDC = scenario.NumProxies()
-		}
-		fed = harness.NewFederatedCluster(fo, *seed)
-		c = fed.Cluster
-		top = c.Top
-	} else {
-		switch {
-		case scenario != nil && scenario.MultiDC:
-			top = topology.MultiDC(scenario.NumDCs(), *groups, *perGroup)
-		case *groups <= 1:
-			top = topology.FlatLAN(*perGroup)
-		default:
-			top = topology.Clustered(*groups, *perGroup)
-		}
-		c = harness.NewCluster(scheme, top, *seed)
-	}
+	c := harness.NewCell(scheme, scenario, *groups, *perGroup, *seed, false)
 	if *loss > 0 {
 		c.Net.SetLossProbability(*loss)
 	}
@@ -124,7 +95,7 @@ func main() {
 		n.Directory().SetObserver(func(e membership.Event) {
 			events++
 			if *verbose {
-				fmt.Printf("%12v  node %-5v %-6v %v\n", e.Time.Round(time.Millisecond), n.ID(), e.Type, e.Node)
+				fmt.Fprintf(out, "%12v  node %-5v %-6v %v\n", e.Time.Round(time.Millisecond), n.ID(), e.Type, e.Node)
 			}
 		})
 	}
@@ -133,12 +104,12 @@ func main() {
 	if *kill >= 0 && *kill < len(c.Nodes) {
 		victim := c.Nodes[*kill]
 		c.Eng.ScheduleAt(*killAt, func() {
-			fmt.Printf("%12v  === killing node %v ===\n", *killAt, victim.ID())
+			fmt.Fprintf(out, "%12v  === killing node %v ===\n", *killAt, victim.ID())
 			victim.Stop()
 		})
 		if *recoverAt > 0 {
 			c.Eng.ScheduleAt(*recoverAt, func() {
-				fmt.Printf("%12v  === restarting node %v ===\n", *recoverAt, victim.ID())
+				fmt.Fprintf(out, "%12v  === restarting node %v ===\n", *recoverAt, victim.ID())
 				victim.Start(c.Eng)
 			})
 		}
@@ -147,62 +118,33 @@ func main() {
 	var aud *invariant.Auditor
 	runFor := *duration
 	if scenario != nil {
-		nodes := make([]chaos.Node, len(c.Nodes))
-		audited := make([]invariant.Node, len(c.Nodes))
-		for i, n := range c.Nodes {
-			nodes[i] = n
-			audited[i] = n
+		c.Env.Trace = func(at time.Duration, msg string) {
+			fmt.Fprintf(out, "%12v  === %s ===\n", at.Round(time.Millisecond), msg)
 		}
-		env := chaos.NewEnv(c.Eng, c.Net, c.Top, nodes)
-		env.Trace = func(at time.Duration, msg string) {
-			fmt.Printf("%12v  === %s ===\n", at.Round(time.Millisecond), msg)
-		}
-		if fed != nil {
-			env.Proxies = fed.ProxyHandles()
-		}
-		if err := scenario.Install(env); err != nil {
+		if err := scenario.Install(c.Env); err != nil {
 			fmt.Fprintln(os.Stderr, "tampsim:", err)
-			os.Exit(2)
+			return 2
 		}
-		deadline := scenario.End() + harness.ChaosSettle(scheme, top.NumHosts())
-		if min := deadline + 15*time.Second; runFor < min {
+		if min := c.Audit.Deadline + harness.DefaultChaosOptions().Enforce; runFor < min {
 			runFor = min
 		}
-		opts := invariant.Options{
-			Deadline:    deadline,
-			PurgeBound:  harness.ChaosPurgeBound(scheme, top.NumHosts()),
-			LeaderGrace: harness.ChaosLeaderGrace,
-			EventDriven: true,
-			IntraDCOnly: fed != nil,
-		}
-		// Both tree schemes are audited against the re-formation contract,
-		// exactly like the chaos matrix (see harness.RunScenario).
-		if scheme == harness.Hierarchical || scheme == harness.HierarchicalAdaptive {
-			ac := core.AdaptiveDefaults()
-			opts.GroupBounds = [2]int{ac.GroupMin, ac.GroupMax}
-			opts.FaultEnd = scenario.End()
-		}
-		aud = invariant.New(c.Eng, c.Top, audited, opts)
-		if fed != nil {
-			aud.AttachFederation(fed.Federation())
-		}
-		aud.Start()
-		fmt.Printf("scenario %s: last fault at %v, audit deadline %v, running to %v\n",
-			scenario.Name, scenario.End(), deadline, runFor)
+		aud = c.StartAuditor()
+		fmt.Fprintf(out, "scenario %s: last fault at %v, audit deadline %v, running to %v\n",
+			scenario.Name, scenario.End(), c.Audit.Deadline, runFor)
 	}
 	c.Run(runFor)
 
-	fmt.Printf("\nscheme=%v nodes=%d duration=%v seed=%d loss=%.3f\n",
-		scheme, top.NumHosts(), runFor, *seed, *loss)
-	fmt.Printf("view-change events: %d\n", events)
+	fmt.Fprintf(out, "\nscheme=%v nodes=%d duration=%v seed=%d loss=%.3f\n",
+		scheme, len(c.Nodes), runFor, *seed, *loss)
+	fmt.Fprintf(out, "view-change events: %d\n", events)
 	st := c.Net.TotalStats()
-	fmt.Printf("packets sent=%d recv=%d dropped=%d; bytes sent=%d recv=%d\n",
+	fmt.Fprintf(out, "packets sent=%d recv=%d dropped=%d; bytes sent=%d recv=%d\n",
 		st.PktsSent, st.PktsRecv, st.Dropped, st.BytesSent, st.BytesRecv)
 	if faults := st.FaultsInjected(); faults > 0 || st.Rejected > 0 {
-		fmt.Printf("adversarial faults injected=%d (corrupt=%d truncate=%d replay=%d stale=%d gray=%d); rejected by protocol=%d\n",
+		fmt.Fprintf(out, "adversarial faults injected=%d (corrupt=%d truncate=%d replay=%d stale=%d gray=%d); rejected by protocol=%d\n",
 			faults, st.Corrupted, st.Truncated, st.Replayed, st.Stale, st.GrayDelayed, st.Rejected)
 	}
-	fmt.Printf("aggregate receive bandwidth: %.1f KB/s\n",
+	fmt.Fprintf(out, "aggregate receive bandwidth: %.1f KB/s\n",
 		float64(st.BytesRecv)/runFor.Seconds()/1024)
 
 	full, partial := 0, 0
@@ -222,59 +164,38 @@ func main() {
 			partial++
 		}
 	}
-	fmt.Printf("final views: %d complete, %d incomplete (of %d running nodes)\n", full, partial, alive)
+	fmt.Fprintf(out, "final views: %d complete, %d incomplete (of %d running nodes)\n", full, partial, alive)
 
-	if scheme == harness.Hierarchical || scheme == harness.HierarchicalAdaptive {
-		var agg core.Stats
-		for _, n := range c.Nodes {
-			s := n.(*core.Node).Stats()
-			agg.HeartbeatsSent += s.HeartbeatsSent
-			agg.HeartbeatsReceived += s.HeartbeatsReceived
-			agg.UpdatesOriginated += s.UpdatesOriginated
-			agg.UpdatesRelayed += s.UpdatesRelayed
-			agg.UpdatesApplied += s.UpdatesApplied
-			agg.DuplicateUpdates += s.DuplicateUpdates
-			agg.BootstrapsServed += s.BootstrapsServed
-			agg.SyncsRequested += s.SyncsRequested
-			agg.Elections += s.Elections
-			agg.Abdications += s.Abdications
-			agg.MembersExpired += s.MembersExpired
-			agg.RelayedPurged += s.RelayedPurged
-		}
-		fmt.Printf("protocol stats (cluster totals): hb sent=%d recv=%d | updates orig=%d relay=%d apply=%d dup=%d\n",
+	if agg, ok := c.CoreStats(); ok {
+		fmt.Fprintf(out, "protocol stats (cluster totals): hb sent=%d recv=%d | updates orig=%d relay=%d apply=%d dup=%d\n",
 			agg.HeartbeatsSent, agg.HeartbeatsReceived, agg.UpdatesOriginated,
 			agg.UpdatesRelayed, agg.UpdatesApplied, agg.DuplicateUpdates)
-		fmt.Printf("                 bootstraps=%d syncs=%d elections=%d abdications=%d expiries=%d purges=%d\n",
+		fmt.Fprintf(out, "                 bootstraps=%d syncs=%d elections=%d abdications=%d expiries=%d purges=%d\n",
 			agg.BootstrapsServed, agg.SyncsRequested, agg.Elections,
 			agg.Abdications, agg.MembersExpired, agg.RelayedPurged)
-		for _, n := range c.Nodes {
-			s := n.(*core.Node).Stats()
-			agg.LoadSheds += s.LoadSheds
-			agg.Reformations += s.Reformations
-			agg.RelaysStarved += s.RelaysStarved
-		}
 		if agg.LoadSheds > 0 || agg.Reformations > 0 || agg.RelaysStarved > 0 {
-			fmt.Printf("adaptive: load sheds=%d reformations=%d relays starved=%d\n",
+			fmt.Fprintf(out, "adaptive: load sheds=%d reformations=%d relays starved=%d\n",
 				agg.LoadSheds, agg.Reformations, agg.RelaysStarved)
 		}
 	}
 	violations := uint64(0)
 	if aud != nil {
 		vc, sp := aud.Stability()
-		fmt.Printf("view stability: %d transitions after warmup, %d spurious evictions\n", vc, sp)
-		if scheme == harness.Hierarchical || scheme == harness.HierarchicalAdaptive {
+		fmt.Fprintf(out, "view stability: %d transitions after warmup, %d spurious evictions\n", vc, sp)
+		if scheme.ReformAudited() {
 			if ok, d := aud.ReformConvergence(); ok {
-				fmt.Printf("re-formation converged %v after the last fault\n", d)
+				fmt.Fprintf(out, "re-formation converged %v after the last fault\n", d)
 			} else {
-				fmt.Println("re-formation never converged")
+				fmt.Fprintln(out, "re-formation never converged")
 			}
 		}
-		fmt.Printf("\ninvariant audit:\n%s", aud.Report())
+		fmt.Fprintf(out, "\ninvariant audit:\n%s", aud.Report())
 		for _, r := range aud.Results() {
 			violations += r.Violations
 		}
 	}
 	if (aud == nil && partial > 0) || violations > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

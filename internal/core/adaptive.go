@@ -96,10 +96,6 @@ func (n *Node) Level0Channel() int { return int(n.channelOf(0)) }
 // whittled down by kills has no merge partner and must not be penalized.
 func (n *Node) Level0Parent() int { return int(n.parentChan) }
 
-// Reformations returns how many re-formation actions (initiated rounds
-// plus channel moves) this node has performed.
-func (n *Node) Reformations() uint64 { return n.stats.Reformations }
-
 // channelOf resolves a level to its current channel: re-formation rounds
 // re-home level 0, every other level keeps the configured derivation.
 func (n *Node) channelOf(level int) netsim.ChannelID {

@@ -49,3 +49,23 @@ type Stats struct {
 
 // Stats returns a copy of the node's counters.
 func (n *Node) Stats() Stats { return n.stats }
+
+// Add accumulates o into s, counter by counter (cluster totals).
+func (s *Stats) Add(o Stats) {
+	s.HeartbeatsSent += o.HeartbeatsSent
+	s.HeartbeatsReceived += o.HeartbeatsReceived
+	s.UpdatesOriginated += o.UpdatesOriginated
+	s.UpdatesRelayed += o.UpdatesRelayed
+	s.UpdatesApplied += o.UpdatesApplied
+	s.DuplicateUpdates += o.DuplicateUpdates
+	s.BootstrapsServed += o.BootstrapsServed
+	s.SyncsRequested += o.SyncsRequested
+	s.Elections += o.Elections
+	s.Abdications += o.Abdications
+	s.MembersExpired += o.MembersExpired
+	s.RelayedPurged += o.RelayedPurged
+	s.PacketsRejected += o.PacketsRejected
+	s.LoadSheds += o.LoadSheds
+	s.Reformations += o.Reformations
+	s.RelaysStarved += o.RelaysStarved
+}

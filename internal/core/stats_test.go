@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -179,5 +180,23 @@ func TestStatsSyncCounting(t *testing.T) {
 	c.run(5 * time.Second)
 	if got := c.nodes[1].Stats().SyncsRequested; got == 0 {
 		t.Fatal("sync fallback not counted")
+	}
+}
+
+// TestStatsAddCoversEveryCounter guards Add against a counter added to
+// Stats but not to the sum: every field must accumulate.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var one, total Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	total.Add(one)
+	total.Add(one)
+	sum := reflect.ValueOf(total)
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Uint(), uint64(2*(i+1)); got != want {
+			t.Errorf("Add drops %s: got %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
 	}
 }

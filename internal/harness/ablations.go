@@ -22,9 +22,7 @@ var gossipNew = gossip.NewNode
 func gossipDefaultsFor(n int) gossip.Config {
 	cfg := gossip.DefaultConfig()
 	cfg.ExpectedSize = n
-	for h := 0; h < n; h++ {
-		cfg.Seeds = append(cfg.Seeds, membership.NodeID(h))
-	}
+	cfg.Seeds = everyHost(n)
 	return cfg
 }
 

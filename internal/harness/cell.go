@@ -1,0 +1,150 @@
+package harness
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/invariant"
+	"repro/internal/metrics"
+	"repro/internal/service"
+	"repro/internal/topology"
+)
+
+// Cell is one (scheme, scenario) experiment: a built, not yet started
+// cluster with everything a scenario run needs wired to it. Attach runtimes
+// and observers, StartAll, install the scenario into Env, audit under Audit.
+type Cell struct {
+	*Cluster
+	// Env is the fault-injection surface, proxies included when the scheme
+	// is federated.
+	Env *chaos.Env
+	// Audit is what the scheme's audited cells run under: the deadline is
+	// the scenario's end plus ChaosSettle.
+	Audit invariant.Options
+
+	fed *FederatedCluster // nil unless the scheme is federated
+}
+
+// NewCell builds the cluster scheme runs sc on; a nil sc means no faults.
+// A federated scheme deploys across the scenario's data-center count (two
+// unless the scenario asks for more), so single-DC scenarios exercise it
+// with an idle-but-audited WAN. Any other scheme gets the multi-DC topology
+// when the scenario or the caller (multiDC) asks for it, one flat LAN for a
+// single group, and the paper's clustered layout otherwise.
+func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64, multiDC bool) *Cell {
+	if sc == nil {
+		sc = &chaos.Scenario{}
+	}
+	d := schemes[scheme]
+	cell := &Cell{}
+	switch {
+	case d.federated:
+		fo := DefaultFederatedOptions(groups, perGroup)
+		fo.DCs = sc.NumDCs()
+		fo.ProxiesPerDC = sc.NumProxies()
+		cell.fed = NewFederatedCluster(fo, seed)
+		cell.Cluster = cell.fed.Cluster
+	case sc.MultiDC || multiDC:
+		cell.Cluster = NewCluster(scheme, topology.MultiDC(sc.NumDCs(), groups, perGroup), seed)
+	case groups <= 1:
+		cell.Cluster = NewCluster(scheme, topology.FlatLAN(perGroup), seed)
+	default:
+		cell.Cluster = NewCluster(scheme, topology.Clustered(groups, perGroup), seed)
+	}
+	cell.Env = chaos.NewEnv(cell.Eng, cell.Net, cell.Top, chaosNodes(cell.Nodes))
+	if cell.fed != nil {
+		cell.Env.Proxies = cell.fed.ProxyHandles()
+	}
+	n := cell.Top.NumHosts()
+	cell.Audit = invariant.Options{
+		Interval:    time.Second,
+		Deadline:    sc.End() + ChaosSettle(scheme, n),
+		PurgeBound:  ChaosPurgeBound(scheme, n),
+		LeaderGrace: ChaosLeaderGrace,
+		EventDriven: true,
+		// Cross-DC completeness is not the federated contract — proxies
+		// summarize remote DCs instead of replicating their views; the
+		// federation invariants audit that summary path.
+		IntraDCOnly: d.federated,
+	}
+	if d.reformAudit {
+		ac := core.AdaptiveDefaults()
+		cell.Audit.GroupBounds = [2]int{ac.GroupMin, ac.GroupMax}
+		cell.Audit.FaultEnd = sc.End()
+	}
+	return cell
+}
+
+// Runtimes returns one service runtime per host: the federation's own, or
+// a fresh one layered over every plain node. Call it before StartAll.
+func (c *Cell) Runtimes() []*service.Runtime {
+	if c.fed != nil {
+		return c.fed.Runtimes()
+	}
+	return attachRuntimes(c.Cluster)
+}
+
+// StartAuditor arms the invariant auditor under c.Audit, with the
+// federation surface attached when there is one.
+func (c *Cell) StartAuditor() *invariant.Auditor {
+	aud := invariant.New(c.Eng, c.Top, auditNodes(c.Nodes), c.Audit)
+	if c.fed != nil {
+		aud.AttachFederation(c.fed.Federation())
+	}
+	aud.Start()
+	return aud
+}
+
+func chaosNodes(in []Instance) []chaos.Node {
+	out := make([]chaos.Node, len(in))
+	for i, n := range in {
+		out[i] = n
+	}
+	return out
+}
+
+func auditNodes(in []Instance) []invariant.Node {
+	out := make([]invariant.Node, len(in))
+	for i, n := range in {
+		out[i] = n
+	}
+	return out
+}
+
+// matrixVariant is one pass over a matrix's scenario x scheme grid: the
+// suffix its cell keys and scenario names carry, so variants never collide
+// with each other or with another matrix in diffs and seed derivation, and
+// the hedge delay its sessions use (traffic matrices only).
+type matrixVariant struct {
+	suffix string
+	hedge  time.Duration
+}
+
+// runMatrix runs one cell per scenario, variant and scheme through the
+// worker pool under the key fig/scenario/scheme+suffix, then hands every
+// report to emit in that same scenario-major, scheme-minor order.
+func runMatrix(sw Sweep, seed int64, fig string, scenarios []*chaos.Scenario, variants []matrixVariant, columns []Scheme,
+	run func(scheme Scheme, sc *chaos.Scenario, v matrixVariant, seed int64) metrics.RunReport,
+	emit func(scenario string, scheme Scheme, rep metrics.RunReport)) {
+	pool := NewPool(sw, seed)
+	for _, sc := range scenarios {
+		for _, v := range variants {
+			for _, scheme := range columns {
+				pool.Go(fmt.Sprintf("%s/%s/%s%s", fig, sc.Name, scheme, v.suffix), func(seed int64) metrics.RunReport {
+					return run(scheme, sc, v, seed)
+				})
+			}
+		}
+	}
+	reports := pool.Wait()
+	for _, sc := range scenarios {
+		for _, v := range variants {
+			for _, scheme := range columns {
+				emit(sc.Name+v.suffix, scheme, reports[0])
+				reports = reports[1:]
+			}
+		}
+	}
+}

@@ -11,15 +11,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/gossip"
-	"repro/internal/invariant"
 	"repro/internal/metrics"
-	"repro/internal/proxy"
-	"repro/internal/rapid"
-	"repro/internal/topology"
 )
 
 // ChaosOptions parametrize the scenario x scheme matrix.
@@ -47,97 +40,6 @@ func DefaultChaosOptions() ChaosOptions {
 	}
 }
 
-// ChaosSettle bounds how long a scheme needs after the last fault heals
-// until its views must be complete again: the §4 closed-form
-// detection+convergence time, plus the stale-state TTLs the protocol keeps
-// (relayed-entry TTL for the hierarchical scheme), plus a fixed margin for
-// election and re-join transients.
-func ChaosSettle(scheme Scheme, n int) time.Duration {
-	const margin = 10 * time.Second
-	p := analysis.DefaultParams(n)
-	switch scheme {
-	case AllToAll:
-		m := analysis.AllToAllFixedFrequency(p)
-		return m.DetectionTime + m.ConvergenceTime + margin
-	case Gossip:
-		m := analysis.GossipFixedFrequency(p)
-		// A restarted member re-enters views via gossip rounds; its prior
-		// death must also clear every failure timeout.
-		gc := gossip.DefaultConfig()
-		return m.DetectionTime + m.ConvergenceTime +
-			gossip.FailTimeoutFor(n, gc.MistakeProbability, gc.GossipInterval) + margin
-	case Hierarchical:
-		m := analysis.HierarchicalFixedFrequency(p)
-		return m.DetectionTime + m.ConvergenceTime + core.DefaultConfig().RelayedTTL + margin
-	case HierarchicalProxy:
-		// The in-DC protocol settles like plain hierarchical; on top of it,
-		// a remote summary may have expired during the fault (staleness
-		// timeout) and is only re-sent on the full-summary cadence.
-		m := analysis.HierarchicalFixedFrequency(p)
-		pc := proxy.DefaultConfig(0, nil)
-		return m.DetectionTime + m.ConvergenceTime + core.DefaultConfig().RelayedTTL +
-			pc.SummaryTimeout + time.Duration(pc.SummaryEvery)*pc.HeartbeatInterval + margin
-	case Rapid, RapidDC:
-		// After the last heal, a stale or evicted node must re-adopt the
-		// current configuration and re-admit itself (one full pipeline in
-		// the worst case: detect, arbitrate, probe, batch, ratify), then
-		// records re-propagate on the info cadence. The DC-aware overlay
-		// changes who monitors whom, not any timing constant.
-		rc := rapid.DefaultConfig()
-		return rapidPipeline(rc) + rc.JoinRetry + rc.JoinBatchWindow + rc.InfoInterval + margin
-	case HierarchicalAdaptive:
-		// Plain hierarchical settling, plus the closed-form re-formation
-		// deadline (docs/ADAPTIVE.md): the overload window before a leader
-		// sheds, the size window before a split/merge fires, an election
-		// round for the successor, and a republish cadence for the moved
-		// group's directory entries to re-relay upward.
-		m := analysis.HierarchicalFixedFrequency(p)
-		ac := core.AdaptiveDefaults()
-		return m.DetectionTime + m.ConvergenceTime + ac.RelayedTTL +
-			ac.LoadWindow + ac.ReformHold + ac.ElectionPatience + ac.RepublishInterval + margin
-	}
-	panic("harness: unknown scheme")
-}
-
-// rapidPipeline is the worst-case single-cut eviction latency of the rapid
-// scheme: beat silence, the unstable-region wait, a full probe cycle, the
-// steady batch window, and the ratification round.
-func rapidPipeline(rc rapid.Config) time.Duration {
-	return rc.DeadAfter() + rc.ArbitrateAfter +
-		time.Duration(rc.ProbeRetries+2)*rc.ProbeTimeout +
-		rc.BatchWindow + rc.VoteWindow + rc.ProposeRetry
-}
-
-// ChaosPurgeBound bounds how long a dead daemon may linger in any view:
-// the detection time plus whatever TTL keeps already-relayed state alive.
-func ChaosPurgeBound(scheme Scheme, n int) time.Duration {
-	const margin = 5 * time.Second
-	p := analysis.DefaultParams(n)
-	switch scheme {
-	case AllToAll:
-		m := analysis.AllToAllFixedFrequency(p)
-		return m.DetectionTime + m.ConvergenceTime + margin
-	case Gossip:
-		m := analysis.GossipFixedFrequency(p)
-		return m.DetectionTime + m.ConvergenceTime + margin
-	case Hierarchical, HierarchicalProxy, HierarchicalAdaptive:
-		// The proxy layer holds no per-node membership of its own, so the
-		// federated scheme purges exactly like plain hierarchical; the
-		// adaptive variant changes who relays, not how long relayed state
-		// may live.
-		m := analysis.HierarchicalFixedFrequency(p)
-		return m.DetectionTime + core.DefaultConfig().RelayedTTL + margin
-	case Rapid, RapidDC:
-		// A view change waits for the WHOLE cut to resolve: overlapping
-		// faults (the cascade scenario kills on a DeadAfter-scale cadence)
-		// extend an early victim's linger by the later victims' detection
-		// lag, so the bound buys the pipeline plus two extra detections.
-		rc := rapid.DefaultConfig()
-		return rapidPipeline(rc) + 2*rc.DeadAfter() + margin
-	}
-	panic("harness: unknown scheme")
-}
-
 // ChaosLeaderGrace is how long the running set and topology must be stable
 // before at-most-one-leader is enforced: election patience plus level
 // grace plus a few heartbeat rounds.
@@ -152,22 +54,28 @@ type ChaosResult struct {
 	Pass              bool   `json:"pass"`
 	ViewChanges       uint64 `json:"view_changes"`
 	SpuriousEvictions uint64 `json:"spurious_evictions"`
-	// Re-formation outcomes (docs/ADAPTIVE.md); populated only for the
-	// tree schemes, whose cells arm the reform-converge audit.
-	Reformations uint64                    `json:"reformations,omitempty"`
-	Converged    bool                      `json:"converged,omitempty"`
-	ConvergedIn  time.Duration             `json:"converged_in_ns,omitempty"`
-	Invariants   []metrics.InvariantResult `json:"invariants"`
+	// Re-formation outcomes (docs/ADAPTIVE.md); populated only for cells
+	// that arm the reform-converge audit, which ReformAudited records (it
+	// is a property of the scheme column, so it stays out of the JSON).
+	ReformAudited bool                      `json:"-"`
+	Reformations  uint64                    `json:"reformations,omitempty"`
+	Converged     bool                      `json:"converged,omitempty"`
+	ConvergedIn   time.Duration             `json:"converged_in_ns,omitempty"`
+	Invariants    []metrics.InvariantResult `json:"invariants"`
 }
 
 func (o ChaosOptions) scenarios() []*chaos.Scenario {
-	lib := chaos.Library(o.Groups, o.PerGroup)
 	if len(o.Scenarios) == 0 {
-		return lib
+		return chaos.Library(o.Groups, o.PerGroup)
 	}
+	return findScenarios(o.Scenarios, o.Groups, o.PerGroup)
+}
+
+// findScenarios resolves library scenario names, panicking on an unknown one.
+func findScenarios(names []string, groups, perGroup int) []*chaos.Scenario {
 	var out []*chaos.Scenario
-	for _, name := range o.Scenarios {
-		sc, err := chaos.Find(name, o.Groups, o.PerGroup)
+	for _, name := range names {
+		sc, err := chaos.Find(name, groups, perGroup)
 		if err != nil {
 			panic(err)
 		}
@@ -181,127 +89,48 @@ func (o ChaosOptions) scenarios() []*chaos.Scenario {
 // plus the enforcement window, and report the cluster counters with the
 // auditor's verdicts attached.
 func RunScenario(scheme Scheme, sc *chaos.Scenario, o ChaosOptions, seed int64) metrics.RunReport {
-	var c *Cluster
-	var fed *FederatedCluster
-	if scheme == HierarchicalProxy {
-		// The federated stack deploys across the scenario's data-center
-		// count (two unless the scenario asks for more) — single-DC
-		// scenarios then exercise it with an idle-but-audited WAN.
-		fo := DefaultFederatedOptions(o.Groups, o.PerGroup)
-		fo.DCs = sc.NumDCs()
-		fo.ProxiesPerDC = sc.NumProxies()
-		fed = NewFederatedCluster(fo, seed)
-		c = fed.Cluster
-	} else if sc.MultiDC {
-		c = NewCluster(scheme, topology.MultiDC(sc.NumDCs(), o.Groups, o.PerGroup), seed)
-	} else {
-		c = NewCluster(scheme, topology.Clustered(o.Groups, o.PerGroup), seed)
-	}
-	n := c.Top.NumHosts()
+	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed, false)
 	c.StartAll()
-
-	env := chaos.NewEnv(c.Eng, c.Net, c.Top, chaosNodes(c.Nodes))
-	if fed != nil {
-		env.Proxies = fed.ProxyHandles()
-	}
-	if err := sc.Install(env); err != nil {
+	if err := sc.Install(c.Env); err != nil {
 		panic(err) // library scenarios are valid by construction
 	}
-	deadline := c.Eng.Now() + sc.End() + ChaosSettle(scheme, n)
-	opts := invariant.Options{
-		Interval:    time.Second,
-		Deadline:    deadline,
-		PurgeBound:  ChaosPurgeBound(scheme, n),
-		LeaderGrace: ChaosLeaderGrace,
-		EventDriven: true,
-		// Cross-DC completeness is not the federated contract — proxies
-		// summarize remote DCs instead of replicating their views; the
-		// federation invariants audit that summary path.
-		IntraDCOnly: fed != nil,
-	}
-	if scheme == Hierarchical || scheme == HierarchicalAdaptive {
-		// Arm the re-formation audit for the tree schemes, static included:
-		// the static tree is held to the same group bounds, so a scenario
-		// that skews groups past GroupMax FAILs static and only the adaptive
-		// scheme (which can split) converges back inside them.
-		ac := core.AdaptiveDefaults()
-		opts.GroupBounds = [2]int{ac.GroupMin, ac.GroupMax}
-		opts.FaultEnd = c.Eng.Now() + sc.End()
-	}
-	aud := invariant.New(c.Eng, c.Top, auditNodes(c.Nodes), opts)
-	if fed != nil {
-		aud.AttachFederation(fed.Federation())
-	}
-	aud.Start()
-	c.Eng.Run(deadline + o.Enforce)
+	aud := c.StartAuditor()
+	c.Eng.Run(c.Audit.Deadline + o.Enforce)
 	aud.Stop()
 
 	rep := c.Observe()
 	rep.Invariants = aud.Results()
 	rep.ViewChanges, rep.SpuriousEvictions = aud.Stability()
-	if opts.GroupBounds[1] > 0 {
-		for _, inst := range c.Nodes {
-			if r, ok := inst.(interface{ Reformations() uint64 }); ok {
-				rep.Reformations += r.Reformations()
-			}
-		}
+	if scheme.ReformAudited() {
+		st, _ := c.CoreStats()
+		rep.Reformations = st.Reformations
 		rep.Converged, rep.ConvergedIn = aud.ReformConvergence()
 	}
 	return rep
 }
 
-func chaosNodes(in []Instance) []chaos.Node {
-	out := make([]chaos.Node, len(in))
-	for i, n := range in {
-		out[i] = n
-	}
-	return out
-}
-
-func auditNodes(in []Instance) []invariant.Node {
-	out := make([]invariant.Node, len(in))
-	for i, n := range in {
-		out[i] = n
-	}
-	return out
-}
-
 // ChaosMatrix runs every (scenario, scheme) cell through the worker pool
 // and returns verdicts in scenario-major, scheme-minor order.
 func ChaosMatrix(o ChaosOptions) []ChaosResult {
-	scenarios := o.scenarios()
-	pool := NewPool(o.Sweep, o.Seed)
-	reports := make([][]metrics.RunReport, len(scenarios))
-	for si, sc := range scenarios {
-		reports[si] = make([]metrics.RunReport, len(ChaosSchemes))
-		for hi, scheme := range ChaosSchemes {
-			si, hi, sc, scheme := si, hi, sc, scheme
-			pool.Go(fmt.Sprintf("chaos/%s/%s", sc.Name, scheme), func(seed int64) metrics.RunReport {
-				rep := RunScenario(scheme, sc, o, seed)
-				reports[si][hi] = rep
-				return rep
-			})
-		}
-	}
-	pool.Wait()
-
 	var out []ChaosResult
-	for si, sc := range scenarios {
-		for hi, scheme := range ChaosSchemes {
-			rep := reports[si][hi]
+	runMatrix(o.Sweep, o.Seed, "chaos", o.scenarios(), []matrixVariant{{}}, ChaosSchemes,
+		func(scheme Scheme, sc *chaos.Scenario, _ matrixVariant, seed int64) metrics.RunReport {
+			return RunScenario(scheme, sc, o, seed)
+		},
+		func(scenario string, scheme Scheme, rep metrics.RunReport) {
 			out = append(out, ChaosResult{
-				Scenario:          sc.Name,
+				Scenario:          scenario,
 				Scheme:            scheme.String(),
 				Pass:              rep.TotalViolations() == 0,
 				ViewChanges:       rep.ViewChanges,
 				SpuriousEvictions: rep.SpuriousEvictions,
+				ReformAudited:     scheme.ReformAudited(),
 				Reformations:      rep.Reformations,
 				Converged:         rep.Converged,
 				ConvergedIn:       rep.ConvergedIn,
 				Invariants:        rep.Invariants,
 			})
-		}
-	}
+		})
 	return out
 }
 
@@ -333,7 +162,7 @@ func RenderChaosMatrix(results []ChaosResult) string {
 		conv := "-"
 		if r.Converged {
 			conv = r.ConvergedIn.Round(time.Second).String()
-		} else if r.Scheme == Hierarchical.String() || r.Scheme == HierarchicalAdaptive.String() {
+		} else if r.ReformAudited {
 			conv = "never"
 		}
 		fmt.Fprintf(&b, "%-18s %-21s %-8s %6d %8d %7d %9s", r.Scenario, r.Scheme, verdict, r.ViewChanges, r.SpuriousEvictions, r.Reformations, conv)

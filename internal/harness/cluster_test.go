@@ -46,15 +46,6 @@ func TestSchemesConstructAndConverge(t *testing.T) {
 	}
 }
 
-func TestSchemeString(t *testing.T) {
-	if AllToAll.String() != "All-to-all" || Gossip.String() != "Gossip" || Hierarchical.String() != "Hierarchical" {
-		t.Fatal("Scheme.String broken")
-	}
-	if Scheme(99).String() == "" {
-		t.Fatal("unknown scheme has empty string")
-	}
-}
-
 func TestSection4FixedBandwidthOrdering(t *testing.T) {
 	fig := Section4FixedBandwidth([]int{100, 1000})
 	h := at(t, fig, "Hier det", 1000)

@@ -1,63 +1,14 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/alltoall"
-	"repro/internal/core"
-	"repro/internal/gossip"
 	"repro/internal/membership"
 	"repro/internal/netsim"
 	"repro/internal/parsim"
-	"repro/internal/rapid"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/wire"
 )
-
-// Scheme selects a membership protocol.
-type Scheme int
-
-// The three compared schemes, plus the federated §5 stack (hierarchical
-// inside each data center, membership proxies across them), plus the
-// Rapid-style stable membership scheme (consistent whole-view changes
-// filtered through multi-node cut detection).
-const (
-	AllToAll Scheme = iota
-	Gossip
-	Hierarchical
-	HierarchicalProxy
-	Rapid
-	// HierarchicalAdaptive is the self-organizing variant of the
-	// hierarchical scheme (docs/ADAPTIVE.md): leader load shedding,
-	// group split/merge re-formation, and diameter bounding.
-	HierarchicalAdaptive
-	// RapidDC is rapid with the topology-aware monitoring overlay
-	// (Config.DCOf): ring 0 stays DC-local so WAN faults cannot be
-	// mistaken for the death of every remote subject.
-	RapidDC
-)
-
-func (s Scheme) String() string {
-	switch s {
-	case AllToAll:
-		return "All-to-all"
-	case Gossip:
-		return "Gossip"
-	case Hierarchical:
-		return "Hierarchical"
-	case HierarchicalProxy:
-		return "hierarchical+proxy"
-	case Rapid:
-		return "rapid"
-	case HierarchicalAdaptive:
-		return "hierarchical+adaptive"
-	case RapidDC:
-		return "rapid+dc"
-	}
-	return fmt.Sprintf("scheme(%d)", int(s))
-}
 
 // Schemes lists the paper's three compared schemes in presentation order;
 // the §4 figures sweep exactly these. The federated stack and the rapid
@@ -78,7 +29,8 @@ var ChaosSchemes = []Scheme{AllToAll, Gossip, Hierarchical, HierarchicalProxy, R
 // story is told by the hedging ablation instead.
 var TrafficSchemes = []Scheme{AllToAll, Gossip, Hierarchical, HierarchicalProxy, Rapid}
 
-// Instance is the common surface of the three protocol nodes.
+// Instance is the common surface of every scheme's protocol node (the
+// builders in scheme.go place them behind it).
 type Instance interface {
 	ID() membership.NodeID
 	Start(eng *sim.Engine)
@@ -86,14 +38,6 @@ type Instance interface {
 	Directory() *membership.Directory
 	Running() bool
 }
-
-// Statically assert the implementations satisfy Instance.
-var (
-	_ Instance = (*core.Node)(nil)
-	_ Instance = (*alltoall.Node)(nil)
-	_ Instance = (*gossip.Node)(nil)
-	_ Instance = (*rapid.Node)(nil)
-)
 
 // HeartbeatWireTarget is the paper's measured average membership packet
 // size: "The average packet size carrying the membership information of
@@ -115,92 +59,6 @@ type Cluster struct {
 	Coord *parsim.Coordinator
 	Engs  []*sim.Engine
 	Part  *topology.Partition
-}
-
-// padFor computes the heartbeat padding that brings a default heartbeat to
-// the target wire size.
-func padFor(target int) int {
-	sample := wire.Encode(&wire.Heartbeat{
-		Info:   membership.MemberInfo{Node: 0, Incarnation: 1},
-		Backup: membership.NoNode,
-	})
-	pad := target - netsim.UDPOverhead - len(sample)
-	if pad < 0 {
-		pad = 0
-	}
-	return pad
-}
-
-// NewCluster builds a cluster of the given scheme over a topology. The
-// configuration mirrors §6.2: 1 Hz multicast/gossip frequency, 5 tolerated
-// losses, 0.1% gossip mistake probability, 228-byte membership packets.
-func NewCluster(scheme Scheme, top *topology.Topology, seed int64) *Cluster {
-	eng := sim.NewEngine(seed)
-	net := netsim.New(eng, top)
-	c := &Cluster{Scheme: scheme, Eng: eng, Net: net, Top: top}
-	n := top.NumHosts()
-	diameter := top.Diameter()
-	if diameter < 1 {
-		diameter = 1
-	}
-	pad := padFor(HeartbeatWireTarget)
-	switch scheme {
-	case AllToAll:
-		cfg := alltoall.DefaultConfig()
-		cfg.TTL = diameter
-		cfg.HeartbeatPad = pad
-		for h := 0; h < n; h++ {
-			c.Nodes = append(c.Nodes, alltoall.NewNode(cfg, net.Endpoint(topology.HostID(h))))
-		}
-	case Gossip:
-		cfg := gossip.DefaultConfig()
-		cfg.ExpectedSize = n
-		// Equalize per-member record size with the heartbeat schemes: one
-		// bare gossip entry is ~50 bytes; pad each to the 228-byte target
-		// minus the per-packet header share.
-		sample := wire.Encode(&wire.Gossip{Entries: []wire.GossipEntry{{
-			Info: membership.MemberInfo{Node: 0, Incarnation: 1},
-		}}})
-		cfg.EntryPad = HeartbeatWireTarget - netsim.UDPOverhead - len(sample)
-		if cfg.EntryPad < 0 {
-			cfg.EntryPad = 0
-		}
-		for h := 0; h < n; h++ {
-			cfg.Seeds = append(cfg.Seeds, membership.NodeID(h))
-		}
-		for h := 0; h < n; h++ {
-			c.Nodes = append(c.Nodes, gossip.NewNode(cfg, net.Endpoint(topology.HostID(h))))
-		}
-	case Hierarchical:
-		cfg := core.DefaultConfig()
-		cfg.MaxTTL = diameter
-		cfg.HeartbeatPad = pad
-		for h := 0; h < n; h++ {
-			c.Nodes = append(c.Nodes, core.NewNode(cfg, net.Endpoint(topology.HostID(h))))
-		}
-	case Rapid, RapidDC:
-		cfg := rapid.DefaultConfig()
-		cfg.HeartbeatPad = pad
-		if scheme == RapidDC {
-			cfg.DCOf = func(id membership.NodeID) int { return top.HostDC(topology.HostID(id)) }
-		}
-		for h := 0; h < n; h++ {
-			cfg.Seeds = append(cfg.Seeds, membership.NodeID(h))
-		}
-		for h := 0; h < n; h++ {
-			c.Nodes = append(c.Nodes, rapid.NewNode(cfg, net.Endpoint(topology.HostID(h))))
-		}
-	case HierarchicalAdaptive:
-		cfg := core.AdaptiveDefaults()
-		cfg.MaxTTL = diameter
-		cfg.HeartbeatPad = pad
-		for h := 0; h < n; h++ {
-			c.Nodes = append(c.Nodes, core.NewNode(cfg, net.Endpoint(topology.HostID(h))))
-		}
-	default:
-		panic("harness: unknown scheme")
-	}
-	return c
 }
 
 // StartAll starts every node, each on the engine that owns it.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/membership"
-	"repro/internal/netsim"
 	"repro/internal/proxy"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -71,6 +70,7 @@ func (f *fedInstance) Stop() {
 func (f *fedInstance) Directory() *membership.Directory { return f.node.Directory() }
 func (f *fedInstance) Running() bool                    { return f.node.Running() }
 func (f *fedInstance) IsLeader(level int) bool          { return f.node.IsLeader(level) }
+func (f *fedInstance) Stats() core.Stats                { return f.node.Stats() }
 
 // FederatedCluster is a Cluster whose hosts are fedInstances, plus the
 // federation-wide state: the shared VIP table and every proxy daemon.
@@ -85,30 +85,20 @@ type FederatedCluster struct {
 // carry real content the truth oracle can be checked against.
 func svcName(dc int) string { return fmt.Sprintf("app%d", dc) }
 
-// NewFederatedCluster builds the federated stack: hierarchical protocol
-// configured exactly like the Hierarchical scheme inside every DC, a
-// service runtime per host registering the DC's app service, and
-// ProxiesPerDC proxies per DC exchanging summaries over the WAN.
+// NewFederatedCluster builds the federated stack: a Hierarchical cluster
+// spanning every DC, each node wrapped with a service runtime
+// registering the DC's app service, and ProxiesPerDC proxies per DC
+// exchanging summaries over the WAN.
 func NewFederatedCluster(o FederatedOptions, seed int64) *FederatedCluster {
 	if o.DCs < 1 || o.ProxiesPerDC < 1 || o.ProxiesPerDC > o.Groups*o.PerGroup-1 {
 		panic("harness: bad federated options")
 	}
-	top := topology.MultiDC(o.DCs, o.Groups, o.PerGroup)
-	eng := sim.NewEngine(seed)
-	net := netsim.New(eng, top)
 	f := &FederatedCluster{
-		Cluster: &Cluster{Scheme: HierarchicalProxy, Eng: eng, Net: net, Top: top},
+		Cluster: NewCluster(Hierarchical, topology.MultiDC(o.DCs, o.Groups, o.PerGroup), seed),
 		Opts:    o,
 		VIP:     proxy.NewVIPTable(),
 	}
-	diameter := top.Diameter()
-	if diameter < 1 {
-		diameter = 1
-	}
-	ccfg := core.DefaultConfig()
-	ccfg.MaxTTL = diameter
-	ccfg.HeartbeatPad = padFor(HeartbeatWireTarget)
-
+	f.Scheme = HierarchicalProxy
 	remotes := make(map[int][]int, o.DCs)
 	for dc := 0; dc < o.DCs; dc++ {
 		for other := 0; other < o.DCs; other++ {
@@ -117,27 +107,27 @@ func NewFederatedCluster(o FederatedOptions, seed int64) *FederatedCluster {
 			}
 		}
 	}
-	for h := 0; h < top.NumHosts(); h++ {
+	for h, plain := range f.Nodes {
 		hid := topology.HostID(h)
-		dc := top.HostDC(hid)
-		ep := net.Endpoint(hid)
-		node := core.NewNode(ccfg, ep)
+		dc := f.Top.HostDC(hid)
+		ep := f.Net.Endpoint(hid)
+		node := plain.(*core.Node)
 		scfg := service.DefaultConfig()
 		scfg.ProxyAddr = func() (topology.HostID, bool) { return f.VIP.Get(dc) }
-		rt := service.NewRuntime(scfg, eng, ep, node)
+		rt := service.NewRuntime(scfg, f.Eng, ep, node)
 		if err := rt.Register(svcName(dc), "0", time.Millisecond,
 			func(p int32, b []byte) ([]byte, error) { return b, nil }); err != nil {
 			panic(err)
 		}
 		inst := &fedInstance{node: node, rt: rt}
 		// The DC's hosts are contiguous; position-in-DC decides proxy duty.
-		if pos := h - int(top.HostsInDC(dc)[0]); pos >= 1 && pos <= o.ProxiesPerDC {
+		if pos := h - int(f.Top.HostsInDC(dc)[0]); pos >= 1 && pos <= o.ProxiesPerDC {
 			pcfg := proxy.DefaultConfig(dc, remotes[dc])
-			pcfg.ProxyTTL = diameter
-			inst.px = proxy.New(pcfg, eng, ep, rt, f.VIP)
+			pcfg.ProxyTTL = f.diameter()
+			inst.px = proxy.New(pcfg, f.Eng, ep, rt, f.VIP)
 			f.Proxies = append(f.Proxies, inst.px)
 		}
-		f.Nodes = append(f.Nodes, inst)
+		f.Nodes[h] = inst
 	}
 	return f
 }

@@ -108,24 +108,3 @@ func MergeAuditors(auds []*invariant.Auditor) []metrics.InvariantResult {
 	}
 	return invariant.MergeResults(parts...)
 }
-
-// observePar is Observe for a partitioned run: virtual time comes from any
-// LP engine (all in lockstep at run end) and events sum across LPs.
-func (c *Cluster) observePar() metrics.RunReport {
-	st := c.Net.TotalStats()
-	r := metrics.RunReport{
-		Virtual:        c.Engs[0].Now(),
-		Events:         c.Coord.Steps(),
-		PktsDelivered:  st.PktsRecv,
-		PktsDropped:    st.Dropped,
-		BytesDelivered: st.BytesRecv,
-		PktsRejected:   st.Rejected,
-		FaultsInjected: st.FaultsInjected(),
-	}
-	for _, n := range c.Nodes {
-		if l := n.Directory().Len(); l > r.PeakDirSize {
-			r.PeakDirSize = l
-		}
-	}
-	return r
-}

@@ -175,10 +175,14 @@ func observe[N hasDirectory](eng *sim.Engine, net *netsim.Network, nodes []N) me
 	return r
 }
 
-// Observe reports the cluster's run counters; see observe.
+// Observe reports the cluster's run counters; see observe. In a partitioned
+// run virtual time comes from any LP engine (all in lockstep at run end)
+// and events sum across LPs.
 func (c *Cluster) Observe() metrics.RunReport {
-	if c.Coord != nil {
-		return c.observePar()
+	if c.Coord == nil {
+		return observe(c.Eng, c.Net, c.Nodes)
 	}
-	return observe(c.Eng, c.Net, c.Nodes)
+	r := observe(c.Engs[0], c.Net, c.Nodes)
+	r.Events = c.Coord.Steps()
+	return r
 }

@@ -99,19 +99,10 @@ func trafficSettle(n int) time.Duration {
 }
 
 func (o TrafficOptions) scenarios() []*chaos.Scenario {
-	names := o.Scenarios
-	if len(names) == 0 {
-		names = TrafficScenarioNames
+	if len(o.Scenarios) == 0 {
+		return findScenarios(TrafficScenarioNames, o.Groups, o.PerGroup)
 	}
-	var out []*chaos.Scenario
-	for _, name := range names {
-		sc, err := chaos.Find(name, o.Groups, o.PerGroup)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, sc)
-	}
-	return out
+	return findScenarios(o.Scenarios, o.Groups, o.PerGroup)
 }
 
 // attachRuntimes layers a service runtime over every node of a plain
@@ -147,34 +138,12 @@ func registerApp(rts []*service.Runtime, partitions int) {
 // settle bound, and report the cluster counters with user-level traffic
 // stats attached.
 func RunTrafficScenario(scheme Scheme, sc *chaos.Scenario, o TrafficOptions, seed int64) metrics.RunReport {
-	var c *Cluster
-	var fed *FederatedCluster
-	if scheme == HierarchicalProxy {
-		fo := DefaultFederatedOptions(o.Groups, o.PerGroup)
-		fo.DCs = sc.NumDCs()
-		fo.ProxiesPerDC = sc.NumProxies()
-		fed = NewFederatedCluster(fo, seed)
-		c = fed.Cluster
-	} else if sc.MultiDC || o.DCLocal {
-		c = NewCluster(scheme, topology.MultiDC(sc.NumDCs(), o.Groups, o.PerGroup), seed)
-	} else {
-		c = NewCluster(scheme, topology.Clustered(o.Groups, o.PerGroup), seed)
-	}
-	var rts []*service.Runtime
-	if fed != nil {
-		rts = fed.Runtimes()
-	} else {
-		rts = attachRuntimes(c)
-	}
+	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed, o.DCLocal)
+	rts := c.Runtimes()
 	registerApp(rts, o.Partitions)
 	n := c.Top.NumHosts()
 	c.StartAll()
-
-	env := chaos.NewEnv(c.Eng, c.Net, c.Top, chaosNodes(c.Nodes))
-	if fed != nil {
-		env.Proxies = fed.ProxyHandles()
-	}
-	if err := sc.Install(env); err != nil {
+	if err := sc.Install(c.Env); err != nil {
 		panic(err) // library scenarios are valid by construction
 	}
 
@@ -218,41 +187,24 @@ type TrafficResult struct {
 // TrafficMatrix runs every (scenario, scheme) cell through the worker pool
 // and returns results in scenario-major, scheme-minor order.
 func TrafficMatrix(o TrafficOptions) []TrafficResult {
-	scenarios := o.scenarios()
-	pool := NewPool(o.Sweep, o.Seed)
-	reports := make([][]metrics.RunReport, len(scenarios))
-	for si, sc := range scenarios {
-		reports[si] = make([]metrics.RunReport, len(TrafficSchemes))
-		for hi, scheme := range TrafficSchemes {
-			si, hi, sc, scheme := si, hi, sc, scheme
-			key := fmt.Sprintf("traffic/%s/%s", sc.Name, scheme)
-			if o.DCLocal {
-				key += "+dclocal"
-			}
-			pool.Go(key, func(seed int64) metrics.RunReport {
-				rep := RunTrafficScenario(scheme, sc, o, seed)
-				reports[si][hi] = rep
-				return rep
-			})
-		}
+	v := matrixVariant{hedge: o.HedgeAfter}
+	if o.DCLocal {
+		v.suffix = "+dclocal"
 	}
-	pool.Wait()
+	return trafficMatrix("traffic", o, v)
+}
 
+func trafficMatrix(fig string, o TrafficOptions, variants ...matrixVariant) []TrafficResult {
 	var out []TrafficResult
-	for si, sc := range scenarios {
-		name := sc.Name
-		if o.DCLocal {
-			name += "+dclocal"
-		}
-		for hi, scheme := range TrafficSchemes {
-			rep := reports[si][hi]
-			out = append(out, TrafficResult{
-				Scenario: name,
-				Scheme:   scheme.String(),
-				Traffic:  *rep.Traffic,
-			})
-		}
-	}
+	runMatrix(o.Sweep, o.Seed, fig, o.scenarios(), variants, TrafficSchemes,
+		func(scheme Scheme, sc *chaos.Scenario, v matrixVariant, seed int64) metrics.RunReport {
+			o := o // cells run concurrently
+			o.HedgeAfter = v.hedge
+			return RunTrafficScenario(scheme, sc, o, seed)
+		},
+		func(scenario string, scheme Scheme, rep metrics.RunReport) {
+			out = append(out, TrafficResult{Scenario: scenario, Scheme: scheme.String(), Traffic: *rep.Traffic})
+		})
 	return out
 }
 
@@ -297,49 +249,8 @@ func TrafficHedgeMatrix(o TrafficOptions) []TrafficResult {
 	if len(o.Scenarios) == 0 {
 		o.Scenarios = TrafficHedgeScenarioNames
 	}
-	scenarios := o.scenarios()
-	variants := []struct {
-		suffix string
-		hedge  time.Duration
-	}{
-		{"+unhedged", 0},
-		{"+hedged", TrafficHedgeAfter},
-	}
-	pool := NewPool(o.Sweep, o.Seed)
-	reports := make([][][]metrics.RunReport, len(scenarios))
-	for si, sc := range scenarios {
-		reports[si] = make([][]metrics.RunReport, len(variants))
-		for vi, v := range variants {
-			reports[si][vi] = make([]metrics.RunReport, len(TrafficSchemes))
-			for hi, scheme := range TrafficSchemes {
-				si, vi, hi, sc, scheme := si, vi, hi, sc, scheme
-				vo := o
-				vo.HedgeAfter = v.hedge
-				key := fmt.Sprintf("traffic-hedge/%s/%s%s", sc.Name, scheme, v.suffix)
-				pool.Go(key, func(seed int64) metrics.RunReport {
-					rep := RunTrafficScenario(scheme, sc, vo, seed)
-					reports[si][vi][hi] = rep
-					return rep
-				})
-			}
-		}
-	}
-	pool.Wait()
-
-	var out []TrafficResult
-	for si, sc := range scenarios {
-		for vi, v := range variants {
-			for hi, scheme := range TrafficSchemes {
-				rep := reports[si][vi][hi]
-				out = append(out, TrafficResult{
-					Scenario: sc.Name + v.suffix,
-					Scheme:   scheme.String(),
-					Traffic:  *rep.Traffic,
-				})
-			}
-		}
-	}
-	return out
+	return trafficMatrix("traffic-hedge", o,
+		matrixVariant{"+unhedged", 0}, matrixVariant{"+hedged", TrafficHedgeAfter})
 }
 
 // RenderTrafficHedgeMatrix renders the ablation table: the standard
