@@ -44,6 +44,11 @@ type Reporter struct {
 	sentAny    bool
 	seq        uint64
 	running    bool
+
+	// enc and report are the resident encoder and message of push: one
+	// exact-size packet per round, shared by every interested consumer.
+	enc    wire.Encoder
+	report wire.LoadReport
 }
 
 // NewReporter creates a reporter that reads the provider's instantaneous
@@ -126,7 +131,8 @@ func (r *Reporter) push() {
 		}
 	}
 	r.seq++
-	payload := wire.Encode(&wire.LoadReport{From: r.id, Seq: r.seq, Load: load})
+	r.report = wire.LoadReport{From: r.id, Seq: r.seq, Load: load}
+	payload := r.enc.EncodeSized(&r.report)
 	for id := range r.interested {
 		r.ep.Unicast(topology.HostID(id), payload)
 	}

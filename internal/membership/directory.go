@@ -3,6 +3,7 @@ package membership
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"time"
 )
@@ -621,6 +622,24 @@ func (d *Directory) Lookup(servicePattern, partitionSpec string) ([]Match, error
 		return out[i].Node < out[j].Node
 	})
 	return out, nil
+}
+
+// Hosts appends to dst, in ascending node order, the nodes hosting the
+// service named exactly name — on partition when it is non-negative, on any
+// partition (or none) otherwise — and returns the extended slice. It is
+// Lookup for the one question the invocation path asks, "who serves this
+// (service, partition)", answered from the entries in place: the nodes are
+// those of Lookup(regexp.QuoteMeta(name), "<partition>" or "*"), in the same
+// order, with no pattern compiled and nothing cloned.
+func (d *Directory) Hosts(dst []NodeID, name string, partition int32) []NodeID {
+	for _, n := range d.sorted {
+		for _, svc := range d.get(n).Info.Services {
+			if svc.Name == name && (partition < 0 || slices.Contains(svc.Partitions, partition)) {
+				dst = append(dst, n)
+			}
+		}
+	}
+	return dst
 }
 
 // View returns the set of alive nodes as a sorted slice — the quantity whose

@@ -28,11 +28,12 @@ type Packet struct {
 	TTL     int
 	Payload []byte
 
-	// memo caches the first successful wire decode of this payload: the
-	// pointer is shared by every delivery copy of the packet, so a
+	// memo caches the first successful wire decode of a multicast payload:
+	// the pointer is shared by every delivery copy of the packet, so a
 	// multicast parsed by one receiver is not re-parsed by its ~group-size
 	// other receivers. Deliveries that tamper with the payload (corrupt,
-	// truncate) drop the memo and parse their own bytes.
+	// truncate) drop the memo and parse their own bytes. A unicast has one
+	// receiver and nothing to share, so it carries no memo.
 	memo *pktMemo
 }
 
@@ -43,8 +44,8 @@ type pktMemo struct {
 }
 
 // Decode parses the packet payload, memoizing the result across all
-// receivers of the same untampered bytes. The returned message is shared:
-// callers must treat it — including nested slices — as immutable.
+// receivers of the same untampered multicast bytes. The returned message is
+// shared: callers must treat it — including nested slices — as immutable.
 func (p *Packet) Decode() (wire.Message, error) {
 	m := p.memo
 	if m == nil {
@@ -639,7 +640,10 @@ func (n *Network) fanoutFor(src topology.HostID, ch ChannelID, ttl int) *fanout 
 // Unicast sends payload to a specific host. Returns false if the
 // destination is unreachable (network partition) — like UDP, an unreachable
 // destination is otherwise silent. An out-of-range destination (e.g. a host
-// ID taken from a corrupted packet) is unreachable, not a panic.
+// ID taken from a corrupted packet) is unreachable, not a panic. As with
+// Multicast the payload is not copied and is immutable from here on: the
+// network keeps it (the delivery, duplicates, the replay ring) and receivers
+// decode views into it.
 func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	if !ep.up {
 		return false
@@ -647,7 +651,7 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	if int(dst) < 0 || int(dst) >= len(ep.net.eps) {
 		return false
 	}
-	pkt := Packet{Src: ep.id, Dst: dst, Payload: payload, memo: &pktMemo{}}
+	pkt := Packet{Src: ep.id, Dst: dst, Payload: payload}
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(pkt.WireSize())
 	lat, marks := ep.net.top.UnicastPath(ep.id, dst)

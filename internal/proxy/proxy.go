@@ -124,6 +124,20 @@ type Proxy struct {
 	remote     map[int]*remoteDC
 
 	fwd map[uint64]*forwarded
+
+	// enc frames the proxy realm's own packets (group beats, summaries,
+	// updates) without a per-send writer; each hint is the size of the last
+	// packet of its kind, so the next one is allocated once at about the
+	// right size. Relayed requests and replies go out through the runtime.
+	enc                             wire.Encoder
+	hbHint, updateHint, summaryHint int
+}
+
+// frame encodes m into a fresh packet sized by *hint, and updates the hint.
+func (p *Proxy) frame(hint *int, m wire.Message) []byte {
+	b := p.enc.AppendEncode(make([]byte, 0, *hint), m)
+	*hint = len(b)
+	return b
 }
 
 // New creates a proxy over a service runtime. Call Start after the
@@ -289,7 +303,7 @@ func (p *Proxy) beat() {
 		Backup: membership.NoNode,
 		Seq:    uint64(p.tick),
 	}
-	p.ep.Multicast(p.cfg.ProxyChannel, p.cfg.ProxyTTL, wire.Encode(hb))
+	p.ep.Multicast(p.cfg.ProxyChannel, p.cfg.ProxyTTL, p.frame(&p.hbHint, hb))
 	p.tick++
 
 	if p.isLeader {
@@ -314,7 +328,7 @@ func (p *Proxy) leaderDuties(now time.Duration) {
 	if len(upserts) > 0 || len(removes) > 0 {
 		p.summarySeq++
 		msg := &wire.ProxyUpdate{DC: uint16(p.cfg.DC), Seq: p.summarySeq, Upserts: upserts, Removes: removes}
-		payload := wire.Encode(msg)
+		payload := p.frame(&p.updateHint, msg)
 		for _, dc := range p.cfg.RemoteDCs {
 			if addr, ok := p.vip.Get(dc); ok {
 				p.ep.Unicast(addr, payload)
@@ -360,7 +374,7 @@ func (p *Proxy) sendFullSummary() {
 			NChunks: uint16(nChunks),
 			Entries: entries[lo:hi],
 		}
-		payload := wire.Encode(msg)
+		payload := p.frame(&p.summaryHint, msg)
 		for _, dc := range p.cfg.RemoteDCs {
 			if addr, ok := p.vip.Get(dc); ok {
 				p.ep.Unicast(addr, payload)

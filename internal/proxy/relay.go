@@ -38,8 +38,7 @@ func (p *Proxy) handle(pkt netsim.Packet, msg wire.Message) bool {
 		if f, ok := p.fwd[m.ReqID]; ok {
 			delete(p.fwd, m.ReqID)
 			f.expiry.Stop()
-			reply := &wire.ServiceReply{ReqID: f.origReqID, OK: m.OK, Payload: m.Payload}
-			p.ep.Unicast(f.origSrc, wire.Encode(reply))
+			p.rt.SendReply(f.origSrc, f.origReqID, m.OK, m.Payload)
 			return true
 		}
 		return false
@@ -146,35 +145,26 @@ func (p *Proxy) forward(src topology.HostID, req *wire.ServiceRequest) {
 		// the remote summaries and forward to a data center that has it.
 		dc, ok := p.pickRemoteDC(req.Service, req.Partition)
 		if !ok {
-			p.ep.Unicast(src, wire.Encode(&wire.ServiceReply{ReqID: req.ReqID, OK: false}))
+			p.rt.SendReply(src, req.ReqID, false, nil)
 			return
 		}
 		addr, ok := p.vip.Get(dc)
 		if !ok {
-			p.ep.Unicast(src, wire.Encode(&wire.ServiceReply{ReqID: req.ReqID, OK: false}))
+			p.rt.SendReply(src, req.ReqID, false, nil)
 			return
 		}
 		fwdID := p.rt.AllocReqID()
 		f := &forwarded{origSrc: src, origReqID: req.ReqID}
 		f.expiry = p.eng.Schedule(10*time.Second, func() { delete(p.fwd, fwdID) })
 		p.fwd[fwdID] = f
-		out := &wire.ServiceRequest{
-			ReqID:     fwdID,
-			From:      p.ID(),
-			Service:   req.Service,
-			Partition: req.Partition,
-			Hops:      2,
-			Payload:   req.Payload,
-		}
-		p.ep.Unicast(addr, wire.Encode(out))
+		p.rt.SendRequest(addr, fwdID, req.Service, req.Partition, 2, req.Payload)
 	default:
 		// Step 3: we are the remote proxy; dispatch to a local backend via
 		// the normal invocation path (random polling load balancing) and
 		// relay the result back (steps 4-5).
 		reqID := req.ReqID
 		p.rt.Invoke(req.Service, req.Partition, req.Payload, func(out []byte, err error) {
-			reply := &wire.ServiceReply{ReqID: reqID, OK: err == nil, Payload: out}
-			p.ep.Unicast(src, wire.Encode(reply))
+			p.rt.SendReply(src, reqID, err == nil, out)
 		})
 	}
 }

@@ -23,4 +23,21 @@
 // another data center. Candidates exposes the raw directory lookup and
 // InvokeNode dispatches to a chosen replica, the seams the session-traffic
 // layer (internal/traffic) uses to model replica-pinned clients.
+//
+// The request path owns no heap. One round trip allocates the two packets
+// the network must keep — each exactly its encoded size — and nothing else:
+// an outstanding call, a request queued on its provider and a pending load
+// poll are pooled records that are their own sim.Callback (a call holds its
+// timeout as a by-value sim.Timer; a poll keeps one slot per polled
+// candidate), packets are framed by one resident wire.Encoder from resident
+// message structs, and the four request-path kinds are parsed in place by a
+// resident wire.RequestDecoder. Three rules follow, and the tests in
+// pooled_test.go hold them. A record returns to its pool before user code
+// runs, because callbacks re-enter Invoke. A reply finds its call by request
+// ID through a map, never by record, so a late, duplicated or replayed reply
+// cannot complete whatever call the record serves now. And the payload a
+// Handler or a callback receives is packet memory (see Handler): a clipped
+// view, safe to keep, never to be written. Candidate lookup is
+// membership.Directory.Hosts, an exact-name scan; the regex Lookup is the
+// paper's client API and is not on this path.
 package service

@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/loadinfo"
@@ -13,7 +12,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Handler processes one application request on a provider.
+// Handler processes one application request on a provider. payload is
+// packet memory: a view of the request as it arrived, with its capacity
+// clipped to its length. It is safe to keep (the network never reuses a
+// packet's bytes) and safe to return as the reply, but it must not be written
+// to; an append copies out because of the clipped capacity. The same holds
+// for the payload an Invoke or InvokeNode callback receives.
 type Handler func(partition int32, payload []byte) ([]byte, error)
 
 // Member is the membership-daemon surface the runtime layers over: any
@@ -82,18 +86,147 @@ type instance struct {
 	serviceTime time.Duration
 }
 
-// call is one outstanding outbound request.
-type call struct {
-	cb      func([]byte, error)
-	timeout *sim.Timer
+// pool is the free list behind each kind of per-request record. A record is
+// taken at the start of its request and put back — zeroed by whoever puts it
+// back — before any user code runs on its behalf: callbacks re-enter Invoke
+// (the search gateway's fan-out, the proxy relay) and those invocations reuse
+// the record.
+type pool[T any] []*T
+
+func (p *pool[T]) get() *T {
+	if n := len(*p); n > 0 {
+		x := (*p)[n-1]
+		*p = (*p)[:n-1]
+		return x
+	}
+	return new(T)
 }
 
-// pendingPoll aggregates load-poll replies for one invocation.
-type pendingPoll struct {
-	candidates  []membership.NodeID
-	replies     map[membership.NodeID]uint32
-	done        bool
-	decideEarly func()
+func (p *pool[T]) put(x *T) { *p = append(*p, x) }
+
+// call is one outstanding outbound request, and the event that ends it when
+// no reply does: a pooled record that is its own sim.Callback, holding its
+// timeout handle by value, so a request costs the runtime no allocation.
+// Replies find a call by its request ID through the calls map, never by
+// record, so a late, duplicated or replayed reply to an ID whose record now
+// serves a newer call finds nothing.
+type call struct {
+	rt      *Runtime
+	id      uint64 // key in rt.calls; 0 for a record that only carries err
+	cb      func([]byte, error)
+	err     error // what Fire delivers: ErrTimeout, or ErrUnavailable for a request that never left
+	timeout sim.Timer
+}
+
+// newCall takes a record that will deliver err to cb when it fires.
+func (r *Runtime) newCall(cb func([]byte, error), err error) *call {
+	c := r.freeCalls.get()
+	*c = call{rt: r, cb: cb, err: err}
+	return c
+}
+
+// Fire delivers the call's failure: the reply timeout elapsed (a reply would
+// have cancelled this event), or the request could not be sent at all.
+func (c *call) Fire() {
+	r, cb, err := c.rt, c.cb, c.err
+	delete(r.calls, c.id)
+	*c = call{}
+	r.freeCalls.put(c)
+	cb(nil, err)
+}
+
+// fail delivers err to cb from an event of its own at the current instant,
+// never from inside the Invoke that discovered it.
+func (r *Runtime) fail(cb func([]byte, error), err error) {
+	r.eng.ScheduleCall(0, r.newCall(cb, err))
+}
+
+// serving is one request queued on the provider: the pooled record the
+// engine fires when the request's turn in the node's FIFO completes.
+type serving struct {
+	rt        *Runtime
+	inst      *instance
+	from      topology.HostID
+	reqID     uint64
+	partition int32
+	payload   []byte // view of the request packet
+}
+
+// Fire runs the handler and replies.
+func (s *serving) Fire() {
+	r, inst, from, reqID, partition, payload := s.rt, s.inst, s.from, s.reqID, s.partition, s.payload
+	*s = serving{}
+	r.freeServings.put(s)
+	r.queued--
+	out, err := inst.handler(partition, payload)
+	r.SendReply(from, reqID, err == nil, out)
+}
+
+// poll is one invocation waiting for load-poll replies: the pooled record
+// holds the request to dispatch and one slot per polled candidate, and is the
+// PollTimeout event. It lives from Invoke until that event fires, decided or
+// not — an answered poll's timeout still fires, as a no-op, because cancelling
+// it would change the run's event count.
+type poll struct {
+	rt      *Runtime
+	token   uint64
+	decided bool
+
+	service   string
+	partition int32
+	payload   []byte
+	cb        func([]byte, error)
+
+	slots    []pollSlot // one per polled candidate, in polled order; reused across polls
+	answered int
+}
+
+type pollSlot struct {
+	node  membership.NodeID
+	load  uint32
+	heard bool
+}
+
+// Fire is the poll timeout: decide on whatever replies arrived, unless the
+// last reply already did.
+func (p *poll) Fire() {
+	if !p.decided {
+		p.decide()
+	}
+	r := p.rt
+	*p = poll{slots: p.slots[:0]}
+	r.freePolls.put(p)
+}
+
+// decide dispatches to the least loaded candidate that replied, ties broken
+// by the engine's RNG, or to the first polled candidate when none did (the
+// shuffle made that a random pick).
+func (p *poll) decide() {
+	r := p.rt
+	p.decided = true
+	delete(r.polls, p.token)
+	bestLoad := ^uint32(0)
+	ties := r.ties[:0]
+	for _, s := range p.slots {
+		if !s.heard {
+			continue
+		}
+		switch {
+		case s.load < bestLoad:
+			bestLoad = s.load
+			ties = append(ties[:0], s.node)
+		case s.load == bestLoad:
+			ties = append(ties, s.node)
+		}
+	}
+	best := p.slots[0].node
+	if len(ties) > 0 {
+		best = ties[r.eng.Rand().Intn(len(ties))]
+	}
+	r.ties = ties
+	service, partition, payload, cb := p.service, p.partition, p.payload, p.cb
+	p.service, p.payload, p.cb = "", nil, nil // the record idles until its timeout fires
+	r.request(topology.HostID(best), service, partition, payload, 0, cb)
 }
 
 // Runtime couples an endpoint's membership daemon with service dispatch.
@@ -112,10 +245,29 @@ type Runtime struct {
 
 	nextReq uint64
 	calls   map[uint64]*call
-	polls   map[uint64]*pendingPoll
+	polls   map[uint64]*poll
 
-	// relay maps a forwarded request ID to where the reply must go
-	// (used by proxies built on this runtime).
+	freeCalls    pool[call]
+	freeServings pool[serving]
+	freePolls    pool[poll]
+
+	// The resident codec: every packet the runtime sends is framed by enc
+	// from one of the out structs into a buffer of exactly its encoded size,
+	// and the request-path kinds it receives are parsed by dec into targets
+	// dec owns. cands and ties are the scratch slices of one Invoke.
+	enc wire.Encoder
+	dec wire.RequestDecoder
+	out struct {
+		req   wire.ServiceRequest
+		reply wire.ServiceReply
+		poll  wire.LoadPoll
+		load  wire.LoadReply
+	}
+	cands []membership.NodeID
+	ties  []membership.NodeID
+
+	// relayHandler, when set, sees every decoded packet before the default
+	// handling (proxies built on this runtime install it).
 	relayHandler func(pkt netsim.Packet, msg wire.Message) bool
 
 	// interest-based load dissemination (nil unless enabled).
@@ -137,7 +289,7 @@ func NewRuntime(cfg Config, eng *sim.Engine, ep netsim.Transport, node Member) *
 		node:  node,
 		insts: make(map[string]*instance),
 		calls: make(map[uint64]*call),
-		polls: make(map[uint64]*pendingPoll),
+		polls: make(map[uint64]*poll),
 	}
 	ep.SetHandler(r.dispatch)
 	if cfg.EnableLoadPush {
@@ -201,12 +353,28 @@ func (r *Runtime) Register(name, partitions string, serviceTime time.Duration, h
 func (r *Runtime) Load() uint32 { return uint32(r.queued) }
 
 // dispatch demultiplexes endpoint packets between the service layer and the
-// membership daemon.
+// membership daemon. Every packet's frame is checked here (a damaged packet
+// is this layer's reject, whoever it was for), the request-path kinds are
+// parsed in place, and — unless a relay handler wants to see everything — a
+// kind the runtime does not consume goes to the daemon unparsed, so each
+// packet is parsed once, by its consumer.
 func (r *Runtime) dispatch(pkt netsim.Packet) {
-	msg, err := pkt.Decode()
+	t, msg, err := r.dec.Decode(pkt.Payload)
 	if err != nil {
 		r.ep.NoteReject()
 		return
+	}
+	if msg == nil {
+		// Not a request-path kind: load reports are the runtime's too, and a
+		// relay handler may claim anything; the rest is the daemon's.
+		if r.relayHandler == nil && t != wire.TLoadReport {
+			r.node.Receive(pkt)
+			return
+		}
+		if msg, err = pkt.Decode(); err != nil {
+			r.ep.NoteReject()
+			return
+		}
 	}
 	if r.relayHandler != nil && r.relayHandler(pkt, msg) {
 		return
@@ -217,7 +385,8 @@ func (r *Runtime) dispatch(pkt netsim.Packet) {
 	case *wire.ServiceReply:
 		r.complete(m)
 	case *wire.LoadPoll:
-		r.ep.Unicast(pkt.Src, wire.Encode(&wire.LoadReply{Token: m.Token, Load: r.Load()}))
+		r.out.load = wire.LoadReply{Token: m.Token, Load: r.Load()}
+		r.send(pkt.Src, &r.out.load)
 	case *wire.LoadReply:
 		r.pollReply(pkt.Src, m)
 	case *wire.LoadReport:
@@ -229,14 +398,44 @@ func (r *Runtime) dispatch(pkt netsim.Packet) {
 	}
 }
 
-// serve runs a request against the local instance and replies.
+// send frames m into a packet of exactly its encoded size — the one
+// allocation a send makes, and one the network keeps — and unicasts it.
+func (r *Runtime) send(dst topology.HostID, m wire.Sized) bool {
+	return r.ep.Unicast(dst, r.enc.EncodeSized(m))
+}
+
+// SendRequest frames and unicasts one ServiceRequest under a caller-chosen
+// ID without registering a call: the relay primitive for proxies, which
+// correlate the reply themselves (see AllocReqID). It reports reachability
+// like Transport.Unicast.
+func (r *Runtime) SendRequest(dst topology.HostID, reqID uint64, serviceName string, partition int32, hops uint8, payload []byte) bool {
+	r.out.req = wire.ServiceRequest{
+		ReqID:     reqID,
+		From:      r.node.ID(),
+		Service:   serviceName,
+		Partition: partition,
+		Hops:      hops,
+		Payload:   payload,
+	}
+	return r.send(dst, &r.out.req)
+}
+
+// SendReply frames and unicasts one ServiceReply; like SendRequest it is
+// also the proxies' relay primitive.
+func (r *Runtime) SendReply(dst topology.HostID, reqID uint64, ok bool, payload []byte) bool {
+	r.out.reply = wire.ServiceReply{ReqID: reqID, OK: ok, Payload: payload}
+	return r.send(dst, &r.out.reply)
+}
+
+// serve queues a request for the local instance; the reply goes out when its
+// turn completes.
 func (r *Runtime) serve(from topology.HostID, req *wire.ServiceRequest) {
 	if r.reporter != nil {
 		r.reporter.NoteConsumer(membership.NodeID(from))
 	}
 	inst, ok := r.insts[req.Service]
 	if !ok || !r.hasPartition(inst, req.Partition) {
-		r.ep.Unicast(from, wire.Encode(&wire.ServiceReply{ReqID: req.ReqID, OK: false}))
+		r.SendReply(from, req.ReqID, false, nil)
 		return
 	}
 	// Single-server FIFO queue per node: the request completes one service
@@ -248,12 +447,9 @@ func (r *Runtime) serve(from topology.HostID, req *wire.ServiceRequest) {
 	}
 	r.busyUntil = start + inst.serviceTime
 	r.queued++
-	r.eng.Schedule(r.busyUntil-now, func() {
-		r.queued--
-		out, err := inst.handler(req.Partition, req.Payload)
-		reply := &wire.ServiceReply{ReqID: req.ReqID, OK: err == nil, Payload: out}
-		r.ep.Unicast(from, wire.Encode(reply))
-	})
+	s := r.freeServings.get()
+	*s = serving{rt: r, inst: inst, from: from, reqID: req.ReqID, partition: req.Partition, payload: req.Payload}
+	r.eng.ScheduleCall(r.busyUntil-now, s)
 }
 
 func (r *Runtime) hasPartition(inst *instance, p int32) bool {
@@ -269,21 +465,24 @@ func (r *Runtime) hasPartition(inst *instance, p int32) bool {
 }
 
 // Invoke performs one location-transparent invocation. The callback runs on
-// the simulation goroutine exactly once.
+// the simulation goroutine exactly once, always from an event of its own
+// (never inside Invoke), and may itself invoke. Its payload argument is
+// packet memory under the same rule as a Handler's.
 func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
-	candidates := r.lookupCandidates(serviceName, partition)
+	r.cands = r.node.Directory().Hosts(r.cands[:0], serviceName, partition)
+	candidates := r.cands
 	if len(candidates) == 0 {
 		if r.cfg.ProxyAddr != nil {
 			if proxy, ok := r.cfg.ProxyAddr(); ok {
-				r.sendRequest(proxy, serviceName, partition, payload, 1, cb)
+				r.request(proxy, serviceName, partition, payload, 1, cb)
 				return
 			}
 		}
-		r.eng.Schedule(0, func() { cb(nil, ErrUnavailable) })
+		r.fail(cb, ErrUnavailable)
 		return
 	}
 	if len(candidates) == 1 || r.cfg.PollSize < 2 {
-		r.sendRequest(topology.HostID(candidates[0]), serviceName, partition, payload, 0, cb)
+		r.request(topology.HostID(candidates[0]), serviceName, partition, payload, 0, cb)
 		return
 	}
 	// Pushed load cache: if we hold fresh samples for at least two
@@ -291,7 +490,7 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 	// round trip (§6.1's interest-based dissemination).
 	if r.loadCache != nil {
 		bestLoad := ^uint32(0)
-		var ties []membership.NodeID
+		ties := r.ties[:0]
 		fresh := 0
 		for _, c := range candidates {
 			if s, ok := r.loadCache.Get(c); ok {
@@ -299,74 +498,52 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 				switch {
 				case s.Load < bestLoad:
 					bestLoad = s.Load
-					ties = ties[:0]
-					ties = append(ties, c)
+					ties = append(ties[:0], c)
 				case s.Load == bestLoad:
 					ties = append(ties, c)
 				}
 			}
 		}
+		r.ties = ties
 		if fresh >= 2 {
 			best := ties[r.eng.Rand().Intn(len(ties))]
-			r.sendRequest(topology.HostID(best), serviceName, partition, payload, 0, cb)
+			r.request(topology.HostID(best), serviceName, partition, payload, 0, cb)
 			return
 		}
 	}
 	// Random polling: poll up to PollSize random candidates, dispatch to
 	// the least loaded of those that replied (or a random one on timeout).
-	rng := r.eng.Rand()
-	rng.Shuffle(len(candidates), func(i, j int) {
+	r.eng.Rand().Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	polled := candidates
-	if len(polled) > r.cfg.PollSize {
-		polled = polled[:r.cfg.PollSize]
+	if len(candidates) > r.cfg.PollSize {
+		candidates = candidates[:r.cfg.PollSize]
 	}
+	p := r.freePolls.get()
 	r.nextReq++
-	token := r.nextReq
-	pp := &pendingPoll{candidates: polled, replies: make(map[membership.NodeID]uint32)}
-	r.polls[token] = pp
-	for _, c := range polled {
-		r.ep.Unicast(topology.HostID(c), wire.Encode(&wire.LoadPoll{From: r.node.ID(), Token: token}))
+	p.rt, p.token = r, r.nextReq
+	p.service, p.partition, p.payload, p.cb = serviceName, partition, payload, cb
+	for _, c := range candidates {
+		p.slots = append(p.slots, pollSlot{node: c})
 	}
-	decide := func() {
-		if pp.done {
-			return
-		}
-		pp.done = true
-		delete(r.polls, token)
-		bestLoad := ^uint32(0)
-		var ties []membership.NodeID
-		for _, c := range pp.candidates {
-			l, ok := pp.replies[c]
-			if !ok {
-				continue
-			}
-			switch {
-			case l < bestLoad:
-				bestLoad = l
-				ties = ties[:0]
-				ties = append(ties, c)
-			case l == bestLoad:
-				ties = append(ties, c)
-			}
-		}
-		best := pp.candidates[0] // no replies at all: random pick stands
-		if len(ties) > 0 {
-			best = ties[r.eng.Rand().Intn(len(ties))]
-		}
-		r.sendRequest(topology.HostID(best), serviceName, partition, payload, 0, cb)
+	r.polls[p.token] = p
+	// One packet serves every polled candidate: packets are immutable once
+	// sent, so unicasts may share their bytes.
+	r.out.poll = wire.LoadPoll{From: r.node.ID(), Token: p.token}
+	pkt := r.enc.EncodeSized(&r.out.poll)
+	for _, c := range candidates {
+		r.ep.Unicast(topology.HostID(c), pkt)
 	}
-	pp.decideEarly = decide
-	r.eng.Schedule(r.cfg.PollTimeout, decide)
+	r.eng.ScheduleCall(r.cfg.PollTimeout, p)
 }
 
 // Candidates returns the directory's current view of who hosts (service,
 // partition) — the same candidate set Invoke balances over. Callers that pin
 // long-lived sessions to one replica (the traffic layer) use it to choose a
-// home and to detect when the local view has gone empty.
+// home and to detect when the local view has gone empty. The slice is the
+// caller's to keep and modify.
 func (r *Runtime) Candidates(serviceName string, partition int32) []membership.NodeID {
-	return r.lookupCandidates(serviceName, partition)
+	return r.node.Directory().Hosts(nil, serviceName, partition)
 }
 
 // HasProxy reports whether requests with no local candidates can be relayed
@@ -381,84 +558,59 @@ func (r *Runtime) HasProxy() bool {
 
 // InvokeNode sends the request to one specific provider, bypassing lookup
 // and load balancing. Useful for client-driven replication; the callback
-// still sees ErrTimeout/ErrRejected like a normal invocation.
+// still sees ErrTimeout/ErrRejected like a normal invocation, under the same
+// rules as Invoke's (its own event, exactly once, payload is packet memory).
 func (r *Runtime) InvokeNode(n membership.NodeID, serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
-	r.sendRequest(topology.HostID(n), serviceName, partition, payload, 0, cb)
+	r.request(topology.HostID(n), serviceName, partition, payload, 0, cb)
 }
 
-// pollReply records a load sample; once all polled candidates answered the
-// decision fires early.
+// pollReply records a load sample in the sender's slot; once every polled
+// candidate has answered the decision fires early. A reply from a host that
+// was not polled has no slot and is dropped, and a second reply from one that
+// was (a duplicate, a replay) refreshes its slot without counting again — the
+// early decision waits for every real candidate.
 func (r *Runtime) pollReply(from topology.HostID, m *wire.LoadReply) {
-	pp, ok := r.polls[m.Token]
-	if !ok || pp.done {
+	p, ok := r.polls[m.Token]
+	if !ok {
 		return
 	}
-	pp.replies[membership.NodeID(from)] = m.Load
-	if len(pp.replies) == len(pp.candidates) && pp.decideEarly != nil {
-		pp.decideEarly()
-	}
-}
-
-// lookupCandidates returns the nodes hosting (service, partition) per the
-// local directory, excluding ourselves unless we host it (self-invocation
-// is allowed and common for symmetric designs).
-func (r *Runtime) lookupCandidates(serviceName string, partition int32) []membership.NodeID {
-	spec := "*"
-	if partition >= 0 {
-		spec = fmt.Sprintf("%d", partition)
-	}
-	matches, err := r.node.Directory().Lookup(regexpQuote(serviceName), spec)
-	if err != nil {
-		return nil
-	}
-	var out []membership.NodeID
-	for _, m := range matches {
-		out = append(out, m.Node)
-	}
-	return out
-}
-
-// regexpQuote escapes a literal service name for the directory's
-// regexp-based lookup.
-func regexpQuote(s string) string {
-	var out []byte
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch c {
-		case '.', '+', '*', '?', '(', ')', '[', ']', '{', '}', '^', '$', '|', '\\':
-			out = append(out, '\\')
+	for i := range p.slots {
+		s := &p.slots[i]
+		if s.node != membership.NodeID(from) {
+			continue
 		}
-		out = append(out, c)
+		if !s.heard {
+			s.heard = true
+			p.answered++
+		}
+		s.load = m.Load
+		if p.answered == len(p.slots) {
+			p.decide()
+		}
+		return
 	}
-	return string(out)
 }
 
-// sendRequest transmits one ServiceRequest and arms the reply timeout.
-func (r *Runtime) sendRequest(dst topology.HostID, serviceName string, partition int32, payload []byte, hops uint8, cb func([]byte, error)) {
+// request transmits one ServiceRequest and arms the reply timeout.
+func (r *Runtime) request(dst topology.HostID, serviceName string, partition int32, payload []byte, hops uint8, cb func([]byte, error)) {
+	c := r.newCall(cb, ErrTimeout)
 	r.nextReq++
-	id := r.nextReq
-	c := &call{cb: cb}
-	r.calls[id] = c
-	c.timeout = r.eng.Schedule(r.cfg.RequestTimeout, func() {
-		delete(r.calls, id)
-		cb(nil, ErrTimeout)
-	})
-	req := &wire.ServiceRequest{
-		ReqID:     id,
-		From:      r.node.ID(),
-		Service:   serviceName,
-		Partition: partition,
-		Hops:      hops,
-		Payload:   payload,
-	}
-	if !r.ep.Unicast(dst, wire.Encode(req)) {
+	c.id = r.nextReq
+	r.calls[c.id] = c
+	c.timeout = r.eng.ScheduleCallTimer(r.cfg.RequestTimeout, c)
+	if !r.SendRequest(dst, c.id, serviceName, partition, hops, payload) {
+		// Known-unreachable destination: the call is over, but its record
+		// stays out of the pool to carry the error to an event of its own.
 		c.timeout.Stop()
-		delete(r.calls, id)
-		r.eng.Schedule(0, func() { cb(nil, ErrUnavailable) })
+		delete(r.calls, c.id)
+		c.err = ErrUnavailable
+		r.eng.ScheduleCall(0, c)
 	}
 }
 
-// complete resolves an outstanding call.
+// complete resolves an outstanding call. The reply is matched by request ID
+// alone: an ID that already completed or timed out is no longer in the map,
+// whatever its record is doing now.
 func (r *Runtime) complete(m *wire.ServiceReply) {
 	c, ok := r.calls[m.ReqID]
 	if !ok {
@@ -466,9 +618,12 @@ func (r *Runtime) complete(m *wire.ServiceReply) {
 	}
 	delete(r.calls, m.ReqID)
 	c.timeout.Stop()
-	if !m.OK {
-		c.cb(nil, ErrRejected)
+	cb, replyOK, payload := c.cb, m.OK, m.Payload
+	*c = call{}
+	r.freeCalls.put(c)
+	if !replyOK {
+		cb(nil, ErrRejected)
 		return
 	}
-	c.cb(m.Payload, nil)
+	cb(payload, nil)
 }

@@ -185,7 +185,7 @@ func TestRandomPollingPrefersIdleReplica(t *testing.T) {
 	// Saturate replica 1 with requests addressed to it directly, so its
 	// queue is long while replica 2 sits idle.
 	for i := 0; i < 20; i++ {
-		f.runtimes[0].sendRequest(1, "Echo", 0, nil, 0, func([]byte, error) {})
+		f.runtimes[0].InvokeNode(1, "Echo", 0, nil, func([]byte, error) {})
 	}
 	f.run(100 * time.Millisecond)
 	// The consumer's polled invocations should overwhelmingly pick the

@@ -14,8 +14,14 @@
 //     zero; Schedule/ScheduleAt queue callbacks; Run(until) advances the
 //     clock; Now, Steps, and Rand expose the clock, executed-event count,
 //     and RNG.
-//   - Timer: the cancellable handle returned by Schedule, used by the
-//     protocols for heartbeat and timeout timers.
+//   - Timer: the cancellable handle on a scheduled event, three words
+//     stamped with the event's generation so it is harmless once the event
+//     has fired and its struct been recycled. Schedule returns it boxed
+//     (*Timer) beside a func() callback; ScheduleCallTimer returns it by
+//     value beside a Callback, so a pooled record that implements Fire can
+//     be its own timeout and keep the handle in a field — the form the
+//     service runtime's per-request timeouts and Ticker use, allocating
+//     nothing per arm or cancel. ScheduleCall is the same without a handle.
 //
 // An Engine is not safe for concurrent use — parallelism is obtained
 // across engine instances, never within one. The experiment harness's

@@ -30,7 +30,11 @@ type Callback interface {
 
 // Timer is a handle to a scheduled event that can be stopped or queried.
 // It stays valid after the event fires: the generation stamp makes Stop and
-// Pending harmless no-ops once the underlying Event has been recycled.
+// Pending harmless no-ops once the underlying Event has been recycled. The
+// handle is three words and copies freely: Schedule returns it boxed for
+// callers that keep a *Timer, ScheduleCallTimer returns it by value so a
+// pooled record can hold its own timeout without a second allocation. The
+// zero Timer is never pending.
 type Timer struct {
 	e   *Engine
 	ev  *Event
@@ -117,12 +121,23 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) *Timer {
 // ScheduleCall is Schedule for the Callback form: it fires c.Fire() after
 // delay without allocating a closure or a Timer handle. It is the hot-path
 // variant — a pooled delivery struct or a ticker schedules itself here with
-// zero allocations per event. The event cannot be cancelled.
+// zero allocations per event. The event cannot be cancelled; a caller that
+// may need to cancel uses ScheduleCallTimer.
 func (e *Engine) ScheduleCall(delay time.Duration, c Callback) {
+	e.ScheduleCallTimer(delay, c)
+}
+
+// ScheduleCallTimer is ScheduleCall returning a cancellable handle by value:
+// a timeout that is usually cancelled (a request's reply deadline, a ticker's
+// pending tick) costs neither a closure nor a heap Timer. It consumes one
+// sequence number exactly like Schedule and ScheduleCall, so swapping one
+// form for another never reorders a run.
+func (e *Engine) ScheduleCallTimer(delay time.Duration, c Callback) Timer {
 	if c == nil {
 		panic("sim: ScheduleCall with nil callback")
 	}
-	e.add(delay, nil, c)
+	ev := e.add(delay, nil, c)
+	return Timer{e: e, ev: ev, gen: ev.gen}
 }
 
 // add allocates (or recycles) an event, stamps it with the next sequence
@@ -149,7 +164,7 @@ func (e *Engine) add(delay time.Duration, fn func(), c Callback) *Event {
 	return ev
 }
 
-// cancel implements Timer.Stop and Ticker.Stop against the pooled events.
+// cancel implements Timer.Stop against the pooled events.
 func (e *Engine) cancel(ev *Event, gen uint32) bool {
 	if ev == nil || ev.gen != gen || ev.dead {
 		return false

@@ -7,16 +7,15 @@ import "time"
 // lockstep. Stop is idempotent.
 //
 // The ticker schedules itself through the engine's Callback path and keeps
-// a generation-stamped handle on its pending event, so each rearm recycles
-// a pooled event instead of allocating a fresh timer and closure — the
-// steady-state cost of a periodic timer is O(1) with zero allocations.
+// the by-value handle on its pending event, so each rearm recycles a pooled
+// event instead of allocating a fresh timer and closure — the steady-state
+// cost of a periodic timer is O(1) with zero allocations.
 type Ticker struct {
-	e      *Engine
-	period time.Duration
-	fn     func()
-	ev     *Event
-	gen    uint32
-	stop   bool
+	e       *Engine
+	period  time.Duration
+	fn      func()
+	pending Timer
+	stop    bool
 }
 
 // tickerFire adapts the ticker to the engine's Callback interface without
@@ -44,11 +43,7 @@ func NewJitteredTicker(e *Engine, period time.Duration, fn func()) *Ticker {
 }
 
 func (t *Ticker) arm(delay time.Duration) {
-	if delay < 0 {
-		delay = 0
-	}
-	t.ev = t.e.add(delay, nil, (*tickerFire)(t))
-	t.gen = t.ev.gen
+	t.pending = t.e.ScheduleCallTimer(delay, (*tickerFire)(t))
 }
 
 func (t *Ticker) tick() {
@@ -65,7 +60,7 @@ func (t *Ticker) tick() {
 // Stop cancels future firings.
 func (t *Ticker) Stop() {
 	t.stop = true
-	t.e.cancel(t.ev, t.gen)
+	t.pending.Stop()
 }
 
 // Stopped reports whether Stop has been called.

@@ -171,3 +171,52 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 type countingCall struct{ n int }
 
 func (c *countingCall) Fire() { c.n++ }
+
+// TestScheduleCallTimer covers the by-value handle of a Callback event: the
+// arm/cancel cycle of a request timeout allocates nothing, a stopped event
+// never fires or counts as a step, a handle kept past its event's firing
+// cannot touch the recycled event, and the zero Timer is inert.
+func TestScheduleCallTimer(t *testing.T) {
+	e := NewEngine(1)
+	c := &countingCall{}
+	e.ScheduleCall(time.Millisecond, c) // warm the pool
+	e.RunAll()
+	c.n = 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm := e.ScheduleCallTimer(time.Second, c)
+		if !tm.Pending() || !tm.Stop() || tm.Stop() || tm.Pending() {
+			t.Fatal("arm/stop cycle misreports")
+		}
+		e.Run(e.Now() + time.Millisecond) // reaps nothing yet; keeps the wheel moving
+	})
+	if allocs > 0 {
+		t.Fatalf("ScheduleCallTimer+Stop allocates %.1f per op, want 0", allocs)
+	}
+	steps := e.Steps()
+	e.RunAll()
+	if c.n != 0 || e.Steps() != steps || e.Pending() != 0 {
+		t.Fatalf("cancelled events: fired %d, steps %d -> %d, pending %d", c.n, steps, e.Steps(), e.Pending())
+	}
+
+	stale := e.ScheduleCallTimer(time.Millisecond, c)
+	e.RunAll()
+	if c.n != 1 || stale.Pending() {
+		t.Fatalf("fired %d times, pending %v", c.n, stale.Pending())
+	}
+	fresh := e.ScheduleCallTimer(time.Millisecond, c) // recycles the same Event
+	if stale.Stop() {
+		t.Fatal("stale handle stopped a recycled event")
+	}
+	if !fresh.Pending() {
+		t.Fatal("recycled event lost to a stale handle")
+	}
+	e.RunAll()
+	if c.n != 2 {
+		t.Fatalf("recycled event fired %d times in all, want 2", c.n)
+	}
+
+	var zero Timer
+	if zero.Pending() || zero.Stop() {
+		t.Fatal("zero Timer is pending")
+	}
+}

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ type fixture struct {
 	runtimes []*service.Runtime
 }
 
-func newFixture(t *testing.T, hosts, replicas, partitions int) *fixture {
+func newFixture(t testing.TB, hosts, replicas, partitions int) *fixture {
 	t.Helper()
 	top := topology.FlatLAN(hosts)
 	eng := sim.NewEngine(17)
@@ -47,7 +48,7 @@ func newFixture(t *testing.T, hosts, replicas, partitions int) *fixture {
 	}
 	for r := 1; r <= replicas; r++ {
 		err := f.runtimes[r].Register("app", spec, time.Millisecond,
-			func(int32, []byte) ([]byte, error) { return []byte("ok"), nil })
+			func(int32, []byte) ([]byte, error) { return okReply, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,6 +59,10 @@ func newFixture(t *testing.T, hosts, replicas, partitions int) *fixture {
 	eng.Run(10 * time.Second) // converge membership before traffic starts
 	return f
 }
+
+// okReply is every replica's answer, built once so the handler itself
+// allocates nothing (BenchmarkLayerSteadyState counts).
+var okReply = []byte("ok")
 
 func (f *fixture) alive(id membership.NodeID) bool {
 	return f.nodes[int(id)].Running()
@@ -298,4 +303,62 @@ func TestHedgingMasksDeadReplica(t *testing.T) {
 	if st.Misrouted == 0 {
 		t.Fatal("misroute attribution should still see the stale pins")
 	}
+}
+
+// BenchmarkLayerSteadyState measures the closed loop the `sessions` workload
+// of the repository benchmark times: 10 000 sessions, each pinned to its
+// replica, issuing a request per 5s think time through InvokeNode — half the
+// four replicas' capacity, so nothing queues long. One op is one 100ms tick of
+// the wheel (about two hundred requests). A request may allocate its two
+// packets and the layer's completion closure, nothing else: the ceiling is 3
+// per request on top of what the same cluster allocates idle (the daemons'
+// heartbeats), with 1% of slack for the occasional regrowth of a wheel slot.
+func BenchmarkLayerSteadyState(b *testing.B) {
+	f := newFixture(b, 6, 4, 4)
+	const window = 5 * time.Second
+	mallocsOver := func(d time.Duration) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f.run(d)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	idle := mallocsOver(window)
+
+	o := testOptions(10000, 4)
+	o.Think = 5 * time.Second
+	o.OpenOver = o.Think // open at the steady rate, not as a herd
+	l := New(f.eng, o, f.runtimes[:2], f.alive)
+	l.Start()
+	f.run(3 * o.Think) // every session open, pinned, and through its first think times
+	from := l.Stats()
+	loaded := mallocsOver(window)
+	st := l.Stats()
+	requests := st.Requests - from.Requests
+	if st.Sessions != 10000 || st.OK != st.Requests-uint64(inflight(l)) || requests < 8000 {
+		b.Fatalf("not a steady state: %+v", st)
+	}
+	if loaded > idle+3*requests+requests/100 {
+		b.Fatalf("%d allocations for %d requests over an idle %d (%.2f each), want at most 3",
+			loaded, requests, idle, float64(loaded-idle)/float64(requests))
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.run(o.Tick)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(l.Stats().Requests-st.Requests)/float64(b.N), "requests/op")
+}
+
+// inflight counts the sessions with a request outstanding.
+func inflight(l *Layer) int {
+	n := 0
+	for i := range l.sessions {
+		if l.sessions[i].flags&fInflight != 0 {
+			n++
+		}
+	}
+	return n
 }

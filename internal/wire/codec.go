@@ -143,13 +143,35 @@ func (r *reader) bool() bool {
 	}
 }
 
-func (r *reader) str() string {
+func (r *reader) str() string { return r.strReuse("") }
+
+// strReuse reads a string field into a resident decode target: it hands prev
+// back when the bytes on the wire spell the same string, so a receiver that
+// sees the same service name on every request makes the string once.
+func (r *reader) strReuse(prev string) string {
 	n := int(r.u16())
 	b := r.take(n)
 	if b == nil {
 		return ""
 	}
+	if string(b) == prev {
+		return prev
+	}
 	return string(b)
+}
+
+// view reads a length-prefixed byte field as a view of the packet: the
+// input's own bytes with the capacity clipped to the field, so an append on
+// the result copies out instead of writing over what follows it in the
+// packet. An empty field is nil. docs/WIRE.md §4 states the contract (packets
+// are immutable once sent; a view lives as long as its packet).
+func (r *reader) view() []byte {
+	n := r.sliceLen()
+	b := r.take(n)
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:n:n]
 }
 
 // sliceLen reads and bounds a slice length prefix.

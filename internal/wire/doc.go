@@ -21,9 +21,20 @@
 //   - Message: implemented by every packet body (Heartbeat, UpdateMsg,
 //     DirectoryMsg, Gossip, ProxySummary, ServiceRequest, ...).
 //   - Encode(m): serialize with the 8-byte packet header (magic, version,
-//     type, body CRC).
+//     type, body CRC) into a fresh buffer of a guessed 256 bytes. It is the
+//     convenience form: its non-test callers are the bootstrap and sync
+//     exchanges of core, the directory IPC of dirserver, and figure code.
+//     Every per-beat and per-request sender keeps an Encoder and calls
+//     AppendEncode into a buffer sized for the packet by a remembered hint,
+//     or EncodeSized for the request-path kinds, which know their exact
+//     EncodedLen.
 //   - Decode(b): strict parse, returning one of the concrete message
 //     types or an error (ErrTruncated, ErrTrailing, bad magic/version).
+//   - RequestDecoder: the resident receive path of ServiceRequest,
+//     ServiceReply, LoadPoll and LoadReply. Same frame check and body
+//     parsers as Decode, into targets the decoder owns; the byte payload of
+//     a request or reply is a clipped view of the packet on both paths
+//     (docs/WIRE.md §4 states the aliasing contract).
 //   - DirectoryView, InfoCursor, EncodeDirectory: the snapshot path. A
 //     TDirectory packet is the one body Decode does not build: it is
 //     validated in a single walk and returned as an immutable view over

@@ -9,7 +9,10 @@ import (
 // FuzzDecode exercises the strict decoder with arbitrary bytes plus
 // mutations of every valid packet type. Decode must never panic and, when
 // it succeeds, re-encoding the message must decode again (idempotent
-// canonical form).
+// canonical form). The two in-place paths are differential-tested against
+// their materialising references on the same inputs: directory snapshots
+// (checkViewAgainstReference) and the request-path kinds
+// (checkResidentAgainstReference).
 func FuzzDecode(f *testing.F) {
 	seeds := []Message{
 		&Heartbeat{Info: sampleInfo(), Level: 1, Leader: true, Backup: 2, Seq: 7, Pad: 8},
@@ -62,7 +65,17 @@ func FuzzDecode(f *testing.F) {
 		f.Add(reseal(hostile))
 	}
 
+	// The request-path kinds are parsed in place, by Decode and by the
+	// resident RequestDecoder: seed the edges of that path (empty name, empty
+	// payload, a length one past the end, a flipped checksum bit).
+	for _, b := range requestKindSeeds() {
+		f.Add(b)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Whatever the bytes, the in-place paths and the copying reference
+		// must agree on accept/reject and on every field.
+		checkResidentAgainstReference(t, data)
 		if goodHeader(data, TDirectory) {
 			// Past the header only the body walk stands between these bytes
 			// and a directory: it must reject exactly what building every

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/membership"
 )
@@ -150,24 +151,51 @@ func (e *Encoder) AppendEncode(dst []byte, m Message) []byte {
 	return buf
 }
 
-// Decode parses a packet produced by Encode. It never panics and never
-// reads past the input: any malformed, truncated, or damaged packet
-// (including a body that fails the header checksum) yields an error.
-func Decode(b []byte) (Message, error) {
-	r := &reader{buf: b}
+// Sized is a message that knows the exact length of its encoded packet: the
+// request-path kinds, whose senders allocate each packet once at its final
+// size.
+type Sized interface {
+	Message
+	EncodedLen() int
+}
+
+// EncodeSized frames m into a fresh buffer of exactly its encoded length —
+// the one allocation a send has to make, since the network keeps the packet.
+func (e *Encoder) EncodeSized(m Sized) []byte {
+	return e.AppendEncode(make([]byte, 0, m.EncodedLen()), m)
+}
+
+// open checks the packet frame — magic, version, and the checksum over
+// everything after the header — and leaves r at the first body byte. It is the
+// one frame check: Decode and RequestDecoder.Decode both start here.
+func open(r *reader) (Type, error) {
 	if r.u16() != Magic {
-		return nil, fmt.Errorf("wire: bad magic")
+		return TInvalid, fmt.Errorf("wire: bad magic")
 	}
 	if v := r.u8(); v != Version {
-		return nil, fmt.Errorf("wire: unsupported version %d", v)
+		return TInvalid, fmt.Errorf("wire: unsupported version %d", v)
 	}
 	t := Type(r.u8())
 	sum := r.u32()
 	if r.err != nil {
-		return nil, r.err
+		return TInvalid, r.err
 	}
-	if crc32.Checksum(b[HeaderLen:], crcTable) != sum {
-		return nil, ErrChecksum
+	if crc32.Checksum(r.buf[HeaderLen:], crcTable) != sum {
+		return TInvalid, ErrChecksum
+	}
+	return t, nil
+}
+
+// Decode parses a packet produced by Encode. It never panics and never
+// reads past the input: any malformed, truncated, or damaged packet
+// (including a body that fails the header checksum) yields an error. The
+// byte payloads of ServiceRequest and ServiceReply are views of b, not
+// copies (docs/WIRE.md §4).
+func Decode(b []byte) (Message, error) {
+	r := &reader{buf: b}
+	t, err := open(r)
+	if err != nil {
+		return nil, err
 	}
 	var m Message
 	switch t {
@@ -188,13 +216,13 @@ func Decode(b []byte) (Message, error) {
 	case TProxyUpdate:
 		m = decProxyUpdate(r)
 	case TServiceRequest:
-		m = decServiceRequest(r)
+		m = new(ServiceRequest).dec(r)
 	case TServiceReply:
-		m = decServiceReply(r)
+		m = new(ServiceReply).dec(r)
 	case TLoadPoll:
-		m = decLoadPoll(r)
+		m = new(LoadPoll).dec(r)
 	case TLoadReply:
-		m = decLoadReply(r)
+		m = new(LoadReply).dec(r)
 	case TLoadReport:
 		m = decLoadReport(r)
 	case TDirQuery:
@@ -232,6 +260,48 @@ func Decode(b []byte) (Message, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// RequestDecoder is the resident receive path of the four request-path kinds
+// — ServiceRequest, ServiceReply, LoadPoll, LoadReply — for a receiver that
+// finishes with each packet before it looks at the next (the service
+// runtime). It runs the same frame check and the same body parsers as Decode,
+// into four targets it owns, so a steady request stream decodes without
+// allocating: the byte payload is a view of the packet and the service name
+// is re-made only when it differs from the previous request's.
+type RequestDecoder struct {
+	req   ServiceRequest
+	reply ServiceReply
+	poll  LoadPoll
+	load  LoadReply
+}
+
+// Decode checks b's frame exactly as the package-level Decode does and
+// returns its type. A request-path kind is parsed into the decoder's resident
+// target and returned as m, valid until the next call (what its fields refer
+// to — the payload view, the service string — stays valid for as long as b
+// does). Any other kind is left unparsed, m == nil, for whoever consumes it.
+func (d *RequestDecoder) Decode(b []byte) (t Type, m Message, err error) {
+	r := reader{buf: b}
+	if t, err = open(&r); err != nil {
+		return TInvalid, nil, err
+	}
+	switch t {
+	case TServiceRequest:
+		m = d.req.dec(&r)
+	case TServiceReply:
+		m = d.reply.dec(&r)
+	case TLoadPoll:
+		m = d.poll.dec(&r)
+	case TLoadReply:
+		m = d.load.dec(&r)
+	default:
+		return t, nil, nil
+	}
+	if err := r.done(); err != nil {
+		return TInvalid, nil, err
+	}
+	return t, m, nil
 }
 
 // ---- shared sub-encodings ----
@@ -691,18 +761,19 @@ func (s *ServiceRequest) enc(w *writer) {
 	w.buf = append(w.buf, s.Payload...)
 }
 
-func decServiceRequest(r *reader) *ServiceRequest {
-	s := &ServiceRequest{}
+func (s *ServiceRequest) dec(r *reader) *ServiceRequest {
 	s.ReqID = r.u64()
 	s.From = membership.NodeID(r.i32())
-	s.Service = r.str()
+	s.Service = r.strReuse(s.Service)
 	s.Partition = r.i32()
 	s.Hops = r.u8()
-	n := r.sliceLen()
-	if b := r.take(n); b != nil {
-		s.Payload = append([]byte(nil), b...)
-	}
+	s.Payload = r.view()
 	return s
+}
+
+// EncodedLen is the exact length of the packet Encode frames s into.
+func (s *ServiceRequest) EncodedLen() int {
+	return HeaderLen + 23 + min(len(s.Service), math.MaxUint16) + len(s.Payload)
 }
 
 // ServiceReply carries the result of a ServiceRequest back along the same
@@ -722,16 +793,15 @@ func (s *ServiceReply) enc(w *writer) {
 	w.buf = append(w.buf, s.Payload...)
 }
 
-func decServiceReply(r *reader) *ServiceReply {
-	s := &ServiceReply{}
+func (s *ServiceReply) dec(r *reader) *ServiceReply {
 	s.ReqID = r.u64()
 	s.OK = r.bool()
-	n := r.sliceLen()
-	if b := r.take(n); b != nil {
-		s.Payload = append([]byte(nil), b...)
-	}
+	s.Payload = r.view()
 	return s
 }
+
+// EncodedLen is the exact length of the packet Encode frames s into.
+func (s *ServiceReply) EncodedLen() int { return HeaderLen + 13 + len(s.Payload) }
 
 // ---- load polling ----
 
@@ -750,9 +820,14 @@ func (l *LoadPoll) enc(w *writer) {
 	w.u64(l.Token)
 }
 
-func decLoadPoll(r *reader) *LoadPoll {
-	return &LoadPoll{From: membership.NodeID(r.i32()), Token: r.u64()}
+func (l *LoadPoll) dec(r *reader) *LoadPoll {
+	l.From = membership.NodeID(r.i32())
+	l.Token = r.u64()
+	return l
 }
+
+// EncodedLen is the exact length of an encoded LoadPoll packet.
+func (*LoadPoll) EncodedLen() int { return HeaderLen + 12 }
 
 // LoadReply returns the provider's queue length.
 type LoadReply struct {
@@ -767,9 +842,14 @@ func (l *LoadReply) enc(w *writer) {
 	w.u32(l.Load)
 }
 
-func decLoadReply(r *reader) *LoadReply {
-	return &LoadReply{Token: r.u64(), Load: r.u32()}
+func (l *LoadReply) dec(r *reader) *LoadReply {
+	l.Token = r.u64()
+	l.Load = r.u32()
+	return l
 }
+
+// EncodedLen is the exact length of an encoded LoadReply packet.
+func (*LoadReply) EncodedLen() int { return HeaderLen + 12 }
 
 // LoadReport is an unsolicited load sample pushed by a provider to the
 // consumers that recently used it. Seq orders reports from one provider so
@@ -787,6 +867,9 @@ func (l *LoadReport) enc(w *writer) {
 	w.u64(l.Seq)
 	w.u32(l.Load)
 }
+
+// EncodedLen is the exact length of an encoded LoadReport packet.
+func (*LoadReport) EncodedLen() int { return HeaderLen + 16 }
 
 func decLoadReport(r *reader) *LoadReport {
 	return &LoadReport{From: membership.NodeID(r.i32()), Seq: r.u64(), Load: r.u32()}

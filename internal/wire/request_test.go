@@ -1,0 +1,276 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"reflect"
+	"testing"
+
+	"repro/internal/membership"
+)
+
+// refDecodeRequestKind is the copying parser the request-path kinds had
+// before they were decoded in place — every field built fresh, the payload
+// copied out — kept here as the reference the in-place path is held to.
+func refDecodeRequestKind(b []byte) (Message, error) {
+	r := &reader{buf: b}
+	if r.u16() != Magic {
+		return nil, fmt.Errorf("wire: bad magic")
+	}
+	if v := r.u8(); v != Version {
+		return nil, fmt.Errorf("wire: unsupported version %d", v)
+	}
+	t := Type(r.u8())
+	sum := r.u32()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if crc32.Checksum(b[HeaderLen:], crcTable) != sum {
+		return nil, ErrChecksum
+	}
+	bytesField := func() []byte {
+		n := r.sliceLen()
+		return append([]byte(nil), r.take(n)...)
+	}
+	var m Message
+	switch t {
+	case TServiceRequest:
+		m = &ServiceRequest{ReqID: r.u64(), From: membership.NodeID(r.i32()), Service: r.str(),
+			Partition: r.i32(), Hops: r.u8(), Payload: bytesField()}
+	case TServiceReply:
+		m = &ServiceReply{ReqID: r.u64(), OK: r.bool(), Payload: bytesField()}
+	case TLoadPoll:
+		m = &LoadPoll{From: membership.NodeID(r.i32()), Token: r.u64()}
+	case TLoadReply:
+		m = &LoadReply{Token: r.u64(), Load: r.u32()}
+	default:
+		return nil, nil // not a request-path kind
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// warmRequestDecoder returns a decoder whose resident targets already hold
+// another packet's fields, so a test sees what survives from one packet into
+// the next (nothing may).
+func warmRequestDecoder(t testing.TB) *RequestDecoder {
+	d := new(RequestDecoder)
+	for _, m := range []Message{
+		&ServiceRequest{ReqID: 99, From: 9, Service: "warm", Partition: 9, Hops: 9, Payload: []byte("stale request")},
+		&ServiceReply{ReqID: 99, OK: true, Payload: []byte("stale reply")},
+		&LoadPoll{From: 9, Token: 99},
+		&LoadReply{Token: 99, Load: 99},
+	} {
+		if _, got, err := d.Decode(Encode(m)); err != nil || !reflect.DeepEqual(got, m) {
+			t.Fatalf("warm-up decode of %#v: %#v, %v", m, got, err)
+		}
+	}
+	return d
+}
+
+// checkResidentAgainstReference decodes b three ways — the copying reference,
+// Decode, and a warm RequestDecoder — and fails unless they agree on
+// accept/reject, on the error, and on every field; unless the payload the
+// in-place paths return is a clipped view of b; and unless b is untouched.
+// b is copied into a buffer of exactly its length first, so a read past the
+// input is a bounds panic rather than a silent look at spare capacity.
+func checkResidentAgainstReference(t *testing.T, data []byte) {
+	t.Helper()
+	b := append(make([]byte, 0, len(data)), data...)
+	want, wantErr := refDecodeRequestKind(b)
+	full, fullErr := Decode(b)
+	typ, got, err := warmRequestDecoder(t).Decode(b)
+	if !bytes.Equal(b, data) {
+		t.Fatalf("decoding wrote to the packet:\n%x\n%x", data, b)
+	}
+	if want == nil && wantErr == nil {
+		// A sound frame around some other kind: the resident path names the
+		// type and leaves the body alone.
+		if got != nil || err != nil || typ != Type(b[3]) {
+			t.Fatalf("kind %v: resident decode returned %v, %#v, %v", Type(b[3]), typ, got, err)
+		}
+		return
+	}
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprint(fullErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("errors differ: reference %v, Decode %v, resident %v\n%x", wantErr, fullErr, err, b)
+	}
+	if wantErr != nil {
+		if got != nil || full != nil || typ != TInvalid {
+			t.Fatalf("rejected packet still yielded %v, %#v / %#v", typ, got, full)
+		}
+		return
+	}
+	if typ != Type(b[3]) || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(full, want) {
+		t.Fatalf("fields differ:\nreference %#v\nDecode    %#v\nresident  %v %#v", want, full, typ, got)
+	}
+	for _, m := range []Message{got, full} {
+		var p []byte
+		switch m := m.(type) {
+		case *ServiceRequest:
+			p = m.Payload
+		case *ServiceReply:
+			p = m.Payload
+		}
+		if len(p) == 0 {
+			if p != nil {
+				t.Fatalf("empty payload decoded as %#v, want nil", p)
+			}
+			continue
+		}
+		// The payload is the packet's tail (it is each body's last field),
+		// with no capacity beyond it.
+		if cap(p) != len(p) || &p[0] != &b[len(b)-len(p)] {
+			t.Fatalf("payload is not a clipped view of the packet: len %d cap %d", len(p), cap(p))
+		}
+	}
+}
+
+// requestKindSeeds are the edge cases of the in-place decoders, fed to
+// FuzzDecode's corpus and checked directly by TestRequestDecoderEdgeCases.
+func requestKindSeeds() [][]byte {
+	req := Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 3, Hops: 1, Payload: []byte("payload")})
+	// The payload's length prefix says one byte more than the packet holds.
+	pastEnd := append([]byte(nil), req...)
+	binary.LittleEndian.PutUint32(pastEnd[len(pastEnd)-len("payload")-4:], uint32(len("payload")+1))
+	// One CRC bit flipped over an intact body.
+	badSum := append([]byte(nil), req...)
+	badSum[5] ^= 0x10
+	return [][]byte{
+		req,
+		Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "", Partition: -1, Payload: []byte("p")}),
+		Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 0}),
+		Encode(&ServiceReply{ReqID: 1, OK: true}),
+		Encode(&ServiceReply{ReqID: 1, OK: false, Payload: []byte("r")}),
+		reseal(pastEnd),
+		badSum,
+		reseal(append(append([]byte(nil), req...), 0)),   // trailing byte
+		reseal(append([]byte(nil), req[:len(req)-3]...)), // payload cut short
+		Encode(&LoadPoll{From: 1, Token: 2}),
+		Encode(&LoadReply{Token: 2, Load: 3}),
+		reseal(Encode(&LoadReply{Token: 2, Load: 3})[:HeaderLen+11]),
+		Encode(&LoadReport{From: 1, Seq: 2, Load: 3}), // a kind the resident path leaves alone
+	}
+}
+
+func TestRequestDecoderEdgeCases(t *testing.T) {
+	for _, b := range requestKindSeeds() {
+		checkResidentAgainstReference(t, b)
+	}
+	// Every prefix and every single-byte damage of a request and a reply,
+	// with and without a repaired checksum.
+	for _, m := range []Message{
+		&ServiceRequest{ReqID: 7, From: 1, Service: "Echo", Partition: 2, Hops: 1, Payload: []byte("hello")},
+		&ServiceReply{ReqID: 7, OK: true, Payload: []byte("world")},
+	} {
+		good := Encode(m)
+		for off := 0; off <= len(good); off++ {
+			cut := append([]byte(nil), good[:off]...)
+			checkResidentAgainstReference(t, cut)
+			checkResidentAgainstReference(t, reseal(cut))
+			if off < len(good) {
+				hostile := append([]byte(nil), good...)
+				hostile[off] = 0xFF
+				checkResidentAgainstReference(t, hostile)
+				checkResidentAgainstReference(t, reseal(hostile))
+			}
+		}
+	}
+}
+
+// TestDecodedPayloadIsAClippedView pins the aliasing contract of docs/WIRE.md
+// §4: the payload of a decoded request is the packet's own bytes, and an
+// append to it copies out instead of writing over the packet.
+func TestDecodedPayloadIsAClippedView(t *testing.T) {
+	pkt := Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "app", Payload: []byte("abc")})
+	pkt = append(pkt, 0xEE)[:len(pkt)] // spare capacity an unclipped view would expose
+	before := append([]byte(nil), pkt[:len(pkt)+1]...)
+	m, err := Decode(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := m.(*ServiceRequest).Payload
+	grown := append(p, 'X')
+	if &grown[0] == &p[0] {
+		t.Fatal("append grew the payload in place, inside the packet")
+	}
+	if !bytes.Equal(pkt[:len(pkt)+1], before) {
+		t.Fatalf("append wrote into the packet: %x -> %x", before, pkt[:len(pkt)+1])
+	}
+}
+
+// TestRequestDecoderReusesServiceName checks the one string on the request
+// path is made once per distinct name, not once per packet, and that a
+// different name is never confused with the resident one.
+func TestRequestDecoderReusesServiceName(t *testing.T) {
+	var d RequestDecoder
+	a := Encode(&ServiceRequest{ReqID: 1, Service: "alpha", Payload: []byte("x")})
+	b := Encode(&ServiceRequest{ReqID: 2, Service: "alphb", Payload: []byte("y")})
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := d.Decode(a); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("steady decode of one service name allocates %v times per packet", n)
+	}
+	for i, pkt := range [][]byte{a, b, b, a} {
+		_, m, err := d.Decode(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Decode(pkt)
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("packet %d: resident %#v, fresh %#v", i, m, want)
+		}
+	}
+}
+
+func TestEncodedLenIsExact(t *testing.T) {
+	long := string(make([]byte, 70000)) // str clips names to 65535 bytes
+	var enc Encoder
+	for _, m := range []Sized{
+		&ServiceRequest{},
+		&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 3, Hops: 1, Payload: make([]byte, 64)},
+		&ServiceRequest{Service: long, Payload: []byte("p")},
+		&ServiceReply{},
+		&ServiceReply{ReqID: 1, OK: true, Payload: make([]byte, 64)},
+		&LoadPoll{From: 1, Token: 2},
+		&LoadReply{Token: 2, Load: 3},
+		&LoadReport{From: 1, Seq: 2, Load: 3},
+	} {
+		want := Encode(m)
+		if got := m.EncodedLen(); got != len(want) {
+			t.Errorf("%T: EncodedLen %d, encoded %d", m, got, len(want))
+		}
+		if got := enc.EncodeSized(m); !bytes.Equal(got, want) || cap(got) != len(want) {
+			t.Errorf("%T: EncodeSized gave %d bytes in a buffer of %d, Encode %d", m, len(got), cap(got), len(want))
+		}
+	}
+}
+
+// BenchmarkRequestDecodeInPlace measures the receive half of a request/reply
+// round trip on the resident path; it must not allocate.
+func BenchmarkRequestDecodeInPlace(b *testing.B) {
+	req := Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 3, Payload: make([]byte, 64)})
+	reply := Encode(&ServiceReply{ReqID: 1, OK: true, Payload: make([]byte, 64)})
+	var d RequestDecoder
+	round := func() {
+		if _, _, err := d.Decode(req); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := d.Decode(reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		b.Fatalf("in-place request+reply decode allocates %v times, want 0", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
