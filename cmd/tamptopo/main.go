@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -21,15 +23,26 @@ import (
 	"repro/internal/topology"
 )
 
-func main() {
-	topoName := flag.String("topo", "clustered", "topology: flat, clustered, threetier, figure4")
-	groups := flag.Int("groups", 3, "networks (clustered) ")
-	perGroup := flag.Int("pergroup", 5, "hosts per network/rack")
-	pods := flag.Int("pods", 2, "pods (threetier)")
-	racks := flag.Int("racks", 2, "racks per pod (threetier)")
-	settle := flag.Duration("settle", 30*time.Second, "virtual time to let the tree form")
-	seed := flag.Int64("seed", 42, "RNG seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole command: it parses args, prints the emerged tree to out
+// (diagnostics go to stderr), and returns the exit code — 0, or 2 for bad
+// usage.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("tamptopo", flag.ContinueOnError)
+	topoName := fs.String("topo", "clustered", "topology: flat, clustered, threetier, figure4")
+	groups := fs.Int("groups", 3, "networks (clustered) ")
+	perGroup := fs.Int("pergroup", 5, "hosts per network/rack")
+	pods := fs.Int("pods", 2, "pods (threetier)")
+	racks := fs.Int("racks", 2, "racks per pod (threetier)")
+	settle := fs.Duration("settle", 30*time.Second, "virtual time to let the tree form")
+	seed := fs.Int64("seed", 42, "RNG seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var top *topology.Topology
 	switch *topoName {
@@ -43,10 +56,10 @@ func main() {
 		top = topology.Figure4(*perGroup)
 	default:
 		fmt.Fprintf(os.Stderr, "tamptopo: unknown topology %q\n", *topoName)
-		os.Exit(2)
+		return 2
 	}
 
-	fmt.Printf("topology: %s, %d hosts, %d devices, diameter (min TTL to span) = %d\n\n",
+	fmt.Fprintf(out, "topology: %s, %d hosts, %d devices, diameter (min TTL to span) = %d\n\n",
 		*topoName, top.NumHosts(), top.NumDevices(), top.Diameter())
 
 	c := harness.NewCluster(harness.Hierarchical, top, *seed)
@@ -65,27 +78,27 @@ func main() {
 		if len(leaders) == 0 {
 			continue
 		}
-		fmt.Printf("level %d (TTL %d): %d group(s)\n", lvl, lvl+1, len(leaders))
+		fmt.Fprintf(out, "level %d (TTL %d): %d group(s)\n", lvl, lvl+1, len(leaders))
 		for _, l := range leaders {
 			scope := top.MulticastScope(topology.HostID(l.ID()), lvl+1)
-			fmt.Printf("  leader %-5v topology scope: %v", l.ID(), l.ID())
+			fmt.Fprintf(out, "  leader %-5v topology scope: %v", l.ID(), l.ID())
 			for _, h := range scope.Hosts {
-				fmt.Printf(" %v", h)
+				fmt.Fprintf(out, " %v", h)
 			}
-			fmt.Printf("\n%14s protocol view:  %v %v\n", "", l.ID(), l.GroupMembers(lvl))
+			fmt.Fprintf(out, "\n%14s protocol view:  %v %v\n", "", l.ID(), l.GroupMembers(lvl))
 		}
 	}
 
-	fmt.Println("\nper-node channel membership:")
+	fmt.Fprintln(out, "\nper-node channel membership:")
 	for _, n := range c.Nodes {
 		cn := n.(*core.Node)
-		fmt.Printf("  node %-5v levels=%v", cn.ID(), cn.Levels())
+		fmt.Fprintf(out, "  node %-5v levels=%v", cn.ID(), cn.Levels())
 		for _, lvl := range cn.Levels() {
 			if cn.IsLeader(lvl) {
-				fmt.Printf(" leader@%d", lvl)
+				fmt.Fprintf(out, " leader@%d", lvl)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 
 	complete := 0
@@ -94,5 +107,6 @@ func main() {
 			complete++
 		}
 	}
-	fmt.Printf("\nviews: %d/%d nodes hold the complete directory\n", complete, top.NumHosts())
+	fmt.Fprintf(out, "\nviews: %d/%d nodes hold the complete directory\n", complete, top.NumHosts())
+	return 0
 }

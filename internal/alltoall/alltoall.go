@@ -51,9 +51,10 @@ type Node struct {
 	hb      *sim.Ticker
 	tracker *sim.Ticker
 	running bool
-	// fresh is the replay guard: heartbeats that fail to advance their
-	// sender's (incarnation, beat) must not refresh liveness.
-	fresh membership.Freshness
+	// marks is the replay guard: heartbeats that fail to advance their
+	// sender's (incarnation, beat) must not refresh liveness. Nothing ever
+	// clears a mark.
+	marks membership.Table[membership.Mark]
 	// sweepDue is the earliest instant an expiry sweep can find anything.
 	sweepDue time.Duration
 	// enc frames heartbeats without a per-send writer; hbHint is the last
@@ -184,7 +185,7 @@ func (n *Node) receive(pkt netsim.Packet) {
 		n.ep.NoteReject()
 		return
 	}
-	if !n.fresh.Advance(hb.Info.Node, hb.Info.Incarnation, hb.Info.Beat) {
+	if !n.marks.Ensure(hb.Info.Node).Advance(hb.Info.Incarnation, hb.Info.Beat) {
 		n.ep.NoteReject()
 		return
 	}

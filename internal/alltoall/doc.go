@@ -10,9 +10,10 @@
 //
 // The receive path is the scheme's whole cost — N-1 heartbeats per node per
 // second — so it does two array loads where it used to hash: the replay
-// guard is a membership.Freshness owned by the node (marks outlive the
-// directory entry, so a replay of an expired member's traffic is rejected
-// and counted, never readmitted; only a later beat or a restart is).
+// guard is a membership.Table of membership.Mark owned by the node, the
+// only per-peer record the scheme keeps (marks outlive the directory entry,
+// so a replay of an expired member's traffic is rejected and counted, never
+// readmitted; only a later beat or a restart is).
 //
 // The status tracker ticks twice per interval but sweeps the directory only
 // when a sweep can find something. Directory.Expired returns the earliest

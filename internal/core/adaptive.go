@@ -27,7 +27,6 @@ package core
 // only the response differs.
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/loadinfo"
@@ -70,7 +69,7 @@ func (n *Node) Load() int {
 	l := n.hotLoad
 	for _, lv := range n.levels {
 		if lv.joined && lv.isLeader {
-			l += len(lv.members)
+			l += lv.members
 		}
 	}
 	return l
@@ -151,7 +150,7 @@ func (n *Node) adaptiveTrack(now time.Duration) {
 	// merges the group. sizeSince re-arms after each round so a lost
 	// Reform multicast is retried (with a fresh epoch) one hold later.
 	if n.cfg.GroupMax > 0 && lv.isLeader {
-		live := len(lv.members) + 1
+		live := lv.members + 1
 		oversized := live > n.cfg.GroupMax
 		undersized := live < n.cfg.GroupMin && n.parentChan != 0
 		if oversized || undersized {
@@ -223,14 +222,8 @@ func (n *Node) shedLeadership(level int, now time.Duration) {
 // exceeds the watermark. Members without a fresh sample count as load 0 —
 // optimistic, and deterministic either way.
 func (n *Node) leastLoadedMember(level int) membership.NodeID {
-	lv := n.levels[level]
-	ids := make([]membership.NodeID, 0, len(lv.members))
-	for id := range lv.members {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	best, bestLoad := membership.NoNode, 0
-	for _, id := range ids {
+	n.levels[level].eachMember(func(id membership.NodeID, _ *mate) {
 		load := 0
 		if n.loadCache != nil {
 			if s, ok := n.loadCache.Get(id); ok {
@@ -238,12 +231,12 @@ func (n *Node) leastLoadedMember(level int) membership.NodeID {
 			}
 		}
 		if load > n.cfg.LoadWatermark {
-			continue
+			return
 		}
 		if best == membership.NoNode || load < bestLoad {
 			best, bestLoad = id, load
 		}
-	}
+	})
 	return best
 }
 
@@ -259,19 +252,14 @@ func (n *Node) onHandoff(level int, m *wire.Handoff) {
 	if !lv.joined {
 		return
 	}
-	hk := peerKey{id: m.From, level: int8(level)}
-	if n.handoffSeen == nil {
-		n.handoffSeen = make(map[peerKey]uint64)
-	}
-	if m.Seq <= n.handoffSeen[hk] {
+	from := lv.mates.Ensure(m.From)
+	if m.Seq <= from.handoff {
 		n.stats.PacketsRejected++
 		n.ep.NoteReject()
 		return
 	}
-	n.handoffSeen[hk] = m.Seq
-	if ms, ok := lv.members[m.From]; ok {
-		ms.leader = false
-	}
+	from.handoff = m.Seq
+	from.leader = false
 	if m.Successor == n.id && !lv.isLeader {
 		n.setLeader(level, true)
 	}
@@ -282,13 +270,7 @@ func (n *Node) onHandoff(level int, m *wire.Handoff) {
 // movers elect their own leader on the new channel after the usual
 // patience.
 func (n *Node) initiateSplit() {
-	lv := n.levels[0]
-	ids := make([]membership.NodeID, 0, len(lv.members)+1)
-	ids = append(ids, n.id)
-	for id := range lv.members {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := n.group0()
 	keep := (len(ids) + 1) / 2
 	movers := ids[keep:]
 	if len(movers) == 0 {
@@ -310,14 +292,25 @@ func (n *Node) splitChannel() netsim.ChannelID {
 // initiateMerge folds an undersized split-off group back onto its parent
 // channel: every member, the leader included, moves.
 func (n *Node) initiateMerge() {
+	n.sendReform(n.group0(), n.parentChan)
+}
+
+// group0 returns the live level-0 group, this node included, in ascending
+// ID order.
+func (n *Node) group0() []membership.NodeID {
 	lv := n.levels[0]
-	movers := make([]membership.NodeID, 0, len(lv.members)+1)
-	movers = append(movers, n.id)
-	for id := range lv.members {
-		movers = append(movers, id)
+	ids := make([]membership.NodeID, 0, lv.members+1)
+	self := true
+	lv.eachMember(func(id membership.NodeID, _ *mate) {
+		if self && n.id < id {
+			ids, self = append(ids, n.id), false
+		}
+		ids = append(ids, id)
+	})
+	if self {
+		ids = append(ids, n.id)
 	}
-	sort.Slice(movers, func(i, j int) bool { return movers[i] < movers[j] })
-	n.sendReform(movers, n.parentChan)
+	return ids
 }
 
 // sendReform multicasts one epoch-guarded re-formation round on the
@@ -385,8 +378,7 @@ func (n *Node) rehome(newch netsim.ChannelID) {
 	if lv.joined {
 		n.ep.Join(newch)
 		lv.joinedAt = n.eng.Now()
-		lv.bootstrapped, lv.bootstrapFrom = false, membership.NoNode
-		lv.members = make(map[membership.NodeID]*memberState)
+		lv.resetView()
 		// Announce ourselves to the new cohort immediately; hbSeq continues
 		// so receivers' freshness marks keep advancing.
 		n.sendHeartbeat(0)

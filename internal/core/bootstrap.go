@@ -23,13 +23,7 @@ func (n *Node) bootstrap(level int) {
 	if !lv.joined || lv.bootstrapped || lv.isLeader {
 		return
 	}
-	leader := membership.NoNode
-	for id, ms := range lv.members {
-		if ms.leader && (leader == membership.NoNode || id < leader) {
-			leader = id
-		}
-	}
-	if leader != membership.NoNode {
+	if leader := lv.visibleLeader(); leader != membership.NoNode {
 		lv.bootstrapFrom = leader
 		n.ep.Unicast(topoHost(leader), wire.Encode(&wire.BootstrapRequest{From: n.id, Level: uint8(level)}))
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/loadinfo"
@@ -11,13 +10,35 @@ import (
 	"repro/internal/wire"
 )
 
-// memberState tracks a group mate heard directly on one channel.
-type memberState struct {
+// mate is what one level of this node keeps about one sender on that level's
+// channel. Nothing ever clears the guards — not the mate's expiry, our
+// leaving the level, Stop or restart — so a replay of a dead node's traffic
+// cannot bring it back; the session is the mate's place in the live group
+// view, zeroed by drop and resetView (DESIGN.md, "Per-peer state").
+type mate struct {
+	mateGuards
+	mateSession
+}
+
+type mateGuards struct {
+	beat membership.Mark // replay guard over the channel's heartbeats (see onHeartbeat)
+	// updSeq is the highest update sequence seen from the sender on this
+	// channel (0 = none yet). Sequences are per channel, because an emit
+	// may skip the channel the triggering information arrived on, and a
+	// global sequence would make those skips look like losses.
+	updSeq uint64
+	// handoff is the highest Handoff sequence accepted from the sender.
+	handoff uint64
+}
+
+// mateSession tracks a group mate heard directly on the channel.
+type mateSession struct {
 	lastHeard time.Duration
-	leader    bool // the mate's heartbeats carry the leader flag
-	backup    membership.NodeID
 	version   uint64 // last info (incarnation, version) folded into one ordering key
 	inc       uint32
+	backup    membership.NodeID
+	member    bool // currently in the group view; the fields above mean nothing otherwise
+	leader    bool // the mate's heartbeats carry the leader flag
 }
 
 // levelState is one level's group view: who we hear on that channel, who
@@ -28,18 +49,57 @@ type levelState struct {
 	joinedAt time.Duration
 	hbSeq    uint64
 	hbTicker *sim.Ticker
-	members  map[membership.NodeID]*memberState
+	mates    membership.Table[mate]
+	members  int // mates whose session is live
 	isLeader bool
 	backup   membership.NodeID // our designated backup when we lead
 	// bootstrapped records that we already pulled a directory from a
 	// leader at this level; bootstrapFrom is the leader we are waiting on.
 	bootstrapped  bool
 	bootstrapFrom membership.NodeID
-	// fresh is the replay guard over this channel's heartbeats (see
-	// onHeartbeat). Its marks deliberately survive member expiry and our
-	// leaving the level, so replays of a dead node's traffic cannot bring
-	// it back.
-	fresh membership.Freshness
+}
+
+// member returns id's record if it is in the live group view, else nil.
+func (lv *levelState) member(id membership.NodeID) *mate {
+	if m := lv.mates.Get(id); m != nil && m.member {
+		return m
+	}
+	return nil
+}
+
+// eachMember visits the live group view in ascending ID order.
+func (lv *levelState) eachMember(fn func(membership.NodeID, *mate)) {
+	lv.mates.Each(func(id membership.NodeID, m *mate) {
+		if m.member {
+			fn(id, m)
+		}
+	})
+}
+
+// drop ends a member's session and returns what it was.
+func (lv *levelState) drop(m *mate) (was mateSession) {
+	was, m.mateSession = m.mateSession, mateSession{}
+	lv.members--
+	return was
+}
+
+// resetView empties the group view — every session, no guard — and restarts
+// the bootstrap, for a level we stop or start listening to.
+func (lv *levelState) resetView() {
+	lv.bootstrapped, lv.bootstrapFrom = false, membership.NoNode
+	lv.eachMember(func(_ membership.NodeID, m *mate) { lv.drop(m) })
+}
+
+// visibleLeader returns the lowest group mate whose heartbeats carry the
+// leader flag, or NoNode.
+func (lv *levelState) visibleLeader() membership.NodeID {
+	leader := membership.NoNode
+	lv.eachMember(func(id membership.NodeID, m *mate) {
+		if m.leader && leader == membership.NoNode {
+			leader = id
+		}
+	})
+	return leader
 }
 
 // Node is one cluster node running the hierarchical membership protocol.
@@ -78,11 +138,6 @@ type Node struct {
 	outSeq     []uint64      // per-level update stream sequences (survive restarts)
 	recent     []wire.Update // my last PiggybackDepth+1 emitted updates, newest first
 	seen       *seenSet      // applied update IDs, FIFO-bounded (lazily allocated)
-	// peerSeq tracks the highest update sequence seen per (sender, level):
-	// sequences are per channel, because an emit may skip the channel the
-	// triggering information arrived on, and a global sequence would make
-	// those skips look like losses.
-	peerSeq map[peerKey]uint64
 
 	// Self-organizing hierarchy state (adaptive.go, docs/ADAPTIVE.md).
 	// chan0, parentChan, reformEpoch and the heartbeat sequences survive
@@ -97,16 +152,9 @@ type Node struct {
 	sizeSince    time.Duration    // group size out of bounds since (-1 = in bounds)
 	shedAt       time.Duration    // last load-shed instant (-1 = never)
 	handoffSeq   uint64           // our outgoing Handoff sequence
-	handoffSeen  map[peerKey]uint64
-	loadSeq      uint64        // our outgoing LoadReport sequence
-	lastLoadPush time.Duration // last LoadReport push instant
+	loadSeq      uint64           // our outgoing LoadReport sequence
+	lastLoadPush time.Duration    // last LoadReport push instant
 	loadCache    *loadinfo.Cache
-}
-
-// peerKey identifies one sender's update stream on one channel.
-type peerKey struct {
-	id    membership.NodeID
-	level int8
 }
 
 // maxSeen bounds the dedup set.
@@ -118,14 +166,13 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	cfg.validate()
 	id := membership.NodeID(ep.ID())
 	n := &Node{
-		cfg:     cfg,
-		eng:     nil,
-		ep:      ep,
-		id:      id,
-		dir:     membership.NewDirectory(id),
-		info:    membership.MemberInfo{Node: id},
-		peerSeq: make(map[peerKey]uint64),
-		outSeq:  make([]uint64, cfg.MaxTTL),
+		cfg:    cfg,
+		eng:    nil,
+		ep:     ep,
+		id:     id,
+		dir:    membership.NewDirectory(id),
+		info:   membership.MemberInfo{Node: id},
+		outSeq: make([]uint64, cfg.MaxTTL),
 
 		overSince: -1,
 		sizeSince: -1,
@@ -133,7 +180,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	}
 	n.levels = make([]*levelState, cfg.MaxTTL)
 	for l := range n.levels {
-		n.levels[l] = &levelState{level: l, members: make(map[membership.NodeID]*memberState), bootstrapFrom: membership.NoNode}
+		n.levels[l] = &levelState{level: l, bootstrapFrom: membership.NoNode}
 	}
 	return n
 }
@@ -280,8 +327,7 @@ func (n *Node) Stop() {
 			lv.joined = false
 		}
 		lv.isLeader = false
-		lv.bootstrapped, lv.bootstrapFrom = false, membership.NoNode
-		lv.members = make(map[membership.NodeID]*memberState)
+		lv.resetView()
 	}
 	if n.tracker != nil {
 		n.tracker.Stop()
@@ -323,15 +369,8 @@ func (n *Node) GroupMembers(level int) []membership.NodeID {
 		return nil
 	}
 	lv := n.levels[level]
-	out := make([]membership.NodeID, 0, len(lv.members))
-	for id := range lv.members {
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	out := make([]membership.NodeID, 0, lv.members)
+	lv.eachMember(func(id membership.NodeID, _ *mate) { out = append(out, id) })
 	return out
 }
 
@@ -346,13 +385,7 @@ func (n *Node) Leader(level int) membership.NodeID {
 	if lv.isLeader {
 		return n.id
 	}
-	best := membership.NoNode
-	for id, ms := range lv.members {
-		if ms.leader && (best == membership.NoNode || id < best) {
-			best = id
-		}
-	}
-	return best
+	return lv.visibleLeader()
 }
 
 // joinLevel subscribes to the level's channel and starts heartbeating
@@ -364,8 +397,7 @@ func (n *Node) joinLevel(level int) {
 	}
 	lv.joined = true
 	lv.joinedAt = n.eng.Now()
-	lv.bootstrapped, lv.bootstrapFrom = false, membership.NoNode
-	lv.members = make(map[membership.NodeID]*memberState)
+	lv.resetView()
 	n.ep.Join(n.channelOf(level))
 	// First heartbeat goes out immediately so peers learn about us fast;
 	// subsequent ones follow the configured period. A small deterministic
@@ -387,7 +419,6 @@ func (n *Node) leaveLevel(level int) {
 		return
 	}
 	lv.joined = false
-	lv.bootstrapped, lv.bootstrapFrom = false, membership.NoNode
 	if lv.hbTicker != nil {
 		lv.hbTicker.Stop()
 		lv.hbTicker = nil
@@ -396,7 +427,7 @@ func (n *Node) leaveLevel(level int) {
 	if lv.isLeader {
 		n.setLeader(level, false)
 	}
-	lv.members = make(map[membership.NodeID]*memberState)
+	lv.resetView()
 }
 
 // setLeader flips our leadership at a level, joining or leaving the next
@@ -428,24 +459,21 @@ func (n *Node) setLeader(level int, lead bool) {
 	}
 }
 
-// pickBackup chooses a random live group mate as backup leader.
+// pickBackup chooses a random live group mate as backup leader: the RNG
+// draws a rank in the ascending ID order.
 func (n *Node) pickBackup(level int) membership.NodeID {
 	lv := n.levels[level]
-	var candidates []membership.NodeID
-	for id := range lv.members {
-		candidates = append(candidates, id)
-	}
-	if len(candidates) == 0 {
+	if lv.members == 0 {
 		return membership.NoNode
 	}
-	// Sort so the RNG draw is deterministic across runs with one seed
-	// (map iteration order is not).
-	for i := 1; i < len(candidates); i++ {
-		for j := i; j > 0 && candidates[j] < candidates[j-1]; j-- {
-			candidates[j], candidates[j-1] = candidates[j-1], candidates[j]
+	rank, pick := n.eng.Rand().Intn(lv.members), membership.NoNode
+	lv.eachMember(func(id membership.NodeID, _ *mate) {
+		if rank == 0 {
+			pick = id
 		}
-	}
-	return candidates[n.eng.Rand().Intn(len(candidates))]
+		rank--
+	})
+	return pick
 }
 
 // sendHeartbeat multicasts our announcement on one level's channel.
@@ -582,17 +610,18 @@ func (n *Node) onHeartbeat(level int, hb *wire.Heartbeat) {
 	// or the directory — old packets may cost liveness (a dropped refresh)
 	// but can never fake it.
 	lv := n.levels[level]
-	if !lv.fresh.Advance(from, hb.Info.Incarnation, hb.Seq) {
+	ms := lv.mates.Ensure(from)
+	if !ms.beat.Advance(hb.Info.Incarnation, hb.Seq) {
 		n.stats.PacketsRejected++
 		n.ep.NoteReject()
 		return
 	}
 	n.stats.HeartbeatsReceived++
 	now := n.eng.Now()
-	ms, known := lv.members[from]
+	known := ms.member
 	if !known {
-		ms = &memberState{}
-		lv.members[from] = ms
+		ms.member = true
+		lv.members++
 	}
 	ms.lastHeard = now
 	ms.leader = hb.Leader
@@ -649,22 +678,14 @@ func (n *Node) track() {
 			continue
 		}
 		deadAfter := n.cfg.DeadAfterLevel(lv.level)
-		// Collect then sort: onMemberDead emits directory events and (at
-		// the leader) originates updates, so processing in map-iteration
-		// order would make the whole simulation nondeterministic when a
-		// fault expires several mates on the same tick.
-		var dead []membership.NodeID
-		for id, ms := range lv.members {
+		// onMemberDead emits directory events and (at the leader) originates
+		// updates, so when a fault expires several mates on the same tick
+		// the order they are processed in is part of the run: ascending.
+		lv.eachMember(func(id membership.NodeID, ms *mate) {
 			if now-ms.lastHeard > deadAfter {
-				dead = append(dead, id)
+				n.onMemberDead(lv.level, id, lv.drop(ms))
 			}
-		}
-		sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-		for _, id := range dead {
-			ms := lv.members[id]
-			delete(lv.members, id)
-			n.onMemberDead(lv.level, id, ms)
-		}
+		})
 		n.elect(lv.level)
 	}
 	n.adaptiveTrack(now)
@@ -711,21 +732,13 @@ func (n *Node) track() {
 }
 
 // onMemberDead handles the death of a directly heard group mate.
-func (n *Node) onMemberDead(level int, id membership.NodeID, ms *memberState) {
+func (n *Node) onMemberDead(level int, id membership.NodeID, ms mateSession) {
 	n.stats.MembersExpired++
 	now := n.eng.Now()
 	// Every group member detects the failure independently and drops the
-	// node; the leader additionally propagates it.
-	stillDirect := false
-	for _, lv := range n.levels {
-		if lv.joined {
-			if m2, ok := lv.members[id]; ok && now-m2.lastHeard <= n.cfg.DeadAfterLevel(lv.level) {
-				stillDirect = true
-				break
-			}
-		}
-	}
-	if !stillDirect {
+	// node, unless another level still hears it; the leader additionally
+	// propagates it.
+	if !n.hearsDirectly(id) {
 		if n.dir.Remove(id, now) {
 			// Any group mate that leads some group announces the death to
 			// the tree — in particular, when a group's own leader dies the
@@ -785,31 +798,23 @@ func (n *Node) elect(level int) {
 	if now-lv.joinedAt < n.cfg.ElectionPatience {
 		return
 	}
-	leaderVisible := false
-	lowest := n.id
-	for id, ms := range lv.members {
-		if ms.leader {
-			leaderVisible = true
-		}
-		if id < lowest {
-			lowest = id
-		}
-	}
 	if lv.isLeader {
 		return // conflict abdication happens in onHeartbeat
 	}
-	if leaderVisible {
+	if lv.visibleLeader() != membership.NoNode {
 		return
 	}
 	// After shedding for load, an adaptive node that is still overloaded
 	// sits out elections for a holdoff so the bully rule cannot re-install
 	// it over the Handoff successor; once the holdoff passes, a group that
 	// is still leaderless takes the degraded leader back as a last resort.
-	if n.cfg.Adaptive && n.shedAt >= 0 && n.relayStarved() && len(lv.members) > 0 &&
+	if n.cfg.Adaptive && n.shedAt >= 0 && n.relayStarved() && lv.members > 0 &&
 		now-n.shedAt < time.Duration(overloadHoldoffFactor)*n.cfg.ElectionPatience {
 		return
 	}
-	if lowest == n.id {
+	lowest := true
+	lv.eachMember(func(id membership.NodeID, _ *mate) { lowest = lowest && n.id < id })
+	if lowest {
 		n.setLeader(level, true)
 	}
 }

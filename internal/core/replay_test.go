@@ -45,12 +45,12 @@ func TestReplayFromExpiredMemberRejected(t *testing.T) {
 			if tc.level == 1 {
 				observer = c.nodes[0]
 			}
-			if _, heard := observer.levels[tc.level].members[victim.ID()]; !heard || !victim.levels[tc.level].joined {
+			if heard := observer.levels[tc.level].member(victim.ID()) != nil; !heard || !victim.levels[tc.level].joined {
 				t.Fatalf("node %v does not hear the victim on level %d", observer.ID(), tc.level)
 			}
 			victim.Stop()
 			c.run(30 * time.Second)
-			if _, heard := observer.levels[tc.level].members[victim.ID()]; heard || observer.Directory().Has(victim.ID()) {
+			if heard := observer.levels[tc.level].member(victim.ID()) != nil; heard || observer.Directory().Has(victim.ID()) {
 				t.Fatal("the stopped node was not expired")
 			}
 			ep := c.net.Endpoint(topology.HostID(observer.ID()))
@@ -62,10 +62,83 @@ func TestReplayFromExpiredMemberRejected(t *testing.T) {
 				Seq:    uint64(int(victim.levels[tc.level].hbSeq) + tc.dSeq),
 			})})
 			rejects, rejectsNet := observer.Stats().PacketsRejected-before, ep.Stats().Rejected-beforeNet
-			_, heard := observer.levels[tc.level].members[victim.ID()]
+			heard := observer.levels[tc.level].member(victim.ID()) != nil
 			if present := observer.Directory().Has(victim.ID()); present != tc.accepted || heard != tc.accepted ||
 				(rejects == 0) != tc.accepted || rejects != rejectsNet {
 				t.Fatalf("present = %v, heard = %v, %d/%d rejects, want accepted = %v", present, heard, rejects, rejectsNet, tc.accepted)
+			}
+		})
+	}
+}
+
+// TestGuardsOutliveSessions: the mate's expiry and this node's restart each
+// end the session half of a mate record — the mate is out of the group view
+// and the view's size says so — and leave the guard half alone: the last
+// heartbeat replayed is still rejected, a replayed update message does not
+// rewind the stream's sequence, and the gap to a far later one is still
+// measured from the true mark.
+func TestGuardsOutliveSessions(t *testing.T) {
+	for _, ending := range []string{"the mate expires", "the observer restarts"} {
+		t.Run(ending, func(t *testing.T) {
+			top := topology.Clustered(2, 4)
+			cfg := cfgFor(top)
+			c := newCluster(top, cfg)
+			c.startAll()
+			c.run(20 * time.Second)
+			c.nodes[2].Stop() // a death for the leaders to relay as updates
+			c.run(20 * time.Second)
+			mateNode, observer := c.nodes[4], c.nodes[5] // group 1's leader and a follower
+			lv := observer.levels[0]
+			rec := lv.member(mateNode.ID())
+			if rec == nil || rec.updSeq == 0 || !rec.leader {
+				t.Fatalf("the observer's record of its leader is %+v", rec)
+			}
+			guards, size := rec.mateGuards, lv.members
+			lastBeat := wire.Encode(&wire.Heartbeat{
+				Info:   membership.MemberInfo{Node: mateNode.ID(), Incarnation: mateNode.info.Incarnation},
+				Backup: membership.NoNode,
+				Seq:    mateNode.levels[0].hbSeq,
+			})
+			update := func(seq uint64) []byte {
+				return wire.Encode(&wire.UpdateMsg{Sender: mateNode.ID(), Seq: seq, Updates: []wire.Update{
+					{ID: wire.UpdateID{Origin: mateNode.ID(), Counter: 1 << 30}, Kind: wire.ULeave, Subject: 2},
+				}})
+			}
+
+			if ending == "the mate expires" {
+				mateNode.Stop()
+				c.run(30 * time.Second)
+				if lv.members != size-1 {
+					t.Fatalf("the group view holds %d mates, want %d", lv.members, size-1)
+				}
+			} else {
+				observer.Stop()
+				for _, l := range observer.levels {
+					l.mates.Each(func(id membership.NodeID, m *mate) {
+						if l.members != 0 || m.mateSession != (mateSession{}) {
+							t.Fatalf("level %d: %d mates in view, %v's session is %+v", l.level, l.members, id, m.mateSession)
+						}
+					})
+				}
+				observer.Start(c.eng)
+			}
+			if rec.mateSession != (mateSession{}) || rec.mateGuards != guards {
+				t.Fatalf("the record is %+v; want no session and guards %+v", *rec, guards)
+			}
+
+			deliver := func(payload []byte) {
+				observer.Receive(netsim.Packet{Src: topology.HostID(mateNode.ID()), Dst: topology.NoHost, Channel: cfg.channel(0), TTL: 1, Payload: payload})
+			}
+			before := observer.Stats()
+			deliver(lastBeat)
+			deliver(update(guards.updSeq - 1))
+			if got := observer.Stats(); got.PacketsRejected != before.PacketsRejected+1 || got.SyncsRequested != before.SyncsRequested ||
+				lv.member(mateNode.ID()) != nil || rec.mateGuards != guards {
+				t.Fatalf("the replays drew %d rejects and %d syncs and left %+v", got.PacketsRejected-before.PacketsRejected, got.SyncsRequested-before.SyncsRequested, *rec)
+			}
+			deliver(update(guards.updSeq + 50))
+			if got := observer.Stats(); got.SyncsRequested != before.SyncsRequested+1 {
+				t.Fatal("a 50-message gap in a known stream asked for no sync: the sequence mark was lost")
 			}
 		})
 	}

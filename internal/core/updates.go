@@ -65,16 +65,17 @@ func (n *Node) onUpdateMsg(level int, m *wire.UpdateMsg) {
 		return
 	}
 	if m.Seq > 0 && level >= 0 {
-		key := peerKey{id: m.Sender, level: int8(level)}
-		last, knownSender := n.peerSeq[key]
+		sender := n.levels[level].mates.Ensure(m.Sender)
+		last := sender.updSeq
 		if m.Seq > last {
-			n.peerSeq[key] = m.Seq
+			sender.updSeq = m.Seq
 		}
 		switch {
-		case knownSender && m.Seq <= last:
-			// Duplicate or reordered; UID dedup below still applies
-			// piggybacked updates we may have missed.
-		case knownSender && m.Seq-last > uint64(len(m.Updates)):
+		case last == 0 || m.Seq <= last:
+			// The stream's first message here, or a duplicate or reordered
+			// one; UID dedup below still applies piggybacked updates we
+			// may have missed.
+		case m.Seq-last > uint64(len(m.Updates)):
 			// More consecutive losses than the piggyback covers: fall
 			// back to full synchronization with the sender (Message Loss
 			// Detection).
@@ -119,7 +120,9 @@ func (n *Node) applyUpdate(u wire.Update, level int, relayer membership.NodeID) 
 		if u.Subject != n.id {
 			n.dir.Remove(u.Subject, now)
 			for _, lv := range n.levels {
-				delete(lv.members, u.Subject)
+				if m := lv.member(u.Subject); m != nil {
+					lv.drop(m)
+				}
 			}
 		}
 	case wire.UJoin, wire.UChange:
@@ -153,7 +156,7 @@ func (n *Node) hearsDirectly(id membership.NodeID) bool {
 		if !lv.joined {
 			continue
 		}
-		if ms, ok := lv.members[id]; ok && now-ms.lastHeard <= n.cfg.DeadAfterLevel(lv.level) {
+		if ms := lv.member(id); ms != nil && now-ms.lastHeard <= n.cfg.DeadAfterLevel(lv.level) {
 			return true
 		}
 	}

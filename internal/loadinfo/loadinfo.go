@@ -39,11 +39,14 @@ type Reporter struct {
 	load   func() uint32
 	ticker *sim.Ticker
 
-	interested map[membership.NodeID]time.Duration
-	lastSent   uint32
-	sentAny    bool
-	seq        uint64
-	running    bool
+	// lapse is, per consumer, the first instant its interest is over (zero:
+	// it never asked). Reports go out in ascending consumer ID, so one seed
+	// gives one run.
+	lapse    membership.Table[time.Duration]
+	lastSent uint32
+	sentAny  bool
+	seq      uint64
+	running  bool
 
 	// enc and report are the resident encoder and message of push: one
 	// exact-size packet per round, shared by every interested consumer.
@@ -61,12 +64,11 @@ func NewReporter(cfg Config, eng *sim.Engine, ep netsim.Transport, load func() u
 		cfg.InterestWindow = DefaultConfig().InterestWindow
 	}
 	return &Reporter{
-		cfg:        cfg,
-		eng:        eng,
-		ep:         ep,
-		id:         membership.NodeID(ep.ID()),
-		load:       load,
-		interested: make(map[membership.NodeID]time.Duration),
+		cfg:  cfg,
+		eng:  eng,
+		ep:   ep,
+		id:   membership.NodeID(ep.ID()),
+		load: load,
 	}
 }
 
@@ -94,30 +96,29 @@ func (r *Reporter) NoteConsumer(id membership.NodeID) {
 	if id == r.id {
 		return
 	}
-	r.interested[id] = r.eng.Now()
+	*r.lapse.Ensure(id) = r.eng.Now() + r.cfg.InterestWindow + 1
 }
 
 // InterestedCount returns the number of currently interested consumers.
-func (r *Reporter) InterestedCount() int {
-	r.prune()
-	return len(r.interested)
+func (r *Reporter) InterestedCount() (n int) {
+	r.eachInterested(func(membership.NodeID) { n++ })
+	return n
 }
 
-func (r *Reporter) prune() {
+func (r *Reporter) eachInterested(fn func(membership.NodeID)) {
 	now := r.eng.Now()
-	for id, at := range r.interested {
-		if now-at > r.cfg.InterestWindow {
-			delete(r.interested, id)
+	r.lapse.Each(func(id membership.NodeID, over *time.Duration) {
+		if now < *over {
+			fn(id)
 		}
-	}
+	})
 }
 
 func (r *Reporter) push() {
 	if !r.running {
 		return
 	}
-	r.prune()
-	if len(r.interested) == 0 {
+	if r.InterestedCount() == 0 {
 		return
 	}
 	load := r.load()
@@ -133,9 +134,7 @@ func (r *Reporter) push() {
 	r.seq++
 	r.report = wire.LoadReport{From: r.id, Seq: r.seq, Load: load}
 	payload := r.enc.EncodeSized(&r.report)
-	for id := range r.interested {
-		r.ep.Unicast(topology.HostID(id), payload)
-	}
+	r.eachInterested(func(id membership.NodeID) { r.ep.Unicast(topology.HostID(id), payload) })
 	r.lastSent = load
 	r.sentAny = true
 }
@@ -145,13 +144,14 @@ type Sample struct {
 	Load uint32
 	At   time.Duration
 	seq  uint64
+	held bool // the cache holds a sample for the provider
 }
 
 // Cache holds pushed load samples at a consumer.
 type Cache struct {
-	eng *sim.Engine
-	ttl time.Duration
-	m   map[membership.NodeID]Sample
+	eng     *sim.Engine
+	ttl     time.Duration
+	samples membership.Table[Sample]
 }
 
 // NewCache creates a cache whose samples expire after ttl.
@@ -159,29 +159,40 @@ func NewCache(eng *sim.Engine, ttl time.Duration) *Cache {
 	if ttl <= 0 {
 		ttl = time.Second
 	}
-	return &Cache{eng: eng, ttl: ttl, m: make(map[membership.NodeID]Sample)}
+	return &Cache{eng: eng, ttl: ttl}
 }
 
 // Absorb applies one received report; reordered older reports are ignored.
 func (c *Cache) Absorb(rep *wire.LoadReport) {
-	prev, ok := c.m[rep.From]
-	if ok && rep.Seq <= prev.seq {
+	s := c.samples.Ensure(rep.From)
+	if s.held && rep.Seq <= s.seq {
 		return
 	}
-	c.m[rep.From] = Sample{Load: rep.Load, At: c.eng.Now(), seq: rep.Seq}
+	*s = Sample{Load: rep.Load, At: c.eng.Now(), seq: rep.Seq, held: true}
 }
 
 // Get returns a fresh sample for the provider, if any.
 func (c *Cache) Get(id membership.NodeID) (Sample, bool) {
-	s, ok := c.m[id]
-	if !ok || c.eng.Now()-s.At > c.ttl {
+	s := c.samples.Get(id)
+	if s == nil || !s.held || c.eng.Now()-s.At > c.ttl {
 		return Sample{}, false
 	}
-	return s, true
+	return *s, true
 }
 
-// Forget drops a provider (e.g. on membership leave).
-func (c *Cache) Forget(id membership.NodeID) { delete(c.m, id) }
+// Forget drops a provider (e.g. on membership leave), sequence mark and all.
+func (c *Cache) Forget(id membership.NodeID) {
+	if s := c.samples.Get(id); s != nil {
+		*s = Sample{}
+	}
+}
 
 // Len returns the number of cached samples, including stale ones.
-func (c *Cache) Len() int { return len(c.m) }
+func (c *Cache) Len() (n int) {
+	c.samples.Each(func(_ membership.NodeID, s *Sample) {
+		if s.held {
+			n++
+		}
+	})
+	return n
+}

@@ -1,9 +1,11 @@
 package loadinfo
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/membership"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -151,5 +153,41 @@ func TestCacheFreshnessAndOrdering(t *testing.T) {
 	c.Forget(3)
 	if c.Len() != 0 {
 		t.Fatal("Forget failed")
+	}
+}
+
+// TestPushOrderIsDeterministic: with several interested consumers the
+// reports of one round are separate unicasts, so their order decides every
+// loss draw and same-instant tie-break after it. One seed must give one
+// run: the (host, time) trace of delivered reports is identical on every
+// rerun in one process.
+func TestPushOrderIsDeterministic(t *testing.T) {
+	type delivery struct {
+		host topology.HostID
+		at   time.Duration
+	}
+	run := func() (trace []delivery) {
+		eng := sim.NewEngine(5)
+		net := netsim.New(eng, topology.FlatLAN(9))
+		net.SetLossProbability(0.3)
+		load := uint32(0)
+		rep := NewReporter(DefaultConfig(), eng, net.Endpoint(0), func() uint32 { load++; return load })
+		rep.Start()
+		for h := topology.HostID(1); h <= 8; h++ {
+			h := h
+			net.Endpoint(h).SetHandler(func(netsim.Packet) { trace = append(trace, delivery{h, eng.Now()}) })
+			rep.NoteConsumer(membership.NodeID(h))
+		}
+		eng.Run(3 * time.Second)
+		return trace
+	}
+	want := run()
+	if len(want) < 40 {
+		t.Fatalf("only %d reports delivered; the run exercises nothing", len(want))
+	}
+	for rerun := 1; rerun <= 20; rerun++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("rerun %d delivered a different trace (%d reports, first run %d)", rerun, len(got), len(want))
+		}
 	}
 }

@@ -105,18 +105,11 @@ type tombstone struct {
 // loop); the public tamp API wraps it with locking for client access.
 type Directory struct {
 	owner NodeID
-	// chunks holds the entries for IDs in [0, maxDense) — every ID real
-	// deployments mint — by value, chunkLen consecutive IDs per chunk,
-	// indexed directly: a lookup is two array loads, and a merge in
-	// ascending ID order streams through memory instead of chasing one heap
-	// object per entry. Chunks are allocated when their first entry joins,
-	// never move (so *Entry stays valid while its node is present) and are
-	// released when their last entry leaves. entries is the exact-semantics
-	// fallback for IDs outside that window (hostile or misconfigured), so a
-	// wild ID in a CRC-valid packet costs at most one chunk plus the bounded
-	// chunk table, never an attacker-sized allocation.
-	chunks   []*[chunkLen]Entry
-	entries  map[NodeID]*Entry
+	// entries holds every entry by value (see Table): a merge in ascending
+	// ID order streams through memory instead of chasing one heap object per
+	// entry, and *Entry stays valid while its node is present. A slot is
+	// occupied when its Entry.live is set.
+	entries  Table[Entry]
 	sorted   []NodeID // entry keys in ascending order, maintained incrementally
 	tombs    map[NodeID]tombstone
 	tombTTL  time.Duration // 0 disables tombstones
@@ -178,7 +171,7 @@ func (d *Directory) ChangesSince(t time.Duration) (events []Event, complete bool
 
 // NewDirectory creates a directory owned by node owner.
 func NewDirectory(owner NodeID) *Directory {
-	return &Directory{owner: owner, entries: make(map[NodeID]*Entry), tombs: make(map[NodeID]tombstone)}
+	return &Directory{owner: owner, tombs: make(map[NodeID]tombstone)}
 }
 
 // SetTombstoneTTL enables rejection of relayed re-additions of removed
@@ -234,90 +227,22 @@ func (d *Directory) emit(t EventType, n NodeID, now time.Duration) {
 	}
 }
 
-// maxDense bounds the directly-indexed entry window and chunkLen is the
-// number of consecutive IDs stored together; see Directory.chunks. Four
-// entries are 448 bytes: an exact allocator size class, and the largest
-// chunk below the 512 bytes from which the runtime prefixes a
-// pointer-bearing object with a header that pushes a power-of-two chunk
-// into the next class (an eighth of the directory's memory wasted). A
-// directory filled in ID order draws consecutive chunks from one span, so
-// the small chunk costs an ascending merge nothing.
-const (
-	maxDense   = 1 << 16
-	chunkShift = 2
-	chunkLen   = 1 << chunkShift
-)
-
 func (d *Directory) get(n NodeID) *Entry {
-	if ci := uint32(n) >> chunkShift; ci < uint32(len(d.chunks)) {
-		if c := d.chunks[ci]; c != nil {
-			if e := &c[n&(chunkLen-1)]; e.live {
-				return e
-			}
-		}
-		return nil
+	if e := d.entries.Get(n); e != nil && e.live {
+		return e
 	}
-	return d.entries[n]
+	return nil
 }
 
 // insert stores a new entry for a node known to be absent and announces the
 // join.
 func (d *Directory) insert(info MemberInfo, origin Origin, level int, relayer NodeID, now time.Duration) {
-	var e *Entry
-	if n := info.Node; n >= 0 && n < maxDense {
-		ci := int(n) >> chunkShift
-		if ci >= len(d.chunks) {
-			grown := make([]*[chunkLen]Entry, growTo(ci+1, maxDense/chunkLen))
-			copy(grown, d.chunks)
-			d.chunks = grown
-		}
-		if d.chunks[ci] == nil {
-			d.chunks[ci] = new([chunkLen]Entry)
-		}
-		e = &d.chunks[ci][n&(chunkLen-1)]
-	} else {
-		e = new(Entry)
-		if d.entries == nil {
-			d.entries = make(map[NodeID]*Entry)
-		}
-		d.entries[n] = e
-	}
-	*e = Entry{
+	*d.entries.Ensure(info.Node) = Entry{
 		Info: info, Origin: origin, live: true, Level: level, Relayer: relayer,
 		LastRefresh: now, Counter: info.Beat,
 	}
 	d.sortedInsert(info.Node)
 	d.emit(EventJoin, info.Node, now)
-}
-
-func (d *Directory) del(n NodeID) {
-	ci := uint32(n) >> chunkShift
-	if ci >= uint32(len(d.chunks)) {
-		delete(d.entries, n)
-		return
-	}
-	c := d.chunks[ci]
-	c[n&(chunkLen-1)] = Entry{}
-	for i := range c {
-		if c[i].live {
-			return
-		}
-	}
-	d.chunks[ci] = nil
-}
-
-// growTo rounds a needed chunk-table length up so repeated joins with
-// ascending IDs reallocate O(log n) times, capped at the bounded window's
-// table length limit.
-func growTo(need, limit int) int {
-	size := 4
-	for size < need {
-		size *= 2
-	}
-	if size > limit {
-		size = limit
-	}
-	return size
 }
 
 // Len returns the number of known-alive nodes (including the owner if
@@ -467,7 +392,7 @@ func (d *Directory) Remove(n NodeID, now time.Duration) bool {
 			}
 		}
 	}
-	d.del(n)
+	d.entries.Delete(n, func(e *Entry) bool { return e.live })
 	d.sortedDelete(n)
 	d.emit(EventLeave, n, now)
 	return true

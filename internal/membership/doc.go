@@ -21,9 +21,9 @@
 //     timeouts; Lookup answers the paper's regex + partition-spec queries;
 //     SetObserver delivers Event notifications (join/leave/change) that
 //     the experiments' detection/convergence recorders hook. Entries are
-//     stored by value, four consecutive IDs to a chunk, so the *Entry that
-//     Get and Range hand out stays valid while its node is present and a
-//     merge in ID order walks memory front to back.
+//     stored by value in a Table, so the *Entry that Get and Range hand out
+//     stays valid while its node is present and a merge in ID order walks
+//     memory front to back.
 //   - InfoPrefix, RelayedSource and Directory.MergeRelayed: the batch
 //     entry point for a whole relayed snapshot (bootstrap and sync
 //     replies, a leader's periodic republication). It has the semantics
@@ -32,18 +32,21 @@
 //     version, beat — and asks the source for the full MemberInfo only
 //     when the node is new or the content is newer, so the steady state
 //     of anti-entropy allocates nothing.
-//   - Freshness: the replay guard every heartbeat-driven scheme puts in
-//     front of its receive path — the highest (incarnation, beat) pair
-//     accepted per sender; Advance is true only for a pair strictly above
-//     it. The receiver owns the table (core keeps one per tree level,
-//     alltoall and rapid one per node), not the Directory: a mark outlives
-//     its member's expiry, so a replay of a dead node's traffic is rejected
-//     rather than readmitted. Storage follows the directory's: marks by
-//     value, four consecutive IDs (one cache line) to a chunk allocated
-//     when the first of them is heard, under a pointer table bounded by
-//     the 64 Ki-ID window, so hearing 20 senders out of 1000 costs half a
-//     dozen chunks; an ID outside the window costs a map entry and sizes
-//     nothing.
+//   - Table: the one per-peer storage. What a daemon knows about node p is
+//     one record of the daemon's own type T, by value, indexed by p's ID:
+//     four consecutive IDs to a chunk allocated when the first of them is
+//     created and never moved, under a pointer table bounded by the 64 Ki-ID
+//     window, so hearing 20 peers out of 1000 costs half a dozen chunks; an
+//     ID outside the window costs a map entry and sizes nothing. Get is two
+//     array loads, Each visits in ascending ID. The Directory's entries are
+//     one; each scheme keeps its own (DESIGN.md, "Per-peer state").
+//   - Mark: the replay guard every heartbeat-driven scheme puts in front of
+//     its receive path — the highest (incarnation, beat) pair accepted from
+//     one sender; Advance is true only for a pair strictly above it. It is a
+//     field of the receiver's per-peer record, not of the Directory: a mark
+//     outlives its member's expiry, so a replay of a dead node's traffic is
+//     rejected rather than readmitted. (The Freshness table it replaces was
+//     a second hand-built copy of Table's storage.)
 //   - Origin: how an entry was learned (direct heartbeat vs relayed by a
 //     leader), which determines its lifetime rules under the paper's
 //     Timeout Protocol.

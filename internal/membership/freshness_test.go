@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// mapGuard is the replay guard Freshness replaced, verbatim from the three
+// mapGuard is the replay guard a Table of Marks replaced, verbatim from the three
 // scheme packages: a map from sender to its accepted pair, and the
 // comparison they each wrote out.
 type mapGuard map[NodeID]guardMark
@@ -28,14 +28,15 @@ func (g mapGuard) advance(id NodeID, inc uint32, beat uint64) bool {
 // histories of interleaved senders — IDs that share a chunk, sit in far
 // chunks, lie outside the direct-indexed window or are negative; beats that
 // repeat, advance and fall back; incarnations that bump and regress; the
-// all-zero pair a never-heard sender may legitimately send — Advance gives
-// the verdict of the map and comparison it replaced, call for call.
+// all-zero pair a never-heard sender may legitimately send — Advance on the
+// sender's Mark gives the verdict of the map and comparison it replaced,
+// call for call.
 func TestFreshnessMatchesMapGuard(t *testing.T) {
 	ids := []NodeID{0, 1, 2, 3, 4, 5, 17, 399, 400, 999, 4095, maxDense - 1, maxDense, maxDense + 7, 1 << 30, -1, -2, -70000}
 	var accepted, rejected int
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var f Freshness
+		var f Table[Mark]
 		ref := mapGuard{}
 		for step := 0; step < 300; step++ {
 			id := ids[rng.Intn(len(ids))]
@@ -44,7 +45,7 @@ func TestFreshnessMatchesMapGuard(t *testing.T) {
 			if rng.Intn(16) == 0 {
 				beat = ^uint64(0) - uint64(rng.Intn(2)) // a hostile sender pins its mark high
 			}
-			got, want := f.Advance(id, inc, beat), ref.advance(id, inc, beat)
+			got, want := f.Ensure(id).Advance(inc, beat), ref.advance(id, inc, beat)
 			if got != want {
 				t.Fatalf("seed %d step %d: Advance(%v, %d, %d) = %v, the map guard says %v", seed, step, id, inc, beat, got, want)
 			}
@@ -58,10 +59,10 @@ func TestFreshnessMatchesMapGuard(t *testing.T) {
 		// again never advances, and a sender the history skipped is unseen.
 		for _, id := range ids {
 			mark, marked := ref[id]
-			if marked && f.Advance(id, mark.inc, mark.beat) {
+			if marked && f.Ensure(id).Advance(mark.inc, mark.beat) {
 				t.Fatalf("seed %d: %v's own mark (%d, %d) advanced it", seed, id, mark.inc, mark.beat)
 			}
-			if !marked && !f.Advance(id, 0, 0) {
+			if !marked && !f.Ensure(id).Advance(0, 0) {
 				t.Fatalf("seed %d: %v was never heard, yet (0, 0) did not advance it", seed, id)
 			}
 		}
@@ -77,7 +78,7 @@ func TestFreshnessMatchesMapGuard(t *testing.T) {
 // group of neighbours out of thousands holds a handful of chunks — not a
 // slot per possible sender.
 func TestFreshnessWildIDsCostBoundedStorage(t *testing.T) {
-	chunks := func(f *Freshness) (n int) {
+	chunks := func(f *Table[Mark]) (n int) {
 		for _, c := range f.chunks {
 			if c != nil {
 				n++
@@ -85,22 +86,22 @@ func TestFreshnessWildIDsCostBoundedStorage(t *testing.T) {
 		}
 		return n
 	}
-	var f Freshness
+	var f Table[Mark]
 	wild := []NodeID{maxDense - 1, 40000, 40001, maxDense, 1<<31 - 1, -1, -1 << 31}
 	for _, id := range wild {
-		if !f.Advance(id, 1, 1) || f.Advance(id, 1, 1) || !f.Advance(id, 1, 2) {
+		if m := f.Ensure(id); !m.Advance(1, 1) || m.Advance(1, 1) || !m.Advance(1, 2) {
 			t.Fatalf("wild ID %v is not guarded like any other", id)
 		}
 	}
-	if got := chunks(&f); got != 2 || len(f.chunks) > maxDense/freshLen || len(f.wild) != 4 {
+	if got := chunks(&f); got != 2 || len(f.chunks) > maxDense/chunkLen || len(f.wild) != 4 {
 		t.Fatalf("%d chunks in a table of %d and %d map entries for %v", got, len(f.chunks), len(f.wild), wild)
 	}
 
-	var group Freshness
+	var group Table[Mark]
 	for id := NodeID(880); id < 900; id++ {
-		group.Advance(id, 1, 1)
+		group.Ensure(id).Advance(1, 1)
 	}
-	if got := chunks(&group); got > 20/freshLen+1 || len(group.chunks) > 256 || group.wild != nil {
+	if got := chunks(&group); got > 20/chunkLen+1 || len(group.chunks) > 256 || group.wild != nil {
 		t.Fatalf("20 neighbouring senders cost %d chunks, a table of %d and a map %v", got, len(group.chunks), group.wild)
 	}
 }
@@ -110,7 +111,7 @@ func TestFreshnessWildIDsCostBoundedStorage(t *testing.T) {
 // then the next sender's — so that consecutive calls land in different
 // receivers' tables, as on the receive path, not on one warm mark.
 type freshnessFixture struct {
-	tables [400]Freshness
+	tables [400]Table[Mark]
 	beat   uint64
 	from   NodeID
 	to     int
@@ -125,7 +126,7 @@ func (x *freshnessFixture) step() bool {
 		}
 	}
 	x.to++
-	return x.tables[x.to-1].Advance(x.from, 1, x.beat)
+	return x.tables[x.to-1].Ensure(x.from).Advance(1, x.beat)
 }
 
 func BenchmarkFreshnessAdvance(b *testing.B) {

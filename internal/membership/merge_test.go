@@ -217,7 +217,7 @@ func TestEntryPointersStableWhilePresent(t *testing.T) {
 func TestWildIDsCostBoundedStorage(t *testing.T) {
 	d := NewDirectory(0)
 	chunks := func() (n int) {
-		for _, c := range d.chunks {
+		for _, c := range d.entries.chunks {
 			if c != nil {
 				n++
 			}
@@ -228,16 +228,16 @@ func TestWildIDsCostBoundedStorage(t *testing.T) {
 	for _, id := range wild {
 		d.Upsert(MemberInfo{Node: id}, OriginRelayed, 0, 1, 0)
 	}
-	if got := chunks(); got != 2 || len(d.chunks) > maxDense/chunkLen || len(d.entries) != 4 {
-		t.Fatalf("%d chunks in a table of %d and %d map entries for %v", got, len(d.chunks), len(d.entries), wild)
+	if got := chunks(); got != 2 || len(d.entries.chunks) > maxDense/chunkLen || len(d.entries.wild) != 4 {
+		t.Fatalf("%d chunks in a table of %d and %d map entries for %v", got, len(d.entries.chunks), len(d.entries.wild), wild)
 	}
 	for _, id := range wild {
 		if !d.Has(id) || !d.Remove(id, time.Second) || d.Has(id) {
 			t.Fatalf("wild ID %v did not survive a join/remove cycle", id)
 		}
 	}
-	if chunks() != 0 || len(d.entries) != 0 || d.Len() != 0 {
-		t.Fatalf("%d chunks, %d map entries, Len %d left behind", chunks(), len(d.entries), d.Len())
+	if chunks() != 0 || len(d.entries.wild) != 0 || d.Len() != 0 {
+		t.Fatalf("%d chunks, %d map entries, Len %d left behind", chunks(), len(d.entries.wild), d.Len())
 	}
 }
 

@@ -89,10 +89,12 @@ type remoteDC struct {
 	chunkEntries map[string]wire.SummaryEntry
 }
 
-// peerState tracks a proxy-group mate.
-type peerState struct {
+// mate tracks a proxy-group mate, in a membership.Table: live from its
+// first group heartbeat until it has been silent for the death horizon.
+type mate struct {
 	lastHeard time.Duration
-	leader    bool
+	live      bool
+	leader    bool // its heartbeats carry the leader flag
 }
 
 // forwarded tracks one relayed cross-DC request.
@@ -117,7 +119,7 @@ type Proxy struct {
 	startedAt time.Duration
 	hbTicker  *sim.Ticker
 	tick      int
-	peers     map[membership.NodeID]*peerState
+	mates     membership.Table[mate]
 
 	summary    map[string]wire.SummaryEntry // local DC summary (as last computed)
 	summarySeq uint64
@@ -149,7 +151,6 @@ func New(cfg Config, eng *sim.Engine, ep netsim.Transport, rt *service.Runtime, 
 		ep:      ep,
 		rt:      rt,
 		vip:     vip,
-		peers:   make(map[membership.NodeID]*peerState),
 		summary: make(map[string]wire.SummaryEntry),
 		remote:  make(map[int]*remoteDC),
 		fwd:     make(map[uint64]*forwarded),
@@ -256,33 +257,29 @@ func (p *Proxy) beat() {
 	now := p.eng.Now()
 	dead := time.Duration(p.cfg.MaxLoss) * p.cfg.HeartbeatInterval
 
-	// Expire silent proxy mates.
-	for id, ps := range p.peers {
-		if now-ps.lastHeard > dead {
-			delete(p.peers, id)
+	// Expire silent proxy mates, then elect: lowest live proxy ID leads. A
+	// freshly (re)started proxy must listen for a full death-detection
+	// horizon before it may claim: it has heard nobody yet, and claiming on
+	// the first beat would usurp an incumbent leader it simply has not
+	// heard yet.
+	self := p.ID()
+	lowest, leaderVisible, lowerLeader := true, false, false
+	p.mates.Each(func(id membership.NodeID, m *mate) {
+		if m.live && now-m.lastHeard > dead {
+			*m = mate{}
 		}
-	}
-	// Election: lowest live proxy ID leads. A freshly (re)started proxy
-	// must listen for a full death-detection horizon before it may claim:
-	// its peer map starts empty, and claiming on the first beat would
-	// usurp an incumbent leader it simply has not heard yet.
-	lowest := p.ID()
-	leaderVisible := false
-	for id, ps := range p.peers {
-		if id < lowest {
-			lowest = id
+		if !m.live {
+			return
 		}
-		if ps.leader {
-			leaderVisible = true
-		}
-	}
+		lowest = lowest && self < id
+		leaderVisible = leaderVisible || m.leader
+		lowerLeader = lowerLeader || (m.leader && id < self)
+	})
 	if p.isLeader {
-		for id, ps := range p.peers {
-			if ps.leader && id < p.ID() {
-				p.isLeader = false // a lower-ID leader is visible; abdicate
-			}
+		if lowerLeader {
+			p.isLeader = false // a lower-ID leader is visible; abdicate
 		}
-	} else if !leaderVisible && lowest == p.ID() && now-p.startedAt >= dead {
+	} else if !leaderVisible && lowest && now-p.startedAt >= dead {
 		p.isLeader = true
 	}
 	// The leader re-asserts the VIP every beat (gratuitous ARP in a real

@@ -52,13 +52,7 @@ func (p *Proxy) onGroupHeartbeat(hb *wire.Heartbeat) {
 	if from == p.ID() {
 		return
 	}
-	ps, ok := p.peers[from]
-	if !ok {
-		ps = &peerState{}
-		p.peers[from] = ps
-	}
-	ps.lastHeard = p.eng.Now()
-	ps.leader = hb.Leader
+	*p.mates.Ensure(from) = mate{lastHeard: p.eng.Now(), live: true, leader: hb.Leader}
 	if hb.Leader && p.isLeader && from < p.ID() {
 		p.isLeader = false
 	}

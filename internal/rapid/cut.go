@@ -29,9 +29,11 @@ type CutDetector struct {
 	l, h int
 	ttl  time.Duration
 
-	subjects map[membership.NodeID]*subjectState
+	subjects membership.Table[subjectState]
 }
 
+// subjectState is one subject's tally. A subject nobody has reported on has
+// no reports map yet; the accessors read that as no accusers and never up.
 type subjectState struct {
 	reports   map[membership.NodeID]time.Duration // accusing observer -> report time
 	firstDown time.Duration                       // oldest live report's arrival
@@ -41,23 +43,25 @@ type subjectState struct {
 // NewCutDetector builds a detector with watermarks l <= h and a per-report
 // TTL after which unrefreshed accusations lapse.
 func NewCutDetector(l, h int, ttl time.Duration) *CutDetector {
-	if l < 1 {
-		l = 1
+	c := &CutDetector{ttl: ttl}
+	c.Reset(l, h)
+	return c
+}
+
+// subject returns subject's tally, starting an empty one on first mention.
+func (c *CutDetector) subject(subject membership.NodeID) *subjectState {
+	s := c.subjects.Ensure(subject)
+	if s.reports == nil {
+		s.reports = make(map[membership.NodeID]time.Duration)
+		s.lastUp = -1
 	}
-	if h < l {
-		h = l
-	}
-	return &CutDetector{l: l, h: h, ttl: ttl, subjects: make(map[membership.NodeID]*subjectState)}
+	return s
 }
 
 // Down records observer's accusation of subject at time now, refreshing the
 // report's TTL if it already exists.
 func (c *CutDetector) Down(subject, observer membership.NodeID, now time.Duration) {
-	s := c.subjects[subject]
-	if s == nil {
-		s = &subjectState{reports: make(map[membership.NodeID]time.Duration), lastUp: -1}
-		c.subjects[subject] = s
-	}
+	s := c.subject(subject)
 	if len(s.reports) == 0 {
 		s.firstDown = now
 	}
@@ -67,11 +71,7 @@ func (c *CutDetector) Down(subject, observer membership.NodeID, now time.Duratio
 // Up retracts observer's accusation of subject (if any) and stamps the
 // subject's last-alive evidence: somebody heard it.
 func (c *CutDetector) Up(subject, observer membership.NodeID, now time.Duration) {
-	s := c.subjects[subject]
-	if s == nil {
-		s = &subjectState{reports: make(map[membership.NodeID]time.Duration), lastUp: -1}
-		c.subjects[subject] = s
-	}
+	s := c.subject(subject)
 	delete(s.reports, observer)
 	s.lastUp = now
 }
@@ -80,18 +80,14 @@ func (c *CutDetector) Up(subject, observer membership.NodeID, now time.Duration)
 // it alive — and stamps its last-alive evidence. Fresh accusations restart
 // the count from zero.
 func (c *CutDetector) Vouch(subject membership.NodeID, now time.Duration) {
-	s := c.subjects[subject]
-	if s == nil {
-		s = &subjectState{reports: make(map[membership.NodeID]time.Duration), lastUp: -1}
-		c.subjects[subject] = s
-	}
+	s := c.subject(subject)
 	clear(s.reports)
 	s.lastUp = now
 }
 
 // LastUp returns when subject was last heard alive by anyone, or -1 never.
 func (c *CutDetector) LastUp(subject membership.NodeID) time.Duration {
-	if s := c.subjects[subject]; s != nil {
+	if s := c.subjects.Get(subject); s != nil && s.reports != nil {
 		return s.lastUp
 	}
 	return -1
@@ -101,7 +97,7 @@ func (c *CutDetector) LastUp(subject membership.NodeID) time.Duration {
 // report that opened the (still open) cut — or -1 if it has none. Report
 // refreshes do not advance it; only draining to zero resets it.
 func (c *CutDetector) FirstDown(subject membership.NodeID) time.Duration {
-	if s := c.subjects[subject]; s != nil && len(s.reports) > 0 {
+	if s := c.subjects.Get(subject); s != nil && len(s.reports) > 0 {
 		return s.firstDown
 	}
 	return -1
@@ -109,29 +105,22 @@ func (c *CutDetector) FirstDown(subject membership.NodeID) time.Duration {
 
 // Count returns the number of distinct observers currently accusing subject.
 func (c *CutDetector) Count(subject membership.NodeID) int {
-	if s := c.subjects[subject]; s != nil {
+	if s := c.subjects.Get(subject); s != nil {
 		return len(s.reports)
 	}
 	return 0
 }
 
 // Classify expires lapsed reports and splits the accused subjects into the
-// stable (count >= H) and unstable (L <= count < H) regions, both sorted by
-// node ID so downstream iteration is deterministic. Subjects below L are
-// background noise and classify as neither.
+// stable (count >= H) and unstable (L <= count < H) regions, both in
+// ascending node ID order so downstream iteration is deterministic.
+// Subjects below L are background noise and classify as neither.
 func (c *CutDetector) Classify(now time.Duration) (stable, unstable []membership.NodeID) {
-	for subject, s := range c.subjects {
+	c.subjects.Each(func(subject membership.NodeID, s *subjectState) {
 		for obs, at := range s.reports {
 			if c.ttl > 0 && now-at > c.ttl {
 				delete(s.reports, obs)
 			}
-		}
-		if len(s.reports) == 0 {
-			// Keep the state (lastUp survives) but track nothing else.
-			if s.lastUp < 0 {
-				delete(c.subjects, subject)
-			}
-			continue
 		}
 		// firstDown deliberately stays at the accusation that opened the
 		// cut: re-alerts refresh report TTLs without resetting the age
@@ -142,14 +131,14 @@ func (c *CutDetector) Classify(now time.Duration) (stable, unstable []membership
 		case len(s.reports) >= c.l:
 			unstable = append(unstable, subject)
 		}
-	}
-	sortIDs(stable)
-	sortIDs(unstable)
+	})
 	return stable, unstable
 }
 
-// Reset drops all state; called when a new configuration installs (the
-// overlay's edges, and therefore every report's meaning, changed).
-func (c *CutDetector) Reset() {
-	c.subjects = make(map[membership.NodeID]*subjectState)
+// Reset drops every tally and installs new watermarks l <= h; called when a
+// new configuration installs (the overlay's edges, and therefore every
+// report's meaning, changed).
+func (c *CutDetector) Reset(l, h int) {
+	c.l, c.h = max(l, 1), max(h, l, 1)
+	c.subjects.Each(func(_ membership.NodeID, s *subjectState) { *s = subjectState{} })
 }

@@ -113,11 +113,13 @@ func (c Config) DeadAfter() time.Duration {
 	return time.Duration(c.MaxLoss) * c.HeartbeatInterval
 }
 
-// infoMark is the high-water mark of one member's accepted records.
+// infoMark is the high-water mark of one member's accepted records; seen is
+// false until the first arrives.
 type infoMark struct {
-	inc  uint32
 	ver  uint64
 	beat uint64
+	inc  uint32
+	seen bool
 }
 
 // edgeKey identifies one monitoring edge for alert freshness.
@@ -125,7 +127,8 @@ type edgeKey struct {
 	obs, subj membership.NodeID
 }
 
-// probeState is one in-flight arbitration of a cut subject.
+// probeState is one in-flight arbitration of a cut subject; tokens start at
+// 1, so the zero value is "no probe in flight".
 type probeState struct {
 	token    uint64
 	tries    int
@@ -139,14 +142,50 @@ type pendingJoin struct {
 }
 
 // proposal is one open ratification round: the eviction set broadcast to the
-// old configuration, the votes collected so far, and the timestamps gating
-// commit and retransmission.
+// old configuration and the timestamps gating commit and retransmission. The
+// votes collected so far are on the voters' peer records, under the token.
 type proposal struct {
 	token    uint64
 	evict    []membership.NodeID // sorted
-	votes    map[membership.NodeID]bool
 	openedAt time.Duration
 	sentAt   time.Duration
+}
+
+// peer is what this node keeps about one node, itself included. Nothing
+// clears the guards — not a view change, the peer's eviction or our restart
+// — so replayed rounds stay dead; the session is the peer's place in the
+// installed configuration, zeroed for every peer at once by installMembers
+// (DESIGN.md, "Per-peer state").
+type peer struct {
+	peerGuards
+	peerSession
+}
+
+type peerGuards struct {
+	beat membership.Mark // replay guard over the peer's monitoring beats
+	info infoMark        // replay guard over its records (admitInfo)
+	// propToken is the highest proposal token seen from the peer (voter
+	// side; tokens from one proposer are monotone).
+	propToken uint64
+	// Nothing goes to the peer before viewDue (views) and syncDue (syncs).
+	viewDue, syncDue time.Duration
+	// join is the peer's sponsored admission request, if any. Not a guard,
+	// but with the guards' lifetime: only admission ends it.
+	join *pendingJoin
+}
+
+type peerSession struct {
+	member  bool // in the installed configuration
+	subject bool // on one of my monitoring edges: I observe it
+	// Edge state of a subject.
+	down      bool // I have an unretracted DOWN alert out
+	lastHeard time.Duration
+	lastAlert time.Duration
+	// Arbitration state of a cut subject (proposer side).
+	confirmed bool // probe-silent and up-quiet: eviction-ready
+	probe     probeState
+	// vote is the token of the ratification round the peer OK'd.
+	vote uint64
 }
 
 // Node is one cluster node running the rapid stable-membership scheme. It
@@ -165,44 +204,28 @@ type Node struct {
 	configSeq uint64
 	proposer  membership.NodeID
 	members   []membership.NodeID
-	memberSet map[membership.NodeID]bool
 
 	// Monitoring overlay of the installed configuration.
 	observers []membership.NodeID // monitor me: my beat targets
 	subjects  []membership.NodeID // I monitor them
-	subjSet   map[membership.NodeID]bool
 
-	// Per-subject edge state.
-	lastHeard map[membership.NodeID]time.Duration
-	downMark  map[membership.NodeID]bool
-	lastAlert map[membership.NodeID]time.Duration
+	peers membership.Table[peer]
 
-	// Freshness guards (survive view changes and member expiry).
-	beatFresh membership.Freshness
-	infoSeen  map[membership.NodeID]infoMark
+	// Per-edge alert freshness (survives view changes and member expiry).
 	alertSeen map[edgeKey]uint32
 	alertSeq  uint32
 
 	// Cut detection and arbitration.
 	cut        *CutDetector
-	probes     map[membership.NodeID]*probeState
-	confirmed  map[membership.NodeID]bool
 	readySince time.Duration
 	tokens     uint64
 
-	// Open ratification round (proposer side) and proposal-token high-water
-	// marks (voter side; survive view changes so replayed rounds stay dead).
-	prop     *proposal
-	propSeen map[membership.NodeID]uint64
+	// Open ratification round (proposer side).
+	prop *proposal
 
 	// Admission.
-	joinPend   map[membership.NodeID]*pendingJoin
 	joinTarget int
 	joinSentAt time.Duration
-
-	// Per-target pacing of view/sync retransmissions.
-	viewSentAt map[membership.NodeID]time.Duration
-	syncSentAt map[membership.NodeID]time.Duration
 
 	viewsInstalled uint64
 
@@ -224,12 +247,8 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		id:         id,
 		dir:        membership.NewDirectory(id),
 		info:       membership.MemberInfo{Node: id},
-		infoSeen:   make(map[membership.NodeID]infoMark),
 		alertSeen:  make(map[edgeKey]uint32),
-		joinPend:   make(map[membership.NodeID]*pendingJoin),
-		propSeen:   make(map[membership.NodeID]uint64),
-		viewSentAt: make(map[membership.NodeID]time.Duration),
-		syncSentAt: make(map[membership.NodeID]time.Duration),
+		cut:        NewCutDetector(1, 1, cfg.ReportTTL),
 		readySince: -1,
 	}
 	seeds := append([]membership.NodeID(nil), cfg.Seeds...)
@@ -255,6 +274,12 @@ func (n *Node) ConfigSeq() uint64 { return n.configSeq }
 // Members returns the installed configuration's member list (shared slice;
 // callers must not mutate).
 func (n *Node) Members() []membership.NodeID { return n.members }
+
+// isMember reports whether id is in the installed configuration.
+func (n *Node) isMember(id membership.NodeID) bool {
+	p := n.peers.Get(id)
+	return p != nil && p.member
+}
 
 // ViewsInstalled counts configurations this node has adopted since boot.
 func (n *Node) ViewsInstalled() uint64 { return n.viewsInstalled }
@@ -348,50 +373,27 @@ func (n *Node) Stop() {
 }
 
 // installMembers installs a member list as the current configuration's
-// body: derives the monitoring rings, resets all per-configuration edge and
-// arbitration state, and drops pending joiners that made it in. It does NOT
-// touch configSeq/proposer (the caller sets those) or the directory.
+// body: ends every peer's session, derives the monitoring rings, re-arms the
+// edge and arbitration state, and drops pending joiners that made it in. It
+// does NOT touch configSeq/proposer (the caller sets those), the directory,
+// or any guard.
 func (n *Node) installMembers(members []membership.NodeID, now time.Duration) {
-	fresh := append([]membership.NodeID(nil), members...)
-	n.members = fresh
-	n.memberSet = make(map[membership.NodeID]bool, len(n.members))
+	n.members = append([]membership.NodeID(nil), members...)
+	n.peers.Each(func(_ membership.NodeID, p *peer) { p.peerSession = peerSession{} })
 	for _, m := range n.members {
-		n.memberSet[m] = true
-	}
-	kEff := n.cfg.K
-	if kEff > len(n.members)-1 {
-		kEff = len(n.members) - 1
-	}
-	hEff := n.cfg.H
-	if hEff > kEff {
-		hEff = kEff
-	}
-	if hEff < 1 {
-		hEff = 1
-	}
-	lEff := n.cfg.L
-	if lEff > hEff {
-		lEff = hEff
+		p := n.peers.Ensure(m)
+		p.member, p.join = true, nil
 	}
 	n.observers, n.subjects = deriveRingsDC(n.configSeq, n.cfg.K, n.members, n.id, n.cfg.DCOf)
-	n.subjSet = make(map[membership.NodeID]bool, len(n.subjects))
-	n.lastHeard = make(map[membership.NodeID]time.Duration, len(n.subjects))
 	for _, s := range n.subjects {
-		n.subjSet[s] = true
-		n.lastHeard[s] = now
+		p := n.peers.Ensure(s)
+		p.subject, p.lastHeard = true, now
 	}
-	n.downMark = make(map[membership.NodeID]bool)
-	n.lastAlert = make(map[membership.NodeID]time.Duration)
-	n.cut = NewCutDetector(lEff, hEff, n.cfg.ReportTTL)
-	n.probes = make(map[membership.NodeID]*probeState)
-	n.confirmed = make(map[membership.NodeID]bool)
+	// Both watermarks are clamped to the configuration's ring count.
+	hEff := max(1, min(n.cfg.H, n.cfg.K, len(n.members)-1))
+	n.cut.Reset(min(n.cfg.L, hEff), hEff)
 	n.readySince = -1
 	n.prop = nil
-	for id := range n.joinPend {
-		if n.memberSet[id] {
-			delete(n.joinPend, id)
-		}
-	}
 	n.joinTarget = 0
 	n.joinSentAt = -1
 }
@@ -425,7 +427,7 @@ func (n *Node) sendBeats() {
 }
 
 func (n *Node) broadcastInfo() {
-	if !n.running || !n.memberSet[n.id] || len(n.members) < 2 {
+	if !n.running || !n.isMember(n.id) || len(n.members) < 2 {
 		return
 	}
 	n.info.Beat++
@@ -446,7 +448,7 @@ func (n *Node) sendAlert(subject membership.NodeID, down bool) {
 	n.broadcast(n.enc.AppendEncode(make([]byte, 0, 64), a))
 	if down {
 		n.cut.Down(subject, n.id, now)
-		n.lastAlert[subject] = now
+		n.peers.Ensure(subject).lastAlert = now
 	} else {
 		n.cut.Up(subject, n.id, now)
 	}
@@ -462,7 +464,7 @@ func (n *Node) currentView() *wire.RapidView {
 		Members:  append([]membership.NodeID(nil), n.members...),
 	}
 	for _, info := range n.dir.Snapshot() {
-		if n.memberSet[info.Node] {
+		if n.isMember(info.Node) {
 			v.Infos = append(v.Infos, info)
 		}
 	}
@@ -475,10 +477,11 @@ func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
 	if target == n.id || target < 0 {
 		return
 	}
-	if last, ok := n.viewSentAt[target]; ok && now-last < n.cfg.SyncMinGap {
+	p := n.peers.Ensure(target)
+	if now < p.viewDue {
 		return
 	}
-	n.viewSentAt[target] = now
+	p.viewDue = now + n.cfg.SyncMinGap
 	n.ep.Unicast(topology.HostID(target), n.enc.AppendEncode(nil, n.currentView()))
 }
 
@@ -495,14 +498,15 @@ func (n *Node) noteSeq(from membership.NodeID, seq uint64, now time.Duration) {
 	case seq < n.configSeq:
 		n.sendViewTo(from, now)
 	case seq > n.configSeq:
-		if last, ok := n.syncSentAt[from]; ok && now-last < n.cfg.SyncMinGap {
+		p := n.peers.Ensure(from)
+		if now < p.syncDue {
 			return
 		}
-		n.syncSentAt[from] = now
+		p.syncDue = now + n.cfg.SyncMinGap
 		buf := n.enc.AppendEncode(make([]byte, 0, 64), &wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
 		n.ep.Unicast(topology.HostID(from), buf)
 	default:
-		if !n.memberSet[from] {
+		if !n.isMember(from) {
 			n.sendViewTo(from, now)
 		}
 	}
@@ -551,17 +555,18 @@ func (n *Node) onBeat(b *wire.RapidBeat, now time.Duration) {
 		n.ep.NoteReject()
 		return
 	}
-	if !n.beatFresh.Advance(b.From, b.Inc, b.Beat) {
+	p := n.peers.Ensure(b.From)
+	if !p.beat.Advance(b.Inc, b.Beat) {
 		n.ep.NoteReject()
 		return
 	}
 	n.noteSeq(b.From, b.ConfigSeq, now)
-	if b.ConfigSeq != n.configSeq || !n.subjSet[b.From] {
+	if b.ConfigSeq != n.configSeq || !p.subject {
 		return
 	}
-	n.lastHeard[b.From] = now
-	if n.downMark[b.From] {
-		n.downMark[b.From] = false
+	p.lastHeard = now
+	if p.down {
+		p.down = false
 		n.sendAlert(b.From, false)
 	}
 }
@@ -573,7 +578,7 @@ func (n *Node) onInfo(m *wire.RapidInfo, now time.Duration) {
 		return
 	}
 	n.noteSeq(id, m.ConfigSeq, now)
-	if !n.memberSet[id] {
+	if !n.isMember(id) {
 		return
 	}
 	if !n.admitInfo(m.Info, membership.OriginDirect, membership.NoNode, now) {
@@ -586,13 +591,13 @@ func (n *Node) onInfo(m *wire.RapidInfo, now time.Duration) {
 // beat) lands, so replayed or view-carried stale records can never regress
 // any observer's view of a subject.
 func (n *Node) admitInfo(info membership.MemberInfo, origin membership.Origin, relayer membership.NodeID, now time.Duration) bool {
-	mark, ok := n.infoSeen[info.Node]
-	if ok && info.Incarnation <= mark.inc &&
+	mark := &n.peers.Ensure(info.Node).info
+	if mark.seen && info.Incarnation <= mark.inc &&
 		(info.Incarnation < mark.inc || info.Version < mark.ver ||
 			(info.Version == mark.ver && info.Beat <= mark.beat)) {
 		return false
 	}
-	n.infoSeen[info.Node] = infoMark{inc: info.Incarnation, ver: info.Version, beat: info.Beat}
+	*mark = infoMark{inc: info.Incarnation, ver: info.Version, beat: info.Beat, seen: true}
 	n.dir.Upsert(info, origin, 0, relayer, now)
 	return true
 }
@@ -611,7 +616,7 @@ func (n *Node) onAlert(a *wire.RapidAlert, now time.Duration) {
 	}
 	n.alertSeen[k] = a.Seq
 	n.noteSeq(a.Observer, a.ConfigSeq, now)
-	if a.ConfigSeq != n.configSeq || !n.memberSet[a.Observer] || !n.memberSet[a.Subject] || a.Subject == n.id {
+	if a.ConfigSeq != n.configSeq || !n.isMember(a.Observer) || !n.isMember(a.Subject) || a.Subject == n.id {
 		return
 	}
 	if a.Down {
@@ -626,19 +631,20 @@ func (n *Node) onJoin(j *wire.RapidJoin, now time.Duration) {
 		n.ep.NoteReject()
 		return
 	}
-	if n.memberSet[j.From] {
+	from := n.peers.Ensure(j.From)
+	if from.member {
 		// Already in: the joiner is behind, send it the configuration.
 		n.sendViewTo(j.From, now)
 		return
 	}
-	if p := n.joinPend[j.From]; p != nil {
+	if p := from.join; p != nil {
 		if j.Info.Incarnation > p.info.Incarnation ||
 			(j.Info.Incarnation == p.info.Incarnation && j.Info.Version > p.info.Version) {
 			p.info = j.Info
 		}
 		return
 	}
-	n.joinPend[j.From] = &pendingJoin{info: j.Info, at: now}
+	from.join = &pendingJoin{info: j.Info, at: now}
 }
 
 func (n *Node) onProbe(p *wire.RapidProbe) {
@@ -662,21 +668,23 @@ func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
 	// Proposal tokens from one proposer are monotone: a replayed round from
 	// the past must not harvest fresh votes. Equal tokens are the live
 	// round's retransmissions and must be re-answered.
-	if mark, ok := n.propSeen[p.From]; ok && p.Token < mark {
+	from := n.peers.Ensure(p.From)
+	if p.Token < from.propToken {
 		n.ep.NoteReject()
 		return
 	}
-	n.propSeen[p.From] = p.Token
-	if !n.memberSet[p.From] || p.Seq != n.configSeq+1 {
+	from.propToken = p.Token
+	if !from.member || p.Seq != n.configSeq+1 {
 		n.noteSeq(p.From, p.Seq-1, now)
 		return
 	}
 	var alive []membership.NodeID
 	for _, s := range p.Evict {
+		subj := n.peers.Get(s)
 		switch {
 		case s == n.id:
 			alive = append(alive, s)
-		case n.subjSet[s] && now-n.lastHeard[s] <= n.cfg.DeadAfter():
+		case subj != nil && subj.subject && now-subj.lastHeard <= n.cfg.DeadAfter():
 			alive = append(alive, s)
 		default:
 			if lu := n.cut.LastUp(s); lu >= 0 && now-lu < n.cfg.UpQuietFor {
@@ -693,34 +701,38 @@ func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
 // toward the majority the commit gate needs.
 func (n *Node) onVote(v *wire.RapidVote, now time.Duration) {
 	p := n.prop
-	if p == nil || v.Token != p.token || v.From < 0 || v.From == n.id || !n.memberSet[v.From] {
+	if p == nil || v.Token != p.token || v.From < 0 || v.From == n.id || !n.isMember(v.From) {
 		n.ep.NoteReject()
 		return
 	}
 	if !v.OK {
 		for _, s := range v.Alive {
-			if n.memberSet[s] {
-				n.cut.Vouch(s, now)
-				delete(n.confirmed, s)
-				delete(n.probes, s)
+			if n.isMember(s) {
+				n.vouch(s, now)
 			}
 		}
 		n.prop = nil
 		n.readySince = -1
 		return
 	}
-	p.votes[v.From] = true
+	n.peers.Get(v.From).vote = p.token
+}
+
+// vouch takes a member proven alive out of the cut and drops its
+// arbitration state.
+func (n *Node) vouch(s membership.NodeID, now time.Duration) {
+	n.cut.Vouch(s, now)
+	p := n.peers.Ensure(s)
+	p.confirmed, p.probe = false, probeState{}
 }
 
 func (n *Node) onProbeAck(a *wire.RapidProbeAck, now time.Duration) {
-	ps := n.probes[a.From]
-	if ps == nil || ps.token != a.Token {
+	p := n.peers.Get(a.From)
+	if p == nil || p.probe.token == 0 || p.probe.token != a.Token {
 		n.ep.NoteReject()
 		return
 	}
-	delete(n.probes, a.From)
-	delete(n.confirmed, a.From)
-	n.cut.Vouch(a.From, now)
+	n.vouch(a.From, now)
 }
 
 // adopt installs a received configuration if it wins against the current
@@ -744,23 +756,23 @@ func (n *Node) adopt(v *wire.RapidView, now time.Duration) {
 			return
 		}
 	}
-	wasMember := n.memberSet[n.id]
+	wasMember := n.isMember(n.id)
 	n.configSeq, n.proposer = v.Seq, v.Proposer
 	n.installMembers(members, now)
 	n.viewsInstalled++
 	// Directory diff: departed members leave atomically, carried records
 	// for incoming members land behind the freshness guard.
 	for _, id := range n.dir.Nodes() {
-		if id != n.id && !n.memberSet[id] {
+		if id != n.id && !n.isMember(id) {
 			n.dir.Remove(id, now)
 		}
 	}
 	for _, info := range v.Infos {
-		if info.Node >= 0 && info.Node != n.id && n.memberSet[info.Node] {
+		if info.Node >= 0 && info.Node != n.id && n.isMember(info.Node) {
 			n.admitInfo(info, membership.OriginRelayed, v.Proposer, now)
 		}
 	}
-	if n.memberSet[n.id] && !wasMember {
+	if n.isMember(n.id) && !wasMember {
 		// Newly admitted (or re-admitted after eviction): announce our
 		// record so every member's directory gets the authoritative copy.
 		n.broadcastInfo()
@@ -775,7 +787,7 @@ func (n *Node) scanTick() {
 	}
 	now := n.eng.Now()
 	n.detect(now)
-	if !n.memberSet[n.id] {
+	if !n.isMember(n.id) {
 		n.joinLoop(now)
 		return
 	}
@@ -787,14 +799,15 @@ func (n *Node) scanTick() {
 func (n *Node) detect(now time.Duration) {
 	dead := n.cfg.DeadAfter()
 	for _, s := range n.subjects {
-		silent := now-n.lastHeard[s] > dead
+		p := n.peers.Get(s)
+		silent := now-p.lastHeard > dead
 		if !silent {
 			continue
 		}
-		if !n.downMark[s] {
-			n.downMark[s] = true
+		if !p.down {
+			p.down = true
 			n.sendAlert(s, true)
-		} else if now-n.lastAlert[s] >= n.cfg.ReAlertInterval {
+		} else if now-p.lastAlert >= n.cfg.ReAlertInterval {
 			n.sendAlert(s, true)
 		}
 	}
@@ -833,22 +846,14 @@ func (n *Node) arbitrate(now time.Duration) {
 		cutSet = append(append([]membership.NodeID(nil), stable...), unstable...)
 		sortIDs(cutSet)
 	}
-	inCut := make(map[membership.NodeID]bool, len(cutSet))
-	for _, s := range cutSet {
-		inCut[s] = true
-	}
+	inCut := func(id membership.NodeID) bool { return contains(cutSet, id) }
 	// Drop arbitration state for subjects that left the cut (vouched or
 	// retracted); their stale verdicts must not leak into a proposal.
-	for s := range n.confirmed {
-		if !inCut[s] {
-			delete(n.confirmed, s)
+	n.peers.Each(func(id membership.NodeID, p *peer) {
+		if !inCut(id) {
+			p.confirmed, p.probe = false, probeState{}
 		}
-	}
-	for s := range n.probes {
-		if !inCut[s] {
-			delete(n.probes, s)
-		}
-	}
+	})
 	if len(cutSet) == 0 {
 		n.readySince = -1
 		if n.prop != nil && len(n.prop.evict) > 0 {
@@ -859,7 +864,7 @@ func (n *Node) arbitrate(now time.Duration) {
 		n.proposeJoins(now)
 		return
 	}
-	if inCut[n.id] {
+	if inCut(n.id) {
 		// Accused ourselves: stay out of arbitration, answer probes, and
 		// let the survivors decide.
 		n.readySince = -1
@@ -872,7 +877,7 @@ func (n *Node) arbitrate(now time.Duration) {
 		if m == n.id {
 			break
 		}
-		if !inCut[m] {
+		if !inCut(m) {
 			rank++
 		}
 	}
@@ -886,21 +891,18 @@ func (n *Node) arbitrate(now time.Duration) {
 		n.readySince = -1
 		return
 	}
-	inStable := make(map[membership.NodeID]bool, len(stable))
-	for _, s := range stable {
-		inStable[s] = true
-	}
 	for _, s := range cutSet {
-		if n.confirmed[s] {
+		p := n.peers.Ensure(s)
+		if p.confirmed {
 			continue
 		}
-		if !inStable[s] && now-n.cut.FirstDown(s) < n.cfg.ArbitrateAfter {
+		if !contains(stable, s) && now-n.cut.FirstDown(s) < n.cfg.ArbitrateAfter {
 			continue
 		}
-		n.probe(s, now)
+		n.probe(s, p, now)
 	}
 	for _, s := range cutSet {
-		if !n.confirmed[s] {
+		if !n.peers.Get(s).confirmed {
 			n.readySince = -1
 			return
 		}
@@ -920,12 +922,11 @@ func (n *Node) arbitrate(now time.Duration) {
 // nobody anywhere heard it for UpQuietFor — otherwise keep probing (a
 // lossy-but-alive member keeps generating UP evidence and is never
 // confirmed).
-func (n *Node) probe(s membership.NodeID, now time.Duration) {
-	ps := n.probes[s]
-	if ps == nil {
+func (n *Node) probe(s membership.NodeID, p *peer, now time.Duration) {
+	ps := &p.probe
+	if ps.token == 0 {
 		n.tokens++
-		ps = &probeState{token: n.tokens, deadline: now + n.cfg.ProbeTimeout}
-		n.probes[s] = ps
+		*ps = probeState{token: n.tokens, deadline: now + n.cfg.ProbeTimeout}
 		n.sendProbe(s, ps.token)
 		return
 	}
@@ -934,8 +935,7 @@ func (n *Node) probe(s membership.NodeID, now time.Duration) {
 	}
 	if ps.tries >= n.cfg.ProbeRetries {
 		if lu := n.cut.LastUp(s); lu < 0 || now-lu >= n.cfg.UpQuietFor {
-			n.confirmed[s] = true
-			delete(n.probes, s)
+			p.confirmed, p.probe = true, probeState{}
 			return
 		}
 		ps.tries = 0 // veto active: keep cycling until the UP evidence dries up
@@ -956,16 +956,16 @@ func (n *Node) sendProbe(s membership.NodeID, token uint64) {
 // proposeJoins opens a joins-only ratification round: strictly the lowest
 // member's job, batched over JoinBatchWindow.
 func (n *Node) proposeJoins(now time.Duration) {
-	if len(n.joinPend) == 0 || len(n.members) == 0 || n.members[0] != n.id {
+	if len(n.members) == 0 || n.members[0] != n.id {
 		return
 	}
 	oldest := time.Duration(-1)
-	for _, p := range n.joinPend {
-		if oldest < 0 || p.at < oldest {
-			oldest = p.at
+	n.peers.Each(func(_ membership.NodeID, p *peer) {
+		if p.join != nil && (oldest < 0 || p.join.at < oldest) {
+			oldest = p.join.at
 		}
-	}
-	if now-oldest < n.cfg.JoinBatchWindow {
+	})
+	if oldest < 0 || now-oldest < n.cfg.JoinBatchWindow {
 		return
 	}
 	n.ensureProposal(nil, now)
@@ -983,10 +983,10 @@ func (n *Node) ensureProposal(evict []membership.NodeID, now time.Duration) {
 	n.prop = &proposal{
 		token:    n.tokens,
 		evict:    append([]membership.NodeID(nil), evict...),
-		votes:    map[membership.NodeID]bool{n.id: true},
 		openedAt: now,
 		sentAt:   now,
 	}
+	n.peers.Get(n.id).vote = n.tokens
 	n.broadcastProposal()
 }
 
@@ -1018,8 +1018,8 @@ func (n *Node) pumpProposal(now time.Duration) {
 		return
 	}
 	acks := 0
-	for _, ok := range p.votes {
-		if ok {
+	for _, m := range n.members {
+		if n.peers.Get(m).vote == p.token {
 			acks++
 		}
 	}
@@ -1033,55 +1033,38 @@ func (n *Node) pumpProposal(now time.Duration) {
 // the union of old and new members, then installs locally through the same
 // adopt path everyone else runs.
 func (n *Node) commit(evict []membership.NodeID, now time.Duration) {
-	evictSet := make(map[membership.NodeID]bool, len(evict))
-	for _, e := range evict {
-		evictSet[e] = true
-	}
-	next := make([]membership.NodeID, 0, len(n.members)+len(n.joinPend))
+	evicted := func(id membership.NodeID) bool { return contains(evict, id) }
+	next := make([]membership.NodeID, 0, len(n.members))
 	for _, m := range n.members {
-		if !evictSet[m] {
+		if !evicted(m) {
 			next = append(next, m)
 		}
 	}
+	// Deliver to everyone affected: survivors, joiners, and the evicted (so
+	// a mistakenly evicted live node learns immediately and rejoins).
+	targets := append([]membership.NodeID(nil), n.members...)
 	var joinInfos []membership.MemberInfo
-	joiners := make([]membership.NodeID, 0, len(n.joinPend))
-	for id := range n.joinPend {
-		joiners = append(joiners, id)
-	}
-	sortIDs(joiners)
-	for _, id := range joiners {
-		if !evictSet[id] && !n.memberSet[id] {
+	n.peers.Each(func(id membership.NodeID, p *peer) {
+		if p.join != nil && !evicted(id) && !p.member {
 			next = append(next, id)
-			joinInfos = append(joinInfos, n.joinPend[id].info)
+			targets = append(targets, id)
+			joinInfos = append(joinInfos, p.join.info)
 		}
-	}
+	})
 	sortIDs(next)
+	sortIDs(targets)
 	if len(next) == 0 {
 		return
 	}
 	v := &wire.RapidView{Seq: n.configSeq + 1, Proposer: n.id, Members: next}
 	for _, info := range n.dir.Snapshot() {
-		if !evictSet[info.Node] && n.memberSet[info.Node] {
+		if !evicted(info.Node) && n.isMember(info.Node) {
 			v.Infos = append(v.Infos, info)
 		}
 	}
 	v.Infos = append(v.Infos, joinInfos...)
 	buf := n.enc.AppendEncode(nil, v)
-	// Deliver to everyone affected: survivors, joiners, and the evicted
-	// (so a mistakenly evicted live node learns immediately and rejoins).
-	targets := make(map[membership.NodeID]bool, len(n.members)+len(next))
-	for _, m := range n.members {
-		targets[m] = true
-	}
-	for _, m := range next {
-		targets[m] = true
-	}
-	sorted := make([]membership.NodeID, 0, len(targets))
-	for t := range targets {
-		sorted = append(sorted, t)
-	}
-	sortIDs(sorted)
-	for _, t := range sorted {
+	for _, t := range targets {
 		if t != n.id {
 			n.ep.Unicast(topology.HostID(t), buf)
 		}

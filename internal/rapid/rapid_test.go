@@ -1,6 +1,7 @@
 package rapid
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -299,14 +300,14 @@ func TestRapidReplayFromEvictedMemberRejected(t *testing.T) {
 			eng.Run(5 * time.Second)
 			var observer *Node
 			for _, n := range nodes {
-				if n.subjSet[victim.ID()] {
+				if p := n.peers.Get(victim.ID()); p != nil && p.subject {
 					observer = n
 					break
 				}
 			}
 			victim.Stop()
 			eng.Run(eng.Now() + 25*time.Second)
-			if observer.Directory().Has(victim.ID()) || observer.memberSet[victim.ID()] {
+			if observer.Directory().Has(victim.ID()) || observer.isMember(victim.ID()) {
 				t.Fatal("the stopped node was not evicted")
 			}
 			ep := net.Endpoint(topology.HostID(observer.ID()))
@@ -321,7 +322,7 @@ func TestRapidReplayFromEvictedMemberRejected(t *testing.T) {
 			if (rejects == 0) != tc.accepted || (answers != 0) != tc.accepted {
 				t.Fatalf("%d rejects and %d answers, want accepted = %v", rejects, answers, tc.accepted)
 			}
-			if _, heard := observer.lastHeard[victim.ID()]; heard || observer.Directory().Has(victim.ID()) || observer.memberSet[victim.ID()] {
+			if observer.peers.Get(victim.ID()).subject || observer.Directory().Has(victim.ID()) || observer.isMember(victim.ID()) {
 				t.Fatal("the beat brought the evicted node back")
 			}
 		})
@@ -360,7 +361,125 @@ func BenchmarkRapidReceiveBeat(b *testing.B) {
 	if rejected := n.ep.(*netsim.Endpoint).Stats().Rejected; rejected != 0 {
 		b.Fatalf("%d beats died in the replay guard; the loop timed the guard, not the receive path", rejected)
 	}
-	if n.lastHeard[beat.From] != time.Duration(turn) {
+	if n.peers.Get(beat.From).lastHeard != time.Duration(turn) {
 		b.Fatal("the beats did not refresh their edges")
+	}
+}
+
+// TestRapidGuardsOutliveSessions: a restart and a view change each end every
+// peer's session — membership and subject flags, edge state, arbitration
+// state and votes are re-derived from the installed configuration — and
+// leave the guard half alone, so a beat, a member record and a proposal
+// round replayed from before are rejected afterwards exactly as they would
+// have been before.
+func TestRapidGuardsOutliveSessions(t *testing.T) {
+	eng, net, nodes := newCluster(topology.Clustered(3, 5), 7)
+	for _, n := range nodes {
+		n.Start(eng)
+	}
+	eng.Run(5 * time.Second)
+	proposer := nodes[0] // the lowest member arbitrates and proposes
+	var observer *Node
+	for _, n := range nodes[1:] {
+		if p := n.peers.Get(proposer.ID()); p != nil && p.subject {
+			observer = n
+			break
+		}
+	}
+	// An eviction gives the observer a proposal token from the proposer, on
+	// top of its beat and record marks.
+	evictee := nodes[7]
+	if evictee == observer {
+		evictee = nodes[8]
+	}
+	evictee.Stop()
+	eng.Run(eng.Now() + 25*time.Second)
+	if observer.ConfigSeq() != 2 || observer.isMember(evictee.ID()) {
+		t.Fatalf("the observer is on view %d, want the eviction view", observer.ConfigSeq())
+	}
+	about := observer.peers.Get(proposer.ID())
+	guards := about.peerGuards
+	if guards.beat == (membership.Mark{}) || !guards.info.seen || guards.propToken == 0 {
+		t.Fatalf("the scenario left a guard unset: %+v", guards)
+	}
+	ep := net.Endpoint(topology.HostID(observer.ID()))
+	lastRecord := proposer.info.Clone()
+	lastRecord.Beat = guards.info.beat
+	replaysRejected := func(when string) {
+		t.Helper()
+		for _, m := range []wire.Message{
+			&wire.RapidBeat{From: proposer.ID(), ConfigSeq: observer.ConfigSeq(), Inc: proposer.info.Incarnation, Beat: proposer.info.Beat},
+			&wire.RapidInfo{ConfigSeq: observer.ConfigSeq(), Info: lastRecord},
+			&wire.RapidPropose{From: proposer.ID(), Token: guards.propToken - 1, Seq: observer.ConfigSeq() + 1},
+		} {
+			before := ep.Stats()
+			observer.Receive(netsim.Packet{Src: topology.HostID(proposer.ID()), Dst: topology.HostID(observer.ID()), Payload: wire.Encode(m)})
+			if after := ep.Stats(); after.Rejected != before.Rejected+1 || after.PktsSent != before.PktsSent {
+				t.Errorf("%s, a replayed %T drew %d rejects and %d answers, want 1 and 0",
+					when, m, after.Rejected-before.Rejected, after.PktsSent-before.PktsSent)
+			}
+		}
+	}
+	// dirty puts every kind of session state on the record; sessionsFresh
+	// requires that installing a configuration just now left, on every
+	// record, only what the configuration implies.
+	dirty := func() {
+		about.down, about.lastAlert, about.confirmed, about.vote = true, eng.Now(), true, 99
+		about.probe = probeState{token: 5, tries: 2, deadline: eng.Now()}
+	}
+	sessionsFresh := func(when string) {
+		t.Helper()
+		observer.peers.Each(func(id membership.NodeID, p *peer) {
+			want := peerSession{member: slices.Contains(observer.members, id), subject: slices.Contains(observer.subjects, id)}
+			if want.subject {
+				want.lastHeard = eng.Now()
+			}
+			if p.peerSession != want {
+				t.Errorf("%s, %v's session is %+v, want %+v", when, id, p.peerSession, want)
+			}
+		})
+		if about.peerGuards != guards {
+			t.Errorf("%s the guards are %+v, were %+v", when, about.peerGuards, guards)
+		}
+	}
+	replaysRejected("before anything")
+
+	dirty()
+	observer.Stop()
+	observer.Start(eng)
+	sessionsFresh("after a restart")
+	replaysRejected("after a restart")
+
+	dirty()
+	gone := nodes[14].ID()
+	if gone == observer.ID() {
+		gone = nodes[13].ID()
+	}
+	next := &wire.RapidView{Seq: observer.ConfigSeq() + 1, Proposer: proposer.ID()}
+	for _, m := range observer.Members() {
+		if m != gone {
+			next.Members = append(next.Members, m)
+		}
+	}
+	observer.Receive(netsim.Packet{Src: topology.HostID(proposer.ID()), Dst: topology.HostID(observer.ID()), Payload: wire.Encode(next)})
+	if observer.ConfigSeq() != next.Seq || observer.isMember(gone) || !about.member {
+		t.Fatalf("the observer is on view %d, want the one just sent", observer.ConfigSeq())
+	}
+	sessionsFresh("after a view change")
+	replaysRejected("after a view change")
+}
+
+// TestRapidReinstallAllocatesNoPeerState: installing a configuration — every
+// view change, every restart — allocates nothing for per-peer state. What is
+// left is the member list's copy and the ring derivation: one permutation
+// per ring, the two edge lists' growth, and their sorts.
+func TestRapidReinstallAllocatesNoPeerState(t *testing.T) {
+	eng, _, nodes := newCluster(topology.Clustered(1, 20), 1)
+	n := nodes[0]
+	n.Start(eng)
+	n.cut.Down(3, 4, 0) // a tally for the reset to clear
+	const ceiling = 19
+	if allocs := testing.AllocsPerRun(100, func() { n.installMembers(n.members, 0) }); allocs > ceiling {
+		t.Fatalf("re-installing an unchanged configuration allocates %.0f times, want at most %d", allocs, ceiling)
 	}
 }

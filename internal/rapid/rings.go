@@ -1,6 +1,7 @@
 package rapid
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/membership"
@@ -79,8 +80,6 @@ func deriveRingsDC(seq uint64, k int, members []membership.NodeID, self membersh
 	if k > n-1 {
 		k = n - 1
 	}
-	obs := make(map[membership.NodeID]bool, k)
-	sub := make(map[membership.NodeID]bool, k)
 	cycle := func(r int, group []membership.NodeID) {
 		m := len(group)
 		if m < 2 {
@@ -101,10 +100,10 @@ func deriveRingsDC(seq uint64, k int, members []membership.NodeID, self membersh
 				continue
 			}
 			if succ := perm[(i+1)%m]; succ != self {
-				sub[succ] = true
+				subjects = append(subjects, succ)
 			}
 			if pred := perm[(i+m-1)%m]; pred != self {
-				obs[pred] = true
+				observers = append(observers, pred)
 			}
 			break
 		}
@@ -135,23 +134,19 @@ func deriveRingsDC(seq uint64, k int, members []membership.NodeID, self membersh
 		}
 		cycle(r, rest)
 	}
-	return sortedIDs(obs), sortedIDs(sub)
-}
-
-func sortedIDs(set map[membership.NodeID]bool) []membership.NodeID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]membership.NodeID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
+	sortIDs(observers)
+	sortIDs(subjects)
+	return slices.Compact(observers), slices.Compact(subjects)
 }
 
 func sortIDs(ids []membership.NodeID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+}
+
+// contains reports whether sorted holds id.
+func contains(sorted []membership.NodeID, id membership.NodeID) bool {
+	_, found := slices.BinarySearch(sorted, id)
+	return found
 }
 
 // idsEqual reports whether two sorted ID slices are identical.

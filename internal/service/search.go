@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -144,8 +145,15 @@ func (g *Gateway) fetchDocs(byPart map[int32][]string, finish func(string, error
 	remaining := len(byPart)
 	var descs []string
 	var failed error
-	for part, docs := range byPart {
-		payload := []byte(strings.Join(docs, ","))
+	// Ascending partition order: each fetch is a send, and sends in Go's map
+	// order would make the run depend on the map seed, not the engine's.
+	parts := make([]int32, 0, len(byPart))
+	for part := range byPart {
+		parts = append(parts, part)
+	}
+	slices.Sort(parts)
+	for _, part := range parts {
+		payload := []byte(strings.Join(byPart[part], ","))
 		g.invokeWithRetry(DocService, part, payload, g.retries, func(b []byte, err error) {
 			if err != nil && failed == nil {
 				failed = fmt.Errorf("doc p%d: %w", part, err)

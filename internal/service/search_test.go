@@ -2,10 +2,12 @@ package service
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/topology"
 )
 
@@ -147,5 +149,31 @@ func TestGatewayRetriesMaskReplicaFailure(t *testing.T) {
 	}
 	if okCount != 10 {
 		t.Fatalf("only %d/10 queries survived replica failures with retries", okCount)
+	}
+}
+
+// TestGatewayQueryIsDeterministic: the doc fetches of one query are separate
+// sends whose order decides which replica each poll lands on, the order the
+// descriptions come back in, and every loss draw after them. One seed must
+// give one run: the same seeded workload rerun in one process yields the
+// same result strings and the same packet counts every time.
+func TestGatewayQueryIsDeterministic(t *testing.T) {
+	run := func() (results []string, traffic netsim.Stats) {
+		f, gw := searchFixture(t, 2)
+		f.net.SetLossProbability(0.05)
+		for i := 0; i < 5; i++ {
+			gw.Query(fmt.Sprintf("q%d", i), func(r QueryResult) { results = append(results, fmt.Sprint(r.Result, r.Err)) })
+			f.run(3 * time.Second)
+		}
+		return results, f.net.TotalStats()
+	}
+	want, wantTraffic := run()
+	if len(want) != 5 || !strings.Contains(want[0], ";") {
+		t.Fatalf("the workload joins no doc partitions: %q", want)
+	}
+	for rerun := 1; rerun <= 20; rerun++ {
+		if got, traffic := run(); !slices.Equal(got, want) || traffic != wantTraffic {
+			t.Fatalf("rerun %d differs:\n%q, %+v\nfirst run:\n%q, %+v", rerun, got, traffic, want, wantTraffic)
+		}
 	}
 }
