@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/membership"
 	"repro/internal/netsim"
+	"repro/internal/topology"
 	"repro/internal/wire"
 )
 
@@ -140,5 +142,47 @@ func TestProxyStopReleasesRelayDuties(t *testing.T) {
 	// The DC still has exactly one leader (the other proxy).
 	if f.leaderOf(0) == nil {
 		t.Fatal("no replacement proxy leader")
+	}
+}
+
+// TestReplayedLeaderBeatDoesNotDelayTakeover: the leader stops, and its last
+// group heartbeat is delivered again (a replay ring, a stale link) inside
+// the death horizon. Old packets must not fake liveness: the replay is
+// rejected and counted, and the backup takes the VIP over as early as it
+// would have without it.
+func TestReplayedLeaderBeatDoesNotDelayTakeover(t *testing.T) {
+	f := newDCFixture(t, 2, 2, 3, 2)
+	f.startAll()
+	f.run(25 * time.Second)
+	old := f.leaderOf(0)
+	var backup *Proxy
+	for _, p := range f.proxies {
+		if p.cfg.DC == 0 && p != old {
+			backup = p
+		}
+	}
+	if old == nil || backup == nil || backup.IsLeader() {
+		t.Fatal("DC0 did not settle on one leader and one backup")
+	}
+	lastBeat := &wire.Heartbeat{
+		Info:   membership.MemberInfo{Node: old.ID()},
+		Level:  255,
+		Leader: true,
+		Backup: membership.NoNode,
+		Seq:    uint64(old.tick - 1),
+	}
+	f.nodes[old.Host()].Stop()
+	old.Stop()
+
+	f.run(4 * time.Second) // inside the 5 s death horizon
+	before := f.net.Endpoint(backup.Host()).Stats().Rejected
+	backup.handle(netsim.Packet{Src: old.Host(), Dst: topology.NoHost, Channel: backup.cfg.ProxyChannel, TTL: 1, Payload: wire.Encode(lastBeat)}, lastBeat)
+	if got := f.net.Endpoint(backup.Host()).Stats().Rejected - before; got != 1 {
+		t.Errorf("the replayed beat drew %d rejects, want 1", got)
+	}
+
+	f.run(3 * time.Second) // 7 s after the stop: one horizon plus two beats
+	if addr, _ := f.vip.Get(0); !backup.IsLeader() || addr != backup.Host() {
+		t.Fatalf("7 s after the leader stopped the backup leads = %v and the VIP is at %v, want %v", backup.IsLeader(), addr, backup.Host())
 	}
 }

@@ -89,9 +89,16 @@ type remoteDC struct {
 	chunkEntries map[string]wire.SummaryEntry
 }
 
-// mate tracks a proxy-group mate, in a membership.Table: live from its
-// first group heartbeat until it has been silent for the death horizon.
+// mate tracks a proxy-group mate, in a membership.Table. The session is live
+// from a group heartbeat until the mate has been silent for the death
+// horizon; beat, the replay guard over those heartbeats, outlives it (and
+// this proxy's Stop/Start), so a dead leader's replayed beats stay dead.
 type mate struct {
+	beat membership.Mark
+	mateSession
+}
+
+type mateSession struct {
 	lastHeard time.Duration
 	live      bool
 	leader    bool // its heartbeats carry the leader flag
@@ -266,7 +273,7 @@ func (p *Proxy) beat() {
 	lowest, leaderVisible, lowerLeader := true, false, false
 	p.mates.Each(func(id membership.NodeID, m *mate) {
 		if m.live && now-m.lastHeard > dead {
-			*m = mate{}
+			m.mateSession = mateSession{}
 		}
 		if !m.live {
 			return

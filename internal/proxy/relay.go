@@ -52,7 +52,15 @@ func (p *Proxy) onGroupHeartbeat(hb *wire.Heartbeat) {
 	if from == p.ID() {
 		return
 	}
-	*p.mates.Ensure(from) = mate{lastHeard: p.eng.Now(), live: true, leader: hb.Leader}
+	m := p.mates.Ensure(from)
+	// Beats carry the sender's tick, which no restart resets: a replayed or
+	// stale-delivered one must not keep a stopped leader visible and hold
+	// up the VIP takeover.
+	if !m.beat.Advance(hb.Info.Incarnation, hb.Seq) {
+		p.ep.NoteReject()
+		return
+	}
+	m.mateSession = mateSession{lastHeard: p.eng.Now(), live: true, leader: hb.Leader}
 	if hb.Leader && p.isLeader && from < p.ID() {
 		p.isLeader = false
 	}
