@@ -58,9 +58,12 @@ type Node struct {
 	// sweepDue is the earliest instant an expiry sweep can find anything.
 	sweepDue time.Duration
 	// enc frames heartbeats without a per-send writer; hbHint is the last
-	// heartbeat's encoded size, so the payload is allocated once, exactly.
+	// heartbeat's encoded size, so the payload is allocated once, exactly;
+	// beat is the outgoing heartbeat, overwritten per send (a fresh one would
+	// escape through wire.Message).
 	enc    wire.Encoder
 	hbHint int
+	beat   wire.Heartbeat
 }
 
 // NewNode creates a node bound to an endpoint.
@@ -157,13 +160,13 @@ func (n *Node) sendHeartbeat() {
 		return
 	}
 	n.info.Beat++
-	hb := &wire.Heartbeat{
+	n.beat = wire.Heartbeat{
 		Info:   n.info, // encoded synchronously below, so no defensive clone
 		Backup: membership.NoNode,
 		Seq:    n.info.Beat,
 		Pad:    uint16(n.cfg.HeartbeatPad),
 	}
-	payload := n.enc.AppendEncode(make([]byte, 0, n.hbHint), hb)
+	payload := n.enc.AppendEncode(make([]byte, 0, n.hbHint), &n.beat)
 	n.hbHint = len(payload)
 	n.ep.Multicast(n.cfg.Channel, n.cfg.TTL, payload)
 }

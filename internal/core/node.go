@@ -125,10 +125,13 @@ type Node struct {
 
 	// enc frames outgoing packets without a per-send writer allocation;
 	// hbHint remembers the last heartbeat's encoded size so the payload
-	// buffer is allocated exactly once per send. dirCursor is the scratch
-	// cursor onDirectoryMsg walks a received snapshot with.
+	// buffer is allocated exactly once per send. hb is the outgoing
+	// heartbeat, overwritten per send (a fresh one would escape through
+	// wire.Message); dirCursor is the scratch cursor onDirectoryMsg walks a
+	// received snapshot with.
 	enc       wire.Encoder
 	hbHint    int
+	hb        wire.Heartbeat
 	dirCursor wire.InfoCursor
 
 	stats Stats
@@ -499,7 +502,7 @@ func (n *Node) sendHeartbeat(level int) {
 		// is always joined to level 0.
 		n.info.Beat++
 	}
-	hb := &wire.Heartbeat{
+	n.hb = wire.Heartbeat{
 		Info:   n.info, // encoded synchronously below, so no defensive clone
 		Level:  uint8(level),
 		Leader: lv.isLeader,
@@ -507,7 +510,7 @@ func (n *Node) sendHeartbeat(level int) {
 		Seq:    lv.hbSeq,
 		Pad:    uint16(n.cfg.HeartbeatPad),
 	}
-	payload := n.enc.AppendEncode(make([]byte, 0, n.hbHint), hb)
+	payload := n.enc.AppendEncode(make([]byte, 0, n.hbHint), &n.hb)
 	if len(payload) > n.hbHint {
 		n.hbHint = len(payload)
 	}

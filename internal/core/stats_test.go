@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -198,5 +199,86 @@ func TestStatsAddCoversEveryCounter(t *testing.T) {
 		if got, want := sum.Field(i).Uint(), uint64(2*(i+1)); got != want {
 			t.Errorf("Add drops %s: got %d, want %d", sum.Type().Field(i).Name, got, want)
 		}
+	}
+}
+
+// fixedSeen is the dedup set as it was before it learned to grow — maxSeen
+// slots from the first insert — written the plain way (a map and an
+// insertion queue) as the reference the grown table is checked against.
+type fixedSeen struct {
+	in    map[wire.UpdateID]bool
+	queue []wire.UpdateID // oldest first
+}
+
+func (f *fixedSeen) mark(id wire.UpdateID) {
+	if f.in[id] {
+		return
+	}
+	if len(f.queue) == maxSeen {
+		delete(f.in, f.queue[0])
+		f.queue = f.queue[1:]
+	}
+	f.in[id] = true
+	f.queue = append(f.queue, id)
+}
+
+// TestSeenSetGrowsExactly drives the grown table and the fixed-capacity
+// reference through 3×maxSeen inserts from several origins, with re-marks of
+// recent, old and evicted IDs mixed in: after every step both answer has()
+// alike for the ID just marked, for the one about to fall out and for the
+// one that just did, the table holds exactly the reference's window in the
+// reference's eviction order, and it never holds more slots than twice what
+// it needs (up to the bound).
+func TestSeenSetGrowsExactly(t *testing.T) {
+	n := &Node{}
+	ref := &fixedSeen{in: map[wire.UpdateID]bool{}}
+	rng := rand.New(rand.NewSource(5))
+	var issued []wire.UpdateID
+	check := func(id wire.UpdateID) {
+		t.Helper()
+		if got, want := n.seen.has(id), ref.in[id]; got != want {
+			t.Fatalf("after %d marks, has(%v) = %v, reference says %v", len(issued), id, got, want)
+		}
+	}
+	for len(issued) < 3*maxSeen {
+		id := wire.UpdateID{Origin: membership.NodeID(rng.Intn(5)), Counter: uint32(len(issued))}
+		if len(issued) > 0 && rng.Intn(4) == 0 {
+			// A re-mark: mostly of something recent, sometimes of anything
+			// ever issued (present or long evicted, which re-inserts it).
+			back := rng.Intn(min(len(issued), 50))
+			if rng.Intn(5) == 0 {
+				back = rng.Intn(len(issued))
+			}
+			id = issued[len(issued)-1-back]
+		}
+		n.markSeen(id)
+		ref.mark(id)
+		issued = append(issued, id)
+		check(id)
+		check(ref.queue[0])
+		if past := len(issued) - maxSeen - 1; past >= 0 {
+			check(issued[past])
+		}
+		s := n.seen
+		if s.count != len(ref.queue) {
+			t.Fatalf("after %d marks the table holds %d IDs, the reference %d", len(issued), s.count, len(ref.queue))
+		}
+		if len(s.ring) > maxSeen || (len(s.ring) > minSeen && len(s.ring) >= 2*s.count) {
+			t.Fatalf("after %d marks the table has %d slots for %d IDs", len(issued), len(s.ring), s.count)
+		}
+		if len(issued)%257 == 0 || len(issued) == 3*maxSeen {
+			// The ring in eviction order is the reference's queue.
+			for i, want := range ref.queue {
+				if got := s.ring[(s.oldest+i)%len(s.ring)]; got != want {
+					t.Fatalf("after %d marks, eviction slot %d holds %v, reference %v", len(issued), i, got, want)
+				}
+			}
+			for id := range ref.in {
+				check(id)
+			}
+		}
+	}
+	if len(n.seen.ring) != maxSeen || n.seen.count != maxSeen {
+		t.Fatalf("the table ended at %d slots, %d IDs, want the bound", len(n.seen.ring), n.seen.count)
 	}
 }

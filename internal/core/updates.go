@@ -185,33 +185,40 @@ func (n *Node) markSeen(id wire.UpdateID) {
 	n.seen.add(id)
 }
 
-// seenSet is an exact fixed-capacity set of update IDs with FIFO eviction —
-// the same semantics as a map[wire.UpdateID]bool plus an eviction queue, but
-// the membership test runs for every piggybacked update on every delivery,
-// so it must not pay generic map-hashing costs. Entries live in an insertion
-// ring; per-bucket chains of ring indices make lookups O(1). Allocated
-// lazily so idle nodes cost nothing.
+// seenSet is an exact bounded set of update IDs with FIFO eviction — the
+// same semantics as a map[wire.UpdateID]bool plus an eviction queue, but the
+// membership test runs for every piggybacked update on every delivery, so it
+// must not pay generic map-hashing costs. Entries live in an insertion ring;
+// per-bucket chains of ring indices make lookups O(1). Allocated lazily so
+// idle nodes cost nothing, and grown by doubling from minSeen up to maxSeen:
+// a node of a small or short-lived cluster sees a few dozen IDs and should
+// not pay for 4096. What has/add answer, and the eviction order, do not
+// depend on the table's size — only on the maxSeen bound.
 type seenSet struct {
-	count  int                    // live entries, ≤ maxSeen
-	oldest int                    // ring index of the oldest entry once full
-	ring   [maxSeen]wire.UpdateID // entries in insertion order
-	bucket [maxSeen]int32         // 1-based chain heads into ring; 0 = empty
-	link   [maxSeen]int32         // 1-based chain successors; 0 = end
+	count  int             // live entries, ≤ len(ring)
+	oldest int             // ring index of the oldest entry once full at maxSeen
+	ring   []wire.UpdateID // entries in insertion order
+	bucket []int32         // 1-based chain heads into ring; 0 = empty
+	link   []int32         // 1-based chain successors; 0 = end
 }
 
-func seenBucket(id wire.UpdateID) uint32 {
+// minSeen is the table's first capacity; like maxSeen, a power of two.
+const minSeen = 64
+
+// bucketOf hashes id into a table of len(s.bucket) (a power of two) buckets.
+func (s *seenSet) bucketOf(id wire.UpdateID) uint32 {
 	h := uint64(uint32(id.Origin))<<32 | uint64(id.Counter)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd // 64-bit finalizer-style mix
 	h ^= h >> 33
-	return uint32(h) & (maxSeen - 1)
+	return uint32(h) & uint32(len(s.bucket)-1)
 }
 
 func (s *seenSet) has(id wire.UpdateID) bool {
-	if s == nil {
+	if s == nil || s.count == 0 {
 		return false
 	}
-	for i := s.bucket[seenBucket(id)]; i != 0; i = s.link[i-1] {
+	for i := s.bucket[s.bucketOf(id)]; i != 0; i = s.link[i-1] {
 		if s.ring[i-1] == id {
 			return true
 		}
@@ -221,6 +228,9 @@ func (s *seenSet) has(id wire.UpdateID) bool {
 
 // add inserts an ID known to be absent, evicting the oldest entry when full.
 func (s *seenSet) add(id wire.UpdateID) {
+	if s.count == len(s.ring) && s.count < maxSeen {
+		s.grow()
+	}
 	slot := int32(s.count)
 	if s.count == maxSeen {
 		slot = int32(s.oldest)
@@ -230,13 +240,30 @@ func (s *seenSet) add(id wire.UpdateID) {
 		s.count++
 	}
 	s.ring[slot] = id
-	b := seenBucket(id)
+	s.chain(slot)
+}
+
+// chain links ring slot into its bucket's chain.
+func (s *seenSet) chain(slot int32) {
+	b := s.bucketOf(s.ring[slot])
 	s.link[slot] = s.bucket[b]
 	s.bucket[b] = slot + 1
 }
 
+// grow doubles the table. The ring has not wrapped yet (eviction starts at
+// maxSeen), so the entries keep their slots and only the chains are rebuilt.
+func (s *seenSet) grow() {
+	size := max(minSeen, 2*len(s.ring))
+	s.ring = append(make([]wire.UpdateID, 0, size), s.ring...)[:size]
+	s.bucket = make([]int32, size)
+	s.link = make([]int32, size)
+	for slot := 0; slot < s.count; slot++ {
+		s.chain(int32(slot))
+	}
+}
+
 func (s *seenSet) unlink(id wire.UpdateID) {
-	p := &s.bucket[seenBucket(id)]
+	p := &s.bucket[s.bucketOf(id)]
 	for *p != 0 {
 		i := *p - 1
 		if s.ring[i] == id {

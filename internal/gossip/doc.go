@@ -10,6 +10,13 @@
 // visible in Figure 12. Bandwidth per node is O(n) per round because
 // digests carry the full membership, which Figure 11 measures.
 //
+// A round pays for that view once, as the packet: wire.EncodeGossip frames
+// it straight from the directory, and the receiver merges the decoded
+// wire.GossipView in place through Directory.MergeRelayed, building a
+// MemberInfo only for a member that is new or whose content changed
+// (docs/WIRE.md §4; the benchmarks in this package hold a steady-state
+// receive to one allocation and a round to its packet).
+//
 // Node mirrors the surface of core.Node (ID, Directory, Start/Stop,
 // SetInfo, RegisterService, UpdateValue) so the experiment harness can
 // drive all three schemes through one Instance interface, and satisfies

@@ -95,11 +95,10 @@ type Node struct {
 	info    membership.MemberInfo
 	ticker  *sim.Ticker
 	running bool
-	// enc frames the per-round view without a per-send writer; viewHint is
-	// the last view's encoded size, so the payload is allocated once
-	// instead of doubling its way up from the writer's default.
-	enc      wire.Encoder
-	viewHint int
+	// cursor walks a received view and targets holds a round's candidates:
+	// scratch that lives on the node so neither is allocated per packet.
+	cursor  wire.InfoCursor
+	targets []membership.NodeID
 }
 
 // NewNode creates a gossip node bound to an endpoint.
@@ -212,36 +211,22 @@ func (n *Node) round() {
 		n.dir.Remove(id, now)
 	}
 
-	// Build the gossip message: our entire view with counters.
-	nodes := n.dir.Nodes()
-	entries := make([]wire.GossipEntry, 0, len(nodes))
-	for _, id := range nodes {
-		e := n.dir.Get(id)
-		info := e.Info // encoded synchronously below, so no defensive clone
-		info.Beat = e.Counter
-		entries = append(entries, wire.GossipEntry{Counter: e.Counter, Info: info})
-	}
-	pad := uint32(0)
-	if n.cfg.EntryPad > 0 {
-		pad = uint32(n.cfg.EntryPad * len(entries))
-	}
-	payload := n.enc.AppendEncode(make([]byte, 0, n.viewHint), &wire.Gossip{From: n.id, Entries: entries, Pad: pad})
-	n.viewHint = len(payload)
-
+	// Our entire view with counters, framed straight from the directory.
+	payload := wire.EncodeGossip(n.id, n.dir, n.cfg.EntryPad)
 	for _, target := range n.pickTargets() {
 		n.ep.Unicast(topology.HostID(target), payload)
 	}
 }
 
 // pickTargets selects up to Fanout random live members (or seeds while the
-// view is empty).
+// view is empty). The result is the node's scratch, good until the next call.
 func (n *Node) pickTargets() []membership.NodeID {
-	var candidates []membership.NodeID
-	for _, id := range n.dir.Nodes() {
+	candidates := n.targets[:0]
+	n.dir.Range(func(id membership.NodeID, _ *membership.Entry) {
 		if id != n.id {
 			candidates = append(candidates, id)
 		}
-	}
+	})
 	if len(candidates) == 0 {
 		for _, s := range n.cfg.Seeds {
 			if s != n.id {
@@ -250,10 +235,8 @@ func (n *Node) pickTargets() []membership.NodeID {
 		}
 	}
 	rng := n.eng.Rand()
-	var targets []membership.NodeID
-	if len(candidates) <= n.cfg.Fanout {
-		targets = candidates
-	} else {
+	targets := candidates
+	if len(candidates) > n.cfg.Fanout {
 		rng.Shuffle(len(candidates), func(i, j int) {
 			candidates[i], candidates[j] = candidates[j], candidates[i]
 		})
@@ -272,6 +255,7 @@ func (n *Node) pickTargets() []membership.NodeID {
 			targets = append(targets, s)
 		}
 	}
+	n.targets = targets[:0] // keep whatever the appends grew
 	return targets
 }
 
@@ -285,23 +269,18 @@ func (n *Node) receive(pkt netsim.Packet) {
 		n.ep.NoteReject()
 		return
 	}
-	g, ok := msg.(*wire.Gossip)
+	view, ok := msg.(*wire.GossipView)
 	if !ok {
 		return
 	}
-	now := n.eng.Now()
-	for _, e := range g.Entries {
-		if e.Info.Node == n.id {
-			continue
-		}
-		if e.Info.Node < 0 {
-			// Impossible identity; drop the entry, keep the rest of the view.
-			n.ep.NoteReject()
-			continue
-		}
-		// Upsert refreshes only when the counter advances, which is
-		// exactly the gossip merge rule; tombstones implement the
-		// "do not re-add with a stale counter" cleanup window.
-		n.dir.Upsert(e.Info, membership.OriginRelayed, 0, g.From, now)
+	// One relayed merge of the whole view: a record refreshes only when its
+	// counter advances, which is exactly the gossip merge rule; tombstones
+	// implement the "do not re-add with a stale counter" cleanup window; an
+	// impossible identity drops its entry and keeps the rest of the view.
+	n.cursor = view.Cursor()
+	_, _, invalid := n.dir.MergeRelayed(&n.cursor, 0, view.From, n.eng.Now())
+	n.cursor = wire.InfoCursor{} // do not pin the payload
+	for ; invalid > 0; invalid-- {
+		n.ep.NoteReject()
 	}
 }

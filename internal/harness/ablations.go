@@ -36,33 +36,13 @@ func countPacketType(net *netsim.Network, n int, t wire.Type) *int {
 	count := new(int)
 	for h := 0; h < n; h++ {
 		net.Endpoint(topology.HostID(h)).SetFilter(func(pkt netsim.Packet) bool {
-			if msg, err := pkt.Decode(); err == nil {
-				if msgType(msg) == t {
-					*count++
-				}
+			if got, err := wire.TypeOf(pkt.Payload); err == nil && got == t {
+				*count++
 			}
 			return true
 		})
 	}
 	return count
-}
-
-func msgType(m wire.Message) wire.Type {
-	switch m.(type) {
-	case *wire.Heartbeat:
-		return wire.THeartbeat
-	case *wire.UpdateMsg:
-		return wire.TUpdate
-	case *wire.BootstrapRequest:
-		return wire.TBootstrapRequest
-	case *wire.DirectoryView:
-		return wire.TDirectory
-	case *wire.SyncRequest:
-		return wire.TSyncRequest
-	case *wire.Gossip:
-		return wire.TGossip
-	}
-	return wire.TInvalid
 }
 
 // hierCluster builds a hierarchical-scheme cluster with a custom config.

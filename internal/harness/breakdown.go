@@ -36,8 +36,8 @@ func BandwidthBreakdown(o Options) *metrics.Figure {
 			bytesBy := map[wire.Type]int{}
 			for h := 0; h < n; h++ {
 				c.Net.Endpoint(topology.HostID(h)).SetFilter(func(pkt netsim.Packet) bool {
-					if m, err := pkt.Decode(); err == nil {
-						bytesBy[msgType(m)] += pkt.WireSize()
+					if t, err := wire.TypeOf(pkt.Payload); err == nil {
+						bytesBy[t] += pkt.WireSize()
 					}
 					return true
 				})

@@ -330,7 +330,8 @@ type RelayedSource interface {
 }
 
 // MergeRelayed applies a whole relayed snapshot — a leader's bootstrap or
-// sync reply, or its periodic republication — with the semantics and event
+// sync reply, its periodic republication, or a gossip peer's view (where the
+// relayer is the gossiping peer) — with the semantics and event
 // order of one relayed Upsert per record, asking src for a full record only
 // when the node is new or the offered content is newer. In steady state
 // nearly every record is a beat refresh of a known node, so the merge reads
@@ -429,9 +430,9 @@ func (d *Directory) Range(fn func(NodeID, *Entry)) {
 }
 
 // Snapshot returns deep copies of all member infos, in node order, for
-// consumers that keep them (the directory IPC server, rapid's view
-// messages). The tree protocol's own snapshots are encoded straight from
-// the entries by wire.EncodeDirectory and never pass through here.
+// consumers that keep them (the directory IPC server). The protocols' own
+// packets — tree snapshots, gossip views, rapid view changes — are encoded
+// straight from the entries and never pass through here.
 func (d *Directory) Snapshot() []MemberInfo {
 	out := make([]MemberInfo, 0, len(d.sorted))
 	for _, n := range d.sorted {

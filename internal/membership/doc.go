@@ -26,7 +26,8 @@
 //     memory front to back.
 //   - InfoPrefix, RelayedSource and Directory.MergeRelayed: the batch
 //     entry point for a whole relayed snapshot (bootstrap and sync
-//     replies, a leader's periodic republication). It has the semantics
+//     replies, a leader's periodic republication, a gossip round's view).
+//     It has the semantics
 //     and event order of one relayed Upsert per record, but decides each
 //     record on its fixed 24-byte prefix — identity, incarnation,
 //     version, beat — and asks the source for the full MemberInfo only

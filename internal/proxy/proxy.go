@@ -138,8 +138,11 @@ type Proxy struct {
 	// updates) without a per-send writer; each hint is the size of the last
 	// packet of its kind, so the next one is allocated once at about the
 	// right size. Relayed requests and replies go out through the runtime.
+	// hb is the outgoing group beat, overwritten per send (a fresh one would
+	// escape through wire.Message).
 	enc                             wire.Encoder
 	hbHint, updateHint, summaryHint int
+	hb                              wire.Heartbeat
 }
 
 // frame encodes m into a fresh packet sized by *hint, and updates the hint.
@@ -300,14 +303,14 @@ func (p *Proxy) beat() {
 
 	// Group heartbeat on the reserved channel (Level 255 marks the proxy
 	// realm so cluster membership ignores it by channel anyway).
-	hb := &wire.Heartbeat{
+	p.hb = wire.Heartbeat{
 		Info:   membership.MemberInfo{Node: p.ID()},
 		Level:  255,
 		Leader: p.isLeader,
 		Backup: membership.NoNode,
 		Seq:    uint64(p.tick),
 	}
-	p.ep.Multicast(p.cfg.ProxyChannel, p.cfg.ProxyTTL, p.frame(&p.hbHint, hb))
+	p.ep.Multicast(p.cfg.ProxyChannel, p.cfg.ProxyTTL, p.frame(&p.hbHint, &p.hb))
 	p.tick++
 
 	if p.isLeader {

@@ -235,6 +235,9 @@ type Node struct {
 
 	enc      wire.Encoder
 	beatHint int
+	// beat is the outgoing monitoring beat, overwritten per send: a fresh one
+	// would escape through wire.Message and cost a heap object per round.
+	beat wire.RapidBeat
 }
 
 // NewNode creates a node bound to an endpoint. cfg.Seeds is the bootstrap
@@ -413,14 +416,14 @@ func (n *Node) sendBeats() {
 		return
 	}
 	n.info.Beat++
-	beat := &wire.RapidBeat{
+	n.beat = wire.RapidBeat{
 		From:      n.id,
 		ConfigSeq: n.configSeq,
 		Inc:       n.info.Incarnation,
 		Beat:      n.info.Beat,
 		Pad:       uint16(n.cfg.HeartbeatPad),
 	}
-	buf := n.enc.AppendEncode(make([]byte, 0, n.beatHint), beat)
+	buf := n.enc.AppendEncode(make([]byte, 0, n.beatHint), &n.beat)
 	for _, o := range n.observers {
 		n.ep.Unicast(topology.HostID(o), buf)
 	}
@@ -463,11 +466,11 @@ func (n *Node) currentView() *wire.RapidView {
 		Proposer: n.proposer,
 		Members:  append([]membership.NodeID(nil), n.members...),
 	}
-	for _, info := range n.dir.Snapshot() {
-		if n.isMember(info.Node) {
-			v.Infos = append(v.Infos, info)
+	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
+		if n.isMember(id) {
+			v.Infos.Append(e.Info)
 		}
-	}
+	})
 	return v
 }
 
@@ -581,24 +584,26 @@ func (n *Node) onInfo(m *wire.RapidInfo, now time.Duration) {
 	if !n.isMember(id) {
 		return
 	}
-	if !n.admitInfo(m.Info, membership.OriginDirect, membership.NoNode, now) {
+	if !n.admitInfo(m.Info.Prefix()) {
 		n.ep.NoteReject()
+		return
 	}
+	n.dir.Upsert(m.Info, membership.OriginDirect, 0, membership.NoNode, now)
 }
 
-// admitInfo upserts a member record behind the per-node freshness
-// high-water mark: only a record strictly advancing (incarnation, version,
-// beat) lands, so replayed or view-carried stale records can never regress
-// any observer's view of a subject.
-func (n *Node) admitInfo(info membership.MemberInfo, origin membership.Origin, relayer membership.NodeID, now time.Duration) bool {
-	mark := &n.peers.Ensure(info.Node).info
-	if mark.seen && info.Incarnation <= mark.inc &&
-		(info.Incarnation < mark.inc || info.Version < mark.ver ||
-			(info.Version == mark.ver && info.Beat <= mark.beat)) {
+// admitInfo is the per-node freshness high-water mark in front of the
+// directory: only a record strictly advancing (incarnation, version, beat) is
+// admitted — and the mark moved up to it — so replayed or view-carried stale
+// records can never regress any observer's view of a subject. The decision
+// needs the record's prefix only; the caller upserts what is admitted.
+func (n *Node) admitInfo(p membership.InfoPrefix) bool {
+	mark := &n.peers.Ensure(p.Node).info
+	if mark.seen && p.Incarnation <= mark.inc &&
+		(p.Incarnation < mark.inc || p.Version < mark.ver ||
+			(p.Version == mark.ver && p.Beat <= mark.beat)) {
 		return false
 	}
-	*mark = infoMark{inc: info.Incarnation, ver: info.Version, beat: info.Beat, seen: true}
-	n.dir.Upsert(info, origin, 0, relayer, now)
+	*mark = infoMark{inc: p.Incarnation, ver: p.Version, beat: p.Beat, seen: true}
 	return true
 }
 
@@ -767,9 +772,10 @@ func (n *Node) adopt(v *wire.RapidView, now time.Duration) {
 			n.dir.Remove(id, now)
 		}
 	}
-	for _, info := range v.Infos {
-		if info.Node >= 0 && info.Node != n.id && n.isMember(info.Node) {
-			n.admitInfo(info, membership.OriginRelayed, v.Proposer, now)
+	for c := v.Infos.Cursor(); c.Next(); {
+		p := c.Prefix()
+		if p.Node >= 0 && p.Node != n.id && n.isMember(p.Node) && n.admitInfo(p) {
+			n.dir.Upsert(c.Info(), membership.OriginRelayed, 0, v.Proposer, now)
 		}
 	}
 	if n.isMember(n.id) && !wasMember {
@@ -1057,12 +1063,14 @@ func (n *Node) commit(evict []membership.NodeID, now time.Duration) {
 		return
 	}
 	v := &wire.RapidView{Seq: n.configSeq + 1, Proposer: n.id, Members: next}
-	for _, info := range n.dir.Snapshot() {
-		if !evicted(info.Node) && n.isMember(info.Node) {
-			v.Infos = append(v.Infos, info)
+	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
+		if !evicted(id) && n.isMember(id) {
+			v.Infos.Append(e.Info)
 		}
+	})
+	for _, info := range joinInfos {
+		v.Infos.Append(info)
 	}
-	v.Infos = append(v.Infos, joinInfos...)
 	buf := n.enc.AppendEncode(nil, v)
 	for _, t := range targets {
 		if t != n.id {

@@ -1,6 +1,7 @@
 package rapid
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -481,5 +482,95 @@ func TestRapidReinstallAllocatesNoPeerState(t *testing.T) {
 	const ceiling = 19
 	if allocs := testing.AllocsPerRun(100, func() { n.installMembers(n.members, 0) }); allocs > ceiling {
 		t.Fatalf("re-installing an unchanged configuration allocates %.0f times, want at most %d", allocs, ceiling)
+	}
+}
+
+// TestAdoptDecodesOnlyAdmittedRecords: the records a view carries stay
+// encoded until the freshness guard has judged them on their prefix. Admitted
+// ones land in the directory exactly as sent, in relayed custody of the
+// proposer; stale ones change nothing and are never built — adopting a view
+// full of stale records with services and attributes allocates exactly what
+// adopting the same view with no records does.
+func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
+	fat := func(id membership.NodeID, ver, beat uint64) membership.MemberInfo {
+		return membership.MemberInfo{
+			Node: id, Incarnation: 1, Version: ver, Beat: beat,
+			Services: []membership.ServiceDecl{{Name: "index", Partitions: []int32{int32(id), 7}, Params: []membership.KV{{Key: "port", Value: "80"}}}},
+			Attrs:    []membership.KV{{Key: "rack", Value: "r" + id.String()}},
+		}
+	}
+	const proposer = 1
+	boot := func() *Node {
+		eng, _, nodes := newCluster(topology.Clustered(1, 20), 1)
+		nodes[0].Start(eng)
+		return nodes[0]
+	}
+	// received is configuration seq as it comes off the wire at n.
+	received := func(n *Node, seq uint64, infos ...membership.MemberInfo) *wire.RapidView {
+		v := &wire.RapidView{Seq: seq, Proposer: proposer, Members: n.Members()}
+		for _, info := range infos {
+			v.Infos.Append(info)
+		}
+		m, err := wire.Decode(wire.Encode(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*wire.RapidView)
+	}
+	var first, stale []membership.MemberInfo
+	for id := membership.NodeID(2); id < 12; id++ {
+		first = append(first, fat(id, 3, 5))
+		stale = append(stale, fat(id, 3, 5-uint64(id%2))) // level with the mark, or behind it
+	}
+
+	n := boot()
+	n.adopt(received(n, 2, first...), 0)
+	for _, want := range first {
+		e := n.dir.Get(want.Node)
+		if e == nil || !reflect.DeepEqual(e.Info, want) || e.Origin != membership.OriginRelayed || e.Relayer != proposer {
+			t.Fatalf("admitted record of %v landed as %+v, want %+v relayed by the proposer", want.Node, e, want)
+		}
+	}
+	// Mixed view: a newer record for 2, a restarted 3, stale ones for the
+	// rest, the receiver's own record, a non-member's and an impossible one.
+	newer, restarted := fat(2, 4, 6), fat(3, 0, 9)
+	restarted.Incarnation = 2
+	mixed := append([]membership.MemberInfo{newer, restarted, fat(0, 9, 9), fat(77, 1, 1), fat(-3, 1, 1)}, stale[2:]...)
+	n.adopt(received(n, 3, mixed...), time.Second)
+	for i, want := range append([]membership.MemberInfo{newer, restarted}, first[2:]...) {
+		e := n.dir.Get(want.Node)
+		if e == nil || !reflect.DeepEqual(e.Info, want) {
+			t.Fatalf("after the mixed view, %v holds %+v, want %+v", want.Node, e, want)
+		}
+		if fresh := i < 2; (e.LastRefresh == time.Second) != fresh {
+			t.Fatalf("after the mixed view, %v was refreshed at %v (admitted: %v)", want.Node, e.LastRefresh, fresh)
+		}
+	}
+	if n.dir.Has(77) || n.dir.Get(0).Info.Version == 9 {
+		t.Fatal("a non-member's record or the receiver's own was taken from a view")
+	}
+
+	// Two identical nodes, primed alike, adopt the same run of configurations
+	// — one with every record stale, one with none.
+	adoptAllocs := func(infos ...membership.MemberInfo) float64 {
+		n := boot()
+		n.adopt(received(n, 2, first...), 0)
+		const runs = 20
+		views := make([]*wire.RapidView, runs+1) // AllocsPerRun warms up with one extra call
+		for i := range views {
+			views[i] = received(n, uint64(3+i), infos...)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			n.adopt(views[i], 0)
+			i++
+		})
+		if n.ConfigSeq() != uint64(3+runs) || n.dir.Get(5).Info.Beat != 5 {
+			t.Fatalf("fixture: on view %d with %+v for node 5", n.ConfigSeq(), n.dir.Get(5).Info)
+		}
+		return allocs
+	}
+	if bare, carrying := adoptAllocs(), adoptAllocs(stale...); carrying != bare {
+		t.Fatalf("adopting a view of %d stale records allocates %v times, the same view without them %v", len(stale), carrying, bare)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // The byte-level layout of the packet header, the primitives below, and
@@ -62,6 +63,17 @@ func (w *writer) bool(v bool) {
 		w.u8(0)
 	}
 }
+
+// zeros appends n zero bytes in one step: padding runs to hundreds of bytes
+// per record, far too many to append one at a time. Grow-then-clear rather
+// than append(buf, make([]byte, n)...), which the compiler only turns into
+// the same thing when it is not instrumenting: under -race that form
+// allocates its temporary, and the warm encode path must not.
+func (w *writer) zeros(n int) {
+	w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
+	clear(w.buf[len(w.buf)-n:])
+}
+
 func (w *writer) str(s string) {
 	if len(s) > math.MaxUint16 {
 		s = s[:math.MaxUint16]

@@ -1,9 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
-	"math"
-
 	"repro/internal/membership"
 )
 
@@ -34,7 +31,10 @@ func (*DirectoryMsg) wireType() Type { return TDirectory }
 func (d *DirectoryMsg) enc(w *writer) {
 	w.i32(int32(d.From))
 	w.bool(d.Ask)
-	encInfos(w, d.Infos)
+	w.u32(uint32(len(d.Infos)))
+	for _, m := range d.Infos {
+		encInfo(w, m)
+	}
 }
 
 // EncodeDirectory frames a TDirectory packet carrying every record of dir in
@@ -54,57 +54,6 @@ func EncodeDirectory(from membership.NodeID, ask bool, dir *membership.Directory
 	return w.buf
 }
 
-// InfoPrefixLen is the size of the fixed head of an encoded MemberInfo:
-// node (4), incarnation (4), version (8), beat (8).
-const InfoPrefixLen = 24
-
-// infoSize is the number of bytes encInfo appends for m.
-func infoSize(m *membership.MemberInfo) int {
-	n := InfoPrefixLen + 4 + kvsSize(m.Attrs)
-	for i := range m.Services {
-		s := &m.Services[i]
-		n += strSize(s.Name) + 4 + 4*len(s.Partitions) + kvsSize(s.Params)
-	}
-	return n
-}
-
-func kvsSize(kvs []membership.KV) int {
-	n := 4
-	for _, kv := range kvs {
-		n += strSize(kv.Key) + strSize(kv.Value)
-	}
-	return n
-}
-
-func strSize(s string) int { return 2 + min(len(s), math.MaxUint16) }
-
-// skipInfo advances r over one encoded MemberInfo, failing exactly where
-// decInfo would, without building anything.
-func skipInfo(r *reader) {
-	// A record with no services and no attributes ends in two zero counts;
-	// spotting them as one word keeps the walk over a snapshot of such
-	// records (a cluster that publishes liveness only) to a load and a
-	// compare per record.
-	if b := r.buf[r.off:]; r.err == nil && len(b) >= InfoPrefixLen+8 && binary.LittleEndian.Uint64(b[InfoPrefixLen:]) == 0 {
-		r.off += InfoPrefixLen + 8
-		return
-	}
-	r.take(InfoPrefixLen)
-	for ns := r.sliceLen(); ns > 0 && r.err == nil; ns-- {
-		r.take(int(r.u16()))
-		r.take(4 * r.sliceLen())
-		skipKVs(r)
-	}
-	skipKVs(r)
-}
-
-func skipKVs(r *reader) {
-	for n := r.sliceLen(); n > 0 && r.err == nil; n-- {
-		r.take(int(r.u16()))
-		r.take(int(r.u16()))
-	}
-}
-
 // DirectoryView is a decoded TDirectory packet: the two header fields plus
 // an immutable view of the records, which stay in the payload they arrived
 // in. Decode has already walked every record, so a view only exists for a
@@ -120,8 +69,7 @@ type DirectoryView struct {
 	From membership.NodeID
 	Ask  bool
 
-	n     int
-	infos []byte // the n encoded records, validated
+	infos InfoList
 }
 
 func (*DirectoryView) wireType() Type { return TDirectory }
@@ -129,61 +77,12 @@ func (*DirectoryView) wireType() Type { return TDirectory }
 func (v *DirectoryView) enc(w *writer) {
 	w.i32(int32(v.From))
 	w.bool(v.Ask)
-	w.u32(uint32(v.n))
-	w.buf = append(w.buf, v.infos...)
+	v.infos.enc(w)
 }
 
 func decDirectoryView(r *reader) *DirectoryView {
-	v := &DirectoryView{From: membership.NodeID(r.i32()), Ask: r.bool()}
-	v.n = r.sliceLen()
-	start := r.off
-	for i := 0; i < v.n && r.err == nil; i++ {
-		skipInfo(r)
-	}
-	if r.err == nil {
-		v.infos = r.buf[start:r.off]
-	}
-	return v
+	return &DirectoryView{From: membership.NodeID(r.i32()), Ask: r.bool(), infos: decInfoList(r, 0)}
 }
 
-// Cursor returns a cursor positioned before the first record. Cursors are
-// values private to their holder; any number may walk one shared view.
-func (v *DirectoryView) Cursor() InfoCursor { return InfoCursor{rest: v.infos, left: v.n} }
-
-// InfoCursor walks the records of a DirectoryView in wire order; it is the
-// membership.RelayedSource a directory merges a snapshot from.
-type InfoCursor struct {
-	cur  []byte // the current record
-	rest []byte // the records after it
-	left int
-}
-
-// Next advances to the following record and reports whether there is one.
-func (c *InfoCursor) Next() bool {
-	if c.left == 0 {
-		return false
-	}
-	c.left--
-	r := reader{buf: c.rest}
-	skipInfo(&r)
-	c.cur, c.rest = c.rest[:r.off], c.rest[r.off:]
-	return true
-}
-
-// Prefix reads the current record's fixed head in place.
-func (c *InfoCursor) Prefix() membership.InfoPrefix {
-	b := c.cur[:InfoPrefixLen]
-	return membership.InfoPrefix{
-		Node:        membership.NodeID(binary.LittleEndian.Uint32(b)),
-		Incarnation: binary.LittleEndian.Uint32(b[4:]),
-		Version:     binary.LittleEndian.Uint64(b[8:]),
-		Beat:        binary.LittleEndian.Uint64(b[16:]),
-	}
-}
-
-// Info decodes the current record in full. The result shares nothing with
-// the payload.
-func (c *InfoCursor) Info() membership.MemberInfo {
-	r := reader{buf: c.cur}
-	return decInfo(&r)
-}
+// Cursor returns a cursor positioned before the first record.
+func (v *DirectoryView) Cursor() InfoCursor { return v.infos.Cursor() }

@@ -6,32 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/membership"
 )
-
-// viewInfos materialises every record of a view, in order.
-func viewInfos(v *DirectoryView) []membership.MemberInfo {
-	var out []membership.MemberInfo
-	for c := v.Cursor(); c.Next(); {
-		out = append(out, c.Info())
-	}
-	return out
-}
-
-// refDecodeDirectory is the decoder the view replaced — every record built
-// into a []MemberInfo — kept as the reference the view is checked against.
-// b is a packet whose header is known to be good.
-func refDecodeDirectory(b []byte) (*DirectoryMsg, error) {
-	r := &reader{buf: b, off: HeaderLen}
-	d := &DirectoryMsg{From: membership.NodeID(r.i32()), Ask: r.bool(), Infos: decInfos(r)}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
 
 // goodHeader reports whether b passes every header check of Decode and is
 // tagged t, so that only its body decides whether it decodes.
@@ -47,35 +25,15 @@ func goodHeader(b []byte, t Type) bool {
 func checkViewAgainstReference(t *testing.T, b []byte) {
 	t.Helper()
 	want, wantErr := refDecodeDirectory(b)
-	got, err := Decode(b)
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-		t.Fatalf("view decode error %v, materialising decode error %v\n%x", err, wantErr, b)
-	}
-	if err != nil {
-		if got != nil {
-			t.Fatalf("rejected body still yielded %#v", got)
-		}
+	got := decodeLike(t, b, wantErr)
+	if got == nil {
 		return
 	}
 	v := got.(*DirectoryView)
-	if v.From != want.From || v.Ask != want.Ask || v.n != len(want.Infos) {
-		t.Fatalf("view header (%v %v %d) != (%v %v %d)", v.From, v.Ask, v.n, want.From, want.Ask, len(want.Infos))
+	if v.From != want.From || v.Ask != want.Ask || v.infos.n != len(want.Infos) {
+		t.Fatalf("view header (%v %v %d) != (%v %v %d)", v.From, v.Ask, v.infos.n, want.From, want.Ask, len(want.Infos))
 	}
-	c := v.Cursor()
-	for i, info := range want.Infos {
-		if !c.Next() {
-			t.Fatalf("cursor ended at record %d of %d", i, len(want.Infos))
-		}
-		if p := c.Prefix(); p != info.Prefix() {
-			t.Fatalf("record %d: prefix %+v, want %+v", i, p, info.Prefix())
-		}
-		if full := c.Info(); !reflect.DeepEqual(full, info) {
-			t.Fatalf("record %d: info %#v, want %#v", i, full, info)
-		}
-	}
-	if c.Next() {
-		t.Fatal("cursor yields more records than the snapshot declares")
-	}
+	checkCursor(t, v.Cursor(), want.Infos)
 }
 
 // randomInfos draws a snapshot with everything a real or hostile publisher

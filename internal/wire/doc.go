@@ -29,19 +29,26 @@
 //     or EncodeSized for the request-path kinds, which know their exact
 //     EncodedLen.
 //   - Decode(b): strict parse, returning one of the concrete message
-//     types or an error (ErrTruncated, ErrTrailing, bad magic/version).
+//     types (a view, for the record-carrying kinds below) or an error
+//     (ErrTruncated, ErrTrailing, bad magic/version).
 //   - RequestDecoder: the resident receive path of ServiceRequest,
 //     ServiceReply, LoadPoll and LoadReply. Same frame check and body
 //     parsers as Decode, into targets the decoder owns; the byte payload of
 //     a request or reply is a clipped view of the packet on both paths
 //     (docs/WIRE.md §4 states the aliasing contract).
-//   - DirectoryView, InfoCursor, EncodeDirectory: the snapshot path. A
-//     TDirectory packet is the one body Decode does not build: it is
-//     validated in a single walk and returned as an immutable view over
-//     the payload, whose cursor reads each record's 24-byte prefix in
-//     place and decodes the rest only on request; EncodeDirectory is the
-//     matching sender, writing a membership.Directory into one buffer of
-//     exactly the packet's size. docs/WIRE.md §4 states the view's
-//     immutability and lifetime contract.
+//   - InfoList, InfoCursor and the views over them: the three packets that
+//     carry member records in bulk — TDirectory, TGossip and the records of a
+//     RapidView — are the bodies Decode does not build. Each run of records
+//     is validated in a single walk and kept as an InfoList over the payload;
+//     Decode returns an immutable DirectoryView or GossipView (or a RapidView
+//     whose Infos is such a list), and one InfoCursor reads each record's
+//     24-byte prefix in place and decodes the rest only on request.
+//     EncodeDirectory and EncodeGossip are the matching senders, writing a
+//     membership.Directory into one buffer of exactly the packet's size;
+//     DirectoryMsg and Gossip are the slice-holding encode forms of the same
+//     layouts. docs/WIRE.md §§3-4 state the views' immutability and lifetime
+//     contract.
+//   - TypeOf(b): the frame check alone, for code that counts packets by
+//     kind.
 //   - Type: the packet-type tag carried in the header.
 package wire

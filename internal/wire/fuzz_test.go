@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/membership"
@@ -9,9 +10,10 @@ import (
 // FuzzDecode exercises the strict decoder with arbitrary bytes plus
 // mutations of every valid packet type. Decode must never panic and, when
 // it succeeds, re-encoding the message must decode again (idempotent
-// canonical form). The two in-place paths are differential-tested against
+// canonical form). The in-place paths are differential-tested against
 // their materialising references on the same inputs: directory snapshots
-// (checkViewAgainstReference) and the request-path kinds
+// (checkViewAgainstReference), gossip views (checkGossipAgainstReference;
+// FuzzGossipView drills them) and the request-path kinds
 // (checkResidentAgainstReference).
 func FuzzDecode(f *testing.F) {
 	seeds := []Message{
@@ -41,7 +43,7 @@ func FuzzDecode(f *testing.F) {
 		&RapidInfo{ConfigSeq: 2, Info: sampleInfo()},
 		&RapidAlert{Observer: 1, Subject: 2, ConfigSeq: 3, Seq: 4, Down: true},
 		&RapidJoin{From: 7, ConfigSeq: 2, Info: sampleInfo()},
-		&RapidView{Seq: 3, Proposer: 0, Members: []membership.NodeID{0, 1, 2}, Infos: []membership.MemberInfo{sampleInfo()}},
+		&RapidView{Seq: 3, Proposer: 0, Members: []membership.NodeID{0, 1, 2}, Infos: infoList(sampleInfo())},
 		&RapidProbe{From: 1, Token: 5},
 		&RapidProbeAck{From: 2, Token: 5},
 		&RapidSync{From: 4, ConfigSeq: 1},
@@ -82,6 +84,9 @@ func FuzzDecode(f *testing.F) {
 			// record would reject, and hand back nothing when it does.
 			checkViewAgainstReference(t, data)
 		}
+		if goodHeader(data, TGossip) {
+			checkGossipAgainstReference(t, data)
+		}
 		m, err := Decode(data)
 		if err != nil {
 			return
@@ -109,7 +114,7 @@ func FuzzRapidAlert(f *testing.F) {
 		&RapidAlert{Observer: 0, Subject: 14, ConfigSeq: 1, Seq: 1, Down: true},
 		&RapidAlert{Observer: 9, Subject: 3, ConfigSeq: 7, Seq: 200, Down: false},
 		&RapidView{Seq: 2, Proposer: 0, Members: []membership.NodeID{0, 1, 2, 3}},
-		&RapidView{Seq: 9, Proposer: 4, Members: []membership.NodeID{4}, Infos: []membership.MemberInfo{sampleInfo(), {Node: 4}}},
+		&RapidView{Seq: 9, Proposer: 4, Members: []membership.NodeID{4}, Infos: infoList(sampleInfo(), membership.MemberInfo{Node: 4})},
 		&RapidBeat{From: 0, ConfigSeq: 1, Inc: 2, Beat: 3, Pad: 220},
 		&RapidPropose{From: 0, Token: 3, Seq: 2, Evict: []membership.NodeID{14, 15}},
 		&RapidVote{From: 14, Token: 3, OK: false, Alive: []membership.NodeID{14}},
@@ -137,5 +142,37 @@ func FuzzRapidAlert(f *testing.F) {
 				t.Fatalf("decoded %d members from %d bytes", len(v.Members), len(data))
 			}
 		}
+	})
+}
+
+// FuzzGossipView drills the gossip view's validating walk: past a good
+// header it is the only guard between the bytes and a directory merge. A view
+// must be accepted exactly when the slice-building reference decoder accepts
+// the same bytes, with the same content under its cursor, and the cursor must
+// stay inside the payload (checkGossipAgainstReference walks it over an
+// exact-capacity copy). Inputs with any other header are resealed as TGossip
+// so that every mutation reaches the body walk.
+func FuzzGossipView(f *testing.F) {
+	view := Encode(&Gossip{From: 5, Pad: 12, Entries: []GossipEntry{
+		{Counter: 3, Info: membership.MemberInfo{Node: 1, Incarnation: 1, Beat: 3}},
+		{Counter: 8, Info: sampleInfo()},
+		{Counter: 1, Info: membership.MemberInfo{Node: -4, Beat: 1}},
+	}})
+	f.Add(view)
+	f.Add(Encode(&Gossip{From: 1}))
+	for off := HeaderLen; off < len(view); off++ {
+		f.Add(append([]byte(nil), view[:off]...))
+		hostile := append([]byte(nil), view...)
+		hostile[off] = 0xFF
+		f.Add(hostile)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < HeaderLen {
+			return
+		}
+		b := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint16(b, Magic)
+		b[2], b[3] = Version, byte(TGossip)
+		checkGossipAgainstReference(t, reseal(b))
 	})
 }

@@ -186,6 +186,13 @@ func open(r *reader) (Type, error) {
 	return t, nil
 }
 
+// TypeOf checks b's frame exactly as Decode does and returns its type tag,
+// leaving the body unparsed: what a packet counter or a tracer needs.
+func TypeOf(b []byte) (Type, error) {
+	r := reader{buf: b}
+	return open(&r)
+}
+
 // Decode parses a packet produced by Encode. It never panics and never
 // reads past the input: any malformed, truncated, or damaged packet
 // (including a body that fails the header checksum) yields an error. The
@@ -210,7 +217,7 @@ func Decode(b []byte) (Message, error) {
 	case TSyncRequest:
 		m = decSyncRequest(r)
 	case TGossip:
-		m = decGossip(r)
+		m = decGossipView(r)
 	case TProxySummary:
 		m = decProxySummary(r)
 	case TProxyUpdate:
@@ -372,25 +379,6 @@ func decInfo(r *reader) membership.MemberInfo {
 	return m
 }
 
-func encInfos(w *writer, infos []membership.MemberInfo) {
-	w.u32(uint32(len(infos)))
-	for _, m := range infos {
-		encInfo(w, m)
-	}
-}
-
-func decInfos(r *reader) []membership.MemberInfo {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	out := make([]membership.MemberInfo, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, decInfo(r))
-	}
-	return out
-}
-
 // ---- heartbeat ----
 
 // Heartbeat is the periodic announcement multicast within one membership
@@ -418,9 +406,7 @@ func (h *Heartbeat) enc(w *writer) {
 	w.i32(int32(h.Backup))
 	w.u64(h.Seq)
 	w.u16(h.Pad)
-	for i := 0; i < int(h.Pad); i++ {
-		w.u8(0)
-	}
+	w.zeros(int(h.Pad))
 }
 
 func decHeartbeat(r *reader) *Heartbeat {
@@ -572,57 +558,6 @@ func (s *SyncRequest) enc(w *writer) { w.i32(int32(s.From)) }
 
 func decSyncRequest(r *reader) *SyncRequest {
 	return &SyncRequest{From: membership.NodeID(r.i32())}
-}
-
-// ---- gossip ----
-
-// GossipEntry pairs a member's info with its heartbeat counter.
-type GossipEntry struct {
-	Counter uint64
-	Info    membership.MemberInfo
-}
-
-// Gossip is the gossip baseline's message: the sender's entire local view
-// with per-member heartbeat counters (van Renesse et al.), which is why the
-// gossip scheme's message size grows with cluster size. Pad appends inert
-// bytes so experiments can equalize the per-member record size across
-// schemes (the paper measures 228 bytes per member for all three).
-type Gossip struct {
-	From    membership.NodeID
-	Entries []GossipEntry
-	Pad     uint32
-}
-
-func (*Gossip) wireType() Type { return TGossip }
-
-func (g *Gossip) enc(w *writer) {
-	w.i32(int32(g.From))
-	w.u32(uint32(len(g.Entries)))
-	for _, e := range g.Entries {
-		w.u64(e.Counter)
-		encInfo(w, e.Info)
-	}
-	w.u32(g.Pad)
-	for i := uint32(0); i < g.Pad; i++ {
-		w.u8(0)
-	}
-}
-
-func decGossip(r *reader) *Gossip {
-	g := &Gossip{From: membership.NodeID(r.i32())}
-	n := r.sliceLen()
-	if n > 0 {
-		g.Entries = make([]GossipEntry, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		var e GossipEntry
-		e.Counter = r.u64()
-		e.Info = decInfo(r)
-		g.Entries = append(g.Entries, e)
-	}
-	g.Pad = r.u32()
-	r.take(int(g.Pad))
-	return g
 }
 
 // ---- proxy ----
@@ -974,9 +909,7 @@ func (b *RapidBeat) enc(w *writer) {
 	w.u32(b.Inc)
 	w.u64(b.Beat)
 	w.u16(b.Pad)
-	for i := 0; i < int(b.Pad); i++ {
-		w.u8(0)
-	}
+	w.zeros(int(b.Pad))
 }
 
 func decRapidBeat(r *reader) *RapidBeat {
@@ -1074,11 +1007,16 @@ func decRapidJoin(r *reader) *RapidJoin {
 // sorted membership of the new configuration, and Infos carries records for
 // members the receiver may not know yet (newly admitted joiners). Proposer
 // breaks ties between rival proposals for the same Seq (lowest wins).
+//
+// Infos stays encoded on both sides: the sender appends its records to the
+// list, and a decoded view's list is a validated view of the payload (a
+// RapidView is a unicast, so nobody else holds it), which the receiver walks
+// with a cursor and decodes only the records its freshness guard admits.
 type RapidView struct {
 	Seq      uint64
 	Proposer membership.NodeID
 	Members  []membership.NodeID
-	Infos    []membership.MemberInfo
+	Infos    InfoList
 }
 
 func (*RapidView) wireType() Type { return TRapidView }
@@ -1090,7 +1028,7 @@ func (v *RapidView) enc(w *writer) {
 	for _, m := range v.Members {
 		w.i32(int32(m))
 	}
-	encInfos(w, v.Infos)
+	v.Infos.enc(w)
 }
 
 func decRapidView(r *reader) *RapidView {
@@ -1104,7 +1042,7 @@ func decRapidView(r *reader) *RapidView {
 	for i := 0; i < n && r.err == nil; i++ {
 		v.Members = append(v.Members, membership.NodeID(r.i32()))
 	}
-	v.Infos = decInfos(r)
+	v.Infos = decInfoList(r, 0)
 	return v
 }
 

@@ -32,19 +32,31 @@ func roundTrip(t *testing.T, m Message) Message {
 	if err != nil {
 		t.Fatalf("Decode(%T): %v", m, err)
 	}
-	if d, ok := m.(*DirectoryMsg); ok {
-		// A snapshot decodes to a view over b, not back to the message.
+	// A snapshot or a gossip view decodes to a view over b, not back to the
+	// message.
+	switch in := m.(type) {
+	case *DirectoryMsg:
 		v := got.(*DirectoryView)
-		if v.From != d.From || v.Ask != d.Ask || !reflect.DeepEqual(viewInfos(v), d.Infos) {
-			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v %#v", d, v, viewInfos(v))
+		if v.From != in.From || v.Ask != in.Ask || !reflect.DeepEqual(listInfos(v.Cursor()), in.Infos) {
+			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v %#v", in, v, listInfos(v.Cursor()))
 		}
-		if !bytes.Equal(Encode(v), b) {
-			t.Fatal("re-encoding a view does not reproduce its packet")
+	case *Gossip:
+		v := got.(*GossipView)
+		var infos []membership.MemberInfo
+		for _, e := range in.Entries {
+			infos = append(infos, e.Info)
+		}
+		if v.From != in.From || v.pad != in.Pad || !reflect.DeepEqual(listInfos(v.Cursor()), infos) {
+			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v %#v", in, v, listInfos(v.Cursor()))
+		}
+	default:
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", m, got)
 		}
 		return got
 	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", m, got)
+	if !bytes.Equal(Encode(got), b) {
+		t.Fatal("re-encoding a view does not reproduce its packet")
 	}
 	return got
 }
@@ -79,7 +91,7 @@ func TestRoundTripAll(t *testing.T) {
 		&RapidAlert{Observer: 1, Subject: 9, ConfigSeq: 5, Seq: 12, Down: true},
 		&RapidAlert{Observer: 1, Subject: 9, ConfigSeq: 5, Seq: 13},
 		&RapidJoin{From: 8, ConfigSeq: 4, Info: sampleInfo()},
-		&RapidView{Seq: 6, Proposer: 0, Members: []membership.NodeID{0, 1, 2}, Infos: []membership.MemberInfo{sampleInfo(), {Node: 1}}},
+		&RapidView{Seq: 6, Proposer: 0, Members: []membership.NodeID{0, 1, 2}, Infos: infoList(sampleInfo(), membership.MemberInfo{Node: 1})},
 		&RapidView{Seq: 1, Proposer: membership.NoNode, Members: []membership.NodeID{3}},
 		&RapidProbe{From: 0, Token: 42},
 		&RapidProbeAck{From: 9, Token: 42},
@@ -213,7 +225,7 @@ func TestPropertyInfoRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(viewInfos(got.(*DirectoryView))[0], m)
+		return reflect.DeepEqual(listInfos(got.(*DirectoryView).Cursor())[0], m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
