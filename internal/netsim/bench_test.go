@@ -60,3 +60,53 @@ func BenchmarkPacketDecodeShared(b *testing.B) {
 		b.Fatalf("decodes = %d, want %d", decodes, want)
 	}
 }
+
+// multicast400Ceiling builds the BenchmarkMulticast400 fixture — one
+// all-to-all heartbeat on Clustered(20,20), the flat-alltoall workload's unit
+// of work — checks its ceilings and returns one send-and-drain. The sender
+// sits in a middle group, so its 399 receivers are three runs (the groups
+// below, its own, the groups above): three engine events, not 399. The one
+// allocation is the packet's shared decode memo, as before runs.
+func multicast400Ceiling(tb testing.TB) func() {
+	eng := sim.NewEngine(1)
+	n := New(eng, topology.Clustered(20, 20))
+	recv := 0
+	for h := topology.HostID(0); h < 400; h++ {
+		ep := n.Endpoint(h)
+		ep.Join(3)
+		ep.SetHandler(func(pkt Packet) { recv++ })
+	}
+	sender, ttl := n.Endpoint(210), n.Topology().Diameter()
+	payload := make([]byte, 128)
+	sender.Multicast(3, ttl, payload)
+	if got := eng.Pending(); got > 3 {
+		tb.Fatalf("one 399-copy multicast queued %d engine events, want at most 3", got)
+	}
+	steps := eng.Steps()
+	eng.RunAll()
+	if recv != 399 || eng.Steps()-steps != 399 {
+		tb.Fatalf("%d copies arrived as %d logical events, want 399 of each", recv, eng.Steps()-steps)
+	}
+	round := func() {
+		sender.Multicast(3, ttl, payload)
+		eng.RunAll()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs > 1 {
+		tb.Fatalf("a steady-state 399-copy multicast allocates %v times, want at most its decode memo", allocs)
+	}
+	return round
+}
+
+// TestBenchmarkCeilingsHold runs the ceilings of BenchmarkMulticast400 under
+// plain `go test`, so a regression fails the suite and not only the bench
+// smoke.
+func TestBenchmarkCeilingsHold(t *testing.T) { multicast400Ceiling(t) }
+
+func BenchmarkMulticast400(b *testing.B) {
+	round := multicast400Ceiling(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

@@ -25,6 +25,27 @@
 //   - Packet and Stats: the delivery unit (with UDPOverhead wire-size
 //     accounting) and the per-endpoint counters.
 //
+// What is scheduled is a run, not a copy: Multicast cuts its fan-out into
+// maximal stretches of consecutive receivers whose copies the engine could
+// not tell apart — same LP as the sender, same arrival instant, no marked
+// link on the path, no draw at send time — and each stretch travels as one
+// pooled delivery record and one sim event. At arrival Fire walks the
+// receivers in fan-out order and does per copy what a per-copy event would:
+// the up, subscription and filter checks, the loss and byte-fault draws from
+// the firing engine, the replay ring, the stale re-delivery. The k events a
+// run replaces held consecutive sequence numbers at one instant, so nothing
+// could ever fire between them and one sequence number preserves every
+// order; the run adds its length to Engine.Steps, so event counts do not
+// change either. A unicast, or a copy that is jittered, duplicated, gray,
+// routed over a marked link or bound for another LP, is a run of one through
+// the same record and the same Fire: there is one delivery path. A run owns
+// a copy of its receivers, because the cached fan-out it was cut from is
+// rebuilt in place by the next Join/Leave or topology fault. The argument is
+// spelled out on Endpoint.Multicast and checked by run_test.go, which replays
+// seeded scripts with runs and with every run capped at one receiver (an
+// unexported field only the tests set) and compares handler logs, Stats,
+// Steps and RNG state, serially and partitioned.
+//
 // Delivery is best-effort and unordered, like UDP. All calls must be made
 // from the simulation goroutine of the owning engine; different Network
 // instances are fully independent, which is what lets the harness run many

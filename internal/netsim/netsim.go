@@ -213,7 +213,13 @@ type Network struct {
 	fans     map[fanKey]*fanout
 	subEpoch uint64
 
-	freeDel *delivery // pooled delivery callbacks, linked via next
+	freeDel *delivery // pooled delivery records, linked via next
+
+	// runCap, when positive, caps the length of a multicast run (see
+	// Multicast). Nothing outside the package's tests sets it: capped at one
+	// the network schedules every copy as its own event, which is the
+	// reference the differential test in run_test.go compares runs against.
+	runCap int
 
 	wanBytes uint64 // bytes that crossed data centers (unicast only)
 
@@ -234,7 +240,8 @@ type fanKey struct {
 
 // fanout is the cached receiver set: scope order filtered by subscription,
 // with per-receiver latency and path marks. The slices are reused across
-// rebuilds.
+// rebuilds, so nothing that outlives the send may view them: a run in flight
+// holds its own copy of its receivers.
 type fanout struct {
 	topEpoch uint64
 	subEpoch uint64
@@ -565,31 +572,78 @@ func (ep *Endpoint) Joined(ch ChannelID) bool { return ep.subs[ch] }
 
 // Multicast sends payload on a channel with the given TTL. The payload is
 // not copied; callers must not reuse the backing array.
+//
+// The unit it schedules is a run: a maximal stretch of consecutive fan-out
+// receivers whose copies the engine could not tell apart — same LP as the
+// sender, same arrival instant, no marked link on the path (so loss is the
+// network-wide figure and there are no byte faults) and no draw at send time
+// (no duplication, no jitter, neither end gray). One pooled record and one
+// engine event carry the whole run, and Fire does per receiver, in fan-out
+// order, what a per-copy event would do. A receiver that joins no neighbour —
+// and so every jittered, duplicated, gray, marked-path or cross-LP copy —
+// goes through deliver as a unicast does, and ends up a run of one in the
+// same record under the same Fire.
+//
+// Runs change nothing a simulation can observe. Scheduled one by one, the k
+// copies of a run would take k consecutive sequence numbers at one instant:
+// no other event could ever fire between them, whatever their handlers
+// schedule for that instant is numbered after all k either way, and
+// Run/RunBefore stop between instants, never inside one. Taking one sequence
+// number instead of k therefore keeps every relative order; the draws, all
+// made at arrival on the engine both ends share, come in the same order; and
+// Fire counts the run's length into Engine.Steps. A run never leaves the
+// sender's LP, because arrival draws belong to the destination LP's engine:
+// cross-LP copies travel through the outbox one by one (partition.go).
 func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 	if !ep.up {
 		return
 	}
+	n := ep.net
 	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl, Payload: payload, memo: &pktMemo{}}
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(pkt.WireSize())
-	f := ep.net.fanoutFor(ep.id, ch, ttl)
+	f := n.fanoutFor(ep.id, ch, ttl)
+	drawless := n.dup == 0 && n.jitter == 0 && ep.grayLag == 0
 	// Partitioned mode: the decode memo is written by whichever receiver
 	// parses first, so receivers on different LPs must not share one. Scope
 	// hosts are ascending and LP host ranges are contiguous, so cutting a
 	// fresh memo whenever the destination LP changes restores per-LP
 	// sharing without tracking a memo per LP.
 	memoLP := ep.lp
-	for i, dst := range f.dsts {
+	for i := 0; i < len(f.dsts); {
+		dst := f.dsts[i]
 		if dst.lp != memoLP {
 			memoLP = dst.lp
 			pkt.memo = &pktMemo{}
 		}
-		var marks topology.MarkSet
-		if len(f.marks) > 0 {
-			marks = f.marks[i]
+		j := i + 1
+		if drawless && f.joins(i, ep.lp) {
+			for j < len(f.dsts) && j-i != n.runCap && f.lat[j] == f.lat[i] && f.joins(j, ep.lp) {
+				j++
+			}
 		}
-		ep.deliver(dst, pkt, f.lat[i], marks)
+		if j-i > 1 {
+			d := n.newDelivery(dst, pkt, n.loss, faults{})
+			d.more = append(d.more, f.dsts[i+1:j]...)
+			ep.eng.ScheduleCall(f.lat[i], d)
+		} else {
+			var marks topology.MarkSet
+			if len(f.marks) > 0 {
+				marks = f.marks[i]
+			}
+			ep.deliver(dst, pkt, f.lat[i], marks)
+		}
+		i = j
 	}
+}
+
+// joins reports whether receiver i's copy can share a run with its
+// neighbours when sent from LP lp: it stays on that LP, crosses no marked
+// link and its receiver is not gray. (The sender-side conditions and the
+// arrival instant are the caller's.)
+func (f *fanout) joins(i int, lp int32) bool {
+	dst := f.dsts[i]
+	return dst.lp == lp && dst.grayLag == 0 && (len(f.marks) == 0 || f.marks[i].Empty())
 }
 
 // fanoutFor returns the cached receiver set for one (sender, channel, TTL),
@@ -721,20 +775,23 @@ func (ep *Endpoint) deliverOnce(dst *Endpoint, pkt Packet, latency time.Duration
 	if grayDst {
 		dst.stats.GrayDelayed++
 	}
-	d := n.newDelivery(ep.eng, ep.lp)
-	d.dst, d.pkt, d.loss, d.fl = dst, pkt, loss, fl
-	ep.eng.ScheduleCall(latency, d)
+	ep.eng.ScheduleCall(latency, n.newDelivery(dst, pkt, loss, fl))
 }
 
-// delivery is a pooled in-flight packet: the engine fires it at arrival
-// time via the Callback interface, so the send path allocates nothing per
-// packet (no closure, no timer handle). Instances are recycled through
-// Network.freeDel the moment they fire.
+// delivery is a pooled in-flight run: one packet on its way to one or more
+// receivers of one LP at one instant, with one loss figure and one byte-fault
+// vector (see Multicast; a unicast or any copy that needed a draw of its own
+// is a run of one). The engine fires it at arrival time via the Callback
+// interface, so the send path allocates nothing per packet (no closure, no
+// timer handle). Instances are recycled through Network.freeDel — the pool
+// of the receivers' LP in partitioned mode — once the last copy has arrived.
 type delivery struct {
-	n     *Network
-	eng   *sim.Engine // engine the delivery fires on (dst's LP engine)
-	lp    int32       // pool the struct recycles through (dst's LP)
-	dst   *Endpoint
+	dst *Endpoint // the first receiver; of most records the only one
+	// more holds the rest of a run in the record's own buffer, filled at send
+	// time and kept across reuse: the fan-out it was copied from is rebuilt
+	// in place by the next Join/Leave or topology fault, possibly before the
+	// run arrives.
+	more  []*Endpoint
 	pkt   Packet
 	loss  float64
 	fl    faults
@@ -743,40 +800,57 @@ type delivery struct {
 	next  *delivery // free-list link
 }
 
-func (n *Network) newDelivery(eng *sim.Engine, lp int32) *delivery {
-	head := &n.freeDel
+// pool returns the free list records bound for LP lp recycle through.
+func (n *Network) pool(lp int32) **delivery {
 	if l := n.lps; l != nil {
-		head = &l.pools[lp]
+		return &l.pools[lp]
 	}
+	return &n.freeDel
+}
+
+// newDelivery takes a record from the receiver's pool and fills it as a run
+// of one; the caller schedules it on the receiver's engine.
+func (n *Network) newDelivery(dst *Endpoint, pkt Packet, loss float64, fl faults) *delivery {
+	head := n.pool(dst.lp)
 	d := *head
 	if d != nil {
 		*head = d.next
 		d.next = nil
 	} else {
-		d = &delivery{n: n}
+		d = &delivery{}
 	}
-	d.eng, d.lp = eng, lp
+	d.dst, d.pkt, d.loss, d.fl = dst, pkt, loss, fl
 	return d
 }
 
 func (n *Network) releaseDelivery(d *delivery) {
-	head := &n.freeDel
-	if l := n.lps; l != nil {
-		head = &l.pools[d.lp]
-	}
-	*d = delivery{n: n, next: *head}
+	head := n.pool(d.dst.lp)
+	*d = delivery{more: d.more[:0], next: *head}
 	*head = d
 }
 
-// Fire implements sim.Callback: it is the arrival half of deliverOnce. The
-// struct returns to the pool before the handler runs — handlers send more
-// packets, and those sends reuse it.
+// Fire implements sim.Callback: it is the arrival half of a send. The
+// receivers are walked in fan-out order, each copy counted as the engine
+// event it stands for; handlers send more packets while the walk is under
+// way, so the record stays out of the pool until the last copy is done.
 func (d *delivery) Fire() {
-	n, eng, lp, dst, pkt, loss, fl, stale := d.n, d.eng, d.lp, d.dst, d.pkt, d.loss, d.fl, d.stale
+	first := d.dst
+	first.eng.AddSteps(len(d.more))
+	d.arrive(first)
+	for _, dst := range d.more {
+		d.arrive(dst)
+	}
+	first.net.releaseDelivery(d)
+}
+
+// arrive delivers one copy of the run to dst. Everything is checked and
+// drawn now, at arrival, per copy: an earlier receiver's handler may have
+// taken this one down or unsubscribed it.
+func (d *delivery) arrive(dst *Endpoint) {
+	n, eng, pkt, fl := dst.net, dst.eng, d.pkt, d.fl
 	if d.gray {
 		dst.stats.GrayDelayed++
 	}
-	n.releaseDelivery(d)
 	if !dst.up {
 		return
 	}
@@ -784,7 +858,7 @@ func (d *delivery) Fire() {
 		// Unsubscribed between send and delivery.
 		return
 	}
-	if stale {
+	if d.stale {
 		dst.stats.Stale++
 		dst.receive(pkt)
 		return
@@ -798,7 +872,7 @@ func (d *delivery) Fire() {
 	// without adversarial profiles replay bit-identically. All draws
 	// come from the engine the delivery fires on — the receiver's LP
 	// engine in partitioned mode.
-	if loss > 0 && eng.Rand().Float64() < loss {
+	if d.loss > 0 && eng.Rand().Float64() < d.loss {
 		dst.stats.Dropped++
 		return
 	}
@@ -829,8 +903,8 @@ func (d *delivery) Fire() {
 	}
 	if fl.stale > 0 && eng.Rand().Float64() < fl.stale {
 		extra := time.Duration(1 + eng.Rand().Int63n(int64(staleDelayMax)))
-		sd := n.newDelivery(eng, lp)
-		sd.dst, sd.pkt, sd.stale = dst, pkt, true
+		sd := n.newDelivery(dst, pkt, 0, faults{})
+		sd.stale = true
 		eng.ScheduleCall(extra, sd)
 	}
 }

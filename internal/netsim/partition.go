@@ -32,8 +32,7 @@ type outMsg struct {
 
 // lpNet is the partitioned-mode state hanging off Network.lps.
 type lpNet struct {
-	lpOf []int         // host -> LP
-	engs []*sim.Engine // LP -> engine
+	lpOf []int // host -> LP (each endpoint holds its LP's engine)
 
 	// out[src][b] holds messages sent by LP src to any LP owned by worker
 	// b (dstLP % buckets == b). Only src's worker appends during a window;
@@ -71,7 +70,6 @@ func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 	p := len(engs)
 	l := &lpNet{
 		lpOf:     lpOf,
-		engs:     engs,
 		buckets:  buckets,
 		out:      make([][][]outMsg, p),
 		pools:    make([]*delivery, p),
@@ -121,10 +119,9 @@ func (n *Network) DrainCross(bucket int, winEnd time.Duration) {
 			if at < winEnd {
 				at = winEnd
 			}
-			eng := l.engs[m.dst.lp]
-			d := n.newDelivery(eng, m.dst.lp)
-			d.dst, d.pkt, d.loss, d.fl, d.gray = m.dst, m.pkt, m.loss, m.fl, m.gray
-			eng.ScheduleCall(at-eng.Now(), d)
+			d := n.newDelivery(m.dst, m.pkt, m.loss, m.fl)
+			d.gray = m.gray
+			m.dst.eng.ScheduleCall(at-m.dst.eng.Now(), d)
 		}
 		clear(msgs) // drop payload references
 		l.out[src][bucket] = msgs[:0]

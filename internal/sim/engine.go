@@ -98,8 +98,19 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Steps returns the number of events executed so far.
+// Steps returns the number of logical events executed so far: one per fired
+// callback, plus whatever callbacks that stand for several simultaneous
+// events have added with AddSteps.
 func (e *Engine) Steps() uint64 { return e.steps }
+
+// AddSteps counts n more logical events against the callback that is
+// firing. A callback that stands for k events the engine could not have told
+// apart — k consecutive sequence numbers at one instant, such as the copies
+// of one multicast (netsim's runs) — occupies one queue entry and one
+// sequence number, fires once, and calls AddSteps(k-1), so Steps reports
+// what the simulation did and not how it was batched. Pending counts queue
+// entries: such a callback is one.
+func (e *Engine) AddSteps(n int) { e.steps += uint64(n) }
 
 // Schedule runs fn after delay of virtual time and returns a cancellable
 // timer. A negative delay is treated as zero (fn runs at the current time,
@@ -261,8 +272,10 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// Stop makes the innermost Run/RunAll return after the current event.
+// Stop makes the innermost Run/RunAll return after the current callback
+// (all of it, when the callback stands for several events).
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of live queued events.
+// Pending returns the number of live queue entries. A callback that will
+// count several logical events when it fires (see AddSteps) is one entry.
 func (e *Engine) Pending() int { return e.live }

@@ -266,3 +266,58 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// batchCall stands for k simultaneous arrivals, the way a netsim run does:
+// one queue entry whose Fire counts the other k-1 itself.
+type batchCall struct {
+	e     *Engine
+	k     int
+	fired int
+}
+
+func (b *batchCall) Fire() {
+	b.e.AddSteps(b.k - 1)
+	b.fired++
+}
+
+// TestBatchCallbackCountsItsLength pins the accounting contract of a callback
+// that stands for k events: scheduling it adds one to Pending and consumes
+// one sequence number, firing it adds k to Steps, and the order against its
+// same-instant neighbours is the one k separate events in its place would
+// have had.
+func TestBatchCallbackCountsItsLength(t *testing.T) {
+	const k = 7
+	e := NewEngine(1)
+	var order []string
+	e.Schedule(time.Millisecond, func() { order = append(order, "before") })
+	b := &batchCall{e: e, k: k}
+	e.ScheduleCall(time.Millisecond, b)
+	if got := e.Pending(); got != 2 {
+		t.Fatalf("Pending = %d with a plain event and a batch of %d queued, want 2", got, k)
+	}
+	e.Schedule(time.Millisecond, func() { order = append(order, "after") })
+
+	if !e.Step() || len(order) != 1 || order[0] != "before" {
+		t.Fatalf("first step fired %v, want [before]", order)
+	}
+	before := e.Steps()
+	if !e.Step() {
+		t.Fatal("the batch did not fire")
+	}
+	if got := e.Steps() - before; got != k {
+		t.Fatalf("firing a batch of %d advanced Steps by %d", k, got)
+	}
+	if b.fired != 1 {
+		t.Fatalf("the batch fired %d times, want once", b.fired)
+	}
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("Pending = %d after the batch fired, want 1", got)
+	}
+	e.RunAll()
+	if len(order) != 2 || order[1] != "after" {
+		t.Fatalf("order %v, want [before after] around the batch", order)
+	}
+	if got := e.Steps(); got != k+2 {
+		t.Fatalf("Steps = %d at the end, want %d", got, k+2)
+	}
+}
