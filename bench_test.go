@@ -1,111 +1,37 @@
 package tamp
 
-// One benchmark per table/figure in the paper's evaluation section, plus
-// ablation benches for the design choices DESIGN.md calls out. Each bench
-// regenerates its figure's rows on every iteration and logs the rendered
-// table once (run with -v to see it); `go test -bench=Figure -benchmem`
-// reproduces the full evaluation. cmd/tampbench prints the same tables
-// without the benchmark harness.
+// BenchmarkFigure regenerates every row of the figure table that `tampbench
+// -fig all` does — the paper's evaluation section, the ablations for the
+// design choices DESIGN.md calls out, and the two matrices — at the table's
+// own defaults, one sub-benchmark per row, and logs the rendered table once
+// (run with -v to see it); `go test -bench=Figure -benchmem` reproduces the
+// full evaluation. cmd/tampbench prints the same tables without the
+// benchmark harness.
 
 import (
 	"testing"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/metrics"
 )
 
-func logOnce(b *testing.B, i int, fig *metrics.Figure) {
-	if i == 0 {
-		b.Logf("\n%s", fig.Render())
-	}
-}
-
-// BenchmarkFigure2AllToAllOverhead regenerates Figure 2: per-node CPU and
-// bandwidth overhead of the all-to-all scheme versus cluster size,
-// emulated — as in the paper — by scaling the received heartbeat rate, with
-// the per-packet cost measured from this implementation's real receive
-// path.
-func BenchmarkFigure2AllToAllOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		per := harness.MeasureReceiveCost(2000)
-		fig := harness.Figure2(per, []int{250, 500, 1000, 2000, 4000})
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkFigure11Bandwidth regenerates Figure 11: aggregate bandwidth
-// versus cluster size (20..100 nodes, 20 per network) for all three
-// schemes.
-func BenchmarkFigure11Bandwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure11(harness.DefaultOptions())
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkFigure12FailureDetection regenerates Figure 12: failure
-// detection time versus cluster size for all three schemes.
-func BenchmarkFigure12FailureDetection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure12(harness.DefaultOptions())
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkFigure13ViewConvergence regenerates Figure 13: view convergence
-// time versus cluster size for all three schemes.
-func BenchmarkFigure13ViewConvergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure13(harness.DefaultOptions())
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkFigure14ProxyFailover regenerates Figure 14: response time and
-// throughput of the two-data-center search service across the failure
-// (t=20s) and recovery (t=40s) of data center A's document retrieval
-// service.
-func BenchmarkFigure14ProxyFailover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Figure14(harness.DefaultFigure14Options())
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkSection4Analysis regenerates the Section 4 analytic comparison
-// (detection time and bandwidth under the fixed-frequency regime).
-func BenchmarkSection4Analysis(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Section4([]int{20, 100, 500, 1000, 4000})
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkAblationPiggyback sweeps the update piggyback depth (paper: 3)
-// under loss, counting full-directory sync fallbacks.
-func BenchmarkAblationPiggyback(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.AblationPiggyback(harness.Sweep{}, []int{0, 1, 3, 6, 8}, 0.05, 11)
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkAblationGroupSize sweeps the membership group size (paper: 20
-// per network) at fixed cluster size.
-func BenchmarkAblationGroupSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.AblationGroupSize(harness.Sweep{}, 40, []int{5, 10, 20, 40}, 13)
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkAblationMaxLoss sweeps the failure-declaration threshold
-// (paper: 5 consecutive losses).
-func BenchmarkAblationMaxLoss(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.AblationMaxLoss(harness.Sweep{}, []int{2, 3, 5, 8}, 0.05, 17)
-		logOnce(b, i, fig)
+func BenchmarkFigure(b *testing.B) {
+	env := harness.Env{Options: harness.DefaultOptions()}
+	for _, f := range harness.Figures() {
+		if !f.All {
+			continue
+		}
+		b.Run(f.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := f.Run(env)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Logf("\n%s", out.Table)
+				}
+			}
+		})
 	}
 }
 
@@ -126,43 +52,5 @@ func BenchmarkSimulatedClusterSecond(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cl.Run(time.Second)
-	}
-}
-
-// BenchmarkAccuracyUnderChurn quantifies the paper's "complete and
-// accurate" requirement: view completeness/accuracy under a kill-restart
-// churn schedule at several loss rates, for all three schemes.
-func BenchmarkAccuracyUnderChurn(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.Accuracy(harness.DefaultAccuracyOptions())
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkBandwidthBreakdown dissects the hierarchical scheme's traffic
-// by packet type, quantifying the anti-entropy additions' share.
-func BenchmarkBandwidthBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.BandwidthBreakdown(harness.DefaultOptions())
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkDetectionDistribution reports detection-time percentiles over
-// independent failure trials (the spread behind Figure 12's points).
-func BenchmarkDetectionDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		o := harness.DefaultOptions()
-		fig := harness.DetectionDistribution(harness.Hierarchical, o, 60, 10)
-		logOnce(b, i, fig)
-	}
-}
-
-// BenchmarkAblationGossipFanout sweeps gossip fanout (bandwidth vs
-// convergence trade-off behind the paper's fanout-1 comparison).
-func BenchmarkAblationGossipFanout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := harness.AblationGossipFanout(harness.Sweep{}, 40, []int{1, 2, 3, 5}, 7)
-		logOnce(b, i, fig)
 	}
 }

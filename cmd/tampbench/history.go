@@ -9,20 +9,20 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
 	"os/exec"
 	"strings"
-	"time"
 
+	"repro/internal/harness"
 	"repro/internal/metrics"
 )
 
 // runHistory prints the committed trajectory of every BENCH_*.json file,
-// or only the figures named in figs ("scale", "chaos", ...).
-func runHistory(figs []string, wallFactor float64) int {
+// or only the figures named in figs.
+func runHistory(figs []string, wallFactor float64, stdout, stderr io.Writer) int {
 	files, err := benchHistoryFiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tampbench: -history:", err)
+		fmt.Fprintln(stderr, "tampbench: -history:", err)
 		return 1
 	}
 	want := map[string]bool{}
@@ -39,25 +39,25 @@ func runHistory(figs []string, wallFactor float64) int {
 		}
 		snaps, err := benchSnapshots(file)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tampbench: -history: %s: %v\n", file, err)
+			fmt.Fprintf(stderr, "tampbench: -history: %s: %v\n", file, err)
 			return 1
 		}
 		if len(snaps) == 0 {
 			continue
 		}
 		if shown > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Print(metrics.RenderHistory(fig, snaps, o))
-		if fig == "parsim" {
-			// The parsim figure's runs differ only in worker count; render
-			// the newest snapshot's wall times as a speedup table.
-			fmt.Print(renderParsimSpeedup(snaps[len(snaps)-1].Bench.Runs))
+		fmt.Fprint(stdout, metrics.RenderHistory(fig, snaps, o))
+		for _, f := range harness.Figures() {
+			if f.Name == fig && f.History != nil {
+				fmt.Fprint(stdout, f.History(snaps[len(snaps)-1].Bench.Runs))
+			}
 		}
 		shown++
 	}
 	if shown == 0 {
-		fmt.Fprintln(os.Stderr, "tampbench: -history: no committed BENCH_*.json matches")
+		fmt.Fprintln(stderr, "tampbench: -history: no committed BENCH_*.json matches")
 		return 1
 	}
 	return 0
@@ -109,33 +109,6 @@ func benchSnapshots(file string) ([]metrics.HistorySnapshot, error) {
 		})
 	}
 	return snaps, nil
-}
-
-// renderParsimSpeedup tabulates one parsim snapshot's wall time per worker
-// count (keys end in "/lps=K") with the speedup over the lps=1 baseline.
-// Wall times are machine-dependent, so the table is advisory — the figure's
-// deterministic fields are gated by -diff like any other bench.
-func renderParsimSpeedup(runs []metrics.RunReport) string {
-	var b strings.Builder
-	var base time.Duration
-	for _, r := range runs {
-		if strings.HasSuffix(r.Key, "/lps=1") {
-			base = r.Wall
-		}
-	}
-	fmt.Fprintf(&b, "%-8s %10s %8s\n", "lps", "wall", "speedup")
-	for _, r := range runs {
-		idx := strings.LastIndex(r.Key, "/lps=")
-		if idx < 0 {
-			continue
-		}
-		speed := "-"
-		if base > 0 && r.Wall > 0 {
-			speed = fmt.Sprintf("%.2fx", float64(base)/float64(r.Wall))
-		}
-		fmt.Fprintf(&b, "%-8s %10v %8s\n", r.Key[idx+1:], r.Wall.Round(time.Millisecond), speed)
-	}
-	return b.String()
 }
 
 func gitOut(args ...string) (string, error) {

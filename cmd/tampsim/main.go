@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) int {
 		}
 	}
 
-	c := harness.NewCell(scheme, scenario, *groups, *perGroup, *seed, false)
+	c := harness.NewCell(scheme, scenario, *groups, *perGroup, *seed)
 	if *loss > 0 {
 		c.Net.SetLossProbability(*loss)
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/membership"
@@ -134,35 +133,16 @@ func (o AccuracyOptions) topology() *topology.Topology {
 }
 
 // Accuracy produces two figures' worth of series in one: completeness%
-// and accuracy% per scheme, versus injected loss probability. The
-// scheme×loss cells run on o.Sweep's worker pool.
+// and accuracy% per scheme, versus injected loss probability.
 func Accuracy(o AccuracyOptions) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Membership completeness/accuracy under churn (kill+restart cycle, % over all samples)",
 		XLabel: "loss probability",
 		YLabel: "percent",
 	}
-	type cell struct{ compl, acc float64 }
-	results := make([][]cell, len(Schemes))
-	pool := NewPool(o.Sweep, o.Seed)
-	for si, scheme := range Schemes {
-		results[si] = make([]cell, len(o.LossProbs))
-		for pi, p := range o.LossProbs {
-			pool.Go(fmt.Sprintf("accuracy/%s/loss=%g", scheme, p), func(seed int64) metrics.RunReport {
-				cv, av, rep := accuracyRun(scheme, o, p, seed)
-				results[si][pi] = cell{compl: cv, acc: av}
-				return rep
-			})
-		}
-	}
-	pool.Wait()
-	for si, scheme := range Schemes {
-		compl := fig.AddSeries(scheme.String() + " compl%")
-		acc := fig.AddSeries(scheme.String() + " acc%")
-		for pi, p := range o.LossProbs {
-			compl.Add(p, results[si][pi].compl)
-			acc.Add(p, results[si][pi].acc)
-		}
-	}
-	return fig
+	return schemeCurves(fig, []string{" compl%", " acc%"}, o.Sweep, o.Seed, o.LossProbs, "accuracy/%s/loss=%g",
+		func(scheme Scheme, loss float64, seed int64) ([]float64, metrics.RunReport) {
+			compl, acc, rep := accuracyRun(scheme, o, loss, seed)
+			return []float64{compl, acc}, rep
+		})
 }

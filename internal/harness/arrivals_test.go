@@ -1,4 +1,4 @@
-package workload
+package harness
 
 import (
 	"math"
@@ -11,7 +11,7 @@ import (
 func TestDeterministicSpacing(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var times []time.Duration
-	Deterministic(eng, 100*time.Millisecond, 1*time.Second, func(i int) {
+	deterministicArrivals(eng, 100*time.Millisecond, 1*time.Second, func(i int) {
 		times = append(times, eng.Now())
 	})
 	eng.Run(2 * time.Second)
@@ -29,7 +29,7 @@ func TestPoissonRateAndVariability(t *testing.T) {
 	eng := sim.NewEngine(7)
 	var gaps []time.Duration
 	last := time.Duration(-1)
-	Poisson(eng, 100, 60*time.Second, func(i int) {
+	poissonArrivals(eng, 100, 60*time.Second, func(i int) {
 		if last >= 0 {
 			gaps = append(gaps, eng.Now()-last)
 		}
@@ -58,50 +58,26 @@ func TestPoissonRateAndVariability(t *testing.T) {
 	}
 }
 
-func TestBurstHasIdleWindows(t *testing.T) {
-	eng := sim.NewEngine(3)
-	perSecond := map[int]int{}
-	Burst(eng, 200, 2*time.Second, 2*time.Second, 20*time.Second, func(i int) {
-		perSecond[int(eng.Now()/time.Second)]++
-	})
-	eng.Run(25 * time.Second)
-	busy, idle := 0, 0
-	for s := 0; s < 20; s++ {
-		if perSecond[s] > 50 {
-			busy++
-		}
-		if perSecond[s] == 0 {
-			idle++
-		}
-	}
-	if busy < 6 {
-		t.Errorf("only %d busy seconds; burst rate not delivered (%v)", busy, perSecond)
-	}
-	if idle < 6 {
-		t.Errorf("only %d idle seconds; no off periods (%v)", idle, perSecond)
-	}
-}
-
 func TestStopHalts(t *testing.T) {
 	eng := sim.NewEngine(1)
 	count := 0
-	a := Deterministic(eng, 10*time.Millisecond, time.Minute, func(i int) { count++ })
+	a := deterministicArrivals(eng, 10*time.Millisecond, time.Minute, func(i int) { count++ })
 	eng.Run(100 * time.Millisecond)
-	a.Stop()
+	a.stop()
 	at := count
 	eng.Run(2 * time.Second)
 	if count != at {
 		t.Fatalf("arrivals continued after Stop: %d -> %d", at, count)
 	}
-	if a.Count() != count {
-		t.Fatalf("Count = %d, want %d", a.Count(), count)
+	if a.count != count {
+		t.Fatalf("count = %d, want %d", a.count, count)
 	}
 }
 
 func TestDurationBound(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var lastAt time.Duration
-	Deterministic(eng, 100*time.Millisecond, time.Second, func(i int) { lastAt = eng.Now() })
+	deterministicArrivals(eng, 100*time.Millisecond, time.Second, func(i int) { lastAt = eng.Now() })
 	eng.Run(time.Minute)
 	if lastAt > time.Second {
 		t.Fatalf("arrival at %v past the duration bound", lastAt)
@@ -112,7 +88,7 @@ func TestDeterministicReproducibility(t *testing.T) {
 	run := func() []time.Duration {
 		eng := sim.NewEngine(99)
 		var times []time.Duration
-		Poisson(eng, 50, 10*time.Second, func(i int) { times = append(times, eng.Now()) })
+		poissonArrivals(eng, 50, 10*time.Second, func(i int) { times = append(times, eng.Now()) })
 		eng.Run(12 * time.Second)
 		return times
 	}

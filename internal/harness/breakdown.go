@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
-	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/topology"
@@ -23,15 +23,8 @@ func BandwidthBreakdown(o Options) *metrics.Figure {
 		XLabel: "nodes",
 		YLabel: "KB/s",
 	}
-	hb := fig.AddSeries("heartbeats")
-	snap := fig.AddSeries("republication")
-	upd := fig.AddSeries("updates")
-	other := fig.AddSeries("other")
-	type cell struct{ hb, snap, upd, other float64 }
-	results := make([]cell, len(o.Sizes))
-	p := NewPool(o.Sweep, o.Seed)
-	for ni, n := range o.Sizes {
-		p.Go(fmt.Sprintf("breakdown/n=%d", n), func(seed int64) metrics.RunReport {
+	return curves(fig, []string{"heartbeats", "republication", "updates", "other"}, o.Sweep, o.Seed, o.Sizes, "breakdown/n=%d",
+		func(n int, seed int64) ([]float64, metrics.RunReport) {
 			c := NewCluster(Hierarchical, o.topologyFor(n), seed)
 			bytesBy := map[wire.Type]int{}
 			for h := 0; h < n; h++ {
@@ -44,9 +37,7 @@ func BandwidthBreakdown(o Options) *metrics.Figure {
 			}
 			c.StartAll()
 			c.Run(o.WarmUp)
-			for k := range bytesBy {
-				delete(bytesBy, k)
-			}
+			clear(bytesBy)
 			c.Run(o.Window)
 			sec := o.Window.Seconds()
 			kb := func(t wire.Type) float64 { return float64(bytesBy[t]) / sec / 1024 }
@@ -56,80 +47,38 @@ func BandwidthBreakdown(o Options) *metrics.Figure {
 					rest += float64(b)
 				}
 			}
-			results[ni] = cell{
-				hb:    kb(wire.THeartbeat),
-				snap:  kb(wire.TDirectory),
-				upd:   kb(wire.TUpdate),
-				other: rest / sec / 1024,
-			}
-			return c.Observe()
+			return []float64{kb(wire.THeartbeat), kb(wire.TDirectory), kb(wire.TUpdate), rest / sec / 1024}, c.Observe()
 		})
-	}
-	p.Wait()
-	for ni, n := range o.Sizes {
-		hb.Add(float64(n), results[ni].hb)
-		snap.Add(float64(n), results[ni].snap)
-		upd.Add(float64(n), results[ni].upd)
-		other.Add(float64(n), results[ni].other)
-	}
-	return fig
 }
 
 // DetectionDistribution runs many independent failure trials for one
 // scheme and cluster size and reports detection-time percentiles —
-// Figure 12 gives one draw per size; this characterizes the spread. The
-// trials are independent runs and execute on o.Sweep's worker pool.
+// Figure 12 gives one draw per size; this characterizes the spread.
 func DetectionDistribution(scheme Scheme, o Options, n, trials int) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Failure detection time distribution (" + scheme.String() + ", seconds)",
 		XLabel: "trial percentile",
 		YLabel: "seconds",
 	}
-	s := fig.AddSeries("detection s")
-	type cell struct {
-		d  float64
-		ok bool
+	index := make([]int, trials)
+	for trial := range index {
+		index[trial] = trial
 	}
-	results := make([]cell, trials)
-	pool := NewPool(o.Sweep, o.Seed)
-	for trial := 0; trial < trials; trial++ {
-		pool.Go(fmt.Sprintf("detect-dist/%s/n=%d/trial=%02d", scheme, n, trial), func(seed int64) metrics.RunReport {
-			c := NewCluster(scheme, o.topologyFor(n), seed)
-			if o.LossProb > 0 {
-				c.Net.SetLossProbability(o.LossProb)
-			}
-			c.StartAll()
-			c.Run(o.WarmUp)
-			victimIdx := 1 + (trial*7)%(n-1)
-			if victimIdx%o.PerGroup == 0 {
-				victimIdx++
-			}
-			if victimIdx >= n {
-				victimIdx = n - 1
-			}
-			victim := c.Nodes[victimIdx]
-			rec := metrics.NewChangeRecorder(victim.ID(), membership.EventLeave, c.Eng.Now())
-			for _, nd := range c.Nodes {
-				if nd != victim {
-					rec.Watch(nd.ID(), nd.Directory())
-				}
-			}
-			victim.Stop()
-			c.Run(o.FailWait)
-			if d, ok := rec.DetectionTime(); ok {
-				results[trial] = cell{d: d.Seconds(), ok: true}
-			}
-			return c.Observe()
+	name := func(trial int) string { return fmt.Sprintf("detect-dist/%s/n=%d/trial=%02d", scheme, n, trial) }
+	detections := sweep(o.Sweep, o.Seed, index, name,
+		func(trial int, seed int64) (float64, metrics.RunReport) {
+			c := o.warm(scheme, n, seed)
+			det, _, seen := killAndWatch(c, c.Nodes[o.victim(1+(trial*7)%(n-1), n)], o.FailWait)
+			return orNaN(det.Seconds(), seen > 0), c.Observe()
 		})
-	}
-	pool.Wait()
 	var samples []float64
-	for _, r := range results {
-		if r.ok {
-			samples = append(samples, r.d)
+	for _, d := range detections {
+		if !math.IsNaN(d) {
+			samples = append(samples, d)
 		}
 	}
 	sort.Float64s(samples)
+	s := fig.AddSeries("detection s")
 	for _, p := range []float64{10, 50, 90, 99, 100} {
 		s.Add(p, metrics.Percentile(samples, p))
 	}

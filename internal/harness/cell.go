@@ -31,9 +31,9 @@ type Cell struct {
 // A federated scheme deploys across the scenario's data-center count (two
 // unless the scenario asks for more), so single-DC scenarios exercise it
 // with an idle-but-audited WAN. Any other scheme gets the multi-DC topology
-// when the scenario or the caller (multiDC) asks for it, one flat LAN for a
-// single group, and the paper's clustered layout otherwise.
-func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64, multiDC bool) *Cell {
+// when the scenario asks for it, one flat LAN for a single group, and the
+// paper's clustered layout otherwise.
+func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64) *Cell {
 	if sc == nil {
 		sc = &chaos.Scenario{}
 	}
@@ -46,7 +46,7 @@ func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64
 		fo.ProxiesPerDC = sc.NumProxies()
 		cell.fed = NewFederatedCluster(fo, seed)
 		cell.Cluster = cell.fed.Cluster
-	case sc.MultiDC || multiDC:
+	case sc.MultiDC:
 		cell.Cluster = NewCluster(scheme, topology.MultiDC(sc.NumDCs(), groups, perGroup), seed)
 	case groups <= 1:
 		cell.Cluster = NewCluster(scheme, topology.FlatLAN(perGroup), seed)

@@ -89,7 +89,7 @@ func findScenarios(names []string, groups, perGroup int) []*chaos.Scenario {
 // plus the enforcement window, and report the cluster counters with the
 // auditor's verdicts attached.
 func RunScenario(scheme Scheme, sc *chaos.Scenario, o ChaosOptions, seed int64) metrics.RunReport {
-	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed, false)
+	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed)
 	c.StartAll()
 	if err := sc.Install(c.Env); err != nil {
 		panic(err) // library scenarios are valid by construction

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Figure14Options parametrize the membership proxy effectiveness
@@ -47,16 +47,13 @@ func DefaultFigure14Options() Figure14Options {
 	}
 }
 
-// Figure14Cluster is the two-data-center search deployment.
-type Figure14Cluster struct {
-	Eng      *sim.Engine
-	Net      *netsim.Network
-	Top      *topology.Topology
-	Nodes    []*core.Node
-	Runtimes []*service.Runtime
-	Proxies  []*proxy.Proxy
-	Gateway  *service.Gateway
-	DocA     []*core.Node // DC A's doc servers (the failing service)
+// figure14Cluster is the two-data-center search deployment.
+type figure14Cluster struct {
+	eng     *sim.Engine
+	nodes   []*core.Node
+	proxies []*proxy.Proxy
+	gateway *service.Gateway
+	docA    []*core.Node // DC A's doc servers (the failing service)
 }
 
 // buildFigure14 wires the deployment:
@@ -65,12 +62,13 @@ type Figure14Cluster struct {
 //	partitions 0-1, hosts 5-7 doc partitions 0-2.
 //	DC1 (data center B): hosts 9-10 proxies, hosts 11-12 index partitions,
 //	hosts 13-15 doc partitions 0-2.
-func buildFigure14(o Figure14Options) *Figure14Cluster {
+func buildFigure14(o Figure14Options) *figure14Cluster {
 	top := topology.MultiDC(2, 2, 4) // 8 hosts per DC
 	eng := sim.NewEngine(o.Seed)
 	net := netsim.New(eng, top)
 	vip := proxy.NewVIPTable()
-	f := &Figure14Cluster{Eng: eng, Net: net, Top: top}
+	f := &figure14Cluster{eng: eng}
+	var runtimes []*service.Runtime
 
 	mcfg := core.DefaultConfig()
 	mcfg.MaxTTL = top.Diameter()
@@ -83,14 +81,14 @@ func buildFigure14(o Figure14Options) *Figure14Cluster {
 		dc := top.HostDC(hid)
 		scfg.ProxyAddr = func() (topology.HostID, bool) { return vip.Get(dc) }
 		rt := service.NewRuntime(scfg, eng, ep, node)
-		f.Nodes = append(f.Nodes, node)
-		f.Runtimes = append(f.Runtimes, rt)
+		f.nodes = append(f.nodes, node)
+		runtimes = append(runtimes, rt)
 	}
 	newProxy := func(h int, dc int, remotes []int) {
 		pcfg := proxy.DefaultConfig(dc, remotes)
 		pcfg.ProxyTTL = top.Diameter()
-		p := proxy.New(pcfg, eng, net.Endpoint(topology.HostID(h)), f.Runtimes[h], vip)
-		f.Proxies = append(f.Proxies, p)
+		p := proxy.New(pcfg, eng, net.Endpoint(topology.HostID(h)), runtimes[h], vip)
+		f.proxies = append(f.proxies, p)
 	}
 	newProxy(1, 0, []int{1})
 	newProxy(2, 0, []int{1})
@@ -98,23 +96,21 @@ func buildFigure14(o Figure14Options) *Figure14Cluster {
 	newProxy(10, 1, []int{0})
 
 	registerSearch := func(base int) {
-		f.Runtimes[base+3].Register(service.IndexService, "0", o.IndexTime, service.IndexHandler(3))
-		f.Runtimes[base+4].Register(service.IndexService, "1", o.IndexTime, service.IndexHandler(3))
+		runtimes[base+3].Register(service.IndexService, "0", o.IndexTime, service.IndexHandler(3))
+		runtimes[base+4].Register(service.IndexService, "1", o.IndexTime, service.IndexHandler(3))
 		for i := 0; i < 3; i++ {
-			f.Runtimes[base+5+i].Register(service.DocService, fmt.Sprintf("%d", i), o.DocTime, service.DocHandler())
+			runtimes[base+5+i].Register(service.DocService, fmt.Sprintf("%d", i), o.DocTime, service.DocHandler())
 		}
 	}
 	registerSearch(0) // DC A: index at 3-4, docs at 5-7
 	registerSearch(8) // DC B: index at 11-12, docs at 13-15
-	for i := 5; i <= 7; i++ {
-		f.DocA = append(f.DocA, f.Nodes[i])
-	}
+	f.docA = f.nodes[5:8]
 	// A retry budget spanning the failure-detection window: requests that
 	// arrive while the dead replicas are still listed keep retrying until
 	// the membership service removes them and the proxy path takes over,
 	// so they complete late instead of failing (the paper's throughput
 	// only dips during detection).
-	f.Gateway = service.NewGateway(f.Runtimes[0], 2, 14)
+	f.gateway = service.NewGateway(runtimes[0], 2, 14)
 	return f
 }
 
@@ -123,28 +119,28 @@ func buildFigure14(o Figure14Options) *Figure14Cluster {
 // one-second bucket.
 func Figure14(o Figure14Options) *metrics.Figure {
 	f := buildFigure14(o)
-	for _, n := range f.Nodes {
-		n.Start(f.Eng)
+	for _, n := range f.nodes {
+		n.Start(f.eng)
 	}
-	for _, p := range f.Proxies {
+	for _, p := range f.proxies {
 		p.Start()
 	}
 	// Let membership and proxy summaries converge before time zero.
 	warm := 30 * time.Second
-	f.Eng.Run(warm)
+	f.eng.Run(warm)
 
 	seconds := int(o.Duration / time.Second)
 	sumMS := make([]float64, seconds)
 	count := make([]int, seconds)
 	errs := make([]int, seconds)
 
-	t0 := f.Eng.Now()
+	t0 := f.eng.Now()
 	issue := func(i int) {
 		q := fmt.Sprintf("query-%05d", i)
-		f.Gateway.Query(q, func(res service.QueryResult) {
+		f.gateway.Query(q, func(res service.QueryResult) {
 			// Bucket by completion time: throughput is completed
 			// queries per second, as the paper plots it.
-			bucket := int((f.Eng.Now() - t0) / time.Second)
+			bucket := int((f.eng.Now() - t0) / time.Second)
 			if bucket < 0 || bucket >= seconds {
 				return
 			}
@@ -157,21 +153,21 @@ func Figure14(o Figure14Options) *metrics.Figure {
 		})
 	}
 	if o.Poisson {
-		workload.Poisson(f.Eng, float64(time.Second)/float64(o.QueryInterval), o.Duration, issue)
+		poissonArrivals(f.eng, float64(time.Second)/float64(o.QueryInterval), o.Duration, issue)
 	} else {
-		workload.Deterministic(f.Eng, o.QueryInterval, o.Duration, issue)
+		deterministicArrivals(f.eng, o.QueryInterval, o.Duration, issue)
 	}
-	f.Eng.ScheduleAt(t0+o.FailAt, func() {
-		for _, n := range f.DocA {
+	f.eng.ScheduleAt(t0+o.FailAt, func() {
+		for _, n := range f.docA {
 			n.Stop()
 		}
 	})
-	f.Eng.ScheduleAt(t0+o.RecoverAt, func() {
-		for _, n := range f.DocA {
-			n.Start(f.Eng)
+	f.eng.ScheduleAt(t0+o.RecoverAt, func() {
+		for _, n := range f.docA {
+			n.Start(f.eng)
 		}
 	})
-	f.Eng.Run(t0 + o.Duration + 5*time.Second)
+	f.eng.Run(t0 + o.Duration + 5*time.Second)
 
 	fig := &metrics.Figure{
 		Title:  "Figure 14: Effectiveness of membership proxy (fail@20s, recover@40s)",
@@ -191,4 +187,64 @@ func Figure14(o Figure14Options) *metrics.Figure {
 		fail.Add(float64(s), float64(errs[s]))
 	}
 	return fig
+}
+
+// arrivals is a request-arrival process on the engine: it fires the
+// callback once per generated request, with the request's index, until stop
+// or the end time passes. The gaps come from the engine's seeded RNG, so an
+// arrival stream is as deterministic as everything else in a run.
+type arrivals struct {
+	eng     *sim.Engine
+	next    func() time.Duration // draw the next interarrival gap
+	fire    func(i int)
+	until   time.Duration
+	stopped bool
+	count   int // requests generated so far
+}
+
+func (a *arrivals) stop() { a.stopped = true }
+
+func (a *arrivals) schedule() {
+	if a.stopped {
+		return
+	}
+	a.eng.Schedule(a.next(), func() {
+		if a.stopped || a.eng.Now() > a.until {
+			return
+		}
+		i := a.count
+		a.count++
+		a.fire(i)
+		a.schedule()
+	})
+}
+
+func startArrivals(eng *sim.Engine, duration time.Duration, next func() time.Duration, fire func(int)) *arrivals {
+	a := &arrivals{eng: eng, next: next, fire: fire, until: eng.Now() + duration}
+	a.schedule()
+	return a
+}
+
+// deterministicArrivals fires every interval exactly.
+func deterministicArrivals(eng *sim.Engine, interval, duration time.Duration, fire func(i int)) *arrivals {
+	if interval <= 0 {
+		panic("harness: arrival interval must be positive")
+	}
+	return startArrivals(eng, duration, func() time.Duration { return interval }, fire)
+}
+
+// poissonArrivals fires with exponentially distributed interarrival times
+// at the given mean rate (requests per second).
+func poissonArrivals(eng *sim.Engine, ratePerSec float64, duration time.Duration, fire func(i int)) *arrivals {
+	if ratePerSec <= 0 {
+		panic("harness: arrival rate must be positive")
+	}
+	return startArrivals(eng, duration, func() time.Duration {
+		u := eng.Rand().Float64()
+		if u <= 0 {
+			u = math.SmallestNonzeroFloat64
+		}
+		gap := -math.Log(u) / ratePerSec
+		return time.Duration(gap * float64(time.Second))
+	}, fire)
 }

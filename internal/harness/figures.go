@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/analysis"
@@ -15,15 +15,14 @@ import (
 // Options tune experiment durations; the defaults match the paper where it
 // specifies them and otherwise pick windows long enough for steady state.
 type Options struct {
-	Seed      int64
-	PerGroup  int           // nodes per network (20 in §6.2)
-	Sizes     []int         // cluster sizes for Figures 11-13 (20..100)
-	WarmUp    time.Duration // before measurement windows
-	Window    time.Duration // bandwidth measurement window
-	FailWait  time.Duration // post-kill observation window
-	LossProb  float64       // injected packet loss probability
-	GroupSize int           // alias of PerGroup for ablations
-	Sweep     Sweep         // worker-pool fan-out and progress output
+	Seed     int64
+	PerGroup int           // nodes per network (20 in §6.2)
+	Sizes    []int         // cluster sizes for Figures 11-13 (20..100)
+	WarmUp   time.Duration // before measurement windows
+	Window   time.Duration // bandwidth measurement window
+	FailWait time.Duration // post-kill observation window
+	LossProb float64       // injected packet loss probability
+	Sweep    Sweep         // worker-pool fan-out and progress output
 }
 
 // DefaultOptions mirrors §6.2: 20 nodes per network, sizes 20..100.
@@ -49,65 +48,33 @@ func (o Options) topologyFor(n int) *topology.Topology {
 	return topology.Clustered(groups, o.PerGroup)
 }
 
-// Figure11 reproduces "Bandwidth consumption": aggregate membership
-// bandwidth (MB/s, receive side) versus cluster size for the three
-// schemes. The scheme×size cells are independent runs and execute on
-// o.Sweep's worker pool.
-func Figure11(o Options) *metrics.Figure {
-	fig := &metrics.Figure{
-		Title:  "Figure 11: Bandwidth consumption (aggregate, MB/s)",
-		XLabel: "nodes",
-		YLabel: "MB/s received cluster-wide",
-	}
-	results := make([][]float64, len(Schemes))
-	p := NewPool(o.Sweep, o.Seed)
-	for si, scheme := range Schemes {
-		results[si] = make([]float64, len(o.Sizes))
-		for ni, n := range o.Sizes {
-			p.Go(fmt.Sprintf("fig11/%s/n=%d", scheme, n), func(seed int64) metrics.RunReport {
-				c := NewCluster(scheme, o.topologyFor(n), seed)
-				if o.LossProb > 0 {
-					c.Net.SetLossProbability(o.LossProb)
-				}
-				c.StartAll()
-				c.Run(o.WarmUp)
-				c.Net.ResetStats()
-				c.Run(o.Window)
-				bytes := c.Net.TotalStats().BytesRecv
-				results[si][ni] = float64(bytes) / o.Window.Seconds() / (1 << 20)
-				return c.Observe()
-			})
-		}
-	}
-	p.Wait()
-	for si, scheme := range Schemes {
-		s := fig.AddSeries(scheme.String())
-		for ni, n := range o.Sizes {
-			s.Add(float64(n), results[si][ni])
-		}
-	}
-	return fig
-}
-
-// failureExperiment runs one kill-and-observe pass and returns detection
-// and convergence times.
-func failureExperiment(scheme Scheme, o Options, n int, seed int64) (det, conv time.Duration, rep metrics.RunReport, ok bool) {
+// warm builds the scheme's n-node cluster under o's loss and runs it through
+// the warm-up.
+func (o Options) warm(scheme Scheme, n int, seed int64) *Cluster {
 	c := NewCluster(scheme, o.topologyFor(n), seed)
 	if o.LossProb > 0 {
 		c.Net.SetLossProbability(o.LossProb)
 	}
 	c.StartAll()
 	c.Run(o.WarmUp)
-	// Kill a mid-cluster node that is not a group leader under the
-	// hierarchical scheme (leaders are the lowest ID of each group).
-	victimIdx := n/2 + 1
-	if victimIdx%o.PerGroup == 0 {
-		victimIdx++
+	return c
+}
+
+// victim steers a kill away from group leaders under the hierarchical
+// scheme (the lowest ID of each group) and keeps it inside the cluster.
+func (o Options) victim(idx, n int) int {
+	if idx%o.PerGroup == 0 {
+		idx++
 	}
-	if victimIdx >= n {
-		victimIdx = n - 1
-	}
-	victim := c.Nodes[victimIdx]
+	return min(idx, n-1)
+}
+
+// killAndWatch stops victim and runs the cluster for wait. det and conv are
+// the first and the last survivor's recording of the leave, measured from
+// the kill — the paper's failure detection and view convergence times; seen
+// counts the survivors that recorded it (0: nobody detected it,
+// len(c.Nodes)-1: every view converged).
+func killAndWatch(c *Cluster, victim Instance, wait time.Duration) (det, conv time.Duration, seen int) {
 	rec := metrics.NewChangeRecorder(victim.ID(), membership.EventLeave, c.Eng.Now())
 	for _, nd := range c.Nodes {
 		if nd != victim {
@@ -115,76 +82,68 @@ func failureExperiment(scheme Scheme, o Options, n int, seed int64) (det, conv t
 		}
 	}
 	victim.Stop()
-	c.Run(o.FailWait)
-	if rec.Count() != len(c.Nodes)-1 {
-		return 0, 0, c.Observe(), false
-	}
+	c.Run(wait)
 	det, _ = rec.DetectionTime()
 	conv, _ = rec.ConvergenceTime()
-	return det, conv, c.Observe(), true
+	return det, conv, rec.Count()
 }
 
-// failureCell is the result slot of one parallel failure run.
-type failureCell struct {
-	det, conv time.Duration
-	ok        bool
-}
-
-// failureSweep runs the scheme×size failure experiments of Figures 12/13
-// on the worker pool; prefix distinguishes the two figures' seed streams.
-func failureSweep(o Options, prefix string) [][]failureCell {
-	results := make([][]failureCell, len(Schemes))
-	p := NewPool(o.Sweep, o.Seed)
-	for si, scheme := range Schemes {
-		results[si] = make([]failureCell, len(o.Sizes))
-		for ni, n := range o.Sizes {
-			p.Go(fmt.Sprintf("%s/%s/n=%d", prefix, scheme, n), func(seed int64) metrics.RunReport {
-				det, conv, rep, ok := failureExperiment(scheme, o, n, seed)
-				results[si][ni] = failureCell{det: det, conv: conv, ok: ok}
-				return rep
-			})
-		}
+// orNaN is y where ok, and otherwise the "no point" of curves.
+func orNaN(y float64, ok bool) float64 {
+	if ok {
+		return y
 	}
-	p.Wait()
-	return results
+	return math.NaN()
+}
+
+// Figure11 reproduces "Bandwidth consumption": aggregate membership
+// bandwidth (MB/s, receive side) versus cluster size for the three
+// schemes.
+func Figure11(o Options) *metrics.Figure {
+	fig := &metrics.Figure{
+		Title:  "Figure 11: Bandwidth consumption (aggregate, MB/s)",
+		XLabel: "nodes",
+		YLabel: "MB/s received cluster-wide",
+	}
+	return schemeCurves(fig, []string{""}, o.Sweep, o.Seed, o.Sizes, "fig11/%s/n=%d",
+		func(scheme Scheme, n int, seed int64) ([]float64, metrics.RunReport) {
+			c := o.warm(scheme, n, seed)
+			c.Net.ResetStats()
+			c.Run(o.Window)
+			bytes := c.Net.TotalStats().BytesRecv
+			return []float64{float64(bytes) / o.Window.Seconds() / (1 << 20)}, c.Observe()
+		})
+}
+
+// failureFigure is Figures 12 and 13: kill one mid-cluster node per scheme
+// and size, and plot pick of its detection and convergence times wherever
+// every survivor recorded the failure. The run key starts with the figure's
+// own name, so the two figures draw different seeds.
+func failureFigure(fig *metrics.Figure, o Options, name string, pick func(det, conv time.Duration) time.Duration) *metrics.Figure {
+	return schemeCurves(fig, []string{""}, o.Sweep, o.Seed, o.Sizes, name+"/%s/n=%d",
+		func(scheme Scheme, n int, seed int64) ([]float64, metrics.RunReport) {
+			c := o.warm(scheme, n, seed)
+			det, conv, seen := killAndWatch(c, c.Nodes[o.victim(n/2+1, n)], o.FailWait)
+			return []float64{orNaN(pick(det, conv).Seconds(), seen == n-1)}, c.Observe()
+		})
 }
 
 // Figure12 reproduces "Failure detection time" versus cluster size.
 func Figure12(o Options) *metrics.Figure {
-	fig := &metrics.Figure{
+	return failureFigure(&metrics.Figure{
 		Title:  "Figure 12: Failure detection time",
 		XLabel: "nodes",
 		YLabel: "seconds",
-	}
-	results := failureSweep(o, "fig12")
-	for si, scheme := range Schemes {
-		s := fig.AddSeries(scheme.String())
-		for ni, n := range o.Sizes {
-			if results[si][ni].ok {
-				s.Add(float64(n), results[si][ni].det.Seconds())
-			}
-		}
-	}
-	return fig
+	}, o, "fig12", func(det, _ time.Duration) time.Duration { return det })
 }
 
 // Figure13 reproduces "View convergence time" versus cluster size.
 func Figure13(o Options) *metrics.Figure {
-	fig := &metrics.Figure{
+	return failureFigure(&metrics.Figure{
 		Title:  "Figure 13: View convergence time",
 		XLabel: "nodes",
 		YLabel: "seconds",
-	}
-	results := failureSweep(o, "fig13")
-	for si, scheme := range Schemes {
-		s := fig.AddSeries(scheme.String())
-		for ni, n := range o.Sizes {
-			if results[si][ni].ok {
-				s.Add(float64(n), results[si][ni].conv.Seconds())
-			}
-		}
-	}
-	return fig
+	}, o, "fig13", func(_, conv time.Duration) time.Duration { return conv })
 }
 
 // Figure2 reproduces "All-to-all approach is not scalable": per-node CPU
@@ -197,7 +156,7 @@ func Figure2(perPacket time.Duration, sizes []int) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Figure 2: All-to-all overhead on one node (1024B heartbeats at 1Hz)",
 		XLabel: "nodes",
-		YLabel: "cpu %% | pkts/s | KB/s",
+		YLabel: "cpu % | pkts/s | KB/s",
 	}
 	cpu := fig.AddSeries("CPU %")
 	pkts := fig.AddSeries("pkts/s")

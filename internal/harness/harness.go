@@ -59,6 +59,8 @@ type Cluster struct {
 	Coord *parsim.Coordinator
 	Engs  []*sim.Engine
 	Part  *topology.Partition
+
+	tune func(cfg any) // see newCluster
 }
 
 // StartAll starts every node, each on the engine that owns it.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,10 @@ func TestFigure2Reproduction(t *testing.T) {
 		t.Fatalf("per-packet receive cost = %v; implausible", per)
 	}
 	fig := Figure2(per, []int{500, 1000, 2000, 4000})
+	// The label is printed with %s: a doubled percent sign would show as one.
+	if strings.Contains(fig.YLabel, "%%") || !strings.Contains(fig.Render(), "# y: cpu % | pkts/s | KB/s\n") {
+		t.Errorf("y label %q renders with a literal %%%%", fig.YLabel)
+	}
 	cpu1, cpu4 := at(t, fig, "CPU %", 1000), at(t, fig, "CPU %", 4000)
 	if cpu4 <= cpu1 {
 		t.Fatal("CPU overhead should grow with cluster size")

@@ -21,14 +21,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/membership"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
-	"repro/internal/sim"
 )
 
 // Sweep configures how a figure's independent runs are executed.
@@ -148,41 +146,96 @@ func (p *Pool) Wait() []metrics.RunReport {
 	return reports
 }
 
-// hasDirectory is the slice-element constraint for observe: every protocol
-// node type exposes its membership directory.
-type hasDirectory interface {
-	Directory() *membership.Directory
+// sweep is the one shape every swept figure has: one cell per key on sw's
+// worker pool, submitted in key order under name(key) — so seeds, -json
+// report order and -v lines are a function of the keys alone — each result
+// in the slot of its key.
+func sweep[K, R any](sw Sweep, seed int64, keys []K, name func(K) string, cell func(k K, seed int64) (R, metrics.RunReport)) []R {
+	out := make([]R, len(keys))
+	p := NewPool(sw, seed)
+	for i, k := range keys {
+		p.Go(name(k), func(seed int64) metrics.RunReport {
+			var rep metrics.RunReport
+			out[i], rep = cell(k, seed)
+			return rep
+		})
+	}
+	p.Wait()
+	return out
 }
 
-// observe builds a run's counters from its engine, network, and nodes at
-// the end of the run. Pool.Wait fills in the identity and wall-time fields.
-func observe[N hasDirectory](eng *sim.Engine, net *netsim.Network, nodes []N) metrics.RunReport {
-	st := net.TotalStats()
+// curves sweeps xs — the run key is format applied to x — and plots what the
+// cells return: ys[j] is the point of series[j] at x, NaN for no point (a
+// failure nobody detected in time).
+func curves[X int | float64](fig *metrics.Figure, series []string, sw Sweep, seed int64, xs []X, format string,
+	cell func(x X, seed int64) (ys []float64, rep metrics.RunReport)) *metrics.Figure {
+	name := func(x X) string { return fmt.Sprintf(format, x) }
+	plotCurves(fig, series, xs, sweep(sw, seed, xs, name, cell))
+	return fig
+}
+
+func plotCurves[X int | float64](fig *metrics.Figure, series []string, xs []X, ys [][]float64) {
+	for j, name := range series {
+		s := fig.AddSeries(name)
+		for i, x := range xs {
+			if y := ys[i][j]; !math.IsNaN(y) {
+				s.Add(float64(x), y)
+			}
+		}
+	}
+}
+
+// schemeCurves is curves once per compared scheme, all cells in one pool,
+// scheme-major: the run key is format applied to (scheme, x), and each
+// scheme's series are its name plus suffixes[j].
+func schemeCurves[X int | float64](fig *metrics.Figure, suffixes []string, sw Sweep, seed int64, xs []X, format string,
+	cell func(scheme Scheme, x X, seed int64) (ys []float64, rep metrics.RunReport)) *metrics.Figure {
+	type key struct {
+		scheme Scheme
+		x      X
+	}
+	var keys []key
+	for _, scheme := range Schemes {
+		for _, x := range xs {
+			keys = append(keys, key{scheme, x})
+		}
+	}
+	ys := sweep(sw, seed, keys,
+		func(k key) string { return fmt.Sprintf(format, k.scheme, k.x) },
+		func(k key, seed int64) ([]float64, metrics.RunReport) { return cell(k.scheme, k.x, seed) })
+	for si, scheme := range Schemes {
+		series := make([]string, len(suffixes))
+		for j, suffix := range suffixes {
+			series[j] = scheme.String() + suffix
+		}
+		plotCurves(fig, series, xs, ys[si*len(xs):(si+1)*len(xs)])
+	}
+	return fig
+}
+
+// Observe reports the cluster's run counters at the end of a run; Pool.Wait
+// fills in the identity and wall-time fields. In a partitioned run virtual
+// time comes from any LP engine (all in lockstep at run end) and events sum
+// across LPs.
+func (c *Cluster) Observe() metrics.RunReport {
+	now, events := c.Eng.Now(), c.Eng.Steps()
+	if c.Coord != nil {
+		now, events = c.Engs[0].Now(), c.Coord.Steps()
+	}
+	st := c.Net.TotalStats()
 	r := metrics.RunReport{
-		Virtual:        eng.Now(),
-		Events:         eng.Steps(),
+		Virtual:        now,
+		Events:         events,
 		PktsDelivered:  st.PktsRecv,
 		PktsDropped:    st.Dropped,
 		BytesDelivered: st.BytesRecv,
 		PktsRejected:   st.Rejected,
 		FaultsInjected: st.FaultsInjected(),
 	}
-	for _, n := range nodes {
+	for _, n := range c.Nodes {
 		if l := n.Directory().Len(); l > r.PeakDirSize {
 			r.PeakDirSize = l
 		}
 	}
-	return r
-}
-
-// Observe reports the cluster's run counters; see observe. In a partitioned
-// run virtual time comes from any LP engine (all in lockstep at run end)
-// and events sum across LPs.
-func (c *Cluster) Observe() metrics.RunReport {
-	if c.Coord == nil {
-		return observe(c.Eng, c.Net, c.Nodes)
-	}
-	r := observe(c.Engs[0], c.Net, c.Nodes)
-	r.Events = c.Coord.Steps()
 	return r
 }

@@ -48,16 +48,6 @@ func Scale4kOptions() ScaleOptions {
 	return ScaleOptions{Seed: 42, Groups: 200, PerGroup: 20, Churn: 5}
 }
 
-// Scale10kOptions is the N=10000 variant the parsim engine exists for: 200
-// groups of 50. Group count, not node count, dominates the simulation's
-// event volume (the leader tier's traffic grows super-quadratically in it —
-// measured: N=2000 costs 157M events as 100x20 but 53M as 40x50), so the
-// 10k run keeps the leader tier at the N=4000 figure's proven width and
-// scales the groups themselves.
-func Scale10kOptions() ScaleOptions {
-	return ScaleOptions{Seed: 42, Groups: 200, PerGroup: 50, Churn: 5}
-}
-
 // scaleScenario builds the churn timeline: every 5s another group's second
 // member dies and restarts 2s later, striding one group per iteration.
 func scaleScenario(o ScaleOptions) *chaos.Scenario {

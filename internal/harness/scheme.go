@@ -242,12 +242,19 @@ func rapidPipeline(rc rapid.Config) time.Duration {
 // configuration mirrors §6.2: 1 Hz multicast/gossip frequency, 5 tolerated
 // losses, 0.1% gossip mistake probability, 228-byte membership packets.
 func NewCluster(scheme Scheme, top *topology.Topology, seed int64) *Cluster {
+	return newCluster(scheme, top, seed, nil)
+}
+
+// newCluster is NewCluster with an ablation's override: tune, when not nil,
+// edits the node config (*core.Config for the tree schemes, *gossip.Config
+// for gossip) after the row's builder has filled it in.
+func newCluster(scheme Scheme, top *topology.Topology, seed int64, tune func(cfg any)) *Cluster {
 	d := schemes[scheme]
 	if d.federated {
 		panic(fmt.Sprintf("harness: %v is federated; build it with NewFederatedCluster", scheme))
 	}
 	eng := sim.NewEngine(seed)
-	c := &Cluster{Scheme: scheme, Eng: eng, Net: netsim.New(eng, top), Top: top}
+	c := &Cluster{Scheme: scheme, Eng: eng, Net: netsim.New(eng, top), Top: top, tune: tune}
 	d.build(c)
 	return c
 }
@@ -271,6 +278,12 @@ func (c *Cluster) populate(node func(ep netsim.Transport) Instance) {
 	c.Nodes = make([]Instance, n)
 	for h := range c.Nodes {
 		c.Nodes[h] = node(c.Net.Endpoint(topology.HostID(h)))
+	}
+}
+
+func (c *Cluster) retune(cfg any) {
+	if c.tune != nil {
+		c.tune(cfg)
 	}
 }
 
@@ -307,7 +320,9 @@ func allToAllNodes(c *Cluster) {
 }
 
 func gossipNodes(c *Cluster) {
-	cfg := gossipDefaultsFor(c.Top.NumHosts())
+	cfg := gossip.DefaultConfig()
+	cfg.ExpectedSize = c.Top.NumHosts()
+	cfg.Seeds = everyHost(c.Top.NumHosts())
 	// Equalize per-member record size with the heartbeat schemes: one
 	// bare gossip entry is ~50 bytes; pad each to the 228-byte target
 	// minus the per-packet header share.
@@ -315,6 +330,7 @@ func gossipNodes(c *Cluster) {
 		Info: membership.MemberInfo{Node: 0, Incarnation: 1},
 	}}})
 	cfg.EntryPad = max(HeartbeatWireTarget-netsim.UDPOverhead-len(sample), 0)
+	c.retune(&cfg)
 	c.populate(func(ep netsim.Transport) Instance { return gossip.NewNode(cfg, ep) })
 }
 
@@ -323,6 +339,7 @@ func coreNodes(base func() core.Config) func(*Cluster) {
 		cfg := base()
 		cfg.MaxTTL = c.diameter()
 		cfg.HeartbeatPad = padFor(HeartbeatWireTarget)
+		c.retune(&cfg)
 		c.populate(func(ep netsim.Transport) Instance { return core.NewNode(cfg, ep) })
 	}
 }

@@ -63,7 +63,7 @@ func TestSchemeTable(t *testing.T) {
 		}
 		// Every scheme, federated or not, comes out of the one cell builder
 		// and exposes core counters exactly when its nodes are core nodes.
-		c := NewCell(r.scheme, nil, 2, 3, 1, false)
+		c := NewCell(r.scheme, nil, 2, 3, 1)
 		c.StartAll()
 		c.Run(3 * time.Second)
 		st, ok := c.CoreStats()
@@ -111,20 +111,19 @@ func TestNewCellPicksClusterAndAudit(t *testing.T) {
 		scheme    Scheme
 		sc        *chaos.Scenario
 		groups    int
-		multiDC   bool
 		hosts     int
 		dcs       int
 		federated bool
 		reform    bool
 	}{
-		{"clustered", Hierarchical, lan, 3, false, 12, 1, false, true},
-		{"flat LAN for one group", Gossip, nil, 1, false, 4, 1, false, false},
-		{"scenario asks for multi-DC", Rapid, wan, 3, false, 24, 2, false, false},
-		{"caller asks for multi-DC", HierarchicalAdaptive, lan, 3, true, 24, 2, false, true},
-		{"federated spans two DCs on a single-DC scenario", HierarchicalProxy, lan, 3, false, 24, 2, true, false},
+		{"clustered", Hierarchical, lan, 3, 12, 1, false, true},
+		{"flat LAN for one group", Gossip, nil, 1, 4, 1, false, false},
+		{"scenario asks for multi-DC", Rapid, wan, 3, 24, 2, false, false},
+		{"adaptive arms the reform audit too", HierarchicalAdaptive, lan, 3, 12, 1, false, true},
+		{"federated spans two DCs on a single-DC scenario", HierarchicalProxy, lan, 3, 24, 2, true, false},
 	}
 	for _, tc := range cases {
-		c := NewCell(tc.scheme, tc.sc, tc.groups, 4, 1, tc.multiDC)
+		c := NewCell(tc.scheme, tc.sc, tc.groups, 4, 1)
 		if got := c.Top.NumHosts(); got != tc.hosts || len(c.Nodes) != tc.hosts {
 			t.Errorf("%s: %d hosts, %d nodes, want %d", tc.name, got, len(c.Nodes), tc.hosts)
 		}

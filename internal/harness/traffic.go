@@ -35,14 +35,6 @@ type TrafficOptions struct {
 	// Scenarios restricts the matrix to the named library scenarios;
 	// empty means the default traffic-relevant subset.
 	Scenarios []string
-	// DCLocal switches every cell to the DC-local serving policy: all
-	// schemes run on the multi-DC topology (single-DC scenarios get the
-	// default two data centers) and sessions route only to replicas in
-	// their gateway's own DC — the deployment where cross-DC reads are
-	// forbidden and a stale local view cannot be papered over by a WAN
-	// fallback. Cell keys gain a "+dclocal" suffix so the variant never
-	// collides with the default matrix in diffs or seed derivation.
-	DCLocal bool
 	// HedgeAfter, when positive, turns on request hedging for every session
 	// (traffic.Options.HedgeAfter): a pinned request still unresolved after
 	// this long sends a duplicate leg to a second replica. Zero (the
@@ -138,7 +130,7 @@ func registerApp(rts []*service.Runtime, partitions int) {
 // settle bound, and report the cluster counters with user-level traffic
 // stats attached.
 func RunTrafficScenario(scheme Scheme, sc *chaos.Scenario, o TrafficOptions, seed int64) metrics.RunReport {
-	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed, o.DCLocal)
+	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed)
 	rts := c.Runtimes()
 	registerApp(rts, o.Partitions)
 	n := c.Top.NumHosts()
@@ -152,11 +144,6 @@ func RunTrafficScenario(scheme Scheme, sc *chaos.Scenario, o TrafficOptions, see
 	topt.Sessions = o.Sessions
 	topt.Partitions = o.Partitions
 	topt.HedgeAfter = o.HedgeAfter
-	if o.DCLocal {
-		topt.Local = func(gw int, id membership.NodeID) bool {
-			return c.Top.HostDC(topology.HostID(gw)) == c.Top.HostDC(topology.HostID(id))
-		}
-	}
 	l := traffic.New(c.Eng, topt, rts, func(id membership.NodeID) bool {
 		return c.Nodes[int(id)].Running()
 	})
@@ -187,11 +174,7 @@ type TrafficResult struct {
 // TrafficMatrix runs every (scenario, scheme) cell through the worker pool
 // and returns results in scenario-major, scheme-minor order.
 func TrafficMatrix(o TrafficOptions) []TrafficResult {
-	v := matrixVariant{hedge: o.HedgeAfter}
-	if o.DCLocal {
-		v.suffix = "+dclocal"
-	}
-	return trafficMatrix("traffic", o, v)
+	return trafficMatrix("traffic", o, matrixVariant{hedge: o.HedgeAfter})
 }
 
 func trafficMatrix(fig string, o TrafficOptions, variants ...matrixVariant) []TrafficResult {

@@ -62,15 +62,6 @@ type Options struct {
 	// Proxied (cross-DC relay) requests never hedge. Counted in
 	// TrafficStats.HedgedRequests/HedgeWins.
 	HedgeAfter time.Duration
-
-	// Local, when set, restricts every re-home lookup to the candidates it
-	// accepts for the session's gateway (by runtime index) — the DC-local
-	// routing policy: a session whose local replicas all died goes
-	// unavailable instead of silently crossing the WAN. Front-end
-	// reconnection after a gateway death is not filtered (a real user's
-	// geo-failover lands them on the new gateway's locality). Nil routes
-	// to every candidate.
-	Local func(gw int, candidate membership.NodeID) bool
 }
 
 // DefaultOptions returns the matrix defaults: a closed-loop population with
@@ -333,15 +324,6 @@ func (l *Layer) candidates(gw, part int32) []membership.NodeID {
 	c, ok := l.memo[k]
 	if !ok {
 		c = l.gws[gw].Candidates(l.opt.Service, part)
-		if l.opt.Local != nil {
-			kept := c[:0]
-			for _, id := range c {
-				if l.opt.Local(int(gw), id) {
-					kept = append(kept, id)
-				}
-			}
-			c = kept
-		}
 		l.memo[k] = c
 	}
 	return c
