@@ -15,20 +15,37 @@ package main
 
 import (
 	"bufio"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"flag"
-
 	tamp "repro"
 )
 
-func main() {
-	groups := flag.Int("groups", 3, "networks")
-	perGroup := flag.Int("pergroup", 5, "hosts per network")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout)) }
+
+// run is the whole command: it builds the cluster, serves node 0's
+// directory, and answers the session typed on in to out (diagnostics go to
+// stderr). It returns the exit code — 0 when the session ends, 1 when the
+// cluster or the socket fails, 2 for bad usage.
+func run(args []string, in io.Reader, out io.Writer) int {
+	fs := flag.NewFlagSet("tampdir", flag.ContinueOnError)
+	groups := fs.Int("groups", 3, "networks")
+	perGroup := fs.Int("pergroup", 5, "hosts per network")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *groups < 2 || *perGroup < 3 {
+		fmt.Fprintln(os.Stderr, "tampdir: want -groups >= 2 and -pergroup >= 3 (nodes 1, 2 and the second network's first host the demo services)")
+		return 2
+	}
 
 	cl := tamp.NewCluster(tamp.Clustered(*groups, *perGroup))
 	// Give a few nodes services so queries have something to find.
@@ -38,52 +55,51 @@ func main() {
 	cl.StartAll()
 	if !cl.WaitConverged(time.Second, time.Minute) {
 		fmt.Fprintln(os.Stderr, "tampdir: cluster did not converge")
-		os.Exit(1)
+		return 1
 	}
 	srv, err := cl.MustService(0).ServeDirectory()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tampdir:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer srv.Close()
 
 	client, err := tamp.DialDirectory(srv.Addr())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tampdir:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer client.Close()
 
-	fmt.Printf("cluster of %d nodes converged; directory served at %s\n",
+	fmt.Fprintf(out, "cluster of %d nodes converged; directory served at %s\n",
 		*groups**perGroup, srv.Addr())
-	fmt.Println(`queries: "<service-regex> <partition-spec>"; commands: "kill <n>", "revive <n>", "quit"`)
+	fmt.Fprintln(out, `queries: "<service-regex> <partition-spec>"; commands: "kill <n>", "revive <n>", "quit"`)
 
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
+	sc := bufio.NewScanner(in)
+	fmt.Fprint(out, "> ")
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
-		case line == "" || line == "quit" || line == "exit":
-			if line != "" {
-				return
-			}
+		case line == "quit" || line == "exit":
+			return 0
+		case line == "":
 		case strings.HasPrefix(line, "kill "):
 			var n int
 			if _, err := fmt.Sscanf(line, "kill %d", &n); err == nil && n >= 0 && n < len(cl.Services) {
 				cl.MustService(tamp.HostID(n)).Stop()
 				cl.Run(10 * time.Second) // let detection run
-				fmt.Printf("killed node %d; detection window elapsed\n", n)
+				fmt.Fprintf(out, "killed node %d; detection window elapsed\n", n)
 			} else {
-				fmt.Println("usage: kill <node>")
+				fmt.Fprintln(out, "usage: kill <node>")
 			}
 		case strings.HasPrefix(line, "revive "):
 			var n int
 			if _, err := fmt.Sscanf(line, "revive %d", &n); err == nil && n >= 0 && n < len(cl.Services) {
 				cl.MustService(tamp.HostID(n)).Run()
 				cl.Run(10 * time.Second)
-				fmt.Printf("revived node %d\n", n)
+				fmt.Fprintf(out, "revived node %d\n", n)
 			} else {
-				fmt.Println("usage: revive <node>")
+				fmt.Fprintln(out, "usage: revive <node>")
 			}
 		default:
 			fields := strings.Fields(line)
@@ -94,17 +110,18 @@ func main() {
 			cl.Run(time.Second) // keep virtual time moving
 			matches, err := client.Lookup(fields[0], spec)
 			if err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(out, "error:", err)
 				break
 			}
 			if len(matches) == 0 {
-				fmt.Println("(no matches)")
+				fmt.Fprintln(out, "(no matches)")
 			}
 			for _, m := range matches {
-				fmt.Printf("  node %-4v %-10s partitions %v params %v\n",
+				fmt.Fprintf(out, "  node %-4v %-10s partitions %v params %v\n",
 					m.Node, m.Service, m.Partitions, m.Params)
 			}
 		}
-		fmt.Print("> ")
+		fmt.Fprint(out, "> ")
 	}
+	return 0
 }

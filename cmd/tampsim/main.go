@@ -7,7 +7,7 @@
 //	tampsim -scheme gossip -groups 1 -pergroup 50 -loss 0.05
 //	tampsim -scheme hierarchical -scenario partition-heal     # chaos library scenario
 //	tampsim -scenario @myfaults.txt                           # chaos spec file
-//	tampsim -list-scenarios
+//	tampsim -list-scenarios                                   # the library, and the spec language's verbs
 package main
 
 import (
@@ -43,12 +43,17 @@ func run(args []string, out io.Writer) int {
 	loss := fs.Float64("loss", 0, "packet loss probability")
 	seed := fs.Int64("seed", 42, "RNG seed")
 	verbose := fs.Bool("v", false, "print every view-change event")
-	scenarioFlag := fs.String("scenario", "", "chaos scenario: a library name, or @file for a scenario spec (see internal/chaos)")
+	scenarioFlag := fs.String("scenario", "", "chaos scenario: a library name, or @file for a scenario spec (-list-scenarios prints both)")
 	listScenarios := fs.Bool("list-scenarios", false, "list the chaos scenario library and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+
+	if *groups < 1 || *perGroup < 1 {
+		fmt.Fprintln(os.Stderr, "tampsim: -groups and -pergroup must be at least 1")
 		return 2
 	}
 
@@ -59,6 +64,7 @@ func run(args []string, out io.Writer) int {
 				fmt.Fprintf(out, "%-16s expect: %s\n", "", sc.Expect)
 			}
 		}
+		fmt.Fprintf(out, "\nThe language of -scenario @file. %s", chaos.Usage())
 		return 0
 	}
 

@@ -42,12 +42,15 @@ func (c Config) DeadAfter() time.Duration {
 
 // Node is one cluster node running the all-to-all membership scheme.
 type Node struct {
-	cfg     Config
-	eng     *sim.Engine
-	ep      netsim.Transport
-	id      membership.NodeID
-	dir     *membership.Directory
-	info    membership.MemberInfo
+	cfg  Config
+	eng  *sim.Engine
+	ep   netsim.Transport
+	id   membership.NodeID
+	dir  *membership.Directory
+	info membership.MemberInfo
+	// Publisher is the publishing API (SetInfo, RegisterService, UpdateValue,
+	// DeleteValue, Info) over info.
+	membership.Publisher
 	hb      *sim.Ticker
 	tracker *sim.Ticker
 	running bool
@@ -69,13 +72,15 @@ type Node struct {
 // NewNode creates a node bound to an endpoint.
 func NewNode(cfg Config, ep netsim.Transport) *Node {
 	id := membership.NodeID(ep.ID())
-	return &Node{
+	n := &Node{
 		cfg:  cfg,
 		ep:   ep,
 		id:   id,
 		dir:  membership.NewDirectory(id),
 		info: membership.MemberInfo{Node: id},
 	}
+	n.Publisher = membership.NewPublisher(&n.info, n.published)
+	return n
 }
 
 // ID returns the node identity.
@@ -87,37 +92,11 @@ func (n *Node) Directory() *membership.Directory { return n.dir }
 // Running reports whether the node is started.
 func (n *Node) Running() bool { return n.running }
 
-// SetInfo replaces the published services/attributes.
-func (n *Node) SetInfo(info membership.MemberInfo) {
-	info.Node = n.id
-	inc, beat := n.info.Incarnation, n.info.Beat
-	n.info = info.Clone()
-	n.info.Incarnation, n.info.Beat = inc, beat
-}
-
-// UpdateValue publishes a key/value pair.
-func (n *Node) UpdateValue(key, value string) {
-	n.info.SetAttr(key, value)
-	n.info.Version++
+// published runs after every versioned change of the node's own record.
+func (n *Node) published() {
 	if n.running {
 		n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, n.eng.Now())
 	}
-}
-
-// RegisterService publishes a service hosted by this node.
-func (n *Node) RegisterService(name, partitions string, params ...membership.KV) error {
-	parts, err := membership.ParsePartitions(partitions)
-	if err != nil {
-		return err
-	}
-	n.info.Services = append(n.info.Services, membership.ServiceDecl{
-		Name: name, Partitions: parts, Params: append([]membership.KV(nil), params...),
-	})
-	n.info.Version++
-	if n.running {
-		n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, n.eng.Now())
-	}
-	return nil
 }
 
 // Receive handles a membership packet delivered by an outer endpoint mux

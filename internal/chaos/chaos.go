@@ -45,8 +45,9 @@ type Env struct {
 	// Proxies lists the membership proxies, when the cluster has any;
 	// proxy-targeted actions fall back to plain host kills without them.
 	Proxies []ProxyHandle
-	// Trace, when non-nil, receives one line per executed action (tampsim
-	// prints these; the bench matrix leaves it nil to keep stdout stable).
+	// Trace, when non-nil, receives one line per executed action: its
+	// canonical spec form, plus the node a leader-targeted verb resolved
+	// (tampsim prints these; the bench matrix leaves it nil).
 	Trace func(at time.Duration, msg string)
 
 	// EngineFor, when set, returns the per-LP engine daemon i must restart
@@ -69,9 +70,9 @@ func (e *Env) engineFor(i int) *sim.Engine {
 	return e.Eng.(*sim.Engine)
 }
 
-func (e *Env) trace(format string, args ...any) {
+func (e *Env) trace(msg string) {
 	if e.Trace != nil {
-		e.Trace(e.Eng.Now(), fmt.Sprintf(format, args...))
+		e.Trace(e.Eng.Now(), msg)
 	}
 }
 
@@ -79,7 +80,6 @@ func (e *Env) trace(format string, args ...any) {
 func (e *Env) StopNode(i int) {
 	if n := e.Nodes[i]; n.Running() {
 		n.Stop()
-		e.trace("kill node %d", i)
 	}
 }
 
@@ -87,7 +87,6 @@ func (e *Env) StopNode(i int) {
 func (e *Env) StartNode(i int) {
 	if n := e.Nodes[i]; !n.Running() {
 		n.Start(e.engineFor(i))
-		e.trace("restart node %d", i)
 	}
 }
 
@@ -108,19 +107,6 @@ func (e *Env) Groups() [][]topology.HostID {
 func Groups(top *topology.Topology) [][]topology.HostID {
 	return top.Level0Groups()
 }
-
-// Action is one fault or heal operation. String returns the canonical spec
-// form ("kill 5", "fail-link sw1 core", ...); check validates the action
-// against a concrete environment before anything is scheduled.
-type Action interface {
-	Apply(env *Env)
-	String() string
-	check(env *Env) error
-}
-
-// spanner is implemented by actions whose effect extends past their start
-// time (ramps, flapping); span is that extent.
-type spanner interface{ span() time.Duration }
 
 // Step schedules one action at a virtual-clock offset from scenario start.
 type Step struct {
@@ -172,17 +158,7 @@ func (s *Scenario) NumProxies() int {
 // flap cycles) has finished; the harness runs until End plus a
 // scheme-dependent settle bound before enforcing invariants.
 func (s *Scenario) End() time.Duration {
-	var end time.Duration
-	for _, st := range s.Steps {
-		e := st.At
-		if sp, ok := st.Act.(spanner); ok {
-			e += sp.span()
-		}
-		if e > end {
-			end = e
-		}
-	}
-	return end
+	return extent(s.Steps)
 }
 
 // Install validates every step against env and schedules the timeline at
@@ -215,32 +191,11 @@ func (e *Env) findDevice(name string) (topology.Device, bool) {
 	return e.Top.FindDevice("dc0-" + name)
 }
 
-// device resolves a device name, which Action.check has already validated.
+// device resolves a device name, which Install has already validated.
 func (e *Env) device(name string) topology.DeviceID {
 	d, ok := e.findDevice(name)
 	if !ok {
 		panic(fmt.Sprintf("chaos: unknown device %q past validation", name))
 	}
 	return d.ID
-}
-
-func checkDevice(env *Env, name string) error {
-	if _, ok := env.findDevice(name); !ok {
-		return fmt.Errorf("no device named %q", name)
-	}
-	return nil
-}
-
-func checkNode(env *Env, i int) error {
-	if i < 0 || i >= len(env.Nodes) {
-		return fmt.Errorf("node %d out of range [0,%d)", i, len(env.Nodes))
-	}
-	return nil
-}
-
-func checkGroup(env *Env, g int) error {
-	if n := len(env.Groups()); g < 0 || g >= n {
-		return fmt.Errorf("group %d out of range [0,%d)", g, n)
-	}
-	return nil
 }

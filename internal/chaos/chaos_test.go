@@ -63,10 +63,7 @@ func TestChaosGroupsFromTopology(t *testing.T) {
 
 func TestChaosKillRestartTimeline(t *testing.T) {
 	env, fakes := newFakeEnv(t, topology.Clustered(2, 3))
-	sc := &Scenario{Steps: []Step{
-		{At: 10 * time.Second, Act: Kill{Node: 1}},
-		{At: 30 * time.Second, Act: Restart{Node: 1}},
-	}}
+	sc := &Scenario{Steps: Steps("@10s kill 1\n@30s restart 1")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +83,7 @@ func TestChaosKillRestartTimeline(t *testing.T) {
 func TestChaosGroupOutageAndLeaderKill(t *testing.T) {
 	env, fakes := newFakeEnv(t, topology.Clustered(2, 3))
 	fakes[4].leader = true // group 1 = hosts 3,4,5
-	sc := &Scenario{Steps: []Step{
-		{At: 1 * time.Second, Act: KillLeader{Group: 1}},
-		{At: 2 * time.Second, Act: GroupOutage{Group: 0}},
-		{At: 3 * time.Second, Act: GroupRestart{Group: 0}},
-	}}
+	sc := &Scenario{Steps: Steps("@1s kill-leader 1\n@2s group-outage 0\n@3s group-restart 0")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +104,7 @@ func TestChaosGroupOutageAndLeaderKill(t *testing.T) {
 func TestChaosKillLeaderFallsBackToLowestRunning(t *testing.T) {
 	env, fakes := newFakeEnv(t, topology.Clustered(2, 3))
 	fakes[3].running = false // lowest in group 1 already down
-	sc := &Scenario{Steps: []Step{{At: time.Second, Act: KillLeader{Group: 1}}}}
+	sc := &Scenario{Steps: Steps("@1s kill-leader 1")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +119,7 @@ func TestChaosKillLeaderFallsBackToLowestRunning(t *testing.T) {
 
 func TestChaosFlapCycles(t *testing.T) {
 	env, fakes := newFakeEnv(t, topology.FlatLAN(3))
-	fl := Flap{Node: 2, Down: 2 * time.Second, Up: 3 * time.Second, Count: 2}
-	sc := &Scenario{Steps: []Step{{At: 10 * time.Second, Act: fl}}}
+	sc := &Scenario{Steps: Steps("@10s flap 2 down=2s up=3s count=2")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +141,7 @@ func TestChaosFlapCycles(t *testing.T) {
 func TestChaosFaultActionsMutateTopology(t *testing.T) {
 	env, _ := newFakeEnv(t, topology.Clustered(2, 3))
 	sw1, _ := env.Top.FindDevice("sw1")
-	sc := &Scenario{Steps: []Step{
-		{At: 1 * time.Second, Act: FailLink{A: "sw1", B: "core"}},
-		{At: 2 * time.Second, Act: FailDevice{Name: "sw1"}},
-		{At: 3 * time.Second, Act: RepairDevice{Name: "sw1"}},
-		{At: 4 * time.Second, Act: RepairLink{A: "sw1", B: "core"}},
-	}}
+	sc := &Scenario{Steps: Steps("@1s fail-link sw1 core\n@2s fail-device sw1\n@3s repair-device sw1\n@4s repair-link sw1 core")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +167,7 @@ func TestChaosFaultActionsMutateTopology(t *testing.T) {
 
 func TestChaosLossRampReachesTarget(t *testing.T) {
 	env, _ := newFakeEnv(t, topology.FlatLAN(4))
-	sc := &Scenario{Steps: []Step{
-		{At: time.Second, Act: LossRamp{From: 0, To: 0.9, Over: 10 * time.Second, Steps: 9}},
-	}}
+	sc := &Scenario{Steps: Steps("@1s loss-ramp 0 0.9 10s 9")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +188,15 @@ func TestChaosLossRampReachesTarget(t *testing.T) {
 
 func TestChaosInstallValidation(t *testing.T) {
 	env, _ := newFakeEnv(t, topology.Clustered(2, 3))
+	negative := Steps("@1s kill 0")
+	negative[0].At = -time.Second
 	bad := []*Scenario{
-		{Steps: []Step{{At: time.Second, Act: Kill{Node: 99}}}},
-		{Steps: []Step{{At: time.Second, Act: GroupOutage{Group: 7}}}},
-		{Steps: []Step{{At: time.Second, Act: FailDevice{Name: "nope"}}}},
-		{Steps: []Step{{At: time.Second, Act: WANFault{}}}}, // no WAN links here
-		{Steps: []Step{{At: -time.Second, Act: Kill{Node: 0}}}},
+		{Steps: Steps("@1s kill 99")},
+		{Steps: Steps("@1s group-outage 7")},
+		{Steps: Steps("@1s fail-device nope")},
+		{Steps: Steps("@1s wan-fault")}, // no WAN links here
+		{Steps: negative},
+		{Steps: []Step{{At: time.Second}}}, // the zero Action
 	}
 	for i, sc := range bad {
 		if err := sc.Install(env); err == nil {
@@ -222,9 +210,7 @@ func TestChaosInstallValidation(t *testing.T) {
 
 func TestChaosWANFaultOnMultiDC(t *testing.T) {
 	env, _ := newFakeEnv(t, topology.MultiDC(2, 2, 2))
-	sc := &Scenario{Steps: []Step{
-		{At: time.Second, Act: WANFault{Profile: netsim.LinkProfile{Loss: 0.999999999}}},
-	}}
+	sc := &Scenario{Steps: Steps("@1s wan-fault loss=0.999999999")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}

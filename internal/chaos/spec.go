@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 // The text scenario spec is what cmd/tampsim accepts via -scenario @file
@@ -21,26 +19,13 @@ import (
 //	@20s fail-link sw1 core
 //	@60s repair-link sw1 core
 //
-// Steps are "@OFFSET VERB ARGS..." with OFFSET a Go duration. Verbs:
-//
-//	kill N | restart N | kill-leader G | group-outage G | group-restart G
-//	fail-device NAME | repair-device NAME
-//	fail-link A B | repair-link A B
-//	loss P | jitter F | dup P
-//	loss-ramp FROM TO OVER STEPS
-//	link-fault A B [loss=P] [jitter=F] [dup=P] [corrupt=P] [truncate=P] [replay=P] [stale=P]
-//	wan-fault [loss=P] [jitter=F] [dup=P] [corrupt=P] [truncate=P] [replay=P] [stale=P]
-//	corrupt-link A B P | truncate-link A B P | replay-link A B P
-//	asym-loss A B P               # drops only the A→B direction
-//	gray-node N LAG               # seeded processing lag; LAG=0 heals
-//	hot-leader G UNITS            # overload group G's leader; UNITS=0 heals the group
-//	skew-groups A B               # re-home group A's hosts onto group B's switch
-//	flap N down=D up=D [count=K]
-//	kill-proxy-leader DC | restart-down | fail-wan | repair-wan
+// Steps are "@OFFSET VERB ARGS..." with OFFSET a Go duration. The verbs are
+// the rows of the table in verbs.go; Usage() prints them with their
+// parameters (tampsim -list-scenarios shows it).
 //
 // A repeat block replays an indented sub-timeline COUNT times, EVERY apart,
-// optionally shifting the node targets of kill/restart/flap by STRIDE more
-// each iteration ("step"):
+// optionally shifting every node argument in the body by STRIDE more each
+// iteration ("step"):
 //
 //	@20s repeat 3 every 5s step 8 {
 //		@0s kill 1
@@ -50,8 +35,8 @@ import (
 // Body offsets are relative to the iteration's start; blocks nest.
 //
 // Probabilities must lie in [0,1); durations are Go duration literals.
-// Node and group indexes are range-checked later, at Scenario.Install,
-// against the concrete cluster.
+// Node, group, data-center and device arguments are range-checked later, at
+// Scenario.Install, against the concrete cluster.
 
 // ParseSpec parses the text scenario format.
 func ParseSpec(text string) (*Scenario, error) {
@@ -180,32 +165,27 @@ func parseStep(offset, rest string, lines []string, i int) (Step, int, error) {
 // of the closing-brace line.
 func parseRepeat(args []string, lines []string, i int) (Action, int, error) {
 	if len(args) < 1 || args[len(args)-1] != "{" {
-		return nil, i, fmt.Errorf("repeat wants COUNT every D [step K] followed by {")
+		return Action{}, i, fmt.Errorf("repeat wants COUNT every D [step K] followed by {")
 	}
 	args = args[:len(args)-1]
-	if len(args) != 3 && len(args) != 5 {
-		return nil, i, fmt.Errorf("repeat wants COUNT every D [step K], got %q", strings.Join(args, " "))
+	if (len(args) != 3 && len(args) != 5) || args[1] != "every" || (len(args) == 5 && args[3] != "step") {
+		return Action{}, i, fmt.Errorf("repeat wants COUNT every D [step K], got %q", strings.Join(args, " "))
 	}
-	count, err := strconv.Atoi(args[0])
-	if err != nil || count < 1 {
-		return nil, i, fmt.Errorf("repeat count %q must be a positive integer", args[0])
+	count, err := count1.parse(args[0])
+	if err != nil {
+		return Action{}, i, fmt.Errorf("repeat count: %w", err)
 	}
-	if args[1] != "every" {
-		return nil, i, fmt.Errorf("repeat: expected %q, got %q", "every", args[1])
+	every, err := dur.parse(args[2])
+	if err != nil {
+		return Action{}, i, fmt.Errorf("repeat interval: %w", err)
 	}
-	every, err := time.ParseDuration(args[2])
-	if err != nil || every <= 0 {
-		return nil, i, fmt.Errorf("repeat interval %q must be a positive duration", args[2])
-	}
-	r := Repeat{Count: count, Every: every}
+	r := &repeat{count: count.n, every: every.d}
 	if len(args) == 5 {
-		if args[3] != "step" {
-			return nil, i, fmt.Errorf("repeat: expected %q, got %q", "step", args[3])
+		stride, err := count1.parse(args[4])
+		if err != nil {
+			return Action{}, i, fmt.Errorf("repeat stride: %w", err)
 		}
-		r.Stride, err = strconv.Atoi(args[4])
-		if err != nil || r.Stride < 1 {
-			return nil, i, fmt.Errorf("repeat stride %q must be a positive integer", args[4])
-		}
+		r.stride = stride.n
 	}
 	for j := i + 1; j < len(lines); j++ {
 		line := cleanLine(lines[j])
@@ -213,295 +193,35 @@ func parseRepeat(args []string, lines []string, i int) (Action, int, error) {
 			continue
 		}
 		if line == "}" {
-			if len(r.Body) == 0 {
-				return nil, j, fmt.Errorf("repeat body is empty")
+			if len(r.body) == 0 {
+				return Action{}, j, fmt.Errorf("repeat body is empty")
 			}
-			return r, j, nil
+			return Action{rep: r}, j, nil
 		}
 		word, rest, _ := strings.Cut(line, " ")
 		if !strings.HasPrefix(word, "@") {
-			return nil, j, fmt.Errorf("repeat body line %d: expected @OFFSET step or }, got %q", j+1, line)
+			return Action{}, j, fmt.Errorf("repeat body line %d: expected @OFFSET step or }, got %q", j+1, line)
 		}
 		st, next, err := parseStep(word[1:], strings.TrimSpace(rest), lines, j)
 		if err != nil {
-			return nil, j, fmt.Errorf("repeat body line %d: %w", j+1, err)
+			return Action{}, j, fmt.Errorf("repeat body line %d: %w", j+1, err)
 		}
-		r.Body = append(r.Body, st)
+		r.body = append(r.body, st)
 		j = next
 	}
-	return nil, len(lines) - 1, fmt.Errorf("repeat block is missing its closing }")
+	return Action{}, len(lines) - 1, fmt.Errorf("repeat block is missing its closing }")
 }
 
-func parseAction(verb string, args []string) (Action, error) {
-	switch verb {
-	case "kill":
-		n, err := oneInt(verb, args)
-		return Kill{Node: n}, err
-	case "restart":
-		n, err := oneInt(verb, args)
-		return Restart{Node: n}, err
-	case "kill-leader":
-		g, err := oneInt(verb, args)
-		return KillLeader{Group: g}, err
-	case "group-outage":
-		g, err := oneInt(verb, args)
-		return GroupOutage{Group: g}, err
-	case "group-restart":
-		g, err := oneInt(verb, args)
-		return GroupRestart{Group: g}, err
-	case "fail-device":
-		n, err := oneName(verb, args)
-		return FailDevice{Name: n}, err
-	case "repair-device":
-		n, err := oneName(verb, args)
-		return RepairDevice{Name: n}, err
-	case "fail-link":
-		a, b, err := twoNames(verb, args)
-		return FailLink{A: a, B: b}, err
-	case "repair-link":
-		a, b, err := twoNames(verb, args)
-		return RepairLink{A: a, B: b}, err
-	case "loss":
-		p, err := oneProb(verb, args)
-		return SetLoss{P: p}, err
-	case "jitter":
-		f, err := oneProb(verb, args)
-		return SetJitter{F: f}, err
-	case "dup":
-		p, err := oneProb(verb, args)
-		return SetDup{P: p}, err
-	case "loss-ramp":
-		if len(args) != 4 {
-			return nil, fmt.Errorf("loss-ramp wants FROM TO OVER STEPS, got %d args", len(args))
-		}
-		from, err := prob("from", args[0])
-		if err != nil {
-			return nil, err
-		}
-		to, err := prob("to", args[1])
-		if err != nil {
-			return nil, err
-		}
-		over, err := time.ParseDuration(args[2])
-		if err != nil || over <= 0 {
-			return nil, fmt.Errorf("loss-ramp duration %q must be a positive duration", args[2])
-		}
-		steps, err := strconv.Atoi(args[3])
-		if err != nil || steps < 1 {
-			return nil, fmt.Errorf("loss-ramp steps %q must be a positive integer", args[3])
-		}
-		return LossRamp{From: from, To: to, Over: over, Steps: steps}, nil
-	case "link-fault":
-		if len(args) < 2 {
-			return nil, fmt.Errorf("link-fault wants A B [loss=|jitter=|dup=]")
-		}
-		p, err := parseProfile(args[2:])
-		if err != nil {
-			return nil, err
-		}
-		return LinkFault{A: args[0], B: args[1], Profile: p}, nil
-	case "wan-fault":
-		p, err := parseProfile(args)
-		if err != nil {
-			return nil, err
-		}
-		return WANFault{Profile: p}, nil
-	case "corrupt-link":
-		a, b, p, err := linkProb(verb, args)
-		return CorruptLink{A: a, B: b, P: p}, err
-	case "truncate-link":
-		a, b, p, err := linkProb(verb, args)
-		return TruncateLink{A: a, B: b, P: p}, err
-	case "replay-link":
-		a, b, p, err := linkProb(verb, args)
-		return ReplayLink{A: a, B: b, P: p}, err
-	case "asym-loss":
-		a, b, p, err := linkProb(verb, args)
-		return AsymLoss{A: a, B: b, P: p}, err
-	case "gray-node":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("gray-node wants N LAG, got %d args", len(args))
-		}
-		n, err := nonNegInt("gray-node node", args[0])
-		if err != nil {
-			return nil, err
-		}
-		lag, err := time.ParseDuration(args[1])
-		if err != nil || lag < 0 {
-			return nil, fmt.Errorf("gray-node lag %q must be a non-negative duration", args[1])
-		}
-		return GrayNode{Node: n, Lag: lag}, nil
-	case "hot-leader":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("hot-leader wants G UNITS, got %d args", len(args))
-		}
-		g, err := nonNegInt("hot-leader group", args[0])
-		if err != nil {
-			return nil, err
-		}
-		units, err := nonNegInt("hot-leader units", args[1])
-		if err != nil {
-			return nil, err
-		}
-		return HotLeader{Group: g, Units: units}, nil
-	case "skew-groups":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("skew-groups wants A B, got %d args", len(args))
-		}
-		from, err := nonNegInt("skew-groups from", args[0])
-		if err != nil {
-			return nil, err
-		}
-		to, err := nonNegInt("skew-groups to", args[1])
-		if err != nil {
-			return nil, err
-		}
-		return SkewGroups{From: from, To: to}, nil
-	case "kill-proxy-leader":
-		dc, err := oneInt(verb, args)
-		return KillProxyLeader{DC: dc}, err
-	case "restart-down":
-		if len(args) != 0 {
-			return nil, fmt.Errorf("restart-down takes no arguments")
-		}
-		return RestartDown{}, nil
-	case "fail-wan":
-		if len(args) != 0 {
-			return nil, fmt.Errorf("fail-wan takes no arguments")
-		}
-		return FailWAN{}, nil
-	case "repair-wan":
-		if len(args) != 0 {
-			return nil, fmt.Errorf("repair-wan takes no arguments")
-		}
-		return RepairWAN{}, nil
-	case "flap":
-		if len(args) < 1 {
-			return nil, fmt.Errorf("flap wants N down=D up=D [count=K]")
-		}
-		n, err := nonNegInt("flap node", args[0])
-		if err != nil {
-			return nil, err
-		}
-		f := Flap{Node: n, Count: 1}
-		haveDown, haveUp := false, false
-		for _, kv := range args[1:] {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return nil, fmt.Errorf("flap argument %q is not key=value", kv)
-			}
-			switch k {
-			case "down":
-				f.Down, err = time.ParseDuration(v)
-				haveDown = true
-			case "up":
-				f.Up, err = time.ParseDuration(v)
-				haveUp = true
-			case "count":
-				f.Count, err = strconv.Atoi(v)
-			default:
-				return nil, fmt.Errorf("flap: unknown key %q", k)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("flap %s=%q: %v", k, v, err)
-			}
-		}
-		if !haveDown || !haveUp || f.Down <= 0 || f.Up <= 0 {
-			return nil, fmt.Errorf("flap needs positive down= and up= durations")
-		}
-		if f.Count < 1 {
-			return nil, fmt.Errorf("flap count %d < 1", f.Count)
-		}
-		return f, nil
-	}
-	return nil, fmt.Errorf("unknown action %q", verb)
-}
-
-func parseProfile(args []string) (netsim.LinkProfile, error) {
-	var p netsim.LinkProfile
-	for _, kv := range args {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return p, fmt.Errorf("profile argument %q is not key=value", kv)
-		}
-		f, err := prob(k, v)
-		if err != nil {
-			return p, err
-		}
-		switch k {
-		case "loss":
-			p.Loss = f
-		case "jitter":
-			p.Jitter = f
-		case "dup":
-			p.Dup = f
-		case "corrupt":
-			p.Corrupt = f
-		case "truncate":
-			p.Truncate = f
-		case "replay":
-			p.Replay = f
-		case "stale":
-			p.Stale = f
-		default:
-			return p, fmt.Errorf("unknown profile key %q", k)
-		}
-	}
-	return p, nil
-}
-
-func prob(what, s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
+// Steps builds a timeline from Go in the spec language itself — the one
+// way to write an action, so the library doubles as parser coverage:
+//
+//	chaos.Steps("@20s kill %d\n@40s restart %d", v, v)
+//
+// The text is a constant of the program, so a malformed line panics.
+func Steps(format string, args ...any) []Step {
+	s, err := ParseSpec(fmt.Sprintf(format, args...))
 	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", what, s)
+		panic(err)
 	}
-	if err := checkProb(what, v); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// linkProb parses the shared "VERB A B P" shape of the per-link fault verbs.
-func linkProb(verb string, args []string) (string, string, float64, error) {
-	if len(args) != 3 {
-		return "", "", 0, fmt.Errorf("%s wants A B P, got %d args", verb, len(args))
-	}
-	p, err := prob(verb, args[2])
-	return args[0], args[1], p, err
-}
-
-func oneProb(verb string, args []string) (float64, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("%s wants exactly one probability", verb)
-	}
-	return prob(verb, args[0])
-}
-
-func oneInt(verb string, args []string) (int, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("%s wants exactly one argument", verb)
-	}
-	return nonNegInt(verb, args[0])
-}
-
-func nonNegInt(what, s string) (int, error) {
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("%s %q must be a non-negative integer", what, s)
-	}
-	return n, nil
-}
-
-func oneName(verb string, args []string) (string, error) {
-	if len(args) != 1 {
-		return "", fmt.Errorf("%s wants exactly one device name", verb)
-	}
-	return args[0], nil
-}
-
-func twoNames(verb string, args []string) (string, string, error) {
-	if len(args) != 2 {
-		return "", "", fmt.Errorf("%s wants exactly two device names", verb)
-	}
-	return args[0], args[1], nil
+	return s.Steps
 }

@@ -111,7 +111,10 @@ type Node struct {
 	id  membership.NodeID
 	dir *membership.Directory
 
-	info      membership.MemberInfo
+	info membership.MemberInfo
+	// Publisher is the publishing API (RegisterService, UpdateValue,
+	// DeleteValue, Info) over info.
+	membership.Publisher
 	levels    []*levelState
 	tracker   *sim.Ticker
 	republish *sim.Ticker
@@ -181,6 +184,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		sizeSince: -1,
 		shedAt:    -1,
 	}
+	n.Publisher = membership.NewPublisher(&n.info, n.published)
 	n.levels = make([]*levelState, cfg.MaxTTL)
 	for l := range n.levels {
 		n.levels[l] = &levelState{level: l, bootstrapFrom: membership.NoNode}
@@ -194,15 +198,11 @@ func (n *Node) ID() membership.NodeID { return n.id }
 // Directory returns the node's yellow-page directory.
 func (n *Node) Directory() *membership.Directory { return n.dir }
 
-// Info returns a copy of the node's own published information.
-func (n *Node) Info() membership.MemberInfo { return n.info.Clone() }
-
 // Running reports whether the node is started.
 func (n *Node) Running() bool { return n.running }
 
-// SetInfo replaces the node's published services/attributes before Start.
-// After Start use RegisterService/UpdateValue/DeleteValue, which version
-// the changes.
+// SetInfo replaces the node's published services/attributes before Start
+// and, unlike the shared Publisher.SetInfo it shadows, restarts the beat.
 func (n *Node) SetInfo(info membership.MemberInfo) {
 	info.Node = n.id
 	inc := n.info.Incarnation
@@ -210,47 +210,8 @@ func (n *Node) SetInfo(info membership.MemberInfo) {
 	n.info.Incarnation = inc
 }
 
-// RegisterService publishes a service hosted by this node (the library's
-// register_service call). The partition list uses the paper's "1-3" spec
-// syntax.
-func (n *Node) RegisterService(name, partitions string, params ...membership.KV) error {
-	parts, err := membership.ParsePartitions(partitions)
-	if err != nil {
-		return err
-	}
-	for i := range n.info.Services {
-		if n.info.Services[i].Name == name {
-			n.info.Services[i].Partitions = parts
-			n.info.Services[i].Params = append([]membership.KV(nil), params...)
-			n.bumpVersion()
-			return nil
-		}
-	}
-	n.info.Services = append(n.info.Services, membership.ServiceDecl{
-		Name: name, Partitions: parts, Params: append([]membership.KV(nil), params...),
-	})
-	n.bumpVersion()
-	return nil
-}
-
-// UpdateValue publishes a key/value through the membership service
-// (update_value in the paper's API).
-func (n *Node) UpdateValue(key, value string) {
-	n.info.SetAttr(key, value)
-	n.bumpVersion()
-}
-
-// DeleteValue removes a published key (delete_value).
-func (n *Node) DeleteValue(key string) bool {
-	ok := n.info.DeleteAttr(key)
-	if ok {
-		n.bumpVersion()
-	}
-	return ok
-}
-
-func (n *Node) bumpVersion() {
-	n.info.Version++
+// published runs after every versioned change of the node's own record.
+func (n *Node) published() {
 	if n.running {
 		n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, n.eng.Now())
 	}

@@ -130,7 +130,7 @@ func adaptiveParsimRun(t *testing.T, lps int) metrics.RunReport {
 	c := NewCluster(HierarchicalAdaptive, topology.Clustered(o.Groups, o.PerGroup), seed)
 	coord := c.EnableParsim(seed, lps)
 	c.StartAll()
-	env := chaos.NewEnv(coord, c.Net, c.Top, chaosNodes(c.Nodes))
+	env := chaos.NewEnv(coord, c.Net, c.Top, c.Nodes)
 	env.EngineFor = c.engineFor
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64
 	default:
 		cell.Cluster = NewCluster(scheme, topology.Clustered(groups, perGroup), seed)
 	}
-	cell.Env = chaos.NewEnv(cell.Eng, cell.Net, cell.Top, chaosNodes(cell.Nodes))
+	cell.Env = chaos.NewEnv(cell.Eng, cell.Net, cell.Top, cell.Nodes)
 	if cell.fed != nil {
 		cell.Env.Proxies = cell.fed.ProxyHandles()
 	}
@@ -95,14 +95,6 @@ func (c *Cell) StartAuditor() *invariant.Auditor {
 	}
 	aud.Start()
 	return aud
-}
-
-func chaosNodes(in []Instance) []chaos.Node {
-	out := make([]chaos.Node, len(in))
-	for i, n := range in {
-		out[i] = n
-	}
-	return out
 }
 
 func auditNodes(in []Instance) []invariant.Node {

@@ -3,7 +3,7 @@ package harness
 import (
 	"time"
 
-	"repro/internal/membership"
+	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/parsim"
 	"repro/internal/sim"
@@ -30,14 +30,8 @@ var ChaosSchemes = []Scheme{AllToAll, Gossip, Hierarchical, HierarchicalProxy, R
 var TrafficSchemes = []Scheme{AllToAll, Gossip, Hierarchical, HierarchicalProxy, Rapid}
 
 // Instance is the common surface of every scheme's protocol node (the
-// builders in scheme.go place them behind it).
-type Instance interface {
-	ID() membership.NodeID
-	Start(eng *sim.Engine)
-	Stop()
-	Directory() *membership.Directory
-	Running() bool
-}
+// builders in scheme.go place them behind it): the daemon chaos drives.
+type Instance = chaos.Node
 
 // HeartbeatWireTarget is the paper's measured average membership packet
 // size: "The average packet size carrying the membership information of

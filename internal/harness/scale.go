@@ -54,15 +54,7 @@ func scaleScenario(o ScaleOptions) *chaos.Scenario {
 	return &chaos.Scenario{
 		Name:        "scale-churn",
 		Description: fmt.Sprintf("rolling churn across %d groups at N=%d", o.Churn, o.Groups*o.PerGroup),
-		Steps: []chaos.Step{
-			{At: 20 * time.Second, Act: chaos.Repeat{
-				Count: o.Churn, Every: 5 * time.Second, Stride: o.PerGroup,
-				Body: []chaos.Step{
-					{At: 0, Act: chaos.Kill{Node: 1}},
-					{At: 2 * time.Second, Act: chaos.Restart{Node: 1}},
-				},
-			}},
-		},
+		Steps:       chaos.Steps("@20s repeat %d every 5s step %d {\n@0s kill 1\n@2s restart 1\n}", o.Churn, o.PerGroup),
 	}
 }
 
@@ -79,7 +71,7 @@ func ScaleChurn(o ScaleOptions) metrics.RunReport {
 		c := NewCluster(Hierarchical, topology.Clustered(o.Groups, o.PerGroup), seed)
 		coord := c.EnableParsim(seed, o.LPs)
 		c.StartAll()
-		env := chaos.NewEnv(coord, c.Net, c.Top, chaosNodes(c.Nodes))
+		env := chaos.NewEnv(coord, c.Net, c.Top, c.Nodes)
 		env.EngineFor = c.engineFor
 		sc := scaleScenario(o)
 		if err := sc.Install(env); err != nil {

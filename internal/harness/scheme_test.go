@@ -3,11 +3,13 @@ package harness
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/membership"
 	"repro/internal/topology"
 )
 
@@ -196,6 +198,64 @@ func TestChaosMatrixMatchesCommittedBench(t *testing.T) {
 		}
 		if want, pinned := map[string]string{"Hierarchical": "never", "rapid": "-"}[f[1]]; pinned && f[6] != want {
 			t.Errorf("skew-groups/%s converge column %q, want %q", f[1], f[6], want)
+		}
+	}
+}
+
+// TestEverySchemePublishesAlike: the publishing API is one implementation
+// (membership.Publisher) under every scheme's node. Registering a service
+// again replaces its declaration — before and after Start — instead of
+// leaving the stale partitions advertised, and delete_value exists
+// everywhere.
+func TestEverySchemePublishesAlike(t *testing.T) {
+	type publisher interface {
+		RegisterService(name, partitions string, params ...membership.KV) error
+		UpdateValue(key, value string)
+		DeleteValue(key string) bool
+		Info() membership.MemberInfo
+	}
+	for _, name := range SchemeNames() {
+		scheme, err := ParseScheme(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCell(scheme, nil, 2, 3, 1)
+		var node any = c.Nodes[1]
+		if fed, ok := node.(*fedInstance); ok {
+			node = fed.node // whose runtime has declared the DC's echo service
+		}
+		p, ok := node.(publisher)
+		if !ok {
+			t.Errorf("%s: node lacks the publishing API", name)
+			continue
+		}
+		others := len(p.Info().Services)
+		check := func(when, partitions string) {
+			t.Helper()
+			if err := p.RegisterService("Cache", partitions); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := membership.ParsePartitions(partitions)
+			svcs := p.Info().Services
+			if len(svcs) != others+1 || svcs[others].Name != "Cache" || !reflect.DeepEqual(svcs[others].Partitions, want) {
+				t.Errorf("%s %s: after registering Cache %s the node declares %+v", name, when, partitions, svcs)
+			}
+		}
+		check("before start", "0-3")
+		check("before start", "4-7")
+		c.StartAll()
+		c.Run(3 * time.Second)
+		v := p.Info().Version
+		check("running", "8-9")
+		p.UpdateValue("load", "1")
+		if !p.DeleteValue("load") || p.DeleteValue("load") {
+			t.Errorf("%s: DeleteValue does not report presence", name)
+		}
+		if got := p.Info().Version; got != v+3 {
+			t.Errorf("%s: three published changes moved the version %d -> %d", name, v, got)
+		}
+		if e := c.Nodes[1].Directory().Get(c.Nodes[1].ID()); e == nil || e.Info.Version != v+3 || len(e.Info.Services) != others+1 {
+			t.Errorf("%s: own directory entry did not follow: %+v", name, e)
 		}
 	}
 }

@@ -114,6 +114,77 @@ func (m *MemberInfo) DeleteAttr(key string) bool {
 // Attr returns the value for key and whether it exists.
 func (m *MemberInfo) Attr(key string) (string, bool) { return getKV(m.Attrs, key) }
 
+// Publisher is the publishing half of the paper's API (register_service,
+// update_value, delete_value) over a daemon's own record. Every scheme's
+// Node embeds one: the node owns the record and says what "published" means
+// for it — upsert itself into its directory if it is running, and for a
+// scheme that pushes changes, broadcast them.
+type Publisher struct {
+	self      *MemberInfo
+	published func()
+}
+
+// NewPublisher binds the API to a node's record; published runs after every
+// versioned change.
+func NewPublisher(self *MemberInfo, published func()) Publisher {
+	return Publisher{self: self, published: published}
+}
+
+// Info returns a copy of the node's own published information.
+func (p Publisher) Info() MemberInfo { return p.self.Clone() }
+
+// SetInfo replaces the published services/attributes before Start; identity,
+// incarnation and beat carry over. After Start use RegisterService,
+// UpdateValue and DeleteValue, which version the changes.
+func (p Publisher) SetInfo(info MemberInfo) {
+	id, inc, beat := p.self.Node, p.self.Incarnation, p.self.Beat
+	*p.self = info.Clone()
+	p.self.Node, p.self.Incarnation, p.self.Beat = id, inc, beat
+}
+
+// RegisterService publishes a service hosted by this node (register_service);
+// registering a name again replaces its declaration. The partition list uses
+// the paper's "1-3" spec syntax.
+func (p Publisher) RegisterService(name, partitions string, params ...KV) error {
+	parts, err := ParsePartitions(partitions)
+	if err != nil {
+		return err
+	}
+	decl := ServiceDecl{Name: name, Partitions: parts, Params: append([]KV(nil), params...)}
+	i := 0
+	for i < len(p.self.Services) && p.self.Services[i].Name != name {
+		i++
+	}
+	if i == len(p.self.Services) {
+		p.self.Services = append(p.self.Services, decl)
+	} else {
+		p.self.Services[i] = decl
+	}
+	p.bump()
+	return nil
+}
+
+// UpdateValue publishes a key/value pair (update_value).
+func (p Publisher) UpdateValue(key, value string) {
+	p.self.SetAttr(key, value)
+	p.bump()
+}
+
+// DeleteValue removes a published key (delete_value); it reports whether
+// the key was present.
+func (p Publisher) DeleteValue(key string) bool {
+	ok := p.self.DeleteAttr(key)
+	if ok {
+		p.bump()
+	}
+	return ok
+}
+
+func (p Publisher) bump() {
+	p.self.Version++
+	p.published()
+}
+
 func setKV(kvs []KV, key, value string) []KV {
 	i := sort.Search(len(kvs), func(i int) bool { return kvs[i].Key >= key })
 	if i < len(kvs) && kvs[i].Key == key {

@@ -192,12 +192,15 @@ type peerSession struct {
 // satisfies the harness Instance and service.Member seams, so the chaos,
 // traffic, and service layers run over it unchanged.
 type Node struct {
-	cfg     Config
-	eng     *sim.Engine
-	ep      netsim.Transport
-	id      membership.NodeID
-	dir     *membership.Directory
-	info    membership.MemberInfo
+	cfg  Config
+	eng  *sim.Engine
+	ep   netsim.Transport
+	id   membership.NodeID
+	dir  *membership.Directory
+	info membership.MemberInfo
+	// Publisher is the publishing API (SetInfo, RegisterService, UpdateValue,
+	// DeleteValue, Info) over info.
+	membership.Publisher
 	running bool
 
 	// Installed configuration.
@@ -254,6 +257,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		cut:        NewCutDetector(1, 1, cfg.ReportTTL),
 		readySince: -1,
 	}
+	n.Publisher = membership.NewPublisher(&n.info, n.published)
 	seeds := append([]membership.NodeID(nil), cfg.Seeds...)
 	sortIDs(seeds)
 	n.configSeq, n.proposer = 1, membership.NoNode
@@ -287,36 +291,8 @@ func (n *Node) isMember(id membership.NodeID) bool {
 // ViewsInstalled counts configurations this node has adopted since boot.
 func (n *Node) ViewsInstalled() uint64 { return n.viewsInstalled }
 
-// SetInfo replaces the published services/attributes.
-func (n *Node) SetInfo(info membership.MemberInfo) {
-	info.Node = n.id
-	inc, beat := n.info.Incarnation, n.info.Beat
-	n.info = info.Clone()
-	n.info.Incarnation, n.info.Beat = inc, beat
-}
-
-// UpdateValue publishes a key/value pair.
-func (n *Node) UpdateValue(key, value string) {
-	n.info.SetAttr(key, value)
-	n.info.Version++
-	n.publishSelf()
-}
-
-// RegisterService publishes a service hosted by this node.
-func (n *Node) RegisterService(name, partitions string, params ...membership.KV) error {
-	parts, err := membership.ParsePartitions(partitions)
-	if err != nil {
-		return err
-	}
-	n.info.Services = append(n.info.Services, membership.ServiceDecl{
-		Name: name, Partitions: parts, Params: append([]membership.KV(nil), params...),
-	})
-	n.info.Version++
-	n.publishSelf()
-	return nil
-}
-
-func (n *Node) publishSelf() {
+// published runs after every versioned change of the node's own record.
+func (n *Node) published() {
 	if !n.running {
 		return
 	}
