@@ -91,6 +91,10 @@ func run(args []string, out io.Writer) int {
 	}
 
 	c := harness.NewCell(scheme, scenario, *groups, *perGroup, *seed)
+	if *kill >= len(c.Nodes) {
+		fmt.Fprintf(os.Stderr, "tampsim: -kill %d: the cluster has nodes 0..%d\n", *kill, len(c.Nodes)-1)
+		return 2
+	}
 	if *loss > 0 {
 		c.Net.SetLossProbability(*loss)
 	}
@@ -107,7 +111,7 @@ func run(args []string, out io.Writer) int {
 	}
 	c.StartAll()
 
-	if *kill >= 0 && *kill < len(c.Nodes) {
+	if *kill >= 0 {
 		victim := c.Nodes[*kill]
 		c.Eng.ScheduleAt(*killAt, func() {
 			fmt.Fprintf(out, "%12v  === killing node %v ===\n", *killAt, victim.ID())
@@ -131,7 +135,7 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintln(os.Stderr, "tampsim:", err)
 			return 2
 		}
-		if min := c.Audit.Deadline + harness.DefaultChaosOptions().Enforce; runFor < min {
+		if min := c.Audit.Deadline + harness.ChaosEnforce; runFor < min {
 			runFor = min
 		}
 		aud = c.StartAuditor()

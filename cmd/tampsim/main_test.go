@@ -53,6 +53,9 @@ func TestListScenariosPrintsTheVocabulary(t *testing.T) {
 	if code := run([]string{"-groups", "0", "-list-scenarios"}, &out); code != 2 {
 		t.Errorf("-groups 0: exit code %d, want 2", code)
 	}
+	if code := run([]string{"-groups", "2", "-pergroup", "3", "-kill", "6"}, &out); code != 2 || out.Len() != 0 {
+		t.Errorf("-kill 6 on nodes 0..5: exit code %d, stdout %q; want 2 and nothing", code, out.String())
+	}
 }
 
 // TestRunEveryScheme drives one short library scenario under every row of

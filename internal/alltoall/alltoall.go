@@ -15,29 +15,23 @@ type Config struct {
 	Channel netsim.ChannelID
 	// TTL must cover the whole cluster (at least the topology diameter).
 	TTL int
-	// HeartbeatInterval is the multicast period (1 Hz in the paper).
-	HeartbeatInterval time.Duration
-	// MaxLoss is the consecutive losses tolerated before declaring a node
-	// dead (5 in the paper).
-	MaxLoss int
 	// HeartbeatPad pads heartbeats to emulate configured packet sizes
 	// (the paper's Figure 2 uses 1024-byte heartbeats).
 	HeartbeatPad int
 }
 
-// DefaultConfig mirrors the paper's experiment settings.
-func DefaultConfig() Config {
-	return Config{
-		Channel:           1,
-		TTL:               8,
-		HeartbeatInterval: time.Second,
-		MaxLoss:           5,
-	}
-}
+// The paper's experiment settings (§6.2), fixed.
+const (
+	// heartbeatInterval is the multicast period: 1 Hz.
+	heartbeatInterval = time.Second
+	// deadAfter is the silence after which a node is declared dead: MAX_LOSS
+	// = 5 consecutive heartbeats.
+	deadAfter = 5 * heartbeatInterval
+)
 
-// DeadAfter is the silence duration after which a node is declared dead.
-func (c Config) DeadAfter() time.Duration {
-	return time.Duration(c.MaxLoss) * c.HeartbeatInterval
+// DefaultConfig is channel 1 at a TTL that covers any topology built here.
+func DefaultConfig() Config {
+	return Config{Channel: 1, TTL: 8}
 }
 
 // Node is one cluster node running the all-to-all membership scheme.
@@ -117,9 +111,9 @@ func (n *Node) Start(eng *sim.Engine) {
 	}
 	n.ep.SetUp(true)
 	n.ep.Join(n.cfg.Channel)
-	jitter := time.Duration(eng.Rand().Int63n(int64(n.cfg.HeartbeatInterval)))
-	n.hb = sim.NewTicker(eng, jitter, n.cfg.HeartbeatInterval, n.sendHeartbeat)
-	n.tracker = sim.NewTicker(eng, n.cfg.HeartbeatInterval/2, n.cfg.HeartbeatInterval/2, n.track)
+	jitter := time.Duration(eng.Rand().Int63n(int64(heartbeatInterval)))
+	n.hb = sim.NewTicker(eng, jitter, heartbeatInterval, n.sendHeartbeat)
+	n.tracker = sim.NewTicker(eng, heartbeatInterval/2, heartbeatInterval/2, n.track)
 }
 
 // Stop kills the daemon.
@@ -182,13 +176,13 @@ func (n *Node) track() {
 	if now < n.sweepDue {
 		return
 	}
-	dead, next := n.dir.Expired(now, func(*membership.Entry) time.Duration { return n.cfg.DeadAfter() })
+	dead, next := n.dir.Expired(now, func(*membership.Entry) time.Duration { return deadAfter })
 	for _, id := range dead {
 		n.dir.Remove(id, now)
 	}
-	// Nothing can expire before min(next, now+DeadAfter); the ticks until
+	// Nothing can expire before min(next, now+deadAfter); the ticks until
 	// then are skipped, the grid they fall on is not (see the package doc).
-	n.sweepDue = now + n.cfg.DeadAfter()
+	n.sweepDue = now + deadAfter
 	if next < n.sweepDue {
 		n.sweepDue = next
 	}

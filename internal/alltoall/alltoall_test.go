@@ -37,7 +37,6 @@ func TestConvergence(t *testing.T) {
 
 func TestFailureDetectionTiming(t *testing.T) {
 	eng, _, nodes := newCluster(topology.FlatLAN(10))
-	cfg := DefaultConfig()
 	for _, n := range nodes {
 		n.Start(eng)
 	}
@@ -61,8 +60,8 @@ func TestFailureDetectionTiming(t *testing.T) {
 		t.Fatalf("%d nodes detected, want 9", len(detect))
 	}
 	for id, d := range detect {
-		if d < cfg.DeadAfter()-cfg.HeartbeatInterval || d > cfg.DeadAfter()+2*cfg.HeartbeatInterval {
-			t.Errorf("node %v detected at %v, want about %v", id, d, cfg.DeadAfter())
+		if d < deadAfter-heartbeatInterval || d > deadAfter+2*heartbeatInterval {
+			t.Errorf("node %v detected at %v, want about %v", id, d, deadAfter)
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // paper compares against (#7 in DESIGN.md's system inventory).
 //
 // Every node multicasts a full heartbeat to the whole cluster on one
-// maximum-TTL channel every Interval, and marks a peer dead after
-// MissedBeats silent intervals (Config.DeadAfter). Detection is fast and
+// maximum-TTL channel once a second, and marks a peer dead after five
+// silent intervals (deadAfter; both are the paper's §6.2 settings and are
+// constants, Config holds the channel, TTL and padding). Detection is fast and
 // the implementation is trivial, but per-node receive bandwidth grows
 // linearly with cluster size — the scaling failure quantified in Figures
 // 11-13 and Section 4's analytic model.
@@ -18,8 +19,8 @@
 // The status tracker ticks twice per interval but sweeps the directory only
 // when a sweep can find something. Directory.Expired returns the earliest
 // deadline among the survivors; a refresh only moves a deadline later and
-// an entry inserted after the sweep expires no sooner than DeadAfter from
-// then, so every tick before min(next, now+DeadAfter) would find nothing
+// an entry inserted after the sweep expires no sooner than deadAfter from
+// then, so every tick before min(next, now+deadAfter) would find nothing
 // and is skipped. The ticker itself is left alone, so a member is removed
 // on exactly the tick an every-tick sweep removes it on.
 //

@@ -78,7 +78,7 @@ func TestSweepSkipRemovesOnTheSameTicks(t *testing.T) {
 		start := func(n *Node) {
 			n.Start(eng)
 			if everyTick {
-				half := n.cfg.HeartbeatInterval / 2
+				half := heartbeatInterval / 2
 				n.tracker.Stop()
 				n.tracker = sim.NewTicker(eng, half, half, func() { n.sweepDue = 0; n.track() })
 			}
@@ -188,7 +188,7 @@ func newReceive400(tb testing.TB) *receive400 {
 // next beat at every other node.
 func (f *receive400) refill() {
 	f.pending, f.next = f.pending[:0], 0
-	f.eng.Run(f.eng.Now() + f.nodes[0].cfg.HeartbeatInterval)
+	f.eng.Run(f.eng.Now() + heartbeatInterval)
 }
 
 func (f *receive400) step() {

@@ -2,7 +2,7 @@ package core
 
 // Self-organizing hierarchy (docs/ADAPTIVE.md). The paper forms the
 // TTL-scoped tree once and then freezes it; this file makes the tree a
-// maintained structure. Three mechanisms, all gated on Config.Adaptive so
+// maintained structure. Two mechanisms, both gated on Config.Adaptive so
 // the static protocol stays byte-identical:
 //
 //   - Leader load shedding: every member pushes its load (external hot
@@ -17,8 +17,6 @@ package core
 //     wire.Reform round — an oversized group splits its upper ID half
 //     onto a fresh channel, an undersized split-off group merges back
 //     onto the channel it split from.
-//   - Diameter bounding: Config.DiameterBound caps the tree height by
-//     re-parenting the top tier (see Config.ttl / Config.maxLevel).
 //
 // Independent of Adaptive, a node with nonzero external load above the
 // watermark starves its relay duties (level>=1 heartbeats, directory
@@ -211,7 +209,7 @@ func (n *Node) shedLeadership(level int, now time.Duration) {
 	n.handoffSeq++
 	n.stats.LoadSheds++
 	msg := &wire.Handoff{From: n.id, Level: uint8(level), Seq: n.handoffSeq, Successor: succ}
-	n.ep.Multicast(n.channelOf(level), n.cfg.ttl(level), n.enc.AppendEncode(nil, msg))
+	n.ep.Multicast(n.channelOf(level), ttl(level), n.enc.AppendEncode(nil, msg))
 	n.shedAt = now
 	n.overSince = -1
 	n.setLeader(level, false)
@@ -320,7 +318,7 @@ func (n *Node) sendReform(movers []membership.NodeID, newch netsim.ChannelID) {
 	n.reformEpoch++
 	n.stats.Reformations++
 	msg := &wire.Reform{From: n.id, Epoch: n.reformEpoch, NewChannel: uint32(newch), Movers: movers}
-	n.ep.Multicast(n.channelOf(0), n.cfg.ttl(0), n.enc.AppendEncode(nil, msg))
+	n.ep.Multicast(n.channelOf(0), ttl(0), n.enc.AppendEncode(nil, msg))
 	for _, id := range movers {
 		if id == n.id {
 			n.rehome(newch)

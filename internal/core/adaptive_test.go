@@ -190,27 +190,6 @@ func TestAdaptiveMergeUndersizedGroup(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDiameterBound pins the hierarchy cap: DiameterBound truncates
-// the level ladder and stretches the capped top tier's TTL to MaxTTL so it
-// still spans the network.
-func TestAdaptiveDiameterBound(t *testing.T) {
-	cfg := AdaptiveDefaults()
-	cfg.MaxTTL = 4
-	if got := cfg.maxLevel(); got != 3 {
-		t.Fatalf("unbounded maxLevel = %d, want 3", got)
-	}
-	cfg.DiameterBound = 2
-	if got := cfg.maxLevel(); got != 1 {
-		t.Fatalf("bounded maxLevel = %d, want 1", got)
-	}
-	if got := cfg.ttl(1); got != 4 {
-		t.Errorf("capped top tier ttl = %d, want MaxTTL 4", got)
-	}
-	if got := cfg.ttl(0); got != 1 {
-		t.Errorf("level-0 ttl = %d, want 1", got)
-	}
-}
-
 // TestAdaptiveConfigValidation pins the new knobs' validation: a reform
 // channel base colliding with the level ladder must be rejected, as must
 // inverted group bounds.

@@ -223,9 +223,6 @@ func TestConvergenceUnderDuplication(t *testing.T) {
 func TestPerLevelTimeouts(t *testing.T) {
 	top := topology.Clustered(3, 4)
 	cfg := cfgFor(top)
-	if cfg.LevelTimeoutStep == 0 {
-		t.Fatal("default config should stagger level timeouts")
-	}
 	c := newCluster(top, cfg)
 	c.startAll()
 	c.run(15 * time.Second)

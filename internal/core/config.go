@@ -35,16 +35,6 @@ type Config struct {
 	// group mate is declared dead (MAX_LOSS = 5).
 	MaxLoss int
 
-	// LevelTimeoutStep adds this many tolerated heartbeats per tree level:
-	// a level-L group mate is declared dead after
-	// (MaxLoss + L*LevelTimeoutStep) missed heartbeats. The paper: "we
-	// assign different timeout values for groups at different levels.
-	// Higher level groups are assigned with larger timeout values. Thus
-	// when a group leader fails, the lower level group can still have
-	// time to elect its new leader before the higher level group purges
-	// all the nodes of the lower level group."
-	LevelTimeoutStep int
-
 	// PiggybackDepth is how many previous updates ride along with each
 	// update message for loss recovery (the paper uses 3).
 	PiggybackDepth int
@@ -89,10 +79,9 @@ type Config struct {
 	// Adaptive enables the self-organizing hierarchy (docs/ADAPTIVE.md):
 	// overloaded leaders abdicate to the least-loaded member, groups whose
 	// live size drifts outside [GroupMin, GroupMax] split or merge through
-	// epoch-guarded re-formation rounds, and the tree height is capped by
-	// DiameterBound. Default off: a non-adaptive node sends no adaptive
-	// packets and draws no extra randomness, so every pre-existing run
-	// stays byte-identical.
+	// epoch-guarded re-formation rounds. Default off: a non-adaptive node
+	// sends no adaptive packets and draws no extra randomness, so every
+	// pre-existing run stays byte-identical.
 	Adaptive bool
 
 	// LoadWatermark is the sustained relay load (external load units set
@@ -124,14 +113,16 @@ type Config struct {
 	// channels from: round epoch e uses ReformChannelBase+e. It must not
 	// collide with the per-level channels or any other scheme's channels.
 	ReformChannelBase netsim.ChannelID
-
-	// DiameterBound caps the tree height at DiameterBound levels (relay
-	// diameter <= 2*DiameterBound hops): leaders of level DiameterBound-1
-	// are re-parented into a single capped top tier whose multicast uses
-	// TTL MaxTTL instead of climbing further. Zero leaves the paper's
-	// unbounded derivation (levels up to MaxTTL-1).
-	DiameterBound int
 }
+
+// levelTimeoutStep adds this many tolerated heartbeats per tree level: a
+// level-L group mate is declared dead after (MaxLoss + L*levelTimeoutStep)
+// missed heartbeats. The paper: "we assign different timeout values for
+// groups at different levels. Higher level groups are assigned with larger
+// timeout values. Thus when a group leader fails, the lower level group can
+// still have time to elect its new leader before the higher level group
+// purges all the nodes of the lower level group."
+const levelTimeoutStep = 2
 
 // DefaultConfig returns the paper's experiment configuration.
 func DefaultConfig() Config {
@@ -140,7 +131,6 @@ func DefaultConfig() Config {
 		MaxTTL:            4,
 		HeartbeatInterval: time.Second,
 		MaxLoss:           5,
-		LevelTimeoutStep:  2,
 		PiggybackDepth:    3,
 		ElectionPatience:  2 * time.Second,
 		LevelGrace:        3 * time.Second,
@@ -176,11 +166,7 @@ func (c Config) DeadAfter() time.Duration {
 // DeadAfterLevel is the per-level silence threshold: higher levels tolerate
 // more missed heartbeats so lower-level elections finish first.
 func (c Config) DeadAfterLevel(level int) time.Duration {
-	step := c.LevelTimeoutStep
-	if step < 0 {
-		step = 0
-	}
-	return time.Duration(c.MaxLoss+level*step) * c.HeartbeatInterval
+	return time.Duration(c.MaxLoss+level*levelTimeoutStep) * c.HeartbeatInterval
 }
 
 func (c Config) channel(level int) netsim.ChannelID {
@@ -201,24 +187,8 @@ func (c Config) levelOf(ch netsim.ChannelID) int {
 	return -1
 }
 
-// ttl for a level's multicast group. When DiameterBound re-parents the top
-// tier below the natural height, that capped tier multicasts with the full
-// MaxTTL so one flat leader group still spans the cluster.
-func (c Config) ttl(level int) int {
-	if c.DiameterBound > 0 && level == c.maxLevel() && level < c.MaxTTL-1 {
-		return c.MaxTTL
-	}
-	return level + 1
-}
-
-// maxLevel is the highest level index, after the DiameterBound cap.
-func (c Config) maxLevel() int {
-	top := c.MaxTTL - 1
-	if c.DiameterBound > 0 && c.DiameterBound-1 < top {
-		top = c.DiameterBound - 1
-	}
-	return top
-}
+// ttl is the scope of a level's multicast group.
+func ttl(level int) int { return level + 1 }
 
 func (c Config) validate() {
 	if c.MaxTTL < 1 {
@@ -232,9 +202,6 @@ func (c Config) validate() {
 	}
 	if c.PiggybackDepth < 0 {
 		panic("core: PiggybackDepth must be >= 0")
-	}
-	if c.DiameterBound < 0 {
-		panic("core: DiameterBound must be >= 0")
 	}
 	if c.Adaptive {
 		if c.GroupMax > 0 && c.GroupMin > c.GroupMax {

@@ -194,3 +194,48 @@ func TestRepublishEncodesOncePerTick(t *testing.T) {
 		}
 	}
 }
+
+// TestPublishedSnapshotCarriesOwnBeat: the record a leader publishes about
+// itself carries the beat of its latest level-0 heartbeat. Its mates heard
+// that beat directly; a snapshot offering them less (the beat the record was
+// last written at, 0 from Start) regresses their entry once their tombstone
+// for the leader has lapsed.
+func TestPublishedSnapshotCarriesOwnBeat(t *testing.T) {
+	top := topology.Clustered(2, 3)
+	eng := sim.NewEngine(7)
+	net := netsim.New(eng, top)
+	cfg := cfgFor(top)
+	rec := &recordingTransport{Transport: net.Endpoint(0), eng: eng}
+	nodes := []*Node{NewNode(cfg, rec)}
+	for h := 1; h < top.NumHosts(); h++ {
+		nodes = append(nodes, NewNode(cfg, net.Endpoint(topology.HostID(h))))
+	}
+	for _, n := range nodes {
+		n.Start(eng)
+	}
+	eng.Run(20 * time.Second)
+	var beats, snaps uint64
+	for _, s := range rec.sent {
+		switch m, _ := wire.Decode(s.payload); m := m.(type) {
+		case *wire.Heartbeat:
+			if m.Level == 0 {
+				beats++
+				if m.Info.Beat != beats {
+					t.Fatalf("level-0 heartbeat %d carries beat %d", beats, m.Info.Beat)
+				}
+			}
+		case *wire.DirectoryView:
+			for c := m.Cursor(); c.Next(); {
+				if p := c.Prefix(); p.Node == 0 {
+					snaps++
+					if p.Beat != beats {
+						t.Fatalf("snapshot at %v, after %d heartbeats, carries the publisher at beat %d", s.at, beats, p.Beat)
+					}
+				}
+			}
+		}
+	}
+	if beats < 15 || snaps < 2 {
+		t.Fatalf("%d heartbeats and %d snapshots in 20 s; the test needs both", beats, snaps)
+	}
+}

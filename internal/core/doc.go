@@ -23,8 +23,8 @@
 //     Timeout Protocol rule that direct knowledge beats relayed knowledge.
 //   - bootstrap.go: new-node bootstrap and full-directory synchronization
 //     when piggyback recovery cannot fill a gap.
-//   - config.go: Config — intervals, TTL/channel mapping, MaxLoss (the
-//     paper's k parameter), and per-level timeout scaling.
+//   - config.go: Config — intervals, TTL/channel mapping and MaxLoss (the
+//     paper's k parameter); the per-level timeout step is a constant.
 //   - stats.go: per-node protocol counters used by the bandwidth
 //     experiments.
 //

@@ -356,7 +356,7 @@ func (n *Node) Leader(level int) membership.NodeID {
 // there.
 func (n *Node) joinLevel(level int) {
 	lv := n.levels[level]
-	if lv.joined || level > n.cfg.maxLevel() {
+	if lv.joined || level >= n.cfg.MaxTTL {
 		return
 	}
 	lv.joined = true
@@ -405,7 +405,7 @@ func (n *Node) setLeader(level int, lead bool) {
 	if lead {
 		n.stats.Elections++
 		lv.backup = n.pickBackup(level)
-		if level < n.cfg.maxLevel() {
+		if level < n.cfg.MaxTTL-1 {
 			n.joinLevel(level + 1)
 		}
 		// Announce leadership immediately rather than waiting a period.
@@ -417,7 +417,7 @@ func (n *Node) setLeader(level int, lead bool) {
 	} else {
 		n.stats.Abdications++
 		lv.backup = membership.NoNode
-		if level < n.cfg.maxLevel() {
+		if level < n.cfg.MaxTTL-1 {
 			n.leaveLevel(level + 1)
 		}
 	}
@@ -460,8 +460,12 @@ func (n *Node) sendHeartbeat(level int) {
 	n.stats.HeartbeatsSent++
 	if level == 0 {
 		// The liveness beat advances once per heartbeat period; every node
-		// is always joined to level 0.
+		// is always joined to level 0. The node's own directory record
+		// follows, so a snapshot it publishes never offers its mates a beat
+		// below the one they heard from it directly.
 		n.info.Beat++
+		self := n.dir.Get(n.id) // present from Start on: it never expires
+		self.Info.Beat, self.Counter = n.info.Beat, n.info.Beat
 	}
 	n.hb = wire.Heartbeat{
 		Info:   n.info, // encoded synchronously below, so no defensive clone
@@ -475,7 +479,7 @@ func (n *Node) sendHeartbeat(level int) {
 	if len(payload) > n.hbHint {
 		n.hbHint = len(payload)
 	}
-	n.ep.Multicast(n.channelOf(level), n.cfg.ttl(level), payload)
+	n.ep.Multicast(n.channelOf(level), ttl(level), payload)
 }
 
 // allLevels asks publishDirectory for every joined group.
@@ -501,7 +505,7 @@ func (n *Node) publishDirectory(level int) {
 		if payload == nil {
 			payload = wire.EncodeDirectory(n.id, false, n.dir)
 		}
-		n.ep.Multicast(n.channelOf(lv.level), n.cfg.ttl(lv.level), payload)
+		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), payload)
 	}
 }
 

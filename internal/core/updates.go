@@ -54,7 +54,7 @@ func (n *Node) emitUpdate(u wire.Update, exceptLevel int) {
 		}
 		n.outSeq[lv.level]++
 		msg := &wire.UpdateMsg{Sender: n.id, Seq: n.outSeq[lv.level], Updates: n.recent}
-		n.ep.Multicast(n.channelOf(lv.level), n.cfg.ttl(lv.level), n.enc.AppendEncode(nil, msg))
+		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), n.enc.AppendEncode(nil, msg))
 	}
 }
 

@@ -4,10 +4,12 @@
 //
 // Each round, every node unicasts its directory digest to Fanout peers
 // chosen uniformly at random; receivers merge by heartbeat counter. A
-// peer is declared failed after failTimeout without progress, where
-// FailTimeoutFor derives the timeout from cluster size and the target
-// mistake probability PMistake — the O(log n) detection-time growth
-// visible in Figure 12. Bandwidth per node is O(n) per round because
+// peer is declared failed after FailTimeoutFor(ExpectedSize) without
+// progress: the timeout grows with cluster size at the fixed 0.1 % mistake
+// probability — the O(log n) detection-time growth visible in Figure 12.
+// The round period (1 Hz) and that probability are the paper's and are
+// constants; Config holds what the figures vary (fanout, size, seeds,
+// padding). Bandwidth per node is O(n) per round because
 // digests carry the full membership, which Figure 11 measures.
 //
 // A round pays for that view once, as the packet: wire.EncodeGossip frames

@@ -13,21 +13,10 @@ import (
 
 // Config parametrizes a gossip node.
 type Config struct {
-	// GossipInterval is the period between gossip rounds (1 Hz in the
-	// paper's comparison, matching the multicast frequency of the other
-	// schemes).
-	GossipInterval time.Duration
 	// Fanout is how many random members receive our view each round.
 	Fanout int
-	// FailTimeout is how long a member's counter may stagnate before the
-	// member is declared failed. If zero, it is derived from the expected
-	// cluster size and MistakeProbability via FailTimeoutFor.
-	FailTimeout time.Duration
-	// MistakeProbability bounds the chance of a false failure declaration
-	// (0.1% in the paper's setup); used when FailTimeout is zero.
-	MistakeProbability float64
-	// ExpectedSize is the cluster size used to derive FailTimeout when
-	// FailTimeout is zero.
+	// ExpectedSize is the cluster size the failure timeout is derived from
+	// (FailTimeoutFor).
 	ExpectedSize int
 	// Seeds are contact addresses used to bootstrap gossip before any
 	// members are known (the paper's initial broadcast, which its
@@ -37,52 +26,55 @@ type Config struct {
 	// per-member wire size with the other schemes' heartbeats for fair
 	// bandwidth comparisons.
 	EntryPad int
-	// SeedGossipProbability is the per-round chance of additionally
+	// failTimeout, when set, replaces the derived failure timeout: a test
+	// hook that shortens (or disables) expiry, not a knob.
+	failTimeout time.Duration
+}
+
+// The paper's comparison settings (§6.2).
+const (
+	// gossipInterval is the period between gossip rounds: 1 Hz, matching the
+	// multicast frequency of the other schemes.
+	gossipInterval = time.Second
+	// mistakeProbability bounds the chance of a false failure declaration.
+	mistakeProbability = 0.001
+	// seedGossipProbability is the per-round chance of additionally
 	// gossiping to a uniformly random seed. Without it, push-only gossip
 	// whose targets come solely from the current view can partition into
 	// isolated cliques at cold start and never merge (van Renesse's
 	// protocol likewise occasionally gossips to well-known addresses).
-	SeedGossipProbability float64
-}
+	seedGossipProbability = 0.25
+)
 
 // DefaultConfig mirrors the paper's comparison settings.
 func DefaultConfig() Config {
-	return Config{
-		GossipInterval:        time.Second,
-		Fanout:                1,
-		MistakeProbability:    0.001,
-		ExpectedSize:          100,
-		SeedGossipProbability: 0.25,
-	}
+	return Config{Fanout: 1, ExpectedSize: 100}
 }
 
-// FailTimeoutFor derives the failure timeout from the mistake probability
-// bound: counters propagate in O(log2 N) rounds with fanout 1, and the
-// detection timeout must leave enough slack that the probability a live
-// member's counter fails to arrive within it stays below pMistake. We use
-// the standard heuristic Tfail = ceil(log2(N) * ln(1/p) / ln(N)) rounds,
-// floored at 2·log2(N) rounds, which reproduces the logarithmic growth of
-// detection time the paper reports.
-func FailTimeoutFor(n int, pMistake float64, interval time.Duration) time.Duration {
+// FailTimeoutFor derives the failure timeout of an n-member cluster from the
+// mistake probability bound: counters propagate in O(log2 N) rounds with
+// fanout 1, and the detection timeout must leave enough slack that the
+// probability a live member's counter fails to arrive within it stays below
+// mistakeProbability. We use the standard heuristic Tfail = ceil(log2(N) *
+// ln(1/p) / ln(N)) rounds, floored at 2·log2(N) rounds, which reproduces the
+// logarithmic growth of detection time the paper reports.
+func FailTimeoutFor(n int) time.Duration {
 	if n < 2 {
 		n = 2
 	}
-	if pMistake <= 0 || pMistake >= 1 {
-		pMistake = 0.001
-	}
 	log2n := math.Log2(float64(n))
-	rounds := math.Ceil(log2n * math.Log(1/pMistake) / math.Log(float64(n)))
+	rounds := math.Ceil(log2n * math.Log(1/mistakeProbability) / math.Log(float64(n)))
 	if min := 2 * log2n; rounds < min {
 		rounds = math.Ceil(min)
 	}
-	return time.Duration(rounds) * interval
+	return time.Duration(rounds) * gossipInterval
 }
 
-func (c Config) failTimeout() time.Duration {
-	if c.FailTimeout > 0 {
-		return c.FailTimeout
+func (c Config) failAfter() time.Duration {
+	if c.failTimeout > 0 {
+		return c.failTimeout
 	}
-	return FailTimeoutFor(c.ExpectedSize, c.MistakeProbability, c.GossipInterval)
+	return FailTimeoutFor(c.ExpectedSize)
 }
 
 // Node is one cluster node running the gossip membership scheme.
@@ -143,7 +135,7 @@ func (n *Node) published() {
 func (n *Node) Receive(pkt netsim.Packet) { n.receive(pkt) }
 
 // FailTimeout reports the effective failure timeout in use.
-func (n *Node) FailTimeout() time.Duration { return n.cfg.failTimeout() }
+func (n *Node) FailTimeout() time.Duration { return n.cfg.failAfter() }
 
 // Start joins the gossip overlay.
 func (n *Node) Start(eng *sim.Engine) {
@@ -153,14 +145,14 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.eng = eng
 	n.running = true
 	n.info.Incarnation++
-	n.dir.SetTombstoneTTL(2 * n.cfg.failTimeout())
+	n.dir.SetTombstoneTTL(2 * n.cfg.failAfter())
 	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
 	if !n.ep.HasHandler() {
 		n.ep.SetHandler(n.receive)
 	}
 	n.ep.SetUp(true)
-	jitter := time.Duration(eng.Rand().Int63n(int64(n.cfg.GossipInterval)))
-	n.ticker = sim.NewTicker(eng, jitter, n.cfg.GossipInterval, n.round)
+	jitter := time.Duration(eng.Rand().Int63n(int64(gossipInterval)))
+	n.ticker = sim.NewTicker(eng, jitter, gossipInterval, n.round)
 }
 
 // Stop kills the daemon.
@@ -184,7 +176,7 @@ func (n *Node) round() {
 	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, now)
 
 	// Expire members whose counters stagnated.
-	tf := n.cfg.failTimeout()
+	tf := n.cfg.failAfter()
 	stale, _ := n.dir.Expired(now, func(*membership.Entry) time.Duration { return tf })
 	for _, id := range stale {
 		n.dir.Remove(id, now)
@@ -222,7 +214,7 @@ func (n *Node) pickTargets() []membership.NodeID {
 		targets = candidates[:n.cfg.Fanout]
 	}
 	// Occasionally gossip to a well-known seed so isolated views merge.
-	if len(n.cfg.Seeds) > 0 && rng.Float64() < n.cfg.SeedGossipProbability {
+	if len(n.cfg.Seeds) > 0 && rng.Float64() < seedGossipProbability {
 		s := n.cfg.Seeds[rng.Intn(len(n.cfg.Seeds))]
 		dup := s == n.id
 		for _, t := range targets {

@@ -125,10 +125,10 @@ func TestMessageSizeGrowsWithView(t *testing.T) {
 }
 
 func TestFailTimeoutFormula(t *testing.T) {
-	iv := time.Second
-	t20 := FailTimeoutFor(20, 0.001, iv)
-	t100 := FailTimeoutFor(100, 0.001, iv)
-	t1000 := FailTimeoutFor(1000, 0.001, iv)
+	iv := gossipInterval
+	t20 := FailTimeoutFor(20)
+	t100 := FailTimeoutFor(100)
+	t1000 := FailTimeoutFor(1000)
 	if !(t20 < t100 && t100 < t1000) {
 		t.Fatalf("fail timeout not increasing: %v %v %v", t20, t100, t1000)
 	}
@@ -138,12 +138,12 @@ func TestFailTimeoutFormula(t *testing.T) {
 	if g2 > 4*g1+4 {
 		t.Fatalf("growth looks super-logarithmic: +%v then +%v", g1, g2)
 	}
-	// Degenerate inputs fall back sanely.
-	if FailTimeoutFor(0, -1, iv) <= 0 {
-		t.Fatal("degenerate inputs produced non-positive timeout")
+	// A degenerate size falls back sanely.
+	if FailTimeoutFor(0) <= 0 {
+		t.Fatal("degenerate size produced non-positive timeout")
 	}
 	// The minimum floor applies.
-	if FailTimeoutFor(4, 0.5, iv) < time.Duration(math.Ceil(2*math.Log2(4)))*iv {
+	if FailTimeoutFor(1000) < time.Duration(math.Ceil(2*math.Log2(1000)))*iv {
 		t.Fatal("floor not applied")
 	}
 }

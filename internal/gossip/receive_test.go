@@ -96,7 +96,7 @@ func randomView(rng *rand.Rand, r int) *wire.Gossip {
 // and have rejected the same number of records.
 func TestViewMergeMatchesEntryLoop(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FailTimeout = 4 * time.Second
+	cfg.failTimeout = 4 * time.Second
 	got, want := newWorld(cfg, 30), newWorld(cfg, 30)
 	rng := rand.New(rand.NewSource(31))
 	var joins, leaves, updates int
@@ -177,7 +177,7 @@ func (s *viewSource) next() []byte {
 // never expires any of it.
 func benchNode(tb testing.TB, src *viewSource) *world {
 	cfg := DefaultConfig()
-	cfg.FailTimeout = 1000 * time.Hour
+	cfg.failTimeout = 1000 * time.Hour
 	cfg.EntryPad = benchEntryPad
 	w := newWorld(cfg, benchView)
 	w.n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: src.next()})
@@ -217,7 +217,7 @@ func receiveCeiling(tb testing.TB) (*world, *viewSource) {
 func roundCeiling(tb testing.TB) func() {
 	w := benchNode(tb, &viewSource{})
 	sent := w.ep.Stats().PktsSent
-	round := func() { w.eng.Run(w.eng.Now() + w.n.cfg.GossipInterval) }
+	round := func() { w.eng.Run(w.eng.Now() + gossipInterval) }
 	round() // grow the target scratch
 	const runs = 50
 	if allocs := testing.AllocsPerRun(runs, round); allocs > 2 {

@@ -26,28 +26,30 @@ import (
 
 // AccuracyOptions parametrize the churn experiment.
 type AccuracyOptions struct {
-	Seed       int64
-	Groups     int
-	PerGroup   int
-	Duration   time.Duration // sampled portion, after warm-up
-	WarmUp     time.Duration
-	ChurnEvery time.Duration // one kill (and one prior restart) per period
-	DownFor    time.Duration // how long a killed node stays down
-	LossProbs  []float64
-	Sweep      Sweep // worker-pool fan-out and progress output
+	Seed      int64
+	Groups    int
+	PerGroup  int
+	Duration  time.Duration // sampled portion, after warm-up
+	LossProbs []float64
+	Sweep     Sweep // worker-pool fan-out and progress output
 }
 
-// DefaultAccuracyOptions: 3x10 nodes, a kill every 15 s, 10 s downtime.
+// The churn schedule: after the warm-up, one kill per period, each victim
+// down for accuracyDownFor.
+const (
+	accuracyWarmUp     = 20 * time.Second
+	accuracyChurnEvery = 15 * time.Second
+	accuracyDownFor    = 10 * time.Second
+)
+
+// DefaultAccuracyOptions: 3x10 nodes sampled for two minutes.
 func DefaultAccuracyOptions() AccuracyOptions {
 	return AccuracyOptions{
-		Seed:       42,
-		Groups:     3,
-		PerGroup:   10,
-		Duration:   2 * time.Minute,
-		WarmUp:     20 * time.Second,
-		ChurnEvery: 15 * time.Second,
-		DownFor:    10 * time.Second,
-		LossProbs:  []float64{0, 0.02, 0.05, 0.10},
+		Seed:      42,
+		Groups:    3,
+		PerGroup:  10,
+		Duration:  2 * time.Minute,
+		LossProbs: []float64{0, 0.02, 0.05, 0.10},
 	}
 }
 
@@ -57,10 +59,10 @@ func accuracyRun(scheme Scheme, o AccuracyOptions, loss float64, seed int64) (co
 	c := NewCluster(scheme, top, seed)
 	c.Net.SetLossProbability(loss)
 	c.StartAll()
-	c.Run(o.WarmUp)
+	c.Run(accuracyWarmUp)
 
-	// Churn: every ChurnEvery, kill a random non-leader-ish node (avoid
-	// node 0 to keep at least one stable contact) and restart it DownFor
+	// Churn: every period, kill a random non-leader-ish node (avoid node 0
+	// to keep at least one stable contact) and restart it accuracyDownFor
 	// later.
 	stopChurn := false
 	var churn func()
@@ -72,13 +74,13 @@ func accuracyRun(scheme Scheme, o AccuracyOptions, loss float64, seed int64) (co
 		victim := c.Nodes[idx]
 		if victim.Running() {
 			victim.Stop()
-			c.Eng.Schedule(o.DownFor, func() {
+			c.Eng.Schedule(accuracyDownFor, func() {
 				if !victim.Running() {
 					victim.Start(c.Eng)
 				}
 			})
 		}
-		c.Eng.Schedule(o.ChurnEvery, churn)
+		c.Eng.Schedule(accuracyChurnEvery, churn)
 	}
 	c.Eng.Schedule(0, churn)
 

@@ -147,7 +147,7 @@ func adaptiveParsimRun(t *testing.T, lps int) metrics.RunReport {
 		GroupBounds: [2]int{ac.GroupMin, ac.GroupMax},
 		FaultEnd:    coord.Now() + sc.End(),
 	})
-	coord.Run(deadline + o.Enforce)
+	coord.Run(deadline + ChaosEnforce)
 	rep := c.Observe()
 	rep.Invariants = MergeAuditors(auds)
 	rep.Converged, rep.ConvergedIn = invariant.MergeConvergence(auds)

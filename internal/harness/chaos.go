@@ -20,9 +20,6 @@ type ChaosOptions struct {
 	Seed     int64
 	Groups   int
 	PerGroup int
-	// Enforce is how long the auditor keeps checking after the audit
-	// deadline (the post-quiescence window where completeness must hold).
-	Enforce time.Duration
 	// Scenarios restricts the matrix to the named library scenarios;
 	// empty means all of them.
 	Scenarios []string
@@ -32,13 +29,12 @@ type ChaosOptions struct {
 // DefaultChaosOptions: 3 groups of 8 (24 nodes; 48 for the multi-DC
 // scenarios, which double the cluster across two data centers).
 func DefaultChaosOptions() ChaosOptions {
-	return ChaosOptions{
-		Seed:     42,
-		Groups:   3,
-		PerGroup: 8,
-		Enforce:  15 * time.Second,
-	}
+	return ChaosOptions{Seed: 42, Groups: 3, PerGroup: 8}
 }
+
+// ChaosEnforce is how long the auditor keeps checking after the audit
+// deadline (the post-quiescence window where completeness must hold).
+const ChaosEnforce = 15 * time.Second
 
 // ChaosLeaderGrace is how long the running set and topology must be stable
 // before at-most-one-leader is enforced: election patience plus level
@@ -95,7 +91,7 @@ func RunScenario(scheme Scheme, sc *chaos.Scenario, o ChaosOptions, seed int64) 
 		panic(err) // library scenarios are valid by construction
 	}
 	aud := c.StartAuditor()
-	c.Eng.Run(c.Audit.Deadline + o.Enforce)
+	c.Eng.Run(c.Audit.Deadline + ChaosEnforce)
 	aud.Stop()
 
 	rep := c.Observe()

@@ -24,7 +24,8 @@
 // under churn), and breakdown.go (bandwidth by packet type, detection-time
 // distribution). Beyond the paper's figures: chaos.go runs the scenario x
 // scheme invariant matrix, multidc.go builds the federated
-// (hierarchical+proxy) cluster, scale.go runs the N=1000/N=4000 churn
+// (hierarchical+proxy) cluster (its federate step also wires fig14.go's
+// two data centers), scale.go runs the N=1000/N=4000 churn
 // audits, and traffic.go runs the user-level session-traffic matrix
 // (docs/TRAFFIC.md).
 //

@@ -110,11 +110,7 @@ var figures = []FigureSpec{
 	{Name: "13", All: true, Usage: "Fig. 13: view convergence time vs cluster size (-sizes, -pergroup, -loss)",
 		run: plot(func(e Env) *metrics.Figure { return Figure13(e.Options) })},
 	{Name: "14", All: true, Usage: "Fig. 14: two-DC search service across a doc-service failure at 20 s and recovery at 40 s",
-		run: plot(func(e Env) *metrics.Figure {
-			o := DefaultFigure14Options()
-			o.Seed = e.Seed
-			return Figure14(o)
-		})},
+		run: plot(func(e Env) *metrics.Figure { return Figure14(e.Seed) })},
 	{Name: "4x", All: true, Usage: "Section 4 closed forms at fixed 1 Hz: detection time and bandwidth, N=20..4000",
 		run: plot(func(Env) *metrics.Figure { return Section4(analyticSizes) })},
 	{Name: "4b", All: true, Usage: "Section 4 closed forms at a fixed 1 MB/s budget: detection time and BDP, N=20..4000",

@@ -149,8 +149,8 @@ func TestExperimentDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("Figure 11 not deterministic:\n%s\nvs\n%s", a, b)
 	}
-	fa := Figure14(DefaultFigure14Options()).Render()
-	fb := Figure14(DefaultFigure14Options()).Render()
+	fa := Figure14(42).Render()
+	fb := Figure14(42).Render()
 	if fa != fb {
 		t.Fatal("Figure 14 not deterministic")
 	}
@@ -173,40 +173,12 @@ func TestSection4Table(t *testing.T) {
 	}
 }
 
-// TestFigure14Poisson repeats the proxy failover experiment under a
-// memoryless arrival process: the same failover shape must hold with
-// realistic (bursty) traffic, not just a paced load generator.
-func TestFigure14Poisson(t *testing.T) {
-	o := DefaultFigure14Options()
-	o.Poisson = true
-	fig := Figure14(o)
-	// Pre-failure and failover phases behave as in the deterministic run,
-	// with tolerance for arrival-count variance.
-	pre := at(t, fig, "throughput/s", 10)
-	if pre < 25 || pre > 60 {
-		t.Errorf("pre-failure Poisson throughput %.0f/s, want near 40", pre)
-	}
-	if r := at(t, fig, "response ms", 32); r < 90 {
-		t.Errorf("failover response %.1fms, want >= one WAN RTT", r)
-	}
-	if r := at(t, fig, "response ms", 52); r <= 0 || r >= 45 {
-		t.Errorf("post-recovery response %.1fms, want fast local", r)
-	}
-	// Nothing fails outright.
-	for s := 0.0; s < 60; s++ {
-		if f := at(t, fig, "failed/s", s); f > 0 {
-			t.Errorf("t=%vs: %v failed queries under Poisson arrivals", s, f)
-		}
-	}
-}
-
 // TestFigure14Reproduction checks the proxy failover timeline: fast local
 // responses before the failure, elevated-but-successful responses served
 // by the remote data center during it (≥ one WAN round trip), a throughput
 // dip only around the detection window, and recovery afterwards.
 func TestFigure14Reproduction(t *testing.T) {
-	o := DefaultFigure14Options()
-	fig := Figure14(o)
+	fig := Figure14(42)
 
 	resp := func(s float64) float64 { return at(t, fig, "response ms", s) }
 	thr := func(s float64) float64 { return at(t, fig, "throughput/s", s) }

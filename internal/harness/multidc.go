@@ -85,6 +85,39 @@ type FederatedCluster struct {
 // carry real content the truth oracle can be checked against.
 func svcName(dc int) string { return fmt.Sprintf("app%d", dc) }
 
+// federate is the §5 wiring every federated deployment shares. Over a
+// hierarchical cluster spanning several data centers it gives each host a
+// service runtime (scfg, with ProxyAddr resolving the host's own DC through
+// the shared VIP table) and hosts 1..proxiesPerDC of each DC a membership
+// proxy scoped to the whole DC, exchanging summaries with every other DC.
+// rts and pxs are indexed by host; pxs is nil on plain hosts.
+func federate(c *Cluster, proxiesPerDC int, scfg service.Config) (vip *proxy.VIPTable, rts []*service.Runtime, pxs []*proxy.Proxy) {
+	vip = proxy.NewVIPTable()
+	dcs := c.Top.NumDataCenters()
+	rts = make([]*service.Runtime, len(c.Nodes))
+	pxs = make([]*proxy.Proxy, len(c.Nodes))
+	for h, n := range c.Nodes {
+		hid := topology.HostID(h)
+		dc := c.Top.HostDC(hid)
+		ep := c.Net.Endpoint(hid)
+		scfg.ProxyAddr = func() (topology.HostID, bool) { return vip.Get(dc) }
+		rts[h] = service.NewRuntime(scfg, c.Eng, ep, n.(*core.Node))
+		// The DC's hosts are contiguous; position-in-DC decides proxy duty.
+		if pos := h - int(c.Top.HostsInDC(dc)[0]); pos >= 1 && pos <= proxiesPerDC {
+			var remotes []int
+			for other := 0; other < dcs; other++ {
+				if other != dc {
+					remotes = append(remotes, other)
+				}
+			}
+			pcfg := proxy.DefaultConfig(dc, remotes)
+			pcfg.ProxyTTL = c.diameter()
+			pxs[h] = proxy.New(pcfg, c.Eng, ep, rts[h], vip)
+		}
+	}
+	return vip, rts, pxs
+}
+
 // NewFederatedCluster builds the federated stack: a Hierarchical cluster
 // spanning every DC, each node wrapped with a service runtime
 // registering the DC's app service, and ProxiesPerDC proxies per DC
@@ -96,38 +129,20 @@ func NewFederatedCluster(o FederatedOptions, seed int64) *FederatedCluster {
 	f := &FederatedCluster{
 		Cluster: NewCluster(Hierarchical, topology.MultiDC(o.DCs, o.Groups, o.PerGroup), seed),
 		Opts:    o,
-		VIP:     proxy.NewVIPTable(),
 	}
 	f.Scheme = HierarchicalProxy
-	remotes := make(map[int][]int, o.DCs)
-	for dc := 0; dc < o.DCs; dc++ {
-		for other := 0; other < o.DCs; other++ {
-			if other != dc {
-				remotes[dc] = append(remotes[dc], other)
-			}
-		}
-	}
+	vip, rts, pxs := federate(f.Cluster, o.ProxiesPerDC, service.DefaultConfig())
+	f.VIP = vip
 	for h, plain := range f.Nodes {
-		hid := topology.HostID(h)
-		dc := f.Top.HostDC(hid)
-		ep := f.Net.Endpoint(hid)
-		node := plain.(*core.Node)
-		scfg := service.DefaultConfig()
-		scfg.ProxyAddr = func() (topology.HostID, bool) { return f.VIP.Get(dc) }
-		rt := service.NewRuntime(scfg, f.Eng, ep, node)
-		if err := rt.Register(svcName(dc), "0", time.Millisecond,
+		dc := f.Top.HostDC(topology.HostID(h))
+		if err := rts[h].Register(svcName(dc), "0", time.Millisecond,
 			func(p int32, b []byte) ([]byte, error) { return b, nil }); err != nil {
 			panic(err)
 		}
-		inst := &fedInstance{node: node, rt: rt}
-		// The DC's hosts are contiguous; position-in-DC decides proxy duty.
-		if pos := h - int(f.Top.HostsInDC(dc)[0]); pos >= 1 && pos <= o.ProxiesPerDC {
-			pcfg := proxy.DefaultConfig(dc, remotes[dc])
-			pcfg.ProxyTTL = f.diameter()
-			inst.px = proxy.New(pcfg, f.Eng, ep, rt, f.VIP)
-			f.Proxies = append(f.Proxies, inst.px)
+		if pxs[h] != nil {
+			f.Proxies = append(f.Proxies, pxs[h])
 		}
-		f.Nodes[h] = inst
+		f.Nodes[h] = &fedInstance{node: plain.(*core.Node), rt: rts[h], px: pxs[h]}
 	}
 	return f
 }
@@ -162,7 +177,7 @@ func (f *FederatedCluster) Federation() *invariant.Federation {
 	return &invariant.Federation{
 		Proxies:      proxies,
 		VIP:          f.VIP,
-		SummaryStale: proxy.DefaultConfig(0, nil).SummaryTimeout,
+		SummaryStale: proxy.SummaryStale,
 		Truth: func(dc int) map[string]int {
 			count := 0
 			for _, h := range f.Top.HostsInDC(dc) {

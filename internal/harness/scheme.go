@@ -37,8 +37,8 @@ const (
 	HierarchicalProxy
 	Rapid
 	// HierarchicalAdaptive is the self-organizing variant of the
-	// hierarchical scheme (docs/ADAPTIVE.md): leader load shedding,
-	// group split/merge re-formation, and diameter bounding.
+	// hierarchical scheme (docs/ADAPTIVE.md): leader load shedding and
+	// group split/merge re-formation.
 	HierarchicalAdaptive
 	// RapidDC is rapid with the topology-aware monitoring overlay
 	// (Config.DCOf): ring 0 stays DC-local so WAN faults cannot be
@@ -86,25 +86,12 @@ var hierarchical = descriptor{
 	stats:       func(i Instance) core.Stats { return i.(interface{ Stats() core.Stats }).Stats() },
 }
 
+// rapid's timing does not depend on the cluster size.
 var rapidScheme = descriptor{
-	name:  "rapid",
-	build: rapidNodes(false),
-	// After the last heal, a stale or evicted node must re-adopt the
-	// current configuration and re-admit itself (one full pipeline in the
-	// worst case: detect, arbitrate, probe, batch, ratify), then records
-	// re-propagate on the info cadence.
-	settle: func(int) time.Duration {
-		rc := rapid.DefaultConfig()
-		return rapidPipeline(rc) + rc.JoinRetry + rc.JoinBatchWindow + rc.InfoInterval
-	},
-	// A view change waits for the WHOLE cut to resolve: overlapping faults
-	// (the cascade scenario kills on a DeadAfter-scale cadence) extend an
-	// early victim's linger by the later victims' detection lag, so the
-	// bound buys the pipeline plus two extra detections.
-	purge: func(int) time.Duration {
-		rc := rapid.DefaultConfig()
-		return rapidPipeline(rc) + 2*rc.DeadAfter()
-	},
+	name:   "rapid",
+	build:  rapidNodes(false),
+	settle: func(int) time.Duration { return rapid.RejoinBound() },
+	purge:  func(int) time.Duration { return rapid.EvictionBound() },
 }
 
 // schemes is the table, indexed by the Scheme constants.
@@ -122,9 +109,7 @@ var schemes = [...]descriptor{
 		// A restarted member re-enters views via gossip rounds; its prior
 		// death must also clear every failure timeout.
 		settle: func(n int) time.Duration {
-			gc := gossip.DefaultConfig()
-			return detectConverge(analysis.GossipFixedFrequency)(n) +
-				gossip.FailTimeoutFor(n, gc.MistakeProbability, gc.GossipInterval)
+			return detectConverge(analysis.GossipFixedFrequency)(n) + gossip.FailTimeoutFor(n)
 		},
 		purge: detectConverge(analysis.GossipFixedFrequency),
 	},
@@ -132,12 +117,11 @@ var schemes = [...]descriptor{
 	// The in-DC protocol is plain hierarchical (NewFederatedCluster wraps a
 	// Hierarchical cluster's nodes) and purges like it: the proxy layer
 	// holds no per-node membership of its own. On top of the in-DC settle
-	// time, a remote summary may have expired during the fault (staleness
-	// timeout) and is only re-sent on the full-summary cadence. The
+	// time, a remote summary may have expired during the fault and is only
+	// re-sent on the full-summary cadence (proxy.SummaryRefresh). The
 	// re-formation contract is audited on single-cluster trees only.
 	HierarchicalProxy: variant(hierarchical, "hierarchical+proxy", []string{"proxy", "fed"}, func(d *descriptor) {
-		pc := proxy.DefaultConfig(0, nil)
-		d.settle = plus(d.settle, pc.SummaryTimeout+time.Duration(pc.SummaryEvery)*pc.HeartbeatInterval)
+		d.settle = plus(d.settle, proxy.SummaryRefresh)
 		d.federated = true
 		d.reformAudit = false
 	}),
@@ -227,15 +211,6 @@ func detectConverge(model func(analysis.Params) analysis.Metrics) func(int) time
 
 func plus(bound func(int) time.Duration, extra time.Duration) func(int) time.Duration {
 	return func(n int) time.Duration { return bound(n) + extra }
-}
-
-// rapidPipeline is the worst-case single-cut eviction latency of the rapid
-// scheme: beat silence, the unstable-region wait, a full probe cycle, the
-// steady batch window, and the ratification round.
-func rapidPipeline(rc rapid.Config) time.Duration {
-	return rc.DeadAfter() + rc.ArbitrateAfter +
-		time.Duration(rc.ProbeRetries+2)*rc.ProbeTimeout +
-		rc.BatchWindow + rc.VoteWindow + rc.ProposeRetry
 }
 
 // NewCluster builds a cluster of the given scheme over a topology. The

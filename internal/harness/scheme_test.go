@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/membership"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -151,13 +152,16 @@ func TestNewCellPicksClusterAndAudit(t *testing.T) {
 	}
 }
 
-// TestChaosMatrixMatchesCommittedBench re-runs a two-scenario slice of the
+// TestChaosMatrixMatchesCommittedBench re-runs a three-scenario slice of the
 // chaos matrix at the default seed and compares every cell — verdict, view
 // counts, re-formation outcome, per-invariant violations/checks — with the
 // same cell of the committed BENCH_chaos.json, so the byte-identity contract
 // behind every refactor is checked by `go test`, not only by the CI
 // `tampbench -diff` step. skew-groups is in the slice for its one cell that
-// arms the re-formation audit and never converges.
+// arms the re-formation audit and never converges; switch-outage for the
+// adaptive cell that failed seq-monotone 23 times (PRs 9-23) while a node's
+// own directory record kept the beat it was written at, pinned clean here
+// whatever the committed file says.
 func TestChaosMatrixMatchesCommittedBench(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_chaos.json")
 	if err != nil {
@@ -174,7 +178,7 @@ func TestChaosMatrixMatchesCommittedBench(t *testing.T) {
 	if bench.Seed != o.Seed {
 		t.Fatalf("BENCH_chaos.json was generated at seed %d, the default is %d", bench.Seed, o.Seed)
 	}
-	o.Scenarios = []string{"kill-restart", "skew-groups"}
+	o.Scenarios = []string{"kill-restart", "skew-groups", "switch-outage"}
 	got := ChaosMatrix(o)
 	if len(got) != len(o.Scenarios)*len(ChaosSchemes) {
 		t.Fatalf("slice has %d cells, want %d", len(got), len(o.Scenarios)*len(ChaosSchemes))
@@ -188,6 +192,11 @@ func TestChaosMatrixMatchesCommittedBench(t *testing.T) {
 		b, _ := json.Marshal(r)
 		if want := committed[r.Scenario+"/"+r.Scheme]; string(b) != want {
 			t.Errorf("%s/%s differs from BENCH_chaos.json:\n got %s\nwant %s", r.Scenario, r.Scheme, b, want)
+		}
+		if r.Scenario == "switch-outage" && r.Scheme == HierarchicalAdaptive.String() {
+			if v := (metrics.RunReport{Invariants: r.Invariants}).TotalViolations(); !r.Pass || v != 0 {
+				t.Errorf("switch-outage/%s: pass %v with %d violations, want a clean cell", r.Scheme, r.Pass, v)
+			}
 		}
 	}
 	// The converge column comes from the result's own ReformAudited field.

@@ -45,12 +45,9 @@ type Options struct {
 	// violations are stamped at the exact virtual time of the offending
 	// mutation instead of the next sampling tick. The periodic sampler
 	// keeps running as the fallback path (absence — a view that never
-	// re-adds a node — produces no events to hook).
+	// re-adds a node — produces no events to hook). The stability counters
+	// and the flap-freedom invariant need it.
 	EventDriven bool
-	// FlapWarmup is the boot grace before view-stability accounting starts
-	// (initial convergence churn is not instability). Default 15s. The
-	// stability counters and the flap-freedom invariant need EventDriven.
-	FlapWarmup time.Duration
 	// Observers, when non-nil, restricts which node indices act as
 	// observers: only their directories are hooked and sampled, and
 	// per-observer state (lastSeen, flap counts) is allocated only for
@@ -77,6 +74,10 @@ type Options struct {
 	// condition held and stayed held (ReformConvergence).
 	FaultEnd time.Duration
 }
+
+// flapWarmup is the boot grace before view-stability accounting starts
+// (initial convergence churn is not instability).
+const flapWarmup = 15 * time.Second
 
 // Invariant names, in report order. The federation invariants
 // (summary-fresh, summary-truth, vip-unique) only accrue checks when a
@@ -236,9 +237,6 @@ func New(eng *sim.Engine, top *topology.Topology, nodes []Node, o Options) *Audi
 	for i := range a.dc {
 		a.dc[i] = top.HostDC(topology.HostID(i))
 	}
-	if a.o.FlapWarmup <= 0 {
-		a.o.FlapWarmup = 15 * time.Second
-	}
 	if o.Reach == nil {
 		a.reachWords = (n + 63) / 64
 		a.reachBits = make([]uint64, n*a.reachWords)
@@ -387,7 +385,7 @@ func (a *Auditor) onEvent(i int, e membership.Event) {
 	now := a.eng.Now()
 	a.noteRunning(i, now)
 	a.noteRunning(j, now)
-	warm := now-a.startedAt >= a.o.FlapWarmup
+	warm := now-a.startedAt >= flapWarmup
 	switch e.Type {
 	case membership.EventJoin, membership.EventUpdate:
 		if e.Type == membership.EventJoin && warm {

@@ -214,9 +214,9 @@ func TestChaosAuditFlapFreedomViolation(t *testing.T) {
 	eng, fakes, nodes := setup(t, top)
 	fill(fakes, 0)
 	a := New(eng, top, nodes, Options{Deadline: time.Hour, PurgeBound: 2 * time.Second,
-		FlapWarmup: 5 * time.Second, EventDriven: true})
+		EventDriven: true})
 	a.Start()
-	eng.Run(10 * time.Second)
+	eng.Run(flapWarmup + 5*time.Second)
 	// First mistaken eviction of a healthy peer: charged to the stability
 	// metric, but one mistake per pair is not yet a flap.
 	fakes[0].dir.Remove(2, eng.Now())
@@ -244,7 +244,7 @@ func TestChaosAuditFlapFreedomSkipsWarmupAndDead(t *testing.T) {
 	eng, fakes, nodes := setup(t, top)
 	fill(fakes, 0)
 	a := New(eng, top, nodes, Options{Deadline: time.Hour, PurgeBound: 2 * time.Second,
-		FlapWarmup: 5 * time.Second, EventDriven: true})
+		EventDriven: true})
 	a.Start()
 	// Boot-convergence churn inside the warmup is free.
 	eng.Run(2 * time.Second)
@@ -256,7 +256,7 @@ func TestChaosAuditFlapFreedomSkipsWarmupAndDead(t *testing.T) {
 		t.Fatalf("warmup churn counted: Stability() = (%d, %d)", vc, sp)
 	}
 	// Purging a genuinely dead subject is correct behavior, however often.
-	eng.Run(10 * time.Second)
+	eng.Run(flapWarmup + 5*time.Second)
 	fakes[2].running = false
 	fakes[1].dir.Remove(2, eng.Now())
 	fakes[1].dir.Upsert(membership.MemberInfo{Node: 2, Incarnation: 3},

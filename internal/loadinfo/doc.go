@@ -6,11 +6,12 @@
 // membership heartbeats: directories carry stable facts, while load is
 // disseminated separately, on demand, only to nodes that recently asked.
 // A Reporter on each server pushes wire.LoadReport samples (queue length
-// via the load callback) to its current consumers every Interval, and
-// forgets consumers that have not polled within the interest window
-// (NoteConsumer/prune). A Cache on each client absorbs reports and ages
-// them out after a TTL, so routing decisions (service.Runtime's
-// least-loaded replica selection) never act on stale samples.
+// via the load callback) to its current consumers every ReportInterval
+// (250 ms), and forgets consumers that have not asked within the 5 s
+// interest window (NoteConsumer); both are constants. A Cache on each
+// client absorbs reports and ages them out after a TTL, so routing
+// decisions (service.Runtime's least-loaded replica selection) never act
+// on stale samples.
 //
 // Traffic therefore scales with the number of active client-server pairs
 // rather than cluster size, and drops to zero when no one is asking.

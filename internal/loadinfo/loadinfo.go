@@ -10,29 +10,16 @@ import (
 	"repro/internal/wire"
 )
 
-// Config parametrizes the reporter.
-type Config struct {
+const (
 	// ReportInterval is the push period while any consumer is interested.
-	ReportInterval time.Duration
-	// InterestWindow is how long after its last request a consumer keeps
+	ReportInterval = 250 * time.Millisecond
+	// interestWindow is how long after its last request a consumer keeps
 	// receiving reports.
-	InterestWindow time.Duration
-	// MinDelta suppresses reports whose load changed by less than this
-	// since the last push (0 pushes every interval).
-	MinDelta uint32
-}
-
-// DefaultConfig returns moderate defaults: 250 ms pushes, 5 s interest.
-func DefaultConfig() Config {
-	return Config{
-		ReportInterval: 250 * time.Millisecond,
-		InterestWindow: 5 * time.Second,
-	}
-}
+	interestWindow = 5 * time.Second
+)
 
 // Reporter pushes a provider's load to recently interested consumers.
 type Reporter struct {
-	cfg    Config
 	eng    *sim.Engine
 	ep     netsim.Transport
 	id     membership.NodeID
@@ -42,11 +29,9 @@ type Reporter struct {
 	// lapse is, per consumer, the first instant its interest is over (zero:
 	// it never asked). Reports go out in ascending consumer ID, so one seed
 	// gives one run.
-	lapse    membership.Table[time.Duration]
-	lastSent uint32
-	sentAny  bool
-	seq      uint64
-	running  bool
+	lapse   membership.Table[time.Duration]
+	seq     uint64
+	running bool
 
 	// enc and report are the resident encoder and message of push: one
 	// exact-size packet per round, shared by every interested consumer.
@@ -56,20 +41,8 @@ type Reporter struct {
 
 // NewReporter creates a reporter that reads the provider's instantaneous
 // load from load().
-func NewReporter(cfg Config, eng *sim.Engine, ep netsim.Transport, load func() uint32) *Reporter {
-	if cfg.ReportInterval <= 0 {
-		cfg.ReportInterval = DefaultConfig().ReportInterval
-	}
-	if cfg.InterestWindow <= 0 {
-		cfg.InterestWindow = DefaultConfig().InterestWindow
-	}
-	return &Reporter{
-		cfg:  cfg,
-		eng:  eng,
-		ep:   ep,
-		id:   membership.NodeID(ep.ID()),
-		load: load,
-	}
+func NewReporter(eng *sim.Engine, ep netsim.Transport, load func() uint32) *Reporter {
+	return &Reporter{eng: eng, ep: ep, id: membership.NodeID(ep.ID()), load: load}
 }
 
 // Start begins pushing.
@@ -78,7 +51,7 @@ func (r *Reporter) Start() {
 		return
 	}
 	r.running = true
-	r.ticker = sim.NewJitteredTicker(r.eng, r.cfg.ReportInterval, r.push)
+	r.ticker = sim.NewJitteredTicker(r.eng, ReportInterval, r.push)
 }
 
 // Stop halts pushing.
@@ -96,7 +69,7 @@ func (r *Reporter) NoteConsumer(id membership.NodeID) {
 	if id == r.id {
 		return
 	}
-	*r.lapse.Ensure(id) = r.eng.Now() + r.cfg.InterestWindow + 1
+	*r.lapse.Ensure(id) = r.eng.Now() + interestWindow + 1
 }
 
 // InterestedCount returns the number of currently interested consumers.
@@ -121,22 +94,10 @@ func (r *Reporter) push() {
 	if r.InterestedCount() == 0 {
 		return
 	}
-	load := r.load()
-	if r.sentAny && r.cfg.MinDelta > 0 {
-		diff := load - r.lastSent
-		if load < r.lastSent {
-			diff = r.lastSent - load
-		}
-		if diff < r.cfg.MinDelta {
-			return
-		}
-	}
 	r.seq++
-	r.report = wire.LoadReport{From: r.id, Seq: r.seq, Load: load}
+	r.report = wire.LoadReport{From: r.id, Seq: r.seq, Load: r.load()}
 	payload := r.enc.EncodeSized(&r.report)
 	r.eachInterested(func(id membership.NodeID) { r.ep.Unicast(topology.HostID(id), payload) })
-	r.lastSent = load
-	r.sentAny = true
 }
 
 // Sample is one cached provider load.

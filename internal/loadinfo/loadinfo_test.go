@@ -21,7 +21,7 @@ func fixture(t *testing.T) (*sim.Engine, *netsim.Network) {
 func TestReporterPushesOnlyToInterested(t *testing.T) {
 	eng, net := fixture(t)
 	load := uint32(7)
-	rep := NewReporter(DefaultConfig(), eng, net.Endpoint(0), func() uint32 { return load })
+	rep := NewReporter(eng, net.Endpoint(0), func() uint32 { return load })
 	rep.Start()
 
 	got := map[topology.HostID]int{}
@@ -56,20 +56,18 @@ func TestReporterPushesOnlyToInterested(t *testing.T) {
 
 func TestInterestExpires(t *testing.T) {
 	eng, net := fixture(t)
-	cfg := DefaultConfig()
-	cfg.InterestWindow = time.Second
-	rep := NewReporter(cfg, eng, net.Endpoint(0), func() uint32 { return 1 })
+	rep := NewReporter(eng, net.Endpoint(0), func() uint32 { return 1 })
 	rep.Start()
 	count := 0
 	net.Endpoint(1).SetHandler(func(pkt netsim.Packet) { count++ })
 	rep.NoteConsumer(1)
-	eng.Run(5 * time.Second)
+	eng.Run(2 * interestWindow)
 	during := count
 	if during == 0 {
 		t.Fatal("no reports during interest window")
 	}
 	// Window long past: counts must have frozen.
-	eng.Run(eng.Now() + 5*time.Second)
+	eng.Run(eng.Now() + interestWindow)
 	if count != during {
 		t.Fatalf("reports continued after interest expired: %d -> %d", during, count)
 	}
@@ -78,39 +76,9 @@ func TestInterestExpires(t *testing.T) {
 	}
 }
 
-func TestMinDeltaSuppression(t *testing.T) {
-	eng, net := fixture(t)
-	cfg := DefaultConfig()
-	cfg.MinDelta = 5
-	load := uint32(10)
-	rep := NewReporter(cfg, eng, net.Endpoint(0), func() uint32 { return load })
-	rep.Start()
-	count := 0
-	net.Endpoint(1).SetHandler(func(pkt netsim.Packet) { count++ })
-	rep.NoteConsumer(1)
-	eng.Run(time.Second)
-	first := count
-	if first == 0 {
-		t.Fatal("first report suppressed")
-	}
-	// Load unchanged: no further pushes.
-	rep.NoteConsumer(1) // keep interest alive
-	eng.Run(eng.Now() + 2*time.Second)
-	if count != first {
-		t.Fatalf("unchanged load still pushed: %d -> %d", first, count)
-	}
-	// Big change: pushed again.
-	load = 20
-	rep.NoteConsumer(1)
-	eng.Run(eng.Now() + time.Second)
-	if count == first {
-		t.Fatal("changed load not pushed")
-	}
-}
-
 func TestReporterStop(t *testing.T) {
 	eng, net := fixture(t)
-	rep := NewReporter(DefaultConfig(), eng, net.Endpoint(0), func() uint32 { return 1 })
+	rep := NewReporter(eng, net.Endpoint(0), func() uint32 { return 1 })
 	rep.Start()
 	rep.NoteConsumer(1)
 	count := 0
@@ -171,7 +139,7 @@ func TestPushOrderIsDeterministic(t *testing.T) {
 		net := netsim.New(eng, topology.FlatLAN(9))
 		net.SetLossProbability(0.3)
 		load := uint32(0)
-		rep := NewReporter(DefaultConfig(), eng, net.Endpoint(0), func() uint32 { load++; return load })
+		rep := NewReporter(eng, net.Endpoint(0), func() uint32 { load++; return load })
 		rep.Start()
 		for h := topology.HostID(1); h <= 8; h++ {
 			h := h

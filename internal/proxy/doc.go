@@ -20,6 +20,9 @@
 //     sites.
 //   - VIPTable: the static data-center → virtual-IP map standing in for
 //     DNS/anycast in the simulation.
-//   - Config: beat interval, summary refresh, remote-site list, and
-//     staleness timeout for declaring a remote site unreachable.
+//   - Config: the site's DC id, the remote-site list, and the proxy
+//     group's channel and TTL. The beat interval, the full-summary cadence
+//     and the staleness timeout that declares a remote site unreachable
+//     (SummaryStale) are constants; SummaryRefresh is the closed-form bound
+//     the harness audits against.
 package proxy

@@ -17,7 +17,7 @@ import (
 func TestChunkLossRecoveredByNextSummary(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 1)
 	for _, p := range f.proxies {
-		p.cfg.MaxEntriesPerChunk = 2
+		p.chunkSize = 2
 	}
 	for i := 0; i < 6; i++ {
 		f.runtimes[8].Register(fmt.Sprintf("Svc%d", i), "0", time.Millisecond,

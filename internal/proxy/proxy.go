@@ -45,36 +45,34 @@ type Config struct {
 	ProxyChannel netsim.ChannelID
 	// ProxyTTL must cover the local data center.
 	ProxyTTL int
-	// HeartbeatInterval paces proxy-group heartbeats and the summary
-	// recomputation; MaxLoss consecutive misses declare a proxy dead.
-	HeartbeatInterval time.Duration
-	MaxLoss           int
-	// SummaryEvery sends a full summary heartbeat to remote data centers
-	// every this many heartbeat intervals (incremental updates go out
-	// immediately when the summary changes).
-	SummaryEvery int
-	// SummaryTimeout expires a remote data center's summary when no
-	// heartbeat arrives (e.g. WAN partition or remote cluster death).
-	SummaryTimeout time.Duration
-	// MaxEntriesPerChunk splits large summaries into multiple packets
-	// ("if the size of the membership summary is too big, the summary is
-	// broken into multiple heartbeat packets").
-	MaxEntriesPerChunk int
 }
+
+// The proxy group's timing is fixed, not configured (§6.2: 1 Hz, MAX_LOSS 5).
+const (
+	// heartbeatInterval paces proxy-group heartbeats and the summary
+	// recomputation; a mate silent for deadAfter is dead.
+	heartbeatInterval = time.Second
+	deadAfter         = 5 * heartbeatInterval
+	// A full summary goes to the remote data centers every summaryEvery
+	// heartbeats (incremental updates go out immediately when the summary
+	// changes).
+	summaryEvery = 5
+	// SummaryStale expires a remote data center's summary when no heartbeat
+	// arrives (e.g. WAN partition or remote cluster death).
+	SummaryStale = 15 * time.Second
+	// SummaryRefresh bounds how long after a heal a remote summary that
+	// expired during the fault stays missing: the staleness horizon plus one
+	// full-summary period.
+	SummaryRefresh = SummaryStale + summaryEvery*heartbeatInterval
+	// maxEntriesPerChunk splits large summaries into multiple packets ("if
+	// the size of the membership summary is too big, the summary is broken
+	// into multiple heartbeat packets").
+	maxEntriesPerChunk = 64
+)
 
 // DefaultConfig returns the experiment defaults.
 func DefaultConfig(dc int, remotes []int) Config {
-	return Config{
-		DC:                 dc,
-		RemoteDCs:          remotes,
-		ProxyChannel:       1000,
-		ProxyTTL:           8,
-		HeartbeatInterval:  time.Second,
-		MaxLoss:            5,
-		SummaryEvery:       5,
-		SummaryTimeout:     15 * time.Second,
-		MaxEntriesPerChunk: 64,
-	}
+	return Config{DC: dc, RemoteDCs: remotes, ProxyChannel: 1000, ProxyTTL: 8}
 }
 
 // remoteDC is the tracked state of one remote data center.
@@ -134,6 +132,10 @@ type Proxy struct {
 
 	fwd map[uint64]*forwarded
 
+	// chunkSize is maxEntriesPerChunk, a field so a test can chunk a
+	// summary of a handful of services.
+	chunkSize int
+
 	// enc frames the proxy realm's own packets (group beats, summaries,
 	// updates) without a per-send writer; each hint is the size of the last
 	// packet of its kind, so the next one is allocated once at about the
@@ -156,14 +158,15 @@ func (p *Proxy) frame(hint *int, m wire.Message) []byte {
 // runtime's membership node is started.
 func New(cfg Config, eng *sim.Engine, ep netsim.Transport, rt *service.Runtime, vip *VIPTable) *Proxy {
 	p := &Proxy{
-		cfg:     cfg,
-		eng:     eng,
-		ep:      ep,
-		rt:      rt,
-		vip:     vip,
-		summary: make(map[string]wire.SummaryEntry),
-		remote:  make(map[int]*remoteDC),
-		fwd:     make(map[uint64]*forwarded),
+		cfg:       cfg,
+		eng:       eng,
+		ep:        ep,
+		rt:        rt,
+		vip:       vip,
+		summary:   make(map[string]wire.SummaryEntry),
+		remote:    make(map[int]*remoteDC),
+		fwd:       make(map[uint64]*forwarded),
+		chunkSize: maxEntriesPerChunk,
 	}
 	for _, dc := range cfg.RemoteDCs {
 		p.remote[dc] = &remoteDC{entries: make(map[string]wire.SummaryEntry)}
@@ -192,7 +195,7 @@ func (p *Proxy) RemoteDCs() []int {
 
 // RemoteAge returns how long ago a summary (full or incremental) was last
 // heard from data center dc. ok is false when nothing has been heard, or
-// when the remote state has expired past SummaryTimeout and been dropped.
+// when the remote state has expired past SummaryStale and been dropped.
 func (p *Proxy) RemoteAge(dc int) (age time.Duration, ok bool) {
 	r, have := p.remote[dc]
 	if !have || r.lastHeard == 0 {
@@ -239,8 +242,8 @@ func (p *Proxy) Start() {
 	p.startedAt = p.eng.Now()
 	p.rt.SetRelayHandler(p.handle)
 	p.ep.Join(p.cfg.ProxyChannel)
-	jitter := time.Duration(p.eng.Rand().Int63n(int64(p.cfg.HeartbeatInterval / 4)))
-	p.hbTicker = sim.NewTicker(p.eng, jitter, p.cfg.HeartbeatInterval, p.beat)
+	jitter := time.Duration(p.eng.Rand().Int63n(int64(heartbeatInterval / 4)))
+	p.hbTicker = sim.NewTicker(p.eng, jitter, heartbeatInterval, p.beat)
 }
 
 // Stop kills the proxy daemon (the underlying membership node keeps
@@ -265,7 +268,6 @@ func (p *Proxy) beat() {
 		return
 	}
 	now := p.eng.Now()
-	dead := time.Duration(p.cfg.MaxLoss) * p.cfg.HeartbeatInterval
 
 	// Expire silent proxy mates, then elect: lowest live proxy ID leads. A
 	// freshly (re)started proxy must listen for a full death-detection
@@ -275,7 +277,7 @@ func (p *Proxy) beat() {
 	self := p.ID()
 	lowest, leaderVisible, lowerLeader := true, false, false
 	p.mates.Each(func(id membership.NodeID, m *mate) {
-		if m.live && now-m.lastHeard > dead {
+		if m.live && now-m.lastHeard > deadAfter {
 			m.mateSession = mateSession{}
 		}
 		if !m.live {
@@ -289,7 +291,7 @@ func (p *Proxy) beat() {
 		if lowerLeader {
 			p.isLeader = false // a lower-ID leader is visible; abdicate
 		}
-	} else if !leaderVisible && lowest && now-p.startedAt >= dead {
+	} else if !leaderVisible && lowest && now-p.startedAt >= deadAfter {
 		p.isLeader = true
 	}
 	// The leader re-asserts the VIP every beat (gratuitous ARP in a real
@@ -319,7 +321,7 @@ func (p *Proxy) beat() {
 
 	// Expire remote data centers that went silent.
 	for _, r := range p.remote {
-		if r.lastHeard > 0 && now-r.lastHeard > p.cfg.SummaryTimeout {
+		if r.lastHeard > 0 && now-r.lastHeard > SummaryStale {
 			r.entries = make(map[string]wire.SummaryEntry)
 			r.lastHeard = 0
 		}
@@ -342,7 +344,7 @@ func (p *Proxy) leaderDuties(now time.Duration) {
 			}
 		}
 	}
-	if p.tick%p.cfg.SummaryEvery == 0 {
+	if p.tick%summaryEvery == 0 {
 		p.sendFullSummary()
 	}
 }
@@ -360,10 +362,7 @@ func (p *Proxy) sendFullSummary() {
 		entries = append(entries, p.summary[k])
 	}
 	p.summarySeq++
-	chunkSize := p.cfg.MaxEntriesPerChunk
-	if chunkSize < 1 {
-		chunkSize = 1
-	}
+	chunkSize := p.chunkSize
 	nChunks := (len(entries) + chunkSize - 1) / chunkSize
 	if nChunks == 0 {
 		nChunks = 1

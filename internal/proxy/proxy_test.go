@@ -246,7 +246,7 @@ func TestSummaryChunking(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 1)
 	// Shrink chunks and register many services in DC1.
 	for _, p := range f.proxies {
-		p.cfg.MaxEntriesPerChunk = 3
+		p.chunkSize = 3
 	}
 	for i := 0; i < 10; i++ {
 		f.runtimes[8].Register(fmt.Sprintf("Svc%02d", i), "0", time.Millisecond,

@@ -10,7 +10,7 @@
 //   - K-ring monitoring overlay (rings.go): each configuration derives K
 //     pseudorandom permutations of its member list from the configuration
 //     identity alone; every member beats to the K peers observing it.
-//   - Per-edge alerts: an observer that misses MaxLoss consecutive beats
+//   - Per-edge alerts: an observer that misses five consecutive beats
 //     broadcasts a DOWN alert for the subject; hearing it again broadcasts
 //     an UP retraction.
 //   - Multi-node cut detection (cut.go): alerts aggregate into per-subject
@@ -18,7 +18,7 @@
 //     (>= H, almost everywhere agreed) or unstable (in between).
 //   - Arbitration: the lowest-ranked live member probes every accused
 //     subject directly; a subject is confirmed dead only when it answers
-//     no probe AND nobody anywhere has reported hearing it for UpQuietFor
+//     no probe AND nobody anywhere has reported hearing it for upQuietFor
 //     (the up-quiet veto — one-way-lossy paths keep generating UP
 //     evidence, so healthy members survive even when most observers
 //     accuse them). This bounds Rapid's "wait for the unstable region to
@@ -35,6 +35,11 @@
 //     batched joiners) broadcasts and installs atomically on every
 //     receiver; rival commits for the same sequence converge on the lowest
 //     proposer ID.
+//
+// K, L, H and every timer of the pipeline are constants (rapid.go), as Rapid
+// ships one fixed {K, H, L}; Config holds the seeds, the DC map and the beat
+// padding. EvictionBound and RejoinBound are the closed forms the harness
+// audits against.
 //
 // Every receive path sits behind a freshness guard (beat counters, per-edge
 // alert sequences, record high-water marks, probe tokens, view sequence

@@ -10,64 +10,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Config parametrizes a rapid node. The defaults are tuned so the full
-// eviction pipeline (detect, arbitrate, batch, install) completes well
-// inside the chaos harness's purge bound even when failures overlap, while
-// the up-quiet veto keeps lossy-but-alive members out of every proposal.
+// Config is what differs between deployments of a rapid node; the protocol's
+// tuning is the constant block below.
 type Config struct {
-	// K is the number of monitoring rings: each member is observed by up
-	// to K distinct peers (clamped to cluster size - 1).
-	K int
-	// HeartbeatInterval is the beat period on each monitoring edge.
-	HeartbeatInterval time.Duration
-	// MaxLoss is the consecutive beat losses tolerated before an observer
-	// raises a DOWN alert (DeadAfter = MaxLoss * HeartbeatInterval).
-	MaxLoss int
-	// L and H are the cut detector's stable watermarks; both are clamped
-	// to the effective ring count of the installed configuration.
-	L, H int
-	// ReAlertInterval paces repeated DOWN alerts while a subject stays
-	// silent, so lost alerts heal and report TTLs keep refreshing.
-	ReAlertInterval time.Duration
-	// ReportTTL expires unrefreshed accusations in the cut detector.
-	ReportTTL time.Duration
-	// BatchWindow is how long the resolved cut must hold steady before the
-	// proposer installs it (Rapid's "wait for the unstable region to
-	// drain", bounded).
-	BatchWindow time.Duration
-	// ArbitrateAfter is how old an unstable (below-H) accusation must be
-	// before the proposer starts probing the subject; stable (>= H)
-	// subjects are probed immediately.
-	ArbitrateAfter time.Duration
-	// ProbeTimeout and ProbeRetries bound one arbitration round: a subject
-	// that answers no probe in ProbeRetries+1 attempts is eviction-ready,
-	// subject to the up-quiet veto.
-	ProbeTimeout time.Duration
-	ProbeRetries int
-	// UpQuietFor is the veto window: a probe-silent subject is only
-	// confirmed dead if nobody anywhere reported hearing it for this long.
-	// Keeps one-way-lossy paths from evicting healthy members.
-	UpQuietFor time.Duration
-	// Stagger spaces backup proposers: the member with rank r among
-	// non-accused members waits r*Stagger after the first accusation
-	// before arbitrating, so one proposer acts at a time.
-	Stagger time.Duration
-	// VoteWindow is the minimum age of a ratification round before it may
-	// commit, giving vetoes time to arrive; ProposeRetry paces proposal
-	// retransmissions while votes are outstanding.
-	VoteWindow   time.Duration
-	ProposeRetry time.Duration
-	// JoinRetry paces a non-member's admission requests (rotating through
-	// the members it knows); JoinBatchWindow lets the proposer batch
-	// near-simultaneous joiners into one view change.
-	JoinRetry       time.Duration
-	JoinBatchWindow time.Duration
-	// InfoInterval paces each member's full-record broadcast; view changes
-	// carry identity only, so records travel out of band and re-broadcast
-	// to heal losses.
-	InfoInterval time.Duration
-	// SyncMinGap rate-limits per-target configuration (re)transmissions.
-	SyncMinGap time.Duration
 	// HeartbeatPad inflates beats to emulate configured packet sizes.
 	HeartbeatPad int
 	// DCOf, when set, makes the monitoring overlay topology-aware: ring 0
@@ -83,34 +28,89 @@ type Config struct {
 	Seeds []membership.NodeID
 }
 
-// DefaultConfig returns the tuning used by the chaos and traffic matrices.
-func DefaultConfig() Config {
-	return Config{
-		K:                 8,
-		HeartbeatInterval: time.Second,
-		MaxLoss:           5,
-		L:                 2,
-		H:                 7,
-		ReAlertInterval:   5 * time.Second,
-		ReportTTL:         12 * time.Second,
-		BatchWindow:       2 * time.Second,
-		ArbitrateAfter:    5 * time.Second,
-		ProbeTimeout:      time.Second,
-		ProbeRetries:      4,
-		UpQuietFor:        12 * time.Second,
-		Stagger:           5 * time.Second,
-		VoteWindow:        time.Second,
-		ProposeRetry:      2 * time.Second,
-		JoinRetry:         2 * time.Second,
-		JoinBatchWindow:   time.Second,
-		InfoInterval:      10 * time.Second,
-		SyncMinGap:        time.Second,
-	}
-}
+// DefaultConfig returns the zero configuration; the caller sets Seeds.
+func DefaultConfig() Config { return Config{} }
 
-// DeadAfter is the beat silence after which an observer raises an alert.
-func (c Config) DeadAfter() time.Duration {
-	return time.Duration(c.MaxLoss) * c.HeartbeatInterval
+// The tuning, fixed as Rapid ships one {K, H, L}: the full eviction pipeline
+// (detect, arbitrate, batch, install) completes well inside the chaos
+// harness's purge bound even when failures overlap, while the up-quiet veto
+// keeps lossy-but-alive members out of every proposal.
+const (
+	// ringCount (K) is the number of monitoring rings: each member is
+	// observed by up to K distinct peers (clamped to cluster size - 1).
+	ringCount = 8
+	// lowWatermark and highWatermark (L, H) are the cut detector's stable
+	// watermarks; both are clamped to the effective ring count of the
+	// installed configuration.
+	lowWatermark, highWatermark = 2, 7
+	// heartbeatInterval is the beat period on each monitoring edge; an
+	// observer raises a DOWN alert after deadAfter of beat silence (five
+	// consecutive losses).
+	heartbeatInterval = time.Second
+	deadAfter         = 5 * heartbeatInterval
+	// reAlertInterval paces repeated DOWN alerts while a subject stays
+	// silent, so lost alerts heal and report TTLs keep refreshing.
+	reAlertInterval = 5 * time.Second
+	// reportTTL expires unrefreshed accusations in the cut detector.
+	reportTTL = 12 * time.Second
+	// batchWindow is how long the resolved cut must hold steady before the
+	// proposer installs it (Rapid's "wait for the unstable region to
+	// drain", bounded).
+	batchWindow = 2 * time.Second
+	// arbitrateAfter is how old an unstable (below-H) accusation must be
+	// before the proposer starts probing the subject; stable (>= H)
+	// subjects are probed immediately.
+	arbitrateAfter = 5 * time.Second
+	// probeTimeout and probeRetries bound one arbitration round: a subject
+	// that answers no probe in probeRetries+1 attempts is eviction-ready,
+	// subject to the up-quiet veto.
+	probeTimeout = time.Second
+	probeRetries = 4
+	// upQuietFor is the veto window: a probe-silent subject is only
+	// confirmed dead if nobody anywhere reported hearing it for this long.
+	// Keeps one-way-lossy paths from evicting healthy members.
+	upQuietFor = 12 * time.Second
+	// stagger spaces backup proposers: the member with rank r among
+	// non-accused members waits r*stagger after the first accusation
+	// before arbitrating, so one proposer acts at a time.
+	stagger = 5 * time.Second
+	// voteWindow is the minimum age of a ratification round before it may
+	// commit, giving vetoes time to arrive; proposeRetry paces proposal
+	// retransmissions while votes are outstanding.
+	voteWindow   = time.Second
+	proposeRetry = 2 * time.Second
+	// joinRetry paces a non-member's admission requests (rotating through
+	// the members it knows); joinBatchWindow lets the proposer batch
+	// near-simultaneous joiners into one view change.
+	joinRetry       = 2 * time.Second
+	joinBatchWindow = time.Second
+	// infoInterval paces each member's full-record broadcast; view changes
+	// carry identity only, so records travel out of band and re-broadcast
+	// to heal losses.
+	infoInterval = 10 * time.Second
+	// syncMinGap rate-limits per-target configuration (re)transmissions.
+	syncMinGap = time.Second
+
+	// pipeline is the worst-case single-cut eviction latency: beat silence,
+	// the unstable-region wait, a full probe cycle, the steady batch window,
+	// and the ratification round.
+	pipeline = deadAfter + arbitrateAfter + (probeRetries+2)*probeTimeout +
+		batchWindow + voteWindow + proposeRetry
+)
+
+// EvictionBound is how long a dead member may linger in any view. A view
+// change waits for the WHOLE cut to resolve: overlapping faults (a cascade
+// that kills on a deadAfter-scale cadence) extend an early victim's linger by
+// the later victims' detection lag, so the bound buys the pipeline plus two
+// extra detections.
+func EvictionBound() time.Duration { return pipeline + 2*deadAfter }
+
+// RejoinBound is how long after the last heal views may stay incomplete: a
+// stale or evicted node must re-adopt the current configuration and re-admit
+// itself (one full pipeline in the worst case), then records re-propagate on
+// the info cadence.
+func RejoinBound() time.Duration {
+	return pipeline + joinRetry + joinBatchWindow + infoInterval
 }
 
 // infoMark is the high-water mark of one member's accepted records; seen is
@@ -254,7 +254,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		dir:        membership.NewDirectory(id),
 		info:       membership.MemberInfo{Node: id},
 		alertSeen:  make(map[edgeKey]uint32),
-		cut:        NewCutDetector(1, 1, cfg.ReportTTL),
+		cut:        NewCutDetector(1, 1, reportTTL),
 		readySince: -1,
 	}
 	n.Publisher = membership.NewPublisher(&n.info, n.published)
@@ -324,10 +324,10 @@ func (n *Node) Start(eng *sim.Engine) {
 	// Re-arm the installed configuration's edge state with a fresh grace
 	// period (a restart must not act on pre-crash silence).
 	n.installMembers(n.members, now)
-	jitter := time.Duration(eng.Rand().Int63n(int64(n.cfg.HeartbeatInterval)))
-	n.hb = sim.NewTicker(eng, jitter, n.cfg.HeartbeatInterval, n.sendBeats)
-	n.scan = sim.NewTicker(eng, n.cfg.HeartbeatInterval/2, n.cfg.HeartbeatInterval/2, n.scanTick)
-	n.infoTick = sim.NewTicker(eng, n.cfg.InfoInterval+jitter, n.cfg.InfoInterval, n.broadcastInfo)
+	jitter := time.Duration(eng.Rand().Int63n(int64(heartbeatInterval)))
+	n.hb = sim.NewTicker(eng, jitter, heartbeatInterval, n.sendBeats)
+	n.scan = sim.NewTicker(eng, heartbeatInterval/2, heartbeatInterval/2, n.scanTick)
+	n.infoTick = sim.NewTicker(eng, infoInterval+jitter, infoInterval, n.broadcastInfo)
 	n.broadcastInfo()
 	// Ask the cluster whether our configuration is behind: anyone on a
 	// newer one replies with it.
@@ -363,14 +363,14 @@ func (n *Node) installMembers(members []membership.NodeID, now time.Duration) {
 		p := n.peers.Ensure(m)
 		p.member, p.join = true, nil
 	}
-	n.observers, n.subjects = deriveRingsDC(n.configSeq, n.cfg.K, n.members, n.id, n.cfg.DCOf)
+	n.observers, n.subjects = deriveRingsDC(n.configSeq, ringCount, n.members, n.id, n.cfg.DCOf)
 	for _, s := range n.subjects {
 		p := n.peers.Ensure(s)
 		p.subject, p.lastHeard = true, now
 	}
 	// Both watermarks are clamped to the configuration's ring count.
-	hEff := max(1, min(n.cfg.H, n.cfg.K, len(n.members)-1))
-	n.cut.Reset(min(n.cfg.L, hEff), hEff)
+	hEff := max(1, min(highWatermark, ringCount, len(n.members)-1))
+	n.cut.Reset(min(lowWatermark, hEff), hEff)
 	n.readySince = -1
 	n.prop = nil
 	n.joinTarget = 0
@@ -460,7 +460,7 @@ func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
 	if now < p.viewDue {
 		return
 	}
-	p.viewDue = now + n.cfg.SyncMinGap
+	p.viewDue = now + syncMinGap
 	n.ep.Unicast(topology.HostID(target), n.enc.AppendEncode(nil, n.currentView()))
 }
 
@@ -481,7 +481,7 @@ func (n *Node) noteSeq(from membership.NodeID, seq uint64, now time.Duration) {
 		if now < p.syncDue {
 			return
 		}
-		p.syncDue = now + n.cfg.SyncMinGap
+		p.syncDue = now + syncMinGap
 		buf := n.enc.AppendEncode(make([]byte, 0, 64), &wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
 		n.ep.Unicast(topology.HostID(from), buf)
 	default:
@@ -665,10 +665,10 @@ func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
 		switch {
 		case s == n.id:
 			alive = append(alive, s)
-		case subj != nil && subj.subject && now-subj.lastHeard <= n.cfg.DeadAfter():
+		case subj != nil && subj.subject && now-subj.lastHeard <= deadAfter:
 			alive = append(alive, s)
 		default:
-			if lu := n.cut.LastUp(s); lu >= 0 && now-lu < n.cfg.UpQuietFor {
+			if lu := n.cut.LastUp(s); lu >= 0 && now-lu < upQuietFor {
 				alive = append(alive, s)
 			}
 		}
@@ -779,17 +779,16 @@ func (n *Node) scanTick() {
 
 // detect raises and refreshes DOWN alerts for silent subjects.
 func (n *Node) detect(now time.Duration) {
-	dead := n.cfg.DeadAfter()
 	for _, s := range n.subjects {
 		p := n.peers.Get(s)
-		silent := now-p.lastHeard > dead
+		silent := now-p.lastHeard > deadAfter
 		if !silent {
 			continue
 		}
 		if !p.down {
 			p.down = true
 			n.sendAlert(s, true)
-		} else if now-p.lastAlert >= n.cfg.ReAlertInterval {
+		} else if now-p.lastAlert >= reAlertInterval {
 			n.sendAlert(s, true)
 		}
 	}
@@ -799,7 +798,7 @@ func (n *Node) detect(now time.Duration) {
 // rotate admission requests through the members we know, lowest (the
 // likely proposer) first.
 func (n *Node) joinLoop(now time.Duration) {
-	if n.joinSentAt >= 0 && now-n.joinSentAt < n.cfg.JoinRetry {
+	if n.joinSentAt >= 0 && now-n.joinSentAt < joinRetry {
 		return
 	}
 	targets := make([]membership.NodeID, 0, len(n.members))
@@ -853,7 +852,7 @@ func (n *Node) arbitrate(now time.Duration) {
 		return
 	}
 	// Proposer staggering: rank r among non-accused members waits
-	// r*Stagger after the oldest accusation before acting.
+	// r*stagger after the oldest accusation before acting.
 	rank := 0
 	for _, m := range n.members {
 		if m == n.id {
@@ -869,7 +868,7 @@ func (n *Node) arbitrate(now time.Duration) {
 			firstDown = fd
 		}
 	}
-	if firstDown < 0 || now-firstDown < time.Duration(rank)*n.cfg.Stagger {
+	if firstDown < 0 || now-firstDown < time.Duration(rank)*stagger {
 		n.readySince = -1
 		return
 	}
@@ -878,7 +877,7 @@ func (n *Node) arbitrate(now time.Duration) {
 		if p.confirmed {
 			continue
 		}
-		if !contains(stable, s) && now-n.cut.FirstDown(s) < n.cfg.ArbitrateAfter {
+		if !contains(stable, s) && now-n.cut.FirstDown(s) < arbitrateAfter {
 			continue
 		}
 		n.probe(s, p, now)
@@ -893,7 +892,7 @@ func (n *Node) arbitrate(now time.Duration) {
 		n.readySince = now
 		return
 	}
-	if now-n.readySince < n.cfg.BatchWindow {
+	if now-n.readySince < batchWindow {
 		return
 	}
 	n.ensureProposal(cutSet, now)
@@ -901,22 +900,22 @@ func (n *Node) arbitrate(now time.Duration) {
 
 // probe drives one subject's arbitration state machine: send (and resend)
 // direct probes; after the retry budget, confirm the subject dead only if
-// nobody anywhere heard it for UpQuietFor — otherwise keep probing (a
+// nobody anywhere heard it for upQuietFor — otherwise keep probing (a
 // lossy-but-alive member keeps generating UP evidence and is never
 // confirmed).
 func (n *Node) probe(s membership.NodeID, p *peer, now time.Duration) {
 	ps := &p.probe
 	if ps.token == 0 {
 		n.tokens++
-		*ps = probeState{token: n.tokens, deadline: now + n.cfg.ProbeTimeout}
+		*ps = probeState{token: n.tokens, deadline: now + probeTimeout}
 		n.sendProbe(s, ps.token)
 		return
 	}
 	if now < ps.deadline {
 		return
 	}
-	if ps.tries >= n.cfg.ProbeRetries {
-		if lu := n.cut.LastUp(s); lu < 0 || now-lu >= n.cfg.UpQuietFor {
+	if ps.tries >= probeRetries {
+		if lu := n.cut.LastUp(s); lu < 0 || now-lu >= upQuietFor {
 			p.confirmed, p.probe = true, probeState{}
 			return
 		}
@@ -926,7 +925,7 @@ func (n *Node) probe(s membership.NodeID, p *peer, now time.Duration) {
 	}
 	n.tokens++
 	ps.token = n.tokens
-	ps.deadline = now + n.cfg.ProbeTimeout
+	ps.deadline = now + probeTimeout
 	n.sendProbe(s, ps.token)
 }
 
@@ -936,7 +935,7 @@ func (n *Node) sendProbe(s membership.NodeID, token uint64) {
 }
 
 // proposeJoins opens a joins-only ratification round: strictly the lowest
-// member's job, batched over JoinBatchWindow.
+// member's job, batched over joinBatchWindow.
 func (n *Node) proposeJoins(now time.Duration) {
 	if len(n.members) == 0 || n.members[0] != n.id {
 		return
@@ -947,7 +946,7 @@ func (n *Node) proposeJoins(now time.Duration) {
 			oldest = p.join.at
 		}
 	})
-	if oldest < 0 || now-oldest < n.cfg.JoinBatchWindow {
+	if oldest < 0 || now-oldest < joinBatchWindow {
 		return
 	}
 	n.ensureProposal(nil, now)
@@ -992,11 +991,11 @@ func (n *Node) pumpProposal(now time.Duration) {
 	if p == nil {
 		return
 	}
-	if now-p.sentAt >= n.cfg.ProposeRetry {
+	if now-p.sentAt >= proposeRetry {
 		p.sentAt = now
 		n.broadcastProposal()
 	}
-	if now-p.openedAt < n.cfg.VoteWindow {
+	if now-p.openedAt < voteWindow {
 		return
 	}
 	acks := 0

@@ -404,7 +404,7 @@ func TestForgedLoadReplyDoesNotDecidePoll(t *testing.T) {
 		t.Fatal("request dispatched before the silent candidate's timeout")
 	}
 	l.run(100 * time.Millisecond)
-	if *requests != 1 || o.calls != 1 || o.err != nil || o.at < DefaultConfig().PollTimeout {
+	if *requests != 1 || o.calls != 1 || o.err != nil || o.at < pollTimeout {
 		t.Fatalf("requests %d, outcome %+v", *requests, *o)
 	}
 }
@@ -421,7 +421,7 @@ func TestDuplicatedLoadReplyDoesNotDecidePoll(t *testing.T) {
 		t.Fatal("a duplicated reply decided the poll")
 	}
 	l.run(100 * time.Millisecond)
-	if *requests != 1 || o.calls != 1 || o.err != nil || o.at < DefaultConfig().PollTimeout {
+	if *requests != 1 || o.calls != 1 || o.err != nil || o.at < pollTimeout {
 		t.Fatalf("requests %d, outcome %+v", *requests, *o)
 	}
 	// And the answered poll's record came back exactly once.

@@ -53,8 +53,6 @@ type Config struct {
 	// before dispatch (random polling load balancing; 2 is the classic
 	// power-of-two-choices and the paper's cited scheme).
 	PollSize int
-	// PollTimeout bounds the wait for load-poll replies.
-	PollTimeout time.Duration
 	// RequestTimeout bounds one invocation end to end.
 	RequestTimeout time.Duration
 	// ProxyAddr, if non-nil, resolves the local data center's membership
@@ -65,17 +63,14 @@ type Config struct {
 	// and invocations use fresh cached loads instead of synchronous
 	// polling when available.
 	EnableLoadPush bool
-	// LoadPush parametrizes the push protocol when enabled.
-	LoadPush loadinfo.Config
 }
+
+// pollTimeout bounds the wait for load-poll replies.
+const pollTimeout = 20 * time.Millisecond
 
 // DefaultConfig returns sensible experiment defaults.
 func DefaultConfig() Config {
-	return Config{
-		PollSize:       2,
-		PollTimeout:    20 * time.Millisecond,
-		RequestTimeout: 2 * time.Second,
-	}
+	return Config{PollSize: 2, RequestTimeout: 2 * time.Second}
 }
 
 // instance is one registered local service implementation.
@@ -164,7 +159,7 @@ func (s *serving) Fire() {
 
 // poll is one invocation waiting for load-poll replies: the pooled record
 // holds the request to dispatch and one slot per polled candidate, and is the
-// PollTimeout event. It lives from Invoke until that event fires, decided or
+// pollTimeout event. It lives from Invoke until that event fires, decided or
 // not — an answered poll's timeout still fires, as a no-op, because cancelling
 // it would change the run's event count.
 type poll struct {
@@ -293,13 +288,9 @@ func NewRuntime(cfg Config, eng *sim.Engine, ep netsim.Transport, node Member) *
 	}
 	ep.SetHandler(r.dispatch)
 	if cfg.EnableLoadPush {
-		lp := cfg.LoadPush
-		if lp.ReportInterval <= 0 {
-			lp = loadinfo.DefaultConfig()
-		}
-		r.reporter = loadinfo.NewReporter(lp, eng, ep, r.Load)
+		r.reporter = loadinfo.NewReporter(eng, ep, r.Load)
 		r.reporter.Start()
-		r.loadCache = loadinfo.NewCache(eng, 4*lp.ReportInterval)
+		r.loadCache = loadinfo.NewCache(eng, 4*loadinfo.ReportInterval)
 	}
 	return r
 }
@@ -534,7 +525,7 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 	for _, c := range candidates {
 		r.ep.Unicast(topology.HostID(c), pkt)
 	}
-	r.eng.ScheduleCall(r.cfg.PollTimeout, p)
+	r.eng.ScheduleCall(pollTimeout, p)
 }
 
 // Candidates returns the directory's current view of who hosts (service,

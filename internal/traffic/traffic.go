@@ -18,28 +18,19 @@ type Options struct {
 	// Partitions is the partition-space size; session i is bound to
 	// partition i % Partitions for its whole lifetime.
 	Partitions int
-	// Payload is the request payload size in bytes.
-	Payload int
-	// Tick is the batching granularity: one simulation event per tick
-	// drains every session due in that tick, so the per-session cost is a
-	// slice slot, not a timer.
-	Tick time.Duration
 	// Think is the mean think time between a reply and the session's next
 	// request; per-request think is drawn uniformly from [Think/2, 3Think/2).
 	Think time.Duration
 	// OpenOver spreads session opens uniformly over this window from Start,
 	// avoiding a synchronized thundering herd.
 	OpenOver time.Duration
-	// Retry is how long a session waits after a failed request before
-	// trying again (migration probing speed). Defaults to one tick.
-	Retry time.Duration
 	// RequestsPerSession closes a session after that many resolved
 	// requests; zero keeps every session open until Stop.
 	RequestsPerSession int
 
 	// BackoffBase enables exponential retry backoff: after a session's n-th
 	// consecutive failure it waits min(BackoffBase << (n-1), BackoffMax)
-	// before retrying, instead of the flat Retry. Zero (the default, and
+	// before retrying, instead of the flat one tick. Zero (the default, and
 	// what the matrices use) keeps the flat retry — backoff changes the
 	// probing cadence and therefore every migration quantile, so it is
 	// strictly opt-in.
@@ -64,15 +55,23 @@ type Options struct {
 	HedgeAfter time.Duration
 }
 
+const (
+	// tick is the batching granularity: one simulation event per tick drains
+	// every session due in that tick, so the per-session cost is a slice
+	// slot, not a timer. A session also waits one tick after a failed
+	// request before trying again (the migration probing speed).
+	tick = 100 * time.Millisecond
+	// payloadSize is the request payload in bytes.
+	payloadSize = 64
+)
+
 // DefaultOptions returns the matrix defaults: a closed-loop population with
-// 1s mean think time at 100ms batching.
+// 1s mean think time.
 func DefaultOptions() Options {
 	return Options{
 		Sessions:   1000,
 		Service:    "app",
 		Partitions: 8,
-		Payload:    64,
-		Tick:       100 * time.Millisecond,
 		Think:      time.Second,
 		OpenOver:   2 * time.Second,
 	}
@@ -137,7 +136,6 @@ type Layer struct {
 	opens      []int32
 	nextOpen   int32
 	openedAll  bool
-	retryTicks int
 	hedgeTicks int // 0 = hedging off
 
 	// Per-tick memo of directory lookups: sessions on the same gateway and
@@ -173,14 +171,8 @@ type memoKey struct {
 // misroute attribution — the sessions themselves see nothing but the
 // directory, exactly like real clients.
 func New(eng *sim.Engine, opt Options, gws []*service.Runtime, alive func(membership.NodeID) bool) *Layer {
-	if opt.Tick <= 0 {
-		opt.Tick = 100 * time.Millisecond
-	}
-	if opt.Think < opt.Tick {
-		opt.Think = opt.Tick
-	}
-	if opt.Retry <= 0 {
-		opt.Retry = opt.Tick
+	if opt.Think < tick {
+		opt.Think = tick
 	}
 	if opt.Partitions < 1 {
 		opt.Partitions = 1
@@ -196,23 +188,19 @@ func New(eng *sim.Engine, opt Options, gws []*service.Runtime, alive func(member
 		opt:     opt,
 		gws:     gws,
 		alive:   alive,
-		payload: make([]byte, opt.Payload),
+		payload: make([]byte, payloadSize),
 		memo:    map[memoKey][]membership.NodeID{},
 	}
 	// The wheel must reach the farthest future slot ever scheduled: the
 	// think ceiling plus one tick of slack.
-	horizon := int((3*opt.Think/2)/opt.Tick) + 2
-	if r := int(opt.Retry/opt.Tick) + 2; r > horizon {
+	horizon := int((3*opt.Think/2)/tick) + 2
+	if r := int(opt.BackoffMax/tick) + 2; r > horizon {
 		horizon = r
 	}
-	if r := int(opt.BackoffMax/opt.Tick) + 2; r > horizon {
-		horizon = r
-	}
-	if r := int(opt.HedgeAfter/opt.Tick) + 2; r > horizon {
+	if r := int(opt.HedgeAfter/tick) + 2; r > horizon {
 		horizon = r
 	}
 	l.ring = make([][]int32, horizon)
-	l.retryTicks = l.clampTicks(opt.Retry)
 	if opt.HedgeAfter > 0 {
 		l.hedgeTicks = l.clampTicks(opt.HedgeAfter)
 	}
@@ -225,7 +213,7 @@ func New(eng *sim.Engine, opt Options, gws []*service.Runtime, alive func(member
 		}
 	}
 	// Spread opens uniformly across the ramp window.
-	openTicks := int(opt.OpenOver/opt.Tick) + 1
+	openTicks := int(opt.OpenOver/tick) + 1
 	l.opens = make([]int32, openTicks)
 	for i := 0; i < opt.Sessions; i++ {
 		l.opens[i%openTicks]++
@@ -234,7 +222,7 @@ func New(eng *sim.Engine, opt Options, gws []*service.Runtime, alive func(member
 }
 
 func (l *Layer) clampTicks(d time.Duration) int {
-	t := int(d / l.opt.Tick)
+	t := int(d / tick)
 	if t < 1 {
 		t = 1
 	}
@@ -269,10 +257,9 @@ func (l *Layer) onTick() {
 	}
 	// Open this tick's share of new sessions.
 	if !l.openedAll {
-		tick := int(l.tick)
 		n := int32(0)
-		if tick < len(l.opens) {
-			n = l.opens[tick]
+		if l.tick < uint64(len(l.opens)) {
+			n = l.opens[l.tick]
 		}
 		for ; n > 0 && int(l.nextOpen) < len(l.sessions); n-- {
 			l.opened++
@@ -296,7 +283,7 @@ func (l *Layer) onTick() {
 	}
 	l.tick++
 	l.cursor = (l.cursor + 1) % len(l.ring)
-	l.eng.ScheduleCall(l.opt.Tick, (*tickFire)(l))
+	l.eng.ScheduleCall(tick, (*tickFire)(l))
 }
 
 // after schedules session i to issue its next request d from now, rounded
@@ -398,7 +385,7 @@ func (l *Layer) hedgeCheck(i int32) {
 	if s.flags&fInflight == 0 || s.flags&(fProxied|fClosed) != 0 || s.legs != 1 {
 		return
 	}
-	if l.eng.Now()-s.sendAt < time.Duration(l.hedgeTicks)*l.opt.Tick {
+	if l.eng.Now()-s.sendAt < time.Duration(l.hedgeTicks)*tick {
 		return // a newer request; its own hedge check is still scheduled
 	}
 	var alt membership.NodeID = membership.NoNode
@@ -492,11 +479,11 @@ func (l *Layer) noteFailure(s *session, at time.Duration) {
 	}
 }
 
-// failTicks is the retry delay after a failure: flat Retry by default,
+// failTicks is the retry delay after a failure: one tick by default,
 // exponential in the streak length when backoff is enabled.
 func (l *Layer) failTicks(s *session) int {
 	if l.opt.BackoffBase <= 0 || s.fails == 0 {
-		return l.retryTicks
+		return 1
 	}
 	d := l.opt.BackoffBase << (s.fails - 1)
 	if d <= 0 || d > l.opt.BackoffMax {

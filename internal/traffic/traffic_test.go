@@ -346,7 +346,7 @@ func BenchmarkLayerSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.run(o.Tick)
+		f.run(tick)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(l.Stats().Requests-st.Requests)/float64(b.N), "requests/op")
