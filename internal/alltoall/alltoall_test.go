@@ -126,8 +126,9 @@ func TestServiceInfoInHeartbeats(t *testing.T) {
 	}
 	nodes[1].UpdateValue("load", "3")
 	eng.Run(eng.Now() + 3*time.Second)
-	e := nodes[2].Directory().Get(1)
-	if v, _ := e.Info.Attr("load"); v != "3" {
+	dir := nodes[2].Directory()
+	info := dir.Info(dir.Get(1))
+	if v, _ := info.Attr("load"); v != "3" {
 		t.Fatalf("attr did not propagate: %q", v)
 	}
 }

@@ -67,10 +67,18 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 	if lvl < 0 {
 		lvl = 0
 	}
-	// The cursor lives in the node so that handing it to the directory as
-	// an interface does not allocate one per snapshot.
+	// The cursor and the lists live in the node so that handing the cursor to
+	// the directory as an interface, and collecting what the merge reports,
+	// allocate nothing per snapshot. Joins are only acted on by a leader
+	// (below), so only a leader collects them.
+	leader := n.anyLeader()
+	var joined *[]membership.MemberInfo
+	if leader {
+		joined = &n.joined
+	}
 	n.dirCursor = m.Cursor()
-	newlyLearned, tombstoned, invalid := n.dir.MergeRelayed(&n.dirCursor, lvl, m.From, n.eng.Now())
+	n.joined, n.tombstoned = n.joined[:0], n.tombstoned[:0]
+	invalid := n.dir.MergeRelayed(&n.dirCursor, lvl, m.From, n.eng.Now(), joined, &n.tombstoned)
 	n.dirCursor = wire.InfoCursor{} // do not pin the payload
 	for ; invalid > 0; invalid-- {
 		// An impossible identity cannot be a member; dropping the entry
@@ -78,11 +86,11 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 		n.stats.PacketsRejected++
 		n.ep.NoteReject()
 	}
-	if len(tombstoned) > 0 {
+	if len(n.tombstoned) > 0 {
 		// The publisher still believes in nodes we removed; send targeted
 		// corrections so its stale entries do not linger.
-		corrections := make([]wire.Update, len(tombstoned))
-		for i, id := range tombstoned {
+		corrections := make([]wire.Update, len(n.tombstoned))
+		for i, id := range n.tombstoned {
 			n.updCounter++
 			corrections[i] = wire.Update{
 				ID:      wire.UpdateID{Origin: n.id, Counter: n.updCounter},
@@ -100,10 +108,11 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 	// joining leader's whole subtree becomes known cluster-wide ("the
 	// result is then propagated to all group members using the update
 	// protocol").
-	if n.anyLeader() {
-		for _, info := range newlyLearned {
+	if leader {
+		for _, info := range n.joined {
 			n.originateUpdate(wire.UJoin, info.Node, info, -1)
 		}
+		clear(n.joined) // do not pin the records' content
 	}
 	if m.Ask {
 		n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, false, n.dir))

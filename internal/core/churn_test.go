@@ -181,8 +181,8 @@ func TestConvergenceUnderReordering(t *testing.T) {
 	c.run(30 * time.Second)
 	c.fullView(t, "reordered churn")
 	for _, n := range c.nodes {
-		e := n.Directory().Get(9)
-		if v, _ := e.Info.Attr("v"); v != "e" {
+		info := n.Directory().Info(n.Directory().Get(9))
+		if v, _ := info.Attr("v"); v != "e" {
 			t.Fatalf("node %v has v=%q, want e (reordered updates mishandled)", n.ID(), v)
 		}
 	}

@@ -233,7 +233,8 @@ func TestUpdateValuePropagates(t *testing.T) {
 		if e == nil {
 			t.Fatalf("node %v lost node 4", n.ID())
 		}
-		if v, ok := e.Info.Attr("load"); !ok || v != "heavy" {
+		info := n.Directory().Info(e)
+		if v, ok := info.Attr("load"); !ok || v != "heavy" {
 			t.Fatalf("node %v sees load=%q, want heavy", n.ID(), v)
 		}
 	}

@@ -67,7 +67,7 @@ func TestReceiveDirectorySteadyStateDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("receiving a 1000-record republish allocates %.1f per packet, want 0", allocs)
 	}
-	if e := f.n.dir.Get(999); e.Counter != beat-1 || e.Relayer != 1 || e.Origin != membership.OriginRelayed {
+	if e := f.n.dir.Get(999); e.Beat != beat-1 || e.Relayer != 1 || e.Origin != membership.OriginRelayed {
 		t.Fatalf("the republishes were not merged: %+v", *e)
 	}
 }

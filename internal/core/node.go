@@ -131,11 +131,14 @@ type Node struct {
 	// buffer is allocated exactly once per send. hb is the outgoing
 	// heartbeat, overwritten per send (a fresh one would escape through
 	// wire.Message); dirCursor is the scratch cursor onDirectoryMsg walks a
-	// received snapshot with.
-	enc       wire.Encoder
-	hbHint    int
-	hb        wire.Heartbeat
-	dirCursor wire.InfoCursor
+	// received snapshot with, and joined and tombstoned the scratch lists
+	// the merge reports into.
+	enc        wire.Encoder
+	hbHint     int
+	hb         wire.Heartbeat
+	dirCursor  wire.InfoCursor
+	joined     []membership.MemberInfo
+	tombstoned []membership.NodeID
 
 	stats Stats
 
@@ -464,8 +467,7 @@ func (n *Node) sendHeartbeat(level int) {
 		// follows, so a snapshot it publishes never offers its mates a beat
 		// below the one they heard from it directly.
 		n.info.Beat++
-		self := n.dir.Get(n.id) // present from Start on: it never expires
-		self.Info.Beat, self.Counter = n.info.Beat, n.info.Beat
+		n.dir.Get(n.id).Beat = n.info.Beat // present from Start on: it never expires
 	}
 	n.hb = wire.Heartbeat{
 		Info:   n.info, // encoded synchronously below, so no defensive clone
@@ -598,7 +600,7 @@ func (n *Node) onHeartbeat(level int, hb *wire.Heartbeat) {
 	ms.inc, ms.version = hb.Info.Incarnation, hb.Info.Version
 
 	prev := n.dir.Get(from)
-	changed := prev != nil && hb.Info.Newer(prev.Info)
+	changed := prev != nil && hb.Info.Prefix().Newer(prev.InfoPrefix)
 	n.dir.Upsert(hb.Info, membership.OriginDirect, level, membership.NoNode, now)
 
 	// Any member that leads some group announces direct observations to

@@ -163,7 +163,8 @@ func TestMessageLossRecoveryViaPiggyback(t *testing.T) {
 	if e == nil {
 		t.Fatal("node 1 lost node 6")
 	}
-	if v, _ := e.Info.Attr("k"); v != "v2" {
+	info := c.nodes[1].Directory().Info(e)
+	if v, _ := info.Attr("k"); v != "v2" {
 		t.Fatalf("node 1 sees k=%q, want v2", v)
 	}
 }
@@ -209,8 +210,8 @@ func TestUnrecoverableLossTriggersSync(t *testing.T) {
 	if syncs == 0 {
 		t.Fatal("no SyncRequest observed despite unrecoverable loss")
 	}
-	e := c.nodes[1].Directory().Get(2)
-	if v, _ := e.Info.Attr("step"); v != "g" {
+	info := c.nodes[1].Directory().Info(c.nodes[1].Directory().Get(2))
+	if v, _ := info.Attr("step"); v != "g" {
 		t.Fatalf("node 1 sees step=%q, want g (recovered via sync)", v)
 	}
 }

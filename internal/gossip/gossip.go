@@ -249,7 +249,7 @@ func (n *Node) receive(pkt netsim.Packet) {
 	// implement the "do not re-add with a stale counter" cleanup window; an
 	// impossible identity drops its entry and keeps the rest of the view.
 	n.cursor = view.Cursor()
-	_, _, invalid := n.dir.MergeRelayed(&n.cursor, 0, view.From, n.eng.Now())
+	invalid := n.dir.MergeRelayed(&n.cursor, 0, view.From, n.eng.Now(), nil, nil)
 	n.cursor = wire.InfoCursor{} // do not pin the payload
 	for ; invalid > 0; invalid-- {
 		n.ep.NoteReject()

@@ -35,9 +35,16 @@ func newWorld(cfg Config, hosts int) *world {
 	return w
 }
 
-func (w *world) entries() []membership.Entry {
-	var out []membership.Entry
-	w.n.dir.Range(func(_ membership.NodeID, e *membership.Entry) { out = append(out, *e) })
+// entry is one directory row as a test compares it: the entry and the
+// record behind it.
+type entry struct {
+	membership.Entry
+	Info membership.MemberInfo
+}
+
+func (w *world) entries() []entry {
+	var out []entry
+	w.n.dir.Range(func(_ membership.NodeID, e *membership.Entry) { out = append(out, entry{*e, w.n.dir.Info(e)}) })
 	return out
 }
 
@@ -206,8 +213,8 @@ func receiveCeiling(tb testing.TB) (*world, *viewSource) {
 	if allocs > 1 {
 		tb.Fatalf("receiving a %d-entry view allocates %v times, want at most the view", benchView, allocs)
 	}
-	if e := w.n.dir.Get(7); e.Counter != src.counter || w.ep.Stats().Rejected != 0 {
-		tb.Fatalf("the views did not land: counter %d of %d, %d rejects", e.Counter, src.counter, w.ep.Stats().Rejected)
+	if e := w.n.dir.Get(7); e.Beat != src.counter || w.ep.Stats().Rejected != 0 {
+		tb.Fatalf("the views did not land: counter %d of %d, %d rejects", e.Beat, src.counter, w.ep.Stats().Rejected)
 	}
 	return w, src
 }

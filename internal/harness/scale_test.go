@@ -34,4 +34,6 @@ func TestScaleChurn1000(t *testing.T) {
 	if rep.Events == 0 || rep.PktsDelivered == 0 {
 		t.Errorf("implausible counters: %+v", rep)
 	}
+	// BENCH_scale.json's run of the same options carries the same counts.
+	t.Logf("events %d, packets delivered %d, bytes delivered %d", rep.Events, rep.PktsDelivered, rep.BytesDelivered)
 }

@@ -263,7 +263,8 @@ func TestEverySchemePublishesAlike(t *testing.T) {
 		if got := p.Info().Version; got != v+3 {
 			t.Errorf("%s: three published changes moved the version %d -> %d", name, v, got)
 		}
-		if e := c.Nodes[1].Directory().Get(c.Nodes[1].ID()); e == nil || e.Info.Version != v+3 || len(e.Info.Services) != others+1 {
+		dir := c.Nodes[1].Directory()
+		if e := dir.Get(c.Nodes[1].ID()); e == nil || e.Version != v+3 || len(dir.Info(e).Services) != others+1 {
 			t.Errorf("%s: own directory entry did not follow: %+v", name, e)
 		}
 	}

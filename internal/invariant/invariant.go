@@ -410,14 +410,14 @@ func (a *Auditor) onEvent(i int, e membership.Event) {
 		if st.seen {
 			sq := &a.invs[invSeqMonotone]
 			sq.checks++
-			in, ver, beat := en.Info.Incarnation, en.Info.Version, en.Info.Beat
+			in, ver, beat := en.Incarnation, en.Version, en.Beat
 			if in < st.inc || (in == st.inc && (ver < st.ver || beat < st.beat)) {
 				sq.violate(now, "node %d's entry for %d regressed: (%d,%d,%d) -> (%d,%d,%d)",
 					i, j, st.inc, st.ver, st.beat, in, ver, beat)
 			}
 		}
 		st.seen = true
-		st.inc, st.ver, st.beat = en.Info.Incarnation, en.Info.Version, en.Info.Beat
+		st.inc, st.ver, st.beat = en.Incarnation, en.Version, en.Beat
 	case membership.EventLeave:
 		if warm {
 			a.viewChanges++
@@ -531,14 +531,14 @@ func (a *Auditor) checkPhantomsAndSeq(now time.Duration) {
 			st := &a.lastSeen[i][j]
 			if st.seen {
 				sq.checks++
-				in, ver, beat := e.Info.Incarnation, e.Info.Version, e.Info.Beat
+				in, ver, beat := e.Incarnation, e.Version, e.Beat
 				if in < st.inc || (in == st.inc && (ver < st.ver || beat < st.beat)) {
 					sq.violate(now, "node %d's entry for %d regressed: (%d,%d,%d) -> (%d,%d,%d)",
 						i, j, st.inc, st.ver, st.beat, in, ver, beat)
 				}
 			}
 			st.seen = true
-			st.inc, st.ver, st.beat = e.Info.Incarnation, e.Info.Version, e.Info.Beat
+			st.inc, st.ver, st.beat = e.Incarnation, e.Version, e.Beat
 		})
 	}
 }

@@ -37,28 +37,47 @@ func (o Origin) String() string {
 	return fmt.Sprintf("origin(%d)", uint8(o))
 }
 
-// Entry is one row of the yellow-page directory.
+// Entry is one row of the yellow-page directory: a member's aliveness, the
+// part every merge, refresh, expiry sweep and audit reads. It is 40 bytes
+// with no pointer, so the directory's chunks of them are objects the
+// collector never scans. What the member publishes beyond its prefix —
+// services and attributes, the paper's "relatively stable information" —
+// is held apart and read with Directory.Content.
 type Entry struct {
-	Info MemberInfo
-	// Origin and the fields below are per-holder bookkeeping, not part of
-	// the propagated information.
-	Origin Origin
-	// live marks an occupied slot of the directory's by-value storage; it
-	// sits in Origin's padding, so it costs no space.
-	live bool
-	// Level is the tree level (for direct entries, the lowest channel the
-	// member was heard on; for relayed entries, the level whose leader
-	// relayed it).
-	Level int
+	// InfoPrefix is the member's identity and counters. Beat is the
+	// freshest liveness beat the holder has seen, which a relayed copy
+	// must advance to count as evidence of life.
+	InfoPrefix
+	// The fields below are per-holder bookkeeping, not part of the
+	// propagated information.
+	//
+	// LastRefresh is the holder's clock when the entry was last confirmed.
+	LastRefresh time.Duration
 	// Relayer is the group mate this entry was most recently refreshed by
 	// (for relayed entries), else NoNode.
 	Relayer NodeID
-	// LastRefresh is the holder's clock when the entry was last confirmed.
-	LastRefresh time.Duration
-	// Counter is protocol-specific freshness state (the gossip heartbeat
-	// counter); unused by the heartbeat-based protocols.
-	Counter uint64
+	// Level is the tree level (for direct entries, the lowest channel the
+	// member was heard on; for relayed entries, the level whose leader
+	// relayed it).
+	Level  uint8
+	Origin Origin
+	// live marks an occupied slot of the directory's by-value storage, and
+	// content a member that publishes services or attributes; both sit in
+	// what would be padding.
+	live, content bool
 }
+
+// content is the stable half of a member's record. The directory keeps one
+// only for a member whose record carries services or attributes, so a
+// cluster that publishes liveness alone allocates none.
+type content struct {
+	services []ServiceDecl
+	attrs    []KV
+}
+
+func contentInUse(c *content) bool { return c.services != nil || c.attrs != nil }
+
+func entryInUse(e *Entry) bool { return e.live }
 
 // EventType classifies directory change notifications.
 type EventType uint8
@@ -108,19 +127,24 @@ type Directory struct {
 	// entries holds every entry by value (see Table): a merge in ascending
 	// ID order streams through memory instead of chasing one heap object per
 	// entry, and *Entry stays valid while its node is present. A slot is
-	// occupied when its Entry.live is set.
+	// occupied when its Entry.live is set. contents holds, by the same key,
+	// the content of the entries whose content bit is set.
 	entries  Table[Entry]
-	sorted   []NodeID // entry keys in ascending order, maintained incrementally
+	contents Table[content]
+	size     int // occupied entries
 	tombs    map[NodeID]tombstone
 	tombTTL  time.Duration // 0 disables tombstones
 	observer func(Event)
 
 	// history is a bounded ring of recent change events, letting
 	// consumers reconcile after a gap ("what changed since T") without
-	// subscribing to every event. Zero capacity disables it.
+	// subscribing to every event. Zero capacity disables it. dropped says
+	// whether it has ever let an event go, and droppedAt is the time of the
+	// newest such event.
 	history    []Event
 	historyCap int
-	historyOff uint64 // total events ever recorded
+	dropped    bool
+	droppedAt  time.Duration
 }
 
 // EnableHistory keeps the most recent capacity change events queryable via
@@ -131,8 +155,9 @@ func (d *Directory) EnableHistory(capacity int) {
 		d.history = nil
 		return
 	}
-	if len(d.history) > capacity {
-		d.history = append([]Event(nil), d.history[len(d.history)-capacity:]...)
+	if n := len(d.history) - capacity; n > 0 {
+		d.drop(d.history[:n])
+		d.history = append([]Event(nil), d.history[n:]...)
 	}
 }
 
@@ -141,26 +166,32 @@ func (d *Directory) record(e Event) {
 		return
 	}
 	d.history = append(d.history, e)
-	d.historyOff++
 	if len(d.history) > d.historyCap {
+		d.drop(d.history[:1])
 		d.history = d.history[1:]
+	}
+}
+
+// drop notes events leaving the history.
+func (d *Directory) drop(events []Event) {
+	for _, e := range events {
+		if !d.dropped || e.Time > d.droppedAt {
+			d.dropped, d.droppedAt = true, e.Time
+		}
 	}
 }
 
 // ChangesSince returns the retained change events at or after t, oldest
 // first, and whether the history is complete back to t (false means events
 // older than the ring's capacity may have been dropped and the caller
-// should do a full resynchronization).
+// should do a full resynchronization). It is complete when every dropped
+// event predates t; a retained event at t proves nothing about another at
+// the same instant that was dropped.
 func (d *Directory) ChangesSince(t time.Duration) (events []Event, complete bool) {
 	if d.historyCap <= 0 {
 		return nil, false
 	}
-	complete = d.historyOff <= uint64(d.historyCap)
-	if !complete && len(d.history) > 0 && d.history[0].Time <= t {
-		// The oldest retained event predates t: nothing before t was
-		// dropped after t, so the answer is complete for this window.
-		complete = true
-	}
+	complete = !d.dropped || d.droppedAt < t
 	for _, e := range d.history {
 		if e.Time >= t {
 			events = append(events, e)
@@ -236,18 +267,53 @@ func (d *Directory) get(n NodeID) *Entry {
 
 // insert stores a new entry for a node known to be absent and announces the
 // join.
-func (d *Directory) insert(info MemberInfo, origin Origin, level int, relayer NodeID, now time.Duration) {
-	*d.entries.Ensure(info.Node) = Entry{
-		Info: info, Origin: origin, live: true, Level: level, Relayer: relayer,
-		LastRefresh: now, Counter: info.Beat,
+func (d *Directory) insert(info *MemberInfo, origin Origin, level int, relayer NodeID, now time.Duration) {
+	e := d.entries.Ensure(info.Node)
+	*e = Entry{
+		InfoPrefix: info.Prefix(), LastRefresh: now, Relayer: relayer,
+		Level: uint8(level), Origin: origin, live: true,
 	}
-	d.sortedInsert(info.Node)
+	d.setContent(e, info)
+	d.size++
 	d.emit(EventJoin, info.Node, now)
+}
+
+// setContent makes info's services and attributes e's content, holding them
+// only if there are any.
+func (d *Directory) setContent(e *Entry, info *MemberInfo) {
+	had := e.content
+	e.content = len(info.Services) > 0 || len(info.Attrs) > 0
+	if e.content {
+		*d.contents.Ensure(e.Node) = content{services: info.Services, attrs: info.Attrs}
+	} else if had {
+		d.contents.Delete(e.Node, contentInUse)
+	}
+}
+
+// Content returns the services and attributes the member behind e, one of
+// this directory's entries, publishes: every read of a member's content goes
+// through here. The slices are the directory's own; a caller that keeps or
+// changes them clones first.
+func (d *Directory) Content(e *Entry) ([]ServiceDecl, []KV) {
+	if !e.content {
+		return nil, nil
+	}
+	c := d.contents.Get(e.Node)
+	return c.services, c.attrs
+}
+
+// Info returns the whole record behind e: its prefix and its Content.
+func (d *Directory) Info(e *Entry) MemberInfo {
+	services, attrs := d.Content(e)
+	return MemberInfo{
+		Node: e.Node, Incarnation: e.Incarnation, Version: e.Version, Beat: e.Beat,
+		Services: services, Attrs: attrs,
+	}
 }
 
 // Len returns the number of known-alive nodes (including the owner if
 // present).
-func (d *Directory) Len() int { return len(d.sorted) }
+func (d *Directory) Len() int { return d.size }
 
 // Has reports whether node n is currently in the directory.
 func (d *Directory) Has(n NodeID) bool { return d.get(n) != nil }
@@ -270,11 +336,11 @@ func (d *Directory) Upsert(info MemberInfo, origin Origin, level int, relayer No
 	}
 	e := d.get(info.Node)
 	if e == nil {
-		d.insert(info, origin, level, relayer, now)
+		d.insert(&info, origin, level, relayer, now)
 		return true
 	}
 	if d.refresh(e, info.Prefix(), origin, level, relayer, now) {
-		d.replace(e, info, now)
+		d.replace(e, &info, now)
 	}
 	return false
 }
@@ -285,37 +351,31 @@ func (d *Directory) Upsert(info MemberInfo, origin Origin, level int, relayer No
 // Every merge decision is made on the prefix alone, which is what lets
 // MergeRelayed leave the rest of a record undecoded.
 func (d *Directory) refresh(e *Entry, p InfoPrefix, origin Origin, level int, relayer NodeID, now time.Duration) (newer bool) {
-	newer = p.Newer(e.Info.Prefix())
+	newer = p.Newer(e.InfoPrefix)
 	// Liveness: a direct observation always refreshes; a relayed copy only
 	// refreshes if it carries evidence of life we have not seen — an
 	// advanced heartbeat counter or newer content. A stale snapshot
 	// circulating among leaders therefore cannot keep a dead node alive.
-	if origin != OriginRelayed || p.Beat > e.Counter || newer {
+	if origin != OriginRelayed || p.Beat > e.Beat || newer {
 		e.LastRefresh = now
 		// Last writer with fresh evidence takes origin custody; the self
 		// entry is never demoted.
 		if e.Origin != OriginSelf {
-			e.Origin, e.Level, e.Relayer = origin, level, relayer
+			e.Origin, e.Level, e.Relayer = origin, uint8(level), relayer
 		}
 	}
-	if p.Beat > e.Counter {
-		e.Counter = p.Beat
-		// Keep the stored info's beat current even when its content is
-		// not newer, so snapshots we publish carry the freshest liveness
-		// evidence we hold rather than the beat at entry creation.
-		e.Info.Beat = p.Beat
-	}
+	// Keep the stored beat current even when the content is not newer, so
+	// snapshots we publish carry the freshest liveness evidence we hold
+	// rather than the beat at entry creation.
+	e.Beat = max(e.Beat, p.Beat)
 	return newer
 }
 
 // replace installs superseding content for a present entry, keeping the
 // freshest beat seen.
-func (d *Directory) replace(e *Entry, info MemberInfo, now time.Duration) {
-	beat := e.Info.Beat
-	e.Info = info
-	if beat > e.Info.Beat {
-		e.Info.Beat = beat
-	}
+func (d *Directory) replace(e *Entry, info *MemberInfo, now time.Duration) {
+	e.Incarnation, e.Version, e.Beat = info.Incarnation, info.Version, max(e.Beat, info.Beat)
+	d.setContent(e, info)
 	d.emit(EventUpdate, info.Node, now)
 }
 
@@ -338,12 +398,13 @@ type RelayedSource interface {
 // 24 bytes per record from src, writes a few words of the entry, and
 // allocates nothing.
 //
-// Records about the owner are skipped. joined lists the records that added
-// a node, tombstoned the nodes whose record was rejected because the node
-// was removed recently and the record carries no newer evidence of life
-// (the publisher holds a stale entry), and invalid counts records with a
+// Records about the owner are skipped. The records that added a node are
+// appended to *joined, and the nodes whose record was rejected because the
+// node was removed recently and the record carries no newer evidence of
+// life (the publisher holds a stale entry) to *tombstoned; a caller that
+// does not act on one of them passes nil. invalid counts records with a
 // negative ID, which cannot name a member and are dropped.
-func (d *Directory) MergeRelayed(src RelayedSource, level int, relayer NodeID, now time.Duration) (joined []MemberInfo, tombstoned []NodeID, invalid int) {
+func (d *Directory) MergeRelayed(src RelayedSource, level int, relayer NodeID, now time.Duration, joined *[]MemberInfo, tombstoned *[]NodeID) (invalid int) {
 	for src.Next() {
 		p := src.Prefix()
 		switch {
@@ -351,19 +412,24 @@ func (d *Directory) MergeRelayed(src RelayedSource, level int, relayer NodeID, n
 		case p.Node < 0:
 			invalid++
 		case d.tombstoneActive(p, now):
-			tombstoned = append(tombstoned, p.Node)
+			if tombstoned != nil {
+				*tombstoned = append(*tombstoned, p.Node)
+			}
 		default:
 			e := d.get(p.Node)
 			if e == nil {
 				info := src.Info()
-				d.insert(info, OriginRelayed, level, relayer, now)
-				joined = append(joined, info)
+				d.insert(&info, OriginRelayed, level, relayer, now)
+				if joined != nil {
+					*joined = append(*joined, info)
+				}
 			} else if d.refresh(e, p, OriginRelayed, level, relayer, now) {
-				d.replace(e, src.Info(), now)
+				info := src.Info()
+				d.replace(e, &info, now)
 			}
 		}
 	}
-	return joined, tombstoned, invalid
+	return invalid
 }
 
 // Refresh bumps LastRefresh for n if present (a heartbeat with unchanged
@@ -385,7 +451,7 @@ func (d *Directory) Remove(n NodeID, now time.Duration) bool {
 		return false
 	}
 	if d.tombTTL > 0 {
-		d.tombs[n] = tombstone{at: now, inc: e.Info.Incarnation, beat: e.Counter}
+		d.tombs[n] = tombstone{at: now, inc: e.Incarnation, beat: e.Beat}
 		// Opportunistic pruning keeps the map bounded.
 		for tn, ts := range d.tombs {
 			if now-ts.at >= d.tombTTL {
@@ -393,40 +459,34 @@ func (d *Directory) Remove(n NodeID, now time.Duration) bool {
 			}
 		}
 	}
-	d.entries.Delete(n, func(e *Entry) bool { return e.live })
-	d.sortedDelete(n)
+	if e.content {
+		d.contents.Delete(n, contentInUse)
+	}
+	d.entries.Delete(n, entryInUse)
+	d.size--
 	d.emit(EventLeave, n, now)
 	return true
 }
 
-// sortedInsert and sortedDelete keep d.sorted in ascending order so reads
-// (Nodes, Snapshot, Expired, Lookup) never re-sort the whole key set.
-func (d *Directory) sortedInsert(n NodeID) {
-	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] >= n })
-	d.sorted = append(d.sorted, 0)
-	copy(d.sorted[i+1:], d.sorted[i:])
-	d.sorted[i] = n
-}
-
-func (d *Directory) sortedDelete(n NodeID) {
-	i := sort.Search(len(d.sorted), func(i int) bool { return d.sorted[i] >= n })
-	if i < len(d.sorted) && d.sorted[i] == n {
-		d.sorted = append(d.sorted[:i], d.sorted[i+1:]...)
-	}
-}
-
 // Nodes returns the known node IDs in ascending order.
 func (d *Directory) Nodes() []NodeID {
-	return append([]NodeID(nil), d.sorted...)
+	var out []NodeID
+	if d.size > 0 {
+		out = make([]NodeID, 0, d.size)
+	}
+	d.Range(func(n NodeID, _ *Entry) { out = append(out, n) })
+	return out
 }
 
 // Range calls fn for every entry in ascending node order without allocating
-// a key slice — the auditor walks every directory every sampling tick, so
-// the copy Nodes() makes matters there. fn must not add or remove entries.
+// — the auditor walks every directory every sampling tick, so the copy
+// Nodes() makes matters there. fn must not add or remove entries.
 func (d *Directory) Range(fn func(NodeID, *Entry)) {
-	for _, n := range d.sorted {
-		fn(n, d.get(n))
-	}
+	d.entries.Each(func(n NodeID, e *Entry) {
+		if e.live {
+			fn(n, e)
+		}
+	})
 }
 
 // Snapshot returns deep copies of all member infos, in node order, for
@@ -434,10 +494,8 @@ func (d *Directory) Range(fn func(NodeID, *Entry)) {
 // packets — tree snapshots, gossip views, rapid view changes — are encoded
 // straight from the entries and never pass through here.
 func (d *Directory) Snapshot() []MemberInfo {
-	out := make([]MemberInfo, 0, len(d.sorted))
-	for _, n := range d.sorted {
-		out = append(out, d.get(n).Info.Clone())
-	}
+	out := make([]MemberInfo, 0, d.size)
+	d.Range(func(_ NodeID, e *Entry) { out = append(out, d.Info(e).Clone()) })
 	return out
 }
 
@@ -451,10 +509,9 @@ func (d *Directory) Snapshot() []MemberInfo {
 func (d *Directory) Expired(now time.Duration, timeout func(*Entry) time.Duration) ([]NodeID, time.Duration) {
 	var out []NodeID
 	next := MaxDeadline
-	for _, n := range d.sorted {
-		e := d.get(n)
+	d.Range(func(n NodeID, e *Entry) {
 		if n == d.owner || e.Origin == OriginSelf {
-			continue
+			return
 		}
 		deadline := e.LastRefresh + timeout(e)
 		if deadline < now {
@@ -462,7 +519,7 @@ func (d *Directory) Expired(now time.Duration, timeout func(*Entry) time.Duratio
 		} else if deadline < next {
 			next = deadline
 		}
-	}
+	})
 	return out, next
 }
 
@@ -474,11 +531,11 @@ const MaxDeadline = time.Duration(1<<63 - 1)
 // learned via relayer.
 func (d *Directory) RelayedBy(relayer NodeID) []NodeID {
 	var out []NodeID
-	for _, n := range d.sorted {
-		if e := d.get(n); e.Origin == OriginRelayed && e.Relayer == relayer {
+	d.Range(func(n NodeID, e *Entry) {
+		if e.Origin == OriginRelayed && e.Relayer == relayer {
 			out = append(out, n)
 		}
-	}
+	})
 	return out
 }
 
@@ -495,7 +552,9 @@ type Match struct {
 // expression matched against service names (anchored), and partitionSpec is
 // either "*" / "" (any partition) or a ParsePartitions list of desired
 // partitions. A node matches if it hosts a matching service with at least
-// one desired partition. Results are ordered by (service, node).
+// one desired partition. Results are ordered by (service, node). Only a
+// member that publishes something can match, so the query walks the content
+// table alone.
 func (d *Directory) Lookup(servicePattern, partitionSpec string) ([]Match, error) {
 	re, err := regexp.Compile("^(?:" + servicePattern + ")$")
 	if err != nil {
@@ -513,9 +572,8 @@ func (d *Directory) Lookup(servicePattern, partitionSpec string) ([]Match, error
 		}
 	}
 	var out []Match
-	for _, n := range d.sorted {
-		e := d.get(n)
-		for _, svc := range e.Info.Services {
+	d.contents.Each(func(n NodeID, c *content) {
+		for _, svc := range c.services {
 			if !re.MatchString(svc.Name) {
 				continue
 			}
@@ -537,10 +595,10 @@ func (d *Directory) Lookup(servicePattern, partitionSpec string) ([]Match, error
 				Service:    svc.Name,
 				Partitions: matched,
 				Params:     append([]KV(nil), svc.Params...),
-				Attrs:      append([]KV(nil), e.Info.Attrs...),
+				Attrs:      append([]KV(nil), c.attrs...),
 			})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Service != out[j].Service {
 			return out[i].Service < out[j].Service
@@ -554,17 +612,17 @@ func (d *Directory) Lookup(servicePattern, partitionSpec string) ([]Match, error
 // service named exactly name — on partition when it is non-negative, on any
 // partition (or none) otherwise — and returns the extended slice. It is
 // Lookup for the one question the invocation path asks, "who serves this
-// (service, partition)", answered from the entries in place: the nodes are
-// those of Lookup(regexp.QuoteMeta(name), "<partition>" or "*"), in the same
-// order, with no pattern compiled and nothing cloned.
+// (service, partition)", answered from the content records in place: the
+// nodes are those of Lookup(regexp.QuoteMeta(name), "<partition>" or "*"),
+// in the same order, with no pattern compiled and nothing cloned.
 func (d *Directory) Hosts(dst []NodeID, name string, partition int32) []NodeID {
-	for _, n := range d.sorted {
-		for _, svc := range d.get(n).Info.Services {
+	d.contents.Each(func(n NodeID, c *content) {
+		for _, svc := range c.services {
 			if svc.Name == name && (partition < 0 || slices.Contains(svc.Partitions, partition)) {
 				dst = append(dst, n)
 			}
 		}
-	}
+	})
 	return dst
 }
 

@@ -36,7 +36,8 @@ func TestUpsertStaleInfoRefreshesButDoesNotOverwrite(t *testing.T) {
 	stale.SetAttr("k", "old")
 	d.Upsert(stale, OriginDirect, 0, NoNode, 5*time.Second)
 	e := d.Get(1)
-	if v, _ := e.Info.Attr("k"); v != "new" {
+	info := d.Info(e)
+	if v, _ := info.Attr("k"); v != "new" {
 		t.Fatalf("stale info overwrote newer: %q", v)
 	}
 	if e.LastRefresh != 5*time.Second {
@@ -79,7 +80,7 @@ func TestOriginCustodyFollowsFreshEvidence(t *testing.T) {
 	}
 	// A relayed copy with an advanced beat does both.
 	d.Upsert(withBeat(1, 5), OriginRelayed, 2, 9, 3*time.Second)
-	if e.Origin != OriginRelayed || e.Relayer != 9 || e.LastRefresh != 3*time.Second || e.Counter != 5 {
+	if e.Origin != OriginRelayed || e.Relayer != 9 || e.LastRefresh != 3*time.Second || e.Beat != 5 {
 		t.Fatalf("fresh relayed copy ignored: %+v", e)
 	}
 	// The self entry is never demoted.
@@ -179,7 +180,7 @@ func TestSnapshotDeepCopy(t *testing.T) {
 	d.Upsert(m, OriginDirect, 0, NoNode, 0)
 	snap := d.Snapshot()
 	snap[0].Services[0].Partitions[0] = 42
-	if d.Get(1).Info.Services[0].Partitions[0] != 0 {
+	if d.Info(d.Get(1)).Services[0].Partitions[0] != 0 {
 		t.Fatal("Snapshot shares memory with directory")
 	}
 }
@@ -282,6 +283,34 @@ func TestHistoryChangesSince(t *testing.T) {
 	d.EnableHistory(0)
 	if ev, _ := d.ChangesSince(0); ev != nil {
 		t.Fatal("disable did not clear history")
+	}
+
+	// Same instant: the ring holds two of three joins at 5 s. A retained
+	// event at t does not vouch for the one dropped at t.
+	d = NewDirectory(0)
+	d.EnableHistory(2)
+	for n := NodeID(1); n <= 3; n++ {
+		d.Upsert(info(n), OriginDirect, 0, NoNode, 5*time.Second)
+	}
+	ev, complete = d.ChangesSince(5 * time.Second)
+	if complete || len(ev) != 2 || ev[0].Node != 2 {
+		t.Fatalf("three joins at 5s in a ring of 2: ChangesSince(5s) = %v complete=%v, want n2, n3 and incomplete", ev, complete)
+	}
+	if ev, complete = d.ChangesSince(5*time.Second + 1); !complete || len(ev) != 0 {
+		t.Fatalf("after the dropped instant: %v complete=%v, want nothing and complete", ev, complete)
+	}
+	// A shrink drops events as an overflow does.
+	d = NewDirectory(0)
+	d.EnableHistory(3)
+	for n := NodeID(1); n <= 3; n++ {
+		d.Upsert(info(n), OriginDirect, 0, NoNode, 5*time.Second)
+	}
+	if _, complete = d.ChangesSince(5 * time.Second); !complete {
+		t.Fatal("a ring holding every event claims to have dropped some")
+	}
+	d.EnableHistory(1)
+	if _, complete = d.ChangesSince(5 * time.Second); complete {
+		t.Fatal("a shrink that dropped events at 5s still claims completeness from 5s")
 	}
 }
 

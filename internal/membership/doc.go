@@ -20,10 +20,19 @@
 //     nodes against stale re-addition; Expired implements heartbeat
 //     timeouts; Lookup answers the paper's regex + partition-spec queries;
 //     SetObserver delivers Event notifications (join/leave/change) that
-//     the experiments' detection/convergence recorders hook. Entries are
-//     stored by value in a Table, so the *Entry that Get and Range hand out
-//     stays valid while its node is present and a merge in ID order walks
-//     memory front to back.
+//     the experiments' detection/convergence recorders hook.
+//   - Entry: a member's aliveness, apart from its content. Every merge,
+//     refresh, expiry sweep and audit reads only the entry — the 24-byte
+//     prefix (identity, incarnation, version, beat), LastRefresh, Relayer,
+//     Level, Origin — which is 40 bytes with no pointer, so its Table's
+//     chunks are 160-byte objects the collector never scans. Services and
+//     attributes, which change only with the version, live in a second
+//     Table keyed by node, holding a record only for a member that
+//     publishes something; every read of them goes through
+//     Directory.Content (Info joins the two halves). Entries are stored by
+//     value, so the *Entry that Get and Range hand out stays valid while
+//     its node is present, and a walk in ID order — Range, Expired, Lookup
+//     — is a walk over the chunks.
 //   - InfoPrefix, RelayedSource and Directory.MergeRelayed: the batch
 //     entry point for a whole relayed snapshot (bootstrap and sync
 //     replies, a leader's periodic republication, a gossip round's view).
@@ -32,15 +41,17 @@
 //     record on its fixed 24-byte prefix — identity, incarnation,
 //     version, beat — and asks the source for the full MemberInfo only
 //     when the node is new or the content is newer, so the steady state
-//     of anti-entropy allocates nothing.
+//     of anti-entropy allocates nothing. The caller says where joins and
+//     tombstoned records are reported, or that they are not.
 //   - Table: the one per-peer storage. What a daemon knows about node p is
 //     one record of the daemon's own type T, by value, indexed by p's ID:
 //     four consecutive IDs to a chunk allocated when the first of them is
 //     created and never moved, under a pointer table bounded by the 64 Ki-ID
 //     window, so hearing 20 peers out of 1000 costs half a dozen chunks; an
 //     ID outside the window costs a map entry and sizes nothing. Get is two
-//     array loads, Each visits in ascending ID. The Directory's entries are
-//     one; each scheme keeps its own (DESIGN.md, "Per-peer state").
+//     array loads, Each visits in ascending ID. The Directory's entries and
+//     contents are two; each scheme keeps its own (DESIGN.md, "Per-peer
+//     state").
 //   - Mark: the replay guard every heartbeat-driven scheme puts in front of
 //     its receive path — the highest (incarnation, beat) pair accepted from
 //     one sender; Advance is true only for a pair strictly above it. It is a

@@ -16,22 +16,23 @@ import "slices"
 // entry and sizes nothing.
 //
 // Presence is the record's own business — a flag that costs T nothing
-// (Entry keeps it in padding) — so the table adds no byte per record: a
-// record never created and a zero record read the same to every user, Get
-// may return either, and Each visits both.
+// (Entry keeps it in what would be padding) — so the table adds no byte per
+// record: a record never created and a zero record read the same to every
+// user, Get may return either, and Each visits both.
 type Table[T any] struct {
 	chunks []*[chunkLen]T
 	wild   map[NodeID]*T
 }
 
 // maxDense bounds the directly-indexed window and chunkLen is the number of
-// consecutive IDs stored together. Four directory entries are 448 bytes: an
-// exact allocator size class, and the largest chunk below the 512 bytes from
-// which the runtime prefixes a pointer-bearing object with a header that
-// pushes a power-of-two chunk into the next class (an eighth of the
-// directory's memory wasted); four 16-byte replay marks are one cache line.
-// A table filled in ID order draws consecutive chunks from one span, so the
-// small chunk costs an ascending visit nothing.
+// consecutive IDs stored together. Four directory entries are 160 bytes and
+// four content records 192, both exact allocator size classes, and the
+// entries' chunk holds no pointer, so the collector never scans it; four
+// 16-byte replay marks are one cache line. A pointer-bearing chunk must stay
+// below 512 bytes, from which the runtime prefixes it with a header that
+// pushes a power-of-two chunk into the next class. A table filled in ID
+// order draws consecutive chunks from one span, so the small chunk costs an
+// ascending visit nothing.
 const (
 	maxDense   = 1 << 16
 	chunkShift = 2

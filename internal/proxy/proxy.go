@@ -394,16 +394,16 @@ func (p *Proxy) sendFullSummary() {
 func (p *Proxy) computeSummary() map[string]wire.SummaryEntry {
 	out := make(map[string]wire.SummaryEntry)
 	dir := p.rt.Node().Directory()
-	for _, id := range dir.Nodes() {
-		e := dir.Get(id)
-		for _, svc := range e.Info.Services {
+	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
+		services, _ := dir.Content(e)
+		for _, svc := range services {
 			s := out[svc.Name]
 			s.Service = svc.Name
 			s.Nodes++
 			s.Partitions = unionParts(s.Partitions, svc.Partitions)
 			out[svc.Name] = s
 		}
-	}
+	})
 	return out
 }
 

@@ -444,7 +444,7 @@ func (n *Node) currentView() *wire.RapidView {
 	}
 	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
 		if n.isMember(id) {
-			v.Infos.Append(e.Info)
+			v.Infos.Append(n.dir.Info(e))
 		}
 	})
 	return v
@@ -1040,7 +1040,7 @@ func (n *Node) commit(evict []membership.NodeID, now time.Duration) {
 	v := &wire.RapidView{Seq: n.configSeq + 1, Proposer: n.id, Members: next}
 	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
 		if !evicted(id) && n.isMember(id) {
-			v.Infos.Append(e.Info)
+			v.Infos.Append(n.dir.Info(e))
 		}
 	})
 	for _, info := range joinInfos {

@@ -527,7 +527,7 @@ func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
 	n.adopt(received(n, 2, first...), 0)
 	for _, want := range first {
 		e := n.dir.Get(want.Node)
-		if e == nil || !reflect.DeepEqual(e.Info, want) || e.Origin != membership.OriginRelayed || e.Relayer != proposer {
+		if e == nil || !reflect.DeepEqual(n.dir.Info(e), want) || e.Origin != membership.OriginRelayed || e.Relayer != proposer {
 			t.Fatalf("admitted record of %v landed as %+v, want %+v relayed by the proposer", want.Node, e, want)
 		}
 	}
@@ -539,14 +539,14 @@ func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
 	n.adopt(received(n, 3, mixed...), time.Second)
 	for i, want := range append([]membership.MemberInfo{newer, restarted}, first[2:]...) {
 		e := n.dir.Get(want.Node)
-		if e == nil || !reflect.DeepEqual(e.Info, want) {
+		if e == nil || !reflect.DeepEqual(n.dir.Info(e), want) {
 			t.Fatalf("after the mixed view, %v holds %+v, want %+v", want.Node, e, want)
 		}
 		if fresh := i < 2; (e.LastRefresh == time.Second) != fresh {
 			t.Fatalf("after the mixed view, %v was refreshed at %v (admitted: %v)", want.Node, e.LastRefresh, fresh)
 		}
 	}
-	if n.dir.Has(77) || n.dir.Get(0).Info.Version == 9 {
+	if n.dir.Has(77) || n.dir.Get(0).Version == 9 {
 		t.Fatal("a non-member's record or the receiver's own was taken from a view")
 	}
 
@@ -565,8 +565,8 @@ func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
 			n.adopt(views[i], 0)
 			i++
 		})
-		if n.ConfigSeq() != uint64(3+runs) || n.dir.Get(5).Info.Beat != 5 {
-			t.Fatalf("fixture: on view %d with %+v for node 5", n.ConfigSeq(), n.dir.Get(5).Info)
+		if n.ConfigSeq() != uint64(3+runs) || n.dir.Get(5).Beat != 5 {
+			t.Fatalf("fixture: on view %d with %+v for node 5", n.ConfigSeq(), *n.dir.Get(5))
 		}
 		return allocs
 	}

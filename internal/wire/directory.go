@@ -43,13 +43,17 @@ func (d *DirectoryMsg) enc(w *writer) {
 // allocation of exactly the packet's size.
 func EncodeDirectory(from membership.NodeID, ask bool, dir *membership.Directory) []byte {
 	size := HeaderLen + 4 + 1 + 4
-	dir.Range(func(_ membership.NodeID, e *membership.Entry) { size += infoSize(&e.Info) })
+	dir.Range(func(_ membership.NodeID, e *membership.Entry) { size += InfoPrefixLen + contentSize(dir.Content(e)) })
 	w := writer{buf: make([]byte, 0, size)}
 	start := w.header(TDirectory)
 	w.i32(int32(from))
 	w.bool(ask)
 	w.u32(uint32(dir.Len()))
-	dir.Range(func(_ membership.NodeID, e *membership.Entry) { encInfo(&w, e.Info) })
+	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
+		services, attrs := dir.Content(e)
+		encPrefix(&w, e.InfoPrefix)
+		encContent(&w, services, attrs)
+	})
 	w.seal(start)
 	return w.buf
 }

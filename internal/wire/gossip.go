@@ -47,23 +47,25 @@ func (g *Gossip) enc(w *writer) {
 const gossipLead = 8
 
 // EncodeGossip frames a TGossip packet carrying every entry of dir in node
-// order, each with its stored counter as both the entry counter and the
+// order, each with its stored beat as both the entry counter and the
 // record's beat, followed by entryPad inert bytes per entry — byte for byte
 // what Encode(&Gossip{…}) produces for those entries — without copying the
 // entries first and in one allocation of exactly the packet's size.
 func EncodeGossip(from membership.NodeID, dir *membership.Directory, entryPad int) []byte {
 	pad := max(entryPad, 0) * dir.Len()
 	size := HeaderLen + 4 + 4 + 4 + pad
-	dir.Range(func(_ membership.NodeID, e *membership.Entry) { size += gossipLead + infoSize(&e.Info) })
+	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
+		size += gossipLead + InfoPrefixLen + contentSize(dir.Content(e))
+	})
 	w := writer{buf: make([]byte, 0, size)}
 	start := w.header(TGossip)
 	w.i32(int32(from))
 	w.u32(uint32(dir.Len()))
 	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
-		info := e.Info
-		info.Beat = e.Counter
-		w.u64(e.Counter)
-		encInfo(&w, info)
+		w.u64(e.Beat)
+		services, attrs := dir.Content(e)
+		encPrefix(&w, e.InfoPrefix)
+		encContent(&w, services, attrs)
 	})
 	w.u32(uint32(pad))
 	w.zeros(pad)

@@ -87,8 +87,8 @@ func TestGossipRejectsDamageAtEveryOffset(t *testing.T) {
 // TestEncodeGossipMatchesMessage: framing a view straight from the directory
 // produces the bytes of the message built entry by entry, as gossip.round
 // built it before — with and without per-entry padding, for records with
-// services and attributes, and for entries whose counter ran ahead of their
-// record's beat.
+// services and attributes, and for entries whose beat a refresh moved past
+// the one their content arrived with.
 func TestEncodeGossipMatchesMessage(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 60; round++ {
@@ -101,9 +101,7 @@ func TestEncodeGossipMatchesMessage(t *testing.T) {
 		entryPad := []int{0, 140, -5}[round%3]
 		msg := &Gossip{From: 9}
 		dir.Range(func(_ membership.NodeID, e *membership.Entry) {
-			info := e.Info
-			info.Beat = e.Counter
-			msg.Entries = append(msg.Entries, GossipEntry{Counter: e.Counter, Info: info})
+			msg.Entries = append(msg.Entries, GossipEntry{Counter: e.Beat, Info: dir.Info(e)})
 		})
 		if entryPad > 0 {
 			msg.Pad = uint32(entryPad * len(msg.Entries))

@@ -336,12 +336,22 @@ func decKVs(r *reader) []membership.KV {
 }
 
 func encInfo(w *writer, m membership.MemberInfo) {
-	w.i32(int32(m.Node))
-	w.u32(m.Incarnation)
-	w.u64(m.Version)
-	w.u64(m.Beat)
-	w.u32(uint32(len(m.Services)))
-	for _, s := range m.Services {
+	encPrefix(w, m.Prefix())
+	encContent(w, m.Services, m.Attrs)
+}
+
+// encPrefix and encContent append the two halves of a member record, the
+// halves a Directory holds apart: its fixed prefix and what it publishes.
+func encPrefix(w *writer, p membership.InfoPrefix) {
+	w.i32(int32(p.Node))
+	w.u32(p.Incarnation)
+	w.u64(p.Version)
+	w.u64(p.Beat)
+}
+
+func encContent(w *writer, services []membership.ServiceDecl, attrs []membership.KV) {
+	w.u32(uint32(len(services)))
+	for _, s := range services {
 		w.str(s.Name)
 		w.u32(uint32(len(s.Partitions)))
 		for _, p := range s.Partitions {
@@ -349,7 +359,7 @@ func encInfo(w *writer, m membership.MemberInfo) {
 		}
 		encKVs(w, s.Params)
 	}
-	encKVs(w, m.Attrs)
+	encKVs(w, attrs)
 }
 
 func decInfo(r *reader) membership.MemberInfo {

@@ -20,11 +20,12 @@ import (
 // node (4), incarnation (4), version (8), beat (8).
 const InfoPrefixLen = 24
 
-// infoSize is the number of bytes encInfo appends for m.
-func infoSize(m *membership.MemberInfo) int {
-	n := InfoPrefixLen + 4 + kvsSize(m.Attrs)
-	for i := range m.Services {
-		s := &m.Services[i]
+// contentSize is the number of bytes encContent appends for services and
+// attrs; the whole record is InfoPrefixLen more.
+func contentSize(services []membership.ServiceDecl, attrs []membership.KV) int {
+	n := 4 + kvsSize(attrs)
+	for i := range services {
+		s := &services[i]
 		n += strSize(s.Name) + 4 + 4*len(s.Partitions) + kvsSize(s.Params)
 	}
 	return n
