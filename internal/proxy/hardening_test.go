@@ -54,6 +54,55 @@ func TestChunkLossRecoveredByNextSummary(t *testing.T) {
 	}
 }
 
+// TestRepeatedSummaryChunkDoesNotTearTheSummary delivers chunk 0 of a
+// two-chunk summary twice, as a duplicating or replaying link would, then
+// chunk 1. The repeat must not count toward completing the summary: it
+// installs once both chunk indices have arrived, carrying both chunks'
+// services. A chunk outside its own count is rejected and changes nothing.
+func TestRepeatedSummaryChunkDoesNotTearTheSummary(t *testing.T) {
+	f := newDCFixture(t, 2, 1, 3, 1)
+	f.startAll()
+	f.run(15 * time.Second)
+	l0 := f.leaderOf(0)
+	if l0 == nil {
+		t.Fatal("no DC0 leader")
+	}
+	deliver := func(m *wire.ProxySummary) {
+		l0.onSummary(netsim.Packet{Src: 99, Dst: l0.Host(), Payload: wire.Encode(m)}, m)
+	}
+	chunk := func(seq uint64, i, n uint16, svc string) *wire.ProxySummary {
+		return &wire.ProxySummary{DC: 1, Seq: seq, Chunk: i, NChunks: n, Entries: []wire.SummaryEntry{{Service: svc, Nodes: 1}}}
+	}
+	rejected := func() uint64 { return f.net.Endpoint(l0.Host()).Stats().Rejected }
+
+	before := rejected()
+	deliver(chunk(1000, 0, 2, "A"))
+	deliver(chunk(1000, 0, 2, "A"))
+	if got := rejected() - before; got != 1 {
+		t.Errorf("the repeated chunk drew %d rejects, want 1", got)
+	}
+	if _, ok := l0.RemoteSummary(1, "A"); ok {
+		t.Fatal("half a summary was installed: a repeated chunk counted toward its completion")
+	}
+	deliver(chunk(1000, 1, 2, "B"))
+	for _, svc := range []string{"A", "B"} {
+		if _, ok := l0.RemoteSummary(1, svc); !ok {
+			t.Fatalf("%s missing after both chunks of the summary arrived", svc)
+		}
+	}
+
+	before = rejected()
+	deliver(chunk(1001, 0, 0, "C"))
+	deliver(chunk(1002, 2, 2, "D"))
+	if got := rejected() - before; got != 2 {
+		t.Errorf("chunks outside their own count drew %d rejects, want 2", got)
+	}
+	deliver(chunk(1003, 0, 1, "E"))
+	if _, ok := l0.RemoteSummary(1, "E"); !ok {
+		t.Fatal("a well-formed summary after the malformed ones was not installed")
+	}
+}
+
 // TestWANFlap partitions the WAN, lets summaries expire, heals it, and
 // expects the remote view and cross-DC invocation to come back.
 func TestWANFlap(t *testing.T) {

@@ -80,10 +80,11 @@ type remoteDC struct {
 	entries   map[string]wire.SummaryEntry
 	seq       uint64
 	lastHeard time.Duration
-	// pending chunk assembly for the in-flight summary sequence.
+	// pending chunk assembly for the in-flight summary sequence: which of
+	// its chunk indices have arrived, and how many of them.
 	chunkSeq     uint64
+	chunkHave    []bool
 	chunkGot     int
-	chunkTotal   int
 	chunkEntries map[string]wire.SummaryEntry
 }
 

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -79,6 +80,12 @@ func (p *Proxy) onSummary(pkt netsim.Packet, m *wire.ProxySummary) {
 		p.ep.NoteReject()
 		return
 	}
+	if m.Chunk >= m.NChunks {
+		// No chunk index fits this count (including a count of zero): the
+		// packet cannot be part of any summary.
+		p.ep.NoteReject()
+		return
+	}
 	now := p.eng.Now()
 	r.lastHeard = now
 	if m.Seq < r.chunkSeq || m.Seq <= r.seq {
@@ -89,15 +96,24 @@ func (p *Proxy) onSummary(pkt netsim.Packet, m *wire.ProxySummary) {
 	}
 	if m.Seq != r.chunkSeq {
 		r.chunkSeq = m.Seq
+		r.chunkHave = slices.Grow(r.chunkHave[:0], int(m.NChunks))[:m.NChunks]
+		clear(r.chunkHave)
 		r.chunkGot = 0
-		r.chunkTotal = int(m.NChunks)
 		r.chunkEntries = make(map[string]wire.SummaryEntry)
 	}
+	if int(m.NChunks) != len(r.chunkHave) || r.chunkHave[m.Chunk] {
+		// A duplicated or replayed chunk of the summary in flight, or one
+		// that disagrees with its sequence on the chunk count: counting it
+		// would complete the summary with a chunk missing.
+		p.ep.NoteReject()
+		return
+	}
+	r.chunkHave[m.Chunk] = true
 	for _, e := range m.Entries {
 		r.chunkEntries[e.Service] = e
 	}
 	r.chunkGot++
-	if r.chunkGot >= r.chunkTotal {
+	if r.chunkGot == len(r.chunkHave) {
 		r.entries = r.chunkEntries
 		r.seq = m.Seq
 		r.chunkEntries = make(map[string]wire.SummaryEntry)

@@ -12,7 +12,8 @@ import (
 // The byte-level layout of the packet header, the primitives below, and
 // every message body is specified in docs/WIRE.md; keep the two in sync
 // (any body layout change must bump Version, per the spec's evolution
-// rules).
+// rules). Each body's layout is stated once, as its body method, over a
+// codec: the same statements write a packet, read one, and count its length.
 
 // Version is the wire format version carried in every packet header.
 // Version 2 added the body checksum to the header: without an integrity
@@ -45,44 +46,9 @@ var ErrChecksum = errors.New("wire: body checksum mismatch")
 // hostile length prefixes.
 const maxSliceLen = 1 << 20
 
-// writer is an append-only encoder.
-type writer struct {
-	buf []byte
-}
-
-func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
-func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-func (w *writer) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// zeros appends n zero bytes in one step: padding runs to hundreds of bytes
-// per record, far too many to append one at a time. Grow-then-clear rather
-// than append(buf, make([]byte, n)...), which the compiler only turns into
-// the same thing when it is not instrumenting: under -race that form
-// allocates its temporary, and the warm encode path must not.
-func (w *writer) zeros(n int) {
-	w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
-	clear(w.buf[len(w.buf)-n:])
-}
-
-func (w *writer) str(s string) {
-	if len(s) > math.MaxUint16 {
-		s = s[:math.MaxUint16]
-	}
-	w.u16(uint16(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// reader is a sticky-error decoder.
+// reader is a sticky-error decoder. A failure also moves off to the end of
+// the packet, so every later read fails its bounds check and yields zero:
+// the first error stays the only one, and a fixed-width read is one compare.
 type reader struct {
 	buf []byte
 	off int
@@ -93,12 +59,10 @@ func (r *reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
+	r.off = len(r.buf)
 }
 
 func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
 	if r.off+n > len(r.buf) {
 		r.fail(ErrTruncated)
 		return nil
@@ -109,58 +73,53 @@ func (r *reader) take(n int) []byte {
 }
 
 func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
+	if r.off+1 > len(r.buf) {
+		r.fail(ErrTruncated)
 		return 0
 	}
-	return b[0]
+	r.off++
+	return r.buf[r.off-1]
 }
 
 func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
+	if r.off+2 > len(r.buf) {
+		r.fail(ErrTruncated)
 		return 0
 	}
-	return binary.LittleEndian.Uint16(b)
+	r.off += 2
+	return binary.LittleEndian.Uint16(r.buf[r.off-2:])
 }
 
 func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
+	if r.off+4 > len(r.buf) {
+		r.fail(ErrTruncated)
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b)
+	r.off += 4
+	return binary.LittleEndian.Uint32(r.buf[r.off-4:])
 }
 
 func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
+	if r.off+8 > len(r.buf) {
+		r.fail(ErrTruncated)
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b)
+	r.off += 8
+	return binary.LittleEndian.Uint64(r.buf[r.off-8:])
 }
-
-func (r *reader) i32() int32 { return int32(r.u32()) }
-func (r *reader) i64() int64 { return int64(r.u64()) }
 
 func (r *reader) bool() bool {
-	switch r.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
+	b := r.u8()
+	if b > 1 {
 		r.fail(errors.New("wire: invalid bool"))
-		return false
 	}
+	return b == 1
 }
 
-func (r *reader) str() string { return r.strReuse("") }
-
-// strReuse reads a string field into a resident decode target: it hands prev
-// back when the bytes on the wire spell the same string, so a receiver that
-// sees the same service name on every request makes the string once.
-func (r *reader) strReuse(prev string) string {
+// str reads a string field, handing prev back when the bytes on the wire
+// spell the same string: a resident decode target that sees the same service
+// name on every request makes the string once. A fresh target's prev is "".
+func (r *reader) str(prev string) string {
 	n := int(r.u16())
 	b := r.take(n)
 	if b == nil {
@@ -210,4 +169,173 @@ func (r *reader) done() error {
 		return ErrTrailing
 	}
 	return nil
+}
+
+// direction is what a codec does with the fields a layout hands it.
+type direction uint8
+
+const (
+	writing direction = iota // append each field to buf
+	reading                  // parse each field from buf into its target
+	sizing                   // count each field's encoded length in off
+)
+
+// codec moves a body's fields, one primitive per field, in the direction it
+// was made for. A layout is written once against it: the same statements
+// encode a message, decode one, and count its encoded length. The embedded
+// reader is the reading direction's state; writing appends to its buf and
+// sizing counts in its off, which keeps a codec to seven words — small
+// enough to pass in registers through the by-value Message.body call.
+type codec struct {
+	reader
+	dir direction
+}
+
+// checking reports whether c is reading a body that is well formed so far:
+// where a read-side range check applies.
+func (c *codec) checking() bool { return c.dir == reading && c.err == nil }
+
+func (c *codec) u8(v *uint8) {
+	switch c.dir {
+	case writing:
+		c.buf = append(c.buf, *v)
+	case reading:
+		*v = c.reader.u8()
+	case sizing:
+		c.off++
+	}
+}
+
+func (c *codec) u16(v *uint16) {
+	switch c.dir {
+	case writing:
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
+	case reading:
+		*v = c.reader.u16()
+	case sizing:
+		c.off += 2
+	}
+}
+
+func (c *codec) u32(v *uint32) {
+	switch c.dir {
+	case writing:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	case reading:
+		*v = c.reader.u32()
+	case sizing:
+		c.off += 4
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	switch c.dir {
+	case writing:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	case reading:
+		*v = c.reader.u64()
+	case sizing:
+		c.off += 8
+	}
+}
+
+func (c *codec) i32(v *int32) {
+	switch c.dir {
+	case writing:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
+	case reading:
+		*v = int32(c.reader.u32())
+	case sizing:
+		c.off += 4
+	}
+}
+
+// bool is strict on the read side: any byte but 0 or 1 fails the packet.
+func (c *codec) bool(v *bool) {
+	switch c.dir {
+	case writing:
+		if *v {
+			c.buf = append(c.buf, 1)
+		} else {
+			c.buf = append(c.buf, 0)
+		}
+	case reading:
+		*v = c.reader.bool()
+	case sizing:
+		c.off++
+	}
+}
+
+// str writes a string clipped to 65535 bytes, and reads one reusing the
+// target's previous value when it is equal (reader.str).
+func (c *codec) str(v *string) {
+	switch c.dir {
+	case writing:
+		s := (*v)[:min(len(*v), math.MaxUint16)]
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(len(s)))
+		c.buf = append(c.buf, s...)
+	case reading:
+		*v = c.reader.str(*v)
+	case sizing:
+		c.off += 2 + min(len(*v), math.MaxUint16)
+	}
+}
+
+// bytes moves a length-prefixed byte field; a read one is a clipped view of
+// the packet (reader.view).
+func (c *codec) bytes(v *[]byte) {
+	switch c.dir {
+	case writing:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(len(*v)))
+		c.buf = append(c.buf, *v...)
+	case reading:
+		*v = c.view()
+	case sizing:
+		c.off += 4 + len(*v)
+	}
+}
+
+// pad moves n inert bytes: zeros when written, skipped when read. It writes
+// them in one step, grow-then-clear: padding runs to hundreds of bytes per
+// record, and append(buf, make([]byte, n)...) is only turned into the same
+// thing when the compiler is not instrumenting — under -race that form
+// allocates its temporary, and the warm encode path must not.
+func (c *codec) pad(n int) {
+	switch c.dir {
+	case writing:
+		c.buf = slices.Grow(c.buf, n)[:len(c.buf)+n]
+		clear(c.buf[len(c.buf)-n:])
+	case reading:
+		c.take(n)
+	case sizing:
+		c.off += n
+	}
+}
+
+// count moves a slice length prefix, bounded by sliceLen when read.
+func (c *codec) count(n *int) {
+	switch c.dir {
+	case writing:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*n))
+	case reading:
+		*n = c.sliceLen()
+	case sizing:
+		c.off += 4
+	}
+}
+
+// list moves the count of a slice and returns the slice for the caller to
+// move element by element. Reading, it first replaces *s with a fresh slice
+// of the count's length — nil when the count is zero — whose elements the
+// caller's walk fills in.
+func list[T any](c *codec, s *[]T) []T {
+	n := len(*s)
+	c.count(&n)
+	if c.dir == reading {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
+	}
+	return *s
 }

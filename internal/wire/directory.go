@@ -28,13 +28,13 @@ type DirectoryMsg struct {
 
 func (*DirectoryMsg) wireType() Type { return TDirectory }
 
-func (d *DirectoryMsg) enc(w *writer) {
-	w.i32(int32(d.From))
-	w.bool(d.Ask)
-	w.u32(uint32(len(d.Infos)))
-	for _, m := range d.Infos {
-		encInfo(w, m)
+func (d *DirectoryMsg) body(c codec) codec {
+	c.id(&d.From)
+	c.bool(&d.Ask)
+	for i := range list(&c, &d.Infos) {
+		c.info(&d.Infos[i])
 	}
+	return c
 }
 
 // EncodeDirectory frames a TDirectory packet carrying every record of dir in
@@ -42,20 +42,12 @@ func (d *DirectoryMsg) enc(w *writer) {
 // dir.Snapshot()}) produces — without copying the records first and in one
 // allocation of exactly the packet's size.
 func EncodeDirectory(from membership.NodeID, ask bool, dir *membership.Directory) []byte {
-	size := HeaderLen + 4 + 1 + 4
-	dir.Range(func(_ membership.NodeID, e *membership.Entry) { size += InfoPrefixLen + contentSize(dir.Content(e)) })
-	w := writer{buf: make([]byte, 0, size)}
-	start := w.header(TDirectory)
-	w.i32(int32(from))
-	w.bool(ask)
-	w.u32(uint32(dir.Len()))
-	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
-		services, attrs := dir.Content(e)
-		encPrefix(&w, e.InfoPrefix)
-		encContent(&w, services, attrs)
+	return exact(TDirectory, func(c codec) codec {
+		c.id(&from)
+		c.bool(&ask)
+		c.records(dir, 0)
+		return c
 	})
-	w.seal(start)
-	return w.buf
 }
 
 // DirectoryView is a decoded TDirectory packet: the two header fields plus
@@ -78,14 +70,11 @@ type DirectoryView struct {
 
 func (*DirectoryView) wireType() Type { return TDirectory }
 
-func (v *DirectoryView) enc(w *writer) {
-	w.i32(int32(v.From))
-	w.bool(v.Ask)
-	v.infos.enc(w)
-}
-
-func decDirectoryView(r *reader) *DirectoryView {
-	return &DirectoryView{From: membership.NodeID(r.i32()), Ask: r.bool(), infos: decInfoList(r, 0)}
+func (v *DirectoryView) body(c codec) codec {
+	c.id(&v.From)
+	c.bool(&v.Ask)
+	c.infos(&v.infos, 0)
+	return c
 }
 
 // Cursor returns a cursor positioned before the first record.

@@ -13,27 +13,48 @@
 //
 // The byte-level layout of the header and of every message, along with the
 // version-evolution rules, is specified in docs/WIRE.md; codec.go holds
-// the encoder/decoder primitives and messages.go the per-message
-// encodings, in the same order as the spec.
+// the primitives and messages.go the message types, in the same order as
+// the spec.
+//
+// Each body's layout is written once, as the body method of its message
+// type: one statement per field, each a primitive of a codec (c.u64(&h.Seq),
+// c.id(&h.Backup), c.str, c.bytes, c.pad, and list for every counted slice).
+// A codec runs in one of three directions — writing appends the fields to a
+// packet, reading parses them into the message (with the read-side checks:
+// bounded lengths, strict bools, the update-kind range and the info-flag
+// consistency), sizing counts their encoded length — so the same statements
+// encode, decode and size the message, and no layout is stated twice.
 //
 // Key API:
 //
 //   - Message: implemented by every packet body (Heartbeat, UpdateMsg,
-//     DirectoryMsg, Gossip, ProxySummary, ServiceRequest, ...).
+//     DirectoryMsg, Gossip, ProxySummary, ServiceRequest, ...), each through
+//     its body method.
+//   - The kind table (kinds in messages.go): one row per type tag with its
+//     name, the target Decode parses that kind's body into, and, for the
+//     four request-path kinds, the RequestDecoder's resident target.
+//     Type.String, Decode and RequestDecoder all read it; adding a kind is a
+//     constant, a message type with a body method, a row, and a sample in
+//     the tests' table (TestEveryKindHasASample fails without one).
 //   - Encode(m): serialize with the 8-byte packet header (magic, version,
 //     type, body CRC) into a fresh buffer of a guessed 256 bytes. It is the
 //     convenience form: its non-test callers are the bootstrap and sync
 //     exchanges of core, the directory IPC of dirserver, and figure code.
 //     Every per-beat and per-request sender keeps an Encoder and calls
 //     AppendEncode into a buffer sized for the packet by a remembered hint,
-//     or EncodeSized for the request-path kinds, which know their exact
-//     EncodedLen.
-//   - Decode(b): strict parse, returning one of the concrete message
-//     types (a view, for the record-carrying kinds below) or an error
-//     (ErrTruncated, ErrTrailing, bad magic/version).
+//     or EncodeSized for the request-path kinds, which writes the packet
+//     once into the Encoder's scratch buffer and copies it into a buffer of
+//     exactly its length.
+//   - Sizing: EncodedLen, and the exact buffers of EncodeDirectory and
+//     EncodeGossip, run the same layout in the counting direction; there is
+//     no size formula beside a layout.
+//   - Decode(b): strict parse into the kind table's target for b's tag,
+//     returning one of the concrete message types (a view, for the
+//     record-carrying kinds below) or an error (ErrTruncated, ErrTrailing,
+//     bad magic/version, unknown type).
 //   - RequestDecoder: the resident receive path of ServiceRequest,
 //     ServiceReply, LoadPoll and LoadReply. Same frame check and body
-//     parsers as Decode, into targets the decoder owns; the byte payload of
+//     methods as Decode, into targets the decoder owns; the byte payload of
 //     a request or reply is a clipped view of the packet on both paths
 //     (docs/WIRE.md §4 states the aliasing contract).
 //   - InfoList, InfoCursor and the views over them: the three packets that

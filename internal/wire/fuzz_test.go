@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzDecode exercises the strict decoder with arbitrary bytes plus
-// mutations of every valid packet type. Decode must never panic and, when
+// mutations of every sample of every packet kind. Decode must never panic and, when
 // it succeeds, re-encoding the message must decode again (idempotent
 // canonical form). The in-place paths are differential-tested against
 // their materialising references on the same inputs: directory snapshots
@@ -16,42 +16,10 @@ import (
 // FuzzGossipView drills them) and the request-path kinds
 // (checkResidentAgainstReference).
 func FuzzDecode(f *testing.F) {
-	seeds := []Message{
-		&Heartbeat{Info: sampleInfo(), Level: 1, Leader: true, Backup: 2, Seq: 7, Pad: 8},
-		&UpdateMsg{Sender: 3, Seq: 9, Updates: []Update{
-			{ID: UpdateID{Origin: 3, Counter: 9}, Kind: ULeave, Subject: 5},
-			{ID: UpdateID{Origin: 2, Counter: 1}, Kind: UJoin, Subject: 6, Info: sampleInfo()},
-		}},
-		&BootstrapRequest{From: 1, Level: 2},
-		&DirectoryMsg{From: 4, Ask: true, Infos: []membership.MemberInfo{sampleInfo()}},
-		&SyncRequest{From: 9},
-		&Gossip{From: 5, Entries: []GossipEntry{{Counter: 3, Info: sampleInfo()}}, Pad: 16},
-		&ProxySummary{DC: 1, Seq: 2, Chunk: 0, NChunks: 1, Entries: []SummaryEntry{{Service: "S", Partitions: []int32{1}, Nodes: 3}}},
-		&ProxyUpdate{DC: 0, Seq: 4, Upserts: []SummaryEntry{{Service: "T", Nodes: 1}}, Removes: []string{"S"}},
-		&ServiceRequest{ReqID: 1, From: 2, Service: "x", Partition: 3, Hops: 1, Payload: []byte("p")},
-		&ServiceReply{ReqID: 1, OK: true, Payload: []byte("r")},
-		&LoadPoll{From: 1, Token: 2},
-		&LoadReply{Token: 2, Load: 3},
-		&LoadReport{From: 1, Seq: 2, Load: 3},
-		&DirQuery{Service: "Retr.*", Partition: "*"},
-		&DirMatches{OK: true, Matches: []DirMatch{{
-			Node: 2, Service: "S", Partitions: []int32{0, 1},
-			Params: []membership.KV{{Key: "Port", Value: "80"}},
-			Attrs:  []membership.KV{{Key: "mem", Value: "2G"}},
-		}}},
-		&RapidBeat{From: 3, ConfigSeq: 2, Inc: 1, Beat: 99, Pad: 8},
-		&RapidInfo{ConfigSeq: 2, Info: sampleInfo()},
-		&RapidAlert{Observer: 1, Subject: 2, ConfigSeq: 3, Seq: 4, Down: true},
-		&RapidJoin{From: 7, ConfigSeq: 2, Info: sampleInfo()},
-		&RapidView{Seq: 3, Proposer: 0, Members: []membership.NodeID{0, 1, 2}, Infos: infoList(sampleInfo())},
-		&RapidProbe{From: 1, Token: 5},
-		&RapidProbeAck{From: 2, Token: 5},
-		&RapidSync{From: 4, ConfigSeq: 1},
-		&RapidPropose{From: 0, Token: 6, Seq: 2, Evict: []membership.NodeID{7}},
-		&RapidVote{From: 7, Token: 6, OK: false, Alive: []membership.NodeID{7}},
-	}
-	for _, m := range seeds {
-		f.Add(Encode(m))
+	for _, ms := range samples {
+		for _, m := range ms {
+			f.Add(Encode(m))
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x4D, 0x54, Version, 99, 0, 0, 0, 0})

@@ -32,15 +32,15 @@ type Gossip struct {
 
 func (*Gossip) wireType() Type { return TGossip }
 
-func (g *Gossip) enc(w *writer) {
-	w.i32(int32(g.From))
-	w.u32(uint32(len(g.Entries)))
-	for _, e := range g.Entries {
-		w.u64(e.Counter)
-		encInfo(w, e.Info)
+func (g *Gossip) body(c codec) codec {
+	c.id(&g.From)
+	for i := range list(&c, &g.Entries) {
+		c.u64(&g.Entries[i].Counter)
+		c.info(&g.Entries[i].Info)
 	}
-	w.u32(g.Pad)
-	w.zeros(int(g.Pad))
+	c.u32(&g.Pad)
+	c.pad(int(g.Pad))
+	return c
 }
 
 // gossipLead is what precedes each record of a gossip view: its u64 counter.
@@ -52,25 +52,14 @@ const gossipLead = 8
 // what Encode(&Gossip{…}) produces for those entries — without copying the
 // entries first and in one allocation of exactly the packet's size.
 func EncodeGossip(from membership.NodeID, dir *membership.Directory, entryPad int) []byte {
-	pad := max(entryPad, 0) * dir.Len()
-	size := HeaderLen + 4 + 4 + 4 + pad
-	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
-		size += gossipLead + InfoPrefixLen + contentSize(dir.Content(e))
+	pad := uint32(max(entryPad, 0) * dir.Len())
+	return exact(TGossip, func(c codec) codec {
+		c.id(&from)
+		c.records(dir, gossipLead)
+		c.u32(&pad)
+		c.pad(int(pad))
+		return c
 	})
-	w := writer{buf: make([]byte, 0, size)}
-	start := w.header(TGossip)
-	w.i32(int32(from))
-	w.u32(uint32(dir.Len()))
-	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
-		w.u64(e.Beat)
-		services, attrs := dir.Content(e)
-		encPrefix(&w, e.InfoPrefix)
-		encContent(&w, services, attrs)
-	})
-	w.u32(uint32(pad))
-	w.zeros(pad)
-	w.seal(start)
-	return w.buf
 }
 
 // GossipView is a decoded TGossip packet: the sender plus an immutable view
@@ -89,18 +78,12 @@ type GossipView struct {
 
 func (*GossipView) wireType() Type { return TGossip }
 
-func (v *GossipView) enc(w *writer) {
-	w.i32(int32(v.From))
-	v.entries.enc(w)
-	w.u32(v.pad)
-	w.zeros(int(v.pad))
-}
-
-func decGossipView(r *reader) *GossipView {
-	v := &GossipView{From: membership.NodeID(r.i32()), entries: decInfoList(r, gossipLead)}
-	v.pad = r.u32()
-	r.take(int(v.pad))
-	return v
+func (v *GossipView) body(c codec) codec {
+	c.id(&v.From)
+	c.infos(&v.entries, gossipLead)
+	c.u32(&v.pad)
+	c.pad(int(v.pad))
+	return c
 }
 
 // Cursor returns a cursor positioned before the first entry. The cursor's

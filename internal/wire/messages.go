@@ -4,13 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"slices"
 
 	"repro/internal/membership"
 )
 
 // Type tags each packet. The tag values and each body's byte layout are
-// specified in docs/WIRE.md §§2-4; the encodings below follow the spec's
+// specified in docs/WIRE.md §§2-4; the body methods below follow the spec's
 // order.
 type Type uint8
 
@@ -80,15 +80,62 @@ const (
 	TReform
 )
 
+// kind is one row of the kind table.
+type kind struct {
+	name string
+	// fresh makes the target Decode parses a body into; nil for a tag that
+	// is never sent.
+	fresh func() Message
+	// resident picks a RequestDecoder's own target for the kind; nil for
+	// every kind but the four of the request path.
+	resident func(*RequestDecoder) Message
+}
+
+// kinds is the one table of packet kinds, with a row for every value of the
+// tag byte. Type.String, Decode and RequestDecoder all read it; a tag whose
+// row has no decode target is unknown.
+var kinds = [256]kind{
+	TInvalid:          {"invalid", nil, nil},
+	THeartbeat:        {"heartbeat", fresh[Heartbeat], nil},
+	TUpdate:           {"update", fresh[UpdateMsg], nil},
+	TBootstrapRequest: {"bootstrapreq", fresh[BootstrapRequest], nil},
+	TDirectory:        {"directory", fresh[DirectoryView], nil},
+	TSyncRequest:      {"syncreq", fresh[SyncRequest], nil},
+	TGossip:           {"gossip", fresh[GossipView], nil},
+	TProxySummary:     {"proxysummary", fresh[ProxySummary], nil},
+	TProxyUpdate:      {"proxyupdate", fresh[ProxyUpdate], nil},
+	TServiceRequest:   {"svcreq", fresh[ServiceRequest], func(d *RequestDecoder) Message { return &d.req }},
+	TServiceReply:     {"svcreply", fresh[ServiceReply], func(d *RequestDecoder) Message { return &d.reply }},
+	TLoadPoll:         {"loadpoll", fresh[LoadPoll], func(d *RequestDecoder) Message { return &d.poll }},
+	TLoadReply:        {"loadreply", fresh[LoadReply], func(d *RequestDecoder) Message { return &d.load }},
+	TLoadReport:       {"loadreport", fresh[LoadReport], nil},
+	TDirQuery:         {"dirquery", fresh[DirQuery], nil},
+	TDirMatches:       {"dirmatches", fresh[DirMatches], nil},
+	TRapidBeat:        {"rapidbeat", fresh[RapidBeat], nil},
+	TRapidInfo:        {"rapidinfo", fresh[RapidInfo], nil},
+	TRapidAlert:       {"rapidalert", fresh[RapidAlert], nil},
+	TRapidJoin:        {"rapidjoin", fresh[RapidJoin], nil},
+	TRapidView:        {"rapidview", fresh[RapidView], nil},
+	TRapidProbe:       {"rapidprobe", fresh[RapidProbe], nil},
+	TRapidProbeAck:    {"rapidprobeack", fresh[RapidProbeAck], nil},
+	TRapidSync:        {"rapidsync", fresh[RapidSync], nil},
+	TRapidPropose:     {"rapidpropose", fresh[RapidPropose], nil},
+	TRapidVote:        {"rapidvote", fresh[RapidVote], nil},
+	THandoff:          {"handoff", fresh[Handoff], nil},
+	TReform:           {"reform", fresh[Reform], nil},
+}
+
+// fresh makes a zero message of type T: the decode target of its kind.
+func fresh[T any, M interface {
+	*T
+	Message
+}]() Message {
+	return M(new(T))
+}
+
 func (t Type) String() string {
-	names := [...]string{"invalid", "heartbeat", "update", "bootstrapreq", "directory",
-		"syncreq", "gossip", "proxysummary", "proxyupdate", "svcreq", "svcreply",
-		"loadpoll", "loadreply", "loadreport", "dirquery", "dirmatches",
-		"rapidbeat", "rapidinfo", "rapidalert", "rapidjoin", "rapidview",
-		"rapidprobe", "rapidprobeack", "rapidsync", "rapidpropose", "rapidvote",
-		"handoff", "reform"}
-	if int(t) < len(names) {
-		return names[t]
+	if name := kinds[t].name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -96,59 +143,49 @@ func (t Type) String() string {
 // Message is implemented by every packet body.
 type Message interface {
 	wireType() Type
-	enc(w *writer)
+	// body states the body's layout once, for every direction: it moves
+	// each field through c in wire order and returns c. The codec travels by
+	// value because a pointer passed through this interface call would move
+	// every Decode's and AppendEncode's codec to the heap.
+	body(c codec) codec
 }
 
 // Encode serializes a message with the 8-byte packet header (magic,
 // version, type, body CRC — see docs/WIRE.md §2). The checksum is computed
 // over the encoded body and written into the header after encoding.
-func Encode(m Message) []byte {
-	w := &writer{buf: make([]byte, 0, 256)}
-	encodeInto(w, m)
-	return w.buf
+func Encode(m Message) []byte { return new(Encoder).AppendEncode(make([]byte, 0, 256), m) }
+
+// header appends a packet header with a zero checksum to buf; seal fills in
+// the checksum of the packet that starts at start, over the body after it.
+func header(buf []byte, t Type) []byte {
+	return append(buf, Magic&0xFF, Magic>>8, Version, uint8(t), 0, 0, 0, 0)
 }
 
-// encodeInto appends one framed packet (header + body + patched CRC) to w.
-func encodeInto(w *writer, m Message) {
-	start := w.header(m.wireType())
-	m.enc(w)
-	w.seal(start)
+func seal(buf []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+HeaderLen:], crcTable))
+	return buf
 }
 
-// header appends the packet header with a zero checksum and returns its
-// offset; seal fills the checksum in once the body has been appended.
-func (w *writer) header(t Type) (start int) {
-	start = len(w.buf)
-	w.u16(Magic)
-	w.u8(Version)
-	w.u8(uint8(t))
-	w.u32(0)
-	return start
+// exact frames the body that body writes into one buffer of exactly the
+// packet's length, counted through the same layout first.
+func exact(t Type, body func(codec) codec) []byte {
+	buf := make([]byte, 0, HeaderLen+body(codec{dir: sizing}).off)
+	return seal(body(codec{reader: reader{buf: header(buf, t)}}).buf, 0)
 }
 
-func (w *writer) seal(start int) {
-	binary.LittleEndian.PutUint32(w.buf[start+4:start+8], crc32.Checksum(w.buf[start+HeaderLen:], crcTable))
-}
-
-// Encoder is the reusable, allocation-free encode path: AppendEncode writes
-// into a caller-supplied buffer, and the Encoder owns the scratch writer
-// whose address would otherwise escape into the Message interface call and
-// cost one heap allocation per packet. A long-lived sender keeps one Encoder
-// (it is not safe for concurrent use) and recycles its output buffers; the
-// framing is byte-identical to Encode.
+// Encoder is the allocation-free encode path: AppendEncode writes into a
+// caller-supplied buffer, byte-identical to Encode. A long-lived sender keeps
+// one (it is not safe for concurrent use) for EncodeSized's scratch buffer.
 type Encoder struct {
-	w writer
+	scratch []byte
 }
 
 // AppendEncode appends the framed encoding of m to dst and returns the
 // extended slice (reallocating like append when dst lacks capacity). With a
 // warm dst this performs zero allocations per packet.
-func (e *Encoder) AppendEncode(dst []byte, m Message) []byte {
-	e.w.buf = dst
-	encodeInto(&e.w, m)
-	buf := e.w.buf
-	e.w.buf = nil // do not retain the caller's buffer
-	return buf
+func (*Encoder) AppendEncode(dst []byte, m Message) []byte {
+	c := m.body(codec{reader: reader{buf: header(dst, m.wireType())}})
+	return seal(c.buf, len(dst))
 }
 
 // Sized is a message that knows the exact length of its encoded packet: the
@@ -161,8 +198,12 @@ type Sized interface {
 
 // EncodeSized frames m into a fresh buffer of exactly its encoded length —
 // the one allocation a send has to make, since the network keeps the packet.
+// The packet is written once, into the Encoder's scratch buffer (made on
+// first use), and copied out: cheaper than counting it through its layout
+// first.
 func (e *Encoder) EncodeSized(m Sized) []byte {
-	return e.AppendEncode(make([]byte, 0, m.EncodedLen()), m)
+	e.scratch = e.AppendEncode(slices.Grow(e.scratch[:0], 256), m)
+	return append(make([]byte, 0, len(e.scratch)), e.scratch...)
 }
 
 // open checks the packet frame — magic, version, and the checksum over
@@ -199,71 +240,17 @@ func TypeOf(b []byte) (Type, error) {
 // byte payloads of ServiceRequest and ServiceReply are views of b, not
 // copies (docs/WIRE.md §4).
 func Decode(b []byte) (Message, error) {
-	r := &reader{buf: b}
-	t, err := open(r)
+	c := codec{reader: reader{buf: b}, dir: reading}
+	t, err := open(&c.reader)
 	if err != nil {
 		return nil, err
 	}
-	var m Message
-	switch t {
-	case THeartbeat:
-		m = decHeartbeat(r)
-	case TUpdate:
-		m = decUpdateMsg(r)
-	case TBootstrapRequest:
-		m = decBootstrapRequest(r)
-	case TDirectory:
-		m = decDirectoryView(r)
-	case TSyncRequest:
-		m = decSyncRequest(r)
-	case TGossip:
-		m = decGossipView(r)
-	case TProxySummary:
-		m = decProxySummary(r)
-	case TProxyUpdate:
-		m = decProxyUpdate(r)
-	case TServiceRequest:
-		m = new(ServiceRequest).dec(r)
-	case TServiceReply:
-		m = new(ServiceReply).dec(r)
-	case TLoadPoll:
-		m = new(LoadPoll).dec(r)
-	case TLoadReply:
-		m = new(LoadReply).dec(r)
-	case TLoadReport:
-		m = decLoadReport(r)
-	case TDirQuery:
-		m = decDirQuery(r)
-	case TDirMatches:
-		m = decDirMatches(r)
-	case TRapidBeat:
-		m = decRapidBeat(r)
-	case TRapidInfo:
-		m = decRapidInfo(r)
-	case TRapidAlert:
-		m = decRapidAlert(r)
-	case TRapidJoin:
-		m = decRapidJoin(r)
-	case TRapidView:
-		m = decRapidView(r)
-	case TRapidProbe:
-		m = decRapidProbe(r)
-	case TRapidProbeAck:
-		m = decRapidProbeAck(r)
-	case TRapidSync:
-		m = decRapidSync(r)
-	case TRapidPropose:
-		m = decRapidPropose(r)
-	case TRapidVote:
-		m = decRapidVote(r)
-	case THandoff:
-		m = decHandoff(r)
-	case TReform:
-		m = decReform(r)
-	default:
+	if kinds[t].fresh == nil {
 		return nil, fmt.Errorf("wire: unknown packet type %d", uint8(t))
 	}
-	if err := r.done(); err != nil {
+	m := kinds[t].fresh()
+	c = m.body(c)
+	if err := c.done(); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -272,7 +259,7 @@ func Decode(b []byte) (Message, error) {
 // RequestDecoder is the resident receive path of the four request-path kinds
 // — ServiceRequest, ServiceReply, LoadPoll, LoadReply — for a receiver that
 // finishes with each packet before it looks at the next (the service
-// runtime). It runs the same frame check and the same body parsers as Decode,
+// runtime). It runs the same frame check and the same body methods as Decode,
 // into four targets it owns, so a steady request stream decodes without
 // allocating: the byte payload is a view of the packet and the service name
 // is re-made only when it differs from the previous request's.
@@ -289,104 +276,67 @@ type RequestDecoder struct {
 // to — the payload view, the service string — stays valid for as long as b
 // does). Any other kind is left unparsed, m == nil, for whoever consumes it.
 func (d *RequestDecoder) Decode(b []byte) (t Type, m Message, err error) {
-	r := reader{buf: b}
-	if t, err = open(&r); err != nil {
+	c := codec{reader: reader{buf: b}, dir: reading}
+	if t, err = open(&c.reader); err != nil {
 		return TInvalid, nil, err
 	}
-	switch t {
-	case TServiceRequest:
-		m = d.req.dec(&r)
-	case TServiceReply:
-		m = d.reply.dec(&r)
-	case TLoadPoll:
-		m = d.poll.dec(&r)
-	case TLoadReply:
-		m = d.load.dec(&r)
-	default:
+	if kinds[t].resident == nil {
 		return t, nil, nil
 	}
-	if err := r.done(); err != nil {
+	m = kinds[t].resident(d)
+	c = m.body(c)
+	if err := c.done(); err != nil {
 		return TInvalid, nil, err
 	}
 	return t, m, nil
 }
 
-// ---- shared sub-encodings ----
+// ---- shared sub-layouts (docs/WIRE.md §3) ----
 
-func encKVs(w *writer, kvs []membership.KV) {
-	w.u32(uint32(len(kvs)))
-	for _, kv := range kvs {
-		w.str(kv.Key)
-		w.str(kv.Value)
+func (c *codec) id(v *membership.NodeID) { c.i32((*int32)(v)) }
+
+func (c *codec) ids(s *[]membership.NodeID) {
+	for i := range list(c, s) {
+		c.id(&(*s)[i])
 	}
 }
 
-func decKVs(r *reader) []membership.KV {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
+func (c *codec) i32s(s *[]int32) {
+	for i := range list(c, s) {
+		c.i32(&(*s)[i])
 	}
-	out := make([]membership.KV, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		k := r.str()
-		v := r.str()
-		out = append(out, membership.KV{Key: k, Value: v})
-	}
-	return out
 }
 
-func encInfo(w *writer, m membership.MemberInfo) {
-	encPrefix(w, m.Prefix())
-	encContent(w, m.Services, m.Attrs)
+func (c *codec) kvs(s *[]membership.KV) {
+	for i := range list(c, s) {
+		c.str(&(*s)[i].Key)
+		c.str(&(*s)[i].Value)
+	}
 }
 
-// encPrefix and encContent append the two halves of a member record, the
-// halves a Directory holds apart: its fixed prefix and what it publishes.
-func encPrefix(w *writer, p membership.InfoPrefix) {
-	w.i32(int32(p.Node))
-	w.u32(p.Incarnation)
-	w.u64(p.Version)
-	w.u64(p.Beat)
+// info is one member record: its fixed prefix, then what it publishes.
+func (c *codec) info(m *membership.MemberInfo) {
+	c.prefix(&m.Node, &m.Incarnation, &m.Version, &m.Beat)
+	c.content(&m.Services, &m.Attrs)
 }
 
-func encContent(w *writer, services []membership.ServiceDecl, attrs []membership.KV) {
-	w.u32(uint32(len(services)))
-	for _, s := range services {
-		w.str(s.Name)
-		w.u32(uint32(len(s.Partitions)))
-		for _, p := range s.Partitions {
-			w.i32(p)
-		}
-		encKVs(w, s.Params)
-	}
-	encKVs(w, attrs)
+// prefix and content are the two halves of a member record, the halves a
+// Directory holds apart: its fixed 24-byte head and what it publishes.
+func (c *codec) prefix(node *membership.NodeID, inc *uint32, version, beat *uint64) {
+	c.id(node)
+	c.u32(inc)
+	c.u64(version)
+	c.u64(beat)
 }
 
-func decInfo(r *reader) membership.MemberInfo {
-	var m membership.MemberInfo
-	m.Node = membership.NodeID(r.i32())
-	m.Incarnation = r.u32()
-	m.Version = r.u64()
-	m.Beat = r.u64()
-	ns := r.sliceLen()
-	if ns > 0 {
-		m.Services = make([]membership.ServiceDecl, 0, ns)
+func (c *codec) content(services *[]membership.ServiceDecl, attrs *[]membership.KV) {
+	for i := range list(c, services) {
+		s := &(*services)[i]
+		c.str(&s.Name)
+		c.i32s(&s.Partitions)
+		c.kvs(&s.Params)
 	}
-	for i := 0; i < ns && r.err == nil; i++ {
-		var s membership.ServiceDecl
-		s.Name = r.str()
-		np := r.sliceLen()
-		if np > 0 {
-			s.Partitions = make([]int32, 0, np)
-		}
-		for j := 0; j < np && r.err == nil; j++ {
-			s.Partitions = append(s.Partitions, r.i32())
-		}
-		s.Params = decKVs(r)
-		m.Services = append(m.Services, s)
-	}
-	m.Attrs = decKVs(r)
-	return m
+	c.kvs(attrs)
 }
 
 // ---- heartbeat ----
@@ -409,26 +359,15 @@ type Heartbeat struct {
 
 func (*Heartbeat) wireType() Type { return THeartbeat }
 
-func (h *Heartbeat) enc(w *writer) {
-	encInfo(w, h.Info)
-	w.u8(h.Level)
-	w.bool(h.Leader)
-	w.i32(int32(h.Backup))
-	w.u64(h.Seq)
-	w.u16(h.Pad)
-	w.zeros(int(h.Pad))
-}
-
-func decHeartbeat(r *reader) *Heartbeat {
-	h := &Heartbeat{}
-	h.Info = decInfo(r)
-	h.Level = r.u8()
-	h.Leader = r.bool()
-	h.Backup = membership.NodeID(r.i32())
-	h.Seq = r.u64()
-	h.Pad = r.u16()
-	r.take(int(h.Pad))
-	return h
+func (h *Heartbeat) body(c codec) codec {
+	c.info(&h.Info)
+	c.u8(&h.Level)
+	c.bool(&h.Leader)
+	c.id(&h.Backup)
+	c.u64(&h.Seq)
+	c.u16(&h.Pad)
+	c.pad(int(h.Pad))
+	return c
 }
 
 // ---- updates ----
@@ -491,50 +430,29 @@ type UpdateMsg struct {
 
 func (*UpdateMsg) wireType() Type { return TUpdate }
 
-func (u *UpdateMsg) enc(w *writer) {
-	w.i32(int32(u.Sender))
-	w.u64(u.Seq)
-	w.u32(uint32(len(u.Updates)))
-	for _, up := range u.Updates {
-		w.i32(int32(up.ID.Origin))
-		w.u32(up.ID.Counter)
-		w.u8(uint8(up.Kind))
-		w.i32(int32(up.Subject))
+func (u *UpdateMsg) body(c codec) codec {
+	c.id(&u.Sender)
+	c.u64(&u.Seq)
+	for i := range list(&c, &u.Updates) {
+		up := &u.Updates[i]
+		c.id(&up.ID.Origin)
+		c.u32(&up.ID.Counter)
+		c.u8((*uint8)(&up.Kind))
+		if c.checking() && (up.Kind < UJoin || up.Kind > UDepart) {
+			c.fail(fmt.Errorf("wire: invalid update kind %d", uint8(up.Kind)))
+		}
+		c.id(&up.Subject)
 		hasInfo := up.Kind == UJoin || up.Kind == UChange
-		w.bool(hasInfo)
-		if hasInfo {
-			encInfo(w, up.Info)
+		flag := hasInfo
+		c.bool(&flag)
+		if c.checking() && flag != hasInfo {
+			c.fail(fmt.Errorf("wire: update info flag inconsistent with kind %v", up.Kind))
+		}
+		if flag {
+			c.info(&up.Info)
 		}
 	}
-}
-
-func decUpdateMsg(r *reader) *UpdateMsg {
-	u := &UpdateMsg{}
-	u.Sender = membership.NodeID(r.i32())
-	u.Seq = r.u64()
-	n := r.sliceLen()
-	if n > 0 {
-		u.Updates = make([]Update, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		var up Update
-		up.ID.Origin = membership.NodeID(r.i32())
-		up.ID.Counter = r.u32()
-		up.Kind = UpdateKind(r.u8())
-		if r.err == nil && (up.Kind < UJoin || up.Kind > UDepart) {
-			r.fail(fmt.Errorf("wire: invalid update kind %d", uint8(up.Kind)))
-		}
-		up.Subject = membership.NodeID(r.i32())
-		hasInfo := r.bool()
-		if r.err == nil && hasInfo != (up.Kind == UJoin || up.Kind == UChange) {
-			r.fail(fmt.Errorf("wire: update info flag inconsistent with kind %v", up.Kind))
-		}
-		if hasInfo {
-			up.Info = decInfo(r)
-		}
-		u.Updates = append(u.Updates, up)
-	}
-	return u
+	return c
 }
 
 // ---- bootstrap / sync ----
@@ -548,13 +466,10 @@ type BootstrapRequest struct {
 
 func (*BootstrapRequest) wireType() Type { return TBootstrapRequest }
 
-func (b *BootstrapRequest) enc(w *writer) {
-	w.i32(int32(b.From))
-	w.u8(b.Level)
-}
-
-func decBootstrapRequest(r *reader) *BootstrapRequest {
-	return &BootstrapRequest{From: membership.NodeID(r.i32()), Level: r.u8()}
+func (b *BootstrapRequest) body(c codec) codec {
+	c.id(&b.From)
+	c.u8(&b.Level)
+	return c
 }
 
 // SyncRequest asks the sender of lost updates for a full directory.
@@ -564,10 +479,9 @@ type SyncRequest struct {
 
 func (*SyncRequest) wireType() Type { return TSyncRequest }
 
-func (s *SyncRequest) enc(w *writer) { w.i32(int32(s.From)) }
-
-func decSyncRequest(r *reader) *SyncRequest {
-	return &SyncRequest{From: membership.NodeID(r.i32())}
+func (s *SyncRequest) body(c codec) codec {
+	c.id(&s.From)
+	return c
 }
 
 // ---- proxy ----
@@ -583,6 +497,15 @@ type SummaryEntry struct {
 	Nodes int32
 }
 
+func (c *codec) summaries(s *[]SummaryEntry) {
+	for i := range list(c, s) {
+		e := &(*s)[i]
+		c.str(&e.Service)
+		c.i32s(&e.Partitions)
+		c.i32(&e.Nodes)
+	}
+}
+
 // ProxySummary is the cross-data-center heartbeat carrying (a chunk of) the
 // sending data center's membership summary.
 type ProxySummary struct {
@@ -595,56 +518,13 @@ type ProxySummary struct {
 
 func (*ProxySummary) wireType() Type { return TProxySummary }
 
-func encSummaryEntries(w *writer, entries []SummaryEntry) {
-	w.u32(uint32(len(entries)))
-	for _, e := range entries {
-		w.str(e.Service)
-		w.u32(uint32(len(e.Partitions)))
-		for _, p := range e.Partitions {
-			w.i32(p)
-		}
-		w.i32(e.Nodes)
-	}
-}
-
-func decSummaryEntries(r *reader) []SummaryEntry {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	out := make([]SummaryEntry, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		var e SummaryEntry
-		e.Service = r.str()
-		np := r.sliceLen()
-		if np > 0 {
-			e.Partitions = make([]int32, 0, np)
-		}
-		for j := 0; j < np && r.err == nil; j++ {
-			e.Partitions = append(e.Partitions, r.i32())
-		}
-		e.Nodes = r.i32()
-		out = append(out, e)
-	}
-	return out
-}
-
-func (p *ProxySummary) enc(w *writer) {
-	w.u16(p.DC)
-	w.u64(p.Seq)
-	w.u16(p.Chunk)
-	w.u16(p.NChunks)
-	encSummaryEntries(w, p.Entries)
-}
-
-func decProxySummary(r *reader) *ProxySummary {
-	p := &ProxySummary{}
-	p.DC = r.u16()
-	p.Seq = r.u64()
-	p.Chunk = r.u16()
-	p.NChunks = r.u16()
-	p.Entries = decSummaryEntries(r)
-	return p
+func (p *ProxySummary) body(c codec) codec {
+	c.u16(&p.DC)
+	c.u64(&p.Seq)
+	c.u16(&p.Chunk)
+	c.u16(&p.NChunks)
+	c.summaries(&p.Entries)
+	return c
 }
 
 // ProxyUpdate is the incremental cross-data-center change notification sent
@@ -658,26 +538,14 @@ type ProxyUpdate struct {
 
 func (*ProxyUpdate) wireType() Type { return TProxyUpdate }
 
-func (p *ProxyUpdate) enc(w *writer) {
-	w.u16(p.DC)
-	w.u64(p.Seq)
-	encSummaryEntries(w, p.Upserts)
-	w.u32(uint32(len(p.Removes)))
-	for _, s := range p.Removes {
-		w.str(s)
+func (p *ProxyUpdate) body(c codec) codec {
+	c.u16(&p.DC)
+	c.u64(&p.Seq)
+	c.summaries(&p.Upserts)
+	for i := range list(&c, &p.Removes) {
+		c.str(&p.Removes[i])
 	}
-}
-
-func decProxyUpdate(r *reader) *ProxyUpdate {
-	p := &ProxyUpdate{}
-	p.DC = r.u16()
-	p.Seq = r.u64()
-	p.Upserts = decSummaryEntries(r)
-	n := r.sliceLen()
-	for i := 0; i < n && r.err == nil; i++ {
-		p.Removes = append(p.Removes, r.str())
-	}
-	return p
+	return c
 }
 
 // ---- service invocation ----
@@ -696,30 +564,18 @@ type ServiceRequest struct {
 
 func (*ServiceRequest) wireType() Type { return TServiceRequest }
 
-func (s *ServiceRequest) enc(w *writer) {
-	w.u64(s.ReqID)
-	w.i32(int32(s.From))
-	w.str(s.Service)
-	w.i32(s.Partition)
-	w.u8(s.Hops)
-	w.u32(uint32(len(s.Payload)))
-	w.buf = append(w.buf, s.Payload...)
-}
-
-func (s *ServiceRequest) dec(r *reader) *ServiceRequest {
-	s.ReqID = r.u64()
-	s.From = membership.NodeID(r.i32())
-	s.Service = r.strReuse(s.Service)
-	s.Partition = r.i32()
-	s.Hops = r.u8()
-	s.Payload = r.view()
-	return s
+func (s *ServiceRequest) body(c codec) codec {
+	c.u64(&s.ReqID)
+	c.id(&s.From)
+	c.str(&s.Service)
+	c.i32(&s.Partition)
+	c.u8(&s.Hops)
+	c.bytes(&s.Payload)
+	return c
 }
 
 // EncodedLen is the exact length of the packet Encode frames s into.
-func (s *ServiceRequest) EncodedLen() int {
-	return HeaderLen + 23 + min(len(s.Service), math.MaxUint16) + len(s.Payload)
-}
+func (s *ServiceRequest) EncodedLen() int { return HeaderLen + s.body(codec{dir: sizing}).off }
 
 // ServiceReply carries the result of a ServiceRequest back along the same
 // path.
@@ -731,22 +587,15 @@ type ServiceReply struct {
 
 func (*ServiceReply) wireType() Type { return TServiceReply }
 
-func (s *ServiceReply) enc(w *writer) {
-	w.u64(s.ReqID)
-	w.bool(s.OK)
-	w.u32(uint32(len(s.Payload)))
-	w.buf = append(w.buf, s.Payload...)
-}
-
-func (s *ServiceReply) dec(r *reader) *ServiceReply {
-	s.ReqID = r.u64()
-	s.OK = r.bool()
-	s.Payload = r.view()
-	return s
+func (s *ServiceReply) body(c codec) codec {
+	c.u64(&s.ReqID)
+	c.bool(&s.OK)
+	c.bytes(&s.Payload)
+	return c
 }
 
 // EncodedLen is the exact length of the packet Encode frames s into.
-func (s *ServiceReply) EncodedLen() int { return HeaderLen + 13 + len(s.Payload) }
+func (s *ServiceReply) EncodedLen() int { return HeaderLen + s.body(codec{dir: sizing}).off }
 
 // ---- load polling ----
 
@@ -760,19 +609,14 @@ type LoadPoll struct {
 
 func (*LoadPoll) wireType() Type { return TLoadPoll }
 
-func (l *LoadPoll) enc(w *writer) {
-	w.i32(int32(l.From))
-	w.u64(l.Token)
-}
-
-func (l *LoadPoll) dec(r *reader) *LoadPoll {
-	l.From = membership.NodeID(r.i32())
-	l.Token = r.u64()
-	return l
+func (l *LoadPoll) body(c codec) codec {
+	c.id(&l.From)
+	c.u64(&l.Token)
+	return c
 }
 
 // EncodedLen is the exact length of an encoded LoadPoll packet.
-func (*LoadPoll) EncodedLen() int { return HeaderLen + 12 }
+func (l *LoadPoll) EncodedLen() int { return HeaderLen + l.body(codec{dir: sizing}).off }
 
 // LoadReply returns the provider's queue length.
 type LoadReply struct {
@@ -782,19 +626,14 @@ type LoadReply struct {
 
 func (*LoadReply) wireType() Type { return TLoadReply }
 
-func (l *LoadReply) enc(w *writer) {
-	w.u64(l.Token)
-	w.u32(l.Load)
-}
-
-func (l *LoadReply) dec(r *reader) *LoadReply {
-	l.Token = r.u64()
-	l.Load = r.u32()
-	return l
+func (l *LoadReply) body(c codec) codec {
+	c.u64(&l.Token)
+	c.u32(&l.Load)
+	return c
 }
 
 // EncodedLen is the exact length of an encoded LoadReply packet.
-func (*LoadReply) EncodedLen() int { return HeaderLen + 12 }
+func (l *LoadReply) EncodedLen() int { return HeaderLen + l.body(codec{dir: sizing}).off }
 
 // LoadReport is an unsolicited load sample pushed by a provider to the
 // consumers that recently used it. Seq orders reports from one provider so
@@ -807,18 +646,15 @@ type LoadReport struct {
 
 func (*LoadReport) wireType() Type { return TLoadReport }
 
-func (l *LoadReport) enc(w *writer) {
-	w.i32(int32(l.From))
-	w.u64(l.Seq)
-	w.u32(l.Load)
+func (l *LoadReport) body(c codec) codec {
+	c.id(&l.From)
+	c.u64(&l.Seq)
+	c.u32(&l.Load)
+	return c
 }
 
 // EncodedLen is the exact length of an encoded LoadReport packet.
-func (*LoadReport) EncodedLen() int { return HeaderLen + 16 }
-
-func decLoadReport(r *reader) *LoadReport {
-	return &LoadReport{From: membership.NodeID(r.i32()), Seq: r.u64(), Load: r.u32()}
-}
+func (l *LoadReport) EncodedLen() int { return HeaderLen + l.body(codec{dir: sizing}).off }
 
 // ---- directory IPC (daemon/client split of §5) ----
 
@@ -833,13 +669,10 @@ type DirQuery struct {
 
 func (*DirQuery) wireType() Type { return TDirQuery }
 
-func (q *DirQuery) enc(w *writer) {
-	w.str(q.Service)
-	w.str(q.Partition)
-}
-
-func decDirQuery(r *reader) *DirQuery {
-	return &DirQuery{Service: r.str(), Partition: r.str()}
+func (q *DirQuery) body(c codec) codec {
+	c.str(&q.Service)
+	c.str(&q.Partition)
+	return c
 }
 
 // DirMatch is one matched machine in a DirMatches reply.
@@ -860,40 +693,18 @@ type DirMatches struct {
 
 func (*DirMatches) wireType() Type { return TDirMatches }
 
-func (m *DirMatches) enc(w *writer) {
-	w.bool(m.OK)
-	w.str(m.Error)
-	w.u32(uint32(len(m.Matches)))
-	for _, dm := range m.Matches {
-		w.i32(int32(dm.Node))
-		w.str(dm.Service)
-		w.u32(uint32(len(dm.Partitions)))
-		for _, p := range dm.Partitions {
-			w.i32(p)
-		}
-		encKVs(w, dm.Params)
-		encKVs(w, dm.Attrs)
+func (m *DirMatches) body(c codec) codec {
+	c.bool(&m.OK)
+	c.str(&m.Error)
+	for i := range list(&c, &m.Matches) {
+		dm := &m.Matches[i]
+		c.id(&dm.Node)
+		c.str(&dm.Service)
+		c.i32s(&dm.Partitions)
+		c.kvs(&dm.Params)
+		c.kvs(&dm.Attrs)
 	}
-}
-
-func decDirMatches(r *reader) *DirMatches {
-	m := &DirMatches{}
-	m.OK = r.bool()
-	m.Error = r.str()
-	n := r.sliceLen()
-	for i := 0; i < n && r.err == nil; i++ {
-		var dm DirMatch
-		dm.Node = membership.NodeID(r.i32())
-		dm.Service = r.str()
-		np := r.sliceLen()
-		for j := 0; j < np && r.err == nil; j++ {
-			dm.Partitions = append(dm.Partitions, r.i32())
-		}
-		dm.Params = decKVs(r)
-		dm.Attrs = decKVs(r)
-		m.Matches = append(m.Matches, dm)
-	}
-	return m
+	return c
 }
 
 // ---- rapid stable membership ----
@@ -913,24 +724,14 @@ type RapidBeat struct {
 
 func (*RapidBeat) wireType() Type { return TRapidBeat }
 
-func (b *RapidBeat) enc(w *writer) {
-	w.i32(int32(b.From))
-	w.u64(b.ConfigSeq)
-	w.u32(b.Inc)
-	w.u64(b.Beat)
-	w.u16(b.Pad)
-	w.zeros(int(b.Pad))
-}
-
-func decRapidBeat(r *reader) *RapidBeat {
-	b := &RapidBeat{}
-	b.From = membership.NodeID(r.i32())
-	b.ConfigSeq = r.u64()
-	b.Inc = r.u32()
-	b.Beat = r.u64()
-	b.Pad = r.u16()
-	r.take(int(b.Pad))
-	return b
+func (b *RapidBeat) body(c codec) codec {
+	c.id(&b.From)
+	c.u64(&b.ConfigSeq)
+	c.u32(&b.Inc)
+	c.u64(&b.Beat)
+	c.u16(&b.Pad)
+	c.pad(int(b.Pad))
+	return c
 }
 
 // RapidInfo disseminates one member's service/attribute record. Rapid's
@@ -943,16 +744,10 @@ type RapidInfo struct {
 
 func (*RapidInfo) wireType() Type { return TRapidInfo }
 
-func (m *RapidInfo) enc(w *writer) {
-	w.u64(m.ConfigSeq)
-	encInfo(w, m.Info)
-}
-
-func decRapidInfo(r *reader) *RapidInfo {
-	m := &RapidInfo{}
-	m.ConfigSeq = r.u64()
-	m.Info = decInfo(r)
-	return m
+func (m *RapidInfo) body(c codec) codec {
+	c.u64(&m.ConfigSeq)
+	c.info(&m.Info)
+	return c
 }
 
 // RapidAlert is one edge report into the multi-node cut detector: Observer
@@ -969,22 +764,13 @@ type RapidAlert struct {
 
 func (*RapidAlert) wireType() Type { return TRapidAlert }
 
-func (a *RapidAlert) enc(w *writer) {
-	w.i32(int32(a.Observer))
-	w.i32(int32(a.Subject))
-	w.u64(a.ConfigSeq)
-	w.u32(a.Seq)
-	w.bool(a.Down)
-}
-
-func decRapidAlert(r *reader) *RapidAlert {
-	a := &RapidAlert{}
-	a.Observer = membership.NodeID(r.i32())
-	a.Subject = membership.NodeID(r.i32())
-	a.ConfigSeq = r.u64()
-	a.Seq = r.u32()
-	a.Down = r.bool()
-	return a
+func (a *RapidAlert) body(c codec) codec {
+	c.id(&a.Observer)
+	c.id(&a.Subject)
+	c.u64(&a.ConfigSeq)
+	c.u32(&a.Seq)
+	c.bool(&a.Down)
+	return c
 }
 
 // RapidJoin asks a configuration member to sponsor the sender into the next
@@ -999,18 +785,11 @@ type RapidJoin struct {
 
 func (*RapidJoin) wireType() Type { return TRapidJoin }
 
-func (j *RapidJoin) enc(w *writer) {
-	w.i32(int32(j.From))
-	w.u64(j.ConfigSeq)
-	encInfo(w, j.Info)
-}
-
-func decRapidJoin(r *reader) *RapidJoin {
-	j := &RapidJoin{}
-	j.From = membership.NodeID(r.i32())
-	j.ConfigSeq = r.u64()
-	j.Info = decInfo(r)
-	return j
+func (j *RapidJoin) body(c codec) codec {
+	c.id(&j.From)
+	c.u64(&j.ConfigSeq)
+	c.info(&j.Info)
+	return c
 }
 
 // RapidView installs configuration Seq atomically: Members is the complete
@@ -1031,29 +810,12 @@ type RapidView struct {
 
 func (*RapidView) wireType() Type { return TRapidView }
 
-func (v *RapidView) enc(w *writer) {
-	w.u64(v.Seq)
-	w.i32(int32(v.Proposer))
-	w.u32(uint32(len(v.Members)))
-	for _, m := range v.Members {
-		w.i32(int32(m))
-	}
-	v.Infos.enc(w)
-}
-
-func decRapidView(r *reader) *RapidView {
-	v := &RapidView{}
-	v.Seq = r.u64()
-	v.Proposer = membership.NodeID(r.i32())
-	n := r.sliceLen()
-	if n > 0 {
-		v.Members = make([]membership.NodeID, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		v.Members = append(v.Members, membership.NodeID(r.i32()))
-	}
-	v.Infos = decInfoList(r, 0)
-	return v
+func (v *RapidView) body(c codec) codec {
+	c.u64(&v.Seq)
+	c.id(&v.Proposer)
+	c.ids(&v.Members)
+	c.infos(&v.Infos, 0)
+	return c
 }
 
 // RapidProbe is the proposer's direct pre-eviction liveness check on a cut
@@ -1066,13 +828,10 @@ type RapidProbe struct {
 
 func (*RapidProbe) wireType() Type { return TRapidProbe }
 
-func (p *RapidProbe) enc(w *writer) {
-	w.i32(int32(p.From))
-	w.u64(p.Token)
-}
-
-func decRapidProbe(r *reader) *RapidProbe {
-	return &RapidProbe{From: membership.NodeID(r.i32()), Token: r.u64()}
+func (p *RapidProbe) body(c codec) codec {
+	c.id(&p.From)
+	c.u64(&p.Token)
+	return c
 }
 
 // RapidProbeAck answers a RapidProbe; the echoed token pairs it with one
@@ -1084,13 +843,10 @@ type RapidProbeAck struct {
 
 func (*RapidProbeAck) wireType() Type { return TRapidProbeAck }
 
-func (p *RapidProbeAck) enc(w *writer) {
-	w.i32(int32(p.From))
-	w.u64(p.Token)
-}
-
-func decRapidProbeAck(r *reader) *RapidProbeAck {
-	return &RapidProbeAck{From: membership.NodeID(r.i32()), Token: r.u64()}
+func (p *RapidProbeAck) body(c codec) codec {
+	c.id(&p.From)
+	c.u64(&p.Token)
+	return c
 }
 
 // RapidSync asks a peer on a newer configuration to resend its current
@@ -1103,13 +859,10 @@ type RapidSync struct {
 
 func (*RapidSync) wireType() Type { return TRapidSync }
 
-func (s *RapidSync) enc(w *writer) {
-	w.i32(int32(s.From))
-	w.u64(s.ConfigSeq)
-}
-
-func decRapidSync(r *reader) *RapidSync {
-	return &RapidSync{From: membership.NodeID(r.i32()), ConfigSeq: r.u64()}
+func (s *RapidSync) body(c codec) codec {
+	c.id(&s.From)
+	c.u64(&s.ConfigSeq)
+	return c
 }
 
 // RapidPropose opens the ratification round for configuration Seq: the
@@ -1127,29 +880,12 @@ type RapidPropose struct {
 
 func (*RapidPropose) wireType() Type { return TRapidPropose }
 
-func (p *RapidPropose) enc(w *writer) {
-	w.i32(int32(p.From))
-	w.u64(p.Token)
-	w.u64(p.Seq)
-	w.u32(uint32(len(p.Evict)))
-	for _, m := range p.Evict {
-		w.i32(int32(m))
-	}
-}
-
-func decRapidPropose(r *reader) *RapidPropose {
-	p := &RapidPropose{}
-	p.From = membership.NodeID(r.i32())
-	p.Token = r.u64()
-	p.Seq = r.u64()
-	n := r.sliceLen()
-	if n > 0 {
-		p.Evict = make([]membership.NodeID, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		p.Evict = append(p.Evict, membership.NodeID(r.i32()))
-	}
-	return p
+func (p *RapidPropose) body(c codec) codec {
+	c.id(&p.From)
+	c.u64(&p.Token)
+	c.u64(&p.Seq)
+	c.ids(&p.Evict)
+	return c
 }
 
 // RapidVote answers a RapidPropose. OK ratifies the eviction set; otherwise
@@ -1166,29 +902,12 @@ type RapidVote struct {
 
 func (*RapidVote) wireType() Type { return TRapidVote }
 
-func (v *RapidVote) enc(w *writer) {
-	w.i32(int32(v.From))
-	w.u64(v.Token)
-	w.bool(v.OK)
-	w.u32(uint32(len(v.Alive)))
-	for _, m := range v.Alive {
-		w.i32(int32(m))
-	}
-}
-
-func decRapidVote(r *reader) *RapidVote {
-	v := &RapidVote{}
-	v.From = membership.NodeID(r.i32())
-	v.Token = r.u64()
-	v.OK = r.bool()
-	n := r.sliceLen()
-	if n > 0 {
-		v.Alive = make([]membership.NodeID, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		v.Alive = append(v.Alive, membership.NodeID(r.i32()))
-	}
-	return v
+func (v *RapidVote) body(c codec) codec {
+	c.id(&v.From)
+	c.u64(&v.Token)
+	c.bool(&v.OK)
+	c.ids(&v.Alive)
+	return c
 }
 
 // ---- adaptive hierarchy (docs/ADAPTIVE.md) ----
@@ -1206,20 +925,12 @@ type Handoff struct {
 
 func (*Handoff) wireType() Type { return THandoff }
 
-func (h *Handoff) enc(w *writer) {
-	w.i32(int32(h.From))
-	w.u8(h.Level)
-	w.u64(h.Seq)
-	w.i32(int32(h.Successor))
-}
-
-func decHandoff(r *reader) *Handoff {
-	return &Handoff{
-		From:      membership.NodeID(r.i32()),
-		Level:     r.u8(),
-		Seq:       r.u64(),
-		Successor: membership.NodeID(r.i32()),
-	}
+func (h *Handoff) body(c codec) codec {
+	c.id(&h.From)
+	c.u8(&h.Level)
+	c.u64(&h.Seq)
+	c.id(&h.Successor)
+	return c
 }
 
 // Reform is one group re-formation round: the initiating level-0 leader
@@ -1237,27 +948,10 @@ type Reform struct {
 
 func (*Reform) wireType() Type { return TReform }
 
-func (f *Reform) enc(w *writer) {
-	w.i32(int32(f.From))
-	w.u64(f.Epoch)
-	w.u32(f.NewChannel)
-	w.u32(uint32(len(f.Movers)))
-	for _, m := range f.Movers {
-		w.i32(int32(m))
-	}
-}
-
-func decReform(r *reader) *Reform {
-	f := &Reform{}
-	f.From = membership.NodeID(r.i32())
-	f.Epoch = r.u64()
-	f.NewChannel = r.u32()
-	n := r.sliceLen()
-	if n > 0 {
-		f.Movers = make([]membership.NodeID, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		f.Movers = append(f.Movers, membership.NodeID(r.i32()))
-	}
-	return f
+func (f *Reform) body(c codec) codec {
+	c.id(&f.From)
+	c.u64(&f.Epoch)
+	c.u32(&f.NewChannel)
+	c.ids(&f.Movers)
+	return c
 }

@@ -10,39 +10,26 @@ import (
 
 // The decoders the in-place views replaced — every record of a packet built
 // into a slice — kept as the references the views are checked against. Each
-// takes a packet whose header is known to be good.
+// takes a packet whose header is known to be good and reads its body through
+// the slice-holding layout of the same kind, so every record is built.
 
-func decInfos(r *reader) []membership.MemberInfo {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	out := make([]membership.MemberInfo, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, decInfo(r))
-	}
-	return out
+// readBody reads the body of b into m through m's layout.
+func readBody(b []byte, m Message) error {
+	c := m.body(codec{reader: reader{buf: b, off: HeaderLen}, dir: reading})
+	return c.done()
 }
 
 func refDecodeDirectory(b []byte) (*DirectoryMsg, error) {
-	r := &reader{buf: b, off: HeaderLen}
-	d := &DirectoryMsg{From: membership.NodeID(r.i32()), Ask: r.bool(), Infos: decInfos(r)}
-	if err := r.done(); err != nil {
+	d := new(DirectoryMsg)
+	if err := readBody(b, d); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
 func refDecodeGossip(b []byte) (*Gossip, error) {
-	r := &reader{buf: b, off: HeaderLen}
-	g := &Gossip{From: membership.NodeID(r.i32())}
-	n := r.sliceLen()
-	for i := 0; i < n && r.err == nil; i++ {
-		g.Entries = append(g.Entries, GossipEntry{Counter: r.u64(), Info: decInfo(r)})
-	}
-	g.Pad = r.u32()
-	r.take(int(g.Pad))
-	if err := r.done(); err != nil {
+	g := new(Gossip)
+	if err := readBody(b, g); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -56,15 +43,21 @@ type refRapidView struct {
 	Infos    []membership.MemberInfo
 }
 
-func refDecodeRapidView(b []byte) (*refRapidView, error) {
-	r := &reader{buf: b, off: HeaderLen}
-	v := &refRapidView{Seq: r.u64(), Proposer: membership.NodeID(r.i32())}
-	n := r.sliceLen()
-	for i := 0; i < n && r.err == nil; i++ {
-		v.Members = append(v.Members, membership.NodeID(r.i32()))
+func (*refRapidView) wireType() Type { return TRapidView }
+
+func (v *refRapidView) body(c codec) codec {
+	c.u64(&v.Seq)
+	c.id(&v.Proposer)
+	c.ids(&v.Members)
+	for i := range list(&c, &v.Infos) {
+		c.info(&v.Infos[i])
 	}
-	v.Infos = decInfos(r)
-	if err := r.done(); err != nil {
+	return c
+}
+
+func refDecodeRapidView(b []byte) (*refRapidView, error) {
+	v := new(refRapidView)
+	if err := readBody(b, v); err != nil {
 		return nil, err
 	}
 	return v, nil

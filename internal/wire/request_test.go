@@ -37,12 +37,12 @@ func refDecodeRequestKind(b []byte) (Message, error) {
 	var m Message
 	switch t {
 	case TServiceRequest:
-		m = &ServiceRequest{ReqID: r.u64(), From: membership.NodeID(r.i32()), Service: r.str(),
-			Partition: r.i32(), Hops: r.u8(), Payload: bytesField()}
+		m = &ServiceRequest{ReqID: r.u64(), From: membership.NodeID(r.u32()), Service: r.str(""),
+			Partition: int32(r.u32()), Hops: r.u8(), Payload: bytesField()}
 	case TServiceReply:
 		m = &ServiceReply{ReqID: r.u64(), OK: r.bool(), Payload: bytesField()}
 	case TLoadPoll:
-		m = &LoadPoll{From: membership.NodeID(r.i32()), Token: r.u64()}
+		m = &LoadPoll{From: membership.NodeID(r.u32()), Token: r.u64()}
 	case TLoadReply:
 		m = &LoadReply{Token: r.u64(), Load: r.u32()}
 	default:

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"math"
 
 	"repro/internal/membership"
 )
@@ -20,29 +19,8 @@ import (
 // node (4), incarnation (4), version (8), beat (8).
 const InfoPrefixLen = 24
 
-// contentSize is the number of bytes encContent appends for services and
-// attrs; the whole record is InfoPrefixLen more.
-func contentSize(services []membership.ServiceDecl, attrs []membership.KV) int {
-	n := 4 + kvsSize(attrs)
-	for i := range services {
-		s := &services[i]
-		n += strSize(s.Name) + 4 + 4*len(s.Partitions) + kvsSize(s.Params)
-	}
-	return n
-}
-
-func kvsSize(kvs []membership.KV) int {
-	n := 4
-	for _, kv := range kvs {
-		n += strSize(kv.Key) + strSize(kv.Value)
-	}
-	return n
-}
-
-func strSize(s string) int { return 2 + min(len(s), math.MaxUint16) }
-
 // skipInfo advances r over one encoded MemberInfo, failing exactly where
-// decInfo would, without building anything.
+// reading it through codec.info would, without building anything.
 func skipInfo(r *reader) {
 	// A record with no services and no attributes ends in two zero counts;
 	// spotting them as one word keeps the walk over a snapshot of such
@@ -79,9 +57,9 @@ type InfoList struct {
 
 // Append encodes m onto the end of the list.
 func (l *InfoList) Append(m membership.MemberInfo) {
-	w := writer{buf: l.b}
-	encInfo(&w, m)
-	l.b = w.buf
+	c := codec{reader: reader{buf: l.b}}
+	c.info(&m)
+	l.b = c.buf
 	l.n++
 }
 
@@ -91,9 +69,35 @@ func (l InfoList) Cursor() InfoCursor { return l.cursor(0) }
 
 func (l InfoList) cursor(lead int) InfoCursor { return InfoCursor{rest: l.b, left: l.n, lead: lead} }
 
-func (l InfoList) enc(w *writer) {
-	w.u32(uint32(l.n))
-	w.buf = append(w.buf, l.b...)
+// infos moves a counted run of member records, each behind lead bytes.
+// Reading validates the run in one decInfoList walk and keeps it in place.
+func (c *codec) infos(l *InfoList, lead int) {
+	switch c.dir {
+	case writing:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(l.n))
+		c.buf = append(c.buf, l.b...)
+	case reading:
+		*l = decInfoList(&c.reader, lead)
+	case sizing:
+		c.off += 4 + len(l.b)
+	}
+}
+
+// records writes or counts the live entries of dir in node order as the run
+// of member records infos reads back with the same lead: a gossip view's lead
+// is each entry's beat, as its u64 counter. It is how a node publishes its
+// own directory without building the records first.
+func (c *codec) records(dir *membership.Directory, lead int) {
+	n := dir.Len()
+	c.count(&n)
+	dir.Range(func(_ membership.NodeID, e *membership.Entry) {
+		if lead == gossipLead {
+			c.u64(&e.Beat)
+		}
+		services, attrs := dir.Content(e)
+		c.prefix(&e.Node, &e.Incarnation, &e.Version, &e.Beat)
+		c.content(&services, &attrs)
+	})
 }
 
 // decInfoList reads a count and walks that many records, each preceded by
@@ -148,6 +152,8 @@ func (c *InfoCursor) Prefix() membership.InfoPrefix {
 // Info decodes the current record in full. The result shares nothing with
 // the payload.
 func (c *InfoCursor) Info() membership.MemberInfo {
-	r := reader{buf: c.cur}
-	return decInfo(&r)
+	var m membership.MemberInfo
+	dec := codec{reader: reader{buf: c.cur}, dir: reading}
+	dec.info(&m)
+	return m
 }

@@ -3,9 +3,15 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"reflect"
+	"regexp"
 	"testing"
 	"testing/quick"
 
@@ -61,48 +67,151 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
-func TestRoundTripAll(t *testing.T) {
-	msgs := []Message{
+// samples holds messages of every kind, keyed by the kind's tag: the round
+// trip, the FuzzDecode corpus and the RequestDecoder differential all read it,
+// and TestEveryKindHasASample fails for a row of the kind table without one.
+var samples = [len(kinds)][]Message{
+	THeartbeat: {
 		&Heartbeat{Info: sampleInfo(), Level: 2, Leader: true, Backup: 9, Seq: 100},
 		&Heartbeat{Info: membership.MemberInfo{Node: 1}, Backup: membership.NoNode},
+		&Heartbeat{Info: sampleInfo(), Level: 1, Leader: true, Backup: 2, Seq: 7, Pad: 8},
+	},
+	TUpdate: {
 		&UpdateMsg{Sender: 3, Seq: 8, Updates: []Update{
 			{ID: UpdateID{Origin: 3, Counter: 8}, Kind: ULeave, Subject: 5},
 			{ID: UpdateID{Origin: 3, Counter: 7}, Kind: UJoin, Subject: 6, Info: sampleInfo()},
 			{ID: UpdateID{Origin: 2, Counter: 1}, Kind: UChange, Subject: 7, Info: sampleInfo()},
+			{ID: UpdateID{Origin: 2, Counter: 2}, Kind: UDepart, Subject: 2},
 		}},
 		&UpdateMsg{Sender: 1, Seq: 1},
-		&BootstrapRequest{From: 4, Level: 1},
+	},
+	TBootstrapRequest: {&BootstrapRequest{From: 4, Level: 1}},
+	TDirectory: {
 		&DirectoryMsg{From: 2, Ask: true, Infos: []membership.MemberInfo{sampleInfo(), {Node: 1}}},
 		&DirectoryMsg{From: 2},
-		&SyncRequest{From: 11},
+	},
+	TSyncRequest: {&SyncRequest{From: 11}},
+	TGossip: {
 		&Gossip{From: 5, Entries: []GossipEntry{{Counter: 42, Info: sampleInfo()}, {Counter: 7, Info: membership.MemberInfo{Node: 2}}}},
-		&ProxySummary{DC: 1, Seq: 9, Chunk: 0, NChunks: 2, Entries: []SummaryEntry{
-			{Service: "Retriever", Partitions: []int32{0, 1}, Nodes: 6},
-			{Service: "HTTP", Nodes: 2},
-		}},
-		&ProxyUpdate{DC: 0, Seq: 3, Upserts: []SummaryEntry{{Service: "Doc", Partitions: []int32{2}, Nodes: 1}}, Removes: []string{"Retriever"}},
-		&ServiceRequest{ReqID: 77, From: 3, Service: "idx", Partition: 2, Hops: 1, Payload: []byte("query")},
+		&Gossip{From: 5, Entries: []GossipEntry{{Counter: 3, Info: sampleInfo()}}, Pad: 16},
+	},
+	TProxySummary: {&ProxySummary{DC: 1, Seq: 9, Chunk: 0, NChunks: 2, Entries: []SummaryEntry{
+		{Service: "Retriever", Partitions: []int32{0, 1}, Nodes: 6},
+		{Service: "HTTP", Nodes: 2},
+	}}},
+	TProxyUpdate:    {&ProxyUpdate{DC: 0, Seq: 3, Upserts: []SummaryEntry{{Service: "Doc", Partitions: []int32{2}, Nodes: 1}}, Removes: []string{"Retriever", "HTTP"}}},
+	TServiceRequest: {&ServiceRequest{ReqID: 77, From: 3, Service: "idx", Partition: 2, Hops: 1, Payload: []byte("query")}},
+	TServiceReply: {
 		&ServiceReply{ReqID: 77, OK: true, Payload: []byte("result")},
 		&ServiceReply{ReqID: 78, OK: false},
-		&LoadPoll{From: 3, Token: 123},
-		&LoadReply{Token: 123, Load: 17},
-		&RapidBeat{From: 3, ConfigSeq: 5, Inc: 2, Beat: 77},
-		&RapidInfo{ConfigSeq: 5, Info: sampleInfo()},
+	},
+	TLoadPoll:   {&LoadPoll{From: 3, Token: 123}},
+	TLoadReply:  {&LoadReply{Token: 123, Load: 17}},
+	TLoadReport: {&LoadReport{From: 1, Seq: 2, Load: 3}},
+	TDirQuery:   {&DirQuery{Service: "Retr.*", Partition: "*"}},
+	TDirMatches: {
+		&DirMatches{OK: true, Matches: []DirMatch{
+			{Node: 2, Service: "S", Partitions: []int32{0, 1},
+				Params: []membership.KV{{Key: "Port", Value: "80"}}, Attrs: []membership.KV{{Key: "mem", Value: "2G"}}},
+			{Node: 5, Service: "T"},
+		}},
+		&DirMatches{Error: "bad pattern"},
+	},
+	TRapidBeat: {&RapidBeat{From: 3, ConfigSeq: 5, Inc: 2, Beat: 77}, &RapidBeat{From: 3, ConfigSeq: 2, Inc: 1, Beat: 99, Pad: 8}},
+	TRapidInfo: {&RapidInfo{ConfigSeq: 5, Info: sampleInfo()}},
+	TRapidAlert: {
 		&RapidAlert{Observer: 1, Subject: 9, ConfigSeq: 5, Seq: 12, Down: true},
 		&RapidAlert{Observer: 1, Subject: 9, ConfigSeq: 5, Seq: 13},
-		&RapidJoin{From: 8, ConfigSeq: 4, Info: sampleInfo()},
+	},
+	TRapidJoin: {&RapidJoin{From: 8, ConfigSeq: 4, Info: sampleInfo()}},
+	TRapidView: {
 		&RapidView{Seq: 6, Proposer: 0, Members: []membership.NodeID{0, 1, 2}, Infos: infoList(sampleInfo(), membership.MemberInfo{Node: 1})},
 		&RapidView{Seq: 1, Proposer: membership.NoNode, Members: []membership.NodeID{3}},
-		&RapidProbe{From: 0, Token: 42},
-		&RapidProbeAck{From: 9, Token: 42},
-		&RapidSync{From: 2, ConfigSeq: 3},
+	},
+	TRapidProbe:    {&RapidProbe{From: 0, Token: 42}},
+	TRapidProbeAck: {&RapidProbeAck{From: 9, Token: 42}},
+	TRapidSync:     {&RapidSync{From: 2, ConfigSeq: 3}},
+	TRapidPropose: {
 		&RapidPropose{From: 0, Token: 9, Seq: 4, Evict: []membership.NodeID{7, 11}},
 		&RapidPropose{From: 5, Token: 10, Seq: 2},
+	},
+	TRapidVote: {
 		&RapidVote{From: 3, Token: 9, OK: true},
 		&RapidVote{From: 6, Token: 9, OK: false, Alive: []membership.NodeID{7}},
+	},
+	THandoff: {&Handoff{From: 3, Level: 1, Seq: 9, Successor: 5}},
+	TReform: {
+		&Reform{From: 2, Epoch: 4, NewChannel: 77, Movers: []membership.NodeID{5, 6, 7}},
+		&Reform{From: 2, Epoch: 5, NewChannel: 1},
+	},
+}
+
+// TestEveryKindHasASample: a kind added to the table without a sample would
+// go untested by the round trip, the fuzz corpus and the resident-decoder
+// differential alike.
+func TestEveryKindHasASample(t *testing.T) {
+	for i, k := range kinds {
+		typ := Type(i)
+		if k.fresh == nil && len(samples[typ]) > 0 {
+			t.Errorf("%v: samples of a tag that is never sent", typ)
+		}
+		if k.fresh != nil && len(samples[typ]) == 0 {
+			t.Errorf("kind %v has no sample", typ)
+		}
+		for _, m := range samples[typ] {
+			if m.wireType() != typ {
+				t.Errorf("sample %T under %v encodes as %v", m, typ, m.wireType())
+			}
+		}
 	}
-	for _, m := range msgs {
-		roundTrip(t, m)
+}
+
+// TestRoundTripAll decodes every sample back to itself (to a view of itself,
+// for the record-carrying kinds) and holds the resident request path to the
+// copying reference on it.
+func TestRoundTripAll(t *testing.T) {
+	for _, ms := range samples {
+		for _, m := range ms {
+			roundTrip(t, m)
+			checkResidentAgainstReference(t, Encode(m))
+		}
+	}
+}
+
+// TestWireSpecListsEveryKind reads the packet-type constants from this
+// package's source and fails unless docs/WIRE.md's tag table has a row for
+// each, under its tag, and the kind table a row for each name.
+func TestWireSpecListsEveryKind(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "messages.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var consts []string
+	for _, d := range f.Decls {
+		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.CONST && len(g.Specs) > 0 && g.Specs[0].(*ast.ValueSpec).Names[0].Name == "TInvalid" {
+			for _, spec := range g.Specs {
+				consts = append(consts, spec.(*ast.ValueSpec).Names[0].Name)
+			}
+		}
+	}
+	spec, err := os.ReadFile("../../docs/WIRE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| (\\d+) +\\| `(T\\w+)`").FindAllStringSubmatch(string(spec), -1) {
+		rows[m[2]] = m[1]
+	}
+	for tag, name := range consts[1:] {
+		if got := rows[name]; got != fmt.Sprint(tag+1) {
+			t.Errorf("docs/WIRE.md's tag table: %s is at tag %q, want %d", name, got, tag+1)
+		}
+		if kinds[tag+1].fresh == nil {
+			t.Errorf("%s has no row in the kind table", name)
+		}
+	}
+	if len(rows) != len(consts)-1 {
+		t.Errorf("docs/WIRE.md's tag table has %d rows for %d packet types", len(rows), len(consts)-1)
 	}
 }
 
@@ -158,15 +267,12 @@ func TestDecodeErrors(t *testing.T) {
 func TestDecodeHostileLengths(t *testing.T) {
 	// A directory message claiming 2^31 entries must fail cleanly — with a
 	// valid checksum, so the length bound (not the CRC) is what rejects it.
-	w := &writer{}
-	w.u16(Magic)
-	w.u8(Version)
-	w.u8(uint8(TDirectory))
-	w.u32(0) // checksum placeholder
-	w.i32(1)
-	w.bool(false)
-	w.u32(1 << 31)
-	if _, err := Decode(reseal(w.buf)); err == nil {
+	c := codec{reader: reader{buf: []byte{0x4D, 0x54, Version, byte(TDirectory), 0, 0, 0, 0}}}
+	from, ask, n := membership.NodeID(1), false, 1<<31
+	c.id(&from)
+	c.bool(&ask)
+	c.count(&n)
+	if _, err := Decode(reseal(c.buf)); err == nil {
 		t.Fatal("hostile length accepted")
 	}
 }
