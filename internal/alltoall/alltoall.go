@@ -15,8 +15,8 @@ type Config struct {
 	Channel netsim.ChannelID
 	// TTL must cover the whole cluster (at least the topology diameter).
 	TTL int
-	// HeartbeatPad pads heartbeats to emulate configured packet sizes
-	// (the paper's Figure 2 uses 1024-byte heartbeats).
+	// HeartbeatPad is the uncarried tail each heartbeat declares, to emulate
+	// configured packet sizes (wire.Heartbeat.Pad).
 	HeartbeatPad int
 }
 

@@ -39,8 +39,9 @@ type Config struct {
 	// update message for loss recovery (the paper uses 3).
 	PiggybackDepth int
 
-	// HeartbeatPad pads heartbeat packets to emulate a configured
-	// heartbeat size; 0 sends the natural encoded size.
+	// HeartbeatPad is the uncarried tail each heartbeat declares, so the
+	// network accounts it at a configured heartbeat size (wire.Padding); 0
+	// accounts the natural encoded size.
 	HeartbeatPad int
 
 	// ElectionPatience is how long a node must observe a leaderless group

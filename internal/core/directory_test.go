@@ -155,6 +155,33 @@ type sentPayload struct {
 	payload []byte
 }
 
+// capturingTransport keeps the last multicast payload and sends nothing, so
+// what a send allocates is the sender's own.
+type capturingTransport struct {
+	netsim.Transport
+	last []byte
+}
+
+func (c *capturingTransport) Multicast(_ netsim.ChannelID, _ int, payload []byte) { c.last = payload }
+
+// TestHeartbeatFitsItsSizeClass: a heartbeat padded to the paper's 228 bytes
+// declares its tail instead of carrying it, so a send allocates one buffer of
+// the encoded size's 64-byte class, not of the 208-byte one.
+func TestHeartbeatFitsItsSizeClass(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.HeartbeatPad = 144
+	ep := &capturingTransport{Transport: netsim.New(eng, topology.Clustered(1, 2)).Endpoint(0)}
+	n := NewNode(cfg, ep)
+	n.Start(eng)
+	n.sendHeartbeat(0)
+	allocs := testing.AllocsPerRun(100, func() { n.sendHeartbeat(0) })
+	if b := ep.last; allocs != 1 || cap(b) > 64 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
+		t.Fatalf("a heartbeat send allocates %v buffers of %d bytes modelled at %d, want one of at most 64 modelled at 228",
+			allocs, cap(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
+	}
+}
+
 // TestRepublishEncodesOncePerTick: a leader joined to two channels
 // republishes the same bytes — one encoding, one backing array — on both.
 func TestRepublishEncodesOncePerTick(t *testing.T) {

@@ -22,9 +22,9 @@ type Config struct {
 	// members are known (the paper's initial broadcast, which its
 	// analysis excludes).
 	Seeds []membership.NodeID
-	// EntryPad adds inert bytes per gossiped member record, equalizing the
-	// per-member wire size with the other schemes' heartbeats for fair
-	// bandwidth comparisons.
+	// EntryPad declares an uncarried tail of this many bytes per gossiped
+	// member record (wire.Padding), equalizing the per-member accounted size
+	// with the other schemes' heartbeats for fair bandwidth comparisons.
 	EntryPad int
 	// failTimeout, when set, replaces the derived failure timeout: a test
 	// hook that shortens (or disables) expiry, not a knob.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -20,9 +21,26 @@ func TestPadForBringsHeartbeatToTarget(t *testing.T) {
 		Backup: membership.NoNode,
 		Pad:    uint16(pad),
 	})
-	onWire := len(payload) + netsim.UDPOverhead
-	if onWire != HeartbeatWireTarget {
+	// The modelled size is what the network counts: the bytes plus the
+	// declared tail plus UDPOverhead.
+	eng := sim.NewEngine(1)
+	net := netsim.New(eng, topology.FlatLAN(2))
+	net.Endpoint(0).Unicast(1, payload)
+	if onWire := net.Endpoint(0).Stats().BytesSent; onWire != HeartbeatWireTarget {
 		t.Fatalf("padded heartbeat = %dB on wire, want exactly %d", onWire, HeartbeatWireTarget)
+	}
+}
+
+// TestFigure2HeartbeatIsAKilobyte: the heartbeat whose receive Figure 2 times
+// is 1024 bytes on the wire, all of them carried — a declared pad would be
+// counted by the network but never decoded or checksummed.
+func TestFigure2HeartbeatIsAKilobyte(t *testing.T) {
+	payload := fig2Heartbeat()
+	if got := len(payload) + netsim.UDPOverhead; got != 1024 {
+		t.Fatalf("Figure 2's heartbeat carries %d bytes on the wire, want 1024", got)
+	}
+	if pad := wire.Padding(payload); pad != 0 {
+		t.Fatalf("Figure 2's heartbeat declares a %d-byte tail, want its filler carried", pad)
 	}
 }
 

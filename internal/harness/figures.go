@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -170,15 +171,25 @@ func Figure2(perPacket time.Duration, sizes []int) *metrics.Figure {
 	return fig
 }
 
-// MeasureReceiveCost times the all-to-all receive path (wire decode plus
-// directory merge) over iters iterations and returns the per-packet cost.
-// It runs in real time, not simulated time.
-func MeasureReceiveCost(iters int) time.Duration {
-	dir := membership.NewDirectory(0)
+// fig2Heartbeat is the 1024-byte heartbeat Figure 2 receives. Its filler is
+// real content, one attribute value, and not a declared pad: a pad is not on
+// the wire (wire.Padding), so a receive would not pay for it.
+func fig2Heartbeat() []byte {
 	info := membership.MemberInfo{Node: 1, Incarnation: 1}
 	info.SetAttr("cpu", "dual 1.4GHz P-III")
-	hb := &wire.Heartbeat{Info: info, Backup: membership.NoNode, Pad: uint16(1024 - netsim.UDPOverhead - 120)}
-	payload := wire.Encode(hb)
+	hb := &wire.Heartbeat{Info: info, Backup: membership.NoNode}
+	const key = "filler"
+	fill := 1024 - netsim.UDPOverhead - len(wire.Encode(hb)) - (2 + len(key) + 2) // the attribute's own two length prefixes
+	hb.Info.SetAttr(key, strings.Repeat("x", fill))
+	return wire.Encode(hb)
+}
+
+// MeasureReceiveCost times the all-to-all receive path (wire decode plus
+// directory merge) of a 1024-byte heartbeat over iters iterations and returns
+// the per-packet cost. It runs in real time, not simulated time.
+func MeasureReceiveCost(iters int) time.Duration {
+	dir := membership.NewDirectory(0)
+	payload := fig2Heartbeat()
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		msg, err := wire.Decode(payload)

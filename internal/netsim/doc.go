@@ -25,6 +25,20 @@
 //   - Packet and Stats: the delivery unit (with UDPOverhead wire-size
 //     accounting) and the per-endpoint counters.
 //
+// A packet's size is modelled, not only counted. The paper's packet sizes
+// come from padding that no encoder writes: a padded heartbeat, rapid beat or
+// gossip view declares its inert tail in its last field (wire.Padding), and
+// the network reads it once at send. The modelled length — bytes plus tail —
+// is what WireSize, every byte counter and the WAN counter add, and what the
+// byte faults act on. Corruption and truncation make the draws a carried zero
+// run would have taken, over the modelled length: a flip in the tail is
+// recorded, not written, and a padded packet left damaged, or cut anywhere
+// short of its end, is spoiled (wire.Spoil) so that every decoder rejects it,
+// as the body checksum over the zero run did. tail_test.go holds the model to
+// that carried format: the same packets materialised with their zeros, the
+// same seeds, the same verdict, size and next draw at every delivery,
+// serially and partitioned.
+//
 // What is scheduled is a run, not a copy: Multicast cuts its fan-out into
 // maximal stretches of consecutive receivers whose copies the engine could
 // not tell apart — same LP as the sender, same arrival instant, no marked

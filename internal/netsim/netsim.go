@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"time"
 
 	"repro/internal/sim"
@@ -28,27 +29,43 @@ type Packet struct {
 	TTL     int
 	Payload []byte
 
-	// memo caches the first successful wire decode of a multicast payload:
-	// the pointer is shared by every delivery copy of the packet, so a
-	// multicast parsed by one receiver is not re-parsed by its ~group-size
-	// other receivers. Deliveries that tamper with the payload (corrupt,
-	// truncate) drop the memo and parse their own bytes. A unicast has one
-	// receiver and nothing to share, so it carries no memo.
-	memo *pktMemo
+	// meta is what the packet carries besides its bytes; nil for a packet
+	// with nothing to carry. It is one pointer because a Packet travels by
+	// value into every handler, most of them method values: with one more
+	// field it no longer fits the argument registers beside the receiver,
+	// and every delivery pays a spill and a stalled reload (about a fifth
+	// more wall on flat-alltoall).
+	meta *pktMeta
 }
 
-type pktMemo struct {
-	done bool
-	msg  wire.Message
-	err  error
+// pktMeta is a packet's modelled tail and, for a multicast, the decode memo
+// its copies share.
+type pktMeta struct {
+	// tail is the inert tail the payload declares but does not carry
+	// (wire.Padding), read once at send: the packet's modelled length is
+	// len(Payload) + tail, and byte accounting and the byte faults both work
+	// on it (WireSize, corrupt, truncate).
+	tail int
+
+	// shared marks the record as a decode memo: done, msg and err hold the
+	// first wire decode of a multicast payload, shared by every delivery
+	// copy of the packet, so a multicast parsed by one receiver is not
+	// re-parsed by its ~group-size other receivers. Deliveries that tamper
+	// with the payload (corrupt, truncate) get a record of their own and
+	// parse their own bytes. A unicast has one receiver and nothing to share,
+	// so its record, if it has one, is not a memo.
+	shared bool
+	done   bool
+	msg    wire.Message
+	err    error
 }
 
 // Decode parses the packet payload, memoizing the result across all
 // receivers of the same untampered multicast bytes. The returned message is
 // shared: callers must treat it — including nested slices — as immutable.
 func (p *Packet) Decode() (wire.Message, error) {
-	m := p.memo
-	if m == nil {
+	m := p.meta
+	if m == nil || !m.shared {
 		return wire.Decode(p.Payload)
 	}
 	if !m.done {
@@ -58,11 +75,30 @@ func (p *Packet) Decode() (wire.Message, error) {
 	return m.msg, m.err
 }
 
+// tail is the packet's modelled tail (pktMeta.tail).
+func (p *Packet) tail() int {
+	if p.meta == nil {
+		return 0
+	}
+	return p.meta.tail
+}
+
+// own gives the packet a record of its own with the given tail and no memo:
+// what a tampered copy carries, whose bytes are its own.
+func (p *Packet) own(tail int) {
+	p.meta = nil
+	if tail > 0 {
+		p.meta = &pktMeta{tail: tail}
+	}
+}
+
 // Multicast reports whether the packet was sent to a channel.
 func (p *Packet) Multicast() bool { return p.Dst == topology.NoHost }
 
-// WireSize is the accounted on-wire size of the packet.
-func (p *Packet) WireSize() int { return len(p.Payload) + UDPOverhead }
+// WireSize is the accounted on-wire size of the packet: its modelled length —
+// the payload plus the tail it declares (a padded heartbeat, rapid beat or
+// gossip view; wire.Padding) — and UDPOverhead. Every byte counter adds it.
+func (p *Packet) WireSize() int { return len(p.Payload) + p.tail() + UDPOverhead }
 
 // Handler receives delivered packets.
 type Handler func(pkt Packet)
@@ -487,6 +523,11 @@ type Endpoint struct {
 	recent     [replayRingSize]recentPkt
 	recentUsed int
 	recentNext int
+	// sendMeta is the record of this endpoint's last padded unicast, reused
+	// while the declared tail repeats (a rapid node beats one buffer to each
+	// of its observers): a unicast's record is not a memo, so nothing ever
+	// writes it.
+	sendMeta *pktMeta
 }
 
 // ID returns the host ID.
@@ -599,7 +640,7 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 		return
 	}
 	n := ep.net
-	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl, Payload: payload, memo: &pktMemo{}}
+	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl, Payload: payload, meta: &pktMeta{tail: wire.Padding(payload), shared: true}}
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(pkt.WireSize())
 	f := n.fanoutFor(ep.id, ch, ttl)
@@ -614,7 +655,7 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 		dst := f.dsts[i]
 		if dst.lp != memoLP {
 			memoLP = dst.lp
-			pkt.memo = &pktMemo{}
+			pkt.meta = &pktMeta{tail: pkt.meta.tail, shared: true}
 		}
 		j := i + 1
 		if drawless && f.joins(i, ep.lp) {
@@ -706,6 +747,12 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 		return false
 	}
 	pkt := Packet{Src: ep.id, Dst: dst, Payload: payload}
+	if tail := wire.Padding(payload); tail > 0 {
+		if ep.sendMeta == nil || ep.sendMeta.tail != tail {
+			ep.sendMeta = &pktMeta{tail: tail}
+		}
+		pkt.meta = ep.sendMeta
+	}
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(pkt.WireSize())
 	lat, marks := ep.net.top.UnicastPath(ep.id, dst)
@@ -881,14 +928,11 @@ func (d *delivery) arrive(dst *Endpoint) {
 		return
 	}
 	if fl.corrupt > 0 && eng.Rand().Float64() < fl.corrupt {
-		pkt.Payload = corruptBytes(eng, pkt.Payload)
-		pkt.memo = nil // tampered bytes must not share the clean parse
+		pkt.corrupt(eng.Rand()) // tampered bytes do not share the clean parse
 		dst.stats.Corrupted++
 	}
 	if fl.truncate > 0 && eng.Rand().Float64() < fl.truncate {
-		// Keep a strict prefix; zero-length datagrams are legal UDP.
-		pkt.Payload = pkt.Payload[:eng.Rand().Intn(len(pkt.Payload)+1)]
-		pkt.memo = nil
+		pkt.truncate(eng.Rand())
 		dst.stats.Truncated++
 	}
 	dst.receive(pkt)
@@ -949,17 +993,80 @@ func (ep *Endpoint) pickRecent(now time.Duration, eng *sim.Engine) (Packet, bool
 	return ep.recent[cand[eng.Rand().Intn(len(cand))]].pkt, true
 }
 
-// corruptBytes returns a copy of b with one to four random bits flipped
-// (the original backing array may be shared with other deliveries and must
-// not be damaged in place).
-func corruptBytes(eng *sim.Engine, b []byte) []byte {
-	if len(b) == 0 {
-		return b
+// corrupt flips one to four random bits of the packet's modelled length, on a
+// copy of the payload (the original backing array may be shared with other
+// deliveries and must not be damaged in place) that no longer shares the
+// packet's decode memo (Packet.own). The draws are the ones a
+// materialised zero tail would take — the flip count, then an offset below
+// len(Payload)+tail and a bit per flip — so a run makes the same draws whether
+// its packets carry their pad or declare it.
+//
+// A flip that lands in the tail damages a byte the packet does not carry, so
+// every flip is also XORed into a record of at most four (offset, bits)
+// entries. A padded packet with an entry left nonzero (two flips of one bit
+// cancel) is spoiled (wire.Spoil), and every decoder rejects it, as the
+// carried format did: its checksum covered the body and the zero run, and the
+// one header byte outside it, the type, made the zero run trailing bytes of
+// whatever kind it named instead.
+func (p *Packet) corrupt(r *rand.Rand) {
+	tail := p.tail()
+	p.own(tail)
+	n := len(p.Payload) + tail
+	if n == 0 {
+		return
 	}
-	out := append([]byte(nil), b...)
-	flips := 1 + eng.Rand().Intn(4)
-	for i := 0; i < flips; i++ {
-		out[eng.Rand().Intn(len(out))] ^= 1 << uint(eng.Rand().Intn(8))
+	out := append([]byte(nil), p.Payload...)
+	var flips [4]struct {
+		off  int
+		bits byte
 	}
-	return out
+	used := 0
+	for k := 1 + r.Intn(4); k > 0; k-- {
+		off, bit := r.Intn(n), byte(1)<<uint(r.Intn(8))
+		if off < len(out) {
+			out[off] ^= bit
+		}
+		i := 0
+		for i < used && flips[i].off != off {
+			i++
+		}
+		if i == used {
+			flips[i].off = off
+			used++
+		}
+		flips[i].bits ^= bit
+	}
+	damaged := false
+	for _, f := range flips[:used] {
+		damaged = damaged || f.bits != 0
+	}
+	if damaged && tail > 0 {
+		wire.Spoil(out)
+	}
+	p.Payload = out
+}
+
+// truncate cuts the packet to a prefix of its modelled length L, drawn
+// uniformly from [0, L]: possibly all of it (a cut at the end, counted like
+// any other) or none (zero-length datagrams are legal UDP). A cut at the end
+// keeps the packet whole. Any other cut of a padded packet shortens what the
+// body checksum covered — the zero run, or the body itself — so the kept
+// prefix is spoiled, and the tail is what the cut left of it: WireSize is the
+// cut plus UDPOverhead either way. Like corrupt, it leaves the packet a record
+// of its own.
+func (p *Packet) truncate(r *rand.Rand) {
+	tail := p.tail()
+	k := r.Intn(len(p.Payload) + tail + 1)
+	if k < len(p.Payload)+tail {
+		keep := min(k, len(p.Payload))
+		if tail == 0 {
+			p.Payload = p.Payload[:keep]
+		} else {
+			out := append([]byte(nil), p.Payload[:keep]...)
+			wire.Spoil(out)
+			p.Payload = out
+		}
+		tail = k - keep
+	}
+	p.own(tail)
 }

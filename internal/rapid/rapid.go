@@ -13,7 +13,8 @@ import (
 // Config is what differs between deployments of a rapid node; the protocol's
 // tuning is the constant block below.
 type Config struct {
-	// HeartbeatPad inflates beats to emulate configured packet sizes.
+	// HeartbeatPad is the uncarried tail each beat declares, to emulate
+	// configured packet sizes (wire.RapidBeat.Pad).
 	HeartbeatPad int
 	// DCOf, when set, makes the monitoring overlay topology-aware: ring 0
 	// stays a global permutation (the overlay remains one connected
@@ -236,8 +237,7 @@ type Node struct {
 	scan     *sim.Ticker
 	infoTick *sim.Ticker
 
-	enc      wire.Encoder
-	beatHint int
+	enc wire.Encoder
 	// beat is the outgoing monitoring beat, overwritten per send: a fresh one
 	// would escape through wire.Message and cost a heap object per round.
 	beat wire.RapidBeat
@@ -262,7 +262,6 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	sortIDs(seeds)
 	n.configSeq, n.proposer = 1, membership.NoNode
 	n.installMembers(seeds, 0)
-	n.beatHint = wire.HeaderLen + 32 + cfg.HeartbeatPad
 	return n
 }
 
@@ -387,6 +386,11 @@ func (n *Node) broadcast(buf []byte) {
 	}
 }
 
+// beatLen is the length of an encoded RapidBeat: the header and a 26-byte
+// body. The pad it declares is not carried (wire.Padding), so one buffer of
+// this size holds every beat.
+const beatLen = wire.HeaderLen + 26
+
 func (n *Node) sendBeats() {
 	if !n.running || len(n.observers) == 0 {
 		return
@@ -399,7 +403,7 @@ func (n *Node) sendBeats() {
 		Beat:      n.info.Beat,
 		Pad:       uint16(n.cfg.HeartbeatPad),
 	}
-	buf := n.enc.AppendEncode(make([]byte, 0, n.beatHint), &n.beat)
+	buf := n.enc.AppendEncode(make([]byte, 0, beatLen), &n.beat)
 	for _, o := range n.observers {
 		n.ep.Unicast(topology.HostID(o), buf)
 	}

@@ -330,6 +330,41 @@ func TestRapidReplayFromEvictedMemberRejected(t *testing.T) {
 	}
 }
 
+// capturingTransport keeps the last unicast payload and sends nothing, so
+// what a send allocates is the sender's own.
+type capturingTransport struct {
+	netsim.Transport
+	last []byte
+}
+
+func (c *capturingTransport) Unicast(_ topology.HostID, payload []byte) bool {
+	c.last = payload
+	return true
+}
+
+// TestBeatFitsItsSizeClass: a monitoring beat padded to the paper's 228 bytes
+// declares its tail instead of carrying it, so a round of beats allocates one
+// buffer of at most 48 bytes, shared by every observer.
+func TestBeatFitsItsSizeClass(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.HeartbeatPad = 166
+	for h := 0; h < 10; h++ {
+		cfg.Seeds = append(cfg.Seeds, membership.NodeID(h))
+	}
+	ep := &capturingTransport{Transport: netsim.New(eng, topology.Clustered(1, 10)).Endpoint(0)}
+	n := NewNode(cfg, ep)
+	n.Start(eng)
+	if len(n.observers) == 0 {
+		t.Fatal("the node has no observers to beat to")
+	}
+	allocs := testing.AllocsPerRun(100, n.sendBeats)
+	if b := ep.last; allocs != 1 || cap(b) > 48 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
+		t.Fatalf("a round of beats allocates %v buffers of %d bytes modelled at %d, want one of at most 48 modelled at 228",
+			allocs, cap(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
+	}
+}
+
 // BenchmarkRapidReceiveBeat is an observer's own cost of one monitoring
 // beat — the replay guard, the configuration check and the edge refresh —
 // with its subjects taking turns; the decode is wire's to time.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 )
 
 // The byte-level layout of the packet header, the primitives below, and
@@ -18,8 +17,10 @@ import (
 // Version is the wire format version carried in every packet header.
 // Version 2 added the body checksum to the header: without an integrity
 // check, a bit-flipped heartbeat could forge a higher liveness beat or
-// incarnation and violate the monotone-sequence safety invariant.
-const Version = 2
+// incarnation and violate the monotone-sequence safety invariant. Version 3
+// stopped writing the zero run after a padded body's pad field: the pad is a
+// declared length (Padding), accounted for by the network, not carried.
+const Version = 3
 
 // Magic identifies TAMP packets.
 const Magic = 0x544D // "TM"
@@ -292,23 +293,6 @@ func (c *codec) bytes(v *[]byte) {
 		*v = c.view()
 	case sizing:
 		c.off += 4 + len(*v)
-	}
-}
-
-// pad moves n inert bytes: zeros when written, skipped when read. It writes
-// them in one step, grow-then-clear: padding runs to hundreds of bytes per
-// record, and append(buf, make([]byte, n)...) is only turned into the same
-// thing when the compiler is not instrumenting — under -race that form
-// allocates its temporary, and the warm encode path must not.
-func (c *codec) pad(n int) {
-	switch c.dir {
-	case writing:
-		c.buf = slices.Grow(c.buf, n)[:len(c.buf)+n]
-		clear(c.buf[len(c.buf)-n:])
-	case reading:
-		c.take(n)
-	case sizing:
-		c.off += n
 	}
 }
 

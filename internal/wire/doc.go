@@ -6,7 +6,10 @@
 //
 // The format is hand-rolled over encoding/binary (no gob/json) so packet
 // sizes are deterministic and comparable with the paper's measured
-// 228-byte membership heartbeats. All integers are little-endian; strings
+// 228-byte membership heartbeats. The bytes that make a packet that size are
+// not written: a Heartbeat, RapidBeat or Gossip view ends in a pad field that
+// declares an inert tail, and the simulator's network accounts for it
+// (Padding; docs/WIRE.md §2). All integers are little-endian; strings
 // and slices carry uint16/uint32 length prefixes. Decoding is strict:
 // trailing bytes, truncation, or an unknown version yield an error, never
 // a panic, and hostile length prefixes are bounded before allocation.
@@ -18,7 +21,7 @@
 //
 // Each body's layout is written once, as the body method of its message
 // type: one statement per field, each a primitive of a codec (c.u64(&h.Seq),
-// c.id(&h.Backup), c.str, c.bytes, c.pad, and list for every counted slice).
+// c.id(&h.Backup), c.str, c.bytes, and list for every counted slice).
 // A codec runs in one of three directions — writing appends the fields to a
 // packet, reading parses them into the message (with the read-side checks:
 // bounded lengths, strict bools, the update-kind range and the info-flag
@@ -71,5 +74,11 @@
 //     contract.
 //   - TypeOf(b): the frame check alone, for code that counts packets by
 //     kind.
+//   - Padding(b) and Spoil(b): the two halves of a modelled tail. Padding
+//     reads the tail a packet declares (0 for an unpadded kind or a frame
+//     that fails the check), which the network adds to the packet's
+//     accounted size; Spoil rewrites a packet's checksum so every decoder
+//     rejects it, which is what the network does to a packet whose
+//     uncarried tail a byte fault damaged or cut.
 //   - Type: the packet-type tag carried in the header.
 package wire

@@ -121,8 +121,10 @@ func FuzzRapidAlert(f *testing.F) {
 // exact-capacity copy). Inputs with any other header are resealed as TGossip
 // so that every mutation reaches the body walk.
 func FuzzGossipView(f *testing.F) {
+	// The pad is declared, not carried; the 12-byte attribute keeps the view
+	// at the length (and so the seed count) it had when the pad was.
 	view := Encode(&Gossip{From: 5, Pad: 12, Entries: []GossipEntry{
-		{Counter: 3, Info: membership.MemberInfo{Node: 1, Incarnation: 1, Beat: 3}},
+		{Counter: 3, Info: membership.MemberInfo{Node: 1, Incarnation: 1, Beat: 3, Attrs: []membership.KV{{Key: "k", Value: "1234567"}}}},
 		{Counter: 8, Info: sampleInfo()},
 		{Counter: 1, Info: membership.MemberInfo{Node: -4, Beat: 1}},
 	}})

@@ -22,8 +22,9 @@ type GossipEntry struct {
 // Gossip is the encode side of the gossip baseline's message: the sender's
 // entire local view with per-member heartbeat counters (van Renesse et al.),
 // which is why the gossip scheme's message size grows with cluster size. Pad
-// appends inert bytes so experiments can equalize the per-member record size
-// across schemes (the paper measures 228 bytes per member for all three).
+// declares an uncarried tail (Padding) so experiments can equalize the
+// per-member record size across schemes (the paper measures 228 bytes per
+// member for all three).
 type Gossip struct {
 	From    membership.NodeID
 	Entries []GossipEntry
@@ -39,7 +40,6 @@ func (g *Gossip) body(c codec) codec {
 		c.info(&g.Entries[i].Info)
 	}
 	c.u32(&g.Pad)
-	c.pad(int(g.Pad))
 	return c
 }
 
@@ -48,7 +48,7 @@ const gossipLead = 8
 
 // EncodeGossip frames a TGossip packet carrying every entry of dir in node
 // order, each with its stored beat as both the entry counter and the
-// record's beat, followed by entryPad inert bytes per entry — byte for byte
+// record's beat, declaring entryPad inert bytes per entry — byte for byte
 // what Encode(&Gossip{…}) produces for those entries — without copying the
 // entries first and in one allocation of exactly the packet's size.
 func EncodeGossip(from membership.NodeID, dir *membership.Directory, entryPad int) []byte {
@@ -57,7 +57,6 @@ func EncodeGossip(from membership.NodeID, dir *membership.Directory, entryPad in
 		c.id(&from)
 		c.records(dir, gossipLead)
 		c.u32(&pad)
-		c.pad(int(pad))
 		return c
 	})
 }
@@ -73,7 +72,7 @@ type GossipView struct {
 	From membership.NodeID
 
 	entries InfoList
-	pad     uint32 // length of the inert tail, kept so the view re-encodes to its packet
+	pad     uint32 // the declared tail, kept so the view re-encodes to its packet
 }
 
 func (*GossipView) wireType() Type { return TGossip }
@@ -82,7 +81,6 @@ func (v *GossipView) body(c codec) codec {
 	c.id(&v.From)
 	c.infos(&v.entries, gossipLead)
 	c.u32(&v.pad)
-	c.pad(int(v.pad))
 	return c
 }
 

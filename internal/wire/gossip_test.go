@@ -127,6 +127,25 @@ func gossipPayload(n int, counter uint64) []byte {
 	return EncodeGossip(1, dir, 140)
 }
 
+// TestEncodeGossipCarriesNoTail: a 400-entry view padded to the paper's 228
+// bytes per member declares its 56 000-byte tail and carries none of it. A
+// round allocates one buffer of at most 16.1 KiB, where the zero run made it
+// about 72 KiB.
+func TestEncodeGossipCarriesNoTail(t *testing.T) {
+	dir := membership.NewDirectory(0)
+	for i := 0; i < 400; i++ {
+		dir.Upsert(membership.MemberInfo{Node: membership.NodeID(i), Incarnation: 1, Beat: 7}, membership.OriginRelayed, 0, 1, 0)
+	}
+	var b []byte
+	allocs := testing.AllocsPerRun(20, func() { b = EncodeGossip(1, dir, 140) })
+	if allocs != 1 || cap(b) > 16486 {
+		t.Fatalf("a 400-entry view allocates %v buffers of %d bytes, want one of at most 16.1 KiB", allocs, cap(b))
+	}
+	if got := Padding(b); got != 400*140 {
+		t.Fatalf("the view declares a %d-byte tail, want %d", got, 400*140)
+	}
+}
+
 // TestGossipDecodeAllocatesTheViewOnly pins the receive side's contract: a
 // 400-entry view costs one allocation to decode — the view — and none to walk.
 func TestGossipDecodeAllocatesTheViewOnly(t *testing.T) {

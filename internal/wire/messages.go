@@ -234,6 +234,47 @@ func TypeOf(b []byte) (Type, error) {
 	return open(&r)
 }
 
+// Padding returns the length of the inert tail b declares but does not carry:
+// the pad field that ends a Heartbeat's, a RapidBeat's or a Gossip view's
+// body (docs/WIRE.md §2). Every other kind declares none, and so does a frame
+// that fails TypeOf's check: a cut or damaged packet has no trustworthy last
+// field. The frame check only runs for the three padded kinds.
+func Padding(b []byte) int {
+	width := 0
+	if len(b) >= HeaderLen {
+		switch Type(b[3]) {
+		case THeartbeat, TRapidBeat:
+			width = 2
+		case TGossip:
+			width = 4
+		}
+	}
+	if width == 0 || len(b) < HeaderLen+width {
+		return 0
+	}
+	if _, err := TypeOf(b); err != nil {
+		return 0
+	}
+	last := b[len(b)-width:]
+	if width == 2 {
+		return int(binary.LittleEndian.Uint16(last))
+	}
+	return int(binary.LittleEndian.Uint32(last))
+}
+
+// Spoil marks b as damaged somewhere it does not carry — in a declared tail,
+// or by a cut through one. It writes the complement of the body's checksum
+// into the header, so every frame check (Decode, TypeOf, RequestDecoder)
+// rejects b with ErrChecksum, as the checksum rejects damage to what it
+// covers; spoiling twice still rejects. b must be the caller's own copy. A
+// frame shorter than a header is left as it is: it fails the frame check
+// already.
+func Spoil(b []byte) {
+	if len(b) >= HeaderLen {
+		binary.LittleEndian.PutUint32(b[4:], ^crc32.Checksum(b[HeaderLen:], crcTable))
+	}
+}
+
 // Decode parses a packet produced by Encode. It never panics and never
 // reads past the input: any malformed, truncated, or damaged packet
 // (including a body that fails the header checksum) yields an error. The
@@ -351,9 +392,10 @@ type Heartbeat struct {
 	Leader bool
 	Backup membership.NodeID
 	Seq    uint64
-	// Pad inflates the packet to emulate configured heartbeat sizes (the
-	// paper measures 228-byte and 1024-byte heartbeats); receivers ignore
-	// the content.
+	// Pad declares an inert tail of Pad bytes that the packet does not carry:
+	// the network accounts for it (Padding), so a heartbeat costs the paper's
+	// configured size (it measures 228-byte and 1024-byte heartbeats).
+	// Receivers ignore it.
 	Pad uint16
 }
 
@@ -366,7 +408,6 @@ func (h *Heartbeat) body(c codec) codec {
 	c.id(&h.Backup)
 	c.u64(&h.Seq)
 	c.u16(&h.Pad)
-	c.pad(int(h.Pad))
 	return c
 }
 
@@ -712,7 +753,7 @@ func (m *DirMatches) body(c codec) codec {
 // RapidBeat is the direct-edge liveness beat a subject unicasts to each of
 // its K observers on the monitoring overlay. ConfigSeq names the
 // configuration whose rings define the observer set; observers drop beats
-// from other configurations. Pad emulates configured heartbeat sizes like
+// from other configurations. Pad declares an uncarried tail like
 // Heartbeat.Pad.
 type RapidBeat struct {
 	From      membership.NodeID
@@ -730,7 +771,6 @@ func (b *RapidBeat) body(c codec) codec {
 	c.u32(&b.Inc)
 	c.u64(&b.Beat)
 	c.u16(&b.Pad)
-	c.pad(int(b.Pad))
 	return c
 }
 

@@ -215,11 +215,17 @@ func TestWireSpecListsEveryKind(t *testing.T) {
 	}
 }
 
+// TestHeartbeatPadding: a pad grows a heartbeat's modelled size — its bytes
+// plus the tail it declares — by exactly the pad, and its bytes not at all.
 func TestHeartbeatPadding(t *testing.T) {
 	small := Encode(&Heartbeat{Info: sampleInfo(), Backup: membership.NoNode})
 	big := Encode(&Heartbeat{Info: sampleInfo(), Backup: membership.NoNode, Pad: 500})
-	if len(big)-len(small) != 500 {
-		t.Fatalf("pad delta = %d, want 500", len(big)-len(small))
+	modelled := func(b []byte) int { return len(b) + Padding(b) }
+	if d := modelled(big) - modelled(small); d != 500 {
+		t.Fatalf("modelled pad delta = %d, want 500", d)
+	}
+	if len(big) != len(small) {
+		t.Fatalf("a 500-byte pad carried %d bytes", len(big)-len(small))
 	}
 	m, err := Decode(big)
 	if err != nil {
@@ -227,6 +233,73 @@ func TestHeartbeatPadding(t *testing.T) {
 	}
 	if m.(*Heartbeat).Pad != 500 {
 		t.Fatal("pad size lost")
+	}
+}
+
+// TestPaddingReadsTheDeclaredTail: Padding is each padded kind's pad field,
+// and 0 for every other kind and for any frame cut short or damaged.
+func TestPaddingReadsTheDeclaredTail(t *testing.T) {
+	padded := []struct {
+		m   Message
+		pad int
+	}{
+		{&Heartbeat{Info: sampleInfo(), Backup: membership.NoNode, Pad: 144}, 144},
+		{&Heartbeat{Info: sampleInfo(), Backup: membership.NoNode}, 0},
+		{&RapidBeat{From: 3, ConfigSeq: 2, Inc: 1, Beat: 9, Pad: 166}, 166},
+		{&Gossip{From: 5, Entries: []GossipEntry{{Counter: 3, Info: sampleInfo()}}, Pad: 280}, 280},
+		{&Gossip{From: 5, Pad: 70000}, 70000},
+	}
+	for _, tc := range padded {
+		b := Encode(tc.m)
+		if got := Padding(b); got != tc.pad {
+			t.Errorf("%T: Padding = %d, want %d", tc.m, got, tc.pad)
+		}
+		for cut := 0; cut < len(b); cut++ {
+			if got := Padding(b[:cut]); got != 0 {
+				t.Fatalf("%T cut to %d of %d bytes declares %d", tc.m, cut, len(b), got)
+			}
+		}
+		damaged := append([]byte(nil), b...)
+		damaged[len(damaged)-1] ^= 0x80 // the pad field itself
+		if got := Padding(damaged); got != 0 {
+			t.Errorf("%T with a damaged pad field declares %d", tc.m, got)
+		}
+	}
+	for _, ms := range samples {
+		for _, m := range ms {
+			switch m.wireType() {
+			case THeartbeat, TRapidBeat, TGossip:
+				continue
+			}
+			if got := Padding(Encode(m)); got != 0 {
+				t.Errorf("unpadded %T declares %d", m, got)
+			}
+		}
+	}
+}
+
+// TestSpoilRejectsEverywhere: a spoiled packet fails every frame check with
+// ErrChecksum, and a second spoil does not restore it.
+func TestSpoilRejectsEverywhere(t *testing.T) {
+	var d RequestDecoder
+	for _, m := range []Message{&Heartbeat{Info: sampleInfo(), Pad: 9}, &Gossip{From: 2, Pad: 4}, &LoadPoll{From: 1, Token: 2}} {
+		for spoils := 1; spoils <= 2; spoils++ {
+			b := Encode(m)
+			for i := 0; i < spoils; i++ {
+				Spoil(b)
+			}
+			if _, err := Decode(b); err != ErrChecksum {
+				t.Errorf("%T spoiled %d times: Decode says %v", m, spoils, err)
+			}
+			if _, _, err := d.Decode(b); err != ErrChecksum {
+				t.Errorf("%T spoiled %d times: RequestDecoder says %v", m, spoils, err)
+			}
+		}
+	}
+	short := []byte{0x4D, 0x54, Version}
+	Spoil(short)
+	if string(short) != string([]byte{0x4D, 0x54, Version}) {
+		t.Fatal("Spoil wrote into a frame shorter than a header")
 	}
 }
 
