@@ -35,11 +35,6 @@ func main() {
 	cfg.MaxTTL = top.Diameter()
 	cfg.HeartbeatInterval = 50 * time.Millisecond
 	cfg.MaxLoss = 3
-	cfg.ElectionPatience = 100 * time.Millisecond
-	cfg.LevelGrace = 150 * time.Millisecond
-	cfg.RepublishInterval = 500 * time.Millisecond
-	cfg.TombstoneTTL = 500 * time.Millisecond
-	cfg.RelayedTTL = 2 * time.Second
 
 	var nodes []*core.Node
 	for h := 0; h < top.NumHosts(); h++ {

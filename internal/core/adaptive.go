@@ -8,12 +8,12 @@ package core
 //   - Leader load shedding: every member pushes its load (external hot
 //     load plus live relay fan-out) to its level-0 leader via
 //     wire.LoadReport, absorbed into a loadinfo.Cache. A leader whose own
-//     load stays above LoadWatermark for LoadWindow abdicates with a
+//     load stays above the watermark for loadWindowBeats abdicates with a
 //     wire.Handoff naming the least-loaded eligible member, instead of
 //     letting the bully election re-install the same (lowest-ID, still
 //     hot) node.
 //   - Group re-formation: a leader whose live group size stays outside
-//     [GroupMin, GroupMax] for ReformHold initiates an epoch-guarded
+//     [GroupMin, GroupMax] for reformHoldBeats initiates an epoch-guarded
 //     wire.Reform round — an oversized group splits its upper ID half
 //     onto a fresh channel, an undersized split-off group merges back
 //     onto the channel it split from.
@@ -41,7 +41,52 @@ const (
 	loadCacheTTLBeats = 4
 )
 
-// overloadHoldoffFactor scales ElectionPatience into the window after a
+// The adaptive hierarchy's watermarks, the same for every adaptive node.
+const (
+	// adaptiveLoadWatermark is the sustained relay load (external load units
+	// set by the host plus live fan-out across led levels) above which an
+	// adaptive leader abdicates. A static node's watermark is 0: any hot
+	// load starves its relay duties (relayStarved).
+	adaptiveLoadWatermark = 12
+	// loadWindowBeats is how many heartbeat periods the load must stay above
+	// the watermark before an adaptive leader sheds leadership.
+	loadWindowBeats = 5
+	// reformHoldBeats is how many heartbeat periods a group's live size must
+	// stay out of bounds before its leader initiates a re-formation round;
+	// it comfortably exceeds bootstrap and election transients.
+	reformHoldBeats = 6
+)
+
+// GroupMin and GroupMax bound the live level-0 group size an adaptive
+// hierarchy converges back to: a group sustaining more than GroupMax live
+// members splits (the upper half of the ID order moves to a fresh channel),
+// and a split-off group sustaining fewer than GroupMin live members merges
+// back onto its parent channel. The re-formation audit holds groups to
+// them.
+const (
+	GroupMin = 2
+	GroupMax = 12
+)
+
+// loadWatermark is the relay load above which the node's relay duties
+// starve and, when adaptive, it sheds leadership.
+func (c Config) loadWatermark() int {
+	if c.Adaptive {
+		return adaptiveLoadWatermark
+	}
+	return 0
+}
+
+// ReformSettle is the closed-form re-formation deadline past a plain
+// hierarchy's settle time (docs/ADAPTIVE.md): the overload window before a
+// leader sheds, the size window before a split or merge fires, an election
+// round for the successor, and a republish cadence for the moved group's
+// directory entries to re-relay upward.
+func (c Config) ReformSettle() time.Duration {
+	return c.beats(loadWindowBeats + reformHoldBeats + electionPatienceBeats + republishBeats)
+}
+
+// overloadHoldoffFactor scales the election patience into the window after a
 // load shed during which the (still hot) ex-leader refuses to contend in
 // elections, so the bully rule cannot immediately re-install it. After the
 // holdoff a leaderless group takes the degraded leader back — leadership
@@ -75,12 +120,12 @@ func (n *Node) Load() int {
 
 // relayStarved reports whether the overload model suppresses this node's
 // relay duties: an external hot load has pushed it past the watermark
-// (with LoadWatermark 0, any hot load starves). Level-0 heartbeats are
+// (with the static watermark 0, any hot load starves). Level-0 heartbeats are
 // never starved — the node stays alive to its group, it just stops
 // relaying, which is precisely the failure mode that degrades the static
 // tree.
 func (n *Node) relayStarved() bool {
-	return n.hotLoad > 0 && n.Load() > n.cfg.LoadWatermark
+	return n.hotLoad > 0 && n.Load() > n.cfg.loadWatermark()
 }
 
 // Level0Channel exposes the node's current level-0 channel — the group
@@ -135,10 +180,10 @@ func (n *Node) adaptiveTrack(now time.Duration) {
 	// to the least-loaded member. Structural load (a big fan-out without
 	// hot load) is the re-formation check's business — a successor would
 	// inherit the same fan-out, so shedding cannot help there.
-	if n.cfg.LoadWatermark > 0 && n.hotLoad > 0 && n.Load() > n.cfg.LoadWatermark {
+	if n.relayStarved() {
 		if n.overSince < 0 {
 			n.overSince = now
-		} else if now-n.overSince >= n.cfg.LoadWindow {
+		} else if now-n.overSince >= n.cfg.beats(loadWindowBeats) {
 			n.shedLeadership(0, now)
 		}
 	} else {
@@ -147,24 +192,25 @@ func (n *Node) adaptiveTrack(now time.Duration) {
 	// Re-formation check: sustained out-of-bounds live size splits or
 	// merges the group. sizeSince re-arms after each round so a lost
 	// Reform multicast is retried (with a fresh epoch) one hold later.
-	if n.cfg.GroupMax > 0 && lv.isLeader {
-		live := lv.members + 1
-		oversized := live > n.cfg.GroupMax
-		undersized := live < n.cfg.GroupMin && n.parentChan != 0
-		if oversized || undersized {
-			if n.sizeSince < 0 {
-				n.sizeSince = now
-			} else if now-n.sizeSince >= n.cfg.ReformHold {
-				if oversized {
-					n.initiateSplit()
-				} else {
-					n.initiateMerge()
-				}
-				n.sizeSince = now
+	if !lv.isLeader { // the shed above abdicated
+		return
+	}
+	live := lv.members + 1
+	oversized := live > GroupMax
+	undersized := live < GroupMin && n.parentChan != 0
+	if oversized || undersized {
+		if n.sizeSince < 0 {
+			n.sizeSince = now
+		} else if now-n.sizeSince >= n.cfg.beats(reformHoldBeats) {
+			if oversized {
+				n.initiateSplit()
+			} else {
+				n.initiateMerge()
 			}
-		} else {
-			n.sizeSince = -1
+			n.sizeSince = now
 		}
+	} else {
+		n.sizeSince = -1
 	}
 }
 
@@ -228,7 +274,7 @@ func (n *Node) leastLoadedMember(level int) membership.NodeID {
 				load = int(s.Load)
 			}
 		}
-		if load > n.cfg.LoadWatermark {
+		if load > adaptiveLoadWatermark {
 			return
 		}
 		if best == membership.NoNode || load < bestLoad {

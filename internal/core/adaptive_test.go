@@ -28,7 +28,7 @@ func leadersOn(nodes []*Node, ch int) []*Node {
 }
 
 // TestAdaptiveShedOnWatermark pins the abdication state machine: a level-0
-// leader whose load stays over the watermark for LoadWindow hands
+// leader whose load stays over the watermark for the load window hands
 // leadership off and stops leading, and the group converges on exactly one
 // successor.
 func TestAdaptiveShedOnWatermark(t *testing.T) {
@@ -43,10 +43,10 @@ func TestAdaptiveShedOnWatermark(t *testing.T) {
 	}
 
 	lead.SetHotLoad(64) // load 64+members > watermark 12
-	c.run(cfg.LoadWindow + 10*time.Second)
+	c.run(cfg.beats(loadWindowBeats) + 10*time.Second)
 	if lead.IsLeader(0) {
-		t.Fatalf("overloaded leader still leads after LoadWindow (load=%d, watermark=%d)",
-			lead.Load(), cfg.LoadWatermark)
+		t.Fatalf("overloaded leader still leads after the load window (load=%d, watermark=%d)",
+			lead.Load(), cfg.loadWatermark())
 	}
 	if sheds := lead.Stats().LoadSheds; sheds == 0 {
 		t.Error("shed not counted in Stats.LoadSheds")
@@ -77,7 +77,7 @@ func TestAdaptiveSuccessorLeastLoaded(t *testing.T) {
 	}
 	c.run(3 * time.Second) // let the load reports reach the leader's cache
 	c.nodes[0].SetHotLoad(64)
-	c.run(cfg.LoadWindow + 10*time.Second)
+	c.run(cfg.beats(loadWindowBeats) + 10*time.Second)
 
 	ls := leadersOn(c.nodes[:8], c.nodes[0].Level0Channel())
 	if len(ls) != 1 {
@@ -112,7 +112,7 @@ func TestAdaptiveStaticNeverSheds(t *testing.T) {
 }
 
 // TestAdaptiveSplitOversizedGroup pins the split state machine: a single
-// 16-host segment is over GroupMax=12, so after ReformHold the leader
+// 16-host segment is over GroupMax=12, so after the reform hold the leader
 // moves the upper half onto a fresh channel, leaving two in-bounds groups
 // with one leader each, and the movers remember their parent channel.
 func TestAdaptiveSplitOversizedGroup(t *testing.T) {
@@ -130,9 +130,9 @@ func TestAdaptiveSplitOversizedGroup(t *testing.T) {
 		t.Fatalf("got %d level-0 channels, want 2 after the split", len(byChan))
 	}
 	for ch, members := range byChan {
-		if len(members) < cfg.GroupMin || len(members) > cfg.GroupMax {
+		if len(members) < GroupMin || len(members) > GroupMax {
 			t.Errorf("channel %d has %d members, want within [%d,%d]",
-				ch, len(members), cfg.GroupMin, cfg.GroupMax)
+				ch, len(members), GroupMin, GroupMax)
 		}
 		if ls := leadersOn(c.nodes, ch); len(ls) != 1 {
 			t.Errorf("channel %d has %d leaders, want 1", ch, len(ls))
@@ -169,14 +169,14 @@ func TestAdaptiveMergeUndersizedGroup(t *testing.T) {
 			movers = append(movers, n)
 		}
 	}
-	if len(movers) < cfg.GroupMin+1 {
+	if len(movers) < GroupMin+1 {
 		t.Fatalf("split did not happen: %d movers", len(movers))
 	}
 	// Kill movers until one remains: 1 < GroupMin=2 forces the merge.
 	for _, n := range movers[1:] {
 		n.Stop()
 	}
-	c.run(cfg.DeadAfter() + cfg.ReformHold + 15*time.Second)
+	c.run(cfg.DeadAfter() + cfg.beats(reformHoldBeats) + 15*time.Second)
 
 	last := movers[0]
 	if got := last.Level0Channel(); got != home {
@@ -190,28 +190,22 @@ func TestAdaptiveMergeUndersizedGroup(t *testing.T) {
 	}
 }
 
-// TestAdaptiveConfigValidation pins the new knobs' validation: a reform
-// channel base colliding with the level ladder must be rejected, as must
-// inverted group bounds.
+// TestAdaptiveConfigValidation pins the adaptive configuration's
+// validation: re-formation needs a channel base, and one colliding with the
+// level ladder must be rejected.
 func TestAdaptiveConfigValidation(t *testing.T) {
-	panics := func(f func()) (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		f()
-		return
-	}
 	ok := AdaptiveDefaults()
 	ok.MaxTTL = 2
-	if panics(func() { ok.validate() }) {
-		t.Fatal("AdaptiveDefaults rejected")
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("AdaptiveDefaults rejected: %v", err)
 	}
 	bad := ok
-	bad.GroupMin = 13
-	if !panics(func() { bad.validate() }) {
-		t.Error("GroupMin > GroupMax accepted")
-	}
-	bad = ok
 	bad.ReformChannelBase = 0
-	if !panics(func() { bad.validate() }) {
+	if bad.Validate() == nil {
 		t.Error("adaptive config without a reform channel base accepted")
+	}
+	bad.ReformChannelBase = ok.channel(1)
+	if bad.Validate() == nil {
+		t.Error("reform channel base on the level ladder accepted")
 	}
 }

@@ -142,7 +142,7 @@ func TestPropertyRandomTopologyConvergence(t *testing.T) {
 			c := newCluster(top, cfg)
 			c.startAll()
 			// Deeper random trees need longer: patience per level.
-			settle := time.Duration(top.Diameter()+2) * cfg.ElectionPatience * 4
+			settle := time.Duration(top.Diameter()+2) * cfg.electionPatience() * 4
 			if settle < 30*time.Second {
 				settle = 30 * time.Second
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/netsim"
@@ -44,39 +46,6 @@ type Config struct {
 	// accounts the natural encoded size.
 	HeartbeatPad int
 
-	// ElectionPatience is how long a node must observe a leaderless group
-	// before contending; it also delays elections right after joining a
-	// channel so existing heartbeats can arrive first.
-	ElectionPatience time.Duration
-
-	// LevelGrace is the extra per-level lifetime of information relayed by
-	// a dead leader: entries relayed through a level-L leader are purged
-	// LevelGrace*(L+1) after the leader is declared dead, giving lower
-	// levels time to elect a replacement (Timeout Protocol: "higher level
-	// groups are assigned with larger timeout values").
-	LevelGrace time.Duration
-
-	// RepublishInterval is the anti-entropy period: every interval, each
-	// node that leads some group multicasts its full directory on every
-	// channel it has joined, repairing any one-shot exchange whose packets
-	// were all lost. Zero disables republication (the protocol then relies
-	// solely on the paper's event-driven mechanisms).
-	RepublishInterval time.Duration
-
-	// TombstoneTTL is how long a removed node's relayed re-addition is
-	// rejected, so a stale snapshot cannot resurrect a dead node; direct
-	// heartbeats (proof of life), higher incarnations, and advanced
-	// heartbeat counters always override.
-	TombstoneTTL time.Duration
-
-	// RelayedTTL is the maximum time a relayed directory entry survives
-	// without fresh evidence of life (an advancing heartbeat counter
-	// carried by updates or republished snapshots). It must exceed the
-	// tree depth times RepublishInterval so evidence can propagate; it is
-	// the mechanism that lets every node eventually purge a partitioned
-	// subtree (Timeout Protocol). Zero disables.
-	RelayedTTL time.Duration
-
 	// Adaptive enables the self-organizing hierarchy (docs/ADAPTIVE.md):
 	// overloaded leaders abdicate to the least-loaded member, groups whose
 	// live size drifts outside [GroupMin, GroupMax] split or merge through
@@ -84,31 +53,6 @@ type Config struct {
 	// sends no adaptive packets and draws no extra randomness, so every
 	// pre-existing run stays byte-identical.
 	Adaptive bool
-
-	// LoadWatermark is the sustained relay load (external load units set
-	// by the host plus live fan-out across led levels) above which an
-	// adaptive leader abdicates. Zero disables shedding. Regardless of
-	// Adaptive, a node with nonzero external load above the watermark
-	// starves its relay duties (level>=1 heartbeats, directory publishes,
-	// upward update relays) — that is the overload model; Adaptive only
-	// changes the response.
-	LoadWatermark int
-
-	// LoadWindow is how long the load must stay above LoadWatermark before
-	// an adaptive leader sheds leadership.
-	LoadWindow time.Duration
-
-	// GroupMin / GroupMax bound the live level-0 group size an adaptive
-	// hierarchy converges back to: a group sustaining more than GroupMax
-	// live members splits (the upper half of the ID order moves to a fresh
-	// channel), and a split-off group sustaining fewer than GroupMin live
-	// members merges back onto its parent channel.
-	GroupMin, GroupMax int
-
-	// ReformHold is how long a group's live size must stay out of bounds
-	// before its leader initiates a re-formation round; it must comfortably
-	// exceed bootstrap/election transients.
-	ReformHold time.Duration
 
 	// ReformChannelBase is where split-off groups draw fresh level-0
 	// channels from: round epoch e uses ReformChannelBase+e. It must not
@@ -125,6 +69,44 @@ type Config struct {
 // purges all the nodes of the lower level group."
 const levelTimeoutStep = 2
 
+// The protocol's other timers, counted in heartbeat periods like the
+// paper's timeouts, so a node configured with a faster MCAST_FREQ runs all
+// of them faster (Config's methods of the same names turn them into
+// durations).
+const (
+	// electionPatienceBeats is how long a node must observe a leaderless
+	// group before contending; it also delays elections right after joining
+	// a channel so existing heartbeats can arrive first.
+	electionPatienceBeats = 2
+	// levelGraceBeats is the extra per-level lifetime of information relayed
+	// by a dead leader: entries relayed through a level-L leader are purged
+	// a republish interval plus levelGrace*(L+1) after the leader is
+	// declared dead, giving lower levels time to elect a replacement
+	// (Timeout Protocol: "higher level groups are assigned with larger
+	// timeout values").
+	levelGraceBeats = 3
+	// republishBeats is the anti-entropy period: every interval, each node
+	// that leads some group multicasts its full directory on every channel it
+	// has joined, repairing any one-shot exchange whose packets were all
+	// lost.
+	republishBeats = 10
+	// tombstoneBeats is how long a removed node's relayed re-addition is
+	// rejected, so a stale snapshot cannot resurrect a dead node; direct
+	// heartbeats (proof of life), higher incarnations, and advanced
+	// heartbeat counters always override.
+	tombstoneBeats = 10
+	// relayedTTLBeats is the maximum time a relayed directory entry survives
+	// without fresh evidence of life (an advancing heartbeat counter carried
+	// by updates or republished snapshots). It exceeds the tree depth times
+	// the republish interval so evidence can propagate; it is the mechanism
+	// that lets every node eventually purge a partitioned subtree (Timeout
+	// Protocol).
+	relayedTTLBeats = 40
+)
+
+// maxTTL is the largest MaxTTL: a level's scope is an IP TTL, one byte.
+const maxTTL = 255
+
 // DefaultConfig returns the paper's experiment configuration.
 func DefaultConfig() Config {
 	return Config{
@@ -133,42 +115,42 @@ func DefaultConfig() Config {
 		HeartbeatInterval: time.Second,
 		MaxLoss:           5,
 		PiggybackDepth:    3,
-		ElectionPatience:  2 * time.Second,
-		LevelGrace:        3 * time.Second,
-		RepublishInterval: 10 * time.Second,
-		TombstoneTTL:      10 * time.Second,
-		RelayedTTL:        40 * time.Second,
 	}
 }
 
 // AdaptiveDefaults returns DefaultConfig with the self-organizing
-// hierarchy enabled and the watermarks used by the chaos matrix's
-// adaptive cells: shedding above 12 load units sustained for 5 s, group
-// bounds [2, 12] held for 6 s before a re-formation round, and fresh
-// split channels drawn from 64 up.
+// hierarchy enabled (its watermarks are the constants in adaptive.go) and
+// fresh split channels drawn from 64 up.
 func AdaptiveDefaults() Config {
 	c := DefaultConfig()
 	c.Adaptive = true
-	c.LoadWatermark = 12
-	c.LoadWindow = 5 * time.Second
-	c.GroupMin = 2
-	c.GroupMax = 12
-	c.ReformHold = 6 * time.Second
 	c.ReformChannelBase = 64
 	return c
 }
 
+// beats is n heartbeat periods.
+func (c Config) beats(n int) time.Duration {
+	return time.Duration(n) * c.HeartbeatInterval
+}
+
 // DeadAfter is the silence duration after which a level-0 group mate is
 // declared dead.
-func (c Config) DeadAfter() time.Duration {
-	return time.Duration(c.MaxLoss) * c.HeartbeatInterval
-}
+func (c Config) DeadAfter() time.Duration { return c.beats(c.MaxLoss) }
 
 // DeadAfterLevel is the per-level silence threshold: higher levels tolerate
 // more missed heartbeats so lower-level elections finish first.
 func (c Config) DeadAfterLevel(level int) time.Duration {
-	return time.Duration(c.MaxLoss+level*levelTimeoutStep) * c.HeartbeatInterval
+	return c.beats(c.MaxLoss + level*levelTimeoutStep)
 }
+
+func (c Config) electionPatience() time.Duration  { return c.beats(electionPatienceBeats) }
+func (c Config) levelGrace() time.Duration        { return c.beats(levelGraceBeats) }
+func (c Config) republishInterval() time.Duration { return c.beats(republishBeats) }
+func (c Config) tombstoneTTL() time.Duration      { return c.beats(tombstoneBeats) }
+
+// RelayedTTL is how long a relayed directory entry survives without fresh
+// evidence of life (relayedTTLBeats).
+func (c Config) RelayedTTL() time.Duration { return c.beats(relayedTTLBeats) }
 
 func (c Config) channel(level int) netsim.ChannelID {
 	if ch, ok := c.ChannelOverride[level]; ok {
@@ -191,30 +173,29 @@ func (c Config) levelOf(ch netsim.ChannelID) int {
 // ttl is the scope of a level's multicast group.
 func ttl(level int) int { return level + 1 }
 
-func (c Config) validate() {
-	if c.MaxTTL < 1 {
-		panic("core: MaxTTL must be >= 1")
-	}
-	if c.HeartbeatInterval <= 0 {
-		panic("core: HeartbeatInterval must be positive")
-	}
-	if c.MaxLoss < 1 {
-		panic("core: MaxLoss must be >= 1")
-	}
-	if c.PiggybackDepth < 0 {
-		panic("core: PiggybackDepth must be >= 0")
+// Validate reports why a node cannot run with the configuration; NewNode
+// panics on the same errors.
+func (c Config) Validate() error {
+	switch {
+	case c.MaxTTL < 1 || c.MaxTTL > maxTTL:
+		return fmt.Errorf("core: MaxTTL must be in [1, %d], got %d", maxTTL, c.MaxTTL)
+	case c.HeartbeatInterval/4 <= 0:
+		// joinLevel draws each level's start jitter from a quarter period.
+		return fmt.Errorf("core: HeartbeatInterval must be at least 4ns, got %v", c.HeartbeatInterval)
+	case c.MaxLoss < 1:
+		return fmt.Errorf("core: MaxLoss must be >= 1, got %d", c.MaxLoss)
+	case c.PiggybackDepth < 0:
+		return errors.New("core: PiggybackDepth must be >= 0")
 	}
 	if c.Adaptive {
-		if c.GroupMax > 0 && c.GroupMin > c.GroupMax {
-			panic("core: GroupMin must not exceed GroupMax")
+		if c.ReformChannelBase == 0 {
+			return errors.New("core: re-formation needs a ReformChannelBase")
 		}
-		if c.GroupMax > 0 && c.ReformChannelBase == 0 {
-			panic("core: re-formation needs a ReformChannelBase")
-		}
-		for l := 0; l < c.MaxTTL && c.ReformChannelBase != 0; l++ {
+		for l := 0; l < c.MaxTTL; l++ {
 			if c.channel(l) == c.ReformChannelBase {
-				panic("core: ReformChannelBase collides with a level channel")
+				return errors.New("core: ReformChannelBase collides with a level channel")
 			}
 		}
 	}
+	return nil
 }

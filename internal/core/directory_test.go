@@ -202,7 +202,7 @@ func TestRepublishEncodesOncePerTick(t *testing.T) {
 		t.Fatalf("node 0 leads level 0: %v, joined levels %v; the test needs a two-channel leader", nodes[0].IsLeader(0), nodes[0].Levels())
 	}
 	rec.sent = nil
-	eng.Run(eng.Now() + 3*cfg.RepublishInterval)
+	eng.Run(eng.Now() + 3*cfg.republishInterval())
 	var snaps []sentPayload
 	for _, s := range rec.sent {
 		if m, err := wire.Decode(s.payload); err == nil {

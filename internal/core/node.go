@@ -172,7 +172,9 @@ const maxSeen = 4096
 // NewNode creates a node bound to endpoint ep. The node's identity is the
 // endpoint's host ID. Call Start to join the membership service.
 func NewNode(cfg Config, ep netsim.Transport) *Node {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	id := membership.NodeID(ep.ID())
 	n := &Node{
 		cfg:    cfg,
@@ -235,7 +237,7 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.info.Incarnation++
 	n.info.Node = n.id
 	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
-	n.dir.SetTombstoneTTL(n.cfg.TombstoneTTL)
+	n.dir.SetTombstoneTTL(n.cfg.tombstoneTTL())
 	// Claim the endpoint only if no one owns it: a service runtime or
 	// proxy installs a mux as the handler and delegates membership
 	// packets to Receive.
@@ -245,14 +247,12 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.ep.SetUp(true)
 	n.joinLevel(0)
 	n.tracker = sim.NewTicker(eng, n.cfg.HeartbeatInterval/2, n.cfg.HeartbeatInterval/2, n.track)
-	if n.cfg.RepublishInterval > 0 {
-		n.republish = sim.NewJitteredTicker(eng, n.cfg.RepublishInterval, func() {
-			if !n.anyLeader() {
-				return
-			}
-			n.publishDirectory(allLevels)
-		})
-	}
+	n.republish = sim.NewJitteredTicker(eng, n.cfg.republishInterval(), func() {
+		if !n.anyLeader() {
+			return
+		}
+		n.publishDirectory(allLevels)
+	})
 }
 
 // Leave departs the membership service gracefully: the node announces its
@@ -664,7 +664,8 @@ func (n *Node) track() {
 	// partitioned subtree eventually disappears from every directory. The
 	// full sweep is O(directory), so it runs at a fraction of the TTL, not
 	// on every tracker tick.
-	if n.cfg.RelayedTTL > 0 && now-n.lastTTLScan >= n.cfg.RelayedTTL/8 {
+	relayedTTL := n.cfg.RelayedTTL()
+	if now-n.lastTTLScan >= relayedTTL/8 {
 		// Advance the throttle even when the sweep below is skipped, so
 		// sweep instants (and hence purge timestamps) stay on the exact
 		// same grid whether or not the skip fires.
@@ -672,9 +673,9 @@ func (n *Node) track() {
 		if now >= n.ttlScanDue {
 			stale, next := n.dir.Expired(now, func(e *membership.Entry) time.Duration {
 				if e.Origin == membership.OriginRelayed {
-					return n.cfg.RelayedTTL
+					return relayedTTL
 				}
-				return 4 * n.cfg.RelayedTTL // backstop for orphaned direct entries
+				return 4 * relayedTTL // backstop for orphaned direct entries
 			})
 			spared := false
 			for _, id := range stale {
@@ -687,12 +688,12 @@ func (n *Node) track() {
 			}
 			// Refreshes only push deadlines later and post-sweep entries
 			// start fresh, so nothing can expire before min(next,
-			// now+RelayedTTL): sweeps before then provably find nothing
+			// now+relayedTTL): sweeps before then provably find nothing
 			// and are skipped. An expired-but-directly-heard entry keeps
 			// its past deadline, so its presence disables the skip.
 			n.ttlScanDue = 0
 			if !spared {
-				n.ttlScanDue = now + n.cfg.RelayedTTL
+				n.ttlScanDue = now + relayedTTL
 				if next < n.ttlScanDue {
 					n.ttlScanDue = next
 				}
@@ -744,7 +745,7 @@ func (n *Node) schedulePurgeRelayedBy(dead membership.NodeID, level int, deathTi
 	// nodes that merely had the dead node as their last relayer get fresh
 	// evidence (advancing beats) from surviving leaders within one
 	// republish interval, cancelling the purge.
-	grace := n.cfg.RepublishInterval + n.cfg.LevelGrace*time.Duration(level+1)
+	grace := n.cfg.republishInterval() + n.cfg.levelGrace()*time.Duration(level+1)
 	n.eng.Schedule(grace, func() {
 		if !n.running {
 			return
@@ -765,7 +766,7 @@ func (n *Node) schedulePurgeRelayedBy(dead membership.NodeID, level int, deathTi
 func (n *Node) elect(level int) {
 	lv := n.levels[level]
 	now := n.eng.Now()
-	if now-lv.joinedAt < n.cfg.ElectionPatience {
+	if now-lv.joinedAt < n.cfg.electionPatience() {
 		return
 	}
 	if lv.isLeader {
@@ -779,7 +780,7 @@ func (n *Node) elect(level int) {
 	// it over the Handoff successor; once the holdoff passes, a group that
 	// is still leaderless takes the degraded leader back as a last resort.
 	if n.cfg.Adaptive && n.shedAt >= 0 && n.relayStarved() && lv.members > 0 &&
-		now-n.shedAt < time.Duration(overloadHoldoffFactor)*n.cfg.ElectionPatience {
+		now-n.shedAt < time.Duration(overloadHoldoffFactor)*n.cfg.electionPatience() {
 		return
 	}
 	lowest := true

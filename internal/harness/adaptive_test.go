@@ -16,12 +16,11 @@ import (
 // default matrix shape and a fixed seed.
 func runAdaptiveCell(t *testing.T, scheme Scheme, scenario string) (ChaosResult, map[string]int) {
 	t.Helper()
-	o := DefaultChaosOptions()
-	sc, err := chaos.Find(scenario, o.Groups, o.PerGroup)
+	sc, err := chaos.Find(scenario, matrixGroups, matrixPerGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := RunScenario(scheme, sc, o, 1)
+	rep := RunScenario(scheme, sc, DefaultChaosOptions(), 1)
 	viol := map[string]int{}
 	for _, inv := range rep.Invariants {
 		viol[inv.Name] = int(inv.Violations)
@@ -122,12 +121,11 @@ func TestAdaptiveMatrixColumns(t *testing.T) {
 func adaptiveParsimRun(t *testing.T, lps int) metrics.RunReport {
 	t.Helper()
 	const seed = 7
-	o := DefaultChaosOptions()
-	sc, err := chaos.Find("hot-leader", o.Groups, o.PerGroup)
+	sc, err := chaos.Find("hot-leader", matrixGroups, matrixPerGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCluster(HierarchicalAdaptive, topology.Clustered(o.Groups, o.PerGroup), seed)
+	c := NewCluster(HierarchicalAdaptive, topology.Clustered(matrixGroups, matrixPerGroup), seed)
 	coord := c.EnableParsim(seed, lps)
 	c.StartAll()
 	env := chaos.NewEnv(coord, c.Net, c.Top, c.Nodes)
@@ -137,14 +135,13 @@ func adaptiveParsimRun(t *testing.T, lps int) metrics.RunReport {
 	}
 	n := c.Top.NumHosts()
 	deadline := coord.Now() + sc.End() + ChaosSettle(HierarchicalAdaptive, n)
-	ac := core.AdaptiveDefaults()
 	auds := c.StartParAuditors(invariant.Options{
 		Interval:    time.Second,
 		Deadline:    deadline,
 		PurgeBound:  ChaosPurgeBound(HierarchicalAdaptive, n),
 		LeaderGrace: ChaosLeaderGrace,
 		EventDriven: true,
-		GroupBounds: [2]int{ac.GroupMin, ac.GroupMax},
+		GroupBounds: [2]int{core.GroupMin, core.GroupMax},
 		FaultEnd:    coord.Now() + sc.End(),
 	})
 	coord.Run(deadline + ChaosEnforce)

@@ -70,8 +70,7 @@ func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64
 		IntraDCOnly: d.federated,
 	}
 	if d.reformAudit {
-		ac := core.AdaptiveDefaults()
-		cell.Audit.GroupBounds = [2]int{ac.GroupMin, ac.GroupMax}
+		cell.Audit.GroupBounds = [2]int{core.GroupMin, core.GroupMax}
 		cell.Audit.FaultEnd = sc.End()
 	}
 	return cell

@@ -17,20 +17,22 @@ import (
 
 // ChaosOptions parametrize the scenario x scheme matrix.
 type ChaosOptions struct {
-	Seed     int64
-	Groups   int
-	PerGroup int
+	Seed int64
 	// Scenarios restricts the matrix to the named library scenarios;
 	// empty means all of them.
 	Scenarios []string
 	Sweep     Sweep
 }
 
-// DefaultChaosOptions: 3 groups of 8 (24 nodes; 48 for the multi-DC
-// scenarios, which double the cluster across two data centers).
+// DefaultChaosOptions runs every library scenario at seed 42.
 func DefaultChaosOptions() ChaosOptions {
-	return ChaosOptions{Seed: 42, Groups: 3, PerGroup: 8}
+	return ChaosOptions{Seed: 42}
 }
+
+// matrixGroups groups of matrixPerGroup hosts is the cluster every chaos
+// and traffic matrix cell runs on: 24 nodes, 48 for the multi-DC
+// scenarios, which double the cluster across two data centers.
+const matrixGroups, matrixPerGroup = 3, 8
 
 // ChaosEnforce is how long the auditor keeps checking after the audit
 // deadline (the post-quiescence window where completeness must hold).
@@ -62,16 +64,17 @@ type ChaosResult struct {
 
 func (o ChaosOptions) scenarios() []*chaos.Scenario {
 	if len(o.Scenarios) == 0 {
-		return chaos.Library(o.Groups, o.PerGroup)
+		return chaos.Library(matrixGroups, matrixPerGroup)
 	}
-	return findScenarios(o.Scenarios, o.Groups, o.PerGroup)
+	return findScenarios(o.Scenarios)
 }
 
-// findScenarios resolves library scenario names, panicking on an unknown one.
-func findScenarios(names []string, groups, perGroup int) []*chaos.Scenario {
+// findScenarios resolves library scenario names on the matrix shape,
+// panicking on an unknown one.
+func findScenarios(names []string) []*chaos.Scenario {
 	var out []*chaos.Scenario
 	for _, name := range names {
-		sc, err := chaos.Find(name, groups, perGroup)
+		sc, err := chaos.Find(name, matrixGroups, matrixPerGroup)
 		if err != nil {
 			panic(err)
 		}
@@ -85,7 +88,7 @@ func findScenarios(names []string, groups, perGroup int) []*chaos.Scenario {
 // plus the enforcement window, and report the cluster counters with the
 // auditor's verdicts attached.
 func RunScenario(scheme Scheme, sc *chaos.Scenario, o ChaosOptions, seed int64) metrics.RunReport {
-	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed)
+	c := NewCell(scheme, sc, matrixGroups, matrixPerGroup, seed)
 	c.StartAll()
 	if err := sc.Install(c.Env); err != nil {
 		panic(err) // library scenarios are valid by construction

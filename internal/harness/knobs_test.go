@@ -28,10 +28,10 @@ var optionStructs = []any{
 
 // knobs is the census: every exported field of every option struct, with who
 // gives it more than one value. "fence" rows are single-valued today and kept
-// by ISSUE 24's fences (bench/ is frozen; deployment addresses, the config
-// file, the real-time example and the public AppConfig stay configurable); "tests only" and "single
-// value" rows are what the next census should take. Nothing is added here
-// without the two callers the rule below asks for.
+// on purpose (bench/ is frozen; deployment addresses, the config file and the
+// public AppConfig stay configurable); "tests only" rows are what the next
+// census should take. Nothing is added here without the two callers the rule
+// below asks for.
 var knobs = map[string]string{
 	"rapid.Config.HeartbeatPad": "harness/scheme.go: 228-byte target; bench/micro/micro.go: unpadded",
 	"rapid.Config.DCOf":         "harness/scheme.go: the rapid and rapid+dc rows",
@@ -76,17 +76,7 @@ var knobs = map[string]string{
 	"core.Config.MaxLoss":           "mservice config file (MAX_LOSS); harness/ablations.go: abl-maxloss; examples/realudp",
 	"core.Config.PiggybackDepth":    "harness/ablations.go: abl-piggyback",
 	"core.Config.HeartbeatPad":      "harness/scheme.go: 228-byte target; harness/ablations.go, harness/fig14.go: unpadded",
-	"core.Config.ElectionPatience":  "examples/realudp: real-time scaling",
-	"core.Config.LevelGrace":        "examples/realudp: real-time scaling",
-	"core.Config.RepublishInterval": "examples/realudp: real-time scaling",
-	"core.Config.TombstoneTTL":      "examples/realudp: real-time scaling",
-	"core.Config.RelayedTTL":        "examples/realudp: real-time scaling",
 	"core.Config.Adaptive":          "harness/scheme.go: the static and adaptive rows (core.AdaptiveDefaults)",
-	"core.Config.LoadWatermark":     "harness/scheme.go: the static and adaptive rows (core.AdaptiveDefaults)",
-	"core.Config.LoadWindow":        "harness/scheme.go: the static and adaptive rows (core.AdaptiveDefaults)",
-	"core.Config.GroupMin":          "harness/scheme.go: the static and adaptive rows (core.AdaptiveDefaults)",
-	"core.Config.GroupMax":          "harness/scheme.go: the static and adaptive rows (core.AdaptiveDefaults)",
-	"core.Config.ReformHold":        "harness/scheme.go: the static and adaptive rows (core.AdaptiveDefaults)",
 	"core.Config.ReformChannelBase": "deployment address; harness/scheme.go: the static and adaptive rows",
 
 	"invariant.Options.Interval":    "harness/cell.go: 1 s; harness/scale.go, bench/perf/sim.go: 10 s",
@@ -96,7 +86,6 @@ var knobs = map[string]string{
 	"invariant.Options.IntraDCOnly": "harness/cell.go: federated rows only",
 	"invariant.Options.EventDriven": "fence: bench/perf/sim.go writes it (true at every caller; ROADMAP item 12)",
 	"invariant.Options.Observers":   "harness/parsim.go: one shard per LP; serial runs: nil",
-	"invariant.Options.Reach":       "harness/parsim.go: shared snapshot; serial runs: nil",
 	"invariant.Options.GroupBounds": "harness/cell.go: reform-audited rows only",
 	"invariant.Options.FaultEnd":    "harness/cell.go: per scenario",
 
@@ -106,8 +95,7 @@ var knobs = map[string]string{
 	"parsim.Config.Workers":   "cmd/tampbench: -lps",
 	"parsim.Config.Seed":      "harness/parsim.go: derived from the run seed",
 
-	"metrics.DiffOptions.WallFactor":   "cmd/tampbench: -diff-wall",
-	"metrics.DiffOptions.PacketFactor": "single value: no caller changes the default",
+	"metrics.DiffOptions.WallFactor": "cmd/tampbench: -diff-wall",
 
 	"tamp.AppConfig.PollSize":       "examples/loadbalance; NewApp: default",
 	"tamp.AppConfig.RequestTimeout": "fence: public API; single value, no caller sets it",
@@ -130,16 +118,11 @@ var knobs = map[string]string{
 	"harness.AccuracyOptions.Sweep":     "harness/figure.go: -workers",
 
 	"harness.ChaosOptions.Seed":      "harness/figure.go: -seed; bench/perf/chaos.go",
-	"harness.ChaosOptions.Groups":    "single value: no caller changes the default",
-	"harness.ChaosOptions.PerGroup":  "single value: no caller changes the default",
 	"harness.ChaosOptions.Scenarios": "bench/perf/chaos.go: the toy slice; harness/figure.go: all",
 	"harness.ChaosOptions.Sweep":     "harness/figure.go: -workers; bench/perf/chaos.go: one worker",
 
 	"harness.TrafficOptions.Seed":       "harness/figure.go: -seed",
-	"harness.TrafficOptions.Groups":     "single value: no caller changes the default",
-	"harness.TrafficOptions.PerGroup":   "single value: no caller changes the default",
 	"harness.TrafficOptions.Sessions":   "tests only: traffic_test.go, adaptive_test.go shrink the run",
-	"harness.TrafficOptions.Partitions": "single value: no caller changes the default",
 	"harness.TrafficOptions.Scenarios":  "harness/traffic.go: the traffic and traffic-hedge rows",
 	"harness.TrafficOptions.HedgeAfter": "harness/traffic.go: the traffic-hedge variants",
 	"harness.TrafficOptions.Sweep":      "harness/figure.go: -workers",
@@ -185,8 +168,8 @@ func TestKnobCensus(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	// ISSUE 24 left 104 of the parent's 157; the table only shrinks.
-	if len(knobs) > 104 {
-		t.Errorf("the knobs table has %d rows, more than the 104 it was cut to: %s", len(knobs), rule)
+	// The census went 157 -> 104 -> 87; the table only shrinks.
+	if len(knobs) > 87 {
+		t.Errorf("the knobs table has %d rows, more than the 87 it was cut to: %s", len(knobs), rule)
 	}
 }

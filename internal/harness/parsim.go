@@ -15,7 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/parsim"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // EnableParsim switches the cluster into partitioned execution with the
@@ -57,32 +56,12 @@ func (c *Cluster) engineFor(i int) *sim.Engine {
 	return c.Engs[c.Part.LPOf[i]]
 }
 
-// sharedReach is the audit ground truth all per-LP auditors share in a
-// partitioned run: connectivity labels from one flood fill, refreshed by the
-// coordinator after every boundary-action batch — the only moments the
-// failure set can change — and read (immutably) by worker goroutines during
-// windows.
-type sharedReach struct {
-	top    *topology.Topology
-	labels []int32
-}
-
-func (s *sharedReach) refresh() { s.labels = s.top.HostComponents() }
-
-func (s *sharedReach) ok(x, y topology.HostID) bool {
-	lx := s.labels[x]
-	return lx >= 0 && lx == s.labels[y]
-}
-
 // StartParAuditors arms one invariant auditor per LP, each observing only
-// its LP's hosts (subjects stay global) on its LP's engine, all sharing one
-// boundary-refreshed reachability truth. Results merge with
-// invariant.MergeResults; per-observer audit state is sharded with the
-// observers, so total memory matches one serial auditor.
+// its LP's hosts (subjects stay global) on its LP's engine and labelling
+// reachability itself. Results merge with invariant.MergeResults;
+// per-observer audit state is sharded with the observers, so total memory
+// matches one serial auditor.
 func (c *Cluster) StartParAuditors(o invariant.Options) []*invariant.Auditor {
-	reach := &sharedReach{top: c.Top}
-	c.Coord.OnBoundary(reach.refresh)
-	o.Reach = reach.ok
 	nodes := auditNodes(c.Nodes)
 	auds := make([]*invariant.Auditor, len(c.Engs))
 	for lp := range auds {

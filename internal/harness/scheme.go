@@ -77,10 +77,10 @@ var hierarchical = descriptor{
 	aliases: []string{"hier"},
 	build:   coreNodes(core.DefaultConfig),
 	// Views also wait out the TTL that keeps already-relayed state alive.
-	settle: plus(detectConverge(analysis.HierarchicalFixedFrequency), core.DefaultConfig().RelayedTTL),
+	settle: plus(detectConverge(analysis.HierarchicalFixedFrequency), core.DefaultConfig().RelayedTTL()),
 	purge: func(n int) time.Duration {
 		m := analysis.HierarchicalFixedFrequency(analysis.DefaultParams(n))
-		return m.DetectionTime + core.DefaultConfig().RelayedTTL
+		return m.DetectionTime + core.DefaultConfig().RelayedTTL()
 	},
 	reformAudit: true,
 	stats:       func(i Instance) core.Stats { return i.(interface{ Stats() core.Stats }).Stats() },
@@ -127,15 +127,11 @@ var schemes = [...]descriptor{
 	}),
 	Rapid: rapidScheme,
 	// Plain hierarchical settling plus the closed-form re-formation deadline
-	// (docs/ADAPTIVE.md): the overload window before a leader sheds, the
-	// size window before a split/merge fires, an election round for the
-	// successor, and a republish cadence for the moved group's directory
-	// entries to re-relay upward. The adaptive variant changes who relays,
+	// (core.Config.ReformSettle). The adaptive variant changes who relays,
 	// not how long relayed state may live, so it purges like its base.
 	HierarchicalAdaptive: variant(hierarchical, "hierarchical+adaptive", []string{"adaptive"}, func(d *descriptor) {
-		ac := core.AdaptiveDefaults()
 		d.build = coreNodes(core.AdaptiveDefaults)
-		d.settle = plus(d.settle, ac.LoadWindow+ac.ReformHold+ac.ElectionPatience+ac.RepublishInterval)
+		d.settle = plus(d.settle, core.AdaptiveDefaults().ReformSettle())
 	}),
 	// The DC-aware overlay changes who monitors whom, not any timing
 	// constant.

@@ -23,15 +23,9 @@ import (
 
 // TrafficOptions parametrize the scenario x scheme traffic matrix.
 type TrafficOptions struct {
-	Seed     int64
-	Groups   int
-	PerGroup int
+	Seed int64
 	// Sessions is the virtual-client population per cell.
 	Sessions int
-	// Partitions is the app's partition-space size; each host serves
-	// partition (host index mod Partitions), so every partition has
-	// Groups replicas spread across groups.
-	Partitions int
 	// Scenarios restricts the matrix to the named library scenarios;
 	// empty means the default traffic-relevant subset.
 	Scenarios []string
@@ -44,17 +38,16 @@ type TrafficOptions struct {
 	Sweep      Sweep
 }
 
-// DefaultTrafficOptions mirrors the chaos matrix shape (3 groups of 8) with
-// a thousand closed-loop sessions per cell.
+// DefaultTrafficOptions runs a thousand closed-loop sessions per cell at
+// seed 42, on the chaos matrix's shape.
 func DefaultTrafficOptions() TrafficOptions {
-	return TrafficOptions{
-		Seed:       42,
-		Groups:     3,
-		PerGroup:   8,
-		Sessions:   1000,
-		Partitions: 8,
-	}
+	return TrafficOptions{Seed: 42, Sessions: 1000}
 }
+
+// trafficPartitions is the app's partition-space size; each host serves
+// partition (host index mod trafficPartitions), so every partition has one
+// replica per group.
+const trafficPartitions = 8
 
 // TrafficScenarioNames is the default scenario subset: the fault timelines
 // whose user-visible cost is the point of the comparison. Pure telemetry
@@ -92,9 +85,9 @@ func trafficSettle(n int) time.Duration {
 
 func (o TrafficOptions) scenarios() []*chaos.Scenario {
 	if len(o.Scenarios) == 0 {
-		return findScenarios(TrafficScenarioNames, o.Groups, o.PerGroup)
+		return findScenarios(TrafficScenarioNames)
 	}
-	return findScenarios(o.Scenarios, o.Groups, o.PerGroup)
+	return findScenarios(o.Scenarios)
 }
 
 // attachRuntimes layers a service runtime over every node of a plain
@@ -113,10 +106,10 @@ func attachRuntimes(c *Cluster) []*service.Runtime {
 }
 
 // registerApp publishes the traffic app on every host: host h serves
-// partition h mod partitions, giving each partition one replica per group.
-func registerApp(rts []*service.Runtime, partitions int) {
+// partition h mod trafficPartitions.
+func registerApp(rts []*service.Runtime) {
 	for h, rt := range rts {
-		err := rt.Register(trafficAppName, fmt.Sprintf("%d", h%partitions), time.Millisecond,
+		err := rt.Register(trafficAppName, fmt.Sprintf("%d", h%trafficPartitions), time.Millisecond,
 			func(p int32, b []byte) ([]byte, error) { return b, nil })
 		if err != nil {
 			panic(err)
@@ -130,9 +123,9 @@ func registerApp(rts []*service.Runtime, partitions int) {
 // settle bound, and report the cluster counters with user-level traffic
 // stats attached.
 func RunTrafficScenario(scheme Scheme, sc *chaos.Scenario, o TrafficOptions, seed int64) metrics.RunReport {
-	c := NewCell(scheme, sc, o.Groups, o.PerGroup, seed)
+	c := NewCell(scheme, sc, matrixGroups, matrixPerGroup, seed)
 	rts := c.Runtimes()
-	registerApp(rts, o.Partitions)
+	registerApp(rts)
 	n := c.Top.NumHosts()
 	c.StartAll()
 	if err := sc.Install(c.Env); err != nil {
@@ -142,7 +135,7 @@ func RunTrafficScenario(scheme Scheme, sc *chaos.Scenario, o TrafficOptions, see
 	topt := traffic.DefaultOptions()
 	topt.Service = trafficAppName
 	topt.Sessions = o.Sessions
-	topt.Partitions = o.Partitions
+	topt.Partitions = trafficPartitions
 	topt.HedgeAfter = o.HedgeAfter
 	l := traffic.New(c.Eng, topt, rts, func(id membership.NodeID) bool {
 		return c.Nodes[int(id)].Running()

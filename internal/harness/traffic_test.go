@@ -150,15 +150,14 @@ func TestTrafficMillionSessions(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("million-session smoke skipped under -race")
 	}
-	o := DefaultTrafficOptions()
-	c := NewCluster(Hierarchical, topologyFor(o), 42)
+	c := NewCluster(Hierarchical, topology.Clustered(matrixGroups, matrixPerGroup), 42)
 	rts := attachRuntimes(c)
-	registerApp(rts, o.Partitions)
+	registerApp(rts)
 	c.StartAll()
 
 	topt := traffic.DefaultOptions()
 	topt.Sessions = 1_000_000
-	topt.Partitions = o.Partitions
+	topt.Partitions = trafficPartitions
 	topt.Think = time.Minute // ~17k requests/s of virtual time
 	// Opens must spread at least as thin as the steady rate: every open
 	// issues a request immediately, and 24 hosts at 1 ms/request serve
@@ -187,8 +186,4 @@ func TestTrafficMillionSessions(t *testing.T) {
 	if st.Misrouted != 0 || st.Migrations != 0 {
 		t.Fatalf("steady 1M run migrated: misrouted=%d migrations=%d", st.Misrouted, st.Migrations)
 	}
-}
-
-func topologyFor(o TrafficOptions) *topology.Topology {
-	return topology.Clustered(o.Groups, o.PerGroup)
 }

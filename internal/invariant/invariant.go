@@ -55,11 +55,6 @@ type Options struct {
 	// audit this way — one auditor per logical process, observers = the
 	// LP's own hosts — and merge verdicts with MergeResults.
 	Observers []int
-	// Reach, when non-nil, replaces the auditor's own epoch-keyed
-	// reachability bitset (whose rebuild probes all N^2 unicast paths).
-	// Parsim runs install a shared connectivity snapshot here, refreshed
-	// at window boundaries where it is race-free by construction.
-	Reach func(x, y topology.HostID) bool
 	// GroupBounds arms the re-formation convergence check
 	// (docs/ADAPTIVE.md): after Deadline, every protocol-level group —
 	// hosts sharing a current TTL-1 scope, refined by the level-0 channel
@@ -151,15 +146,13 @@ type Auditor struct {
 	stopped     bool
 
 	// Ground-truth caches. dc is each audited host's data center (fixed
-	// for a run). reach is a pairwise reachability bitset recomputed only
-	// when the topology epoch moves — between faults it turns both the
-	// per-mutation hook's reachability test and the sampler's O(N^2)
-	// completeness pass into bit probes instead of path lookups.
+	// for a run). reach labels every host's connectivity component
+	// (topology.HostComponents) as of topology epoch reachEpoch; syncReach
+	// relabels when the epoch moves, so between faults a reachability test
+	// is two label reads instead of a path lookup.
 	dc         []int
-	reachBits  []uint64
-	reachWords int // words per row
+	reach      []int32
 	reachEpoch uint64
-	reachValid bool
 
 	fed *Federation
 
@@ -237,10 +230,6 @@ func New(eng *sim.Engine, top *topology.Topology, nodes []Node, o Options) *Audi
 	for i := range a.dc {
 		a.dc[i] = top.HostDC(topology.HostID(i))
 	}
-	if o.Reach == nil {
-		a.reachWords = (n + 63) / 64
-		a.reachBits = make([]uint64, n*a.reachWords)
-	}
 	return a
 }
 
@@ -252,36 +241,22 @@ func (a *Auditor) observes(group []topology.HostID) bool {
 	return a.isObs == nil || (int(group[0]) < len(a.isObs) && a.isObs[group[0]])
 }
 
-// reachable reports whether unicast between two audited hosts currently
-// works, answering from the epoch-keyed bitset. Hosts outside the audited
-// range (proxy endpoints in federated runs) fall back to a path lookup.
-func (a *Auditor) reachable(x, y topology.HostID) bool {
-	if a.o.Reach != nil {
-		return a.o.Reach(x, y)
+// syncReach relabels host connectivity if the topology changed since the
+// labels were taken. Each sample and each directory event that needs
+// reachability calls it once. In a sharded audit every auditor labels for
+// itself: parsim mutates the topology only between windows, so all of them
+// read the same epoch.
+func (a *Auditor) syncReach() {
+	if ep := a.top.Epoch(); a.reach == nil || ep != a.reachEpoch {
+		a.reach, a.reachEpoch = a.top.HostComponents(), ep
 	}
-	n := len(a.nodes)
-	if int(x) >= n || int(y) >= n || x < 0 || y < 0 {
-		lat, _ := a.top.UnicastPath(x, y)
-		return lat >= 0
-	}
-	if ep := a.top.Epoch(); !a.reachValid || ep != a.reachEpoch {
-		a.rebuildReach(ep)
-	}
-	w := int(x)*a.reachWords + int(y)/64
-	return a.reachBits[w]&(1<<(uint(y)%64)) != 0
 }
 
-func (a *Auditor) rebuildReach(epoch uint64) {
-	clear(a.reachBits)
-	for x := range a.nodes {
-		row := a.reachBits[x*a.reachWords : (x+1)*a.reachWords]
-		for y := range a.nodes {
-			if lat, _ := a.top.UnicastPath(topology.HostID(x), topology.HostID(y)); lat >= 0 {
-				row[y/64] |= 1 << (uint(y) % 64)
-			}
-		}
-	}
-	a.reachEpoch, a.reachValid = epoch, true
+// reachable reports whether unicast between two hosts works (any topology
+// host, proxy endpoints included), as of the last syncReach.
+func (a *Auditor) reachable(x, y topology.HostID) bool {
+	l := a.reach[x]
+	return l >= 0 && l == a.reach[y]
 }
 
 // Start records the initial ground truth and schedules periodic sampling
@@ -322,6 +297,7 @@ func (a *Auditor) Stop() { a.stopped = true }
 
 func (a *Auditor) sample() {
 	now := a.eng.Now()
+	a.syncReach()
 
 	// Ground truth: running-set transitions and stability tracking.
 	changed := false
@@ -419,6 +395,7 @@ func (a *Auditor) onEvent(i int, e membership.Event) {
 		st.seen = true
 		st.inc, st.ver, st.beat = en.Incarnation, en.Version, en.Beat
 	case membership.EventLeave:
+		a.syncReach()
 		if warm {
 			a.viewChanges++
 			a.invs[invFlapFreedom].checks++

@@ -22,16 +22,17 @@ type DiffOptions struct {
 	// (e.g. 1.5 = +50%). Zero disables wall-time comparison — CI machines
 	// have too much wall-clock noise for a hard gate.
 	WallFactor float64
-	// PacketFactor flags a run whose delivered-packet count grew by more
-	// than this factor; packets are deterministic, so the default 1.25 is a
-	// real protocol-efficiency gate, not a noise threshold.
-	PacketFactor float64
 }
 
-// DefaultDiffOptions: packets gated at +25%, wall time gated at +50%.
+// DefaultDiffOptions: wall time gated at +50%.
 func DefaultDiffOptions() DiffOptions {
-	return DiffOptions{WallFactor: 1.5, PacketFactor: 1.25}
+	return DiffOptions{WallFactor: 1.5}
 }
+
+// packetFactor flags a run whose delivered-packet count grew by more than
+// this factor; packets are deterministic, so +25% is a real
+// protocol-efficiency gate, not a noise threshold.
+const packetFactor = 1.25
 
 // Regression is one comparator finding.
 type Regression struct {
@@ -133,10 +134,9 @@ func CompareBench(oldB, newB BenchJSON, o DiffOptions) []Regression {
 			regs = append(regs, Regression{Key: or.Key, What: "run disappeared"})
 			continue
 		}
-		if o.PacketFactor > 0 && or.PktsDelivered > 0 &&
-			float64(nr.PktsDelivered) > float64(or.PktsDelivered)*o.PacketFactor {
+		if or.PktsDelivered > 0 && float64(nr.PktsDelivered) > float64(or.PktsDelivered)*packetFactor {
 			regs = append(regs, Regression{Key: or.Key, What: fmt.Sprintf(
-				"packets delivered %d -> %d (> %gx)", or.PktsDelivered, nr.PktsDelivered, o.PacketFactor)})
+				"packets delivered %d -> %d (> %gx)", or.PktsDelivered, nr.PktsDelivered, packetFactor)})
 		}
 		if or.TotalViolations() == 0 && nr.TotalViolations() > 0 {
 			regs = append(regs, Regression{Key: or.Key, What: fmt.Sprintf(

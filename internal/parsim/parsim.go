@@ -57,8 +57,6 @@ type Coordinator struct {
 	bh    []boundary // min-heap on (at, seq)
 	bseq  uint64
 
-	hooks []func() // after-boundary hooks (audit truth refresh)
-
 	nextAt []time.Duration // per-LP next event time after a window, -1 = idle
 	pubs   []int           // per-LP published-subscription counts
 
@@ -139,13 +137,6 @@ func (c *Coordinator) ScheduleCall(delay time.Duration, cb sim.Callback) {
 
 var _ sim.Scheduler = (*Coordinator)(nil)
 
-// OnBoundary registers fn to run, single-threaded, after every batch of
-// boundary actions (and once before the first window). The harness hangs
-// shared audit ground truth here: topology reachability only changes when a
-// boundary action mutates the topology, so refreshing after actions keeps
-// every LP's view exact.
-func (c *Coordinator) OnBoundary(fn func()) { c.hooks = append(c.hooks, fn) }
-
 // EngineOf returns LP lp's engine.
 func (c *Coordinator) EngineOf(lp int) *sim.Engine { return c.engs[lp] }
 
@@ -175,7 +166,6 @@ func (c *Coordinator) Run(until time.Duration) {
 		defer c.stopWorkers()
 	}
 	c.net.PublishAllSubs()
-	c.runHooks()
 	for c.now < end {
 		c.runBoundary()
 		winEnd := end
@@ -208,17 +198,9 @@ func (c *Coordinator) runBoundary() {
 		b := c.pop()
 		b.fn()
 	}
-	// Actions may have joined/left channels (node restarts) or mutated the
-	// topology; republish snapshots and refresh shared truth before workers
-	// run again.
+	// Actions may have joined/left channels (node restarts); republish
+	// snapshots before workers run again.
 	c.net.PublishAllSubs()
-	c.runHooks()
-}
-
-func (c *Coordinator) runHooks() {
-	for _, fn := range c.hooks {
-		fn()
-	}
 }
 
 // window executes one lookahead window [c.now, winEnd) across all workers:

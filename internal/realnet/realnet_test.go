@@ -31,11 +31,6 @@ func newRealCluster(t *testing.T, top *topology.Topology, hb time.Duration) *rea
 	cfg.MaxTTL = top.Diameter()
 	cfg.HeartbeatInterval = hb
 	cfg.MaxLoss = 3
-	cfg.ElectionPatience = 2 * hb
-	cfg.LevelGrace = 3 * hb
-	cfg.RepublishInterval = 10 * hb
-	cfg.TombstoneTTL = 10 * hb
-	cfg.RelayedTTL = 40 * hb
 	for h := 0; h < top.NumHosts(); h++ {
 		ep, err := NewEndpoint(hub, drv, topology.HostID(h))
 		if err != nil {

@@ -96,9 +96,8 @@ func (t *Topology) LPPartition() *Partition {
 // HostComponents returns one connectivity label per host under the current
 // failure set: two hosts can exchange unicast traffic (UnicastPath latency
 // >= 0) iff their labels are equal and non-negative. A host whose device is
-// failed gets -1. One flood fill over the device graph replaces the O(N^2)
-// per-pair path probes the invariant auditor's reachability bitset needs —
-// at parsim scale the bitset itself (N^2 bits per LP) is unaffordable.
+// failed gets -1. It is the invariant auditor's reachability: one flood fill
+// over the device graph per topology epoch instead of N^2 path probes.
 func (t *Topology) HostComponents() []int32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()

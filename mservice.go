@@ -38,7 +38,9 @@ type MService struct {
 // NewMService creates a membership daemon on host h of the simulation,
 // configured from configText (the paper's file format; pass "" for
 // defaults). The *SYSTEM keys MAX_TTL, MCAST_FREQ, MAX_LOSS and MCAST_PORT
-// (as the base channel) are honoured; *SERVICE blocks are registered.
+// (as the base channel) are honoured, and every protocol timer counts
+// heartbeats, so MCAST_FREQ scales them all; *SERVICE blocks are
+// registered. Values the daemon cannot run with are an error.
 func NewMService(s *Sim, h HostID, configText string) (*MService, error) {
 	cfg := core.DefaultConfig()
 	cfg.MaxTTL = s.top.Diameter()
@@ -72,6 +74,9 @@ func NewMService(s *Sim, h HostID, configText string) (*MService, error) {
 			return nil, err
 		}
 		cfg.HeartbeatInterval = iv
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("tamp: configuration: %w", err)
 	}
 	m := &MService{s: s, node: core.NewNode(cfg, s.net.Endpoint(h)), host: h}
 	// Keep a bounded change history so clients can reconcile after gaps.

@@ -3,6 +3,9 @@ package tamp
 import (
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -79,10 +82,51 @@ func TestMServiceBadConfig(t *testing.T) {
 		"*SYSTEM\nMAX_TTL = x\n",
 		"*SYSTEM\nMCAST_FREQ = 0\n",
 		"*SERVICE\n[X]\nPARTITION = nope\n",
+		// Values that parse but the daemon cannot run with.
+		"*SYSTEM\nMAX_TTL = 0\n",
+		"*SYSTEM\nMAX_TTL = -3\n",
+		"*SYSTEM\nMAX_TTL = 256\n", // an IP TTL is one byte
+		"*SYSTEM\nMAX_LOSS = 0\n",
+		"*SYSTEM\nMCAST_FREQ = 2000000000\n", // a zero heartbeat period
+		"*SYSTEM\nMCAST_FREQ = 400000000\n",  // a period too short to jitter
 	} {
 		if _, err := NewMService(s, 0, bad); err == nil {
 			t.Errorf("config %q accepted", bad)
 		}
+	}
+	if _, err := NewMService(s, 0, "*SYSTEM\nMAX_TTL = 255\n"); err != nil {
+		t.Errorf("MAX_TTL = 255 rejected: %v", err)
+	}
+}
+
+// TestMServiceTimersFollowFrequency pins that MCAST_FREQ scales every
+// protocol timer, not only the heartbeat: at 2 Hz a group leader
+// republishes its directory every 5 s (ten heartbeats), not every 10 s.
+func TestMServiceTimersFollowFrequency(t *testing.T) {
+	const conf = "*SYSTEM\nMAX_TTL = 1\nMCAST_PORT = 50\nMCAST_FREQ = 2\n"
+	s := NewSim(FlatLAN(4), 3)
+	for h := 0; h < 3; h++ {
+		m, err := NewMService(s, HostID(h), conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+	}
+	// Host 3 runs no daemon; it listens on the group channel and counts the
+	// leader's (host 0's) directory snapshots over a steady 40 s.
+	var snapshots int
+	sniffer := s.net.Endpoint(3)
+	sniffer.Join(50)
+	sniffer.SetHandler(func(pkt netsim.Packet) {
+		if msg, err := pkt.Decode(); err == nil && pkt.Src == 0 && s.Now() >= 20*time.Second {
+			if _, ok := msg.(*wire.DirectoryView); ok {
+				snapshots++
+			}
+		}
+	})
+	s.Run(60 * time.Second)
+	if snapshots != 8 {
+		t.Errorf("leader multicast %d directory snapshots in 40 s at 2 Hz, want 8 (one per 5 s)", snapshots)
 	}
 }
 
