@@ -115,39 +115,42 @@ func (a *App) InvokeWait(serviceName string, partition int32, payload []byte) ([
 // Load returns this node's instantaneous service queue length.
 func (a *App) Load() uint32 { return a.rt.Load() }
 
+// Run starts the membership daemon and then, on a proxy host, the
+// co-located proxy.
+func (a *App) Run() {
+	a.MService.Run()
+	if a.proxy != nil {
+		a.proxy.Start()
+	}
+}
+
+// Stop kills the node, with the co-located proxy as one failure unit: the
+// proxy stops first, releasing its relay handler and channel while the
+// endpoint is still up, so it never keeps claiming its data center's
+// virtual IP for a dead host.
+func (a *App) Stop() {
+	if a.proxy != nil {
+		a.proxy.Stop()
+	}
+	a.MService.Stop()
+}
+
 // DataCenters bundles a multi-data-center deployment: apps on every host
 // plus membership proxies per data center sharing one VIP table.
 type DataCenters struct {
 	*Sim
-	Apps    []*App
-	Proxies []*Proxy
-	vip     *proxy.VIPTable
+	Apps []*App
+	vip  *proxy.VIPTable
 }
 
-// Proxy is a public handle to one membership proxy daemon.
-type Proxy struct {
-	p *proxy.Proxy
-	h HostID
-}
-
-// Host returns the host the proxy runs on.
-func (p *Proxy) Host() HostID { return p.h }
-
-// IsLeader reports whether this proxy holds its data center's virtual IP.
-func (p *Proxy) IsLeader() bool { return p.p.IsLeader() }
-
-// Stop kills the proxy daemon (the node's membership daemon keeps
-// running unless stopped separately).
-func (p *Proxy) Stop() { p.p.Stop() }
-
-// NewDataCenters builds apps over a MultiDC topology and places
-// proxiesPerDC membership proxies on the first hosts of each data center.
+// NewDataCenters builds apps over a MultiDC topology and co-locates
+// proxiesPerDC membership proxies with apps of each data center, placed as
+// proxy.Place does (never on a DC's lowest host, its root leader).
 // Invocations that cannot be served locally are forwarded through the
 // proxies automatically.
 func NewDataCenters(top *Topology, proxiesPerDC int, seed int64) *DataCenters {
 	s := NewSim(top, seed)
 	d := &DataCenters{Sim: s, vip: proxy.NewVIPTable()}
-	dcs := top.NumDataCenters()
 	for h := 0; h < top.NumHosts(); h++ {
 		hid := HostID(h)
 		ms, err := NewMService(s, hid, "")
@@ -161,34 +164,22 @@ func NewDataCenters(top *Topology, proxiesPerDC int, seed int64) *DataCenters {
 		a.rt = service.NewRuntime(scfg, s.eng, s.net.Endpoint(hid), ms.node)
 		d.Apps = append(d.Apps, a)
 	}
-	for dc := 0; dc < dcs; dc++ {
-		var remotes []int
-		for o := 0; o < dcs; o++ {
-			if o != dc {
-				remotes = append(remotes, o)
-			}
-		}
-		hosts := top.HostsInDC(dc)
-		for i := 0; i < proxiesPerDC && i < len(hosts); i++ {
-			h := hosts[i]
-			pcfg := proxy.DefaultConfig(dc, remotes)
-			pcfg.ProxyTTL = top.Diameter()
-			p := proxy.New(pcfg, s.eng, s.net.Endpoint(h), d.Apps[h].rt, d.vip)
-			a := d.Apps[h]
-			a.proxy = p
-			d.Proxies = append(d.Proxies, &Proxy{p: p, h: HostID(h)})
-		}
+	for _, pl := range proxy.Place(top, proxiesPerDC) {
+		a := d.Apps[pl.Host]
+		a.proxy = proxy.New(pl.Config, s.eng, s.net.Endpoint(pl.Host), a.rt, d.vip)
 	}
 	return d
 }
 
-// StartAll runs every membership daemon and proxy.
+// StartAll runs every membership daemon, then every proxy.
 func (d *DataCenters) StartAll() {
 	for _, a := range d.Apps {
-		a.Run()
+		a.MService.Run()
 	}
-	for _, p := range d.Proxies {
-		p.p.Start()
+	for _, a := range d.Apps {
+		if a.proxy != nil {
+			a.proxy.Start()
+		}
 	}
 }
 

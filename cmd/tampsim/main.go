@@ -102,7 +102,7 @@ func run(args []string, out io.Writer) int {
 	events := 0
 	for _, n := range c.Nodes {
 		n := n
-		n.Directory().SetObserver(func(e membership.Event) {
+		n.Directory().AddObserver(func(e membership.Event) {
 			events++
 			if *verbose {
 				fmt.Fprintf(out, "%12v  node %-5v %-6v %v\n", e.Time.Round(time.Millisecond), n.ID(), e.Type, e.Node)

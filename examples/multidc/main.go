@@ -13,51 +13,16 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/proxy"
-	"repro/internal/service"
-	"repro/internal/sim"
-	"repro/internal/topology"
+	tamp "repro"
 )
 
 func main() {
 	// Two data centers, 1 network x 6 hosts each. Hosts 0-5 = DC0 (A),
 	// hosts 6-11 = DC1 (B). Proxies: 1,2 in A; 7,8 in B. A "Ledger"
 	// service runs only in B (hosts 9-10).
-	top := topology.MultiDC(2, 1, 6)
-	eng := sim.NewEngine(3)
-	net := netsim.New(eng, top)
-	vip := proxy.NewVIPTable()
-
-	mcfg := core.DefaultConfig()
-	mcfg.MaxTTL = top.Diameter()
-	nodes := make([]*core.Node, top.NumHosts())
-	rts := make([]*service.Runtime, top.NumHosts())
-	for h := 0; h < top.NumHosts(); h++ {
-		hid := topology.HostID(h)
-		ep := net.Endpoint(hid)
-		nodes[h] = core.NewNode(mcfg, ep)
-		scfg := service.DefaultConfig()
-		dc := top.HostDC(hid)
-		scfg.ProxyAddr = func() (topology.HostID, bool) { return vip.Get(dc) }
-		rts[h] = service.NewRuntime(scfg, eng, ep, nodes[h])
-	}
-	var proxies []*proxy.Proxy
-	mkProxy := func(h, dc, remote int) *proxy.Proxy {
-		pcfg := proxy.DefaultConfig(dc, []int{remote})
-		pcfg.ProxyTTL = top.Diameter()
-		p := proxy.New(pcfg, eng, net.Endpoint(topology.HostID(h)), rts[h], vip)
-		proxies = append(proxies, p)
-		return p
-	}
-	mkProxy(1, 0, 1)
-	mkProxy(2, 0, 1)
-	mkProxy(7, 1, 0)
-	mkProxy(8, 1, 0)
-
-	for _, h := range []int{9, 10} {
-		err := rts[h].Register("Ledger", "0-1", time.Millisecond,
+	d := tamp.NewDataCenters(tamp.MultiDC(2, 1, 6), 2, 3)
+	for _, h := range []tamp.HostID{9, 10} {
+		err := d.App(h).Provide("Ledger", "0-1", time.Millisecond,
 			func(p int32, b []byte) ([]byte, error) {
 				return []byte(fmt.Sprintf("balance(p%d)=42", p)), nil
 			})
@@ -66,43 +31,33 @@ func main() {
 		}
 	}
 
-	for _, n := range nodes {
-		n.Start(eng)
-	}
-	for _, p := range proxies {
-		p.Start()
-	}
-	eng.Run(25 * time.Second) // membership + summary convergence
+	d.StartAll()
+	d.Run(25 * time.Second) // membership + summary convergence
 
-	a0, _ := vip.Get(0)
-	a1, _ := vip.Get(1)
+	a0, _ := d.VIP(0)
+	a1, _ := d.VIP(1)
 	fmt.Printf("proxy leaders: DC-A vip=host %v, DC-B vip=host %v\n", a0, a1)
 
 	// Cross-DC invocation from a plain DC-A node.
 	invoke := func(tag string) {
-		start := eng.Now()
-		rts[4].Invoke("Ledger", 1, []byte("q"), func(b []byte, err error) {
+		start := d.Now()
+		d.App(4).Invoke("Ledger", 1, []byte("q"), func(b []byte, err error) {
 			if err != nil {
 				fmt.Printf("%s: FAILED: %v\n", tag, err)
 				return
 			}
 			fmt.Printf("%s: %q in %v (crossed the WAN twice)\n",
-				tag, b, (eng.Now() - start).Round(time.Millisecond))
+				tag, b, (d.Now() - start).Round(time.Millisecond))
 		})
-		eng.Run(eng.Now() + 2*time.Second)
+		d.Run(2 * time.Second)
 	}
 	invoke("invoke via proxies")
 
-	// Kill DC-A's proxy leader; the backup takes over the virtual IP.
-	fmt.Printf("\nt=%v: killing DC-A proxy leader (host %v)\n", eng.Now().Round(time.Second), a0)
-	nodes[a0].Stop()
-	for _, p := range proxies {
-		if topology.HostID(p.ID()) == a0 {
-			p.Stop()
-		}
-	}
-	eng.Run(eng.Now() + 15*time.Second)
-	b0, _ := vip.Get(0)
-	fmt.Printf("t=%v: DC-A vip moved to host %v (IP failover)\n", eng.Now().Round(time.Second), b0)
+	// Kill DC-A's proxy leader's host; the backup takes over the virtual IP.
+	fmt.Printf("\nt=%v: killing DC-A proxy leader (host %v)\n", d.Now().Round(time.Second), a0)
+	d.App(a0).Stop()
+	d.Run(15 * time.Second)
+	b0, _ := d.VIP(0)
+	fmt.Printf("t=%v: DC-A vip moved to host %v (IP failover)\n", d.Now().Round(time.Second), b0)
 	invoke("invoke after failover")
 }

@@ -49,7 +49,7 @@ func TestFailureDetectionTiming(t *testing.T) {
 			continue
 		}
 		n := n
-		n.Directory().SetObserver(func(e membership.Event) {
+		n.Directory().AddObserver(func(e membership.Event) {
 			if e.Type == membership.EventLeave && e.Node == 7 {
 				detect[n.ID()] = e.Time - killAt
 			}

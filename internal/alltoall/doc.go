@@ -25,7 +25,7 @@
 // on exactly the tick an every-tick sweep removes it on.
 //
 // Node mirrors the surface of core.Node (ID, Directory, Start/Stop,
-// SetInfo, RegisterService, UpdateValue) so the experiment harness can
+// RegisterService, UpdateValue) so the experiment harness can
 // drive all three schemes through one Instance interface, and satisfies
 // service.Member so the service and traffic layers run over it too.
 package alltoall

@@ -85,7 +85,7 @@ func TestSweepSkipRemovesOnTheSameTicks(t *testing.T) {
 		}
 		for _, n := range nodes {
 			n := n
-			n.Directory().SetObserver(func(e membership.Event) { log = append(log, dirEvent{n.ID(), e}) })
+			n.Directory().AddObserver(func(e membership.Event) { log = append(log, dirEvent{n.ID(), e}) })
 			start(n)
 		}
 		rng := rand.New(rand.NewSource(seed))

@@ -96,16 +96,9 @@ func (e *Env) StartNode(i int) {
 // faults run, so group identity stays stable through switch outages.
 func (e *Env) Groups() [][]topology.HostID {
 	if e.groups == nil {
-		e.groups = Groups(e.Top)
+		e.groups = e.Top.Level0Groups()
 	}
 	return e.groups
-}
-
-// Groups computes the level-0 groups of a topology; see Env.Groups. It is
-// topology.Level0Groups, re-exported under the name the scenario library
-// grew up with.
-func Groups(top *topology.Topology) [][]topology.HostID {
-	return top.Level0Groups()
 }
 
 // Step schedules one action at a virtual-clock offset from scenario start.

@@ -103,9 +103,6 @@ func (n *Node) SetHotLoad(units int) {
 	n.hotLoad = units
 }
 
-// HotLoad returns the external load currently modelled on the node.
-func (n *Node) HotLoad() int { return n.hotLoad }
-
 // Load is the node's current relay load: external hot load plus the live
 // fan-out of every group it leads.
 func (n *Node) Load() int {

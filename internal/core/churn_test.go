@@ -203,7 +203,7 @@ func TestConvergenceUnderDuplication(t *testing.T) {
 	// No duplicate join/leave events at observers despite duplicate
 	// packets.
 	leaves := 0
-	c.nodes[1].Directory().SetObserver(func(e membership.Event) {
+	c.nodes[1].Directory().AddObserver(func(e membership.Event) {
 		if e.Type == membership.EventLeave && e.Node == 7 {
 			leaves++
 		}
@@ -230,12 +230,12 @@ func TestPerLevelTimeouts(t *testing.T) {
 	// Node 4 leads group 1; node 5 hears it at level 0, node 0 at level 1.
 	killAt := c.eng.Now()
 	var mateDetect, leaderDetect time.Duration
-	c.nodes[5].Directory().SetObserver(func(e membership.Event) {
+	c.nodes[5].Directory().AddObserver(func(e membership.Event) {
 		if e.Type == membership.EventLeave && e.Node == 4 && mateDetect == 0 {
 			mateDetect = e.Time - killAt
 		}
 	})
-	c.nodes[0].Directory().SetObserver(func(e membership.Event) {
+	c.nodes[0].Directory().AddObserver(func(e membership.Event) {
 		if e.Type == membership.EventLeave && e.Node == 4 && leaderDetect == 0 {
 			leaderDetect = e.Time - killAt
 		}

@@ -142,7 +142,7 @@ func TestFailureDetectionAndConvergence(t *testing.T) {
 			continue
 		}
 		n := n
-		n.Directory().SetObserver(func(e membership.Event) {
+		n.Directory().AddObserver(func(e membership.Event) {
 			if e.Type == membership.EventLeave && e.Node == victim.ID() {
 				if _, ok := detect[n.ID()]; !ok {
 					detect[n.ID()] = e.Time - killAt

@@ -206,8 +206,8 @@ func (n *Node) Directory() *membership.Directory { return n.dir }
 // Running reports whether the node is started.
 func (n *Node) Running() bool { return n.running }
 
-// SetInfo replaces the node's published services/attributes before Start
-// and, unlike the shared Publisher.SetInfo it shadows, restarts the beat.
+// SetInfo replaces the node's published services/attributes before Start;
+// identity and incarnation carry over, and the beat restarts.
 func (n *Node) SetInfo(info membership.MemberInfo) {
 	info.Node = n.id
 	inc := n.info.Incarnation

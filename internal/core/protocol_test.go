@@ -89,7 +89,7 @@ func TestFigure5PropagationPath(t *testing.T) {
 			continue
 		}
 		n := n
-		n.Directory().SetObserver(func(e membership.Event) {
+		n.Directory().AddObserver(func(e membership.Event) {
 			if e.Type == membership.EventLeave && e.Node == 2 {
 				if _, ok := times[n.ID()]; !ok {
 					times[n.ID()] = e.Time
@@ -338,7 +338,7 @@ func TestUpdateIdempotenceNoDuplicateEvents(t *testing.T) {
 	c.run(15 * time.Second)
 	leaves := map[membership.NodeID]int{}
 	watched := c.nodes[1]
-	watched.Directory().SetObserver(func(e membership.Event) {
+	watched.Directory().AddObserver(func(e membership.Event) {
 		if e.Type == membership.EventLeave {
 			leaves[e.Node]++
 		}
@@ -367,7 +367,7 @@ func TestGracefulLeaveConvergesImmediately(t *testing.T) {
 			continue
 		}
 		n := n
-		n.Directory().SetObserver(func(e membership.Event) {
+		n.Directory().AddObserver(func(e membership.Event) {
 			if e.Type == membership.EventLeave && e.Node == 6 {
 				if _, ok := rec[n.ID()]; !ok {
 					rec[n.ID()] = e.Time - leaveAt

@@ -142,7 +142,7 @@ func TestDaemonIntegration(t *testing.T) {
 	// The daemon on node 0 republishes on every view change (debounced in
 	// a real deployment; immediate is fine here).
 	daemon := nodes[0]
-	daemon.Directory().SetObserver(func(membership.Event) {
+	daemon.Directory().AddObserver(func(membership.Event) {
 		s.Publish(daemon.Directory().Snapshot())
 	})
 

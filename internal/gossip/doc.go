@@ -20,7 +20,7 @@
 // receive to one allocation and a round to its packet).
 //
 // Node mirrors the surface of core.Node (ID, Directory, Start/Stop,
-// SetInfo, RegisterService, UpdateValue) so the experiment harness can
+// RegisterService, UpdateValue) so the experiment harness can
 // drive all three schemes through one Instance interface, and satisfies
 // service.Member so the service and traffic layers run over gossip too.
 package gossip

@@ -85,7 +85,7 @@ type Node struct {
 	id   membership.NodeID
 	dir  *membership.Directory
 	info membership.MemberInfo
-	// Publisher is the publishing API (SetInfo, RegisterService, UpdateValue,
+	// Publisher is the publishing API (RegisterService, UpdateValue,
 	// DeleteValue, Info) over info.
 	membership.Publisher
 	ticker  *sim.Ticker

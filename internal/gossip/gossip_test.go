@@ -54,7 +54,7 @@ func TestFailureDetectionSlowerThanHeartbeat(t *testing.T) {
 			continue
 		}
 		n := n
-		n.Directory().SetObserver(func(e membership.Event) {
+		n.Directory().AddObserver(func(e membership.Event) {
 			if e.Type == membership.EventLeave && e.Node == 7 {
 				if _, ok := detect[n.ID()]; !ok {
 					detect[n.ID()] = e.Time - killAt
@@ -94,7 +94,7 @@ func TestNoFalseFailuresSteadyState(t *testing.T) {
 	eng.Run(30 * time.Second)
 	mistakes := 0
 	for _, n := range nodes {
-		n.Directory().SetObserver(func(e membership.Event) {
+		n.Directory().AddObserver(func(e membership.Event) {
 			if e.Type == membership.EventLeave {
 				mistakes++
 			}

@@ -30,7 +30,7 @@ func newWorld(cfg Config, hosts int) *world {
 	w := &world{eng: sim.NewEngine(1)}
 	w.ep = netsim.New(w.eng, topology.FlatLAN(hosts)).Endpoint(0)
 	w.n = NewNode(cfg, w.ep)
-	w.n.Directory().SetObserver(func(e membership.Event) { w.events = append(w.events, e) })
+	w.n.Directory().AddObserver(func(e membership.Event) { w.events = append(w.events, e) })
 	w.n.Start(w.eng)
 	return w
 }

@@ -141,7 +141,7 @@ func AblationMaxLoss(sw Sweep, values []int, lossProb float64, seed int64) *metr
 			// quiet period.
 			falseLeaves := 0
 			for _, nd := range c.Nodes {
-				nd.Directory().SetObserver(func(e membership.Event) {
+				nd.Directory().AddObserver(func(e membership.Event) {
 					if e.Type == membership.EventLeave {
 						falseLeaves++
 					}

@@ -26,12 +26,14 @@ import (
 
 // AccuracyOptions parametrize the churn experiment.
 type AccuracyOptions struct {
-	Seed      int64
-	Groups    int
-	PerGroup  int
-	Duration  time.Duration // sampled portion, after warm-up
-	LossProbs []float64
-	Sweep     Sweep // worker-pool fan-out and progress output
+	Seed  int64
+	Sweep Sweep // worker-pool fan-out and progress output
+
+	// The cluster shape, the sampled portion after warm-up and the loss
+	// sweep; same-package tests shrink them.
+	groups, perGroup int
+	duration         time.Duration
+	lossProbs        []float64
 }
 
 // The churn schedule: after the warm-up, one kill per period, each victim
@@ -46,10 +48,10 @@ const (
 func DefaultAccuracyOptions() AccuracyOptions {
 	return AccuracyOptions{
 		Seed:      42,
-		Groups:    3,
-		PerGroup:  10,
-		Duration:  2 * time.Minute,
-		LossProbs: []float64{0, 0.02, 0.05, 0.10},
+		groups:    3,
+		perGroup:  10,
+		duration:  2 * time.Minute,
+		lossProbs: []float64{0, 0.02, 0.05, 0.10},
 	}
 }
 
@@ -117,7 +119,7 @@ func accuracyRun(scheme Scheme, o AccuracyOptions, loss float64, seed int64) (co
 			samples++
 		}
 	}
-	end := c.Eng.Now() + o.Duration
+	end := c.Eng.Now() + o.duration
 	for c.Eng.Now() < end {
 		c.Run(time.Second)
 		sample()
@@ -131,7 +133,7 @@ func accuracyRun(scheme Scheme, o AccuracyOptions, loss float64, seed int64) (co
 }
 
 func (o AccuracyOptions) topology() *topology.Topology {
-	return topology.Clustered(o.Groups, o.PerGroup)
+	return topology.Clustered(o.groups, o.perGroup)
 }
 
 // Accuracy produces two figures' worth of series in one: completeness%
@@ -142,7 +144,7 @@ func Accuracy(o AccuracyOptions) *metrics.Figure {
 		XLabel: "loss probability",
 		YLabel: "percent",
 	}
-	return schemeCurves(fig, []string{" compl%", " acc%"}, o.Sweep, o.Seed, o.LossProbs, "accuracy/%s/loss=%g",
+	return schemeCurves(fig, []string{" compl%", " acc%"}, o.Sweep, o.Seed, o.lossProbs, "accuracy/%s/loss=%g",
 		func(scheme Scheme, loss float64, seed int64) ([]float64, metrics.RunReport) {
 			compl, acc, rep := accuracyRun(scheme, o, loss, seed)
 			return []float64{compl, acc}, rep

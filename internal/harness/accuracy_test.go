@@ -7,13 +7,13 @@ import (
 
 func TestAccuracyUnderChurn(t *testing.T) {
 	o := DefaultAccuracyOptions()
-	o.Groups, o.PerGroup = 2, 6
-	o.Duration = time.Minute
-	o.LossProbs = []float64{0, 0.05}
+	o.groups, o.perGroup = 2, 6
+	o.duration = time.Minute
+	o.lossProbs = []float64{0, 0.05}
 	fig := Accuracy(o)
 
 	for _, scheme := range []string{"All-to-all", "Hierarchical"} {
-		for _, p := range o.LossProbs {
+		for _, p := range o.lossProbs {
 			cv := at(t, fig, scheme+" compl%", p)
 			av := at(t, fig, scheme+" acc%", p)
 			// Heartbeat schemes: only detection lag costs points; under
@@ -28,7 +28,7 @@ func TestAccuracyUnderChurn(t *testing.T) {
 	}
 	// Gossip's slower detection must cost it accuracy relative to the
 	// hierarchical scheme at every loss level.
-	for _, p := range o.LossProbs {
+	for _, p := range o.lossProbs {
 		g := at(t, fig, "Gossip acc%", p)
 		h := at(t, fig, "Hierarchical acc%", p)
 		if g > h {

@@ -213,7 +213,7 @@ func TestAdaptiveReformInvariantArming(t *testing.T) {
 // correctness — hedged cells lose no more requests than they win back.
 func TestAdaptiveHedgeAblation(t *testing.T) {
 	o := DefaultTrafficOptions()
-	o.Sessions = 300
+	o.sessions = 300
 	o.Scenarios = []string{"gray-node"}
 	byCell := map[string]metrics.TrafficStats{}
 	for _, r := range TrafficHedgeMatrix(o) {

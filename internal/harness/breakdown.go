@@ -36,10 +36,10 @@ func BandwidthBreakdown(o Options) *metrics.Figure {
 				})
 			}
 			c.StartAll()
-			c.Run(o.WarmUp)
+			c.Run(warmUp)
 			clear(bytesBy)
-			c.Run(o.Window)
-			sec := o.Window.Seconds()
+			c.Run(o.window)
+			sec := o.window.Seconds()
 			kb := func(t wire.Type) float64 { return float64(bytesBy[t]) / sec / 1024 }
 			rest := 0.0
 			for t, b := range bytesBy {
@@ -68,7 +68,7 @@ func DetectionDistribution(scheme Scheme, o Options, n, trials int) *metrics.Fig
 	detections := sweep(o.Sweep, o.Seed, index, name,
 		func(trial int, seed int64) (float64, metrics.RunReport) {
 			c := o.warm(scheme, n, seed)
-			det, _, seen := killAndWatch(c, c.Nodes[o.victim(1+(trial*7)%(n-1), n)], o.FailWait)
+			det, _, seen := killAndWatch(c, c.Nodes[o.victim(1+(trial*7)%(n-1), n)], o.failWait)
 			return orNaN(det.Seconds(), seen > 0), c.Observe()
 		})
 	var samples []float64

@@ -28,7 +28,7 @@ func TestBandwidthBreakdown(t *testing.T) {
 
 func TestDetectionDistribution(t *testing.T) {
 	o := testOptions()
-	o.FailWait = 30 * time.Second
+	o.failWait = 30 * time.Second
 	fig := DetectionDistribution(Hierarchical, o, 20, 6)
 	p50 := at(t, fig, "detection s", 50)
 	p100 := at(t, fig, "detection s", 100)

@@ -145,9 +145,9 @@ var figures = []FigureSpec{
 			return Output{Table: RenderChaosMatrix(results), Results: results}, nil
 		}},
 	{Name: "traffic", All: true, Bench: true, Usage: "scenario x scheme user-level outcomes: misroutes, migrations, latency tails (docs/TRAFFIC.md)",
-		run: trafficFigure(TrafficMatrix, RenderTrafficMatrix)},
+		run: trafficFigure(TrafficMatrix, trafficMatrixTable)},
 	{Name: "traffic-hedge", Bench: true, Usage: "request-hedging ablation on the slow-replica scenarios, hedged vs un-hedged",
-		run: trafficFigure(TrafficHedgeMatrix, RenderTrafficHedgeMatrix)},
+		run: trafficFigure(TrafficHedgeMatrix, trafficHedgeTable)},
 	{Name: "scale", Bench: true, Usage: "N=1000 hierarchical churn run under the auditor, partitioned (-lps)",
 		run: scaleFigure(DefaultScaleOptions)},
 	{Name: "scale4k", Bench: true, Usage: "N=4000 churn run, the paper's Fig. 2 ceiling (-lps; tens of minutes)",
@@ -172,12 +172,12 @@ func plot(fig func(Env) *metrics.Figure) func(Env) (Output, error) {
 	}
 }
 
-func trafficFigure(matrix func(TrafficOptions) []TrafficResult, render func([]TrafficResult) string) func(Env) (Output, error) {
+func trafficFigure(matrix func(TrafficOptions) []TrafficResult, table trafficTable) func(Env) (Output, error) {
 	return func(e Env) (Output, error) {
 		o := DefaultTrafficOptions()
 		o.Seed, o.Sweep = e.Seed, e.Sweep
 		results := matrix(o)
-		return Output{Table: render(results), Results: results}, nil
+		return Output{Table: table.render(results), Results: results}, nil
 	}
 }
 
@@ -228,7 +228,7 @@ func parsimFigure(e Env) (Output, error) {
 		fmt.Fprintf(e.Stderr, "(parsim lps=%d wall=%v)\n", k, wall.Round(time.Millisecond))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "# Parsim worker scaling: N=%d scale churn, %d LPs\n", o.Groups*o.PerGroup, o.Groups)
+	fmt.Fprintf(&b, "# Parsim worker scaling: N=%d scale churn, %d LPs\n", o.Groups*o.perGroup, o.Groups)
 	fmt.Fprintf(&b, "%-8s %12s %14s %10s", "lps", "events", "pkts", "identical")
 	for i, r := range runs {
 		fmt.Fprintf(&b, "\n%-8d %12d %14d %10s", counts[i], r.Events, r.PktsDelivered, "yes")

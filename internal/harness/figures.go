@@ -17,14 +17,18 @@ import (
 // specifies them and otherwise pick windows long enough for steady state.
 type Options struct {
 	Seed     int64
-	PerGroup int           // nodes per network (20 in §6.2)
-	Sizes    []int         // cluster sizes for Figures 11-13 (20..100)
-	WarmUp   time.Duration // before measurement windows
-	Window   time.Duration // bandwidth measurement window
-	FailWait time.Duration // post-kill observation window
-	LossProb float64       // injected packet loss probability
-	Sweep    Sweep         // worker-pool fan-out and progress output
+	PerGroup int     // nodes per network (20 in §6.2)
+	Sizes    []int   // cluster sizes for Figures 11-13 (20..100)
+	LossProb float64 // injected packet loss probability
+	Sweep    Sweep   // worker-pool fan-out and progress output
+
+	// window is the bandwidth measurement window and failWait the post-kill
+	// observation window; same-package tests shorten them.
+	window, failWait time.Duration
 }
+
+// warmUp runs every figure's cluster to steady state before measuring.
+const warmUp = 20 * time.Second
 
 // DefaultOptions mirrors §6.2: 20 nodes per network, sizes 20..100.
 func DefaultOptions() Options {
@@ -32,9 +36,8 @@ func DefaultOptions() Options {
 		Seed:     42,
 		PerGroup: 20,
 		Sizes:    []int{20, 40, 60, 80, 100},
-		WarmUp:   20 * time.Second,
-		Window:   30 * time.Second,
-		FailWait: 60 * time.Second,
+		window:   30 * time.Second,
+		failWait: 60 * time.Second,
 	}
 }
 
@@ -57,7 +60,7 @@ func (o Options) warm(scheme Scheme, n int, seed int64) *Cluster {
 		c.Net.SetLossProbability(o.LossProb)
 	}
 	c.StartAll()
-	c.Run(o.WarmUp)
+	c.Run(warmUp)
 	return c
 }
 
@@ -110,9 +113,9 @@ func Figure11(o Options) *metrics.Figure {
 		func(scheme Scheme, n int, seed int64) ([]float64, metrics.RunReport) {
 			c := o.warm(scheme, n, seed)
 			c.Net.ResetStats()
-			c.Run(o.Window)
+			c.Run(o.window)
 			bytes := c.Net.TotalStats().BytesRecv
-			return []float64{float64(bytes) / o.Window.Seconds() / (1 << 20)}, c.Observe()
+			return []float64{float64(bytes) / o.window.Seconds() / (1 << 20)}, c.Observe()
 		})
 }
 
@@ -124,7 +127,7 @@ func failureFigure(fig *metrics.Figure, o Options, name string, pick func(det, c
 	return schemeCurves(fig, []string{""}, o.Sweep, o.Seed, o.Sizes, name+"/%s/n=%d",
 		func(scheme Scheme, n int, seed int64) ([]float64, metrics.RunReport) {
 			c := o.warm(scheme, n, seed)
-			det, conv, seen := killAndWatch(c, c.Nodes[o.victim(n/2+1, n)], o.FailWait)
+			det, conv, seen := killAndWatch(c, c.Nodes[o.victim(n/2+1, n)], o.failWait)
 			return []float64{orNaN(pick(det, conv).Seconds(), seen == n-1)}, c.Observe()
 		})
 }

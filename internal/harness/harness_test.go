@@ -29,9 +29,8 @@ func testOptions() Options {
 	o := DefaultOptions()
 	o.PerGroup = 10
 	o.Sizes = []int{20, 40, 60}
-	o.WarmUp = 20 * time.Second
-	o.Window = 20 * time.Second
-	o.FailWait = 40 * time.Second
+	o.window = 20 * time.Second
+	o.failWait = 40 * time.Second
 	return o
 }
 
@@ -104,6 +103,26 @@ func TestFigure13Reproduction(t *testing.T) {
 		}
 		if g <= h || g <= a {
 			t.Errorf("N=%v: gossip convergence %.2fs should be largest (a2a %.2f, hier %.2f)", n, g, a, h)
+		}
+	}
+}
+
+// TestKillAndWatchKeepsTheAuditorsHooks arms an event-driven auditor before
+// killAndWatch adds its ChangeRecorder to the same directories: the
+// auditor's hooks must still see the survivors drop the victim.
+func TestKillAndWatchKeepsTheAuditorsHooks(t *testing.T) {
+	c := NewCell(Hierarchical, nil, 2, 4, 1)
+	aud := c.StartAuditor()
+	c.StartAll()
+	c.Run(20 * time.Second)
+	_, _, seen := killAndWatch(c.Cluster, c.Nodes[5], 30*time.Second)
+	if seen != len(c.Nodes)-1 {
+		t.Fatalf("%d of %d survivors recorded the kill", seen, len(c.Nodes)-1)
+	}
+	for _, inv := range aud.Results() {
+		// Only the event hooks check flap-freedom: once per leave.
+		if inv.Name == "flap-freedom" && inv.Checks < uint64(seen) {
+			t.Fatalf("the auditor counted %d leave events, fewer than the %d survivors that dropped the victim", inv.Checks, seen)
 		}
 	}
 }

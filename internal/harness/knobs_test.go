@@ -29,9 +29,9 @@ var optionStructs = []any{
 // knobs is the census: every exported field of every option struct, with who
 // gives it more than one value. "fence" rows are single-valued today and kept
 // on purpose (bench/ is frozen; deployment addresses, the config file and the
-// public AppConfig stay configurable); "tests only" rows are what the next
-// census should take. Nothing is added here without the two callers the rule
-// below asks for.
+// public AppConfig stay configurable). A value only tests change is an
+// unexported field its package's tests set, not a row. Nothing is added here
+// without the two callers the rule below asks for.
 var knobs = map[string]string{
 	"rapid.Config.HeartbeatPad": "harness/scheme.go: 228-byte target; bench/micro/micro.go: unpadded",
 	"rapid.Config.DCOf":         "harness/scheme.go: the rapid and rapid+dc rows",
@@ -49,7 +49,7 @@ var knobs = map[string]string{
 	"proxy.Config.DC":           "deployment address (DC id)",
 	"proxy.Config.RemoteDCs":    "deployment address (DC ids)",
 	"proxy.Config.ProxyChannel": "deployment address",
-	"proxy.Config.ProxyTTL":     "app.go, harness/multidc.go, examples/multidc: topology diameter",
+	"proxy.Config.ProxyTTL":     "proxy.Place: topology diameter",
 
 	"service.Config.PollSize":       "app.go: AppConfig.PollSize",
 	"service.Config.RequestTimeout": "harness/fig14.go: 500 ms; every other caller: 2 s",
@@ -104,35 +104,25 @@ var knobs = map[string]string{
 	"harness.Options.Seed":     "cmd/tampbench: -seed",
 	"harness.Options.PerGroup": "cmd/tampbench: -pergroup",
 	"harness.Options.Sizes":    "cmd/tampbench: -sizes",
-	"harness.Options.WarmUp":   "tests only: harness_test.go (the default)",
-	"harness.Options.Window":   "tests only: harness_test.go shrinks the run",
-	"harness.Options.FailWait": "tests only: harness_test.go, breakdown_test.go shrink the run",
 	"harness.Options.LossProb": "cmd/tampbench: -loss (through Env's embedded Options)",
 	"harness.Options.Sweep":    "cmd/tampbench: -workers, -v",
 
-	"harness.AccuracyOptions.Seed":      "harness/figure.go: -seed",
-	"harness.AccuracyOptions.Groups":    "tests only: accuracy_test.go shrinks the run",
-	"harness.AccuracyOptions.PerGroup":  "tests only: accuracy_test.go shrinks the run",
-	"harness.AccuracyOptions.Duration":  "tests only: accuracy_test.go shrinks the run",
-	"harness.AccuracyOptions.LossProbs": "tests only: accuracy_test.go shrinks the run",
-	"harness.AccuracyOptions.Sweep":     "harness/figure.go: -workers",
+	"harness.AccuracyOptions.Seed":  "harness/figure.go: -seed",
+	"harness.AccuracyOptions.Sweep": "harness/figure.go: -workers",
 
 	"harness.ChaosOptions.Seed":      "harness/figure.go: -seed; bench/perf/chaos.go",
 	"harness.ChaosOptions.Scenarios": "bench/perf/chaos.go: the toy slice; harness/figure.go: all",
 	"harness.ChaosOptions.Sweep":     "harness/figure.go: -workers; bench/perf/chaos.go: one worker",
 
 	"harness.TrafficOptions.Seed":       "harness/figure.go: -seed",
-	"harness.TrafficOptions.Sessions":   "tests only: traffic_test.go, adaptive_test.go shrink the run",
 	"harness.TrafficOptions.Scenarios":  "harness/traffic.go: the traffic and traffic-hedge rows",
 	"harness.TrafficOptions.HedgeAfter": "harness/traffic.go: the traffic-hedge variants",
 	"harness.TrafficOptions.Sweep":      "harness/figure.go: -workers",
 
-	"harness.ScaleOptions.Seed":     "harness/figure.go: -seed",
-	"harness.ScaleOptions.Groups":   "harness/scale.go: scale (50) and scale4k (200)",
-	"harness.ScaleOptions.PerGroup": "tests only: parsim_test.go shrinks the run",
-	"harness.ScaleOptions.Churn":    "tests only: parsim_test.go shrinks the run",
-	"harness.ScaleOptions.LPs":      "cmd/tampbench: -lps; harness/figure.go: the parsim row's 1, 2, 4",
-	"harness.ScaleOptions.Sweep":    "harness/figure.go: -workers",
+	"harness.ScaleOptions.Seed":   "harness/figure.go: -seed",
+	"harness.ScaleOptions.Groups": "harness/scale.go: scale (50) and scale4k (200)",
+	"harness.ScaleOptions.LPs":    "cmd/tampbench: -lps; harness/figure.go: the parsim row's 1, 2, 4",
+	"harness.ScaleOptions.Sweep":  "harness/figure.go: -workers",
 
 	"harness.FederatedOptions.DCs":          "harness/cell.go: the scenario's data-center count",
 	"harness.FederatedOptions.Groups":       "harness/cell.go: the matrix shape",
@@ -168,8 +158,8 @@ func TestKnobCensus(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	// The census went 157 -> 104 -> 87; the table only shrinks.
-	if len(knobs) > 87 {
-		t.Errorf("the knobs table has %d rows, more than the 87 it was cut to: %s", len(knobs), rule)
+	// The census went 157 -> 104 -> 87 -> 77; the table only shrinks.
+	if len(knobs) > 77 {
+		t.Errorf("the knobs table has %d rows, more than the 77 it was cut to: %s", len(knobs), rule)
 	}
 }

@@ -27,9 +27,7 @@ type FederatedOptions struct {
 	Groups   int
 	PerGroup int
 	// ProxiesPerDC is how many proxy daemons each data center runs (one
-	// leader holding the VIP plus backups). Hosts 1..ProxiesPerDC of each
-	// DC carry them, leaving host 0 (the DC's lowest ID) a plain member so
-	// proxy kills never hit the hierarchical root leader.
+	// leader holding the VIP plus backups), placed by proxy.Place.
 	ProxiesPerDC int
 }
 
@@ -88,32 +86,20 @@ func svcName(dc int) string { return fmt.Sprintf("app%d", dc) }
 // federate is the §5 wiring every federated deployment shares. Over a
 // hierarchical cluster spanning several data centers it gives each host a
 // service runtime (scfg, with ProxyAddr resolving the host's own DC through
-// the shared VIP table) and hosts 1..proxiesPerDC of each DC a membership
-// proxy scoped to the whole DC, exchanging summaries with every other DC.
+// the shared VIP table) and the hosts proxy.Place picks a membership proxy.
 // rts and pxs are indexed by host; pxs is nil on plain hosts.
 func federate(c *Cluster, proxiesPerDC int, scfg service.Config) (vip *proxy.VIPTable, rts []*service.Runtime, pxs []*proxy.Proxy) {
 	vip = proxy.NewVIPTable()
-	dcs := c.Top.NumDataCenters()
 	rts = make([]*service.Runtime, len(c.Nodes))
 	pxs = make([]*proxy.Proxy, len(c.Nodes))
 	for h, n := range c.Nodes {
 		hid := topology.HostID(h)
 		dc := c.Top.HostDC(hid)
-		ep := c.Net.Endpoint(hid)
 		scfg.ProxyAddr = func() (topology.HostID, bool) { return vip.Get(dc) }
-		rts[h] = service.NewRuntime(scfg, c.Eng, ep, n.(*core.Node))
-		// The DC's hosts are contiguous; position-in-DC decides proxy duty.
-		if pos := h - int(c.Top.HostsInDC(dc)[0]); pos >= 1 && pos <= proxiesPerDC {
-			var remotes []int
-			for other := 0; other < dcs; other++ {
-				if other != dc {
-					remotes = append(remotes, other)
-				}
-			}
-			pcfg := proxy.DefaultConfig(dc, remotes)
-			pcfg.ProxyTTL = c.diameter()
-			pxs[h] = proxy.New(pcfg, c.Eng, ep, rts[h], vip)
-		}
+		rts[h] = service.NewRuntime(scfg, c.Eng, c.Net.Endpoint(hid), n.(*core.Node))
+	}
+	for _, pl := range proxy.Place(c.Top, proxiesPerDC) {
+		pxs[pl.Host] = proxy.New(pl.Config, c.Eng, c.Net.Endpoint(pl.Host), rts[pl.Host], vip)
 	}
 	return vip, rts, pxs
 }

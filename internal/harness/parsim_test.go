@@ -12,7 +12,7 @@ import (
 // nodes — small enough to run many times while still crossing LPs, killing
 // and restarting nodes, and merging sharded audits.
 func smallScale(lps int) ScaleOptions {
-	return ScaleOptions{Seed: 7, Groups: 6, PerGroup: 4, Churn: 3, LPs: lps}
+	return ScaleOptions{Seed: 7, Groups: 6, perGroup: 4, churn: 3, LPs: lps}
 }
 
 // reportBytes canonicalizes a report for byte comparison: wall time is the

@@ -21,11 +21,11 @@ import (
 
 // ScaleOptions shape the scale run.
 type ScaleOptions struct {
-	Seed     int64
-	Groups   int
-	PerGroup int
-	// Churn is how many rolling kill+restart cycles run, one group apart.
-	Churn int
+	Seed   int64
+	Groups int
+	// perGroup is the group size and churn how many rolling kill+restart
+	// cycles run, one group apart; same-package tests shrink them.
+	perGroup, churn int
 	// LPs is the parsim worker count (the -lps flag); 0 means 1. The scale
 	// figures always execute partitioned — the LP decomposition is fixed by
 	// the topology, and worker count never changes the report bytes — so
@@ -39,13 +39,13 @@ type ScaleOptions struct {
 // more cycles only stretch the (already dominant) steady-state heartbeat
 // load without exercising new code paths.
 func DefaultScaleOptions() ScaleOptions {
-	return ScaleOptions{Seed: 42, Groups: 50, PerGroup: 20, Churn: 5}
+	return ScaleOptions{Seed: 42, Groups: 50, perGroup: 20, churn: 5}
 }
 
 // Scale4kOptions is the N=4000 variant — the cluster size the paper's
 // Figure 2 sweep tops out at. Same rolling-churn shape as the N=1000 run.
 func Scale4kOptions() ScaleOptions {
-	return ScaleOptions{Seed: 42, Groups: 200, PerGroup: 20, Churn: 5}
+	return ScaleOptions{Seed: 42, Groups: 200, perGroup: 20, churn: 5}
 }
 
 // scaleScenario builds the churn timeline: every 5s another group's second
@@ -53,22 +53,22 @@ func Scale4kOptions() ScaleOptions {
 func scaleScenario(o ScaleOptions) *chaos.Scenario {
 	return &chaos.Scenario{
 		Name:        "scale-churn",
-		Description: fmt.Sprintf("rolling churn across %d groups at N=%d", o.Churn, o.Groups*o.PerGroup),
-		Steps:       chaos.Steps("@20s repeat %d every 5s step %d {\n@0s kill 1\n@2s restart 1\n}", o.Churn, o.PerGroup),
+		Description: fmt.Sprintf("rolling churn across %d groups at N=%d", o.churn, o.Groups*o.perGroup),
+		Steps:       chaos.Steps("@20s repeat %d every 5s step %d {\n@0s kill 1\n@2s restart 1\n}", o.churn, o.perGroup),
 	}
 }
 
 // ScaleChurn executes the scale run through the pool (so Key/Seed/Wall are
 // filled like every other bench run) and returns the audited report.
 func ScaleChurn(o ScaleOptions) metrics.RunReport {
-	if o.Churn > o.Groups {
+	if o.churn > o.Groups {
 		panic("harness: churn cycles exceed groups")
 	}
 	pool := NewPool(o.Sweep, o.Seed)
 	var rep metrics.RunReport
-	n := o.Groups * o.PerGroup
+	n := o.Groups * o.perGroup
 	pool.Go(fmt.Sprintf("scale/churn/%s/n=%d", Hierarchical, n), func(seed int64) metrics.RunReport {
-		c := NewCluster(Hierarchical, topology.Clustered(o.Groups, o.PerGroup), seed)
+		c := NewCluster(Hierarchical, topology.Clustered(o.Groups, o.perGroup), seed)
 		coord := c.EnableParsim(seed, o.LPs)
 		c.StartAll()
 		env := chaos.NewEnv(coord, c.Net, c.Top, c.Nodes)
@@ -103,7 +103,7 @@ func ScaleChurn(o ScaleOptions) metrics.RunReport {
 func RenderScale(o ScaleOptions, r metrics.RunReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Scale churn: N=%d hierarchical, %d rolling kill+restart cycles\n",
-		o.Groups*o.PerGroup, o.Churn)
+		o.Groups*o.perGroup, o.churn)
 	verdict := "PASS"
 	if r.TotalViolations() > 0 {
 		verdict = "FAIL"

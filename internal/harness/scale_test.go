@@ -25,7 +25,7 @@ func TestScaleChurn1000(t *testing.T) {
 	}
 	o := DefaultScaleOptions()
 	rep := ScaleChurn(o)
-	if n := o.Groups * o.PerGroup; rep.PeakDirSize != n {
+	if n := o.Groups * o.perGroup; rep.PeakDirSize != n {
 		t.Errorf("peak directory size %d, want %d (views never reached cluster size)", rep.PeakDirSize, n)
 	}
 	if rep.TotalViolations() != 0 {

@@ -24,8 +24,9 @@ import (
 // TrafficOptions parametrize the scenario x scheme traffic matrix.
 type TrafficOptions struct {
 	Seed int64
-	// Sessions is the virtual-client population per cell.
-	Sessions int
+	// sessions is the virtual-client population per cell; same-package
+	// tests shrink it.
+	sessions int
 	// Scenarios restricts the matrix to the named library scenarios;
 	// empty means the default traffic-relevant subset.
 	Scenarios []string
@@ -41,7 +42,7 @@ type TrafficOptions struct {
 // DefaultTrafficOptions runs a thousand closed-loop sessions per cell at
 // seed 42, on the chaos matrix's shape.
 func DefaultTrafficOptions() TrafficOptions {
-	return TrafficOptions{Seed: 42, Sessions: 1000}
+	return TrafficOptions{Seed: 42, sessions: 1000}
 }
 
 // trafficPartitions is the app's partition-space size; each host serves
@@ -134,7 +135,7 @@ func RunTrafficScenario(scheme Scheme, sc *chaos.Scenario, o TrafficOptions, see
 
 	topt := traffic.DefaultOptions()
 	topt.Service = trafficAppName
-	topt.Sessions = o.Sessions
+	topt.Sessions = o.sessions
 	topt.Partitions = trafficPartitions
 	topt.HedgeAfter = o.HedgeAfter
 	l := traffic.New(c.Eng, topt, rts, func(id membership.NodeID) bool {
@@ -184,24 +185,65 @@ func trafficMatrix(fig string, o TrafficOptions, variants ...matrixVariant) []Tr
 	return out
 }
 
-// RenderTrafficMatrix renders the user-level outcome table: one row per
-// cell. Output is deterministic and byte-identical for any worker count
+// trafficTable is a traffic figure's table: one row per cell, the scenario
+// (in a column scenarioWidth wide) and scheme, then the figure's counter
+// columns. Output is deterministic and byte-identical for any worker count
 // (no wall times, all quantiles from deterministic histograms).
-func RenderTrafficMatrix(results []TrafficResult) string {
+type trafficTable struct {
+	title         string
+	scenarioWidth int
+	cols          []trafficColumn
+}
+
+// trafficColumn is one right-aligned counter column of a traffic table.
+type trafficColumn struct {
+	head  string
+	width int
+	cell  func(t *metrics.TrafficStats) any
+}
+
+func (tt trafficTable) render(results []TrafficResult) string {
 	var b strings.Builder
-	b.WriteString("# Traffic matrix: what each fault timeline cost the users\n")
-	fmt.Fprintf(&b, "%-18s %-18s %9s %9s %8s %8s %7s %5s %10s %9s %9s %9s\n",
-		"scenario", "scheme", "requests", "ok", "misroute", "timeout", "unavail", "migr",
-		"mig-p99", "req-p50", "req-p99", "req-p999")
+	b.WriteString(tt.title)
+	fmt.Fprintf(&b, "%-*s %-18s", tt.scenarioWidth, "scenario", "scheme")
+	for _, c := range tt.cols {
+		fmt.Fprintf(&b, " %*s", c.width, c.head)
+	}
+	b.WriteByte('\n')
 	for _, r := range results {
-		t := r.Traffic
-		fmt.Fprintf(&b, "%-18s %-18s %9d %9d %8d %8d %7d %5d %10v %9v %9v %9v\n",
-			r.Scenario, r.Scheme, t.Requests, t.OK, t.Misrouted, t.Timeouts, t.Unavailable,
-			t.Migrations, t.MigP99.Round(time.Millisecond),
-			t.ReqP50.Round(time.Millisecond), t.ReqP99.Round(time.Millisecond),
-			t.ReqP999.Round(time.Millisecond))
+		fmt.Fprintf(&b, "%-*s %-18s", tt.scenarioWidth, r.Scenario, r.Scheme)
+		for _, c := range tt.cols {
+			fmt.Fprintf(&b, " %*v", c.width, c.cell(&r.Traffic))
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// The columns both traffic tables print.
+var (
+	colRequests = trafficColumn{"requests", 9, func(t *metrics.TrafficStats) any { return t.Requests }}
+	colOK       = trafficColumn{"ok", 9, func(t *metrics.TrafficStats) any { return t.OK }}
+	colTimeout  = trafficColumn{"timeout", 8, func(t *metrics.TrafficStats) any { return t.Timeouts }}
+	colUnavail  = trafficColumn{"unavail", 7, func(t *metrics.TrafficStats) any { return t.Unavailable }}
+	colMigr     = trafficColumn{"migr", 5, func(t *metrics.TrafficStats) any { return t.Migrations }}
+	colReqTail  = []trafficColumn{
+		{"req-p50", 9, func(t *metrics.TrafficStats) any { return t.ReqP50.Round(time.Millisecond) }},
+		{"req-p99", 9, func(t *metrics.TrafficStats) any { return t.ReqP99.Round(time.Millisecond) }},
+		{"req-p999", 9, func(t *metrics.TrafficStats) any { return t.ReqP999.Round(time.Millisecond) }},
+	}
+)
+
+// trafficMatrixTable is the user-level outcome table of the traffic matrix.
+var trafficMatrixTable = trafficTable{
+	title:         "# Traffic matrix: what each fault timeline cost the users\n",
+	scenarioWidth: 18,
+	cols: append([]trafficColumn{
+		colRequests, colOK,
+		{"misroute", 8, func(t *metrics.TrafficStats) any { return t.Misrouted }},
+		colTimeout, colUnavail, colMigr,
+		{"mig-p99", 10, func(t *metrics.TrafficStats) any { return t.MigP99.Round(time.Millisecond) }},
+	}, colReqTail...),
 }
 
 // TrafficHedgeAfter is the hedging ablation's hedge delay: a quarter of
@@ -229,22 +271,15 @@ func TrafficHedgeMatrix(o TrafficOptions) []TrafficResult {
 		matrixVariant{"+unhedged", 0}, matrixVariant{"+hedged", TrafficHedgeAfter})
 }
 
-// RenderTrafficHedgeMatrix renders the ablation table: the standard
-// user-level columns plus the hedge counters that price HedgeAfter —
-// how many duplicate legs were sent and how many resolved the request.
-func RenderTrafficHedgeMatrix(results []TrafficResult) string {
-	var b strings.Builder
-	b.WriteString("# Traffic hedging ablation: slow-replica timelines, hedged vs un-hedged\n")
-	fmt.Fprintf(&b, "%-24s %-18s %9s %9s %8s %7s %5s %7s %6s %9s %9s %9s\n",
-		"scenario", "scheme", "requests", "ok", "timeout", "unavail", "migr",
-		"hedged", "wins", "req-p50", "req-p99", "req-p999")
-	for _, r := range results {
-		t := r.Traffic
-		fmt.Fprintf(&b, "%-24s %-18s %9d %9d %8d %7d %5d %7d %6d %9v %9v %9v\n",
-			r.Scenario, r.Scheme, t.Requests, t.OK, t.Timeouts, t.Unavailable,
-			t.Migrations, t.HedgedRequests, t.HedgeWins,
-			t.ReqP50.Round(time.Millisecond), t.ReqP99.Round(time.Millisecond),
-			t.ReqP999.Round(time.Millisecond))
-	}
-	return b.String()
+// trafficHedgeTable is the ablation table: the standard user-level columns
+// plus the hedge counters that price HedgeAfter — how many duplicate legs
+// were sent and how many resolved the request.
+var trafficHedgeTable = trafficTable{
+	title:         "# Traffic hedging ablation: slow-replica timelines, hedged vs un-hedged\n",
+	scenarioWidth: 24,
+	cols: append([]trafficColumn{
+		colRequests, colOK, colTimeout, colUnavail, colMigr,
+		{"hedged", 7, func(t *metrics.TrafficStats) any { return t.HedgedRequests }},
+		{"wins", 6, func(t *metrics.TrafficStats) any { return t.HedgeWins }},
+	}, colReqTail...),
 }

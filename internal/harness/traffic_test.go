@@ -20,10 +20,10 @@ import (
 func TestTrafficDeterminism(t *testing.T) {
 	run := func(workers int) string {
 		o := DefaultTrafficOptions()
-		o.Sessions = 300 // smaller population: same code paths, faster cells
+		o.sessions = 300 // smaller population: same code paths, faster cells
 		o.Scenarios = []string{"kill-restart", "group-outage", "proxy-quorum-loss"}
 		o.Sweep = Sweep{Workers: workers}
-		return RenderTrafficMatrix(TrafficMatrix(o))
+		return trafficMatrixTable.render(TrafficMatrix(o))
 	}
 	serial := run(1)
 	parallel := run(8)
@@ -45,7 +45,7 @@ func TestTrafficDeterminism(t *testing.T) {
 // none of either.
 func TestTrafficStaleDirectoryCostsUsers(t *testing.T) {
 	o := DefaultTrafficOptions()
-	o.Sessions = 300
+	o.sessions = 300
 	o.Scenarios = []string{"steady", "kill-restart"}
 	byCell := map[string]TrafficResult{}
 	for _, r := range TrafficMatrix(o) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -186,7 +185,7 @@ func New(eng *sim.Engine, top *topology.Topology, nodes []Node, o Options) *Audi
 		top:    top,
 		nodes:  nodes,
 		o:      o,
-		groups: chaos.Groups(top),
+		groups: top.Level0Groups(),
 	}
 	n := len(nodes)
 	if o.Observers != nil {
@@ -300,25 +299,11 @@ func (a *Auditor) sample() {
 	a.syncReach()
 
 	// Ground truth: running-set transitions and stability tracking.
-	changed := false
-	for i, n := range a.nodes {
-		r := n.Running()
-		if r != a.wasRunning[i] {
-			changed = true
-			a.wasRunning[i] = r
-			if r {
-				a.downSince[i] = -1
-				a.upSince[i] = now
-			} else {
-				a.downSince[i] = now
-			}
-		}
+	for i := range a.nodes {
+		a.noteRunning(i, now)
 	}
 	if ep := a.top.Epoch(); ep != a.lastEpoch {
 		a.lastEpoch = ep
-		changed = true
-	}
-	if changed {
 		a.stableSince = now
 	}
 
@@ -329,9 +314,9 @@ func (a *Auditor) sample() {
 	a.checkFederation(now)
 }
 
-// noteRunning refreshes the ground-truth trackers for one node. It is the
-// O(1) per-node slice of sample()'s first loop, used by the event hooks so
-// an exact-timestamp check never reads stale down/up times.
+// noteRunning refreshes the ground-truth trackers for one node: each sample
+// runs it for every node, and the event hooks for the pair an event touched,
+// so an exact-timestamp check never reads stale down/up times.
 func (a *Auditor) noteRunning(i int, now time.Duration) {
 	r := a.nodes[i].Running()
 	if r == a.wasRunning[i] {
@@ -367,33 +352,9 @@ func (a *Auditor) onEvent(i int, e membership.Event) {
 		if e.Type == membership.EventJoin && warm {
 			a.viewChanges++
 		}
-		dir := a.nodes[i].Directory()
-		en := dir.Get(e.Node)
-		if en == nil {
-			return
+		if en := a.nodes[i].Directory().Get(e.Node); en != nil {
+			a.checkEntry(i, j, en, now, "(re)admitted")
 		}
-		ph := &a.invs[invNoPhantoms]
-		ph.checks++
-		since := a.downSince[j]
-		if since >= 0 && a.upSince[i] > since {
-			since = a.upSince[i]
-		}
-		if since >= 0 && now-since > a.o.PurgeBound {
-			ph.violate(now, "node %d (re)admitted node %d, down for %v (bound %v)",
-				i, j, now-a.downSince[j], a.o.PurgeBound)
-		}
-		st := &a.lastSeen[i][j]
-		if st.seen {
-			sq := &a.invs[invSeqMonotone]
-			sq.checks++
-			in, ver, beat := en.Incarnation, en.Version, en.Beat
-			if in < st.inc || (in == st.inc && (ver < st.ver || beat < st.beat)) {
-				sq.violate(now, "node %d's entry for %d regressed: (%d,%d,%d) -> (%d,%d,%d)",
-					i, j, st.inc, st.ver, st.beat, in, ver, beat)
-			}
-		}
-		st.seen = true
-		st.inc, st.ver, st.beat = en.Incarnation, en.Version, en.Beat
 	case membership.EventLeave:
 		a.syncReach()
 		if warm {
@@ -477,47 +438,52 @@ func (a *Auditor) checkCompleteness(now time.Duration) {
 }
 
 func (a *Auditor) checkPhantomsAndSeq(now time.Duration) {
-	ph := &a.invs[invNoPhantoms]
-	sq := &a.invs[invSeqMonotone]
 	for _, i := range a.obs {
 		obs := a.nodes[i]
 		if !obs.Running() {
 			continue
 		}
-		dir := obs.Directory()
-		dir.Range(func(id membership.NodeID, e *membership.Entry) {
-			j := int(id)
-			if j < 0 || j >= len(a.nodes) {
-				return
+		obs.Directory().Range(func(id membership.NodeID, e *membership.Entry) {
+			if j := int(id); j >= 0 && j < len(a.nodes) {
+				a.checkEntry(i, j, e, now, "still lists")
 			}
-			if j != i {
-				ph.checks++
-				// The phantom clock starts at whichever is later: the
-				// subject dying, or the observer (re)starting — a node
-				// restarting with a stale pre-crash directory needs its own
-				// detection time before it can have purged anyone.
-				since := a.downSince[j]
-				if since >= 0 && a.upSince[i] > since {
-					since = a.upSince[i]
-				}
-				if since >= 0 && now-since > a.o.PurgeBound {
-					ph.violate(now, "node %d still lists node %d, down for %v (bound %v)",
-						i, j, now-a.downSince[j], a.o.PurgeBound)
-				}
-			}
-			st := &a.lastSeen[i][j]
-			if st.seen {
-				sq.checks++
-				in, ver, beat := e.Incarnation, e.Version, e.Beat
-				if in < st.inc || (in == st.inc && (ver < st.ver || beat < st.beat)) {
-					sq.violate(now, "node %d's entry for %d regressed: (%d,%d,%d) -> (%d,%d,%d)",
-						i, j, st.inc, st.ver, st.beat, in, ver, beat)
-				}
-			}
-			st.seen = true
-			st.inc, st.ver, st.beat = e.Incarnation, e.Version, e.Beat
 		})
 	}
+}
+
+// checkEntry audits observer i's entry e for subject j at now, for both the
+// sampler and the event hooks. No phantom: a subject other than i itself is
+// not held longer than the purge bound after it died. The phantom clock
+// starts at whichever is later, the subject dying or the observer
+// (re)starting: a node restarting with a stale pre-crash directory needs its
+// own detection time before it can have purged anyone. Seq-monotone: the
+// entry's (incarnation, version, beat) never goes back from what i last held.
+// how is the verb of a phantom example.
+func (a *Auditor) checkEntry(i, j int, e *membership.Entry, now time.Duration, how string) {
+	if j != i {
+		ph := &a.invs[invNoPhantoms]
+		ph.checks++
+		since := a.downSince[j]
+		if since >= 0 && a.upSince[i] > since {
+			since = a.upSince[i]
+		}
+		if since >= 0 && now-since > a.o.PurgeBound {
+			ph.violate(now, "node %d %s node %d, down for %v (bound %v)",
+				i, how, j, now-a.downSince[j], a.o.PurgeBound)
+		}
+	}
+	st := &a.lastSeen[i][j]
+	if st.seen {
+		sq := &a.invs[invSeqMonotone]
+		sq.checks++
+		in, ver, beat := e.Incarnation, e.Version, e.Beat
+		if in < st.inc || (in == st.inc && (ver < st.ver || beat < st.beat)) {
+			sq.violate(now, "node %d's entry for %d regressed: (%d,%d,%d) -> (%d,%d,%d)",
+				i, j, st.inc, st.ver, st.beat, in, ver, beat)
+		}
+	}
+	st.seen = true
+	st.inc, st.ver, st.beat = e.Incarnation, e.Version, e.Beat
 }
 
 func (a *Auditor) checkLeaders(now time.Duration) {

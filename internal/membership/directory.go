@@ -227,18 +227,11 @@ func (d *Directory) tombstoneActive(p InfoPrefix, now time.Duration) bool {
 	return ok && p.Incarnation <= ts.inc && p.Beat <= ts.beat && now-ts.at < d.tombTTL
 }
 
-// Owner returns the owning node's ID.
-func (d *Directory) Owner() NodeID { return d.owner }
-
-// SetObserver installs a change callback (used by the experiment harness to
-// timestamp view changes). Pass nil to remove.
-func (d *Directory) SetObserver(fn func(Event)) { d.observer = fn }
-
-// AddObserver chains fn after any observer already installed, so several
+// AddObserver chains fn after every observer already installed, so several
 // consumers (a harness timestamping views, the invariant auditor's
 // event-driven hooks) can watch the same directory without clobbering each
-// other. Events are emitted after the mutation they describe, so fn may
-// call Get/Has on the directory.
+// other. Observers cannot be removed. Events are emitted after the mutation
+// they describe, so fn may call Get/Has on the directory.
 func (d *Directory) AddObserver(fn func(Event)) {
 	if prev := d.observer; prev != nil {
 		d.observer = func(e Event) {
@@ -430,16 +423,6 @@ func (d *Directory) MergeRelayed(src RelayedSource, level int, relayer NodeID, n
 		}
 	}
 	return invalid
-}
-
-// Refresh bumps LastRefresh for n if present (a heartbeat with unchanged
-// info); reports whether the node was present.
-func (d *Directory) Refresh(n NodeID, now time.Duration) bool {
-	e := d.get(n)
-	if e != nil {
-		e.LastRefresh = now
-	}
-	return e != nil
 }
 
 // Remove deletes node n; reports whether it was present. When tombstones

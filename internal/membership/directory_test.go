@@ -12,7 +12,7 @@ func info(n NodeID, svcs ...ServiceDecl) MemberInfo {
 func TestUpsertJoinAndEvents(t *testing.T) {
 	d := NewDirectory(0)
 	var events []Event
-	d.SetObserver(func(e Event) { events = append(events, e) })
+	d.AddObserver(func(e Event) { events = append(events, e) })
 	if !d.Upsert(info(1), OriginDirect, 0, NoNode, time.Second) {
 		t.Fatal("first Upsert should report join")
 	}
@@ -49,7 +49,7 @@ func TestUpsertNewerInfoEmitsUpdate(t *testing.T) {
 	d := NewDirectory(0)
 	var events []Event
 	d.Upsert(MemberInfo{Node: 1, Version: 1}, OriginDirect, 0, NoNode, 0)
-	d.SetObserver(func(e Event) { events = append(events, e) })
+	d.AddObserver(func(e Event) { events = append(events, e) })
 	d.Upsert(MemberInfo{Node: 1, Version: 2}, OriginDirect, 0, NoNode, time.Second)
 	if len(events) != 1 || events[0].Type != EventUpdate {
 		t.Fatalf("events = %+v, want one update", events)
@@ -128,7 +128,7 @@ func TestRemoveAndEvents(t *testing.T) {
 	d := NewDirectory(0)
 	d.Upsert(info(1), OriginDirect, 0, NoNode, 0)
 	var events []Event
-	d.SetObserver(func(e Event) { events = append(events, e) })
+	d.AddObserver(func(e Event) { events = append(events, e) })
 	if !d.Remove(1, 3*time.Second) {
 		t.Fatal("Remove should report true")
 	}

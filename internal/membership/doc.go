@@ -19,7 +19,7 @@
 //     (incarnation, version, beat) precedence; Remove tombstones departed
 //     nodes against stale re-addition; Expired implements heartbeat
 //     timeouts; Lookup answers the paper's regex + partition-spec queries;
-//     SetObserver delivers Event notifications (join/leave/change) that
+//     AddObserver delivers Event notifications (join/leave/change) that
 //     the experiments' detection/convergence recorders hook.
 //   - Entry: a member's aliveness, apart from its content. Every merge,
 //     refresh, expiry sweep and audit reads only the entry — the 24-byte

@@ -133,15 +133,6 @@ func NewPublisher(self *MemberInfo, published func()) Publisher {
 // Info returns a copy of the node's own published information.
 func (p Publisher) Info() MemberInfo { return p.self.Clone() }
 
-// SetInfo replaces the published services/attributes before Start; identity,
-// incarnation and beat carry over. After Start use RegisterService,
-// UpdateValue and DeleteValue, which version the changes.
-func (p Publisher) SetInfo(info MemberInfo) {
-	id, inc, beat := p.self.Node, p.self.Incarnation, p.self.Beat
-	*p.self = info.Clone()
-	p.self.Node, p.self.Incarnation, p.self.Beat = id, inc, beat
-}
-
 // RegisterService publishes a service hosted by this node (register_service);
 // registering a name again replaces its declaration. The partition list uses
 // the paper's "1-3" spec syntax.

@@ -44,7 +44,7 @@ func (s *sliceSource) Info() MemberInfo {
 // record materialised, TombstoneActive then Upsert, one at a time.
 func referenceMerge(d *Directory, infos []MemberInfo, level int, relayer NodeID, now time.Duration) (joined []MemberInfo, tombstoned []NodeID, invalid int) {
 	for _, info := range infos {
-		if info.Node == d.Owner() {
+		if info.Node == d.owner {
 			continue
 		}
 		if info.Node < 0 {

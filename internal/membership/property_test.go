@@ -21,7 +21,7 @@ func TestPropertyDirectoryInvariants(t *testing.T) {
 		d := NewDirectory(0)
 		d.SetTombstoneTTL(5 * time.Second)
 		joins, leaves := 0, 0
-		d.SetObserver(func(e Event) {
+		d.AddObserver(func(e Event) {
 			switch e.Type {
 			case EventJoin:
 				joins++
@@ -42,8 +42,10 @@ func TestPropertyDirectoryInvariants(t *testing.T) {
 				d.Upsert(info, OriginRelayed, 1, NodeID(op%7), now)
 			case 3:
 				d.Remove(node, now)
-			case 4:
-				d.Refresh(node, now)
+			case 4: // a heartbeat with unchanged info
+				if e := d.get(node); e != nil {
+					e.LastRefresh = now
+				}
 			}
 			// Invariants.
 			nodes := d.Nodes()

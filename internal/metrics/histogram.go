@@ -94,14 +94,3 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	return h.max
 }
-
-// Merge folds other's observations into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	if other.max > h.max {
-		h.max = other.max
-	}
-}

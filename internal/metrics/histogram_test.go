@@ -74,21 +74,6 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Record(time.Duration(i) * time.Millisecond)
-		b.Record(time.Duration(i+100) * time.Millisecond)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Max() != 199*time.Millisecond {
-		t.Errorf("merged max = %v", a.Max())
-	}
-}
-
 func TestHistogramIndexBounds(t *testing.T) {
 	// Every representable duration must land inside the fixed array and
 	// round-trip to an upper bound >= the value.

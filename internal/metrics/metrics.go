@@ -30,11 +30,9 @@ func NewChangeRecorder(subject membership.NodeID, kind membership.EventType, sin
 	}
 }
 
-// Watch installs the recorder as observer on a node's directory. Only one
-// observer is supported per directory; the harness owns them during
-// experiments.
+// Watch adds the recorder as an observer of a node's directory.
 func (r *ChangeRecorder) Watch(observer membership.NodeID, dir *membership.Directory) {
-	dir.SetObserver(func(e membership.Event) {
+	dir.AddObserver(func(e membership.Event) {
 		if e.Type != r.kind || e.Node != r.subject || e.Time < r.since {
 			return
 		}
@@ -153,18 +151,6 @@ func lookup(s *Series, x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v))
 }
 
 // Percentile returns the p-th percentile (0..100) using nearest-rank.

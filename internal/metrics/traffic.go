@@ -66,14 +66,6 @@ type TrafficStats struct {
 	HedgeWins      uint64 `json:"hedge_wins,omitempty"`
 }
 
-// FailureRate returns the fraction of requests that did not succeed.
-func (t TrafficStats) FailureRate() float64 {
-	if t.Requests == 0 {
-		return 0
-	}
-	return float64(t.Requests-t.OK) / float64(t.Requests)
-}
-
 // String renders the compact per-run traffic suffix.
 func (t TrafficStats) String() string {
 	s := fmt.Sprintf("req=%d ok=%d misrouted=%d migrations=%d p99=%v p999=%v",

@@ -373,69 +373,46 @@ func (n *Network) installProfile(bit int, p LinkProfile) {
 }
 
 // compose folds the profiles of every marked link on a delivery path over
-// the network-wide defaults. Loss and duplication compose as independent
-// events (1-(1-a)(1-b)); jitter takes the maximum fraction.
-func (n *Network) compose(marks topology.MarkSet) (loss, jitter, dup float64) {
-	loss, jitter, dup = n.loss, n.jitter, n.dup
+// the network-wide defaults. Probabilities compose as independent events
+// (1-(1-a)(1-b)); jitter takes the maximum fraction. There are no
+// network-wide byte-fault defaults, since damage is always per-link, so the
+// byte-fault fields stay zero unless an installed profile injects some
+// (hasFaults): a run without one draws nothing for them.
+func (n *Network) compose(marks topology.MarkSet) LinkProfile {
+	c := LinkProfile{Loss: n.loss, Jitter: n.jitter, Dup: n.dup}
 	lo, hi := marks.Words()
 	for m := lo; m != 0; m &= m - 1 {
-		loss, jitter, dup = n.composeBit(bits.TrailingZeros64(m), loss, jitter, dup)
+		n.composeBit(bits.TrailingZeros64(m), &c)
 	}
 	for w, word := range hi {
 		for m := word; m != 0; m &= m - 1 {
-			loss, jitter, dup = n.composeBit(64*(w+1)+bits.TrailingZeros64(m), loss, jitter, dup)
+			n.composeBit(64*(w+1)+bits.TrailingZeros64(m), &c)
 		}
 	}
-	return loss, jitter, dup
+	return c
 }
 
-func (n *Network) composeBit(bit int, loss, jitter, dup float64) (float64, float64, float64) {
-	if bit >= len(n.profiles) {
-		return loss, jitter, dup
-	}
-	p := n.profiles[bit]
-	loss = 1 - (1-loss)*(1-p.Loss)
-	dup = 1 - (1-dup)*(1-p.Dup)
-	if p.Jitter > jitter {
-		jitter = p.Jitter
-	}
-	return loss, jitter, dup
-}
-
-// faults is the composed byte-fault probability vector for one delivery.
-type faults struct {
-	corrupt, truncate, replay, stale float64
-}
-
-func (f faults) any() bool {
-	return f.corrupt > 0 || f.truncate > 0 || f.replay > 0 || f.stale > 0
-}
-
-// composeFaults folds the byte-fault probabilities of every marked link on
-// a delivery path; like loss/dup they compose as independent events. There
-// are no network-wide byte-fault defaults — damage is always per-link.
-func (n *Network) composeFaults(marks topology.MarkSet) (f faults) {
-	lo, hi := marks.Words()
-	for m := lo; m != 0; m &= m - 1 {
-		n.composeFaultBit(bits.TrailingZeros64(m), &f)
-	}
-	for w, word := range hi {
-		for m := word; m != 0; m &= m - 1 {
-			n.composeFaultBit(64*(w+1)+bits.TrailingZeros64(m), &f)
-		}
-	}
-	return f
-}
-
-func (n *Network) composeFaultBit(bit int, f *faults) {
+func (n *Network) composeBit(bit int, c *LinkProfile) {
 	if bit >= len(n.profiles) {
 		return
 	}
-	p := n.profiles[bit]
-	f.corrupt = 1 - (1-f.corrupt)*(1-p.Corrupt)
-	f.truncate = 1 - (1-f.truncate)*(1-p.Truncate)
-	f.replay = 1 - (1-f.replay)*(1-p.Replay)
-	f.stale = 1 - (1-f.stale)*(1-p.Stale)
+	p := &n.profiles[bit]
+	c.Loss = either(c.Loss, p.Loss)
+	c.Dup = either(c.Dup, p.Dup)
+	c.Jitter = max(c.Jitter, p.Jitter)
+	c.Corrupt = either(c.Corrupt, p.Corrupt)
+	c.Truncate = either(c.Truncate, p.Truncate)
+	c.Replay = either(c.Replay, p.Replay)
+	c.Stale = either(c.Stale, p.Stale)
+}
+
+// either is the probability of at least one of two independent events.
+func either(a, b float64) float64 { return 1 - (1-a)*(1-b) }
+
+// faults is the composed byte-fault probability vector a delivery carries
+// to its arrival.
+type faults struct {
+	corrupt, truncate, replay, stale float64
 }
 
 // Endpoint returns the endpoint of host h.
@@ -771,21 +748,20 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 }
 
 func (ep *Endpoint) deliver(dst *Endpoint, pkt Packet, latency time.Duration, marks topology.MarkSet) {
+	// An unmarked path, nearly every delivery, keeps the network-wide
+	// defaults without the call: it would cost a unicast a seventh more.
 	n := ep.net
-	loss, jitter, dup := n.loss, n.jitter, n.dup
+	p := LinkProfile{Loss: n.loss, Jitter: n.jitter, Dup: n.dup}
 	if !marks.Empty() {
-		loss, jitter, dup = n.compose(marks)
+		p = n.compose(marks)
 	}
-	var fl faults
-	if !marks.Empty() && n.hasFaults {
-		fl = n.composeFaults(marks)
-	}
-	if dup > 0 && ep.eng.Rand().Float64() < dup {
+	fl := faults{p.Corrupt, p.Truncate, p.Replay, p.Stale}
+	if p.Dup > 0 && ep.eng.Rand().Float64() < p.Dup {
 		// The duplicate takes its own (jittered) path.
 		extra := latency + time.Duration(ep.eng.Rand().Int63n(int64(time.Millisecond)))
-		ep.deliverOnce(dst, pkt, extra, loss, jitter, fl)
+		ep.deliverOnce(dst, pkt, extra, p.Loss, p.Jitter, fl)
 	}
-	ep.deliverOnce(dst, pkt, latency, loss, jitter, fl)
+	ep.deliverOnce(dst, pkt, latency, p.Loss, p.Jitter, fl)
 }
 
 func (ep *Endpoint) deliverOnce(dst *Endpoint, pkt Packet, latency time.Duration, loss, jitter float64, fl faults) {

@@ -342,21 +342,15 @@ func TestLinkProfileComposesWithGlobal(t *testing.T) {
 	for len(n.profiles) <= bit {
 		n.profiles = append(n.profiles, LinkProfile{})
 	}
-	n.profiles[bit] = LinkProfile{Loss: 0.5, Jitter: 0.4, Dup: 0.25}
-	loss, jitter, dup := n.compose(topology.MarkSetOf(bit))
-	if loss != 0.75 {
-		t.Fatalf("composed loss = %v, want 0.75", loss)
+	n.profiles[bit] = LinkProfile{Loss: 0.5, Jitter: 0.4, Dup: 0.25, Corrupt: 0.5}
+	want := LinkProfile{Loss: 0.75, Jitter: 0.4, Dup: 0.25, Corrupt: 0.5}
+	if got := n.compose(topology.MarkSetOf(bit)); got != want {
+		t.Fatalf("composed profile = %+v, want %+v", got, want)
 	}
-	if jitter != 0.4 {
-		t.Fatalf("composed jitter = %v, want max(0.1, 0.4)", jitter)
-	}
-	if dup != 0.25 {
-		t.Fatalf("composed dup = %v, want 0.25", dup)
-	}
-	// Unmarked paths keep the global knobs.
-	loss, jitter, dup = n.compose(topology.MarkSet{})
-	if loss != 0.5 || jitter != 0.1 || dup != 0 {
-		t.Fatalf("compose(empty) = %v/%v/%v, want globals 0.5/0.1/0", loss, jitter, dup)
+	// Unmarked paths keep the global knobs, and draw no byte faults.
+	want = LinkProfile{Loss: 0.5, Jitter: 0.1}
+	if got := n.compose(topology.MarkSet{}); got != want {
+		t.Fatalf("compose(empty) = %+v, want the globals %+v", got, want)
 	}
 }
 

@@ -163,15 +163,3 @@ func (n *Network) PublishAllSubs() {
 // BumpPubEpoch invalidates every LP's fan-out caches; the coordinator calls
 // it at a boundary where PublishSubs reported changes.
 func (n *Network) BumpPubEpoch() { n.lps.pubEpoch++ }
-
-// PendingCross reports whether any cross-LP message is parked for worker
-// `bucket` (used by the coordinator to find the next boundary with work).
-func (n *Network) PendingCross(bucket int) bool {
-	l := n.lps
-	for src := range l.out {
-		if len(l.out[src][bucket]) > 0 {
-			return true
-		}
-	}
-	return false
-}

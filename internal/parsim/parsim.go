@@ -27,35 +27,24 @@ type Config struct {
 	// LPs {i : i % Workers == w}. 1 runs everything inline on the caller's
 	// goroutine with no synchronization at all.
 	Workers int
-	// Seed seeds the coordinator's own RNG (the Scheduler.Rand stream used
-	// by boundary actions such as chaos timelines).
+	// Seed seeds the coordinator's own engine: the Scheduler.Rand stream
+	// used by boundary actions such as chaos timelines.
 	Seed int64
-}
-
-// boundary is one callback scheduled on the coordinator itself (chaos steps,
-// harness deadlines). They run single-threaded between windows, at their
-// exact virtual time.
-type boundary struct {
-	at  time.Duration
-	seq uint64 // FIFO among equal times — same ordering rule as the engine
-	fn  func()
 }
 
 // Coordinator drives one conservative windowed run. It implements
 // sim.Scheduler so chaos environments and harness timelines install into a
-// partitioned run unchanged; everything scheduled on it executes between
-// windows, when no worker goroutine is running.
+// partitioned run unchanged: its clock, RNG and boundary actions are one
+// private engine, whose events run between windows, when no worker goroutine
+// is running.
 type Coordinator struct {
+	eng       *sim.Engine // boundary actions; its clock is the last window boundary
 	engs      []*sim.Engine
 	net       *netsim.Network
 	lookahead time.Duration
 	workers   int
 
-	now   time.Duration
 	until time.Duration // Run horizon: engine clocks never advance past it
-	rng   *rand.Rand
-	bh    []boundary // min-heap on (at, seq)
-	bseq  uint64
 
 	nextAt []time.Duration // per-LP next event time after a window, -1 = idle
 	pubs   []int           // per-LP published-subscription counts
@@ -88,51 +77,41 @@ func New(cfg Config) *Coordinator {
 	if w > len(cfg.Engines) {
 		w = len(cfg.Engines)
 	}
-	c := &Coordinator{
+	return &Coordinator{
+		eng:       sim.NewEngine(cfg.Seed),
 		engs:      cfg.Engines,
 		net:       cfg.Net,
 		lookahead: cfg.Lookahead,
 		workers:   w,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		nextAt:    make([]time.Duration, len(cfg.Engines)),
 		pubs:      make([]int, len(cfg.Engines)),
 	}
-	return c
 }
 
 // --- sim.Scheduler ---
 
 // Now returns coordinator virtual time: the last window boundary. Between
 // windows every engine clock equals it.
-func (c *Coordinator) Now() time.Duration { return c.now }
+func (c *Coordinator) Now() time.Duration { return c.eng.Now() }
 
 // Rand returns the coordinator's own deterministic stream, independent of
 // every LP's.
-func (c *Coordinator) Rand() *rand.Rand { return c.rng }
+func (c *Coordinator) Rand() *rand.Rand { return c.eng.Rand() }
 
-// Schedule runs fn at Now()+delay, between windows. The returned timer is
-// nil — boundary actions are not cancellable (sim.Timer's Stop and Pending
-// are nil-safe, so callers holding one work unchanged).
+// Schedule runs fn at Now()+delay, between windows. The timer cancels like
+// any engine timer.
 func (c *Coordinator) Schedule(delay time.Duration, fn func()) *sim.Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return c.ScheduleAt(c.now+delay, fn)
+	return c.eng.Schedule(delay, fn)
 }
 
 // ScheduleAt runs fn at absolute virtual time at, between windows.
 func (c *Coordinator) ScheduleAt(at time.Duration, fn func()) *sim.Timer {
-	if at < c.now {
-		at = c.now
-	}
-	c.push(boundary{at: at, seq: c.bseq, fn: fn})
-	c.bseq++
-	return nil
+	return c.eng.ScheduleAt(at, fn)
 }
 
 // ScheduleCall runs the callback at Now()+delay, between windows.
 func (c *Coordinator) ScheduleCall(delay time.Duration, cb sim.Callback) {
-	c.Schedule(delay, func() { cb.Fire() })
+	c.eng.ScheduleCall(delay, cb)
 }
 
 var _ sim.Scheduler = (*Coordinator)(nil)
@@ -146,7 +125,8 @@ func (c *Coordinator) NumLPs() int { return len(c.engs) }
 // Workers returns the effective worker count.
 func (c *Coordinator) Workers() int { return c.workers }
 
-// Steps sums executed events across all LPs.
+// Steps sums executed events across all LPs; boundary actions are not
+// simulation events and do not count.
 func (c *Coordinator) Steps() uint64 {
 	var s uint64
 	for _, e := range c.engs {
@@ -166,44 +146,42 @@ func (c *Coordinator) Run(until time.Duration) {
 		defer c.stopWorkers()
 	}
 	c.net.PublishAllSubs()
-	for c.now < end {
+	for now := c.Now(); now < end; {
 		c.runBoundary()
 		winEnd := end
-		if c.lookahead > 0 && c.now+c.lookahead < winEnd {
-			winEnd = c.now + c.lookahead
+		if c.lookahead > 0 && now+c.lookahead < winEnd {
+			winEnd = now + c.lookahead
 		}
-		if nb, ok := c.nextBoundary(); ok && nb < winEnd {
+		if nb, ok := c.eng.NextEventAt(); ok && nb < winEnd {
 			winEnd = nb
 		}
 		c.window(winEnd)
-		c.afterWindow(winEnd, end)
+		now = c.afterWindow(winEnd, end)
 	}
 	for _, e := range c.engs {
 		e.AdvanceTo(until)
 	}
-	c.now = until
+	c.eng.AdvanceTo(until)
 }
 
 // runBoundary executes every boundary action due at the current time. The
-// engines are brought exactly to c.now first so actions observe one
+// engines are brought exactly to Now() first so actions observe one
 // consistent clock (Stop/Start of a node reads its LP engine's Now).
 func (c *Coordinator) runBoundary() {
-	if len(c.bh) == 0 || c.bh[0].at > c.now {
+	now := c.Now()
+	if at, ok := c.eng.NextEventAt(); !ok || at > now {
 		return
 	}
 	for _, e := range c.engs {
-		e.AdvanceTo(c.now)
+		e.AdvanceTo(now)
 	}
-	for len(c.bh) > 0 && c.bh[0].at <= c.now {
-		b := c.pop()
-		b.fn()
-	}
+	c.eng.Run(now)
 	// Actions may have joined/left channels (node restarts); republish
 	// snapshots before workers run again.
 	c.net.PublishAllSubs()
 }
 
-// window executes one lookahead window [c.now, winEnd) across all workers:
+// window executes one lookahead window [Now(), winEnd) across all workers:
 // phase A runs every LP's local events, phase B (after a barrier) drains
 // cross-LP messages, publishes subscription snapshots, and records each LP's
 // next event time.
@@ -227,13 +205,15 @@ func (c *Coordinator) window(winEnd time.Duration) {
 	}
 }
 
-// afterWindow advances the coordinator clock past the window. Publication
-// epochs bump when any LP published (the counts are determined by the event
-// streams, so the bump pattern is worker-count-invariant), and the clock
-// skips ahead to the earliest future work — next local event, parked
-// cross-LP arrival (already scheduled, hence visible via nextAt), or
-// boundary action — bounded below by winEnd.
-func (c *Coordinator) afterWindow(winEnd, end time.Duration) {
+// afterWindow returns the next window start. Publication epochs bump when
+// any LP published (the counts are determined by the event streams, so the
+// bump pattern is worker-count-invariant), and the clock skips ahead to the
+// earliest future work — next local event, parked cross-LP arrival (already
+// scheduled, hence visible via nextAt), or boundary action — bounded below
+// by winEnd. No boundary action is earlier than winEnd, so advancing the
+// coordinator's engine there is legal; it stops at the Run horizon, where
+// the loop ends.
+func (c *Coordinator) afterWindow(winEnd, end time.Duration) time.Duration {
 	pub := 0
 	for lp := range c.pubs {
 		pub += c.pubs[lp]
@@ -242,7 +222,7 @@ func (c *Coordinator) afterWindow(winEnd, end time.Duration) {
 		c.net.BumpPubEpoch()
 	}
 	next := end
-	if nb, ok := c.nextBoundary(); ok && nb < next {
+	if nb, ok := c.eng.NextEventAt(); ok && nb < next {
 		next = nb
 	}
 	for _, at := range c.nextAt {
@@ -253,7 +233,8 @@ func (c *Coordinator) afterWindow(winEnd, end time.Duration) {
 	if next < winEnd {
 		next = winEnd
 	}
-	c.now = next
+	c.eng.AdvanceTo(min(next, c.until))
+	return next
 }
 
 // phaseRun is window phase A for one worker: run the local event streams of
@@ -318,58 +299,4 @@ func (c *Coordinator) workerLoop(w int) {
 		}
 		c.ack <- struct{}{}
 	}
-}
-
-// --- boundary-action min-heap on (at, seq) ---
-
-func (c *Coordinator) nextBoundary() (time.Duration, bool) {
-	if len(c.bh) == 0 {
-		return 0, false
-	}
-	return c.bh[0].at, true
-}
-
-func (c *Coordinator) push(b boundary) {
-	c.bh = append(c.bh, b)
-	i := len(c.bh) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !boundaryLess(c.bh[i], c.bh[p]) {
-			break
-		}
-		c.bh[i], c.bh[p] = c.bh[p], c.bh[i]
-		i = p
-	}
-}
-
-func (c *Coordinator) pop() boundary {
-	top := c.bh[0]
-	last := len(c.bh) - 1
-	c.bh[0] = c.bh[last]
-	c.bh[last] = boundary{}
-	c.bh = c.bh[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < last && boundaryLess(c.bh[l], c.bh[m]) {
-			m = l
-		}
-		if r < last && boundaryLess(c.bh[r], c.bh[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		c.bh[i], c.bh[m] = c.bh[m], c.bh[i]
-		i = m
-	}
-	return top
-}
-
-func boundaryLess(a, b boundary) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }

@@ -33,7 +33,8 @@ func rig(t testing.TB, groups, perGroup, workers int) (*Coordinator, *netsim.Net
 
 // TestBoundaryActionsRunAtExactTime checks the Scheduler contract: actions
 // fire at their exact virtual time, in (time, FIFO) order, with every LP
-// engine's clock equal to the coordinator's.
+// engine's clock equal to the coordinator's, and a stopped action never
+// fires.
 func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 	c, _, _ := rig(t, 3, 2, 2)
 	var order []string
@@ -48,15 +49,27 @@ func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 		}
 		order = append(order, tag)
 	}
+	var late *sim.Timer
 	c.ScheduleAt(5*time.Millisecond, func() { note("b", 5*time.Millisecond) })
 	c.ScheduleAt(5*time.Millisecond, func() {
 		note("c", 5*time.Millisecond)
-		// Nested zero-delay actions run in the same boundary batch.
-		c.Schedule(0, func() { note("d", 5*time.Millisecond) })
+		// Nested zero-delay actions run in the same boundary batch, after
+		// every action already queued for the instant.
+		c.Schedule(0, func() { note("e", 5*time.Millisecond) })
+		// A same-instant action not yet run can still be cancelled.
+		if !late.Stop() {
+			t.Error("Stop on a pending same-instant action reported false")
+		}
 	})
+	c.ScheduleAt(5*time.Millisecond, func() { note("d", 5*time.Millisecond) })
+	late = c.ScheduleAt(5*time.Millisecond, func() { note("late", 5*time.Millisecond) })
 	c.Schedule(2*time.Millisecond, func() { note("a", 2*time.Millisecond) })
+	stopped := c.Schedule(3*time.Millisecond, func() { note("stopped", 3*time.Millisecond) })
+	if !stopped.Stop() || stopped.Pending() {
+		t.Fatal("a boundary action's timer does not cancel")
+	}
 	c.Run(10 * time.Millisecond)
-	if got, want := fmt.Sprint(order), "[a b c d]"; got != want {
+	if got, want := fmt.Sprint(order), "[a b c d e]"; got != want {
 		t.Fatalf("boundary order %s, want %s", got, want)
 	}
 	if c.Now() != 10*time.Millisecond {
@@ -66,6 +79,12 @@ func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 		if got := c.EngineOf(lp).Now(); got != 10*time.Millisecond {
 			t.Fatalf("LP %d final clock %v", lp, got)
 		}
+	}
+	// The next Run starts from the horizon the last one left.
+	c.Schedule(0, func() { note("f", 10*time.Millisecond) })
+	c.Run(20 * time.Millisecond)
+	if got, want := fmt.Sprint(order), "[a b c d e f]"; got != want {
+		t.Fatalf("boundary order after a second Run %s, want %s", got, want)
 	}
 }
 

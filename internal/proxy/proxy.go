@@ -75,6 +75,39 @@ func DefaultConfig(dc int, remotes []int) Config {
 	return Config{DC: dc, RemoteDCs: remotes, ProxyChannel: 1000, ProxyTTL: 8}
 }
 
+// Placement is one membership proxy of a multi-data-center deployment: the
+// host it runs on beside that host's membership node, and its configuration.
+type Placement struct {
+	Host   topology.HostID
+	Config Config
+}
+
+// Place lays out a deployment's proxies over top, perDC per data center (as
+// many as fit), in host order. They run on hosts 1..perDC of each data
+// center: host 0, the DC's lowest ID and so its hierarchical root leader,
+// stays a plain member, so a proxy kill never takes the tree's root with
+// it. Each proxy serves its own DC, exchanges summaries with every other
+// DC, and reaches its whole DC (ProxyTTL is the topology's diameter).
+func Place(top *topology.Topology, perDC int) []Placement {
+	dcs, ttl := top.NumDataCenters(), max(top.Diameter(), 1)
+	var out []Placement
+	for dc := 0; dc < dcs; dc++ {
+		var remotes []int
+		for other := 0; other < dcs; other++ {
+			if other != dc {
+				remotes = append(remotes, other)
+			}
+		}
+		cfg := DefaultConfig(dc, remotes)
+		cfg.ProxyTTL = ttl
+		hosts := top.HostsInDC(dc)
+		for _, h := range hosts[1:min(perDC+1, len(hosts))] {
+			out = append(out, Placement{Host: h, Config: cfg})
+		}
+	}
+	return out
+}
+
 // remoteDC is the tracked state of one remote data center.
 type remoteDC struct {
 	entries   map[string]wire.SummaryEntry

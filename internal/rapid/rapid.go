@@ -199,7 +199,7 @@ type Node struct {
 	id   membership.NodeID
 	dir  *membership.Directory
 	info membership.MemberInfo
-	// Publisher is the publishing API (SetInfo, RegisterService, UpdateValue,
+	// Publisher is the publishing API (RegisterService, UpdateValue,
 	// DeleteValue, Info) over info.
 	membership.Publisher
 	running bool
@@ -230,8 +230,6 @@ type Node struct {
 	// Admission.
 	joinTarget int
 	joinSentAt time.Duration
-
-	viewsInstalled uint64
 
 	hb       *sim.Ticker
 	scan     *sim.Ticker
@@ -286,9 +284,6 @@ func (n *Node) isMember(id membership.NodeID) bool {
 	p := n.peers.Get(id)
 	return p != nil && p.member
 }
-
-// ViewsInstalled counts configurations this node has adopted since boot.
-func (n *Node) ViewsInstalled() uint64 { return n.viewsInstalled }
 
 // published runs after every versioned change of the node's own record.
 func (n *Node) published() {
@@ -744,7 +739,6 @@ func (n *Node) adopt(v *wire.RapidView, now time.Duration) {
 	wasMember := n.isMember(n.id)
 	n.configSeq, n.proposer = v.Seq, v.Proposer
 	n.installMembers(members, now)
-	n.viewsInstalled++
 	// Directory diff: departed members leave atomically, carried records
 	// for incoming members land behind the freshness guard.
 	for _, id := range n.dir.Nodes() {

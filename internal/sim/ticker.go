@@ -62,14 +62,3 @@ func (t *Ticker) Stop() {
 	t.stop = true
 	t.pending.Stop()
 }
-
-// Stopped reports whether Stop has been called.
-func (t *Ticker) Stopped() bool { return t.stop }
-
-// SetPeriod changes the period used after the already-scheduled next firing.
-func (t *Ticker) SetPeriod(p time.Duration) {
-	if p <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t.period = p
-}

@@ -146,7 +146,7 @@ func (m *MService) ServeDirectory() (*DirectoryServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.node.Directory().SetObserver(func(membership.Event) {
+	m.node.Directory().AddObserver(func(membership.Event) {
 		s.Publish(m.node.Directory().Snapshot())
 	})
 	s.Publish(m.node.Directory().Snapshot())
