@@ -153,8 +153,15 @@ func (n *Node) receive(pkt netsim.Packet) {
 		n.ep.NoteReject()
 		return
 	}
-	hb, ok := msg.(*wire.Heartbeat)
-	if !ok || hb.Info.Node == n.id {
+	if hb, ok := msg.(*wire.Heartbeat); ok {
+		n.onHeartbeat(hb)
+	}
+}
+
+// onHeartbeat is the scheme's own work on a decoded heartbeat: the replay
+// guard and the directory refresh.
+func (n *Node) onHeartbeat(hb *wire.Heartbeat) {
+	if hb.Info.Node == n.id {
 		return
 	}
 	if hb.Info.Node < 0 {

@@ -135,9 +135,11 @@ func TestSweepSkipRemovesOnTheSameTicks(t *testing.T) {
 // receiver. Heartbeats arrive as in the running system — one sender's
 // multicast at all 399 receivers, then the next sender's — so every receive
 // finds the receiver's state for that sender cache-cold; a single-sender
-// loop keeps one mark and one entry in L1 and hides that cost. Packets
-// arrive decoded (the network's memo shares one decode per multicast), so
-// step is the scheme's own work: the replay guard and the directory refresh.
+// loop keeps one mark and one entry in L1 and hides that cost. The capture
+// keeps each copy's heartbeat as the network decoded it, once per multicast
+// into its memo (a copy of the message: the memo is recycled once the
+// multicast's deliveries are done), so step is the scheme's own work on it:
+// the replay guard and the directory refresh.
 type receive400 struct {
 	eng     *sim.Engine
 	nodes   []*Node
@@ -146,8 +148,8 @@ type receive400 struct {
 }
 
 type captured struct {
-	to  int
-	pkt netsim.Packet
+	to int
+	hb wire.Heartbeat
 }
 
 func newReceive400(tb testing.TB) *receive400 {
@@ -161,10 +163,11 @@ func newReceive400(tb testing.TB) *receive400 {
 		h := h
 		ep := net.Endpoint(topology.HostID(h))
 		ep.SetHandler(func(pkt netsim.Packet) {
-			if _, err := pkt.Decode(); err != nil {
+			msg, err := pkt.Decode()
+			if err != nil {
 				tb.Fatal(err)
 			}
-			f.pending = append(f.pending, captured{h, pkt})
+			f.pending = append(f.pending, captured{h, *msg.(*wire.Heartbeat)})
 		})
 		f.nodes = append(f.nodes, NewNode(cfg, ep))
 		f.nodes[h].Start(eng)
@@ -194,7 +197,7 @@ func (f *receive400) refill() {
 func (f *receive400) step() {
 	c := &f.pending[f.next]
 	f.next++
-	f.nodes[c.to].receive(c.pkt)
+	f.nodes[c.to].onHeartbeat(&c.hb)
 }
 
 // capturingTransport keeps the last multicast payload and sends nothing, so

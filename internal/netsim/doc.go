@@ -60,6 +60,19 @@
 // unexported field only the tests set) and compares handler logs, Stats,
 // Steps and RNG state, serially and partitioned.
 //
+// Decoding allocates no message for the kinds wire.Decoder keeps resident.
+// The copies of one multicast on one LP share a memo, a pooled record that
+// holds the one parse every receiver reads, made through a wire.Decoder it
+// borrows from the LP at its first decode; memo and decoder return to the
+// LP's free lists when the last delivery that refers to the memo is done. A
+// delivered unicast is handed its receiving endpoint's own record, which
+// owns its decoder and is cleared when the handler returns. The decoded
+// message is valid until the handler returns. A memo parses only the bytes it
+// records, so a packet kept past its handler still decodes to its own bytes,
+// afresh. decode_test.go
+// replays the seeded scripts in wire packets and holds every decode, in the
+// handler and after the run, to wire.Decode.
+//
 // Delivery is best-effort and unordered, like UDP. All calls must be made
 // from the simulation goroutine of the owning engine; different Network
 // instances are fully independent, which is what lets the harness run many

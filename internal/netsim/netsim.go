@@ -38,57 +38,129 @@ type Packet struct {
 	meta *pktMeta
 }
 
-// pktMeta is a packet's modelled tail and, for a multicast, the decode memo
-// its copies share.
+// pktMeta is a packet's modelled tail and, on the copies a handler is given,
+// the decode record its Decode parses into.
 type pktMeta struct {
 	// tail is the inert tail the payload declares but does not carry
 	// (wire.Padding), read once at send: the packet's modelled length is
 	// len(Payload) + tail, and byte accounting and the byte faults both work
 	// on it (WireSize, corrupt, truncate).
 	tail int
-
-	// shared marks the record as a decode memo: done, msg and err hold the
-	// first wire decode of a multicast payload, shared by every delivery
-	// copy of the packet, so a multicast parsed by one receiver is not
-	// re-parsed by its ~group-size other receivers. Deliveries that tamper
-	// with the payload (corrupt, truncate) get a record of their own and
-	// parse their own bytes. A unicast has one receiver and nothing to share,
-	// so its record, if it has one, is not a memo.
-	shared bool
-	done   bool
-	msg    wire.Message
-	err    error
+	// tampered marks the record of a copy whose bytes a fault rewrote or cut
+	// (Packet.own): its tail is its own, and it never gets a decode record.
+	tampered bool
+	// memo is set on the head of a decode record (memo.pktMeta) and points
+	// back to it.
+	memo *memo
 }
 
-// Decode parses the packet payload, memoizing the result across all
-// receivers of the same untampered multicast bytes. The returned message is
-// shared: callers must treat it — including nested slices — as immutable.
+// memo is a resident decode record: the first decode of one payload, parsed
+// through a resident wire.Decoder. There are two kinds. A multicast's copies on one LP
+// share a memo, so the ~group-size receivers of a multicast parse it once; it
+// comes from that LP's free list and goes back when the last delivery that
+// refers to it is done (refs). A delivered unicast has one receiver, and is
+// handed that endpoint's own record, refilled for each unicast it receives
+// and cleared when the handler returns. Either way only the goroutine of the
+// receivers' LP touches a memo, so nothing is locked.
+//
+// A memo decodes only the bytes it records. A Packet kept after its handler
+// returned (the replay ring, a test's capture), or one whose Payload is not
+// exactly the recorded slice (a truncated copy sharing the backing array),
+// finds its memo moved on and decodes its own bytes afresh: it costs the
+// allocation the memo saves, never a wrong message. Payloads are immutable
+// once sent, so equal slices are equal bytes.
+type memo struct {
+	pktMeta
+	payload []byte // the bytes the memo parses
+	done    bool
+	msg     wire.Message
+	err     error
+	refs    int   // a multicast memo's deliveries still in flight
+	next    *memo // free-list link
+	// dec is what the memo parses with. An endpoint's record owns one. A
+	// multicast memo borrows one from its LP's pools at its first decode and
+	// returns it with the memo, so a memo in flight and not yet parsed costs
+	// no decoder: a cold boot's join storm has tens of thousands in flight.
+	dec  *wire.Decoder
+	pool *pools // a multicast memo's LP pools; nil for an endpoint's record
+}
+
+// newRecord makes an empty decode record.
+func newRecord() *memo {
+	r := &memo{}
+	r.memo = r
+	return r
+}
+
+// reset clears the memo for its next payload, down to the views of the last
+// one its decoder's targets hold (a snapshot's records, a gossip view's): a
+// pooled or idle record must not pin a packet.
+func (r *memo) reset() {
+	r.payload, r.done, r.msg, r.err = nil, false, nil, nil
+	if r.dec != nil {
+		r.dec.Forget()
+	}
+}
+
+// Decode parses the packet payload. A multicast copy or a delivered unicast
+// parses into its resident memo, once for every receiver of the same
+// untampered multicast on one LP, without allocating the message for the
+// kinds wire.Decoder keeps resident; any other packet is decoded afresh by
+// wire.Decode. Either way the result is exactly wire.Decode(p.Payload). The
+// message is shared and reused: it is valid until the handler returns, and
+// callers must treat it — including nested slices — as immutable. What its
+// fields refer to (fresh slices and strings, views of the payload) may be
+// kept.
 func (p *Packet) Decode() (wire.Message, error) {
-	m := p.meta
-	if m == nil || !m.shared {
+	r := p.memo()
+	if r == nil {
 		return wire.Decode(p.Payload)
 	}
-	if !m.done {
-		m.msg, m.err = wire.Decode(p.Payload)
-		m.done = true
+	if !r.done {
+		if r.dec == nil {
+			r.dec = r.pool.decoder()
+		}
+		r.msg, r.err = r.dec.Decode(p.Payload)
+		r.done = true
 	}
-	return m.msg, m.err
+	return r.msg, r.err
 }
 
-// tail is the packet's modelled tail (pktMeta.tail).
+// memo returns the packet's decode record if it still holds the packet's
+// bytes, nil otherwise.
+func (p *Packet) memo() *memo {
+	if p.meta == nil || p.meta.memo == nil {
+		return nil
+	}
+	r := p.meta.memo
+	if len(p.Payload) == 0 || len(r.payload) != len(p.Payload) || &r.payload[0] != &p.Payload[0] {
+		return nil
+	}
+	return r
+}
+
+// tail is the packet's modelled tail (pktMeta.tail). A packet whose memo has
+// moved on to other bytes is untampered (tampered copies never get one), so
+// its tail is what its bytes declare.
 func (p *Packet) tail() int {
-	if p.meta == nil {
+	switch {
+	case p.meta == nil:
 		return 0
+	case p.meta.memo != nil && p.memo() == nil:
+		return wire.Padding(p.Payload)
 	}
 	return p.meta.tail
 }
 
+// tamperedNoTail is the record of every tampered copy without a tail.
+var tamperedNoTail = &pktMeta{tampered: true}
+
 // own gives the packet a record of its own with the given tail and no memo:
 // what a tampered copy carries, whose bytes are its own.
 func (p *Packet) own(tail int) {
-	p.meta = nil
+	p.meta = tamperedNoTail
 	if tail > 0 {
-		p.meta = &pktMeta{tail: tail}
+		p.meta = &pktMeta{tail: tail, tampered: true}
 	}
 }
 
@@ -249,7 +321,7 @@ type Network struct {
 	fans     map[fanKey]*fanout
 	subEpoch uint64
 
-	freeDel *delivery // pooled delivery records, linked via next
+	free pools // the serial network's free lists
 
 	// runCap, when positive, caps the length of a multicast run (see
 	// Multicast). Nothing outside the package's tests sets it: capped at one
@@ -289,7 +361,7 @@ type fanout struct {
 
 // New creates a network with one endpoint per host in the topology.
 func New(eng *sim.Engine, top *topology.Topology) *Network {
-	n := &Network{eng: eng, top: top, fans: make(map[fanKey]*fanout)}
+	n := &Network{eng: eng, top: top, fans: make(map[fanKey]*fanout), free: pools{hosts: top.NumHosts()}}
 	n.eps = make([]*Endpoint, top.NumHosts())
 	for i := range n.eps {
 		n.eps[i] = &Endpoint{
@@ -500,11 +572,12 @@ type Endpoint struct {
 	recent     [replayRingSize]recentPkt
 	recentUsed int
 	recentNext int
-	// sendMeta is the record of this endpoint's last padded unicast, reused
-	// while the declared tail repeats (a rapid node beats one buffer to each
-	// of its observers): a unicast's record is not a memo, so nothing ever
-	// writes it.
+	// sendMeta is the tail record of this endpoint's last padded send that
+	// carries no memo (see tailMeta).
 	sendMeta *pktMeta
+	// recv is the decode record every unicast delivered here is handed, made
+	// on the first (see memo).
+	recv *memo
 }
 
 // ID returns the host ID.
@@ -617,22 +690,27 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 		return
 	}
 	n := ep.net
-	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl, Payload: payload, meta: &pktMeta{tail: wire.Padding(payload), shared: true}}
+	tail := wire.Padding(payload)
+	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl, Payload: payload}
 	ep.stats.PktsSent++
-	ep.stats.BytesSent += uint64(pkt.WireSize())
+	ep.stats.BytesSent += uint64(len(payload) + tail + UDPOverhead)
 	f := n.fanoutFor(ep.id, ch, ttl)
 	drawless := n.dup == 0 && n.jitter == 0 && ep.grayLag == 0
-	// Partitioned mode: the decode memo is written by whichever receiver
-	// parses first, so receivers on different LPs must not share one. Scope
-	// hosts are ascending and LP host ranges are contiguous, so cutting a
-	// fresh memo whenever the destination LP changes restores per-LP
-	// sharing without tracking a memo per LP.
-	memoLP := ep.lp
+	// The copies that stay on the sender's LP share one memo from its free
+	// list, taken at the first of them. A copy bound for another LP crosses
+	// with its tail only, and DrainCross hands it a memo from the free list of
+	// the LP it lands on: a memo is taken, parsed into and released on one
+	// LP's goroutine.
+	var local *pktMeta
 	for i := 0; i < len(f.dsts); {
 		dst := f.dsts[i]
-		if dst.lp != memoLP {
-			memoLP = dst.lp
-			pkt.meta = &pktMeta{tail: pkt.meta.tail, shared: true}
+		if dst.lp != ep.lp {
+			pkt.meta = ep.tailMeta(tail)
+		} else {
+			if local == nil {
+				local = &n.newMemo(ep.lp, payload, tail).pktMeta
+			}
+			pkt.meta = local
 		}
 		j := i + 1
 		if drawless && f.joins(i, ep.lp) {
@@ -723,13 +801,7 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	if int(dst) < 0 || int(dst) >= len(ep.net.eps) {
 		return false
 	}
-	pkt := Packet{Src: ep.id, Dst: dst, Payload: payload}
-	if tail := wire.Padding(payload); tail > 0 {
-		if ep.sendMeta == nil || ep.sendMeta.tail != tail {
-			ep.sendMeta = &pktMeta{tail: tail}
-		}
-		pkt.meta = ep.sendMeta
-	}
+	pkt := Packet{Src: ep.id, Dst: dst, Payload: payload, meta: ep.tailMeta(wire.Padding(payload))}
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(pkt.WireSize())
 	lat, marks := ep.net.top.UnicastPath(ep.id, dst)
@@ -745,6 +817,20 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	}
 	ep.deliver(ep.net.eps[dst], pkt, lat, marks)
 	return true
+}
+
+// tailMeta returns a record that carries nothing but a tail, nil for none:
+// the endpoint's last one, reused while the tail repeats (a rapid node beats
+// one buffer to each of its observers). Nothing writes such a record, so any
+// number of packets, on any LP, may share it.
+func (ep *Endpoint) tailMeta(tail int) *pktMeta {
+	if tail == 0 {
+		return nil
+	}
+	if ep.sendMeta == nil || ep.sendMeta.tail != tail {
+		ep.sendMeta = &pktMeta{tail: tail}
+	}
+	return ep.sendMeta
 }
 
 func (ep *Endpoint) deliver(dst *Endpoint, pkt Packet, latency time.Duration, marks topology.MarkSet) {
@@ -806,8 +892,8 @@ func (ep *Endpoint) deliverOnce(dst *Endpoint, pkt Packet, latency time.Duration
 // vector (see Multicast; a unicast or any copy that needed a draw of its own
 // is a run of one). The engine fires it at arrival time via the Callback
 // interface, so the send path allocates nothing per packet (no closure, no
-// timer handle). Instances are recycled through Network.freeDel — the pool
-// of the receivers' LP in partitioned mode — once the last copy has arrived.
+// timer handle). Instances are recycled through the free list of the
+// receivers' LP once the last copy has arrived.
 type delivery struct {
 	dst *Endpoint // the first receiver; of most records the only one
 	// more holds the rest of a run in the record's own buffer, filled at send
@@ -823,33 +909,92 @@ type delivery struct {
 	next  *delivery // free-list link
 }
 
-// pool returns the free list records bound for LP lp recycle through.
-func (n *Network) pool(lp int32) **delivery {
+// pools are one LP's free lists of delivery records, multicast memos and the
+// decoders memos borrow, touched only by that LP's goroutine. The memo and
+// decoder lists keep at most one entry per endpoint of the LP. A multicast is
+// in flight for a path latency, far under a beat period, so an LP's steady
+// state has fewer memos in flight than endpoints (under a hundred across
+// tree-churn's thousand); a deeper list is what a burst such as a cold boot
+// left behind (tens of thousands there), and is let go rather than kept live.
+type pools struct {
+	del   *delivery
+	memo  *memo
+	memos int // memos in the list
+	decs  []*wire.Decoder
+	hosts int // the LP's endpoints: the most memos, and decoders, kept
+}
+
+// decoder lends a decoder to a multicast memo of the LP.
+func (p *pools) decoder() *wire.Decoder {
+	if n := len(p.decs); n > 0 {
+		d := p.decs[n-1]
+		p.decs = p.decs[:n-1]
+		return d
+	}
+	return new(wire.Decoder)
+}
+
+// pool returns the free lists of LP lp.
+func (n *Network) pool(lp int32) *pools {
 	if l := n.lps; l != nil {
 		return &l.pools[lp]
 	}
-	return &n.freeDel
+	return &n.free
+}
+
+// newMemo takes a memo for payload from LP lp's free list.
+func (n *Network) newMemo(lp int32, payload []byte, tail int) *memo {
+	p := n.pool(lp)
+	r := p.memo
+	if r != nil {
+		p.memo, p.memos = r.next, p.memos-1
+		r.next = nil
+	} else {
+		r = newRecord()
+		r.pool = p
+	}
+	r.tail, r.payload = tail, payload
+	return r
 }
 
 // newDelivery takes a record from the receiver's pool and fills it as a run
-// of one; the caller schedules it on the receiver's engine.
+// of one; the caller schedules it on the receiver's engine. A multicast memo
+// the packet carries counts the record among its references.
 func (n *Network) newDelivery(dst *Endpoint, pkt Packet, loss float64, fl faults) *delivery {
-	head := n.pool(dst.lp)
-	d := *head
+	p := n.pool(dst.lp)
+	d := p.del
 	if d != nil {
-		*head = d.next
+		p.del = d.next
 		d.next = nil
 	} else {
 		d = &delivery{}
 	}
 	d.dst, d.pkt, d.loss, d.fl = dst, pkt, loss, fl
+	if pkt.meta != nil && pkt.meta.memo != nil {
+		pkt.meta.memo.refs++
+	}
 	return d
 }
 
+// releaseDelivery returns a record to its pool, and the multicast memo it
+// carried to the memo pool once no other record refers to it.
 func (n *Network) releaseDelivery(d *delivery) {
-	head := n.pool(d.dst.lp)
-	*d = delivery{more: d.more[:0], next: *head}
-	*head = d
+	p := n.pool(d.dst.lp)
+	if m := d.pkt.meta; m != nil && m.memo != nil {
+		r := m.memo
+		if r.refs--; r.refs == 0 {
+			r.reset()
+			if r.dec != nil && len(p.decs) < p.hosts {
+				p.decs = append(p.decs, r.dec)
+			}
+			r.dec = nil
+			if p.memos < p.hosts {
+				r.next, p.memo, p.memos = p.memo, r, p.memos+1
+			}
+		}
+	}
+	*d = delivery{more: d.more[:0], next: p.del}
+	p.del = d
 }
 
 // Fire implements sim.Callback: it is the arrival half of a send. The
@@ -930,16 +1075,31 @@ func (d *delivery) arrive(dst *Endpoint) {
 }
 
 // receive accounts and hands one packet (original, replayed, or stale) to
-// the handler.
+// the handler. An untampered unicast is handed the endpoint's decode record,
+// cleared again when the handler returns: the message it decodes is valid
+// until then, and the record pins nothing afterwards.
 func (ep *Endpoint) receive(pkt Packet) {
 	ep.stats.PktsRecv++
 	ep.stats.BytesRecv += uint64(pkt.WireSize())
 	if pkt.Multicast() {
 		ep.stats.MulticastCopies++
 	}
-	if ep.handler != nil {
-		ep.handler(pkt)
+	if ep.handler == nil {
+		return
 	}
+	if pkt.Multicast() || (pkt.meta != nil && pkt.meta.tampered) {
+		ep.handler(pkt)
+		return
+	}
+	if ep.recv == nil {
+		ep.recv = newRecord()
+		ep.recv.dec = new(wire.Decoder)
+	}
+	r := ep.recv
+	r.tail, r.payload = pkt.tail(), pkt.Payload
+	pkt.meta = &r.pktMeta
+	ep.handler(pkt)
+	r.reset()
 }
 
 // recordRecent remembers a delivered packet for replay injection. Replayed

@@ -42,7 +42,7 @@ type lpNet struct {
 	out     [][][]outMsg
 	buckets int
 
-	pools []*delivery          // per-LP delivery free lists
+	pools []pools              // per-LP free lists
 	fans  []map[fanKey]*fanout // per-LP fan-out caches
 	wan   []uint64             // per-LP WAN byte counters
 
@@ -72,7 +72,7 @@ func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 		lpOf:     lpOf,
 		buckets:  buckets,
 		out:      make([][][]outMsg, p),
-		pools:    make([]*delivery, p),
+		pools:    make([]pools, p),
 		fans:     make([]map[fanKey]*fanout, p),
 		wan:      make([]uint64, p),
 		subEpoch: make([]uint64, p),
@@ -84,6 +84,7 @@ func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 	}
 	for h, ep := range n.eps {
 		lp := lpOf[h]
+		l.pools[lp].hosts++
 		ep.lp = int32(lp)
 		ep.eng = engs[lp]
 		ep.pubSubs = make(map[ChannelID]bool)
@@ -113,11 +114,27 @@ func (n *Network) DrainCross(bucket int, winEnd time.Duration) {
 		if len(msgs) == 0 {
 			continue
 		}
+		// A multicast copy crosses without a memo (Endpoint.Multicast) and
+		// takes one here from its receiver's LP. The copies of one packet to
+		// one LP arrive here one after another, and share it.
+		var shared *memo
+		var sharedLP int32
 		for i := range msgs {
 			m := &msgs[i]
 			at := m.at
 			if at < winEnd {
 				at = winEnd
+			}
+			if m.pkt.Multicast() {
+				tail := m.pkt.tail()
+				m.pkt.meta = nil
+				if shared != nil && sharedLP == m.dst.lp {
+					m.pkt.meta = &shared.pktMeta
+				}
+				if m.pkt.memo() == nil {
+					shared, sharedLP = n.newMemo(m.dst.lp, m.pkt.Payload, tail), m.dst.lp
+					m.pkt.meta = &shared.pktMeta
+				}
 			}
 			d := n.newDelivery(m.dst, m.pkt, m.loss, m.fl)
 			d.gray = m.gray

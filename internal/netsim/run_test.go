@@ -145,11 +145,11 @@ func genScript(seed int64) script {
 			case k < 9:
 				ttl, pl := 1+r.Intn(2), scriptPayload(r, id)
 				id++
-				o.do = func(_ *world, ep *Endpoint) { ep.Multicast(ch, ttl, pl) }
+				o.do = func(w *world, ep *Endpoint) { ep.Multicast(ch, ttl, w.framed(pl)) }
 			case k < 12:
 				dst, pl := topology.HostID(r.Intn(scriptHosts)), scriptPayload(r, id)
 				id++
-				o.do = func(_ *world, ep *Endpoint) { ep.Unicast(dst, pl) }
+				o.do = func(w *world, ep *Endpoint) { ep.Unicast(dst, w.framed(pl)) }
 			case k < 14:
 				o.do = func(_ *world, ep *Endpoint) { ep.Leave(ch) }
 			case k < 17:
@@ -174,6 +174,25 @@ type world struct {
 	look    time.Duration
 	buckets int
 	logs    [][]arrival // per LP: only the LP's worker appends
+	// wire, when set, carries the script in wire packets (decode_test.go);
+	// nil sends its bytes as they are.
+	wire *wireScript
+}
+
+// framed is what a script payload is sent as, and read what a delivery
+// carries of it: the identity unless the world frames its script.
+func (w *world) framed(p []byte) []byte {
+	if w.wire == nil {
+		return p
+	}
+	return w.wire.frame(p)
+}
+
+func (w *world) read(ep *Endpoint, pkt Packet) []byte {
+	if w.wire == nil {
+		return pkt.Payload
+	}
+	return w.wire.read(ep, pkt)
 }
 
 func newWorld(seed int64, buckets, runCap int) *world {
@@ -226,7 +245,7 @@ func (w *world) handler(ep *Endpoint) Handler {
 	}
 	return func(pkt Packet) {
 		w.logs[ep.lp] = append(w.logs[ep.lp], arrival{ep.eng.Now(), ep.id, pkt.Src, pkt.Channel, string(pkt.Payload)})
-		p := pkt.Payload
+		p := w.read(ep, pkt)
 		if len(p) < 4 || p[1]&3 == 0 {
 			return
 		}
@@ -235,11 +254,11 @@ func (w *world) handler(ep *Endpoint) Handler {
 		ch := max(pkt.Channel, 1)
 		switch p[0] % 8 {
 		case 1:
-			ep.Multicast(ch, 1, fwd)
+			ep.Multicast(ch, 1, w.framed(fwd))
 		case 2:
-			ep.Unicast(pkt.Src, fwd)
+			ep.Unicast(pkt.Src, w.framed(fwd))
 		case 3:
-			ep.eng.Schedule(0, func() { ep.Multicast(ch, 1, fwd) })
+			ep.eng.Schedule(0, func() { ep.Multicast(ch, 1, w.framed(fwd)) })
 		case 4:
 			if later != nil {
 				later.SetUp(false)
@@ -360,7 +379,7 @@ func (w *world) outcome() outcome {
 // serial network, whatever lp says).
 func poolLen(n *Network, lp int32) int {
 	count := 0
-	for d := *n.pool(lp); d != nil; d = d.next {
+	for d := n.pool(lp).del; d != nil; d = d.next {
 		count++
 	}
 	return count

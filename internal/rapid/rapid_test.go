@@ -402,6 +402,38 @@ func BenchmarkRapidReceiveBeat(b *testing.B) {
 	}
 }
 
+// TestBeatDeliveryAllocatesNothing: a padded monitoring beat unicast through
+// the network parses into the receiving endpoint's resident record, so the
+// whole delivery — send, decode, replay guard, edge refresh — allocates
+// nothing.
+func TestBeatDeliveryAllocatesNothing(t *testing.T) {
+	eng, net, nodes := newCluster(topology.Clustered(1, 20), 1)
+	n := nodes[0]
+	n.Start(eng)
+	n.hb.Stop() // only the beats below reach the engine
+	n.scan.Stop()
+	n.infoTick.Stop()
+	eng.RunAll()
+	subject := n.subjects[0]
+	const beats = 101 // AllocsPerRun's warm-up call and its 100 runs
+	payloads := make([][]byte, beats)
+	for i := range payloads {
+		payloads[i] = wire.Encode(&wire.RapidBeat{From: subject, ConfigSeq: n.ConfigSeq(), Inc: 1, Beat: uint64(i + 1), Pad: 166})
+	}
+	sent := 0
+	deliver := func() {
+		net.Endpoint(topology.HostID(subject)).Unicast(n.ep.ID(), payloads[sent])
+		sent++
+		eng.RunAll()
+	}
+	if allocs := testing.AllocsPerRun(beats-1, deliver); allocs != 0 {
+		t.Fatalf("delivering a beat allocates %v times, want 0", allocs)
+	}
+	if rejected := n.ep.(*netsim.Endpoint).Stats().Rejected; rejected != 0 || sent != beats || n.peers.Get(subject).lastHeard != eng.Now() {
+		t.Fatalf("%d of %d beats sent, %d rejected: the loop did not time accepted beats", sent, beats, rejected)
+	}
+}
+
 // TestRapidGuardsOutliveSessions: a restart and a view change each end every
 // peer's session — membership and subject flags, edge state, arbitration
 // state and votes are re-derived from the installed configuration — and

@@ -30,8 +30,10 @@
 // poll are pooled records that are their own sim.Callback (a call holds its
 // timeout as a by-value sim.Timer; a poll keeps one slot per polled
 // candidate), packets are framed by one resident wire.Encoder from resident
-// message structs, and the four request-path kinds are parsed in place by a
-// resident wire.RequestDecoder. Three rules follow, and the tests in
+// message structs, and dispatch parses every packet once, with Packet.Decode,
+// into the receiving endpoint's resident wire.Decoder record; a daemon handed
+// a membership kind decodes it from the same record. Three rules follow, and
+// the tests in
 // pooled_test.go hold them. A record returns to its pool before user code
 // runs, because callbacks re-enter Invoke. A reply finds its call by request
 // ID through a map, never by record, so a late, duplicated or replayed reply

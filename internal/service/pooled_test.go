@@ -24,13 +24,23 @@ type stubMember struct {
 	id       membership.NodeID
 	dir      *membership.Directory // shared by every stub of one lan
 	info     membership.MemberInfo
-	received int // packets the runtime delegated
+	received int       // packets the runtime delegated
+	last     wire.Type // the kind of the last one, as the daemon decoded it
 }
 
 func (m *stubMember) ID() membership.NodeID            { return m.id }
 func (m *stubMember) Directory() *membership.Directory { return m.dir }
-func (m *stubMember) Receive(netsim.Packet)            { m.received++ }
 func (m *stubMember) Running() bool                    { return true }
+
+// Receive decodes the packet as a daemon does.
+func (m *stubMember) Receive(pkt netsim.Packet) {
+	m.received++
+	m.last = wire.TInvalid
+	if _, err := pkt.Decode(); err == nil {
+		m.last = wire.Type(pkt.Payload[3])
+	}
+}
+
 func (m *stubMember) RegisterService(name, partitions string, _ ...membership.KV) error {
 	parts, err := membership.ParsePartitions(partitions)
 	if err != nil {
@@ -539,19 +549,22 @@ func BenchmarkRuntimeInvokePolled(b *testing.B) {
 	}
 }
 
-// TestMembershipKindsReachTheDaemonUnparsed: with no relay handler installed
-// the runtime checks a membership packet's frame, reads its type byte, and
-// hands it over as bytes — the daemon's parse is the packet's only parse.
-func TestMembershipKindsReachTheDaemonUnparsed(t *testing.T) {
+// TestMembershipKindsAreParsedOnce: the runtime parses every packet it is
+// delivered, and the daemon it hands a membership kind to decodes the same
+// packet from the same resident record: a heartbeat crossing the runtime into
+// the daemon allocates nothing at either layer.
+func TestMembershipKindsAreParsedOnce(t *testing.T) {
 	l := newLAN(t, 2, DefaultConfig())
-	hb := &wire.Heartbeat{Info: membership.MemberInfo{Node: 1, Incarnation: 1,
-		Services: []membership.ServiceDecl{{Name: "app", Partitions: []int32{0}}}}, Seq: 1}
-	pkt := netsim.Packet{Src: 1, Dst: 0, Payload: wire.Encode(hb)}
-	if n := testing.AllocsPerRun(100, func() { l.rts[0].dispatch(pkt) }); n != 0 {
-		t.Fatalf("dispatching a heartbeat allocates %v times: the runtime parsed it", n)
+	payload := wire.Encode(&wire.Heartbeat{Info: membership.MemberInfo{Node: 1, Incarnation: 1}, Seq: 1})
+	deliver := func() {
+		l.net.Endpoint(1).Unicast(0, payload)
+		l.eng.RunAll()
 	}
-	if got := l.stubs[0].received; got != 101 {
-		t.Fatalf("daemon received %d of 101 heartbeats", got)
+	if n := testing.AllocsPerRun(100, deliver); n != 0 {
+		t.Fatalf("delivering a heartbeat through the runtime allocates %v times", n)
+	}
+	if got, last := l.stubs[0].received, l.stubs[0].last; got != 101 || last != wire.THeartbeat {
+		t.Fatalf("daemon received %d of 101 heartbeats, the last decoded as %v", got, last)
 	}
 	if rejected := l.net.Endpoint(0).Stats().Rejected; rejected != 0 {
 		t.Fatalf("%d rejects", rejected)

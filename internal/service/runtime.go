@@ -246,12 +246,11 @@ type Runtime struct {
 	freeServings pool[serving]
 	freePolls    pool[poll]
 
-	// The resident codec: every packet the runtime sends is framed by enc
-	// from one of the out structs into a buffer of exactly its encoded size,
-	// and the request-path kinds it receives are parsed by dec into targets
-	// dec owns. cands and ties are the scratch slices of one Invoke.
+	// The resident encoder: every packet the runtime sends is framed by enc
+	// from one of the out structs into a buffer of exactly its encoded size.
+	// (What it receives is parsed into the transport's resident record, by
+	// Packet.Decode.) cands and ties are the scratch slices of one Invoke.
 	enc wire.Encoder
-	dec wire.RequestDecoder
 	out struct {
 		req   wire.ServiceRequest
 		reply wire.ServiceReply
@@ -344,28 +343,21 @@ func (r *Runtime) Register(name, partitions string, serviceTime time.Duration, h
 func (r *Runtime) Load() uint32 { return uint32(r.queued) }
 
 // dispatch demultiplexes endpoint packets between the service layer and the
-// membership daemon. Every packet's frame is checked here (a damaged packet
-// is this layer's reject, whoever it was for), the request-path kinds are
-// parsed in place, and — unless a relay handler wants to see everything — a
-// kind the runtime does not consume goes to the daemon unparsed, so each
-// packet is parsed once, by its consumer.
+// membership daemon. Every packet is parsed here, once: Packet.Decode parses
+// into the transport's resident record, and the daemon's own Decode of the
+// same packet returns the same message. A packet whose frame fails is this
+// layer's reject, whoever it was for; a sound frame around a body that fails
+// is the reject of the kind's consumer, so one of the daemon's kinds still
+// goes to the daemon (unless a relay handler sees everything).
 func (r *Runtime) dispatch(pkt netsim.Packet) {
-	t, msg, err := r.dec.Decode(pkt.Payload)
+	msg, err := pkt.Decode()
 	if err != nil {
-		r.ep.NoteReject()
-		return
-	}
-	if msg == nil {
-		// Not a request-path kind: load reports are the runtime's too, and a
-		// relay handler may claim anything; the rest is the daemon's.
-		if r.relayHandler == nil && t != wire.TLoadReport {
+		if t, ferr := wire.TypeOf(pkt.Payload); ferr == nil && r.relayHandler == nil && !runtimeKind(t) {
 			r.node.Receive(pkt)
 			return
 		}
-		if msg, err = pkt.Decode(); err != nil {
-			r.ep.NoteReject()
-			return
-		}
+		r.ep.NoteReject()
+		return
 	}
 	if r.relayHandler != nil && r.relayHandler(pkt, msg) {
 		return
@@ -387,6 +379,15 @@ func (r *Runtime) dispatch(pkt netsim.Packet) {
 	default:
 		r.node.Receive(pkt)
 	}
+}
+
+// runtimeKind reports whether the runtime consumes packets of kind t itself.
+func runtimeKind(t wire.Type) bool {
+	switch t {
+	case wire.TServiceRequest, wire.TServiceReply, wire.TLoadPoll, wire.TLoadReply, wire.TLoadReport:
+		return true
+	}
+	return false
 }
 
 // send frames m into a packet of exactly its encoded size — the one

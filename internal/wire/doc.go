@@ -35,10 +35,10 @@
 //     its body method.
 //   - The kind table (kinds in messages.go): one row per type tag with its
 //     name, the target Decode parses that kind's body into, and, for the
-//     four request-path kinds, the RequestDecoder's resident target.
-//     Type.String, Decode and RequestDecoder all read it; adding a kind is a
-//     constant, a message type with a body method, a row, and a sample in
-//     the tests' table (TestEveryKindHasASample fails without one).
+//     kinds a receiver meets once per beat or per request, a Decoder's
+//     resident target. Type.String, Decode and Decoder all read it; adding a
+//     kind is a constant, a message type with a body method, a row, and a
+//     sample in the tests' table (TestEveryKindHasASample fails without one).
 //   - Encode(m): serialize with the 8-byte packet header (magic, version,
 //     type, body CRC) into a fresh buffer of a guessed 256 bytes. It is the
 //     convenience form: its non-test callers are the bootstrap and sync
@@ -55,11 +55,16 @@
 //     returning one of the concrete message types (a view, for the
 //     record-carrying kinds below) or an error (ErrTruncated, ErrTrailing,
 //     bad magic/version, unknown type).
-//   - RequestDecoder: the resident receive path of ServiceRequest,
-//     ServiceReply, LoadPoll and LoadReply. Same frame check and body
-//     methods as Decode, into targets the decoder owns; the byte payload of
-//     a request or reply is a clipped view of the packet on both paths
-//     (docs/WIRE.md §4 states the aliasing contract).
+//   - Decoder: the resident receive path. Same frame check, same body
+//     methods and same result as Decode, but Heartbeat, UpdateMsg,
+//     DirectoryView, GossipView, RapidBeat, RapidInfo and the four
+//     request-path kinds are parsed into targets the decoder owns, valid
+//     until its next Decode; nested slices and strings are still fresh, and
+//     byte payloads and record lists are views of the packet on both paths.
+//     The simulated network keeps one per multicast memo and one per
+//     endpoint (netsim.Packet.Decode); Decode is the fresh path for tests,
+//     tools and code that keeps the message. docs/WIRE.md §4 states the
+//     lifetime rule.
 //   - InfoList, InfoCursor and the views over them: the three packets that
 //     carry member records in bulk — TDirectory, TGossip and the records of a
 //     RapidView — are the bodies Decode does not build. Each run of records

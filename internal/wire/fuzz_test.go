@@ -10,11 +10,14 @@ import (
 // FuzzDecode exercises the strict decoder with arbitrary bytes plus
 // mutations of every sample of every packet kind. Decode must never panic and, when
 // it succeeds, re-encoding the message must decode again (idempotent
-// canonical form). The in-place paths are differential-tested against
-// their materialising references on the same inputs: directory snapshots
+// canonical form). Every input also goes through two warm Decoders, one last
+// used on another kind and one on the input's own, and must come back
+// DeepEqual to Decode's result, error included (checkResidentAgainstReference).
+// The in-place paths are differential-tested against their materialising
+// references on the same inputs: directory snapshots
 // (checkViewAgainstReference), gossip views (checkGossipAgainstReference;
-// FuzzGossipView drills them) and the request-path kinds
-// (checkResidentAgainstReference).
+// FuzzGossipView drills them) and the request-path kinds (the copying
+// reference in checkResidentAgainstReference).
 func FuzzDecode(f *testing.F) {
 	for _, ms := range samples {
 		for _, m := range ms {
@@ -35,16 +38,17 @@ func FuzzDecode(f *testing.F) {
 		f.Add(reseal(hostile))
 	}
 
-	// The request-path kinds are parsed in place, by Decode and by the
-	// resident RequestDecoder: seed the edges of that path (empty name, empty
+	// The request-path kinds are parsed in place, by Decode and by a resident
+	// Decoder: seed the edges of that path (empty name, empty
 	// payload, a length one past the end, a flipped checksum bit).
 	for _, b := range requestKindSeeds() {
 		f.Add(b)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Whatever the bytes, the in-place paths and the copying reference
-		// must agree on accept/reject and on every field.
+		// Whatever the bytes, a warm Decoder must agree with Decode, and the
+		// in-place paths with the copying reference, on accept/reject and on
+		// every field.
 		checkResidentAgainstReference(t, data)
 		if goodHeader(data, TDirectory) {
 			// Past the header only the body walk stands between these bytes

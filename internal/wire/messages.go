@@ -86,33 +86,36 @@ type kind struct {
 	// fresh makes the target Decode parses a body into; nil for a tag that
 	// is never sent.
 	fresh func() Message
-	// resident picks a RequestDecoder's own target for the kind; nil for
-	// every kind but the four of the request path.
-	resident func(*RequestDecoder) Message
+	// resident picks a Decoder's own target for the kind; nil for a kind a
+	// Decoder parses into a fresh message, as Decode does.
+	resident func(*Decoder) Message
 }
 
 // kinds is the one table of packet kinds, with a row for every value of the
-// tag byte. Type.String, Decode and RequestDecoder all read it; a tag whose
-// row has no decode target is unknown.
+// tag byte. Type.String, Decode and Decoder all read it; a tag whose row has
+// no decode target is unknown. The resident rows are the kinds a receiver
+// meets once per beat or per request: the per-group heartbeat and update
+// stream, the directory and gossip views, rapid's per-edge beats and records,
+// and the request path.
 var kinds = [256]kind{
 	TInvalid:          {"invalid", nil, nil},
-	THeartbeat:        {"heartbeat", fresh[Heartbeat], nil},
-	TUpdate:           {"update", fresh[UpdateMsg], nil},
+	THeartbeat:        {"heartbeat", fresh[Heartbeat], func(d *Decoder) Message { return &d.hb }},
+	TUpdate:           {"update", fresh[UpdateMsg], func(d *Decoder) Message { return &d.upd }},
 	TBootstrapRequest: {"bootstrapreq", fresh[BootstrapRequest], nil},
-	TDirectory:        {"directory", fresh[DirectoryView], nil},
+	TDirectory:        {"directory", fresh[DirectoryView], func(d *Decoder) Message { return &d.dir }},
 	TSyncRequest:      {"syncreq", fresh[SyncRequest], nil},
-	TGossip:           {"gossip", fresh[GossipView], nil},
+	TGossip:           {"gossip", fresh[GossipView], func(d *Decoder) Message { return &d.gossip }},
 	TProxySummary:     {"proxysummary", fresh[ProxySummary], nil},
 	TProxyUpdate:      {"proxyupdate", fresh[ProxyUpdate], nil},
-	TServiceRequest:   {"svcreq", fresh[ServiceRequest], func(d *RequestDecoder) Message { return &d.req }},
-	TServiceReply:     {"svcreply", fresh[ServiceReply], func(d *RequestDecoder) Message { return &d.reply }},
-	TLoadPoll:         {"loadpoll", fresh[LoadPoll], func(d *RequestDecoder) Message { return &d.poll }},
-	TLoadReply:        {"loadreply", fresh[LoadReply], func(d *RequestDecoder) Message { return &d.load }},
+	TServiceRequest:   {"svcreq", fresh[ServiceRequest], func(d *Decoder) Message { return &d.req }},
+	TServiceReply:     {"svcreply", fresh[ServiceReply], func(d *Decoder) Message { return &d.reply }},
+	TLoadPoll:         {"loadpoll", fresh[LoadPoll], func(d *Decoder) Message { return &d.poll }},
+	TLoadReply:        {"loadreply", fresh[LoadReply], func(d *Decoder) Message { return &d.load }},
 	TLoadReport:       {"loadreport", fresh[LoadReport], nil},
 	TDirQuery:         {"dirquery", fresh[DirQuery], nil},
 	TDirMatches:       {"dirmatches", fresh[DirMatches], nil},
-	TRapidBeat:        {"rapidbeat", fresh[RapidBeat], nil},
-	TRapidInfo:        {"rapidinfo", fresh[RapidInfo], nil},
+	TRapidBeat:        {"rapidbeat", fresh[RapidBeat], func(d *Decoder) Message { return &d.beat }},
+	TRapidInfo:        {"rapidinfo", fresh[RapidInfo], func(d *Decoder) Message { return &d.info }},
 	TRapidAlert:       {"rapidalert", fresh[RapidAlert], nil},
 	TRapidJoin:        {"rapidjoin", fresh[RapidJoin], nil},
 	TRapidView:        {"rapidview", fresh[RapidView], nil},
@@ -208,7 +211,7 @@ func (e *Encoder) EncodeSized(m Sized) []byte {
 
 // open checks the packet frame — magic, version, and the checksum over
 // everything after the header — and leaves r at the first body byte. It is the
-// one frame check: Decode and RequestDecoder.Decode both start here.
+// one frame check: Decode and Decoder.Decode both start here.
 func open(r *reader) (Type, error) {
 	if r.u16() != Magic {
 		return TInvalid, fmt.Errorf("wire: bad magic")
@@ -264,7 +267,7 @@ func Padding(b []byte) int {
 
 // Spoil marks b as damaged somewhere it does not carry — in a declared tail,
 // or by a cut through one. It writes the complement of the body's checksum
-// into the header, so every frame check (Decode, TypeOf, RequestDecoder)
+// into the header, so every frame check (Decode, TypeOf, Decoder)
 // rejects b with ErrChecksum, as the checksum rejects damage to what it
 // covers; spoiling twice still rejects. b must be the caller's own copy. A
 // frame shorter than a header is left as it is: it fails the frame check
@@ -275,61 +278,75 @@ func Spoil(b []byte) {
 	}
 }
 
-// Decode parses a packet produced by Encode. It never panics and never
-// reads past the input: any malformed, truncated, or damaged packet
-// (including a body that fails the header checksum) yields an error. The
-// byte payloads of ServiceRequest and ServiceReply are views of b, not
+// Decode parses a packet produced by Encode into a fresh message. It never
+// panics and never reads past the input: any malformed, truncated, or damaged
+// packet (including a body that fails the header checksum) yields an error.
+// The byte payloads of ServiceRequest and ServiceReply are views of b, not
 // copies (docs/WIRE.md §4).
-func Decode(b []byte) (Message, error) {
+func Decode(b []byte) (Message, error) { return decode(b, nil) }
+
+// Decoder is the resident receive path: the same frame check and the same
+// body methods as Decode, but the kinds a receiver meets once per beat or per
+// request (the kind table's resident rows) are parsed into targets the
+// decoder owns, so a steady stream of them decodes without allocating a
+// message. Nested slices and strings are still made fresh on every decode —
+// directories keep them — and byte payloads and record lists are views of
+// the packet, as Decode's are. A receiver that finishes with each packet
+// before it decodes the next keeps one (the network keeps one per multicast
+// memo and per endpoint); it is not safe for concurrent use.
+type Decoder struct {
+	hb     Heartbeat
+	upd    UpdateMsg
+	dir    DirectoryView
+	gossip GossipView
+	beat   RapidBeat
+	info   RapidInfo
+	req    ServiceRequest
+	reply  ServiceReply
+	poll   LoadPoll
+	load   LoadReply
+}
+
+// Decode parses b exactly as the package-level Decode does, and returns the
+// same message and the same error. A resident kind is parsed into the
+// decoder's own target, which is valid until the next call; what its fields
+// refer to (fresh slices and strings, views of b) is not, and lives as long as
+// b does. Any other kind is a fresh message.
+func (d *Decoder) Decode(b []byte) (Message, error) { return decode(b, d) }
+
+// Forget drops the views of packets the resident targets hold — request and
+// reply payloads, snapshot and gossip record lists — so a decoder kept
+// between packets does not keep those packets alive. The small fresh slices
+// of its last decodes stay until they are overwritten, and so does the last
+// request's service name, to be reused: zeroing every target instead costs a
+// steady request stream a measurable share of its wall time.
+func (d *Decoder) Forget() {
+	d.req.Payload, d.reply.Payload = nil, nil
+	d.dir.infos, d.gossip.entries = InfoList{}, InfoList{}
+}
+
+// decode checks b's frame and parses its body into d's resident target for
+// the kind, or into a fresh one when d is nil or the kind has none.
+func decode(b []byte, d *Decoder) (Message, error) {
 	c := codec{reader: reader{buf: b}, dir: reading}
 	t, err := open(&c.reader)
 	if err != nil {
 		return nil, err
 	}
-	if kinds[t].fresh == nil {
+	var m Message
+	switch k := &kinds[t]; {
+	case d != nil && k.resident != nil:
+		m = k.resident(d)
+	case k.fresh != nil:
+		m = k.fresh()
+	default:
 		return nil, fmt.Errorf("wire: unknown packet type %d", uint8(t))
 	}
-	m := kinds[t].fresh()
 	c = m.body(c)
 	if err := c.done(); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// RequestDecoder is the resident receive path of the four request-path kinds
-// — ServiceRequest, ServiceReply, LoadPoll, LoadReply — for a receiver that
-// finishes with each packet before it looks at the next (the service
-// runtime). It runs the same frame check and the same body methods as Decode,
-// into four targets it owns, so a steady request stream decodes without
-// allocating: the byte payload is a view of the packet and the service name
-// is re-made only when it differs from the previous request's.
-type RequestDecoder struct {
-	req   ServiceRequest
-	reply ServiceReply
-	poll  LoadPoll
-	load  LoadReply
-}
-
-// Decode checks b's frame exactly as the package-level Decode does and
-// returns its type. A request-path kind is parsed into the decoder's resident
-// target and returned as m, valid until the next call (what its fields refer
-// to — the payload view, the service string — stays valid for as long as b
-// does). Any other kind is left unparsed, m == nil, for whoever consumes it.
-func (d *RequestDecoder) Decode(b []byte) (t Type, m Message, err error) {
-	c := codec{reader: reader{buf: b}, dir: reading}
-	if t, err = open(&c.reader); err != nil {
-		return TInvalid, nil, err
-	}
-	if kinds[t].resident == nil {
-		return t, nil, nil
-	}
-	m = kinds[t].resident(d)
-	c = m.body(c)
-	if err := c.done(); err != nil {
-		return TInvalid, nil, err
-	}
-	return t, m, nil
 }
 
 // ---- shared sub-layouts (docs/WIRE.md §3) ----

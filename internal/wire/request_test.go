@@ -54,58 +54,97 @@ func refDecodeRequestKind(b []byte) (Message, error) {
 	return m, nil
 }
 
-// warmRequestDecoder returns a decoder whose resident targets already hold
-// another packet's fields, so a test sees what survives from one packet into
-// the next (nothing may).
-func warmRequestDecoder(t testing.TB) *RequestDecoder {
-	d := new(RequestDecoder)
-	for _, m := range []Message{
-		&ServiceRequest{ReqID: 99, From: 9, Service: "warm", Partition: 9, Hops: 9, Payload: []byte("stale request")},
-		&ServiceReply{ReqID: 99, OK: true, Payload: []byte("stale reply")},
-		&LoadPoll{From: 9, Token: 99},
-		&LoadReply{Token: 99, Load: 99},
-	} {
-		if _, got, err := d.Decode(Encode(m)); err != nil || !reflect.DeepEqual(got, m) {
+// warmers holds one message of every resident kind, each unlike every
+// sample, for warmDecoder to leave behind in a decoder's targets.
+var warmers = []Message{
+	&Heartbeat{Info: membership.MemberInfo{Node: 99, Incarnation: 9, Version: 9, Beat: 9,
+		Services: []membership.ServiceDecl{{Name: "stale", Partitions: []int32{9}}}}, Level: 9, Leader: true, Backup: 99, Seq: 999, Pad: 9},
+	&UpdateMsg{Sender: 99, Seq: 999, Updates: []Update{{ID: UpdateID{Origin: 9, Counter: 9}, Kind: UChange, Subject: 99, Info: membership.MemberInfo{Node: 99}}}},
+	&DirectoryMsg{From: 99, Ask: true, Infos: []membership.MemberInfo{{Node: 99, Beat: 9, Attrs: []membership.KV{{Key: "stale", Value: "9"}}}}},
+	&Gossip{From: 99, Entries: []GossipEntry{{Counter: 9, Info: membership.MemberInfo{Node: 99, Beat: 9}}}, Pad: 9},
+	&RapidBeat{From: 99, ConfigSeq: 9, Inc: 9, Beat: 999, Pad: 9},
+	&RapidInfo{ConfigSeq: 9, Info: membership.MemberInfo{Node: 99, Attrs: []membership.KV{{Key: "stale", Value: "9"}}}},
+	&ServiceRequest{ReqID: 99, From: 9, Service: "warm", Partition: 9, Hops: 9, Payload: []byte("stale request")},
+	&ServiceReply{ReqID: 99, OK: true, Payload: []byte("stale reply")},
+	&LoadPoll{From: 9, Token: 99},
+	&LoadReply{Token: 99, Load: 99},
+}
+
+// warmDecoder returns a decoder whose every resident target already holds
+// another packet's fields and whose last decode was of kind last (its warmer,
+// or a sample of a kind without one), so a test sees what survives from one
+// packet into the next: nothing may.
+func warmDecoder(t testing.TB, last Type) *Decoder {
+	d := new(Decoder)
+	ms := warmers
+	for _, m := range warmers {
+		if m.wireType() == last {
+			ms = append(ms[:len(ms):len(ms)], m)
+		}
+	}
+	if len(ms) == len(warmers) && len(samples[last]) > 0 {
+		ms = append(ms[:len(ms):len(ms)], samples[last][0])
+	}
+	for _, m := range ms {
+		b := Encode(m)
+		got, err := d.Decode(b)
+		if want, wantErr := Decode(b); err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("warm-up decode of %#v: %#v, %v", m, got, err)
 		}
 	}
 	return d
 }
 
-// checkResidentAgainstReference decodes b three ways — the copying reference,
-// Decode, and a warm RequestDecoder — and fails unless they agree on
-// accept/reject, on the error, and on every field; unless the payload the
-// in-place paths return is a clipped view of b; and unless b is untouched.
-// b is copied into a buffer of exactly its length first, so a read past the
-// input is a bounds panic rather than a silent look at spare capacity.
+// otherKind is a resident kind other than t.
+func otherKind(t Type) Type {
+	if t == THeartbeat {
+		return TRapidInfo
+	}
+	return THeartbeat
+}
+
+// checkResidentAgainstReference decodes b with Decode and with two warm
+// Decoders — last used on another kind, and on b's own — and fails unless all
+// three return the same message under reflect.DeepEqual and the same error.
+// For the request-path kinds it also holds them to the copying reference, on
+// accept/reject, on the error and on every field, and fails unless the payload
+// is a clipped view of b. And b must come out untouched. b is copied into a
+// buffer of exactly its length first, so a read past the input is a bounds
+// panic rather than a silent look at spare capacity.
 func checkResidentAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
 	b := append(make([]byte, 0, len(data)), data...)
 	want, wantErr := refDecodeRequestKind(b)
 	full, fullErr := Decode(b)
-	typ, got, err := warmRequestDecoder(t).Decode(b)
+	var typ Type
+	if len(b) >= HeaderLen {
+		typ = Type(b[3])
+	}
+	var got Message
+	for _, last := range []Type{otherKind(typ), typ} {
+		var err error
+		got, err = warmDecoder(t, last).Decode(b)
+		if !reflect.DeepEqual(got, full) || !reflect.DeepEqual(err, fullErr) {
+			t.Fatalf("decoder last used on %v: %#v, %v\nDecode: %#v, %v\n%x", last, got, err, full, fullErr, b)
+		}
+	}
 	if !bytes.Equal(b, data) {
 		t.Fatalf("decoding wrote to the packet:\n%x\n%x", data, b)
 	}
 	if want == nil && wantErr == nil {
-		// A sound frame around some other kind: the resident path names the
-		// type and leaves the body alone.
-		if got != nil || err != nil || typ != Type(b[3]) {
-			t.Fatalf("kind %v: resident decode returned %v, %#v, %v", Type(b[3]), typ, got, err)
-		}
-		return
+		return // a sound frame around some other kind
 	}
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) || fmt.Sprint(fullErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("errors differ: reference %v, Decode %v, resident %v\n%x", wantErr, fullErr, err, b)
+	if fmt.Sprint(fullErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("errors differ: reference %v, Decode %v\n%x", wantErr, fullErr, b)
 	}
 	if wantErr != nil {
-		if got != nil || full != nil || typ != TInvalid {
-			t.Fatalf("rejected packet still yielded %v, %#v / %#v", typ, got, full)
+		if full != nil {
+			t.Fatalf("rejected packet still yielded %#v", full)
 		}
 		return
 	}
-	if typ != Type(b[3]) || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(full, want) {
-		t.Fatalf("fields differ:\nreference %#v\nDecode    %#v\nresident  %v %#v", want, full, typ, got)
+	if !reflect.DeepEqual(full, want) {
+		t.Fatalf("fields differ:\nreference %#v\nDecode    %#v", want, full)
 	}
 	for _, m := range []Message{got, full} {
 		var p []byte
@@ -206,24 +245,49 @@ func TestDecodedPayloadIsAClippedView(t *testing.T) {
 // path is made once per distinct name, not once per packet, and that a
 // different name is never confused with the resident one.
 func TestRequestDecoderReusesServiceName(t *testing.T) {
-	var d RequestDecoder
+	var d Decoder
 	a := Encode(&ServiceRequest{ReqID: 1, Service: "alpha", Payload: []byte("x")})
 	b := Encode(&ServiceRequest{ReqID: 2, Service: "alphb", Payload: []byte("y")})
 	if n := testing.AllocsPerRun(100, func() {
-		if _, _, err := d.Decode(a); err != nil {
+		if _, err := d.Decode(a); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
 		t.Fatalf("steady decode of one service name allocates %v times per packet", n)
 	}
 	for i, pkt := range [][]byte{a, b, b, a} {
-		_, m, err := d.Decode(pkt)
+		m, err := d.Decode(pkt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, _ := Decode(pkt)
 		if !reflect.DeepEqual(m, want) {
 			t.Fatalf("packet %d: resident %#v, fresh %#v", i, m, want)
+		}
+	}
+}
+
+// TestDecoderHotKindsAllocateNothing: a warm Decoder parses each resident
+// kind that carries no nested list without allocating: the message is its own
+// target and a record list is a view of the packet.
+func TestDecoderHotKindsAllocateNothing(t *testing.T) {
+	info := membership.MemberInfo{Node: 3, Incarnation: 1, Beat: 9}
+	var d Decoder
+	for _, m := range []Message{
+		&Heartbeat{Info: info, Backup: 2, Seq: 9, Pad: 144},
+		&UpdateMsg{Sender: 1, Seq: 2},
+		&DirectoryMsg{From: 1, Infos: []membership.MemberInfo{info, sampleInfo()}},
+		&Gossip{From: 3, Entries: []GossipEntry{{Counter: 9, Info: info}}, Pad: 20},
+		&RapidBeat{From: 3, ConfigSeq: 1, Inc: 1, Beat: 9, Pad: 166},
+		&RapidInfo{ConfigSeq: 1, Info: info},
+	} {
+		b := Encode(m)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := d.Decode(b); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%T: a warm decode allocates %v times", m, n)
 		}
 	}
 }
@@ -256,12 +320,12 @@ func TestEncodedLenIsExact(t *testing.T) {
 func BenchmarkRequestDecodeInPlace(b *testing.B) {
 	req := Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 3, Payload: make([]byte, 64)})
 	reply := Encode(&ServiceReply{ReqID: 1, OK: true, Payload: make([]byte, 64)})
-	var d RequestDecoder
+	var d Decoder
 	round := func() {
-		if _, _, err := d.Decode(req); err != nil {
+		if _, err := d.Decode(req); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := d.Decode(reply); err != nil {
+		if _, err := d.Decode(reply); err != nil {
 			b.Fatal(err)
 		}
 	}

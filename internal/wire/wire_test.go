@@ -68,7 +68,7 @@ func roundTrip(t *testing.T, m Message) Message {
 }
 
 // samples holds messages of every kind, keyed by the kind's tag: the round
-// trip, the FuzzDecode corpus and the RequestDecoder differential all read it,
+// trip, the FuzzDecode corpus and the resident-decoder differential all read it,
 // and TestEveryKindHasASample fails for a row of the kind table without one.
 var samples = [len(kinds)][]Message{
 	THeartbeat: {
@@ -281,7 +281,7 @@ func TestPaddingReadsTheDeclaredTail(t *testing.T) {
 // TestSpoilRejectsEverywhere: a spoiled packet fails every frame check with
 // ErrChecksum, and a second spoil does not restore it.
 func TestSpoilRejectsEverywhere(t *testing.T) {
-	var d RequestDecoder
+	var d Decoder
 	for _, m := range []Message{&Heartbeat{Info: sampleInfo(), Pad: 9}, &Gossip{From: 2, Pad: 4}, &LoadPoll{From: 1, Token: 2}} {
 		for spoils := 1; spoils <= 2; spoils++ {
 			b := Encode(m)
@@ -291,8 +291,8 @@ func TestSpoilRejectsEverywhere(t *testing.T) {
 			if _, err := Decode(b); err != ErrChecksum {
 				t.Errorf("%T spoiled %d times: Decode says %v", m, spoils, err)
 			}
-			if _, _, err := d.Decode(b); err != ErrChecksum {
-				t.Errorf("%T spoiled %d times: RequestDecoder says %v", m, spoils, err)
+			if _, err := d.Decode(b); err != ErrChecksum {
+				t.Errorf("%T spoiled %d times: Decoder says %v", m, spoils, err)
 			}
 		}
 	}
