@@ -146,7 +146,7 @@ type Node struct {
 	updCounter uint32        // my UpdateID counter
 	outSeq     []uint64      // per-level update stream sequences (survive restarts)
 	recent     []wire.Update // my last PiggybackDepth+1 emitted updates, newest first
-	seen       *seenSet      // applied update IDs, FIFO-bounded (lazily allocated)
+	seen       *seenSet      // applied update IDs as per-origin counter runs, FIFO-bounded (lazily allocated)
 
 	// Self-organizing hierarchy state (adaptive.go, docs/ADAPTIVE.md).
 	// chan0, parentChan, reformEpoch and the heartbeat sequences survive

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,8 +96,8 @@ func TestMarkSeenBounded(t *testing.T) {
 	for i := uint32(0); i < maxSeen+100; i++ {
 		n.markSeen(wire.UpdateID{Origin: 7, Counter: i})
 	}
-	if n.seen.count != maxSeen {
-		t.Fatalf("dedup set unbounded: %d", n.seen.count)
+	if len(n.seen.ring) != maxSeen {
+		t.Fatalf("dedup set unbounded: %d", len(n.seen.ring))
 	}
 	// Oldest evicted, newest retained.
 	if n.seen.has(wire.UpdateID{Origin: 7, Counter: 0}) {
@@ -107,8 +108,15 @@ func TestMarkSeenBounded(t *testing.T) {
 	}
 	// Re-marking a seen UID is a no-op.
 	n.markSeen(wire.UpdateID{Origin: 7, Counter: maxSeen + 99})
-	if n.seen.count != maxSeen || n.seen.oldest != 100 {
+	if len(n.seen.ring) != maxSeen || n.seen.oldest != 100 {
 		t.Fatal("re-marking disturbed the FIFO")
+	}
+	// One origin, in-order counters: a single run survives the evictions.
+	if len(n.seen.index) != 1 {
+		t.Fatalf("one origin's IDs are filed under %d origins", len(n.seen.index))
+	}
+	if o := n.seen.origins[n.seen.index[0].slot]; len(o.runs)-int(o.head) != 1 {
+		t.Fatalf("in-order counters of one origin kept %d runs", len(o.runs)-int(o.head))
 	}
 	// Every entry in the 100..maxSeen+99 window answers has(), and the
 	// FIFO window boundary is exact.
@@ -202,9 +210,9 @@ func TestStatsAddCoversEveryCounter(t *testing.T) {
 	}
 }
 
-// fixedSeen is the dedup set as it was before it learned to grow — maxSeen
-// slots from the first insert — written the plain way (a map and an
-// insertion queue) as the reference the grown table is checked against.
+// fixedSeen is the dedup set as it was before it was stored by runs —
+// maxSeen IDs from the first insert — written the plain way (a map and an
+// insertion queue) as the reference the run-based set is checked against.
 type fixedSeen struct {
 	in    map[wire.UpdateID]bool
 	queue []wire.UpdateID // oldest first
@@ -222,63 +230,201 @@ func (f *fixedSeen) mark(id wire.UpdateID) {
 	f.queue = append(f.queue, id)
 }
 
-// TestSeenSetGrowsExactly drives the grown table and the fixed-capacity
-// reference through 3×maxSeen inserts from several origins, with re-marks of
-// recent, old and evicted IDs mixed in: after every step both answer has()
-// alike for the ID just marked, for the one about to fall out and for the
-// one that just did, the table holds exactly the reference's window in the
-// reference's eviction order, and it never holds more slots than twice what
-// it needs (up to the bound).
-func TestSeenSetGrowsExactly(t *testing.T) {
-	n := &Node{}
-	ref := &fixedSeen{in: map[wire.UpdateID]bool{}}
-	rng := rand.New(rand.NewSource(5))
-	var issued []wire.UpdateID
-	check := func(id wire.UpdateID) {
-		t.Helper()
-		if got, want := n.seen.has(id), ref.in[id]; got != want {
-			t.Fatalf("after %d marks, has(%v) = %v, reference says %v", len(issued), id, got, want)
+// seenOrder lists the set's IDs in eviction order, oldest first: the ring
+// names each ID's origin, and the origin's runs hand out its counters in
+// insertion order. It fails the test unless that consumes every live run
+// exactly.
+func seenOrder(t testing.TB, s *seenSet) []wire.UpdateID {
+	t.Helper()
+	type cursor struct {
+		run int
+		off uint32
+	}
+	next := make([]cursor, len(s.origins))
+	for slot := range next {
+		next[slot].run = int(s.origins[slot].head)
+	}
+	out := make([]wire.UpdateID, 0, len(s.ring))
+	for i := range s.ring {
+		slot := s.ring[(s.oldest+i)%len(s.ring)]
+		o, c := &s.origins[slot], &next[slot]
+		if c.run >= len(o.runs) {
+			t.Fatalf("eviction slot %d names origin slot %d, whose runs are used up", i, slot)
+		}
+		r := o.runs[c.run]
+		out = append(out, wire.UpdateID{Origin: o.id, Counter: r.start + c.off})
+		if c.off++; c.off >= r.n {
+			c.run, c.off = c.run+1, 0
 		}
 	}
-	for len(issued) < 3*maxSeen {
-		id := wire.UpdateID{Origin: membership.NodeID(rng.Intn(5)), Counter: uint32(len(issued))}
-		if len(issued) > 0 && rng.Intn(4) == 0 {
+	for slot, c := range next {
+		if o := &s.origins[slot]; c.run != len(o.runs) {
+			t.Fatalf("origin %d holds runs the ring never names: %v from %d, walked to %d", o.id, o.runs, o.head, c.run)
+		}
+	}
+	return out
+}
+
+// seenOracle marks IDs into a node's dedup set and into the fixedSeen
+// reference alike, and checks after every mark that both answer has() alike
+// for the ID just marked, for the one about to fall out and for the one that
+// just did, that they hold as many IDs, and that the set's storage is
+// bounded: the ring by maxSeen and by twice what it holds, the origin slots
+// in use by the live origins and all of them by the most origins ever live.
+// check compares the whole set with the reference.
+type seenOracle struct {
+	t      testing.TB
+	n      *Node
+	ref    *fixedSeen
+	issued []wire.UpdateID
+	peak   int // most distinct origins ever live
+}
+
+func newSeenOracle(t testing.TB) *seenOracle {
+	return &seenOracle{t: t, n: &Node{}, ref: &fixedSeen{in: map[wire.UpdateID]bool{}}}
+}
+
+func (o *seenOracle) has(id wire.UpdateID) {
+	o.t.Helper()
+	if got, want := o.n.seen.has(id), o.ref.in[id]; got != want {
+		o.t.Fatalf("after %d marks, has(%v) = %v, reference says %v", len(o.issued), id, got, want)
+	}
+}
+
+func (o *seenOracle) mark(id wire.UpdateID) {
+	o.t.Helper()
+	o.n.markSeen(id)
+	o.ref.mark(id)
+	o.issued = append(o.issued, id)
+	o.has(id)
+	o.has(o.ref.queue[0])
+	if past := len(o.issued) - maxSeen - 1; past >= 0 {
+		o.has(o.issued[past])
+	}
+	s := o.n.seen
+	if len(s.ring) != len(o.ref.queue) {
+		o.t.Fatalf("after %d marks the set holds %d IDs, the reference %d", len(o.issued), len(s.ring), len(o.ref.queue))
+	}
+	if cap(s.ring) > maxSeen || (cap(s.ring) > 32 && cap(s.ring) >= 2*len(s.ring)) {
+		o.t.Fatalf("after %d marks the ring has %d slots for %d IDs", len(o.issued), cap(s.ring), len(s.ring))
+	}
+	o.peak = max(o.peak, len(s.index))
+	if inUse := len(s.origins) - len(s.free); inUse != len(s.index) || len(s.origins) > o.peak {
+		o.t.Fatalf("after %d marks %d origin slots (%d in use) for %d live origins, at most %d ever live",
+			len(o.issued), len(s.origins), inUse, len(s.index), o.peak)
+	}
+}
+
+func (o *seenOracle) check() {
+	o.t.Helper()
+	if o.n.seen == nil {
+		if len(o.ref.queue) != 0 {
+			o.t.Fatalf("the reference holds %d IDs, the node none", len(o.ref.queue))
+		}
+		return
+	}
+	got := seenOrder(o.t, o.n.seen)
+	for i, want := range o.ref.queue {
+		if got[i] != want {
+			o.t.Fatalf("after %d marks, eviction slot %d holds %v, reference %v", len(o.issued), i, got[i], want)
+		}
+	}
+	live := map[membership.NodeID]bool{}
+	for id := range o.ref.in {
+		o.has(id)
+		live[id.Origin] = true
+	}
+	if len(o.n.seen.index) != len(live) {
+		o.t.Fatalf("after %d marks the index lists %d origins, the reference holds %d", len(o.issued), len(o.n.seen.index), len(live))
+	}
+}
+
+// TestSeenSetGrowsExactly drives the run-based set and the fixed reference
+// through 3×maxSeen inserts from several origins, with re-marks of recent,
+// old and evicted IDs mixed in, under seenOracle's checks after every step
+// and a whole comparison every 257 marks.
+func TestSeenSetGrowsExactly(t *testing.T) {
+	o := newSeenOracle(t)
+	rng := rand.New(rand.NewSource(5))
+	for len(o.issued) < 3*maxSeen {
+		id := wire.UpdateID{Origin: membership.NodeID(rng.Intn(5)), Counter: uint32(len(o.issued))}
+		if len(o.issued) > 0 && rng.Intn(4) == 0 {
 			// A re-mark: mostly of something recent, sometimes of anything
 			// ever issued (present or long evicted, which re-inserts it).
-			back := rng.Intn(min(len(issued), 50))
+			back := rng.Intn(min(len(o.issued), 50))
 			if rng.Intn(5) == 0 {
-				back = rng.Intn(len(issued))
+				back = rng.Intn(len(o.issued))
 			}
-			id = issued[len(issued)-1-back]
+			id = o.issued[len(o.issued)-1-back]
 		}
-		n.markSeen(id)
-		ref.mark(id)
-		issued = append(issued, id)
-		check(id)
-		check(ref.queue[0])
-		if past := len(issued) - maxSeen - 1; past >= 0 {
-			check(issued[past])
-		}
-		s := n.seen
-		if s.count != len(ref.queue) {
-			t.Fatalf("after %d marks the table holds %d IDs, the reference %d", len(issued), s.count, len(ref.queue))
-		}
-		if len(s.ring) > maxSeen || (len(s.ring) > minSeen && len(s.ring) >= 2*s.count) {
-			t.Fatalf("after %d marks the table has %d slots for %d IDs", len(issued), len(s.ring), s.count)
-		}
-		if len(issued)%257 == 0 || len(issued) == 3*maxSeen {
-			// The ring in eviction order is the reference's queue.
-			for i, want := range ref.queue {
-				if got := s.ring[(s.oldest+i)%len(s.ring)]; got != want {
-					t.Fatalf("after %d marks, eviction slot %d holds %v, reference %v", len(issued), i, got, want)
-				}
-			}
-			for id := range ref.in {
-				check(id)
-			}
+		o.mark(id)
+		if len(o.issued)%257 == 0 {
+			o.check()
 		}
 	}
-	if len(n.seen.ring) != maxSeen || n.seen.count != maxSeen {
-		t.Fatalf("the table ended at %d slots, %d IDs, want the bound", len(n.seen.ring), n.seen.count)
+	o.check()
+	if len(o.n.seen.ring) != maxSeen || cap(o.n.seen.ring) != maxSeen {
+		t.Fatalf("the ring ended at %d of %d slots, want the bound", len(o.n.seen.ring), cap(o.n.seen.ring))
+	}
+}
+
+// TestSeenSetShapes holds the set to the reference on the input shapes its
+// storage cares about.
+func TestSeenSetShapes(t *testing.T) {
+	shapes := []struct {
+		name  string
+		marks int
+		next  func(rng *rand.Rand, i int) wire.UpdateID
+	}{
+		// tree-churn's shape: 50 origins, each counting up, interleaved.
+		{"interleaved-origins", 3 * maxSeen, func() func(*rand.Rand, int) wire.UpdateID {
+			var ctr [50]uint32
+			return func(rng *rand.Rand, _ int) wire.UpdateID {
+				o := rng.Intn(len(ctr))
+				ctr[o]++
+				return wire.UpdateID{Origin: membership.NodeID(o), Counter: ctr[o]}
+			}
+		}()},
+		// One origin whose counters arrive shuffled within windows of 8,
+		// and now and then far back: its runs fragment and rejoin.
+		{"reordered-counters", 3 * maxSeen, func(rng *rand.Rand, i int) wire.UpdateID {
+			c := uint32(i&^7 + rng.Intn(8))
+			if rng.Intn(50) == 0 {
+				c = uint32(rng.Intn(i + 1))
+			}
+			return wire.UpdateID{Origin: 3, Counter: c}
+		}},
+		// Origins outside membership's dense ID window, counters near the
+		// top of their range so runs wrap through zero.
+		{"far-origins", 3 * maxSeen, func() func(*rand.Rand, int) wire.UpdateID {
+			far := []membership.NodeID{-1, -1 << 20, math.MinInt32, 1 << 16, 1<<16 + 1, 1 << 30, math.MaxInt32, 0}
+			ctr := make([]uint32, len(far))
+			for i := range ctr {
+				ctr[i] = math.MaxUint32 - 600
+			}
+			return func(rng *rand.Rand, _ int) wire.UpdateID {
+				o := rng.Intn(len(far))
+				ctr[o]++
+				return wire.UpdateID{Origin: far[o], Counter: ctr[o]}
+			}
+		}()},
+		// More distinct origins over time than a 2-byte slot can name, up
+		// to two IDs each: slots must be recycled.
+		{"recycled-slots", 140_000, func(rng *rand.Rand, i int) wire.UpdateID {
+			return wire.UpdateID{Origin: membership.NodeID(i / 2), Counter: uint32(rng.Intn(3))}
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			o := newSeenOracle(t)
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < sh.marks; i++ {
+				o.mark(sh.next(rng, i))
+				if i%257 == 0 {
+					o.check()
+				}
+			}
+			o.check()
+		})
 	}
 }

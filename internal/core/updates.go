@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/membership"
 	"repro/internal/wire"
 )
@@ -186,90 +188,146 @@ func (n *Node) markSeen(id wire.UpdateID) {
 }
 
 // seenSet is an exact bounded set of update IDs with FIFO eviction — the
-// same semantics as a map[wire.UpdateID]bool plus an eviction queue, but the
-// membership test runs for every piggybacked update on every delivery, so it
-// must not pay generic map-hashing costs. Entries live in an insertion ring;
-// per-bucket chains of ring indices make lookups O(1). Allocated lazily so
-// idle nodes cost nothing, and grown by doubling from minSeen up to maxSeen:
-// a node of a small or short-lived cluster sees a few dozen IDs and should
-// not pay for 4096. What has/add answer, and the eviction order, do not
-// depend on the table's size — only on the maxSeen bound.
+// same answers as a map[wire.UpdateID]bool plus an eviction queue of maxSeen
+// IDs — stored by counter runs. A node's IDs come from few origins whose
+// counters mostly arrive in order, so each origin keeps its live counters as
+// runs (stretches of consecutive insertions with consecutive counters) in
+// insertion order, and the eviction order is a ring of 2-byte origin slots:
+// the oldest ID is the front of the front run of the origin in ring[oldest].
+// A full set over 50 origins with in-order counters is 8 KiB of ring plus a
+// run per origin, where a hash table with one slot per ID needs 64 KiB.
+// Allocated lazily so idle nodes cost nothing; the ring grows by doubling up
+// to maxSeen. What has/add answer, and the eviction order, depend only on the
+// maxSeen bound.
 type seenSet struct {
-	count  int             // live entries, ≤ len(ring)
-	oldest int             // ring index of the oldest entry once full at maxSeen
-	ring   []wire.UpdateID // entries in insertion order
-	bucket []int32         // 1-based chain heads into ring; 0 = empty
-	link   []int32         // 1-based chain successors; 0 = end
+	ring    []uint16     // origin slot of every live ID, in insertion order
+	oldest  int          // ring index of the oldest ID once len(ring) == maxSeen
+	origins []seenOrigin // by slot; a slot whose last ID is evicted goes on free
+	free    []uint16     // recycled slots
+	index   []seenKey    // the live origins' slots, sorted by origin
 }
 
-// minSeen is the table's first capacity; like maxSeen, a power of two.
-const minSeen = 64
+// seenOrigin holds one origin's live counters: runs[head:], oldest first.
+type seenOrigin struct {
+	id   membership.NodeID
+	head int32
+	runs []seenRun
+}
 
-// bucketOf hashes id into a table of len(s.bucket) (a power of two) buckets.
-func (s *seenSet) bucketOf(id wire.UpdateID) uint32 {
-	h := uint64(uint32(id.Origin))<<32 | uint64(id.Counter)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd // 64-bit finalizer-style mix
-	h ^= h >> 33
-	return uint32(h) & uint32(len(s.bucket)-1)
+// seenRun is the counters start, start+1, …, start+n-1 (mod 2³²).
+type seenRun struct{ start, n uint32 }
+
+type seenKey struct {
+	origin membership.NodeID
+	slot   uint16
+}
+
+// find returns the position of origin in s.index, or where it would go.
+// Written out because it runs for every piggybacked update on every
+// delivery, and slices.BinarySearchFunc's comparison call makes it 2–3×
+// slower.
+func (s *seenSet) find(origin membership.NodeID) (int, bool) {
+	lo, hi := 0, len(s.index)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.index[m].origin < origin {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.index) && s.index[lo].origin == origin
 }
 
 func (s *seenSet) has(id wire.UpdateID) bool {
-	if s == nil || s.count == 0 {
+	if s == nil {
 		return false
 	}
-	for i := s.bucket[s.bucketOf(id)]; i != 0; i = s.link[i-1] {
-		if s.ring[i-1] == id {
+	i, ok := s.find(id.Origin)
+	if !ok {
+		return false
+	}
+	o := &s.origins[s.index[i].slot]
+	for k := len(o.runs) - 1; k >= int(o.head); k-- {
+		if r := o.runs[k]; id.Counter-r.start < r.n {
 			return true
 		}
 	}
 	return false
 }
 
-// add inserts an ID known to be absent, evicting the oldest entry when full.
+// add inserts an ID known to be absent, evicting the oldest ID when full.
 func (s *seenSet) add(id wire.UpdateID) {
-	if s.count == len(s.ring) && s.count < maxSeen {
-		s.grow()
+	full := len(s.ring) == maxSeen
+	if full {
+		s.evict()
 	}
-	slot := int32(s.count)
-	if s.count == maxSeen {
-		slot = int32(s.oldest)
-		s.unlink(s.ring[slot])
-		s.oldest = (s.oldest + 1) % maxSeen
+	i, ok := s.find(id.Origin)
+	var slot uint16
+	if ok {
+		slot = s.index[i].slot
 	} else {
-		s.count++
+		slot = s.adopt(i, id.Origin)
 	}
-	s.ring[slot] = id
-	s.chain(slot)
+	o := &s.origins[slot]
+	if k := len(o.runs) - 1; k >= int(o.head) && o.runs[k].start+o.runs[k].n == id.Counter {
+		o.runs[k].n++
+	} else {
+		o.push(seenRun{start: id.Counter, n: 1})
+	}
+	if full {
+		s.ring[s.oldest] = slot
+		s.oldest = (s.oldest + 1) % maxSeen
+		return
+	}
+	if len(s.ring) == cap(s.ring) {
+		// Double by hand: append's own growth may overshoot maxSeen.
+		s.ring = append(make([]uint16, 0, min(maxSeen, max(32, 2*len(s.ring)))), s.ring...)
+	}
+	s.ring = append(s.ring, slot)
 }
 
-// chain links ring slot into its bucket's chain.
-func (s *seenSet) chain(slot int32) {
-	b := s.bucketOf(s.ring[slot])
-	s.link[slot] = s.bucket[b]
-	s.bucket[b] = slot + 1
+// evict drops the oldest ID: the front counter of its origin's front run.
+// An origin left without IDs leaves the index and its slot is recycled.
+func (s *seenSet) evict() {
+	slot := s.ring[s.oldest]
+	o := &s.origins[slot]
+	r := &o.runs[o.head]
+	r.start++
+	if r.n--; r.n > 0 {
+		return
+	}
+	if o.head++; int(o.head) < len(o.runs) {
+		return
+	}
+	o.runs, o.head = o.runs[:0], 0
+	i, _ := s.find(o.id)
+	s.index = slices.Delete(s.index, i, i+1)
+	s.free = append(s.free, slot)
 }
 
-// grow doubles the table. The ring has not wrapped yet (eviction starts at
-// maxSeen), so the entries keep their slots and only the chains are rebuilt.
-func (s *seenSet) grow() {
-	size := max(minSeen, 2*len(s.ring))
-	s.ring = append(make([]wire.UpdateID, 0, size), s.ring...)[:size]
-	s.bucket = make([]int32, size)
-	s.link = make([]int32, size)
-	for slot := 0; slot < s.count; slot++ {
-		s.chain(int32(slot))
+// adopt gives a new origin a slot (a recycled one if any) and enters it in
+// the index at position i.
+func (s *seenSet) adopt(i int, origin membership.NodeID) uint16 {
+	var slot uint16
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		slot = uint16(len(s.origins))
+		s.origins = append(s.origins, seenOrigin{})
 	}
+	s.origins[slot].id = origin
+	s.index = slices.Insert(s.index, i, seenKey{origin: origin, slot: slot})
+	return slot
 }
 
-func (s *seenSet) unlink(id wire.UpdateID) {
-	p := &s.bucket[s.bucketOf(id)]
-	for *p != 0 {
-		i := *p - 1
-		if s.ring[i] == id {
-			*p = s.link[i]
-			return
-		}
-		p = &s.link[i]
+// push appends a run, first sliding the live runs down over the evicted
+// ones when that frees at least half the capacity, so a fragmented origin
+// in steady state reuses its array.
+func (o *seenOrigin) push(r seenRun) {
+	if len(o.runs) == cap(o.runs) && o.head > 0 && 2*int(o.head) >= len(o.runs) {
+		o.runs = o.runs[:copy(o.runs, o.runs[o.head:])]
+		o.head = 0
 	}
+	o.runs = append(o.runs, r)
 }
