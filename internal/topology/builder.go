@@ -10,6 +10,7 @@ import (
 type Builder struct {
 	devices []Device
 	links   []Link
+	hosts   HostID // hosts added so far: the next host's ID
 	err     error
 }
 
@@ -28,13 +29,8 @@ func (b *Builder) add(kind Kind, name string, dc int) DeviceID {
 	id := DeviceID(len(b.devices))
 	host := NoHost
 	if kind == KindHost {
-		n := HostID(0)
-		for _, d := range b.devices {
-			if d.Kind == KindHost {
-				n++
-			}
-		}
-		host = n
+		host = b.hosts
+		b.hosts++
 	}
 	b.devices = append(b.devices, Device{ID: id, Kind: kind, Name: name, DC: dc, Host: host})
 	return id
@@ -108,8 +104,10 @@ func (b *Builder) Build() (*Topology, error) {
 		t.adj[l.A] = append(t.adj[l.A], halfEdge{from: l.A, to: l.B, latency: l.Latency, wan: l.WAN})
 		t.adj[l.B] = append(t.adj[l.B], halfEdge{from: l.B, to: l.A, latency: l.Latency, wan: l.WAN})
 	}
-	t.distCache = make(map[HostID]*distRow)
-	t.scopeCache = make(map[scopeKey]*Scope)
+	t.uniRows = make([]*pathRow, len(t.hosts))
+	t.mcastRows = make([]*pathRow, len(t.hosts))
+	t.best = make([]pathItem, len(t.devices))
+	t.mask = make([]MarkSet, len(t.devices))
 	return t, nil
 }
 

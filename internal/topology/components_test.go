@@ -21,10 +21,9 @@ func componentTopologies() map[string]func() *Topology {
 }
 
 // reachScript applies a seeded sequence of failures, repairs, re-homings and
-// link marks to top, and after every step compares label's connectivity
-// labels with UnicastPath for every host pair (a host whose own device has
-// failed included). It returns the first disagreement, or "".
-func reachScript(top *Topology, seed int64, steps int, label func(*Topology) []int32) string {
+// link marks to top and runs check after every step. It returns the first
+// disagreement check reports, with the step that led to it, or "".
+func reachScript(top *Topology, seed int64, steps int, check func(*Topology) string) string {
 	rng := rand.New(rand.NewSource(seed))
 	var switches []DeviceID
 	for id := 0; id < top.NumDevices(); id++ {
@@ -61,19 +60,30 @@ func reachScript(top *Topology, seed int64, steps int, label func(*Topology) []i
 				op = "mark " + top.Device(l.A).Name + "-" + top.Device(l.B).Name
 			}
 		}
+		if bad := check(top); bad != "" {
+			return fmt.Sprintf("step %d (%s): %s", step, op, bad)
+		}
+	}
+	return ""
+}
+
+// labelsMatchUnicast is the check that label's connectivity labels agree
+// with UnicastPath for every host pair (a host whose own device has failed
+// included).
+func labelsMatchUnicast(label func(*Topology) []int32) func(*Topology) string {
+	return func(top *Topology) string {
 		labels := label(top)
 		for x := HostID(0); x < HostID(top.NumHosts()); x++ {
 			for y := HostID(0); y < HostID(top.NumHosts()); y++ {
 				lat, _ := top.UnicastPath(x, y)
-				same := labels[x] >= 0 && labels[x] == labels[y]
-				if same != (lat >= 0) {
-					return fmt.Sprintf("step %d (%s): hosts %d,%d labelled %d,%d but unicast latency %v",
-						step, op, x, y, labels[x], labels[y], lat)
+				if same := labels[x] >= 0 && labels[x] == labels[y]; same != (lat >= 0) {
+					return fmt.Sprintf("hosts %d,%d labelled %d,%d but unicast latency %v",
+						x, y, labels[x], labels[y], lat)
 				}
 			}
 		}
+		return ""
 	}
-	return ""
 }
 
 // TestHostComponentsMatchUnicast is the reference for the auditor's
@@ -82,7 +92,7 @@ func reachScript(top *Topology, seed int64, steps int, label func(*Topology) []i
 func TestHostComponentsMatchUnicast(t *testing.T) {
 	for name, build := range componentTopologies() {
 		for seed := int64(0); seed < 4; seed++ {
-			if bad := reachScript(build(), seed, 40, (*Topology).HostComponents); bad != "" {
+			if bad := reachScript(build(), seed, 40, labelsMatchUnicast((*Topology).HostComponents)); bad != "" {
 				t.Errorf("%s seed %d: %s", name, seed, bad)
 			}
 		}
@@ -100,7 +110,7 @@ func TestHostComponentsPropertyBites(t *testing.T) {
 	}
 	for name, build := range componentTopologies() {
 		for seed := int64(0); seed < 4; seed++ {
-			if reachScript(build(), seed, 40, ignoringCuts) == "" {
+			if reachScript(build(), seed, 40, labelsMatchUnicast(ignoringCuts)) == "" {
 				t.Errorf("%s seed %d: a labelling that ignores failed links passed", name, seed)
 			}
 		}

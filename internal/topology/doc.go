@@ -11,6 +11,14 @@
 // hosts is defined as the minimum TTL required to reach one from the other
 // (routers on the best path + 1).
 //
+// One search answers every path question. From a source host it settles
+// devices in (routers entered, latency, device ID) order: a multicast row
+// takes the path with the fewest routers and, among those, the lowest
+// latency; a unicast row counts no routers and takes the lowest latency.
+// When two best paths tie, a device keeps the one through the neighbour
+// settled first (the lower key, then the lower device ID), which fixes the
+// marked links (MarkLink) a row reports.
+//
 // WAN links connect data centers. Multicast never crosses a WAN link,
 // which is the property the paper's membership proxy protocol depends on.
 //

@@ -119,7 +119,7 @@ func (t *Topology) HostComponents() []int32 {
 			d := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
 			for _, e := range t.adj[d] {
-				if comp[e.to] >= 0 || t.failed[e.to] || t.linkFailed(e.from, e.to) {
+				if comp[e.to] >= 0 || !t.crosses(e, false) {
 					continue
 				}
 				comp[e.to] = label
@@ -147,31 +147,31 @@ func (t *Topology) minCrossLPLatency(lpOf []int, numLP int) time.Duration {
 		for i := range dist {
 			dist[i] = inf
 		}
-		var h uniHeap
+		var h pathHeap
 		for hid, dev := range t.hosts {
 			if lpOf[hid] == lp {
 				dist[dev] = 0
-				h.push(uniHeapItem{0, dev})
+				h.push(pathItem{dev: dev})
 			}
 		}
 		found := false
 		for len(h) > 0 {
 			it := h.pop()
-			if it.d != dist[it.dev] {
+			if it.lat != dist[it.dev] {
 				continue
 			}
-			if it.d >= best {
+			if it.lat >= best {
 				break // cannot improve the global minimum
 			}
 			if hid := t.devices[it.dev].Host; hid >= 0 && lpOf[hid] != lp {
-				best = it.d
+				best = it.lat
 				found = true
 				break
 			}
 			for _, e := range t.adj[it.dev] {
-				if nd := it.d + e.latency; nd < dist[e.to] {
+				if nd := it.lat + e.latency; nd < dist[e.to] {
 					dist[e.to] = nd
-					h.push(uniHeapItem{nd, e.to})
+					h.push(pathItem{lat: nd, dev: e.to})
 				}
 			}
 		}

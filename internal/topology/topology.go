@@ -64,7 +64,7 @@ type Link struct {
 }
 
 // Topology is an immutable-after-build network graph plus cached host
-// distance information. Build one with a Builder; the zero value is empty.
+// path rows. Build one with a Builder; the zero value is empty.
 //
 // The graph itself never changes after Build, but the failure set
 // (FailDevice/FailLink), link marks (MarkLink), and the derived caches do.
@@ -100,14 +100,26 @@ type Topology struct {
 
 	scopeCache map[scopeKey]*Scope
 	scopeEpoch uint64 // epoch scopeCache entries belong to; older ones are dropped
-	distCache  map[HostID]*distRow
-	uniCache   map[HostID]*uniRow
+
+	// Per-host path rows, each valid for the epoch it carries; Build sizes
+	// both. diameterAt is epoch+1 when diameter is current, 0 before the
+	// first Diameter.
+	uniRows, mcastRows []*pathRow
+	diameter           int
+	diameterAt         uint64
+
+	// search's per-device scratch, reused across calls.
+	best []pathItem
+	mask []MarkSet
+	heap pathHeap
 }
 
-type uniRow struct {
+// pathRow is one source's view of every host along its chosen paths.
+type pathRow struct {
 	epoch   uint64
-	latency []time.Duration // per host; -1 disconnected
-	marks   []MarkSet       // per host: marked links on the chosen path
+	minTTL  []int16         // multicast rows only: routers entered + 1; -1 unreachable
+	latency []time.Duration // per host; -1 unreachable
+	marks   []MarkSet       // per host: marked links on the chosen path (nil when none marked)
 }
 
 type halfEdge struct {
@@ -132,16 +144,8 @@ func mkLinkKey(a, b DeviceID) linkKey {
 }
 
 type scopeKey struct {
-	src   HostID
-	ttl   int
-	epoch uint64
-}
-
-type distRow struct {
-	epoch   uint64
-	minTTL  []int16         // per host, routers+1; -1 unreachable
-	latency []time.Duration // per host, latency along a min-latency path
-	marks   []MarkSet       // per host: marked links on the chosen path (nil when none marked)
+	src HostID
+	ttl int
 }
 
 // Scope is the receiver set of a (source, TTL) multicast, excluding the
@@ -386,12 +390,11 @@ func (t *Topology) RehomeHost(h HostID, to DeviceID) {
 	t.epoch++
 }
 
-// linkFailed must be called with t.mu held.
-func (t *Topology) linkFailed(a, b DeviceID) bool {
-	if len(t.failedLinks) == 0 {
-		return false
-	}
-	return t.failedLinks[mkLinkKey(a, b)]
+// crosses reports whether a packet may traverse e under the current
+// failure set; a multicast one also stops at WAN links. Must be called
+// with t.mu held.
+func (t *Topology) crosses(e halfEdge, multicast bool) bool {
+	return !(multicast && e.wan) && !t.failed[e.to] && !t.failedLinks[mkLinkKey(e.from, e.to)]
 }
 
 // MarkLink registers the link between a and b for path tracking and returns
@@ -497,131 +500,115 @@ func (t *Topology) markBit(a, b DeviceID) MarkSet {
 }
 
 // Epoch increases whenever the failure set or mark table changes; cached
-// scope/distance results are keyed on it.
+// rows and scopes are keyed on it.
 func (t *Topology) Epoch() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.epoch
 }
 
-// distances computes, from host src, the minimum-TTL (router count + 1) and
-// an associated latency to every host, using a Dijkstra-like search ordered
-// lexicographically by (routers crossed, latency). Multicast never crosses
-// WAN links, so WAN edges are excluded here; unicast latency uses
-// UnicastLatency instead.
-func (t *Topology) distances(src HostID) *distRow {
+// row returns src's unicast or multicast path row for the current epoch.
+func (t *Topology) row(src HostID, multicast bool) *pathRow {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.distancesLocked(src)
+	return t.rowLocked(src, multicast)
 }
 
-// distancesLocked must be called with t.mu held; the returned row is
-// immutable and may be read without the lock.
-func (t *Topology) distancesLocked(src HostID) *distRow {
-	if row, ok := t.distCache[src]; ok && row.epoch == t.epoch {
-		return row
+// rowLocked must be called with t.mu held; the returned row is immutable
+// and may be read without the lock.
+func (t *Topology) rowLocked(src HostID, multicast bool) *pathRow {
+	rows := t.uniRows
+	if multicast {
+		rows = t.mcastRows
 	}
-	n := len(t.devices)
-	const inf = int32(1 << 30)
-	routers := make([]int32, n)
-	lat := make([]time.Duration, n)
-	var mask []MarkSet
-	if len(t.marked) > 0 || len(t.markedDir) > 0 {
-		mask = make([]MarkSet, n)
+	if r := rows[src]; r != nil && r.epoch == t.epoch {
+		return r
 	}
-	for i := range routers {
-		routers[i] = inf
+	rows[src] = t.search(src, multicast)
+	return rows[src]
+}
+
+// search computes src's path row with one Dijkstra from src's device over
+// the links a packet may cross, settling devices in (routers entered,
+// latency, device ID) order. A multicast search counts the routers a path
+// enters, each of which spends a unit of TTL, and so picks the fewest
+// routers first and the lowest latency among those; a unicast search
+// counts none and picks the lowest latency. Of two best paths, a device
+// keeps the one through the neighbour settled first. Must be called with
+// t.mu held.
+func (t *Topology) search(src HostID, multicast bool) *pathRow {
+	best, mask := t.best, t.mask
+	for i := range best {
+		best[i] = pathItem{lat: 1<<62 - 1, routers: unreached, dev: DeviceID(i)}
 	}
-	start := t.hosts[src]
-	if t.failed[start] {
-		// Source failed: empty row.
-		row := &distRow{epoch: t.epoch, minTTL: make([]int16, len(t.hosts)), latency: make([]time.Duration, len(t.hosts))}
-		for i := range row.minTTL {
-			row.minTTL[i] = -1
-		}
-		t.distCache[src] = row
-		return row
+	marking := len(t.marked) > 0 || len(t.markedDir) > 0
+	if marking {
+		clear(mask)
 	}
-	routers[start] = 0
-	lat[start] = 0
-	// 0-1 BFS on router count with latency as a secondary relaxation.
-	// Deque of device ids; entering a router costs 1, anything else 0.
-	deque := make([]DeviceID, 0, n)
-	deque = append(deque, start)
-	inQueue := make([]bool, n)
-	inQueue[start] = true
-	for len(deque) > 0 {
-		d := deque[0]
-		deque = deque[1:]
-		inQueue[d] = false
-		for _, e := range t.adj[d] {
-			if e.wan || t.failed[e.to] || t.linkFailed(e.from, e.to) {
-				continue
+	if start := t.hosts[src]; !t.failed[start] {
+		best[start] = pathItem{dev: start}
+		h := append(t.heap[:0], best[start])
+		for len(h) > 0 {
+			it := h.pop()
+			if it != best[it.dev] {
+				continue // superseded by a better key pushed later
 			}
-			cost := int32(0)
-			if t.devices[e.to].Kind == KindRouter {
-				cost = 1
-			}
-			nr := routers[d] + cost
-			nl := lat[d] + e.latency
-			if nr < routers[e.to] || (nr == routers[e.to] && nl < lat[e.to]) {
-				routers[e.to] = nr
-				lat[e.to] = nl
-				if mask != nil {
-					mask[e.to] = mask[d].union(t.markBit(e.from, e.to))
+			for _, e := range t.adj[it.dev] {
+				if !t.crosses(e, multicast) {
+					continue
 				}
-				if !inQueue[e.to] {
-					if cost == 0 {
-						deque = append([]DeviceID{e.to}, deque...)
-					} else {
-						deque = append(deque, e.to)
+				next := pathItem{lat: it.lat + e.latency, routers: it.routers, dev: e.to}
+				if multicast && t.devices[e.to].Kind == KindRouter {
+					next.routers++
+				}
+				if next.less(best[e.to]) {
+					best[e.to] = next
+					if marking {
+						mask[e.to] = mask[it.dev].union(t.markBit(e.from, e.to))
 					}
-					inQueue[e.to] = true
+					h.push(next)
 				}
 			}
 		}
+		t.heap = h
 	}
-	row := &distRow{
-		epoch:   t.epoch,
-		minTTL:  make([]int16, len(t.hosts)),
-		latency: make([]time.Duration, len(t.hosts)),
+	n := len(t.hosts)
+	row := &pathRow{epoch: t.epoch, latency: make([]time.Duration, n)}
+	if multicast {
+		row.minTTL = make([]int16, n)
 	}
-	if mask != nil {
-		row.marks = make([]MarkSet, len(t.hosts))
+	if marking {
+		row.marks = make([]MarkSet, n)
 	}
 	for h, dev := range t.hosts {
-		if routers[dev] >= inf || t.failed[dev] {
-			row.minTTL[h] = -1
-			continue
-		}
-		row.minTTL[h] = int16(routers[dev]) + 1
-		row.latency[h] = lat[dev]
-		if mask != nil {
+		lat, ttl := best[dev].lat, int16(best[dev].routers)+1
+		if best[dev].routers == unreached {
+			lat, ttl = -1, -1
+		} else if marking {
 			row.marks[h] = mask[dev]
 		}
+		row.latency[h] = lat
+		if multicast {
+			row.minTTL[h] = ttl
+		}
 	}
-	if t.distCache == nil {
-		t.distCache = make(map[HostID]*distRow)
-	}
-	t.distCache[src] = row
 	return row
 }
+
+// unreached is the router count of a device search has not reached.
+const unreached = 1 << 30
 
 // MinTTL returns the smallest TTL with which a multicast from a reaches b,
 // or -1 if unreachable without crossing a WAN link. MinTTL(a, a) is 1 by
 // convention (a node always receives on its own segment).
 func (t *Topology) MinTTL(a, b HostID) int {
-	return int(t.distances(a).minTTL[b])
+	return int(t.row(a, true).minTTL[b])
 }
 
 // MulticastLatency returns the delivery latency from a to b along the path
 // used for multicast distance, or -1 if unreachable.
 func (t *Topology) MulticastLatency(a, b HostID) time.Duration {
-	row := t.distances(a)
-	if row.minTTL[b] < 0 {
-		return -1
-	}
-	return row.latency[b]
+	return t.row(a, true).latency[b]
 }
 
 // MulticastScope returns the hosts (other than src) that receive a multicast
@@ -637,19 +624,15 @@ func (t *Topology) MulticastScope(src HostID, ttl int) *Scope {
 		clear(t.scopeCache)
 		t.scopeEpoch = t.epoch
 	}
-	key := scopeKey{src, ttl, t.epoch}
+	key := scopeKey{src, ttl}
 	if s, ok := t.scopeCache[key]; ok {
 		return s
 	}
-	row := t.distancesLocked(src)
+	row := t.rowLocked(src, true)
 	s := &Scope{}
-	for h := range t.hosts {
-		hid := HostID(h)
-		if hid == src {
-			continue
-		}
-		if d := row.minTTL[h]; d > 0 && int(d) <= ttl {
-			s.Hosts = append(s.Hosts, hid)
+	for h, d := range row.minTTL {
+		if HostID(h) != src && d > 0 && int(d) <= ttl {
+			s.Hosts = append(s.Hosts, HostID(h))
 			s.Latency = append(s.Latency, row.latency[h])
 			if row.marks != nil {
 				s.Marks = append(s.Marks, row.marks[h])
@@ -664,161 +647,101 @@ func (t *Topology) MulticastScope(src HostID, ttl int) *Scope {
 }
 
 // UnicastLatency returns the latency of a unicast datagram from a to b,
-// allowed to cross WAN links, or -1 if disconnected. The per-source
-// single-source shortest-path result is cached until the failure epoch
-// changes, since unicast sends are on the protocols' hot path.
+// allowed to cross WAN links, or -1 if disconnected. The per-source row is
+// cached until the failure epoch changes, since unicast sends are on the
+// protocols' hot path.
 func (t *Topology) UnicastLatency(a, b HostID) time.Duration {
-	lat, _ := t.UnicastPath(a, b)
-	return lat
+	return t.row(a, false).latency[b]
 }
 
 // UnicastPath returns the unicast latency from a to b (or -1 if
 // disconnected) together with the set of marked links (MarkLink) the chosen
 // path crosses.
 func (t *Topology) UnicastPath(a, b HostID) (time.Duration, MarkSet) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := t.unicastRowLocked(a)
+	row := t.row(a, false)
 	if row.marks == nil {
 		return row.latency[b], MarkSet{}
 	}
 	return row.latency[b], row.marks[b]
 }
 
-// unicastRowLocked must be called with t.mu held; the returned row is
-// immutable and may be read without the lock.
-func (t *Topology) unicastRowLocked(a HostID) *uniRow {
-	if row, ok := t.uniCache[a]; ok && row.epoch == t.epoch {
-		return row
-	}
-	n := len(t.devices)
-	const inf = time.Duration(1<<62 - 1)
-	dist := make([]time.Duration, n)
-	done := make([]bool, n)
-	var mask []MarkSet
-	if len(t.marked) > 0 || len(t.markedDir) > 0 {
-		mask = make([]MarkSet, n)
-	}
-	for i := range dist {
-		dist[i] = inf
-	}
-	start := t.hosts[a]
-	if !t.failed[start] {
-		dist[start] = 0
-		// Binary min-heap on (distance, device id), lazily deduplicated:
-		// stale entries are skipped on pop. The device-id tie-break matches
-		// the linear selection scan this replaced (lowest index among equal
-		// distances settles first), so equal-cost paths — and therefore the
-		// reported mark sets — are unchanged. The old O(V^2) scan dominated
-		// first-epoch cache fills once N reached four digits.
-		h := uniHeap{{0, start}}
-		for len(h) > 0 {
-			it := h.pop()
-			if done[it.dev] || it.d != dist[it.dev] {
-				continue
-			}
-			done[it.dev] = true
-			for _, e := range t.adj[it.dev] {
-				if t.failed[e.to] || t.linkFailed(e.from, e.to) {
-					continue
-				}
-				if nd := it.d + e.latency; nd < dist[e.to] {
-					dist[e.to] = nd
-					if mask != nil {
-						mask[e.to] = mask[it.dev].union(t.markBit(e.from, e.to))
-					}
-					h.push(uniHeapItem{nd, e.to})
-				}
-			}
-		}
-	}
-	row := &uniRow{epoch: t.epoch, latency: make([]time.Duration, len(t.hosts))}
-	if mask != nil {
-		row.marks = make([]MarkSet, len(t.hosts))
-	}
-	for h, dev := range t.hosts {
-		if dist[dev] >= inf || t.failed[dev] {
-			row.latency[h] = -1
-		} else {
-			row.latency[h] = dist[dev]
-			if mask != nil {
-				row.marks[h] = mask[dev]
-			}
-		}
-	}
-	if t.uniCache == nil {
-		t.uniCache = make(map[HostID]*uniRow)
-	}
-	t.uniCache[a] = row
-	return row
+// pathItem is a device's key in search's order: routers entered, then
+// latency, then device ID. Latency leads the layout so an item packs into
+// 16 bytes.
+type pathItem struct {
+	lat     time.Duration
+	routers int32
+	dev     DeviceID
 }
 
-// uniHeapItem is one pending Dijkstra visit in unicastRowLocked.
-type uniHeapItem struct {
-	d   time.Duration
-	dev DeviceID
+func (a pathItem) less(b pathItem) bool {
+	if a.routers != b.routers {
+		return a.routers < b.routers
+	}
+	return a.lat < b.lat || (a.lat == b.lat && a.dev < b.dev)
 }
 
-type uniHeap []uniHeapItem
+// pathHeap is a binary min-heap of pending visits, lazily deduplicated:
+// superseded items are skipped on pop.
+type pathHeap []pathItem
 
-func (h uniHeap) less(i, j int) bool {
-	return h[i].d < h[j].d || (h[i].d == h[j].d && h[i].dev < h[j].dev)
-}
-
-func (h *uniHeap) push(it uniHeapItem) {
+func (h *pathHeap) push(it pathItem) {
 	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
+	h.up(len(*h)-1, it)
+}
+
+// up moves it from slot i towards the root until its parent is smaller.
+func (h pathHeap) up(i int, it pathItem) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.less(i, p) {
+		if !it.less(h[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = it
 }
 
-func (h *uniHeap) pop() uniHeapItem {
+// pop removes the smallest item. It walks the root's hole down along the
+// smaller children to a leaf and lets the last item rise from there, which
+// takes about half the comparisons of sifting the last item down.
+func (h *pathHeap) pop() pathItem {
 	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(s) && s.less(l, m) {
-			m = l
-		}
-		if r < len(s) && s.less(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
+	top, last := s[0], s[len(s)-1]
+	s = s[:len(s)-1]
 	*h = s
+	if len(s) == 0 {
+		return top
+	}
+	i := 0
+	for c := 1; c < len(s); c = 2*i + 1 {
+		if c+1 < len(s) && s[c+1].less(s[c]) {
+			c++
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s.up(i, last)
 	return top
 }
 
 // Diameter returns the maximum finite MinTTL over all host pairs: the
 // smallest MaxTTL that lets the membership tree cover the whole cluster.
+// It is computed once per epoch.
 func (t *Topology) Diameter() int {
-	max := 0
-	for a := 0; a < len(t.hosts); a++ {
-		row := t.distances(HostID(a))
-		for b := 0; b < len(t.hosts); b++ {
-			if a == b {
-				continue
-			}
-			if d := int(row.minTTL[b]); d > max {
-				max = d
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.diameterAt != t.epoch+1 {
+		t.diameter = 0
+		for a := range t.hosts {
+			for b, d := range t.rowLocked(HostID(a), true).minTTL {
+				if b != a && int(d) > t.diameter {
+					t.diameter = int(d)
+				}
 			}
 		}
+		t.diameterAt = t.epoch + 1
 	}
-	return max
+	return t.diameter
 }

@@ -258,6 +258,25 @@ func TestHostNaming(t *testing.T) {
 	if KindHost.String() != "host" || KindSwitch.String() != "switch" || KindRouter.String() != "router" {
 		t.Fatal("Kind.String broken")
 	}
+	// MultiDC interleaves routers, switches and hosts: host IDs are still
+	// dense and follow the order the hosts were added in.
+	multi, next := MultiDC(3, 2, 3), HostID(0)
+	for id := DeviceID(0); id < DeviceID(multi.NumDevices()); id++ {
+		d := multi.Device(id)
+		if d.Kind != KindHost {
+			if d.Host != NoHost {
+				t.Fatalf("%s %s has host ID %d", d.Kind, d.Name, d.Host)
+			}
+			continue
+		}
+		if d.Host != next || multi.HostDevice(next).ID != id {
+			t.Fatalf("device %d (%s) has host ID %d, want %d", id, d.Name, d.Host, next)
+		}
+		next++
+	}
+	if int(next) != multi.NumHosts() || next != 18 {
+		t.Fatalf("%d hosts numbered, NumHosts %d, want 18", next, multi.NumHosts())
+	}
 }
 
 // Property: random topologies are connected, symmetric, and obey the
