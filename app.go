@@ -3,10 +3,10 @@ package tamp
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/membership"
 	"repro/internal/proxy"
 	"repro/internal/service"
-	"repro/internal/topology"
 )
 
 // Handler processes one application request on a provider node: it
@@ -30,17 +30,13 @@ var (
 // multi-data-center deployments.
 type App struct {
 	*MService
-	rt    *service.Runtime
-	proxy *proxy.Proxy
+	// host is the node with its service runtime and, on a data center's
+	// proxy hosts, the co-located proxy.
+	host *proxy.Host
 }
 
 // AppConfig tunes an App beyond the defaults.
 type AppConfig struct {
-	// PollSize is the number of candidates polled for load before
-	// dispatch (2 = power of two choices; the default).
-	PollSize int
-	// RequestTimeout bounds one invocation end to end (default 2s).
-	RequestTimeout time.Duration
 	// EnableLoadPush turns on the §6.1 interest-based load dissemination.
 	EnableLoadPush bool
 }
@@ -56,16 +52,8 @@ func NewAppConfig(s *Sim, h HostID, ac AppConfig) *App {
 		panic(err) // defaults cannot fail
 	}
 	scfg := service.DefaultConfig()
-	if ac.PollSize > 0 {
-		scfg.PollSize = ac.PollSize
-	}
-	if ac.RequestTimeout > 0 {
-		scfg.RequestTimeout = ac.RequestTimeout
-	}
 	scfg.EnableLoadPush = ac.EnableLoadPush
-	a := &App{MService: ms}
-	a.rt = service.NewRuntime(scfg, s.eng, s.net.Endpoint(h), ms.node)
-	return a
+	return &App{MService: ms, host: &proxy.Host{Node: ms.node, RT: service.NewRuntime(scfg, s.eng, s.net.Endpoint(h), ms.node)}}
 }
 
 // Provide registers a service implementation on this node: it is
@@ -73,7 +61,7 @@ func NewAppConfig(s *Sim, h HostID, ac AppConfig) *App {
 // serviceTime is the simulated per-request processing time (requests
 // queue FIFO).
 func (a *App) Provide(name, partitions string, serviceTime time.Duration, h Handler, params ...KV) error {
-	return a.rt.Register(name, partitions, serviceTime, h, params...)
+	return a.host.RT.Register(name, partitions, serviceTime, h, params...)
 }
 
 // Invoke performs one location-transparent invocation: the provider is
@@ -82,14 +70,14 @@ func (a *App) Provide(name, partitions string, serviceTime time.Duration, h Hand
 // the request crosses data centers. The callback runs exactly once on the
 // simulation goroutine.
 func (a *App) Invoke(serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
-	a.rt.Invoke(serviceName, partition, payload, cb)
+	a.host.RT.Invoke(serviceName, partition, payload, cb)
 }
 
 // InvokeNode sends the request to one specific provider, bypassing load
 // balancing — the building block for client-driven replication (e.g.
 // write-through to every replica of a partition).
 func (a *App) InvokeNode(n NodeID, serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
-	a.rt.InvokeNode(n, serviceName, partition, payload, cb)
+	a.host.RT.InvokeNode(n, serviceName, partition, payload, cb)
 }
 
 // InvokeWait is Invoke that drives the simulation until the reply arrives
@@ -113,81 +101,55 @@ func (a *App) InvokeWait(serviceName string, partition int32, payload []byte) ([
 }
 
 // Load returns this node's instantaneous service queue length.
-func (a *App) Load() uint32 { return a.rt.Load() }
+func (a *App) Load() uint32 { return a.host.RT.Load() }
 
 // Run starts the membership daemon and then, on a proxy host, the
 // co-located proxy.
-func (a *App) Run() {
-	a.MService.Run()
-	if a.proxy != nil {
-		a.proxy.Start()
-	}
-}
+func (a *App) Run() { a.host.Start(a.s.eng) }
 
-// Stop kills the node, with the co-located proxy as one failure unit: the
-// proxy stops first, releasing its relay handler and channel while the
-// endpoint is still up, so it never keeps claiming its data center's
-// virtual IP for a dead host.
-func (a *App) Stop() {
-	if a.proxy != nil {
-		a.proxy.Stop()
-	}
-	a.MService.Stop()
-}
+// Stop kills the node, with the co-located proxy as one failure unit (see
+// proxy.Host.Stop).
+func (a *App) Stop() { a.host.Stop() }
 
-// DataCenters bundles a multi-data-center deployment: apps on every host
-// plus membership proxies per data center sharing one VIP table.
+// DataCenters bundles a multi-data-center deployment (proxy.Deploy): apps
+// on every host plus membership proxies per data center sharing one VIP
+// table.
 type DataCenters struct {
 	*Sim
 	Apps []*App
-	vip  *proxy.VIPTable
+	dep  *proxy.Deployment
 }
 
 // NewDataCenters builds apps over a MultiDC topology and co-locates
-// proxiesPerDC membership proxies with apps of each data center, placed as
-// proxy.Place does (never on a DC's lowest host, its root leader).
-// Invocations that cannot be served locally are forwarded through the
-// proxies automatically.
+// proxiesPerDC membership proxies with apps of each data center, never on a
+// DC's lowest host, its root leader. Invocations that cannot be served
+// locally are forwarded through the proxies automatically.
 func NewDataCenters(top *Topology, proxiesPerDC int, seed int64) *DataCenters {
 	s := NewSim(top, seed)
-	d := &DataCenters{Sim: s, vip: proxy.NewVIPTable()}
-	for h := 0; h < top.NumHosts(); h++ {
-		hid := HostID(h)
-		ms, err := NewMService(s, hid, "")
+	ms := make([]*MService, top.NumHosts())
+	nodes := make([]*core.Node, len(ms))
+	for h := range ms {
+		m, err := NewMService(s, HostID(h), "")
 		if err != nil {
 			panic(err)
 		}
-		scfg := service.DefaultConfig()
-		dc := top.HostDC(hid)
-		scfg.ProxyAddr = func() (topology.HostID, bool) { return d.vip.Get(dc) }
-		a := &App{MService: ms}
-		a.rt = service.NewRuntime(scfg, s.eng, s.net.Endpoint(hid), ms.node)
-		d.Apps = append(d.Apps, a)
+		ms[h], nodes[h] = m, m.node
 	}
-	for _, pl := range proxy.Place(top, proxiesPerDC) {
-		a := d.Apps[pl.Host]
-		a.proxy = proxy.New(pl.Config, s.eng, s.net.Endpoint(pl.Host), a.rt, d.vip)
+	d := &DataCenters{Sim: s, dep: proxy.Deploy(s.eng, s.net, nodes, proxiesPerDC, service.DefaultConfig())}
+	for h, host := range d.dep.Hosts {
+		d.Apps = append(d.Apps, &App{MService: ms[h], host: host})
 	}
 	return d
 }
 
 // StartAll runs every membership daemon, then every proxy.
-func (d *DataCenters) StartAll() {
-	for _, a := range d.Apps {
-		a.MService.Run()
-	}
-	for _, a := range d.Apps {
-		if a.proxy != nil {
-			a.proxy.Start()
-		}
-	}
-}
+func (d *DataCenters) StartAll() { d.dep.StartAll(d.eng) }
 
 // App returns host h's application node.
 func (d *DataCenters) App(h HostID) *App { return d.Apps[h] }
 
 // VIP returns the current proxy address of a data center, if elected.
-func (d *DataCenters) VIP(dc int) (HostID, bool) { return d.vip.Get(dc) }
+func (d *DataCenters) VIP(dc int) (HostID, bool) { return d.dep.VIP.Get(dc) }
 
 // Converged reports whether every running daemon within each data center
 // sees all running daemons of its own data center (cross-DC membership is

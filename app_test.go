@@ -43,7 +43,7 @@ func TestAppLoadBalancing(t *testing.T) {
 	s := NewSim(FlatLAN(4), 7)
 	apps := make([]*App, 4)
 	for h := 0; h < 4; h++ {
-		apps[h] = NewAppConfig(s, HostID(h), AppConfig{PollSize: 2})
+		apps[h] = NewApp(s, HostID(h))
 	}
 	served := map[int]int{}
 	for _, h := range []int{1, 2, 3} {

@@ -20,7 +20,7 @@ import (
 
 func run(name string, push bool) {
 	s := tamp.NewSim(tamp.FlatLAN(5), 11)
-	cfg := tamp.AppConfig{PollSize: 2, EnableLoadPush: push}
+	cfg := tamp.AppConfig{EnableLoadPush: push}
 	apps := make([]*tamp.App, 5)
 	for h := 0; h < 5; h++ {
 		apps[h] = tamp.NewAppConfig(s, tamp.HostID(h), cfg)

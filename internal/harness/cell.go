@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
+	"repro/internal/proxy"
 	"repro/internal/service"
 	"repro/internal/topology"
 )
@@ -24,7 +25,7 @@ type Cell struct {
 	// the scenario's end plus ChaosSettle.
 	Audit invariant.Options
 
-	fed *FederatedCluster // nil unless the scheme is federated
+	dep *proxy.Deployment // nil unless the scheme is federated
 }
 
 // NewCell builds the cluster scheme runs sc on; a nil sc means no faults.
@@ -41,11 +42,9 @@ func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64
 	cell := &Cell{}
 	switch {
 	case d.federated:
-		fo := DefaultFederatedOptions(groups, perGroup)
-		fo.DCs = sc.NumDCs()
-		fo.ProxiesPerDC = sc.NumProxies()
-		cell.fed = NewFederatedCluster(fo, seed)
-		cell.Cluster = cell.fed.Cluster
+		cell.Cluster = NewCluster(Hierarchical, topology.MultiDC(sc.NumDCs(), groups, perGroup), seed)
+		cell.Scheme = scheme
+		cell.deployProxies(sc.NumProxies())
 	case sc.MultiDC:
 		cell.Cluster = NewCluster(scheme, topology.MultiDC(sc.NumDCs(), groups, perGroup), seed)
 	case groups <= 1:
@@ -54,8 +53,10 @@ func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64
 		cell.Cluster = NewCluster(scheme, topology.Clustered(groups, perGroup), seed)
 	}
 	cell.Env = chaos.NewEnv(cell.Eng, cell.Net, cell.Top, cell.Nodes)
-	if cell.fed != nil {
-		cell.Env.Proxies = cell.fed.ProxyHandles()
+	if cell.dep != nil {
+		for _, p := range cell.dep.Proxies {
+			cell.Env.Proxies = append(cell.Env.Proxies, p)
+		}
 	}
 	n := cell.Top.NumHosts()
 	cell.Audit = invariant.Options{
@@ -76,24 +77,81 @@ func NewCell(scheme Scheme, sc *chaos.Scenario, groups, perGroup int, seed int64
 	return cell
 }
 
-// Runtimes returns one service runtime per host: the federation's own, or
+// deployProxies lays the §5 stack (proxy.Deploy) over the cell's
+// hierarchical nodes, perDC proxies per data center, and makes each
+// deployment host the cell's instance, so a kill takes a host's proxy down
+// with its node. Every host registers its data center's app service, so
+// proxy summaries carry real content the truth oracle can be checked
+// against.
+func (c *Cell) deployProxies(perDC int) {
+	c.dep = deploy(c.Cluster, perDC, service.DefaultConfig())
+	for h, host := range c.dep.Hosts {
+		if err := host.RT.Register(svcName(c.Top.HostDC(topology.HostID(h))), "0", time.Millisecond,
+			func(p int32, b []byte) ([]byte, error) { return b, nil }); err != nil {
+			panic(err)
+		}
+		c.Nodes[h] = host
+	}
+}
+
+// deploy lays proxy.Deploy over a Hierarchical cluster's nodes.
+func deploy(c *Cluster, perDC int, scfg service.Config) *proxy.Deployment {
+	nodes := make([]*core.Node, len(c.Nodes))
+	for h, n := range c.Nodes {
+		nodes[h] = n.(*core.Node)
+	}
+	return proxy.Deploy(c.Eng, c.Net, nodes, perDC, scfg)
+}
+
+// svcName is the app service every host of data center dc registers.
+func svcName(dc int) string { return fmt.Sprintf("app%d", dc) }
+
+// Runtimes returns one service runtime per host: the deployment's own, or
 // a fresh one layered over every plain node. Call it before StartAll.
 func (c *Cell) Runtimes() []*service.Runtime {
-	if c.fed != nil {
-		return c.fed.Runtimes()
+	if c.dep == nil {
+		return attachRuntimes(c.Cluster)
 	}
-	return attachRuntimes(c.Cluster)
+	rts := make([]*service.Runtime, len(c.dep.Hosts))
+	for h, host := range c.dep.Hosts {
+		rts[h] = host.RT
+	}
+	return rts
 }
 
 // StartAuditor arms the invariant auditor under c.Audit, with the
 // federation surface attached when there is one.
 func (c *Cell) StartAuditor() *invariant.Auditor {
 	aud := invariant.New(c.Eng, c.Top, auditNodes(c.Nodes), c.Audit)
-	if c.fed != nil {
-		aud.AttachFederation(c.fed.Federation())
+	if c.dep != nil {
+		aud.AttachFederation(c.federation())
 	}
 	aud.Start()
 	return aud
+}
+
+// federation is the invariant auditor's cross-DC surface: every proxy, the
+// VIP table, the protocol's own staleness bound, and a ground-truth oracle
+// counting the running hosts of each data center's app service.
+func (c *Cell) federation() *invariant.Federation {
+	proxies := make([]invariant.ProxyNode, len(c.dep.Proxies))
+	for i, p := range c.dep.Proxies {
+		proxies[i] = p
+	}
+	return &invariant.Federation{
+		Proxies:      proxies,
+		VIP:          c.dep.VIP,
+		SummaryStale: proxy.SummaryStale,
+		Truth: func(dc int) map[string]int {
+			count := 0
+			for _, h := range c.Top.HostsInDC(dc) {
+				if c.Nodes[h].Running() {
+					count++
+				}
+			}
+			return map[string]int{svcName(dc): count}
+		},
+	}
 }
 
 func auditNodes(in []Instance) []invariant.Node {

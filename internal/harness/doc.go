@@ -23,9 +23,9 @@
 // size, MaxLoss, gossip fanout), accuracy.go (view completeness/accuracy
 // under churn), and breakdown.go (bandwidth by packet type, detection-time
 // distribution). Beyond the paper's figures: chaos.go runs the scenario x
-// scheme invariant matrix, multidc.go builds the federated
-// (hierarchical+proxy) cluster (its federate step also wires fig14.go's
-// two data centers), scale.go runs the N=1000/N=4000 churn
+// scheme invariant matrix (cell.go deploys the federated
+// hierarchical+proxy row through proxy.Deploy, as fig14.go deploys its two
+// data centers), scale.go runs the N=1000/N=4000 churn
 // audits, and traffic.go runs the user-level session-traffic matrix
 // (docs/TRAFFIC.md).
 //

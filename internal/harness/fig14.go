@@ -28,7 +28,7 @@ const (
 // figure14Cluster is the two-data-center search deployment.
 type figure14Cluster struct {
 	*Cluster
-	proxies []*proxy.Proxy
+	dep     *proxy.Deployment
 	gateway *service.Gateway
 	docA    []Instance // DC A's doc servers (the failing service)
 }
@@ -45,18 +45,14 @@ func buildFigure14(seed int64) *figure14Cluster {
 		func(cfg any) { cfg.(*core.Config).HeartbeatPad = 0 })}
 	scfg := service.DefaultConfig()
 	scfg.RequestTimeout = 500 * time.Millisecond
-	_, runtimes, pxs := federate(f.Cluster, 2, scfg)
-	for _, p := range pxs {
-		if p != nil {
-			f.proxies = append(f.proxies, p)
-		}
-	}
+	f.dep = deploy(f.Cluster, 2, scfg)
+	rt := func(h int) *service.Runtime { return f.dep.Hosts[h].RT }
 
 	registerSearch := func(base int) {
-		runtimes[base+3].Register(service.IndexService, "0", fig14ServiceTime, service.IndexHandler(3))
-		runtimes[base+4].Register(service.IndexService, "1", fig14ServiceTime, service.IndexHandler(3))
+		rt(base+3).Register(service.IndexService, "0", fig14ServiceTime, service.IndexHandler(3))
+		rt(base+4).Register(service.IndexService, "1", fig14ServiceTime, service.IndexHandler(3))
 		for i := 0; i < 3; i++ {
-			runtimes[base+5+i].Register(service.DocService, fmt.Sprintf("%d", i), fig14ServiceTime, service.DocHandler())
+			rt(base+5+i).Register(service.DocService, fmt.Sprintf("%d", i), fig14ServiceTime, service.DocHandler())
 		}
 	}
 	registerSearch(0) // DC A: index at 3-4, docs at 5-7
@@ -67,7 +63,7 @@ func buildFigure14(seed int64) *figure14Cluster {
 	// the membership service removes them and the proxy path takes over,
 	// so they complete late instead of failing (the paper's throughput
 	// only dips during detection).
-	f.gateway = service.NewGateway(runtimes[0], 2, 14)
+	f.gateway = service.NewGateway(rt(0), 2, 14)
 	return f
 }
 
@@ -76,10 +72,7 @@ func buildFigure14(seed int64) *figure14Cluster {
 // one-second bucket.
 func Figure14(seed int64) *metrics.Figure {
 	f := buildFigure14(seed)
-	f.StartAll()
-	for _, p := range f.proxies {
-		p.Start()
-	}
+	f.dep.StartAll(f.Eng)
 	// Let membership and proxy summaries converge before time zero.
 	f.Run(30 * time.Second)
 

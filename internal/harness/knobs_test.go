@@ -12,7 +12,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/metrics"
 	"repro/internal/parsim"
-	"repro/internal/proxy"
 	"repro/internal/rapid"
 	"repro/internal/service"
 	"repro/internal/traffic"
@@ -20,10 +19,10 @@ import (
 
 // optionStructs is every struct in the tree whose fields are options.
 var optionStructs = []any{
-	rapid.Config{}, alltoall.Config{}, gossip.Config{}, proxy.Config{}, service.Config{},
+	rapid.Config{}, alltoall.Config{}, gossip.Config{}, service.Config{},
 	traffic.Options{}, core.Config{}, invariant.Options{}, parsim.Config{}, metrics.DiffOptions{},
 	tamp.AppConfig{},
-	Options{}, AccuracyOptions{}, ChaosOptions{}, TrafficOptions{}, ScaleOptions{}, FederatedOptions{},
+	Options{}, AccuracyOptions{}, ChaosOptions{}, TrafficOptions{}, ScaleOptions{},
 }
 
 // knobs is the census: every exported field of every option struct, with who
@@ -46,14 +45,8 @@ var knobs = map[string]string{
 	"gossip.Config.Seeds":        "deployment address",
 	"gossip.Config.EntryPad":     "harness/scheme.go: 228-byte target; harness/ablations.go: abl-fanout unpadded",
 
-	"proxy.Config.DC":           "deployment address (DC id)",
-	"proxy.Config.RemoteDCs":    "deployment address (DC ids)",
-	"proxy.Config.ProxyChannel": "deployment address",
-	"proxy.Config.ProxyTTL":     "proxy.Place: topology diameter",
-
-	"service.Config.PollSize":       "app.go: AppConfig.PollSize",
 	"service.Config.RequestTimeout": "harness/fig14.go: 500 ms; every other caller: 2 s",
-	"service.Config.ProxyAddr":      "deployment address",
+	"service.Config.ProxyAddr":      "proxy.Deploy: each host's own DC through the VIP table",
 	"service.Config.EnableLoadPush": "app.go: AppConfig.EnableLoadPush",
 
 	"traffic.Options.Sessions":   "harness/traffic.go: 1000; bench/perf/sim.go: a million",
@@ -97,8 +90,6 @@ var knobs = map[string]string{
 
 	"metrics.DiffOptions.WallFactor": "cmd/tampbench: -diff-wall",
 
-	"tamp.AppConfig.PollSize":       "examples/loadbalance; NewApp: default",
-	"tamp.AppConfig.RequestTimeout": "fence: public API; single value, no caller sets it",
 	"tamp.AppConfig.EnableLoadPush": "examples/loadbalance: on and off",
 
 	"harness.Options.Seed":     "cmd/tampbench: -seed",
@@ -123,11 +114,6 @@ var knobs = map[string]string{
 	"harness.ScaleOptions.Groups": "harness/scale.go: scale (50) and scale4k (200)",
 	"harness.ScaleOptions.LPs":    "cmd/tampbench: -lps; harness/figure.go: the parsim row's 1, 2, 4",
 	"harness.ScaleOptions.Sweep":  "harness/figure.go: -workers",
-
-	"harness.FederatedOptions.DCs":          "harness/cell.go: the scenario's data-center count",
-	"harness.FederatedOptions.Groups":       "harness/cell.go: the matrix shape",
-	"harness.FederatedOptions.PerGroup":     "harness/cell.go: the matrix shape",
-	"harness.FederatedOptions.ProxiesPerDC": "harness/cell.go: the scenario's proxy-group size",
 }
 
 // TestKnobCensus holds the option structs to the census, as an exact set.
@@ -158,8 +144,8 @@ func TestKnobCensus(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	// The census went 157 -> 104 -> 87 -> 77; the table only shrinks.
-	if len(knobs) > 77 {
-		t.Errorf("the knobs table has %d rows, more than the 77 it was cut to: %s", len(knobs), rule)
+	// The census went 157 -> 104 -> 87 -> 77 -> 66; the table only shrinks.
+	if len(knobs) > 66 {
+		t.Errorf("the knobs table has %d rows, more than the 66 it was cut to: %s", len(knobs), rule)
 	}
 }

@@ -58,8 +58,9 @@ type descriptor struct {
 	// settle and purge are ChaosSettle and ChaosPurgeBound before their
 	// fixed margins.
 	settle, purge func(n int) time.Duration
-	// federated: deployed across data centers behind membership proxies,
-	// built by NewFederatedCluster only, audited per DC.
+	// federated: deployed across data centers behind membership proxies
+	// (proxy.Deploy over a Hierarchical cluster), built by NewCell only,
+	// audited per DC.
 	federated bool
 	// reformAudit arms the reform-converge audit on the scheme's cells.
 	reformAudit bool
@@ -114,7 +115,7 @@ var schemes = [...]descriptor{
 		purge: detectConverge(analysis.GossipFixedFrequency),
 	},
 	Hierarchical: hierarchical,
-	// The in-DC protocol is plain hierarchical (NewFederatedCluster wraps a
+	// The in-DC protocol is plain hierarchical (NewCell deploys over a
 	// Hierarchical cluster's nodes) and purges like it: the proxy layer
 	// holds no per-node membership of its own. On top of the in-DC settle
 	// time, a remote summary may have expired during the fault and is only
@@ -222,7 +223,7 @@ func NewCluster(scheme Scheme, top *topology.Topology, seed int64) *Cluster {
 func newCluster(scheme Scheme, top *topology.Topology, seed int64, tune func(cfg any)) *Cluster {
 	d := schemes[scheme]
 	if d.federated {
-		panic(fmt.Sprintf("harness: %v is federated; build it with NewFederatedCluster", scheme))
+		panic(fmt.Sprintf("harness: %v is federated; build it with NewCell", scheme))
 	}
 	eng := sim.NewEngine(seed)
 	c := &Cluster{Scheme: scheme, Eng: eng, Net: netsim.New(eng, top), Top: top, tune: tune}

@@ -91,8 +91,8 @@ func TestSchemeTable(t *testing.T) {
 
 func TestNewClusterRejectsFederatedScheme(t *testing.T) {
 	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "NewFederatedCluster") {
-			t.Fatalf("NewCluster(HierarchicalProxy) panic = %q, want a pointer to NewFederatedCluster", msg)
+		if msg, _ := recover().(string); !strings.Contains(msg, "NewCell") {
+			t.Fatalf("NewCluster(HierarchicalProxy) panic = %q, want a pointer to NewCell", msg)
 		}
 	}()
 	NewCluster(HierarchicalProxy, topology.Clustered(2, 3), 1)
@@ -229,11 +229,7 @@ func TestEverySchemePublishesAlike(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCell(scheme, nil, 2, 3, 1)
-		var node any = c.Nodes[1]
-		if fed, ok := node.(*fedInstance); ok {
-			node = fed.node // whose runtime has declared the DC's echo service
-		}
-		p, ok := node.(publisher)
+		p, ok := c.Nodes[1].(publisher)
 		if !ok {
 			t.Errorf("%s: node lacks the publishing API", name)
 			continue

@@ -78,10 +78,9 @@ func TestTrafficStaleDirectoryCostsUsers(t *testing.T) {
 // membership proxy's cross-DC relay (§5, Figure 6), and must return to a
 // local replica after restart.
 func TestTrafficCrossDCRelay(t *testing.T) {
-	fo := DefaultFederatedOptions(1, 4) // 1 group of 4 per DC: small blast radius
-	fed := NewFederatedCluster(fo, 42)
-	c := fed.Cluster
-	rts := fed.Runtimes()
+	cell := NewCell(HierarchicalProxy, nil, 1, 4, 42) // 1 group of 4 per DC: small blast radius
+	c := cell.Cluster
+	rts := cell.Runtimes()
 	// One partition, hosted by the last host of each DC — killing DC0's
 	// host 3 leaves DC0 without any local replica.
 	dc0Replica, dc1Replica := 3, 7

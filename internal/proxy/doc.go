@@ -20,9 +20,14 @@
 //     sites.
 //   - VIPTable: the static data-center → virtual-IP map standing in for
 //     DNS/anycast in the simulation.
-//   - Config: the site's DC id, the remote-site list, and the proxy
-//     group's channel and TTL. The beat interval, the full-summary cadence
-//     and the staleness timeout that declares a remote site unreachable
-//     (SummaryStale) are constants; SummaryRefresh is the closed-form bound
-//     the harness audits against.
+//   - Deploy / Deployment / Host: the one §5 deployment. Deploy gives every
+//     host a service runtime that resolves its own data center's VIP, and
+//     runs perDC proxies on each data center's hosts 1..perDC (never the
+//     root leader); a proxy reads its DC, the remote DCs and its group TTL
+//     (the topology's diameter) from the topology. A Host embeds its
+//     *core.Node and starts and stops node and proxy as one failure unit.
+//     The group channel, the beat interval, the full-summary cadence and
+//     the staleness timeout that declares a remote site unreachable
+//     (SummaryStale) are constants; SummaryRefresh is the closed-form
+//     bound the harness audits against.
 package proxy

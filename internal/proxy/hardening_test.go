@@ -16,15 +16,15 @@ import (
 // periodic full summary repairs the view.
 func TestChunkLossRecoveredByNextSummary(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 1)
-	for _, p := range f.proxies {
+	for _, p := range f.Proxies {
 		p.chunkSize = 2
 	}
 	for i := 0; i < 6; i++ {
-		f.runtimes[8].Register(fmt.Sprintf("Svc%d", i), "0", time.Millisecond,
+		f.Hosts[8].RT.Register(fmt.Sprintf("Svc%d", i), "0", time.Millisecond,
 			func(p int32, b []byte) ([]byte, error) { return nil, nil })
 	}
 	// Drop exactly one ProxySummary chunk arriving at the DC0 proxy.
-	dc0proxy := f.top.HostsInDC(0)[0]
+	dc0proxy := f.Proxies[0].Host()
 	dropped := 0
 	f.net.Endpoint(dc0proxy).SetFilter(func(pkt netsim.Packet) bool {
 		if dropped > 0 {
@@ -107,7 +107,7 @@ func TestRepeatedSummaryChunkDoesNotTearTheSummary(t *testing.T) {
 // expects the remote view and cross-DC invocation to come back.
 func TestWANFlap(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 2)
-	f.runtimes[9].Register("Retriever", "0", time.Millisecond,
+	f.Hosts[9].RT.Register("Retriever", "0", time.Millisecond,
 		func(p int32, b []byte) ([]byte, error) { return []byte("ok"), nil })
 	f.startAll()
 	f.run(25 * time.Second)
@@ -127,7 +127,7 @@ func TestWANFlap(t *testing.T) {
 		}
 	}
 	var gotErr error
-	f.runtimes[3].Invoke("Retriever", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.Hosts[3].RT.Invoke("Retriever", 0, nil, func(b []byte, err error) { gotErr = err })
 	f.run(2 * time.Second)
 	if gotErr != nil {
 		t.Fatalf("post-flap invocation failed: %v", gotErr)
@@ -177,8 +177,8 @@ func TestProxyStopReleasesRelayDuties(t *testing.T) {
 	f.startAll()
 	f.run(15 * time.Second)
 	var target *Proxy
-	for _, p := range f.proxies {
-		if p.cfg.DC == 0 {
+	for _, p := range f.Proxies {
+		if p.dc == 0 {
 			target = p
 			break
 		}
@@ -205,8 +205,8 @@ func TestReplayedLeaderBeatDoesNotDelayTakeover(t *testing.T) {
 	f.run(25 * time.Second)
 	old := f.leaderOf(0)
 	var backup *Proxy
-	for _, p := range f.proxies {
-		if p.cfg.DC == 0 && p != old {
+	for _, p := range f.Proxies {
+		if p.dc == 0 && p != old {
 			backup = p
 		}
 	}
@@ -220,18 +220,18 @@ func TestReplayedLeaderBeatDoesNotDelayTakeover(t *testing.T) {
 		Backup: membership.NoNode,
 		Seq:    uint64(old.tick - 1),
 	}
-	f.nodes[old.Host()].Stop()
+	f.Hosts[old.Host()].Node.Stop()
 	old.Stop()
 
 	f.run(4 * time.Second) // inside the 5 s death horizon
 	before := f.net.Endpoint(backup.Host()).Stats().Rejected
-	backup.handle(netsim.Packet{Src: old.Host(), Dst: topology.NoHost, Channel: backup.cfg.ProxyChannel, TTL: 1, Payload: wire.Encode(lastBeat)}, lastBeat)
+	backup.handle(netsim.Packet{Src: old.Host(), Dst: topology.NoHost, Channel: proxyChannel, TTL: 1, Payload: wire.Encode(lastBeat)}, lastBeat)
 	if got := f.net.Endpoint(backup.Host()).Stats().Rejected - before; got != 1 {
 		t.Errorf("the replayed beat drew %d rejects, want 1", got)
 	}
 
 	f.run(3 * time.Second) // 7 s after the stop: one horizon plus two beats
-	if addr, _ := f.vip.Get(0); !backup.IsLeader() || addr != backup.Host() {
+	if addr, _ := f.VIP.Get(0); !backup.IsLeader() || addr != backup.Host() {
 		t.Fatalf("7 s after the leader stopped the backup leads = %v and the VIP is at %v, want %v", backup.IsLeader(), addr, backup.Host())
 	}
 }

@@ -1,9 +1,11 @@
 package proxy
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/membership"
 	"repro/internal/netsim"
 	"repro/internal/service"
@@ -35,16 +37,87 @@ func (v *VIPTable) Get(dc int) (topology.HostID, bool) {
 	return h, ok
 }
 
-// Config parametrizes a proxy.
-type Config struct {
-	// DC is the data center this proxy serves.
-	DC int
-	// RemoteDCs lists the other data centers to exchange summaries with.
-	RemoteDCs []int
-	// ProxyChannel is the reserved multicast channel for the proxy group.
-	ProxyChannel netsim.ChannelID
-	// ProxyTTL must cover the local data center.
-	ProxyTTL int
+// Deployment is the §3.2/§5 deployment of a multi-data-center cluster:
+// hierarchical membership in every data center, and in each a proxy group
+// whose leader holds the data center's external virtual IP.
+type Deployment struct {
+	VIP *VIPTable
+	// Hosts is indexed by host ID; Proxies lists the proxy daemons data
+	// center by data center, in host order.
+	Hosts   []*Host
+	Proxies []*Proxy
+}
+
+// Host is one host of a deployment: its membership node, the service
+// runtime over it, and on proxy hosts the co-located proxy daemon. Every
+// core.Node method is promoted; Start and Stop treat node and proxy as one
+// failure unit, so killing a proxy host takes the proxy down with it and a
+// restart revives both.
+type Host struct {
+	*core.Node
+	RT    *service.Runtime
+	Proxy *Proxy // nil on plain hosts
+}
+
+// Start starts the node, then the proxy.
+func (h *Host) Start(eng *sim.Engine) {
+	h.Node.Start(eng)
+	if h.Proxy != nil {
+		h.Proxy.Start()
+	}
+}
+
+// Stop stops the proxy first: the node's Stop takes the endpoint down, and
+// the proxy must release the relay handler and channel while it still can,
+// so it never keeps claiming the virtual IP for a dead host.
+func (h *Host) Stop() {
+	if h.Proxy != nil {
+		h.Proxy.Stop()
+	}
+	h.Node.Stop()
+}
+
+// Deploy lays the deployment over nodes, one per host of net's topology.
+// Every host gets a service runtime (scfg, with ProxyAddr resolving the
+// host's own data center through the shared VIP table), and each data
+// center runs perDC proxies on its hosts 1..perDC: host 0, the DC's lowest
+// ID and so its hierarchical root leader, stays a plain member, so a proxy
+// kill never takes the tree's root with it.
+func Deploy(eng *sim.Engine, net *netsim.Network, nodes []*core.Node, perDC int, scfg service.Config) *Deployment {
+	top := net.Topology()
+	if perDC < 1 {
+		panic(fmt.Sprintf("proxy: Deploy needs perDC >= 1 proxies per data center, got %d", perDC))
+	}
+	for dc := 0; dc < top.NumDataCenters(); dc++ {
+		if n := len(top.HostsInDC(dc)); n < perDC+1 {
+			panic(fmt.Sprintf("proxy: data center %d has %d hosts, fewer than perDC+1 = %d (the root leader plus %d proxies)", dc, n, perDC+1, perDC))
+		}
+	}
+	d := &Deployment{VIP: NewVIPTable(), Hosts: make([]*Host, len(nodes))}
+	for h, node := range nodes {
+		hid := topology.HostID(h)
+		dc := top.HostDC(hid)
+		scfg.ProxyAddr = func() (topology.HostID, bool) { return d.VIP.Get(dc) }
+		d.Hosts[h] = &Host{Node: node, RT: service.NewRuntime(scfg, eng, net.Endpoint(hid), node)}
+	}
+	for dc := 0; dc < top.NumDataCenters(); dc++ {
+		for _, h := range top.HostsInDC(dc)[1 : perDC+1] {
+			p := newProxy(top, eng, net.Endpoint(h), d.Hosts[h].RT, d.VIP)
+			d.Hosts[h].Proxy = p
+			d.Proxies = append(d.Proxies, p)
+		}
+	}
+	return d
+}
+
+// StartAll starts every node, then every proxy.
+func (d *Deployment) StartAll(eng *sim.Engine) {
+	for _, h := range d.Hosts {
+		h.Node.Start(eng)
+	}
+	for _, p := range d.Proxies {
+		p.Start()
+	}
 }
 
 // The proxy group's timing is fixed, not configured (§6.2: 1 Hz, MAX_LOSS 5).
@@ -68,45 +141,10 @@ const (
 	// the size of the membership summary is too big, the summary is broken
 	// into multiple heartbeat packets").
 	maxEntriesPerChunk = 64
+	// proxyChannel is the reserved multicast channel of every data center's
+	// proxy group.
+	proxyChannel netsim.ChannelID = 1000
 )
-
-// DefaultConfig returns the experiment defaults.
-func DefaultConfig(dc int, remotes []int) Config {
-	return Config{DC: dc, RemoteDCs: remotes, ProxyChannel: 1000, ProxyTTL: 8}
-}
-
-// Placement is one membership proxy of a multi-data-center deployment: the
-// host it runs on beside that host's membership node, and its configuration.
-type Placement struct {
-	Host   topology.HostID
-	Config Config
-}
-
-// Place lays out a deployment's proxies over top, perDC per data center (as
-// many as fit), in host order. They run on hosts 1..perDC of each data
-// center: host 0, the DC's lowest ID and so its hierarchical root leader,
-// stays a plain member, so a proxy kill never takes the tree's root with
-// it. Each proxy serves its own DC, exchanges summaries with every other
-// DC, and reaches its whole DC (ProxyTTL is the topology's diameter).
-func Place(top *topology.Topology, perDC int) []Placement {
-	dcs, ttl := top.NumDataCenters(), max(top.Diameter(), 1)
-	var out []Placement
-	for dc := 0; dc < dcs; dc++ {
-		var remotes []int
-		for other := 0; other < dcs; other++ {
-			if other != dc {
-				remotes = append(remotes, other)
-			}
-		}
-		cfg := DefaultConfig(dc, remotes)
-		cfg.ProxyTTL = ttl
-		hosts := top.HostsInDC(dc)
-		for _, h := range hosts[1:min(perDC+1, len(hosts))] {
-			out = append(out, Placement{Host: h, Config: cfg})
-		}
-	}
-	return out
-}
 
 // remoteDC is the tracked state of one remote data center.
 type remoteDC struct {
@@ -147,7 +185,13 @@ type forwarded struct {
 // runtime (whose membership node makes the proxy a full member of the
 // local cluster, collecting the local membership view).
 type Proxy struct {
-	cfg Config
+	// dc is the data center this proxy serves, remoteDCs the others it
+	// exchanges summaries with, and ttl the group multicast's scope: the
+	// topology's diameter, which covers the local data center.
+	dc        int
+	remoteDCs []int
+	ttl       int
+
 	eng *sim.Engine
 	ep  netsim.Transport
 	rt  *service.Runtime
@@ -188,11 +232,13 @@ func (p *Proxy) frame(hint *int, m wire.Message) []byte {
 	return b
 }
 
-// New creates a proxy over a service runtime. Call Start after the
-// runtime's membership node is started.
-func New(cfg Config, eng *sim.Engine, ep netsim.Transport, rt *service.Runtime, vip *VIPTable) *Proxy {
+// newProxy creates the proxy on ep's host over that host's service runtime,
+// reading its data center, remote data centers and group TTL from top. Call
+// Start after the runtime's membership node is started.
+func newProxy(top *topology.Topology, eng *sim.Engine, ep netsim.Transport, rt *service.Runtime, vip *VIPTable) *Proxy {
 	p := &Proxy{
-		cfg:       cfg,
+		dc:        top.HostDC(ep.ID()),
+		ttl:       max(top.Diameter(), 1),
 		eng:       eng,
 		ep:        ep,
 		rt:        rt,
@@ -202,8 +248,11 @@ func New(cfg Config, eng *sim.Engine, ep netsim.Transport, rt *service.Runtime, 
 		fwd:       make(map[uint64]*forwarded),
 		chunkSize: maxEntriesPerChunk,
 	}
-	for _, dc := range cfg.RemoteDCs {
-		p.remote[dc] = &remoteDC{entries: make(map[string]wire.SummaryEntry)}
+	for dc := 0; dc < top.NumDataCenters(); dc++ {
+		if dc != p.dc {
+			p.remoteDCs = append(p.remoteDCs, dc)
+			p.remote[dc] = &remoteDC{entries: make(map[string]wire.SummaryEntry)}
+		}
 	}
 	return p
 }
@@ -215,15 +264,15 @@ func (p *Proxy) ID() membership.NodeID { return p.rt.Node().ID() }
 func (p *Proxy) Host() topology.HostID { return p.ep.ID() }
 
 // DC returns the data center this proxy serves.
-func (p *Proxy) DC() int { return p.cfg.DC }
+func (p *Proxy) DC() int { return p.dc }
 
 // Running reports whether the proxy daemon is started.
 func (p *Proxy) Running() bool { return p.running }
 
 // RemoteDCs returns the data centers this proxy exchanges summaries with.
 func (p *Proxy) RemoteDCs() []int {
-	out := make([]int, len(p.cfg.RemoteDCs))
-	copy(out, p.cfg.RemoteDCs)
+	out := make([]int, len(p.remoteDCs))
+	copy(out, p.remoteDCs)
 	return out
 }
 
@@ -275,7 +324,7 @@ func (p *Proxy) Start() {
 	p.running = true
 	p.startedAt = p.eng.Now()
 	p.rt.SetRelayHandler(p.handle)
-	p.ep.Join(p.cfg.ProxyChannel)
+	p.ep.Join(proxyChannel)
 	jitter := time.Duration(p.eng.Rand().Int63n(int64(heartbeatInterval / 4)))
 	p.hbTicker = sim.NewTicker(p.eng, jitter, heartbeatInterval, p.beat)
 }
@@ -288,7 +337,7 @@ func (p *Proxy) Stop() {
 	}
 	p.running = false
 	p.hbTicker.Stop()
-	p.ep.Leave(p.cfg.ProxyChannel)
+	p.ep.Leave(proxyChannel)
 	p.rt.SetRelayHandler(nil)
 	if p.isLeader {
 		p.isLeader = false
@@ -332,8 +381,8 @@ func (p *Proxy) beat() {
 	// deployment): if a transient co-leader grabbed it and then abdicated,
 	// the address would otherwise stay stuck on a non-leader.
 	if p.isLeader {
-		if h, ok := p.vip.Get(p.cfg.DC); !ok || h != p.ep.ID() {
-			p.vip.Set(p.cfg.DC, p.ep.ID())
+		if h, ok := p.vip.Get(p.dc); !ok || h != p.ep.ID() {
+			p.vip.Set(p.dc, p.ep.ID())
 		}
 	}
 
@@ -346,7 +395,7 @@ func (p *Proxy) beat() {
 		Backup: membership.NoNode,
 		Seq:    uint64(p.tick),
 	}
-	p.ep.Multicast(p.cfg.ProxyChannel, p.cfg.ProxyTTL, p.frame(&p.hbHint, &p.hb))
+	p.ep.Multicast(proxyChannel, p.ttl, p.frame(&p.hbHint, &p.hb))
 	p.tick++
 
 	if p.isLeader {
@@ -370,9 +419,9 @@ func (p *Proxy) leaderDuties(now time.Duration) {
 	p.summary = fresh
 	if len(upserts) > 0 || len(removes) > 0 {
 		p.summarySeq++
-		msg := &wire.ProxyUpdate{DC: uint16(p.cfg.DC), Seq: p.summarySeq, Upserts: upserts, Removes: removes}
+		msg := &wire.ProxyUpdate{DC: uint16(p.dc), Seq: p.summarySeq, Upserts: upserts, Removes: removes}
 		payload := p.frame(&p.updateHint, msg)
-		for _, dc := range p.cfg.RemoteDCs {
+		for _, dc := range p.remoteDCs {
 			if addr, ok := p.vip.Get(dc); ok {
 				p.ep.Unicast(addr, payload)
 			}
@@ -408,14 +457,14 @@ func (p *Proxy) sendFullSummary() {
 			hi = len(entries)
 		}
 		msg := &wire.ProxySummary{
-			DC:      uint16(p.cfg.DC),
+			DC:      uint16(p.dc),
 			Seq:     p.summarySeq,
 			Chunk:   uint16(c),
 			NChunks: uint16(nChunks),
 			Entries: entries[lo:hi],
 		}
 		payload := p.frame(&p.summaryHint, msg)
-		for _, dc := range p.cfg.RemoteDCs {
+		for _, dc := range p.remoteDCs {
 			if addr, ok := p.vip.Get(dc); ok {
 				p.ep.Unicast(addr, payload)
 			}

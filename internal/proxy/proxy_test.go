@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,76 +14,77 @@ import (
 	"repro/internal/topology"
 )
 
-// dcFixture is a multi-data-center cluster: every host runs membership and
-// a service runtime; designated hosts additionally run proxies.
+// dcFixture is a multi-data-center cluster deployed as production deploys
+// it: every host runs membership and a service runtime; hosts 1..k of each
+// data center additionally run proxies.
 type dcFixture struct {
-	eng      *sim.Engine
-	net      *netsim.Network
-	top      *topology.Topology
-	nodes    []*core.Node
-	runtimes []*service.Runtime
-	proxies  map[topology.HostID]*Proxy
-	vip      *VIPTable
+	*Deployment
+	eng *sim.Engine
+	net *netsim.Network
+	top *topology.Topology
 }
 
-// newDCFixture builds MultiDC(dcs, groups, perGroup) with proxiesPerDC
-// proxies on the first hosts of each data center.
+// newDCFixture deploys MultiDC(dcs, groups, perGroup) with proxiesPerDC
+// proxies per data center.
 func newDCFixture(t *testing.T, dcs, groups, perGroup, proxiesPerDC int) *dcFixture {
 	t.Helper()
 	top := topology.MultiDC(dcs, groups, perGroup)
 	eng := sim.NewEngine(23)
 	net := netsim.New(eng, top)
-	f := &dcFixture{
-		eng: eng, net: net, top: top,
-		proxies: make(map[topology.HostID]*Proxy),
-		vip:     NewVIPTable(),
-	}
 	mcfg := core.DefaultConfig()
 	mcfg.MaxTTL = top.Diameter()
-	for h := 0; h < top.NumHosts(); h++ {
-		hid := topology.HostID(h)
-		ep := net.Endpoint(hid)
-		node := core.NewNode(mcfg, ep)
-		scfg := service.DefaultConfig()
-		dc := top.HostDC(hid)
-		scfg.ProxyAddr = func() (topology.HostID, bool) { return f.vip.Get(dc) }
-		rt := service.NewRuntime(scfg, eng, ep, node)
-		f.nodes = append(f.nodes, node)
-		f.runtimes = append(f.runtimes, rt)
+	nodes := make([]*core.Node, top.NumHosts())
+	for h := range nodes {
+		nodes[h] = core.NewNode(mcfg, net.Endpoint(topology.HostID(h)))
 	}
-	for dc := 0; dc < dcs; dc++ {
-		var remotes []int
-		for o := 0; o < dcs; o++ {
-			if o != dc {
-				remotes = append(remotes, o)
-			}
-		}
-		hosts := top.HostsInDC(dc)
-		for i := 0; i < proxiesPerDC && i < len(hosts); i++ {
-			h := hosts[i]
-			pcfg := DefaultConfig(dc, remotes)
-			pcfg.ProxyTTL = top.Diameter()
-			p := New(pcfg, eng, net.Endpoint(h), f.runtimes[h], f.vip)
-			f.proxies[h] = p
-		}
-	}
-	return f
+	return &dcFixture{Deploy(eng, net, nodes, proxiesPerDC, service.DefaultConfig()), eng, net, top}
 }
 
-func (f *dcFixture) startAll() {
-	for _, n := range f.nodes {
-		n.Start(f.eng)
+// TestDeployChecksItsShape: every data center needs at least one proxy, and
+// room for its proxies beside its root leader. Deploy refuses a shape it
+// cannot place, naming the bound, rather than deploying fewer proxies.
+func TestDeployChecksItsShape(t *testing.T) {
+	cases := []struct {
+		dcs, perGroup, perDC int
+		want                 string // panic message fragment; "" deploys
+	}{
+		{2, 3, 0, "perDC >= 1"},
+		{2, 3, -1, "perDC >= 1"},
+		{2, 2, 2, "data center 0 has 2 hosts, fewer than perDC+1 = 3"},
+		{3, 1, 1, "data center 0 has 1 hosts, fewer than perDC+1 = 2"},
+		{2, 3, 2, ""},
+		{3, 2, 1, ""},
 	}
-	for _, p := range f.proxies {
-		p.Start()
+	for _, tc := range cases {
+		top := topology.MultiDC(tc.dcs, 1, tc.perGroup)
+		eng := sim.NewEngine(1)
+		net := netsim.New(eng, top)
+		nodes := make([]*core.Node, top.NumHosts())
+		for h := range nodes {
+			nodes[h] = core.NewNode(core.DefaultConfig(), net.Endpoint(topology.HostID(h)))
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if tc.want == "" && msg != "" || !strings.Contains(msg, tc.want) {
+					t.Errorf("Deploy(%d DCs of %d hosts, perDC=%d) panic = %q, want %q", tc.dcs, tc.perGroup, tc.perDC, msg, tc.want)
+				}
+			}()
+			d := Deploy(eng, net, nodes, tc.perDC, service.DefaultConfig())
+			if got := len(d.Proxies); got != tc.dcs*tc.perDC {
+				t.Errorf("Deploy(%d DCs, perDC=%d) placed %d proxies", tc.dcs, tc.perDC, got)
+			}
+		}()
 	}
 }
+
+func (f *dcFixture) startAll() { f.StartAll(f.eng) }
 
 func (f *dcFixture) run(d time.Duration) { f.eng.Run(f.eng.Now() + d) }
 
 func (f *dcFixture) leaderOf(dc int) *Proxy {
-	for _, p := range f.proxies {
-		if p.cfg.DC == dc && p.IsLeader() {
+	for _, p := range f.Proxies {
+		if p.dc == dc && p.IsLeader() {
 			return p
 		}
 	}
@@ -90,24 +92,24 @@ func (f *dcFixture) leaderOf(dc int) *Proxy {
 }
 
 func TestProxyLeaderElectionAndVIP(t *testing.T) {
-	f := newDCFixture(t, 2, 2, 3, 2) // 12 hosts; proxies at 0,1 (DC0) and 6,7 (DC1)
+	f := newDCFixture(t, 2, 2, 3, 2) // 12 hosts; proxies at 1,2 (DC0) and 7,8 (DC1)
 	f.startAll()
 	f.run(15 * time.Second)
 	for dc := 0; dc < 2; dc++ {
 		leaders := 0
-		for _, p := range f.proxies {
-			if p.cfg.DC == dc && p.IsLeader() {
+		for _, p := range f.Proxies {
+			if p.dc == dc && p.IsLeader() {
 				leaders++
 			}
 		}
 		if leaders != 1 {
 			t.Fatalf("DC%d has %d proxy leaders, want 1", dc, leaders)
 		}
-		addr, ok := f.vip.Get(dc)
+		addr, ok := f.VIP.Get(dc)
 		if !ok {
 			t.Fatalf("DC%d VIP unset", dc)
 		}
-		if !f.proxies[addr].IsLeader() {
+		if !f.Hosts[addr].Proxy.IsLeader() {
 			t.Fatalf("DC%d VIP points at a non-leader", dc)
 		}
 	}
@@ -116,7 +118,7 @@ func TestProxyLeaderElectionAndVIP(t *testing.T) {
 func TestSummaryPropagation(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 2)
 	// Register a service on a non-proxy node in DC1 (hosts 6-11).
-	f.runtimes[9].Register("Retriever", "0-2", time.Millisecond,
+	f.Hosts[9].RT.Register("Retriever", "0-2", time.Millisecond,
 		func(p int32, b []byte) ([]byte, error) { return []byte("ok"), nil })
 	f.startAll()
 	f.run(25 * time.Second)
@@ -132,10 +134,10 @@ func TestSummaryPropagation(t *testing.T) {
 		t.Fatalf("summary = %+v", e)
 	}
 	// Backup proxies are warm too (relayed through the proxy channel).
-	for h, p := range f.proxies {
-		if p.cfg.DC == 0 && !p.IsLeader() {
+	for _, p := range f.Proxies {
+		if p.dc == 0 && !p.IsLeader() {
 			if _, ok := p.RemoteSummary(1, "Retriever"); !ok {
-				t.Fatalf("backup proxy %v not warm", h)
+				t.Fatalf("backup proxy %v not warm", p.Host())
 			}
 		}
 	}
@@ -143,7 +145,7 @@ func TestSummaryPropagation(t *testing.T) {
 
 func TestSummaryRemovalPropagates(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 2)
-	f.runtimes[9].Register("Retriever", "0", time.Millisecond,
+	f.Hosts[9].RT.Register("Retriever", "0", time.Millisecond,
 		func(p int32, b []byte) ([]byte, error) { return []byte("ok"), nil })
 	f.startAll()
 	f.run(25 * time.Second)
@@ -151,7 +153,7 @@ func TestSummaryRemovalPropagates(t *testing.T) {
 	if _, ok := l0.RemoteSummary(1, "Retriever"); !ok {
 		t.Fatal("summary never arrived")
 	}
-	f.nodes[9].Stop() // the only Retriever instance dies
+	f.Hosts[9].Node.Stop() // the only Retriever instance dies
 	f.run(25 * time.Second)
 	if _, ok := l0.RemoteSummary(1, "Retriever"); ok {
 		t.Fatal("dead service still advertised across DCs")
@@ -160,7 +162,7 @@ func TestSummaryRemovalPropagates(t *testing.T) {
 
 func TestCrossDCInvocation(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 2)
-	f.runtimes[9].Register("Retriever", "0-2", time.Millisecond,
+	f.Hosts[9].RT.Register("Retriever", "0-2", time.Millisecond,
 		func(p int32, b []byte) ([]byte, error) { return []byte(fmt.Sprintf("dc1/p%d:%s", p, b)), nil })
 	f.startAll()
 	f.run(25 * time.Second)
@@ -173,7 +175,7 @@ func TestCrossDCInvocation(t *testing.T) {
 	var got []byte
 	var gotErr error
 	var at time.Duration
-	f.runtimes[3].Invoke("Retriever", 2, []byte("q"), func(b []byte, err error) {
+	f.Hosts[3].RT.Invoke("Retriever", 2, []byte("q"), func(b []byte, err error) {
 		got, gotErr, at = b, err, f.eng.Now()
 	})
 	f.run(3 * time.Second)
@@ -197,7 +199,7 @@ func TestCrossDCRejectionWhenNowhere(t *testing.T) {
 	f.startAll()
 	f.run(20 * time.Second)
 	var gotErr error
-	f.runtimes[3].Invoke("Ghost", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.Hosts[3].RT.Invoke("Ghost", 0, nil, func(b []byte, err error) { gotErr = err })
 	f.run(2 * time.Second)
 	if !errors.Is(gotErr, service.ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected (proxy rejects unknown service)", gotErr)
@@ -206,7 +208,7 @@ func TestCrossDCRejectionWhenNowhere(t *testing.T) {
 
 func TestProxyLeaderFailover(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 2)
-	f.runtimes[9].Register("Retriever", "0", time.Millisecond,
+	f.Hosts[9].RT.Register("Retriever", "0", time.Millisecond,
 		func(p int32, b []byte) ([]byte, error) { return []byte("ok"), nil })
 	f.startAll()
 	f.run(25 * time.Second)
@@ -214,11 +216,11 @@ func TestProxyLeaderFailover(t *testing.T) {
 	if old == nil {
 		t.Fatal("no DC0 leader")
 	}
-	oldAddr, _ := f.vip.Get(0)
+	oldAddr, _ := f.VIP.Get(0)
 
 	// Kill the leader proxy daemon AND its membership daemon (the host
 	// dies).
-	f.nodes[oldAddr].Stop()
+	f.Hosts[oldAddr].Node.Stop()
 	old.Stop()
 	f.run(20 * time.Second)
 
@@ -229,13 +231,13 @@ func TestProxyLeaderFailover(t *testing.T) {
 	if nw == old {
 		t.Fatal("dead leader still leads")
 	}
-	addr, _ := f.vip.Get(0)
+	addr, _ := f.VIP.Get(0)
 	if addr == oldAddr {
 		t.Fatal("VIP did not move")
 	}
 	// Cross-DC invocation works through the new leader.
 	var gotErr error
-	f.runtimes[3].Invoke("Retriever", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.Hosts[3].RT.Invoke("Retriever", 0, nil, func(b []byte, err error) { gotErr = err })
 	f.run(3 * time.Second)
 	if gotErr != nil {
 		t.Fatalf("post-failover invocation failed: %v", gotErr)
@@ -245,11 +247,11 @@ func TestProxyLeaderFailover(t *testing.T) {
 func TestSummaryChunking(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 1)
 	// Shrink chunks and register many services in DC1.
-	for _, p := range f.proxies {
+	for _, p := range f.Proxies {
 		p.chunkSize = 3
 	}
 	for i := 0; i < 10; i++ {
-		f.runtimes[8].Register(fmt.Sprintf("Svc%02d", i), "0", time.Millisecond,
+		f.Hosts[8].RT.Register(fmt.Sprintf("Svc%02d", i), "0", time.Millisecond,
 			func(p int32, b []byte) ([]byte, error) { return nil, nil })
 	}
 	f.startAll()
@@ -264,7 +266,7 @@ func TestSummaryChunking(t *testing.T) {
 
 func TestRemoteDCTimeout(t *testing.T) {
 	f := newDCFixture(t, 2, 2, 3, 1)
-	f.runtimes[8].Register("Retriever", "0", time.Millisecond,
+	f.Hosts[8].RT.Register("Retriever", "0", time.Millisecond,
 		func(p int32, b []byte) ([]byte, error) { return nil, nil })
 	f.startAll()
 	f.run(25 * time.Second)
@@ -284,14 +286,14 @@ func TestRemoteDCTimeout(t *testing.T) {
 
 func TestThreeDataCenters(t *testing.T) {
 	f := newDCFixture(t, 3, 1, 3, 1) // 9 hosts, 3 DCs
-	f.runtimes[7].Register("Doc", "0", time.Millisecond,
+	f.Hosts[8].RT.Register("Doc", "0", time.Millisecond,
 		func(p int32, b []byte) ([]byte, error) { return []byte("dc2"), nil })
 	f.startAll()
 	f.run(30 * time.Second)
-	// DC0 node invokes a service hosted only in DC2.
+	// A plain DC0 node invokes a service hosted only on a plain DC2 node.
 	var got []byte
 	var gotErr error
-	f.runtimes[1].Invoke("Doc", 0, nil, func(b []byte, err error) { got, gotErr = b, err })
+	f.Hosts[2].RT.Invoke("Doc", 0, nil, func(b []byte, err error) { got, gotErr = b, err })
 	f.run(3 * time.Second)
 	if gotErr != nil || string(got) != "dc2" {
 		t.Fatalf("got %q, %v", got, gotErr)

@@ -18,7 +18,7 @@ func (p *Proxy) handle(pkt netsim.Packet, msg wire.Message) bool {
 	}
 	switch m := msg.(type) {
 	case *wire.Heartbeat:
-		if pkt.Multicast() && pkt.Channel == p.cfg.ProxyChannel {
+		if pkt.Multicast() && pkt.Channel == proxyChannel {
 			p.onGroupHeartbeat(m)
 			return true
 		}
@@ -122,7 +122,7 @@ func (p *Proxy) onSummary(pkt netsim.Packet, m *wire.ProxySummary) {
 	// local proxy group so backups stay warm ("it relays the packet to the
 	// local proxy group through the group's multicast channel").
 	if !pkt.Multicast() && p.isLeader {
-		p.ep.Multicast(p.cfg.ProxyChannel, p.cfg.ProxyTTL, pkt.Payload)
+		p.ep.Multicast(proxyChannel, p.ttl, pkt.Payload)
 	}
 }
 
@@ -151,7 +151,7 @@ func (p *Proxy) onUpdate(pkt netsim.Packet, m *wire.ProxyUpdate) {
 		delete(r.entries, svc)
 	}
 	if !pkt.Multicast() && p.isLeader {
-		p.ep.Multicast(p.cfg.ProxyChannel, p.cfg.ProxyTTL, pkt.Payload)
+		p.ep.Multicast(proxyChannel, p.ttl, pkt.Payload)
 	}
 }
 

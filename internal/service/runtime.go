@@ -49,10 +49,6 @@ var (
 
 // Config parametrizes the runtime.
 type Config struct {
-	// PollSize is the number of random candidate replicas polled for load
-	// before dispatch (random polling load balancing; 2 is the classic
-	// power-of-two-choices and the paper's cited scheme).
-	PollSize int
 	// RequestTimeout bounds one invocation end to end.
 	RequestTimeout time.Duration
 	// ProxyAddr, if non-nil, resolves the local data center's membership
@@ -65,12 +61,18 @@ type Config struct {
 	EnableLoadPush bool
 }
 
-// pollTimeout bounds the wait for load-poll replies.
-const pollTimeout = 20 * time.Millisecond
+const (
+	// pollSize is the number of random candidate replicas polled for load
+	// before dispatch (random polling load balancing: the classic
+	// power-of-two-choices and the paper's cited scheme).
+	pollSize = 2
+	// pollTimeout bounds the wait for load-poll replies.
+	pollTimeout = 20 * time.Millisecond
+)
 
 // DefaultConfig returns sensible experiment defaults.
 func DefaultConfig() Config {
-	return Config{PollSize: 2, RequestTimeout: 2 * time.Second}
+	return Config{RequestTimeout: 2 * time.Second}
 }
 
 // instance is one registered local service implementation.
@@ -273,9 +275,6 @@ type Runtime struct {
 // takes over the endpoint handler; membership packets are delegated to the
 // node.
 func NewRuntime(cfg Config, eng *sim.Engine, ep netsim.Transport, node Member) *Runtime {
-	if cfg.PollSize < 1 {
-		cfg.PollSize = 1
-	}
 	r := &Runtime{
 		cfg:   cfg,
 		eng:   eng,
@@ -473,7 +472,7 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 		r.fail(cb, ErrUnavailable)
 		return
 	}
-	if len(candidates) == 1 || r.cfg.PollSize < 2 {
+	if len(candidates) == 1 {
 		r.request(topology.HostID(candidates[0]), serviceName, partition, payload, 0, cb)
 		return
 	}
@@ -503,13 +502,13 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 			return
 		}
 	}
-	// Random polling: poll up to PollSize random candidates, dispatch to
+	// Random polling: poll up to pollSize random candidates, dispatch to
 	// the least loaded of those that replied (or a random one on timeout).
 	r.eng.Rand().Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if len(candidates) > r.cfg.PollSize {
-		candidates = candidates[:r.cfg.PollSize]
+	if len(candidates) > pollSize {
+		candidates = candidates[:pollSize]
 	}
 	p := r.freePolls.get()
 	r.nextReq++

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dirserver"
 	"repro/internal/membership"
 	"repro/internal/netsim"
-	"repro/internal/topology"
 )
 
 // MService is the membership service daemon on one node — the public
@@ -32,7 +31,6 @@ import (
 type MService struct {
 	s    *Sim
 	node *core.Node
-	host topology.HostID
 }
 
 // NewMService creates a membership daemon on host h of the simulation,
@@ -78,7 +76,7 @@ func NewMService(s *Sim, h HostID, configText string) (*MService, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("tamp: configuration: %w", err)
 	}
-	m := &MService{s: s, node: core.NewNode(cfg, s.net.Endpoint(h)), host: h}
+	m := &MService{s: s, node: core.NewNode(cfg, s.net.Endpoint(h))}
 	// Keep a bounded change history so clients can reconcile after gaps.
 	m.node.Directory().EnableHistory(256)
 	if file != nil {
