@@ -1,6 +1,7 @@
 package tamp
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/core"
@@ -68,7 +69,7 @@ func (a *App) Provide(name, partitions string, serviceTime time.Duration, h Hand
 // found in the local yellow-page directory and chosen by random-polling
 // load balancing; if no local provider exists and a proxy is attached,
 // the request crosses data centers. The callback runs exactly once on the
-// simulation goroutine.
+// simulation goroutine; its payload is valid until it returns.
 func (a *App) Invoke(serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
 	a.host.RT.Invoke(serviceName, partition, payload, cb)
 }
@@ -82,13 +83,13 @@ func (a *App) InvokeNode(n NodeID, serviceName string, partition int32, payload 
 
 // InvokeWait is Invoke that drives the simulation until the reply arrives
 // or the request times out, returning the result synchronously — the
-// convenient form for examples and tests.
+// convenient form for examples and tests. The result is the caller's.
 func (a *App) InvokeWait(serviceName string, partition int32, payload []byte) ([]byte, error) {
 	var out []byte
 	var err error
 	done := false
 	a.Invoke(serviceName, partition, payload, func(b []byte, e error) {
-		out, err, done = b, e, true
+		out, err, done = bytes.Clone(b), e, true
 	})
 	limit := a.s.Now() + 2*time.Minute
 	for !done && a.s.Now() < limit {

@@ -54,13 +54,12 @@ type Node struct {
 	marks membership.Table[membership.Mark]
 	// sweepDue is the earliest instant an expiry sweep can find anything.
 	sweepDue time.Duration
-	// enc frames heartbeats without a per-send writer; hbHint is the last
-	// heartbeat's encoded size, so the payload is allocated once, exactly;
-	// beat is the outgoing heartbeat, overwritten per send (a fresh one would
-	// escape through wire.Message).
-	enc    wire.Encoder
-	hbHint int
-	beat   wire.Heartbeat
+	// enc frames heartbeats into buf, the node's resident send buffer, which
+	// the transport copies from; beat is the outgoing heartbeat, overwritten
+	// per send (a fresh one would escape through wire.Message).
+	enc  wire.Encoder
+	buf  []byte
+	beat wire.Heartbeat
 }
 
 // NewNode creates a node bound to an endpoint.
@@ -139,9 +138,8 @@ func (n *Node) sendHeartbeat() {
 		Seq:    n.info.Beat,
 		Pad:    uint16(n.cfg.HeartbeatPad),
 	}
-	payload := n.enc.AppendEncode(make([]byte, 0, n.hbHint), &n.beat)
-	n.hbHint = len(payload)
-	n.ep.Multicast(n.cfg.Channel, n.cfg.TTL, payload)
+	n.buf = n.enc.AppendEncode(n.buf[:0], &n.beat)
+	n.ep.Multicast(n.cfg.Channel, n.cfg.TTL, n.buf)
 }
 
 func (n *Node) receive(pkt netsim.Packet) {

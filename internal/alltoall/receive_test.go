@@ -210,8 +210,8 @@ type capturingTransport struct {
 func (c *capturingTransport) Multicast(_ netsim.ChannelID, _ int, payload []byte) { c.last = payload }
 
 // TestHeartbeatFitsItsSizeClass: a heartbeat padded to the paper's 228 bytes
-// declares its tail instead of carrying it, so a send allocates one buffer of
-// the encoded size's 64-byte class, not of the 208-byte one.
+// declares its tail instead of carrying it, so a send frames at most 64 bytes,
+// not 200, and allocates nothing: the node's send buffer is reused.
 func TestHeartbeatFitsItsSizeClass(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
@@ -221,9 +221,9 @@ func TestHeartbeatFitsItsSizeClass(t *testing.T) {
 	n.Start(eng)
 	n.sendHeartbeat()
 	allocs := testing.AllocsPerRun(100, n.sendHeartbeat)
-	if b := ep.last; allocs != 1 || cap(b) > 64 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
-		t.Fatalf("a heartbeat send allocates %v buffers of %d bytes modelled at %d, want one of at most 64 modelled at 228",
-			allocs, cap(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
+	if b := ep.last; allocs != 0 || len(b) > 64 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
+		t.Fatalf("a heartbeat send allocates %v times and frames %d bytes modelled at %d, want none and at most 64 modelled at 228",
+			allocs, len(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
 	}
 }
 

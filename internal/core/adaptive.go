@@ -224,7 +224,7 @@ func (n *Node) pushLoad(now time.Duration) {
 	}
 	n.loadSeq++
 	msg := &wire.LoadReport{From: n.id, Seq: n.loadSeq, Load: uint32(n.Load())}
-	n.ep.Unicast(topoHost(leader), n.enc.AppendEncode(nil, msg))
+	n.ep.Unicast(topoHost(leader), n.frame(msg))
 }
 
 // onLoadReport absorbs a member's pushed load sample at the leader.
@@ -252,7 +252,7 @@ func (n *Node) shedLeadership(level int, now time.Duration) {
 	n.handoffSeq++
 	n.stats.LoadSheds++
 	msg := &wire.Handoff{From: n.id, Level: uint8(level), Seq: n.handoffSeq, Successor: succ}
-	n.ep.Multicast(n.channelOf(level), ttl(level), n.enc.AppendEncode(nil, msg))
+	n.ep.Multicast(n.channelOf(level), ttl(level), n.frame(msg))
 	n.shedAt = now
 	n.overSince = -1
 	n.setLeader(level, false)
@@ -361,7 +361,7 @@ func (n *Node) sendReform(movers []membership.NodeID, newch netsim.ChannelID) {
 	n.reformEpoch++
 	n.stats.Reformations++
 	msg := &wire.Reform{From: n.id, Epoch: n.reformEpoch, NewChannel: uint32(newch), Movers: movers}
-	n.ep.Multicast(n.channelOf(0), ttl(0), n.enc.AppendEncode(nil, msg))
+	n.ep.Multicast(n.channelOf(0), ttl(0), n.frame(msg))
 	for _, id := range movers {
 		if id == n.id {
 			n.rehome(newch)

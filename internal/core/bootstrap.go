@@ -25,7 +25,7 @@ func (n *Node) bootstrap(level int) {
 	}
 	if leader := lv.visibleLeader(); leader != membership.NoNode {
 		lv.bootstrapFrom = leader
-		n.ep.Unicast(topoHost(leader), wire.Encode(&wire.BootstrapRequest{From: n.id, Level: uint8(level)}))
+		n.ep.Unicast(topoHost(leader), n.frame(&wire.BootstrapRequest{From: n.id, Level: uint8(level)}))
 	}
 	// Retry until a directory reply lands (the request or reply may be
 	// lost, or no leader may be elected yet).
@@ -38,13 +38,13 @@ func (n *Node) bootstrap(level int) {
 // new node is also a group leader from a lower level group").
 func (n *Node) onBootstrapRequest(m *wire.BootstrapRequest) {
 	n.stats.BootstrapsServed++
-	n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, true, n.dir))
+	n.withDirectory(true, func(b []byte) { n.ep.Unicast(topoHost(m.From), b) })
 }
 
 // onSyncRequest serves a full directory to a peer that detected an
 // unrecoverable update loss.
 func (n *Node) onSyncRequest(m *wire.SyncRequest) {
-	n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, false, n.dir))
+	n.withDirectory(false, func(b []byte) { n.ep.Unicast(topoHost(m.From), b) })
 }
 
 // onDirectoryMsg merges a full snapshot (bootstrap reply, sync reply, or a
@@ -100,7 +100,7 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 		}
 		// Seq 0 keeps these out-of-band corrections out of the sender's
 		// loss-detected update stream; receivers apply them by UID.
-		n.ep.Unicast(topoHost(m.From), wire.Encode(&wire.UpdateMsg{
+		n.ep.Unicast(topoHost(m.From), n.frame(&wire.UpdateMsg{
 			Sender: n.id, Seq: 0, Updates: corrections,
 		}))
 	}
@@ -115,6 +115,6 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 		clear(n.joined) // do not pin the records' content
 	}
 	if m.Ask {
-		n.ep.Unicast(topoHost(m.From), wire.EncodeDirectory(n.id, false, n.dir))
+		n.withDirectory(false, func(b []byte) { n.ep.Unicast(topoHost(m.From), b) })
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/netsim"
+	"repro/internal/raceflag"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -137,22 +139,40 @@ func TestDamagedDirectoryAppliesNothing(t *testing.T) {
 	}
 }
 
-// recordingTransport notes the payload of every multicast a node sends.
+// recordingTransport notes every multicast a node sends, as a copy of its
+// payload, since the node encodes its next packet into the same bytes. Once
+// the network has its copy of a directory snapshot, it flips the snapshot's
+// last byte in the node's buffer: a snapshot multicast again at the same
+// instant that still carries the flip was not encoded again. It is noted as
+// reused, and flipped back before it is copied and sent.
 type recordingTransport struct {
 	netsim.Transport
-	eng  *sim.Engine
-	sent []sentPayload
+	eng    *sim.Engine
+	sent   []sentPayload
+	mark   *byte // the byte flipped after the last snapshot send
+	markAt time.Duration
+	was    byte // its value before the flip
 }
 
 func (r *recordingTransport) Multicast(ch netsim.ChannelID, ttl int, payload []byte) {
-	r.sent = append(r.sent, sentPayload{at: r.eng.Now(), ch: ch, payload: payload})
+	now, last := r.eng.Now(), &payload[len(payload)-1]
+	reused := last == r.mark && now == r.markAt && *last == ^r.was
+	if reused {
+		*last = r.was
+	}
+	r.sent = append(r.sent, sentPayload{at: now, ch: ch, payload: bytes.Clone(payload), reused: reused})
 	r.Transport.Multicast(ch, ttl, payload)
+	if r.mark = nil; wire.Type(payload[3]) == wire.TDirectory {
+		r.mark, r.markAt, r.was = last, now, *last
+		*last = ^r.was
+	}
 }
 
 type sentPayload struct {
 	at      time.Duration
 	ch      netsim.ChannelID
 	payload []byte
+	reused  bool // the sender's bytes of the previous send, not encoded again
 }
 
 // capturingTransport keeps the last multicast payload and sends nothing, so
@@ -165,8 +185,8 @@ type capturingTransport struct {
 func (c *capturingTransport) Multicast(_ netsim.ChannelID, _ int, payload []byte) { c.last = payload }
 
 // TestHeartbeatFitsItsSizeClass: a heartbeat padded to the paper's 228 bytes
-// declares its tail instead of carrying it, so a send allocates one buffer of
-// the encoded size's 64-byte class, not of the 208-byte one.
+// declares its tail instead of carrying it, so a send frames at most 64 bytes,
+// not 200, and allocates nothing: the node's send buffer is reused.
 func TestHeartbeatFitsItsSizeClass(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
@@ -176,9 +196,49 @@ func TestHeartbeatFitsItsSizeClass(t *testing.T) {
 	n.Start(eng)
 	n.sendHeartbeat(0)
 	allocs := testing.AllocsPerRun(100, func() { n.sendHeartbeat(0) })
-	if b := ep.last; allocs != 1 || cap(b) > 64 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
-		t.Fatalf("a heartbeat send allocates %v buffers of %d bytes modelled at %d, want one of at most 64 modelled at 228",
-			allocs, cap(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
+	if b := ep.last; allocs != 0 || len(b) > 64 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
+		t.Fatalf("a heartbeat send allocates %v times and frames %d bytes modelled at %d, want none and at most 64 modelled at 228",
+			allocs, len(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
+	}
+}
+
+// TestSendCeilings: in the steady state a heartbeat and a 1000-entry
+// republish, each sent through the simulated network to a subscribed host,
+// allocate nothing. Both are framed into the node's send buffer and copied
+// into a network buffer that comes back to the free lists on arrival.
+func TestSendCeilings(t *testing.T) {
+	top := topology.Clustered(1, 2)
+	eng := sim.NewEngine(1)
+	net := netsim.New(eng, top)
+	n := NewNode(cfgFor(top), net.Endpoint(0))
+	n.Start(eng)
+	net.Endpoint(1).Join(n.channelOf(0)) // a receiver with no daemon: the cost is the sender's
+	for id := membership.NodeID(2); id <= 1000; id++ {
+		n.dir.Upsert(membership.MemberInfo{Node: id, Incarnation: 1, Beat: 7}, membership.OriginRelayed, 0, 1, eng.Now())
+	}
+	for _, c := range []struct {
+		name string
+		send func()
+		size uint64 // at least, on the receiver's wire
+	}{
+		{"a heartbeat", func() { n.sendHeartbeat(0) }, 50},
+		{"a 1000-entry republish", func() { n.publishDirectory(0) }, 32000},
+	} {
+		round := func() {
+			c.send()
+			eng.Run(eng.Now() + time.Millisecond)
+		}
+		before := net.Endpoint(1).Stats()
+		round()
+		if got := net.Endpoint(1).Stats(); got.PktsRecv != before.PktsRecv+1 || got.BytesRecv-before.BytesRecv < c.size {
+			t.Fatalf("%s: the receiver got %d packets of %d bytes, want one of at least %d",
+				c.name, got.PktsRecv-before.PktsRecv, got.BytesRecv-before.BytesRecv, c.size)
+		}
+		// Under -race a sync.Pool drops some of what it is handed on purpose,
+		// and the snapshot buffer comes from one.
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 && !raceflag.Enabled {
+			t.Errorf("%s sent and delivered allocates %v times, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -205,10 +265,8 @@ func TestRepublishEncodesOncePerTick(t *testing.T) {
 	eng.Run(eng.Now() + 3*cfg.republishInterval())
 	var snaps []sentPayload
 	for _, s := range rec.sent {
-		if m, err := wire.Decode(s.payload); err == nil {
-			if _, ok := m.(*wire.DirectoryView); ok {
-				snaps = append(snaps, s)
-			}
+		if wire.Type(s.payload[3]) == wire.TDirectory {
+			snaps = append(snaps, s)
 		}
 	}
 	if len(snaps) < 4 || len(snaps)%2 != 0 {
@@ -216,7 +274,7 @@ func TestRepublishEncodesOncePerTick(t *testing.T) {
 	}
 	for i := 0; i < len(snaps); i += 2 {
 		a, b := snaps[i], snaps[i+1]
-		if a.at != b.at || a.ch == b.ch || &a.payload[0] != &b.payload[0] || len(a.payload) != len(b.payload) {
+		if a.at != b.at || a.ch == b.ch || a.reused || !b.reused || !bytes.Equal(a.payload, b.payload) {
 			t.Fatalf("tick at %v: snapshots on channels %d and %d at %v do not share one encoding", a.at, a.ch, b.ch, b.at)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/loadinfo"
@@ -126,15 +127,14 @@ type Node struct {
 	lastTTLScan time.Duration
 	ttlScanDue  time.Duration
 
-	// enc frames outgoing packets without a per-send writer allocation;
-	// hbHint remembers the last heartbeat's encoded size so the payload
-	// buffer is allocated exactly once per send. hb is the outgoing
+	// enc frames outgoing packets into buf, the node's resident send buffer
+	// (frame; snapshots go through withDirectory). hb is the outgoing
 	// heartbeat, overwritten per send (a fresh one would escape through
 	// wire.Message); dirCursor is the scratch cursor onDirectoryMsg walks a
 	// received snapshot with, and joined and tombstoned the scratch lists
 	// the merge reports into.
 	enc        wire.Encoder
-	hbHint     int
+	buf        []byte
 	hb         wire.Heartbeat
 	dirCursor  wire.InfoCursor
 	joined     []membership.MemberInfo
@@ -477,11 +477,25 @@ func (n *Node) sendHeartbeat(level int) {
 		Seq:    lv.hbSeq,
 		Pad:    uint16(n.cfg.HeartbeatPad),
 	}
-	payload := n.enc.AppendEncode(make([]byte, 0, n.hbHint), &n.hb)
-	if len(payload) > n.hbHint {
-		n.hbHint = len(payload)
-	}
-	n.ep.Multicast(n.channelOf(level), ttl(level), payload)
+	n.ep.Multicast(n.channelOf(level), ttl(level), n.frame(&n.hb))
+}
+
+// frame encodes m into the node's send buffer, good until the next frame.
+func (n *Node) frame(m wire.Message) []byte {
+	n.buf = n.enc.AppendEncode(n.buf[:0], m)
+	return n.buf
+}
+
+// snapshots lends nodes the buffers of directory snapshots (32 KB at N=1000,
+// sent often by few nodes); a collection takes back what is idle.
+var snapshots = sync.Pool{New: func() any { return new([]byte) }}
+
+// withDirectory frames the node's directory snapshot once for send.
+func (n *Node) withDirectory(ask bool, send func(snapshot []byte)) {
+	b := snapshots.Get().(*[]byte)
+	*b = wire.AppendDirectory((*b)[:0], n.id, ask, n.dir)
+	send(*b)
+	snapshots.Put(b)
 }
 
 // allLevels asks publishDirectory for every joined group.
@@ -489,26 +503,23 @@ const allLevels = -1
 
 // publishDirectory multicasts a full snapshot into the group at level, or
 // into every joined group for allLevels; receivers re-anchor relayed
-// entries to us. The snapshot is encoded once and the same immutable bytes
-// go to each channel.
+// entries to us. The snapshot is encoded once for every channel.
 func (n *Node) publishDirectory(level int) {
 	if !n.running {
 		return
 	}
-	var payload []byte
-	for _, lv := range n.levels {
-		if !lv.joined || (level != allLevels && lv.level != level) {
-			continue
+	n.withDirectory(false, func(snapshot []byte) {
+		for _, lv := range n.levels {
+			if !lv.joined || (level != allLevels && lv.level != level) {
+				continue
+			}
+			if n.relayStarved() {
+				n.stats.RelaysStarved++
+				continue
+			}
+			n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), snapshot)
 		}
-		if n.relayStarved() {
-			n.stats.RelaysStarved++
-			continue
-		}
-		if payload == nil {
-			payload = wire.EncodeDirectory(n.id, false, n.dir)
-		}
-		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), payload)
-	}
+	})
 }
 
 // Receive feeds one delivered packet into the protocol. The node installs

@@ -56,7 +56,7 @@ func (n *Node) emitUpdate(u wire.Update, exceptLevel int) {
 		}
 		n.outSeq[lv.level]++
 		msg := &wire.UpdateMsg{Sender: n.id, Seq: n.outSeq[lv.level], Updates: n.recent}
-		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), n.enc.AppendEncode(nil, msg))
+		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), n.frame(msg))
 	}
 }
 
@@ -82,7 +82,7 @@ func (n *Node) onUpdateMsg(level int, m *wire.UpdateMsg) {
 			// back to full synchronization with the sender (Message Loss
 			// Detection).
 			n.stats.SyncsRequested++
-			n.ep.Unicast(topoHost(m.Sender), wire.Encode(&wire.SyncRequest{From: n.id}))
+			n.ep.Unicast(topoHost(m.Sender), n.frame(&wire.SyncRequest{From: n.id}))
 		}
 	}
 	// Apply oldest-first so causality within the stream is preserved.

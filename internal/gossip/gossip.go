@@ -90,10 +90,11 @@ type Node struct {
 	membership.Publisher
 	ticker  *sim.Ticker
 	running bool
-	// cursor walks a received view and targets holds a round's candidates:
-	// scratch that lives on the node so neither is allocated per packet.
+	// cursor walks a received view, targets and buf hold a round's targets
+	// and packet: scratch that lives on the node, allocated once.
 	cursor  wire.InfoCursor
 	targets []membership.NodeID
+	buf     []byte
 }
 
 // NewNode creates a gossip node bound to an endpoint.
@@ -183,9 +184,9 @@ func (n *Node) round() {
 	}
 
 	// Our entire view with counters, framed straight from the directory.
-	payload := wire.EncodeGossip(n.id, n.dir, n.cfg.EntryPad)
+	n.buf = wire.AppendGossip(n.buf[:0], n.id, n.dir, n.cfg.EntryPad)
 	for _, target := range n.pickTargets() {
-		n.ep.Unicast(topology.HostID(target), payload)
+		n.ep.Unicast(topology.HostID(target), n.buf)
 	}
 }
 

@@ -177,7 +177,7 @@ func (s *viewSource) next() []byte {
 	for i := 0; i < benchView; i++ {
 		s.dir.Upsert(membership.MemberInfo{Node: membership.NodeID(i), Incarnation: 1, Beat: s.counter}, membership.OriginRelayed, 0, 1, 0)
 	}
-	return wire.EncodeGossip(1, s.dir, benchEntryPad)
+	return wire.AppendGossip(nil, 1, s.dir, benchEntryPad)
 }
 
 // benchNode is a started node that already holds the 400-member view and
@@ -220,15 +220,16 @@ func receiveCeiling(tb testing.TB) (*world, *viewSource) {
 }
 
 // roundCeiling checks that a round of a node holding 400 members allocates
-// its packet and at most one thing more, and returns the round.
+// nothing — the view is framed into the node's send buffer and each unicast
+// copies it into a recycled network buffer — and returns the round.
 func roundCeiling(tb testing.TB) func() {
 	w := benchNode(tb, &viewSource{})
 	sent := w.ep.Stats().PktsSent
 	round := func() { w.eng.Run(w.eng.Now() + gossipInterval) }
 	round() // grow the target scratch
 	const runs = 50
-	if allocs := testing.AllocsPerRun(runs, round); allocs > 2 {
-		tb.Fatalf("a round over %d members allocates %v times, want its packet and at most one more", benchView, allocs)
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		tb.Fatalf("a round over %d members allocates %v times, want 0", benchView, allocs)
 	}
 	if got := w.ep.Stats().PktsSent - sent; got < runs {
 		tb.Fatalf("%d packets sent in %d rounds", got, runs)

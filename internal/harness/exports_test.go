@@ -41,11 +41,6 @@ var testOnlyExports = map[string]string{
 	"topology.Topology.MinTTL":           "topology: TestFigure4NonTransitive",
 	"topology.Topology.MulticastLatency": "topology: TestScopeLatencies",
 	"traffic.Layer.Closed":               "traffic: TestRequestBudgetClosesSessions",
-	"wire.LoadPoll.EncodedLen":           "wire: TestEncodedLenIsExact",
-	"wire.LoadReply.EncodedLen":          "wire: TestEncodedLenIsExact",
-	"wire.LoadReport.EncodedLen":         "wire: TestEncodedLenIsExact",
-	"wire.ServiceReply.EncodedLen":       "wire: TestEncodedLenIsExact",
-	"wire.ServiceRequest.EncodedLen":     "wire: TestEncodedLenIsExact",
 }
 
 // TestExportCensus holds the module's test-only exports to the census, as an

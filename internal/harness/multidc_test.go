@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -85,7 +86,7 @@ func TestFederationRemoteDCFallback(t *testing.T) {
 	invoke := func() (string, error) {
 		var got []byte
 		var gotErr error
-		client.RT.Invoke("shared", 0, nil, func(b []byte, err error) { got, gotErr = b, err })
+		client.RT.Invoke("shared", 0, nil, func(b []byte, err error) { got, gotErr = bytes.Clone(b), err })
 		c.Run(3 * time.Second)
 		return string(got), gotErr
 	}

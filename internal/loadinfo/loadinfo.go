@@ -33,9 +33,10 @@ type Reporter struct {
 	seq     uint64
 	running bool
 
-	// enc and report are the resident encoder and message of push: one
-	// exact-size packet per round, shared by every interested consumer.
+	// enc, buf and report frame push's one packet per round, which every
+	// unicast to an interested consumer copies.
 	enc    wire.Encoder
+	buf    []byte
 	report wire.LoadReport
 }
 
@@ -96,8 +97,8 @@ func (r *Reporter) push() {
 	}
 	r.seq++
 	r.report = wire.LoadReport{From: r.id, Seq: r.seq, Load: r.load()}
-	payload := r.enc.EncodeSized(&r.report)
-	r.eachInterested(func(id membership.NodeID) { r.ep.Unicast(topology.HostID(id), payload) })
+	r.buf = r.enc.AppendEncode(r.buf[:0], &r.report)
+	r.eachInterested(func(id membership.NodeID) { r.ep.Unicast(topology.HostID(id), r.buf) })
 }
 
 // Sample is one cached provider load.

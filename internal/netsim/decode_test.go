@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -16,9 +17,10 @@ import (
 // decoder builds fresh, padded and not — so that handlers read their script
 // back through Packet.Decode. Every call must return exactly what
 // wire.Decode(pkt.Payload) returns, whichever memo the packet was handed and
-// whatever that memo parsed before; and every packet a handler was given must
-// still decode to its own bytes, and keep its size, after the run, when its
-// memo has long been recycled.
+// whatever that memo parsed before; and every packet a handler was given,
+// kept as a copy of its bytes (the bytes themselves go back to the network
+// when the handler returns), must still decode to its own bytes, and keep its
+// size, after the run, when its memo has long been recycled.
 
 // wireScript frames a world's script and checks every delivery's decode.
 type wireScript struct {
@@ -103,7 +105,9 @@ func (s *wireScript) read(ep *Endpoint, pkt Packet) []byte {
 	}
 	m, err := pkt.Decode()
 	s.check(ep.lp, pkt, m, err, "in its handler")
-	s.kept[ep.lp] = append(s.kept[ep.lp], keptPacket{pkt, pkt.WireSize()})
+	kept := pkt
+	kept.Payload = bytes.Clone(pkt.Payload)
+	s.kept[ep.lp] = append(s.kept[ep.lp], keptPacket{kept, pkt.WireSize()})
 	if err != nil {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/raceflag"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/wire"
@@ -27,7 +28,7 @@ type Packet struct {
 	Dst     topology.HostID // NoHost for multicast
 	Channel ChannelID       // 0 and Dst >= 0 means unicast
 	TTL     int
-	Payload []byte
+	Payload []byte // valid until the handler returns (see Transport)
 
 	// meta is what the packet carries besides its bytes; nil for a packet
 	// with nothing to carry. It is one pointer because a Packet travels by
@@ -38,8 +39,8 @@ type Packet struct {
 	meta *pktMeta
 }
 
-// pktMeta is a packet's modelled tail and, on the copies a handler is given,
-// the decode record its Decode parses into.
+// pktMeta is a packet's modelled tail, its send buffer and, on the copies a
+// handler is given, the decode record its Decode parses into.
 type pktMeta struct {
 	// tail is the inert tail the payload declares but does not carry
 	// (wire.Padding), read once at send: the packet's modelled length is
@@ -52,7 +53,31 @@ type pktMeta struct {
 	// memo is set on the head of a decode record (memo.pktMeta) and points
 	// back to it.
 	memo *memo
+	buf  *sendBuf // on the buffer's own record and on a multicast memo's
 }
+
+// sendBuf is a packet's bytes as the network holds them (see doc.go): a copy
+// of the sender's payload from its LP's free lists, counting its holders on
+// one LP's goroutine at a time.
+type sendBuf struct {
+	pktMeta // the record of a packet that travels without a memo; buf points back
+	b       []byte
+	refs    int
+}
+
+// Free lists are size-classed, bufMin << c for class c (a larger payload
+// gets a buffer of its own size, never kept), trimmed every bufTrim and
+// capped at bufBudget bytes per LP; scribble fills a freed buffer under -race.
+const (
+	bufMin     = 64
+	bufClasses = 11
+	bufBudget  = 2 << 20
+	bufTrim    = 10 * time.Second
+	scribble   = 0xDB
+)
+
+// bufClass is the size class of an n-byte payload (bufClasses when too big).
+func bufClass(n int) int { return min(bits.Len(uint(max(n, 1)-1)/bufMin), bufClasses) }
 
 // memo is a resident decode record: the first decode of one payload, parsed
 // through a resident wire.Decoder. There are two kinds. A multicast's copies on one LP
@@ -64,11 +89,10 @@ type pktMeta struct {
 // receivers' LP touches a memo, so nothing is locked.
 //
 // A memo decodes only the bytes it records. A Packet kept after its handler
-// returned (the replay ring, a test's capture), or one whose Payload is not
-// exactly the recorded slice (a truncated copy sharing the backing array),
-// finds its memo moved on and decodes its own bytes afresh: it costs the
-// allocation the memo saves, never a wrong message. Payloads are immutable
-// once sent, so equal slices are equal bytes.
+// returned (the replay ring, a test's copy), or one whose Payload is not the
+// recorded slice, finds its memo moved on and decodes its own bytes afresh:
+// it costs the allocation the memo saves, never a wrong message. Nobody
+// writes a send buffer while it has a holder, so equal slices are equal bytes.
 type memo struct {
 	pktMeta
 	payload []byte // the bytes the memo parses
@@ -96,7 +120,7 @@ func newRecord() *memo {
 // one its decoder's targets hold (a snapshot's records, a gossip view's): a
 // pooled or idle record must not pin a packet.
 func (r *memo) reset() {
-	r.payload, r.done, r.msg, r.err = nil, false, nil, nil
+	r.payload, r.buf, r.done, r.msg, r.err = nil, nil, false, nil, nil
 	if r.dec != nil {
 		r.dec.Forget()
 	}
@@ -180,6 +204,9 @@ type Handler func(pkt Packet)
 // implements it, and so does the real-UDP transport in internal/realnet,
 // which is how the same protocol state machines run both under virtual
 // time and on real sockets.
+// Sends copy, like UDP's sendto: the caller keeps its bytes. A delivered
+// Packet's Payload, and what is decoded from it, is valid until the handler
+// returns; whatever is kept longer is copied out.
 type Transport interface {
 	// ID is the host identity on the network.
 	ID() topology.HostID
@@ -537,10 +564,11 @@ const (
 )
 
 // recentPkt is one replay-ring entry: a packet exactly as it was handed to
-// the handler, plus its delivery time.
+// the handler, plus its delivery time and the send buffer it holds.
 type recentPkt struct {
 	pkt Packet
 	at  time.Duration
+	buf *sendBuf
 }
 
 // Endpoint is one host's attachment to the network.
@@ -572,9 +600,7 @@ type Endpoint struct {
 	recent     [replayRingSize]recentPkt
 	recentUsed int
 	recentNext int
-	// sendMeta is the tail record of this endpoint's last padded send that
-	// carries no memo (see tailMeta).
-	sendMeta *pktMeta
+	sendMeta   *pktMeta // the last cross-LP tail record (tailMeta)
 	// recv is the decode record every unicast delivered here is handed, made
 	// on the first (see memo).
 	recv *memo
@@ -661,8 +687,8 @@ func (ep *Endpoint) noteSubChange() {
 // Joined reports whether the endpoint is subscribed to ch.
 func (ep *Endpoint) Joined(ch ChannelID) bool { return ep.subs[ch] }
 
-// Multicast sends payload on a channel with the given TTL. The payload is
-// not copied; callers must not reuse the backing array.
+// Multicast sends payload on a channel with the given TTL, copying it (see
+// Transport).
 //
 // The unit it schedules is a run: a maximal stretch of consecutive fan-out
 // receivers whose copies the engine could not tell apart — same LP as the
@@ -691,26 +717,30 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 	}
 	n := ep.net
 	tail := wire.Padding(payload)
-	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl, Payload: payload}
+	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl}
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(len(payload) + tail + UDPOverhead)
 	f := n.fanoutFor(ep.id, ch, ttl)
 	drawless := n.dup == 0 && n.jitter == 0 && ep.grayLag == 0
-	// The copies that stay on the sender's LP share one memo from its free
-	// list, taken at the first of them. A copy bound for another LP crosses
-	// with its tail only, and DrainCross hands it a memo from the free list of
-	// the LP it lands on: a memo is taken, parsed into and released on one
-	// LP's goroutine.
-	var local *pktMeta
+	// The copies that stay on the sender's LP share one buffer and one memo
+	// from its free lists, taken at the first of them. The copies bound for
+	// other LPs share one uncounted copy and a tail record, and DrainCross
+	// hands them a memo from the free list of the LP they land on.
+	var local *memo
+	var cross []byte
 	for i := 0; i < len(f.dsts); {
 		dst := f.dsts[i]
-		if dst.lp != ep.lp {
-			pkt.meta = ep.tailMeta(tail)
-		} else {
+		if dst.lp == ep.lp {
 			if local == nil {
-				local = &n.newMemo(ep.lp, payload, tail).pktMeta
+				b := ep.newBuf(payload, tail)
+				local = n.newMemo(ep.lp, b.b, tail, b)
 			}
-			pkt.meta = local
+			pkt.Payload, pkt.meta = local.payload, &local.pktMeta
+		} else {
+			if cross == nil {
+				cross = append([]byte(nil), payload...)
+			}
+			pkt.Payload, pkt.meta = cross, ep.tailMeta(tail)
 		}
 		j := i + 1
 		if drawless && f.joins(i, ep.lp) {
@@ -791,9 +821,8 @@ func (n *Network) fanoutFor(src topology.HostID, ch ChannelID, ttl int) *fanout 
 // destination is unreachable (network partition) — like UDP, an unreachable
 // destination is otherwise silent. An out-of-range destination (e.g. a host
 // ID taken from a corrupted packet) is unreachable, not a panic. As with
-// Multicast the payload is not copied and is immutable from here on: the
-// network keeps it (the delivery, duplicates, the replay ring) and receivers
-// decode views into it.
+// Multicast the payload is copied; a copy bound for another LP takes its
+// count along, which only that LP touches from the boundary on.
 func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	if !ep.up {
 		return false
@@ -801,32 +830,29 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	if int(dst) < 0 || int(dst) >= len(ep.net.eps) {
 		return false
 	}
-	pkt := Packet{Src: ep.id, Dst: dst, Payload: payload, meta: ep.tailMeta(wire.Padding(payload))}
+	size := uint64(len(payload) + wire.Padding(payload) + UDPOverhead)
 	ep.stats.PktsSent++
-	ep.stats.BytesSent += uint64(pkt.WireSize())
+	ep.stats.BytesSent += size
 	lat, marks := ep.net.top.UnicastPath(ep.id, dst)
 	if lat < 0 {
 		return false
 	}
 	if ep.net.top.HostDC(ep.id) != ep.net.top.HostDC(dst) {
 		if l := ep.net.lps; l != nil {
-			l.wan[ep.lp] += uint64(pkt.WireSize())
+			l.wan[ep.lp] += size
 		} else {
-			ep.net.wanBytes += uint64(pkt.WireSize())
+			ep.net.wanBytes += size
 		}
 	}
-	ep.deliver(ep.net.eps[dst], pkt, lat, marks)
+	b := ep.newBuf(payload, int(size)-len(payload)-UDPOverhead)
+	ep.deliver(ep.net.eps[dst], Packet{Src: ep.id, Dst: dst, Payload: b.b, meta: &b.pktMeta}, lat, marks)
 	return true
 }
 
-// tailMeta returns a record that carries nothing but a tail, nil for none:
-// the endpoint's last one, reused while the tail repeats (a rapid node beats
-// one buffer to each of its observers). Nothing writes such a record, so any
-// number of packets, on any LP, may share it.
+// tailMeta returns the record of a multicast copy bound for another LP: the
+// endpoint's last one, reused while the tail repeats. Nothing writes such a
+// record, so any number of packets, on any LP, may share it.
 func (ep *Endpoint) tailMeta(tail int) *pktMeta {
-	if tail == 0 {
-		return nil
-	}
 	if ep.sendMeta == nil || ep.sendMeta.tail != tail {
 		ep.sendMeta = &pktMeta{tail: tail}
 	}
@@ -909,19 +935,23 @@ type delivery struct {
 	next  *delivery // free-list link
 }
 
-// pools are one LP's free lists of delivery records, multicast memos and the
-// decoders memos borrow, touched only by that LP's goroutine. The memo and
-// decoder lists keep at most one entry per endpoint of the LP. A multicast is
-// in flight for a path latency, far under a beat period, so an LP's steady
-// state has fewer memos in flight than endpoints (under a hundred across
-// tree-churn's thousand); a deeper list is what a burst such as a cold boot
-// left behind (tens of thousands there), and is let go rather than kept live.
+// pools are one LP's free lists of delivery records, multicast memos, the
+// decoders memos borrow and send buffers, touched only by that LP's goroutine.
+// The memo and decoder lists keep at most one entry per endpoint of the LP. A
+// multicast is in flight for a path latency, far under a beat period, so an
+// LP's steady state has fewer memos in flight than endpoints (under a hundred
+// across tree-churn's thousand); a deeper list is what a burst such as a cold
+// boot left behind (tens of thousands there), and is let go, not kept live.
 type pools struct {
-	del   *delivery
-	memo  *memo
-	memos int // memos in the list
-	decs  []*wire.Decoder
-	hosts int // the LP's endpoints: the most memos, and decoders, kept
+	del    *delivery
+	memo   *memo
+	memos  int // memos in the list
+	decs   []*wire.Decoder
+	hosts  int                        // the LP's endpoints: the most memos, and decoders, kept
+	bufs   [bufClasses + 1][]*sendBuf // the last, for larger payloads, stays empty
+	low    [bufClasses + 1]int        // each list's shortest since the last trim
+	bytes  int                        // the capacity of the free buffers
+	trimAt time.Duration              // when the buffer lists are trimmed next
 }
 
 // decoder lends a decoder to a multicast memo of the LP.
@@ -942,8 +972,64 @@ func (n *Network) pool(lp int32) *pools {
 	return &n.free
 }
 
-// newMemo takes a memo for payload from LP lp's free list.
-func (n *Network) newMemo(lp int32, payload []byte, tail int) *memo {
+// newBuf copies payload into a buffer from the free lists of the sender's
+// LP, with the packet's tail on the buffer's record and no references yet.
+func (ep *Endpoint) newBuf(payload []byte, tail int) *sendBuf {
+	p, c := ep.net.pool(ep.lp), bufClass(len(payload))
+	if now := ep.eng.Now(); now >= p.trimAt {
+		p.trim(now)
+	}
+	var b *sendBuf
+	if l := len(p.bufs[c]) - 1; l >= 0 {
+		b, p.bufs[c][l], p.bufs[c] = p.bufs[c][l], nil, p.bufs[c][:l]
+		p.bytes, p.low[c] = p.bytes-cap(b.b), min(p.low[c], l)
+	} else {
+		size := len(payload)
+		if c < bufClasses {
+			size = bufMin << c
+		}
+		b = &sendBuf{b: make([]byte, 0, size)}
+		b.buf = b
+	}
+	b.b, b.tail = append(b.b[:0], payload...), tail
+	return b
+}
+
+// releaseBuf drops one reference to b, if any, held on LP lp's goroutine;
+// the last one returns it to that LP's free lists, while they are under
+// budget.
+func (n *Network) releaseBuf(lp int32, b *sendBuf) {
+	if b == nil {
+		return
+	}
+	if b.refs--; b.refs > 0 {
+		return
+	}
+	if raceflag.Enabled {
+		for i := range b.b {
+			b.b[i] = scribble
+		}
+	}
+	p, c := n.pool(lp), bufClass(cap(b.b))
+	if c < bufClasses && p.bytes+cap(b.b) <= bufBudget {
+		p.bufs[c], p.bytes = append(p.bufs[c], b), p.bytes+cap(b.b)
+	}
+}
+
+// trim lets go of the oldest buffers of each list, as many as lay unused
+// since the last trim.
+func (p *pools) trim(now time.Duration) {
+	p.trimAt = now + bufTrim
+	for c, l := range p.bufs {
+		k := copy(l, l[p.low[c]:])
+		clear(l[k:])
+		p.bufs[c], p.low[c], p.bytes = l[:k], k, p.bytes-p.low[c]*(bufMin<<c)
+	}
+}
+
+// newMemo takes a memo for payload from LP lp's free list; b is the send
+// buffer the payload lives in, nil for a copy that crossed LPs.
+func (n *Network) newMemo(lp int32, payload []byte, tail int, b *sendBuf) *memo {
 	p := n.pool(lp)
 	r := p.memo
 	if r != nil {
@@ -953,13 +1039,13 @@ func (n *Network) newMemo(lp int32, payload []byte, tail int) *memo {
 		r = newRecord()
 		r.pool = p
 	}
-	r.tail, r.payload = tail, payload
+	r.tail, r.payload, r.buf = tail, payload, b
 	return r
 }
 
 // newDelivery takes a record from the receiver's pool and fills it as a run
 // of one; the caller schedules it on the receiver's engine. A multicast memo
-// the packet carries counts the record among its references.
+// and a send buffer the packet carries count the record among their holders.
 func (n *Network) newDelivery(dst *Endpoint, pkt Packet, loss float64, fl faults) *delivery {
 	p := n.pool(dst.lp)
 	d := p.del
@@ -970,18 +1056,20 @@ func (n *Network) newDelivery(dst *Endpoint, pkt Packet, loss float64, fl faults
 		d = &delivery{}
 	}
 	d.dst, d.pkt, d.loss, d.fl = dst, pkt, loss, fl
-	if pkt.meta != nil && pkt.meta.memo != nil {
+	if pkt.meta.memo != nil {
 		pkt.meta.memo.refs++
+	}
+	if pkt.meta.buf != nil {
+		pkt.meta.buf.refs++
 	}
 	return d
 }
 
-// releaseDelivery returns a record to its pool, and the multicast memo it
-// carried to the memo pool once no other record refers to it.
+// releaseDelivery returns a record to its pool, and the multicast memo and
+// send buffer it carried to theirs once no other holder refers to them.
 func (n *Network) releaseDelivery(d *delivery) {
-	p := n.pool(d.dst.lp)
-	if m := d.pkt.meta; m != nil && m.memo != nil {
-		r := m.memo
+	p, lp, b := n.pool(d.dst.lp), d.dst.lp, d.pkt.meta.buf
+	if r := d.pkt.meta.memo; r != nil {
 		if r.refs--; r.refs == 0 {
 			r.reset()
 			if r.dec != nil && len(p.decs) < p.hosts {
@@ -995,6 +1083,7 @@ func (n *Network) releaseDelivery(d *delivery) {
 	}
 	*d = delivery{more: d.more[:0], next: p.del}
 	p.del = d
+	n.releaseBuf(lp, b)
 }
 
 // Fire implements sim.Callback: it is the arrival half of a send. The
@@ -1102,11 +1191,17 @@ func (ep *Endpoint) receive(pkt Packet) {
 	r.reset()
 }
 
-// recordRecent remembers a delivered packet for replay injection. Replayed
-// and stale copies are themselves never recorded (they arrive via receive
-// directly), so replay cannot feed on its own output.
+// recordRecent remembers a delivered packet for replay injection, holding its
+// send buffer until the slot is overwritten. Replayed and stale copies are
+// themselves never recorded (they arrive via receive directly), so replay
+// cannot feed on its own output.
 func (ep *Endpoint) recordRecent(pkt Packet, at time.Duration) {
-	ep.recent[ep.recentNext] = recentPkt{pkt: pkt, at: at}
+	slot := &ep.recent[ep.recentNext]
+	ep.net.releaseBuf(ep.lp, slot.buf)
+	*slot = recentPkt{pkt: pkt, at: at, buf: pkt.meta.buf}
+	if slot.buf != nil {
+		slot.buf.refs++
+	}
 	ep.recentNext = (ep.recentNext + 1) % replayRingSize
 	if ep.recentUsed < replayRingSize {
 		ep.recentUsed++
@@ -1188,21 +1283,18 @@ func (p *Packet) corrupt(r *rand.Rand) {
 // keeps the packet whole. Any other cut of a padded packet shortens what the
 // body checksum covered — the zero run, or the body itself — so the kept
 // prefix is spoiled, and the tail is what the cut left of it: WireSize is the
-// cut plus UDPOverhead either way. Like corrupt, it leaves the packet a record
-// of its own.
+// cut plus UDPOverhead either way. Like corrupt, it leaves a cut packet a
+// record and bytes of its own.
 func (p *Packet) truncate(r *rand.Rand) {
 	tail := p.tail()
 	k := r.Intn(len(p.Payload) + tail + 1)
-	if k < len(p.Payload)+tail {
-		keep := min(k, len(p.Payload))
-		if tail == 0 {
-			p.Payload = p.Payload[:keep]
-		} else {
-			out := append([]byte(nil), p.Payload[:keep]...)
-			wire.Spoil(out)
-			p.Payload = out
-		}
-		tail = k - keep
+	if k == len(p.Payload)+tail {
+		return
 	}
-	p.own(tail)
+	keep := min(k, len(p.Payload))
+	p.Payload = append([]byte(nil), p.Payload[:keep]...)
+	if tail > 0 {
+		wire.Spoil(p.Payload)
+	}
+	p.own(k - keep)
 }

@@ -132,7 +132,7 @@ func (n *Network) DrainCross(bucket int, winEnd time.Duration) {
 					m.pkt.meta = &shared.pktMeta
 				}
 				if m.pkt.memo() == nil {
-					shared, sharedLP = n.newMemo(m.dst.lp, m.pkt.Payload, tail), m.dst.lp
+					shared, sharedLP = n.newMemo(m.dst.lp, m.pkt.Payload, tail, nil), m.dst.lp
 					m.pkt.meta = &shared.pktMeta
 				}
 			}

@@ -497,7 +497,9 @@ func TestRunSurvivesFanoutRebuild(t *testing.T) {
 // TestBurstPoolHighWater checks that the pool is sized by runs in flight, not
 // copies: after a burst of same-instant all-to-all multicasts has drained it
 // holds at most three records per multicast (the groups below the sender, its
-// own, the groups above), where per-copy deliveries left 399.
+// own, the groups above), where per-copy deliveries left 399. The burst's send
+// buffers, 64 KiB each and all in flight at once, are let go down to the
+// budget, and the rest once they have lain unused through a trim period.
 func TestBurstPoolHighWater(t *testing.T) {
 	eng, n := newNet(t, topology.Clustered(20, 20))
 	recv := 0
@@ -506,16 +508,28 @@ func TestBurstPoolHighWater(t *testing.T) {
 		ep.Join(3)
 		ep.SetHandler(func(pkt Packet) { recv++ })
 	}
-	const burst = 25
+	const burst = 40
 	ttl := n.top.Diameter()
+	payload := append([]byte("beat"), make([]byte, 60000)...)
 	for i := 0; i < burst; i++ {
-		n.Endpoint(topology.HostID(i*16)).Multicast(3, ttl, []byte("beat"))
+		n.Endpoint(topology.HostID(i*10)).Multicast(3, ttl, payload)
 	}
 	eng.RunAll()
+	if big := 64 << 10; burst*big <= bufBudget || n.free.bytes > bufBudget || n.free.bytes < bufBudget-big {
+		t.Fatalf("free send buffers hold %d bytes after a %d-byte burst, want at most the budget, %d, and near it", n.free.bytes, burst*big, bufBudget)
+	}
 	if recv != burst*399 {
 		t.Fatalf("%d copies delivered, want %d", recv, burst*399)
 	}
 	if got := poolLen(n, 0); got > burst*3 {
 		t.Fatalf("pool holds %d records after a burst of %d multicasts, want at most %d", got, burst, burst*3)
+	}
+	for i := 0; i < 2; i++ {
+		eng.Run(eng.Now() + bufTrim)
+		n.Endpoint(0).Multicast(3, ttl, []byte("beat"))
+		eng.RunAll()
+	}
+	if n.free.bytes != bufMin {
+		t.Fatalf("free send buffers hold %d bytes two trim periods after the burst, want the one beat's %d", n.free.bytes, bufMin)
 	}
 }

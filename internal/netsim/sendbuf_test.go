@@ -1,0 +1,179 @@
+package netsim
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro/internal/raceflag"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/wire"
+)
+
+// TestSendCopiesPayload: Unicast and Multicast copy the payload before they
+// return, so a sender that encodes its next packet into the same bytes does
+// not change the one in flight.
+func TestSendCopiesPayload(t *testing.T) {
+	eng, n := newNet(t, topology.Clustered(2, 3))
+	var got []string
+	for h := topology.HostID(1); h < 6; h++ {
+		ep := n.Endpoint(h)
+		ep.Join(7)
+		ep.SetHandler(func(pkt Packet) { got = append(got, fmt.Sprintf("%d:%s", ep.id, pkt.Payload)) })
+	}
+	scratch := []byte("uni")
+	n.Endpoint(0).Unicast(4, scratch)
+	copy(scratch, "XXX")
+	scratch = append(scratch[:0], "multi"...)
+	n.Endpoint(0).Multicast(7, 2, scratch)
+	copy(scratch, "YYYYY")
+	eng.RunAll()
+	sort.Strings(got)
+	want := []string{"1:multi", "2:multi", "3:multi", "4:multi", "4:uni", "5:multi"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("deliveries %v, want %v", got, want)
+	}
+}
+
+// TestSendBufferSizes: a payload takes a buffer of its size class, and one
+// larger than the largest class, which is never kept, a buffer of its own
+// size.
+func TestSendBufferSizes(t *testing.T) {
+	_, n := newNet(t, topology.Clustered(1, 2))
+	for _, c := range []struct{ len, cap int }{{1, bufMin}, {100, 2 * bufMin}, {bufMin << (bufClasses - 1), bufMin << (bufClasses - 1)}, {70000, 70000}} {
+		if b := n.Endpoint(0).newBuf(make([]byte, c.len), 0); cap(b.b) != c.cap || len(b.b) != c.len {
+			t.Errorf("a %d-byte payload got a buffer of %d bytes, cap %d; want cap %d", c.len, len(b.b), cap(b.b), c.cap)
+		}
+	}
+}
+
+// TestKeptPayloadIsScribbled is the tripwire for packet memory kept past its
+// handler: with the race detector compiled in, a send buffer is filled with a
+// fixed pattern when its last holder lets go, so a handler that kept
+// pkt.Payload reads the pattern afterwards, not its packet, nor quietly a
+// later one.
+func TestKeptPayloadIsScribbled(t *testing.T) {
+	if !raceflag.Enabled {
+		t.Skip("the scribble is compiled in with the race detector only")
+	}
+	eng, n := newNet(t, topology.Clustered(1, 3))
+	var kept [][]byte
+	for h := topology.HostID(1); h < 3; h++ {
+		ep := n.Endpoint(h)
+		ep.Join(7)
+		ep.SetHandler(func(pkt Packet) { kept = append(kept, pkt.Payload) })
+	}
+	n.Endpoint(0).Unicast(1, []byte("unicast"))
+	n.Endpoint(0).Multicast(7, 1, []byte("multicast"))
+	eng.RunAll()
+	if len(kept) != 3 {
+		t.Fatalf("%d deliveries, want 3", len(kept))
+	}
+	for _, p := range kept {
+		if len(p) == 0 || !bytes.Equal(p, bytes.Repeat([]byte{scribble}, len(p))) {
+			t.Fatalf("kept payload %q after its handler returned, want the released buffer's pattern", p)
+		}
+	}
+}
+
+// checkBufs holds an LP's free buffer lists to their invariants: every
+// listed buffer is unreferenced, sits in its own class once, and the lists
+// add up to the accounted bytes, within the budget; no replay-ring slot holds
+// a listed buffer.
+func checkBufs(t *testing.T, n *Network, lp int32, eps []*Endpoint) {
+	t.Helper()
+	p := n.pool(lp)
+	listed := map[*sendBuf]bool{}
+	total := 0
+	for c, l := range p.bufs {
+		for _, b := range l {
+			if b.refs != 0 || listed[b] || bufClass(cap(b.b)) != c || cap(b.b) != bufMin<<c {
+				t.Fatalf("LP %d: listed buffer of class %d has %d refs, cap %d, listed before %v", lp, c, b.refs, cap(b.b), listed[b])
+			}
+			listed[b] = true
+			total += cap(b.b)
+		}
+		if p.low[c] > len(l) {
+			t.Fatalf("LP %d: class %d lists %d buffers under a low-water mark of %d", lp, c, len(l), p.low[c])
+		}
+	}
+	if total != p.bytes || total > bufBudget {
+		t.Fatalf("LP %d: lists hold %d bytes, accounted %d, budget %d", lp, total, p.bytes, bufBudget)
+	}
+	for _, ep := range eps {
+		for _, r := range ep.recent {
+			if r.buf != nil && (listed[r.buf] || r.buf.refs < 1) {
+				t.Fatalf("host %d: replay slot holds a buffer with %d refs, listed %v", ep.id, r.buf.refs, listed[r.buf])
+			}
+		}
+	}
+}
+
+// TestSendBuffersBalance replays the seeded scripts — duplication, jitter,
+// gray hosts, every byte fault, cross-LP runs — serially and partitioned, and
+// checks the buffer lists of every LP afterwards: a reference taken twice or
+// dropped twice shows as a listed buffer still held, or listed twice.
+func TestSendBuffersBalance(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, buckets := range []int{0, 4} {
+			w := newWorld(seed, buckets, 0)
+			w.run(genScript(seed))
+			for lp := range w.engs {
+				var eps []*Endpoint
+				for h := topology.HostID(0); h < scriptHosts; h++ {
+					if ep := w.net.Endpoint(h); ep.lp == int32(lp) {
+						eps = append(eps, ep)
+					}
+				}
+				checkBufs(t, w.net, int32(lp), eps)
+			}
+		}
+	}
+}
+
+// sendCeiling builds the BenchmarkSendSteadyState fixture — a 1000-byte
+// unicast and a padded heartbeat multicast into a 20-host group, every copy
+// decoded — and checks that in the steady state a round allocates nothing:
+// the buffers come back from the free lists.
+func sendCeiling(tb testing.TB) func() {
+	eng := sim.NewEngine(1)
+	n := New(eng, topology.Clustered(1, 20))
+	for h := topology.HostID(0); h < 20; h++ {
+		ep := n.Endpoint(h)
+		ep.Join(3)
+		ep.SetHandler(func(pkt Packet) {
+			if _, err := pkt.Decode(); err != nil {
+				tb.Fatal(err)
+			}
+		})
+	}
+	hb := &wire.Heartbeat{Seq: 7, Pad: 144}
+	req := wire.Encode(&wire.ServiceRequest{ReqID: 1, Service: "svc", Payload: make([]byte, 1000)})
+	var enc wire.Encoder
+	scratch := make([]byte, 0, 2048)
+	round := func() {
+		hb.Seq++
+		scratch = enc.AppendEncode(scratch[:0], hb)
+		n.Endpoint(0).Multicast(3, 1, scratch)
+		n.Endpoint(0).Unicast(5, req)
+		eng.RunAll()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		tb.Fatalf("a steady-state unicast and 19-copy multicast allocate %v times, want 0", allocs)
+	}
+	return round
+}
+
+func TestSendCeilingHolds(t *testing.T) { sendCeiling(t) }
+
+func BenchmarkSendSteadyState(b *testing.B) {
+	round := sendCeiling(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

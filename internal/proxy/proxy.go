@@ -215,21 +215,20 @@ type Proxy struct {
 	chunkSize int
 
 	// enc frames the proxy realm's own packets (group beats, summaries,
-	// updates) without a per-send writer; each hint is the size of the last
-	// packet of its kind, so the next one is allocated once at about the
-	// right size. Relayed requests and replies go out through the runtime.
-	// hb is the outgoing group beat, overwritten per send (a fresh one would
-	// escape through wire.Message).
-	enc                             wire.Encoder
-	hbHint, updateHint, summaryHint int
-	hb                              wire.Heartbeat
+	// updates) into buf, the proxy's resident send buffer, which the
+	// transport copies from. Relayed requests and replies go out through the
+	// runtime. hb is the outgoing group beat, overwritten per send (a fresh
+	// one would escape through wire.Message).
+	enc wire.Encoder
+	buf []byte
+	hb  wire.Heartbeat
 }
 
-// frame encodes m into a fresh packet sized by *hint, and updates the hint.
-func (p *Proxy) frame(hint *int, m wire.Message) []byte {
-	b := p.enc.AppendEncode(make([]byte, 0, *hint), m)
-	*hint = len(b)
-	return b
+// frame encodes m into the resident send buffer. The packet is good until
+// the next frame: long enough for the sends, which copy it.
+func (p *Proxy) frame(m wire.Message) []byte {
+	p.buf = p.enc.AppendEncode(p.buf[:0], m)
+	return p.buf
 }
 
 // newProxy creates the proxy on ep's host over that host's service runtime,
@@ -395,7 +394,7 @@ func (p *Proxy) beat() {
 		Backup: membership.NoNode,
 		Seq:    uint64(p.tick),
 	}
-	p.ep.Multicast(proxyChannel, p.ttl, p.frame(&p.hbHint, &p.hb))
+	p.ep.Multicast(proxyChannel, p.ttl, p.frame(&p.hb))
 	p.tick++
 
 	if p.isLeader {
@@ -420,7 +419,7 @@ func (p *Proxy) leaderDuties(now time.Duration) {
 	if len(upserts) > 0 || len(removes) > 0 {
 		p.summarySeq++
 		msg := &wire.ProxyUpdate{DC: uint16(p.dc), Seq: p.summarySeq, Upserts: upserts, Removes: removes}
-		payload := p.frame(&p.updateHint, msg)
+		payload := p.frame(msg)
 		for _, dc := range p.remoteDCs {
 			if addr, ok := p.vip.Get(dc); ok {
 				p.ep.Unicast(addr, payload)
@@ -463,7 +462,7 @@ func (p *Proxy) sendFullSummary() {
 			NChunks: uint16(nChunks),
 			Entries: entries[lo:hi],
 		}
-		payload := p.frame(&p.summaryHint, msg)
+		payload := p.frame(msg)
 		for _, dc := range p.remoteDCs {
 			if addr, ok := p.vip.Get(dc); ok {
 				p.ep.Unicast(addr, payload)

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -176,7 +177,7 @@ func TestCrossDCInvocation(t *testing.T) {
 	var gotErr error
 	var at time.Duration
 	f.Hosts[3].RT.Invoke("Retriever", 2, []byte("q"), func(b []byte, err error) {
-		got, gotErr, at = b, err, f.eng.Now()
+		got, gotErr, at = bytes.Clone(b), err, f.eng.Now()
 	})
 	f.run(3 * time.Second)
 	if gotErr != nil {
@@ -293,7 +294,7 @@ func TestThreeDataCenters(t *testing.T) {
 	// A plain DC0 node invokes a service hosted only on a plain DC2 node.
 	var got []byte
 	var gotErr error
-	f.Hosts[2].RT.Invoke("Doc", 0, nil, func(b []byte, err error) { got, gotErr = b, err })
+	f.Hosts[2].RT.Invoke("Doc", 0, nil, func(b []byte, err error) { got, gotErr = bytes.Clone(b), err })
 	f.run(3 * time.Second)
 	if gotErr != nil || string(got) != "dc2" {
 		t.Fatalf("got %q, %v", got, gotErr)

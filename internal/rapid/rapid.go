@@ -235,9 +235,11 @@ type Node struct {
 	scan     *sim.Ticker
 	infoTick *sim.Ticker
 
-	enc wire.Encoder
-	// beat is the outgoing monitoring beat, overwritten per send: a fresh one
-	// would escape through wire.Message and cost a heap object per round.
+	// enc frames every packet into buf (frame). beat is the outgoing
+	// monitoring beat, overwritten per send: a fresh one would escape through
+	// wire.Message and cost a heap object per round.
+	enc  wire.Encoder
+	buf  []byte
 	beat wire.RapidBeat
 }
 
@@ -325,7 +327,7 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.broadcastInfo()
 	// Ask the cluster whether our configuration is behind: anyone on a
 	// newer one replies with it.
-	sync := n.enc.AppendEncode(make([]byte, 0, 64), &wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
+	sync := n.frame(&wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
 	for _, m := range n.members {
 		if m != n.id {
 			n.ep.Unicast(topology.HostID(m), sync)
@@ -373,6 +375,12 @@ func (n *Node) installMembers(members []membership.NodeID, now time.Duration) {
 
 // ---- sending ----
 
+// frame encodes m into the node's send buffer, good until the next frame.
+func (n *Node) frame(m wire.Message) []byte {
+	n.buf = n.enc.AppendEncode(n.buf[:0], m)
+	return n.buf
+}
+
 func (n *Node) broadcast(buf []byte) {
 	for _, m := range n.members {
 		if m != n.id {
@@ -380,11 +388,6 @@ func (n *Node) broadcast(buf []byte) {
 		}
 	}
 }
-
-// beatLen is the length of an encoded RapidBeat: the header and a 26-byte
-// body. The pad it declares is not carried (wire.Padding), so one buffer of
-// this size holds every beat.
-const beatLen = wire.HeaderLen + 26
 
 func (n *Node) sendBeats() {
 	if !n.running || len(n.observers) == 0 {
@@ -398,7 +401,7 @@ func (n *Node) sendBeats() {
 		Beat:      n.info.Beat,
 		Pad:       uint16(n.cfg.HeartbeatPad),
 	}
-	buf := n.enc.AppendEncode(make([]byte, 0, beatLen), &n.beat)
+	buf := n.frame(&n.beat)
 	for _, o := range n.observers {
 		n.ep.Unicast(topology.HostID(o), buf)
 	}
@@ -410,7 +413,7 @@ func (n *Node) broadcastInfo() {
 	}
 	n.info.Beat++
 	msg := &wire.RapidInfo{ConfigSeq: n.configSeq, Info: n.info.Clone()}
-	n.broadcast(n.enc.AppendEncode(nil, msg))
+	n.broadcast(n.frame(msg))
 }
 
 func (n *Node) sendAlert(subject membership.NodeID, down bool) {
@@ -423,7 +426,7 @@ func (n *Node) sendAlert(subject membership.NodeID, down bool) {
 		Seq:       n.alertSeq,
 		Down:      down,
 	}
-	n.broadcast(n.enc.AppendEncode(make([]byte, 0, 64), a))
+	n.broadcast(n.frame(a))
 	if down {
 		n.cut.Down(subject, n.id, now)
 		n.peers.Ensure(subject).lastAlert = now
@@ -460,7 +463,7 @@ func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
 		return
 	}
 	p.viewDue = now + syncMinGap
-	n.ep.Unicast(topology.HostID(target), n.enc.AppendEncode(nil, n.currentView()))
+	n.ep.Unicast(topology.HostID(target), n.frame(n.currentView()))
 }
 
 // noteSeq reconciles configuration drift revealed by a peer's packet: a
@@ -481,7 +484,7 @@ func (n *Node) noteSeq(from membership.NodeID, seq uint64, now time.Duration) {
 			return
 		}
 		p.syncDue = now + syncMinGap
-		buf := n.enc.AppendEncode(make([]byte, 0, 64), &wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
+		buf := n.frame(&wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
 		n.ep.Unicast(topology.HostID(from), buf)
 	default:
 		if !n.isMember(from) {
@@ -632,7 +635,7 @@ func (n *Node) onProbe(p *wire.RapidProbe) {
 		n.ep.NoteReject()
 		return
 	}
-	buf := n.enc.AppendEncode(make([]byte, 0, 64), &wire.RapidProbeAck{From: n.id, Token: p.Token})
+	buf := n.frame(&wire.RapidProbeAck{From: n.id, Token: p.Token})
 	n.ep.Unicast(topology.HostID(p.From), buf)
 }
 
@@ -673,7 +676,7 @@ func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
 		}
 	}
 	v := &wire.RapidVote{From: n.id, Token: p.Token, OK: len(alive) == 0, Alive: alive}
-	n.ep.Unicast(topology.HostID(p.From), n.enc.AppendEncode(make([]byte, 0, 64), v))
+	n.ep.Unicast(topology.HostID(p.From), n.frame(v))
 }
 
 // onVote is the proposer side: a veto aborts the round on the spot (and the
@@ -812,7 +815,7 @@ func (n *Node) joinLoop(now time.Duration) {
 	n.joinTarget++
 	n.joinSentAt = now
 	j := &wire.RapidJoin{From: n.id, ConfigSeq: n.configSeq, Info: n.info.Clone()}
-	n.ep.Unicast(topology.HostID(t), n.enc.AppendEncode(nil, j))
+	n.ep.Unicast(topology.HostID(t), n.frame(j))
 }
 
 // arbitrate is the proposer side of the pipeline: classify the cut, probe
@@ -928,7 +931,7 @@ func (n *Node) probe(s membership.NodeID, p *peer, now time.Duration) {
 }
 
 func (n *Node) sendProbe(s membership.NodeID, token uint64) {
-	buf := n.enc.AppendEncode(make([]byte, 0, 64), &wire.RapidProbe{From: n.id, Token: token})
+	buf := n.frame(&wire.RapidProbe{From: n.id, Token: token})
 	n.ep.Unicast(topology.HostID(s), buf)
 }
 
@@ -976,7 +979,7 @@ func (n *Node) broadcastProposal() {
 		Seq:   n.configSeq + 1,
 		Evict: n.prop.evict,
 	}
-	n.broadcast(n.enc.AppendEncode(make([]byte, 0, 64), p))
+	n.broadcast(n.frame(p))
 }
 
 // pumpProposal retransmits the open round for lost votes and commits it once
@@ -1044,7 +1047,7 @@ func (n *Node) commit(evict []membership.NodeID, now time.Duration) {
 	for _, info := range joinInfos {
 		v.Infos.Append(info)
 	}
-	buf := n.enc.AppendEncode(nil, v)
+	buf := n.frame(v)
 	for _, t := range targets {
 		if t != n.id {
 			n.ep.Unicast(topology.HostID(t), buf)

@@ -343,8 +343,9 @@ func (c *capturingTransport) Unicast(_ topology.HostID, payload []byte) bool {
 }
 
 // TestBeatFitsItsSizeClass: a monitoring beat padded to the paper's 228 bytes
-// declares its tail instead of carrying it, so a round of beats allocates one
-// buffer of at most 48 bytes, shared by every observer.
+// declares its tail instead of carrying it, so a round of beats frames at
+// most 48 bytes into the node's send buffer, shared by every observer, and
+// allocates nothing.
 func TestBeatFitsItsSizeClass(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig()
@@ -359,9 +360,9 @@ func TestBeatFitsItsSizeClass(t *testing.T) {
 		t.Fatal("the node has no observers to beat to")
 	}
 	allocs := testing.AllocsPerRun(100, n.sendBeats)
-	if b := ep.last; allocs != 1 || cap(b) > 48 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
-		t.Fatalf("a round of beats allocates %v buffers of %d bytes modelled at %d, want one of at most 48 modelled at 228",
-			allocs, cap(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
+	if b := ep.last; allocs != 0 || len(b) > 48 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
+		t.Fatalf("a round of beats allocates %v times and frames %d bytes modelled at %d, want none and at most 48 modelled at 228",
+			allocs, len(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
 	}
 }
 

@@ -209,6 +209,7 @@ type Endpoint struct {
 	subs     map[netsim.ChannelID]bool
 	handler  netsim.Handler
 	rejected uint64
+	out      []byte // the resident frame every send is written from (send)
 }
 
 // NewEndpoint creates and registers an endpoint for host id.
@@ -316,14 +317,15 @@ func (ep *Endpoint) Rejected() uint64 {
 	return ep.rejected
 }
 
-func (ep *Endpoint) frame(kind byte, a, b uint32, payload []byte) []byte {
-	buf := make([]byte, headerLen+len(payload))
-	buf[0] = kind
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(ep.id))
-	binary.LittleEndian.PutUint32(buf[5:9], a)
-	binary.LittleEndian.PutUint32(buf[9:13], b)
-	copy(buf[headerLen:], payload)
-	return buf
+// send frames payload behind the hub header in the endpoint's resident
+// buffer, under ep.mu, and writes it to the hub, which copies it.
+func (ep *Endpoint) send(kind byte, a, b uint32, payload []byte) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	le := binary.LittleEndian
+	buf := le.AppendUint32(append(ep.out[:0], kind), uint32(ep.id))
+	ep.out = append(le.AppendUint32(le.AppendUint32(buf, a), b), payload...)
+	ep.conn.WriteToUDP(ep.out, ep.hub.Addr())
 }
 
 // Multicast implements netsim.Transport.
@@ -331,7 +333,7 @@ func (ep *Endpoint) Multicast(ch netsim.ChannelID, ttl int, payload []byte) {
 	if !ep.Up() {
 		return
 	}
-	ep.conn.WriteToUDP(ep.frame(frameMulticast, uint32(ch), uint32(ttl), payload), ep.hub.Addr())
+	ep.send(frameMulticast, uint32(ch), uint32(ttl), payload)
 }
 
 // Unicast implements netsim.Transport. Reachability is enforced by the
@@ -341,7 +343,7 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	if !ep.Up() {
 		return false
 	}
-	ep.conn.WriteToUDP(ep.frame(frameUnicast, uint32(dst), 0, payload), ep.hub.Addr())
+	ep.send(frameUnicast, uint32(dst), 0, payload)
 	return true
 }
 

@@ -35,11 +35,12 @@
 // a membership kind decodes it from the same record. Three rules follow, and
 // the tests in
 // pooled_test.go hold them. A record returns to its pool before user code
-// runs, because callbacks re-enter Invoke. A reply finds its call by request
-// ID through a map, never by record, so a late, duplicated or replayed reply
+// runs, because callbacks re-enter Invoke (a serve record, which holds its
+// handler's payload, after the reply). A reply finds its call by request ID
+// through a map, never by record, so a late, duplicated or replayed reply
 // cannot complete whatever call the record serves now. And the payload a
-// Handler or a callback receives is packet memory (see Handler): a clipped
-// view, safe to keep, never to be written. Candidate lookup is
+// Handler or a callback receives is valid until it returns (see Handler):
+// queued and polled requests keep copies. Candidate lookup is
 // membership.Directory.Hosts, an exact-name scan; the regex Lookup is the
 // paper's client API and is not on this path.
 package service

@@ -12,12 +12,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Handler processes one application request on a provider. payload is
-// packet memory: a view of the request as it arrived, with its capacity
-// clipped to its length. It is safe to keep (the network never reuses a
-// packet's bytes) and safe to return as the reply, but it must not be written
-// to; an append copies out because of the clipped capacity. The same holds
-// for the payload an Invoke or InvokeNode callback receives.
+// Handler processes one application request on a provider. payload is the
+// request's bytes, valid until the handler returns: the runtime reuses them
+// for a later request, so a handler that keeps them copies them. It is safe to
+// return as the reply, but it must not be written to; an append copies out
+// because of the clipped capacity. The same holds for the payload an Invoke
+// or InvokeNode callback receives, which is a view of the reply packet.
 type Handler func(partition int32, payload []byte) ([]byte, error)
 
 // Member is the membership-daemon surface the runtime layers over: any
@@ -87,7 +87,7 @@ type instance struct {
 // taken at the start of its request and put back — zeroed by whoever puts it
 // back — before any user code runs on its behalf: callbacks re-enter Invoke
 // (the search gateway's fan-out, the proxy relay) and those invocations reuse
-// the record.
+// the record (except serving's: see its Fire).
 type pool[T any] []*T
 
 func (p *pool[T]) get() *T {
@@ -139,24 +139,27 @@ func (r *Runtime) fail(cb func([]byte, error), err error) {
 }
 
 // serving is one request queued on the provider: the pooled record the
-// engine fires when the request's turn in the node's FIFO completes.
+// engine fires when the request's turn in the node's FIFO completes, holding
+// a copy of the request payload in a buffer it keeps across reuse.
 type serving struct {
 	rt        *Runtime
 	inst      *instance
 	from      topology.HostID
 	reqID     uint64
 	partition int32
-	payload   []byte // view of the request packet
+	payload   []byte
 }
 
-// Fire runs the handler and replies.
+// Fire runs the handler and replies, and only then pools the record: the
+// handler reads, and may return, its payload (no delivery is synchronous, so
+// nothing it does can queue a request meanwhile).
 func (s *serving) Fire() {
-	r, inst, from, reqID, partition, payload := s.rt, s.inst, s.from, s.reqID, s.partition, s.payload
-	*s = serving{}
-	r.freeServings.put(s)
+	r := s.rt
 	r.queued--
-	out, err := inst.handler(partition, payload)
-	r.SendReply(from, reqID, err == nil, out)
+	out, err := s.inst.handler(s.partition, s.payload[:len(s.payload):len(s.payload)])
+	r.SendReply(s.from, s.reqID, err == nil, out)
+	*s = serving{payload: s.payload[:0]}
+	r.freeServings.put(s)
 }
 
 // poll is one invocation waiting for load-poll replies: the pooled record
@@ -171,7 +174,7 @@ type poll struct {
 
 	service   string
 	partition int32
-	payload   []byte
+	payload   []byte // a copy, in a buffer the record keeps across reuse
 	cb        func([]byte, error)
 
 	slots    []pollSlot // one per polled candidate, in polled order; reused across polls
@@ -191,7 +194,7 @@ func (p *poll) Fire() {
 		p.decide()
 	}
 	r := p.rt
-	*p = poll{slots: p.slots[:0]}
+	*p = poll{slots: p.slots[:0], payload: p.payload[:0]}
 	r.freePolls.put(p)
 }
 
@@ -222,7 +225,7 @@ func (p *poll) decide() {
 	}
 	r.ties = ties
 	service, partition, payload, cb := p.service, p.partition, p.payload, p.cb
-	p.service, p.payload, p.cb = "", nil, nil // the record idles until its timeout fires
+	p.service, p.cb = "", nil // the record idles until its timeout fires
 	r.request(topology.HostID(best), service, partition, payload, 0, cb)
 }
 
@@ -249,10 +252,11 @@ type Runtime struct {
 	freePolls    pool[poll]
 
 	// The resident encoder: every packet the runtime sends is framed by enc
-	// from one of the out structs into a buffer of exactly its encoded size.
+	// from one of the out structs into buf, which the network copies from.
 	// (What it receives is parsed into the transport's resident record, by
 	// Packet.Decode.) cands and ties are the scratch slices of one Invoke.
 	enc wire.Encoder
+	buf []byte
 	out struct {
 		req   wire.ServiceRequest
 		reply wire.ServiceReply
@@ -389,10 +393,10 @@ func runtimeKind(t wire.Type) bool {
 	return false
 }
 
-// send frames m into a packet of exactly its encoded size — the one
-// allocation a send makes, and one the network keeps — and unicasts it.
-func (r *Runtime) send(dst topology.HostID, m wire.Sized) bool {
-	return r.ep.Unicast(dst, r.enc.EncodeSized(m))
+// send frames m into the resident buffer and unicasts it.
+func (r *Runtime) send(dst topology.HostID, m wire.Message) bool {
+	r.buf = r.enc.AppendEncode(r.buf[:0], m)
+	return r.ep.Unicast(dst, r.buf)
 }
 
 // SendRequest frames and unicasts one ServiceRequest under a caller-chosen
@@ -439,7 +443,7 @@ func (r *Runtime) serve(from topology.HostID, req *wire.ServiceRequest) {
 	r.busyUntil = start + inst.serviceTime
 	r.queued++
 	s := r.freeServings.get()
-	*s = serving{rt: r, inst: inst, from: from, reqID: req.ReqID, partition: req.Partition, payload: req.Payload}
+	*s = serving{rt: r, inst: inst, from: from, reqID: req.ReqID, partition: req.Partition, payload: append(s.payload[:0], req.Payload...)}
 	r.eng.ScheduleCall(r.busyUntil-now, s)
 }
 
@@ -458,7 +462,7 @@ func (r *Runtime) hasPartition(inst *instance, p int32) bool {
 // Invoke performs one location-transparent invocation. The callback runs on
 // the simulation goroutine exactly once, always from an event of its own
 // (never inside Invoke), and may itself invoke. Its payload argument is
-// packet memory under the same rule as a Handler's.
+// packet memory, as a Handler's is. A request awaiting polls keeps a copy.
 func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
 	r.cands = r.node.Directory().Hosts(r.cands[:0], serviceName, partition)
 	candidates := r.cands
@@ -513,17 +517,16 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 	p := r.freePolls.get()
 	r.nextReq++
 	p.rt, p.token = r, r.nextReq
-	p.service, p.partition, p.payload, p.cb = serviceName, partition, payload, cb
+	p.service, p.partition, p.payload, p.cb = serviceName, partition, append(p.payload[:0], payload...), cb
 	for _, c := range candidates {
 		p.slots = append(p.slots, pollSlot{node: c})
 	}
 	r.polls[p.token] = p
-	// One packet serves every polled candidate: packets are immutable once
-	// sent, so unicasts may share their bytes.
+	// One framing serves every polled candidate: each unicast copies it.
 	r.out.poll = wire.LoadPoll{From: r.node.ID(), Token: p.token}
-	pkt := r.enc.EncodeSized(&r.out.poll)
+	r.buf = r.enc.AppendEncode(r.buf[:0], &r.out.poll)
 	for _, c := range candidates {
-		r.ep.Unicast(topology.HostID(c), pkt)
+		r.ep.Unicast(topology.HostID(c), r.buf)
 	}
 	r.eng.ScheduleCall(pollTimeout, p)
 }

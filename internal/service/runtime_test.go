@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -69,7 +70,7 @@ func TestInvokeBasic(t *testing.T) {
 	var gotErr error
 	done := false
 	f.runtimes[0].Invoke("Echo", 1, []byte("hi"), func(b []byte, err error) {
-		got, gotErr, done = b, err, true
+		got, gotErr, done = bytes.Clone(b), err, true
 	})
 	f.run(time.Second)
 	if !done {
@@ -232,7 +233,7 @@ func TestFailureShielding(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		var got []byte
 		var gotErr error
-		f.runtimes[0].Invoke("Echo", 0, nil, func(b []byte, err error) { got, gotErr = b, err })
+		f.runtimes[0].Invoke("Echo", 0, nil, func(b []byte, err error) { got, gotErr = bytes.Clone(b), err })
 		f.run(200 * time.Millisecond)
 		if gotErr != nil {
 			t.Fatalf("request %d failed: %v", i, gotErr)

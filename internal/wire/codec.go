@@ -12,7 +12,7 @@ import (
 // every message body is specified in docs/WIRE.md; keep the two in sync
 // (any body layout change must bump Version, per the spec's evolution
 // rules). Each body's layout is stated once, as its body method, over a
-// codec: the same statements write a packet, read one, and count its length.
+// codec: the same statements write a packet and read one.
 
 // Version is the wire format version carried in every packet header.
 // Version 2 added the body checksum to the header: without an integrity
@@ -178,15 +178,14 @@ type direction uint8
 const (
 	writing direction = iota // append each field to buf
 	reading                  // parse each field from buf into its target
-	sizing                   // count each field's encoded length in off
 )
 
 // codec moves a body's fields, one primitive per field, in the direction it
 // was made for. A layout is written once against it: the same statements
-// encode a message, decode one, and count its encoded length. The embedded
-// reader is the reading direction's state; writing appends to its buf and
-// sizing counts in its off, which keeps a codec to seven words — small
-// enough to pass in registers through the by-value Message.body call.
+// encode a message and decode one. The embedded reader is the reading
+// direction's state, and writing appends to its buf, which keeps a codec to
+// seven words — small enough to pass in registers through the by-value
+// Message.body call.
 type codec struct {
 	reader
 	dir direction
@@ -202,8 +201,6 @@ func (c *codec) u8(v *uint8) {
 		c.buf = append(c.buf, *v)
 	case reading:
 		*v = c.reader.u8()
-	case sizing:
-		c.off++
 	}
 }
 
@@ -213,8 +210,6 @@ func (c *codec) u16(v *uint16) {
 		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
 	case reading:
 		*v = c.reader.u16()
-	case sizing:
-		c.off += 2
 	}
 }
 
@@ -224,8 +219,6 @@ func (c *codec) u32(v *uint32) {
 		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
 	case reading:
 		*v = c.reader.u32()
-	case sizing:
-		c.off += 4
 	}
 }
 
@@ -235,8 +228,6 @@ func (c *codec) u64(v *uint64) {
 		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
 	case reading:
 		*v = c.reader.u64()
-	case sizing:
-		c.off += 8
 	}
 }
 
@@ -246,8 +237,6 @@ func (c *codec) i32(v *int32) {
 		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
 	case reading:
 		*v = int32(c.reader.u32())
-	case sizing:
-		c.off += 4
 	}
 }
 
@@ -262,8 +251,6 @@ func (c *codec) bool(v *bool) {
 		}
 	case reading:
 		*v = c.reader.bool()
-	case sizing:
-		c.off++
 	}
 }
 
@@ -277,8 +264,6 @@ func (c *codec) str(v *string) {
 		c.buf = append(c.buf, s...)
 	case reading:
 		*v = c.reader.str(*v)
-	case sizing:
-		c.off += 2 + min(len(*v), math.MaxUint16)
 	}
 }
 
@@ -291,8 +276,6 @@ func (c *codec) bytes(v *[]byte) {
 		c.buf = append(c.buf, *v...)
 	case reading:
 		*v = c.view()
-	case sizing:
-		c.off += 4 + len(*v)
 	}
 }
 
@@ -303,8 +286,6 @@ func (c *codec) count(n *int) {
 		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*n))
 	case reading:
 		*n = c.sliceLen()
-	case sizing:
-		c.off += 4
 	}
 }
 

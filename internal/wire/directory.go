@@ -8,7 +8,7 @@ import (
 //
 // A TDirectory packet has two faces. Senders that hold their records as a
 // slice build a DirectoryMsg; a node publishing its own directory uses
-// EncodeDirectory, which writes the same bytes straight from the Directory.
+// AppendDirectory, which writes the same bytes straight from the Directory.
 // Decode yields neither: it validates the body once and returns a
 // DirectoryView over the payload, because a receiver of a 1000-record
 // republication needs 24 bytes of each record and the rest of almost none.
@@ -37,12 +37,12 @@ func (d *DirectoryMsg) body(c codec) codec {
 	return c
 }
 
-// EncodeDirectory frames a TDirectory packet carrying every record of dir in
-// node order — byte for byte what Encode(&DirectoryMsg{from, ask,
-// dir.Snapshot()}) produces — without copying the records first and in one
-// allocation of exactly the packet's size.
-func EncodeDirectory(from membership.NodeID, ask bool, dir *membership.Directory) []byte {
-	return exact(TDirectory, func(c codec) codec {
+// AppendDirectory appends a TDirectory packet carrying every record of dir in
+// node order to dst — byte for byte what Encode(&DirectoryMsg{from, ask,
+// dir.Snapshot()}) produces — without copying the records first; with a warm
+// dst it allocates nothing.
+func AppendDirectory(dst []byte, from membership.NodeID, ask bool, dir *membership.Directory) []byte {
+	return appendFramed(dst, TDirectory, func(c codec) codec {
 		c.id(&from)
 		c.bool(&ask)
 		c.records(dir, 0)

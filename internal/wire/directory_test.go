@@ -119,13 +119,13 @@ func TestEncodeDirectoryMatchesMessage(t *testing.T) {
 			dir.Upsert(info, membership.OriginRelayed, 1, 2, 0)
 		}
 		ask := round%2 == 0
-		got := EncodeDirectory(9, ask, dir)
+		got := AppendDirectory(nil, 9, ask, dir)
 		want := Encode(&DirectoryMsg{From: 9, Ask: ask, Infos: dir.Snapshot()})
 		if !bytes.Equal(got, want) {
-			t.Fatalf("round %d: EncodeDirectory differs from Encode(DirectoryMsg)", round)
+			t.Fatalf("round %d: AppendDirectory differs from Encode(DirectoryMsg)", round)
 		}
-		if len(got) != cap(got) {
-			t.Fatalf("round %d: payload of %d bytes in a buffer of %d", round, len(got), cap(got))
+		if got := AppendDirectory([]byte("lead"), 9, ask, dir); !bytes.Equal(got, append([]byte("lead"), want...)) {
+			t.Fatalf("round %d: AppendDirectory after other bytes differs from them plus Encode(DirectoryMsg)", round)
 		}
 	}
 }
@@ -176,8 +176,9 @@ func BenchmarkEncodeDirectory1000(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		dir.Upsert(membership.MemberInfo{Node: membership.NodeID(i), Incarnation: 1, Beat: 7}, membership.OriginRelayed, 1, 1, 0)
 	}
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeDirectory(1, false, dir)
+		buf = AppendDirectory(buf[:0], 1, false, dir)
 	}
 }

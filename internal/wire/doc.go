@@ -22,11 +22,11 @@
 // Each body's layout is written once, as the body method of its message
 // type: one statement per field, each a primitive of a codec (c.u64(&h.Seq),
 // c.id(&h.Backup), c.str, c.bytes, and list for every counted slice).
-// A codec runs in one of three directions — writing appends the fields to a
+// A codec runs in one of two directions — writing appends the fields to a
 // packet, reading parses them into the message (with the read-side checks:
 // bounded lengths, strict bools, the update-kind range and the info-flag
-// consistency), sizing counts their encoded length — so the same statements
-// encode, decode and size the message, and no layout is stated twice.
+// consistency) — so the same statements encode and decode the message, and
+// no layout is stated twice.
 //
 // Key API:
 //
@@ -41,16 +41,13 @@
 //     sample in the tests' table (TestEveryKindHasASample fails without one).
 //   - Encode(m): serialize with the 8-byte packet header (magic, version,
 //     type, body CRC) into a fresh buffer of a guessed 256 bytes. It is the
-//     convenience form: its non-test callers are the bootstrap and sync
-//     exchanges of core, the directory IPC of dirserver, and figure code.
-//     Every per-beat and per-request sender keeps an Encoder and calls
-//     AppendEncode into a buffer sized for the packet by a remembered hint,
-//     or EncodeSized for the request-path kinds, which writes the packet
-//     once into the Encoder's scratch buffer and copies it into a buffer of
-//     exactly its length.
-//   - Sizing: EncodedLen, and the exact buffers of EncodeDirectory and
-//     EncodeGossip, run the same layout in the counting direction; there is
-//     no size formula beside a layout.
+//     convenience form: its non-test callers are the directory IPC of
+//     dirserver and figure code.
+//     Every per-beat and per-request sender keeps one resident buffer and
+//     frames each packet into it with AppendEncode (or AppendDirectory,
+//     AppendGossip): the network copies what it sends (netsim.Transport), so
+//     the buffer is free again when the send returns, and a warm one makes a
+//     send allocate nothing.
 //   - Decode(b): strict parse into the kind table's target for b's tag,
 //     returning one of the concrete message types (a view, for the
 //     record-carrying kinds below) or an error (ErrTruncated, ErrTrailing,
@@ -60,7 +57,9 @@
 //     DirectoryView, GossipView, RapidBeat, RapidInfo and the four
 //     request-path kinds are parsed into targets the decoder owns, valid
 //     until its next Decode; nested slices and strings are still fresh, and
-//     byte payloads and record lists are views of the packet on both paths.
+//     byte payloads and record lists are views of the packet on both paths,
+//     valid as long as the packet (in the simulator, until the handler
+//     returns).
 //     The simulated network keeps one per multicast memo and one per
 //     endpoint (netsim.Packet.Decode); Decode is the fresh path for tests,
 //     tools and code that keeps the message. docs/WIRE.md §4 states the
@@ -72,8 +71,8 @@
 //     Decode returns an immutable DirectoryView or GossipView (or a RapidView
 //     whose Infos is such a list), and one InfoCursor reads each record's
 //     24-byte prefix in place and decodes the rest only on request.
-//     EncodeDirectory and EncodeGossip are the matching senders, writing a
-//     membership.Directory into one buffer of exactly the packet's size;
+//     AppendDirectory and AppendGossip are the matching senders, appending
+//     a membership.Directory's records to the sender's buffer;
 //     DirectoryMsg and Gossip are the slice-holding encode forms of the same
 //     layouts. docs/WIRE.md §§3-4 state the views' immutability and lifetime
 //     contract.

@@ -8,7 +8,7 @@ import (
 //
 // A TGossip packet has the same two faces as a TDirectory one. A sender that
 // holds its entries as a slice builds a Gossip; a node gossiping its own
-// directory uses EncodeGossip, which writes the same bytes straight from the
+// directory uses AppendGossip, which writes the same bytes straight from the
 // Directory. Decode validates the body once and returns a GossipView over
 // the payload: the receiver of a 400-entry view needs 24 bytes of each
 // record and, in steady state, the rest of none.
@@ -46,14 +46,14 @@ func (g *Gossip) body(c codec) codec {
 // gossipLead is what precedes each record of a gossip view: its u64 counter.
 const gossipLead = 8
 
-// EncodeGossip frames a TGossip packet carrying every entry of dir in node
-// order, each with its stored beat as both the entry counter and the
+// AppendGossip appends a TGossip packet carrying every entry of dir in node
+// order to dst, each with its stored beat as both the entry counter and the
 // record's beat, declaring entryPad inert bytes per entry — byte for byte
 // what Encode(&Gossip{…}) produces for those entries — without copying the
-// entries first and in one allocation of exactly the packet's size.
-func EncodeGossip(from membership.NodeID, dir *membership.Directory, entryPad int) []byte {
+// entries first; with a warm dst it allocates nothing.
+func AppendGossip(dst []byte, from membership.NodeID, dir *membership.Directory, entryPad int) []byte {
 	pad := uint32(max(entryPad, 0) * dir.Len())
-	return exact(TGossip, func(c codec) codec {
+	return appendFramed(dst, TGossip, func(c codec) codec {
 		c.id(&from)
 		c.records(dir, gossipLead)
 		c.u32(&pad)
@@ -86,6 +86,6 @@ func (v *GossipView) body(c codec) codec {
 
 // Cursor returns a cursor positioned before the first entry. The cursor's
 // records are the entries' member records; each entry's counter is the beat
-// of its record (EncodeGossip writes the one value in both places, and the
+// of its record (AppendGossip writes the one value in both places, and the
 // merge reads the record's).
 func (v *GossipView) Cursor() InfoCursor { return v.entries.cursor(gossipLead) }

@@ -106,12 +106,12 @@ func TestEncodeGossipMatchesMessage(t *testing.T) {
 		if entryPad > 0 {
 			msg.Pad = uint32(entryPad * len(msg.Entries))
 		}
-		got, want := EncodeGossip(9, dir, entryPad), Encode(msg)
+		got, want := AppendGossip(nil, 9, dir, entryPad), Encode(msg)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("round %d (pad %d): EncodeGossip differs from Encode(Gossip)", round, entryPad)
+			t.Fatalf("round %d (pad %d): AppendGossip differs from Encode(Gossip)", round, entryPad)
 		}
-		if len(got) != cap(got) {
-			t.Fatalf("round %d: payload of %d bytes in a buffer of %d", round, len(got), cap(got))
+		if got := AppendGossip([]byte("lead"), 9, dir, entryPad); !bytes.Equal(got, append([]byte("lead"), want...)) {
+			t.Fatalf("round %d: AppendGossip after other bytes differs from them plus Encode(Gossip)", round)
 		}
 		checkGossipAgainstReference(t, got)
 	}
@@ -124,22 +124,22 @@ func gossipPayload(n int, counter uint64) []byte {
 	for i := 0; i < n; i++ {
 		dir.Upsert(membership.MemberInfo{Node: membership.NodeID(i), Incarnation: 1, Beat: counter}, membership.OriginRelayed, 0, 1, 0)
 	}
-	return EncodeGossip(1, dir, 140)
+	return AppendGossip(nil, 1, dir, 140)
 }
 
 // TestEncodeGossipCarriesNoTail: a 400-entry view padded to the paper's 228
 // bytes per member declares its 56 000-byte tail and carries none of it. A
-// round allocates one buffer of at most 16.1 KiB, where the zero run made it
-// about 72 KiB.
+// round writes at most 16.1 KiB, where the zero run made it about 72 KiB, and
+// into a warm buffer allocates nothing.
 func TestEncodeGossipCarriesNoTail(t *testing.T) {
 	dir := membership.NewDirectory(0)
 	for i := 0; i < 400; i++ {
 		dir.Upsert(membership.MemberInfo{Node: membership.NodeID(i), Incarnation: 1, Beat: 7}, membership.OriginRelayed, 0, 1, 0)
 	}
-	var b []byte
-	allocs := testing.AllocsPerRun(20, func() { b = EncodeGossip(1, dir, 140) })
-	if allocs != 1 || cap(b) > 16486 {
-		t.Fatalf("a 400-entry view allocates %v buffers of %d bytes, want one of at most 16.1 KiB", allocs, cap(b))
+	b := AppendGossip(nil, 1, dir, 140)
+	allocs := testing.AllocsPerRun(20, func() { b = AppendGossip(b[:0], 1, dir, 140) })
+	if allocs != 0 || len(b) > 16486 {
+		t.Fatalf("a 400-entry view allocates %v times and writes %d bytes, want none and at most 16.1 KiB", allocs, len(b))
 	}
 	if got := Padding(b); got != 400*140 {
 		t.Fatalf("the view declares a %d-byte tail, want %d", got, 400*140)
@@ -241,8 +241,9 @@ func BenchmarkEncodeGossip400(b *testing.B) {
 	for i := 0; i < 400; i++ {
 		dir.Upsert(membership.MemberInfo{Node: membership.NodeID(i), Incarnation: 1, Beat: 7}, membership.OriginRelayed, 0, 1, 0)
 	}
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		EncodeGossip(1, dir, 140)
+		buf = AppendGossip(buf[:0], 1, dir, 140)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 
 	"repro/internal/membership"
 )
@@ -169,19 +168,16 @@ func seal(buf []byte, start int) []byte {
 	return buf
 }
 
-// exact frames the body that body writes into one buffer of exactly the
-// packet's length, counted through the same layout first.
-func exact(t Type, body func(codec) codec) []byte {
-	buf := make([]byte, 0, HeaderLen+body(codec{dir: sizing}).off)
-	return seal(body(codec{reader: reader{buf: header(buf, t)}}).buf, 0)
+// appendFramed appends a packet of type t whose body the layout body writes.
+func appendFramed(dst []byte, t Type, body func(codec) codec) []byte {
+	return seal(body(codec{reader: reader{buf: header(dst, t)}}).buf, len(dst))
 }
 
 // Encoder is the allocation-free encode path: AppendEncode writes into a
-// caller-supplied buffer, byte-identical to Encode. A long-lived sender keeps
-// one (it is not safe for concurrent use) for EncodeSized's scratch buffer.
-type Encoder struct {
-	scratch []byte
-}
+// caller-supplied buffer, byte-identical to Encode. A sender keeps one
+// resident buffer and frames every packet into it: the network copies what it
+// sends (netsim.Transport), so the buffer is free again when the send returns.
+type Encoder struct{}
 
 // AppendEncode appends the framed encoding of m to dst and returns the
 // extended slice (reallocating like append when dst lacks capacity). With a
@@ -189,24 +185,6 @@ type Encoder struct {
 func (*Encoder) AppendEncode(dst []byte, m Message) []byte {
 	c := m.body(codec{reader: reader{buf: header(dst, m.wireType())}})
 	return seal(c.buf, len(dst))
-}
-
-// Sized is a message that knows the exact length of its encoded packet: the
-// request-path kinds, whose senders allocate each packet once at its final
-// size.
-type Sized interface {
-	Message
-	EncodedLen() int
-}
-
-// EncodeSized frames m into a fresh buffer of exactly its encoded length —
-// the one allocation a send has to make, since the network keeps the packet.
-// The packet is written once, into the Encoder's scratch buffer (made on
-// first use), and copied out: cheaper than counting it through its layout
-// first.
-func (e *Encoder) EncodeSized(m Sized) []byte {
-	e.scratch = e.AppendEncode(slices.Grow(e.scratch[:0], 256), m)
-	return append(make([]byte, 0, len(e.scratch)), e.scratch...)
 }
 
 // open checks the packet frame — magic, version, and the checksum over
@@ -632,9 +610,6 @@ func (s *ServiceRequest) body(c codec) codec {
 	return c
 }
 
-// EncodedLen is the exact length of the packet Encode frames s into.
-func (s *ServiceRequest) EncodedLen() int { return HeaderLen + s.body(codec{dir: sizing}).off }
-
 // ServiceReply carries the result of a ServiceRequest back along the same
 // path.
 type ServiceReply struct {
@@ -651,9 +626,6 @@ func (s *ServiceReply) body(c codec) codec {
 	c.bytes(&s.Payload)
 	return c
 }
-
-// EncodedLen is the exact length of the packet Encode frames s into.
-func (s *ServiceReply) EncodedLen() int { return HeaderLen + s.body(codec{dir: sizing}).off }
 
 // ---- load polling ----
 
@@ -673,9 +645,6 @@ func (l *LoadPoll) body(c codec) codec {
 	return c
 }
 
-// EncodedLen is the exact length of an encoded LoadPoll packet.
-func (l *LoadPoll) EncodedLen() int { return HeaderLen + l.body(codec{dir: sizing}).off }
-
 // LoadReply returns the provider's queue length.
 type LoadReply struct {
 	Token uint64
@@ -689,9 +658,6 @@ func (l *LoadReply) body(c codec) codec {
 	c.u32(&l.Load)
 	return c
 }
-
-// EncodedLen is the exact length of an encoded LoadReply packet.
-func (l *LoadReply) EncodedLen() int { return HeaderLen + l.body(codec{dir: sizing}).off }
 
 // LoadReport is an unsolicited load sample pushed by a provider to the
 // consumers that recently used it. Seq orders reports from one provider so
@@ -710,9 +676,6 @@ func (l *LoadReport) body(c codec) codec {
 	c.u32(&l.Load)
 	return c
 }
-
-// EncodedLen is the exact length of an encoded LoadReport packet.
-func (l *LoadReport) EncodedLen() int { return HeaderLen + l.body(codec{dir: sizing}).off }
 
 // ---- directory IPC (daemon/client split of §5) ----
 

@@ -292,29 +292,6 @@ func TestDecoderHotKindsAllocateNothing(t *testing.T) {
 	}
 }
 
-func TestEncodedLenIsExact(t *testing.T) {
-	long := string(make([]byte, 70000)) // str clips names to 65535 bytes
-	var enc Encoder
-	for _, m := range []Sized{
-		&ServiceRequest{},
-		&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 3, Hops: 1, Payload: make([]byte, 64)},
-		&ServiceRequest{Service: long, Payload: []byte("p")},
-		&ServiceReply{},
-		&ServiceReply{ReqID: 1, OK: true, Payload: make([]byte, 64)},
-		&LoadPoll{From: 1, Token: 2},
-		&LoadReply{Token: 2, Load: 3},
-		&LoadReport{From: 1, Seq: 2, Load: 3},
-	} {
-		want := Encode(m)
-		if got := m.EncodedLen(); got != len(want) {
-			t.Errorf("%T: EncodedLen %d, encoded %d", m, got, len(want))
-		}
-		if got := enc.EncodeSized(m); !bytes.Equal(got, want) || cap(got) != len(want) {
-			t.Errorf("%T: EncodeSized gave %d bytes in a buffer of %d, Encode %d", m, len(got), cap(got), len(want))
-		}
-	}
-}
-
 // BenchmarkRequestDecodeInPlace measures the receive half of a request/reply
 // round trip on the resident path; it must not allocate.
 func BenchmarkRequestDecodeInPlace(b *testing.B) {

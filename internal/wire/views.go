@@ -78,12 +78,10 @@ func (c *codec) infos(l *InfoList, lead int) {
 		c.buf = append(c.buf, l.b...)
 	case reading:
 		*l = decInfoList(&c.reader, lead)
-	case sizing:
-		c.off += 4 + len(l.b)
 	}
 }
 
-// records writes or counts the live entries of dir in node order as the run
+// records writes the live entries of dir in node order as the run
 // of member records infos reads back with the same lead: a gossip view's lead
 // is each entry's beat, as its u64 counter. It is how a node publishes its
 // own directory without building the records first.
