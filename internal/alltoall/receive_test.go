@@ -137,9 +137,9 @@ func TestSweepSkipRemovesOnTheSameTicks(t *testing.T) {
 // finds the receiver's state for that sender cache-cold; a single-sender
 // loop keeps one mark and one entry in L1 and hides that cost. The capture
 // keeps each copy's heartbeat as the network decoded it, once per multicast
-// into its memo (a copy of the message: the memo is recycled once the
-// multicast's deliveries are done), so step is the scheme's own work on it:
-// the replay guard and the directory refresh.
+// through its send buffer (a copy of the message: the buffer and its decode
+// are recycled once the multicast's deliveries are done), so step is the
+// scheme's own work on it: the replay guard and the directory refresh.
 type receive400 struct {
 	eng     *sim.Engine
 	nodes   []*Node

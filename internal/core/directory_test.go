@@ -17,7 +17,7 @@ import (
 
 // republishFixture is a started node whose directory already holds the
 // 1000 plain records of a leader's snapshot, the snapshot's packet, and its
-// decoded view — what the decode memo hands each of a packet's receivers.
+// decoded view — what the packet's send buffer hands each of its receivers.
 type republishFixture struct {
 	n       *Node
 	payload []byte

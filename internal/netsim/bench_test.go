@@ -29,11 +29,11 @@ func BenchmarkMulticastFanout40(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketDecodeShared measures the memoized decode path: one
+// BenchmarkPacketDecodeShared measures the shared decode path: one
 // multicast parsed by 19 same-group receivers must run the real decoder
-// once, into the memo's resident heartbeat, and hand the remaining 18
-// receivers the cached message — allocating nothing once the memo pool is
-// warm.
+// once, through its send buffer into a borrowed decoder's resident heartbeat,
+// and hand the remaining 18 receivers the parsed message — allocating nothing
+// once the free lists are warm.
 func BenchmarkPacketDecodeShared(b *testing.B) {
 	eng := sim.NewEngine(1)
 	n := New(eng, topology.Clustered(1, 20))
@@ -76,7 +76,8 @@ func BenchmarkPacketDecodeShared(b *testing.B) {
 // sits in a middle group, so its 399 receivers are three runs (the groups
 // below, its own, the groups above): three engine events, not 399. Every
 // receiver decodes the heartbeat, and nothing allocates: the three runs share
-// one pooled memo, parsed once into its resident heartbeat.
+// one recycled send buffer, parsed once into a borrowed decoder's resident
+// heartbeat.
 func multicast400Ceiling(tb testing.TB) func() {
 	eng := sim.NewEngine(1)
 	n := New(eng, topology.Clustered(20, 20))

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -15,27 +14,20 @@ import (
 // run_test.go run again with every payload framed as a wire packet — a kind
 // per script id, from the resident kinds, the request path and one kind the
 // decoder builds fresh, padded and not — so that handlers read their script
-// back through Packet.Decode. Every call must return exactly what
-// wire.Decode(pkt.Payload) returns, whichever memo the packet was handed and
-// whatever that memo parsed before; and every packet a handler was given,
-// kept as a copy of its bytes (the bytes themselves go back to the network
-// when the handler returns), must still decode to its own bytes, and keep its
-// size, after the run, when its memo has long been recycled.
+// back through Packet.Decode. Every call must go through the packet's record
+// and return exactly what wire.Decode(pkt.Payload) returns, whichever record
+// the packet was handed — a recycled buffer, a loose record, a tampered copy —
+// and whatever that record parsed before.
 
 // wireScript frames a world's script and checks every delivery's decode.
 type wireScript struct {
-	kept     [][]keptPacket // per LP, like world.logs
-	resident []int          // per LP: handler decodes served by a memo
-	bad      []string       // per LP: the first mismatch
-}
-
-type keptPacket struct {
-	pkt  Packet
-	size int
+	calls    []int    // per LP, like world.logs: handler decodes
+	resident []int    // per LP: handler decodes through the packet's record
+	bad      []string // per LP: the first mismatch
 }
 
 func newWireScript(lps int) *wireScript {
-	return &wireScript{kept: make([][]keptPacket, lps), resident: make([]int, lps), bad: make([]string, lps)}
+	return &wireScript{calls: make([]int, lps), resident: make([]int, lps), bad: make([]string, lps)}
 }
 
 // frame encodes the eight script bytes as the value of a packet whose kind
@@ -97,28 +89,22 @@ func value(m wire.Message) uint64 {
 	panic(fmt.Sprintf("unframed kind %T", m))
 }
 
-// read is one handler call's decode: checked against a fresh decode, the
-// packet kept, the script bytes handed back (none from a damaged packet).
+// read is one handler call's decode, checked against a fresh decode; it
+// hands back the script bytes (none from a damaged packet).
 func (s *wireScript) read(ep *Endpoint, pkt Packet) []byte {
-	if pkt.memo() != nil {
+	s.calls[ep.lp]++
+	if pkt.buf != nil && pkt.buf.refs > 0 && sameBytes(pkt.Payload, pkt.buf.b) {
 		s.resident[ep.lp]++
 	}
 	m, err := pkt.Decode()
-	s.check(ep.lp, pkt, m, err, "in its handler")
-	kept := pkt
-	kept.Payload = bytes.Clone(pkt.Payload)
-	s.kept[ep.lp] = append(s.kept[ep.lp], keptPacket{kept, pkt.WireSize()})
+	want, wantErr := wire.Decode(pkt.Payload)
+	if s.bad[ep.lp] == "" && (!reflect.DeepEqual(m, want) || !reflect.DeepEqual(err, wantErr)) {
+		s.bad[ep.lp] = fmt.Sprintf("a packet from host %d decodes to %#v, %v; wire.Decode gives %#v, %v", pkt.Src, m, err, want, wantErr)
+	}
 	if err != nil {
 		return nil
 	}
 	return binary.LittleEndian.AppendUint64(nil, value(m))
-}
-
-func (s *wireScript) check(lp int32, pkt Packet, m wire.Message, err error, when string) {
-	want, wantErr := wire.Decode(pkt.Payload)
-	if s.bad[lp] == "" && (!reflect.DeepEqual(m, want) || !reflect.DeepEqual(err, wantErr)) {
-		s.bad[lp] = fmt.Sprintf("%s, a packet from host %d decodes to %#v, %v; wire.Decode gives %#v, %v", when, pkt.Src, m, err, want, wantErr)
-	}
 }
 
 func TestRecycledDecodeMatchesFresh(t *testing.T) {
@@ -136,29 +122,22 @@ func TestRecycledDecodeMatchesFresh(t *testing.T) {
 				w := newWorld(seed, buckets, runCap)
 				w.wire = newWireScript(len(w.engs))
 				w.run(s)
-				for lp, kept := range w.wire.kept {
-					for _, k := range kept {
-						m, err := k.pkt.Decode()
-						w.wire.check(int32(lp), k.pkt, m, err, "after the run")
-						if size := k.pkt.WireSize(); size != k.size && w.wire.bad[lp] == "" {
-							w.wire.bad[lp] = fmt.Sprintf("after the run, a packet from host %d is %d bytes on the wire, %d in its handler", k.pkt.Src, size, k.size)
-						}
-					}
-					if bad := w.wire.bad[lp]; bad != "" {
+				for lp, bad := range w.wire.bad {
+					if bad != "" {
 						t.Fatalf("%s: LP %d: %s", what, lp, bad)
 					}
-					calls += len(kept)
+					calls += w.wire.calls[lp]
 					resident += w.wire.resident[lp]
 				}
 				total.add(w.net.TotalStats())
 			}
 		}
 	}
-	t.Logf("%d handler decodes, %d through a memo; faults %+v", calls, resident, total)
-	// The runs must have decoded through memos and around them, under every
-	// byte fault.
-	if resident == 0 || resident == calls {
-		t.Fatalf("%d of %d handler decodes went through a memo", resident, calls)
+	t.Logf("%d handler decodes; faults %+v", calls, total)
+	// Every handler decode must have gone through the packet's record, under
+	// every byte fault.
+	if calls == 0 || resident != calls {
+		t.Fatalf("%d of %d handler decodes went through the packet's record", resident, calls)
 	}
 	if total.Corrupted == 0 || total.Truncated == 0 || total.Replayed == 0 || total.Stale == 0 || total.Dropped == 0 {
 		t.Fatalf("faults not exercised: %+v", total)

@@ -60,24 +60,21 @@
 // unexported field only the tests set) and compares handler logs, Stats,
 // Steps and RNG state, serially and partitioned.
 //
-// The network owns packet bytes: Multicast and Unicast copy the payload, as
-// sendto does, into a buffer from the sending LP's size-classed free lists,
-// counted by its holders (delivery records, replay-ring slots) on one
-// goroutine at a time (see Multicast). A packet, and what is decoded from it, is
-// valid until its handler returns; under -race a released buffer is filled
-// with a pattern, so a reader that kept it fails (sendbuf_test.go).
-//
-// Decoding allocates no message for the kinds wire.Decoder keeps resident.
-// The copies of one multicast on one LP share a memo, a pooled record that
-// holds the one parse every receiver reads, made through a wire.Decoder it
-// borrows from the LP at its first decode; memo and decoder return to the
-// LP's free lists when the last delivery that refers to the memo is done. A
-// delivered unicast is handed its receiving endpoint's own record, which
-// owns its decoder and is cleared when the handler returns. A memo parses
-// only the bytes it records, so a packet value kept past its handler with a
-// copy of its payload decodes that copy afresh. decode_test.go replays the
-// seeded scripts in wire packets and holds every decode, in the handler and,
-// on kept copies, after the run, to wire.Decode.
+// The network owns packet bytes, and holds each packet in one record, a
+// send buffer: Multicast and Unicast copy the payload, as sendto does, into a
+// buffer from the sending LP's size-classed free lists, which carries the
+// declared tail, counts its holders (delivery records, replay-ring slots) on
+// one goroutine at a time, and holds the one decode they share, parsed at
+// the first Packet.Decode through a wire.Decoder borrowed from the LP and
+// returned with the buffer. So every receiver of a multicast on one LP, and
+// every duplicate, stale re-delivery and replay of a packet, reads one parse,
+// allocating no message for the kinds wire.Decoder keeps resident. The copies
+// of a multicast bound for other LPs share one copy of the bytes, which each
+// receiving LP wraps in a small pooled loose record of its own; a byte fault
+// first copies the bytes it damages into a buffer of the receiving LP
+// (sendbuf_test.go, decode_test.go). A packet, and what is decoded from it,
+// is valid until its handler returns; under -race a released buffer is
+// filled with a pattern, and decoding a packet kept past its handler panics.
 //
 // Delivery is best-effort and unordered, like UDP. All calls must be made
 // from the simulation goroutine of the owning engine; different Network

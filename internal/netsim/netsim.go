@@ -30,39 +30,42 @@ type Packet struct {
 	TTL     int
 	Payload []byte // valid until the handler returns (see Transport)
 
-	// meta is what the packet carries besides its bytes; nil for a packet
-	// with nothing to carry. It is one pointer because a Packet travels by
-	// value into every handler, most of them method values: with one more
-	// field it no longer fits the argument registers beside the receiver,
-	// and every delivery pays a spill and a stalled reload (about a fifth
-	// more wall on flat-alltoall).
-	meta *pktMeta
+	// buf is the record the network holds the packet in (sendBuf); nil for
+	// a packet made outside the network, which carries nothing besides its
+	// bytes. It is one pointer because a Packet travels by value into every
+	// handler, most of them method values: with one more field it no longer
+	// fits the argument registers beside the receiver, and every delivery
+	// pays a spill and a stalled reload (about a fifth more wall on
+	// flat-alltoall).
+	buf *sendBuf
 }
 
-// pktMeta is a packet's modelled tail, its send buffer and, on the copies a
-// handler is given, the decode record its Decode parses into.
-type pktMeta struct {
-	// tail is the inert tail the payload declares but does not carry
-	// (wire.Padding), read once at send: the packet's modelled length is
-	// len(Payload) + tail, and byte accounting and the byte faults both work
-	// on it (WireSize, corrupt, truncate).
-	tail int
-	// tampered marks the record of a copy whose bytes a fault rewrote or cut
-	// (Packet.own): its tail is its own, and it never gets a decode record.
-	tampered bool
-	// memo is set on the head of a decode record (memo.pktMeta) and points
-	// back to it.
-	memo *memo
-	buf  *sendBuf // on the buffer's own record and on a multicast memo's
-}
-
-// sendBuf is a packet's bytes as the network holds them (see doc.go): a copy
-// of the sender's payload from its LP's free lists, counting its holders on
-// one LP's goroutine at a time.
+// sendBuf is the one record of a packet the network carries (see doc.go): its
+// bytes, the tail they declare, its holders and the one decode they share. It
+// is touched by the goroutine of one LP at a time, the one whose free lists
+// it returns to (pool), so nothing is locked.
 type sendBuf struct {
-	pktMeta // the record of a packet that travels without a memo; buf points back
-	b       []byte
-	refs    int
+	b []byte
+	// tail is the inert tail the bytes declare but do not carry
+	// (wire.Padding), read once at send: the packet's modelled length is
+	// len(b) + tail, and byte accounting and the byte faults both work on it
+	// (WireSize, corrupt, truncate).
+	tail int
+	// refs counts the holders: delivery records, stale re-deliveries,
+	// replay-ring slots and an arrival whose fault gave it bytes of its own.
+	refs int
+	// loose marks the record of a multicast's cross-LP copy: b views the one
+	// copy the sender made for every other LP, and is not the record's own.
+	loose bool
+	// done is set once msg and err hold the first Decode of b, parsed into
+	// dec, a decoder borrowed from pool at that Decode and returned with the
+	// record, so a record in flight and not yet parsed costs no decoder: a
+	// cold boot's join storm has tens of thousands in flight.
+	done bool
+	msg  wire.Message
+	err  error
+	dec  *wire.Decoder
+	pool *pools
 }
 
 // Free lists are size-classed, bufMin << c for class c (a larger payload
@@ -79,113 +82,45 @@ const (
 // bufClass is the size class of an n-byte payload (bufClasses when too big).
 func bufClass(n int) int { return min(bits.Len(uint(max(n, 1)-1)/bufMin), bufClasses) }
 
-// memo is a resident decode record: the first decode of one payload, parsed
-// through a resident wire.Decoder. There are two kinds. A multicast's copies on one LP
-// share a memo, so the ~group-size receivers of a multicast parse it once; it
-// comes from that LP's free list and goes back when the last delivery that
-// refers to it is done (refs). A delivered unicast has one receiver, and is
-// handed that endpoint's own record, refilled for each unicast it receives
-// and cleared when the handler returns. Either way only the goroutine of the
-// receivers' LP touches a memo, so nothing is locked.
-//
-// A memo decodes only the bytes it records. A Packet kept after its handler
-// returned (the replay ring, a test's copy), or one whose Payload is not the
-// recorded slice, finds its memo moved on and decodes its own bytes afresh:
-// it costs the allocation the memo saves, never a wrong message. Nobody
-// writes a send buffer while it has a holder, so equal slices are equal bytes.
-type memo struct {
-	pktMeta
-	payload []byte // the bytes the memo parses
-	done    bool
-	msg     wire.Message
-	err     error
-	refs    int   // a multicast memo's deliveries still in flight
-	next    *memo // free-list link
-	// dec is what the memo parses with. An endpoint's record owns one. A
-	// multicast memo borrows one from its LP's pools at its first decode and
-	// returns it with the memo, so a memo in flight and not yet parsed costs
-	// no decoder: a cold boot's join storm has tens of thousands in flight.
-	dec  *wire.Decoder
-	pool *pools // a multicast memo's LP pools; nil for an endpoint's record
-}
-
-// newRecord makes an empty decode record.
-func newRecord() *memo {
-	r := &memo{}
-	r.memo = r
-	return r
-}
-
-// reset clears the memo for its next payload, down to the views of the last
-// one its decoder's targets hold (a snapshot's records, a gossip view's): a
-// pooled or idle record must not pin a packet.
-func (r *memo) reset() {
-	r.payload, r.buf, r.done, r.msg, r.err = nil, nil, false, nil, nil
-	if r.dec != nil {
-		r.dec.Forget()
-	}
-}
-
-// Decode parses the packet payload. A multicast copy or a delivered unicast
-// parses into its resident memo, once for every receiver of the same
-// untampered multicast on one LP, without allocating the message for the
-// kinds wire.Decoder keeps resident; any other packet is decoded afresh by
+// Decode parses the packet payload. A packet the network delivered parses
+// through its record, once for all its holders: every receiver of a multicast
+// on one LP, and the duplicates, stale re-deliveries and replays of one
+// packet. The kinds wire.Decoder keeps resident are parsed without allocating
+// a message; a packet made outside the network is decoded afresh by
 // wire.Decode. Either way the result is exactly wire.Decode(p.Payload). The
 // message is shared and reused: it is valid until the handler returns, and
 // callers must treat it — including nested slices — as immutable. What its
 // fields refer to (fresh slices and strings, views of the payload) may be
-// kept.
+// kept. Under -race, decoding a delivered packet after its handler returned
+// panics.
 func (p *Packet) Decode() (wire.Message, error) {
-	r := p.memo()
-	if r == nil {
+	b := p.buf
+	if b == nil {
 		return wire.Decode(p.Payload)
 	}
-	if !r.done {
-		if r.dec == nil {
-			r.dec = r.pool.decoder()
-		}
-		r.msg, r.err = r.dec.Decode(p.Payload)
-		r.done = true
+	if raceflag.Enabled && (b.refs < 1 || !sameBytes(p.Payload, b.b)) {
+		panic("netsim: Decode of a packet kept past its handler")
 	}
-	return r.msg, r.err
+	if !b.done {
+		b.dec = b.pool.decoder()
+		b.msg, b.err = b.dec.Decode(p.Payload)
+		b.done = true
+	}
+	return b.msg, b.err
 }
 
-// memo returns the packet's decode record if it still holds the packet's
-// bytes, nil otherwise.
-func (p *Packet) memo() *memo {
-	if p.meta == nil || p.meta.memo == nil {
-		return nil
-	}
-	r := p.meta.memo
-	if len(p.Payload) == 0 || len(r.payload) != len(p.Payload) || &r.payload[0] != &p.Payload[0] {
-		return nil
-	}
-	return r
+// sameBytes reports whether a and b are the same slice of the same array.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// tail is the packet's modelled tail (pktMeta.tail). A packet whose memo has
-// moved on to other bytes is untampered (tampered copies never get one), so
-// its tail is what its bytes declare.
+// tail is the packet's modelled tail (sendBuf.tail); a packet made outside
+// the network declares none.
 func (p *Packet) tail() int {
-	switch {
-	case p.meta == nil:
+	if p.buf == nil {
 		return 0
-	case p.meta.memo != nil && p.memo() == nil:
-		return wire.Padding(p.Payload)
 	}
-	return p.meta.tail
-}
-
-// tamperedNoTail is the record of every tampered copy without a tail.
-var tamperedNoTail = &pktMeta{tampered: true}
-
-// own gives the packet a record of its own with the given tail and no memo:
-// what a tampered copy carries, whose bytes are its own.
-func (p *Packet) own(tail int) {
-	p.meta = tamperedNoTail
-	if tail > 0 {
-		p.meta = &pktMeta{tail: tail, tampered: true}
-	}
+	return p.buf.tail
 }
 
 // Multicast reports whether the packet was sent to a channel.
@@ -564,11 +499,10 @@ const (
 )
 
 // recentPkt is one replay-ring entry: a packet exactly as it was handed to
-// the handler, plus its delivery time and the send buffer it holds.
+// the handler, holding its record, plus its delivery time.
 type recentPkt struct {
 	pkt Packet
 	at  time.Duration
-	buf *sendBuf
 }
 
 // Endpoint is one host's attachment to the network.
@@ -600,10 +534,6 @@ type Endpoint struct {
 	recent     [replayRingSize]recentPkt
 	recentUsed int
 	recentNext int
-	sendMeta   *pktMeta // the last cross-LP tail record (tailMeta)
-	// recv is the decode record every unicast delivered here is handed, made
-	// on the first (see memo).
-	recv *memo
 }
 
 // ID returns the host ID.
@@ -722,25 +652,24 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 	ep.stats.BytesSent += uint64(len(payload) + tail + UDPOverhead)
 	f := n.fanoutFor(ep.id, ch, ttl)
 	drawless := n.dup == 0 && n.jitter == 0 && ep.grayLag == 0
-	// The copies that stay on the sender's LP share one buffer and one memo
-	// from its free lists, taken at the first of them. The copies bound for
-	// other LPs share one uncounted copy and a tail record, and DrainCross
-	// hands them a memo from the free list of the LP they land on.
-	var local *memo
+	// The copies that stay on the sender's LP share one buffer from its free
+	// lists, taken at the first of them. The copies bound for other LPs share
+	// one uncounted copy, which DrainCross wraps in a loose record of the LP
+	// they land on.
+	var local *sendBuf
 	var cross []byte
 	for i := 0; i < len(f.dsts); {
 		dst := f.dsts[i]
 		if dst.lp == ep.lp {
 			if local == nil {
-				b := ep.newBuf(payload, tail)
-				local = n.newMemo(ep.lp, b.b, tail, b)
+				local = ep.newBuf(payload, tail)
 			}
-			pkt.Payload, pkt.meta = local.payload, &local.pktMeta
+			pkt.Payload, pkt.buf = local.b, local
 		} else {
 			if cross == nil {
 				cross = append([]byte(nil), payload...)
 			}
-			pkt.Payload, pkt.meta = cross, ep.tailMeta(tail)
+			pkt.Payload, pkt.buf = cross, nil
 		}
 		j := i + 1
 		if drawless && f.joins(i, ep.lp) {
@@ -845,18 +774,8 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 		}
 	}
 	b := ep.newBuf(payload, int(size)-len(payload)-UDPOverhead)
-	ep.deliver(ep.net.eps[dst], Packet{Src: ep.id, Dst: dst, Payload: b.b, meta: &b.pktMeta}, lat, marks)
+	ep.deliver(ep.net.eps[dst], Packet{Src: ep.id, Dst: dst, Payload: b.b, buf: b}, lat, marks)
 	return true
-}
-
-// tailMeta returns the record of a multicast copy bound for another LP: the
-// endpoint's last one, reused while the tail repeats. Nothing writes such a
-// record, so any number of packets, on any LP, may share it.
-func (ep *Endpoint) tailMeta(tail int) *pktMeta {
-	if ep.sendMeta == nil || ep.sendMeta.tail != tail {
-		ep.sendMeta = &pktMeta{tail: tail}
-	}
-	return ep.sendMeta
 }
 
 func (ep *Endpoint) deliver(dst *Endpoint, pkt Packet, latency time.Duration, marks topology.MarkSet) {
@@ -935,26 +854,26 @@ type delivery struct {
 	next  *delivery // free-list link
 }
 
-// pools are one LP's free lists of delivery records, multicast memos, the
-// decoders memos borrow and send buffers, touched only by that LP's goroutine.
-// The memo and decoder lists keep at most one entry per endpoint of the LP. A
-// multicast is in flight for a path latency, far under a beat period, so an
-// LP's steady state has fewer memos in flight than endpoints (under a hundred
-// across tree-churn's thousand); a deeper list is what a burst such as a cold
-// boot left behind (tens of thousands there), and is let go, not kept live.
+// pools are one LP's free lists of delivery records, send buffers, loose
+// records and the decoders records borrow, touched only by that LP's
+// goroutine. The loose and decoder lists keep at most one entry per endpoint
+// of the LP. A packet is in flight for a path latency, far under a beat
+// period, so an LP's steady state has fewer of either in use than endpoints;
+// a deeper list is what a burst such as a cold boot left behind (tens of
+// thousands of multicasts in flight on tree-churn), and is let go, not kept
+// live.
 type pools struct {
 	del    *delivery
-	memo   *memo
-	memos  int // memos in the list
+	loose  []*sendBuf
 	decs   []*wire.Decoder
-	hosts  int                        // the LP's endpoints: the most memos, and decoders, kept
+	hosts  int                        // the LP's endpoints: the most loose records, and decoders, kept
 	bufs   [bufClasses + 1][]*sendBuf // the last, for larger payloads, stays empty
 	low    [bufClasses + 1]int        // each list's shortest since the last trim
 	bytes  int                        // the capacity of the free buffers
 	trimAt time.Duration              // when the buffer lists are trimmed next
 }
 
-// decoder lends a decoder to a multicast memo of the LP.
+// decoder lends a decoder to a record of the LP.
 func (p *pools) decoder() *wire.Decoder {
 	if n := len(p.decs); n > 0 {
 		d := p.decs[n-1]
@@ -972,8 +891,8 @@ func (n *Network) pool(lp int32) *pools {
 	return &n.free
 }
 
-// newBuf copies payload into a buffer from the free lists of the sender's
-// LP, with the packet's tail on the buffer's record and no references yet.
+// newBuf copies payload into a buffer from the free lists of the endpoint's
+// LP, with the packet's tail and no holders yet.
 func (ep *Endpoint) newBuf(payload []byte, tail int) *sendBuf {
 	p, c := ep.net.pool(ep.lp), bufClass(len(payload))
 	if now := ep.eng.Now(); now >= p.trimAt {
@@ -988,21 +907,50 @@ func (ep *Endpoint) newBuf(payload []byte, tail int) *sendBuf {
 		if c < bufClasses {
 			size = bufMin << c
 		}
-		b = &sendBuf{b: make([]byte, 0, size)}
-		b.buf = b
+		b = &sendBuf{b: make([]byte, 0, size), pool: p}
 	}
 	b.b, b.tail = append(b.b[:0], payload...), tail
 	return b
 }
 
-// releaseBuf drops one reference to b, if any, held on LP lp's goroutine;
-// the last one returns it to that LP's free lists, while they are under
-// budget.
-func (n *Network) releaseBuf(lp int32, b *sendBuf) {
+// newLoose wraps a multicast's cross-LP copy in a loose record from the LP's
+// list. Its tail is the one the bytes declare.
+func (p *pools) newLoose(payload []byte) *sendBuf {
+	var b *sendBuf
+	if l := len(p.loose) - 1; l >= 0 {
+		b, p.loose[l], p.loose = p.loose[l], nil, p.loose[:l]
+	} else {
+		b = &sendBuf{loose: true, pool: p}
+	}
+	b.b, b.tail = payload, wire.Padding(payload)
+	return b
+}
+
+// release drops one holder of b, if any. The last one clears its decode down
+// to the views its decoder's targets hold (a snapshot's records, a gossip
+// view's), so an idle record pins no packet, and returns record and decoder
+// to the lists of the LP holding them: a loose record to its own list, a
+// buffer to its size class while the lists are under budget.
+func (b *sendBuf) release() {
 	if b == nil {
 		return
 	}
 	if b.refs--; b.refs > 0 {
+		return
+	}
+	p := b.pool
+	if b.dec != nil {
+		b.dec.Forget()
+		if len(p.decs) < p.hosts {
+			p.decs = append(p.decs, b.dec)
+		}
+	}
+	b.done, b.msg, b.err, b.dec = false, nil, nil, nil
+	if b.loose {
+		b.b = nil
+		if len(p.loose) < p.hosts {
+			p.loose = append(p.loose, b)
+		}
 		return
 	}
 	if raceflag.Enabled {
@@ -1010,8 +958,7 @@ func (n *Network) releaseBuf(lp int32, b *sendBuf) {
 			b.b[i] = scribble
 		}
 	}
-	p, c := n.pool(lp), bufClass(cap(b.b))
-	if c < bufClasses && p.bytes+cap(b.b) <= bufBudget {
+	if c := bufClass(cap(b.b)); c < bufClasses && p.bytes+cap(b.b) <= bufBudget {
 		p.bufs[c], p.bytes = append(p.bufs[c], b), p.bytes+cap(b.b)
 	}
 }
@@ -1027,25 +974,9 @@ func (p *pools) trim(now time.Duration) {
 	}
 }
 
-// newMemo takes a memo for payload from LP lp's free list; b is the send
-// buffer the payload lives in, nil for a copy that crossed LPs.
-func (n *Network) newMemo(lp int32, payload []byte, tail int, b *sendBuf) *memo {
-	p := n.pool(lp)
-	r := p.memo
-	if r != nil {
-		p.memo, p.memos = r.next, p.memos-1
-		r.next = nil
-	} else {
-		r = newRecord()
-		r.pool = p
-	}
-	r.tail, r.payload, r.buf = tail, payload, b
-	return r
-}
-
 // newDelivery takes a record from the receiver's pool and fills it as a run
-// of one; the caller schedules it on the receiver's engine. A multicast memo
-// and a send buffer the packet carries count the record among their holders.
+// of one, counted among the holders of the packet's record; the caller
+// schedules it on the receiver's engine.
 func (n *Network) newDelivery(dst *Endpoint, pkt Packet, loss float64, fl faults) *delivery {
 	p := n.pool(dst.lp)
 	d := p.del
@@ -1056,34 +987,16 @@ func (n *Network) newDelivery(dst *Endpoint, pkt Packet, loss float64, fl faults
 		d = &delivery{}
 	}
 	d.dst, d.pkt, d.loss, d.fl = dst, pkt, loss, fl
-	if pkt.meta.memo != nil {
-		pkt.meta.memo.refs++
-	}
-	if pkt.meta.buf != nil {
-		pkt.meta.buf.refs++
-	}
+	pkt.buf.refs++
 	return d
 }
 
-// releaseDelivery returns a record to its pool, and the multicast memo and
-// send buffer it carried to theirs once no other holder refers to them.
+// releaseDelivery returns a record to its pool, letting go of the packet's.
 func (n *Network) releaseDelivery(d *delivery) {
-	p, lp, b := n.pool(d.dst.lp), d.dst.lp, d.pkt.meta.buf
-	if r := d.pkt.meta.memo; r != nil {
-		if r.refs--; r.refs == 0 {
-			r.reset()
-			if r.dec != nil && len(p.decs) < p.hosts {
-				p.decs = append(p.decs, r.dec)
-			}
-			r.dec = nil
-			if p.memos < p.hosts {
-				r.next, p.memo, p.memos = p.memo, r, p.memos+1
-			}
-		}
-	}
+	p, b := n.pool(d.dst.lp), d.pkt.buf
 	*d = delivery{more: d.more[:0], next: p.del}
 	p.del = d
-	n.releaseBuf(lp, b)
+	b.release()
 }
 
 // Fire implements sim.Callback: it is the arrival half of a send. The
@@ -1138,10 +1051,12 @@ func (d *delivery) arrive(dst *Endpoint) {
 		return
 	}
 	if fl.corrupt > 0 && eng.Rand().Float64() < fl.corrupt {
-		pkt.corrupt(eng.Rand()) // tampered bytes do not share the clean parse
+		dst.own(&pkt, d.pkt.buf) // tampered bytes do not share the clean parse
+		pkt.corrupt(eng.Rand())
 		dst.stats.Corrupted++
 	}
 	if fl.truncate > 0 && eng.Rand().Float64() < fl.truncate {
+		dst.own(&pkt, d.pkt.buf)
 		pkt.truncate(eng.Rand())
 		dst.stats.Truncated++
 	}
@@ -1161,47 +1076,46 @@ func (d *delivery) arrive(dst *Endpoint) {
 		sd.stale = true
 		eng.ScheduleCall(extra, sd)
 	}
+	if pkt.buf != d.pkt.buf {
+		pkt.buf.release() // the copy own made
+	}
+}
+
+// own gives pkt bytes of its own before a byte fault damages them in place:
+// a copy into a buffer from the receiving LP's free lists, with the packet's
+// tail, held by the arrival. shared is the delivery's record; a packet that
+// holds another one owns its bytes already.
+func (ep *Endpoint) own(pkt *Packet, shared *sendBuf) {
+	if pkt.buf != shared {
+		return
+	}
+	b := ep.newBuf(pkt.Payload, pkt.tail())
+	b.refs = 1
+	pkt.Payload, pkt.buf = b.b, b
 }
 
 // receive accounts and hands one packet (original, replayed, or stale) to
-// the handler. An untampered unicast is handed the endpoint's decode record,
-// cleared again when the handler returns: the message it decodes is valid
-// until then, and the record pins nothing afterwards.
+// the handler.
 func (ep *Endpoint) receive(pkt Packet) {
 	ep.stats.PktsRecv++
 	ep.stats.BytesRecv += uint64(pkt.WireSize())
 	if pkt.Multicast() {
 		ep.stats.MulticastCopies++
 	}
-	if ep.handler == nil {
-		return
-	}
-	if pkt.Multicast() || (pkt.meta != nil && pkt.meta.tampered) {
+	if ep.handler != nil {
 		ep.handler(pkt)
-		return
 	}
-	if ep.recv == nil {
-		ep.recv = newRecord()
-		ep.recv.dec = new(wire.Decoder)
-	}
-	r := ep.recv
-	r.tail, r.payload = pkt.tail(), pkt.Payload
-	pkt.meta = &r.pktMeta
-	ep.handler(pkt)
-	r.reset()
 }
 
 // recordRecent remembers a delivered packet for replay injection, holding its
-// send buffer until the slot is overwritten. Replayed and stale copies are
+// record until the slot is overwritten. Replayed and stale copies are
 // themselves never recorded (they arrive via receive directly), so replay
 // cannot feed on its own output.
 func (ep *Endpoint) recordRecent(pkt Packet, at time.Duration) {
 	slot := &ep.recent[ep.recentNext]
-	ep.net.releaseBuf(ep.lp, slot.buf)
-	*slot = recentPkt{pkt: pkt, at: at, buf: pkt.meta.buf}
-	if slot.buf != nil {
-		slot.buf.refs++
-	}
+	slot.pkt.buf.release()
+	*slot = recentPkt{pkt: pkt, at: at}
+	pkt.buf.refs++
 	ep.recentNext = (ep.recentNext + 1) % replayRingSize
 	if ep.recentUsed < replayRingSize {
 		ep.recentUsed++
@@ -1224,13 +1138,12 @@ func (ep *Endpoint) pickRecent(now time.Duration, eng *sim.Engine) (Packet, bool
 	return ep.recent[cand[eng.Rand().Intn(len(cand))]].pkt, true
 }
 
-// corrupt flips one to four random bits of the packet's modelled length, on a
-// copy of the payload (the original backing array may be shared with other
-// deliveries and must not be damaged in place) that no longer shares the
-// packet's decode memo (Packet.own). The draws are the ones a
-// materialised zero tail would take — the flip count, then an offset below
-// len(Payload)+tail and a bit per flip — so a run makes the same draws whether
-// its packets carry their pad or declare it.
+// corrupt flips one to four random bits of the packet's modelled length, in
+// place: the caller gave the packet bytes of its own (Endpoint.own), since
+// the delivery's bytes are shared with other copies and must not be damaged.
+// The draws are the ones a materialised zero tail would take — the flip
+// count, then an offset below len(Payload)+tail and a bit per flip — so a run
+// makes the same draws whether its packets carry their pad or declare it.
 //
 // A flip that lands in the tail damages a byte the packet does not carry, so
 // every flip is also XORed into a record of at most four (offset, bits)
@@ -1241,12 +1154,10 @@ func (ep *Endpoint) pickRecent(now time.Duration, eng *sim.Engine) (Packet, bool
 // whatever kind it named instead.
 func (p *Packet) corrupt(r *rand.Rand) {
 	tail := p.tail()
-	p.own(tail)
 	n := len(p.Payload) + tail
 	if n == 0 {
 		return
 	}
-	out := append([]byte(nil), p.Payload...)
 	var flips [4]struct {
 		off  int
 		bits byte
@@ -1254,8 +1165,8 @@ func (p *Packet) corrupt(r *rand.Rand) {
 	used := 0
 	for k := 1 + r.Intn(4); k > 0; k-- {
 		off, bit := r.Intn(n), byte(1)<<uint(r.Intn(8))
-		if off < len(out) {
-			out[off] ^= bit
+		if off < len(p.Payload) {
+			p.Payload[off] ^= bit
 		}
 		i := 0
 		for i < used && flips[i].off != off {
@@ -1272,9 +1183,8 @@ func (p *Packet) corrupt(r *rand.Rand) {
 		damaged = damaged || f.bits != 0
 	}
 	if damaged && tail > 0 {
-		wire.Spoil(out)
+		wire.Spoil(p.Payload)
 	}
-	p.Payload = out
 }
 
 // truncate cuts the packet to a prefix of its modelled length L, drawn
@@ -1283,8 +1193,8 @@ func (p *Packet) corrupt(r *rand.Rand) {
 // keeps the packet whole. Any other cut of a padded packet shortens what the
 // body checksum covered — the zero run, or the body itself — so the kept
 // prefix is spoiled, and the tail is what the cut left of it: WireSize is the
-// cut plus UDPOverhead either way. Like corrupt, it leaves a cut packet a
-// record and bytes of its own.
+// cut plus UDPOverhead either way. Like corrupt, it works in place on bytes
+// the packet owns.
 func (p *Packet) truncate(r *rand.Rand) {
 	tail := p.tail()
 	k := r.Intn(len(p.Payload) + tail + 1)
@@ -1292,9 +1202,9 @@ func (p *Packet) truncate(r *rand.Rand) {
 		return
 	}
 	keep := min(k, len(p.Payload))
-	p.Payload = append([]byte(nil), p.Payload[:keep]...)
+	p.Payload = p.Payload[:keep]
 	if tail > 0 {
 		wire.Spoil(p.Payload)
 	}
-	p.own(k - keep)
+	p.buf.b, p.buf.tail = p.Payload, k-keep
 }

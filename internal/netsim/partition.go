@@ -114,27 +114,27 @@ func (n *Network) DrainCross(bucket int, winEnd time.Duration) {
 		if len(msgs) == 0 {
 			continue
 		}
-		// A multicast copy crosses without a memo (Endpoint.Multicast) and
-		// takes one here from its receiver's LP. The copies of one packet to
-		// one LP arrive here one after another, and share it.
-		var shared *memo
-		var sharedLP int32
+		// A multicast copy crosses as a view of the one copy its sender made
+		// for every other LP (Endpoint.Multicast), and is wrapped here in a
+		// loose record of its receiver's LP. The copies of one packet to one
+		// LP arrive here one after another, and share it. A unicast's buffer
+		// changes hands: from here on only its receiver's LP touches it.
+		var loose *sendBuf
 		for i := range msgs {
 			m := &msgs[i]
 			at := m.at
 			if at < winEnd {
 				at = winEnd
 			}
-			if m.pkt.Multicast() {
-				tail := m.pkt.tail()
-				m.pkt.meta = nil
-				if shared != nil && sharedLP == m.dst.lp {
-					m.pkt.meta = &shared.pktMeta
-				}
-				if m.pkt.memo() == nil {
-					shared, sharedLP = n.newMemo(m.dst.lp, m.pkt.Payload, tail, nil), m.dst.lp
-					m.pkt.meta = &shared.pktMeta
-				}
+			p := n.pool(m.dst.lp)
+			switch {
+			case !m.pkt.Multicast():
+				m.pkt.buf.pool = p
+			case loose == nil || loose.pool != p || !sameBytes(loose.b, m.pkt.Payload):
+				loose = p.newLoose(m.pkt.Payload)
+				fallthrough
+			default:
+				m.pkt.buf = loose
 			}
 			d := n.newDelivery(m.dst, m.pkt, m.loss, m.fl)
 			d.gray = m.gray

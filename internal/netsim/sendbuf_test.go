@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/membership"
 	"repro/internal/raceflag"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -78,10 +80,112 @@ func TestKeptPayloadIsScribbled(t *testing.T) {
 	}
 }
 
-// checkBufs holds an LP's free buffer lists to their invariants: every
-// listed buffer is unreferenced, sits in its own class once, and the lists
-// add up to the accounted bytes, within the budget; no replay-ring slot holds
-// a listed buffer.
+// TestKeptPacketDecodePanics is the tripwire for a Packet kept past its
+// handler: with the race detector compiled in, decoding it panics, whether
+// its record has no holder left or holds other bytes by now.
+func TestKeptPacketDecodePanics(t *testing.T) {
+	if !raceflag.Enabled {
+		t.Skip("the tripwire is compiled in with the race detector only")
+	}
+	eng, n := newNet(t, topology.Clustered(1, 3))
+	var kept []Packet
+	for h := topology.HostID(1); h < 3; h++ {
+		ep := n.Endpoint(h)
+		ep.Join(7)
+		ep.SetHandler(func(pkt Packet) { kept = append(kept, pkt) })
+	}
+	n.Endpoint(0).Unicast(1, wire.Encode(&wire.LoadPoll{From: 1, Token: 2}))
+	// A heartbeat over a size class of its own: it must not come back for the
+	// poll below.
+	svcs := []membership.ServiceDecl{{Name: "a service name to pass sixty-four bytes"}}
+	n.Endpoint(0).Multicast(7, 1, wire.Encode(&wire.Heartbeat{Info: membership.MemberInfo{Node: 1, Services: svcs}, Seq: 3, Pad: 144}))
+	eng.RunAll()
+	if len(kept) != 3 {
+		t.Fatalf("%d deliveries, want 3", len(kept))
+	}
+	decodePanics := func(what string, pkt Packet) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("decoding %s did not panic", what)
+			}
+		}()
+		pkt.Decode()
+	}
+	for _, pkt := range kept {
+		decodePanics("a released packet", pkt)
+	}
+	// The next unicast of the poll's size class takes its buffer back: the
+	// kept packet's record has a holder again, but not its bytes.
+	poll := kept[0]
+	n.Endpoint(2).SetHandler(func(pkt Packet) {
+		if pkt.buf != poll.buf || len(pkt.Payload) == len(poll.Payload) {
+			t.Fatal("the next poll did not take the kept one's buffer for other bytes")
+		}
+		decodePanics("a packet whose record was recycled", poll)
+	})
+	n.Endpoint(0).Unicast(2, []byte("not a poll"))
+	eng.RunAll()
+}
+
+// crossCeiling builds a partitioned two-LP network — two groups of ten, one
+// LP each — and checks that in the steady state a padded heartbeat multicast
+// from LP 0 into both groups, every copy decoded, allocates one object: the
+// copy the sender makes for the other LP. The loose record its copies share
+// there, the decoder it borrows and every delivery come from the receiving
+// LP's lists.
+func crossCeiling(tb testing.TB) func() {
+	top := topology.Clustered(2, 10)
+	part := top.LPPartition()
+	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(2)}
+	n := New(engs[0], top)
+	n.EnablePartition(part.LPOf, engs, 1)
+	decodes := [2]int{}
+	for h := topology.HostID(0); h < 20; h++ {
+		ep := n.Endpoint(h)
+		ep.Join(3)
+		ep.SetHandler(func(pkt Packet) {
+			if _, err := pkt.Decode(); err != nil {
+				tb.Fatal(err)
+			}
+			decodes[ep.lp]++
+		})
+	}
+	n.PublishAllSubs()
+	payload := wire.Encode(&wire.Heartbeat{Seq: 7, Pad: 144})
+	sender, ttl := n.Endpoint(0), top.Diameter()
+	now := time.Duration(0)
+	round := func() {
+		sender.Multicast(3, ttl, payload)
+		for engs[0].Pending()+engs[1].Pending() > 0 {
+			now += part.Lookahead
+			for _, eng := range engs {
+				eng.RunBefore(now)
+			}
+			n.DrainCross(0, now)
+			for _, eng := range engs {
+				eng.AdvanceTo(now)
+			}
+		}
+	}
+	round()
+	if decodes != [2]int{9, 10} {
+		tb.Fatalf("decodes per LP %v, want [9 10]", decodes)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 1 {
+		tb.Fatalf("a steady-state multicast into two LPs allocates %v times, want 1", allocs)
+	}
+	return round
+}
+
+func TestCrossLPCeilingHolds(t *testing.T) { crossCeiling(t) }
+
+// checkBufs holds an LP's free lists to their invariants: every listed
+// buffer is unreferenced, undecoded, sits in its own class once, and the lists
+// add up to the accounted bytes, within the budget; every listed loose record
+// is unreferenced, undecoded and views no bytes; no listed decoder is listed
+// twice or lent to a record still held, and neither list keeps more than one
+// entry per endpoint of the LP. No replay-ring slot holds a listed record.
 func checkBufs(t *testing.T, n *Network, lp int32, eps []*Endpoint) {
 	t.Helper()
 	p := n.pool(lp)
@@ -89,8 +193,8 @@ func checkBufs(t *testing.T, n *Network, lp int32, eps []*Endpoint) {
 	total := 0
 	for c, l := range p.bufs {
 		for _, b := range l {
-			if b.refs != 0 || listed[b] || bufClass(cap(b.b)) != c || cap(b.b) != bufMin<<c {
-				t.Fatalf("LP %d: listed buffer of class %d has %d refs, cap %d, listed before %v", lp, c, b.refs, cap(b.b), listed[b])
+			if b.refs != 0 || b.loose || b.done || b.dec != nil || b.pool != p || listed[b] || bufClass(cap(b.b)) != c || cap(b.b) != bufMin<<c {
+				t.Fatalf("LP %d: listed buffer of class %d has %d refs, decoder %v, cap %d, listed before %v", lp, c, b.refs, b.dec != nil, cap(b.b), listed[b])
 			}
 			listed[b] = true
 			total += cap(b.b)
@@ -102,10 +206,26 @@ func checkBufs(t *testing.T, n *Network, lp int32, eps []*Endpoint) {
 	if total != p.bytes || total > bufBudget {
 		t.Fatalf("LP %d: lists hold %d bytes, accounted %d, budget %d", lp, total, p.bytes, bufBudget)
 	}
+	for _, b := range p.loose {
+		if b.refs != 0 || !b.loose || b.done || b.dec != nil || b.b != nil || b.pool != p || listed[b] {
+			t.Fatalf("LP %d: listed loose record has %d refs, decoder %v, %d bytes, listed before %v", lp, b.refs, b.dec != nil, len(b.b), listed[b])
+		}
+		listed[b] = true
+	}
+	decs := map[*wire.Decoder]bool{}
+	for _, d := range p.decs {
+		if decs[d] {
+			t.Fatalf("LP %d: a decoder is listed twice", lp)
+		}
+		decs[d] = true
+	}
+	if len(p.decs) > p.hosts || len(p.loose) > p.hosts {
+		t.Fatalf("LP %d: %d decoders and %d loose records listed for %d endpoints", lp, len(p.decs), len(p.loose), p.hosts)
+	}
 	for _, ep := range eps {
 		for _, r := range ep.recent {
-			if r.buf != nil && (listed[r.buf] || r.buf.refs < 1) {
-				t.Fatalf("host %d: replay slot holds a buffer with %d refs, listed %v", ep.id, r.buf.refs, listed[r.buf])
+			if b := r.pkt.buf; b != nil && (listed[b] || b.refs < 1 || b.pool != p || decs[b.dec]) {
+				t.Fatalf("host %d: replay slot holds a record with %d refs, listed %v, decoder listed %v", ep.id, b.refs, listed[b], decs[b.dec])
 			}
 		}
 	}

@@ -113,8 +113,8 @@ func testTailFaults(t *testing.T) {
 	for seed := int64(1); seed <= 4000; seed++ {
 		for _, p := range packets {
 			modelled, carried := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			pkt := Packet{Payload: p}
-			pkt.own(wire.Padding(p))
+			own := bytes.Clone(p)
+			pkt := Packet{Payload: own, buf: &sendBuf{b: own, tail: wire.Padding(p)}}
 			ref := materialise(p)
 			op := seed%3 + 1 // 1 corrupts, 2 cuts, 3 does both
 			if op&1 != 0 {

@@ -100,15 +100,14 @@ func (o *outcome) cb(eng *sim.Engine) func([]byte, error) {
 
 func echo(_ int32, payload []byte) ([]byte, error) { return payload, nil }
 
-// capture installs a delivery tap on host h that keeps every packet of type t,
-// each with a copy of its bytes: the packet's own go back to the network when
-// its handler returns.
+// capture installs a delivery tap on host h that keeps every packet of type t
+// as a fresh packet with a copy of its bytes: the delivered packet, and its
+// bytes, go back to the network when its handler returns.
 func (l *lan) capture(h int, t wire.Type) *[]netsim.Packet {
 	var got []netsim.Packet
 	l.net.Endpoint(topology.HostID(h)).SetFilter(func(pkt netsim.Packet) bool {
 		if len(pkt.Payload) > 3 && wire.Type(pkt.Payload[3]) == t {
-			pkt.Payload = bytes.Clone(pkt.Payload)
-			got = append(got, pkt)
+			got = append(got, netsim.Packet{Src: pkt.Src, Dst: pkt.Dst, Channel: pkt.Channel, TTL: pkt.TTL, Payload: bytes.Clone(pkt.Payload)})
 		}
 		return true
 	})
@@ -589,8 +588,7 @@ func TestCorruptPacketsAreTheRuntimesRejects(t *testing.T) {
 	var heartbeat netsim.Packet
 	f.net.Endpoint(0).SetFilter(func(pkt netsim.Packet) bool {
 		if pkt.Multicast() && wire.Type(pkt.Payload[3]) == wire.THeartbeat {
-			heartbeat = pkt
-			heartbeat.Payload = bytes.Clone(pkt.Payload)
+			heartbeat = netsim.Packet{Src: pkt.Src, Dst: pkt.Dst, Channel: pkt.Channel, TTL: pkt.TTL, Payload: bytes.Clone(pkt.Payload)}
 		}
 		return true
 	})

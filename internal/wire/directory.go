@@ -57,9 +57,9 @@ func AppendDirectory(dst []byte, from membership.NodeID, ask bool, dir *membersh
 // or not at all.
 //
 // The view aliases the payload passed to Decode and is shared, through the
-// network's per-packet decode memo, by every receiver of that packet:
-// neither the view nor those bytes may be written for as long as any
-// receiver can still be handed them. Records materialised by
+// decode the network keeps with each packet's bytes, by every receiver of
+// that packet: neither the view nor those bytes may be written for as long
+// as any receiver can still be handed them. Records materialised by
 // InfoCursor.Info are copies and outlive the payload.
 type DirectoryView struct {
 	From membership.NodeID

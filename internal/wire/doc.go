@@ -60,10 +60,10 @@
 //     byte payloads and record lists are views of the packet on both paths,
 //     valid as long as the packet (in the simulator, until the handler
 //     returns).
-//     The simulated network keeps one per multicast memo and one per
-//     endpoint (netsim.Packet.Decode); Decode is the fresh path for tests,
-//     tools and code that keeps the message. docs/WIRE.md §4 states the
-//     lifetime rule.
+//     The simulated network lends one to each packet it parses, for as
+//     long as the packet's send buffer is held (netsim.Packet.Decode);
+//     Decode is the fresh path for tests, tools and code that keeps the
+//     message. docs/WIRE.md §4 states the lifetime rule.
 //   - InfoList, InfoCursor and the views over them: the three packets that
 //     carry member records in bulk — TDirectory, TGossip and the records of a
 //     RapidView — are the bodies Decode does not build. Each run of records

@@ -270,8 +270,8 @@ func Decode(b []byte) (Message, error) { return decode(b, nil) }
 // message. Nested slices and strings are still made fresh on every decode —
 // directories keep them — and byte payloads and record lists are views of
 // the packet, as Decode's are. A receiver that finishes with each packet
-// before it decodes the next keeps one (the network keeps one per multicast
-// memo and per endpoint); it is not safe for concurrent use.
+// before it decodes the next keeps one (the network lends one to each packet
+// it parses); it is not safe for concurrent use.
 type Decoder struct {
 	hb     Heartbeat
 	upd    UpdateMsg
