@@ -71,14 +71,14 @@ func (a *App) Provide(name, partitions string, serviceTime time.Duration, h Hand
 // the request crosses data centers. The callback runs exactly once on the
 // simulation goroutine; its payload is valid until it returns.
 func (a *App) Invoke(serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
-	a.host.RT.Invoke(serviceName, partition, payload, cb)
+	a.host.RT.Invoke(serviceName, partition, payload, service.Func(cb), 0)
 }
 
 // InvokeNode sends the request to one specific provider, bypassing load
 // balancing — the building block for client-driven replication (e.g.
 // write-through to every replica of a partition).
 func (a *App) InvokeNode(n NodeID, serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
-	a.host.RT.InvokeNode(n, serviceName, partition, payload, cb)
+	a.host.RT.InvokeNode(n, serviceName, partition, payload, service.Func(cb), 0)
 }
 
 // InvokeWait is Invoke that drives the simulation until the reply arrives

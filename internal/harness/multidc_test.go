@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/service"
 	"repro/internal/topology"
 )
 
@@ -86,7 +87,7 @@ func TestFederationRemoteDCFallback(t *testing.T) {
 	invoke := func() (string, error) {
 		var got []byte
 		var gotErr error
-		client.RT.Invoke("shared", 0, nil, func(b []byte, err error) { got, gotErr = bytes.Clone(b), err })
+		client.RT.Invoke("shared", 0, nil, service.Func(func(b []byte, err error) { got, gotErr = bytes.Clone(b), err }), 0)
 		c.Run(3 * time.Second)
 		return string(got), gotErr
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/membership"
 	"repro/internal/netsim"
+	"repro/internal/service"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -127,7 +128,7 @@ func TestWANFlap(t *testing.T) {
 		}
 	}
 	var gotErr error
-	f.Hosts[3].RT.Invoke("Retriever", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.Hosts[3].RT.Invoke("Retriever", 0, nil, service.Func(func(b []byte, err error) { gotErr = err }), 0)
 	f.run(2 * time.Second)
 	if gotErr != nil {
 		t.Fatalf("post-flap invocation failed: %v", gotErr)

@@ -176,9 +176,9 @@ func TestCrossDCInvocation(t *testing.T) {
 	var got []byte
 	var gotErr error
 	var at time.Duration
-	f.Hosts[3].RT.Invoke("Retriever", 2, []byte("q"), func(b []byte, err error) {
+	f.Hosts[3].RT.Invoke("Retriever", 2, []byte("q"), service.Func(func(b []byte, err error) {
 		got, gotErr, at = bytes.Clone(b), err, f.eng.Now()
-	})
+	}), 0)
 	f.run(3 * time.Second)
 	if gotErr != nil {
 		t.Fatal(gotErr)
@@ -200,7 +200,7 @@ func TestCrossDCRejectionWhenNowhere(t *testing.T) {
 	f.startAll()
 	f.run(20 * time.Second)
 	var gotErr error
-	f.Hosts[3].RT.Invoke("Ghost", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.Hosts[3].RT.Invoke("Ghost", 0, nil, service.Func(func(b []byte, err error) { gotErr = err }), 0)
 	f.run(2 * time.Second)
 	if !errors.Is(gotErr, service.ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected (proxy rejects unknown service)", gotErr)
@@ -238,7 +238,7 @@ func TestProxyLeaderFailover(t *testing.T) {
 	}
 	// Cross-DC invocation works through the new leader.
 	var gotErr error
-	f.Hosts[3].RT.Invoke("Retriever", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.Hosts[3].RT.Invoke("Retriever", 0, nil, service.Func(func(b []byte, err error) { gotErr = err }), 0)
 	f.run(3 * time.Second)
 	if gotErr != nil {
 		t.Fatalf("post-failover invocation failed: %v", gotErr)
@@ -294,7 +294,7 @@ func TestThreeDataCenters(t *testing.T) {
 	// A plain DC0 node invokes a service hosted only on a plain DC2 node.
 	var got []byte
 	var gotErr error
-	f.Hosts[2].RT.Invoke("Doc", 0, nil, func(b []byte, err error) { got, gotErr = bytes.Clone(b), err })
+	f.Hosts[2].RT.Invoke("Doc", 0, nil, service.Func(func(b []byte, err error) { got, gotErr = bytes.Clone(b), err }), 0)
 	f.run(3 * time.Second)
 	if gotErr != nil || string(got) != "dc2" {
 		t.Fatalf("got %q, %v", got, gotErr)

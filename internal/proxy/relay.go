@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/service"
 	"repro/internal/topology"
 	"repro/internal/wire"
 )
@@ -181,9 +182,9 @@ func (p *Proxy) forward(src topology.HostID, req *wire.ServiceRequest) {
 		// the normal invocation path (random polling load balancing) and
 		// relay the result back (steps 4-5).
 		reqID := req.ReqID
-		p.rt.Invoke(req.Service, req.Partition, req.Payload, func(out []byte, err error) {
+		p.rt.Invoke(req.Service, req.Partition, req.Payload, service.Func(func(out []byte, err error) {
 			p.rt.SendReply(src, reqID, err == nil, out)
-		})
+		}), 0)
 	}
 }
 

@@ -17,8 +17,25 @@ import (
 // for a later request, so a handler that keeps them copies them. It is safe to
 // return as the reply, but it must not be written to; an append copies out
 // because of the clipped capacity. The same holds for the payload an Invoke
-// or InvokeNode callback receives, which is a view of the reply packet.
+// or InvokeNode completion receives, which is a view of the reply packet.
 type Handler func(partition int32, payload []byte) ([]byte, error)
+
+// Done receives the outcome of one Invoke or InvokeNode, with the tag the
+// caller passed alongside it. Done runs on the simulation goroutine exactly
+// once per invocation, always from an event of its own (never inside the
+// Invoke), and may itself invoke. payload is packet memory, valid until Done
+// returns (see Handler). The tag lets one long-lived receiver tell its
+// invocations apart, so an invocation needs no per-request closure.
+type Done interface {
+	Done(tag uint64, payload []byte, err error)
+}
+
+// Func adapts a plain callback to Done; it ignores the tag. A func value is
+// pointer-shaped, so Func(f) boxes into a Done without allocating.
+type Func func([]byte, error)
+
+// Done calls f.
+func (f Func) Done(_ uint64, payload []byte, err error) { f(payload, err) }
 
 // Member is the membership-daemon surface the runtime layers over: any
 // protocol node that publishes services into a yellow-page directory and
@@ -35,7 +52,7 @@ type Member interface {
 	Running() bool
 }
 
-// Errors returned through invocation callbacks.
+// Errors delivered through Done.
 var (
 	// ErrUnavailable means no replica for the (service, partition) exists
 	// in any reachable directory.
@@ -85,7 +102,7 @@ type instance struct {
 
 // pool is the free list behind each kind of per-request record. A record is
 // taken at the start of its request and put back — zeroed by whoever puts it
-// back — before any user code runs on its behalf: callbacks re-enter Invoke
+// back — before any user code runs on its behalf: completions re-enter Invoke
 // (the search gateway's fan-out, the proxy relay) and those invocations reuse
 // the record (except serving's: see its Fire).
 type pool[T any] []*T
@@ -110,32 +127,33 @@ func (p *pool[T]) put(x *T) { *p = append(*p, x) }
 type call struct {
 	rt      *Runtime
 	id      uint64 // key in rt.calls; 0 for a record that only carries err
-	cb      func([]byte, error)
-	err     error // what Fire delivers: ErrTimeout, or ErrUnavailable for a request that never left
+	to      Done
+	tag     uint64 // the caller's word, handed back to to
+	err     error  // what Fire delivers: ErrTimeout, or ErrUnavailable for a request that never left
 	timeout sim.Timer
 }
 
-// newCall takes a record that will deliver err to cb when it fires.
-func (r *Runtime) newCall(cb func([]byte, error), err error) *call {
+// newCall takes a record that will deliver err to (to, tag) when it fires.
+func (r *Runtime) newCall(to Done, tag uint64, err error) *call {
 	c := r.freeCalls.get()
-	*c = call{rt: r, cb: cb, err: err}
+	*c = call{rt: r, to: to, tag: tag, err: err}
 	return c
 }
 
 // Fire delivers the call's failure: the reply timeout elapsed (a reply would
 // have cancelled this event), or the request could not be sent at all.
 func (c *call) Fire() {
-	r, cb, err := c.rt, c.cb, c.err
+	r, to, tag, err := c.rt, c.to, c.tag, c.err
 	delete(r.calls, c.id)
 	*c = call{}
 	r.freeCalls.put(c)
-	cb(nil, err)
+	to.Done(tag, nil, err)
 }
 
-// fail delivers err to cb from an event of its own at the current instant,
-// never from inside the Invoke that discovered it.
-func (r *Runtime) fail(cb func([]byte, error), err error) {
-	r.eng.ScheduleCall(0, r.newCall(cb, err))
+// fail delivers err to (to, tag) from an event of its own at the current
+// instant, never from inside the Invoke that discovered it.
+func (r *Runtime) fail(to Done, tag uint64, err error) {
+	r.eng.ScheduleCall(0, r.newCall(to, tag, err))
 }
 
 // serving is one request queued on the provider: the pooled record the
@@ -175,7 +193,8 @@ type poll struct {
 	service   string
 	partition int32
 	payload   []byte // a copy, in a buffer the record keeps across reuse
-	cb        func([]byte, error)
+	to        Done
+	tag       uint64
 
 	slots    []pollSlot // one per polled candidate, in polled order; reused across polls
 	answered int
@@ -224,9 +243,9 @@ func (p *poll) decide() {
 		best = ties[r.eng.Rand().Intn(len(ties))]
 	}
 	r.ties = ties
-	service, partition, payload, cb := p.service, p.partition, p.payload, p.cb
-	p.service, p.cb = "", nil // the record idles until its timeout fires
-	r.request(topology.HostID(best), service, partition, payload, 0, cb)
+	service, partition, payload, to, tag := p.service, p.partition, p.payload, p.to, p.tag
+	p.service, p.to, p.tag = "", nil, 0 // the record idles until its timeout fires
+	r.request(topology.HostID(best), service, partition, payload, 0, to, tag)
 }
 
 // Runtime couples an endpoint's membership daemon with service dispatch.
@@ -459,25 +478,27 @@ func (r *Runtime) hasPartition(inst *instance, p int32) bool {
 	return false
 }
 
-// Invoke performs one location-transparent invocation. The callback runs on
-// the simulation goroutine exactly once, always from an event of its own
-// (never inside Invoke), and may itself invoke. Its payload argument is
-// packet memory, as a Handler's is. A request awaiting polls keeps a copy.
-func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
+// Invoke performs one location-transparent invocation and reports its outcome
+// to to.Done with tag: exactly once, on the simulation goroutine, always from
+// an event of its own (never inside Invoke); Done may itself invoke. The
+// payload Done receives is packet memory, as a Handler's is. A request
+// awaiting polls keeps a copy of its payload. A plain callback passes
+// Func(cb), 0.
+func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, to Done, tag uint64) {
 	r.cands = r.node.Directory().Hosts(r.cands[:0], serviceName, partition)
 	candidates := r.cands
 	if len(candidates) == 0 {
 		if r.cfg.ProxyAddr != nil {
 			if proxy, ok := r.cfg.ProxyAddr(); ok {
-				r.request(proxy, serviceName, partition, payload, 1, cb)
+				r.request(proxy, serviceName, partition, payload, 1, to, tag)
 				return
 			}
 		}
-		r.fail(cb, ErrUnavailable)
+		r.fail(to, tag, ErrUnavailable)
 		return
 	}
 	if len(candidates) == 1 {
-		r.request(topology.HostID(candidates[0]), serviceName, partition, payload, 0, cb)
+		r.request(topology.HostID(candidates[0]), serviceName, partition, payload, 0, to, tag)
 		return
 	}
 	// Pushed load cache: if we hold fresh samples for at least two
@@ -502,7 +523,7 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 		r.ties = ties
 		if fresh >= 2 {
 			best := ties[r.eng.Rand().Intn(len(ties))]
-			r.request(topology.HostID(best), serviceName, partition, payload, 0, cb)
+			r.request(topology.HostID(best), serviceName, partition, payload, 0, to, tag)
 			return
 		}
 	}
@@ -517,7 +538,7 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, cb
 	p := r.freePolls.get()
 	r.nextReq++
 	p.rt, p.token = r, r.nextReq
-	p.service, p.partition, p.payload, p.cb = serviceName, partition, append(p.payload[:0], payload...), cb
+	p.service, p.partition, p.payload, p.to, p.tag = serviceName, partition, append(p.payload[:0], payload...), to, tag
 	for _, c := range candidates {
 		p.slots = append(p.slots, pollSlot{node: c})
 	}
@@ -551,11 +572,12 @@ func (r *Runtime) HasProxy() bool {
 }
 
 // InvokeNode sends the request to one specific provider, bypassing lookup
-// and load balancing. Useful for client-driven replication; the callback
-// still sees ErrTimeout/ErrRejected like a normal invocation, under the same
-// rules as Invoke's (its own event, exactly once, payload is packet memory).
-func (r *Runtime) InvokeNode(n membership.NodeID, serviceName string, partition int32, payload []byte, cb func([]byte, error)) {
-	r.request(topology.HostID(n), serviceName, partition, payload, 0, cb)
+// and load balancing. Useful for client-driven replication; to.Done still
+// sees ErrTimeout/ErrRejected like a normal invocation, under the same rules
+// as Invoke's: exactly once, from its own event, with the caller's tag, and
+// a payload that is packet memory.
+func (r *Runtime) InvokeNode(n membership.NodeID, serviceName string, partition int32, payload []byte, to Done, tag uint64) {
+	r.request(topology.HostID(n), serviceName, partition, payload, 0, to, tag)
 }
 
 // pollReply records a load sample in the sender's slot; once every polled
@@ -586,8 +608,8 @@ func (r *Runtime) pollReply(from topology.HostID, m *wire.LoadReply) {
 }
 
 // request transmits one ServiceRequest and arms the reply timeout.
-func (r *Runtime) request(dst topology.HostID, serviceName string, partition int32, payload []byte, hops uint8, cb func([]byte, error)) {
-	c := r.newCall(cb, ErrTimeout)
+func (r *Runtime) request(dst topology.HostID, serviceName string, partition int32, payload []byte, hops uint8, to Done, tag uint64) {
+	c := r.newCall(to, tag, ErrTimeout)
 	r.nextReq++
 	c.id = r.nextReq
 	r.calls[c.id] = c
@@ -612,12 +634,12 @@ func (r *Runtime) complete(m *wire.ServiceReply) {
 	}
 	delete(r.calls, m.ReqID)
 	c.timeout.Stop()
-	cb, replyOK, payload := c.cb, m.OK, m.Payload
+	to, tag, replyOK, payload := c.to, c.tag, m.OK, m.Payload
 	*c = call{}
 	r.freeCalls.put(c)
 	if !replyOK {
-		cb(nil, ErrRejected)
+		to.Done(tag, nil, ErrRejected)
 		return
 	}
-	cb(payload, nil)
+	to.Done(tag, payload, nil)
 }

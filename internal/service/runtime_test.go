@@ -69,9 +69,9 @@ func TestInvokeBasic(t *testing.T) {
 	var got []byte
 	var gotErr error
 	done := false
-	f.runtimes[0].Invoke("Echo", 1, []byte("hi"), func(b []byte, err error) {
+	f.runtimes[0].Invoke("Echo", 1, []byte("hi"), Func(func(b []byte, err error) {
 		got, gotErr, done = bytes.Clone(b), err, true
-	})
+	}), 0)
 	f.run(time.Second)
 	if !done {
 		t.Fatal("callback never fired")
@@ -89,7 +89,7 @@ func TestInvokeUnknownServiceFails(t *testing.T) {
 	f.startAll()
 	f.run(10 * time.Second)
 	var gotErr error
-	f.runtimes[0].Invoke("Nope", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.runtimes[0].Invoke("Nope", 0, nil, Func(func(b []byte, err error) { gotErr = err }), 0)
 	f.run(time.Second)
 	if !errors.Is(gotErr, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", gotErr)
@@ -102,7 +102,7 @@ func TestInvokeWrongPartitionFails(t *testing.T) {
 	f.startAll()
 	f.run(10 * time.Second)
 	var gotErr error
-	f.runtimes[0].Invoke("Echo", 7, nil, func(b []byte, err error) { gotErr = err })
+	f.runtimes[0].Invoke("Echo", 7, nil, Func(func(b []byte, err error) { gotErr = err }), 0)
 	f.run(time.Second)
 	if !errors.Is(gotErr, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", gotErr)
@@ -118,7 +118,7 @@ func TestInvokeDeadProviderTimesOut(t *testing.T) {
 	// yet updated at the consumer).
 	f.net.Endpoint(1).SetUp(false)
 	var gotErr error
-	f.runtimes[0].Invoke("Echo", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.runtimes[0].Invoke("Echo", 0, nil, Func(func(b []byte, err error) { gotErr = err }), 0)
 	f.run(5 * time.Second)
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", gotErr)
@@ -133,7 +133,7 @@ func TestHandlerErrorSurfacesAsRejection(t *testing.T) {
 	f.startAll()
 	f.run(10 * time.Second)
 	var gotErr error
-	f.runtimes[0].Invoke("Bad", 0, nil, func(b []byte, err error) { gotErr = err })
+	f.runtimes[0].Invoke("Bad", 0, nil, Func(func(b []byte, err error) { gotErr = err }), 0)
 	f.run(time.Second)
 	if !errors.Is(gotErr, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", gotErr)
@@ -155,7 +155,7 @@ func TestReplicasShareLoad(t *testing.T) {
 	f.startAll()
 	f.run(10 * time.Second)
 	for i := 0; i < 300; i++ {
-		f.runtimes[0].Invoke("Echo", 0, nil, func([]byte, error) {})
+		f.runtimes[0].Invoke("Echo", 0, nil, Func(func([]byte, error) {}), 0)
 		f.run(20 * time.Millisecond)
 	}
 	f.run(time.Second)
@@ -186,14 +186,14 @@ func TestRandomPollingPrefersIdleReplica(t *testing.T) {
 	// Saturate replica 1 with requests addressed to it directly, so its
 	// queue is long while replica 2 sits idle.
 	for i := 0; i < 20; i++ {
-		f.runtimes[0].InvokeNode(1, "Echo", 0, nil, func([]byte, error) {})
+		f.runtimes[0].InvokeNode(1, "Echo", 0, nil, Func(func([]byte, error) {}), 0)
 	}
 	f.run(100 * time.Millisecond)
 	// The consumer's polled invocations should overwhelmingly pick the
 	// idle replica.
 	const probes = 10
 	for i := 0; i < probes; i++ {
-		f.runtimes[0].Invoke("Echo", 0, nil, func([]byte, error) {})
+		f.runtimes[0].Invoke("Echo", 0, nil, Func(func([]byte, error) {}), 0)
 		f.run(200 * time.Millisecond)
 	}
 	f.run(time.Minute)
@@ -212,7 +212,7 @@ func TestLoadReporting(t *testing.T) {
 		t.Fatalf("idle load = %d", l)
 	}
 	for i := 0; i < 5; i++ {
-		f.runtimes[0].Invoke("Echo", 0, nil, func([]byte, error) {})
+		f.runtimes[0].Invoke("Echo", 0, nil, Func(func([]byte, error) {}), 0)
 	}
 	f.run(100 * time.Millisecond)
 	if l := f.runtimes[1].Load(); l == 0 {
@@ -233,7 +233,7 @@ func TestFailureShielding(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		var got []byte
 		var gotErr error
-		f.runtimes[0].Invoke("Echo", 0, nil, func(b []byte, err error) { got, gotErr = bytes.Clone(b), err })
+		f.runtimes[0].Invoke("Echo", 0, nil, Func(func(b []byte, err error) { got, gotErr = bytes.Clone(b), err }), 0)
 		f.run(200 * time.Millisecond)
 		if gotErr != nil {
 			t.Fatalf("request %d failed: %v", i, gotErr)
@@ -270,7 +270,7 @@ func TestLoadPushSkipsPolling(t *testing.T) {
 	// Warm the interest + cache: a couple of real invocations (these may
 	// poll) make the consumer interested at both providers.
 	for i := 0; i < 6; i++ {
-		rts[0].Invoke("Echo", 0, nil, func([]byte, error) {})
+		rts[0].Invoke("Echo", 0, nil, Func(func([]byte, error) {}), 0)
 		eng.Run(eng.Now() + 300*time.Millisecond)
 	}
 	// The consumer should now hold fresh samples for both replicas.
@@ -294,11 +294,11 @@ func TestLoadPushSkipsPolling(t *testing.T) {
 	}
 	served := 0
 	for i := 0; i < 10; i++ {
-		rts[0].Invoke("Echo", 0, nil, func(b []byte, err error) {
+		rts[0].Invoke("Echo", 0, nil, Func(func(b []byte, err error) {
 			if err == nil {
 				served++
 			}
-		})
+		}), 0)
 		eng.Run(eng.Now() + 100*time.Millisecond)
 	}
 	if served != 10 {

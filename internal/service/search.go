@@ -177,11 +177,11 @@ func (g *Gateway) fetchDocs(byPart map[int32][]string, finish func(string, error
 // lookup, so once the membership service has removed a failed provider the
 // retry lands on a live replica or the proxy path.
 func (g *Gateway) invokeWithRetry(svc string, part int32, payload []byte, retries int, cb func([]byte, error)) {
-	g.rt.Invoke(svc, part, payload, func(b []byte, err error) {
+	g.rt.Invoke(svc, part, payload, Func(func(b []byte, err error) {
 		if err != nil && retries > 0 {
 			g.invokeWithRetry(svc, part, payload, retries-1, cb)
 			return
 		}
 		cb(b, err)
-	})
+	}), 0)
 }

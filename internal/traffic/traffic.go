@@ -95,7 +95,7 @@ const (
 	fInflight              // a request is outstanding; don't double-issue
 )
 
-// session is one virtual client. Kept flat and small (40 bytes) so a
+// session is one virtual client. Kept flat and small (48 bytes) so a
 // million of them cost one contiguous allocation and no per-session timers.
 type session struct {
 	gw       int32             // gateway runtime index (fixed at open)
@@ -131,6 +131,7 @@ type Layer struct {
 	cursor  int
 	tick    uint64
 	running bool
+	ticking bool // a tick event is pending; there is never more than one
 
 	// opens[t] is how many sessions open at tick t.
 	opens      []int32
@@ -239,7 +240,12 @@ func (l *Layer) Start() {
 		return
 	}
 	l.running = true
-	l.eng.ScheduleCall(0, (*tickFire)(l))
+	if !l.ticking {
+		// A Start soon after a Stop finds the old chain's tick still pending
+		// and lets it carry on: a second chain would double the clock.
+		l.ticking = true
+		l.eng.ScheduleCall(0, (*tickFire)(l))
+	}
 }
 
 // Stop halts the tick loop; outstanding requests still resolve and are
@@ -252,6 +258,7 @@ type tickFire Layer
 func (t *tickFire) Fire() { (*Layer)(t).onTick() }
 
 func (l *Layer) onTick() {
+	l.ticking = false
 	if !l.running {
 		return
 	}
@@ -283,7 +290,30 @@ func (l *Layer) onTick() {
 	}
 	l.tick++
 	l.cursor = (l.cursor + 1) % len(l.ring)
+	l.ticking = true
 	l.eng.ScheduleCall(tick, (*tickFire)(l))
+}
+
+// completer adapts Layer to service.Done without a per-request closure: the
+// tag its invocations carry says which session, request and leg a
+// completion is for.
+type completer Layer
+
+// hedgeLeg marks the tag of a hedged request's second leg.
+const hedgeLeg = 1 << 40
+
+// legTag packs one leg of session i's request into a tag: the session index
+// in the low 32 bits, the request generation above it, and the hedge bit.
+func legTag(i int32, gen uint8, hedge bool) uint64 {
+	tag := uint64(uint32(i)) | uint64(gen)<<32
+	if hedge {
+		tag |= hedgeLeg
+	}
+	return tag
+}
+
+func (c *completer) Done(tag uint64, _ []byte, err error) {
+	(*Layer)(c).complete(int32(uint32(tag)), uint8(tag>>32), tag&hedgeLeg != 0, err)
 }
 
 // after schedules session i to issue its next request d from now, rounded
@@ -358,10 +388,9 @@ func (l *Layer) issue(i int32) {
 	s.sendAt = l.eng.Now()
 	s.legs = 1
 	l.requests++
-	gen := s.gen
-	cb := func(_ []byte, err error) { l.complete(i, gen, false, err) }
+	tag := legTag(i, s.gen, false)
 	if s.flags&fProxied != 0 {
-		gw.Invoke(l.opt.Service, s.part, l.payload, cb)
+		gw.Invoke(l.opt.Service, s.part, l.payload, (*completer)(l), tag)
 		return
 	}
 	if !l.alive(s.replica) {
@@ -372,7 +401,7 @@ func (l *Layer) issue(i int32) {
 	if l.hedgeTicks > 0 {
 		l.after(^i, l.hedgeTicks)
 	}
-	gw.InvokeNode(s.replica, l.opt.Service, s.part, l.payload, cb)
+	gw.InvokeNode(s.replica, l.opt.Service, s.part, l.payload, (*completer)(l), tag)
 }
 
 // hedgeCheck fires one hedge delay after a pinned request was sent. If that
@@ -400,12 +429,10 @@ func (l *Layer) hedgeCheck(i int32) {
 	}
 	s.legs = 2
 	l.hedged++
-	gen := s.gen
-	l.gws[s.gw].InvokeNode(alt, l.opt.Service, s.part, l.payload,
-		func(_ []byte, err error) { l.complete(i, gen, true, err) })
+	l.gws[s.gw].InvokeNode(alt, l.opt.Service, s.part, l.payload, (*completer)(l), legTag(i, s.gen, true))
 }
 
-// complete is the invocation callback for one leg of session i's current
+// complete is the invocation outcome for one leg of session i's current
 // request. gen guards against the losing leg of a hedged pair arriving
 // after the request already resolved; hedge marks which leg this is. The
 // first success resolves the request; a failed leg with another still

@@ -195,6 +195,36 @@ func TestStopHaltsIssue(t *testing.T) {
 	}
 }
 
+// TestRestartKeepsOneTickChain: a Stop and Start between two ticks resume
+// the one pending tick chain — a second chain would run the wheel, and every
+// think time and open with it, at double speed — and a Start after the chain
+// has lapsed begins a new one.
+func TestRestartKeepsOneTickChain(t *testing.T) {
+	f := newFixture(t, 4, 2, 2)
+	l := New(f.eng, testOptions(20, 2), f.runtimes[:1], f.alive)
+	ticksOver := func(d time.Duration) uint64 {
+		from := l.tick
+		f.run(d)
+		return l.tick - from
+	}
+	const window = time.Second - tick/2 // ten ticks, wherever the window starts
+	l.Start()
+	f.run(time.Second + tick/2) // halfway between two ticks
+	l.Stop()
+	l.Start()
+	if got := ticksOver(window); got != 10 {
+		t.Fatalf("%d ticks in %v after a restart within one tick, want 10", got, window)
+	}
+	l.Stop()
+	if got := ticksOver(time.Second); got != 0 {
+		t.Fatalf("%d ticks while stopped", got)
+	}
+	l.Start()
+	if got := ticksOver(window); got != 10 {
+		t.Fatalf("%d ticks in %v after a restart, want 10", got, window)
+	}
+}
+
 func TestBackoffSlowsFailedRetries(t *testing.T) {
 	// Same fault, same window: sessions with exponential backoff must issue
 	// strictly fewer requests against an unhosted partition than flat-retry
@@ -305,17 +335,23 @@ func TestHedgingMasksDeadReplica(t *testing.T) {
 	}
 }
 
-// BenchmarkLayerSteadyState measures the closed loop the `sessions` workload
-// of the repository benchmark times: 10 000 sessions, each pinned to its
-// replica, issuing a request per 5s think time through InvokeNode — half the
-// four replicas' capacity, so nothing queues long. One op is one 100ms tick of
-// the wheel (about two hundred requests). A request may allocate the layer's
-// completion closure, nothing else (its two packets come from the network's
-// recycled buffers): the ceiling is 1 per request on top of what the same
-// cluster allocates idle, with 1% of slack for the occasional regrowth of a
-// wheel slot.
-func BenchmarkLayerSteadyState(b *testing.B) {
-	f := newFixture(b, 6, 4, 4)
+// TestBenchmarkCeilingsHold runs BenchmarkLayerSteadyState's allocation
+// ceiling under plain `go test`, so a regression fails the suite and not only
+// the CI bench smoke.
+func TestBenchmarkCeilingsHold(t *testing.T) {
+	steadyStateCeiling(t)
+}
+
+// steadyStateCeiling drives the closed loop the `sessions` workload of the
+// repository benchmark times: 10 000 sessions, each pinned to its replica,
+// issuing a request per 5s think time through InvokeNode — half the four
+// replicas' capacity, so nothing queues long. A request allocates nothing:
+// its completion is the layer itself with a tag, and its two packets come
+// from the network's recycled buffers. The ceiling is what the same cluster
+// allocates idle, plus 1 per 100 requests for the occasional regrowth of a
+// wheel slot. It returns the fixture and the layer, in steady state.
+func steadyStateCeiling(tb testing.TB) (*fixture, *Layer) {
+	f := newFixture(tb, 6, 4, 4)
 	const window = 5 * time.Second
 	mallocsOver := func(d time.Duration) uint64 {
 		var before, after runtime.MemStats
@@ -337,20 +373,28 @@ func BenchmarkLayerSteadyState(b *testing.B) {
 	st := l.Stats()
 	requests := st.Requests - from.Requests
 	if st.Sessions != 10000 || st.OK != st.Requests-uint64(inflight(l)) || requests < 8000 {
-		b.Fatalf("not a steady state: %+v", st)
+		tb.Fatalf("not a steady state: %+v", st)
 	}
-	if loaded > idle+requests+requests/100 {
-		b.Fatalf("%d allocations for %d requests over an idle %d (%.2f each), want at most 1",
+	tb.Logf("%d allocations over an idle %d for %d requests", loaded, idle, requests)
+	if loaded > idle+requests/100 {
+		tb.Fatalf("%d allocations for %d requests over an idle %d (%.3f each), want at most 1 per 100",
 			loaded, requests, idle, float64(loaded-idle)/float64(requests))
 	}
+	return f, l
+}
 
+// BenchmarkLayerSteadyState measures the steady state of steadyStateCeiling.
+// One op is one 100ms tick of the wheel (about two hundred requests).
+func BenchmarkLayerSteadyState(b *testing.B) {
+	f, l := steadyStateCeiling(b)
+	from := l.Stats().Requests
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.run(tick)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(l.Stats().Requests-st.Requests)/float64(b.N), "requests/op")
+	b.ReportMetric(float64(l.Stats().Requests-from)/float64(b.N), "requests/op")
 }
 
 // inflight counts the sessions with a request outstanding.
