@@ -69,8 +69,12 @@
 // returned with the buffer. So every receiver of a multicast on one LP, and
 // every duplicate, stale re-delivery and replay of a packet, reads one parse,
 // allocating no message for the kinds wire.Decoder keeps resident. The copies
-// of a multicast bound for other LPs share one copy of the bytes, which each
-// receiving LP wraps in a small pooled loose record of its own; a byte fault
+// of a multicast bound for other LPs view the same buffer: each copy parked
+// in an outbox counts as a hold on it, each receiving LP wraps the copies it
+// drains in a small pooled loose record of its own that counts them, and
+// when that record is let go its holds go back to the sending LP at the next
+// window boundary, which settles them on its own goroutine. So a multicast
+// makes one copy of its bytes however many LPs it reaches. A byte fault
 // first copies the bytes it damages into a buffer of the receiving LP
 // (sendbuf_test.go, decode_test.go). A packet, and what is decoded from it,
 // is valid until its handler returns; under -race a released buffer is

@@ -43,7 +43,8 @@ type Packet struct {
 // sendBuf is the one record of a packet the network carries (see doc.go): its
 // bytes, the tail they declare, its holders and the one decode they share. It
 // is touched by the goroutine of one LP at a time, the one whose free lists
-// it returns to (pool), so nothing is locked.
+// it returns to (pool), so nothing is locked; other LPs only read a
+// multicast's bytes, through loose records, while their holds keep it.
 type sendBuf struct {
 	b []byte
 	// tail is the inert tail the bytes declare but do not carry
@@ -52,16 +53,18 @@ type sendBuf struct {
 	// (WireSize, corrupt, truncate).
 	tail int
 	// refs counts the holders: delivery records, stale re-deliveries,
-	// replay-ring slots and an arrival whose fault gave it bytes of its own.
-	refs int
-	// loose marks the record of a multicast's cross-LP copy: b views the one
-	// copy the sender made for every other LP, and is not the record's own.
-	loose bool
-	// done is set once msg and err hold the first Decode of b, parsed into
+	// replay-ring slots, an arrival whose fault gave it bytes of its own and,
+	// on a multicast's buffer, one hold per copy parked for another LP.
+	// holds is, on a loose record, how many of those copies it wraps: the
+	// holds it gives back when its last holder lets go (DrainCross).
+	refs, holds int32
+	// origin is set on a loose record, the record of a multicast's copies on
+	// another LP than the sender's: b views origin's bytes, not its own.
+	origin *sendBuf
+	// Once dec is set, msg and err hold the first Decode of b, parsed into
 	// dec, a decoder borrowed from pool at that Decode and returned with the
 	// record, so a record in flight and not yet parsed costs no decoder: a
 	// cold boot's join storm has tens of thousands in flight.
-	done bool
 	msg  wire.Message
 	err  error
 	dec  *wire.Decoder
@@ -101,10 +104,9 @@ func (p *Packet) Decode() (wire.Message, error) {
 	if raceflag.Enabled && (b.refs < 1 || !sameBytes(p.Payload, b.b)) {
 		panic("netsim: Decode of a packet kept past its handler")
 	}
-	if !b.done {
+	if b.dec == nil {
 		b.dec = b.pool.decoder()
 		b.msg, b.err = b.dec.Decode(p.Payload)
-		b.done = true
 	}
 	return b.msg, b.err
 }
@@ -651,26 +653,17 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(len(payload) + tail + UDPOverhead)
 	f := n.fanoutFor(ep.id, ch, ttl)
+	if len(f.dsts) == 0 {
+		return
+	}
 	drawless := n.dup == 0 && n.jitter == 0 && ep.grayLag == 0
-	// The copies that stay on the sender's LP share one buffer from its free
-	// lists, taken at the first of them. The copies bound for other LPs share
-	// one uncounted copy, which DrainCross wraps in a loose record of the LP
-	// they land on.
-	var local *sendBuf
-	var cross []byte
+	// Every copy views one buffer from the sender's free lists. A copy bound
+	// for another LP holds it from the outbox until a boundary gives the hold
+	// back (deliverOnce, DrainCross).
+	b := ep.newBuf(payload, tail)
+	pkt.Payload, pkt.buf = b.b, b
 	for i := 0; i < len(f.dsts); {
 		dst := f.dsts[i]
-		if dst.lp == ep.lp {
-			if local == nil {
-				local = ep.newBuf(payload, tail)
-			}
-			pkt.Payload, pkt.buf = local.b, local
-		} else {
-			if cross == nil {
-				cross = append([]byte(nil), payload...)
-			}
-			pkt.Payload, pkt.buf = cross, nil
-		}
 		j := i + 1
 		if drawless && f.joins(i, ep.lp) {
 			for j < len(f.dsts) && j-i != n.runCap && f.lat[j] == f.lat[i] && f.joins(j, ep.lp) {
@@ -819,7 +812,12 @@ func (ep *Endpoint) deliverOnce(dst *Endpoint, pkt Packet, latency time.Duration
 		// Cross-LP: park the fully-drawn delivery in the sender's outbox;
 		// the boundary exchange schedules it on the destination engine.
 		// The receiver counts GrayDelayed at arrival (d.gray) because its
-		// stats belong to another worker here.
+		// stats belong to another worker here. A multicast copy holds the
+		// sender's buffer until its receiving LP gives the hold back; a
+		// unicast's buffer changes hands at the boundary.
+		if pkt.Multicast() {
+			pkt.buf.refs++
+		}
 		l.enqueue(ep.lp, dst.lp, outMsg{
 			at: ep.eng.Now() + latency, dst: dst, pkt: pkt,
 			loss: loss, fl: fl, gray: grayDst,
@@ -856,12 +854,12 @@ type delivery struct {
 
 // pools are one LP's free lists of delivery records, send buffers, loose
 // records and the decoders records borrow, touched only by that LP's
-// goroutine. The loose and decoder lists keep at most one entry per endpoint
-// of the LP. A packet is in flight for a path latency, far under a beat
-// period, so an LP's steady state has fewer of either in use than endpoints;
-// a deeper list is what a burst such as a cold boot left behind (tens of
-// thousands of multicasts in flight on tree-churn), and is let go, not kept
-// live.
+// goroutine, and the holds it gives back, which a boundary settles. The loose
+// and decoder lists keep at most one entry per endpoint of the LP. A packet
+// is in flight for a path latency, far under a beat period, so an LP's steady
+// state has fewer of either in use than endpoints; a deeper list is what a
+// burst such as a cold boot left behind (tens of thousands of multicasts in
+// flight on tree-churn), and is let go, not kept live.
 type pools struct {
 	del    *delivery
 	loose  []*sendBuf
@@ -871,6 +869,18 @@ type pools struct {
 	low    [bufClasses + 1]int        // each list's shortest since the last trim
 	bytes  int                        // the capacity of the free buffers
 	trimAt time.Duration              // when the buffer lists are trimmed next
+	// back[b] lists the holds on other LPs' buffers that this LP's loose
+	// records let go of, for the worker of exchange bucket b, which owns the
+	// buffers' LPs, to settle at the next boundary (DrainCross); bucket is
+	// this LP's own. Partitioned mode only.
+	back   [][]hold
+	bucket int
+}
+
+// hold is n holds on a multicast's buffer, given back by a loose record.
+type hold struct {
+	buf *sendBuf
+	n   int32
 }
 
 // decoder lends a decoder to a record of the LP.
@@ -913,29 +923,35 @@ func (ep *Endpoint) newBuf(payload []byte, tail int) *sendBuf {
 	return b
 }
 
-// newLoose wraps a multicast's cross-LP copy in a loose record from the LP's
-// list. Its tail is the one the bytes declare.
-func (p *pools) newLoose(payload []byte) *sendBuf {
+// newLoose wraps copies of a multicast that crossed into the LP in a loose
+// record from the LP's list, viewing the sender's buffer and its tail, with
+// no holds yet.
+func (p *pools) newLoose(origin *sendBuf) *sendBuf {
 	var b *sendBuf
 	if l := len(p.loose) - 1; l >= 0 {
 		b, p.loose[l], p.loose = p.loose[l], nil, p.loose[:l]
 	} else {
-		b = &sendBuf{loose: true, pool: p}
+		b = &sendBuf{pool: p}
 	}
-	b.b, b.tail = payload, wire.Padding(payload)
+	b.b, b.tail, b.origin = origin.b, origin.tail, origin
 	return b
 }
 
-// release drops one holder of b, if any. The last one clears its decode down
-// to the views its decoder's targets hold (a snapshot's records, a gossip
-// view's), so an idle record pins no packet, and returns record and decoder
-// to the lists of the LP holding them: a loose record to its own list, a
-// buffer to its size class while the lists are under budget.
+// release drops one holder of b, if any.
 func (b *sendBuf) release() {
-	if b == nil {
-		return
+	if b != nil {
+		b.drop(1)
 	}
-	if b.refs--; b.refs > 0 {
+}
+
+// drop lets go of n holders of b. The last one clears its decode down to the
+// views its decoder's targets hold (a snapshot's records, a gossip view's),
+// so an idle record pins no packet, and returns record and decoder to the
+// lists of the LP holding them: a loose record to its own list, listing its
+// holds to give back, a buffer to its size class while the lists are under
+// budget.
+func (b *sendBuf) drop(n int32) {
+	if b.refs -= n; b.refs > 0 {
 		return
 	}
 	p := b.pool
@@ -945,9 +961,11 @@ func (b *sendBuf) release() {
 			p.decs = append(p.decs, b.dec)
 		}
 	}
-	b.done, b.msg, b.err, b.dec = false, nil, nil, nil
-	if b.loose {
-		b.b = nil
+	b.msg, b.err, b.dec = nil, nil, nil
+	if o := b.origin; o != nil {
+		k := o.pool.bucket
+		p.back[k] = append(p.back[k], hold{o, b.holds})
+		b.b, b.origin, b.holds = nil, nil, 0
 		if len(p.loose) < p.hosts {
 			p.loose = append(p.loose, b)
 		}

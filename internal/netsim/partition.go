@@ -81,6 +81,7 @@ func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 	for i := range l.out {
 		l.out[i] = make([][]outMsg, buckets)
 		l.fans[i] = make(map[fanKey]*fanout)
+		l.pools[i].back, l.pools[i].bucket = make([][]hold, buckets), i%buckets
 	}
 	for h, ep := range n.eps {
 		lp := lpOf[h]
@@ -99,26 +100,37 @@ func (l *lpNet) enqueue(src, dst int32, m outMsg) {
 	l.out[src][b] = append(l.out[src][b], m)
 }
 
-// DrainCross schedules every parked message bound for worker `bucket`'s LPs
-// onto its destination engine, in (source LP ascending, send order) order —
-// an order independent of the worker count, which is what makes engine
-// sequence stamps, and therefore simultaneous-timestamp tie-breaks,
+// DrainCross first settles the holds every LP gave back on the buffers of
+// worker `bucket`'s LPs, freeing a buffer whose last hold came back. It then
+// schedules every parked message bound for worker `bucket`'s LPs onto its
+// destination engine, in (source LP ascending, send order) order — an order
+// independent of the worker count, which is what makes engine sequence
+// stamps, and therefore simultaneous-timestamp tie-breaks,
 // LP-count-invariant. Arrivals that jitter or gray lag pushed below the
 // boundary are clamped up to winEnd (deterministically: the clamp depends
 // only on the message and the boundary time). Called by worker `bucket`
 // between windows.
 func (n *Network) DrainCross(bucket int, winEnd time.Duration) {
 	l := n.lps
+	for lp := range l.pools {
+		back := l.pools[lp].back[bucket]
+		for _, h := range back {
+			h.buf.drop(h.n)
+		}
+		clear(back)
+		l.pools[lp].back[bucket] = back[:0]
+	}
 	for src := range l.out {
 		msgs := l.out[src][bucket]
 		if len(msgs) == 0 {
 			continue
 		}
-		// A multicast copy crosses as a view of the one copy its sender made
-		// for every other LP (Endpoint.Multicast), and is wrapped here in a
-		// loose record of its receiver's LP. The copies of one packet to one
-		// LP arrive here one after another, and share it. A unicast's buffer
-		// changes hands: from here on only its receiver's LP touches it.
+		// A multicast copy crosses holding its sender's buffer
+		// (Endpoint.Multicast), and is wrapped here in a loose record of its
+		// receiver's LP. The copies of one packet to one LP arrive here one
+		// after another, and share it; it counts them, to give their holds
+		// back when it is let go. A unicast's buffer changes hands: from here
+		// on only its receiver's LP touches it.
 		var loose *sendBuf
 		for i := range msgs {
 			m := &msgs[i]
@@ -130,10 +142,11 @@ func (n *Network) DrainCross(bucket int, winEnd time.Duration) {
 			switch {
 			case !m.pkt.Multicast():
 				m.pkt.buf.pool = p
-			case loose == nil || loose.pool != p || !sameBytes(loose.b, m.pkt.Payload):
-				loose = p.newLoose(m.pkt.Payload)
+			case loose == nil || loose.pool != p || loose.origin != m.pkt.buf:
+				loose = p.newLoose(m.pkt.buf)
 				fallthrough
 			default:
+				loose.holds++
 				m.pkt.buf = loose
 			}
 			d := n.newDelivery(m.dst, m.pkt, m.loss, m.fl)
