@@ -13,12 +13,12 @@
 // digests carry the full membership, which Figure 11 measures.
 //
 // A round frames that view once: wire.AppendGossip writes it straight from
-// the directory into the node's resident send buffer, which each unicast
-// copies, and the receiver merges the decoded wire.GossipView in place
-// through Directory.MergeRelayed, building a MemberInfo only for a member
-// that is new or whose content changed (docs/WIRE.md §4; the benchmarks in
-// this package hold a steady-state receive to one allocation and a round to
-// none).
+// the directory into the node's resident send buffer, which one
+// Transport.UnicastAll sends to every target, and the receiver merges the
+// decoded wire.GossipView in place through Directory.MergeRelayed, building a
+// MemberInfo only for a member that is new or whose content changed
+// (docs/WIRE.md §4; the benchmarks in this package hold a steady-state
+// receive to one allocation and a round to none).
 //
 // Node mirrors the surface of core.Node (ID, Directory, Start/Stop,
 // RegisterService, UpdateValue) so the experiment harness can

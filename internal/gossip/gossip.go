@@ -93,7 +93,7 @@ type Node struct {
 	// cursor walks a received view, targets and buf hold a round's targets
 	// and packet: scratch that lives on the node, allocated once.
 	cursor  wire.InfoCursor
-	targets []membership.NodeID
+	targets []topology.HostID
 	buf     []byte
 }
 
@@ -185,24 +185,22 @@ func (n *Node) round() {
 
 	// Our entire view with counters, framed straight from the directory.
 	n.buf = wire.AppendGossip(n.buf[:0], n.id, n.dir, n.cfg.EntryPad)
-	for _, target := range n.pickTargets() {
-		n.ep.Unicast(topology.HostID(target), n.buf)
-	}
+	n.ep.UnicastAll(n.pickTargets(), n.buf)
 }
 
 // pickTargets selects up to Fanout random live members (or seeds while the
 // view is empty). The result is the node's scratch, good until the next call.
-func (n *Node) pickTargets() []membership.NodeID {
+func (n *Node) pickTargets() []topology.HostID {
 	candidates := n.targets[:0]
 	n.dir.Range(func(id membership.NodeID, _ *membership.Entry) {
 		if id != n.id {
-			candidates = append(candidates, id)
+			candidates = append(candidates, topology.HostID(id))
 		}
 	})
 	if len(candidates) == 0 {
 		for _, s := range n.cfg.Seeds {
 			if s != n.id {
-				candidates = append(candidates, s)
+				candidates = append(candidates, topology.HostID(s))
 			}
 		}
 	}
@@ -216,8 +214,8 @@ func (n *Node) pickTargets() []membership.NodeID {
 	}
 	// Occasionally gossip to a well-known seed so isolated views merge.
 	if len(n.cfg.Seeds) > 0 && rng.Float64() < seedGossipProbability {
-		s := n.cfg.Seeds[rng.Intn(len(n.cfg.Seeds))]
-		dup := s == n.id
+		s := topology.HostID(n.cfg.Seeds[rng.Intn(len(n.cfg.Seeds))])
+		dup := s == topology.HostID(n.id)
 		for _, t := range targets {
 			if t == s {
 				dup = true

@@ -220,8 +220,9 @@ func receiveCeiling(tb testing.TB) (*world, *viewSource) {
 }
 
 // roundCeiling checks that a round of a node holding 400 members allocates
-// nothing — the view is framed into the node's send buffer and each unicast
-// copies it into a recycled network buffer — and returns the round.
+// nothing — the view is framed into the node's send buffer and one
+// UnicastAll copies it into a recycled network buffer its copies share — and
+// returns the round.
 func roundCeiling(tb testing.TB) func() {
 	w := benchNode(tb, &viewSource{})
 	sent := w.ep.Stats().PktsSent

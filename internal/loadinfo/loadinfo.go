@@ -33,11 +33,12 @@ type Reporter struct {
 	seq     uint64
 	running bool
 
-	// enc, buf and report frame push's one packet per round, which every
-	// unicast to an interested consumer copies.
+	// enc, buf and report frame push's one packet per round, which goes to
+	// the interested consumers listed in to in one send.
 	enc    wire.Encoder
 	buf    []byte
 	report wire.LoadReport
+	to     []topology.HostID
 }
 
 // NewReporter creates a reporter that reads the provider's instantaneous
@@ -98,7 +99,9 @@ func (r *Reporter) push() {
 	r.seq++
 	r.report = wire.LoadReport{From: r.id, Seq: r.seq, Load: r.load()}
 	r.buf = r.enc.AppendEncode(r.buf[:0], &r.report)
-	r.eachInterested(func(id membership.NodeID) { r.ep.Unicast(topology.HostID(id), r.buf) })
+	r.to = r.to[:0]
+	r.eachInterested(func(id membership.NodeID) { r.to = append(r.to, topology.HostID(id)) })
+	r.ep.UnicastAll(r.to, r.buf)
 }
 
 // Sample is one cached provider load.

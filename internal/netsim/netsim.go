@@ -143,7 +143,9 @@ type Handler func(pkt Packet)
 // time and on real sockets.
 // Sends copy, like UDP's sendto: the caller keeps its bytes. A delivered
 // Packet's Payload, and what is decoded from it, is valid until the handler
-// returns; whatever is kept longer is copied out.
+// returns; whatever is kept longer is copied out. One payload bound for
+// several hosts goes out in one UnicastAll, not a Unicast per host: the
+// simulated network then holds it in one buffer, as it does a multicast.
 type Transport interface {
 	// ID is the host identity on the network.
 	ID() topology.HostID
@@ -164,6 +166,9 @@ type Transport interface {
 	// host and reports reachability (false on a known partition).
 	Multicast(ch ChannelID, ttl int, payload []byte)
 	Unicast(dst topology.HostID, payload []byte) bool
+	// UnicastAll sends payload to every host of dsts, in order, exactly as
+	// a Unicast to each would; dsts is the caller's and is not kept.
+	UnicastAll(dsts []topology.HostID, payload []byte)
 	// NoteReject records that the protocol layer discarded a received
 	// packet as malformed, stale, or replayed; the count surfaces in the
 	// transport's stats so harness reports can attribute drops.
@@ -287,10 +292,10 @@ type Network struct {
 
 	free pools // the serial network's free lists
 
-	// runCap, when positive, caps the length of a multicast run (see
-	// Multicast). Nothing outside the package's tests sets it: capped at one
-	// the network schedules every copy as its own event, which is the
-	// reference the differential test in run_test.go compares runs against.
+	// runCap, when positive, caps the length of a run (see Endpoint.send).
+	// Nothing outside the package's tests sets it: capped at one the network
+	// schedules every copy as its own event, which is the reference the
+	// differential test in run_test.go compares runs against.
 	runCap int
 
 	wanBytes uint64 // bytes that crossed data centers (unicast only)
@@ -620,18 +625,80 @@ func (ep *Endpoint) noteSubChange() {
 func (ep *Endpoint) Joined(ch ChannelID) bool { return ep.subs[ch] }
 
 // Multicast sends payload on a channel with the given TTL, copying it (see
-// Transport).
+// Transport) into one buffer from the sender's free lists, which every copy
+// views; a copy bound for another LP holds it from the outbox until a
+// boundary gives the hold back (deliverOnce, DrainCross). The copies go out
+// through send, over the cached fan-out.
+func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
+	if !ep.up {
+		return
+	}
+	tail := wire.Padding(payload)
+	ep.stats.PktsSent++
+	ep.stats.BytesSent += uint64(len(payload) + tail + UDPOverhead)
+	f := ep.net.fanoutFor(ep.id, ch, ttl)
+	if len(f.dsts) == 0 {
+		return
+	}
+	b := ep.newBuf(payload, tail)
+	ep.send(Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl, Payload: b.b, buf: b}, f, nil, 0)
+}
+
+// UnicastAll sends payload to every host of dsts, in order, and is exactly
+// one Unicast per host: the same counts, WAN bytes, draws, handler order and
+// Engine.Steps, and each copy addressed to its own host. It takes one buffer
+// for the copies that stay on the sender's LP, and a buffer of its own for a
+// copy bound for another LP, which changes hands at the boundary as a
+// Unicast's does. The reachable hosts are listed in the LP's scratch fan-out
+// and go out through send, as a multicast's receivers do.
+func (ep *Endpoint) UnicastAll(dsts []topology.HostID, payload []byte) {
+	if !ep.up {
+		return
+	}
+	n := ep.net
+	tail := wire.Padding(payload)
+	size := uint64(len(payload) + tail + UDPOverhead)
+	f := &n.pool(ep.lp).fan
+	f.dsts, f.lat, f.marks = f.dsts[:0], f.lat[:0], f.marks[:0]
+	for _, h := range dsts {
+		if int(h) < 0 || int(h) >= len(n.eps) {
+			continue
+		}
+		ep.stats.PktsSent++
+		ep.stats.BytesSent += size
+		lat, marks := n.top.UnicastPath(ep.id, h)
+		if lat < 0 {
+			continue
+		}
+		if n.top.HostDC(ep.id) != n.top.HostDC(h) {
+			ep.addWAN(size)
+		}
+		f.dsts = append(f.dsts, n.eps[h])
+		f.lat = append(f.lat, lat)
+		f.marks = append(f.marks, marks)
+	}
+	if len(f.dsts) > 0 {
+		ep.send(Packet{Src: ep.id, Dst: f.dsts[0].id}, f, payload, tail)
+	}
+}
+
+// send is the one send loop: it delivers pkt to the receivers of f, a
+// multicast's cached fan-out or the scratch list of a UnicastAll. A multicast
+// packet comes with its buffer; a unicast one is given payload and tail to
+// copy, and each run is addressed to its first receiver (arrive addresses
+// the others) and views the one buffer taken at the first copy that stays on
+// the sender's LP, or, bound for another LP, a buffer of its own.
 //
-// The unit it schedules is a run: a maximal stretch of consecutive fan-out
-// receivers whose copies the engine could not tell apart — same LP as the
-// sender, same arrival instant, no marked link on the path (so loss is the
-// network-wide figure and there are no byte faults) and no draw at send time
-// (no duplication, no jitter, neither end gray). One pooled record and one
-// engine event carry the whole run, and Fire does per receiver, in fan-out
-// order, what a per-copy event would do. A receiver that joins no neighbour —
-// and so every jittered, duplicated, gray, marked-path or cross-LP copy —
-// goes through deliver as a unicast does, and ends up a run of one in the
-// same record under the same Fire.
+// The unit it schedules is a run: a maximal stretch of consecutive receivers
+// whose copies the engine could not tell apart — same LP as the sender, same
+// arrival instant, no marked link on the path (so loss is the network-wide
+// figure and there are no byte faults) and no draw at send time (no
+// duplication, no jitter, neither end gray). One pooled record and one engine
+// event carry the whole run, and Fire does per receiver, in order, what a
+// per-copy event would do. A receiver that joins no neighbour — and so every
+// jittered, duplicated, gray, marked-path or cross-LP copy — goes through
+// deliver as a Unicast does, and ends up a run of one in the same record
+// under the same Fire.
 //
 // Runs change nothing a simulation can observe. Scheduled one by one, the k
 // copies of a run would take k consecutive sequence numbers at one instant:
@@ -643,25 +710,10 @@ func (ep *Endpoint) Joined(ch ChannelID) bool { return ep.subs[ch] }
 // Fire counts the run's length into Engine.Steps. A run never leaves the
 // sender's LP, because arrival draws belong to the destination LP's engine:
 // cross-LP copies travel through the outbox one by one (partition.go).
-func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
-	if !ep.up {
-		return
-	}
+func (ep *Endpoint) send(pkt Packet, f *fanout, payload []byte, tail int) {
 	n := ep.net
-	tail := wire.Padding(payload)
-	pkt := Packet{Src: ep.id, Dst: topology.NoHost, Channel: ch, TTL: ttl}
-	ep.stats.PktsSent++
-	ep.stats.BytesSent += uint64(len(payload) + tail + UDPOverhead)
-	f := n.fanoutFor(ep.id, ch, ttl)
-	if len(f.dsts) == 0 {
-		return
-	}
 	drawless := n.dup == 0 && n.jitter == 0 && ep.grayLag == 0
-	// Every copy views one buffer from the sender's free lists. A copy bound
-	// for another LP holds it from the outbox until a boundary gives the hold
-	// back (deliverOnce, DrainCross).
-	b := ep.newBuf(payload, tail)
-	pkt.Payload, pkt.buf = b.b, b
+	var shared *sendBuf
 	for i := 0; i < len(f.dsts); {
 		dst := f.dsts[i]
 		j := i + 1
@@ -669,6 +721,19 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 			for j < len(f.dsts) && j-i != n.runCap && f.lat[j] == f.lat[i] && f.joins(j, ep.lp) {
 				j++
 			}
+		}
+		if !pkt.Multicast() {
+			pkt.Dst = dst.id
+			switch {
+			case dst.lp != ep.lp:
+				pkt.buf = ep.newBuf(payload, tail)
+			case shared == nil:
+				shared = ep.newBuf(payload, tail)
+				fallthrough
+			default:
+				pkt.buf = shared
+			}
+			pkt.Payload = pkt.buf.b
 		}
 		if j-i > 1 {
 			d := n.newDelivery(dst, pkt, n.loss, faults{})
@@ -760,15 +825,20 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 		return false
 	}
 	if ep.net.top.HostDC(ep.id) != ep.net.top.HostDC(dst) {
-		if l := ep.net.lps; l != nil {
-			l.wan[ep.lp] += size
-		} else {
-			ep.net.wanBytes += size
-		}
+		ep.addWAN(size)
 	}
 	b := ep.newBuf(payload, int(size)-len(payload)-UDPOverhead)
 	ep.deliver(ep.net.eps[dst], Packet{Src: ep.id, Dst: dst, Payload: b.b, buf: b}, lat, marks)
 	return true
+}
+
+// addWAN counts size bytes sent across data centers, on the sender's LP.
+func (ep *Endpoint) addWAN(size uint64) {
+	if l := ep.net.lps; l != nil {
+		l.wan[ep.lp] += size
+	} else {
+		ep.net.wanBytes += size
+	}
 }
 
 func (ep *Endpoint) deliver(dst *Endpoint, pkt Packet, latency time.Duration, marks topology.MarkSet) {
@@ -832,8 +902,8 @@ func (ep *Endpoint) deliverOnce(dst *Endpoint, pkt Packet, latency time.Duration
 
 // delivery is a pooled in-flight run: one packet on its way to one or more
 // receivers of one LP at one instant, with one loss figure and one byte-fault
-// vector (see Multicast; a unicast or any copy that needed a draw of its own
-// is a run of one). The engine fires it at arrival time via the Callback
+// vector (see Endpoint.send; a Unicast or any copy that needed a draw of its
+// own is a run of one). The engine fires it at arrival time via the Callback
 // interface, so the send path allocates nothing per packet (no closure, no
 // timer handle). Instances are recycled through the free list of the
 // receivers' LP once the last copy has arrived.
@@ -875,6 +945,8 @@ type pools struct {
 	// this LP's own. Partitioned mode only.
 	back   [][]hold
 	bucket int
+	// fan is the scratch receiver list a UnicastAll fills and sends over.
+	fan fanout
 }
 
 // hold is n holds on a multicast's buffer, given back by a loose record.
@@ -1042,7 +1114,9 @@ func (d *delivery) arrive(dst *Endpoint) {
 	if !dst.up {
 		return
 	}
-	if pkt.Multicast() && !dst.subs[pkt.Channel] {
+	if !pkt.Multicast() {
+		pkt.Dst = dst.id // a unicast run's record names only its first receiver
+	} else if !dst.subs[pkt.Channel] {
 		// Unsubscribed between send and delivery.
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,12 +38,13 @@ const (
 // so the set is kept small: the other hosts' copies keep forming runs.
 var scriptProfiled = []topology.HostID{2, 9, 17}
 
-// arrival is one handler call.
+// arrival is one handler call: at host dst, of a packet from src addressed
+// to to (NoHost for a multicast).
 type arrival struct {
-	at       time.Duration
-	dst, src topology.HostID
-	ch       ChannelID
-	payload  string
+	at           time.Duration
+	dst, src, to topology.HostID
+	ch           ChannelID
+	payload      string
 }
 
 // op is one scripted action. Host ops run as events on the host's engine;
@@ -64,7 +66,7 @@ type script struct {
 func scriptPayload(r *rand.Rand, id int) []byte {
 	behaviour := byte(0)
 	if r.Intn(3) == 0 {
-		behaviour = byte(1 + r.Intn(6))
+		behaviour = byte(1 + r.Intn(7))
 	}
 	return []byte{behaviour, byte(1 + r.Intn(3)), byte(id), byte(id >> 8), 0xA5, 0x5A, 0xC3, 0x3C}
 }
@@ -141,7 +143,7 @@ func genScript(seed int64) script {
 				host: topology.HostID(r.Intn(scriptHosts)),
 			}
 			ch := ChannelID(1 + r.Intn(2))
-			switch k := r.Intn(20); {
+			switch k := r.Intn(23); {
 			case k < 9:
 				ttl, pl := 1+r.Intn(2), scriptPayload(r, id)
 				id++
@@ -150,11 +152,15 @@ func genScript(seed int64) script {
 				dst, pl := topology.HostID(r.Intn(scriptHosts)), scriptPayload(r, id)
 				id++
 				o.do = func(w *world, ep *Endpoint) { ep.Unicast(dst, w.framed(pl)) }
-			case k < 14:
-				o.do = func(_ *world, ep *Endpoint) { ep.Leave(ch) }
+			case k < 15:
+				dsts, pl := scriptFanout(r, o.host), scriptPayload(r, id)
+				id++
+				o.do = func(w *world, ep *Endpoint) { w.unicastAll(ep, dsts, w.framed(pl)) }
 			case k < 17:
+				o.do = func(_ *world, ep *Endpoint) { ep.Leave(ch) }
+			case k < 20:
 				o.do = func(_ *world, ep *Endpoint) { ep.Join(ch) }
-			case k < 18:
+			case k < 21:
 				o.do = func(_ *world, ep *Endpoint) { ep.SetUp(false) }
 			default:
 				o.do = func(_ *world, ep *Endpoint) { ep.SetUp(true) }
@@ -165,6 +171,44 @@ func genScript(seed int64) script {
 	return s
 }
 
+// scriptFanout picks the hosts of a fan-out from src: either a whole group
+// other than src's, so that partitioned every copy crosses LPs, or a group in
+// order, whose copies form runs, with src itself, repeats, random hosts and
+// hosts that do not exist put in among them.
+func scriptFanout(r *rand.Rand, src topology.HostID) []topology.HostID {
+	g := r.Intn(scriptGroups)
+	cross := r.Intn(3) == 0
+	if cross {
+		g = (int(src)/scriptPerGroup + 1 + r.Intn(scriptGroups-1)) % scriptGroups
+	}
+	var dsts []topology.HostID
+	for h := 0; h < scriptPerGroup; h++ {
+		dsts = append(dsts, topology.HostID(g*scriptPerGroup+h))
+	}
+	for i := r.Intn(4); i > 0 && !cross; i-- {
+		extra := []topology.HostID{topology.HostID(r.Intn(scriptHosts)), src, dsts[0], -1, scriptHosts}[r.Intn(5)]
+		dsts = slices.Insert(dsts, r.Intn(len(dsts)+1), extra)
+	}
+	return dsts
+}
+
+// scriptWorld is a topology the scripts run on, with the hosts in
+// scriptGroups level-0 groups of scriptPerGroup, and the name pattern of
+// group g's switch.
+type scriptWorld struct {
+	name    string
+	build   func() *topology.Topology
+	switch_ string
+}
+
+var (
+	// oneDC is the groups under one router: one data center.
+	oneDC = scriptWorld{"one data center", func() *topology.Topology { return topology.Clustered(scriptGroups, scriptPerGroup) }, "sw%d"}
+	// fiveDCs puts each group in a data center of its own, the data centers
+	// joined by WAN links: every unicast between groups counts WAN bytes.
+	fiveDCs = scriptWorld{"five data centers", func() *topology.Topology { return topology.MultiDC(scriptGroups, 1, scriptPerGroup) }, "dc%d-sw0"}
+)
+
 // world is one network under test. buckets == 0 is the serial network on
 // engs[0]; otherwise the network is partitioned with one engine per LP and
 // that many exchange buckets.
@@ -173,10 +217,25 @@ type world struct {
 	engs    []*sim.Engine
 	look    time.Duration
 	buckets int
+	switch_ string
 	logs    [][]arrival // per LP: only the LP's worker appends
 	// wire, when set, carries the script in wire packets (decode_test.go);
 	// nil sends its bytes as they are.
 	wire *wireScript
+	// loop, when set, sends each fan-out as one Unicast per host instead of
+	// one UnicastAll: the reference TestUnicastAllMatchesLoop compares with.
+	loop bool
+}
+
+// unicastAll sends a scripted fan-out.
+func (w *world) unicastAll(ep *Endpoint, dsts []topology.HostID, payload []byte) {
+	if !w.loop {
+		ep.UnicastAll(dsts, payload)
+		return
+	}
+	for _, dst := range dsts {
+		ep.Unicast(dst, payload)
+	}
 }
 
 // framed is what a script payload is sent as, and read what a delivery
@@ -196,8 +255,12 @@ func (w *world) read(ep *Endpoint, pkt Packet) []byte {
 }
 
 func newWorld(seed int64, buckets, runCap int) *world {
-	top := topology.Clustered(scriptGroups, scriptPerGroup)
-	w := &world{buckets: buckets}
+	return newWorldOn(oneDC, seed, buckets, runCap)
+}
+
+func newWorldOn(sw scriptWorld, seed int64, buckets, runCap int) *world {
+	top := sw.build()
+	w := &world{buckets: buckets, switch_: sw.switch_}
 	if buckets == 0 {
 		w.engs = []*sim.Engine{sim.NewEngine(seed)}
 		w.net = New(w.engs[0], top)
@@ -227,7 +290,7 @@ func newWorld(seed int64, buckets, runCap int) *world {
 func (w *world) hostDev(h topology.HostID) topology.DeviceID { return w.net.top.HostDevice(h).ID }
 
 func (w *world) switchDev(g int) topology.DeviceID {
-	d, ok := w.net.top.FindDevice(fmt.Sprintf("sw%d", g))
+	d, ok := w.net.top.FindDevice(fmt.Sprintf(w.switch_, g))
 	if !ok {
 		panic("no switch for group")
 	}
@@ -235,16 +298,17 @@ func (w *world) switchDev(g int) topology.DeviceID {
 }
 
 // handler logs the call and then, while the packet has hops left, acts on
-// its behaviour byte: re-send from inside the handler or at zero delay, or
-// change the next host of the group — a later receiver of the same run, and
-// never one on another LP.
+// its behaviour byte: re-send from inside the handler or at zero delay, fan
+// out to the sender and the host's own group, or change the next host of the
+// group — a later receiver of the same run, and never one on another LP.
 func (w *world) handler(ep *Endpoint) Handler {
 	var later *Endpoint
 	if next := ep.id + 1; int(next)%scriptPerGroup != 0 {
 		later = w.net.Endpoint(next)
 	}
+	group := ep.id - ep.id%scriptPerGroup
 	return func(pkt Packet) {
-		w.logs[ep.lp] = append(w.logs[ep.lp], arrival{ep.eng.Now(), ep.id, pkt.Src, pkt.Channel, string(pkt.Payload)})
+		w.logs[ep.lp] = append(w.logs[ep.lp], arrival{ep.eng.Now(), ep.id, pkt.Src, pkt.Dst, pkt.Channel, string(pkt.Payload)})
 		p := w.read(ep, pkt)
 		if len(p) < 4 || p[1]&3 == 0 {
 			return
@@ -272,6 +336,8 @@ func (w *world) handler(ep *Endpoint) Handler {
 				later.SetUp(true)
 				later.Join(ch)
 			}
+		case 7:
+			w.unicastAll(ep, []topology.HostID{pkt.Src, group, group + 1, group + 2, group + 3}, w.framed(fwd))
 		}
 	}
 }
@@ -305,19 +371,31 @@ func (w *world) run(s script) {
 		w.engs[0].Run(scriptEnd)
 		return
 	}
-	// The conservative window loop of parsim.Coordinator, reduced to what the
-	// network needs: global ops between windows, phase A runs every LP up to
-	// the window end, phase B drains the cross-LP outboxes and publishes
-	// subscription snapshots, idle stretches are skipped.
-	globals := s.globalOps
+	w.windows(s.globalOps, 0, scriptEnd)
+}
+
+// until runs a world that has run its script on to end.
+func (w *world) until(end time.Duration) {
+	if w.buckets == 0 {
+		w.engs[0].Run(end)
+		return
+	}
+	w.windows(nil, w.engs[0].Now(), end)
+}
+
+// windows is the conservative window loop of parsim.Coordinator, reduced to
+// what the network needs, from start to end: global ops between windows,
+// phase A runs every LP up to the window end, phase B drains the cross-LP
+// outboxes and publishes subscription snapshots, idle stretches are skipped.
+func (w *world) windows(globals []op, start, end time.Duration) {
 	pubs := make([]int, len(w.engs))
-	for now := time.Duration(0); now < scriptEnd; {
+	for now := start; now < end; {
 		for len(globals) > 0 && globals[0].at <= now {
 			globals[0].do(w, nil)
 			globals = globals[1:]
 		}
 		w.net.PublishAllSubs()
-		winEnd := min(now+w.look, scriptEnd)
+		winEnd := min(now+w.look, end)
 		if len(globals) > 0 {
 			winEnd = min(winEnd, globals[0].at)
 		}
@@ -332,7 +410,7 @@ func (w *world) run(s script) {
 				pubs[lp] = w.net.PublishSubs(lp)
 			}
 		})
-		next := scriptEnd
+		next := end
 		if len(globals) > 0 {
 			next = globals[0].at
 		}
@@ -359,11 +437,12 @@ type outcome struct {
 	stats []Stats
 	steps []uint64
 	draws []int64
+	wan   uint64
 	pool  int // records in the free lists: not compared, shows runs formed
 }
 
 func (w *world) outcome() outcome {
-	o := outcome{logs: w.logs}
+	o := outcome{logs: w.logs, wan: w.net.WANBytes()}
 	for h := topology.HostID(0); h < scriptHosts; h++ {
 		o.stats = append(o.stats, w.net.Endpoint(h).Stats())
 	}
@@ -409,6 +488,9 @@ func diffOutcomes(t *testing.T, what string, got, want outcome) {
 	if !reflect.DeepEqual(got.draws, want.draws) {
 		t.Fatalf("%s: next RNG draws %v, want %v", what, got.draws, want.draws)
 	}
+	if got.wan != want.wan {
+		t.Fatalf("%s: %d WAN bytes, want %d", what, got.wan, want.wan)
+	}
 }
 
 func TestRunsMatchPerCopyEvents(t *testing.T) {
@@ -448,6 +530,50 @@ func TestRunsMatchPerCopyEvents(t *testing.T) {
 	}
 	if poolRuns >= poolCopies {
 		t.Fatalf("pools hold %d records with runs and %d with per-copy events: no run formed", poolRuns, poolCopies)
+	}
+}
+
+// TestUnicastAllMatchesLoop: UnicastAll is one Unicast per host. The seeded
+// scripts, whose fan-outs mix runs, the sender itself, repeats, random,
+// unreachable and nonexistent hosts and groups on other LPs, and which fan
+// out from inside handlers too, are replayed with every fan-out sent in one
+// UnicastAll and as a loop of Unicasts, on one data center and on five joined
+// by WAN links, serial and partitioned, with runs as built and capped at one
+// copy. The handler logs, each copy's Dst among them, every endpoint's Stats,
+// every engine's Steps and next draw, and the WAN bytes must agree.
+func TestUnicastAllMatchesLoop(t *testing.T) {
+	seeds := int64(6)
+	if testing.Short() {
+		seeds = 2
+	}
+	var wan uint64
+	poolAll, poolLoop := 0, 0
+	for _, sw := range []scriptWorld{oneDC, fiveDCs} {
+		for seed := int64(1); seed <= seeds; seed++ {
+			s := genScript(seed)
+			for _, buckets := range []int{0, 1, 4} {
+				for _, runCap := range []int{0, 1} {
+					all := newWorldOn(sw, seed, buckets, runCap)
+					all.run(s)
+					loop := newWorldOn(sw, seed, buckets, runCap)
+					loop.loop = true
+					loop.run(s)
+					got, want := all.outcome(), loop.outcome()
+					diffOutcomes(t, fmt.Sprintf("%s, seed %d, %d buckets, runCap %d, UnicastAll vs a Unicast per host", sw.name, seed, buckets, runCap), got, want)
+					wan += got.wan
+					if buckets == 0 && runCap == 0 {
+						poolAll += got.pool
+						poolLoop += want.pool
+					}
+				}
+			}
+		}
+	}
+	if wan == 0 {
+		t.Fatal("no fan-out crossed a data center")
+	}
+	if poolAll >= poolLoop {
+		t.Fatalf("pools hold %d records after UnicastAll and %d after the loops: no fan-out formed a run", poolAll, poolLoop)
 	}
 }
 

@@ -245,7 +245,8 @@ func checkBufs(t *testing.T, n *Network, lp int32, eps []*Endpoint) {
 }
 
 // TestSendBuffersBalance replays the seeded scripts — duplication, jitter,
-// gray hosts, every byte fault, cross-LP runs — serially and partitioned, as
+// gray hosts, every byte fault, cross-LP runs, fan-outs, some with every copy
+// bound for another LP — serially and partitioned, as
 // they are and framed as wire packets that every handler decodes, and checks
 // the buffer lists of every LP afterwards: a reference taken twice or dropped
 // twice shows as a listed buffer still held, or listed twice. Once the script
@@ -286,8 +287,16 @@ func checkBalance(t *testing.T, seed int64, buckets int, framed bool) {
 		})
 	}
 	w.run(genScript(seed))
+	// A handler's chain of sends — stale re-deliveries, replays, a hop count
+	// a corrupt fault raised — may outlast the script: run on until it is
+	// quiet.
+	end := scriptEnd
+	for pending(w) > 0 && end < 4*scriptEnd {
+		end += scriptEnd
+		w.until(end)
+	}
 	if buckets > 0 {
-		w.each(func(b int) { w.net.DrainCross(b, scriptEnd) })
+		w.each(func(b int) { w.net.DrainCross(b, end) })
 	}
 	want := map[*sendBuf]int32{}
 	for lp, eng := range w.engs {
@@ -318,6 +327,15 @@ func checkBalance(t *testing.T, seed int64, buckets int, framed bool) {
 			}
 		}
 	}
+}
+
+// pending counts the events left on a world's engines.
+func pending(w *world) int {
+	count := 0
+	for _, eng := range w.engs {
+		count += eng.Pending()
+	}
+	return count
 }
 
 // sendCeiling builds the BenchmarkSendSteadyState fixture — a 1000-byte
@@ -355,6 +373,115 @@ func sendCeiling(tb testing.TB) func() {
 }
 
 func TestSendCeilingHolds(t *testing.T) { sendCeiling(t) }
+
+// freeBufs counts the buffers in an LP's free lists.
+func freeBufs(n *Network, lp int32) int {
+	count := 0
+	for _, l := range n.pool(lp).bufs {
+		count += len(l)
+	}
+	return count
+}
+
+// fanoutCeiling builds a 24-host group on one LP and checks that in the
+// steady state a UnicastAll of a padded heartbeat to the other 23, every copy
+// decoded, allocates nothing and takes exactly one buffer from the free
+// lists: the copies share it, and the runs it is cut into, as a multicast's
+// copies do.
+func fanoutCeiling(tb testing.TB) func() {
+	eng := sim.NewEngine(1)
+	n := New(eng, topology.Clustered(1, 24))
+	var dsts []topology.HostID
+	decodes := 0
+	for h := topology.HostID(0); h < 24; h++ {
+		n.Endpoint(h).SetHandler(func(pkt Packet) {
+			if _, err := pkt.Decode(); err != nil {
+				tb.Fatal(err)
+			}
+			decodes++
+		})
+		if h > 0 {
+			dsts = append(dsts, h)
+		}
+	}
+	payload := wire.Encode(&wire.Heartbeat{Seq: 7, Pad: 144})
+	taken := 0
+	round := func() {
+		free := freeBufs(n, 0)
+		n.Endpoint(0).UnicastAll(dsts, payload)
+		taken = free - freeBufs(n, 0)
+		eng.RunAll()
+	}
+	round()
+	if decodes != 23 {
+		tb.Fatalf("%d copies decoded, want 23", decodes)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 || taken != 1 {
+		tb.Fatalf("a steady-state 23-host UnicastAll allocates %v times and takes %d buffers, want 0 and 1", allocs, taken)
+	}
+	return round
+}
+
+func TestFanoutCeilingHolds(t *testing.T) { fanoutCeiling(t) }
+
+// TestFanoutBuffersAcrossLPs: on a network of two LPs, a fan-out's copies
+// bound for the other LP each take a buffer of their own, which changes hands
+// at the boundary, and the copies that stay share one, taken at the first of
+// them: a fan-out with no copy staying takes none to share.
+func TestFanoutBuffersAcrossLPs(t *testing.T) {
+	top := topology.Clustered(2, 10)
+	part := top.LPPartition()
+	engs := []*sim.Engine{sim.NewEngine(1), sim.NewEngine(2)}
+	n := New(engs[0], top)
+	n.EnablePartition(part.LPOf, engs, 1)
+	recv := 0
+	for h := topology.HostID(0); h < 20; h++ {
+		n.Endpoint(h).SetHandler(func(Packet) { recv++ })
+	}
+	payload := []byte("a fan-out")
+	var other, all []topology.HostID
+	for h := topology.HostID(1); h < 20; h++ {
+		all = append(all, h)
+		if part.LPOf[h] != part.LPOf[0] {
+			other = append(other, h)
+		}
+	}
+	now := time.Duration(0)
+	settle := func() { // a window drains the outbox first
+		for first := true; first || engs[0].Pending()+engs[1].Pending() > 0; first = false {
+			now += part.Lookahead
+			for _, eng := range engs {
+				eng.RunBefore(now)
+			}
+			n.DrainCross(0, now)
+			for _, eng := range engs {
+				eng.AdvanceTo(now)
+			}
+		}
+	}
+	send := func(dsts []topology.HostID) int {
+		// Unicasts from the other LP leave their buffers in the sender's lists.
+		for _, h := range other {
+			n.Endpoint(h).Unicast(0, payload)
+			n.Endpoint(h).Unicast(0, payload)
+		}
+		settle()
+		free := freeBufs(n, 0)
+		n.Endpoint(0).UnicastAll(dsts, payload)
+		taken := free - freeBufs(n, 0)
+		settle()
+		return taken
+	}
+	if got := send(other); got != len(other) {
+		t.Fatalf("a fan-out of %d copies, every one bound for the other LP, took %d buffers, want %d", len(other), got, len(other))
+	}
+	if got := send(all); got != len(other)+1 {
+		t.Fatalf("a fan-out of %d copies, %d of them bound for the other LP, took %d buffers, want %d", len(all), len(other), got, len(other)+1)
+	}
+	if want := 4*len(other) + len(other) + len(all); recv != want {
+		t.Fatalf("%d copies delivered, want %d", recv, want)
+	}
+}
 
 func BenchmarkSendSteadyState(b *testing.B) {
 	round := sendCeiling(b)

@@ -258,7 +258,7 @@ func (w *world) judge(accept func(Packet) bool) {
 		ep := w.net.Endpoint(h)
 		ep.SetHandler(func(pkt Packet) {
 			verdict := fmt.Sprint(accept(pkt), pkt.WireSize(), ep.eng.Rand().Int63())
-			w.logs[ep.lp] = append(w.logs[ep.lp], arrival{ep.eng.Now(), ep.id, pkt.Src, pkt.Channel, verdict})
+			w.logs[ep.lp] = append(w.logs[ep.lp], arrival{ep.eng.Now(), ep.id, pkt.Src, pkt.Dst, pkt.Channel, verdict})
 		})
 	}
 }

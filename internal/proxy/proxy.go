@@ -218,10 +218,12 @@ type Proxy struct {
 	// updates) into buf, the proxy's resident send buffer, which the
 	// transport copies from. Relayed requests and replies go out through the
 	// runtime. hb is the outgoing group beat, overwritten per send (a fresh
-	// one would escape through wire.Message).
-	enc wire.Encoder
-	buf []byte
-	hb  wire.Heartbeat
+	// one would escape through wire.Message). leaders is the scratch list
+	// of the remote leaders a summary goes to (remoteLeaders).
+	enc     wire.Encoder
+	buf     []byte
+	hb      wire.Heartbeat
+	leaders []topology.HostID
 }
 
 // frame encodes m into the resident send buffer. The packet is good until
@@ -229,6 +231,18 @@ type Proxy struct {
 func (p *Proxy) frame(m wire.Message) []byte {
 	p.buf = p.enc.AppendEncode(p.buf[:0], m)
 	return p.buf
+}
+
+// remoteLeaders lists the addresses of the remote data centers' leaders
+// known in the VIP table, in remoteDCs order, in the proxy's scratch.
+func (p *Proxy) remoteLeaders() []topology.HostID {
+	p.leaders = p.leaders[:0]
+	for _, dc := range p.remoteDCs {
+		if addr, ok := p.vip.Get(dc); ok {
+			p.leaders = append(p.leaders, addr)
+		}
+	}
+	return p.leaders
 }
 
 // newProxy creates the proxy on ep's host over that host's service runtime,
@@ -419,12 +433,7 @@ func (p *Proxy) leaderDuties(now time.Duration) {
 	if len(upserts) > 0 || len(removes) > 0 {
 		p.summarySeq++
 		msg := &wire.ProxyUpdate{DC: uint16(p.dc), Seq: p.summarySeq, Upserts: upserts, Removes: removes}
-		payload := p.frame(msg)
-		for _, dc := range p.remoteDCs {
-			if addr, ok := p.vip.Get(dc); ok {
-				p.ep.Unicast(addr, payload)
-			}
-		}
+		p.ep.UnicastAll(p.remoteLeaders(), p.frame(msg))
 	}
 	if p.tick%summaryEvery == 0 {
 		p.sendFullSummary()
@@ -444,6 +453,7 @@ func (p *Proxy) sendFullSummary() {
 		entries = append(entries, p.summary[k])
 	}
 	p.summarySeq++
+	leaders := p.remoteLeaders()
 	chunkSize := p.chunkSize
 	nChunks := (len(entries) + chunkSize - 1) / chunkSize
 	if nChunks == 0 {
@@ -462,12 +472,7 @@ func (p *Proxy) sendFullSummary() {
 			NChunks: uint16(nChunks),
 			Entries: entries[lo:hi],
 		}
-		payload := p.frame(msg)
-		for _, dc := range p.remoteDCs {
-			if addr, ok := p.vip.Get(dc); ok {
-				p.ep.Unicast(addr, payload)
-			}
-		}
+		p.ep.UnicastAll(leaders, p.frame(msg))
 	}
 }
 

@@ -213,6 +213,11 @@ type Node struct {
 	observers []membership.NodeID // monitor me: my beat targets
 	subjects  []membership.NodeID // I monitor them
 
+	// The hosts a fan-out goes to, derived with the configuration: the
+	// other members (broadcast) and the observers (beats); to is the
+	// scratch list of a view change's targets.
+	others, beatTo, to []topology.HostID
+
 	peers membership.Table[peer]
 
 	// Per-edge alert freshness (survives view changes and member expiry).
@@ -235,12 +240,15 @@ type Node struct {
 	scan     *sim.Ticker
 	infoTick *sim.Ticker
 
-	// enc frames every packet into buf (frame). beat is the outgoing
-	// monitoring beat, overwritten per send: a fresh one would escape through
-	// wire.Message and cost a heap object per round.
-	enc  wire.Encoder
-	buf  []byte
-	beat wire.RapidBeat
+	// enc frames every packet into buf (frame). beat, infoMsg and view are
+	// the outgoing beat, record and configuration, overwritten per send: a
+	// fresh one would escape through wire.Message and cost a heap object per
+	// send.
+	enc     wire.Encoder
+	buf     []byte
+	beat    wire.RapidBeat
+	infoMsg wire.RapidInfo
+	view    wire.RapidView
 }
 
 // NewNode creates a node bound to an endpoint. cfg.Seeds is the bootstrap
@@ -327,12 +335,7 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.broadcastInfo()
 	// Ask the cluster whether our configuration is behind: anyone on a
 	// newer one replies with it.
-	sync := n.frame(&wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
-	for _, m := range n.members {
-		if m != n.id {
-			n.ep.Unicast(topology.HostID(m), sync)
-		}
-	}
+	n.ep.UnicastAll(n.others, n.frame(&wire.RapidSync{From: n.id, ConfigSeq: n.configSeq}))
 }
 
 // Stop kills the daemon.
@@ -360,6 +363,8 @@ func (n *Node) installMembers(members []membership.NodeID, now time.Duration) {
 		p.member, p.join = true, nil
 	}
 	n.observers, n.subjects = deriveRingsDC(n.configSeq, ringCount, n.members, n.id, n.cfg.DCOf)
+	n.others = appendHosts(n.others[:0], n.members, n.id)
+	n.beatTo = appendHosts(n.beatTo[:0], n.observers, membership.NoNode)
 	for _, s := range n.subjects {
 		p := n.peers.Ensure(s)
 		p.subject, p.lastHeard = true, now
@@ -381,12 +386,17 @@ func (n *Node) frame(m wire.Message) []byte {
 	return n.buf
 }
 
-func (n *Node) broadcast(buf []byte) {
-	for _, m := range n.members {
-		if m != n.id {
-			n.ep.Unicast(topology.HostID(m), buf)
+// broadcast sends buf to every other member of the installed configuration.
+func (n *Node) broadcast(buf []byte) { n.ep.UnicastAll(n.others, buf) }
+
+// appendHosts appends the hosts of ids, all but skip, to dst.
+func appendHosts(dst []topology.HostID, ids []membership.NodeID, skip membership.NodeID) []topology.HostID {
+	for _, id := range ids {
+		if id != skip {
+			dst = append(dst, topology.HostID(id))
 		}
 	}
+	return dst
 }
 
 func (n *Node) sendBeats() {
@@ -401,10 +411,7 @@ func (n *Node) sendBeats() {
 		Beat:      n.info.Beat,
 		Pad:       uint16(n.cfg.HeartbeatPad),
 	}
-	buf := n.frame(&n.beat)
-	for _, o := range n.observers {
-		n.ep.Unicast(topology.HostID(o), buf)
-	}
+	n.ep.UnicastAll(n.beatTo, n.frame(&n.beat))
 }
 
 func (n *Node) broadcastInfo() {
@@ -412,8 +419,8 @@ func (n *Node) broadcastInfo() {
 		return
 	}
 	n.info.Beat++
-	msg := &wire.RapidInfo{ConfigSeq: n.configSeq, Info: n.info.Clone()}
-	n.broadcast(n.frame(msg))
+	n.infoMsg = wire.RapidInfo{ConfigSeq: n.configSeq, Info: n.info}
+	n.broadcast(n.frame(&n.infoMsg))
 }
 
 func (n *Node) sendAlert(subject membership.NodeID, down bool) {
@@ -435,25 +442,10 @@ func (n *Node) sendAlert(subject membership.NodeID, down bool) {
 	}
 }
 
-// currentView materializes the installed configuration as a wire message,
-// carrying every member record this node holds so the receiver's directory
-// heals in one shot.
-func (n *Node) currentView() *wire.RapidView {
-	v := &wire.RapidView{
-		Seq:      n.configSeq,
-		Proposer: n.proposer,
-		Members:  append([]membership.NodeID(nil), n.members...),
-	}
-	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
-		if n.isMember(id) {
-			v.Infos.Append(n.dir.Info(e))
-		}
-	})
-	return v
-}
-
 // sendViewTo retransmits the installed configuration to one peer,
-// rate-limited per target.
+// rate-limited per target, carrying every member record this node holds so
+// the receiver's directory heals in one shot. The view is the node's own,
+// its records re-encoded into the list's buffer.
 func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
 	if target == n.id || target < 0 {
 		return
@@ -463,7 +455,15 @@ func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
 		return
 	}
 	p.viewDue = now + syncMinGap
-	n.ep.Unicast(topology.HostID(target), n.frame(n.currentView()))
+	v := &n.view
+	v.Seq, v.Proposer, v.Members = n.configSeq, n.proposer, n.members
+	v.Infos.Reset()
+	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
+		if n.isMember(id) {
+			v.Infos.Append(n.dir.Info(e))
+		}
+	})
+	n.ep.Unicast(topology.HostID(target), n.frame(v))
 }
 
 // noteSeq reconciles configuration drift revealed by a peer's packet: a
@@ -802,20 +802,14 @@ func (n *Node) joinLoop(now time.Duration) {
 	if n.joinSentAt >= 0 && now-n.joinSentAt < joinRetry {
 		return
 	}
-	targets := make([]membership.NodeID, 0, len(n.members))
-	for _, m := range n.members {
-		if m != n.id {
-			targets = append(targets, m)
-		}
-	}
-	if len(targets) == 0 {
+	if len(n.others) == 0 {
 		return
 	}
-	t := targets[n.joinTarget%len(targets)]
+	t := n.others[n.joinTarget%len(n.others)]
 	n.joinTarget++
 	n.joinSentAt = now
 	j := &wire.RapidJoin{From: n.id, ConfigSeq: n.configSeq, Info: n.info.Clone()}
-	n.ep.Unicast(topology.HostID(t), n.frame(j))
+	n.ep.Unicast(t, n.frame(j))
 }
 
 // arbitrate is the proposer side of the pipeline: classify the cut, probe
@@ -1047,11 +1041,7 @@ func (n *Node) commit(evict []membership.NodeID, now time.Duration) {
 	for _, info := range joinInfos {
 		v.Infos.Append(info)
 	}
-	buf := n.frame(v)
-	for _, t := range targets {
-		if t != n.id {
-			n.ep.Unicast(topology.HostID(t), buf)
-		}
-	}
+	n.to = appendHosts(n.to[:0], targets, n.id)
+	n.ep.UnicastAll(n.to, n.frame(v))
 	n.adopt(v, now)
 }

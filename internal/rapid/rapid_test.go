@@ -342,6 +342,8 @@ func (c *capturingTransport) Unicast(_ topology.HostID, payload []byte) bool {
 	return true
 }
 
+func (c *capturingTransport) UnicastAll(_ []topology.HostID, payload []byte) { c.last = payload }
+
 // TestBeatFitsItsSizeClass: a monitoring beat padded to the paper's 228 bytes
 // declares its tail instead of carrying it, so a round of beats frames at
 // most 48 bytes into the node's send buffer, shared by every observer, and
@@ -363,6 +365,46 @@ func TestBeatFitsItsSizeClass(t *testing.T) {
 	if b := ep.last; allocs != 0 || len(b) > 48 || len(b)+wire.Padding(b)+netsim.UDPOverhead != 228 {
 		t.Fatalf("a round of beats allocates %v times and frames %d bytes modelled at %d, want none and at most 48 modelled at 228",
 			allocs, len(b), len(b)+wire.Padding(b)+netsim.UDPOverhead)
+	}
+}
+
+// TestViewSendAllocatesNothing: a configuration retransmission frames the
+// node's own view — the member list viewed, the carried records re-encoded
+// into the list's buffer — so once warm it allocates nothing, and carries
+// every member and every member's record.
+func TestViewSendAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	for h := 0; h < 10; h++ {
+		cfg.Seeds = append(cfg.Seeds, membership.NodeID(h))
+	}
+	ep := &capturingTransport{Transport: netsim.New(eng, topology.Clustered(1, 10)).Endpoint(0)}
+	n := NewNode(cfg, ep)
+	n.Start(eng)
+	for h := membership.NodeID(1); h < 10; h++ {
+		info := membership.MemberInfo{Node: h, Incarnation: 1, Version: 1,
+			Services: []membership.ServiceDecl{{Name: "svc", Partitions: []int32{int32(h)}}}}
+		n.Directory().Upsert(info, membership.OriginRelayed, 0, membership.NoNode, 0)
+	}
+	now := time.Duration(0)
+	send := func() {
+		now += syncMinGap
+		n.sendViewTo(3, now)
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("a warm view retransmission allocates %v times, want 0", allocs)
+	}
+	msg, err := wire.Decode(ep.last)
+	v, ok := msg.(*wire.RapidView)
+	if err != nil || !ok {
+		t.Fatalf("the retransmission decodes to %T, %v; want a view", msg, err)
+	}
+	records := 0
+	for c := v.Infos.Cursor(); c.Next(); {
+		records++
+	}
+	if !slices.Equal(v.Members, cfg.Seeds) || records != 10 {
+		t.Fatalf("the view carries members %v and %d records, want %v and 10", v.Members, records, cfg.Seeds)
 	}
 }
 

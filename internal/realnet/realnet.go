@@ -347,6 +347,13 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 	return true
 }
 
+// UnicastAll implements netsim.Transport: one Unicast per host.
+func (ep *Endpoint) UnicastAll(dsts []topology.HostID, payload []byte) {
+	for _, dst := range dsts {
+		ep.Unicast(dst, payload)
+	}
+}
+
 // readLoop parses delivered frames and injects them into the driver.
 func (ep *Endpoint) readLoop() {
 	defer ep.wg.Done()

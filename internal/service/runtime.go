@@ -273,7 +273,8 @@ type Runtime struct {
 	// The resident encoder: every packet the runtime sends is framed by enc
 	// from one of the out structs into buf, which the network copies from.
 	// (What it receives is parsed into the transport's resident record, by
-	// Packet.Decode.) cands and ties are the scratch slices of one Invoke.
+	// Packet.Decode.) cands and ties are the scratch slices of one Invoke,
+	// polled the hosts one poll goes to.
 	enc wire.Encoder
 	buf []byte
 	out struct {
@@ -282,8 +283,9 @@ type Runtime struct {
 		poll  wire.LoadPoll
 		load  wire.LoadReply
 	}
-	cands []membership.NodeID
-	ties  []membership.NodeID
+	cands  []membership.NodeID
+	ties   []membership.NodeID
+	polled []topology.HostID
 
 	// relayHandler, when set, sees every decoded packet before the default
 	// handling (proxies built on this runtime install it).
@@ -539,16 +541,16 @@ func (r *Runtime) Invoke(serviceName string, partition int32, payload []byte, to
 	r.nextReq++
 	p.rt, p.token = r, r.nextReq
 	p.service, p.partition, p.payload, p.to, p.tag = serviceName, partition, append(p.payload[:0], payload...), to, tag
+	r.polled = r.polled[:0]
 	for _, c := range candidates {
 		p.slots = append(p.slots, pollSlot{node: c})
+		r.polled = append(r.polled, topology.HostID(c))
 	}
 	r.polls[p.token] = p
-	// One framing serves every polled candidate: each unicast copies it.
+	// One framing serves every polled candidate, in one send.
 	r.out.poll = wire.LoadPoll{From: r.node.ID(), Token: p.token}
 	r.buf = r.enc.AppendEncode(r.buf[:0], &r.out.poll)
-	for _, c := range candidates {
-		r.ep.Unicast(topology.HostID(c), r.buf)
-	}
+	r.ep.UnicastAll(r.polled, r.buf)
 	r.eng.ScheduleCall(pollTimeout, p)
 }
 

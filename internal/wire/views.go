@@ -63,6 +63,10 @@ func (l *InfoList) Append(m membership.MemberInfo) {
 	l.n++
 }
 
+// Reset empties a list a sender fills, keeping its buffer for the next
+// Appends.
+func (l *InfoList) Reset() { l.n, l.b = 0, l.b[:0] }
+
 // Cursor returns a cursor positioned before the first record. Cursors are
 // values private to their holder; any number may walk one shared list.
 func (l InfoList) Cursor() InfoCursor { return l.cursor(0) }
