@@ -272,7 +272,7 @@ func (n *Node) Leave() {
 	}
 	n.markSeen(u.ID)
 	n.stats.UpdatesOriginated++
-	n.emitUpdate(u, -1)
+	n.emitUpdate(&u, -1)
 	n.Stop()
 }
 

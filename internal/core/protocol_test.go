@@ -445,7 +445,7 @@ func TestSelfLeaveIgnored(t *testing.T) {
 	c.startAll()
 	c.run(10 * time.Second)
 	n1 := c.nodes[1]
-	n1.applyUpdate(wire.Update{
+	n1.applyUpdate(&wire.Update{
 		ID: wire.UpdateID{Origin: 99, Counter: 1}, Kind: wire.ULeave, Subject: n1.ID(),
 	}, 0, 0)
 	if !n1.Directory().Has(1) {
@@ -461,7 +461,7 @@ func TestDirectKnowledgeBeatsRelayedLeave(t *testing.T) {
 	c.startAll()
 	c.run(10 * time.Second)
 	n1 := c.nodes[1]
-	n1.applyUpdate(wire.Update{
+	n1.applyUpdate(&wire.Update{
 		ID: wire.UpdateID{Origin: 99, Counter: 2}, Kind: wire.ULeave, Subject: 2,
 	}, 0, 0)
 	if !n1.Directory().Has(2) {

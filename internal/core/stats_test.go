@@ -112,10 +112,10 @@ func TestMarkSeenBounded(t *testing.T) {
 		t.Fatal("re-marking disturbed the FIFO")
 	}
 	// One origin, in-order counters: a single run survives the evictions.
-	if len(n.seen.index) != 1 {
-		t.Fatalf("one origin's IDs are filed under %d origins", len(n.seen.index))
+	if liveOrigins(n.seen) != 1 {
+		t.Fatalf("one origin's IDs are filed under %d origins", liveOrigins(n.seen))
 	}
-	if o := n.seen.origins[n.seen.index[0].slot]; len(o.runs)-int(o.head) != 1 {
+	if o := n.seen.origins[slotOf(n.seen, 7)]; len(o.runs)-int(o.head) != 1 {
 		t.Fatalf("in-order counters of one origin kept %d runs", len(o.runs)-int(o.head))
 	}
 	// Every entry in the 100..maxSeen+99 window answers has(), and the
@@ -308,10 +308,12 @@ func (o *seenOracle) mark(id wire.UpdateID) {
 	if cap(s.ring) > maxSeen || (cap(s.ring) > 32 && cap(s.ring) >= 2*len(s.ring)) {
 		o.t.Fatalf("after %d marks the ring has %d slots for %d IDs", len(o.issued), cap(s.ring), len(s.ring))
 	}
-	o.peak = max(o.peak, len(s.index))
-	if inUse := len(s.origins) - len(s.free); inUse != len(s.index) || len(s.origins) > o.peak {
-		o.t.Fatalf("after %d marks %d origin slots (%d in use) for %d live origins, at most %d ever live",
-			len(o.issued), len(s.origins), inUse, len(s.index), o.peak)
+	if slot := slotOf(s, id.Origin); slot < 0 || s.origins[slot].id != id.Origin {
+		o.t.Fatalf("after %d marks the origin table files origin %d under slot %d", len(o.issued), id.Origin, slot)
+	}
+	o.peak = max(o.peak, liveOrigins(s))
+	if len(s.origins) > o.peak {
+		o.t.Fatalf("after %d marks %d origin slots, at most %d origins ever live", len(o.issued), len(s.origins), o.peak)
 	}
 }
 
@@ -334,8 +336,24 @@ func (o *seenOracle) check() {
 		o.has(id)
 		live[id.Origin] = true
 	}
-	if len(o.n.seen.index) != len(live) {
-		o.t.Fatalf("after %d marks the index lists %d origins, the reference holds %d", len(o.issued), len(o.n.seen.index), len(live))
+	// The origin table names exactly the live origins, each under the slot
+	// that holds it, and keeps no storage for released ones: every chunk and
+	// every fallback record holds at least one live origin.
+	s, listed := o.n.seen, 0
+	s.slots.Each(func(id membership.NodeID, p *uint16) {
+		if *p == 0 {
+			return
+		}
+		listed++
+		if so := &s.origins[*p-1]; so.id != id || int(so.head) == len(so.runs) || !live[id] {
+			o.t.Fatalf("after %d marks the origin table files origin %d under slot %d (origin %d, runs %v from %d)",
+				len(o.issued), id, *p-1, so.id, so.runs, so.head)
+		}
+	})
+	_, chunks, wild := tableStorage(&s.slots)
+	if listed != len(live) || liveOrigins(s) != len(live) || chunks+wild > len(live) {
+		o.t.Fatalf("after %d marks the origin table lists %d origins in %d chunks and %d fallback records, %d slots are in use, the reference holds %d origins",
+			len(o.issued), listed, chunks, wild, liveOrigins(s), len(live))
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/membership"
 	"repro/internal/wire"
 )
@@ -23,7 +21,7 @@ func (n *Node) originateUpdate(kind wire.UpdateKind, subject membership.NodeID, 
 	}
 	n.markSeen(u.ID)
 	n.stats.UpdatesOriginated++
-	n.emitUpdate(u, exceptLevel)
+	n.emitUpdate(&u, exceptLevel)
 }
 
 // emitUpdate appends one update to our outgoing stream and multicasts it —
@@ -31,14 +29,15 @@ func (n *Node) originateUpdate(kind wire.UpdateKind, subject membership.NodeID, 
 // have joined except exceptLevel. Only leaders are joined to more than one
 // channel, so this realizes the paper's relay pattern: updates travel up to
 // the parent group and down into every group the receiving members lead.
-func (n *Node) emitUpdate(u wire.Update, exceptLevel int) {
+// u is copied into the stream; the caller keeps it.
+func (n *Node) emitUpdate(u *wire.Update, exceptLevel int) {
 	// recent is newest-first; shift in place instead of re-allocating the
 	// prepend on every originated update.
 	if max := n.cfg.PiggybackDepth + 1; len(n.recent) < max {
 		n.recent = append(n.recent, wire.Update{})
 	}
 	copy(n.recent[1:], n.recent)
-	n.recent[0] = u
+	n.recent[0] = *u
 	// Sequences are per channel so a channel skipped by one emit does not
 	// look lossy to its subscribers. The messages borrow n.recent directly:
 	// encoding consumes it synchronously and nothing below mutates it.
@@ -87,17 +86,22 @@ func (n *Node) onUpdateMsg(level int, m *wire.UpdateMsg) {
 	}
 	// Apply oldest-first so causality within the stream is preserved.
 	for i := len(m.Updates) - 1; i >= 0; i-- {
-		n.applyUpdate(m.Updates[i], level, m.Sender)
+		n.applyUpdate(&m.Updates[i], level, m.Sender)
 	}
 }
 
-// applyUpdate applies one membership change if unseen and relays it.
-func (n *Node) applyUpdate(u wire.Update, level int, relayer membership.NodeID) {
+// applyUpdate applies one membership change if unseen and relays it. u is
+// part of a decoded message that every receiver on this logical process
+// reads, so it is never written.
+func (n *Node) applyUpdate(u *wire.Update, level int, relayer membership.NodeID) {
 	if n.seen.has(u.ID) {
 		n.stats.DuplicateUpdates++
 		return
 	}
-	n.markSeen(u.ID)
+	if n.seen == nil {
+		n.seen = new(seenSet)
+	}
+	n.seen.add(u.ID)
 	n.stats.UpdatesApplied++
 	now := n.eng.Now()
 	lvl := level
@@ -194,17 +198,20 @@ func (n *Node) markSeen(id wire.UpdateID) {
 // runs (stretches of consecutive insertions with consecutive counters) in
 // insertion order, and the eviction order is a ring of 2-byte origin slots:
 // the oldest ID is the front of the front run of the origin in ring[oldest].
-// A full set over 50 origins with in-order counters is 8 KiB of ring plus a
-// run per origin, where a hash table with one slot per ID needs 64 KiB.
-// Allocated lazily so idle nodes cost nothing; the ring grows by doubling up
-// to maxSeen. What has/add answer, and the eviction order, depend only on the
-// maxSeen bound.
+// An origin's slot is found through the origin table, the per-peer storage
+// every daemon keys by node (DESIGN.md, "Per-peer state"), which holds slot+1
+// for each live origin: a lookup is two array loads. A full set over 50
+// origins with in-order counters is 8 KiB of ring plus a run per origin and
+// the table's pointer array (2 KiB for origins up to 1000), where a hash
+// table with one slot per ID needs 64 KiB. Allocated lazily so idle nodes
+// cost nothing; the ring grows by doubling up to maxSeen. What has/add
+// answer, and the eviction order, depend only on the maxSeen bound.
 type seenSet struct {
-	ring    []uint16     // origin slot of every live ID, in insertion order
-	oldest  int          // ring index of the oldest ID once len(ring) == maxSeen
-	origins []seenOrigin // by slot; a slot whose last ID is evicted goes on free
-	free    []uint16     // recycled slots
-	index   []seenKey    // the live origins' slots, sorted by origin
+	ring    []uint16                 // origin slot of every live ID, in insertion order
+	oldest  int                      // ring index of the oldest ID once len(ring) == maxSeen
+	origins []seenOrigin             // by slot; a slot whose last ID is evicted goes on free
+	free    []uint16                 // recycled slots
+	slots   membership.Table[uint16] // slot+1 of every live origin; 0 for none
 }
 
 // seenOrigin holds one origin's live counters: runs[head:], oldest first.
@@ -217,37 +224,15 @@ type seenOrigin struct {
 // seenRun is the counters start, start+1, …, start+n-1 (mod 2³²).
 type seenRun struct{ start, n uint32 }
 
-type seenKey struct {
-	origin membership.NodeID
-	slot   uint16
-}
-
-// find returns the position of origin in s.index, or where it would go.
-// Written out because it runs for every piggybacked update on every
-// delivery, and slices.BinarySearchFunc's comparison call makes it 2–3×
-// slower.
-func (s *seenSet) find(origin membership.NodeID) (int, bool) {
-	lo, hi := 0, len(s.index)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if s.index[m].origin < origin {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(s.index) && s.index[lo].origin == origin
-}
-
 func (s *seenSet) has(id wire.UpdateID) bool {
 	if s == nil {
 		return false
 	}
-	i, ok := s.find(id.Origin)
-	if !ok {
+	p := s.slots.Get(id.Origin)
+	if p == nil || *p == 0 {
 		return false
 	}
-	o := &s.origins[s.index[i].slot]
+	o := &s.origins[*p-1]
 	for k := len(o.runs) - 1; k >= int(o.head); k-- {
 		if r := o.runs[k]; id.Counter-r.start < r.n {
 			return true
@@ -262,13 +247,11 @@ func (s *seenSet) add(id wire.UpdateID) {
 	if full {
 		s.evict()
 	}
-	i, ok := s.find(id.Origin)
-	var slot uint16
-	if ok {
-		slot = s.index[i].slot
-	} else {
-		slot = s.adopt(i, id.Origin)
+	p := s.slots.Ensure(id.Origin)
+	if *p == 0 {
+		*p = s.adopt(id.Origin) + 1
 	}
+	slot := *p - 1
 	o := &s.origins[slot]
 	if k := len(o.runs) - 1; k >= int(o.head) && o.runs[k].start+o.runs[k].n == id.Counter {
 		o.runs[k].n++
@@ -288,7 +271,7 @@ func (s *seenSet) add(id wire.UpdateID) {
 }
 
 // evict drops the oldest ID: the front counter of its origin's front run.
-// An origin left without IDs leaves the index and its slot is recycled.
+// An origin left without IDs leaves the table and its slot is recycled.
 func (s *seenSet) evict() {
 	slot := s.ring[s.oldest]
 	o := &s.origins[slot]
@@ -301,14 +284,14 @@ func (s *seenSet) evict() {
 		return
 	}
 	o.runs, o.head = o.runs[:0], 0
-	i, _ := s.find(o.id)
-	s.index = slices.Delete(s.index, i, i+1)
+	s.slots.Delete(o.id, liveSlot)
 	s.free = append(s.free, slot)
 }
 
-// adopt gives a new origin a slot (a recycled one if any) and enters it in
-// the index at position i.
-func (s *seenSet) adopt(i int, origin membership.NodeID) uint16 {
+func liveSlot(p *uint16) bool { return *p != 0 }
+
+// adopt gives a new origin a slot, a recycled one if any.
+func (s *seenSet) adopt(origin membership.NodeID) uint16 {
 	var slot uint16
 	if n := len(s.free); n > 0 {
 		slot, s.free = s.free[n-1], s.free[:n-1]
@@ -317,7 +300,6 @@ func (s *seenSet) adopt(i int, origin membership.NodeID) uint16 {
 		s.origins = append(s.origins, seenOrigin{})
 	}
 	s.origins[slot].id = origin
-	s.index = slices.Insert(s.index, i, seenKey{origin: origin, slot: slot})
 	return slot
 }
 

@@ -304,3 +304,25 @@ func list[T any](c *codec, s *[]T) []T {
 	}
 	return *s
 }
+
+// reuse is list for a slice its target owns outright: reading, it keeps *s's
+// array when it has room for the count and zeroes every element the walk will
+// fill, so nothing of the previous decode survives a field the new one leaves
+// unset; otherwise it makes a fresh slice, as list does. A zero count reads as
+// nil, as list's does.
+func reuse[T any](c *codec, s *[]T) []T {
+	n := len(*s)
+	c.count(&n)
+	if c.dir == reading {
+		switch {
+		case n == 0:
+			*s = nil
+		case n <= cap(*s):
+			*s = (*s)[:n]
+			clear(*s)
+		default:
+			*s = make([]T, n)
+		}
+	}
+	return *s
+}

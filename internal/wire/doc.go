@@ -56,10 +56,11 @@
 //     methods and same result as Decode, but Heartbeat, UpdateMsg,
 //     DirectoryView, GossipView, RapidBeat, RapidInfo and the four
 //     request-path kinds are parsed into targets the decoder owns, valid
-//     until its next Decode; nested slices and strings are still fresh, and
-//     byte payloads and record lists are views of the packet on both paths,
-//     valid as long as the packet (in the simulator, until the handler
-//     returns).
+//     until its next Decode (an update message's list is the decoder's own
+//     array, reused while it has room); nested slices and strings are still
+//     fresh, and byte payloads and record lists are views of the packet on
+//     both paths, valid as long as the packet (in the simulator, until the
+//     handler returns).
 //     The simulated network lends one to each packet it parses, for as
 //     long as the packet's send buffer is held (netsim.Packet.Decode);
 //     Decode is the fresh path for tests, tools and code that keeps the

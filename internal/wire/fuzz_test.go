@@ -39,9 +39,11 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	// The request-path kinds are parsed in place, by Decode and by a resident
-	// Decoder: seed the edges of that path (empty name, empty
-	// payload, a length one past the end, a flipped checksum bit).
-	for _, b := range requestKindSeeds() {
+	// Decoder, and a resident Decoder reuses its update list: seed the edges
+	// of those paths (empty name, empty payload, a length one past the end, a
+	// flipped checksum bit, a leave reading a reused join's slot, no updates,
+	// an update list cut or damaged anywhere).
+	for _, b := range residentSeeds() {
 		f.Add(b)
 	}
 

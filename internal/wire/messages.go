@@ -267,7 +267,9 @@ func Decode(b []byte) (Message, error) { return decode(b, nil) }
 // body methods as Decode, but the kinds a receiver meets once per beat or per
 // request (the kind table's resident rows) are parsed into targets the
 // decoder owns, so a steady stream of them decodes without allocating a
-// message. Nested slices and strings are still made fresh on every decode —
+// message. An update message's list is the decoder's own as well: it reuses
+// its array while the array has room. The slices and strings nested in its
+// updates, and in every other kind, are still made fresh on every decode —
 // directories keep them — and byte payloads and record lists are views of
 // the packet, as Decode's are. A receiver that finishes with each packet
 // before it decodes the next keeps one (the network lends one to each packet
@@ -287,9 +289,10 @@ type Decoder struct {
 
 // Decode parses b exactly as the package-level Decode does, and returns the
 // same message and the same error. A resident kind is parsed into the
-// decoder's own target, which is valid until the next call; what its fields
-// refer to (fresh slices and strings, views of b) is not, and lives as long as
-// b does. Any other kind is a fresh message.
+// decoder's own target, an update message's list included, which is valid
+// until the next call; what its fields refer to (fresh slices and strings,
+// views of b) is not, and lives as long as b does. Any other kind is a fresh
+// message.
 func (d *Decoder) Decode(b []byte) (Message, error) { return decode(b, d) }
 
 // Forget drops the views of packets the resident targets hold — request and
@@ -469,7 +472,7 @@ func (*UpdateMsg) wireType() Type { return TUpdate }
 func (u *UpdateMsg) body(c codec) codec {
 	c.id(&u.Sender)
 	c.u64(&u.Seq)
-	for i := range list(&c, &u.Updates) {
+	for i := range reuse(&c, &u.Updates) {
 		up := &u.Updates[i]
 		c.id(&up.ID.Origin)
 		c.u32(&up.ID.Counter)

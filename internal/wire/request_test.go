@@ -59,7 +59,7 @@ func refDecodeRequestKind(b []byte) (Message, error) {
 var warmers = []Message{
 	&Heartbeat{Info: membership.MemberInfo{Node: 99, Incarnation: 9, Version: 9, Beat: 9,
 		Services: []membership.ServiceDecl{{Name: "stale", Partitions: []int32{9}}}}, Level: 9, Leader: true, Backup: 99, Seq: 999, Pad: 9},
-	&UpdateMsg{Sender: 99, Seq: 999, Updates: []Update{{ID: UpdateID{Origin: 9, Counter: 9}, Kind: UChange, Subject: 99, Info: membership.MemberInfo{Node: 99}}}},
+	&UpdateMsg{Sender: 99, Seq: 999, Updates: staleJoins(6)},
 	&DirectoryMsg{From: 99, Ask: true, Infos: []membership.MemberInfo{{Node: 99, Beat: 9, Attrs: []membership.KV{{Key: "stale", Value: "9"}}}}},
 	&Gossip{From: 99, Entries: []GossipEntry{{Counter: 9, Info: membership.MemberInfo{Node: 99, Beat: 9}}}, Pad: 9},
 	&RapidBeat{From: 99, ConfigSeq: 9, Inc: 9, Beat: 999, Pad: 9},
@@ -68,6 +68,20 @@ var warmers = []Message{
 	&ServiceReply{ReqID: 99, OK: true, Payload: []byte("stale reply")},
 	&LoadPoll{From: 9, Token: 99},
 	&LoadReply{Token: 99, Load: 99},
+}
+
+// staleJoins is a warm update list longer than any seed's, of joins whose
+// records publish services and attributes, so an element a later decode
+// reuses without zeroing shows them.
+func staleJoins(n int) []Update {
+	us := make([]Update, n)
+	for i := range us {
+		us[i] = Update{ID: UpdateID{Origin: 9, Counter: uint32(99 - i)}, Kind: UJoin, Subject: 99, Info: membership.MemberInfo{
+			Node: 99, Incarnation: 9, Version: 9, Beat: 9,
+			Services: []membership.ServiceDecl{{Name: "stale", Partitions: []int32{9}}},
+			Attrs:    []membership.KV{{Key: "stale", Value: "9"}}}}
+	}
+	return us
 }
 
 // warmDecoder returns a decoder whose every resident target already holds
@@ -168,9 +182,9 @@ func checkResidentAgainstReference(t *testing.T, data []byte) {
 	}
 }
 
-// requestKindSeeds are the edge cases of the in-place decoders, fed to
+// residentSeeds are the edge cases of the in-place decoders, fed to
 // FuzzDecode's corpus and checked directly by TestRequestDecoderEdgeCases.
-func requestKindSeeds() [][]byte {
+func residentSeeds() [][]byte {
 	req := Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 3, Hops: 1, Payload: []byte("payload")})
 	// The payload's length prefix says one byte more than the packet holds.
 	pastEnd := append([]byte(nil), req...)
@@ -178,7 +192,15 @@ func requestKindSeeds() [][]byte {
 	// One CRC bit flipped over an intact body.
 	badSum := append([]byte(nil), req...)
 	badSum[5] ^= 0x10
-	return [][]byte{
+	// An update list a warm decoder reads into its own array, reused from
+	// the warmer's longer list of joins: it starts with a leave, which
+	// carries no record.
+	upd := Encode(&UpdateMsg{Sender: 4, Seq: 12, Updates: []Update{
+		{ID: UpdateID{Origin: 4, Counter: 12}, Kind: ULeave, Subject: 5},
+		{ID: UpdateID{Origin: 2, Counter: 3}, Kind: UJoin, Subject: 7, Info: sampleInfo()},
+		{ID: UpdateID{Origin: 4, Counter: 11}, Kind: UDepart, Subject: 4},
+	}})
+	seeds := [][]byte{
 		req,
 		Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "", Partition: -1, Payload: []byte("p")}),
 		Encode(&ServiceRequest{ReqID: 1, From: 2, Service: "app", Partition: 0}),
@@ -192,11 +214,23 @@ func requestKindSeeds() [][]byte {
 		Encode(&LoadReply{Token: 2, Load: 3}),
 		reseal(Encode(&LoadReply{Token: 2, Load: 3})[:HeaderLen+11]),
 		Encode(&LoadReport{From: 1, Seq: 2, Load: 3}), // a kind the resident path leaves alone
+		upd,
+		Encode(&UpdateMsg{Sender: 4, Seq: 13}), // no updates: a nil list, as Decode reads it
 	}
+	// The update list cut at every offset, and every byte of it made a
+	// hostile count or length, under a valid checksum: a decode that fails
+	// part-way leaves the decoder's array half written for the next one.
+	for off := HeaderLen; off < len(upd); off++ {
+		seeds = append(seeds, reseal(append([]byte(nil), upd[:off]...)))
+		hostile := append([]byte(nil), upd...)
+		hostile[off] = 0xFF
+		seeds = append(seeds, reseal(hostile))
+	}
+	return seeds
 }
 
 func TestRequestDecoderEdgeCases(t *testing.T) {
-	for _, b := range requestKindSeeds() {
+	for _, b := range residentSeeds() {
 		checkResidentAgainstReference(t, b)
 	}
 	// Every prefix and every single-byte damage of a request and a reply,
@@ -269,13 +303,20 @@ func TestRequestDecoderReusesServiceName(t *testing.T) {
 
 // TestDecoderHotKindsAllocateNothing: a warm Decoder parses each resident
 // kind that carries no nested list without allocating: the message is its own
-// target and a record list is a view of the packet.
+// target, an update list reuses the decoder's array, and a record list is a
+// view of the packet.
 func TestDecoderHotKindsAllocateNothing(t *testing.T) {
 	info := membership.MemberInfo{Node: 3, Incarnation: 1, Beat: 9}
 	var d Decoder
 	for _, m := range []Message{
 		&Heartbeat{Info: info, Backup: 2, Seq: 9, Pad: 144},
 		&UpdateMsg{Sender: 1, Seq: 2},
+		&UpdateMsg{Sender: 1, Seq: 6, Updates: []Update{
+			{ID: UpdateID{Origin: 1, Counter: 6}, Kind: ULeave, Subject: 4},
+			{ID: UpdateID{Origin: 1, Counter: 5}, Kind: UDepart, Subject: 5},
+			{ID: UpdateID{Origin: 2, Counter: 9}, Kind: UJoin, Subject: 3, Info: info},
+			{ID: UpdateID{Origin: 1, Counter: 4}, Kind: UJoin, Subject: 6, Info: membership.MemberInfo{Node: 6, Incarnation: 2}},
+		}},
 		&DirectoryMsg{From: 1, Infos: []membership.MemberInfo{info, sampleInfo()}},
 		&Gossip{From: 3, Entries: []GossipEntry{{Counter: 9, Info: info}}, Pad: 20},
 		&RapidBeat{From: 3, ConfigSeq: 1, Inc: 1, Beat: 9, Pad: 166},
