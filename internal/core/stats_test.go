@@ -361,6 +361,8 @@ func (o *seenOracle) check() {
 // through 3×maxSeen inserts from several origins, with re-marks of recent,
 // old and evicted IDs mixed in, under seenOracle's checks after every step
 // and a whole comparison every 257 marks.
+//
+// Mutant: evict drops the origin's lowest counter instead of its oldest insertion.
 func TestSeenSetGrowsExactly(t *testing.T) {
 	o := newSeenOracle(t)
 	rng := rand.New(rand.NewSource(5))
@@ -388,6 +390,10 @@ func TestSeenSetGrowsExactly(t *testing.T) {
 
 // TestSeenSetShapes holds the set to the reference on the input shapes its
 // storage cares about.
+//
+// Mutant: add extends any of the origin's runs, not only the newest (reordered-counters).
+// Mutant: evict skips slots.Delete (recycled-slots; FuzzSeenSet's seed#3 too).
+// Mutant: liveSlot calls every record in use, so no chunk is released (recycled-slots).
 func TestSeenSetShapes(t *testing.T) {
 	shapes := []struct {
 		name  string

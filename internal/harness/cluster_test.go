@@ -45,7 +45,7 @@ func TestFigure2HeartbeatIsAKilobyte(t *testing.T) {
 }
 
 func TestSchemesConstructAndConverge(t *testing.T) {
-	for _, scheme := range Schemes {
+	for _, scheme := range comparedSchemes {
 		c := NewCluster(scheme, topology.Clustered(2, 5), 3)
 		if len(c.Nodes) != 10 {
 			t.Fatalf("%v: %d nodes", scheme, len(c.Nodes))

@@ -10,11 +10,11 @@ import (
 	"repro/internal/topology"
 )
 
-// Schemes lists the paper's three compared schemes in presentation order;
-// the §4 figures sweep exactly these. The federated stack and the rapid
-// scheme are not points in those analyses — they join the comparison only in
-// the chaos and traffic matrices.
-var Schemes = []Scheme{AllToAll, Gossip, Hierarchical}
+// comparedSchemes lists the paper's three compared schemes in presentation
+// order; the §4 figures sweep exactly these. The federated stack and the
+// rapid scheme are not points in those analyses — they join the comparison
+// only in the chaos and traffic matrices.
+var comparedSchemes = []Scheme{AllToAll, Gossip, Hierarchical}
 
 // ChaosSchemes is the chaos matrix's column set: the three compared schemes,
 // the federated hierarchical+proxy stack, rapid, the self-organizing

@@ -195,7 +195,7 @@ func schemeCurves[X int | float64](fig *metrics.Figure, suffixes []string, sw Sw
 		x      X
 	}
 	var keys []key
-	for _, scheme := range Schemes {
+	for _, scheme := range comparedSchemes {
 		for _, x := range xs {
 			keys = append(keys, key{scheme, x})
 		}
@@ -203,7 +203,7 @@ func schemeCurves[X int | float64](fig *metrics.Figure, suffixes []string, sw Sw
 	ys := sweep(sw, seed, keys,
 		func(k key) string { return fmt.Sprintf(format, k.scheme, k.x) },
 		func(k key, seed int64) ([]float64, metrics.RunReport) { return cell(k.scheme, k.x, seed) })
-	for si, scheme := range Schemes {
+	for si, scheme := range comparedSchemes {
 		series := make([]string, len(suffixes))
 		for j, suffix := range suffixes {
 			series[j] = scheme.String() + suffix

@@ -74,7 +74,7 @@ func TestSchemeTable(t *testing.T) {
 			t.Errorf("%v: CoreStats ok=%v heartbeats=%d, want ok=%v", r.scheme, ok, st.HeartbeatsSent, r.coreStats)
 		}
 	}
-	for _, set := range [][]Scheme{Schemes, ChaosSchemes, TrafficSchemes} {
+	for _, set := range [][]Scheme{comparedSchemes, ChaosSchemes, TrafficSchemes} {
 		for _, s := range set {
 			if s < 0 || int(s) >= len(schemes) {
 				t.Errorf("column set names scheme %d, which is not in the table", int(s))

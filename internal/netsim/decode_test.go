@@ -107,6 +107,8 @@ func (s *wireScript) read(ep *Endpoint, pkt Packet) []byte {
 	return binary.LittleEndian.AppendUint64(nil, value(m))
 }
 
+// Mutant: drop lists the holds under the receiver's bucket, not the sender's (-race).
+// Mutant: arrive truncates without Endpoint.own (TestModelledTailMatchesMaterialised too).
 func TestRecycledDecodeMatchesFresh(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {

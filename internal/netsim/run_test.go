@@ -493,6 +493,8 @@ func diffOutcomes(t *testing.T, what string, got, want outcome) {
 	}
 }
 
+// Mutant: fanout.joins drops dst.grayLag == 0.
+// Mutant: send's drawless drops n.jitter == 0.
 func TestRunsMatchPerCopyEvents(t *testing.T) {
 	seeds := int64(12)
 	if testing.Short() {
@@ -541,6 +543,9 @@ func TestRunsMatchPerCopyEvents(t *testing.T) {
 // by WAN links, serial and partitioned, with runs as built and capped at one
 // copy. The handler logs, each copy's Dst among them, every endpoint's Stats,
 // every engine's Steps and next draw, and the WAN bytes must agree.
+//
+// Mutant: arrive keeps a unicast run's first Dst (TestRunsMatchPerCopyEvents too).
+// Mutant: UnicastAll leaves an unreachable host out of PktsSent.
 func TestUnicastAllMatchesLoop(t *testing.T) {
 	seeds := int64(6)
 	if testing.Short() {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -192,6 +193,43 @@ func TestSendBufSize(t *testing.T) {
 	}
 }
 
+// TestPacketSize: a Packet stays at eight register-sized words. It travels
+// by value into every handler, most of them method values, and beside the
+// receiver a ninth word spills every delivery's packet through memory
+// (about a fifth more wall on flat-alltoall when it was tried). Anything new
+// a packet carries goes in sendBuf. Words are counted, not bytes: a ninth
+// int32 fits in the padding after Channel and leaves the size unchanged.
+//
+// Mutant: a ninth field, `extra int32`, after Channel (56 bytes) or after buf (64).
+func TestPacketSize(t *testing.T) {
+	if words := argWords(reflect.TypeOf(Packet{})); words > 8 {
+		t.Fatalf("Packet takes %d argument registers (%d bytes), want at most 8: put the new field in sendBuf",
+			words, unsafe.Sizeof(Packet{}))
+	}
+}
+
+// argWords counts the registers a value of type t takes as an argument: one
+// per scalar field, three for a slice, two for a string or an interface. An
+// array is counted per element, more than the register ABI would allow it.
+func argWords(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			n += argWords(t.Field(i).Type)
+		}
+		return n
+	case reflect.Array:
+		return t.Len() * argWords(t.Elem())
+	case reflect.Slice:
+		return 3
+	case reflect.String, reflect.Interface, reflect.Complex64, reflect.Complex128:
+		return 2
+	default:
+		return 1
+	}
+}
+
 // checkBufs holds an LP's free lists to their invariants: every listed
 // buffer is unreferenced, undecoded, no loose record and holds nothing, sits
 // in its own class once, and the lists add up to the accounted bytes, within
@@ -255,6 +293,9 @@ func checkBufs(t *testing.T, n *Network, lp int32, eps []*Endpoint) {
 // buffer its loose record viewed, is held exactly by the slots that hold it
 // and by the holds of the loose records in slots that view it. A hold given
 // back short leaves a buffer held by nothing.
+//
+// Mutant: a loose record gives back 1 hold instead of b.holds (TestCrossLPCeilingHolds too).
+// Mutant: sendBuf.drop keeps a recycled buffer's decode: msg and err are not cleared.
 func TestSendBuffersBalance(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, buckets := range []int{0, 4} {
@@ -428,6 +469,8 @@ func TestFanoutCeilingHolds(t *testing.T) { fanoutCeiling(t) }
 // bound for the other LP each take a buffer of their own, which changes hands
 // at the boundary, and the copies that stay share one, taken at the first of
 // them: a fan-out with no copy staying takes none to share.
+//
+// Mutant: send takes a UnicastAll's shared buffer before its first same-LP copy.
 func TestFanoutBuffersAcrossLPs(t *testing.T) {
 	top := topology.Clustered(2, 10)
 	part := top.LPPartition()

@@ -91,6 +91,7 @@ func corruptCarried(r *rand.Rand, b []byte, tail int) ([]byte, int) {
 	return out, hits
 }
 
+// Mutant: Packet.corrupt draws its offset over len(p.Payload), not the modelled length.
 func TestModelledTailMatchesMaterialised(t *testing.T) {
 	t.Run("faults", testTailFaults)
 	t.Run("script", testTailScript)

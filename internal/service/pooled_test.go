@@ -153,6 +153,8 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 // TestReplayedReplyIntoReusedRecord: a reply delivered again after its call
 // completed (duplication, replay and stale re-delivery all do this) finds the
 // call's record serving a newer call and must leave it alone.
+//
+// Mutant: capture keeps the delivered packet with cloned bytes, not a fresh one (-race).
 func TestReplayedReplyIntoReusedRecord(t *testing.T) {
 	l := newLAN(t, 2, DefaultConfig())
 	l.register(t, 1, "Echo", time.Millisecond, echo)

@@ -58,6 +58,7 @@ func echoHandler(tag string) Handler {
 	}
 }
 
+// Mutant: serve keeps req.Payload instead of copying it into the serving record (-race).
 func TestInvokeBasic(t *testing.T) {
 	f := newFixture(t, topology.Clustered(2, 3))
 	if err := f.runtimes[4].Register("Echo", "0-1", time.Millisecond, echoHandler("n4")); err != nil {

@@ -219,6 +219,10 @@ func cyclic(seed int64) *Topology {
 // TestPathRowsMatchOracle holds every path row to the brute-force
 // reference, on the constructors' graphs and on cyclic ones, as built and
 // after every step of the fail / repair / rehome / mark scripts.
+//
+// Mutant: pathItem.less compares latency before routers entered.
+// Mutant: crosses drops its WAN test, so multicast scopes cross WAN links.
+// Mutant: crosses ignores failed links for unicast.
 func TestPathRowsMatchOracle(t *testing.T) {
 	tops := pathTopologies()
 	for name, build := range componentTopologies() {

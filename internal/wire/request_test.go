@@ -229,6 +229,7 @@ func residentSeeds() [][]byte {
 	return seeds
 }
 
+// Mutant: reuse drops its clear, so a reused update list keeps a stale Info.
 func TestRequestDecoderEdgeCases(t *testing.T) {
 	for _, b := range residentSeeds() {
 		checkResidentAgainstReference(t, b)
