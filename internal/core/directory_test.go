@@ -202,10 +202,11 @@ func TestHeartbeatFitsItsSizeClass(t *testing.T) {
 	}
 }
 
-// TestSendCeilings: in the steady state a heartbeat and a 1000-entry
-// republish, each sent through the simulated network to a subscribed host,
-// allocate nothing. Both are framed into the node's send buffer and copied
-// into a network buffer that comes back to the free lists on arrival.
+// TestSendCeilings: in the steady state a heartbeat, a 1000-entry
+// republish and an originated update, each sent through the simulated
+// network to a subscribed host, allocate nothing. Each is framed into the
+// node's send buffer and copied into a network buffer that comes back to
+// the free lists on arrival.
 func TestSendCeilings(t *testing.T) {
 	top := topology.Clustered(1, 2)
 	eng := sim.NewEngine(1)
@@ -223,6 +224,7 @@ func TestSendCeilings(t *testing.T) {
 	}{
 		{"a heartbeat", func() { n.sendHeartbeat(0) }, 50},
 		{"a 1000-entry republish", func() { n.publishDirectory(0) }, 32000},
+		{"an originated update", func() { n.originateUpdate(wire.ULeave, 5, membership.MemberInfo{}, -1) }, 20},
 	} {
 		round := func() {
 			c.send()

@@ -128,14 +128,15 @@ type Node struct {
 	ttlScanDue  time.Duration
 
 	// enc frames outgoing packets into buf, the node's resident send buffer
-	// (frame; snapshots go through withDirectory). hb is the outgoing
-	// heartbeat, overwritten per send (a fresh one would escape through
-	// wire.Message); dirCursor is the scratch cursor onDirectoryMsg walks a
-	// received snapshot with, and joined and tombstoned the scratch lists
-	// the merge reports into.
+	// (frame; snapshots go through withDirectory). hb and upd are the
+	// outgoing heartbeat and update message, overwritten per send (a fresh
+	// one would escape through wire.Message); dirCursor is the scratch
+	// cursor onDirectoryMsg walks a received snapshot with, and joined and
+	// tombstoned the scratch lists the merge reports into.
 	enc        wire.Encoder
 	buf        []byte
 	hb         wire.Heartbeat
+	upd        wire.UpdateMsg
 	dirCursor  wire.InfoCursor
 	joined     []membership.MemberInfo
 	tombstoned []membership.NodeID

@@ -54,8 +54,8 @@ func (n *Node) emitUpdate(u *wire.Update, exceptLevel int) {
 			continue
 		}
 		n.outSeq[lv.level]++
-		msg := &wire.UpdateMsg{Sender: n.id, Seq: n.outSeq[lv.level], Updates: n.recent}
-		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), n.frame(msg))
+		n.upd = wire.UpdateMsg{Sender: n.id, Seq: n.outSeq[lv.level], Updates: n.recent}
+		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), n.frame(&n.upd))
 	}
 }
 

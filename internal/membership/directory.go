@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"slices"
 	"sort"
@@ -61,11 +62,21 @@ type Entry struct {
 	// relayed it).
 	Level  uint8
 	Origin Origin
-	// live marks an occupied slot of the directory's by-value storage, and
-	// content a member that publishes services or attributes; both sit in
-	// what would be padding.
-	live, content bool
+	// state says what the slot of the directory's by-value storage holds
+	// (slotFree, slotLive or slotTomb), and content marks a member that
+	// publishes services or attributes; both sit in what would be padding.
+	state   uint8
+	content bool
 }
+
+// The states of an entry slot. A tomb is a removed member's slot kept while
+// tombstones are enabled: its InfoPrefix is the (incarnation, beat) the
+// member had at removal, and its LastRefresh the removal time.
+const (
+	slotFree uint8 = iota
+	slotLive
+	slotTomb
+)
 
 // content is the stable half of a member's record. The directory keeps one
 // only for a member whose record carries services or attributes, so a
@@ -77,7 +88,7 @@ type content struct {
 
 func contentInUse(c *content) bool { return c.services != nil || c.attrs != nil }
 
-func entryInUse(e *Entry) bool { return e.live }
+func entryInUse(e *Entry) bool { return e.state != slotFree }
 
 // EventType classifies directory change notifications.
 type EventType uint8
@@ -110,15 +121,6 @@ type Event struct {
 	Time time.Duration
 }
 
-// tombstone remembers a removed node so that stale relayed snapshots cannot
-// resurrect it; only a higher incarnation (a real restart) or direct
-// observation (we hear its heartbeats, so it is alive) overrides it.
-type tombstone struct {
-	at   time.Duration
-	inc  uint32
-	beat uint64
-}
-
 // Directory is one node's yellow-page view of the cluster. It is driven by
 // a single goroutine (the simulation loop or the real-transport receive
 // loop); the public tamp API wraps it with locking for client access.
@@ -126,15 +128,19 @@ type Directory struct {
 	owner NodeID
 	// entries holds every entry by value (see Table): a merge in ascending
 	// ID order streams through memory instead of chasing one heap object per
-	// entry, and *Entry stays valid while its node is present. A slot is
-	// occupied when its Entry.live is set. contents holds, by the same key,
-	// the content of the entries whose content bit is set.
+	// entry, and *Entry stays valid while its node is present. A slot holds
+	// a member when its state is slotLive and a tombstone when it is
+	// slotTomb. contents holds, by the same key, the content of the entries
+	// whose content bit is set.
 	entries  Table[Entry]
 	contents Table[content]
-	size     int // occupied entries
-	tombs    map[NodeID]tombstone
+	size     int           // live entries
 	tombTTL  time.Duration // 0 disables tombstones
-	observer func(Event)
+	// tombFloor is the latest (now - tombTTL) of any Remove that laid a
+	// tomb: a tomb laid at or before it has expired once and stays expired
+	// whatever the TTL becomes later.
+	tombFloor time.Duration
+	observer  func(Event)
 
 	// history is a bounded ring of recent change events, letting
 	// consumers reconcile after a gap ("what changed since T") without
@@ -202,7 +208,7 @@ func (d *Directory) ChangesSince(t time.Duration) (events []Event, complete bool
 
 // NewDirectory creates a directory owned by node owner.
 func NewDirectory(owner NodeID) *Directory {
-	return &Directory{owner: owner, tombs: make(map[NodeID]tombstone)}
+	return &Directory{owner: owner, tombFloor: math.MinInt64}
 }
 
 // SetTombstoneTTL enables rejection of relayed re-additions of removed
@@ -214,17 +220,22 @@ func (d *Directory) SetTombstoneTTL(ttl time.Duration) { d.tombTTL = ttl }
 // carries no newer evidence of life (no higher incarnation and no further
 // advanced heartbeat counter than we saw at removal time).
 func (d *Directory) TombstoneActive(info MemberInfo, now time.Duration) bool {
-	return d.tombstoneActive(info.Prefix(), now)
+	e := d.entries.Get(info.Node)
+	return e != nil && d.tombHolds(e, info.Prefix(), now)
 }
 
-func (d *Directory) tombstoneActive(p InfoPrefix, now time.Duration) bool {
-	// Most directories hold no tombstone most of the time; do not hash the
-	// ID just to find the map empty.
-	if d.tombTTL <= 0 || len(d.tombs) == 0 {
-		return false
-	}
-	ts, ok := d.tombs[p.Node]
-	return ok && p.Incarnation <= ts.inc && p.Beat <= ts.beat && now-ts.at < d.tombTTL
+// tombHolds reports whether slot e is a tomb that rejects a relayed record
+// with prefix p at now. Expiry is read here, from the tomb's removal time
+// and the TTL in force, so no sweep deletes expired tombs; a tomb ends when
+// an insert overwrites its slot.
+func (d *Directory) tombHolds(e *Entry, p InfoPrefix, now time.Duration) bool {
+	return e.state == slotTomb && d.tombTTL > 0 && e.LastRefresh > d.tombFloor && now-e.LastRefresh < d.tombTTL &&
+		p.Incarnation <= e.Incarnation && p.Beat <= e.Beat
+}
+
+// expiredTomb reports whether e is a tomb that no TTL can bring back.
+func (d *Directory) expiredTomb(e *Entry) bool {
+	return e.state == slotTomb && e.LastRefresh <= d.tombFloor
 }
 
 // AddObserver chains fn after every observer already installed, so several
@@ -252,19 +263,22 @@ func (d *Directory) emit(t EventType, n NodeID, now time.Duration) {
 }
 
 func (d *Directory) get(n NodeID) *Entry {
-	if e := d.entries.Get(n); e != nil && e.live {
+	if e := d.entries.Get(n); e != nil && e.state == slotLive {
 		return e
 	}
 	return nil
 }
 
 // insert stores a new entry for a node known to be absent and announces the
-// join.
-func (d *Directory) insert(info *MemberInfo, origin Origin, level int, relayer NodeID, now time.Duration) {
-	e := d.entries.Ensure(info.Node)
+// join. e is the node's slot, free or a tomb, or nil when it has none; the
+// new entry overwrites a tomb.
+func (d *Directory) insert(e *Entry, info *MemberInfo, origin Origin, level int, relayer NodeID, now time.Duration) {
+	if e == nil {
+		e = d.entries.Ensure(info.Node)
+	}
 	*e = Entry{
 		InfoPrefix: info.Prefix(), LastRefresh: now, Relayer: relayer,
-		Level: uint8(level), Origin: origin, live: true,
+		Level: uint8(level), Origin: origin, state: slotLive,
 	}
 	d.setContent(e, info)
 	d.size++
@@ -319,17 +333,13 @@ func (d *Directory) Get(n NodeID) *Entry { return d.get(n) }
 // present node) refreshes liveness but does not overwrite newer info.
 // It returns true if this was a new node (a join).
 func (d *Directory) Upsert(info MemberInfo, origin Origin, level int, relayer NodeID, now time.Duration) bool {
-	if origin == OriginRelayed {
-		if d.TombstoneActive(info, now) {
+	e := d.entries.Get(info.Node)
+	if e == nil || e.state != slotLive {
+		// Direct observation proves liveness and overwrites any tomb.
+		if origin == OriginRelayed && d.TombstoneActive(info, now) {
 			return false
 		}
-	} else {
-		// Direct observation proves liveness and clears any tombstone.
-		delete(d.tombs, info.Node)
-	}
-	e := d.get(info.Node)
-	if e == nil {
-		d.insert(&info, origin, level, relayer, now)
+		d.insert(e, &info, origin, level, relayer, now)
 		return true
 	}
 	if d.refresh(e, info.Prefix(), origin, level, relayer, now) {
@@ -400,25 +410,31 @@ type RelayedSource interface {
 func (d *Directory) MergeRelayed(src RelayedSource, level int, relayer NodeID, now time.Duration, joined *[]MemberInfo, tombstoned *[]NodeID) (invalid int) {
 	for src.Next() {
 		p := src.Prefix()
-		switch {
-		case p.Node == d.owner:
-		case p.Node < 0:
+		if p.Node == d.owner {
+			continue
+		}
+		if p.Node < 0 {
 			invalid++
-		case d.tombstoneActive(p, now):
+			continue
+		}
+		// One lookup decides the record: a live entry is refreshed, a holding
+		// tomb rejects it, and anything else is a join.
+		e := d.entries.Get(p.Node)
+		switch {
+		case e != nil && e.state == slotLive:
+			if d.refresh(e, p, OriginRelayed, level, relayer, now) {
+				info := src.Info()
+				d.replace(e, &info, now)
+			}
+		case e != nil && d.tombHolds(e, p, now):
 			if tombstoned != nil {
 				*tombstoned = append(*tombstoned, p.Node)
 			}
 		default:
-			e := d.get(p.Node)
-			if e == nil {
-				info := src.Info()
-				d.insert(&info, OriginRelayed, level, relayer, now)
-				if joined != nil {
-					*joined = append(*joined, info)
-				}
-			} else if d.refresh(e, p, OriginRelayed, level, relayer, now) {
-				info := src.Info()
-				d.replace(e, &info, now)
+			info := src.Info()
+			d.insert(e, &info, OriginRelayed, level, relayer, now)
+			if joined != nil {
+				*joined = append(*joined, info)
 			}
 		}
 	}
@@ -426,26 +442,27 @@ func (d *Directory) MergeRelayed(src RelayedSource, level int, relayer NodeID, n
 }
 
 // Remove deletes node n; reports whether it was present. When tombstones
-// are enabled, the removal is remembered so stale relayed snapshots cannot
-// resurrect the node.
+// are enabled, n's slot becomes a tomb so stale relayed snapshots cannot
+// resurrect the node: only a higher incarnation (a real restart), an
+// advanced beat, or direct observation (we hear its heartbeats, so it is
+// alive) re-adds it, and the re-add ends the tomb. A chunk holding a tomb is
+// not freed; out-of-window tombs that have expired are deleted here, which
+// keeps the table's fallback map bounded.
 func (d *Directory) Remove(n NodeID, now time.Duration) bool {
 	e := d.get(n)
 	if e == nil {
 		return false
 	}
-	if d.tombTTL > 0 {
-		d.tombs[n] = tombstone{at: now, inc: e.Incarnation, beat: e.Beat}
-		// Opportunistic pruning keeps the map bounded.
-		for tn, ts := range d.tombs {
-			if now-ts.at >= d.tombTTL {
-				delete(d.tombs, tn)
-			}
-		}
-	}
 	if e.content {
 		d.contents.Delete(n, contentInUse)
 	}
-	d.entries.Delete(n, entryInUse)
+	if d.tombTTL > 0 {
+		*e = Entry{InfoPrefix: e.InfoPrefix, LastRefresh: now, state: slotTomb}
+		d.tombFloor = max(d.tombFloor, now-d.tombTTL)
+		d.entries.DeleteWild(d.expiredTomb)
+	} else {
+		d.entries.Delete(n, entryInUse)
+	}
 	d.size--
 	d.emit(EventLeave, n, now)
 	return true
@@ -466,7 +483,7 @@ func (d *Directory) Nodes() []NodeID {
 // Nodes() makes matters there. fn must not add or remove entries.
 func (d *Directory) Range(fn func(NodeID, *Entry)) {
 	d.entries.Each(func(n NodeID, e *Entry) {
-		if e.live {
+		if e.state == slotLive {
 			fn(n, e)
 		}
 	})

@@ -21,6 +21,18 @@
 //     timeouts; Lookup answers the paper's regex + partition-spec queries;
 //     AddObserver delivers Event notifications (join/leave/change) that
 //     the experiments' detection/convergence recorders hook.
+//   - Tombstones are states of the entry slot. Remove, with a tombstone
+//     TTL set, keeps the removed node's slot as a tomb: its prefix holds
+//     the incarnation and beat the node had, its LastRefresh the removal
+//     time. A relayed record meets the tomb in the same lookup that would
+//     find the entry, and is rejected while the tomb holds: within the TTL
+//     and with no higher incarnation and no advanced beat. Expiry is read
+//     there, lazily, so nothing sweeps the tombs; a Remove only deletes the
+//     expired ones outside the window, which keeps the table's fallback map
+//     bounded, and a chunk holding a tomb is not freed. Any re-add — direct
+//     observation, or a relayed record with newer evidence — overwrites
+//     the slot and so ends the tomb: a stale record that follows is a
+//     refresh of a present member, never a rejection.
 //   - Entry: a member's aliveness, apart from its content. Every merge,
 //     refresh, expiry sweep and audit reads only the entry — the 24-byte
 //     prefix (identity, incarnation, version, beat), LastRefresh, Relayer,

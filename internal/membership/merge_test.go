@@ -390,11 +390,17 @@ func pointerIn(t reflect.Type, path string) string {
 
 // TestDirectoryHotPathsDoNotAllocate carries the allocation ceilings of what
 // every heartbeat and tracker tick does to a warm 1000-member directory: a
-// direct Upsert that advances a known member's beat, a full Range, and an
-// Expired sweep with nothing to expire.
+// direct Upsert that advances a known member's beat, a full Range, an
+// Expired sweep with nothing to expire, and a member's removal and relayed
+// re-add, each the first in its directory (a tomb costs nothing to lay).
 func TestDirectoryHotPathsDoNotAllocate(t *testing.T) {
 	d, _ := warmDirectory1000()
 	id, beat, visited := NodeID(0), uint64(8), 0
+	churned := make([]*Directory, 101) // one per call: AllocsPerRun(100) warms up with one more
+	for i := range churned {
+		churned[i], _ = warmDirectory1000()
+		churned[i].SetTombstoneTTL(time.Hour)
+	}
 	paths := []struct {
 		name string
 		fn   func()
@@ -409,6 +415,13 @@ func TestDirectoryHotPathsDoNotAllocate(t *testing.T) {
 		{"Expired with nothing to expire", func() {
 			if stale, _ := d.Expired(time.Second, func(*Entry) time.Duration { return time.Hour }); stale != nil {
 				t.Fatalf("expired %v", stale)
+			}
+		}},
+		{"Remove, then relayed re-add, of a warm member", func() {
+			c := churned[0]
+			churned = churned[1:]
+			if !c.Remove(500, time.Second) || !c.Upsert(MemberInfo{Node: 500, Incarnation: 1, Beat: 8}, OriginRelayed, 1, 1, time.Second) || c.Len() != 1000 {
+				t.Fatal("the member did not leave and return")
 			}
 		}},
 	}

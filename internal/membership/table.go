@@ -111,6 +111,15 @@ func (t *Table[T]) Delete(id NodeID, inUse func(*T) bool) {
 	t.chunks[uint32(id)>>chunkShift] = nil
 }
 
+// DeleteWild deletes every record outside the window that drop reports.
+func (t *Table[T]) DeleteWild(drop func(*T) bool) {
+	for id, r := range t.wild {
+		if drop(r) {
+			delete(t.wild, id)
+		}
+	}
+}
+
 // Each calls fn for every record that has storage, in ascending ID order —
 // the order every protocol decision that walks peers is specified in, so no
 // caller collects and sorts. fn may create and delete records; one created
