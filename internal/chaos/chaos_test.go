@@ -140,21 +140,22 @@ func TestChaosFlapCycles(t *testing.T) {
 
 func TestChaosFaultActionsMutateTopology(t *testing.T) {
 	env, _ := newFakeEnv(t, topology.Clustered(2, 3))
-	sw1, _ := env.Top.FindDevice("sw1")
 	sc := &Scenario{Steps: Steps("@1s fail-link sw1 core\n@2s fail-device sw1\n@3s repair-device sw1\n@4s repair-link sw1 core")}
 	if err := sc.Install(env); err != nil {
 		t.Fatal(err)
 	}
 	epoch0 := env.Top.Epoch()
 	engOf(env).Run(2500 * time.Millisecond)
-	if !env.Top.Failed(sw1.ID) {
+	// Hosts 3 and 4 sit under sw1: only the failed device, not the failed
+	// uplink, parts them.
+	if lat, _ := env.Top.UnicastPath(3, 4); lat >= 0 {
 		t.Fatal("sw1 not failed")
 	}
 	if lat, _ := env.Top.UnicastPath(0, 3); lat >= 0 {
 		t.Fatal("cross-group path survived switch failure")
 	}
 	engOf(env).Run(5 * time.Second)
-	if env.Top.Failed(sw1.ID) {
+	if lat, _ := env.Top.UnicastPath(3, 4); lat < 0 {
 		t.Fatal("sw1 not repaired")
 	}
 	if lat, _ := env.Top.UnicastPath(0, 3); lat < 0 {

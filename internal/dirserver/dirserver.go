@@ -67,8 +67,8 @@ func (s *Server) Publish(infos []membership.MemberInfo) {
 	s.mu.Unlock()
 }
 
-// Members returns the node count of the current snapshot (for tests).
-func (s *Server) Members() int {
+// members returns the node count of the current snapshot.
+func (s *Server) members() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.snap.Len()

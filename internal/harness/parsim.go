@@ -40,7 +40,6 @@ func (c *Cluster) EnableParsim(seed int64, workers int) *parsim.Coordinator {
 		Net:       c.Net,
 		Lookahead: part.Lookahead,
 		Workers:   workers,
-		Seed:      DeriveSeed(seed, "lp/coordinator"),
 	})
 	c.Part, c.Engs, c.Coord = part, engs, coord
 	return coord

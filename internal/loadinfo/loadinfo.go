@@ -152,8 +152,8 @@ func (c *Cache) Forget(id membership.NodeID) {
 	}
 }
 
-// Len returns the number of cached samples, including stale ones.
-func (c *Cache) Len() (n int) {
+// len returns the number of cached samples, including stale ones.
+func (c *Cache) len() (n int) {
 	c.samples.Each(func(_ membership.NodeID, s *Sample) {
 		if s.held {
 			n++

@@ -115,11 +115,11 @@ func TestCacheFreshnessAndOrdering(t *testing.T) {
 	if _, ok := c.Get(3); ok {
 		t.Fatal("stale sample still fresh")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if c.len() != 1 {
+		t.Fatalf("Len = %d", c.len())
 	}
 	c.Forget(3)
-	if c.Len() != 0 {
+	if c.len() != 0 {
 		t.Fatal("Forget failed")
 	}
 }

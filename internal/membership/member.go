@@ -70,9 +70,9 @@ func (m MemberInfo) Clone() MemberInfo {
 	return out
 }
 
-// Newer reports whether m supersedes o for the same node, comparing
+// newer reports whether m supersedes o for the same node, comparing
 // (incarnation, version).
-func (m MemberInfo) Newer(o MemberInfo) bool { return m.Prefix().Newer(o.Prefix()) }
+func (m MemberInfo) newer(o MemberInfo) bool { return m.Prefix().Newer(o.Prefix()) }
 
 // InfoPrefix is the fixed-size head of a MemberInfo — the identity and the
 // three counters every merge decision is made on. On the wire it is the

@@ -105,13 +105,13 @@ func TestMemberInfoNewer(t *testing.T) {
 	a := MemberInfo{Incarnation: 1, Version: 5}
 	b := MemberInfo{Incarnation: 1, Version: 6}
 	c := MemberInfo{Incarnation: 2, Version: 0}
-	if !b.Newer(a) || a.Newer(b) {
+	if !b.newer(a) || a.newer(b) {
 		t.Fatal("version comparison broken")
 	}
-	if !c.Newer(b) || b.Newer(c) {
+	if !c.newer(b) || b.newer(c) {
 		t.Fatal("incarnation should dominate version")
 	}
-	if a.Newer(a) {
+	if a.newer(a) {
 		t.Fatal("info newer than itself")
 	}
 }

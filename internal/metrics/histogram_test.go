@@ -12,8 +12,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		h.Record(time.Duration(i))
 	}
-	if h.Count() != 16 {
-		t.Fatalf("count = %d, want 16", h.Count())
+	if h.count() != 16 {
+		t.Fatalf("count = %d, want 16", h.count())
 	}
 	// Values below 2^histSubBits are stored exactly.
 	if got := h.Quantile(1.0); got != 15 {

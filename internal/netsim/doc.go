@@ -17,7 +17,9 @@
 // Key types:
 //
 //   - Network: the fabric; owns every Endpoint, the loss/jitter models,
-//     and TotalStats/ResetStats accounting.
+//     and TotalStats/ResetStats accounting. Its state is laid out per
+//     logical process (LP) of a partition: a serial network is one LP with
+//     no coordinator, and EnablePartition lays it over a parsim partition.
 //   - Endpoint: one host's socket. Multicast/Unicast/UnicastAll send; SetHandler
 //     receives; Join/Leave manage channel subscriptions (the IGMP
 //     analogue); SetFilter lets experiments intercept deliveries; SetUp
@@ -87,7 +89,7 @@
 // with a pattern, and decoding a packet kept past its handler panics.
 //
 // Delivery is best-effort and unordered, like UDP. All calls must be made
-// from the simulation goroutine of the owning engine; different Network
+// from the simulation goroutine of the endpoint's LP; different Network
 // instances are fully independent, which is what lets the harness run many
 // simulations in parallel.
 package netsim

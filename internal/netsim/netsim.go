@@ -265,7 +265,6 @@ func (p LinkProfile) validate() {
 
 // Network is the simulated datagram fabric.
 type Network struct {
-	eng    *sim.Engine
 	top    *topology.Topology
 	eps    []*Endpoint
 	loss   float64 // independent per-receiver drop probability
@@ -282,29 +281,17 @@ type Network struct {
 	// its RNG draws), keeping pre-existing scenarios byte-identical.
 	hasFaults bool
 
-	// fans caches, per (sender, channel, TTL), the subscription-filtered
-	// receiver list a multicast fans out to, so the steady-state beat path
-	// skips both the topology scope lookup and the per-host subscription
-	// scan. Entries are validated against the topology epoch (fault
-	// injection) and subEpoch (Join/Leave) and rebuilt in place on mismatch.
-	fans     map[fanKey]*fanout
-	subEpoch uint64
-
-	free pools // the serial network's free lists
-
 	// runCap, when positive, caps the length of a run (see Endpoint.send).
 	// Nothing outside the package's tests sets it: capped at one the network
 	// schedules every copy as its own event, which is the reference the
 	// differential test in run_test.go compares runs against.
 	runCap int
 
-	wanBytes uint64 // bytes that crossed data centers (unicast only)
-
-	// lps, when non-nil, puts the network in partitioned (parsim) mode: each
-	// host sends and receives on its logical process's engine, and
-	// deliveries that cross LPs detour through per-window outboxes instead
-	// of being scheduled directly (see partition.go). Nil means the classic
-	// serial network, byte-identical to what it always was.
+	// lps holds the state of each logical process (LP): its free lists,
+	// fan-out caches, subscription epoch and WAN byte counter. Each host
+	// sends and receives on its LP's engine, and deliveries that cross LPs
+	// detour through per-window outboxes (see partition.go). A serial network
+	// is one LP with no coordinator, so no copy ever crosses.
 	lps *lpNet
 }
 
@@ -315,37 +302,35 @@ type fanKey struct {
 	ttl int
 }
 
-// fanout is the cached receiver set: scope order filtered by subscription,
+// fanout is a cached receiver set: scope order filtered by subscription,
 // with per-receiver latency and path marks. The slices are reused across
 // rebuilds, so nothing that outlives the send may view them: a run in flight
 // holds its own copy of its receivers.
 type fanout struct {
 	topEpoch uint64
 	subEpoch uint64
-	pubEpoch uint64 // partitioned mode: published-subscription epoch
+	pubEpoch uint64 // published-subscription epoch
 	dsts     []*Endpoint
 	lat      []time.Duration
 	marks    []topology.MarkSet // empty when no links are marked
 }
 
-// New creates a network with one endpoint per host in the topology.
+// New creates a network with one endpoint per host in the topology, all on
+// one LP driven by eng: the serial network.
 func New(eng *sim.Engine, top *topology.Topology) *Network {
-	n := &Network{eng: eng, top: top, fans: make(map[fanKey]*fanout), free: pools{hosts: top.NumHosts()}}
+	n := &Network{top: top}
 	n.eps = make([]*Endpoint, top.NumHosts())
 	for i := range n.eps {
 		n.eps[i] = &Endpoint{
 			net:  n,
-			eng:  eng,
 			id:   topology.HostID(i),
 			up:   true,
 			subs: make(map[ChannelID]bool),
 		}
 	}
+	n.EnablePartition(make([]int, len(n.eps)), []*sim.Engine{eng}, 1)
 	return n
 }
-
-// Engine returns the simulation engine driving this network.
-func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // Topology returns the underlying topology.
 func (n *Network) Topology() *topology.Topology { return n.top }
@@ -471,11 +456,9 @@ func (n *Network) TotalStats() Stats {
 // WANBytes returns the number of bytes carried across data-center
 // boundaries so far (the quantity the proxy protocol minimizes).
 func (n *Network) WANBytes() uint64 {
-	total := n.wanBytes
-	if l := n.lps; l != nil {
-		for _, w := range l.wan {
-			total += w
-		}
+	var total uint64
+	for _, w := range n.lps.wan {
+		total += w
 	}
 	return total
 }
@@ -486,10 +469,7 @@ func (n *Network) ResetStats() {
 	for _, ep := range n.eps {
 		ep.stats = Stats{}
 	}
-	n.wanBytes = 0
-	if l := n.lps; l != nil {
-		clear(l.wan)
-	}
+	clear(n.lps.wan)
 }
 
 // replayRingSize bounds how many recently delivered packets an endpoint
@@ -515,18 +495,19 @@ type recentPkt struct {
 // Endpoint is one host's attachment to the network.
 type Endpoint struct {
 	net *Network
-	// eng is the engine this endpoint sends and receives on: the network
-	// engine in serial mode, the owning LP's engine in partitioned mode.
+	// eng is the engine of the endpoint's LP, lp, which it sends and receives
+	// on; a serial network's one LP is driven by the engine given to New.
 	eng     *sim.Engine
-	lp      int32 // owning logical process (0 in serial mode)
+	lp      int32
 	id      topology.HostID
 	up      bool
 	subs    map[ChannelID]bool
 	handler Handler
 	stats   Stats
 	// pubSubs is the subscription snapshot other LPs read when rebuilding
-	// multicast fan-outs in partitioned mode; the owner republishes it at
-	// window boundaries (subDirty tracks whether that is pending).
+	// multicast fan-outs; the owner republishes it at window boundaries
+	// (subDirty tracks whether that is pending). Nil until first published,
+	// and never published on a one-LP network, which has no other LP.
 	pubSubs  map[ChannelID]bool
 	subDirty bool
 	// filter, when set, can veto delivery of a packet to this endpoint;
@@ -602,18 +583,13 @@ func (ep *Endpoint) Leave(ch ChannelID) {
 	}
 }
 
-// noteSubChange invalidates fan-out caches after a Join/Leave. Serial mode
-// bumps the global epoch; partitioned mode bumps the owner LP's epoch (its
-// own senders see the change immediately) and queues the endpoint for
-// snapshot publication at the next window boundary (remote senders see it
-// then — within one lookahead, i.e. less than one cross-LP network hop).
+// noteSubChange invalidates fan-out caches after a Join/Leave: it bumps the
+// owner LP's epoch (its own senders see the change immediately) and queues
+// the endpoint for snapshot publication at the next window boundary (remote
+// senders see it then — within one lookahead, i.e. less than one cross-LP
+// network hop).
 func (ep *Endpoint) noteSubChange() {
-	n := ep.net
-	l := n.lps
-	if l == nil {
-		n.subEpoch++
-		return
-	}
+	l := ep.net.lps
 	l.subEpoch[ep.lp]++
 	if !ep.subDirty {
 		ep.subDirty = true
@@ -636,7 +612,7 @@ func (ep *Endpoint) Multicast(ch ChannelID, ttl int, payload []byte) {
 	tail := wire.Padding(payload)
 	ep.stats.PktsSent++
 	ep.stats.BytesSent += uint64(len(payload) + tail + UDPOverhead)
-	f := ep.net.fanoutFor(ep.id, ch, ttl)
+	f := ep.fanoutFor(ch, ttl)
 	if len(f.dsts) == 0 {
 		return
 	}
@@ -759,40 +735,37 @@ func (f *fanout) joins(i int, lp int32) bool {
 	return dst.lp == lp && dst.grayLag == 0 && (len(f.marks) == 0 || f.marks[i].Empty())
 }
 
-// fanoutFor returns the cached receiver set for one (sender, channel, TTL),
-// rebuilding it when fault injection has changed the topology epoch or a
-// Join/Leave has changed subscriptions. The rebuild preserves exactly the
-// order a direct scope walk produces: scope order, filtered by subscription.
-func (n *Network) fanoutFor(src topology.HostID, ch ChannelID, ttl int) *fanout {
-	key := fanKey{src: src, ch: ch, ttl: ttl}
-	l := n.lps
-	fans, sub, pub := n.fans, n.subEpoch, uint64(0)
-	var srcLP int32
-	if l != nil {
-		srcLP = int32(l.lpOf[src])
-		fans, sub, pub = l.fans[srcLP], l.subEpoch[srcLP], l.pubEpoch
-	}
+// fanoutFor returns the endpoint's cached receiver set for one (channel, TTL),
+// from its LP's cache, so the steady-state beat path skips both the topology
+// scope lookup and the per-host subscription scan. It is rebuilt in place
+// when fault injection has changed the topology epoch, or a Join/Leave the
+// LP's subscription epoch or a boundary the published one. The rebuild
+// preserves exactly the order a direct scope walk produces: scope order,
+// filtered by subscription.
+func (ep *Endpoint) fanoutFor(ch ChannelID, ttl int) *fanout {
+	n, l, key := ep.net, ep.net.lps, fanKey{src: ep.id, ch: ch, ttl: ttl}
+	fans, sub := l.fans[ep.lp], l.subEpoch[ep.lp]
 	f := fans[key]
 	epoch := n.top.Epoch()
-	if f != nil && f.topEpoch == epoch && f.subEpoch == sub && f.pubEpoch == pub {
+	if f != nil && f.topEpoch == epoch && f.subEpoch == sub && f.pubEpoch == l.pubEpoch {
 		return f
 	}
 	if f == nil {
 		f = &fanout{}
 		fans[key] = f
 	}
-	f.topEpoch, f.subEpoch, f.pubEpoch = epoch, sub, pub
+	f.topEpoch, f.subEpoch, f.pubEpoch = epoch, sub, l.pubEpoch
 	f.dsts, f.lat, f.marks = f.dsts[:0], f.lat[:0], f.marks[:0]
-	scope := n.top.MulticastScope(src, ttl)
+	scope := n.top.MulticastScope(ep.id, ttl)
 	for i, h := range scope.Hosts {
 		dst := n.eps[h]
-		// Partitioned mode reads the published snapshot for remote hosts:
-		// their live subs map belongs to another worker goroutine.
-		if l != nil && dst.lp != srcLP {
-			if !dst.pubSubs[ch] {
-				continue
-			}
-		} else if !dst.subs[ch] {
+		// A remote host is read through its published snapshot: its live
+		// subs map belongs to another worker goroutine.
+		subs := dst.subs
+		if dst.lp != ep.lp {
+			subs = dst.pubSubs
+		}
+		if !subs[ch] {
 			continue
 		}
 		f.dsts = append(f.dsts, dst)
@@ -833,13 +806,7 @@ func (ep *Endpoint) Unicast(dst topology.HostID, payload []byte) bool {
 }
 
 // addWAN counts size bytes sent across data centers, on the sender's LP.
-func (ep *Endpoint) addWAN(size uint64) {
-	if l := ep.net.lps; l != nil {
-		l.wan[ep.lp] += size
-	} else {
-		ep.net.wanBytes += size
-	}
-}
+func (ep *Endpoint) addWAN(size uint64) { ep.net.lps.wan[ep.lp] += size }
 
 func (ep *Endpoint) deliver(dst *Endpoint, pkt Packet, latency time.Duration, marks topology.MarkSet) {
 	// An unmarked path, nearly every delivery, keeps the network-wide
@@ -878,7 +845,7 @@ func (ep *Endpoint) deliverOnce(dst *Endpoint, pkt Packet, latency time.Duration
 		latency += time.Duration(ep.eng.Rand().Int63n(int64(dst.grayLag)))
 		grayDst = true
 	}
-	if l := n.lps; l != nil && dst.lp != ep.lp {
+	if dst.lp != ep.lp {
 		// Cross-LP: park the fully-drawn delivery in the sender's outbox;
 		// the boundary exchange schedules it on the destination engine.
 		// The receiver counts GrayDelayed at arrival (d.gray) because its
@@ -888,7 +855,9 @@ func (ep *Endpoint) deliverOnce(dst *Endpoint, pkt Packet, latency time.Duration
 		if pkt.Multicast() {
 			pkt.buf.refs++
 		}
-		l.enqueue(ep.lp, dst.lp, outMsg{
+		out := n.lps.out[ep.lp]
+		b := int(dst.lp) % n.lps.buckets
+		out[b] = append(out[b], outMsg{
 			at: ep.eng.Now() + latency, dst: dst, pkt: pkt,
 			loss: loss, fl: fl, gray: grayDst,
 		})
@@ -942,7 +911,8 @@ type pools struct {
 	// back[b] lists the holds on other LPs' buffers that this LP's loose
 	// records let go of, for the worker of exchange bucket b, which owns the
 	// buffers' LPs, to settle at the next boundary (DrainCross); bucket is
-	// this LP's own. Partitioned mode only.
+	// this LP's own. Only loose records list any, so a one-LP network never
+	// does.
 	back   [][]hold
 	bucket int
 	// fan is the scratch receiver list a UnicastAll fills and sends over.
@@ -966,12 +936,7 @@ func (p *pools) decoder() *wire.Decoder {
 }
 
 // pool returns the free lists of LP lp.
-func (n *Network) pool(lp int32) *pools {
-	if l := n.lps; l != nil {
-		return &l.pools[lp]
-	}
-	return &n.free
-}
+func (n *Network) pool(lp int32) *pools { return &n.lps.pools[lp] }
 
 // newBuf copies payload into a buffer from the free lists of the endpoint's
 // LP, with the packet's tail and no holders yet.
@@ -1132,8 +1097,7 @@ func (d *delivery) arrive(dst *Endpoint) {
 	// fixed order corrupt → truncate → (handler) → replay → stale —
 	// and only when the composed probability is nonzero, so scenarios
 	// without adversarial profiles replay bit-identically. All draws
-	// come from the engine the delivery fires on — the receiver's LP
-	// engine in partitioned mode.
+	// come from the engine the delivery fires on: the receiver's LP's.
 	if d.loss > 0 && eng.Rand().Float64() < d.loss {
 		dst.stats.Dropped++
 		return

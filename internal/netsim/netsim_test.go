@@ -182,14 +182,49 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestWANByteAccounting counts a unicast's bytes across data centers on its
+// sender's LP: built serially and partitioned one LP per DC, the network
+// delivers the same packets, reports the same WANBytes and 0 after
+// ResetStats, which bench/perf calls on a partitioned network before every
+// tree-churn region.
+//
+// Mutant: WANBytes reads only LP 0's counter.
+// Mutant: ResetStats clears only LP 0's counter.
 func TestWANByteAccounting(t *testing.T) {
-	eng, n := newNet(t, topology.MultiDC(2, 1, 2)) // hosts 0,1 DC0; 2,3 DC1
-	n.Endpoint(2).SetHandler(func(pkt Packet) {})
-	n.Endpoint(0).Unicast(2, make([]byte, 72)) // 100 on wire
-	n.Endpoint(0).Unicast(1, make([]byte, 72)) // intra-DC
-	eng.RunAll()
-	if n.WANBytes() != 100 {
-		t.Fatalf("WANBytes = %d, want 100", n.WANBytes())
+	for _, partitioned := range []bool{false, true} {
+		top := topology.MultiDC(2, 1, 2) // hosts 0,1 DC0; 2,3 DC1
+		engs := []*sim.Engine{sim.NewEngine(1)}
+		n := New(engs[0], top)
+		if partitioned {
+			part := top.LPPartition()
+			if part.NumLPs() != 2 {
+				t.Fatalf("partition has %d LPs, want one per DC", part.NumLPs())
+			}
+			engs = append(engs, sim.NewEngine(2))
+			n.EnablePartition(part.LPOf, engs, 1)
+		}
+		recv := 0
+		n.Endpoint(1).SetHandler(func(pkt Packet) { recv++ })
+		n.Endpoint(2).SetHandler(func(pkt Packet) { recv++ })
+		n.Endpoint(0).Unicast(2, make([]byte, 72)) // 100 on wire
+		n.Endpoint(0).Unicast(1, make([]byte, 72)) // intra-DC
+		n.Endpoint(3).Unicast(1, make([]byte, 22)) // 50 on wire, on DC1's LP
+		for _, eng := range engs {
+			eng.RunAll()
+		}
+		if partitioned {
+			n.DrainCross(0, 0)
+			for _, eng := range engs {
+				eng.RunAll()
+			}
+		}
+		if recv != 3 || n.WANBytes() != 150 {
+			t.Fatalf("partitioned %v: %d delivered, WANBytes = %d, want 3 and 150", partitioned, recv, n.WANBytes())
+		}
+		n.ResetStats()
+		if n.WANBytes() != 0 || n.TotalStats() != (Stats{}) {
+			t.Fatalf("partitioned %v: after ResetStats WANBytes = %d, stats %+v, want zero", partitioned, n.WANBytes(), n.TotalStats())
+		}
 	}
 }
 

@@ -7,20 +7,21 @@ import (
 	"repro/internal/sim"
 )
 
-// Partitioned (parsim) mode. The network is split along the topology's LP
-// partition: every endpoint sends and receives on its LP's engine, and the
-// only cross-LP communication is timestamped outMsg records parked in
-// per-sender outboxes, drained by the parsim coordinator at window
-// boundaries. Within a lookahead window no worker goroutine touches another
-// LP's mutable state; everything a sender reads about a remote endpoint
-// (gray lag, published subscriptions) is frozen between boundaries. See
-// docs/PARSIM.md for the full ownership table and the determinism contract.
+// The network is split along an LP partition: every endpoint sends and
+// receives on its LP's engine, and the only cross-LP communication is
+// timestamped outMsg records parked in per-sender outboxes, drained by the
+// parsim coordinator at window boundaries. Within a lookahead window no
+// worker goroutine touches another LP's mutable state; everything a sender
+// reads about a remote endpoint (gray lag, published subscriptions) is frozen
+// between boundaries. A serial network is the partition of one: one LP, no
+// outbox ever written, no coordinator. See docs/PARSIM.md for the full
+// ownership table and the determinism contract.
 
 // outMsg is one cross-LP delivery, fully drawn at send time on the sender's
 // engine (jitter, duplication, gray lag) with receiver-side draws (loss,
 // byte faults) deferred to the destination engine at Fire time — the same
-// split the serial network uses, so -lps 1 and -lps K consume RNG streams
-// identically.
+// split a copy that stays on its LP makes, so -lps 1 and -lps K consume RNG
+// streams identically.
 type outMsg struct {
 	at   time.Duration // absolute arrival time (pre-clamp)
 	dst  *Endpoint
@@ -30,10 +31,8 @@ type outMsg struct {
 	gray bool // count GrayDelayed at the receiver on arrival
 }
 
-// lpNet is the partitioned-mode state hanging off Network.lps.
+// lpNet is the per-LP state hanging off Network.lps.
 type lpNet struct {
-	lpOf []int // host -> LP (each endpoint holds its LP's engine)
-
 	// out[src][b] holds messages sent by LP src to any LP owned by worker
 	// b (dstLP % buckets == b). Only src's worker appends during a window;
 	// only worker b drains at the boundary. Bucketing by destination worker
@@ -43,23 +42,26 @@ type lpNet struct {
 	buckets int
 
 	pools []pools              // per-LP free lists
-	fans  []map[fanKey]*fanout // per-LP fan-out caches
-	wan   []uint64             // per-LP WAN byte counters
+	fans  []map[fanKey]*fanout // per-LP fan-out caches (Endpoint.fanoutFor)
+	wan   []uint64             // per-LP bytes sent across data centers
 
 	// subEpoch[lp] invalidates lp's own fan-outs on local Join/Leave;
 	// pubEpoch invalidates everyone's when any LP republishes snapshots.
 	// pubEpoch only changes between windows (deterministically: it is
 	// driven by dirty-endpoint counts, which the event streams determine).
+	// A one-LP network has no coordinator to publish: its dirty list holds
+	// each endpoint that ever joined a channel once, and its epoch stays 0.
 	subEpoch []uint64
 	pubEpoch uint64
 	dirty    [][]*Endpoint // per-LP endpoints with unpublished sub changes
 }
 
-// EnablePartition switches the network into partitioned mode: host h lives
-// on engs[lpOf[h]], and cross-LP sends queue into buckets drained by
-// `buckets` workers (worker b owns LPs with lp%buckets == b). Must be
-// called before any traffic; the serial engine passed to New is no longer
-// used for scheduling afterwards.
+// EnablePartition lays the network out over len(engs) LPs: host h lives on
+// engs[lpOf[h]], and cross-LP sends queue into buckets drained by `buckets`
+// workers (worker b owns LPs with lp%buckets == b). New lays a serial
+// network through it as one LP on its engine; a partitioned run calls it
+// again, before any traffic, and that engine is no longer used for
+// scheduling afterwards.
 func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 	if len(lpOf) != len(n.eps) {
 		panic(fmt.Sprintf("netsim: partition over %d hosts, network has %d", len(lpOf), len(n.eps)))
@@ -69,7 +71,6 @@ func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 	}
 	p := len(engs)
 	l := &lpNet{
-		lpOf:     lpOf,
 		buckets:  buckets,
 		out:      make([][][]outMsg, p),
 		pools:    make([]pools, p),
@@ -88,16 +89,8 @@ func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 		l.pools[lp].hosts++
 		ep.lp = int32(lp)
 		ep.eng = engs[lp]
-		ep.pubSubs = make(map[ChannelID]bool)
 	}
 	n.lps = l
-}
-
-// enqueue parks one cross-LP message in the sender's outbox. Called only by
-// the owner of src during its window.
-func (l *lpNet) enqueue(src, dst int32, m outMsg) {
-	b := int(dst) % l.buckets
-	l.out[src][b] = append(l.out[src][b], m)
 }
 
 // DrainCross first settles the holds every LP gave back on the buffers of
@@ -165,6 +158,9 @@ func (n *Network) PublishSubs(lp int) int {
 	l := n.lps
 	d := l.dirty[lp]
 	for _, ep := range d {
+		if ep.pubSubs == nil {
+			ep.pubSubs = make(map[ChannelID]bool)
+		}
 		clear(ep.pubSubs)
 		for ch := range ep.subs {
 			ep.pubSubs[ch] = true

@@ -646,8 +646,8 @@ func TestBurstPoolHighWater(t *testing.T) {
 		n.Endpoint(topology.HostID(i*10)).Multicast(3, ttl, payload)
 	}
 	eng.RunAll()
-	if big := 64 << 10; burst*big <= bufBudget || n.free.bytes > bufBudget || n.free.bytes < bufBudget-big {
-		t.Fatalf("free send buffers hold %d bytes after a %d-byte burst, want at most the budget, %d, and near it", n.free.bytes, burst*big, bufBudget)
+	if big := 64 << 10; burst*big <= bufBudget || n.pool(0).bytes > bufBudget || n.pool(0).bytes < bufBudget-big {
+		t.Fatalf("free send buffers hold %d bytes after a %d-byte burst, want at most the budget, %d, and near it", n.pool(0).bytes, burst*big, bufBudget)
 	}
 	if recv != burst*399 {
 		t.Fatalf("%d copies delivered, want %d", recv, burst*399)
@@ -660,7 +660,7 @@ func TestBurstPoolHighWater(t *testing.T) {
 		n.Endpoint(0).Multicast(3, ttl, []byte("beat"))
 		eng.RunAll()
 	}
-	if n.free.bytes != bufMin {
-		t.Fatalf("free send buffers hold %d bytes two trim periods after the burst, want the one beat's %d", n.free.bytes, bufMin)
+	if n.pool(0).bytes != bufMin {
+		t.Fatalf("free send buffers hold %d bytes two trim periods after the burst, want the one beat's %d", n.pool(0).bytes, bufMin)
 	}
 }

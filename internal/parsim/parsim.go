@@ -2,7 +2,6 @@ package parsim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/netsim"
@@ -27,16 +26,13 @@ type Config struct {
 	// LPs {i : i % Workers == w}. 1 runs everything inline on the caller's
 	// goroutine with no synchronization at all.
 	Workers int
-	// Seed seeds the coordinator's own engine: the Scheduler.Rand stream
-	// used by boundary actions such as chaos timelines.
-	Seed int64
 }
 
 // Coordinator drives one conservative windowed run. It implements
 // sim.Scheduler so chaos environments and harness timelines install into a
-// partitioned run unchanged: its clock, RNG and boundary actions are one
-// private engine, whose events run between windows, when no worker goroutine
-// is running.
+// partitioned run unchanged: its clock and boundary actions are one private
+// engine, whose events run between windows, when no worker goroutine is
+// running. Nothing draws from that engine's RNG.
 type Coordinator struct {
 	eng       *sim.Engine // boundary actions; its clock is the last window boundary
 	engs      []*sim.Engine
@@ -78,7 +74,7 @@ func New(cfg Config) *Coordinator {
 		w = len(cfg.Engines)
 	}
 	return &Coordinator{
-		eng:       sim.NewEngine(cfg.Seed),
+		eng:       sim.NewEngine(0),
 		engs:      cfg.Engines,
 		net:       cfg.Net,
 		lookahead: cfg.Lookahead,
@@ -94,10 +90,6 @@ func New(cfg Config) *Coordinator {
 // windows every engine clock equals it.
 func (c *Coordinator) Now() time.Duration { return c.eng.Now() }
 
-// Rand returns the coordinator's own deterministic stream, independent of
-// every LP's.
-func (c *Coordinator) Rand() *rand.Rand { return c.eng.Rand() }
-
 // Schedule runs fn at Now()+delay, between windows. The timer cancels like
 // any engine timer.
 func (c *Coordinator) Schedule(delay time.Duration, fn func()) *sim.Timer {
@@ -109,21 +101,10 @@ func (c *Coordinator) ScheduleAt(at time.Duration, fn func()) *sim.Timer {
 	return c.eng.ScheduleAt(at, fn)
 }
 
-// ScheduleCall runs the callback at Now()+delay, between windows.
-func (c *Coordinator) ScheduleCall(delay time.Duration, cb sim.Callback) {
-	c.eng.ScheduleCall(delay, cb)
-}
-
 var _ sim.Scheduler = (*Coordinator)(nil)
 
 // EngineOf returns LP lp's engine.
 func (c *Coordinator) EngineOf(lp int) *sim.Engine { return c.engs[lp] }
-
-// NumLPs returns the LP count.
-func (c *Coordinator) NumLPs() int { return len(c.engs) }
-
-// Workers returns the effective worker count.
-func (c *Coordinator) Workers() int { return c.workers }
 
 // Steps sums executed events across all LPs; boundary actions are not
 // simulation events and do not count.

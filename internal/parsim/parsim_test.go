@@ -27,7 +27,7 @@ func rig(t testing.TB, groups, perGroup, workers int) (*Coordinator, *netsim.Net
 	}
 	net := netsim.New(engs[0], top)
 	net.EnablePartition(part.LPOf, engs, workers)
-	c := New(Config{Engines: engs, Net: net, Lookahead: part.Lookahead, Workers: workers, Seed: 99})
+	c := New(Config{Engines: engs, Net: net, Lookahead: part.Lookahead, Workers: workers})
 	return c, net, part
 }
 
@@ -42,7 +42,7 @@ func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 		if c.Now() != at {
 			t.Errorf("%s ran at %v, want %v", tag, c.Now(), at)
 		}
-		for lp := 0; lp < c.NumLPs(); lp++ {
+		for lp := 0; lp < len(c.engs); lp++ {
 			if got := c.EngineOf(lp).Now(); got != at {
 				t.Errorf("%s: LP %d clock %v, want %v", tag, lp, got, at)
 			}
@@ -75,7 +75,7 @@ func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 	if c.Now() != 10*time.Millisecond {
 		t.Fatalf("final Now %v", c.Now())
 	}
-	for lp := 0; lp < c.NumLPs(); lp++ {
+	for lp := 0; lp < len(c.engs); lp++ {
 		if got := c.EngineOf(lp).Now(); got != 10*time.Millisecond {
 			t.Fatalf("LP %d final clock %v", lp, got)
 		}

@@ -103,8 +103,8 @@ func (c *CutDetector) FirstDown(subject membership.NodeID) time.Duration {
 	return -1
 }
 
-// Count returns the number of distinct observers currently accusing subject.
-func (c *CutDetector) Count(subject membership.NodeID) int {
+// count returns the number of distinct observers currently accusing subject.
+func (c *CutDetector) count(subject membership.NodeID) int {
 	if s := c.subjects.Get(subject); s != nil {
 		return len(s.reports)
 	}

@@ -35,8 +35,8 @@ func TestCutSingleFailure(t *testing.T) {
 	if fd := c.FirstDown(subject); fd != 0 {
 		t.Fatalf("FirstDown = %v, want 0 (oldest live report)", fd)
 	}
-	if c.Count(subject) != 8 {
-		t.Fatalf("Count = %d, want 8", c.Count(subject))
+	if c.count(subject) != 8 {
+		t.Fatalf("Count = %d, want 8", c.count(subject))
 	}
 }
 
@@ -102,8 +102,8 @@ func TestCutFlappingReporter(t *testing.T) {
 	// A second, steady accuser must not be erased by the flapper's UPs.
 	c.Down(subject, membership.NodeID(7), 40*time.Second)
 	c.Up(subject, flapper, 41*time.Second)
-	if c.Count(subject) != 1 {
-		t.Fatalf("steady accuser lost: count=%d", c.Count(subject))
+	if c.count(subject) != 1 {
+		t.Fatalf("steady accuser lost: count=%d", c.count(subject))
 	}
 }
 

@@ -285,10 +285,6 @@ func (n *Node) Running() bool { return n.running }
 // ConfigSeq returns the installed configuration's sequence number.
 func (n *Node) ConfigSeq() uint64 { return n.configSeq }
 
-// Members returns the installed configuration's member list (shared slice;
-// callers must not mutate).
-func (n *Node) Members() []membership.NodeID { return n.members }
-
 // isMember reports whether id is in the installed configuration.
 func (n *Node) isMember(id membership.NodeID) bool {
 	p := n.peers.Get(id)

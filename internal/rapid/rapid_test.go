@@ -70,7 +70,7 @@ func TestRapidEvictionAndRejoin(t *testing.T) {
 		if n.Directory().Has(victim.ID()) {
 			t.Fatalf("node %v still lists the dead node", n.ID())
 		}
-		for _, m := range n.Members() {
+		for _, m := range n.members {
 			if m == victim.ID() {
 				t.Fatalf("node %v's configuration still contains the dead node", n.ID())
 			}
@@ -143,15 +143,15 @@ func TestRapidMinorityCannotEvict(t *testing.T) {
 		if n.ConfigSeq() < 2 {
 			t.Fatalf("majority node %v never evicted the partitioned group", n.ID())
 		}
-		if len(n.Members()) != 10 {
-			t.Fatalf("majority node %v has %d members, want 10", n.ID(), len(n.Members()))
+		if len(n.members) != 10 {
+			t.Fatalf("majority node %v has %d members, want 10", n.ID(), len(n.members))
 		}
 	}
 	top.RepairLink(sw0.ID, core.ID)
 	eng.Run(eng.Now() + 30*time.Second)
 	for _, n := range nodes {
-		if len(n.Members()) != len(nodes) {
-			t.Fatalf("node %v has %d members after heal, want %d", n.ID(), len(n.Members()), len(nodes))
+		if len(n.members) != len(nodes) {
+			t.Fatalf("node %v has %d members after heal, want %d", n.ID(), len(n.members), len(nodes))
 		}
 		if n.Directory().Len() != len(nodes) {
 			t.Fatalf("node %v sees %d records after heal, want %d", n.ID(), n.Directory().Len(), len(nodes))
@@ -567,7 +567,7 @@ func TestRapidGuardsOutliveSessions(t *testing.T) {
 		gone = nodes[13].ID()
 	}
 	next := &wire.RapidView{Seq: observer.ConfigSeq() + 1, Proposer: proposer.ID()}
-	for _, m := range observer.Members() {
+	for _, m := range observer.members {
 		if m != gone {
 			next.Members = append(next.Members, m)
 		}
@@ -617,7 +617,7 @@ func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
 	}
 	// received is configuration seq as it comes off the wire at n.
 	received := func(n *Node, seq uint64, infos ...membership.MemberInfo) *wire.RapidView {
-		v := &wire.RapidView{Seq: seq, Proposer: proposer, Members: n.Members()}
+		v := &wire.RapidView{Seq: seq, Proposer: proposer, Members: n.members}
 		for _, info := range infos {
 			v.Infos.Append(info)
 		}

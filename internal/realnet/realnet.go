@@ -41,9 +41,9 @@ type Hub struct {
 	lossState    uint64
 }
 
-// SetLossProbability injects independent per-receiver packet drops at the
+// setLossProbability injects independent per-receiver packet drops at the
 // hub (0 disables). Resolution is 0.1%.
-func (h *Hub) SetLossProbability(p float64) {
+func (h *Hub) setLossProbability(p float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if p < 0 {
@@ -204,12 +204,11 @@ type Endpoint struct {
 	closed chan struct{}
 	wg     sync.WaitGroup
 
-	mu       sync.Mutex
-	up       bool
-	subs     map[netsim.ChannelID]bool
-	handler  netsim.Handler
-	rejected uint64
-	out      []byte // the resident frame every send is written from (send)
+	mu      sync.Mutex
+	up      bool
+	subs    map[netsim.ChannelID]bool
+	handler netsim.Handler
+	out     []byte // the resident frame every send is written from (send)
 }
 
 // NewEndpoint creates and registers an endpoint for host id.
@@ -300,22 +299,9 @@ func (ep *Endpoint) Joined(ch netsim.ChannelID) bool {
 	return ep.subs[ch]
 }
 
-// NoteReject implements netsim.Transport: protocol-layer discards are
-// counted so real-socket runs expose the same reject observability as the
-// simulator.
-func (ep *Endpoint) NoteReject() {
-	ep.mu.Lock()
-	ep.rejected++
-	ep.mu.Unlock()
-}
-
-// Rejected returns how many received packets the protocol layer discarded
-// as malformed, stale, or replayed.
-func (ep *Endpoint) Rejected() uint64 {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.rejected
-}
+// NoteReject implements netsim.Transport. It counts nothing: no caller reads
+// a real endpoint's rejects (ROADMAP item 9 decides what this layer keeps).
+func (ep *Endpoint) NoteReject() {}
 
 // send frames payload behind the hub header in the endpoint's resident
 // buffer, under ep.mu, and writes it to the hub, which copies it.

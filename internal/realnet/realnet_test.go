@@ -175,7 +175,7 @@ func TestRealUDPServicePublication(t *testing.T) {
 func TestRealUDPConvergenceUnderLoss(t *testing.T) {
 	top := topology.Clustered(2, 3)
 	c := newRealCluster(t, top, 50*time.Millisecond)
-	c.hub.SetLossProbability(0.05)
+	c.hub.setLossProbability(0.05)
 	c.startAll()
 	c.waitFull(t, 6, 15*time.Second)
 }

@@ -322,9 +322,6 @@ func NewRuntime(cfg Config, eng *sim.Engine, ep netsim.Transport, node Member) *
 // enabled (nil otherwise); tests and the ablation harness inspect it.
 func (r *Runtime) LoadCache() *loadinfo.Cache { return r.loadCache }
 
-// Reporter exposes the provider-side reporter when load push is enabled.
-func (r *Runtime) Reporter() *loadinfo.Reporter { return r.reporter }
-
 // Node returns the underlying membership node.
 func (r *Runtime) Node() Member { return r.node }
 

@@ -309,8 +309,8 @@ func TestLoadPushSkipsPolling(t *testing.T) {
 		t.Fatalf("cached dispatch still sent %d load polls", polls)
 	}
 	// Reporter sees one interested consumer at each provider.
-	if rts[1].Reporter().InterestedCount() != 1 {
-		t.Fatalf("provider 1 interested = %d", rts[1].Reporter().InterestedCount())
+	if rts[1].reporter.InterestedCount() != 1 {
+		t.Fatalf("provider 1 interested = %d", rts[1].reporter.InterestedCount())
 	}
 }
 

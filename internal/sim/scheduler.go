@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Scheduler is the seam between protocol/harness code and whatever drives
 // virtual time. *Engine satisfies it directly; the parsim coordinator
@@ -12,10 +9,8 @@ import (
 // whether the run is serial or partitioned into logical processes.
 type Scheduler interface {
 	Now() time.Duration
-	Rand() *rand.Rand
 	Schedule(delay time.Duration, fn func()) *Timer
 	ScheduleAt(at time.Duration, fn func()) *Timer
-	ScheduleCall(delay time.Duration, c Callback)
 }
 
 var _ Scheduler = (*Engine)(nil)

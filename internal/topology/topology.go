@@ -180,15 +180,6 @@ func MarkSetOf(bits ...int) MarkSet {
 // Empty reports whether no links are marked on the path.
 func (m MarkSet) Empty() bool { return m.lo == 0 && len(m.hi) == 0 }
 
-// Has reports whether the set contains the given mark bit.
-func (m MarkSet) Has(bit int) bool {
-	if bit < 64 {
-		return m.lo&(1<<uint(bit)) != 0
-	}
-	w := bit/64 - 1
-	return w < len(m.hi) && m.hi[w]&(1<<uint(bit%64)) != 0
-}
-
 // Words exposes the raw bitmap — the inline low word plus the overflow
 // words, where overflow word i carries bits 64+i*64 .. 127+i*64. Callers
 // must not mutate the overflow slice. This is the allocation-free iteration
@@ -244,8 +235,8 @@ func (t *Topology) NumDevices() int { return len(t.devices) }
 // non-empty topology).
 func (t *Topology) NumDataCenters() int { return t.numDC }
 
-// Device returns the device record for id.
-func (t *Topology) Device(id DeviceID) Device { return t.devices[id] }
+// device returns the device record for id.
+func (t *Topology) device(id DeviceID) Device { return t.devices[id] }
 
 // HostDevice returns the device record backing host h.
 func (t *Topology) HostDevice(h HostID) Device { return t.devices[t.hosts[h]] }
@@ -304,13 +295,6 @@ func (t *Topology) RepairDevice(id DeviceID) {
 		delete(t.failed, id)
 		t.epoch++
 	}
-}
-
-// Failed reports whether the device is currently failed.
-func (t *Topology) Failed(id DeviceID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.failed[id]
 }
 
 // FailLink cuts the link between two devices (e.g. a group switch's uplink,

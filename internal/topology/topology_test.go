@@ -176,8 +176,8 @@ func TestDeviceFailurePartitions(t *testing.T) {
 	if got := top.MinTTL(0, 3); got != 2 {
 		t.Fatalf("post-repair MinTTL(0,3) = %d, want 2", got)
 	}
-	if !top.Failed(sw0.ID) == false && top.Failed(sw0.ID) {
-		t.Fatal("Failed should be false after repair")
+	if top.failed[sw0.ID] {
+		t.Fatal("sw0 still failed after repair")
 	}
 }
 
@@ -262,7 +262,7 @@ func TestHostNaming(t *testing.T) {
 	// dense and follow the order the hosts were added in.
 	multi, next := MultiDC(3, 2, 3), HostID(0)
 	for id := DeviceID(0); id < DeviceID(multi.NumDevices()); id++ {
-		d := multi.Device(id)
+		d := multi.device(id)
 		if d.Kind != KindHost {
 			if d.Host != NoHost {
 				t.Fatalf("%s %s has host ID %d", d.Kind, d.Name, d.Host)
