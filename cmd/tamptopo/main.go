@@ -6,7 +6,6 @@
 // Usage:
 //
 //	tamptopo -topo clustered -groups 5 -pergroup 20
-//	tamptopo -topo threetier -pods 2 -racks 3 -pergroup 4
 //	tamptopo -topo figure4
 package main
 
@@ -30,11 +29,9 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
 // usage.
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("tamptopo", flag.ContinueOnError)
-	topoName := fs.String("topo", "clustered", "topology: flat, clustered, threetier, figure4")
+	topoName := fs.String("topo", "clustered", "topology: flat, clustered, figure4")
 	groups := fs.Int("groups", 3, "networks (clustered) ")
-	perGroup := fs.Int("pergroup", 5, "hosts per network/rack")
-	pods := fs.Int("pods", 2, "pods (threetier)")
-	racks := fs.Int("racks", 2, "racks per pod (threetier)")
+	perGroup := fs.Int("pergroup", 5, "hosts per network")
 	settle := fs.Duration("settle", 30*time.Second, "virtual time to let the tree form")
 	seed := fs.Int64("seed", 42, "RNG seed")
 	if err := fs.Parse(args); err != nil {
@@ -50,8 +47,6 @@ func run(args []string, out io.Writer) int {
 		top = topology.FlatLAN(*perGroup)
 	case "clustered":
 		top = topology.Clustered(*groups, *perGroup)
-	case "threetier":
-		top = topology.ThreeTier(*pods, *racks, *perGroup)
 	case "figure4":
 		top = topology.Figure4(*perGroup)
 	default:

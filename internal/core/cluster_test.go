@@ -295,22 +295,6 @@ func TestRestartBumpsIncarnation(t *testing.T) {
 	c.fullView(t, "after restart")
 }
 
-func TestThreeTierThreeLevels(t *testing.T) {
-	top := topology.ThreeTier(2, 2, 3) // diameter 4
-	c := newCluster(top, cfgFor(top))
-	c.startAll()
-	c.run(25 * time.Second)
-	c.fullView(t, "three tier")
-	// Node 0 should lead its rack (level 0) and climb the tree.
-	if !c.nodes[0].IsLeader(0) {
-		t.Error("node 0 should lead its rack group")
-	}
-	levels := c.nodes[0].Levels()
-	if len(levels) < 2 {
-		t.Errorf("node 0 joined levels %v, want at least 2", levels)
-	}
-}
-
 func TestStopIsIdempotentAndStartAfterStop(t *testing.T) {
 	top := topology.FlatLAN(3)
 	c := newCluster(top, cfgFor(top))

@@ -40,7 +40,6 @@ var testOnlyExports = map[string]string{
 	"topology.Random":                    "core: TestPropertyRandomTopologyConvergence",
 	"topology.Topology.MinTTL":           "topology: TestFigure4NonTransitive",
 	"topology.Topology.MulticastLatency": "topology: TestScopeLatencies",
-	"traffic.Layer.Closed":               "traffic: TestRequestBudgetClosesSessions",
 }
 
 // TestExportCensus holds the module's test-only exports to the census, as an
@@ -74,7 +73,7 @@ func TestExportCensus(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	if limit := 27; len(testOnlyExports) > limit {
+	if limit := 21; len(testOnlyExports) > limit {
 		t.Errorf("testOnlyExports has %d rows, more than the %d it was cut to: %s", len(testOnlyExports), limit, rule)
 	}
 }

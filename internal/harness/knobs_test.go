@@ -55,12 +55,6 @@ var knobs = map[string]string{
 	"traffic.Options.Think":      "bench/perf/sim.go: a minute; harness/traffic.go: default",
 	"traffic.Options.OpenOver":   "bench/perf/sim.go: its ramp; harness/traffic.go: default",
 	"traffic.Options.HedgeAfter": "harness/traffic.go: the traffic-hedge variants",
-	// The retry family goes with TrafficStats.AbandonedSessions, which the
-	// frozen bench/perf prints into the sessions workload's sim_digest.
-	"traffic.Options.RequestsPerSession": "fence: tests only; waits for the [benchmark] PR (ROADMAP item 12)",
-	"traffic.Options.BackoffBase":        "fence: tests only; waits for the [benchmark] PR (ROADMAP item 12)",
-	"traffic.Options.BackoffMax":         "fence: tests only; waits for the [benchmark] PR (ROADMAP item 12)",
-	"traffic.Options.GiveUpAfter":        "fence: tests only; waits for the [benchmark] PR (ROADMAP item 12)",
 
 	"core.Config.BaseChannel":       "mservice config file (MCAST_PORT); deployment address",
 	"core.Config.ChannelOverride":   "deployment address",
@@ -143,8 +137,8 @@ func TestKnobCensus(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	// The census went 157 -> 104 -> 87 -> 77 -> 66 -> 65; the table only shrinks.
-	if len(knobs) > 65 {
-		t.Errorf("the knobs table has %d rows, more than the 65 it was cut to: %s", len(knobs), rule)
+	// The census went 157 -> 104 -> 87 -> 77 -> 66 -> 65 -> 61; the table only shrinks.
+	if len(knobs) > 61 {
+		t.Errorf("the knobs table has %d rows, more than the 61 it was cut to: %s", len(knobs), rule)
 	}
 }

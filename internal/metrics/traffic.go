@@ -51,13 +51,6 @@ type TrafficStats struct {
 	// runs only).
 	Relayed uint64 `json:"relayed,omitempty"`
 
-	// AbandonedSessions counts sessions whose client gave up entirely: with
-	// retry backoff enabled (traffic.Options.GiveUpAfter > 0), a session
-	// that stays unroutable or failing past the give-up horizon closes and
-	// never comes back — lost users, the harshest staleness cost. Zero when
-	// backoff is off (the default).
-	AbandonedSessions uint64 `json:"abandoned_sessions,omitempty"`
-
 	// HedgedRequests counts requests that sent a duplicate leg to a second
 	// replica after traffic.Options.HedgeAfter of silence; HedgeWins counts
 	// those the duplicate resolved first. Zero when hedging is off (the
@@ -72,9 +65,6 @@ func (t TrafficStats) String() string {
 		t.Requests, t.OK, t.Misrouted, t.Migrations, t.ReqP99, t.ReqP999)
 	if t.Relayed > 0 {
 		s += fmt.Sprintf(" relayed=%d", t.Relayed)
-	}
-	if t.AbandonedSessions > 0 {
-		s += fmt.Sprintf(" abandoned=%d", t.AbandonedSessions)
 	}
 	if t.HedgedRequests > 0 {
 		s += fmt.Sprintf(" hedged=%d wins=%d", t.HedgedRequests, t.HedgeWins)

@@ -143,8 +143,8 @@ func TestRingsDeterministicAndCovering(t *testing.T) {
 	type edge struct{ o, s membership.NodeID }
 	fromObs, fromSub := map[edge]bool{}, map[edge]bool{}
 	for _, self := range members {
-		obs, subs := deriveRings(7, 8, members, self)
-		obs2, subs2 := deriveRings(7, 8, members, self)
+		obs, subs := deriveRingsDC(7, 8, members, self, nil)
+		obs2, subs2 := deriveRingsDC(7, 8, members, self, nil)
 		if len(obs) != len(obs2) || len(subs) != len(subs2) {
 			t.Fatal("derivation not deterministic")
 		}
@@ -176,8 +176,8 @@ func TestRingsDeterministicAndCovering(t *testing.T) {
 	// A different configuration sequence must reshuffle the overlay.
 	same := true
 	for _, self := range members[:4] {
-		a, _ := deriveRings(7, 8, members, self)
-		b, _ := deriveRings(8, 8, members, self)
+		a, _ := deriveRingsDC(7, 8, members, self, nil)
+		b, _ := deriveRingsDC(8, 8, members, self, nil)
 		if len(a) != len(b) {
 			same = false
 			break

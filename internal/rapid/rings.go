@@ -52,26 +52,23 @@ func ringSeed(seq uint64, ring int, members []membership.NodeID) uint64 {
 	return h
 }
 
-// deriveRings computes self's edge sets in the K-ring overlay of
+// deriveRingsDC computes self's edge sets in the K-ring overlay of
 // configuration seq: observers is who monitors self (the targets of its
 // beats), subjects is who self monitors. Both come back sorted and
 // deduplicated (distinct rings can repeat an edge), and never contain self.
 // members must be sorted; k is clamped to len(members)-1.
-func deriveRings(seq uint64, k int, members []membership.NodeID, self membership.NodeID) (observers, subjects []membership.NodeID) {
-	return deriveRingsDC(seq, k, members, self, nil)
-}
-
-// deriveRingsDC is deriveRings with an optional locality hint. With a nil
-// dcOf every ring is a global permutation. Otherwise ring 0 stays global —
-// it alone guarantees the overlay is one connected expander, so a whole-DC
-// failure is still observed from outside — while rings 1..k-1 cycle within
-// each data center, keeping K-1 of every member's K monitoring edges (and
-// their steady heartbeat load) off the WAN links. Members whose DC has no
-// other member pool into a shared remainder cycle so nobody loses rings.
 //
-// Like the global derivation this is a pure function of (seq, ring, member
-// list) plus dcOf — which must be the same pure function at every node — so
-// all members still agree on the edges with no negotiation.
+// dcOf is an optional locality hint. With a nil dcOf every ring is a global
+// permutation. Otherwise ring 0 stays global — it alone guarantees the
+// overlay is one connected expander, so a whole-DC failure is still observed
+// from outside — while rings 1..k-1 cycle within each data center, keeping
+// K-1 of every member's K monitoring edges (and their steady heartbeat load)
+// off the WAN links. Members whose DC has no other member pool into a shared
+// remainder cycle so nobody loses rings.
+//
+// The edges are a pure function of (seq, ring, member list) plus dcOf —
+// which must be the same pure function at every node — so all members agree
+// on them with no negotiation.
 func deriveRingsDC(seq uint64, k int, members []membership.NodeID, self membership.NodeID, dcOf func(membership.NodeID) int) (observers, subjects []membership.NodeID) {
 	n := len(members)
 	if n < 2 {

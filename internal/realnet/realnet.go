@@ -30,9 +30,8 @@ type Hub struct {
 	subs  map[topology.HostID]map[netsim.ChannelID]bool
 	up    map[topology.HostID]bool
 
-	closed  chan struct{}
-	wg      sync.WaitGroup
-	dropped uint64
+	closed chan struct{}
+	wg     sync.WaitGroup
 
 	// loss injects independent per-receiver drops at the hub, mirroring
 	// netsim's loss model over the real transport. Stored as per-mille to
@@ -149,7 +148,6 @@ func (h *Hub) serve() {
 			}
 		}
 		if n < headerLen {
-			h.dropped++
 			continue
 		}
 		kind := buf[0]
@@ -185,8 +183,6 @@ func (h *Hub) serve() {
 					h.conn.WriteToUDP(frame, addr)
 				}
 			}
-		default:
-			h.dropped++
 		}
 		h.mu.Unlock()
 	}

@@ -154,27 +154,6 @@ func Clustered(groups, perGroup int) *Topology {
 	return b.MustBuild()
 }
 
-// ThreeTier builds pods of racks of hosts: hosts at TTL 1 within a rack,
-// TTL 2 within a pod (one router), TTL 3 across pods (two routers via the
-// core). This exercises a three-level membership tree.
-func ThreeTier(pods, racksPerPod, hostsPerRack int) *Topology {
-	b := NewBuilder()
-	core := b.Router("core", 0)
-	for p := 0; p < pods; p++ {
-		pr := b.Router(fmt.Sprintf("pod%d", p), 0)
-		b.Link(pr, core, DefaultLANLatency)
-		for r := 0; r < racksPerPod; r++ {
-			sw := b.Switch(fmt.Sprintf("p%dr%d", p, r), 0)
-			b.Link(sw, pr, DefaultLANLatency)
-			for i := 0; i < hostsPerRack; i++ {
-				h := b.Host(fmt.Sprintf("p%dr%dn%02d", p, r, i), 0)
-				b.Link(h, sw, DefaultLANLatency)
-			}
-		}
-	}
-	return b.MustBuild()
-}
-
 // Figure4 builds the paper's Figure 4 example, a general topology where TTL
 // distance is not transitive: hosts A, B, C (each with extraPerSeg-1 local
 // companions) sit behind their own switches, arranged so that

@@ -29,7 +29,6 @@
 //   - FlatLAN(n): n hosts on one switch (a single TTL-1 group).
 //   - Clustered(groups, perGroup): the paper's §6.2 evaluation layout —
 //     groups of hosts behind switches on one core router.
-//   - ThreeTier: pods of racks of hosts (a three-level membership tree).
 //   - MultiDC: data centers joined by WAN links, for the proxy protocol.
 //   - General/Figure-4 builders: topologies where TTL reachability is not
 //     transitive, exercising the paper's overlapping-group rules.

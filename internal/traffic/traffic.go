@@ -24,24 +24,6 @@ type Options struct {
 	// OpenOver spreads session opens uniformly over this window from Start,
 	// avoiding a synchronized thundering herd.
 	OpenOver time.Duration
-	// RequestsPerSession closes a session after that many resolved
-	// requests; zero keeps every session open until Stop.
-	RequestsPerSession int
-
-	// BackoffBase enables exponential retry backoff: after a session's n-th
-	// consecutive failure it waits min(BackoffBase << (n-1), BackoffMax)
-	// before retrying, instead of the flat one tick. Zero (the default, and
-	// what the matrices use) keeps the flat retry — backoff changes the
-	// probing cadence and therefore every migration quantile, so it is
-	// strictly opt-in.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff delay. Defaults to 8x BackoffBase.
-	BackoffMax time.Duration
-	// GiveUpAfter abandons a session whose consecutive-failure streak has
-	// lasted this long: the client closes and never returns — lost users,
-	// reported as TrafficStats.AbandonedSessions. Zero (default) retries
-	// forever.
-	GiveUpAfter time.Duration
 
 	// HedgeAfter enables request hedging: a pinned request still unresolved
 	// this long after sending gets one duplicate to a different replica,
@@ -87,28 +69,23 @@ func DefaultOptions() Options {
 //	          │ (local view empty, proxy configured)
 //	          ▼
 //	       proxied ──(local replica reappears)──→ pinned
-//	          any ──(request budget exhausted)──→ closed
 const (
 	fMigrating = 1 << iota // lost its pinned home; clock is running
 	fProxied               // routing via the DC proxy relay
-	fClosed                // request budget exhausted
 	fInflight              // a request is outstanding; don't double-issue
 )
 
-// session is one virtual client. Kept flat and small (48 bytes) so a
+// session is one virtual client. Kept flat and small (32 bytes) so a
 // million of them cost one contiguous allocation and no per-session timers.
 type session struct {
 	gw       int32             // gateway runtime index (fixed at open)
 	part     int32             // bound partition (fixed at open)
 	replica  membership.NodeID // pinned home; NoNode forces a re-lookup
 	flags    uint8
-	fails    uint8         // consecutive failures (backoff exponent), saturating
 	gen      uint8         // request generation; a stale leg's completion is dropped
 	legs     uint8         // outstanding legs of the current request (2 when hedged)
-	done     uint32        // resolved requests, for RequestsPerSession
 	sendAt   time.Duration // virtual send time of the outstanding request
 	migStart time.Duration // send time of the first failed request this migration
-	failAt   time.Duration // start of the current failure streak (give-up clock)
 }
 
 // Layer drives a population of virtual client sessions against a running
@@ -148,7 +125,6 @@ type Layer struct {
 	migHist metrics.Histogram
 
 	opened      uint64
-	closed      uint64
 	requests    uint64
 	ok          uint64
 	timeouts    uint64
@@ -157,7 +133,6 @@ type Layer struct {
 	misrouted   uint64
 	migrations  uint64
 	relayed     uint64
-	abandoned   uint64
 	hedged      uint64
 	hedgeWins   uint64
 }
@@ -178,9 +153,6 @@ func New(eng *sim.Engine, opt Options, gws []*service.Runtime, alive func(member
 	if opt.Partitions < 1 {
 		opt.Partitions = 1
 	}
-	if opt.BackoffBase > 0 && opt.BackoffMax <= 0 {
-		opt.BackoffMax = 8 * opt.BackoffBase
-	}
 	if len(gws) == 0 {
 		panic("traffic: no gateway runtimes")
 	}
@@ -195,9 +167,6 @@ func New(eng *sim.Engine, opt Options, gws []*service.Runtime, alive func(member
 	// The wheel must reach the farthest future slot ever scheduled: the
 	// think ceiling plus one tick of slack.
 	horizon := int((3*opt.Think/2)/tick) + 2
-	if r := int(opt.BackoffMax/tick) + 2; r > horizon {
-		horizon = r
-	}
 	if r := int(opt.HedgeAfter/tick) + 2; r > horizon {
 		horizon = r
 	}
@@ -349,7 +318,7 @@ func (l *Layer) candidates(gw, part int32) []membership.NodeID {
 // issue sends one request for session i, routing per its state machine.
 func (l *Layer) issue(i int32) {
 	s := &l.sessions[i]
-	if s.flags&(fClosed|fInflight) != 0 || !l.running {
+	if s.flags&fInflight != 0 || !l.running {
 		return
 	}
 	gw := l.gws[s.gw]
@@ -379,7 +348,6 @@ func (l *Layer) issue(i int32) {
 			l.requests++
 			l.unavailable++
 			l.reqHist.Record(0) // failed fast: no route existed
-			l.noteFailure(s, l.eng.Now())
 			l.resolve(i, false)
 			return
 		}
@@ -411,7 +379,7 @@ func (l *Layer) issue(i int32) {
 // and the first successful leg resolves the request.
 func (l *Layer) hedgeCheck(i int32) {
 	s := &l.sessions[i]
-	if s.flags&fInflight == 0 || s.flags&(fProxied|fClosed) != 0 || s.legs != 1 {
+	if s.flags&fInflight == 0 || s.flags&fProxied != 0 || s.legs != 1 {
 		return
 	}
 	if l.eng.Now()-s.sendAt < time.Duration(l.hedgeTicks)*tick {
@@ -456,7 +424,6 @@ func (l *Layer) complete(i int32, gen uint8, hedge bool, err error) {
 			l.hedgeWins++
 		}
 		l.ok++
-		s.fails = 0
 		if s.flags&fProxied != 0 {
 			l.relayed++
 			// Stay unpinned: each proxied round re-checks the local view so
@@ -481,7 +448,6 @@ func (l *Layer) complete(i int32, gen uint8, hedge bool, err error) {
 	default:
 		l.timeouts++
 	}
-	l.noteFailure(s, s.sendAt)
 	if s.replica != membership.NoNode {
 		// A pinned home failed us: the migration clock starts at the first
 		// failure and runs until the first success somewhere else.
@@ -494,55 +460,16 @@ func (l *Layer) complete(i int32, gen uint8, hedge bool, err error) {
 	l.resolve(i, false)
 }
 
-// noteFailure advances session i's consecutive-failure streak: the give-up
-// clock starts at the streak's first failure and the backoff exponent
-// saturates well below any shift that could overflow.
-func (l *Layer) noteFailure(s *session, at time.Duration) {
-	if s.fails == 0 {
-		s.failAt = at
-	}
-	if s.fails < 30 {
-		s.fails++
-	}
-}
-
-// failTicks is the retry delay after a failure: one tick by default,
-// exponential in the streak length when backoff is enabled.
-func (l *Layer) failTicks(s *session) int {
-	if l.opt.BackoffBase <= 0 || s.fails == 0 {
-		return 1
-	}
-	d := l.opt.BackoffBase << (s.fails - 1)
-	if d <= 0 || d > l.opt.BackoffMax {
-		d = l.opt.BackoffMax
-	}
-	return l.clampTicks(d)
-}
-
-// resolve finishes one request/response round: close the session if its
-// budget is spent (or its client gave up), otherwise schedule the next
-// request.
+// resolve finishes one request/response round: while the layer runs, the
+// session thinks after a success and retries one tick after a failure.
 func (l *Layer) resolve(i int32, ok bool) {
-	s := &l.sessions[i]
-	s.done++
-	if l.opt.RequestsPerSession > 0 && int(s.done) >= l.opt.RequestsPerSession {
-		s.flags |= fClosed
-		l.closed++
-		return
-	}
-	if !ok && l.opt.GiveUpAfter > 0 && s.fails > 0 &&
-		l.eng.Now()-s.failAt >= l.opt.GiveUpAfter {
-		s.flags |= fClosed
-		l.abandoned++
-		return
-	}
 	if !l.running {
 		return
 	}
 	if ok {
 		l.after(i, l.thinkTicks())
 	} else {
-		l.after(i, l.failTicks(s))
+		l.after(i, 1)
 	}
 }
 
@@ -565,11 +492,7 @@ func (l *Layer) Stats() metrics.TrafficStats {
 		ReqP999:     l.reqHist.Quantile(0.999),
 		Relayed:     l.relayed,
 
-		AbandonedSessions: l.abandoned,
-		HedgedRequests:    l.hedged,
-		HedgeWins:         l.hedgeWins,
+		HedgedRequests: l.hedged,
+		HedgeWins:      l.hedgeWins,
 	}
 }
-
-// Closed returns how many sessions exhausted their request budget.
-func (l *Layer) Closed() uint64 { return l.closed }

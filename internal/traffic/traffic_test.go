@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -141,17 +143,37 @@ func TestSessionsMigrateWhenReplicaDies(t *testing.T) {
 	if after.OK == before.OK {
 		t.Fatal("no successful traffic after failover")
 	}
+	l.Stop()
+	f.run(3 * time.Second) // past the 2s request timeout
+	requireResolved(t, l.Stats())
+}
+
+// requireResolved: once the layer is stopped and drained, every request
+// issued has resolved to exactly one outcome.
+func requireResolved(t *testing.T, st metrics.TrafficStats) {
+	t.Helper()
+	if sum := st.OK + st.Timeouts + st.Unavailable + st.Rejected; st.Requests != sum {
+		t.Fatalf("requests=%d, but ok+timeouts+unavailable+rejected=%d: %+v", st.Requests, sum, st)
+	}
 }
 
 func TestUnroutableSessionsCountUnavailable(t *testing.T) {
 	// Sessions bound to a partition nobody hosts fail fast as unavailable
 	// and keep probing without wedging the layer.
 	f := newFixture(t, 3, 1, 1)
-	o := testOptions(10, 4) // partitions 1..3 unhosted
+	o := testOptions(10, 4) // partitions 1..3 unhosted: 7 of the 10 sessions
 	l := New(f.eng, o, f.runtimes[:1], f.alive)
 	l.Start()
 	f.run(20 * time.Second)
 	st := l.Stats()
+	// Each unroutable session retries once a tick, flat: over a window of
+	// ten ticks (started halfway between two) it fails exactly ten times.
+	f.run(tick / 2)
+	from := l.Stats().Unavailable
+	f.run(10 * tick)
+	if got := l.Stats().Unavailable - from; got != 7*10 {
+		t.Fatalf("%d unavailable requests in ten ticks, want one per unroutable session per tick (70)", got)
+	}
 	if st.Unavailable == 0 {
 		t.Fatal("no unavailable requests recorded for unhosted partitions")
 	}
@@ -161,25 +183,9 @@ func TestUnroutableSessionsCountUnavailable(t *testing.T) {
 	if st.Migrations != 0 {
 		t.Fatalf("never-pinned sessions cannot migrate, got %d", st.Migrations)
 	}
-}
-
-func TestRequestBudgetClosesSessions(t *testing.T) {
-	f := newFixture(t, 4, 2, 2)
-	o := testOptions(25, 2)
-	o.RequestsPerSession = 3
-	l := New(f.eng, o, f.runtimes[:1], f.alive)
-	l.Start()
-	f.run(30 * time.Second)
-	st := l.Stats()
-	if l.Closed() != 25 {
-		t.Fatalf("closed %d of 25 sessions", l.Closed())
-	}
-	if st.Requests != 75 {
-		t.Fatalf("requests = %d, want exactly 25*3", st.Requests)
-	}
-	if st.OK != 75 {
-		t.Fatalf("ok = %d, want 75", st.OK)
-	}
+	l.Stop()
+	f.run(3 * time.Second) // past the 2s request timeout
+	requireResolved(t, l.Stats())
 }
 
 func TestStopHaltsIssue(t *testing.T) {
@@ -222,56 +228,6 @@ func TestRestartKeepsOneTickChain(t *testing.T) {
 	l.Start()
 	if got := ticksOver(window); got != 10 {
 		t.Fatalf("%d ticks in %v after a restart, want 10", got, window)
-	}
-}
-
-func TestBackoffSlowsFailedRetries(t *testing.T) {
-	// Same fault, same window: sessions with exponential backoff must issue
-	// strictly fewer requests against an unhosted partition than flat-retry
-	// sessions, and nobody gives up with GiveUpAfter unset.
-	issued := func(backoff time.Duration) uint64 {
-		f := newFixture(t, 3, 1, 1)
-		o := testOptions(10, 4) // partitions 1..3 unhosted: 3/4 of sessions fail forever
-		o.BackoffBase = backoff
-		l := New(f.eng, o, f.runtimes[:1], f.alive)
-		l.Start()
-		f.run(30 * time.Second)
-		st := l.Stats()
-		if st.AbandonedSessions != 0 {
-			t.Fatalf("sessions abandoned without GiveUpAfter: %d", st.AbandonedSessions)
-		}
-		return st.Requests
-	}
-	flat := issued(0)
-	backed := issued(500 * time.Millisecond)
-	if backed >= flat {
-		t.Fatalf("backoff issued %d requests, flat retry %d — backoff did not slow probing", backed, flat)
-	}
-}
-
-func TestGiveUpAbandonsUnroutableSessions(t *testing.T) {
-	f := newFixture(t, 3, 1, 1)
-	o := testOptions(12, 4) // partitions 1..3 unhosted
-	o.BackoffBase = 200 * time.Millisecond
-	o.GiveUpAfter = 5 * time.Second
-	l := New(f.eng, o, f.runtimes[:1], f.alive)
-	l.Start()
-	f.run(30 * time.Second)
-	st := l.Stats()
-	// Sessions on partitions 1..3 (9 of 12) can never route and must all
-	// give up; partition-0 sessions keep succeeding and never do.
-	if st.AbandonedSessions != 9 {
-		t.Fatalf("abandoned %d sessions, want the 9 unroutable ones", st.AbandonedSessions)
-	}
-	if st.OK == 0 {
-		t.Fatal("routable sessions stopped succeeding")
-	}
-	// Abandoned sessions stay closed: no further requests accrue from them.
-	before := l.Stats().Requests
-	f.run(10 * time.Second)
-	perTick := l.Stats().Requests - before
-	if perTick == 0 {
-		t.Fatal("surviving sessions idle after the give-up wave")
 	}
 }
 
@@ -332,6 +288,15 @@ func TestHedgingMasksDeadReplica(t *testing.T) {
 	}
 	if st.Misrouted == 0 {
 		t.Fatal("misroute attribution should still see the stale pins")
+	}
+}
+
+// TestSessionSize: a session stays at 32 bytes. The sessions workload of
+// the repository benchmark holds a million of them in one slice, so each
+// byte here is a megabyte of its live heap.
+func TestSessionSize(t *testing.T) {
+	if size := unsafe.Sizeof(session{}); size != 32 {
+		t.Fatalf("session is %d bytes, want 32", size)
 	}
 }
 

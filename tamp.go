@@ -56,8 +56,6 @@ var (
 	// Clustered is the paper's evaluation layout: groups of hosts behind
 	// switches on one core router.
 	Clustered = topology.Clustered
-	// ThreeTier is pods of racks of hosts: a three-level membership tree.
-	ThreeTier = topology.ThreeTier
 	// MultiDC is several Clustered data centers joined by WAN links that
 	// multicast cannot cross.
 	MultiDC = topology.MultiDC
