@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/membership"
 	"repro/internal/proxy"
 	"repro/internal/service"
 )
@@ -158,20 +157,12 @@ func (d *DataCenters) VIP(dc int) (HostID, bool) { return d.dep.VIP.Get(dc) }
 func (d *DataCenters) Converged() bool {
 	top := d.Sim.top
 	for dc := 0; dc < top.NumDataCenters(); dc++ {
-		var want []membership.NodeID
+		var ms []*MService
 		for _, h := range top.HostsInDC(dc) {
-			if d.Apps[h].Running() {
-				want = append(want, d.Apps[h].ID())
-			}
+			ms = append(ms, d.Apps[h].MService)
 		}
-		for _, h := range top.HostsInDC(dc) {
-			a := d.Apps[h]
-			if !a.Running() {
-				continue
-			}
-			if !membership.ViewEqual(a.Client().Members(), want) {
-				return false
-			}
+		if !viewsConverged(ms) {
+			return false
 		}
 	}
 	return true
@@ -179,12 +170,5 @@ func (d *DataCenters) Converged() bool {
 
 // WaitConverged runs until per-DC convergence or the deadline elapses.
 func (d *DataCenters) WaitConverged(step, deadline time.Duration) bool {
-	limit := d.Now() + deadline
-	for d.Now() < limit {
-		if d.Converged() {
-			return true
-		}
-		d.Run(step)
-	}
-	return d.Converged()
+	return d.runUntil(d.Converged, step, deadline)
 }

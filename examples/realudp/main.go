@@ -1,9 +1,9 @@
 // Realudp runs the hierarchical membership protocol over real UDP sockets
 // on the loopback interface: the same protocol state machines used in the
-// simulations, driven by a wall-clock driver, with TTL-scoped multicast
-// emulated by a hub process per the configured topology. It forms a
-// 9-node, 3-group cluster with 50 ms heartbeats, converges, kills a node,
-// and prints real detection latency.
+// simulations, driven by a wall-clock driver, with one socket per host and
+// each sender scoping its own multicast by TTL over the configured topology
+// (udp.go). It forms a 9-node, 3-group cluster with 50 ms heartbeats,
+// converges, kills a node, and prints real detection latency.
 //
 //	go run ./examples/realudp
 package main
@@ -15,21 +15,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/membership"
-	"repro/internal/realnet"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
 func main() {
 	top := topology.Clustered(3, 3)
-	hub, err := realnet.NewHub(top)
+	drv := newDriver(sim.NewEngine(1))
+	udp, err := newUDPNet(top, drv)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer hub.Close()
-	drv := realnet.NewDriver(sim.NewEngine(1), time.Millisecond)
-	drv.Start()
-	defer drv.Stop()
+	defer udp.close()
 
 	cfg := core.DefaultConfig()
 	cfg.MaxTTL = top.Diameter()
@@ -37,25 +34,22 @@ func main() {
 	cfg.MaxLoss = 3
 
 	var nodes []*core.Node
-	for h := 0; h < top.NumHosts(); h++ {
-		ep, err := realnet.NewEndpoint(hub, drv, topology.HostID(h))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ep.Close()
+	for _, ep := range udp.eps {
 		nodes = append(nodes, core.NewNode(cfg, ep))
 	}
+	drv.start()
+	defer drv.stop()
 	start := time.Now()
-	drv.Call(func() {
+	drv.call(func() {
 		for _, n := range nodes {
-			n.Start(drv.Engine())
+			n.Start(drv.eng)
 		}
 	})
 
 	waitFull := func(want int) bool {
 		for time.Since(start) < 15*time.Second {
 			full := true
-			drv.Call(func() {
+			drv.call(func() {
 				for _, n := range nodes {
 					if n.Running() && n.Directory().Len() != want {
 						full = false
@@ -75,7 +69,7 @@ func main() {
 	}
 	fmt.Printf("9 nodes converged over real UDP in %v (50ms heartbeats)\n",
 		time.Since(start).Round(time.Millisecond))
-	drv.Call(func() {
+	drv.call(func() {
 		for _, lead := range []int{0, 3, 6} {
 			fmt.Printf("  node %d leads its switch group: %v\n", lead, nodes[lead].IsLeader(0))
 		}
@@ -83,10 +77,10 @@ func main() {
 
 	fmt.Println("killing node 4...")
 	killAt := time.Now()
-	drv.Call(func() { nodes[4].Stop() })
+	drv.call(func() { nodes[4].Stop() })
 	for {
 		gone := true
-		drv.Call(func() {
+		drv.call(func() {
 			for i, n := range nodes {
 				if i != 4 && n.Directory().Has(membership.NodeID(4)) {
 					gone = false

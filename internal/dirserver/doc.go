@@ -12,7 +12,7 @@
 // connects and Lookup runs the regex-over-service-name plus partition-spec
 // query remotely, returning wire.DirMatch rows.
 //
-// This package uses real sockets (like internal/realnet) and therefore
-// runs on the OS scheduler, not the simulation engine; its tests are the
-// only tier-1 tests that touch the loopback interface.
+// This package uses real sockets, as examples/realudp does, and therefore
+// runs on the OS scheduler, not the simulation engine; its tests, like that
+// example's, touch the loopback interface.
 package dirserver

@@ -32,10 +32,10 @@ var testOnlyExports = map[string]string{
 	"netsim.Network.WANBytes":            "netsim: TestWANByteAccounting",
 	"parsim.Coordinator.EngineOf":        "parsim: TestBoundaryActionsRunAtExactTime",
 	"proxy.Proxy.RemoteSummary":          "proxy: TestRemoteDCTimeout",
-	"realnet.Endpoint.Joined":            "none: netsim.Transport asks for it; realnet waits for ROADMAP item 9",
 	"service.Runtime.LoadCache":          "service: TestLoadPushSkipsPolling",
 	"sim.Engine.Pending":                 "sim: TestPending",
 	"sim.Timer.Pending":                  "sim: TestTimerStop",
+	"tamp.MClient.ChangesSince":          "tamp: TestChangesSincePublicAPI",
 	"topology.MarkSetOf":                 "netsim: TestLinkProfileComposesWithGlobal",
 	"topology.Random":                    "core: TestPropertyRandomTopologyConvergence",
 	"topology.Topology.MinTTL":           "topology: TestFigure4NonTransitive",

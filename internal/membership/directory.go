@@ -122,8 +122,8 @@ type Event struct {
 }
 
 // Directory is one node's yellow-page view of the cluster. It is driven by
-// a single goroutine (the simulation loop or the real-transport receive
-// loop); the public tamp API wraps it with locking for client access.
+// a single goroutine (the simulation loop, or the wall-clock driver of
+// examples/realudp) and is not locked: clients read it on that goroutine.
 type Directory struct {
 	owner NodeID
 	// entries holds every entry by value (see Table): a merge in ascending
@@ -141,69 +141,6 @@ type Directory struct {
 	// whatever the TTL becomes later.
 	tombFloor time.Duration
 	observer  func(Event)
-
-	// history is a bounded ring of recent change events, letting
-	// consumers reconcile after a gap ("what changed since T") without
-	// subscribing to every event. Zero capacity disables it. dropped says
-	// whether it has ever let an event go, and droppedAt is the time of the
-	// newest such event.
-	history    []Event
-	historyCap int
-	dropped    bool
-	droppedAt  time.Duration
-}
-
-// EnableHistory keeps the most recent capacity change events queryable via
-// ChangesSince. Zero disables.
-func (d *Directory) EnableHistory(capacity int) {
-	d.historyCap = capacity
-	if capacity <= 0 {
-		d.history = nil
-		return
-	}
-	if n := len(d.history) - capacity; n > 0 {
-		d.drop(d.history[:n])
-		d.history = append([]Event(nil), d.history[n:]...)
-	}
-}
-
-func (d *Directory) record(e Event) {
-	if d.historyCap <= 0 {
-		return
-	}
-	d.history = append(d.history, e)
-	if len(d.history) > d.historyCap {
-		d.drop(d.history[:1])
-		d.history = d.history[1:]
-	}
-}
-
-// drop notes events leaving the history.
-func (d *Directory) drop(events []Event) {
-	for _, e := range events {
-		if !d.dropped || e.Time > d.droppedAt {
-			d.dropped, d.droppedAt = true, e.Time
-		}
-	}
-}
-
-// ChangesSince returns the retained change events at or after t, oldest
-// first, and whether the history is complete back to t (false means events
-// older than the ring's capacity may have been dropped and the caller
-// should do a full resynchronization). It is complete when every dropped
-// event predates t; a retained event at t proves nothing about another at
-// the same instant that was dropped.
-func (d *Directory) ChangesSince(t time.Duration) (events []Event, complete bool) {
-	if d.historyCap <= 0 {
-		return nil, false
-	}
-	complete = !d.dropped || d.droppedAt < t
-	for _, e := range d.history {
-		if e.Time >= t {
-			events = append(events, e)
-		}
-	}
-	return events, complete
 }
 
 // NewDirectory creates a directory owned by node owner.
@@ -255,10 +192,8 @@ func (d *Directory) AddObserver(fn func(Event)) {
 }
 
 func (d *Directory) emit(t EventType, n NodeID, now time.Duration) {
-	e := Event{Type: t, Node: n, Time: now}
-	d.record(e)
 	if d.observer != nil {
-		d.observer(e)
+		d.observer(Event{Type: t, Node: n, Time: now})
 	}
 }
 

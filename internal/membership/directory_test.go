@@ -236,84 +236,6 @@ func TestLookupRegexAndPartitions(t *testing.T) {
 	}
 }
 
-func TestHistoryChangesSince(t *testing.T) {
-	d := NewDirectory(0)
-	// Disabled by default.
-	d.Upsert(info(1), OriginDirect, 0, NoNode, time.Second)
-	if ev, complete := d.ChangesSince(0); ev != nil || complete {
-		t.Fatal("history recorded while disabled")
-	}
-	d.EnableHistory(4)
-	d.Upsert(info(2), OriginDirect, 0, NoNode, 2*time.Second)
-	d.Upsert(info(3), OriginDirect, 0, NoNode, 3*time.Second)
-	d.Remove(2, 4*time.Second)
-	ev, complete := d.ChangesSince(0)
-	if !complete || len(ev) != 3 {
-		t.Fatalf("events = %v complete=%v", ev, complete)
-	}
-	if ev[0].Type != EventJoin || ev[2].Type != EventLeave || ev[2].Node != 2 {
-		t.Fatalf("event order wrong: %v", ev)
-	}
-	// Window filter.
-	ev, _ = d.ChangesSince(3500 * time.Millisecond)
-	if len(ev) != 1 || ev[0].Type != EventLeave {
-		t.Fatalf("windowed = %v", ev)
-	}
-	// Overflow: the ring holds 4; a 5th event drops the oldest, and a
-	// query reaching before the retained window reports incomplete.
-	d.Upsert(info(4), OriginDirect, 0, NoNode, 5*time.Second)
-	d.Upsert(info(5), OriginDirect, 0, NoNode, 6*time.Second)
-	ev, complete = d.ChangesSince(0)
-	if complete {
-		t.Fatal("overflowed history claims completeness for the full past")
-	}
-	if len(ev) != 4 {
-		t.Fatalf("retained = %d, want 4", len(ev))
-	}
-	// But a query within the retained window is complete.
-	if _, complete = d.ChangesSince(3 * time.Second); !complete {
-		t.Fatal("query inside retained window should be complete")
-	}
-	// Shrinking keeps the newest events.
-	d.EnableHistory(2)
-	ev, _ = d.ChangesSince(0)
-	if len(ev) != 2 || ev[1].Node != 5 {
-		t.Fatalf("after shrink = %v", ev)
-	}
-	d.EnableHistory(0)
-	if ev, _ := d.ChangesSince(0); ev != nil {
-		t.Fatal("disable did not clear history")
-	}
-
-	// Same instant: the ring holds two of three joins at 5 s. A retained
-	// event at t does not vouch for the one dropped at t.
-	d = NewDirectory(0)
-	d.EnableHistory(2)
-	for n := NodeID(1); n <= 3; n++ {
-		d.Upsert(info(n), OriginDirect, 0, NoNode, 5*time.Second)
-	}
-	ev, complete = d.ChangesSince(5 * time.Second)
-	if complete || len(ev) != 2 || ev[0].Node != 2 {
-		t.Fatalf("three joins at 5s in a ring of 2: ChangesSince(5s) = %v complete=%v, want n2, n3 and incomplete", ev, complete)
-	}
-	if ev, complete = d.ChangesSince(5*time.Second + 1); !complete || len(ev) != 0 {
-		t.Fatalf("after the dropped instant: %v complete=%v, want nothing and complete", ev, complete)
-	}
-	// A shrink drops events as an overflow does.
-	d = NewDirectory(0)
-	d.EnableHistory(3)
-	for n := NodeID(1); n <= 3; n++ {
-		d.Upsert(info(n), OriginDirect, 0, NoNode, 5*time.Second)
-	}
-	if _, complete = d.ChangesSince(5 * time.Second); !complete {
-		t.Fatal("a ring holding every event claims to have dropped some")
-	}
-	d.EnableHistory(1)
-	if _, complete = d.ChangesSince(5 * time.Second); complete {
-		t.Fatal("a shrink that dropped events at 5s still claims completeness from 5s")
-	}
-}
-
 func TestViewEqual(t *testing.T) {
 	if !ViewEqual([]NodeID{1, 2}, []NodeID{1, 2}) {
 		t.Fatal("equal views reported unequal")

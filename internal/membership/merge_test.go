@@ -98,10 +98,12 @@ func TestMergeRelayedMatchesUpsertLoop(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const owner = 3
 		a, b := NewDirectory(owner), NewDirectory(owner)
+		var aEvents, bEvents []Event
+		a.AddObserver(func(e Event) { aEvents = append(aEvents, e) })
+		b.AddObserver(func(e Event) { bEvents = append(bEvents, e) })
 		now := time.Duration(0)
 		both := func(fn func(d *Directory)) { fn(a); fn(b) }
 		both(func(d *Directory) {
-			d.EnableHistory(1 << 12)
 			if seed%4 != 0 {
 				d.SetTombstoneTTL(10 * time.Second)
 			}
@@ -132,7 +134,7 @@ func TestMergeRelayedMatchesUpsertLoop(t *testing.T) {
 			now += time.Duration(rng.Intn(3000)) * time.Millisecond
 			level, relayer := rng.Intn(3), NodeID(rng.Intn(20))
 
-			events := len(a.history)
+			events := len(aEvents)
 			src := &sliceSource{infos: snapshot}
 			var joined []MemberInfo
 			var tombstoned []NodeID
@@ -143,12 +145,20 @@ func TestMergeRelayedMatchesUpsertLoop(t *testing.T) {
 				t.Fatalf("seed %d round %d: merge returned (%v, %v, %d), loop returned (%v, %v, %d)",
 					seed, round, joined, tombstoned, invalid, wantJoined, wantTombstoned, wantInvalid)
 			}
+			if !reflect.DeepEqual(aEvents, bEvents) {
+				t.Fatalf("seed %d round %d: events differ after merging %v\nmerge: %v\n loop: %v", seed, round, snapshot, aEvents, bEvents)
+			}
+			// Func values are never deeply equal, so the observers sit out
+			// the comparison of the directories.
+			aObs, bObs := a.observer, b.observer
+			a.observer, b.observer = nil, nil
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("seed %d round %d: directories differ after merging %v\nmerge: %+v\n loop: %+v", seed, round, snapshot, a, b)
 			}
+			a.observer, b.observer = aObs, bObs
 			checkContents(t, a)
 			updates := 0
-			for _, e := range a.history[events:] {
+			for _, e := range aEvents[events:] {
 				if e.Type == EventUpdate {
 					updates++
 				}

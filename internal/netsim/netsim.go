@@ -138,9 +138,11 @@ type Handler func(pkt Packet)
 
 // Transport is the datagram surface the protocols are written against:
 // TTL-scoped multicast channels plus unicast. The simulated *Endpoint
-// implements it, and so does the real-UDP transport in internal/realnet,
+// implements it, and so does the real-UDP transport of examples/realudp,
 // which is how the same protocol state machines run both under virtual
-// time and on real sockets.
+// time and on real sockets. A Transport is not safe for concurrent use: its
+// methods and its handler run on the goroutine that drives its host's
+// protocol.
 // Sends copy, like UDP's sendto: the caller keeps its bytes. A delivered
 // Packet's Payload, and what is decoded from it, is valid until the handler
 // returns; whatever is kept longer is copied out. One payload bound for

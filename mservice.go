@@ -29,8 +29,9 @@ import (
 // clock); services declared in the configuration are registered before the
 // first heartbeat.
 type MService struct {
-	s    *Sim
-	node *core.Node
+	s       *Sim
+	node    *core.Node
+	changes *changeLog
 }
 
 // NewMService creates a membership daemon on host h of the simulation,
@@ -76,9 +77,9 @@ func NewMService(s *Sim, h HostID, configText string) (*MService, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("tamp: configuration: %w", err)
 	}
-	m := &MService{s: s, node: core.NewNode(cfg, s.net.Endpoint(h))}
 	// Keep a bounded change history so clients can reconcile after gaps.
-	m.node.Directory().EnableHistory(256)
+	m := &MService{s: s, node: core.NewNode(cfg, s.net.Endpoint(h)), changes: &changeLog{capacity: 256}}
+	m.node.Directory().AddObserver(m.changes.record)
 	if file != nil {
 		for _, svc := range file.Services {
 			if err := m.RegisterService(svc.Name, svc.Partition, svc.Params...); err != nil {
@@ -132,7 +133,7 @@ func (m *MService) Stats() ProtocolStats { return m.node.Stats() }
 // Client returns a client handle to this node's yellow-page directory (the
 // paper's MClient, which attached over shared memory; here the directory
 // handle plays that role).
-func (m *MService) Client() *MClient { return &MClient{dir: m.node.Directory()} }
+func (m *MService) Client() *MClient { return &MClient{dir: m.node.Directory(), changes: m.changes} }
 
 // ServeDirectory starts a local directory server for this daemon — the §5
 // daemon/client split: separate client processes connect to the returned
@@ -165,7 +166,8 @@ func DialDirectory(addr string) (*DirectoryClient, error) {
 // MClient queries a node's local yellow-page directory — the public mirror
 // of the paper's MClient class (Figure 9).
 type MClient struct {
-	dir *membership.Directory
+	dir     *membership.Directory
+	changes *changeLog
 }
 
 // LookupService finds the machines hosting a service: servicePattern is an
@@ -204,7 +206,42 @@ type ChangeEvent = membership.Event
 // incomplete, the caller should resynchronize from Members instead of
 // applying the delta.
 func (c *MClient) ChangesSince(t time.Duration) ([]ChangeEvent, bool) {
-	return c.dir.ChangesSince(t)
+	return c.changes.since(t)
+}
+
+// changeLog is a bounded ring of a directory's recent change events, filled
+// by a directory observer, letting clients reconcile after a gap ("what
+// changed since T") without subscribing to every event. dropped says
+// whether it has ever let an event go, and droppedAt is the time of the
+// newest such event.
+type changeLog struct {
+	events    []ChangeEvent
+	capacity  int
+	dropped   bool
+	droppedAt time.Duration
+}
+
+func (l *changeLog) record(e ChangeEvent) {
+	l.events = append(l.events, e)
+	if len(l.events) > l.capacity {
+		if old := l.events[0]; !l.dropped || old.Time > l.droppedAt {
+			l.dropped, l.droppedAt = true, old.Time
+		}
+		l.events = l.events[1:]
+	}
+}
+
+// since returns the retained events at or after t, oldest first, and
+// whether the log is complete back to t. It is complete when every dropped
+// event predates t; a retained event at t proves nothing about another at
+// the same instant that was dropped.
+func (l *changeLog) since(t time.Duration) (events []ChangeEvent, complete bool) {
+	for _, e := range l.events {
+		if e.Time >= t {
+			events = append(events, e)
+		}
+	}
+	return events, !l.dropped || l.droppedAt < t
 }
 
 // Cluster bundles a simulation with one MService per host — the shape every
@@ -246,33 +283,40 @@ func (c *Cluster) StartAll() {
 
 // Converged reports whether every running daemon's view equals the set of
 // running daemons.
-func (c *Cluster) Converged() bool {
+func (c *Cluster) Converged() bool { return viewsConverged(c.Services) }
+
+// WaitConverged runs the simulation until convergence or the deadline
+// elapses; it reports success.
+func (c *Cluster) WaitConverged(step, deadline time.Duration) bool {
+	return c.runUntil(c.Converged, step, deadline)
+}
+
+// viewsConverged reports whether every running daemon of ms sees exactly the
+// running daemons of ms.
+func viewsConverged(ms []*MService) bool {
 	var want []NodeID
-	for _, m := range c.Services {
+	for _, m := range ms {
 		if m.Running() {
 			want = append(want, m.ID())
 		}
 	}
-	for _, m := range c.Services {
-		if !m.Running() {
-			continue
-		}
-		if !membership.ViewEqual(m.Client().Members(), want) {
+	for _, m := range ms {
+		if m.Running() && !membership.ViewEqual(m.Client().Members(), want) {
 			return false
 		}
 	}
 	return true
 }
 
-// WaitConverged runs the simulation until convergence or the deadline
-// elapses; it reports success.
-func (c *Cluster) WaitConverged(step, deadline time.Duration) bool {
-	limit := c.Now() + deadline
-	for c.Now() < limit {
-		if c.Converged() {
+// runUntil runs the simulation in steps until done holds or the deadline
+// elapses; it reports whether done holds.
+func (s *Sim) runUntil(done func() bool, step, deadline time.Duration) bool {
+	limit := s.Now() + deadline
+	for s.Now() < limit {
+		if done() {
 			return true
 		}
-		c.Run(step)
+		s.Run(step)
 	}
-	return c.Converged()
+	return done()
 }
