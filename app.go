@@ -100,9 +100,6 @@ func (a *App) InvokeWait(serviceName string, partition int32, payload []byte) ([
 	return out, err
 }
 
-// Load returns this node's instantaneous service queue length.
-func (a *App) Load() uint32 { return a.host.RT.Load() }
-
 // Run starts the membership daemon and then, on a proxy host, the
 // co-located proxy.
 func (a *App) Run() { a.host.Start(a.s.eng) }
@@ -150,25 +147,3 @@ func (d *DataCenters) App(h HostID) *App { return d.Apps[h] }
 
 // VIP returns the current proxy address of a data center, if elected.
 func (d *DataCenters) VIP(dc int) (HostID, bool) { return d.dep.VIP.Get(dc) }
-
-// Converged reports whether every running daemon within each data center
-// sees all running daemons of its own data center (cross-DC membership is
-// summarized through proxies, not mirrored per node).
-func (d *DataCenters) Converged() bool {
-	top := d.Sim.top
-	for dc := 0; dc < top.NumDataCenters(); dc++ {
-		var ms []*MService
-		for _, h := range top.HostsInDC(dc) {
-			ms = append(ms, d.Apps[h].MService)
-		}
-		if !viewsConverged(ms) {
-			return false
-		}
-	}
-	return true
-}
-
-// WaitConverged runs until per-DC convergence or the deadline elapses.
-func (d *DataCenters) WaitConverged(step, deadline time.Duration) bool {
-	return d.runUntil(d.Converged, step, deadline)
-}

@@ -118,17 +118,11 @@ func (ep *udpEndpoint) HasHandler() bool { return ep.handler != nil }
 // SetUp implements netsim.Transport.
 func (ep *udpEndpoint) SetUp(up bool) { ep.up = up }
 
-// Up implements netsim.Transport.
-func (ep *udpEndpoint) Up() bool { return ep.up }
-
 // Join implements netsim.Transport.
 func (ep *udpEndpoint) Join(ch netsim.ChannelID) { ep.subs[ch] = true }
 
 // Leave implements netsim.Transport.
 func (ep *udpEndpoint) Leave(ch netsim.ChannelID) { delete(ep.subs, ch) }
-
-// Joined implements netsim.Transport.
-func (ep *udpEndpoint) Joined(ch netsim.ChannelID) bool { return ep.subs[ch] }
 
 // NoteReject implements netsim.Transport. It counts nothing: nothing reads
 // a real endpoint's rejects.

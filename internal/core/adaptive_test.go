@@ -176,7 +176,7 @@ func TestAdaptiveMergeUndersizedGroup(t *testing.T) {
 	for _, n := range movers[1:] {
 		n.Stop()
 	}
-	c.run(cfg.DeadAfter() + cfg.beats(reformHoldBeats) + 15*time.Second)
+	c.run(cfg.DeadAfterLevel(0) + cfg.beats(reformHoldBeats) + 15*time.Second)
 
 	last := movers[0]
 	if got := last.Level0Channel(); got != home {

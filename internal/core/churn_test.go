@@ -246,7 +246,7 @@ func TestPerLevelTimeouts(t *testing.T) {
 		t.Fatalf("detections missing: mate=%v leader=%v", mateDetect, leaderDetect)
 	}
 	if mateDetect >= cfg.DeadAfterLevel(1) {
-		t.Errorf("group mate detected at %v, should be near level-0 timeout %v", mateDetect, cfg.DeadAfter())
+		t.Errorf("group mate detected at %v, should be near level-0 timeout %v", mateDetect, cfg.DeadAfterLevel(0))
 	}
 	// Node 0 may learn via the relayed update (fast) but must not have
 	// been first: the group's own detection leads.

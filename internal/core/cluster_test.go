@@ -166,12 +166,12 @@ func TestFailureDetectionAndConvergence(t *testing.T) {
 	}
 	// Detection should be about MaxLoss heartbeats; convergence shortly
 	// after (tree propagation).
-	lo := cfg.DeadAfter() - cfg.HeartbeatInterval
-	hi := cfg.DeadAfter() + 4*cfg.HeartbeatInterval
+	lo := cfg.DeadAfterLevel(0) - cfg.HeartbeatInterval
+	hi := cfg.DeadAfterLevel(0) + 4*cfg.HeartbeatInterval
 	if min < lo || min > hi {
 		t.Errorf("first detection at %v, want within [%v, %v]", min, lo, hi)
 	}
-	if max > cfg.DeadAfter()+6*cfg.HeartbeatInterval {
+	if max > cfg.DeadAfterLevel(0)+6*cfg.HeartbeatInterval {
 		t.Errorf("slowest convergence %v too large", max)
 	}
 }

@@ -133,12 +133,9 @@ func (c Config) beats(n int) time.Duration {
 	return time.Duration(n) * c.HeartbeatInterval
 }
 
-// DeadAfter is the silence duration after which a level-0 group mate is
-// declared dead.
-func (c Config) DeadAfter() time.Duration { return c.beats(c.MaxLoss) }
-
 // DeadAfterLevel is the per-level silence threshold: higher levels tolerate
-// more missed heartbeats so lower-level elections finish first.
+// more missed heartbeats so lower-level elections finish first. Level 0's is
+// the silence after which a group mate is declared dead.
 func (c Config) DeadAfterLevel(level int) time.Duration {
 	return c.beats(c.MaxLoss + level*levelTimeoutStep)
 }

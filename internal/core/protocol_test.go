@@ -120,7 +120,7 @@ func TestFigure5PropagationPath(t *testing.T) {
 	}
 	// Everything converges within a couple of heartbeats after detection.
 	for id, at := range times {
-		if at-killAt > cfg.DeadAfter()+5*cfg.HeartbeatInterval {
+		if at-killAt > cfg.DeadAfterLevel(0)+5*cfg.HeartbeatInterval {
 			t.Errorf("node %v converged too late: %v after kill", id, at-killAt)
 		}
 	}

@@ -67,13 +67,6 @@ func (s *Server) Publish(infos []membership.MemberInfo) {
 	s.mu.Unlock()
 }
 
-// members returns the node count of the current snapshot.
-func (s *Server) members() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snap.Len()
-}
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {

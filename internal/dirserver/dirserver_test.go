@@ -73,8 +73,8 @@ func TestRepublishChangesResults(t *testing.T) {
 	if len(got) != 2 || got[0].Node != 2 {
 		t.Fatalf("after republish = %+v", got)
 	}
-	if s.members() != 2 {
-		t.Fatalf("Members = %d", s.members())
+	if s.snap.Len() != 2 {
+		t.Fatalf("Members = %d", s.snap.Len())
 	}
 }
 

@@ -135,9 +135,6 @@ func (n *Node) published() {
 // (e.g. a service runtime that claimed the endpoint before Start).
 func (n *Node) Receive(pkt netsim.Packet) { n.receive(pkt) }
 
-// FailTimeout reports the effective failure timeout in use.
-func (n *Node) FailTimeout() time.Duration { return n.cfg.failAfter() }
-
 // Start joins the gossip overlay.
 func (n *Node) Start(eng *sim.Engine) {
 	if n.running {

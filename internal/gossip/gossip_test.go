@@ -66,7 +66,7 @@ func TestFailureDetectionSlowerThanHeartbeat(t *testing.T) {
 	if len(detect) != 19 {
 		t.Fatalf("%d nodes detected, want 19", len(detect))
 	}
-	tf := nodes[0].FailTimeout()
+	tf := nodes[0].cfg.failAfter()
 	var earliest, latest time.Duration = time.Hour, 0
 	for _, d := range detect {
 		if d < earliest {
@@ -155,7 +155,7 @@ func TestRejoinAfterFailure(t *testing.T) {
 	}
 	eng.Run(30 * time.Second)
 	nodes[3].Stop()
-	eng.Run(eng.Now() + 3*nodes[0].FailTimeout())
+	eng.Run(eng.Now() + 3*nodes[0].cfg.failAfter())
 	for i, n := range nodes {
 		if i != 3 && n.Directory().Has(3) {
 			t.Fatalf("node %v still lists dead node", n.ID())

@@ -1,60 +1,66 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"runtime"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // testOnlyExports is the export census: every exported function or method
-// of internal/ and the root package that no non-test file of the module
-// (bench/, cmd/ and examples/ included) names, with the test that observes
-// through it. Everything else exported has a caller; an export no test uses
-// either is deleted, not listed.
+// declared in module repro (the root package, internal/, cmd/ and examples/)
+// that no non-test code of either module calls, with the test that observes
+// through it. A call is resolved by go/types, not by name (see census).
+// Unexported functions and methods are held to the same rule with no rows at
+// all: one only tests reach is deleted, and its test reads what it read
+// directly. An export no test uses either is deleted, not listed.
 var testOnlyExports = map[string]string{
 	"chaos.Scenario.Spec":                "chaos: TestSpecRoundTrip",
 	"config.ParseFile":                   "config: TestParseFileRoundTrip",
-	"core.Config.DeadAfter":              "core: TestFailureDetectionAndConvergence",
 	"core.Node.SetInfo":                  "core: TestSetInfoPreservesIdentityAndIncarnation",
-	"gossip.Node.FailTimeout":            "gossip: TestFailureDetectionSlowerThanHeartbeat",
 	"invariant.MergeConvergence":         "harness: TestAdaptiveParsimDeterminism",
 	"membership.FormatPartitions":        "membership: TestFormatPartitions",
 	"membership.MemberInfo.Attr":         "core: TestUpdateValuePropagates",
+	"membership.Publisher.Info":          "harness: TestEverySchemePublishesAlike",
 	"netsim.Endpoint.GrayLag":            "chaos: TestRepeatApplyStride",
 	"netsim.Endpoint.Joined":             "core: TestChannelOverride",
 	"netsim.Network.WANBytes":            "netsim: TestWANByteAccounting",
 	"parsim.Coordinator.EngineOf":        "parsim: TestBoundaryActionsRunAtExactTime",
 	"proxy.Proxy.RemoteSummary":          "proxy: TestRemoteDCTimeout",
-	"service.Runtime.LoadCache":          "service: TestLoadPushSkipsPolling",
 	"sim.Engine.Pending":                 "sim: TestPending",
 	"sim.Timer.Pending":                  "sim: TestTimerStop",
-	"tamp.MClient.ChangesSince":          "tamp: TestChangesSincePublicAPI",
+	"tamp.MService.DeleteValue":          "tamp: TestUpdateAndDeleteValue (the paper's delete_value)",
+	"tamp.MService.Leave":                "tamp: TestGracefulLeavePublicAPI (core.Node.Leave's only way in)",
 	"topology.MarkSetOf":                 "netsim: TestLinkProfileComposesWithGlobal",
 	"topology.Random":                    "core: TestPropertyRandomTopologyConvergence",
 	"topology.Topology.MinTTL":           "topology: TestFigure4NonTransitive",
 	"topology.Topology.MulticastLatency": "topology: TestScopeLatencies",
 }
 
-// TestExportCensus holds the module's test-only exports to the census, as an
-// exact set. A reference is syntactic: a function counts as named where a
-// file of another package selects it through an import of its package, or a
-// file of its own package uses it bare; a method, wherever any file selects
-// its name. The table only shrinks.
+// TestExportCensus holds module repro's functions and methods to the census,
+// as an exact set: each has a caller outside tests, in repro or in bench/, or
+// a row. bench/'s own declarations are not held (bench/ is frozen). The table
+// only shrinks.
 func TestExportCensus(t *testing.T) {
-	const rule = "an exported function or method needs a caller outside tests: " +
-		"delete it, unexport it, or list it in testOnlyExports (internal/harness/exports_test.go) with the test that needs it"
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	decls, used := exportCensus(t, root)
+	const rule = "a function or method needs a caller outside tests: delete it, or, if it is exported, " +
+		"list it in testOnlyExports (internal/harness/exports_test.go) with the test that needs it"
+	m := loadRepro(t)
+	decls, used := m.census("repro")
 	var problems []string
 	for name := range decls {
 		if !used[name] && testOnlyExports[name] == "" {
@@ -67,125 +73,302 @@ func TestExportCensus(t *testing.T) {
 			problems = append(problems, name+" is in testOnlyExports but no longer declared: delete its row")
 		case used[name]:
 			problems = append(problems, name+" is in testOnlyExports but has a caller now: delete its row")
+		case !token.IsExported(name[strings.LastIndexByte(name, '.')+1:]):
+			problems = append(problems, name+" is unexported: it takes no row; delete it")
 		}
 	}
 	sort.Strings(problems)
 	for _, p := range problems {
 		t.Error(p)
 	}
-	if limit := 21; len(testOnlyExports) > limit {
+	if limit := 20; len(testOnlyExports) > limit {
 		t.Errorf("testOnlyExports has %d rows, more than the %d it was cut to: %s", len(testOnlyExports), limit, rule)
 	}
 }
 
-// exportCensus parses every non-test Go file under root. decls holds the
-// exported functions and methods of the root package and internal/, keyed
-// "pkg.Func" or "pkg.Type.Method"; used marks those some file names.
-func exportCensus(t *testing.T, root string) (decls, used map[string]bool) {
-	type fn struct{ dir, key string }
-	var funcs, methods []fn
-	selected := map[string]bool{}     // every selector name in the module
-	qualified := map[[2]string]bool{} // {import path, name} selected through an import
-	bare := map[[2]string]bool{}      // {package dir, name} used unqualified
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, filepath.Dir(p))
-		dir := filepath.ToSlash(rel)
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			ip, _ := strconv.Unquote(im.Path.Value)
-			name := path.Base(ip)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = ip
-		}
-		notBare := map[*ast.Ident]bool{} // declared names and selected ones
-		if dir == "." || dir == "internal" || strings.HasPrefix(dir, "internal/") {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				notBare[fd.Name] = true
-				if fd.Recv == nil {
-					funcs = append(funcs, fn{dir, f.Name.Name + "." + fd.Name.Name})
-				} else {
-					methods = append(methods, fn{dir, f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name})
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-				notBare[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					qualified[[2]string{imports[x.Name], n.Sel.Name}] = true
-				}
-			case *ast.Ident:
-				if !notBare[n] {
-					bare[[2]string{dir, n.Name}] = true
-				}
-			}
-			return true
-		})
-		return nil
-	})
+// TestCensusResolvesByObject runs the census over the module in
+// testdata/census, whose comments say what each declaration checks, and
+// over a directory that holds no module, which is an error.
+//
+// Mutant: a held method counts as used when any used method has its name.
+// Mutant: a use inside the declaration's own body counts.
+// Mutant: the standard library's exported interfaces count for nothing.
+// Mutant: anonymous interfaces in the checked code are not matched.
+// Mutant: a use is not mapped through Func.Origin.
+func TestCensusResolvesByObject(t *testing.T) {
+	if _, err := loadModule(t.TempDir()); err == nil || !strings.Contains(err.Error(), "go list") {
+		t.Errorf("census of an empty directory: err = %v, want go list's", err)
+	}
+	m, err := loadModule("testdata/census")
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls, used = map[string]bool{}, map[string]bool{}
-	for _, f := range funcs {
-		decls[f.key] = true
-		name := f.key[strings.LastIndexByte(f.key, '.')+1:]
-		ip := "repro"
-		if f.dir != "." {
-			ip += "/" + f.dir
-		}
-		if qualified[[2]string{ip, name}] || bare[[2]string{f.dir, name}] {
-			used[f.key] = true
+	decls, used := m.census("census")
+	var got []string
+	for name := range decls {
+		if !used[name] {
+			got = append(got, name)
 		}
 	}
-	for _, m := range methods {
-		decls[m.key] = true
-		if selected[m.key[strings.LastIndexByte(m.key, '.')+1:]] {
-			used[m.key] = true
+	sort.Strings(got)
+	if want := []string{"census.B.Name", "census.recurse"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("census of testdata/census reports %v, want %v", got, want)
+	}
+}
+
+var repro struct {
+	once sync.Once
+	m    *module
+	err  error
+}
+
+// loadRepro type-checks module repro and the bench/ module once per test
+// binary, for the export and knob censuses.
+func loadRepro(t *testing.T) *module {
+	t.Helper()
+	repro.once.Do(func() {
+		root, err := filepath.Abs("../..")
+		if err == nil {
+			repro.m, repro.err = loadModule(root, filepath.Join(root, "bench"))
+		} else {
+			repro.err = err
+		}
+	})
+	if repro.err != nil {
+		t.Fatal(repro.err)
+	}
+	return repro.m
+}
+
+// module is the packages of one or more modules, type-checked from source.
+type module struct {
+	root string // the first directory loaded
+	fset *token.FileSet
+	pkgs []*srcPkg         // in dependency order
+	std  map[string]string // each standard-library package listed, to its export file
+}
+
+type srcPkg struct {
+	mod   string // module path
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// loadModule lists each directory's packages with their dependencies (go list
+// -deps -export), reads the standard library from its export files, and
+// type-checks every other package from source, in list order. A package two
+// directories list is checked once. The go command runs offline.
+func loadModule(dirs ...string) (*module, error) {
+	m := &module{root: dirs[0], fset: token.NewFileSet(), std: map[string]string{}}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(m.fset, "gc", func(p string) (io.ReadCloser, error) {
+		if m.std[p] == "" {
+			return nil, fmt.Errorf("no export data for %s", p)
+		}
+		return os.Open(m.std[p])
+	})
+	imp := importerFunc(func(p string) (*types.Package, error) {
+		if pkg := checked[p]; pkg != nil {
+			return pkg, nil
+		}
+		return std.Import(p)
+	})
+	for _, dir := range dirs {
+		cmd := exec.Command("go", "list", "-deps", "-export", "-json", "./...")
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=readonly", "GOWORK=off")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+		}
+		for dec := json.NewDecoder(&stdout); ; {
+			var p struct {
+				ImportPath, Dir, Export string
+				Standard                bool
+				GoFiles                 []string
+				Module                  *struct{ Path string }
+			}
+			if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				return nil, fmt.Errorf("go list in %s: %v", dir, err)
+			}
+			if p.Standard {
+				m.std[p.ImportPath] = p.Export
+				continue
+			}
+			if checked[p.ImportPath] != nil {
+				continue
+			}
+			sp := &srcPkg{info: &types.Info{
+				Types:     map[ast.Expr]types.TypeAndValue{},
+				Defs:      map[*ast.Ident]types.Object{},
+				Uses:      map[*ast.Ident]types.Object{},
+				Instances: map[*ast.Ident]types.Instance{},
+			}}
+			if p.Module != nil {
+				sp.mod = p.Module.Path
+			}
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					return nil, err
+				}
+				sp.files = append(sp.files, f)
+			}
+			conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
+			pkg, err := conf.Check(p.ImportPath, m.fset, sp.files, sp.info)
+			if err != nil {
+				return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+			}
+			sp.types, checked[p.ImportPath] = pkg, pkg
+			m.pkgs = append(m.pkgs, sp)
+		}
+	}
+	return m, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// census returns every function and method declared in module mod (main and
+// init excepted), keyed "pkg.Func" or "pkg.Type.Method", and marks those with
+// a caller in the checked code. A use is an identifier go/types resolves to
+// the declaration (through Func.Origin, so promoted methods and generic
+// receivers count) outside the declaration's own body, so recursion is no
+// caller. A method is also used when its type implements an interface whose
+// method of that name is used: any interface type in the checked code, named
+// or anonymous, and every interface a directly imported standard-library
+// package exports, and error, whose methods all count as used.
+func (m *module) census(mod string) (decls, used map[string]bool) {
+	type span struct{ pos, end token.Pos }
+	held := map[*types.Func]span{}
+	uses := map[*types.Func]bool{}
+	stdImports := map[*types.Package]bool{}
+	for _, p := range m.pkgs {
+		for _, im := range p.types.Imports() {
+			if _, ok := m.std[im.Path()]; ok {
+				stdImports[im] = true
+			}
+		}
+		if p.mod != mod {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && p.types.Name() == "main") {
+					continue
+				}
+				held[p.info.Defs[fd.Name].(*types.Func)] = span{fd.Pos(), fd.End()}
+			}
+		}
+	}
+	for _, p := range m.pkgs {
+		for id, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				fn = fn.Origin()
+				if s, ok := held[fn]; !ok || id.Pos() < s.pos || id.Pos() >= s.end {
+					uses[fn] = true
+				}
+			}
+		}
+	}
+
+	// Resolve used interface methods to the concrete methods they reach.
+	var ifaces []*types.Interface
+	seen := map[*types.Interface]bool{}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && !seen[it] && it.NumMethods() > 0 {
+			seen[it] = true
+			ifaces = append(ifaces, it)
+		}
+	}
+	for pkg := range stdImports {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					addIface(it)
+					for i := 0; i < it.NumMethods(); i++ {
+						uses[it.Method(i)] = true
+					}
+				}
+			}
+		}
+	}
+	errIface := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+	addIface(errIface)
+	uses[errIface.Method(0)] = true
+	var concrete []types.Type
+	for _, p := range m.pkgs {
+		for _, tv := range p.info.Types {
+			addIface(tv.Type)
+		}
+		for _, in := range p.info.Instances {
+			if _, ok := in.Type.(*types.Named); ok {
+				concrete = append(concrete, in.Type)
+			}
+		}
+		for _, name := range p.types.Scope().Names() {
+			if tn, ok := p.types.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				addIface(tn.Type())
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams() == nil {
+					concrete = append(concrete, n)
+				}
+			}
+		}
+	}
+	for _, it := range ifaces {
+		var want []*types.Func
+		for i := 0; i < it.NumMethods(); i++ {
+			if uses[it.Method(i)] {
+				want = append(want, it.Method(i))
+			}
+		}
+		if len(want) == 0 {
+			continue
+		}
+		for _, t := range concrete {
+			if types.IsInterface(t) || !types.Implements(t, it) && !types.Implements(types.NewPointer(t), it) {
+				continue
+			}
+			for _, im := range want {
+				obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), false, im.Pkg(), im.Name())
+				if fn, ok := obj.(*types.Func); ok {
+					uses[fn.Origin()] = true
+				}
+			}
+		}
+	}
+
+	decls, used = map[string]bool{}, map[string]bool{}
+	for fn := range held {
+		key := funcKey(fn)
+		decls[key] = true
+		if uses[fn] {
+			used[key] = true
 		}
 	}
 	return decls, used
 }
 
-// recvName is the type name of a method receiver: T, *T, T[P] or *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
+// funcKey names a function "pkg.Func" or a method "pkg.Type.Method", by
+// package name, or by the last element of its path for a main package.
+func funcKey(fn *types.Func) string {
+	pkg := fn.Pkg().Name()
+	if pkg == "main" {
+		pkg = path.Base(fn.Pkg().Path())
 	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return pkg + "." + fn.Name()
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return pkg + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
 }

@@ -20,18 +20,16 @@ const (
 
 // Reporter pushes a provider's load to recently interested consumers.
 type Reporter struct {
-	eng    *sim.Engine
-	ep     netsim.Transport
-	id     membership.NodeID
-	load   func() uint32
-	ticker *sim.Ticker
+	eng  *sim.Engine
+	ep   netsim.Transport
+	id   membership.NodeID
+	load func() uint32
 
 	// lapse is, per consumer, the first instant its interest is over (zero:
 	// it never asked). Reports go out in ascending consumer ID, so one seed
 	// gives one run.
-	lapse   membership.Table[time.Duration]
-	seq     uint64
-	running bool
+	lapse membership.Table[time.Duration]
+	seq   uint64
 
 	// enc, buf and report frame push's one packet per round, which goes to
 	// the interested consumers listed in to in one send.
@@ -48,22 +46,7 @@ func NewReporter(eng *sim.Engine, ep netsim.Transport, load func() uint32) *Repo
 }
 
 // Start begins pushing.
-func (r *Reporter) Start() {
-	if r.running {
-		return
-	}
-	r.running = true
-	r.ticker = sim.NewJitteredTicker(r.eng, ReportInterval, r.push)
-}
-
-// Stop halts pushing.
-func (r *Reporter) Stop() {
-	if !r.running {
-		return
-	}
-	r.running = false
-	r.ticker.Stop()
-}
+func (r *Reporter) Start() { sim.NewJitteredTicker(r.eng, ReportInterval, r.push) }
 
 // NoteConsumer records that a consumer just used this provider; the
 // service runtime calls it for every served request.
@@ -90,9 +73,6 @@ func (r *Reporter) eachInterested(fn func(membership.NodeID)) {
 }
 
 func (r *Reporter) push() {
-	if !r.running {
-		return
-	}
 	if r.InterestedCount() == 0 {
 		return
 	}
@@ -150,14 +130,4 @@ func (c *Cache) Forget(id membership.NodeID) {
 	if s := c.samples.Get(id); s != nil {
 		*s = Sample{}
 	}
-}
-
-// len returns the number of cached samples, including stale ones.
-func (c *Cache) len() (n int) {
-	c.samples.Each(func(_ membership.NodeID, s *Sample) {
-		if s.held {
-			n++
-		}
-	})
-	return n
 }

@@ -76,22 +76,6 @@ func TestInterestExpires(t *testing.T) {
 	}
 }
 
-func TestReporterStop(t *testing.T) {
-	eng, net := fixture(t)
-	rep := NewReporter(eng, net.Endpoint(0), func() uint32 { return 1 })
-	rep.Start()
-	rep.NoteConsumer(1)
-	count := 0
-	net.Endpoint(1).SetHandler(func(pkt netsim.Packet) { count++ })
-	eng.Run(time.Second)
-	rep.Stop()
-	at := count
-	eng.Run(eng.Now() + 2*time.Second)
-	if count != at {
-		t.Fatal("reports after Stop")
-	}
-}
-
 func TestCacheFreshnessAndOrdering(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := NewCache(eng, time.Second)
@@ -115,11 +99,11 @@ func TestCacheFreshnessAndOrdering(t *testing.T) {
 	if _, ok := c.Get(3); ok {
 		t.Fatal("stale sample still fresh")
 	}
-	if c.len() != 1 {
-		t.Fatalf("Len = %d", c.len())
+	if s := c.samples.Get(3); s == nil || !s.held {
+		t.Fatal("stale sample not kept")
 	}
 	c.Forget(3)
-	if c.len() != 0 {
+	if s := c.samples.Get(3); s != nil && s.held {
 		t.Fatal("Forget failed")
 	}
 }

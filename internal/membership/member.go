@@ -70,10 +70,6 @@ func (m MemberInfo) Clone() MemberInfo {
 	return out
 }
 
-// newer reports whether m supersedes o for the same node, comparing
-// (incarnation, version).
-func (m MemberInfo) newer(o MemberInfo) bool { return m.Prefix().Newer(o.Prefix()) }
-
 // InfoPrefix is the fixed-size head of a MemberInfo — the identity and the
 // three counters every merge decision is made on. On the wire it is the
 // first 24 bytes of an encoded record (docs/WIRE.md §3), so a receiver can

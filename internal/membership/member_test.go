@@ -105,13 +105,13 @@ func TestMemberInfoNewer(t *testing.T) {
 	a := MemberInfo{Incarnation: 1, Version: 5}
 	b := MemberInfo{Incarnation: 1, Version: 6}
 	c := MemberInfo{Incarnation: 2, Version: 0}
-	if !b.newer(a) || a.newer(b) {
+	if !b.Prefix().Newer(a.Prefix()) || a.Prefix().Newer(b.Prefix()) {
 		t.Fatal("version comparison broken")
 	}
-	if !c.newer(b) || b.newer(c) {
+	if !c.Prefix().Newer(b.Prefix()) || b.Prefix().Newer(c.Prefix()) {
 		t.Fatal("incarnation should dominate version")
 	}
-	if a.newer(a) {
+	if a.Prefix().Newer(a.Prefix()) {
 		t.Fatal("info newer than itself")
 	}
 }

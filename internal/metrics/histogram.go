@@ -61,9 +61,6 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
-// count returns the number of recorded observations.
-func (h *Histogram) count() uint64 { return h.total }
-
 // Max returns the largest recorded observation exactly.
 func (h *Histogram) Max() time.Duration { return h.max }
 

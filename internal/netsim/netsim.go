@@ -142,7 +142,7 @@ type Handler func(pkt Packet)
 // which is how the same protocol state machines run both under virtual
 // time and on real sockets. A Transport is not safe for concurrent use: its
 // methods and its handler run on the goroutine that drives its host's
-// protocol.
+// protocol. Its ten methods are the ones the protocols call.
 // Sends copy, like UDP's sendto: the caller keeps its bytes. A delivered
 // Packet's Payload, and what is decoded from it, is valid until the handler
 // returns; whatever is kept longer is copied out. One payload bound for
@@ -159,11 +159,9 @@ type Transport interface {
 	// SetUp brings the endpoint up or down; a down endpoint neither
 	// sends nor receives.
 	SetUp(up bool)
-	Up() bool
 	// Join/Leave manage multicast channel subscriptions.
 	Join(ch ChannelID)
 	Leave(ch ChannelID)
-	Joined(ch ChannelID) bool
 	// Multicast sends on a channel with a TTL scope; Unicast sends to one
 	// host and reports reachability (false on a known partition).
 	Multicast(ch ChannelID, ttl int, payload []byte)
@@ -565,9 +563,6 @@ func (ep *Endpoint) NoteReject() { ep.stats.Rejected++ }
 // SetUp marks the endpoint up or down. A down endpoint neither sends nor
 // receives; this models killing the membership daemon.
 func (ep *Endpoint) SetUp(up bool) { ep.up = up }
-
-// Up reports whether the endpoint is up.
-func (ep *Endpoint) Up() bool { return ep.up }
 
 // Join subscribes the endpoint to a multicast channel.
 func (ep *Endpoint) Join(ch ChannelID) {

@@ -103,14 +103,6 @@ func (c *CutDetector) FirstDown(subject membership.NodeID) time.Duration {
 	return -1
 }
 
-// count returns the number of distinct observers currently accusing subject.
-func (c *CutDetector) count(subject membership.NodeID) int {
-	if s := c.subjects.Get(subject); s != nil {
-		return len(s.reports)
-	}
-	return 0
-}
-
 // Classify expires lapsed reports and splits the accused subjects into the
 // stable (count >= H) and unstable (L <= count < H) regions, both in
 // ascending node ID order so downstream iteration is deterministic.

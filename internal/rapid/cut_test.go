@@ -35,8 +35,8 @@ func TestCutSingleFailure(t *testing.T) {
 	if fd := c.FirstDown(subject); fd != 0 {
 		t.Fatalf("FirstDown = %v, want 0 (oldest live report)", fd)
 	}
-	if c.count(subject) != 8 {
-		t.Fatalf("Count = %d, want 8", c.count(subject))
+	if len(c.subjects.Get(subject).reports) != 8 {
+		t.Fatalf("Count = %d, want 8", len(c.subjects.Get(subject).reports))
 	}
 }
 
@@ -102,8 +102,8 @@ func TestCutFlappingReporter(t *testing.T) {
 	// A second, steady accuser must not be erased by the flapper's UPs.
 	c.Down(subject, membership.NodeID(7), 40*time.Second)
 	c.Up(subject, flapper, 41*time.Second)
-	if c.count(subject) != 1 {
-		t.Fatalf("steady accuser lost: count=%d", c.count(subject))
+	if len(c.subjects.Get(subject).reports) != 1 {
+		t.Fatalf("steady accuser lost: count=%d", len(c.subjects.Get(subject).reports))
 	}
 }
 

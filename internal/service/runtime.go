@@ -318,10 +318,6 @@ func NewRuntime(cfg Config, eng *sim.Engine, ep netsim.Transport, node Member) *
 	return r
 }
 
-// LoadCache exposes the consumer-side load cache when load push is
-// enabled (nil otherwise); tests and the ablation harness inspect it.
-func (r *Runtime) LoadCache() *loadinfo.Cache { return r.loadCache }
-
 // Node returns the underlying membership node.
 func (r *Runtime) Node() Member { return r.node }
 

@@ -275,10 +275,10 @@ func TestLoadPushSkipsPolling(t *testing.T) {
 		eng.Run(eng.Now() + 300*time.Millisecond)
 	}
 	// The consumer should now hold fresh samples for both replicas.
-	if _, ok := rts[0].LoadCache().Get(1); !ok {
+	if _, ok := rts[0].loadCache.Get(1); !ok {
 		t.Fatal("no cached load for provider 1")
 	}
-	if _, ok := rts[0].LoadCache().Get(2); !ok {
+	if _, ok := rts[0].loadCache.Get(2); !ok {
 		t.Fatal("no cached load for provider 2")
 	}
 	// Count LoadPolls from here on: cached dispatch should avoid them.

@@ -70,7 +70,6 @@ type Engine struct {
 	nextSeq uint64
 	rng     *rand.Rand
 	steps   uint64
-	stopped bool
 	live    int // scheduled and not yet fired or cancelled
 
 	wheel wheel
@@ -251,12 +250,7 @@ func (e *Engine) Step() bool {
 // min(until, time of last event); if the queue drains early the clock still
 // advances to until so subsequent Schedule calls are relative to it.
 func (e *Engine) Run(until time.Duration) {
-	e.stopped = false
-	for !e.stopped {
-		ev := e.peek()
-		if ev == nil || ev.at > until {
-			break
-		}
+	for ev := e.peek(); ev != nil && ev.at <= until; ev = e.peek() {
 		e.fire(ev)
 	}
 	if e.now < until {
@@ -267,14 +261,9 @@ func (e *Engine) Run(until time.Duration) {
 // RunAll executes events until the queue is empty. Use with care: protocols
 // with periodic timers never drain; prefer Run.
 func (e *Engine) RunAll() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
-
-// Stop makes the innermost Run/RunAll return after the current callback
-// (all of it, when the callback stands for several events).
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of live queue entries. A callback that will
 // count several logical events when it fires (see AddSteps) is one entry.

@@ -96,21 +96,6 @@ func TestRunUntilBoundary(t *testing.T) {
 	}
 }
 
-func TestStopInsideEvent(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.Schedule(1*time.Second, func() { count++; e.Stop() })
-	e.Schedule(2*time.Second, func() { count++ })
-	e.RunAll()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (Stop should halt loop)", count)
-	}
-	e.RunAll() // resumes
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 after resume", count)
-	}
-}
-
 func TestScheduleAt(t *testing.T) {
 	e := NewEngine(1)
 	var at time.Duration

@@ -33,12 +33,7 @@ func (e *Engine) NextEventAt() (time.Duration, bool) {
 // the parsim window primitive: a logical process drains [now, until) and the
 // coordinator decides what the clock does at the boundary via AdvanceTo.
 func (e *Engine) RunBefore(until time.Duration) {
-	e.stopped = false
-	for !e.stopped {
-		ev := e.peek()
-		if ev == nil || ev.at >= until {
-			return
-		}
+	for ev := e.peek(); ev != nil && ev.at < until; ev = e.peek() {
 		e.fire(ev)
 	}
 }

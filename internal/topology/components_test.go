@@ -27,7 +27,7 @@ func reachScript(top *Topology, seed int64, steps int, check func(*Topology) str
 	rng := rand.New(rand.NewSource(seed))
 	var switches []DeviceID
 	for id := 0; id < top.NumDevices(); id++ {
-		if top.device(DeviceID(id)).Kind != KindHost {
+		if top.devices[DeviceID(id)].Kind != KindHost {
 			switches = append(switches, DeviceID(id))
 		}
 	}
@@ -39,25 +39,25 @@ func reachScript(top *Topology, seed int64, steps int, check func(*Topology) str
 		switch rng.Intn(6) {
 		case 0:
 			top.FailDevice(dev)
-			op = "fail " + top.device(dev).Name
+			op = "fail " + top.devices[dev].Name
 		case 1:
 			top.RepairDevice(dev)
-			op = "repair " + top.device(dev).Name
+			op = "repair " + top.devices[dev].Name
 		case 2, 3: // cuts outnumber the other steps, so partitions build up
 			top.FailLink(l.A, l.B)
-			op = "cut " + top.device(l.A).Name + "-" + top.device(l.B).Name
+			op = "cut " + top.devices[l.A].Name + "-" + top.devices[l.B].Name
 		case 4:
 			top.RepairLink(l.A, l.B)
-			op = "mend " + top.device(l.A).Name + "-" + top.device(l.B).Name
+			op = "mend " + top.devices[l.A].Name + "-" + top.devices[l.B].Name
 		case 5:
 			if rng.Intn(2) == 0 {
 				h := HostID(rng.Intn(top.NumHosts()))
 				to := switches[rng.Intn(len(switches))]
 				top.RehomeHost(h, to)
-				op = fmt.Sprintf("rehome host %d to %s", h, top.device(to).Name)
+				op = fmt.Sprintf("rehome host %d to %s", h, top.devices[to].Name)
 			} else {
 				top.MarkLink(l.A, l.B)
-				op = "mark " + top.device(l.A).Name + "-" + top.device(l.B).Name
+				op = "mark " + top.devices[l.A].Name + "-" + top.devices[l.B].Name
 			}
 		}
 		if bad := check(top); bad != "" {

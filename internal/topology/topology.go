@@ -235,9 +235,6 @@ func (t *Topology) NumDevices() int { return len(t.devices) }
 // non-empty topology).
 func (t *Topology) NumDataCenters() int { return t.numDC }
 
-// device returns the device record for id.
-func (t *Topology) device(id DeviceID) Device { return t.devices[id] }
-
 // HostDevice returns the device record backing host h.
 func (t *Topology) HostDevice(h HostID) Device { return t.devices[t.hosts[h]] }
 

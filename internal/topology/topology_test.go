@@ -245,7 +245,7 @@ func TestHostNaming(t *testing.T) {
 	// dense and follow the order the hosts were added in.
 	multi, next := MultiDC(3, 2, 3), HostID(0)
 	for id := DeviceID(0); id < DeviceID(multi.NumDevices()); id++ {
-		d := multi.device(id)
+		d := multi.devices[id]
 		if d.Kind != KindHost {
 			if d.Host != NoHost {
 				t.Fatalf("%s %s has host ID %d", d.Kind, d.Name, d.Host)

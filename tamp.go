@@ -108,13 +108,6 @@ func (s *Sim) Run(d time.Duration) { s.eng.Run(s.eng.Now() + d) }
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.eng.Now() }
 
-// SetLossProbability injects independent per-receiver packet loss.
-func (s *Sim) SetLossProbability(p float64) { s.net.SetLossProbability(p) }
-
-// SetLatencyJitter makes delivery latencies vary by ±frac, allowing packet
-// reordering.
-func (s *Sim) SetLatencyJitter(frac float64) { s.net.SetLatencyJitter(frac) }
-
 // NetworkStats are aggregate traffic counters for the simulated network.
 type NetworkStats = netsim.Stats
 
@@ -123,6 +116,3 @@ func (s *Sim) NetworkStats() NetworkStats { return s.net.TotalStats() }
 
 // ResetNetworkStats zeroes the traffic counters (e.g. after warm-up).
 func (s *Sim) ResetNetworkStats() { s.net.ResetStats() }
-
-// Topology returns the underlying topology (for failure injection).
-func (s *Sim) Topology() *Topology { return s.top }

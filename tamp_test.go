@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/membership"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -222,91 +221,6 @@ func TestServeDirectoryIPC(t *testing.T) {
 	}
 }
 
-func TestChangesSincePublicAPI(t *testing.T) {
-	cl := NewCluster(Clustered(2, 3))
-	cl.StartAll()
-	cl.Run(15 * time.Second)
-	mark := cl.Now()
-	cl.MustService(4).Stop()
-	cl.Run(20 * time.Second)
-	ev, complete := cl.MustService(0).Client().ChangesSince(mark)
-	if !complete {
-		t.Fatal("history incomplete over a short window")
-	}
-	if len(ev) != 1 || ev[0].Node != 4 {
-		t.Fatalf("events = %+v, want one leave of node 4", ev)
-	}
-	if ev[0].Type.String() != "leave" {
-		t.Fatalf("event type = %v", ev[0].Type)
-	}
-}
-
-func TestHistoryChangesSince(t *testing.T) {
-	ev := func(typ membership.EventType, n NodeID, at time.Duration) ChangeEvent {
-		return ChangeEvent{Type: typ, Node: n, Time: at}
-	}
-	join := func(n NodeID, at time.Duration) ChangeEvent { return ev(membership.EventJoin, n, at) }
-	// A log of capacity 0 retains nothing and vouches for nothing.
-	l := &changeLog{}
-	l.record(join(1, time.Second))
-	if got, complete := l.since(0); got != nil || complete {
-		t.Fatal("a log of capacity 0 retained or vouched for an event")
-	}
-	l = &changeLog{capacity: 4}
-	l.record(join(2, 2*time.Second))
-	l.record(join(3, 3*time.Second))
-	l.record(ev(membership.EventLeave, 2, 4*time.Second))
-	got, complete := l.since(0)
-	if !complete || len(got) != 3 {
-		t.Fatalf("events = %v complete=%v", got, complete)
-	}
-	if got[0].Type != membership.EventJoin || got[2].Type != membership.EventLeave || got[2].Node != 2 {
-		t.Fatalf("event order wrong: %v", got)
-	}
-	// Window filter.
-	got, _ = l.since(3500 * time.Millisecond)
-	if len(got) != 1 || got[0].Type != membership.EventLeave {
-		t.Fatalf("windowed = %v", got)
-	}
-	// Overflow: the ring holds 4; a 5th event drops the oldest, and a
-	// query reaching before the retained window reports incomplete.
-	l.record(join(4, 5*time.Second))
-	l.record(join(5, 6*time.Second))
-	got, complete = l.since(0)
-	if complete {
-		t.Fatal("overflowed history claims completeness for the full past")
-	}
-	if len(got) != 4 || got[0].Node != 3 || got[3].Node != 5 {
-		t.Fatalf("retained = %v, want the newest 4", got)
-	}
-	// But a query within the retained window is complete.
-	if _, complete = l.since(3 * time.Second); !complete {
-		t.Fatal("query inside retained window should be complete")
-	}
-
-	// Same instant: the ring holds two of three joins at 5 s. A retained
-	// event at t does not vouch for the one dropped at t.
-	l = &changeLog{capacity: 2}
-	for n := NodeID(1); n <= 3; n++ {
-		l.record(join(n, 5*time.Second))
-	}
-	got, complete = l.since(5 * time.Second)
-	if complete || len(got) != 2 || got[0].Node != 2 {
-		t.Fatalf("three joins at 5s in a ring of 2: since(5s) = %v complete=%v, want n2, n3 and incomplete", got, complete)
-	}
-	if got, complete = l.since(5*time.Second + 1); !complete || len(got) != 0 {
-		t.Fatalf("after the dropped instant: %v complete=%v, want nothing and complete", got, complete)
-	}
-	// A ring holding every event of an instant vouches for it.
-	l = &changeLog{capacity: 3}
-	for n := NodeID(1); n <= 3; n++ {
-		l.record(join(n, 5*time.Second))
-	}
-	if _, complete = l.since(5 * time.Second); !complete {
-		t.Fatal("a ring holding every event claims to have dropped some")
-	}
-}
-
 func TestGracefulLeavePublicAPI(t *testing.T) {
 	cl := NewCluster(Clustered(2, 4))
 	cl.StartAll()
@@ -319,14 +233,14 @@ func TestGracefulLeavePublicAPI(t *testing.T) {
 	if lag := cl.Now() - before; lag > time.Second {
 		t.Fatalf("graceful leave took %v to converge; want sub-second", lag)
 	}
-	if st := cl.MustService(0).Stats(); st.HeartbeatsSent == 0 {
-		t.Fatal("public Stats empty")
+	if st := cl.MustService(0).node.Stats(); st.HeartbeatsSent == 0 {
+		t.Fatal("protocol stats empty")
 	}
 }
 
 func TestLossySimConverges(t *testing.T) {
 	cl := NewClusterSeed(Clustered(2, 5), 9)
-	cl.SetLossProbability(0.03)
+	cl.net.SetLossProbability(0.03)
 	cl.StartAll()
 	if !cl.WaitConverged(time.Second, 60*time.Second) {
 		t.Fatal("lossy cluster never converged")
