@@ -29,6 +29,8 @@ type udpNet struct {
 	drv *driver
 	eps []*udpEndpoint
 	out []byte // the resident frame every send is written from
+	// scratch is the buffer every endpoint lends through Scratch.
+	scratch []byte
 
 	loops sync.WaitGroup // the read loops
 
@@ -127,6 +129,10 @@ func (ep *udpEndpoint) Leave(ch netsim.ChannelID) { delete(ep.subs, ch) }
 // NoteReject implements netsim.Transport. It counts nothing: nothing reads
 // a real endpoint's rejects.
 func (ep *udpEndpoint) NoteReject() {}
+
+// Scratch implements netsim.Transport: the driver goroutine runs every
+// endpoint, so they share one buffer.
+func (ep *udpEndpoint) Scratch() *[]byte { return &ep.udp.scratch }
 
 // Multicast implements netsim.Transport: one datagram to each host in the
 // TTL scope that is up and subscribed, unless the loss draw drops it. A

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/loadinfo"
@@ -487,16 +486,13 @@ func (n *Node) frame(m wire.Message) []byte {
 	return n.buf
 }
 
-// snapshots lends nodes the buffers of directory snapshots (32 KB at N=1000,
-// sent often by few nodes); a collection takes back what is idle.
-var snapshots = sync.Pool{New: func() any { return new([]byte) }}
-
-// withDirectory frames the node's directory snapshot once for send.
+// withDirectory frames the node's directory snapshot once for send, into
+// the buffer its transport lends (32 KB at N=1000, sent often by few nodes,
+// so no node keeps one of its own).
 func (n *Node) withDirectory(ask bool, send func(snapshot []byte)) {
-	b := snapshots.Get().(*[]byte)
+	b := n.ep.Scratch()
 	*b = wire.AppendDirectory((*b)[:0], n.id, ask, n.dir)
 	send(*b)
-	snapshots.Put(b)
 }
 
 // allLevels asks publishDirectory for every joined group.

@@ -142,7 +142,7 @@ type Handler func(pkt Packet)
 // which is how the same protocol state machines run both under virtual
 // time and on real sockets. A Transport is not safe for concurrent use: its
 // methods and its handler run on the goroutine that drives its host's
-// protocol. Its ten methods are the ones the protocols call.
+// protocol. Its eleven methods are the ones the protocols call.
 // Sends copy, like UDP's sendto: the caller keeps its bytes. A delivered
 // Packet's Payload, and what is decoded from it, is valid until the handler
 // returns; whatever is kept longer is copied out. One payload bound for
@@ -173,6 +173,12 @@ type Transport interface {
 	// packet as malformed, stale, or replayed; the count surfaces in the
 	// transport's stats so harness reports can attribute drops.
 	NoteReject()
+	// Scratch lends a buffer to frame one large outgoing packet in (a
+	// directory snapshot). It belongs to the goroutine that runs the
+	// endpoint, which may share it with other endpoints: it is good until
+	// that goroutine's next Scratch, and the caller stores what it grew
+	// back through the pointer.
+	Scratch() *[]byte
 }
 
 var _ Transport = (*Endpoint)(nil)
@@ -559,6 +565,13 @@ func (ep *Endpoint) GrayLag() time.Duration { return ep.grayLag }
 // (malformed bytes, stale sequence, replayed datagram). Implements
 // Transport.
 func (ep *Endpoint) NoteReject() { ep.stats.Rejected++ }
+
+// Scratch lends the scratch buffer of the worker that runs the endpoint's
+// LP. Implements Transport.
+func (ep *Endpoint) Scratch() *[]byte {
+	l := ep.net.lps
+	return &l.scratch[l.pools[ep.lp].bucket]
+}
 
 // SetUp marks the endpoint up or down. A down endpoint neither sends nor
 // receives; this models killing the membership daemon.

@@ -45,6 +45,12 @@ type lpNet struct {
 	fans  []map[fanKey]*fanout // per-LP fan-out caches (Endpoint.fanoutFor)
 	wan   []uint64             // per-LP bytes sent across data centers
 
+	// scratch[b] is the buffer the endpoints of worker b's LPs lend through
+	// Transport.Scratch: the worker runs its LPs one after another, and a
+	// send copies out of the buffer, so one per worker is enough. It grows
+	// to the largest snapshot framed on it (≈ 40 KiB at N=1000).
+	scratch [][]byte
+
 	// subEpoch[lp] invalidates lp's own fan-outs on local Join/Leave;
 	// pubEpoch invalidates everyone's when any LP republishes snapshots.
 	// pubEpoch only changes between windows (deterministically: it is
@@ -74,6 +80,7 @@ func (n *Network) EnablePartition(lpOf []int, engs []*sim.Engine, buckets int) {
 		buckets:  buckets,
 		out:      make([][][]outMsg, p),
 		pools:    make([]pools, p),
+		scratch:  make([][]byte, buckets),
 		fans:     make([]map[fanKey]*fanout, p),
 		wan:      make([]uint64, p),
 		subEpoch: make([]uint64, p),

@@ -102,9 +102,13 @@ type Layer struct {
 	sessions []session
 	payload  []byte
 
-	// ring is the tick wheel: ring[(base+d) % len] holds the sessions due
-	// d ticks from the current one. One engine event per tick drains a slot.
-	ring    [][]int32
+	// ring is the tick wheel: ring[(cursor+d) % len] chains the entries due
+	// d ticks from the current one, in the order they were added. One engine
+	// event per tick drains a slot. free lists the drained blocks, which every
+	// slot draws from, so the wheel holds as many blocks as its entries fill
+	// plus one partial block per slot, whatever tick they fall due in.
+	ring    []chain
+	free    *block
 	cursor  int
 	tick    uint64
 	running bool
@@ -170,7 +174,7 @@ func New(eng *sim.Engine, opt Options, gws []*service.Runtime, alive func(member
 	if r := int(opt.HedgeAfter/tick) + 2; r > horizon {
 		horizon = r
 	}
-	l.ring = make([][]int32, horizon)
+	l.ring = make([]chain, horizon)
 	if opt.HedgeAfter > 0 {
 		l.hedgeTicks = l.clampTicks(opt.HedgeAfter)
 	}
@@ -248,13 +252,13 @@ func (l *Layer) onTick() {
 	}
 	// Drain the current wheel slot. Non-negative entries are sessions due
 	// to issue; complemented entries (^i) are hedge checks.
-	due := l.ring[l.cursor]
-	l.ring[l.cursor] = due[:0]
-	for _, i := range due {
-		if i < 0 {
-			l.hedgeCheck(^i)
-		} else {
-			l.issue(i)
+	for b := l.due(); b != nil; b = l.recycle(b) {
+		for _, i := range b.e[:b.n] {
+			if i < 0 {
+				l.hedgeCheck(^i)
+			} else {
+				l.issue(i)
+			}
 		}
 	}
 	l.tick++
@@ -285,11 +289,60 @@ func (c *completer) Done(tag uint64, _ []byte, err error) {
 	(*Layer)(c).complete(int32(uint32(tag)), uint8(tag>>32), tag&hedgeLeg != 0, err)
 }
 
-// after schedules session i to issue its next request d from now, rounded
-// to the tick wheel.
+// blockLen is how many entries one wheel block holds: with its link and
+// count, a block is 4 KiB.
+const blockLen = 1021
+
+// block is one link of a wheel slot's chain.
+type block struct {
+	next *block
+	n    int32
+	e    [blockLen]int32
+}
+
+// chain is one wheel slot: its blocks from head to tail, oldest first. Only
+// the tail is partly filled.
+type chain struct{ head, tail *block }
+
+// after schedules entry i (a session, or ^session for a hedge check) ticks
+// from now, at the end of its slot. ticks is in [1, len(ring)-1]
+// (clampTicks), so an entry never lands in the slot being drained.
 func (l *Layer) after(i int32, ticks int) {
-	slot := (l.cursor + ticks) % len(l.ring)
-	l.ring[slot] = append(l.ring[slot], i)
+	s := &l.ring[(l.cursor+ticks)%len(l.ring)]
+	b := s.tail
+	if b == nil || b.n == blockLen {
+		nb := l.free
+		if nb != nil {
+			l.free, nb.next = nb.next, nil
+		} else {
+			nb = new(block)
+		}
+		if b == nil {
+			s.head = nb
+		} else {
+			b.next = nb
+		}
+		s.tail, b = nb, nb
+	}
+	b.e[b.n] = i
+	b.n++
+}
+
+// due detaches the current slot's chain for the drain.
+func (l *Layer) due() *block {
+	s := &l.ring[l.cursor]
+	b := s.head
+	*s = chain{}
+	return b
+}
+
+// recycle puts drained block b on the free list and returns the block after
+// it.
+func (l *Layer) recycle(b *block) *block {
+	next := b.next
+	b.next, b.n = l.free, 0
+	l.free = b
+	return next
 }
 
 // thinkTicks draws the next think delay in ticks, uniform on

@@ -312,9 +312,12 @@ func TestBenchmarkCeilingsHold(t *testing.T) {
 // issuing a request per 5s think time through InvokeNode — half the four
 // replicas' capacity, so nothing queues long. A request allocates nothing:
 // its completion is the layer itself with a tag, and its two packets come
-// from the network's recycled buffers. The ceiling is what the same cluster
-// allocates idle, plus 1 per 100 requests for the occasional regrowth of a
-// wheel slot. It returns the fixture and the layer, in steady state.
+// from the network's recycled buffers, and the warm wheel draws its blocks
+// from its own free list. The ceiling is what the same cluster allocates
+// idle, plus 1 per 500 requests: the loaded window's excess is the few send
+// buffers the network adds for the packets in flight (15 over 9 798
+// requests, where the bound allows 19). It returns the fixture and the
+// layer, in steady state.
 func steadyStateCeiling(tb testing.TB) (*fixture, *Layer) {
 	f := newFixture(tb, 6, 4, 4)
 	const window = 5 * time.Second
@@ -341,8 +344,8 @@ func steadyStateCeiling(tb testing.TB) (*fixture, *Layer) {
 		tb.Fatalf("not a steady state: %+v", st)
 	}
 	tb.Logf("%d allocations over an idle %d for %d requests", loaded, idle, requests)
-	if loaded > idle+requests/100 {
-		tb.Fatalf("%d allocations for %d requests over an idle %d (%.3f each), want at most 1 per 100",
+	if loaded > idle+requests/500 {
+		tb.Fatalf("%d allocations for %d requests over an idle %d (%.3f each), want at most 1 per 500",
 			loaded, requests, idle, float64(loaded-idle)/float64(requests))
 	}
 	return f, l
