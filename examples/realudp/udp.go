@@ -114,9 +114,6 @@ func (ep *udpEndpoint) ID() topology.HostID { return ep.id }
 // SetHandler implements netsim.Transport.
 func (ep *udpEndpoint) SetHandler(h netsim.Handler) { ep.handler = h }
 
-// HasHandler implements netsim.Transport.
-func (ep *udpEndpoint) HasHandler() bool { return ep.handler != nil }
-
 // SetUp implements netsim.Transport.
 func (ep *udpEndpoint) SetUp(up bool) { ep.up = up }
 

@@ -73,6 +73,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		info: membership.MemberInfo{Node: id},
 	}
 	n.Publisher = membership.NewPublisher(&n.info, n.published)
+	ep.SetHandler(n.Receive)
 	return n
 }
 
@@ -92,10 +93,6 @@ func (n *Node) published() {
 	}
 }
 
-// Receive handles a membership packet delivered by an outer endpoint mux
-// (e.g. a service runtime that claimed the endpoint before Start).
-func (n *Node) Receive(pkt netsim.Packet) { n.receive(pkt) }
-
 // Start joins the cluster channel and begins heartbeating.
 func (n *Node) Start(eng *sim.Engine) {
 	if n.running {
@@ -105,9 +102,6 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.running = true
 	n.info.Incarnation++
 	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
-	if !n.ep.HasHandler() {
-		n.ep.SetHandler(n.receive)
-	}
 	n.ep.SetUp(true)
 	n.ep.Join(n.cfg.Channel)
 	jitter := time.Duration(eng.Rand().Int63n(int64(heartbeatInterval)))
@@ -142,7 +136,10 @@ func (n *Node) sendHeartbeat() {
 	n.ep.Multicast(n.cfg.Channel, n.cfg.TTL, n.buf)
 }
 
-func (n *Node) receive(pkt netsim.Packet) {
+// Receive handles one delivered packet. NewNode installs it as the endpoint
+// handler; a layer that shares the endpoint (a service runtime) installs its
+// mux in its place and delegates membership packets here.
+func (n *Node) Receive(pkt netsim.Packet) {
 	if !n.running {
 		return
 	}

@@ -204,8 +204,8 @@ func TestChaosInstallValidation(t *testing.T) {
 			t.Errorf("scenario %d installed despite invalid step", i)
 		}
 	}
-	if engOf(env).Pending() != 0 {
-		t.Fatalf("failed installs left %d events scheduled", engOf(env).Pending())
+	if _, ok := engOf(env).NextEventAt(); ok {
+		t.Fatal("failed installs left events scheduled")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -143,16 +142,6 @@ func Parse(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// ParseFile parses a configuration file from disk.
-func ParseFile(path string) (*File, error) {
-	fd, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fd.Close()
-	return Parse(fd)
 }
 
 // ParseString parses a configuration from a string.

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -66,6 +65,9 @@ func TestParseComments(t *testing.T) {
 	if v, _ := f.SystemValue("a"); v != "1" {
 		t.Fatalf("case-insensitive lookup failed: %q", v)
 	}
+	if _, err := ParseString(""); err != nil {
+		t.Fatalf("empty config should parse: %v", err)
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -98,15 +100,5 @@ func TestBadSystemInt(t *testing.T) {
 	f2, _ := ParseString("*SYSTEM\nMCAST_FREQ = 0\n")
 	if _, err := f2.MulticastFrequency(); err == nil {
 		t.Fatal("want error for zero frequency")
-	}
-}
-
-func TestParseFileRoundTrip(t *testing.T) {
-	// ParseFile is a thin wrapper; exercise the reader-level error path.
-	if _, err := ParseFile("/nonexistent/config"); err == nil {
-		t.Fatal("want error for missing file")
-	}
-	if _, err := Parse(strings.NewReader("")); err != nil {
-		t.Fatalf("empty config should parse: %v", err)
 	}
 }

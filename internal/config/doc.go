@@ -3,7 +3,7 @@
 // *SYSTEM key=value settings followed by *SERVICE blocks declaring
 // service name, partition list, and startup parameters.
 //
-// Parse/ParseFile/ParseString return a File whose SystemValue/SystemInt
+// Parse/ParseString return a File whose SystemValue/SystemInt
 // accessors read [system] keys (MulticastFrequency converts the paper's
 // frequency setting to a heartbeat interval) and whose Services slice
 // feeds service registration at node startup. Parsing is strict about

@@ -194,6 +194,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	for l := range n.levels {
 		n.levels[l] = &levelState{level: l, bootstrapFrom: membership.NoNode}
 	}
+	ep.SetHandler(n.Receive)
 	return n
 }
 
@@ -205,15 +206,6 @@ func (n *Node) Directory() *membership.Directory { return n.dir }
 
 // Running reports whether the node is started.
 func (n *Node) Running() bool { return n.running }
-
-// SetInfo replaces the node's published services/attributes before Start;
-// identity and incarnation carry over, and the beat restarts.
-func (n *Node) SetInfo(info membership.MemberInfo) {
-	info.Node = n.id
-	inc := n.info.Incarnation
-	n.info = info.Clone()
-	n.info.Incarnation = inc
-}
 
 // published runs after every versioned change of the node's own record.
 func (n *Node) published() {
@@ -238,12 +230,6 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.info.Node = n.id
 	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
 	n.dir.SetTombstoneTTL(n.cfg.tombstoneTTL())
-	// Claim the endpoint only if no one owns it: a service runtime or
-	// proxy installs a mux as the handler and delegates membership
-	// packets to Receive.
-	if !n.ep.HasHandler() {
-		n.ep.SetHandler(n.receive)
-	}
 	n.ep.SetUp(true)
 	n.joinLevel(0)
 	n.tracker = sim.NewTicker(eng, n.cfg.HeartbeatInterval/2, n.cfg.HeartbeatInterval/2, n.track)
@@ -519,14 +505,10 @@ func (n *Node) publishDirectory(level int) {
 	})
 }
 
-// Receive feeds one delivered packet into the protocol. The node installs
-// itself as the endpoint handler on Start; layers that need to share the
-// endpoint (the service runtime, membership proxies) install a mux as the
-// handler instead and delegate membership packets here.
-func (n *Node) Receive(pkt netsim.Packet) { n.receive(pkt) }
-
-// receive dispatches one delivered packet.
-func (n *Node) receive(pkt netsim.Packet) {
+// Receive handles one delivered packet. NewNode installs it as the endpoint
+// handler; a layer that shares the endpoint (a service runtime) installs its
+// mux in its place and delegates membership packets here.
+func (n *Node) Receive(pkt netsim.Packet) {
 	if !n.running {
 		return
 	}

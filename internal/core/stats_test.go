@@ -65,29 +65,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestSetInfoPreservesIdentityAndIncarnation(t *testing.T) {
-	top := topology.FlatLAN(2)
-	c := newCluster(top, cfgFor(top))
-	n := c.nodes[1]
-	n.Start(c.eng)
-	inc := n.Info().Incarnation
-	var replacement membership.MemberInfo
-	replacement.Node = 99 // must be overridden with the node's own ID
-	replacement.SetAttr("dc", "west")
-	replacement.Incarnation = 42 // must not override the live incarnation
-	n.SetInfo(replacement)
-	got := n.Info()
-	if got.Node != 1 {
-		t.Fatalf("SetInfo let the identity change: %v", got.Node)
-	}
-	if got.Incarnation != inc {
-		t.Fatalf("SetInfo changed the incarnation: %d -> %d", inc, got.Incarnation)
-	}
-	if v, _ := got.Attr("dc"); v != "west" {
-		t.Fatalf("attrs not replaced: %q", v)
-	}
-}
-
 func TestMarkSeenBounded(t *testing.T) {
 	top := topology.FlatLAN(2)
 	c := newCluster(top, cfgFor(top))

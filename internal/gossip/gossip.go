@@ -111,6 +111,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 		info: membership.MemberInfo{Node: id},
 	}
 	n.Publisher = membership.NewPublisher(&n.info, n.published)
+	ep.SetHandler(n.Receive)
 	return n
 }
 
@@ -131,10 +132,6 @@ func (n *Node) published() {
 	}
 }
 
-// Receive handles a membership packet delivered by an outer endpoint mux
-// (e.g. a service runtime that claimed the endpoint before Start).
-func (n *Node) Receive(pkt netsim.Packet) { n.receive(pkt) }
-
 // Start joins the gossip overlay.
 func (n *Node) Start(eng *sim.Engine) {
 	if n.running {
@@ -145,9 +142,6 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.info.Incarnation++
 	n.dir.SetTombstoneTTL(2 * n.cfg.failAfter())
 	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
-	if !n.ep.HasHandler() {
-		n.ep.SetHandler(n.receive)
-	}
 	n.ep.SetUp(true)
 	jitter := time.Duration(eng.Rand().Int63n(int64(gossipInterval)))
 	n.ticker = sim.NewTicker(eng, jitter, gossipInterval, n.round)
@@ -226,8 +220,10 @@ func (n *Node) pickTargets() []topology.HostID {
 	return targets
 }
 
-// receive merges an incoming view.
-func (n *Node) receive(pkt netsim.Packet) {
+// Receive merges an incoming view. NewNode installs it as the endpoint
+// handler; a layer that shares the endpoint (a service runtime) installs its
+// mux in its place and delegates membership packets here.
+func (n *Node) Receive(pkt netsim.Packet) {
 	if !n.running {
 		return
 	}

@@ -92,8 +92,8 @@ func (o TrafficOptions) scenarios() []*chaos.Scenario {
 }
 
 // attachRuntimes layers a service runtime over every node of a plain
-// cluster. Must run before StartAll: the runtime's mux claims the endpoint
-// handler and delegates membership packets to the daemon.
+// cluster, before or after StartAll: the runtime's mux replaces the
+// daemon's endpoint handler and delegates membership packets to it.
 func attachRuntimes(c *Cluster) []*service.Runtime {
 	rts := make([]*service.Runtime, len(c.Nodes))
 	for h, n := range c.Nodes {

@@ -43,6 +43,8 @@ func TestTrafficDeterminism(t *testing.T) {
 // killing a replica mid-run must surface as user-visible misroutes and
 // session migrations on every scheme, and a healthy steady run must show
 // none of either.
+//
+// Mutant: a daemon's Start re-installs its own handler (each scheme).
 func TestTrafficStaleDirectoryCostsUsers(t *testing.T) {
 	o := DefaultTrafficOptions()
 	o.sessions = 300

@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -202,7 +203,7 @@ func TestLookupRegexAndPartitions(t *testing.T) {
 	if len(got) != 2 || got[0].Node != 1 || got[1].Node != 4 {
 		t.Fatalf("Lookup(Retriever, 1-3) = %+v", got)
 	}
-	if FormatPartitions(got[0].Partitions) != "1-3" {
+	if !reflect.DeepEqual(got[0].Partitions, []int32{1, 2, 3}) {
 		t.Fatalf("matched partitions = %v", got[0].Partitions)
 	}
 

@@ -241,30 +241,3 @@ func ParsePartitions(spec string) ([]int32, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
 }
-
-// FormatPartitions renders a partition list compactly using ranges, the
-// inverse of ParsePartitions.
-func FormatPartitions(parts []int32) string {
-	if len(parts) == 0 {
-		return ""
-	}
-	sorted := append([]int32(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b strings.Builder
-	for i := 0; i < len(sorted); {
-		j := i
-		for j+1 < len(sorted) && sorted[j+1] == sorted[j]+1 {
-			j++
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		if j == i {
-			fmt.Fprintf(&b, "%d", sorted[i])
-		} else {
-			fmt.Fprintf(&b, "%d-%d", sorted[i], sorted[j])
-		}
-		i = j + 1
-	}
-	return b.String()
-}

@@ -2,6 +2,8 @@ package membership
 
 import (
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -35,43 +37,22 @@ func TestParsePartitions(t *testing.T) {
 	}
 }
 
-func TestFormatPartitions(t *testing.T) {
-	cases := []struct {
-		in   []int32
-		want string
-	}{
-		{nil, ""},
-		{[]int32{3}, "3"},
-		{[]int32{1, 2, 3}, "1-3"},
-		{[]int32{5, 0, 2, 7, 6}, "0,2,5-7"},
-	}
-	for _, c := range cases {
-		if got := FormatPartitions(c.in); got != c.want {
-			t.Errorf("FormatPartitions(%v) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
+// TestPartitionsRoundTrip writes a set of partitions as a comma list, in
+// any order and with repeats, and parses it back to the set, sorted.
 func TestPartitionsRoundTrip(t *testing.T) {
 	f := func(raw []uint8) bool {
 		set := map[int32]bool{}
-		for _, r := range raw {
+		items := make([]string, len(raw))
+		for i, r := range raw {
 			set[int32(r%50)] = true
+			items[i] = strconv.Itoa(int(r % 50))
 		}
-		var parts []int32
-		for p := range set {
-			parts = append(parts, p)
-		}
-		spec := FormatPartitions(parts)
-		back, err := ParsePartitions(spec)
-		if err != nil {
+		back, err := ParsePartitions(strings.Join(items, ","))
+		if err != nil || len(back) != len(set) {
 			return false
 		}
-		if len(back) != len(set) {
-			return false
-		}
-		for _, p := range back {
-			if !set[p] {
+		for i, p := range back {
+			if !set[p] || i > 0 && back[i-1] >= p {
 				return false
 			}
 		}

@@ -142,7 +142,7 @@ type Handler func(pkt Packet)
 // which is how the same protocol state machines run both under virtual
 // time and on real sockets. A Transport is not safe for concurrent use: its
 // methods and its handler run on the goroutine that drives its host's
-// protocol. Its eleven methods are the ones the protocols call.
+// protocol. Its ten methods are the ones the protocols call.
 // Sends copy, like UDP's sendto: the caller keeps its bytes. A delivered
 // Packet's Payload, and what is decoded from it, is valid until the handler
 // returns; whatever is kept longer is copied out. One payload bound for
@@ -151,11 +151,11 @@ type Handler func(pkt Packet)
 type Transport interface {
 	// ID is the host identity on the network.
 	ID() topology.HostID
-	// SetHandler installs the delivery callback; HasHandler reports
-	// whether one is installed (layering: the membership daemon only
-	// claims an unowned endpoint).
+	// SetHandler installs the delivery callback, replacing any other.
+	// An endpoint has one owner: a daemon installs its Receive when it is
+	// built, and a layer built over the daemon (a service runtime)
+	// installs its mux in its place and delegates membership packets.
 	SetHandler(h Handler)
-	HasHandler() bool
 	// SetUp brings the endpoint up or down; a down endpoint neither
 	// sends nor receives.
 	SetUp(up bool)
@@ -538,9 +538,6 @@ func (ep *Endpoint) Stats() Stats { return ep.stats }
 
 // SetHandler installs the packet delivery callback.
 func (ep *Endpoint) SetHandler(h Handler) { ep.handler = h }
-
-// HasHandler reports whether a delivery callback is installed.
-func (ep *Endpoint) HasHandler() bool { return ep.handler != nil }
 
 // SetFilter installs a delivery veto; a false return drops the packet.
 func (ep *Endpoint) SetFilter(f func(pkt Packet) bool) { ep.filter = f }

@@ -379,7 +379,8 @@ func TestLinkProfileComposesWithGlobal(t *testing.T) {
 	}
 	n.profiles[bit] = LinkProfile{Loss: 0.5, Jitter: 0.4, Dup: 0.25, Corrupt: 0.5}
 	want := LinkProfile{Loss: 0.75, Jitter: 0.4, Dup: 0.25, Corrupt: 0.5}
-	if got := n.compose(topology.MarkSetOf(bit)); got != want {
+	_, marks := n.top.UnicastPath(0, 1) // crosses node000's link
+	if got := n.compose(marks); got != want {
 		t.Fatalf("composed profile = %+v, want %+v", got, want)
 	}
 	// Unmarked paths keep the global knobs, and draw no byte faults.

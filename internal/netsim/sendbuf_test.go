@@ -160,7 +160,7 @@ func crossCeiling(tb testing.TB) func() {
 	now := time.Duration(0)
 	round := func() {
 		sender.Multicast(3, ttl, payload)
-		for engs[0].Pending()+engs[1].Pending() > 0 {
+		for queued(engs) {
 			now += part.Lookahead
 			for _, eng := range engs {
 				eng.RunBefore(now)
@@ -332,7 +332,7 @@ func checkBalance(t *testing.T, seed int64, buckets int, framed bool) {
 	// a corrupt fault raised — may outlast the script: run on until it is
 	// quiet.
 	end := scriptEnd
-	for pending(w) > 0 && end < 4*scriptEnd {
+	for queued(w.engs) && end < 4*scriptEnd {
 		end += scriptEnd
 		w.until(end)
 	}
@@ -341,8 +341,8 @@ func checkBalance(t *testing.T, seed int64, buckets int, framed bool) {
 	}
 	want := map[*sendBuf]int32{}
 	for lp, eng := range w.engs {
-		if eng.Pending() > 0 {
-			t.Fatalf("%s: LP %d has %d events left", what, lp, eng.Pending())
+		if _, ok := eng.NextEventAt(); ok {
+			t.Fatalf("%s: LP %d has events left", what, lp)
 		}
 		var eps []*Endpoint
 		for h := topology.HostID(0); h < scriptHosts; h++ {
@@ -370,13 +370,14 @@ func checkBalance(t *testing.T, seed int64, buckets int, framed bool) {
 	}
 }
 
-// pending counts the events left on a world's engines.
-func pending(w *world) int {
-	count := 0
-	for _, eng := range w.engs {
-		count += eng.Pending()
+// queued reports whether any of engs has an event left.
+func queued(engs []*sim.Engine) bool {
+	for _, eng := range engs {
+		if _, ok := eng.NextEventAt(); ok {
+			return true
+		}
 	}
-	return count
+	return false
 }
 
 // sendCeiling builds the BenchmarkSendSteadyState fixture — a 1000-byte
@@ -491,7 +492,7 @@ func TestFanoutBuffersAcrossLPs(t *testing.T) {
 	}
 	now := time.Duration(0)
 	settle := func() { // a window drains the outbox first
-		for first := true; first || engs[0].Pending()+engs[1].Pending() > 0; first = false {
+		for first := true; first || queued(engs); first = false {
 			now += part.Lookahead
 			for _, eng := range engs {
 				eng.RunBefore(now)

@@ -103,9 +103,6 @@ func (c *Coordinator) ScheduleAt(at time.Duration, fn func()) *sim.Timer {
 
 var _ sim.Scheduler = (*Coordinator)(nil)
 
-// EngineOf returns LP lp's engine.
-func (c *Coordinator) EngineOf(lp int) *sim.Engine { return c.engs[lp] }
-
 // Steps sums executed events across all LPs; boundary actions are not
 // simulation events and do not count.
 func (c *Coordinator) Steps() uint64 {

@@ -43,7 +43,7 @@ func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 			t.Errorf("%s ran at %v, want %v", tag, c.Now(), at)
 		}
 		for lp := 0; lp < len(c.engs); lp++ {
-			if got := c.EngineOf(lp).Now(); got != at {
+			if got := c.engs[lp].Now(); got != at {
 				t.Errorf("%s: LP %d clock %v, want %v", tag, lp, got, at)
 			}
 		}
@@ -65,7 +65,7 @@ func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 	late = c.ScheduleAt(5*time.Millisecond, func() { note("late", 5*time.Millisecond) })
 	c.Schedule(2*time.Millisecond, func() { note("a", 2*time.Millisecond) })
 	stopped := c.Schedule(3*time.Millisecond, func() { note("stopped", 3*time.Millisecond) })
-	if !stopped.Stop() || stopped.Pending() {
+	if !stopped.Stop() || stopped.Stop() {
 		t.Fatal("a boundary action's timer does not cancel")
 	}
 	c.Run(10 * time.Millisecond)
@@ -76,7 +76,7 @@ func TestBoundaryActionsRunAtExactTime(t *testing.T) {
 		t.Fatalf("final Now %v", c.Now())
 	}
 	for lp := 0; lp < len(c.engs); lp++ {
-		if got := c.EngineOf(lp).Now(); got != 10*time.Millisecond {
+		if got := c.engs[lp].Now(); got != 10*time.Millisecond {
 			t.Fatalf("LP %d final clock %v", lp, got)
 		}
 	}
@@ -101,8 +101,8 @@ func TestCrossLPArrivalTimes(t *testing.T) {
 			t.Fatalf("bad paths: cross=%v local=%v", wantCross, wantLocal)
 		}
 		var gotCross, gotLocal time.Duration
-		net.Endpoint(2).SetHandler(func(netsim.Packet) { gotCross = c.EngineOf(1).Now() })
-		net.Endpoint(1).SetHandler(func(netsim.Packet) { gotLocal = c.EngineOf(0).Now() })
+		net.Endpoint(2).SetHandler(func(netsim.Packet) { gotCross = c.engs[1].Now() })
+		net.Endpoint(1).SetHandler(func(netsim.Packet) { gotLocal = c.engs[0].Now() })
 		send := 3 * time.Millisecond
 		c.ScheduleAt(send, func() {
 			net.Endpoint(0).Unicast(2, []byte("x"))
@@ -165,7 +165,7 @@ func BenchmarkParsimBoundaryExchange(b *testing.B) {
 			for h := 0; h < n; h++ {
 				h := h
 				dst := topology.HostID((h + 4) % n) // next LP over
-				eng := c.EngineOf(part.LPOf[h])
+				eng := c.engs[part.LPOf[h]]
 				ep := net.Endpoint(topology.HostID(h))
 				ep.SetHandler(func(netsim.Packet) {})
 				var tick func()

@@ -197,7 +197,7 @@ func (p *Proxy) pickRemoteDC(svc string, partition int32) (int, bool) {
 	}
 	sort.Ints(dcs)
 	for _, dc := range dcs {
-		e, ok := p.remote[dc].entries[svc]
+		e, ok := p.RemoteSummary(dc, svc)
 		if !ok {
 			continue
 		}

@@ -270,6 +270,7 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	sortIDs(seeds)
 	n.configSeq, n.proposer = 1, membership.NoNode
 	n.installMembers(seeds, 0)
+	ep.SetHandler(n.Receive)
 	return n
 }
 
@@ -300,10 +301,6 @@ func (n *Node) published() {
 	n.broadcastInfo()
 }
 
-// Receive handles a membership packet delivered by an outer endpoint mux
-// (e.g. a service runtime that claimed the endpoint before Start).
-func (n *Node) Receive(pkt netsim.Packet) { n.receive(pkt) }
-
 // Start joins the installed configuration and begins beating. A restarted
 // node resumes from its (possibly stale) last configuration; the sync
 // exchange converges it onto the cluster's current one within a beat or
@@ -317,9 +314,6 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.info.Incarnation++
 	now := eng.Now()
 	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, now)
-	if !n.ep.HasHandler() {
-		n.ep.SetHandler(n.receive)
-	}
 	n.ep.SetUp(true)
 	// Re-arm the installed configuration's edge state with a fresh grace
 	// period (a restart must not act on pre-crash silence).
@@ -491,7 +485,10 @@ func (n *Node) noteSeq(from membership.NodeID, seq uint64, now time.Duration) {
 
 // ---- receiving ----
 
-func (n *Node) receive(pkt netsim.Packet) {
+// Receive handles one delivered packet. NewNode installs it as the endpoint
+// handler; a layer that shares the endpoint (a service runtime) installs its
+// mux in its place and delegates membership packets here.
+func (n *Node) Receive(pkt netsim.Packet) {
 	if !n.running {
 		return
 	}

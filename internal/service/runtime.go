@@ -296,9 +296,9 @@ type Runtime struct {
 	loadCache *loadinfo.Cache
 }
 
-// NewRuntime wires a runtime over a started-or-not membership node. It
-// takes over the endpoint handler; membership packets are delegated to the
-// node.
+// NewRuntime wires a runtime over a membership node, started or not. Its
+// mux replaces the node's handler on the endpoint for good (a restarted
+// node keeps it) and delegates membership packets to the node.
 func NewRuntime(cfg Config, eng *sim.Engine, ep netsim.Transport, node Member) *Runtime {
 	r := &Runtime{
 		cfg:   cfg,

@@ -26,6 +26,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, top *topology.Topology) *fixture {
 	t.Helper()
+	f := newNodes(top)
+	f.attach()
+	return f
+}
+
+// newNodes builds the cluster's membership nodes without runtimes.
+func newNodes(top *topology.Topology) *fixture {
 	eng := sim.NewEngine(17)
 	net := netsim.New(eng, top)
 	cfg := core.DefaultConfig()
@@ -35,13 +42,16 @@ func newFixture(t *testing.T, top *topology.Topology) *fixture {
 	}
 	f := &fixture{eng: eng, net: net}
 	for h := 0; h < top.NumHosts(); h++ {
-		ep := net.Endpoint(topology.HostID(h))
-		node := core.NewNode(cfg, ep)
-		rt := NewRuntime(DefaultConfig(), eng, ep, node)
-		f.nodes = append(f.nodes, node)
-		f.runtimes = append(f.runtimes, rt)
+		f.nodes = append(f.nodes, core.NewNode(cfg, net.Endpoint(topology.HostID(h))))
 	}
 	return f
+}
+
+// attach builds a service runtime over every node.
+func (f *fixture) attach() {
+	for h, node := range f.nodes {
+		f.runtimes = append(f.runtimes, NewRuntime(DefaultConfig(), f.eng, f.net.Endpoint(topology.HostID(h)), node))
+	}
 }
 
 func (f *fixture) startAll() {
@@ -58,30 +68,54 @@ func echoHandler(tag string) Handler {
 	}
 }
 
+// TestInvokeBasic serves one request through runtimes built before their
+// daemons start, and through runtimes built after, with the provider then
+// killed and restarted: its runtime keeps the endpoint across the restart,
+// so the provider serves again and every view converges.
+//
 // Mutant: serve keeps req.Payload instead of copying it into the serving record (-race).
+// Mutant: a daemon's Start re-installs its own handler (late=false), or a restart does (late=true).
 func TestInvokeBasic(t *testing.T) {
-	f := newFixture(t, topology.Clustered(2, 3))
-	if err := f.runtimes[4].Register("Echo", "0-1", time.Millisecond, echoHandler("n4")); err != nil {
-		t.Fatal(err)
-	}
-	f.startAll()
-	f.run(15 * time.Second)
+	for _, late := range []bool{false, true} {
+		f := newNodes(topology.Clustered(2, 3))
+		if late {
+			f.startAll()
+			f.run(15 * time.Second)
+		}
+		f.attach()
+		if err := f.runtimes[4].Register("Echo", "0-1", time.Millisecond, echoHandler("n4")); err != nil {
+			t.Fatal(err)
+		}
+		f.startAll()
+		f.run(15 * time.Second)
+		if late {
+			f.nodes[4].Stop()
+			f.run(10 * time.Second)
+			f.nodes[4].Start(f.eng)
+			f.run(15 * time.Second)
+			for _, n := range f.nodes {
+				if got := n.Directory().Len(); got != len(f.nodes) {
+					t.Errorf("late: %v sees %d members after the restart, want %d", n.ID(), got, len(f.nodes))
+				}
+			}
+		}
 
-	var got []byte
-	var gotErr error
-	done := false
-	f.runtimes[0].Invoke("Echo", 1, []byte("hi"), Func(func(b []byte, err error) {
-		got, gotErr, done = bytes.Clone(b), err, true
-	}), 0)
-	f.run(time.Second)
-	if !done {
-		t.Fatal("callback never fired")
-	}
-	if gotErr != nil {
-		t.Fatal(gotErr)
-	}
-	if string(got) != "n4/p1:hi" {
-		t.Fatalf("reply = %q", got)
+		var got []byte
+		var gotErr error
+		done := false
+		f.runtimes[0].Invoke("Echo", 1, []byte("hi"), Func(func(b []byte, err error) {
+			got, gotErr, done = bytes.Clone(b), err, true
+		}), 0)
+		f.run(time.Second)
+		if !done {
+			t.Fatalf("late=%v: callback never fired", late)
+		}
+		if gotErr != nil {
+			t.Fatalf("late=%v: %v", late, gotErr)
+		}
+		if string(got) != "n4/p1:hi" {
+			t.Fatalf("late=%v: reply = %q", late, got)
+		}
 	}
 }
 

@@ -13,14 +13,14 @@
 //   - Engine: the clock and event queue. NewEngine(seed) starts at time
 //     zero; Schedule/ScheduleAt queue callbacks; Run(until) advances the
 //     clock; Now, Steps, and Rand expose the clock, executed-event count,
-//     and RNG. Steps counts logical events and Pending counts queue
-//     entries, and the two units differ for exactly one kind of callback:
-//     one that stands for k events nothing could have fired between (k
-//     consecutive sequence numbers at one instant — the copies of one
-//     multicast, which netsim schedules as a run). It takes one queue entry
-//     and one sequence number, fires once, and calls AddSteps(k-1): Pending
-//     moved by one, Steps by k, and every event count a report or digest
-//     carries is what it was when each copy was an event of its own.
+//     and RNG. Steps counts logical events, not queue entries, and the
+//     two differ for exactly one kind of callback: one that stands for k
+//     events nothing could have fired between (k consecutive sequence
+//     numbers at one instant — the copies of one multicast, which netsim
+//     schedules as a run). It takes one queue entry and one sequence
+//     number, fires once, and calls AddSteps(k-1): Steps moves by k, and
+//     every event count a report or digest carries is what it was when
+//     each copy was an event of its own.
 //   - Timer: the cancellable handle on a scheduled event, three words
 //     stamped with the event's generation so it is harmless once the event
 //     has fired and its struct been recycled. Schedule returns it boxed

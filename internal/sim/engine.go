@@ -28,13 +28,13 @@ type Callback interface {
 	Fire()
 }
 
-// Timer is a handle to a scheduled event that can be stopped or queried.
-// It stays valid after the event fires: the generation stamp makes Stop and
-// Pending harmless no-ops once the underlying Event has been recycled. The
+// Timer is a handle to a scheduled event that can be stopped.
+// It stays valid after the event fires: the generation stamp makes Stop a
+// harmless no-op once the underlying Event has been recycled. The
 // handle is three words and copies freely: Schedule returns it boxed for
 // callers that keep a *Timer, ScheduleCallTimer returns it by value so a
 // pooled record can hold its own timeout without a second allocation. The
-// zero Timer is never pending.
+// zero Timer stops nothing.
 type Timer struct {
 	e   *Engine
 	ev  *Event
@@ -48,11 +48,6 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	return t.e.cancel(t.ev, t.gen)
-}
-
-// Pending reports whether the timer has not yet fired or been stopped.
-func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
@@ -70,7 +65,6 @@ type Engine struct {
 	nextSeq uint64
 	rng     *rand.Rand
 	steps   uint64
-	live    int // scheduled and not yet fired or cancelled
 
 	wheel wheel
 
@@ -107,8 +101,7 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // apart — k consecutive sequence numbers at one instant, such as the copies
 // of one multicast (netsim's runs) — occupies one queue entry and one
 // sequence number, fires once, and calls AddSteps(k-1), so Steps reports
-// what the simulation did and not how it was batched. Pending counts queue
-// entries: such a callback is one.
+// what the simulation did and not how it was batched.
 func (e *Engine) AddSteps(n int) { e.steps += uint64(n) }
 
 // Schedule runs fn after delay of virtual time and returns a cancellable
@@ -169,7 +162,6 @@ func (e *Engine) add(delay time.Duration, fn func(), c Callback) *Event {
 	ev.call = c
 	ev.dead = false
 	e.nextSeq++
-	e.live++
 	e.insert(ev)
 	return ev
 }
@@ -180,7 +172,6 @@ func (e *Engine) cancel(ev *Event, gen uint32) bool {
 		return false
 	}
 	ev.dead = true
-	e.live--
 	return true
 }
 
@@ -224,7 +215,6 @@ func (e *Engine) fire(ev *Event) {
 	e.curPos++
 	e.now = ev.at
 	e.steps++
-	e.live--
 	fn, call := ev.fn, ev.call
 	e.release(ev)
 	if call != nil {
@@ -264,7 +254,3 @@ func (e *Engine) RunAll() {
 	for e.Step() {
 	}
 }
-
-// Pending returns the number of live queue entries. A callback that will
-// count several logical events when it fires (see AddSteps) is one entry.
-func (e *Engine) Pending() int { return e.live }

@@ -58,9 +58,6 @@ func TestTimerStop(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
 	tm := e.Schedule(time.Second, func() { fired = true })
-	if !tm.Pending() {
-		t.Fatal("timer should be pending")
-	}
 	if !tm.Stop() {
 		t.Fatal("Stop should report true for pending timer")
 	}
@@ -152,12 +149,12 @@ func TestPending(t *testing.T) {
 	e := NewEngine(1)
 	t1 := e.Schedule(time.Second, func() {})
 	e.Schedule(2*time.Second, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
 	t1.Stop()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after stop, want 1", e.Pending())
+	if at, ok := e.NextEventAt(); !ok || at != 2*time.Second {
+		t.Fatalf("next event after a stop: %v, %v; want 2s", at, ok)
+	}
+	if !e.Step() || e.Step() {
+		t.Fatal("a stopped event left in the queue, or the live one lost")
 	}
 }
 
@@ -245,10 +242,10 @@ func (b *batchCall) Fire() {
 }
 
 // TestBatchCallbackCountsItsLength pins the accounting contract of a callback
-// that stands for k events: scheduling it adds one to Pending and consumes
-// one sequence number, firing it adds k to Steps, and the order against its
-// same-instant neighbours is the one k separate events in its place would
-// have had.
+// that stands for k events: it is one queue entry (one Step fires it) and
+// consumes one sequence number, firing it adds k to Steps, and the order
+// against its same-instant neighbours is the one k separate events in its
+// place would have had.
 func TestBatchCallbackCountsItsLength(t *testing.T) {
 	const k = 7
 	e := NewEngine(1)
@@ -256,9 +253,6 @@ func TestBatchCallbackCountsItsLength(t *testing.T) {
 	e.Schedule(time.Millisecond, func() { order = append(order, "before") })
 	b := &batchCall{e: e, k: k}
 	e.ScheduleCall(time.Millisecond, b)
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("Pending = %d with a plain event and a batch of %d queued, want 2", got, k)
-	}
 	e.Schedule(time.Millisecond, func() { order = append(order, "after") })
 
 	if !e.Step() || len(order) != 1 || order[0] != "before" {
@@ -274,10 +268,9 @@ func TestBatchCallbackCountsItsLength(t *testing.T) {
 	if b.fired != 1 {
 		t.Fatalf("the batch fired %d times, want once", b.fired)
 	}
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending = %d after the batch fired, want 1", got)
+	if !e.Step() || e.Step() {
+		t.Fatal("want one entry left after the batch fired")
 	}
-	e.RunAll()
 	if len(order) != 2 || order[1] != "after" {
 		t.Fatalf("order %v, want [before after] around the batch", order)
 	}

@@ -95,8 +95,8 @@ func TestWheelMatchesReferenceOrder(t *testing.T) {
 					seed, i, fired[i], keys[fired[i]].at, want[i], keys[want[i]].at)
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("seed %d: %d events still pending after RunAll", seed, e.Pending())
+		if _, ok := e.NextEventAt(); ok {
+			t.Fatalf("seed %d: events still pending after RunAll", seed)
 		}
 	}
 }
@@ -134,8 +134,8 @@ func TestTimerHandleSurvivesReuse(t *testing.T) {
 	e := NewEngine(1)
 	stale := e.Schedule(time.Millisecond, func() {})
 	e.Run(time.Millisecond) // fires; the Event struct returns to the pool
-	if stale.Pending() {
-		t.Fatal("fired timer still pending")
+	if stale.Stop() {
+		t.Fatal("fired timer still stops")
 	}
 	fired := false
 	fresh := e.Schedule(time.Millisecond, func() { fired = true })
@@ -146,8 +146,8 @@ func TestTimerHandleSurvivesReuse(t *testing.T) {
 	if !fired {
 		t.Fatal("recycled event did not fire")
 	}
-	if fresh.Pending() {
-		t.Fatal("fired timer reports pending")
+	if fresh.Stop() {
+		t.Fatal("fired timer still stops")
 	}
 }
 
@@ -184,7 +184,7 @@ func TestScheduleCallTimer(t *testing.T) {
 	c.n = 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm := e.ScheduleCallTimer(time.Second, c)
-		if !tm.Pending() || !tm.Stop() || tm.Stop() || tm.Pending() {
+		if !tm.Stop() || tm.Stop() {
 			t.Fatal("arm/stop cycle misreports")
 		}
 		e.Run(e.Now() + time.Millisecond) // reaps nothing yet; keeps the wheel moving
@@ -194,21 +194,18 @@ func TestScheduleCallTimer(t *testing.T) {
 	}
 	steps := e.Steps()
 	e.RunAll()
-	if c.n != 0 || e.Steps() != steps || e.Pending() != 0 {
-		t.Fatalf("cancelled events: fired %d, steps %d -> %d, pending %d", c.n, steps, e.Steps(), e.Pending())
+	if _, ok := e.NextEventAt(); c.n != 0 || e.Steps() != steps || ok {
+		t.Fatalf("cancelled events: fired %d, steps %d -> %d, pending %v", c.n, steps, e.Steps(), ok)
 	}
 
 	stale := e.ScheduleCallTimer(time.Millisecond, c)
 	e.RunAll()
-	if c.n != 1 || stale.Pending() {
-		t.Fatalf("fired %d times, pending %v", c.n, stale.Pending())
+	if c.n != 1 {
+		t.Fatalf("fired %d times, want once", c.n)
 	}
-	fresh := e.ScheduleCallTimer(time.Millisecond, c) // recycles the same Event
+	e.ScheduleCallTimer(time.Millisecond, c) // recycles the same Event
 	if stale.Stop() {
 		t.Fatal("stale handle stopped a recycled event")
-	}
-	if !fresh.Pending() {
-		t.Fatal("recycled event lost to a stale handle")
 	}
 	e.RunAll()
 	if c.n != 2 {
@@ -216,7 +213,7 @@ func TestScheduleCallTimer(t *testing.T) {
 	}
 
 	var zero Timer
-	if zero.Pending() || zero.Stop() {
+	if zero.Stop() {
 		t.Fatal("zero Timer is pending")
 	}
 }

@@ -167,16 +167,6 @@ type MarkSet struct {
 	hi []uint64 // bit 64+i*64+j is hi[i] bit j; no trailing zero words
 }
 
-// MarkSetOf builds a set from explicit bit indices; it exists for tests and
-// diagnostics — production sets come out of the path computations.
-func MarkSetOf(bits ...int) MarkSet {
-	var m MarkSet
-	for _, b := range bits {
-		m = m.with(b)
-	}
-	return m
-}
-
 // Empty reports whether no links are marked on the path.
 func (m MarkSet) Empty() bool { return m.lo == 0 && len(m.hi) == 0 }
 
