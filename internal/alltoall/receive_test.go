@@ -162,6 +162,9 @@ func newReceive400(tb testing.TB) *receive400 {
 	for h := 0; h < top.NumHosts(); h++ {
 		h := h
 		ep := net.Endpoint(topology.HostID(h))
+		f.nodes = append(f.nodes, NewNode(cfg, ep))
+		// NewNode claims the endpoint; the capture replaces its handler, as
+		// a runtime layered over the node would.
 		ep.SetHandler(func(pkt netsim.Packet) {
 			msg, err := pkt.Decode()
 			if err != nil {
@@ -169,7 +172,6 @@ func newReceive400(tb testing.TB) *receive400 {
 			}
 			f.pending = append(f.pending, captured{h, *msg.(*wire.Heartbeat)})
 		})
-		f.nodes = append(f.nodes, NewNode(cfg, ep))
 		f.nodes[h].Start(eng)
 	}
 	// Two heartbeat periods, so every directory holds every member (a beat

@@ -107,7 +107,7 @@ func deploy(c *Cluster, perDC int, scfg service.Config) *proxy.Deployment {
 func svcName(dc int) string { return fmt.Sprintf("app%d", dc) }
 
 // Runtimes returns one service runtime per host: the deployment's own, or
-// a fresh one layered over every plain node. Call it before StartAll.
+// a fresh one layered over every plain node, before or after StartAll.
 func (c *Cell) Runtimes() []*service.Runtime {
 	if c.dep == nil {
 		return attachRuntimes(c.Cluster)
