@@ -36,18 +36,14 @@ func DefaultConfig() Config {
 
 // Node is one cluster node running the all-to-all membership scheme.
 type Node struct {
-	cfg  Config
-	eng  *sim.Engine
-	ep   netsim.Transport
-	id   membership.NodeID
-	dir  *membership.Directory
-	info membership.MemberInfo
-	// Publisher is the publishing API (RegisterService, UpdateValue,
-	// DeleteValue, Info) over info.
-	membership.Publisher
+	cfg Config
+	eng *sim.Engine
+	ep  netsim.Transport
+	// Self is the node's identity, directory, own record and lifecycle,
+	// with the publishing API over that record.
+	membership.Self
 	hb      *sim.Ticker
 	tracker *sim.Ticker
-	running bool
 	// marks is the replay guard: heartbeats that fail to advance their
 	// sender's (incarnation, beat) must not refresh liveness. Nothing ever
 	// clears a mark.
@@ -64,44 +60,17 @@ type Node struct {
 
 // NewNode creates a node bound to an endpoint.
 func NewNode(cfg Config, ep netsim.Transport) *Node {
-	id := membership.NodeID(ep.ID())
-	n := &Node{
-		cfg:  cfg,
-		ep:   ep,
-		id:   id,
-		dir:  membership.NewDirectory(id),
-		info: membership.MemberInfo{Node: id},
-	}
-	n.Publisher = membership.NewPublisher(&n.info, n.published)
+	n := &Node{cfg: cfg, ep: ep, Self: membership.NewSelf(membership.NodeID(ep.ID()), nil)}
 	ep.SetHandler(n.Receive)
 	return n
 }
 
-// ID returns the node identity.
-func (n *Node) ID() membership.NodeID { return n.id }
-
-// Directory returns the node's yellow-page directory.
-func (n *Node) Directory() *membership.Directory { return n.dir }
-
-// Running reports whether the node is started.
-func (n *Node) Running() bool { return n.running }
-
-// published runs after every versioned change of the node's own record.
-func (n *Node) published() {
-	if n.running {
-		n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, n.eng.Now())
-	}
-}
-
 // Start joins the cluster channel and begins heartbeating.
 func (n *Node) Start(eng *sim.Engine) {
-	if n.running {
+	if !n.Begin(eng) {
 		return
 	}
 	n.eng = eng
-	n.running = true
-	n.info.Incarnation++
-	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
 	n.ep.SetUp(true)
 	n.ep.Join(n.cfg.Channel)
 	jitter := time.Duration(eng.Rand().Int63n(int64(heartbeatInterval)))
@@ -111,10 +80,9 @@ func (n *Node) Start(eng *sim.Engine) {
 
 // Stop kills the daemon.
 func (n *Node) Stop() {
-	if !n.running {
+	if !n.End() {
 		return
 	}
-	n.running = false
 	n.hb.Stop()
 	n.tracker.Stop()
 	n.ep.Leave(n.cfg.Channel)
@@ -122,14 +90,15 @@ func (n *Node) Stop() {
 }
 
 func (n *Node) sendHeartbeat() {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
-	n.info.Beat++
+	info := n.Record()
+	info.Beat++
 	n.beat = wire.Heartbeat{
-		Info:   n.info, // encoded synchronously below, so no defensive clone
+		Info:   *info, // encoded synchronously below, so no defensive clone
 		Backup: membership.NoNode,
-		Seq:    n.info.Beat,
+		Seq:    info.Beat,
 		Pad:    uint16(n.cfg.HeartbeatPad),
 	}
 	n.buf = n.enc.AppendEncode(n.buf[:0], &n.beat)
@@ -140,7 +109,7 @@ func (n *Node) sendHeartbeat() {
 // handler; a layer that shares the endpoint (a service runtime) installs its
 // mux in its place and delegates membership packets here.
 func (n *Node) Receive(pkt netsim.Packet) {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	msg, err := pkt.Decode()
@@ -156,7 +125,7 @@ func (n *Node) Receive(pkt netsim.Packet) {
 // onHeartbeat is the scheme's own work on a decoded heartbeat: the replay
 // guard and the directory refresh.
 func (n *Node) onHeartbeat(hb *wire.Heartbeat) {
-	if hb.Info.Node == n.id {
+	if hb.Info.Node == n.ID() {
 		return
 	}
 	if hb.Info.Node < 0 {
@@ -167,20 +136,20 @@ func (n *Node) onHeartbeat(hb *wire.Heartbeat) {
 		n.ep.NoteReject()
 		return
 	}
-	n.dir.Upsert(hb.Info, membership.OriginDirect, 0, membership.NoNode, n.eng.Now())
+	n.Directory().Upsert(hb.Info, membership.OriginDirect, 0, membership.NoNode, n.eng.Now())
 }
 
 func (n *Node) track() {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	now := n.eng.Now()
 	if now < n.sweepDue {
 		return
 	}
-	dead, next := n.dir.Expired(now, func(*membership.Entry) time.Duration { return deadAfter })
+	dead, next := n.Directory().Expired(now, func(*membership.Entry) time.Duration { return deadAfter })
 	for _, id := range dead {
-		n.dir.Remove(id, now)
+		n.Directory().Remove(id, now)
 	}
 	// Nothing can expire before min(next, now+deadAfter); the ticks until
 	// then are skipped, the grid they fall on is not (see the package doc).

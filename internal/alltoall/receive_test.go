@@ -42,7 +42,7 @@ func TestReplayFromExpiredMemberRejected(t *testing.T) {
 			if nodes[0].Directory().Has(2) {
 				t.Fatal("the stopped node was not expired")
 			}
-			last := nodes[2].info
+			last := nodes[2].Record()
 			before := net.Endpoint(0).Stats().Rejected
 			nodes[0].Receive(netsim.Packet{Src: 2, Dst: topology.NoHost, Channel: nodes[0].cfg.Channel, Payload: wire.Encode(&wire.Heartbeat{
 				Info: membership.MemberInfo{

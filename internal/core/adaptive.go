@@ -219,11 +219,11 @@ func (n *Node) pushLoad(now time.Duration) {
 	}
 	n.lastLoadPush = now
 	leader := n.Leader(0)
-	if leader == membership.NoNode || leader == n.id {
+	if leader == membership.NoNode || leader == n.ID() {
 		return
 	}
 	n.loadSeq++
-	msg := &wire.LoadReport{From: n.id, Seq: n.loadSeq, Load: uint32(n.Load())}
+	msg := &wire.LoadReport{From: n.ID(), Seq: n.loadSeq, Load: uint32(n.Load())}
 	n.ep.Unicast(topoHost(leader), n.frame(msg))
 }
 
@@ -251,7 +251,7 @@ func (n *Node) shedLeadership(level int, now time.Duration) {
 	}
 	n.handoffSeq++
 	n.stats.LoadSheds++
-	msg := &wire.Handoff{From: n.id, Level: uint8(level), Seq: n.handoffSeq, Successor: succ}
+	msg := &wire.Handoff{From: n.ID(), Level: uint8(level), Seq: n.handoffSeq, Successor: succ}
 	n.ep.Multicast(n.channelOf(level), ttl(level), n.frame(msg))
 	n.shedAt = now
 	n.overSince = -1
@@ -286,7 +286,7 @@ func (n *Node) leastLoadedMember(level int) membership.NodeID {
 // immediately — no election gap, no chance for the bully rule to
 // re-install the overloaded lowest ID.
 func (n *Node) onHandoff(level int, m *wire.Handoff) {
-	if !n.cfg.Adaptive || m.From == n.id || m.From < 0 {
+	if !n.cfg.Adaptive || m.From == n.ID() || m.From < 0 {
 		return
 	}
 	lv := n.levels[level]
@@ -301,7 +301,7 @@ func (n *Node) onHandoff(level int, m *wire.Handoff) {
 	}
 	from.handoff = m.Seq
 	from.leader = false
-	if m.Successor == n.id && !lv.isLeader {
+	if m.Successor == n.ID() && !lv.isLeader {
 		n.setLeader(level, true)
 	}
 }
@@ -327,7 +327,7 @@ func (n *Node) initiateSplit() {
 func (n *Node) splitChannel() netsim.ChannelID {
 	return n.cfg.ReformChannelBase +
 		netsim.ChannelID(n.reformEpoch+1)*16 +
-		netsim.ChannelID(uint32(n.id)%16)
+		netsim.ChannelID(uint32(n.ID())%16)
 }
 
 // initiateMerge folds an undersized split-off group back onto its parent
@@ -343,13 +343,13 @@ func (n *Node) group0() []membership.NodeID {
 	ids := make([]membership.NodeID, 0, lv.members+1)
 	self := true
 	lv.eachMember(func(id membership.NodeID, _ *mate) {
-		if self && n.id < id {
-			ids, self = append(ids, n.id), false
+		if self && n.ID() < id {
+			ids, self = append(ids, n.ID()), false
 		}
 		ids = append(ids, id)
 	})
 	if self {
-		ids = append(ids, n.id)
+		ids = append(ids, n.ID())
 	}
 	return ids
 }
@@ -360,10 +360,10 @@ func (n *Node) group0() []membership.NodeID {
 func (n *Node) sendReform(movers []membership.NodeID, newch netsim.ChannelID) {
 	n.reformEpoch++
 	n.stats.Reformations++
-	msg := &wire.Reform{From: n.id, Epoch: n.reformEpoch, NewChannel: uint32(newch), Movers: movers}
+	msg := &wire.Reform{From: n.ID(), Epoch: n.reformEpoch, NewChannel: uint32(newch), Movers: movers}
 	n.ep.Multicast(n.channelOf(0), ttl(0), n.frame(msg))
 	for _, id := range movers {
-		if id == n.id {
+		if id == n.ID() {
 			n.rehome(newch)
 			break
 		}
@@ -374,7 +374,7 @@ func (n *Node) sendReform(movers []membership.NodeID, newch netsim.ChannelID) {
 // retransmissions and replays idempotent: rounds at or below the last
 // epoch acted on are dropped.
 func (n *Node) onReform(m *wire.Reform) {
-	if !n.cfg.Adaptive || m.From == n.id || m.From < 0 {
+	if !n.cfg.Adaptive || m.From == n.ID() || m.From < 0 {
 		return
 	}
 	if m.Epoch <= n.reformEpoch {
@@ -384,7 +384,7 @@ func (n *Node) onReform(m *wire.Reform) {
 	}
 	n.reformEpoch = m.Epoch
 	for _, id := range m.Movers {
-		if id == n.id {
+		if id == n.ID() {
 			n.stats.Reformations++
 			n.rehome(netsim.ChannelID(m.NewChannel))
 			return

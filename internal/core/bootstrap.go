@@ -16,7 +16,7 @@ func topoHost(id membership.NodeID) topology.HostID { return topology.HostID(id)
 // carry the leader flag and pull its directory. Retries every heartbeat
 // interval until a leader is found or we become one ourselves.
 func (n *Node) bootstrap(level int) {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	lv := n.levels[level]
@@ -25,7 +25,7 @@ func (n *Node) bootstrap(level int) {
 	}
 	if leader := lv.visibleLeader(); leader != membership.NoNode {
 		lv.bootstrapFrom = leader
-		n.ep.Unicast(topoHost(leader), n.frame(&wire.BootstrapRequest{From: n.id, Level: uint8(level)}))
+		n.ep.Unicast(topoHost(leader), n.frame(&wire.BootstrapRequest{From: n.ID(), Level: uint8(level)}))
 	}
 	// Retry until a directory reply lands (the request or reply may be
 	// lost, or no leader may be elected yet).
@@ -51,7 +51,7 @@ func (n *Node) onSyncRequest(m *wire.SyncRequest) {
 // leader's in-group publication) in place from the packet's bytes. level is
 // the channel it arrived on, or -1 for unicast.
 func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
-	if m.From == n.id {
+	if m.From == n.ID() {
 		return
 	}
 	if level < 0 {
@@ -78,7 +78,7 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 	}
 	n.dirCursor = m.Cursor()
 	n.joined, n.tombstoned = n.joined[:0], n.tombstoned[:0]
-	invalid := n.dir.MergeRelayed(&n.dirCursor, lvl, m.From, n.eng.Now(), joined, &n.tombstoned)
+	invalid := n.Directory().MergeRelayed(&n.dirCursor, lvl, m.From, n.eng.Now(), joined, &n.tombstoned)
 	n.dirCursor = wire.InfoCursor{} // do not pin the payload
 	for ; invalid > 0; invalid-- {
 		// An impossible identity cannot be a member; dropping the entry
@@ -93,7 +93,7 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 		for i, id := range n.tombstoned {
 			n.updCounter++
 			corrections[i] = wire.Update{
-				ID:      wire.UpdateID{Origin: n.id, Counter: n.updCounter},
+				ID:      wire.UpdateID{Origin: n.ID(), Counter: n.updCounter},
 				Kind:    wire.ULeave,
 				Subject: id,
 			}
@@ -101,7 +101,7 @@ func (n *Node) onDirectoryMsg(level int, m *wire.DirectoryView) {
 		// Seq 0 keeps these out-of-band corrections out of the sender's
 		// loss-detected update stream; receivers apply them by UID.
 		n.ep.Unicast(topoHost(m.From), n.frame(&wire.UpdateMsg{
-			Sender: n.id, Seq: 0, Updates: corrections,
+			Sender: n.ID(), Seq: 0, Updates: corrections,
 		}))
 	}
 	// If we lead any group, propagate what we just learned: this is how a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -50,8 +51,8 @@ func (c *testCluster) fullView(t *testing.T, context string) {
 		if !n.Running() {
 			continue
 		}
-		got := n.Directory().View()
-		if !membership.ViewEqual(got, want) {
+		got := n.Directory().Nodes()
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s: node %v view = %v, want %v", context, n.ID(), got, want)
 		}
 	}

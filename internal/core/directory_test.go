@@ -39,8 +39,8 @@ func newRepublishFixture(tb testing.TB) *republishFixture {
 	}
 	f.view = m.(*wire.DirectoryView)
 	n.onDirectoryMsg(0, f.view)
-	if n.dir.Len() != 1000 {
-		tb.Fatalf("warm-up left %d entries, want 1000", n.dir.Len())
+	if n.Directory().Len() != 1000 {
+		tb.Fatalf("warm-up left %d entries, want 1000", n.Directory().Len())
 	}
 	return f
 }
@@ -69,7 +69,7 @@ func TestReceiveDirectorySteadyStateDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("receiving a 1000-record republish allocates %.1f per packet, want 0", allocs)
 	}
-	if e := f.n.dir.Get(999); e.Beat != beat-1 || e.Relayer != 1 || e.Origin != membership.OriginRelayed {
+	if e := f.n.Directory().Get(999); e.Beat != beat-1 || e.Relayer != 1 || e.Origin != membership.OriginRelayed {
 		t.Fatalf("the republishes were not merged: %+v", *e)
 	}
 }
@@ -104,7 +104,7 @@ func TestDamagedDirectoryAppliesNothing(t *testing.T) {
 	n := NewNode(DefaultConfig(), netsim.New(eng, topology.Clustered(1, 20)).Endpoint(0))
 	n.Start(eng)
 	var events int
-	n.dir.AddObserver(func(membership.Event) { events++ })
+	n.Directory().AddObserver(func(membership.Event) { events++ })
 	good := wire.Encode(&wire.DirectoryMsg{From: 1, Ask: true, Infos: []membership.MemberInfo{
 		{Node: 5, Incarnation: 1, Beat: 3},
 		{Node: 6, Incarnation: 1, Services: []membership.ServiceDecl{{Name: "idx", Partitions: []int32{1, 2}}}, Attrs: []membership.KV{{Key: "mem", Value: "2G"}}},
@@ -126,16 +126,16 @@ func TestDamagedDirectoryAppliesNothing(t *testing.T) {
 		}
 		rejected++
 		n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: b})
-		if n.dir.Len() != 1 || events != 0 {
-			t.Fatalf("rejected snapshot %x changed the directory: Len %d, %d events", b, n.dir.Len(), events)
+		if n.Directory().Len() != 1 || events != 0 {
+			t.Fatalf("rejected snapshot %x changed the directory: Len %d, %d events", b, n.Directory().Len(), events)
 		}
 	}
 	if rejected < len(good)-wire.HeaderLen || n.Stats().PacketsRejected != uint64(rejected) {
 		t.Fatalf("%d damaged snapshots rejected by Decode, node counted %d", rejected, n.Stats().PacketsRejected)
 	}
 	n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: good})
-	if n.dir.Len() != 4 || events != 3 {
-		t.Fatalf("the intact snapshot left Len %d after %d events, want 4 and 3", n.dir.Len(), events)
+	if n.Directory().Len() != 4 || events != 3 {
+		t.Fatalf("the intact snapshot left Len %d after %d events, want 4 and 3", n.Directory().Len(), events)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestSendCeilings(t *testing.T) {
 	n.Start(eng)
 	net.Endpoint(1).Join(n.channelOf(0)) // a receiver with no daemon: the cost is the sender's
 	for id := membership.NodeID(2); id <= 1000; id++ {
-		n.dir.Upsert(membership.MemberInfo{Node: id, Incarnation: 1, Beat: 7}, membership.OriginRelayed, 0, 1, eng.Now())
+		n.Directory().Upsert(membership.MemberInfo{Node: id, Incarnation: 1, Beat: 7}, membership.OriginRelayed, 0, 1, eng.Now())
 	}
 	for _, c := range []struct {
 		name string

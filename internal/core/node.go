@@ -108,17 +108,12 @@ type Node struct {
 	cfg Config
 	eng *sim.Engine
 	ep  netsim.Transport
-	id  membership.NodeID
-	dir *membership.Directory
-
-	info membership.MemberInfo
-	// Publisher is the publishing API (RegisterService, UpdateValue,
-	// DeleteValue, Info) over info.
-	membership.Publisher
+	// Self is the node's identity, directory, own record and lifecycle,
+	// with the publishing API over that record.
+	membership.Self
 	levels    []*levelState
 	tracker   *sim.Ticker
 	republish *sim.Ticker
-	running   bool
 
 	// lastTTLScan throttles the full-directory stale-entry sweep;
 	// ttlScanDue skips sweeps that provably cannot find anything (the
@@ -175,21 +170,16 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	id := membership.NodeID(ep.ID())
 	n := &Node{
 		cfg:    cfg,
-		eng:    nil,
 		ep:     ep,
-		id:     id,
-		dir:    membership.NewDirectory(id),
-		info:   membership.MemberInfo{Node: id},
+		Self:   membership.NewSelf(membership.NodeID(ep.ID()), nil),
 		outSeq: make([]uint64, cfg.MaxTTL),
 
 		overSince: -1,
 		sizeSince: -1,
 		shedAt:    -1,
 	}
-	n.Publisher = membership.NewPublisher(&n.info, n.published)
 	n.levels = make([]*levelState, cfg.MaxTTL)
 	for l := range n.levels {
 		n.levels[l] = &levelState{level: l, bootstrapFrom: membership.NoNode}
@@ -198,38 +188,18 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	return n
 }
 
-// ID returns the node's identity.
-func (n *Node) ID() membership.NodeID { return n.id }
-
-// Directory returns the node's yellow-page directory.
-func (n *Node) Directory() *membership.Directory { return n.dir }
-
-// Running reports whether the node is started.
-func (n *Node) Running() bool { return n.running }
-
-// published runs after every versioned change of the node's own record.
-func (n *Node) published() {
-	if n.running {
-		n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, n.eng.Now())
-	}
-}
-
 // Start joins the membership service: the node enters its level-0 group,
 // begins heartbeating, and bootstraps its directory from the group leader.
 func (n *Node) Start(eng *sim.Engine) {
-	if n.running {
+	if !n.Begin(eng) {
 		return
 	}
 	n.eng = eng
-	n.running = true
 	n.stats = Stats{}
 	// Sustained-condition windows restart from scratch; the re-formation
 	// lineage (chan0, parentChan, reformEpoch) deliberately survives.
 	n.overSince, n.sizeSince = -1, -1
-	n.info.Incarnation++
-	n.info.Node = n.id
-	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
-	n.dir.SetTombstoneTTL(n.cfg.tombstoneTTL())
+	n.Directory().SetTombstoneTTL(n.cfg.tombstoneTTL())
 	n.ep.SetUp(true)
 	n.joinLevel(0)
 	n.tracker = sim.NewTicker(eng, n.cfg.HeartbeatInterval/2, n.cfg.HeartbeatInterval/2, n.track)
@@ -247,14 +217,14 @@ func (n *Node) Start(eng *sim.Engine) {
 // The cluster converges in one relay time instead of waiting out the
 // MaxLoss detection window.
 func (n *Node) Leave() {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	n.updCounter++
 	u := wire.Update{
-		ID:      wire.UpdateID{Origin: n.id, Counter: n.updCounter},
+		ID:      wire.UpdateID{Origin: n.ID(), Counter: n.updCounter},
 		Kind:    wire.UDepart,
-		Subject: n.id,
+		Subject: n.ID(),
 	}
 	n.markSeen(u.ID)
 	n.stats.UpdatesOriginated++
@@ -266,10 +236,9 @@ func (n *Node) Leave() {
 // silent, exactly like the paper's experiment that kills the daemon process
 // to emulate a node failure. The directory is left as-is.
 func (n *Node) Stop() {
-	if !n.running {
+	if !n.End() {
 		return
 	}
-	n.running = false
 	for _, lv := range n.levels {
 		if lv.hbTicker != nil {
 			lv.hbTicker.Stop()
@@ -336,7 +305,7 @@ func (n *Node) Leader(level int) membership.NodeID {
 	}
 	lv := n.levels[level]
 	if lv.isLeader {
-		return n.id
+		return n.ID()
 	}
 	return lv.visibleLeader()
 }
@@ -431,7 +400,7 @@ func (n *Node) pickBackup(level int) membership.NodeID {
 
 // sendHeartbeat multicasts our announcement on one level's channel.
 func (n *Node) sendHeartbeat(level int) {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	lv := n.levels[level]
@@ -447,16 +416,17 @@ func (n *Node) sendHeartbeat(level int) {
 	}
 	lv.hbSeq++
 	n.stats.HeartbeatsSent++
+	info := n.Record()
 	if level == 0 {
 		// The liveness beat advances once per heartbeat period; every node
 		// is always joined to level 0. The node's own directory record
 		// follows, so a snapshot it publishes never offers its mates a beat
 		// below the one they heard from it directly.
-		n.info.Beat++
-		n.dir.Get(n.id).Beat = n.info.Beat // present from Start on: it never expires
+		info.Beat++
+		n.Directory().Get(info.Node).Beat = info.Beat // present from Start on: it never expires
 	}
 	n.hb = wire.Heartbeat{
-		Info:   n.info, // encoded synchronously below, so no defensive clone
+		Info:   *info, // encoded synchronously below, so no defensive clone
 		Level:  uint8(level),
 		Leader: lv.isLeader,
 		Backup: lv.backup,
@@ -477,7 +447,7 @@ func (n *Node) frame(m wire.Message) []byte {
 // so no node keeps one of its own).
 func (n *Node) withDirectory(ask bool, send func(snapshot []byte)) {
 	b := n.ep.Scratch()
-	*b = wire.AppendDirectory((*b)[:0], n.id, ask, n.dir)
+	*b = wire.AppendDirectory((*b)[:0], n.ID(), ask, n.Directory())
 	send(*b)
 }
 
@@ -488,7 +458,7 @@ const allLevels = -1
 // into every joined group for allLevels; receivers re-anchor relayed
 // entries to us. The snapshot is encoded once for every channel.
 func (n *Node) publishDirectory(level int) {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	n.withDirectory(false, func(snapshot []byte) {
@@ -509,7 +479,7 @@ func (n *Node) publishDirectory(level int) {
 // handler; a layer that shares the endpoint (a service runtime) installs its
 // mux in its place and delegates membership packets here.
 func (n *Node) Receive(pkt netsim.Packet) {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	msg, err := pkt.Decode()
@@ -555,7 +525,7 @@ func (n *Node) Receive(pkt netsim.Packet) {
 // onHeartbeat processes a group mate's announcement at one level.
 func (n *Node) onHeartbeat(level int, hb *wire.Heartbeat) {
 	from := hb.Info.Node
-	if from == n.id {
+	if from == n.ID() {
 		return
 	}
 	if from < 0 {
@@ -589,9 +559,9 @@ func (n *Node) onHeartbeat(level int, hb *wire.Heartbeat) {
 	newInfo := hb.Info.Incarnation != ms.inc || hb.Info.Version != ms.version
 	ms.inc, ms.version = hb.Info.Incarnation, hb.Info.Version
 
-	prev := n.dir.Get(from)
+	prev := n.Directory().Get(from)
 	changed := prev != nil && hb.Info.Prefix().Newer(prev.InfoPrefix)
-	n.dir.Upsert(hb.Info, membership.OriginDirect, level, membership.NoNode, now)
+	n.Directory().Upsert(hb.Info, membership.OriginDirect, level, membership.NoNode, now)
 
 	// Any member that leads some group announces direct observations to
 	// the rest of the tree ("a group leader will also inform all other
@@ -610,7 +580,7 @@ func (n *Node) onHeartbeat(level int, hb *wire.Heartbeat) {
 	// Conflict resolution: if we lead this level but a lower-ID leader is
 	// visible, abdicate ("a group leader cannot see other leaders at the
 	// same level").
-	if hb.Leader && lv.isLeader && from < n.id {
+	if hb.Leader && lv.isLeader && from < n.ID() {
 		n.setLeader(level, false)
 	}
 }
@@ -629,7 +599,7 @@ func (n *Node) anyLeader() bool {
 // track is the Status Tracker: expire silent group mates, cascade the
 // timeout protocol, run elections.
 func (n *Node) track() {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	now := n.eng.Now()
@@ -661,7 +631,7 @@ func (n *Node) track() {
 		// same grid whether or not the skip fires.
 		n.lastTTLScan = now
 		if now >= n.ttlScanDue {
-			stale, next := n.dir.Expired(now, func(e *membership.Entry) time.Duration {
+			stale, next := n.Directory().Expired(now, func(e *membership.Entry) time.Duration {
 				if e.Origin == membership.OriginRelayed {
 					return relayedTTL
 				}
@@ -670,7 +640,7 @@ func (n *Node) track() {
 			spared := false
 			for _, id := range stale {
 				if !n.hearsDirectly(id) {
-					n.dir.Remove(id, now)
+					n.Directory().Remove(id, now)
 					n.stats.RelayedPurged++
 				} else {
 					spared = true
@@ -700,7 +670,7 @@ func (n *Node) onMemberDead(level int, id membership.NodeID, ms mateSession) {
 	// node, unless another level still hears it; the leader additionally
 	// propagates it.
 	if !n.hearsDirectly(id) {
-		if n.dir.Remove(id, now) {
+		if n.Directory().Remove(id, now) {
 			// Any group mate that leads some group announces the death to
 			// the tree — in particular, when a group's own leader dies the
 			// surviving members at its level (each a leader one level
@@ -721,7 +691,7 @@ func (n *Node) onMemberDead(level int, id membership.NodeID, ms mateSession) {
 	// Backup promotion: if the dead mate was our group leader and we are
 	// its designated backup, take over instantly — unless we are ourselves
 	// overloaded, in which case the patience election finds someone else.
-	if ms.leader && ms.backup == n.id && !n.levels[level].isLeader &&
+	if ms.leader && ms.backup == n.ID() && !n.levels[level].isLeader &&
 		!(n.cfg.Adaptive && n.relayStarved()) {
 		n.setLeader(level, true)
 	}
@@ -737,15 +707,15 @@ func (n *Node) schedulePurgeRelayedBy(dead membership.NodeID, level int, deathTi
 	// republish interval, cancelling the purge.
 	grace := n.cfg.republishInterval() + n.cfg.levelGrace()*time.Duration(level+1)
 	n.eng.Schedule(grace, func() {
-		if !n.running {
+		if !n.Running() {
 			return
 		}
-		for _, victim := range n.dir.RelayedBy(dead) {
-			e := n.dir.Get(victim)
+		for _, victim := range n.Directory().RelayedBy(dead) {
+			e := n.Directory().Get(victim)
 			if e == nil || e.LastRefresh > deathTime {
 				continue // refreshed since; a new leader took over
 			}
-			n.dir.Remove(victim, n.eng.Now())
+			n.Directory().Remove(victim, n.eng.Now())
 			n.stats.RelayedPurged++
 		}
 	})
@@ -774,7 +744,7 @@ func (n *Node) elect(level int) {
 		return
 	}
 	lowest := true
-	lv.eachMember(func(id membership.NodeID, _ *mate) { lowest = lowest && n.id < id })
+	lv.eachMember(func(id membership.NodeID, _ *mate) { lowest = lowest && n.ID() < id })
 	if lowest {
 		n.setLeader(level, true)
 	}

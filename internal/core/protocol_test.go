@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -251,8 +252,8 @@ func TestTimeoutProtocolPurgesRelayedInfo(t *testing.T) {
 	}
 	// The partitioned group still sees itself.
 	for _, n := range c.nodes[8:] {
-		view := n.Directory().View()
-		if !membership.ViewEqual(view, []membership.NodeID{8, 9, 10, 11}) {
+		view := n.Directory().Nodes()
+		if !slices.Equal(view, []membership.NodeID{8, 9, 10, 11}) {
 			t.Errorf("partitioned node %v view = %v", n.ID(), view)
 		}
 	}

@@ -56,7 +56,7 @@ func TestReplayFromExpiredMemberRejected(t *testing.T) {
 			ep := c.net.Endpoint(topology.HostID(observer.ID()))
 			before, beforeNet := observer.Stats().PacketsRejected, ep.Stats().Rejected
 			observer.Receive(netsim.Packet{Src: topology.HostID(victim.ID()), Dst: topology.NoHost, Channel: cfg.channel(tc.level), TTL: 1, Payload: wire.Encode(&wire.Heartbeat{
-				Info:   membership.MemberInfo{Node: victim.ID(), Incarnation: uint32(int(victim.info.Incarnation) + tc.dInc)},
+				Info:   membership.MemberInfo{Node: victim.ID(), Incarnation: uint32(int(victim.Record().Incarnation) + tc.dInc)},
 				Level:  uint8(tc.level),
 				Backup: membership.NoNode,
 				Seq:    uint64(int(victim.levels[tc.level].hbSeq) + tc.dSeq),
@@ -95,7 +95,7 @@ func TestGuardsOutliveSessions(t *testing.T) {
 			}
 			guards, size := rec.mateGuards, lv.members
 			lastBeat := wire.Encode(&wire.Heartbeat{
-				Info:   membership.MemberInfo{Node: mateNode.ID(), Incarnation: mateNode.info.Incarnation},
+				Info:   membership.MemberInfo{Node: mateNode.ID(), Incarnation: mateNode.Record().Incarnation},
 				Backup: membership.NoNode,
 				Seq:    mateNode.levels[0].hbSeq,
 			})

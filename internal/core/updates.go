@@ -12,7 +12,7 @@ import (
 func (n *Node) originateUpdate(kind wire.UpdateKind, subject membership.NodeID, info membership.MemberInfo, exceptLevel int) {
 	n.updCounter++
 	u := wire.Update{
-		ID:      wire.UpdateID{Origin: n.id, Counter: n.updCounter},
+		ID:      wire.UpdateID{Origin: n.ID(), Counter: n.updCounter},
 		Kind:    kind,
 		Subject: subject,
 	}
@@ -54,7 +54,7 @@ func (n *Node) emitUpdate(u *wire.Update, exceptLevel int) {
 			continue
 		}
 		n.outSeq[lv.level]++
-		n.upd = wire.UpdateMsg{Sender: n.id, Seq: n.outSeq[lv.level], Updates: n.recent}
+		n.upd = wire.UpdateMsg{Sender: n.ID(), Seq: n.outSeq[lv.level], Updates: n.recent}
 		n.ep.Multicast(n.channelOf(lv.level), ttl(lv.level), n.frame(&n.upd))
 	}
 }
@@ -62,7 +62,7 @@ func (n *Node) emitUpdate(u *wire.Update, exceptLevel int) {
 // onUpdateMsg processes an update message heard on channel level (-1 for
 // unicast, which the protocol does not normally use for updates).
 func (n *Node) onUpdateMsg(level int, m *wire.UpdateMsg) {
-	if m.Sender == n.id {
+	if m.Sender == n.ID() {
 		return
 	}
 	if m.Seq > 0 && level >= 0 {
@@ -81,7 +81,7 @@ func (n *Node) onUpdateMsg(level int, m *wire.UpdateMsg) {
 			// back to full synchronization with the sender (Message Loss
 			// Detection).
 			n.stats.SyncsRequested++
-			n.ep.Unicast(topoHost(m.Sender), n.frame(&wire.SyncRequest{From: n.id}))
+			n.ep.Unicast(topoHost(m.Sender), n.frame(&wire.SyncRequest{From: n.ID()}))
 		}
 	}
 	// Apply oldest-first so causality within the stream is preserved.
@@ -111,20 +111,20 @@ func (n *Node) applyUpdate(u *wire.Update, level int, relayer membership.NodeID)
 	switch u.Kind {
 	case wire.ULeave:
 		switch {
-		case u.Subject == n.id:
+		case u.Subject == n.ID():
 			// Reports of our death are exaggerated; our heartbeats and the
 			// incarnation bump on any restart correct the record.
 		case n.hearsDirectly(u.Subject):
 			// We hear the subject ourselves and know better; the paper's
 			// per-node independent detection takes precedence locally.
 		default:
-			n.dir.Remove(u.Subject, now)
+			n.Directory().Remove(u.Subject, now)
 		}
 	case wire.UDepart:
 		// Authoritative: the subject announced its own departure, so it is
 		// removed even while its last heartbeats are still fresh.
-		if u.Subject != n.id {
-			n.dir.Remove(u.Subject, now)
+		if u.Subject != n.ID() {
+			n.Directory().Remove(u.Subject, now)
 			for _, lv := range n.levels {
 				if m := lv.member(u.Subject); m != nil {
 					lv.drop(m)
@@ -139,8 +139,8 @@ func (n *Node) applyUpdate(u *wire.Update, level int, relayer membership.NodeID)
 			n.ep.NoteReject()
 			return
 		}
-		if u.Subject != n.id {
-			n.dir.Upsert(u.Info, membership.OriginRelayed, lvl, relayer, now)
+		if u.Subject != n.ID() {
+			n.Directory().Upsert(u.Info, membership.OriginRelayed, lvl, relayer, now)
 		}
 	default:
 		return // unknown kind: do not relay garbage

@@ -79,17 +79,14 @@ func (c Config) failAfter() time.Duration {
 
 // Node is one cluster node running the gossip membership scheme.
 type Node struct {
-	cfg  Config
-	eng  *sim.Engine
-	ep   netsim.Transport
-	id   membership.NodeID
-	dir  *membership.Directory
-	info membership.MemberInfo
-	// Publisher is the publishing API (RegisterService, UpdateValue,
-	// DeleteValue, Info) over info.
-	membership.Publisher
-	ticker  *sim.Ticker
-	running bool
+	cfg Config
+	eng *sim.Engine
+	ep  netsim.Transport
+	// Self is the node's identity, directory, own record and lifecycle,
+	// with the publishing API over that record; a published change
+	// propagates with the next gossip round.
+	membership.Self
+	ticker *sim.Ticker
 	// cursor walks a received view, targets and buf hold a round's targets
 	// and packet: scratch that lives on the node, allocated once.
 	cursor  wire.InfoCursor
@@ -102,46 +99,18 @@ func NewNode(cfg Config, ep netsim.Transport) *Node {
 	if cfg.Fanout < 1 {
 		cfg.Fanout = 1
 	}
-	id := membership.NodeID(ep.ID())
-	n := &Node{
-		cfg:  cfg,
-		ep:   ep,
-		id:   id,
-		dir:  membership.NewDirectory(id),
-		info: membership.MemberInfo{Node: id},
-	}
-	n.Publisher = membership.NewPublisher(&n.info, n.published)
+	n := &Node{cfg: cfg, ep: ep, Self: membership.NewSelf(membership.NodeID(ep.ID()), nil)}
 	ep.SetHandler(n.Receive)
 	return n
 }
 
-// ID returns the node identity.
-func (n *Node) ID() membership.NodeID { return n.id }
-
-// Directory returns the node's yellow-page directory.
-func (n *Node) Directory() *membership.Directory { return n.dir }
-
-// Running reports whether the node is started.
-func (n *Node) Running() bool { return n.running }
-
-// published runs after every versioned change of the node's own record;
-// the change propagates with the next gossip round.
-func (n *Node) published() {
-	if n.running {
-		n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, n.eng.Now())
-	}
-}
-
 // Start joins the gossip overlay.
 func (n *Node) Start(eng *sim.Engine) {
-	if n.running {
+	if !n.Begin(eng) {
 		return
 	}
 	n.eng = eng
-	n.running = true
-	n.info.Incarnation++
-	n.dir.SetTombstoneTTL(2 * n.cfg.failAfter())
-	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, eng.Now())
+	n.Directory().SetTombstoneTTL(2 * n.cfg.failAfter())
 	n.ep.SetUp(true)
 	jitter := time.Duration(eng.Rand().Int63n(int64(gossipInterval)))
 	n.ticker = sim.NewTicker(eng, jitter, gossipInterval, n.round)
@@ -149,10 +118,9 @@ func (n *Node) Start(eng *sim.Engine) {
 
 // Stop kills the daemon.
 func (n *Node) Stop() {
-	if !n.running {
+	if !n.End() {
 		return
 	}
-	n.running = false
 	n.ticker.Stop()
 	n.ep.SetUp(false)
 }
@@ -160,22 +128,22 @@ func (n *Node) Stop() {
 // round performs one gossip round: bump our counter, expire stale members,
 // and send our full view to Fanout random peers.
 func (n *Node) round() {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	now := n.eng.Now()
-	n.info.Beat++
-	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, now)
+	n.Record().Beat++
+	n.Directory().Upsert(n.Info(), membership.OriginSelf, 0, membership.NoNode, now)
 
 	// Expire members whose counters stagnated.
 	tf := n.cfg.failAfter()
-	stale, _ := n.dir.Expired(now, func(*membership.Entry) time.Duration { return tf })
+	stale, _ := n.Directory().Expired(now, func(*membership.Entry) time.Duration { return tf })
 	for _, id := range stale {
-		n.dir.Remove(id, now)
+		n.Directory().Remove(id, now)
 	}
 
 	// Our entire view with counters, framed straight from the directory.
-	n.buf = wire.AppendGossip(n.buf[:0], n.id, n.dir, n.cfg.EntryPad)
+	n.buf = wire.AppendGossip(n.buf[:0], n.ID(), n.Directory(), n.cfg.EntryPad)
 	n.ep.UnicastAll(n.pickTargets(), n.buf)
 }
 
@@ -183,14 +151,14 @@ func (n *Node) round() {
 // view is empty). The result is the node's scratch, good until the next call.
 func (n *Node) pickTargets() []topology.HostID {
 	candidates := n.targets[:0]
-	n.dir.Range(func(id membership.NodeID, _ *membership.Entry) {
-		if id != n.id {
+	n.Directory().Range(func(id membership.NodeID, _ *membership.Entry) {
+		if id != n.ID() {
 			candidates = append(candidates, topology.HostID(id))
 		}
 	})
 	if len(candidates) == 0 {
 		for _, s := range n.cfg.Seeds {
-			if s != n.id {
+			if s != n.ID() {
 				candidates = append(candidates, topology.HostID(s))
 			}
 		}
@@ -206,7 +174,7 @@ func (n *Node) pickTargets() []topology.HostID {
 	// Occasionally gossip to a well-known seed so isolated views merge.
 	if len(n.cfg.Seeds) > 0 && rng.Float64() < seedGossipProbability {
 		s := topology.HostID(n.cfg.Seeds[rng.Intn(len(n.cfg.Seeds))])
-		dup := s == topology.HostID(n.id)
+		dup := s == topology.HostID(n.ID())
 		for _, t := range targets {
 			if t == s {
 				dup = true
@@ -224,7 +192,7 @@ func (n *Node) pickTargets() []topology.HostID {
 // handler; a layer that shares the endpoint (a service runtime) installs its
 // mux in its place and delegates membership packets here.
 func (n *Node) Receive(pkt netsim.Packet) {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	msg, err := pkt.Decode()
@@ -241,7 +209,7 @@ func (n *Node) Receive(pkt netsim.Packet) {
 	// implement the "do not re-add with a stale counter" cleanup window; an
 	// impossible identity drops its entry and keeps the rest of the view.
 	n.cursor = view.Cursor()
-	invalid := n.dir.MergeRelayed(&n.cursor, 0, view.From, n.eng.Now(), nil, nil)
+	invalid := n.Directory().MergeRelayed(&n.cursor, 0, view.From, n.eng.Now(), nil, nil)
 	n.cursor = wire.InfoCursor{} // do not pin the payload
 	for ; invalid > 0; invalid-- {
 		n.ep.NoteReject()

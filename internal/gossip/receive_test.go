@@ -44,7 +44,7 @@ type entry struct {
 
 func (w *world) entries() []entry {
 	var out []entry
-	w.n.dir.Range(func(_ membership.NodeID, e *membership.Entry) { out = append(out, entry{*e, w.n.dir.Info(e)}) })
+	w.n.Directory().Range(func(_ membership.NodeID, e *membership.Entry) { out = append(out, entry{*e, w.n.Directory().Info(e)}) })
 	return out
 }
 
@@ -53,14 +53,14 @@ func (w *world) entries() []entry {
 func mergeByEntry(w *world, g *wire.Gossip) {
 	now := w.eng.Now()
 	for _, e := range g.Entries {
-		if e.Info.Node == w.n.id {
+		if e.Info.Node == w.n.ID() {
 			continue
 		}
 		if e.Info.Node < 0 {
 			w.ep.NoteReject()
 			continue
 		}
-		w.n.dir.Upsert(e.Info, membership.OriginRelayed, 0, g.From, now)
+		w.n.Directory().Upsert(e.Info, membership.OriginRelayed, 0, g.From, now)
 	}
 }
 
@@ -149,12 +149,12 @@ func TestDamagedViewIsNotApplied(t *testing.T) {
 	bad := append([]byte(nil), good[:len(good)-2]...) // into the pad length
 	binary.LittleEndian.PutUint32(bad[4:8], crc32.Checksum(bad[wire.HeaderLen:], crc32.MakeTable(crc32.Castagnoli)))
 	w.n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: bad})
-	if w.n.dir.Len() != 1 || w.ep.Stats().Rejected != 1 {
-		t.Fatalf("a damaged view left %d entries and %d rejects, want the self entry and 1", w.n.dir.Len(), w.ep.Stats().Rejected)
+	if w.n.Directory().Len() != 1 || w.ep.Stats().Rejected != 1 {
+		t.Fatalf("a damaged view left %d entries and %d rejects, want the self entry and 1", w.n.Directory().Len(), w.ep.Stats().Rejected)
 	}
 	w.n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: good})
-	if w.n.dir.Len() < 10 {
-		t.Fatalf("the undamaged view left %d entries", w.n.dir.Len())
+	if w.n.Directory().Len() < 10 {
+		t.Fatalf("the undamaged view left %d entries", w.n.Directory().Len())
 	}
 }
 
@@ -188,8 +188,8 @@ func benchNode(tb testing.TB, src *viewSource) *world {
 	cfg.EntryPad = benchEntryPad
 	w := newWorld(cfg, benchView)
 	w.n.Receive(netsim.Packet{Src: 1, Dst: 0, Payload: src.next()})
-	if w.n.dir.Len() != benchView {
-		tb.Fatalf("fixture: the node holds %d members, want %d", w.n.dir.Len(), benchView)
+	if w.n.Directory().Len() != benchView {
+		tb.Fatalf("fixture: the node holds %d members, want %d", w.n.Directory().Len(), benchView)
 	}
 	return w
 }
@@ -213,7 +213,7 @@ func receiveCeiling(tb testing.TB) (*world, *viewSource) {
 	if allocs > 1 {
 		tb.Fatalf("receiving a %d-entry view allocates %v times, want at most the view", benchView, allocs)
 	}
-	if e := w.n.dir.Get(7); e.Beat != src.counter || w.ep.Stats().Rejected != 0 {
+	if e := w.n.Directory().Get(7); e.Beat != src.counter || w.ep.Stats().Rejected != 0 {
 		tb.Fatalf("the views did not land: counter %d of %d, %d rejects", e.Beat, src.counter, w.ep.Stats().Rejected)
 	}
 	return w, src

@@ -101,7 +101,7 @@ func accuracyRun(scheme Scheme, o AccuracyOptions, loss float64, seed int64) (co
 			if !n.Running() {
 				continue
 			}
-			view := n.Directory().View()
+			view := n.Directory().Nodes()
 			present, ghosts := 0, 0
 			for _, v := range view {
 				if truth[v] {

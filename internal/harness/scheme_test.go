@@ -211,11 +211,20 @@ func TestChaosMatrixMatchesCommittedBench(t *testing.T) {
 	}
 }
 
-// TestEverySchemePublishesAlike: the publishing API is one implementation
-// (membership.Publisher) under every scheme's node. Registering a service
-// again replaces its declaration — before and after Start — instead of
-// leaving the stale partitions advertised, and delete_value exists
-// everywhere.
+// TestEverySchemePublishesAlike: the publishing API and the lifecycle are
+// one implementation (membership.Self) under every scheme's node.
+// Registering a service again replaces its declaration — before and after
+// Start — instead of leaving the stale partitions advertised, and
+// delete_value exists everywhere. A second Stop is a no-op, a change
+// published while stopped stays out of the directory, and a second Start
+// begins no second life: a restart raises the incarnation by exactly one
+// and enters the latest record.
+//
+// Mutant: Self.Begin does not bump the incarnation — the restarted node
+// keeps its old incarnation.
+// Mutant: a change published while stopped is upserted — the stopped
+// node's own entry takes the new version.
+// Mutant: Self.End leaves the node running — Running stays true after Stop.
 func TestEverySchemePublishesAlike(t *testing.T) {
 	type publisher interface {
 		RegisterService(name, partitions string, params ...membership.KV) error
@@ -259,9 +268,30 @@ func TestEverySchemePublishesAlike(t *testing.T) {
 		if got := p.Info().Version; got != v+3 {
 			t.Errorf("%s: three published changes moved the version %d -> %d", name, v, got)
 		}
-		dir := c.Nodes[1].Directory()
-		if e := dir.Get(c.Nodes[1].ID()); e == nil || e.Version != v+3 || len(dir.Info(e).Services) != others+1 {
+		n := c.Nodes[1]
+		dir := n.Directory()
+		if e := dir.Get(n.ID()); e == nil || e.Version != v+3 || len(dir.Info(e).Services) != others+1 {
 			t.Errorf("%s: own directory entry did not follow: %+v", name, e)
+		}
+
+		inc := p.Info().Incarnation
+		n.Stop()
+		n.Stop()
+		if n.Running() {
+			t.Errorf("%s: the node runs after Stop", name)
+		}
+		check("stopped", "10-11")
+		if e := dir.Get(n.ID()); e == nil || e.Version != v+3 {
+			t.Errorf("%s: a change published while stopped reached the directory: %+v", name, e)
+		}
+		n.Start(c.Eng)
+		n.Start(c.Eng)
+		if got := p.Info().Incarnation; got != inc+1 {
+			t.Errorf("%s: two Starts moved the incarnation %d -> %d, want +1", name, inc, got)
+		}
+		e := dir.Get(n.ID())
+		if e == nil || e.Incarnation != inc+1 || e.Version != v+4 || !reflect.DeepEqual(dir.Info(e).Services, p.Info().Services) {
+			t.Errorf("%s: the restarted node's own entry is not its latest record: %+v", name, e)
 		}
 	}
 }

@@ -560,20 +560,3 @@ func (d *Directory) Hosts(dst []NodeID, name string, partition int32) []NodeID {
 	})
 	return dst
 }
-
-// View returns the set of alive nodes as a sorted slice — the quantity whose
-// convergence the experiments measure.
-func (d *Directory) View() []NodeID { return d.Nodes() }
-
-// ViewEqual reports whether two views (sorted node slices) are identical.
-func ViewEqual(a, b []NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -237,15 +237,6 @@ func TestLookupRegexAndPartitions(t *testing.T) {
 	}
 }
 
-func TestViewEqual(t *testing.T) {
-	if !ViewEqual([]NodeID{1, 2}, []NodeID{1, 2}) {
-		t.Fatal("equal views reported unequal")
-	}
-	if ViewEqual([]NodeID{1}, []NodeID{1, 2}) || ViewEqual([]NodeID{1, 3}, []NodeID{1, 2}) {
-		t.Fatal("unequal views reported equal")
-	}
-}
-
 func TestNodesSorted(t *testing.T) {
 	d := NewDirectory(0)
 	for _, n := range []NodeID{5, 1, 3} {

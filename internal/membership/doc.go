@@ -15,6 +15,12 @@
 //
 //   - NodeID and MemberInfo: a node's identity and its published record
 //     (incarnation, version, liveness beat, ServiceDecl list, attributes).
+//   - Self: the daemon record every scheme's Node embeds — its identity,
+//     Directory, own MemberInfo and whether it runs — with the publishing
+//     API (RegisterService, UpdateValue, DeleteValue) over that record.
+//     Begin starts a new life of the record (incarnation bump, self
+//     upsert), End stops it; a change published while running is upserted
+//     and, for a scheme that pushes, handed to its push.
 //   - Directory: the yellow page. Upsert merges received records by
 //     (incarnation, version, beat) precedence; Remove tombstones departed
 //     nodes against stale re-addition; Expired implements heartbeat

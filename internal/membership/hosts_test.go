@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"regexp"
+	"slices"
 	"testing"
 )
 
@@ -49,7 +50,7 @@ func TestHostsEqualsLookup(t *testing.T) {
 				}
 				// A warm destination must be appended to, not overwritten.
 				got := d.Hosts([]NodeID{-7}, name, part)
-				if got[0] != -7 || !ViewEqual(got[1:], want) {
+				if got[0] != -7 || !slices.Equal(got[1:], want) {
 					t.Fatalf("seed %d, %q partition %d: Hosts %v, Lookup %v", seed, name, part, got[1:], want)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // NodeID identifies a cluster node. It equals the node's topology.HostID;
@@ -110,66 +111,117 @@ func (m *MemberInfo) DeleteAttr(key string) bool {
 // Attr returns the value for key and whether it exists.
 func (m *MemberInfo) Attr(key string) (string, bool) { return getKV(m.Attrs, key) }
 
-// Publisher is the publishing half of the paper's API (register_service,
-// update_value, delete_value) over a daemon's own record. Every scheme's
-// Node embeds one: the node owns the record and says what "published" means
-// for it — upsert itself into its directory if it is running, and for a
-// scheme that pushes changes, broadcast them.
-type Publisher struct {
-	self      *MemberInfo
-	published func()
+// Self is a daemon's own side of the membership service: its identity, its
+// directory, its published record and whether it runs. Every scheme's Node
+// embeds one, so the publishing half of the paper's API (register_service,
+// update_value, delete_value) and the lifecycle — a start begins a new life
+// of the record, a stop ends it — are stated once, here.
+type Self struct {
+	info    MemberInfo
+	dir     *Directory
+	running bool
+	clock   interface{ Now() time.Duration }
+	// push, if set, runs after every versioned change while the node runs:
+	// a scheme that pushes changes broadcasts them there.
+	push func()
 }
 
-// NewPublisher binds the API to a node's record; published runs after every
-// versioned change.
-func NewPublisher(self *MemberInfo, published func()) Publisher {
-	return Publisher{self: self, published: published}
+// NewSelf returns the stopped daemon record of node id, with an empty
+// directory; push may be nil.
+func NewSelf(id NodeID, push func()) Self {
+	return Self{info: MemberInfo{Node: id}, dir: NewDirectory(id), push: push}
 }
+
+// ID returns the node identity.
+func (s *Self) ID() NodeID { return s.info.Node }
+
+// Directory returns the node's yellow-page directory.
+func (s *Self) Directory() *Directory { return s.dir }
+
+// Running reports whether the node is started.
+func (s *Self) Running() bool { return s.running }
+
+// Record returns the node's own record, for the scheme to advance its beat
+// and to encode it in place.
+func (s *Self) Record() *MemberInfo { return &s.info }
 
 // Info returns a copy of the node's own published information.
-func (p Publisher) Info() MemberInfo { return p.self.Clone() }
+func (s *Self) Info() MemberInfo { return s.info.Clone() }
+
+// Begin starts a new life of the record: unless the node already runs
+// (false), it marks it running, bumps the incarnation so the fresh record
+// supersedes every copy of the old life, and enters it into the directory
+// at clock's time.
+func (s *Self) Begin(clock interface{ Now() time.Duration }) bool {
+	if s.running {
+		return false
+	}
+	s.clock, s.running = clock, true
+	s.info.Incarnation++
+	s.upsert()
+	return true
+}
+
+// End marks the node stopped and reports whether it was running.
+func (s *Self) End() bool {
+	was := s.running
+	s.running = false
+	return was
+}
+
+func (s *Self) upsert() {
+	s.dir.Upsert(s.info.Clone(), OriginSelf, 0, NoNode, s.clock.Now())
+}
 
 // RegisterService publishes a service hosted by this node (register_service);
 // registering a name again replaces its declaration. The partition list uses
 // the paper's "1-3" spec syntax.
-func (p Publisher) RegisterService(name, partitions string, params ...KV) error {
+func (s *Self) RegisterService(name, partitions string, params ...KV) error {
 	parts, err := ParsePartitions(partitions)
 	if err != nil {
 		return err
 	}
 	decl := ServiceDecl{Name: name, Partitions: parts, Params: append([]KV(nil), params...)}
 	i := 0
-	for i < len(p.self.Services) && p.self.Services[i].Name != name {
+	for i < len(s.info.Services) && s.info.Services[i].Name != name {
 		i++
 	}
-	if i == len(p.self.Services) {
-		p.self.Services = append(p.self.Services, decl)
+	if i == len(s.info.Services) {
+		s.info.Services = append(s.info.Services, decl)
 	} else {
-		p.self.Services[i] = decl
+		s.info.Services[i] = decl
 	}
-	p.bump()
+	s.published()
 	return nil
 }
 
 // UpdateValue publishes a key/value pair (update_value).
-func (p Publisher) UpdateValue(key, value string) {
-	p.self.SetAttr(key, value)
-	p.bump()
+func (s *Self) UpdateValue(key, value string) {
+	s.info.SetAttr(key, value)
+	s.published()
 }
 
 // DeleteValue removes a published key (delete_value); it reports whether
 // the key was present.
-func (p Publisher) DeleteValue(key string) bool {
-	ok := p.self.DeleteAttr(key)
+func (s *Self) DeleteValue(key string) bool {
+	ok := s.info.DeleteAttr(key)
 	if ok {
-		p.bump()
+		s.published()
 	}
 	return ok
 }
 
-func (p Publisher) bump() {
-	p.self.Version++
-	p.published()
+// published versions a change of the record; a running node enters it into
+// its directory and pushes it.
+func (s *Self) published() {
+	s.info.Version++
+	if !s.running {
+		return
+	}
+	s.upsert()
+	if s.push != nil {
+		s.push()
+	}
 }
 
 func setKV(kvs []KV, key, value string) []KV {

@@ -1,6 +1,7 @@
 package rapid
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/membership"
@@ -193,16 +194,13 @@ type peerSession struct {
 // satisfies the harness Instance and service.Member seams, so the chaos,
 // traffic, and service layers run over it unchanged.
 type Node struct {
-	cfg  Config
-	eng  *sim.Engine
-	ep   netsim.Transport
-	id   membership.NodeID
-	dir  *membership.Directory
-	info membership.MemberInfo
-	// Publisher is the publishing API (RegisterService, UpdateValue,
-	// DeleteValue, Info) over info.
-	membership.Publisher
-	running bool
+	cfg Config
+	eng *sim.Engine
+	ep  netsim.Transport
+	// Self is the node's identity, directory, own record and lifecycle,
+	// with the publishing API over that record; a published change is
+	// broadcast to the configuration at once.
+	membership.Self
 
 	// Installed configuration.
 	configSeq uint64
@@ -254,34 +252,21 @@ type Node struct {
 // NewNode creates a node bound to an endpoint. cfg.Seeds is the bootstrap
 // configuration and must be identical on every node.
 func NewNode(cfg Config, ep netsim.Transport) *Node {
-	id := membership.NodeID(ep.ID())
 	n := &Node{
 		cfg:        cfg,
 		ep:         ep,
-		id:         id,
-		dir:        membership.NewDirectory(id),
-		info:       membership.MemberInfo{Node: id},
 		alertSeen:  make(map[edgeKey]uint32),
 		cut:        NewCutDetector(1, 1, reportTTL),
 		readySince: -1,
 	}
-	n.Publisher = membership.NewPublisher(&n.info, n.published)
+	n.Self = membership.NewSelf(membership.NodeID(ep.ID()), n.broadcastInfo)
 	seeds := append([]membership.NodeID(nil), cfg.Seeds...)
-	sortIDs(seeds)
+	slices.Sort(seeds)
 	n.configSeq, n.proposer = 1, membership.NoNode
 	n.installMembers(seeds, 0)
 	ep.SetHandler(n.Receive)
 	return n
 }
-
-// ID returns the node identity.
-func (n *Node) ID() membership.NodeID { return n.id }
-
-// Directory returns the node's yellow-page directory.
-func (n *Node) Directory() *membership.Directory { return n.dir }
-
-// Running reports whether the node is started.
-func (n *Node) Running() bool { return n.running }
 
 // ConfigSeq returns the installed configuration's sequence number.
 func (n *Node) ConfigSeq() uint64 { return n.configSeq }
@@ -292,28 +277,16 @@ func (n *Node) isMember(id membership.NodeID) bool {
 	return p != nil && p.member
 }
 
-// published runs after every versioned change of the node's own record.
-func (n *Node) published() {
-	if !n.running {
-		return
-	}
-	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, n.eng.Now())
-	n.broadcastInfo()
-}
-
 // Start joins the installed configuration and begins beating. A restarted
 // node resumes from its (possibly stale) last configuration; the sync
 // exchange converges it onto the cluster's current one within a beat or
 // two, after which it re-admits itself if it was evicted meanwhile.
 func (n *Node) Start(eng *sim.Engine) {
-	if n.running {
+	if !n.Begin(eng) {
 		return
 	}
 	n.eng = eng
-	n.running = true
-	n.info.Incarnation++
 	now := eng.Now()
-	n.dir.Upsert(n.info.Clone(), membership.OriginSelf, 0, membership.NoNode, now)
 	n.ep.SetUp(true)
 	// Re-arm the installed configuration's edge state with a fresh grace
 	// period (a restart must not act on pre-crash silence).
@@ -325,15 +298,14 @@ func (n *Node) Start(eng *sim.Engine) {
 	n.broadcastInfo()
 	// Ask the cluster whether our configuration is behind: anyone on a
 	// newer one replies with it.
-	n.ep.UnicastAll(n.others, n.frame(&wire.RapidSync{From: n.id, ConfigSeq: n.configSeq}))
+	n.ep.UnicastAll(n.others, n.frame(&wire.RapidSync{From: n.ID(), ConfigSeq: n.configSeq}))
 }
 
 // Stop kills the daemon.
 func (n *Node) Stop() {
-	if !n.running {
+	if !n.End() {
 		return
 	}
-	n.running = false
 	n.hb.Stop()
 	n.scan.Stop()
 	n.infoTick.Stop()
@@ -352,8 +324,8 @@ func (n *Node) installMembers(members []membership.NodeID, now time.Duration) {
 		p := n.peers.Ensure(m)
 		p.member, p.join = true, nil
 	}
-	n.observers, n.subjects = deriveRingsDC(n.configSeq, ringCount, n.members, n.id, n.cfg.DCOf)
-	n.others = appendHosts(n.others[:0], n.members, n.id)
+	n.observers, n.subjects = deriveRingsDC(n.configSeq, ringCount, n.members, n.ID(), n.cfg.DCOf)
+	n.others = appendHosts(n.others[:0], n.members, n.ID())
 	n.beatTo = appendHosts(n.beatTo[:0], n.observers, membership.NoNode)
 	for _, s := range n.subjects {
 		p := n.peers.Ensure(s)
@@ -390,26 +362,28 @@ func appendHosts(dst []topology.HostID, ids []membership.NodeID, skip membership
 }
 
 func (n *Node) sendBeats() {
-	if !n.running || len(n.observers) == 0 {
+	if !n.Running() || len(n.observers) == 0 {
 		return
 	}
-	n.info.Beat++
+	info := n.Record()
+	info.Beat++
 	n.beat = wire.RapidBeat{
-		From:      n.id,
+		From:      info.Node,
 		ConfigSeq: n.configSeq,
-		Inc:       n.info.Incarnation,
-		Beat:      n.info.Beat,
+		Inc:       info.Incarnation,
+		Beat:      info.Beat,
 		Pad:       uint16(n.cfg.HeartbeatPad),
 	}
 	n.ep.UnicastAll(n.beatTo, n.frame(&n.beat))
 }
 
 func (n *Node) broadcastInfo() {
-	if !n.running || !n.isMember(n.id) || len(n.members) < 2 {
+	if !n.Running() || !n.isMember(n.ID()) || len(n.members) < 2 {
 		return
 	}
-	n.info.Beat++
-	n.infoMsg = wire.RapidInfo{ConfigSeq: n.configSeq, Info: n.info}
+	info := n.Record()
+	info.Beat++
+	n.infoMsg = wire.RapidInfo{ConfigSeq: n.configSeq, Info: *info}
 	n.broadcast(n.frame(&n.infoMsg))
 }
 
@@ -417,7 +391,7 @@ func (n *Node) sendAlert(subject membership.NodeID, down bool) {
 	now := n.eng.Now()
 	n.alertSeq++
 	a := &wire.RapidAlert{
-		Observer:  n.id,
+		Observer:  n.ID(),
 		Subject:   subject,
 		ConfigSeq: n.configSeq,
 		Seq:       n.alertSeq,
@@ -425,10 +399,10 @@ func (n *Node) sendAlert(subject membership.NodeID, down bool) {
 	}
 	n.broadcast(n.frame(a))
 	if down {
-		n.cut.Down(subject, n.id, now)
+		n.cut.Down(subject, n.ID(), now)
 		n.peers.Ensure(subject).lastAlert = now
 	} else {
-		n.cut.Up(subject, n.id, now)
+		n.cut.Up(subject, n.ID(), now)
 	}
 }
 
@@ -437,7 +411,7 @@ func (n *Node) sendAlert(subject membership.NodeID, down bool) {
 // the receiver's directory heals in one shot. The view is the node's own,
 // its records re-encoded into the list's buffer.
 func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
-	if target == n.id || target < 0 {
+	if target == n.ID() || target < 0 {
 		return
 	}
 	p := n.peers.Ensure(target)
@@ -448,9 +422,9 @@ func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
 	v := &n.view
 	v.Seq, v.Proposer, v.Members = n.configSeq, n.proposer, n.members
 	v.Infos.Reset()
-	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
+	n.Directory().Range(func(id membership.NodeID, e *membership.Entry) {
 		if n.isMember(id) {
-			v.Infos.Append(n.dir.Info(e))
+			v.Infos.Append(n.Directory().Info(e))
 		}
 	})
 	n.ep.Unicast(topology.HostID(target), n.frame(v))
@@ -462,7 +436,7 @@ func (n *Node) sendViewTo(target membership.NodeID, now time.Duration) {
 // is on a rival view (split-brain heal) and gets ours — the lowest-proposer
 // tiebreak on the receiving side converges both partitions.
 func (n *Node) noteSeq(from membership.NodeID, seq uint64, now time.Duration) {
-	if from < 0 || from == n.id {
+	if from < 0 || from == n.ID() {
 		return
 	}
 	switch {
@@ -474,7 +448,7 @@ func (n *Node) noteSeq(from membership.NodeID, seq uint64, now time.Duration) {
 			return
 		}
 		p.syncDue = now + syncMinGap
-		buf := n.frame(&wire.RapidSync{From: n.id, ConfigSeq: n.configSeq})
+		buf := n.frame(&wire.RapidSync{From: n.ID(), ConfigSeq: n.configSeq})
 		n.ep.Unicast(topology.HostID(from), buf)
 	default:
 		if !n.isMember(from) {
@@ -489,7 +463,7 @@ func (n *Node) noteSeq(from membership.NodeID, seq uint64, now time.Duration) {
 // handler; a layer that shares the endpoint (a service runtime) installs its
 // mux in its place and delegates membership packets here.
 func (n *Node) Receive(pkt netsim.Packet) {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	msg, err := pkt.Decode()
@@ -514,7 +488,7 @@ func (n *Node) Receive(pkt netsim.Packet) {
 	case *wire.RapidProbeAck:
 		n.onProbeAck(m, now)
 	case *wire.RapidSync:
-		if m.From >= 0 && m.From != n.id && m.ConfigSeq < n.configSeq {
+		if m.From >= 0 && m.From != n.ID() && m.ConfigSeq < n.configSeq {
 			n.sendViewTo(m.From, now)
 		}
 	case *wire.RapidPropose:
@@ -525,7 +499,7 @@ func (n *Node) Receive(pkt netsim.Packet) {
 }
 
 func (n *Node) onBeat(b *wire.RapidBeat, now time.Duration) {
-	if b.From < 0 || b.From == n.id {
+	if b.From < 0 || b.From == n.ID() {
 		n.ep.NoteReject()
 		return
 	}
@@ -547,7 +521,7 @@ func (n *Node) onBeat(b *wire.RapidBeat, now time.Duration) {
 
 func (n *Node) onInfo(m *wire.RapidInfo, now time.Duration) {
 	id := m.Info.Node
-	if id < 0 || id == n.id {
+	if id < 0 || id == n.ID() {
 		n.ep.NoteReject()
 		return
 	}
@@ -559,7 +533,7 @@ func (n *Node) onInfo(m *wire.RapidInfo, now time.Duration) {
 		n.ep.NoteReject()
 		return
 	}
-	n.dir.Upsert(m.Info, membership.OriginDirect, 0, membership.NoNode, now)
+	n.Directory().Upsert(m.Info, membership.OriginDirect, 0, membership.NoNode, now)
 }
 
 // admitInfo is the per-node freshness high-water mark in front of the
@@ -579,7 +553,7 @@ func (n *Node) admitInfo(p membership.InfoPrefix) bool {
 }
 
 func (n *Node) onAlert(a *wire.RapidAlert, now time.Duration) {
-	if a.Observer < 0 || a.Subject < 0 || a.Observer == a.Subject || a.Observer == n.id {
+	if a.Observer < 0 || a.Subject < 0 || a.Observer == a.Subject || a.Observer == n.ID() {
 		n.ep.NoteReject()
 		return
 	}
@@ -592,7 +566,7 @@ func (n *Node) onAlert(a *wire.RapidAlert, now time.Duration) {
 	}
 	n.alertSeen[k] = a.Seq
 	n.noteSeq(a.Observer, a.ConfigSeq, now)
-	if a.ConfigSeq != n.configSeq || !n.isMember(a.Observer) || !n.isMember(a.Subject) || a.Subject == n.id {
+	if a.ConfigSeq != n.configSeq || !n.isMember(a.Observer) || !n.isMember(a.Subject) || a.Subject == n.ID() {
 		return
 	}
 	if a.Down {
@@ -603,7 +577,7 @@ func (n *Node) onAlert(a *wire.RapidAlert, now time.Duration) {
 }
 
 func (n *Node) onJoin(j *wire.RapidJoin, now time.Duration) {
-	if j.From < 0 || j.From == n.id || j.Info.Node != j.From {
+	if j.From < 0 || j.From == n.ID() || j.Info.Node != j.From {
 		n.ep.NoteReject()
 		return
 	}
@@ -624,11 +598,11 @@ func (n *Node) onJoin(j *wire.RapidJoin, now time.Duration) {
 }
 
 func (n *Node) onProbe(p *wire.RapidProbe) {
-	if p.From < 0 || p.From == n.id {
+	if p.From < 0 || p.From == n.ID() {
 		n.ep.NoteReject()
 		return
 	}
-	buf := n.frame(&wire.RapidProbeAck{From: n.id, Token: p.Token})
+	buf := n.frame(&wire.RapidProbeAck{From: n.ID(), Token: p.Token})
 	n.ep.Unicast(topology.HostID(p.From), buf)
 }
 
@@ -637,7 +611,7 @@ func (n *Node) onProbe(p *wire.RapidProbe) {
 // it is still hearing, or a member somebody reported alive within the quiet
 // window. Everything else gets an OK; the proposer needs a majority of them.
 func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
-	if p.From < 0 || p.From == n.id || p.Seq == 0 {
+	if p.From < 0 || p.From == n.ID() || p.Seq == 0 {
 		n.ep.NoteReject()
 		return
 	}
@@ -658,7 +632,7 @@ func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
 	for _, s := range p.Evict {
 		subj := n.peers.Get(s)
 		switch {
-		case s == n.id:
+		case s == n.ID():
 			alive = append(alive, s)
 		case subj != nil && subj.subject && now-subj.lastHeard <= deadAfter:
 			alive = append(alive, s)
@@ -668,7 +642,7 @@ func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
 			}
 		}
 	}
-	v := &wire.RapidVote{From: n.id, Token: p.Token, OK: len(alive) == 0, Alive: alive}
+	v := &wire.RapidVote{From: n.ID(), Token: p.Token, OK: len(alive) == 0, Alive: alive}
 	n.ep.Unicast(topology.HostID(p.From), n.frame(v))
 }
 
@@ -677,7 +651,7 @@ func (n *Node) onPropose(p *wire.RapidPropose, now time.Duration) {
 // toward the majority the commit gate needs.
 func (n *Node) onVote(v *wire.RapidVote, now time.Duration) {
 	p := n.prop
-	if p == nil || v.Token != p.token || v.From < 0 || v.From == n.id || !n.isMember(v.From) {
+	if p == nil || v.Token != p.token || v.From < 0 || v.From == n.ID() || !n.isMember(v.From) {
 		n.ep.NoteReject()
 		return
 	}
@@ -725,30 +699,30 @@ func (n *Node) adopt(v *wire.RapidView, now time.Duration) {
 		return
 	}
 	members := append([]membership.NodeID(nil), v.Members...)
-	sortIDs(members)
+	slices.Sort(members)
 	for i, m := range members {
 		if m < 0 || (i > 0 && members[i-1] == m) {
 			n.ep.NoteReject()
 			return
 		}
 	}
-	wasMember := n.isMember(n.id)
+	wasMember := n.isMember(n.ID())
 	n.configSeq, n.proposer = v.Seq, v.Proposer
 	n.installMembers(members, now)
 	// Directory diff: departed members leave atomically, carried records
 	// for incoming members land behind the freshness guard.
-	for _, id := range n.dir.Nodes() {
-		if id != n.id && !n.isMember(id) {
-			n.dir.Remove(id, now)
+	for _, id := range n.Directory().Nodes() {
+		if id != n.ID() && !n.isMember(id) {
+			n.Directory().Remove(id, now)
 		}
 	}
 	for c := v.Infos.Cursor(); c.Next(); {
 		p := c.Prefix()
-		if p.Node >= 0 && p.Node != n.id && n.isMember(p.Node) && n.admitInfo(p) {
-			n.dir.Upsert(c.Info(), membership.OriginRelayed, 0, v.Proposer, now)
+		if p.Node >= 0 && p.Node != n.ID() && n.isMember(p.Node) && n.admitInfo(p) {
+			n.Directory().Upsert(c.Info(), membership.OriginRelayed, 0, v.Proposer, now)
 		}
 	}
-	if n.isMember(n.id) && !wasMember {
+	if n.isMember(n.ID()) && !wasMember {
 		// Newly admitted (or re-admitted after eviction): announce our
 		// record so every member's directory gets the authoritative copy.
 		n.broadcastInfo()
@@ -758,12 +732,12 @@ func (n *Node) adopt(v *wire.RapidView, now time.Duration) {
 // ---- periodic scan: detection, arbitration, proposal, admission ----
 
 func (n *Node) scanTick() {
-	if !n.running {
+	if !n.Running() {
 		return
 	}
 	now := n.eng.Now()
 	n.detect(now)
-	if !n.isMember(n.id) {
+	if !n.isMember(n.ID()) {
 		n.joinLoop(now)
 		return
 	}
@@ -801,7 +775,7 @@ func (n *Node) joinLoop(now time.Duration) {
 	t := n.others[n.joinTarget%len(n.others)]
 	n.joinTarget++
 	n.joinSentAt = now
-	j := &wire.RapidJoin{From: n.id, ConfigSeq: n.configSeq, Info: n.info.Clone()}
+	j := &wire.RapidJoin{From: n.ID(), ConfigSeq: n.configSeq, Info: n.Info()}
 	n.ep.Unicast(t, n.frame(j))
 }
 
@@ -813,7 +787,7 @@ func (n *Node) arbitrate(now time.Duration) {
 	cutSet := stable
 	if len(unstable) > 0 {
 		cutSet = append(append([]membership.NodeID(nil), stable...), unstable...)
-		sortIDs(cutSet)
+		slices.Sort(cutSet)
 	}
 	inCut := func(id membership.NodeID) bool { return contains(cutSet, id) }
 	// Drop arbitration state for subjects that left the cut (vouched or
@@ -833,7 +807,7 @@ func (n *Node) arbitrate(now time.Duration) {
 		n.proposeJoins(now)
 		return
 	}
-	if inCut(n.id) {
+	if inCut(n.ID()) {
 		// Accused ourselves: stay out of arbitration, answer probes, and
 		// let the survivors decide.
 		n.readySince = -1
@@ -843,7 +817,7 @@ func (n *Node) arbitrate(now time.Duration) {
 	// r*stagger after the oldest accusation before acting.
 	rank := 0
 	for _, m := range n.members {
-		if m == n.id {
+		if m == n.ID() {
 			break
 		}
 		if !inCut(m) {
@@ -918,14 +892,14 @@ func (n *Node) probe(s membership.NodeID, p *peer, now time.Duration) {
 }
 
 func (n *Node) sendProbe(s membership.NodeID, token uint64) {
-	buf := n.frame(&wire.RapidProbe{From: n.id, Token: token})
+	buf := n.frame(&wire.RapidProbe{From: n.ID(), Token: token})
 	n.ep.Unicast(topology.HostID(s), buf)
 }
 
 // proposeJoins opens a joins-only ratification round: strictly the lowest
 // member's job, batched over joinBatchWindow.
 func (n *Node) proposeJoins(now time.Duration) {
-	if len(n.members) == 0 || n.members[0] != n.id {
+	if len(n.members) == 0 || n.members[0] != n.ID() {
 		return
 	}
 	oldest := time.Duration(-1)
@@ -945,7 +919,7 @@ func (n *Node) proposeJoins(now time.Duration) {
 // retransmits and commits it), a different one is replaced under a fresh
 // token so stragglers' votes for the old set cannot ratify the new one.
 func (n *Node) ensureProposal(evict []membership.NodeID, now time.Duration) {
-	if n.prop != nil && idsEqual(n.prop.evict, evict) {
+	if n.prop != nil && slices.Equal(n.prop.evict, evict) {
 		return
 	}
 	n.tokens++
@@ -955,13 +929,13 @@ func (n *Node) ensureProposal(evict []membership.NodeID, now time.Duration) {
 		openedAt: now,
 		sentAt:   now,
 	}
-	n.peers.Get(n.id).vote = n.tokens
+	n.peers.Get(n.ID()).vote = n.tokens
 	n.broadcastProposal()
 }
 
 func (n *Node) broadcastProposal() {
 	p := &wire.RapidPropose{
-		From:  n.id,
+		From:  n.ID(),
 		Token: n.prop.token,
 		Seq:   n.configSeq + 1,
 		Evict: n.prop.evict,
@@ -1020,21 +994,21 @@ func (n *Node) commit(evict []membership.NodeID, now time.Duration) {
 			joinInfos = append(joinInfos, p.join.info)
 		}
 	})
-	sortIDs(next)
-	sortIDs(targets)
+	slices.Sort(next)
+	slices.Sort(targets)
 	if len(next) == 0 {
 		return
 	}
-	v := &wire.RapidView{Seq: n.configSeq + 1, Proposer: n.id, Members: next}
-	n.dir.Range(func(id membership.NodeID, e *membership.Entry) {
+	v := &wire.RapidView{Seq: n.configSeq + 1, Proposer: n.ID(), Members: next}
+	n.Directory().Range(func(id membership.NodeID, e *membership.Entry) {
 		if !evicted(id) && n.isMember(id) {
-			v.Infos.Append(n.dir.Info(e))
+			v.Infos.Append(n.Directory().Info(e))
 		}
 	})
 	for _, info := range joinInfos {
 		v.Infos.Append(info)
 	}
-	n.to = appendHosts(n.to[:0], targets, n.id)
+	n.to = appendHosts(n.to[:0], targets, n.ID())
 	n.ep.UnicastAll(n.to, n.frame(v))
 	n.adopt(v, now)
 }

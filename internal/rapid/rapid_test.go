@@ -174,7 +174,7 @@ func TestDCAwareRingsCoverAndLocalize(t *testing.T) {
 	for _, self := range members {
 		obs, subs := deriveRingsDC(7, 8, members, self, dcOf)
 		obs2, subs2 := deriveRingsDC(7, 8, members, self, dcOf)
-		if !idsEqual(obs, obs2) || !idsEqual(subs, subs2) {
+		if !slices.Equal(obs, obs2) || !slices.Equal(subs, subs2) {
 			t.Fatalf("member %v: derivation not deterministic", self)
 		}
 		obsOf[self], subsOf[self] = obs, subs
@@ -316,8 +316,8 @@ func TestRapidReplayFromEvictedMemberRejected(t *testing.T) {
 			observer.Receive(netsim.Packet{Src: topology.HostID(victim.ID()), Dst: topology.HostID(observer.ID()), Payload: wire.Encode(&wire.RapidBeat{
 				From:      victim.ID(),
 				ConfigSeq: victim.ConfigSeq(),
-				Inc:       uint32(int(victim.info.Incarnation) + tc.dInc),
-				Beat:      uint64(int(victim.info.Beat) + tc.dBeat),
+				Inc:       uint32(int(victim.Record().Incarnation) + tc.dInc),
+				Beat:      uint64(int(victim.Record().Beat) + tc.dBeat),
 			})})
 			rejects, answers := ep.Stats().Rejected-before.Rejected, ep.Stats().PktsSent-before.PktsSent
 			if (rejects == 0) != tc.accepted || (answers != 0) != tc.accepted {
@@ -514,12 +514,12 @@ func TestRapidGuardsOutliveSessions(t *testing.T) {
 		t.Fatalf("the scenario left a guard unset: %+v", guards)
 	}
 	ep := net.Endpoint(topology.HostID(observer.ID()))
-	lastRecord := proposer.info.Clone()
+	lastRecord := proposer.Info()
 	lastRecord.Beat = guards.info.beat
 	replaysRejected := func(when string) {
 		t.Helper()
 		for _, m := range []wire.Message{
-			&wire.RapidBeat{From: proposer.ID(), ConfigSeq: observer.ConfigSeq(), Inc: proposer.info.Incarnation, Beat: proposer.info.Beat},
+			&wire.RapidBeat{From: proposer.ID(), ConfigSeq: observer.ConfigSeq(), Inc: proposer.Record().Incarnation, Beat: proposer.Record().Beat},
 			&wire.RapidInfo{ConfigSeq: observer.ConfigSeq(), Info: lastRecord},
 			&wire.RapidPropose{From: proposer.ID(), Token: guards.propToken - 1, Seq: observer.ConfigSeq() + 1},
 		} {
@@ -636,8 +636,8 @@ func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
 	n := boot()
 	n.adopt(received(n, 2, first...), 0)
 	for _, want := range first {
-		e := n.dir.Get(want.Node)
-		if e == nil || !reflect.DeepEqual(n.dir.Info(e), want) || e.Origin != membership.OriginRelayed || e.Relayer != proposer {
+		e := n.Directory().Get(want.Node)
+		if e == nil || !reflect.DeepEqual(n.Directory().Info(e), want) || e.Origin != membership.OriginRelayed || e.Relayer != proposer {
 			t.Fatalf("admitted record of %v landed as %+v, want %+v relayed by the proposer", want.Node, e, want)
 		}
 	}
@@ -648,15 +648,15 @@ func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
 	mixed := append([]membership.MemberInfo{newer, restarted, fat(0, 9, 9), fat(77, 1, 1), fat(-3, 1, 1)}, stale[2:]...)
 	n.adopt(received(n, 3, mixed...), time.Second)
 	for i, want := range append([]membership.MemberInfo{newer, restarted}, first[2:]...) {
-		e := n.dir.Get(want.Node)
-		if e == nil || !reflect.DeepEqual(n.dir.Info(e), want) {
+		e := n.Directory().Get(want.Node)
+		if e == nil || !reflect.DeepEqual(n.Directory().Info(e), want) {
 			t.Fatalf("after the mixed view, %v holds %+v, want %+v", want.Node, e, want)
 		}
 		if fresh := i < 2; (e.LastRefresh == time.Second) != fresh {
 			t.Fatalf("after the mixed view, %v was refreshed at %v (admitted: %v)", want.Node, e.LastRefresh, fresh)
 		}
 	}
-	if n.dir.Has(77) || n.dir.Get(0).Version == 9 {
+	if n.Directory().Has(77) || n.Directory().Get(0).Version == 9 {
 		t.Fatal("a non-member's record or the receiver's own was taken from a view")
 	}
 
@@ -675,8 +675,8 @@ func TestAdoptDecodesOnlyAdmittedRecords(t *testing.T) {
 			n.adopt(views[i], 0)
 			i++
 		})
-		if n.ConfigSeq() != uint64(3+runs) || n.dir.Get(5).Beat != 5 {
-			t.Fatalf("fixture: on view %d with %+v for node 5", n.ConfigSeq(), *n.dir.Get(5))
+		if n.ConfigSeq() != uint64(3+runs) || n.Directory().Get(5).Beat != 5 {
+			t.Fatalf("fixture: on view %d with %+v for node 5", n.ConfigSeq(), *n.Directory().Get(5))
 		}
 		return allocs
 	}

@@ -2,7 +2,6 @@ package rapid
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/membership"
 )
@@ -119,7 +118,7 @@ func deriveRingsDC(seq uint64, k int, members []membership.NodeID, self membersh
 				delete(groups, dc)
 			}
 		}
-		sortIDs(rest)
+		slices.Sort(rest)
 	}
 	for r := 0; r < k; r++ {
 		if dcOf == nil || r == 0 {
@@ -131,30 +130,13 @@ func deriveRingsDC(seq uint64, k int, members []membership.NodeID, self membersh
 		}
 		cycle(r, rest)
 	}
-	sortIDs(observers)
-	sortIDs(subjects)
+	slices.Sort(observers)
+	slices.Sort(subjects)
 	return slices.Compact(observers), slices.Compact(subjects)
-}
-
-func sortIDs(ids []membership.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // contains reports whether sorted holds id.
 func contains(sorted []membership.NodeID, id membership.NodeID) bool {
 	_, found := slices.BinarySearch(sorted, id)
 	return found
-}
-
-// idsEqual reports whether two sorted ID slices are identical.
-func idsEqual(a, b []membership.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -39,9 +39,9 @@ func (f Func) Done(_ uint64, payload []byte, err error) { f(payload, err) }
 
 // Member is the membership-daemon surface the runtime layers over: any
 // protocol node that publishes services into a yellow-page directory and
-// accepts delegated membership packets. *core.Node, *gossip.Node, and
-// *alltoall.Node all satisfy it, which is what lets the same service and
-// traffic layers run over every compared scheme.
+// accepts delegated membership packets. *core.Node, *gossip.Node,
+// *alltoall.Node and *rapid.Node all satisfy it, which is what lets the same
+// service and traffic layers run over every compared scheme.
 type Member interface {
 	ID() membership.NodeID
 	Directory() *membership.Directory

@@ -2,6 +2,7 @@ package tamp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/config"
@@ -182,8 +183,8 @@ func (c *MClient) LookupService(servicePattern, partitionSpec string) (MachineLi
 	return out, nil
 }
 
-// Members returns the node IDs currently believed alive.
-func (c *MClient) Members() []NodeID { return c.dir.View() }
+// Members returns the node IDs currently believed alive, in ascending order.
+func (c *MClient) Members() []NodeID { return c.dir.Nodes() }
 
 // Len returns the number of known-alive nodes.
 func (c *MClient) Len() int { return c.dir.Len() }
@@ -235,7 +236,7 @@ func (c *Cluster) Converged() bool {
 		}
 	}
 	for _, m := range c.Services {
-		if m.Running() && !membership.ViewEqual(m.Client().Members(), want) {
+		if m.Running() && !slices.Equal(m.Client().Members(), want) {
 			return false
 		}
 	}
