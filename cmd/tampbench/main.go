@@ -17,8 +17,10 @@
 //	tampbench -fig all -workers 8 -v            # parallel sweep with per-run progress
 //	tampbench -fig 11 -cpuprofile cpu.pprof     # profile the sweep hot spots
 //	tampbench -fig scale4k -lps 4               # 4 parsim workers inside the run
-//	tampbench -diff old.json new.json           # regression gate between two BENCH files
-//	tampbench -history [fig ...]                # committed BENCH_*.json trajectory from git
+//
+// The [BENCH] figures rewrite their committed BENCH_<fig>.json in the
+// working directory; .github/bench-contract.sh is the gate that holds the
+// regenerated file to the committed one, line for line but wall time.
 //
 // The scale figures always execute through the parsim coordinator
 // (internal/parsim): the topology fixes the LP decomposition and -lps picks
@@ -68,9 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "also write BENCH_<fig>.json with per-run reports (the [BENCH] figures always write it)")
 	chart := fs.Bool("chart", false, "also render sparkline charts")
 	svgDir := fs.String("svg", "", "directory to write one SVG per figure (created if missing)")
-	diff := fs.Bool("diff", false, "compare two BENCH json files (old new) and exit non-zero on regressions")
-	diffWall := fs.Float64("diff-wall", 1.5, "with -diff: flag total wall time growing past this factor (0 disables the wall gate)")
-	history := fs.Bool("history", false, "walk git for committed BENCH_*.json files and print each figure's wall/packet trajectory (args restrict to figure names)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -81,12 +80,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tampbench:", err)
 		return code
 	}
-
-	if *diff {
-		return runDiff(fs.Args(), *diffWall, stdout, stderr)
-	}
-	if *history {
-		return runHistory(fs.Args(), *diffWall, stdout, stderr)
+	if fs.NArg() > 0 {
+		return fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
 	}
 
 	env := harness.Env{Options: def, LPs: *lps, Stderr: stderr}
@@ -211,32 +206,6 @@ func figureUsage() string {
 	}
 	fmt.Fprintf(&b, "  %-14s every row not marked as left out, in this order", allFigures)
 	return b.String()
-}
-
-// runDiff is the regression gate: it compares two BENCH json files and
-// reports runs that disappeared, packet-count or wall-time blowups, new
-// invariant violations, and chaos verdict flips.
-func runDiff(args []string, wallFactor float64, stdout, stderr io.Writer) int {
-	if len(args) != 2 {
-		fmt.Fprintln(stderr, "tampbench: -diff needs exactly two arguments: old.json new.json")
-		return 2
-	}
-	var benches [2]metrics.BenchJSON
-	for i, path := range args {
-		var err error
-		if benches[i], err = metrics.ReadBenchJSON(path); err != nil {
-			fmt.Fprintln(stderr, "tampbench:", err)
-			return 2
-		}
-	}
-	o := metrics.DefaultDiffOptions()
-	o.WallFactor = wallFactor
-	regs := metrics.CompareBench(benches[0], benches[1], o)
-	fmt.Fprint(stdout, metrics.RenderRegressions(regs))
-	if len(regs) > 0 {
-		return 1
-	}
-	return 0
 }
 
 func joinSizes(sizes []int) string {

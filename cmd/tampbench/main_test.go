@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -47,6 +48,15 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 	_, list, _ := strings.Cut(strings.TrimSuffix(errs.String(), ")\n"), "want one of ")
 	if want := append(harness.FigureNames(), allFigures); !slices.Equal(strings.Split(list, ", "), want) {
 		t.Errorf("unknown figure: stderr lists %q, want exactly %q", list, want)
+	}
+}
+
+// TestRunRejectsArguments: no flag takes positional arguments, so a stray
+// one (a file for the deleted -diff, say) is bad usage, not ignored.
+func TestRunRejectsArguments(t *testing.T) {
+	var out, errs bytes.Buffer
+	if code := run([]string{"-fig", "4x", "old.json"}, &out, &errs); code != 2 || out.Len() != 0 {
+		t.Errorf("stray argument: exit code %d, stdout %q; want 2 and nothing", code, out.String())
 	}
 }
 
@@ -103,6 +113,48 @@ func TestReadmeAdvertisesTheTable(t *testing.T) {
 	for _, name := range names {
 		if !shown[name] {
 			t.Errorf("README.md never shows -fig %s", name)
+		}
+	}
+}
+
+// TestBenchGateCensus holds every [BENCH] figure to the one gate: its
+// BENCH_<name>.json is committed at the root and ci.yml or nightly.yml runs
+// .github/bench-contract.sh on it. No workflow runs a second, tolerant
+// comparator, and every committed BENCH file but BENCH_perf.json (the
+// bench/ ledger, assembled by hand) belongs to a [BENCH] row.
+func TestBenchGateCensus(t *testing.T) {
+	var workflows string
+	for _, f := range []string{"ci.yml", "nightly.yml"} {
+		b, err := os.ReadFile("../../.github/workflows/" + f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workflows += string(b)
+	}
+	if m := regexp.MustCompile(`(?m)^.*tampbench.*\s-diff\b.*$`).FindString(workflows); m != "" {
+		t.Errorf("a workflow runs tampbench -diff, a second gate beside the byte contract: %q", m)
+	}
+	rows := map[string]bool{}
+	for _, f := range harness.Figures() {
+		if !f.Bench {
+			continue
+		}
+		name := "BENCH_" + f.Name + ".json"
+		rows[name] = true
+		if _, err := os.Stat("../../" + name); err != nil {
+			t.Errorf("[BENCH] figure %s has no committed file: %v", f.Name, err)
+		}
+		if !strings.Contains(workflows, "bench-contract.sh "+name) {
+			t.Errorf("[BENCH] figure %s: no step of ci.yml or nightly.yml runs bench-contract.sh %s", f.Name, name)
+		}
+	}
+	committed, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range committed {
+		if name := filepath.Base(path); name != "BENCH_perf.json" && !rows[name] {
+			t.Errorf("%s is committed, but no [BENCH] figure writes it", name)
 		}
 	}
 }

@@ -56,6 +56,13 @@ func TestServeAndLookup(t *testing.T) {
 	if _, err := c.Lookup("HTTP", "*"); err != nil {
 		t.Fatalf("connection unusable after error: %v", err)
 	}
+	// So does a partition list naming more partitions than the parser takes.
+	if _, err := c.Lookup("Cache", "0-2147483647"); !errors.Is(err, ErrQuery) {
+		t.Fatalf("oversized partition list error = %v", err)
+	}
+	if _, err := c.Lookup("HTTP", "*"); err != nil {
+		t.Fatalf("connection unusable after oversized list: %v", err)
+	}
 }
 
 func TestRepublishChangesResults(t *testing.T) {

@@ -56,12 +56,10 @@ type FigureSpec struct {
 	// All: "-fig all" regenerates it. The rows left out take minutes or
 	// repeat another row's scenarios.
 	All bool
-	// Bench: the figure is a trajectory tracked across commits, so
-	// regenerating it always rewrites BENCH_<Name>.json.
+	// Bench: the figure is a behavioural contract committed as
+	// BENCH_<Name>.json, so regenerating it always rewrites that file, and
+	// .github/bench-contract.sh holds it to the committed bytes but wall time.
 	Bench bool
-	// History, when set, renders a committed snapshot's runs as an extra
-	// table under `tampbench -history`.
-	History func(runs []metrics.RunReport) string
 
 	run func(Env) (Output, error)
 }
@@ -153,7 +151,7 @@ var figures = []FigureSpec{
 	{Name: "scale4k", Bench: true, Usage: "N=4000 churn run, the paper's Fig. 2 ceiling (-lps; tens of minutes)",
 		run: scaleFigure(Scale4kOptions)},
 	{Name: "parsim", Bench: true, Usage: "parsim worker scaling: the N=1000 run at 1, 2, 4 (and -lps) workers, byte-identity checked",
-		run: parsimFigure, History: renderParsimSpeedup},
+		run: parsimFigure},
 }
 
 // lossOr is the -loss flag where it was given, and otherwise the default of
@@ -182,8 +180,9 @@ func trafficFigure(matrix func(TrafficOptions) []TrafficResult, table trafficTab
 }
 
 // scaleFigure is a churn run at the given size. Its RunReport is the whole
-// result: O(N^2) audit or protocol regressions surface in `tampbench -diff`
-// as event, packet or wall growth.
+// result: an O(N^2) audit or protocol regression changes the event or packet
+// counts of BENCH_<name>.json, which the byte contract rejects, and grows
+// its wall time.
 func scaleFigure(options func() ScaleOptions) func(Env) (Output, error) {
 	return func(e Env) (Output, error) {
 		o := options()
@@ -194,8 +193,8 @@ func scaleFigure(options func() ScaleOptions) func(Env) (Output, error) {
 
 // parsimFigure runs the N=1000 scale run at 1, 2 and 4 window workers. The
 // deterministic fields must be byte-identical across worker counts — the
-// figure fails if not — and the per-count wall times are recorded under keys
-// suffixed /lps=K, which `tampbench -history` renders as a speedup table.
+// figure fails if not — and each count's run is recorded, with its wall
+// time, under the run's key suffixed /lps=K.
 func parsimFigure(e Env) (Output, error) {
 	counts := []int{1, 2, 4}
 	if e.LPs > 4 {
@@ -207,9 +206,7 @@ func parsimFigure(e Env) (Output, error) {
 	var canon string
 	for _, k := range counts {
 		o.LPs = k
-		start := time.Now()
 		rep := ScaleChurn(o)
-		wall := time.Since(start)
 		cp := rep
 		cp.Wall = 0
 		b, err := json.Marshal(cp)
@@ -223,9 +220,8 @@ func parsimFigure(e Env) (Output, error) {
 				k, counts[0], k, b, canon)
 		}
 		rep.Key = fmt.Sprintf("%s/lps=%d", rep.Key, k)
-		rep.Wall = wall
 		runs = append(runs, rep)
-		fmt.Fprintf(e.Stderr, "(parsim lps=%d wall=%v)\n", k, wall.Round(time.Millisecond))
+		fmt.Fprintf(e.Stderr, "(parsim lps=%d wall=%v)\n", k, rep.Wall.Round(time.Millisecond))
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Parsim worker scaling: N=%d scale churn, %d LPs\n", o.Groups*o.perGroup, o.Groups)
@@ -233,7 +229,7 @@ func parsimFigure(e Env) (Output, error) {
 	for i, r := range runs {
 		fmt.Fprintf(&b, "\n%-8d %12d %14d %10s", counts[i], r.Events, r.PktsDelivered, "yes")
 	}
-	fmt.Fprint(e.Stderr, renderParsimSpeedup(runs))
+	fmt.Fprint(e.Stderr, renderParsimSpeedup(counts, runs))
 	out := Output{Table: b.String(), Runs: runs}
 	// TAMP_PARSIM_MIN_SPEEDUP turns the advisory wall table into a gate:
 	// the nightly 4-vCPU runner requires the best worker count to beat
@@ -256,29 +252,15 @@ func parsimFigure(e Env) (Output, error) {
 	return out, nil
 }
 
-// renderParsimSpeedup tabulates one parsim snapshot's wall time per worker
-// count (keys end in "/lps=K") with the speedup over the lps=1 baseline.
-// Wall times are machine-dependent, so the table is advisory — the figure's
-// deterministic fields are gated by -diff like any other bench.
-func renderParsimSpeedup(runs []metrics.RunReport) string {
+// renderParsimSpeedup tabulates each worker count's wall time with the
+// speedup over the first count's (lps=1). Wall times are machine-dependent,
+// so the table goes to stderr, never into the figure.
+func renderParsimSpeedup(counts []int, runs []metrics.RunReport) string {
 	var b strings.Builder
-	var base time.Duration
-	for _, r := range runs {
-		if strings.HasSuffix(r.Key, "/lps=1") {
-			base = r.Wall
-		}
-	}
 	fmt.Fprintf(&b, "%-8s %10s %8s\n", "lps", "wall", "speedup")
-	for _, r := range runs {
-		idx := strings.LastIndex(r.Key, "/lps=")
-		if idx < 0 {
-			continue
-		}
-		speed := "-"
-		if base > 0 && r.Wall > 0 {
-			speed = fmt.Sprintf("%.2fx", float64(base)/float64(r.Wall))
-		}
-		fmt.Fprintf(&b, "%-8s %10v %8s\n", r.Key[idx+1:], r.Wall.Round(time.Millisecond), speed)
+	for i, r := range runs {
+		fmt.Fprintf(&b, "%-8s %10v %7.2fx\n", fmt.Sprintf("lps=%d", counts[i]),
+			r.Wall.Round(time.Millisecond), float64(runs[0].Wall)/float64(r.Wall))
 	}
 	return b.String()
 }

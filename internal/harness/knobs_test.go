@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gossip"
 	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/parsim"
 	"repro/internal/rapid"
 	"repro/internal/service"
@@ -25,7 +24,7 @@ import (
 // optionStructs is every struct in the tree whose fields are options.
 var optionStructs = []any{
 	rapid.Config{}, alltoall.Config{}, gossip.Config{}, service.Config{},
-	traffic.Options{}, core.Config{}, invariant.Options{}, parsim.Config{}, metrics.DiffOptions{},
+	traffic.Options{}, core.Config{}, invariant.Options{}, parsim.Config{},
 	tamp.AppConfig{},
 	Options{}, AccuracyOptions{}, ChaosOptions{}, TrafficOptions{}, ScaleOptions{},
 }
@@ -87,8 +86,6 @@ var knobs = map[string]string{
 	"parsim.Config.Net":       "harness/parsim.go: per run (not a tuning value)",
 	"parsim.Config.Lookahead": "harness/parsim.go: derived from the partition",
 	"parsim.Config.Workers":   "harness/parsim.go: ScaleOptions.LPs (cmd/tampbench -lps)",
-
-	"metrics.DiffOptions.WallFactor": "cmd/tampbench: -diff-wall",
 
 	"tamp.AppConfig.EnableLoadPush": "examples/loadbalance: on and off",
 
@@ -153,9 +150,9 @@ func TestKnobCensus(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	// The census went 157 -> 104 -> 87 -> 77 -> 66 -> 65 -> 61; the table only shrinks.
-	if len(knobs) > 61 {
-		t.Errorf("the knobs table has %d rows, more than the 61 it was cut to: %s", len(knobs), rule)
+	// The census went 157 -> 104 -> 87 -> 77 -> 66 -> 65 -> 61 -> 60; the table only shrinks.
+	if len(knobs) > 60 {
+		t.Errorf("the knobs table has %d rows, more than the 60 it was cut to: %s", len(knobs), rule)
 	}
 }
 

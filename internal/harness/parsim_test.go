@@ -34,6 +34,10 @@ func TestParsimDeterminism(t *testing.T) {
 	r1 := ScaleChurn(smallScale(1))
 	r4 := ScaleChurn(smallScale(4))
 	r1b := ScaleChurn(smallScale(1))
+	// The report is the pool's, so it carries the run's key and seed.
+	if r1.Key != "scale/churn/Hierarchical/n=24" || r1.Seed != DeriveSeed(7, r1.Key) {
+		t.Errorf("report key %q seed %d, want the pool's scale/churn/Hierarchical/n=24 and its derived seed", r1.Key, r1.Seed)
+	}
 
 	b1, b4, b1b := reportBytes(t, r1), reportBytes(t, r4), reportBytes(t, r1b)
 	if b1 != b4 {

@@ -4,9 +4,10 @@ package harness
 // churn, fully audited with the event-driven hooks and a deliberately
 // coarse sampling interval. Its purpose is hunting quadratic costs — an
 // O(N^2) audit pass or protocol loop that is invisible at the chaos
-// matrix's 24-48 nodes dominates the wall time here, and the recorded
-// RunReport (BENCH_scale.json) tracks events, packets, and wall time across
-// commits so such a regression shows up in `tampbench -diff`.
+// matrix's 24-48 nodes dominates the wall time here. The recorded RunReport
+// (BENCH_scale.json) is held byte for byte but wall time by
+// .github/bench-contract.sh, so a change to its events, packets, peak
+// directory or audit counts fails the gate.
 
 import (
 	"fmt"
@@ -58,14 +59,14 @@ func scaleScenario(o ScaleOptions) *chaos.Scenario {
 	}
 }
 
-// ScaleChurn executes the scale run through the pool (so Key/Seed/Wall are
-// filled like every other bench run) and returns the audited report.
+// ScaleChurn executes the scale run through the pool, which fills its Key,
+// Seed and Wall like every other bench run's, and returns the audited
+// report.
 func ScaleChurn(o ScaleOptions) metrics.RunReport {
 	if o.churn > o.Groups {
 		panic("harness: churn cycles exceed groups")
 	}
 	pool := NewPool(o.Sweep, o.Seed)
-	var rep metrics.RunReport
 	n := o.Groups * o.perGroup
 	pool.Go(fmt.Sprintf("scale/churn/%s/n=%d", Hierarchical, n), func(seed int64) metrics.RunReport {
 		c := NewCluster(Hierarchical, topology.Clustered(o.Groups, o.perGroup), seed)
@@ -91,11 +92,9 @@ func ScaleChurn(o ScaleOptions) metrics.RunReport {
 		coord.Run(deadline + 15*time.Second)
 		r := c.Observe()
 		r.Invariants = MergeAuditors(auds)
-		rep = r
 		return r
 	})
-	pool.Wait()
-	return rep
+	return pool.Wait()[0]
 }
 
 // RenderScale renders the deterministic slice of the scale report (wall

@@ -157,7 +157,7 @@ func TestNewCellPicksClusterAndAudit(t *testing.T) {
 // counts, re-formation outcome, per-invariant violations/checks — with the
 // same cell of the committed BENCH_chaos.json, so the byte-identity contract
 // behind every refactor is checked by `go test`, not only by the CI
-// `tampbench -diff` step. skew-groups is in the slice for its one cell that
+// bench-contract.sh step. skew-groups is in the slice for its one cell that
 // arms the re-formation audit and never converges; switch-outage for the
 // adaptive cell that failed seq-monotone 23 times (PRs 9-23) while a node's
 // own directory record kept the beat it was written at, pinned clean here

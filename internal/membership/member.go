@@ -252,10 +252,17 @@ func getKV(kvs []KV, key string) (string, bool) {
 	return "", false
 }
 
+// maxPartitions caps how many partitions one list may name, counted over
+// its ranges before any is expanded: the spec comes from outside (a
+// dirserver query, tampdir's stdin, a config file), and "0-2147483647" is
+// nine bytes that would otherwise ask for tens of GB.
+const maxPartitions = 1 << 16
+
 // ParsePartitions parses the paper's partition list syntax: a
 // comma-separated list of numbers and inclusive ranges, e.g. "1-3" or
 // "0,2,5-7". Whitespace around items is ignored. An empty string yields an
-// empty list.
+// empty list. A list whose ranges name more than maxPartitions partitions
+// in all, repeats included, is rejected.
 func ParsePartitions(spec string) ([]int32, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -263,6 +270,7 @@ func ParsePartitions(spec string) ([]int32, error) {
 	}
 	seen := map[int32]bool{}
 	var out []int32
+	named := int64(0)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -282,6 +290,9 @@ func ParsePartitions(spec string) ([]int32, error) {
 		}
 		if h < l {
 			return nil, fmt.Errorf("membership: inverted range %q in %q", part, spec)
+		}
+		if named += h - l + 1; named > maxPartitions {
+			return nil, fmt.Errorf("membership: partition list %q names more than %d partitions", spec, maxPartitions)
 		}
 		for p := l; p <= h; p++ {
 			if !seen[int32(p)] {

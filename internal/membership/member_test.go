@@ -24,6 +24,12 @@ func TestParsePartitions(t *testing.T) {
 		{"a", nil, false},
 		{"1,", nil, false},
 		{"1--2", nil, false},
+		// At most 1<<16 partitions, counted across the ranges before any
+		// is expanded.
+		{"0-65535", seq(0, 65535), true},
+		{"0-65536", nil, false},
+		{"0-40000,50000-80000", nil, false},
+		{"0-2147483647", nil, false},
 	}
 	for _, c := range cases {
 		got, err := ParsePartitions(c.in)
@@ -35,6 +41,15 @@ func TestParsePartitions(t *testing.T) {
 			t.Errorf("ParsePartitions(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
+}
+
+// seq is the partitions lo..hi, in order.
+func seq(lo, hi int32) []int32 {
+	out := make([]int32, 0, hi-lo+1)
+	for p := lo; p <= hi; p++ {
+		out = append(out, p)
+	}
+	return out
 }
 
 // TestPartitionsRoundTrip writes a set of partitions as a comma list, in

@@ -16,12 +16,10 @@
 // SweepSummary (total wall time, aggregate events/s, realtime multiple)
 // printed after each parallel sweep.
 //
-// Two further layers were added as the harness grew. The regression layer
-// (diff.go, history.go) backs `tampbench -diff` and `-history`: BenchJSON
-// serializes a figure's runs and results to BENCH_*.json, and CompareBench
-// flags disappeared runs, packet blowups, new invariant violations, chaos
-// verdict flips, and traffic cells regressing from fully-clean to
-// user-visible failures. The user-outcome layer (histogram.go, traffic.go)
+// Two further layers were added as the harness grew. BenchJSON (json.go)
+// serializes a figure's runs and results to the committed BENCH_*.json
+// files, which .github/bench-contract.sh holds byte for byte but wall time.
+// The user-outcome layer (histogram.go, traffic.go)
 // serves the session-traffic matrix: Histogram is a fixed-shape log-linear
 // (HDR-style) histogram whose quantiles are deterministic and mergeable,
 // and TrafficStats is the per-run user-level outcome record (misroutes,
