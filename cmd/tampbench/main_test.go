@@ -121,7 +121,9 @@ func TestReadmeAdvertisesTheTable(t *testing.T) {
 // BENCH_<name>.json is committed at the root and ci.yml or nightly.yml runs
 // .github/bench-contract.sh on it. No workflow runs a second, tolerant
 // comparator, and every committed BENCH file but BENCH_perf.json (the
-// bench/ ledger, assembled by hand) belongs to a [BENCH] row.
+// bench/ ledger, assembled by hand) belongs to a [BENCH] row. No workflow
+// step greps Go source either: rules over the source have one home,
+// TestSeams in internal/harness, which tier-1 runs.
 func TestBenchGateCensus(t *testing.T) {
 	var workflows string
 	for _, f := range []string{"ci.yml", "nightly.yml"} {
@@ -133,6 +135,10 @@ func TestBenchGateCensus(t *testing.T) {
 	}
 	if m := regexp.MustCompile(`(?m)^.*tampbench.*\s-diff\b.*$`).FindString(workflows); m != "" {
 		t.Errorf("a workflow runs tampbench -diff, a second gate beside the byte contract: %q", m)
+	}
+	joined := strings.ReplaceAll(workflows, "\\\n", " ")
+	if m := regexp.MustCompile(`(?m)^.*\bgrep\b.*(\.go\b|\binternal/).*$`).FindString(joined); m != "" {
+		t.Errorf("a workflow step greps Go source, a second home beside TestSeams (internal/harness/seams_test.go): %q", m)
 	}
 	rows := map[string]bool{}
 	for _, f := range harness.Figures() {

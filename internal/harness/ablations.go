@@ -35,11 +35,11 @@ func countPacketType(net *netsim.Network, n int, t wire.Type) *int {
 	return count
 }
 
-// AblationPiggyback measures, under packet loss, how many full-directory
+// ablationPiggyback measures, under packet loss, how many full-directory
 // synchronizations (SyncRequest polls) occur as the piggyback depth varies:
 // deeper piggybacking recovers more consecutive losses without falling
 // back to a full transfer (§3.1.2 uses depth 3).
-func AblationPiggyback(sw Sweep, depths []int, lossProb float64, seed int64) *metrics.Figure {
+func ablationPiggyback(sw Sweep, depths []int, lossProb float64, seed int64) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Ablation: update piggyback depth vs full-sync fallbacks (5% loss, 30 membership changes)",
 		XLabel: "piggyback depth",
@@ -76,11 +76,11 @@ func bandwidthThenKill(c *Cluster, wait time.Duration) []float64 {
 	return []float64{kbps, orNaN(conv.Seconds(), seen == len(c.Nodes)-1)}
 }
 
-// AblationGroupSize sweeps the membership group size at fixed cluster size,
+// ablationGroupSize sweeps the membership group size at fixed cluster size,
 // measuring aggregate bandwidth and view convergence after a failure: small
 // groups mean a deeper tree (slower convergence, less traffic per group),
 // large groups approach all-to-all.
-func AblationGroupSize(sw Sweep, n int, groupSizes []int, seed int64) *metrics.Figure {
+func ablationGroupSize(sw Sweep, n int, groupSizes []int, seed int64) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Ablation: group size at fixed cluster size (bandwidth vs convergence)",
 		XLabel: "nodes per group",
@@ -95,12 +95,12 @@ func AblationGroupSize(sw Sweep, n int, groupSizes []int, seed int64) *metrics.F
 		})
 }
 
-// AblationGossipFanout sweeps the gossip fanout at fixed frequency:
+// ablationGossipFanout sweeps the gossip fanout at fixed frequency:
 // higher fanout multiplies bandwidth (each round sends the full view to
 // more peers) while detection/convergence improve only until the fail
 // timeout dominates — quantifying why the paper's comparison uses the
 // canonical fanout of 1.
-func AblationGossipFanout(sw Sweep, n int, fanouts []int, seed int64) *metrics.Figure {
+func ablationGossipFanout(sw Sweep, n int, fanouts []int, seed int64) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Ablation: gossip fanout (bandwidth vs convergence)",
 		XLabel: "fanout",
@@ -118,11 +118,11 @@ func AblationGossipFanout(sw Sweep, n int, fanouts []int, seed int64) *metrics.F
 		})
 }
 
-// AblationMaxLoss sweeps the MaxLoss threshold under packet loss, measuring
+// ablationMaxLoss sweeps the MaxLoss threshold under packet loss, measuring
 // detection time (grows linearly with the threshold) and false failure
 // declarations (shrink with it) — the accuracy/responsiveness trade-off
 // behind the paper's choice of 5.
-func AblationMaxLoss(sw Sweep, values []int, lossProb float64, seed int64) *metrics.Figure {
+func ablationMaxLoss(sw Sweep, values []int, lossProb float64, seed int64) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Ablation: MaxLoss threshold under 5% packet loss",
 		XLabel: "MaxLoss",

@@ -3,7 +3,7 @@ package harness
 import "testing"
 
 func TestAblationPiggyback(t *testing.T) {
-	fig := AblationPiggyback(Sweep{}, []int{0, 3, 6}, 0.05, 11)
+	fig := ablationPiggyback(Sweep{}, []int{0, 3, 6}, 0.05, 11)
 	s0 := at(t, fig, "sync reqs", 0)
 	s6 := at(t, fig, "sync reqs", 6)
 	// Deeper piggybacking must not need more full syncs than none, and
@@ -18,7 +18,7 @@ func TestAblationPiggyback(t *testing.T) {
 }
 
 func TestAblationGroupSize(t *testing.T) {
-	fig := AblationGroupSize(Sweep{}, 40, []int{5, 10, 20, 40}, 13)
+	fig := ablationGroupSize(Sweep{}, 40, []int{5, 10, 20, 40}, 13)
 	// Group size 40 = one flat group = all-to-all: most bandwidth.
 	small := at(t, fig, "KB/s", 5)
 	flat := at(t, fig, "KB/s", 40)
@@ -35,7 +35,7 @@ func TestAblationGroupSize(t *testing.T) {
 }
 
 func TestAblationGossipFanout(t *testing.T) {
-	fig := AblationGossipFanout(Sweep{}, 20, []int{1, 3}, 7)
+	fig := ablationGossipFanout(Sweep{}, 20, []int{1, 3}, 7)
 	b1 := at(t, fig, "KB/s", 1)
 	b3 := at(t, fig, "KB/s", 3)
 	if b3 < 2*b1 {
@@ -49,7 +49,7 @@ func TestAblationGossipFanout(t *testing.T) {
 }
 
 func TestAblationMaxLoss(t *testing.T) {
-	fig := AblationMaxLoss(Sweep{}, []int{2, 5, 8}, 0.05, 17)
+	fig := ablationMaxLoss(Sweep{}, []int{2, 5, 8}, 0.05, 17)
 	d2 := at(t, fig, "detection s", 2)
 	d8 := at(t, fig, "detection s", 8)
 	if d8 <= d2 {

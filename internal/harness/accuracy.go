@@ -136,9 +136,9 @@ func (o AccuracyOptions) topology() *topology.Topology {
 	return topology.Clustered(o.groups, o.perGroup)
 }
 
-// Accuracy produces two figures' worth of series in one: completeness%
+// accuracy produces two figures' worth of series in one: completeness%
 // and accuracy% per scheme, versus injected loss probability.
-func Accuracy(o AccuracyOptions) *metrics.Figure {
+func accuracy(o AccuracyOptions) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Membership completeness/accuracy under churn (kill+restart cycle, % over all samples)",
 		XLabel: "loss probability",

@@ -10,7 +10,7 @@ func TestAccuracyUnderChurn(t *testing.T) {
 	o.groups, o.perGroup = 2, 6
 	o.duration = time.Minute
 	o.lossProbs = []float64{0, 0.05}
-	fig := Accuracy(o)
+	fig := accuracy(o)
 
 	for _, scheme := range []string{"All-to-all", "Hierarchical"} {
 		for _, p := range o.lossProbs {

@@ -11,13 +11,13 @@ import (
 	"repro/internal/wire"
 )
 
-// BandwidthBreakdown dissects the hierarchical scheme's steady-state
+// bandwidthBreakdown dissects the hierarchical scheme's steady-state
 // traffic by packet type at several cluster sizes: heartbeats dominate by
 // design; the share of anti-entropy republication (directory snapshots)
 // and update/bootstrap/sync traffic quantifies the cost of this
 // implementation's robustness additions beyond the paper's event-driven
 // core.
-func BandwidthBreakdown(o Options) *metrics.Figure {
+func bandwidthBreakdown(o Options) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Hierarchical bandwidth by packet type (KB/s received, steady state)",
 		XLabel: "nodes",
@@ -51,10 +51,10 @@ func BandwidthBreakdown(o Options) *metrics.Figure {
 		})
 }
 
-// DetectionDistribution runs many independent failure trials for one
+// detectionDistribution runs many independent failure trials for one
 // scheme and cluster size and reports detection-time percentiles —
 // Figure 12 gives one draw per size; this characterizes the spread.
-func DetectionDistribution(scheme Scheme, o Options, n, trials int) *metrics.Figure {
+func detectionDistribution(scheme Scheme, o Options, n, trials int) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Failure detection time distribution (" + scheme.String() + ", seconds)",
 		XLabel: "trial percentile",

@@ -8,7 +8,7 @@ import (
 func TestBandwidthBreakdown(t *testing.T) {
 	o := testOptions()
 	o.Sizes = []int{40}
-	fig := BandwidthBreakdown(o)
+	fig := bandwidthBreakdown(o)
 	hb := at(t, fig, "heartbeats", 40)
 	snap := at(t, fig, "republication", 40)
 	upd := at(t, fig, "updates", 40)
@@ -29,7 +29,7 @@ func TestBandwidthBreakdown(t *testing.T) {
 func TestDetectionDistribution(t *testing.T) {
 	o := testOptions()
 	o.failWait = 30 * time.Second
-	fig := DetectionDistribution(Hierarchical, o, 20, 6)
+	fig := detectionDistribution(Hierarchical, o, 20, 6)
 	p50 := at(t, fig, "detection s", 50)
 	p100 := at(t, fig, "detection s", 100)
 	// All trials detect around MaxLoss seconds; the spread is below one

@@ -65,7 +65,7 @@ func TestSchemesConstructAndConverge(t *testing.T) {
 }
 
 func TestSection4FixedBandwidthOrdering(t *testing.T) {
-	fig := Section4FixedBandwidth([]int{100, 1000})
+	fig := section4FixedBandwidth([]int{100, 1000})
 	h := at(t, fig, "Hier det", 1000)
 	a := at(t, fig, "A2A det", 1000)
 	g := at(t, fig, "Gossip det", 1000)

@@ -116,7 +116,7 @@ var repro struct {
 }
 
 // loadRepro type-checks module repro and the bench/ module once per test
-// binary, for the export and knob censuses.
+// binary, for the export and knob censuses and the seam rules.
 func loadRepro(t *testing.T) *module {
 	t.Helper()
 	repro.once.Do(func() {

@@ -67,10 +67,10 @@ func buildFigure14(seed int64) *figure14Cluster {
 	return f
 }
 
-// Figure14 runs the experiment and returns the paper's two panels as one
+// figure14 runs the experiment and returns the paper's two panels as one
 // figure: mean response time (ms) and completed throughput (queries/s) per
 // one-second bucket.
-func Figure14(seed int64) *metrics.Figure {
+func figure14(seed int64) *metrics.Figure {
 	f := buildFigure14(seed)
 	f.dep.StartAll(f.Eng)
 	// Let membership and proxy summaries converge before time zero.

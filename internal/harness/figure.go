@@ -98,43 +98,43 @@ var figures = []FigureSpec{
 	{Name: "2", All: true, Usage: "Fig. 2: all-to-all CPU, packet and bandwidth load on one node, N=250..4000 (receive cost wall-measured)",
 		run: func(Env) (Output, error) {
 			per := MeasureReceiveCost(5000)
-			fig := Figure2(per, []int{250, 500, 1000, 2000, 4000})
+			fig := figure2(per, []int{250, 500, 1000, 2000, 4000})
 			return Output{Table: fmt.Sprintf("(measured per-heartbeat receive cost: %v)\n", per) + fig.Render(), Plot: fig}, nil
 		}},
 	{Name: "11", All: true, Usage: "Fig. 11: aggregate bandwidth vs cluster size, three schemes (-sizes, -pergroup, -loss)",
-		run: plot(func(e Env) *metrics.Figure { return Figure11(e.Options) })},
+		run: plot(func(e Env) *metrics.Figure { return figure11(e.Options) })},
 	{Name: "12", All: true, Usage: "Fig. 12: failure detection time vs cluster size (-sizes, -pergroup, -loss)",
-		run: plot(func(e Env) *metrics.Figure { return Figure12(e.Options) })},
+		run: plot(func(e Env) *metrics.Figure { return figure12(e.Options) })},
 	{Name: "13", All: true, Usage: "Fig. 13: view convergence time vs cluster size (-sizes, -pergroup, -loss)",
-		run: plot(func(e Env) *metrics.Figure { return Figure13(e.Options) })},
+		run: plot(func(e Env) *metrics.Figure { return figure13(e.Options) })},
 	{Name: "14", All: true, Usage: "Fig. 14: two-DC search service across a doc-service failure at 20 s and recovery at 40 s",
-		run: plot(func(e Env) *metrics.Figure { return Figure14(e.Seed) })},
+		run: plot(func(e Env) *metrics.Figure { return figure14(e.Seed) })},
 	{Name: "4x", All: true, Usage: "Section 4 closed forms at fixed 1 Hz: detection time and bandwidth, N=20..4000",
-		run: plot(func(Env) *metrics.Figure { return Section4(analyticSizes) })},
+		run: plot(func(Env) *metrics.Figure { return section4(analyticSizes) })},
 	{Name: "4b", All: true, Usage: "Section 4 closed forms at a fixed 1 MB/s budget: detection time and BDP, N=20..4000",
-		run: plot(func(Env) *metrics.Figure { return Section4FixedBandwidth(analyticSizes) })},
+		run: plot(func(Env) *metrics.Figure { return section4FixedBandwidth(analyticSizes) })},
 	{Name: "abl-piggyback", All: true, Usage: "ablation: update piggyback depth 0..8 vs full-sync fallbacks under loss (-loss, default 5%)",
 		run: plot(func(e Env) *metrics.Figure {
-			return AblationPiggyback(e.Sweep, []int{0, 1, 3, 6, 8}, e.lossOr(0.05), e.Seed)
+			return ablationPiggyback(e.Sweep, []int{0, 1, 3, 6, 8}, e.lossOr(0.05), e.Seed)
 		})},
 	{Name: "abl-group", All: true, Usage: "ablation: group size 5..40 at N=40, bandwidth vs convergence",
-		run: plot(func(e Env) *metrics.Figure { return AblationGroupSize(e.Sweep, 40, []int{5, 10, 20, 40}, e.Seed) })},
+		run: plot(func(e Env) *metrics.Figure { return ablationGroupSize(e.Sweep, 40, []int{5, 10, 20, 40}, e.Seed) })},
 	{Name: "abl-maxloss", All: true, Usage: "ablation: MaxLoss 2..8 under loss, detection time vs false leaves (-loss, default 5%)",
 		run: plot(func(e Env) *metrics.Figure {
-			return AblationMaxLoss(e.Sweep, []int{2, 3, 5, 8}, e.lossOr(0.05), e.Seed)
+			return ablationMaxLoss(e.Sweep, []int{2, 3, 5, 8}, e.lossOr(0.05), e.Seed)
 		})},
 	{Name: "abl-fanout", All: true, Usage: "ablation: gossip fanout 1..5 at N=40, bandwidth vs convergence",
-		run: plot(func(e Env) *metrics.Figure { return AblationGossipFanout(e.Sweep, 40, []int{1, 2, 3, 5}, e.Seed) })},
+		run: plot(func(e Env) *metrics.Figure { return ablationGossipFanout(e.Sweep, 40, []int{1, 2, 3, 5}, e.Seed) })},
 	{Name: "accuracy", All: true, Usage: "view completeness and accuracy under kill/restart churn at 0-10% loss, three schemes",
 		run: plot(func(e Env) *metrics.Figure {
 			o := DefaultAccuracyOptions()
 			o.Seed, o.Sweep = e.Seed, e.Sweep
-			return Accuracy(o)
+			return accuracy(o)
 		})},
 	{Name: "breakdown", All: true, Usage: "hierarchical steady-state bandwidth by packet type (-sizes, -pergroup)",
-		run: plot(func(e Env) *metrics.Figure { return BandwidthBreakdown(e.Options) })},
+		run: plot(func(e Env) *metrics.Figure { return bandwidthBreakdown(e.Options) })},
 	{Name: "detect-dist", All: true, Usage: "detection-time percentiles over 12 failure trials, hierarchical N=60 (-pergroup, -loss)",
-		run: plot(func(e Env) *metrics.Figure { return DetectionDistribution(Hierarchical, e.Options, 60, 12) })},
+		run: plot(func(e Env) *metrics.Figure { return detectionDistribution(Hierarchical, e.Options, 60, 12) })},
 	{Name: "chaos", All: true, Bench: true, Usage: "scenario x scheme invariant verdicts under the auditor, adversarial scenarios included",
 		run: func(e Env) (Output, error) {
 			o := DefaultChaosOptions()

@@ -100,10 +100,10 @@ func orNaN(y float64, ok bool) float64 {
 	return math.NaN()
 }
 
-// Figure11 reproduces "Bandwidth consumption": aggregate membership
+// figure11 reproduces "Bandwidth consumption": aggregate membership
 // bandwidth (MB/s, receive side) versus cluster size for the three
 // schemes.
-func Figure11(o Options) *metrics.Figure {
+func figure11(o Options) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Figure 11: Bandwidth consumption (aggregate, MB/s)",
 		XLabel: "nodes",
@@ -132,8 +132,8 @@ func failureFigure(fig *metrics.Figure, o Options, name string, pick func(det, c
 		})
 }
 
-// Figure12 reproduces "Failure detection time" versus cluster size.
-func Figure12(o Options) *metrics.Figure {
+// figure12 reproduces "Failure detection time" versus cluster size.
+func figure12(o Options) *metrics.Figure {
 	return failureFigure(&metrics.Figure{
 		Title:  "Figure 12: Failure detection time",
 		XLabel: "nodes",
@@ -141,8 +141,8 @@ func Figure12(o Options) *metrics.Figure {
 	}, o, "fig12", func(det, _ time.Duration) time.Duration { return det })
 }
 
-// Figure13 reproduces "View convergence time" versus cluster size.
-func Figure13(o Options) *metrics.Figure {
+// figure13 reproduces "View convergence time" versus cluster size.
+func figure13(o Options) *metrics.Figure {
 	return failureFigure(&metrics.Figure{
 		Title:  "Figure 13: View convergence time",
 		XLabel: "nodes",
@@ -150,13 +150,13 @@ func Figure13(o Options) *metrics.Figure {
 	}, o, "fig13", func(_, conv time.Duration) time.Duration { return conv })
 }
 
-// Figure2 reproduces "All-to-all approach is not scalable": per-node CPU
+// figure2 reproduces "All-to-all approach is not scalable": per-node CPU
 // load and received packet rate versus cluster size, following the paper's
 // own method of emulating cluster growth by varying the received heartbeat
 // rate. The CPU cost of one received heartbeat is measured by timing this
 // implementation's actual receive path (decode + directory merge); the
 // paper used 1024-byte heartbeats at 1 Hz.
-func Figure2(perPacket time.Duration, sizes []int) *metrics.Figure {
+func figure2(perPacket time.Duration, sizes []int) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Figure 2: All-to-all overhead on one node (1024B heartbeats at 1Hz)",
 		XLabel: "nodes",
@@ -206,11 +206,11 @@ func MeasureReceiveCost(iters int) time.Duration {
 	return time.Since(start) / time.Duration(iters)
 }
 
-// Section4FixedBandwidth emits the paper's fixed-budget regime: with the
+// section4FixedBandwidth emits the paper's fixed-budget regime: with the
 // bandwidth pinned, how slowly does each scheme detect as the cluster
 // grows (the BDP ordering: hierarchical O(N) beats all-to-all O(N²) beats
 // gossip O(N² log N)).
-func Section4FixedBandwidth(sizes []int) *metrics.Figure {
+func section4FixedBandwidth(sizes []int) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Section 4: analytic detection time (s) at a fixed 1 MB/s budget",
 		XLabel: "nodes",
@@ -235,9 +235,9 @@ func Section4FixedBandwidth(sizes []int) *metrics.Figure {
 	return fig
 }
 
-// Section4 emits the analytic scalability comparison (fixed-frequency and
+// section4 emits the analytic scalability comparison (fixed-frequency and
 // fixed-bandwidth regimes) alongside the closed-form BDP/BCP products.
-func Section4(sizes []int) *metrics.Figure {
+func section4(sizes []int) *metrics.Figure {
 	fig := &metrics.Figure{
 		Title:  "Section 4: analytic detection time (s) and bandwidth (MB/s) at fixed 1 Hz",
 		XLabel: "nodes",

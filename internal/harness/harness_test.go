@@ -38,7 +38,7 @@ func testOptions() Options {
 // hierarchical scheme uses the least bandwidth at scale and grows
 // near-linearly, while all-to-all and gossip grow quadratically.
 func TestFigure11Reproduction(t *testing.T) {
-	fig := Figure11(testOptions())
+	fig := figure11(testOptions())
 	n0, n1 := 20.0, 60.0
 
 	a2aSmall, a2aBig := at(t, fig, "All-to-all", n0), at(t, fig, "All-to-all", n1)
@@ -70,7 +70,7 @@ func TestFigure11Reproduction(t *testing.T) {
 // hierarchical are constant around MaxLoss seconds; gossip is slowest at
 // every size and grows with N.
 func TestFigure12Reproduction(t *testing.T) {
-	fig := Figure12(testOptions())
+	fig := figure12(testOptions())
 	for _, n := range []float64{20, 40, 60} {
 		a := at(t, fig, "All-to-all", n)
 		h := at(t, fig, "Hierarchical", n)
@@ -93,7 +93,7 @@ func TestFigure12Reproduction(t *testing.T) {
 // TestFigure13Reproduction checks convergence-time shape: hierarchical is
 // close to all-to-all (within a couple of heartbeats), gossip is largest.
 func TestFigure13Reproduction(t *testing.T) {
-	fig := Figure13(testOptions())
+	fig := figure13(testOptions())
 	for _, n := range []float64{20, 40, 60} {
 		a := at(t, fig, "All-to-all", n)
 		h := at(t, fig, "Hierarchical", n)
@@ -134,7 +134,7 @@ func TestFigure2Reproduction(t *testing.T) {
 	if per <= 0 || per > time.Millisecond {
 		t.Fatalf("per-packet receive cost = %v; implausible", per)
 	}
-	fig := Figure2(per, []int{500, 1000, 2000, 4000})
+	fig := figure2(per, []int{500, 1000, 2000, 4000})
 	// The label is printed with %s: a doubled percent sign would show as one.
 	if strings.Contains(fig.YLabel, "%%") || !strings.Contains(fig.Render(), "# y: cpu % | pkts/s | KB/s\n") {
 		t.Errorf("y label %q renders with a literal %%%%", fig.YLabel)
@@ -163,27 +163,27 @@ func TestFigure2Reproduction(t *testing.T) {
 func TestExperimentDeterminism(t *testing.T) {
 	o := testOptions()
 	o.Sizes = []int{20, 40}
-	a := Figure11(o).Render()
-	b := Figure11(o).Render()
+	a := figure11(o).Render()
+	b := figure11(o).Render()
 	if a != b {
 		t.Fatalf("Figure 11 not deterministic:\n%s\nvs\n%s", a, b)
 	}
-	fa := Figure14(42).Render()
-	fb := Figure14(42).Render()
+	fa := figure14(42).Render()
+	fb := figure14(42).Render()
 	if fa != fb {
 		t.Fatal("Figure 14 not deterministic")
 	}
 	// Different seeds differ (the RNG actually reaches the protocols).
 	o2 := o
 	o2.Seed = 1234
-	if Figure11(o2).Render() == a {
+	if figure11(o2).Render() == a {
 		t.Fatal("seed has no effect on Figure 11")
 	}
 }
 
 // TestSection4Table sanity-checks the analytic table generation.
 func TestSection4Table(t *testing.T) {
-	fig := Section4([]int{100, 1000})
+	fig := section4([]int{100, 1000})
 	if at(t, fig, "Hier MB/s", 1000) >= at(t, fig, "A2A MB/s", 1000) {
 		t.Fatal("analytic hierarchical bandwidth should beat all-to-all")
 	}
@@ -197,7 +197,7 @@ func TestSection4Table(t *testing.T) {
 // by the remote data center during it (≥ one WAN round trip), a throughput
 // dip only around the detection window, and recovery afterwards.
 func TestFigure14Reproduction(t *testing.T) {
-	fig := Figure14(42)
+	fig := figure14(42)
 
 	resp := func(s float64) float64 { return at(t, fig, "response ms", s) }
 	thr := func(s float64) float64 { return at(t, fig, "throughput/s", s) }

@@ -20,21 +20,21 @@ func TestSweepDeterminism(t *testing.T) {
 	o.Sizes = []int{20, 40}
 
 	o.Sweep = Sweep{Workers: 1}
-	serial := Figure11(o).Render()
+	serial := figure11(o).Render()
 	o.Sweep = Sweep{Workers: 8}
-	parallel := Figure11(o).Render()
+	parallel := figure11(o).Render()
 	if serial != parallel {
 		t.Fatalf("workers=1 and workers=8 render differently:\n%s\nvs\n%s", serial, parallel)
 	}
-	if again := Figure11(o).Render(); again != parallel {
+	if again := figure11(o).Render(); again != parallel {
 		t.Fatalf("same seed not byte-identical across runs:\n%s\nvs\n%s", again, parallel)
 	}
 
 	// The failure sweeps share the machinery; spot-check one.
 	o.Sweep = Sweep{Workers: 1}
-	d1 := Figure12(o).Render()
+	d1 := figure12(o).Render()
 	o.Sweep = Sweep{Workers: 8}
-	d8 := Figure12(o).Render()
+	d8 := figure12(o).Render()
 	if d1 != d8 {
 		t.Fatalf("Figure 12 differs across worker counts:\n%s\nvs\n%s", d1, d8)
 	}

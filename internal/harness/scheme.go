@@ -46,6 +46,25 @@ const (
 	RapidDC
 )
 
+// comparedSchemes lists the paper's three compared schemes in presentation
+// order; the §4 figures sweep exactly these. The federated stack and the
+// rapid scheme are not points in those analyses — they join the comparison
+// only in the chaos and traffic matrices.
+var comparedSchemes = []Scheme{AllToAll, Gossip, Hierarchical}
+
+// ChaosSchemes is the chaos matrix's column set: the three compared schemes,
+// the federated hierarchical+proxy stack, rapid, the self-organizing
+// adaptive hierarchy, and rapid with the DC-aware overlay.
+var ChaosSchemes = []Scheme{AllToAll, Gossip, Hierarchical, HierarchicalProxy, Rapid, HierarchicalAdaptive, RapidDC}
+
+// TrafficSchemes is the traffic matrix's column set. It deliberately stays
+// at the pre-adaptive five: the traffic tables are a user-level comparison
+// of the baseline schemes, and the measurement window is the slowest
+// scheme's settle bound — adding the adaptive scheme would stretch every
+// cell's window and perturb all committed numbers. The adaptive traffic
+// story is told by the hedging ablation instead.
+var TrafficSchemes = []Scheme{AllToAll, Gossip, Hierarchical, HierarchicalProxy, Rapid}
+
 // descriptor is one row of the scheme table.
 type descriptor struct {
 	// name is the String() value, the scheme's label in every figure, run

@@ -316,11 +316,14 @@ func TestBenchmarkCeilingsHold(t *testing.T) {
 // from its own free list. The ceiling is what the same cluster allocates
 // idle, plus 1 per 500 requests: the loaded window's excess is the few send
 // buffers the network adds for the packets in flight (15 over 9 798
-// requests, where the bound allows 19). It returns the fixture and the
-// layer, in steady state.
+// requests, where the bound allows 19). Mallocs counts the whole process,
+// so another goroutine's allocations land in whichever window is open:
+// each side is the least of three windows, and the requests are those of
+// the loaded window that gave it. It returns the fixture and the layer, in
+// steady state.
 func steadyStateCeiling(tb testing.TB) (*fixture, *Layer) {
 	f := newFixture(tb, 6, 4, 4)
-	const window = 5 * time.Second
+	const window, windows = 5 * time.Second, 3
 	mallocsOver := func(d time.Duration) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -329,6 +332,9 @@ func steadyStateCeiling(tb testing.TB) (*fixture, *Layer) {
 		return after.Mallocs - before.Mallocs
 	}
 	idle := mallocsOver(window)
+	for i := 1; i < windows; i++ {
+		idle = min(idle, mallocsOver(window))
+	}
 
 	o := testOptions(10000, 4)
 	o.Think = 5 * time.Second
@@ -336,10 +342,14 @@ func steadyStateCeiling(tb testing.TB) (*fixture, *Layer) {
 	l := New(f.eng, o, f.runtimes[:2], f.alive)
 	l.Start()
 	f.run(3 * o.Think) // every session open, pinned, and through its first think times
-	from := l.Stats()
-	loaded := mallocsOver(window)
+	var loaded, requests uint64
+	for i := 0; i < windows; i++ {
+		from := l.Stats().Requests
+		if n := mallocsOver(window); i == 0 || n < loaded {
+			loaded, requests = n, l.Stats().Requests-from
+		}
+	}
 	st := l.Stats()
-	requests := st.Requests - from.Requests
 	if st.Sessions != 10000 || st.OK != st.Requests-uint64(inflight(l)) || requests < 8000 {
 		tb.Fatalf("not a steady state: %+v", st)
 	}
